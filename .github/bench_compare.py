@@ -28,6 +28,9 @@ GATED = (
     "sql/grouped_agg/hot",
     "sql/grouped_agg/frozen",
     "sql/global_agg/frozen",
+    # The packed-field group kernel (columnar::compress::filter): a 20-bit
+    # forpack filter, serial and allocation-free, so quiet on runners.
+    "compressed_scan/forpack_w20/filter",
 )
 
 DEFAULT_THRESHOLD_PCT = 25.0

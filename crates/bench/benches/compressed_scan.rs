@@ -7,11 +7,17 @@
 //! codec in turn (asserted, so a codec regression shows up here, not in
 //! silently-moved goalposts). Both contenders produce identical row-id
 //! vectors; the fused path never materializes values.
+//!
+//! `compressed_scan/<codec>_w<width>/{filter,fold}` is the codec ladder
+//! under those: [`EncodedBlock::filter_range_masks`] and
+//! [`EncodedBlock::fold_range_masked`] alone, per packed width, in ns/row
+//! and GB/s of packed bytes — the number the ROADMAP holds against memcpy
+//! bandwidth. `forpack_w20/filter` gates CI (`.github/bench_compare.py`).
 
 use std::hint::black_box;
 use std::time::Duration;
 
-use amnesia_columnar::compress::Encoding;
+use amnesia_columnar::compress::{BlockAgg, EncodedBlock, Encoding};
 use amnesia_columnar::{Schema, Table, WordZoneMap};
 use amnesia_engine::{batch, kernels};
 use amnesia_util::SimRng;
@@ -133,6 +139,102 @@ fn compressed_scan(c: &mut Criterion) {
     }
 }
 
+/// Blocks × rows of one packed-width case: 512 Ki rows, tier-block sized.
+const WIDTH_BLOCKS: usize = 512;
+const WIDTH_BLOCK_ROWS: usize = 1_024;
+
+/// `(name, blocks, ~1 % predicate)` per packed width. Forpack offsets are
+/// uniform over the `width`-bit band (60 is on the two-word path the
+/// group kernel leaves to widths 57–63). Dict stops at the widest code
+/// `encode` can emit for a 1 024-row block with repeats: 7 bits.
+fn width_cases() -> Vec<(String, Vec<EncodedBlock>, (i64, i64))> {
+    let mut rng = SimRng::new(16);
+    let mut blocks_of = |encoding: Encoding, width: u32, scale: i64| -> Vec<EncodedBlock> {
+        (0..WIDTH_BLOCKS)
+            .map(|_| {
+                let mut values: Vec<i64> = (0..WIDTH_BLOCK_ROWS)
+                    .map(|_| scale * (rng.next_u64() >> (64 - width)) as i64)
+                    .collect();
+                // Pin the width: both ends of the band in every block.
+                values[0] = 0;
+                values[1] = scale * ((1u64 << width) - 1) as i64;
+                let block = EncodedBlock::encode(&values, encoding);
+                // Packed fields plus a header (dict: its entries) and no more.
+                let packed = WIDTH_BLOCK_ROWS * width as usize / 8;
+                assert!((packed..packed + 512).contains(&block.compressed_bytes()));
+                block
+            })
+            .collect()
+    };
+    let mut cases = Vec::new();
+    for width in [6u32, 7, 20, 33, 60] {
+        let band = 1i64 << width;
+        cases.push((
+            format!("forpack_w{width}"),
+            blocks_of(Encoding::ForPack, width, 1),
+            (band / 2, band / 2 + (band / 100).max(1)),
+        ));
+    }
+    for width in [6u32, 7] {
+        // Entries 1 000 apart: the dictionary, not the frame, is compact.
+        let band = 1_000i64 << width;
+        cases.push((
+            format!("dict_w{width}"),
+            blocks_of(Encoding::Dict, width, 1_000),
+            (band / 2, band / 2 + 1_000),
+        ));
+    }
+    cases
+}
+
+fn packed_widths(c: &mut Criterion) {
+    let rows = (WIDTH_BLOCKS * WIDTH_BLOCK_ROWS) as f64;
+    let all_rows = vec![u64::MAX; WIDTH_BLOCK_ROWS / 64];
+    for (name, blocks, (lo, hi)) in width_cases() {
+        let bytes: usize = blocks.iter().map(|b| b.compressed_bytes()).sum();
+        // ns/row and packed GB/s, which the shim's one-rate line lacks:
+        // the quietest of five passes.
+        let report = |leg: &str, pass: &mut dyn FnMut()| {
+            let secs = (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    pass();
+                    t.elapsed().as_secs_f64()
+                })
+                .fold(f64::MAX, f64::min);
+            println!(
+                "compressed_scan/{name}/{leg}: {:.3} ns/row, {:.2} GB/s packed",
+                secs * 1e9 / rows,
+                bytes as f64 / secs / 1e9
+            );
+        };
+        let mut masks = Vec::new();
+        let mut filter = || {
+            let mut hits = 0u32;
+            for b in &blocks {
+                b.filter_range_masks(black_box(lo), black_box(hi), &mut masks);
+                hits += masks.iter().map(|m| m.count_ones()).sum::<u32>();
+            }
+            black_box(hits);
+        };
+        let mut fold = || {
+            let mut agg = BlockAgg::new();
+            for b in &blocks {
+                b.fold_range_masked(Some((black_box(lo), black_box(hi))), &all_rows, &mut agg);
+            }
+            black_box(agg);
+        };
+        report("filter", &mut filter);
+        report("fold", &mut fold);
+
+        let mut group = c.benchmark_group(format!("compressed_scan/{name}"));
+        group.throughput(Throughput::Elements(rows as u64));
+        group.bench_function("filter", |b| b.iter(&mut filter));
+        group.bench_function("fold", |b| b.iter(&mut fold));
+        group.finish();
+    }
+}
+
 fn zonemap_words(c: &mut Criterion) {
     // Sorted column, ~1 % selectivity: the acceptance setting for
     // word-granularity pruning.
@@ -177,6 +279,6 @@ fn zonemap_words(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(500));
-    targets = compressed_scan, zonemap_words
+    targets = packed_widths, compressed_scan, zonemap_words
 }
 criterion_main!(benches);

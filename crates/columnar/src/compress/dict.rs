@@ -4,21 +4,12 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use super::filter::{unpack_fixed, BlockAgg, MaskWriter};
-use super::varint::{read_signed, read_varint, write_signed, write_varint};
+use super::filter::{check_region, low_ones, Band, BlockAgg, Packed};
+use super::varint::{read_signed, read_varint, try_read_varint, write_signed, write_varint};
 use crate::types::Value;
 
 fn bits_for(x: u64) -> u32 {
     64 - x.leading_zeros()
-}
-
-#[inline]
-fn ones(n: u32) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
 }
 
 /// Encode with a sorted dictionary.
@@ -57,7 +48,7 @@ pub fn encode(values: &[Value]) -> Bytes {
         let mut chunk = code;
         while remaining > 0 {
             let t = remaining.min(64 - filled);
-            word |= (chunk & ones(t)) << filled;
+            word |= (chunk & low_ones(t)) << filled;
             filled += t;
             chunk >>= t - 1;
             chunk >>= 1;
@@ -75,128 +66,123 @@ pub fn encode(values: &[Value]) -> Bytes {
     buf.freeze()
 }
 
+/// A parsed block: the dictionary still in its delta-varint form and the
+/// packed codes, both *borrowed* from the payload.
+struct Header<'a> {
+    dict_len: usize,
+    entries: &'a [u8],
+    codes: Packed<'a>,
+}
+
+impl<'a> Header<'a> {
+    /// Parse the header; `None` for an empty block. The dictionary is
+    /// only *skipped* here (an entry ends at its first byte without the
+    /// continuation bit) — whoever needs values walks [`Self::values`].
+    fn parse(data: &'a [u8]) -> Option<Self> {
+        let mut pos = 0;
+        let count = read_varint(data, &mut pos) as usize;
+        if count == 0 {
+            return None;
+        }
+        let dict_len = read_varint(data, &mut pos) as usize;
+        let start = pos;
+        for _ in 0..dict_len {
+            while data[pos] >= 0x80 {
+                pos += 1;
+            }
+            pos += 1;
+        }
+        Some(Self {
+            dict_len,
+            entries: &data[start..pos],
+            codes: Packed {
+                region: &data[pos + 1..],
+                width: data[pos].into(),
+                count,
+            },
+        })
+    }
+
+    /// The sorted distinct values, decoded on the fly from their deltas.
+    fn values(&self) -> impl Iterator<Item = Value> + 'a {
+        let entries = self.entries;
+        let mut pos = 0;
+        let mut prev = 0i64;
+        std::iter::from_fn(move || {
+            (pos < entries.len()).then(|| {
+                prev = prev.wrapping_add(read_signed(entries, &mut pos));
+                prev
+            })
+        })
+    }
+
+    /// The dictionary materialized, for callers that index it per row.
+    fn dictionary(&self) -> Vec<Value> {
+        let mut dict = Vec::with_capacity(self.dict_len);
+        dict.extend(self.values());
+        dict
+    }
+
+    /// `[lo, hi)` as a *code* interval: the dictionary is sorted, so the
+    /// codes of matching values are the contiguous run between the number
+    /// of entries below `lo` and the number below `hi` — one allocation-
+    /// free walk over the (tiny) dictionary.
+    fn code_band(&self, lo: Value, hi: Value) -> Band {
+        let (mut c_lo, mut c_hi) = (0i128, 0i128);
+        for v in self.values().take_while(|&v| v < hi) {
+            c_lo += i128::from(v < lo);
+            c_hi += 1;
+        }
+        Band::clip(c_lo, c_hi, self.dict_len as u64 - 1)
+    }
+}
+
+/// Header check behind `EncodedBlock::try_from_parts` — everything
+/// [`Header::parse`] and the kernels take on trust: O(dictionary).
+pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
+    let mut pos = 0;
+    let count = try_read_varint(data, &mut pos).ok_or("truncated row count")?;
+    if count != len as u64 {
+        return Err("header row count differs from the block's");
+    }
+    if count == 0 {
+        return Ok(());
+    }
+    let dict_len = try_read_varint(data, &mut pos).ok_or("truncated dictionary size")?;
+    // Entries are at least a byte each: bound the walk by the payload
+    // before trusting a length read from it.
+    if dict_len == 0 || dict_len > (data.len() - pos) as u64 {
+        return Err("dictionary size impossible for the payload");
+    }
+    for _ in 0..dict_len {
+        try_read_varint(data, &mut pos).ok_or("truncated dictionary entry")?;
+    }
+    let width = *data.get(pos).ok_or("missing width byte")?;
+    check_region(&data[pos + 1..], width, len)
+}
+
 /// Decode a buffer produced by [`encode`].
 pub fn decode(data: &[u8]) -> Vec<Value> {
-    let mut pos = 0;
-    let count = read_varint(data, &mut pos) as usize;
-    if count == 0 {
+    let Some(h) = Header::parse(data) else {
         return Vec::new();
-    }
-    let dict_len = read_varint(data, &mut pos) as usize;
-    let mut dict = Vec::with_capacity(dict_len);
-    let mut prev = 0i64;
-    for i in 0..dict_len {
-        let d = read_signed(data, &mut pos);
-        let v = if i == 0 { d } else { prev.wrapping_add(d) };
-        dict.push(v);
-        prev = v;
-    }
-    let width = data[pos] as u32;
-    pos += 1;
-    let words: Vec<u64> = data[pos..]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-
-    let mut out = Vec::with_capacity(count);
-    let mut bit_pos = 0usize;
-    for _ in 0..count {
-        let mut code = 0u64;
-        let mut got = 0u32;
-        while got < width {
-            let word_idx = bit_pos / 64;
-            let in_word = (bit_pos % 64) as u32;
-            let take = (width - got).min(64 - in_word);
-            let bits = (words[word_idx] >> in_word) & ones(take);
-            code |= bits << got;
-            got += take;
-            bit_pos += take as usize;
-        }
-        out.push(dict[code as usize]);
-    }
+    };
+    let dict = h.dictionary();
+    let mut out = Vec::with_capacity(h.codes.count);
+    h.codes.decode_each(|code| out.push(dict[code as usize]));
     out
 }
 
 /// Fused decode+filter: append selection-mask words for `lo <= v < hi`.
 ///
-/// The dictionary is sorted, so the value predicate translates into a
-/// *contiguous code range* `[c_lo, c_hi)` found with two binary-search
-/// partition points over the (tiny) dictionary. The packed codes are then
-/// tested with one unsigned compare each — values are never
-/// reconstructed. An all-covered or disjoint dictionary short-circuits to
-/// constant-fill masks without touching the code stream at all.
+/// The value predicate becomes a contiguous code interval
+/// (`Header::code_band`) and the packed codes are compared 64 rows per
+/// step — values are never reconstructed. An all-covered or disjoint
+/// dictionary short-circuits to constant-fill masks without touching the
+/// code stream at all.
 pub fn filter_range_masks(data: &[u8], lo: Value, hi: Value, out: &mut Vec<u64>) {
-    let mut pos = 0;
-    let count = read_varint(data, &mut pos) as usize;
-    if count == 0 {
-        return;
+    if let Some(h) = Header::parse(data) {
+        h.codes.filter_masks(h.code_band(lo, hi), out);
     }
-    let dict_len = read_varint(data, &mut pos) as usize;
-    let mut dict = Vec::with_capacity(dict_len);
-    let mut prev = 0i64;
-    for i in 0..dict_len {
-        let d = read_signed(data, &mut pos);
-        let v = if i == 0 { d } else { prev.wrapping_add(d) };
-        dict.push(v);
-        prev = v;
-    }
-    // Code-space translation of the value range (dict is sorted+deduped).
-    let c_lo = dict.partition_point(|&v| v < lo) as u64;
-    let c_hi = dict.partition_point(|&v| v < hi) as u64;
-    let mut w = MaskWriter::new(out);
-    if c_lo >= c_hi || c_lo == 0 && c_hi == dict_len as u64 {
-        // No code matches, or every code does: the code stream is
-        // irrelevant.
-        w.push_run(c_lo < c_hi, count);
-        w.finish();
-        return;
-    }
-    let code_span = c_hi - c_lo;
-    let width = data[pos] as u32;
-    pos += 1;
-    let words: Vec<u64> = data[pos..]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    let mut bit_pos = 0usize;
-    for _ in 0..count {
-        let mut code = 0u64;
-        let mut got = 0u32;
-        while got < width {
-            let word_idx = bit_pos / 64;
-            let in_word = (bit_pos % 64) as u32;
-            let take = (width - got).min(64 - in_word);
-            let bits = (words[word_idx] >> in_word) & ones(take);
-            code |= bits << got;
-            got += take;
-            bit_pos += take as usize;
-        }
-        w.push_bit(code.wrapping_sub(c_lo) < code_span);
-    }
-    w.finish();
-}
-
-/// Parse the header, returning `(count, dict, width, packed code
-/// region)`. The region is *borrowed* — point reads and folds unpack
-/// straight from it ([`unpack_fixed`]), no `Vec<u64>` is materialized.
-fn parse_header(data: &[u8]) -> (usize, Vec<Value>, u32, &[u8]) {
-    let mut pos = 0;
-    let count = read_varint(data, &mut pos) as usize;
-    if count == 0 {
-        return (0, Vec::new(), 0, &[]);
-    }
-    let dict_len = read_varint(data, &mut pos) as usize;
-    let mut dict = Vec::with_capacity(dict_len);
-    let mut prev = 0i64;
-    for i in 0..dict_len {
-        let d = read_signed(data, &mut pos);
-        let v = if i == 0 { d } else { prev.wrapping_add(d) };
-        dict.push(v);
-        prev = v;
-    }
-    let width = data[pos] as u32;
-    pos += 1;
-    (count, dict, width, &data[pos..])
 }
 
 /// The sorted distinct values of a dictionary block. This is the join
@@ -205,117 +191,67 @@ fn parse_header(data: &[u8]) -> (usize, Vec<Value>, u32, &[u8]) {
 /// lookup into a per-code match table computed with `dict_len` probes
 /// instead of one per row.
 pub fn read_dictionary(data: &[u8]) -> Vec<Value> {
-    parse_header(data).1
+    Header::parse(data).map_or_else(Vec::new, |h| h.dictionary())
 }
 
 /// Visit `(row, code)` for every row whose bit is set in `active`
 /// (block-local selection words), in row order. The header is parsed
-/// once; each visit is one branchless fixed-width unpack, and the walk
-/// hoists whole 64-row activity words so an all-forgotten word costs one
-/// load. Pairs with [`read_dictionary`] to keep join probes in code
-/// space.
-pub fn for_each_active_code(data: &[u8], active: &[u64], mut f: impl FnMut(usize, u64)) {
-    let (count, _, width, region) = parse_header(data);
-    for_each_active_fixed(count, active, |row| {
-        f(row, unpack_fixed(region, width, row))
-    });
-}
-
-/// Visit `(row, value)` for active rows in row order: one dictionary
-/// parse, then fixed-width unpacks of only the active rows.
-pub fn for_each_active(data: &[u8], active: &[u64], mut f: impl FnMut(usize, Value)) {
-    let (count, dict, width, region) = parse_header(data);
-    for_each_active_fixed(count, active, |row| {
-        f(row, dict[unpack_fixed(region, width, row) as usize]);
-    });
-}
-
-/// Shared word-hoisted walk over the active rows of a `count`-row block.
-pub(super) fn for_each_active_fixed(count: usize, active: &[u64], mut f: impl FnMut(usize)) {
-    for (g, &aw) in active.iter().enumerate().take(count.div_ceil(64)) {
-        let base_row = g * 64;
-        let rows = (count - base_row).min(64);
-        let mut w = if rows == 64 {
-            aw
-        } else {
-            aw & ((1u64 << rows) - 1)
-        };
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            w &= w - 1;
-            f(base_row + bit);
-        }
+/// once and only the active codes are read — an all-forgotten 64-row
+/// word costs one load. Pairs with [`read_dictionary`] to keep join
+/// probes in code space.
+pub fn for_each_active_code(data: &[u8], active: &[u64], f: impl FnMut(usize, u64)) {
+    if let Some(h) = Header::parse(data) {
+        h.codes.for_each_selected(Band::All, active, f);
     }
 }
 
-/// Value at row `i`: one direct fixed-width code unpack plus a dictionary
-/// lookup — dictionary blocks are random-access, so point reads cost
-/// O(dict) parse + O(1) access, with no allocation beyond the (tiny)
-/// dictionary itself.
-pub fn value_at(data: &[u8], i: usize) -> Value {
-    let (count, dict, width, region) = parse_header(data);
-    assert!(
-        i < count,
-        "row {i} out of range for dict block of {count} rows"
-    );
-    dict[unpack_fixed(region, width, i) as usize]
+/// Visit `(row, value)` for active rows in row order: one dictionary
+/// parse, then reads of only the active codes.
+pub fn for_each_active(data: &[u8], active: &[u64], mut f: impl FnMut(usize, Value)) {
+    if let Some(h) = Header::parse(data) {
+        let dict = h.dictionary();
+        h.codes
+            .for_each_selected(Band::All, active, |row, code| f(row, dict[code as usize]));
+    }
 }
 
-/// Fused masked aggregate in *code space*: matching active rows are
-/// histogrammed per code (`counts[code] += 1` — the dictionary is tiny),
-/// then COUNT/SUM/MIN/MAX fall out of `counts[c] * dict[c]` with one pass
-/// over the dictionary. Values are never reconstructed per row, the
-/// sorted dictionary turns the filter into a contiguous code interval,
-/// and fixed-width codes are random-access, so the fold hoists each
-/// 64-row activity word and unpacks only the *active* rows — an
-/// all-forgotten word costs one load.
+/// Value at row `i`: one fixed-width code read, then a walk over the
+/// dictionary's delta-varints that stops at that code — no allocation,
+/// the point read never materializes the dictionary.
+pub fn value_at(data: &[u8], i: usize) -> Value {
+    let h = Header::parse(data).expect("row in an empty dict block");
+    assert!(
+        i < h.codes.count,
+        "row {i} out of range for dict block of {} rows",
+        h.codes.count
+    );
+    let code = h.codes.get(i) as usize;
+    h.values().nth(code).expect("code within the dictionary")
+}
+
+/// Fused masked aggregate in *code space*: each 64-row group contributes
+/// `code-interval mask & activity word`, the selected codes are
+/// histogrammed (`counts[code] += 1` — the dictionary is tiny), and
+/// COUNT/SUM/MIN/MAX fall out of `counts[c] · dict[c]` in one pass over
+/// the dictionary. Values are never reconstructed per row.
 pub fn fold_range_masked(
     data: &[u8],
     filter: Option<(Value, Value)>,
     active: &[u64],
     agg: &mut BlockAgg,
 ) {
-    let (count, dict, width, region) = parse_header(data);
-    if count == 0 {
+    let Some(h) = Header::parse(data) else {
         return;
-    }
-    let (c_lo, c_hi) = match filter {
-        Some((lo, hi)) => (
-            dict.partition_point(|&v| v < lo) as u64,
-            dict.partition_point(|&v| v < hi) as u64,
-        ),
-        None => (0, dict.len() as u64),
     };
-    if c_lo >= c_hi {
+    let band = filter.map_or(Band::All, |(lo, hi)| h.code_band(lo, hi));
+    if band == Band::Empty {
         return;
     }
-    let code_span = c_hi - c_lo;
-    let mut counts = vec![0u64; code_span as usize];
-    for (g, &aw) in active.iter().enumerate().take(count.div_ceil(64)) {
-        let base_row = g * 64;
-        let rows = (count - base_row).min(64);
-        let w = if rows == 64 {
-            aw
-        } else {
-            aw & ((1u64 << rows) - 1)
-        };
-        // Only the active rows are unpacked (fixed-width codes make
-        // point unpacks one branchless two-word read), so an
-        // all-forgotten word costs one load.
-        let mut w = w;
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            w &= w - 1;
-            let rebased = unpack_fixed(region, width, base_row + bit).wrapping_sub(c_lo);
-            if rebased < code_span {
-                counts[rebased as usize] += 1;
-            }
-        }
-    }
-    for (slot, &n) in counts.iter().enumerate() {
-        if n > 0 {
-            agg.push_repeated(dict[c_lo as usize + slot], n);
-        }
+    let mut counts = vec![0u64; h.dict_len];
+    h.codes
+        .for_each_selected(band, active, |_, code| counts[code as usize] += 1);
+    for (v, &n) in h.values().zip(&counts) {
+        agg.push_repeated(v, n);
     }
 }
 

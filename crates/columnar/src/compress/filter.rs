@@ -1,13 +1,45 @@
-//! Shared machinery for the fused decode+filter paths.
+//! Shared machinery for the fused decode+filter paths: the mask writer
+//! and the packed-field **group primitive** under forpack, dict and plain.
 //!
-//! Every codec exposes a `filter_range_masks` that evaluates a `[lo, hi)`
-//! range predicate *inside* the decoder loop and emits packed 64-bit
-//! selection masks — bit `i` of word `i / 64` is set iff value `i`
-//! matches. The helpers here keep the mask contract in one place: the
-//! [`MaskWriter`] packs bits LSB-first and zero-fills the tail of the last
-//! partial word, and [`range_width`] / [`in_range`] implement the same
-//! single-unsigned-compare range test the batch kernels use, so a mask
-//! produced here is directly AND-able with activity words.
+//! # The group primitive
+//!
+//! Frame-of-reference offsets, dictionary codes and plain values are all
+//! [`Packed`] regions: `count` fields of `width` bits, LSB-first, the
+//! region padded to whole 8-byte words. A **group** is 64 consecutive
+//! fields — exactly one selection-mask word of rows, and exactly `width`
+//! packed words (`8·width` bytes), so group `g` starts at byte
+//! `g·8·width` whatever the width. Within a group every 8 fields (an
+//! *octet*) fill exactly `width` bytes, so field `k` of an octet sits at
+//! the constant byte offset `k·width/8` with the constant shift
+//! `k·width % 8`: [`each_octet`] reads it with **one unaligned 8-byte
+//! load** from the borrowed block bytes, no word buffer and no per-bit
+//! loop. The width is a const generic picked by the single `match` in
+//! [`group_kernel`], so every offset and shift folds to an immediate.
+//!
+//! * **Why `width ≤ 56`.** The shift is at most 7, so a field of up to 56
+//!   bits lies wholly inside its 8-byte load. `width = 64` also
+//!   qualifies (the shift is always 0 — that is the plain codec).
+//!   Widths 57–63 can straddle nine bytes and keep the two-word
+//!   [`unpack_fixed`] path, one field at a time.
+//! * **The last group.** The load of a group's last field may reach 8
+//!   bytes past the group, and a block's final group may be ragged.
+//!   [`Packed::with_group`] runs that one group from a zero-padded stack
+//!   copy, so the kernels never branch on a tail and never index out of
+//!   the region.
+//!
+//! On top of it: [`Packed::filter_masks`] emits one whole mask word per
+//! group, [`Packed::for_each_selected`] computes `filter mask & activity
+//! word` per group and visits only the surviving fields (point reads
+//! through [`unpack_fixed`] when the AND left few, one whole-group unpack
+//! when it left many), and [`Packed::decode_each`] unpacks group by group. Predicates arrive as a
+//! [`Band`] — already rebased into the region's unsigned field space, with
+//! the empty and whole-domain cases split off as constant fills — and
+//! compare in `u64`.
+//!
+//! The [`MaskWriter`] serves the codecs without fixed-width fields (rle,
+//! delta): it packs bits LSB-first and zero-fills the tail of the last
+//! word; [`range_width`] / [`in_range`] are the single-unsigned-compare
+//! range test the batch kernels use.
 
 use crate::types::Value;
 
@@ -75,7 +107,7 @@ pub(crate) fn bit_set(words: &[u64], i: usize) -> bool {
 
 /// All-ones mask of the low `n` bits (total for `n <= 64`).
 #[inline]
-fn low_ones(n: u32) -> u64 {
+pub(super) fn low_ones(n: u32) -> u64 {
     if n >= 64 {
         u64::MAX
     } else {
@@ -120,6 +152,272 @@ pub(super) fn range_width(lo: Value, hi: Value) -> u64 {
 #[inline]
 pub(super) fn in_range(v: Value, lo: Value, width: u64) -> bool {
     (v as u64).wrapping_sub(lo as u64) < width
+}
+
+/// Rows per step of the group primitive: one selection-mask word.
+const GROUP: usize = 64;
+
+/// Selected rows from which [`Packed::for_each_selected`] unpacks a whole
+/// group instead of point-reading its survivors.
+const DENSE: u32 = 16;
+
+/// The most bytes a group kernel reads: a 64-bit group plus the 8-byte
+/// load of its last field.
+const PADDED: usize = 8 * 64 + 8;
+
+/// An inclusive interval of a packed region's unsigned field space:
+/// `field` matches iff `field − lo <= span` (wrapping). Inclusive so the
+/// whole `u64` domain is expressible without widening the compare.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct FieldRange {
+    lo: u64,
+    span: u64,
+}
+
+impl FieldRange {
+    #[inline]
+    fn contains(self, field: u64) -> bool {
+        field.wrapping_sub(self.lo) <= self.span
+    }
+}
+
+/// A `[lo, hi)` value predicate rebased into a block's field space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Band {
+    /// No field can match: constant-fill zeros, fold nothing.
+    Empty,
+    /// Every field matches (also "no filter"): constant-fill ones.
+    All,
+    /// Fields must be compared.
+    Some(FieldRange),
+}
+
+impl Band {
+    /// The fields in `[lo, hi)` of a region whose fields span `0..=max`.
+    /// The bounds are already translated into field space (offset from the
+    /// frame minimum, or dictionary code), in `i128` because `hi − min`
+    /// can exceed either 64-bit domain.
+    pub(super) fn clip(lo: i128, hi: i128, max: u64) -> Band {
+        let lo = lo.max(0);
+        let last = (hi - 1).min(max as i128);
+        if last < lo {
+            Band::Empty
+        } else if lo == 0 && last == max as i128 {
+            Band::All
+        } else {
+            Band::Some(FieldRange {
+                lo: lo as u64,
+                span: (last - lo) as u64,
+            })
+        }
+    }
+
+    /// `[lo, hi)` over plain blocks, whose fields are the values' own
+    /// two's-complement bits: the wrapping compare needs no rebasing.
+    pub(super) fn of_values(lo: Value, hi: Value) -> Band {
+        match range_width(lo, hi) {
+            0 => Band::Empty,
+            width => Band::Some(FieldRange {
+                lo: lo as u64,
+                span: width - 1,
+            }),
+        }
+    }
+}
+
+/// Visit one group of `W`-bit fields an octet at a time: `f(j, fields)`
+/// receives fields `8j..8j + 8` of the group. `bytes` must hold the
+/// group's `8·W` bytes plus 8 (see the module docs); every offset and
+/// shift below is a compile-time constant once the inner loop unrolls.
+#[inline(always)]
+fn each_octet<const W: usize>(bytes: &[u8], mut f: impl FnMut(usize, [u64; 8])) {
+    let bytes = &bytes[..8 * W + 8];
+    let mask = low_ones(W as u32);
+    for j in 0..8 {
+        let octet = &bytes[j * W..j * W + W + 8];
+        f(
+            j,
+            std::array::from_fn(|k| {
+                let at = k * W / 8;
+                let word = u64::from_le_bytes(octet[at..at + 8].try_into().expect("8 bytes"));
+                word >> (k * W % 8) & mask
+            }),
+        );
+    }
+}
+
+/// Selection word of one group: bit `i` set iff field `i` is in `range`.
+fn group_mask<const W: usize>(bytes: &[u8], range: FieldRange) -> u64 {
+    let mut word = 0u64;
+    each_octet::<W>(bytes, |j, fields| {
+        let mut byte = 0u64;
+        for (k, field) in fields.into_iter().enumerate() {
+            byte |= u64::from(range.contains(field)) << k;
+        }
+        word |= byte << (8 * j);
+    });
+    word
+}
+
+/// All 64 fields of one group.
+fn group_unpack<const W: usize>(bytes: &[u8], out: &mut [u64; GROUP]) {
+    each_octet::<W>(bytes, |j, fields| {
+        out[8 * j..8 * j + 8].copy_from_slice(&fields)
+    });
+}
+
+/// The width-specialised kernels of one group step.
+#[derive(Clone, Copy)]
+struct GroupKernel {
+    mask: fn(&[u8], FieldRange) -> u64,
+    unpack: fn(&[u8], &mut [u64; GROUP]),
+}
+
+/// The one width dispatch: `None` for widths 57–63 (and anything a
+/// corrupt header might claim), which stay on [`unpack_fixed`].
+fn group_kernel(width: u32) -> Option<GroupKernel> {
+    macro_rules! kernels {
+        ($($w:literal)*) => {
+            match width {
+                $($w => Some(GroupKernel {
+                    mask: group_mask::<$w>,
+                    unpack: group_unpack::<$w>,
+                }),)*
+                _ => None,
+            }
+        };
+    }
+    kernels!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28
+        29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 64)
+}
+
+/// Header check for a packed region read from disk: the width must be
+/// `1..=64` and the region must hold `ceil(count·width / 64)` words.
+pub(super) fn check_region(region: &[u8], width: u8, count: usize) -> Result<(), &'static str> {
+    if !(1..=64).contains(&width) {
+        return Err("field width outside 1..=64");
+    }
+    let bytes = count
+        .checked_mul(width.into())
+        .map(|bits| bits.div_ceil(64))
+        .and_then(|words| words.checked_mul(8));
+    if bytes.is_none_or(|b| b > region.len()) {
+        return Err("packed region shorter than its header claims");
+    }
+    Ok(())
+}
+
+/// A borrowed fixed-width packed region: `count` fields of `width` bits.
+#[derive(Clone, Copy)]
+pub(super) struct Packed<'a> {
+    pub(super) region: &'a [u8],
+    pub(super) width: u32,
+    pub(super) count: usize,
+}
+
+impl Packed<'_> {
+    /// Field `i`: one two-word point read.
+    #[inline]
+    pub(super) fn get(&self, i: usize) -> u64 {
+        unpack_fixed(self.region, self.width, i)
+    }
+
+    /// Rows of group `g` (64 but for a ragged last group).
+    #[inline]
+    fn rows_in(&self, g: usize) -> usize {
+        (self.count - g * GROUP).min(GROUP)
+    }
+
+    /// Run `read` on the bytes of group `g` — in place when the
+    /// `8·width + 8` bytes a kernel reads are all there, else (the
+    /// region's last group) from a zero-padded stack copy.
+    #[inline]
+    fn with_group<R>(&self, g: usize, read: impl FnOnce(&[u8]) -> R) -> R {
+        let group_bytes = 8 * self.width as usize;
+        let rest = self.region.get(g * group_bytes..).unwrap_or(&[]);
+        if rest.len() >= group_bytes + 8 {
+            return read(rest);
+        }
+        let mut pad = [0u8; PADDED];
+        pad[..rest.len()].copy_from_slice(rest);
+        read(&pad)
+    }
+
+    /// Selection word of group `g`: bit `i` set iff field `64g + i` is in
+    /// `band`, bits past `count` clear.
+    #[inline]
+    fn group_mask(&self, kernel: Option<GroupKernel>, g: usize, band: Band) -> u64 {
+        let rows = self.rows_in(g);
+        let word = match (band, kernel) {
+            (Band::Empty, _) => 0,
+            (Band::All, _) => u64::MAX,
+            (Band::Some(range), Some(k)) => self.with_group(g, |bytes| (k.mask)(bytes, range)),
+            (Band::Some(range), None) => (0..rows).fold(0, |word, i| {
+                word | u64::from(range.contains(self.get(g * GROUP + i))) << i
+            }),
+        };
+        word & low_ones(rows as u32)
+    }
+
+    /// Append one selection word per group (the mask contract): an empty
+    /// or whole-domain band is a constant fill that reads no field.
+    pub(super) fn filter_masks(&self, band: Band, out: &mut Vec<u64>) {
+        let kernel = group_kernel(self.width);
+        out.extend((0..self.count.div_ceil(GROUP)).map(|g| self.group_mask(kernel, g, band)));
+    }
+
+    /// Visit `(row, field)` in row order for every row whose bit is set
+    /// in `active` (one selection word per group, LSB-first; groups past
+    /// its end are inactive) and whose field is in `band`: per group the
+    /// filter word is ANDed with the activity word and only the surviving
+    /// fields are read, so an all-forgotten or all-rejected group costs
+    /// no field access at all.
+    pub(super) fn for_each_selected(
+        &self,
+        band: Band,
+        active: &[u64],
+        visit: impl FnMut(usize, u64),
+    ) {
+        self.each_selected(band, active.iter().copied(), visit);
+    }
+
+    /// Visit every field in row order (the dense-decode path).
+    pub(super) fn decode_each(&self, mut visit: impl FnMut(u64)) {
+        self.each_selected(Band::All, std::iter::repeat(u64::MAX), |_, f| visit(f));
+    }
+
+    /// [`Self::for_each_selected`] over any source of activity words.
+    fn each_selected(
+        &self,
+        band: Band,
+        active: impl Iterator<Item = u64>,
+        mut visit: impl FnMut(usize, u64),
+    ) {
+        let kernel = group_kernel(self.width);
+        let mut fields = [0u64; GROUP];
+        for (g, word) in (0..self.count.div_ceil(GROUP)).zip(active) {
+            if word == 0 {
+                continue;
+            }
+            let mut selected = word & self.group_mask(kernel, g, band);
+            // Unpacking all 64 fields costs about 16 point reads, so a
+            // densely selected group is unpacked whole.
+            let unpacked = kernel.filter(|_| selected.count_ones() >= DENSE);
+            if let Some(k) = unpacked {
+                self.with_group(g, |bytes| (k.unpack)(bytes, &mut fields));
+            }
+            while selected != 0 {
+                let i = selected.trailing_zeros() as usize;
+                selected &= selected - 1;
+                let row = g * GROUP + i;
+                let field = match unpacked {
+                    Some(_) => fields[i],
+                    None => self.get(row),
+                };
+                visit(row, field);
+            }
+        }
+    }
 }
 
 /// Packs predicate bits into 64-bit selection words, LSB-first.
@@ -279,6 +577,130 @@ mod tests {
                 assert_eq!(unpack_fixed(&region, width, i), v, "width {width} i {i}");
             }
         }
+    }
+
+    /// The pre-kernel read path, kept as the oracle: walk the region one
+    /// field at a time through a per-bit-run `while got < width` loop.
+    fn oracle_fields(region: &[u8], width: u32, count: usize) -> Vec<u64> {
+        let mut bit_pos = 0usize;
+        (0..count)
+            .map(|_| {
+                let (mut field, mut got) = (0u64, 0u32);
+                while got < width {
+                    let in_word = (bit_pos % 64) as u32;
+                    let take = (width - got).min(64 - in_word);
+                    let bits = (read_packed_word(region, bit_pos / 64) >> in_word) & low_ones(take);
+                    field |= bits << got;
+                    got += take;
+                    bit_pos += take as usize;
+                }
+                field
+            })
+            .collect()
+    }
+
+    /// A deterministic byte soup: any bytes are a valid packed region.
+    fn region_of(bytes: usize, seed: u64) -> Vec<u8> {
+        (0..bytes as u64)
+            .map(|i| ((i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn group_kernels_match_the_per_value_oracle_at_every_width() {
+        // 1 024: the last group is full but has no load slack; 200: ragged.
+        for width in 1..=64u32 {
+            for count in [0usize, 1, 64, 200, 1_024] {
+                let region = region_of((count * width as usize).div_ceil(64) * 8, width.into());
+                check_region(&region, width as u8, count).expect("sized to fit");
+                let packed = Packed {
+                    region: &region,
+                    width,
+                    count,
+                };
+                let want = oracle_fields(&region, width, count);
+
+                let mut got = Vec::new();
+                packed.decode_each(|f| got.push(f));
+                assert_eq!(got, want, "decode_each w{width} n{count}");
+
+                let mid = low_ones(width) / 2;
+                let band = Band::clip((mid / 2).into(), (mid + mid / 2).into(), low_ones(width));
+                let hit = |f: u64| f >= mid / 2 && f < mid + mid / 2;
+                let mut masks = Vec::new();
+                packed.filter_masks(band, &mut masks);
+                let expect: Vec<u64> = want
+                    .chunks(64)
+                    .map(|g| {
+                        g.iter()
+                            .enumerate()
+                            .fold(0, |w, (i, &f)| w | u64::from(hit(f)) << i)
+                    })
+                    .collect();
+                assert_eq!(masks, expect, "filter_masks w{width} n{count}");
+
+                // Sparse and dense selections take the point-read and the
+                // whole-group unpack legs of `for_each_selected`.
+                for active in [0x8000_0100_0000_0001u64, !0x10] {
+                    let words = vec![active; count.div_ceil(64)];
+                    for band in [band, Band::All, Band::Empty] {
+                        let mut got = Vec::new();
+                        packed.for_each_selected(band, &words, |row, f| got.push((row, f)));
+                        let expect: Vec<(usize, u64)> = (0..count)
+                            .filter(|&r| active >> (r % 64) & 1 == 1)
+                            .filter(|&r| match band {
+                                Band::Empty => false,
+                                Band::All => true,
+                                Band::Some(range) => range.contains(want[r]),
+                            })
+                            .map(|r| (r, want[r]))
+                            .collect();
+                        assert_eq!(got, expect, "for_each_selected w{width} n{count} {band:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn band_clipping_covers_the_edges() {
+        let some = |lo, span| Band::Some(FieldRange { lo, span });
+        // Empty and inverted ranges, ranges off either end of the fields.
+        assert_eq!(Band::clip(5, 5, 100), Band::Empty);
+        assert_eq!(Band::clip(9, 3, 100), Band::Empty);
+        assert_eq!(Band::clip(-50, 0, 100), Band::Empty);
+        assert_eq!(Band::clip(101, 500, 100), Band::Empty);
+        // Whole band, exactly and generously.
+        assert_eq!(Band::clip(0, 101, 100), Band::All);
+        assert_eq!(Band::clip(-(1 << 70), 1 << 70, u64::MAX), Band::All);
+        // Edges and clipping.
+        assert_eq!(Band::clip(0, 100, 100), some(0, 99));
+        assert_eq!(Band::clip(1, 101, 100), some(1, 99));
+        assert_eq!(Band::clip(-7, 1, 100), some(0, 0));
+        assert_eq!(Band::clip(100, 1 << 65, 100), some(100, 0));
+        assert_eq!(Band::clip(1, 1 << 64, u64::MAX), some(1, u64::MAX - 1));
+        // Plain values: the wrapping compare spans the sign.
+        assert_eq!(Band::of_values(3, 3), Band::Empty);
+        assert_eq!(Band::of_values(i64::MAX, i64::MIN), Band::Empty);
+        let Band::Some(all_but_max) = Band::of_values(i64::MIN, i64::MAX) else {
+            panic!("a non-empty range");
+        };
+        assert!(all_but_max.contains(i64::MIN as u64) && all_but_max.contains(-1i64 as u64));
+        assert!(all_but_max.contains((i64::MAX - 1) as u64));
+        assert!(!all_but_max.contains(i64::MAX as u64));
+    }
+
+    #[test]
+    fn checked_regions_refuse_impossible_headers() {
+        let region = [0u8; 64];
+        assert!(check_region(&region, 8, 64).is_ok());
+        assert!(check_region(&region, 64, 8).is_ok());
+        assert!(check_region(&region, 1, 0).is_ok());
+        assert!(check_region(&region, 0, 1).is_err());
+        assert!(check_region(&region, 65, 1).is_err());
+        assert!(check_region(&region, 8, 65).is_err(), "one word short");
+        assert!(check_region(&region[..63], 8, 64).is_err(), "partial word");
+        assert!(check_region(&region, 64, usize::MAX).is_err(), "overflow");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use super::filter::{unpack_fixed, BlockAgg, MaskWriter};
-use super::varint::{read_signed, read_varint, write_signed, write_varint};
+use super::filter::{check_region, low_ones, Band, BlockAgg, Packed};
+use super::varint::{read_signed, read_varint, try_read_varint, write_signed, write_varint};
 use crate::types::Value;
 
 /// Bits needed to represent `x`.
@@ -41,7 +41,7 @@ pub fn encode(values: &[Value]) -> Bytes {
         let mut chunk = off;
         while remaining > 0 {
             let take = remaining.min(64 - filled);
-            word |= (chunk & ones(take)) << filled;
+            word |= (chunk & low_ones(take)) << filled;
             filled += take;
             chunk >>= take - 1;
             chunk >>= 1; // two-step shift: `take` may be 64
@@ -59,202 +59,120 @@ pub fn encode(values: &[Value]) -> Bytes {
     buf.freeze()
 }
 
-#[inline]
-fn ones(n: u32) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
+/// Parse the header: the frame minimum and the packed offsets, *borrowed*
+/// from `data`; `None` for an empty block.
+fn parse_header(data: &[u8]) -> Option<(Value, Packed<'_>)> {
+    let mut pos = 0;
+    let count = read_varint(data, &mut pos) as usize;
+    if count == 0 {
+        return None;
     }
+    let min = read_signed(data, &mut pos);
+    let offsets = Packed {
+        region: &data[pos + 1..],
+        width: data[pos].into(),
+        count,
+    };
+    Some((min, offsets))
+}
+
+/// Header check behind `EncodedBlock::try_from_parts` — everything
+/// [`parse_header`] and the kernels take on trust: O(1).
+pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
+    let mut pos = 0;
+    let count = try_read_varint(data, &mut pos).ok_or("truncated row count")?;
+    if count != len as u64 {
+        return Err("header row count differs from the block's");
+    }
+    if count == 0 {
+        return Ok(());
+    }
+    try_read_varint(data, &mut pos).ok_or("truncated frame minimum")?;
+    let width = *data.get(pos).ok_or("missing width byte")?;
+    check_region(&data[pos + 1..], width, len)
+}
+
+/// `[lo, hi)` rebased once into offset space: `v` matches iff its packed
+/// offset falls in `[lo − min, hi − min)`, clipped to the band the width
+/// can represent — so no kernel ever adds `min` back to compare.
+fn offset_band(lo: Value, hi: Value, min: Value, offsets: &Packed<'_>) -> Band {
+    let min = min as i128;
+    Band::clip(lo as i128 - min, hi as i128 - min, low_ones(offsets.width))
 }
 
 /// Decode a buffer produced by [`encode`].
 pub fn decode(data: &[u8]) -> Vec<Value> {
-    let mut pos = 0;
-    let count = read_varint(data, &mut pos) as usize;
-    if count == 0 {
+    let Some((min, offsets)) = parse_header(data) else {
         return Vec::new();
-    }
-    let min = read_signed(data, &mut pos);
-    let width = data[pos] as u32;
-    pos += 1;
-
-    let words: Vec<u64> = data[pos..]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-
-    let mut out = Vec::with_capacity(count);
-    let mut bit_pos = 0usize;
-    for _ in 0..count {
-        let mut off = 0u64;
-        let mut got = 0u32;
-        while got < width {
-            let word_idx = bit_pos / 64;
-            let in_word = (bit_pos % 64) as u32;
-            let take = (width - got).min(64 - in_word);
-            let bits = (words[word_idx] >> in_word) & ones(take);
-            off |= bits << got;
-            got += take;
-            bit_pos += take as usize;
-        }
-        out.push((min as i128 + off as i128) as i64);
-    }
+    };
+    let mut out = Vec::with_capacity(offsets.count);
+    offsets.decode_each(|off| out.push((min as i128 + off as i128) as i64));
     out
 }
 
 /// Fused decode+filter: append selection-mask words for `lo <= v < hi`.
 ///
-/// The predicate is rebased once into offset space — `v` matches iff its
-/// packed offset falls in `[lo − min, hi − min)` — so the loop compares
-/// raw unpacked offsets and never adds `min` back. When the rebased
-/// interval covers the whole representable band the compare degenerates
-/// to constant true/false per word.
+/// The rebased predicate (`offset_band`) runs over the packed offsets
+/// 64 rows per step; a range that misses the frame or covers its whole
+/// band is a constant fill that never touches the offsets.
 pub fn filter_range_masks(data: &[u8], lo: Value, hi: Value, out: &mut Vec<u64>) {
-    let mut pos = 0;
-    let count = read_varint(data, &mut pos) as usize;
-    if count == 0 {
-        return;
+    if let Some((min, offsets)) = parse_header(data) {
+        offsets.filter_masks(offset_band(lo, hi, min, &offsets), out);
     }
-    let min = read_signed(data, &mut pos);
-    let width = data[pos] as u32;
-    pos += 1;
-    // Offset-space bounds, clamped to the non-negative u64 domain the
-    // packed offsets live in (u128 math: `hi − min` may exceed u64::MAX).
-    let off_lo = (lo as i128 - min as i128).clamp(0, 1 << 64) as u128;
-    let off_hi = (hi as i128 - min as i128).clamp(0, 1 << 64) as u128;
-    let span = off_hi.saturating_sub(off_lo);
-    let words: Vec<u64> = data[pos..]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    let mut w = MaskWriter::new(out);
-    let mut bit_pos = 0usize;
-    for _ in 0..count {
-        let mut off = 0u64;
-        let mut got = 0u32;
-        while got < width {
-            let word_idx = bit_pos / 64;
-            let in_word = (bit_pos % 64) as u32;
-            let take = (width - got).min(64 - in_word);
-            let bits = (words[word_idx] >> in_word) & ones(take);
-            off |= bits << got;
-            got += take;
-            bit_pos += take as usize;
-        }
-        w.push_bit((off as u128).wrapping_sub(off_lo) < span);
-    }
-    w.finish();
-}
-
-/// Parse the header, returning `(count, min, width, packed region)`.
-/// The region is *borrowed* — point reads and folds unpack straight
-/// from it ([`unpack_fixed`]), no `Vec<u64>` is materialized.
-fn parse_header(data: &[u8]) -> (usize, Value, u32, &[u8]) {
-    let mut pos = 0;
-    let count = read_varint(data, &mut pos) as usize;
-    if count == 0 {
-        return (0, 0, 0, &[]);
-    }
-    let min = read_signed(data, &mut pos);
-    let width = data[pos] as u32;
-    pos += 1;
-    (count, min, width, &data[pos..])
 }
 
 /// Value at row `i`: one direct fixed-width unpack — frame-of-reference
 /// is a random-access format, so point reads cost O(1) with no
 /// allocation.
 pub fn value_at(data: &[u8], i: usize) -> Value {
-    let (count, min, width, region) = parse_header(data);
+    let (min, offsets) = parse_header(data).expect("row in an empty forpack block");
     assert!(
-        i < count,
-        "row {i} out of range for forpack block of {count} rows"
+        i < offsets.count,
+        "row {i} out of range for forpack block of {} rows",
+        offsets.count
     );
-    (min as i128 + unpack_fixed(region, width, i) as i128) as i64
+    (min as i128 + offsets.get(i) as i128) as i64
 }
 
 /// Visit `(row, value)` for every row whose bit is set in `active`
-/// (block-local selection words), in row order: one header parse, then a
-/// word-hoisted walk unpacking only the *active* rows in offset space —
-/// an all-forgotten 64-row word costs one load, and no `Vec<Value>` is
-/// ever materialized. This is the tiered join kernels' per-row path for
-/// frame-of-reference blocks.
+/// (block-local selection words), in row order: one header parse, then
+/// only the *active* offsets are read — an all-forgotten 64-row word
+/// costs one load, and no `Vec<Value>` is ever materialized. This is the
+/// tiered join kernels' per-row path for frame-of-reference blocks.
 pub fn for_each_active(data: &[u8], active: &[u64], mut f: impl FnMut(usize, Value)) {
-    let (count, min, width, region) = parse_header(data);
-    super::dict::for_each_active_fixed(count, active, |row| {
-        f(
-            row,
-            (min as i128 + unpack_fixed(region, width, row) as i128) as i64,
-        );
-    });
+    if let Some((min, offsets)) = parse_header(data) {
+        offsets.for_each_selected(Band::All, active, |row, off| {
+            f(row, (min as i128 + off as i128) as i64)
+        });
+    }
 }
 
-/// Fused masked aggregate in *offset space*: the filter is rebased to
-/// `[lo − min, hi − min)` once, and the frame base is added back exactly
-/// once at the end — values are never reconstructed per row. Fixed-width
-/// packing is random-access, so the fold hoists each 64-row activity
-/// word and unpacks only the *active* rows (an all-forgotten word costs
-/// one load); offsets accumulate in a `u64` that spills to `u128` on the
-/// practically-never-taken overflow branch.
+/// Fused masked aggregate in *offset space*: the filter is rebased once
+/// (`offset_band`), each 64-row group contributes `filter mask &
+/// activity word`, only the selected offsets are read, and the frame base
+/// is added back exactly once at the end — values are never
+/// reconstructed per row.
 pub fn fold_range_masked(
     data: &[u8],
     filter: Option<(Value, Value)>,
     active: &[u64],
     agg: &mut BlockAgg,
 ) {
-    let (count, min, width, region) = parse_header(data);
-    if count == 0 {
+    let Some((min, offsets)) = parse_header(data) else {
         return;
-    }
-    let (off_lo, span, filtered) = match filter {
-        Some((lo, hi)) => {
-            let off_lo = (lo as i128 - min as i128).clamp(0, 1 << 64) as u128;
-            let off_hi = (hi as i128 - min as i128).clamp(0, 1 << 64) as u128;
-            (off_lo, off_hi.saturating_sub(off_lo), true)
-        }
-        None => (0, 0, false),
     };
-    let mut n = 0u64;
-    let mut off_sum = 0u64;
-    let mut off_spill = 0u128;
-    let mut off_min = u64::MAX;
-    let mut off_max = 0u64;
-    for (g, &aw) in active.iter().enumerate().take(count.div_ceil(64)) {
-        let base_row = g * 64;
-        let rows = (count - base_row).min(64);
-        let w = if rows == 64 {
-            aw
-        } else {
-            aw & ((1u64 << rows) - 1)
-        };
-        // Only the active rows are unpacked (fixed-width packing makes
-        // point unpacks one branchless two-word read), so an
-        // all-forgotten word costs one load and heavy forgetting keeps
-        // making the fold cheaper.
-        let mut w = w;
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            w &= w - 1;
-            let off = unpack_fixed(region, width, base_row + bit);
-            if !filtered || (off as u128).wrapping_sub(off_lo) < span {
-                n += 1;
-                match off_sum.checked_add(off) {
-                    Some(s) => off_sum = s,
-                    None => {
-                        off_spill += off_sum as u128;
-                        off_sum = off;
-                    }
-                }
-                off_min = off_min.min(off);
-                off_max = off_max.max(off);
-            }
-        }
-    }
+    let band = filter.map_or(Band::All, |(lo, hi)| offset_band(lo, hi, min, &offsets));
+    let (mut n, mut off_sum, mut off_min, mut off_max) = (0u64, 0u128, u64::MAX, 0u64);
+    offsets.for_each_selected(band, active, |_, off| {
+        n += 1;
+        off_sum += off as u128;
+        off_min = off_min.min(off);
+        off_max = off_max.max(off);
+    });
     if n > 0 {
         let base = min as i128;
         agg.count += n;
-        agg.sum += base * n as i128 + (off_spill + off_sum as u128) as i128;
+        agg.sum += base * n as i128 + off_sum as i128;
         agg.min = agg.min.min((base + off_min as i128) as i64);
         agg.max = agg.max.max((base + off_max as i128) as i64);
     }

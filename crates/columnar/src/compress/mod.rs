@@ -13,31 +13,52 @@
 //! Compressed data only postpones forgetting if predicates can run on it
 //! without a full decode. Every codec therefore exposes a fused
 //! `filter_range_masks(data, lo, hi, out)` that evaluates `lo <= v < hi`
-//! *inside* the decoder loop and appends packed 64-bit selection words to
+//! in its own encoded domain and appends packed 64-bit selection words to
 //! `out` — bit `i` of word `i / 64` is set iff row `i` of the block
 //! matches, LSB-first, with the unused tail bits of the last word clear.
 //! That is byte-for-byte the mask layout of the engine's batch kernels
 //! and of [`ActivityMap::words`](crate::activity::ActivityMap::words), so
 //! a block's masks AND directly with its slice of activity words and flow
 //! into the same `trailing_zeros` emit loops — no row is ever
-//! materialized to be rejected. Each codec exploits its own structure:
+//! materialized to be rejected.
 //!
+//! The unit of work is the mask word. The three fixed-width codecs share
+//! one **group primitive** (the private `filter` module, whose docs have
+//! the details): a *group* is 64 consecutive rows — one mask word — which
+//! at `width` bits per field is exactly `width` packed words, so a
+//! width-specialised kernel reads the *borrowed* block bytes in place, one
+//! unaligned 8-byte load per field, compares in `u64` and emits the whole
+//! word per step. Widths up to 56 and 64 take that kernel; 57–63 keep a
+//! two-word read per field.
+//!
+//! * **forpack** rebases the predicate once into offset space
+//!   (`[lo − min, hi − min)` clipped to the band the width can hold) and
+//!   runs the group kernel over the packed offsets; a range that misses
+//!   the frame or covers its whole band is a constant fill
+//!   ([`forpack::filter_range_masks`]),
+//! * **dict** translates the value range into a contiguous *code* range
+//!   by one walk over the sorted dictionary and runs the same kernel over
+//!   the packed codes, never reconstructing values; a disjoint or fully
+//!   covered dictionary is a constant fill ([`dict::filter_range_masks`]),
+//! * **plain** is the `width = 64` case of the same kernel over the raw
+//!   words,
 //! * **rle** compares once per *run* and fans the verdict out into whole
 //!   mask words ([`rle::filter_range_masks`]),
-//! * **dict** translates the value range into a contiguous *code* range
-//!   via two binary searches over the sorted dictionary and compares
-//!   bit-packed codes, never reconstructing values
-//!   ([`dict::filter_range_masks`]),
-//! * **forpack** rebases the predicate constants into offset space once
-//!   and compares raw unpacked offsets ([`forpack::filter_range_masks`]),
-//! * **delta** fuses the compare into the sequential prefix-sum walk
-//!   ([`delta::filter_range_masks`]),
-//! * **plain** is the batch kernel's compare over the raw words.
+//! * **delta** fuses the compare into the sequential prefix-sum walk, one
+//!   bit at a time ([`delta::filter_range_masks`]) — the one codec still
+//!   far from memory speed.
+//!
+//! The masked folds and visits ([`EncodedBlock::fold_range_masked`],
+//! [`EncodedBlock::for_each_active`]) follow the same contract from the
+//! other side: per group they AND the filter's mask word with the
+//! caller's activity word and read only the surviving fields, so an
+//! all-forgotten or all-rejected group costs no field access.
 //!
 //! [`EncodedBlock::filter_range_masks`] dispatches on the block's
-//! encoding; equivalence with decode-then-test is pinned by each codec's
-//! unit tests, the property tests below, and
-//! `tests/kernel_equivalence.rs` at the engine level.
+//! encoding; equivalence with a per-value oracle is pinned for every
+//! width × length × bound × activity shape in
+//! `tests/kernel_equivalence.rs`, by each codec's unit tests and by the
+//! property tests below.
 
 pub mod delta;
 pub mod dict;
@@ -48,11 +69,13 @@ pub mod varint;
 
 use std::cell::Cell;
 
+use amnesia_util::{storage_err, Result};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 pub(crate) use filter::bit_set;
 pub use filter::BlockAgg;
+use filter::{Band, Packed};
 
 use crate::types::Value;
 
@@ -209,15 +232,15 @@ impl EncodedBlock {
     /// Fused decode+filter: replace `out` with one selection-mask word
     /// per 64 encoded rows, bit `i` of word `i / 64` set iff
     /// `lo <= value[i] < hi` (see the module docs for the full mask
-    /// contract). Runs inside the codec's decoder loop — values are never
+    /// contract). Runs in the codec's own domain — values are never
     /// materialized — and costs O(compressed size), not O(rows), for
-    /// codecs with exploitable structure (whole RLE runs and disjoint or
-    /// fully-covered dictionaries collapse to constant fills).
+    /// codecs with exploitable structure (whole RLE runs, and ranges that
+    /// miss or cover a dictionary or a frame, collapse to constant fills).
     pub fn filter_range_masks(&self, lo: Value, hi: Value, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(self.len.div_ceil(64));
         match self.encoding {
-            Encoding::Plain => plain_filter_range_masks(&self.data, lo, hi, out),
+            Encoding::Plain => plain_fields(&self.data).filter_masks(Band::of_values(lo, hi), out),
             Encoding::Rle => rle::filter_range_masks(&self.data, lo, hi, out),
             Encoding::Delta => delta::filter_range_masks(&self.data, lo, hi, out),
             Encoding::ForPack => forpack::filter_range_masks(&self.data, lo, hi, out),
@@ -253,20 +276,16 @@ impl EncodedBlock {
     /// `active` (block-local selection words, LSB-first), in ascending
     /// row order, *without decoding the block*. Each codec walks in its
     /// own domain: RLE decodes a run's value once and fans it over the
-    /// run's active bits, dict parses the dictionary once and unpacks
-    /// only active codes, FOR rebases offsets with a word-hoisted walk
-    /// (an all-forgotten 64-row word costs one load), delta reconstructs
+    /// run's active bits, dict parses the dictionary once and reads only
+    /// active codes, FOR and plain read only active fields (an
+    /// all-forgotten 64-row word costs one load), delta reconstructs
     /// inside the prefix-sum walk. This is the streaming primitive the
     /// tiered hash-join build side feeds its hash table from.
     pub fn for_each_active(&self, active: &[u64], mut f: impl FnMut(usize, Value)) {
         match self.encoding {
             Encoding::Plain => {
-                // Word-hoisted like the other fixed-width codecs: an
-                // all-forgotten 64-row word costs one load.
-                dict::for_each_active_fixed(self.len, active, |i| {
-                    let bytes = &self.data[i * 8..i * 8 + 8];
-                    f(i, i64::from_le_bytes(bytes.try_into().expect("chunk of 8")));
-                });
+                plain_fields(&self.data)
+                    .for_each_selected(Band::All, active, |i, v| f(i, v as i64));
             }
             Encoding::Rle => rle::for_each_active(&self.data, active, f),
             Encoding::Delta => delta::for_each_active(&self.data, active, f),
@@ -280,7 +299,8 @@ impl EncodedBlock {
     /// and whose value passes the optional `[lo, hi)` filter, into `agg`
     /// — *without decoding the block*. Each codec folds in its own
     /// domain: RLE per run (one compare + one popcount-range), dict via a
-    /// per-code histogram, FOR in rebased offset space, delta inside the
+    /// per-code histogram, FOR in rebased offset space — both over `filter
+    /// mask & activity word` per 64-row group — delta inside the
     /// prefix-sum walk. This is what lets frozen blocks answer aggregate
     /// queries at hot-path speed.
     pub fn fold_range_masked(
@@ -290,7 +310,10 @@ impl EncodedBlock {
         agg: &mut BlockAgg,
     ) {
         match self.encoding {
-            Encoding::Plain => plain_fold_range_masked(&self.data, filter, active, agg),
+            Encoding::Plain => {
+                let band = filter.map_or(Band::All, |(lo, hi)| Band::of_values(lo, hi));
+                plain_fields(&self.data).for_each_selected(band, active, |_, v| agg.push(v as i64));
+            }
             Encoding::Rle => rle::fold_range_masked(&self.data, filter, active, agg),
             Encoding::Delta => delta::fold_range_masked(&self.data, filter, active, agg),
             Encoding::ForPack => forpack::fold_range_masked(&self.data, filter, active, agg),
@@ -331,15 +354,41 @@ impl EncodedBlock {
         &self.data
     }
 
-    /// Reassemble a block from its on-disk parts (snapshot reader). The
-    /// caller vouches that `data` was produced by `encoding` over `len`
-    /// values; `decode` on a corrupted payload may produce garbage, which
-    /// is why snapshots carry a checksum.
+    /// Reassemble a block from parts this process produced. The caller
+    /// vouches that `data` was produced by `encoding` over `len` values;
+    /// bytes read back from disk go through [`Self::try_from_parts`].
     pub fn from_parts(encoding: Encoding, len: usize, data: Bytes) -> Self {
         Self {
             encoding,
             data,
             len,
+        }
+    }
+
+    /// [`Self::from_parts`] for bytes read from disk: checks the header
+    /// every kernel indexes by, so a damaged payload is an `Err` here
+    /// instead of an index or shift panic deep inside a scan. Plain must
+    /// hold exactly `len` words; forpack and dict must carry `len` as
+    /// their row count, a field width in `1..=64`, a packed region of at
+    /// least `ceil(len·width / 64)` words and (dict) a complete
+    /// dictionary — O(1), O(1) and O(dictionary). Rle and delta are
+    /// headerless varint streams and pass through; field *contents* stay
+    /// the checksum's job.
+    pub fn try_from_parts(encoding: Encoding, len: usize, data: Bytes) -> Result<Self> {
+        let checked = match encoding {
+            Encoding::Plain if len.checked_mul(8) != Some(data.len()) => {
+                Err("payload is not 8 bytes per row")
+            }
+            Encoding::ForPack => forpack::check(&data, len),
+            Encoding::Dict => dict::check(&data, len),
+            Encoding::Plain | Encoding::Rle | Encoding::Delta => Ok(()),
+        };
+        match checked {
+            Ok(()) => Ok(Self::from_parts(encoding, len, data)),
+            Err(why) => Err(storage_err!(
+                "corrupt {} block of {len} rows: {why}",
+                encoding.name()
+            )),
         }
     }
 }
@@ -359,44 +408,13 @@ fn plain_decode(data: &[u8]) -> Vec<Value> {
         .collect()
 }
 
-/// Fused masked aggregate over raw little-endian values (trivial codec).
-fn plain_fold_range_masked(
-    data: &[u8],
-    filter: Option<(Value, Value)>,
-    active: &[u64],
-    agg: &mut BlockAgg,
-) {
-    let (lo, width, filtered) = match filter {
-        Some((lo, hi)) => (lo, (hi as i128 - lo as i128).max(0) as u64, true),
-        None => (0, 0, false),
-    };
-    for (i, c) in data.chunks_exact(8).enumerate() {
-        if bit_set(active, i) {
-            let v = i64::from_le_bytes(c.try_into().expect("chunk of 8"));
-            if !filtered || (v as u64).wrapping_sub(lo as u64) < width {
-                agg.push(v);
-            }
-        }
-    }
-}
-
-/// Fused filter over raw little-endian values (the trivial codec case).
-fn plain_filter_range_masks(data: &[u8], lo: Value, hi: Value, out: &mut Vec<u64>) {
-    let width = (hi as i128 - lo as i128).max(0) as u64;
-    let mut word = 0u64;
-    let mut filled = 0u32;
-    for c in data.chunks_exact(8) {
-        let v = i64::from_le_bytes(c.try_into().expect("chunk of 8"));
-        word |= (((v as u64).wrapping_sub(lo as u64) < width) as u64) << filled;
-        filled += 1;
-        if filled == 64 {
-            out.push(word);
-            word = 0;
-            filled = 0;
-        }
-    }
-    if filled > 0 {
-        out.push(word);
+/// A plain block as the `width = 64` case of the packed-field primitive:
+/// its fields are the values' own bits.
+fn plain_fields(data: &[u8]) -> Packed<'_> {
+    Packed {
+        region: data,
+        width: 64,
+        count: data.len() / 8,
     }
 }
 
@@ -458,6 +476,208 @@ mod tests {
         let auto = EncodedBlock::encode_auto(&values);
         assert_eq!(auto.encoding(), Encoding::Dict);
         assert!(auto.compression_ratio() > 10.0);
+    }
+
+    /// The wire format is frozen: snapshots and WAL segments written by
+    /// earlier builds hold these exact bytes, and the read paths may be
+    /// rebuilt only underneath them.
+    #[test]
+    fn encode_output_is_byte_identical_to_the_recorded_goldens() {
+        let inputs: [&[Value]; 3] = [
+            &[7, 7, 7, 9, 9, -3, -3, -3, -3, 12],
+            &[i64::MIN, -1, 0, 1, i64::MAX],
+            &[
+                1_000_000, 1_000_017, 1_000_003, 1_000_017, 1_000_042, 1_000_000, 1_000_099,
+                1_000_003, 1_000_042,
+            ],
+        ];
+        let goldens = [
+            (
+                Encoding::Plain,
+                [
+                    concat!(
+                        "0700000000000000070000000000000007000000000000000900000000000000",
+                        "0900000000000000fdfffffffffffffffdfffffffffffffffdffffffffffffff",
+                        "fdffffffffffffff0c00000000000000",
+                    ),
+                    concat!(
+                        "0000000000000080ffffffffffffffff00000000000000000100000000000000",
+                        "ffffffffffffff7f",
+                    ),
+                    concat!(
+                        "40420f000000000051420f000000000043420f000000000051420f0000000000",
+                        "6a420f000000000040420f0000000000a3420f000000000043420f0000000000",
+                        "6a420f0000000000",
+                    ),
+                ],
+            ),
+            (
+                Encoding::Rle,
+                [
+                    "0e03120205041801",
+                    "ffffffffffffffffff0101010100010201feffffffffffffffff0101",
+                    concat!(
+                        "80897a01a2897a0186897a01a2897a01d4897a0180897a01c68a7a0186897a01",
+                        "d4897a01",
+                    ),
+                ],
+            ),
+            (
+                Encoding::Delta,
+                [
+                    "0e00000400170000001e",
+                    "ffffffffffffffffff01feffffffffffffffff010202fcffffffffffffffff01",
+                    "80897a221b1c3253c601bf014e",
+                ],
+            ),
+            (
+                Encoding::ForPack,
+                [
+                    "0a0504aaca0c00f0000000",
+                    concat!(
+                        "05ffffffffffffffffff01400000000000000000ffffffffffffff7f00000000",
+                        "000000800100000000000080ffffffffffffffff",
+                    ),
+                    "0980897a0780c820a2028c072a",
+                ],
+            ),
+            (
+                Encoding::Dict,
+                [
+                    "0a04051404060295020c0000000000",
+                    concat!(
+                        "0505ffffffffffffffffff01feffffffffffffffff010202fcffffffffffffff",
+                        "ff01038846000000000000",
+                    ),
+                    "090580897a061c3272035034300300000000",
+                ],
+            ),
+        ];
+        for (enc, hexes) in goldens {
+            for (input, golden) in inputs.iter().zip(hexes) {
+                let block = EncodedBlock::encode(input, enc);
+                let hex: String = block.data().iter().map(|b| format!("{b:02x}")).collect();
+                assert_eq!(hex, golden, "{enc:?} over {input:?}");
+                assert_eq!(block.decode(), *input, "{enc:?} round-trip");
+            }
+        }
+    }
+
+    fn assert_rejected(encoding: Encoding, len: usize, data: &[u8], why: &str) {
+        let got = EncodedBlock::try_from_parts(encoding, len, Bytes::copy_from_slice(data));
+        assert!(got.is_err(), "{encoding:?} accepted a payload with {why}");
+    }
+
+    /// Position of the width byte in a forpack / dict payload.
+    fn width_byte_at(block: &EncodedBlock) -> usize {
+        let data = block.data();
+        let mut pos = 0;
+        varint::read_varint(data, &mut pos);
+        let entries = match block.encoding() {
+            Encoding::ForPack => 1,
+            Encoding::Dict => varint::read_varint(data, &mut pos),
+            other => panic!("{other:?} has no width byte"),
+        };
+        for _ in 0..entries {
+            varint::read_varint(data, &mut pos);
+        }
+        pos
+    }
+
+    #[test]
+    fn try_from_parts_rejects_damaged_headers_without_panicking() {
+        let values: Vec<Value> = (0..300).map(|i| 1_000 + (i * 37) % 90).collect();
+        for enc in [Encoding::ForPack, Encoding::Dict] {
+            let good = EncodedBlock::encode(&values, enc);
+            let bytes = good.data().to_vec();
+            let ok = EncodedBlock::try_from_parts(enc, values.len(), good.data().clone());
+            assert_eq!(ok.expect("pristine payload"), good);
+
+            assert_rejected(enc, values.len() + 1, &bytes, "another row count");
+            assert_rejected(enc, 0, &bytes, "rows in an empty block");
+            let at = width_byte_at(&good);
+            for width in [0u8, 65, 255] {
+                let mut bad = bytes.clone();
+                bad[at] = width;
+                assert_rejected(enc, values.len(), &bad, "an impossible width");
+            }
+            // Every proper prefix is short of a header field or of packed
+            // words; none may panic, all must be refused.
+            for cut in 0..bytes.len() {
+                assert_rejected(enc, values.len(), &bytes[..cut], "a truncated payload");
+            }
+            // A wider width than the region holds fields for.
+            let mut bad = bytes.clone();
+            bad[at] = 64;
+            assert_rejected(enc, values.len(), &bad, "a short packed region");
+            // Any single damaged header byte: an answer, never a panic.
+            for i in 0..=at {
+                for flip in [0x01u8, 0x80, 0xFF] {
+                    let mut bad = bytes.clone();
+                    bad[i] ^= flip;
+                    let _ = EncodedBlock::try_from_parts(enc, values.len(), Bytes::from(bad));
+                }
+            }
+        }
+        // dict: a dictionary the payload cannot hold.
+        let good = EncodedBlock::encode(&values, Encoding::Dict);
+        for dict_len in [&[0x00u8][..], &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]] {
+            let mut bad = good.data()[..2].to_vec(); // count 300 = 2 varint bytes
+            bad.extend_from_slice(dict_len);
+            bad.extend_from_slice(&good.data()[3..]);
+            assert_rejected(
+                Encoding::Dict,
+                values.len(),
+                &bad,
+                "an impossible dictionary",
+            );
+        }
+        // plain: exactly 8 bytes a row.
+        let plain = EncodedBlock::encode(&values, Encoding::Plain);
+        assert_rejected(
+            Encoding::Plain,
+            values.len() - 1,
+            plain.data(),
+            "spare bytes",
+        );
+        assert_rejected(
+            Encoding::Plain,
+            values.len(),
+            &plain.data()[..8],
+            "missing rows",
+        );
+        // Empty blocks of every codec are fine.
+        for enc in Encoding::ALL {
+            let empty = EncodedBlock::encode(&[], enc);
+            let back = EncodedBlock::try_from_parts(enc, 0, empty.data().clone());
+            assert!(back.expect("empty block").decode().is_empty(), "{enc:?}");
+        }
+    }
+
+    /// What `try_from_parts` lets through on forpack is safe to scan: a
+    /// header whose width byte was damaged into another valid width
+    /// yields other values, not a panic.
+    #[test]
+    fn accepted_forpack_headers_scan_without_panicking() {
+        let values: Vec<Value> = (0..1_000).map(|i| (i * 7919) % 100_000).collect();
+        let good = EncodedBlock::encode(&values, Encoding::ForPack);
+        let at = width_byte_at(&good);
+        for width in 1..=good.data()[at] {
+            let mut bytes = good.data().to_vec();
+            bytes[at] = width;
+            let block =
+                EncodedBlock::try_from_parts(Encoding::ForPack, values.len(), Bytes::from(bytes))
+                    .expect("a narrower width still fits the region");
+            let mut masks = Vec::new();
+            block.filter_range_masks(10, 50_000, &mut masks);
+            let mut agg = BlockAgg::new();
+            block.fold_range_masked(Some((10, 50_000)), &masks, &mut agg);
+            assert_eq!(
+                agg.count,
+                masks.iter().map(|m| m.count_ones() as u64).sum::<u64>()
+            );
+            assert_eq!(block.decode().len(), values.len());
+        }
     }
 
     #[test]

@@ -48,6 +48,21 @@ pub fn read_varint(data: &[u8], pos: &mut usize) -> u64 {
     }
 }
 
+/// [`read_varint`] for bytes that did not come from this process: `None`
+/// on a truncated or over-long varint instead of a panic.
+pub fn try_read_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
+    let mut result = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = *data.get(*pos)?;
+        *pos += 1;
+        result |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            return Some(result);
+        }
+    }
+    None
+}
+
 /// Append a zigzag-encoded signed varint.
 pub fn write_signed(buf: &mut BytesMut, v: i64) {
     write_varint(buf, zigzag_encode(v));
@@ -100,6 +115,22 @@ mod tests {
         for &v in &values {
             assert_eq!(read_signed(&data, &mut pos), v);
         }
+    }
+
+    #[test]
+    fn checked_read_agrees_and_rejects_truncation() {
+        for v in [0u64, 127, 128, u64::MAX] {
+            let mut buf = BytesMut::new();
+            write_varint(&mut buf, v);
+            let (mut a, mut b) = (0, 0);
+            assert_eq!(
+                try_read_varint(&buf, &mut a),
+                Some(read_varint(&buf, &mut b))
+            );
+            assert_eq!(a, b);
+            assert_eq!(try_read_varint(&buf[..buf.len() - 1], &mut 0), None);
+        }
+        assert_eq!(try_read_varint(&[0x80; 11], &mut 0), None, "over-long");
     }
 
     #[test]

@@ -317,7 +317,7 @@ fn decode_v2_body(payload: &[u8]) -> Result<Table> {
             }
             let data_len = p.u64()? as usize;
             let data = Bytes::copy_from_slice(p.bytes(data_len)?);
-            let block = EncodedBlock::from_parts(encoding, block_rows, data);
+            let block = EncodedBlock::try_from_parts(encoding, block_rows, data)?;
             frozen.push(FrozenBlock::from_parts(
                 block,
                 BlockMeta { min, max, active },
@@ -336,7 +336,7 @@ fn decode_v2_body(payload: &[u8]) -> Result<Table> {
         }
         let data_len = p.u64()? as usize;
         let data = Bytes::copy_from_slice(p.bytes(data_len)?);
-        let tail = EncodedBlock::from_parts(tail_encoding, tail_rows, data).decode();
+        let tail = EncodedBlock::try_from_parts(tail_encoding, tail_rows, data)?.decode();
         if tail.len() != tail_rows {
             return Err(storage_err!(
                 "column {c} tail decoded to {} rows, expected {tail_rows}",
@@ -455,7 +455,7 @@ fn decode_v1(payload: &[u8]) -> Result<Table> {
         }
         let data_len = p.u64()? as usize;
         let data = Bytes::copy_from_slice(p.bytes(data_len)?);
-        let values = EncodedBlock::from_parts(encoding, count, data).decode();
+        let values = EncodedBlock::try_from_parts(encoding, count, data)?.decode();
         if values.len() != n {
             return Err(storage_err!(
                 "column {c} decoded to {} values, expected {n}",

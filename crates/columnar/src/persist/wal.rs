@@ -216,7 +216,7 @@ impl WalRecord {
                         .ok_or_else(|| storage_err!("unknown codec tag {tag} in WAL insert"))?;
                     let data_len = r.varint()? as usize;
                     let data = Bytes::copy_from_slice(r.bytes(data_len)?);
-                    let values = EncodedBlock::from_parts(encoding, n, data).decode();
+                    let values = EncodedBlock::try_from_parts(encoding, n, data)?.decode();
                     if values.len() != n {
                         return Err(storage_err!(
                             "WAL insert column {c} decoded to {} values, expected {n}",

@@ -1056,3 +1056,370 @@ fn join_plans_parallel_equals_serial_across_tiers() {
         check(&parent, &child, "recompressed");
     }
 }
+
+// ---- packed codecs: the 64-row group kernels against a per-value oracle
+
+mod packed_codecs {
+    use amnesia::columnar::compress::varint::{read_signed, read_varint, zigzag_encode};
+    use amnesia::columnar::compress::{
+        block_decodes, dict, forpack, BlockAgg, EncodedBlock, Encoding,
+    };
+    use amnesia::prelude::SimRng;
+
+    const LENGTHS: [usize; 8] = [0, 1, 63, 64, 65, 1_000, 1_024, 4_103];
+
+    fn low_ones(n: u32) -> u64 {
+        if n >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << n) - 1
+        }
+    }
+
+    fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        buf.push(v as u8);
+    }
+
+    fn write_signed(buf: &mut Vec<u8>, v: i64) {
+        write_varint(buf, zigzag_encode(v));
+    }
+
+    /// The encoders' bit packer: `width` bits per field, LSB-first across
+    /// little-endian words, the last word zero-padded.
+    fn pack(buf: &mut Vec<u8>, width: u32, fields: &[u64]) {
+        let (mut word, mut filled) = (0u64, 0u32);
+        for &field in fields {
+            let (mut remaining, mut chunk) = (width, field);
+            while remaining > 0 {
+                let take = remaining.min(64 - filled);
+                word |= (chunk & low_ones(take)) << filled;
+                filled += take;
+                chunk = chunk.checked_shr(take).unwrap_or(0);
+                remaining -= take;
+                if filled == 64 {
+                    buf.extend_from_slice(&word.to_le_bytes());
+                    (word, filled) = (0, 0);
+                }
+            }
+        }
+        if filled > 0 {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    /// THE ORACLE: the per-value bit walk every packed read path used
+    /// before the group kernels — copy the region into words, then unpack
+    /// one field at a time through a `while got < width` loop.
+    fn oracle_unpack(region: &[u8], width: u32, count: usize) -> Vec<u64> {
+        let words: Vec<u64> = region
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let mut bit_pos = 0usize;
+        (0..count)
+            .map(|_| {
+                let (mut field, mut got) = (0u64, 0u32);
+                while got < width {
+                    let in_word = (bit_pos % 64) as u32;
+                    let take = (width - got).min(64 - in_word);
+                    field |= ((words[bit_pos / 64] >> in_word) & low_ones(take)) << got;
+                    got += take;
+                    bit_pos += take as usize;
+                }
+                field
+            })
+            .collect()
+    }
+
+    fn oracle_decode(encoding: Encoding, data: &[u8]) -> Vec<i64> {
+        let mut pos = 0;
+        let count = read_varint(data, &mut pos) as usize;
+        if count == 0 {
+            return Vec::new();
+        }
+        match encoding {
+            Encoding::ForPack => {
+                let min = read_signed(data, &mut pos) as i128;
+                oracle_unpack(&data[pos + 1..], data[pos].into(), count)
+                    .into_iter()
+                    .map(|off| (min + off as i128) as i64)
+                    .collect()
+            }
+            Encoding::Dict => {
+                let mut prev = 0i64;
+                let dictionary: Vec<i64> = (0..read_varint(data, &mut pos))
+                    .map(|_| {
+                        prev = prev.wrapping_add(read_signed(data, &mut pos));
+                        prev
+                    })
+                    .collect();
+                oracle_unpack(&data[pos + 1..], data[pos].into(), count)
+                    .into_iter()
+                    .map(|code| dictionary[code as usize])
+                    .collect()
+            }
+            other => panic!("{other:?} is not a packed codec"),
+        }
+    }
+
+    /// A forpack payload at exactly `width` bits (wider than the span
+    /// needs is legal for the decoder, and the only way to pair every
+    /// width with every length).
+    fn forpack_payload(min: i64, width: u32, offsets: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, offsets.len() as u64);
+        if !offsets.is_empty() {
+            write_signed(&mut buf, min);
+            buf.push(width as u8);
+            pack(&mut buf, width, offsets);
+        }
+        buf
+    }
+
+    fn dict_payload(dictionary: &[i64], width: u32, codes: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, codes.len() as u64);
+        if !codes.is_empty() {
+            write_varint(&mut buf, dictionary.len() as u64);
+            let mut prev = 0i64;
+            for &v in dictionary {
+                write_signed(&mut buf, v.wrapping_sub(prev));
+                prev = v;
+            }
+            buf.push(width as u8);
+            pack(&mut buf, width, codes);
+        }
+        buf
+    }
+
+    /// Frame minimum for a `width`-bit forpack block: the extremes of
+    /// `i64` wherever the band still fits.
+    fn frame_min(rng: &mut SimRng, width: u32) -> i64 {
+        let top = (i64::MAX as i128 - low_ones(width) as i128).max(i64::MIN as i128) as i64;
+        match rng.index(4) {
+            0 => i64::MIN,
+            1 => top,
+            2 => 0i64.min(top),
+            _ => rng.range_i64(i64::MIN / 2, 0).min(top),
+        }
+    }
+
+    fn random_fields(rng: &mut SimRng, len: usize, max: u64) -> Vec<u64> {
+        let mut fields: Vec<u64> = (0..len)
+            .map(|_| match max {
+                u64::MAX => rng.next_u64(),
+                max => rng.below(max + 1),
+            })
+            .collect();
+        // Both ends of the band are present whenever there is room.
+        if len >= 2 {
+            let at = rng.index(len);
+            fields[at] = 0;
+            fields[(at + 1 + rng.index(len - 1)) % len] = max;
+        }
+        fields
+    }
+
+    /// Sorted, distinct dictionary of `n` entries, extremes included now
+    /// and then.
+    fn random_dictionary(rng: &mut SimRng, n: usize) -> Vec<i64> {
+        let mut d: Vec<i64> = (0..n)
+            .map(|i| match (i, rng.index(3)) {
+                (0, 0) => i64::MIN,
+                (1, 0) => i64::MAX,
+                (_, 1) => rng.range_i64(-1_000, 1_000),
+                _ => rng.next_u64() as i64,
+            })
+            .collect();
+        d.sort_unstable();
+        d.dedup();
+        d
+    }
+
+    /// `[lo, hi)` bounds around a block whose codec frame is
+    /// `[frame_lo, frame_hi]`: empty, the whole domain, the `i64`
+    /// extremes, entirely below / above the frame, single values, the
+    /// frame edges, and random interiors.
+    fn bounds(rng: &mut SimRng, values: &[i64], frame_lo: i64, frame_hi: i64) -> Vec<(i64, i64)> {
+        let pick = |rng: &mut SimRng| match values.len() {
+            0 => 0,
+            n => values[rng.index(n)],
+        };
+        let (a, b) = (pick(rng), pick(rng));
+        vec![
+            (a, a),
+            (a.max(b), a.min(b)),
+            (i64::MIN, i64::MAX),
+            (i64::MIN, a),
+            (a, i64::MAX),
+            (i64::MIN, i64::MIN + 1),
+            (i64::MAX - 1, i64::MAX),
+            (frame_lo.saturating_sub(100), frame_lo),
+            (frame_hi.saturating_add(1), frame_hi.saturating_add(100)),
+            (a, a.saturating_add(1)),
+            (frame_lo, frame_lo.saturating_add(1)),
+            (frame_hi, frame_hi.saturating_add(1)),
+            (frame_lo, frame_hi),
+            (frame_lo.saturating_add(1), frame_hi.saturating_add(1)),
+            (a.min(b), a.max(b)),
+        ]
+    }
+
+    /// Activity words: none, sparse, dense, all — "all" with the bits
+    /// past `len` set too, which the kernels must ignore.
+    fn activities(rng: &mut SimRng, len: usize) -> [Vec<u64>; 4] {
+        let words = len.div_ceil(64);
+        let draw = |rng: &mut SimRng, keep: f64| -> Vec<u64> {
+            (0..words)
+                .map(|_| (0..64).fold(0u64, |w, b| w | u64::from(rng.chance(keep)) << b))
+                .collect()
+        };
+        [
+            vec![0; words],
+            draw(rng, 0.03),
+            draw(rng, 0.9),
+            vec![u64::MAX; words],
+        ]
+    }
+
+    fn is_active(active: &[u64], row: usize) -> bool {
+        active[row / 64] >> (row % 64) & 1 == 1
+    }
+
+    /// Every read path of one payload against the oracle's decode.
+    fn assert_block_agrees(encoding: Encoding, data: Vec<u8>, frame: (i64, i64), ctx: &str) {
+        let want = oracle_decode(encoding, &data);
+        let n = want.len();
+        let block = EncodedBlock::try_from_parts(encoding, n, data.clone().into())
+            .unwrap_or_else(|e| panic!("{ctx}: well-formed payload refused: {e}"));
+        let mut rng = SimRng::new(n as u64 ^ 0xB10C);
+        let before = block_decodes();
+
+        for row in (0..n).step_by(1 + n / 37).chain(n.checked_sub(1)) {
+            assert_eq!(block.value_at(row), want[row], "{ctx} value_at({row})");
+        }
+
+        let activities = activities(&mut rng, n);
+        for active in &activities {
+            let mut got = Vec::new();
+            block.for_each_active(active, |row, v| got.push((row, v)));
+            let expect: Vec<(usize, i64)> = (0..n)
+                .filter(|&r| is_active(active, r))
+                .map(|r| (r, want[r]))
+                .collect();
+            assert_eq!(got, expect, "{ctx} for_each_active");
+        }
+
+        let mut masks = vec![0xDEAD_BEEF]; // stale content must be replaced
+        for (lo, hi) in bounds(&mut rng, &want, frame.0, frame.1) {
+            block.filter_range_masks(lo, hi, &mut masks);
+            assert_eq!(masks.len(), n.div_ceil(64), "{ctx} [{lo},{hi}) mask words");
+            let expect: Vec<u64> = want
+                .chunks(64)
+                .map(|rows| {
+                    rows.iter()
+                        .enumerate()
+                        .fold(0u64, |w, (i, &v)| w | u64::from(v >= lo && v < hi) << i)
+                })
+                .collect();
+            // Word equality also pins the tail bits of the last word clear.
+            assert_eq!(masks, expect, "{ctx} filter [{lo},{hi})");
+
+            for active in &activities {
+                for filter in [Some((lo, hi)), None] {
+                    let mut got = BlockAgg::new();
+                    block.fold_range_masked(filter, active, &mut got);
+                    let mut expect = BlockAgg::new();
+                    for (r, &v) in want.iter().enumerate() {
+                        if is_active(active, r) && filter.is_none_or(|(lo, hi)| v >= lo && v < hi) {
+                            expect.push(v);
+                        }
+                    }
+                    assert_eq!(got, expect, "{ctx} fold {filter:?}");
+                }
+            }
+        }
+        assert_eq!(block_decodes(), before, "{ctx}: a fused path decoded");
+
+        assert_eq!(block.decode(), want, "{ctx} decode");
+        match encoding {
+            Encoding::ForPack => assert_eq!(forpack::decode(&data), want, "{ctx} codec decode"),
+            Encoding::Dict => {
+                assert_eq!(dict::decode(&data), want, "{ctx} codec decode");
+                let dictionary = dict::read_dictionary(&data);
+                let mut got = Vec::new();
+                dict::for_each_active_code(&data, &activities[2], |row, code| {
+                    got.push((row, dictionary[code as usize]));
+                });
+                let expect: Vec<(usize, i64)> = (0..n)
+                    .filter(|&r| is_active(&activities[2], r))
+                    .map(|r| (r, want[r]))
+                    .collect();
+                assert_eq!(got, expect, "{ctx} for_each_active_code");
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn forpack_group_kernels_equal_the_per_value_oracle_at_every_width() {
+        let mut rng = SimRng::new(0xF0_4B);
+        for width in 1..=64u32 {
+            for len in LENGTHS {
+                let min = frame_min(&mut rng, width);
+                let offsets = random_fields(&mut rng, len, low_ones(width));
+                let frame_hi = (min as i128 + low_ones(width) as i128) as i64;
+                let payload = forpack_payload(min, width, &offsets);
+                // The assembler is the real format: where the offsets
+                // pin the canonical width, `encode` emits the same bytes.
+                if len >= 2 {
+                    let values: Vec<i64> = offsets
+                        .iter()
+                        .map(|&off| (min as i128 + off as i128) as i64)
+                        .collect();
+                    assert_eq!(forpack::encode(&values)[..], payload[..], "w{width} n{len}");
+                }
+                assert_block_agrees(
+                    Encoding::ForPack,
+                    payload,
+                    (min, frame_hi),
+                    &format!("forpack w{width} n{len}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dict_group_kernels_equal_the_per_value_oracle_at_every_width() {
+        let mut rng = SimRng::new(0xD1C7);
+        for width in 1..=64u32 {
+            for len in LENGTHS {
+                let room = low_ones(width.min(6)) as usize + 1;
+                let entries = 1 + rng.index(room.min(len.max(1)));
+                let dictionary = random_dictionary(&mut rng, entries);
+                let codes = random_fields(&mut rng, len, dictionary.len() as u64 - 1);
+                let frame = (dictionary[0], *dictionary.last().unwrap());
+                let payload = dict_payload(&dictionary, width, &codes);
+                // Canonical width + every entry used = what `encode` emits.
+                let canonical = (64 - (dictionary.len() as u64 - 1).leading_zeros()).max(1);
+                let mut used: Vec<u64> = codes.clone();
+                used.sort_unstable();
+                used.dedup();
+                if width == canonical && used.len() == dictionary.len() {
+                    let values: Vec<i64> = codes.iter().map(|&c| dictionary[c as usize]).collect();
+                    assert_eq!(dict::encode(&values)[..], payload[..], "w{width} n{len}");
+                }
+                assert_block_agrees(
+                    Encoding::Dict,
+                    payload,
+                    frame,
+                    &format!("dict w{width} n{len}"),
+                );
+            }
+        }
+    }
+}
