@@ -31,6 +31,9 @@ GATED = (
     # The packed-field group kernel (columnar::compress::filter): a 20-bit
     # forpack filter, serial and allocation-free, so quiet on runners.
     "compressed_scan/forpack_w20/filter",
+    # A drop's checkpoint over 1M live + 1M dropped rows (snapshot v4):
+    # serial, in memory, and the per-cycle cost of physical forgetting.
+    "snapshot/encode_fifo_history",
 )
 
 DEFAULT_THRESHOLD_PCT = 25.0

@@ -1,7 +1,10 @@
 //! Durability microbenchmarks: snapshot encode/decode throughput across
 //! data distributions (compression choice dominates), WAL append /
 //! replay rates for both the legacy monolithic log and the segmented
-//! CRC-framed log, and end-to-end recovery time for a tiered store.
+//! CRC-framed log, the batch-granular records and the checkpoint of a
+//! sliding-window history (`snapshot/encode_fifo_history` gates CI,
+//! `.github/bench_compare.py`), and end-to-end recovery time for a tiered
+//! store.
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -135,6 +138,74 @@ fn persist(c: &mut Criterion) {
         b.iter(|| wal.append(black_box(&rec), 3).unwrap())
     });
     group.finish();
+
+    // The amnesia loop's two batch records, 20 000 rows each, through the
+    // segmented log (no fsync): a FIFO victim batch is one run, a uniform
+    // one is a run per row; the insert is one codec-compressed column.
+    let mut group = c.benchmark_group("wal");
+    group.throughput(Throughput::Elements(20_000));
+    let contiguous: Vec<RowId> = (1_000_000..1_020_000).map(RowId).collect();
+    let mut rng = SimRng::new(23);
+    let scattered: Vec<RowId> = (0..20_000)
+        .map(|_| RowId(rng.next_u64() % 1_000_000))
+        .collect();
+    for (name, victims) in [("contiguous", &contiguous), ("scattered", &scattered)] {
+        group.bench_function(format!("append_forget_batch_20k/{name}"), |b| {
+            let seg_dir = dir.join(format!("seg-forget-{name}"));
+            let _ = std::fs::remove_dir_all(&seg_dir);
+            let mut wal = SegmentedWal::create(StdVfs::shared(), &seg_dir, 0).unwrap();
+            b.iter(|| {
+                let rec = WalRecord::forget_rows(3, black_box(victims));
+                wal.append(&rec, 3).unwrap()
+            })
+        });
+    }
+    group.bench_function("append_insert_column_20k", |b| {
+        let seg_dir = dir.join("seg-insert-column");
+        let _ = std::fs::remove_dir_all(&seg_dir);
+        let mut wal = SegmentedWal::create(StdVfs::shared(), &seg_dir, 0).unwrap();
+        let values: Vec<i64> = (0..20_000).map(|i| i / 100 + i * 31 % 50).collect();
+        b.iter(|| {
+            let rec = WalRecord::InsertColumn {
+                epoch: 3,
+                values: black_box(&values).clone(),
+            };
+            wal.append(&rec, 3).unwrap()
+        })
+    });
+    group.finish();
+
+    // What a drop's checkpoint encodes once a sliding window has history:
+    // 1M live rows behind 1M forgotten ones whose blocks were dropped.
+    // The snapshot must cost the live rows, not the history.
+    let mut t = Table::new(Schema::single("a"));
+    for batch in 0..100i64 {
+        let base = batch * 20_000;
+        let values: Vec<i64> = (base..base + 20_000)
+            .map(|i| i / 100 + i * 31 % 50)
+            .collect();
+        t.insert_batch(&values, batch as u64).unwrap();
+        if batch >= 50 {
+            for r in (base - 1_000_000)..(base - 980_000) {
+                t.forget(RowId(r as u64), batch as u64).unwrap();
+            }
+        }
+    }
+    t.freeze_upto(t.num_rows() - 4_096);
+    t.drop_forgotten_blocks();
+    let snapshot_bytes = snapshot::encode(&t).len();
+    println!(
+        "snapshot/encode_fifo_history: {snapshot_bytes} bytes for {} live + {} dropped rows",
+        t.active_rows(),
+        t.dropped_rows()
+    );
+    let mut group = c.benchmark_group("snapshot");
+    group.throughput(Throughput::Bytes(snapshot_bytes as u64));
+    group.bench_function("encode_fifo_history", |b| {
+        b.iter(|| black_box(snapshot::encode(black_box(&t))))
+    });
+    group.finish();
+    drop(t);
 
     // Segment recovery: scan + CRC-validate + decode a 10k-record
     // multi-segment log back into records.

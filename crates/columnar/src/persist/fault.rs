@@ -18,12 +18,23 @@
 //!    `FaultVfs::crash_at(k)` until the injected crash fires;
 //! 3. reopen with [`StdVfs`] and assert consistency.
 //!
+//! A dead process keeps its page cache; a machine that loses power does
+//! not. [`FaultVfs::power_loss`] models the second: the wrapper tracks
+//! each file's last-fsynced length (through `VfsFile::sync`, `sync_file`,
+//! and the `truncate` / `overwrite` calls whose `StdVfs` forms fsync), and
+//! power loss cuts every file back to it. Closing a handle flushes
+//! nothing — which is how a log that seals a segment without an fsync
+//! loses an acknowledged batch, and how the regression test next to
+//! [`PersistentTable`](super::PersistentTable) catches it. Directory
+//! entries are not modelled.
+//!
 //! Mutating operations are counted; reads are passed through unfaulted
 //! (a reader cannot corrupt durable state). The op log
 //! ([`FaultVfs::op_log`]) records every mutating call, so tests can also
 //! assert *how* the layer touched disk — e.g. that torn-tail repair
 //! truncated in place instead of rewriting the file.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -64,6 +75,8 @@ struct State {
     faults: Vec<Fault>,
     crashed: bool,
     log: Vec<String>,
+    /// Last-fsynced length of every file written through this wrapper.
+    synced: BTreeMap<PathBuf, u64>,
 }
 
 impl State {
@@ -158,12 +171,44 @@ impl FaultVfs {
         self.state.lock().expect("fault state").admit(desc)
     }
 
+    /// Lose power: every file written through this wrapper is cut back to
+    /// its last-fsynced length, and every later operation fails. Returns
+    /// the number of bytes that were lost.
+    pub fn power_loss(&self) -> Result<u64> {
+        let mut state = self.state.lock().expect("fault state");
+        state.crashed = true;
+        let mut lost = 0;
+        for (path, &synced) in &state.synced {
+            if !self.inner.exists(path) {
+                continue;
+            }
+            let len = self.inner.file_len(path)?;
+            if len > synced {
+                self.inner.truncate(path, synced)?;
+                lost += len - synced;
+            }
+        }
+        Ok(lost)
+    }
+
+    fn note_synced(&self, path: &Path) -> Result<()> {
+        note_synced(&self.state, path)
+    }
+
     fn guard_read(&self) -> Result<()> {
         if self.state.lock().expect("fault state").crashed {
             return Err(storage_err!("fault-vfs: crashed (read after crash)"));
         }
         Ok(())
     }
+}
+
+/// The whole of `path` as it is on disk now has been fsynced.
+fn note_synced(state: &Mutex<State>, path: &Path) -> Result<()> {
+    let len = StdVfs.file_len(path)?;
+    let mut state = state.lock().expect("fault state");
+    state.synced.insert(path.to_path_buf(), len);
+    Ok(())
 }
 
 /// Append handle that consults the shared fault state on every write.
@@ -199,7 +244,10 @@ impl VfsFile for FaultFile {
             .expect("fault state")
             .admit(format!("fsync {}", self.path.display()))?;
         match fault {
-            None => self.inner.sync(),
+            None => {
+                self.inner.sync()?;
+                note_synced(&self.state, &self.path)
+            }
             Some(_) => Err(storage_err!("fault-vfs: injected fsync failure")),
         }
     }
@@ -217,7 +265,14 @@ impl Vfs for FaultVfs {
     }
 
     fn write_file(&self, path: &Path, bytes: &[u8]) -> Result<()> {
-        match self.admit(format!("write_file {} {}", path.display(), bytes.len()))? {
+        let fault = self.admit(format!("write_file {} {}", path.display(), bytes.len()))?;
+        if matches!(fault, None | Some(FaultKind::TornWrite { .. })) {
+            // A rewritten file starts over: none of the new content is
+            // synced.
+            let mut state = self.state.lock().expect("fault state");
+            state.synced.insert(path.to_path_buf(), 0);
+        }
+        match fault {
             None => self.inner.write_file(path, bytes),
             Some(FaultKind::TornWrite { keep }) => {
                 self.inner
@@ -233,6 +288,12 @@ impl Vfs for FaultVfs {
         // Opening is not a mutation of durable *contents*; faults attach
         // to the writes performed through the handle.
         self.guard_read()?;
+        // What is on disk before this wrapper first writes to the file is
+        // taken as durable.
+        let on_disk = self.inner.file_len(path).unwrap_or(0);
+        let mut state = self.state.lock().expect("fault state");
+        state.synced.entry(path.to_path_buf()).or_insert(on_disk);
+        drop(state);
         Ok(Box::new(FaultFile {
             inner: self.inner.open_append(path)?,
             path: path.to_path_buf(),
@@ -242,7 +303,10 @@ impl Vfs for FaultVfs {
 
     fn sync_file(&self, path: &Path) -> Result<()> {
         match self.admit(format!("sync_file {}", path.display()))? {
-            None => self.inner.sync_file(path),
+            None => {
+                self.inner.sync_file(path)?;
+                self.note_synced(path)
+            }
             Some(_) => Err(storage_err!("fault-vfs: injected sync_file failure")),
         }
     }
@@ -256,7 +320,14 @@ impl Vfs for FaultVfs {
 
     fn rename(&self, from: &Path, to: &Path) -> Result<()> {
         match self.admit(format!("rename {} {}", from.display(), to.display()))? {
-            None => self.inner.rename(from, to),
+            None => {
+                self.inner.rename(from, to)?;
+                let mut state = self.state.lock().expect("fault state");
+                if let Some(synced) = state.synced.remove(from) {
+                    state.synced.insert(to.to_path_buf(), synced);
+                }
+                Ok(())
+            }
             // Rename is atomic in the model: it either happens or not.
             Some(_) => Err(storage_err!("fault-vfs: crash before rename")),
         }
@@ -264,21 +335,34 @@ impl Vfs for FaultVfs {
 
     fn remove_file(&self, path: &Path) -> Result<()> {
         match self.admit(format!("remove {}", path.display()))? {
-            None => self.inner.remove_file(path),
+            None => {
+                self.inner.remove_file(path)?;
+                let mut state = self.state.lock().expect("fault state");
+                state.synced.remove(path);
+                Ok(())
+            }
             Some(_) => Err(storage_err!("fault-vfs: crash before remove")),
         }
     }
 
     fn truncate(&self, path: &Path, len: u64) -> Result<()> {
         match self.admit(format!("truncate {} {len}", path.display()))? {
-            None => self.inner.truncate(path, len),
+            // `StdVfs::truncate` fsyncs the cut.
+            None => {
+                self.inner.truncate(path, len)?;
+                self.note_synced(path)
+            }
             Some(_) => Err(storage_err!("fault-vfs: crash before truncate")),
         }
     }
 
     fn overwrite(&self, path: &Path, bytes: &[u8]) -> Result<()> {
         match self.admit(format!("overwrite {} {}", path.display(), bytes.len()))? {
-            None => self.inner.overwrite(path, bytes),
+            // `StdVfs::overwrite` fsyncs the file it rewrote in place.
+            None => {
+                self.inner.overwrite(path, bytes)?;
+                self.note_synced(path)
+            }
             Some(FaultKind::TornWrite { keep }) => {
                 self.inner
                     .overwrite(path, &bytes[..keep.min(bytes.len())])?;
@@ -357,6 +441,38 @@ mod tests {
         f.append(b"c").unwrap();
         assert!(!vfs.crashed());
         assert_eq!(std::fs::read(&path).unwrap(), b"ac");
+    }
+
+    #[test]
+    fn power_loss_keeps_only_what_was_fsynced() {
+        let vfs = FaultVfs::new();
+        let (log, sealed, snap_tmp, snap) = (
+            tmp("pl-log.bin"),
+            tmp("pl-sealed.bin"),
+            tmp("pl-snap.tmp"),
+            tmp("pl-snap.bin"),
+        );
+        for p in [&log, &sealed, &snap_tmp, &snap] {
+            let _ = std::fs::remove_file(p);
+        }
+        let mut f = vfs.open_append(&log).unwrap();
+        f.append(b"durable").unwrap();
+        f.sync().unwrap();
+        f.append(b"-cached").unwrap();
+        // A handle closed without an fsync flushed nothing.
+        let mut g = vfs.open_append(&sealed).unwrap();
+        g.append(b"sealed, never synced").unwrap();
+        drop(g);
+        // write + fsync + rename: the synced length follows the rename.
+        vfs.write_file(&snap_tmp, b"snapshot").unwrap();
+        vfs.sync_file(&snap_tmp).unwrap();
+        vfs.rename(&snap_tmp, &snap).unwrap();
+        assert_eq!(vfs.power_loss().unwrap(), 7 + 20);
+        assert!(vfs.crashed(), "nothing runs after power loss");
+        assert!(f.append(b"x").is_err());
+        assert_eq!(std::fs::read(&log).unwrap(), b"durable");
+        assert_eq!(std::fs::read(&sealed).unwrap(), b"");
+        assert_eq!(std::fs::read(&snap).unwrap(), b"snapshot");
     }
 
     #[test]

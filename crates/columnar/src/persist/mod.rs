@@ -15,7 +15,8 @@
 //! # Segment lifecycle
 //!
 //! ```text
-//!           append                    rotate (size threshold)
+//!           append                    rotate (size threshold:
+//!                                              fsync, then seal)
 //!   record ────────▶ active segment ─────────────▶ sealed segment
 //!                        │                              │
 //!                        │ checkpoint                   │ checkpoint:
@@ -26,6 +27,11 @@
 //!                    skipped at replay)                 ▼
 //! ```
 //!
+//! A sealed segment is never written or fsynced again, so `rotate` fsyncs
+//! the old handle *before* it seals: every byte of a sealed segment is
+//! durable, and a later fsync of the active segment is all a batch
+//! boundary needs even when the batch's log spanned several rotations.
+//!
 //! # Recovery
 //!
 //! [`PersistentTable::open`] walks this state machine:
@@ -35,7 +41,7 @@
 //!        │ load snapshot   │ ─────────────────────────▶ │ legacy replay │
 //!        │ (+RecoveryMeta) │                            │ + checkpoint  │
 //!        └───────┬────────┘                            │ + unlink .wal │
-//!                │ v3: snapshot covers seqno ≤ S        └───────────────┘
+//!                │ v3+: snapshot covers seqno ≤ S       └───────────────┘
 //!                ▼
 //!        ┌────────────────┐  per segment, index order
 //!        │ scan segments   │──▶ dead header ─▶ unlink (shred/create died)
@@ -59,8 +65,14 @@
 //! "Acknowledged" means different things under different [`SyncPolicy`]s:
 //! per-record (every append fsyncs before returning), per-batch (a
 //! [`DurabilityHook::commit`] / [`PersistentTable::sync`] fsyncs the
-//! batch), or manual. Crash tests in `tests/persistence.rs` enforce each
-//! policy's contract under scripted fault injection ([`fault::FaultVfs`]).
+//! batch), or manual. Log records are batch-granular — one kind-3 record
+//! per `insert_batch`, one kind-8 record per `forget_batch`, one record
+//! per tier transition — so under per-batch sync a cycle of the amnesia
+//! loop is a handful of appends and one fsync however many rows it
+//! touched. Crash tests in `tests/persistence.rs` enforce each policy's
+//! contract under scripted fault injection ([`fault::FaultVfs`]) — a dead
+//! process at every storage operation — and this module's tests add
+//! power loss (everything not fsynced is gone, closed handles included).
 //!
 //! The crash matrix has a static twin: `amnesia-lint` bans `unwrap`/
 //! `expect`/`panic!` throughout this module tree, so corrupt on-disk
@@ -77,7 +89,7 @@ pub mod wal;
 
 use std::path::{Path, PathBuf};
 
-use amnesia_util::Result;
+use amnesia_util::{storage_err, Result};
 
 use crate::schema::Schema;
 use crate::table::Table;
@@ -124,10 +136,16 @@ pub enum SyncPolicy {
 /// recovery. `checkpoint` and `shred` take the table by reference
 /// because the hook does not own it.
 pub trait DurabilityHook: std::fmt::Debug + Send {
-    /// Log a batch of row inserts.
-    fn log_insert_rows(&mut self, rows: &[Vec<Value>], epoch: Epoch) -> Result<()>;
+    /// Log the insert of one row.
+    fn log_insert_row(&mut self, values: &[Value], epoch: Epoch) -> Result<()>;
+    /// Log a batch insert into a one-column table, as one record.
+    fn log_insert_column(&mut self, values: &[Value], epoch: Epoch) -> Result<()>;
     /// Log one forget.
     fn log_forget(&mut self, row: RowId, epoch: Epoch) -> Result<()>;
+    /// Log a batch of forgets, as one record. The caller validates the
+    /// *whole* batch first: the record either applies completely or was
+    /// never written.
+    fn log_forget_rows(&mut self, rows: &[RowId], epoch: Epoch) -> Result<()>;
     /// Log a `freeze_upto(upto)` tier transition.
     fn log_freeze(&mut self, upto: usize) -> Result<()>;
     /// Log a `drop_forgotten_blocks()` tier transition.
@@ -224,17 +242,30 @@ impl DurableLog {
 }
 
 impl DurabilityHook for DurableLog {
-    fn log_insert_rows(&mut self, rows: &[Vec<Value>], epoch: Epoch) -> Result<()> {
+    fn log_insert_row(&mut self, values: &[Value], epoch: Epoch) -> Result<()> {
         self.last_epoch = epoch;
         self.append(&WalRecord::Insert {
             epoch,
-            rows: rows.to_vec(),
+            rows: vec![values.to_vec()],
+        })
+    }
+
+    fn log_insert_column(&mut self, values: &[Value], epoch: Epoch) -> Result<()> {
+        self.last_epoch = epoch;
+        self.append(&WalRecord::InsertColumn {
+            epoch,
+            values: values.to_vec(),
         })
     }
 
     fn log_forget(&mut self, row: RowId, epoch: Epoch) -> Result<()> {
         self.last_epoch = epoch;
         self.append(&WalRecord::Forget { epoch, row })
+    }
+
+    fn log_forget_rows(&mut self, rows: &[RowId], epoch: Epoch) -> Result<()> {
+        self.last_epoch = epoch;
+        self.append(&WalRecord::forget_rows(epoch, rows))
     }
 
     fn log_freeze(&mut self, upto: usize) -> Result<()> {
@@ -315,8 +346,28 @@ fn apply_record(table: &mut Table, rec: &WalRecord) -> Result<(u64, u64)> {
                 table.insert(row, *epoch)?;
             }
         }
+        WalRecord::InsertColumn { epoch, values } => {
+            table.insert_batch(values, *epoch)?;
+        }
         WalRecord::Forget { epoch, row } => {
             table.forget(*row, *epoch)?;
+        }
+        WalRecord::ForgetRows { epoch, runs } => {
+            // Whole record or nothing, and no loop over a run the table
+            // cannot hold.
+            let n = table.num_rows() as u64;
+            let past_end =
+                |&&(start, len): &&(RowId, u64)| start.0.checked_add(len).is_none_or(|end| end > n);
+            if let Some(&(start, len)) = runs.iter().find(past_end) {
+                return Err(storage_err!(
+                    "forget-rows run {start}+{len} past the table's {n} rows"
+                ));
+            }
+            for &(start, len) in runs {
+                for row in start.0..start.0 + len {
+                    table.forget(RowId(row), *epoch)?;
+                }
+            }
         }
         WalRecord::Freeze { upto } => {
             table.freeze_upto(*upto);
@@ -435,7 +486,7 @@ impl PersistentTable {
 
         if version < 3 && vfs.exists(&legacy_path) {
             // Pre-segment directory: replay the monolithic log, then
-            // checkpoint into the new layout and drop the old file. A v3
+            // checkpoint into the new layout and drop the old file. A v3+
             // snapshot is the "migrated" marker — its rename commits the
             // migration, so a crash before the unlink merely re-runs the
             // (now no-op) cleanup, never re-applies the legacy records.
@@ -468,7 +519,7 @@ impl PersistentTable {
             });
         }
         if vfs.exists(&legacy_path) {
-            // Migration already committed (v3 snapshot) but the cleanup
+            // Migration already committed (v3+ snapshot) but the cleanup
             // unlink crashed: finish it now.
             vfs.remove_file(&legacy_path)?;
         }
@@ -558,15 +609,14 @@ impl PersistentTable {
     /// hit a record that fails to apply).
     pub fn insert(&mut self, values: &[Value], epoch: Epoch) -> Result<RowId> {
         self.table.validate_insert(values)?;
-        self.log.log_insert_rows(&[values.to_vec()], epoch)?;
+        self.log.log_insert_row(values, epoch)?;
         self.table.insert(values, epoch)
     }
 
     /// Insert a batch of single-column values durably.
     pub fn insert_batch(&mut self, values: &[Value], epoch: Epoch) -> Result<RowId> {
         self.table.validate_insert_batch()?;
-        let rows: Vec<Vec<Value>> = values.iter().map(|&v| vec![v]).collect();
-        self.log.log_insert_rows(&rows, epoch)?;
+        self.log.log_insert_column(values, epoch)?;
         self.table.insert_batch(values, epoch)
     }
 
@@ -575,6 +625,23 @@ impl PersistentTable {
         self.table.validate_forget(row)?;
         self.log.log_forget(row, epoch)?;
         self.table.forget(row, epoch)
+    }
+
+    /// Forget a batch of rows durably and atomically: every id is
+    /// validated before the one record is logged, so a rejected batch
+    /// leaves the log and the table untouched. Returns how many of the
+    /// rows were still active.
+    pub fn forget_batch(&mut self, rows: &[RowId], epoch: Epoch) -> Result<usize> {
+        self.table.validate_forget_batch(rows)?;
+        if rows.is_empty() {
+            return Ok(0);
+        }
+        self.log.log_forget_rows(rows, epoch)?;
+        let mut forgotten = 0;
+        for &row in rows {
+            forgotten += usize::from(self.table.forget(row, epoch)?);
+        }
+        Ok(forgotten)
     }
 
     /// Freeze full blocks at or below `upto` rows, durably. Returns the
@@ -860,34 +927,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Re-frame current snapshot bytes as version 2 (strip the meta
-    /// prefix) to fabricate a pre-segment directory.
-    fn to_v2_snapshot(bytes: &[u8]) -> Vec<u8> {
-        use amnesia_util::crc32;
-        let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        let body = &bytes[20 + 24..20 + payload_len]; // skip 24-byte meta
-        let mut out = Vec::with_capacity(body.len() + 24);
-        out.extend_from_slice(snapshot::MAGIC);
-        out.extend_from_slice(&2u32.to_le_bytes());
-        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        out.extend_from_slice(body);
-        out.extend_from_slice(&crc32(body).to_le_bytes());
-        out
-    }
-
     #[test]
     fn legacy_monolithic_directory_migrates_on_open() {
         let dir = tmp_dir("legacy");
         std::fs::create_dir_all(&dir).unwrap();
-        // Fabricate the old layout: v2 snapshot + monolithic table.wal.
-        let mut base = Table::new(Schema::single("a"));
-        base.insert_batch(&(0..50).collect::<Vec<i64>>(), 0)
-            .unwrap();
-        std::fs::write(
-            dir.join(SNAPSHOT_FILE),
-            to_v2_snapshot(&snap::encode(&base)),
-        )
-        .unwrap();
+        // Fabricate the old layout: a v2 snapshot as the pre-segment era
+        // wrote it (checked-in bytes: one column "a", rows 0..50 inserted
+        // at epoch 0) + a monolithic table.wal.
+        let v2 = include_bytes!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/v2_legacy.snap"
+        ));
+        assert_eq!(snap::peek_version(v2).unwrap(), 2);
+        std::fs::write(dir.join(SNAPSHOT_FILE), v2).unwrap();
         let mut old_wal = Wal::open(dir.join(LEGACY_WAL_FILE)).unwrap();
         old_wal
             .append(&WalRecord::Insert {
@@ -917,6 +969,57 @@ mod tests {
         let again = PersistentTable::open(&dir).unwrap();
         assert!(again.recovered_clean());
         assert_eq!(again.table().num_rows(), 52);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_committed_batch_spanning_rotations_survives_power_loss() {
+        // Per-batch sync fsyncs the *active* segment at commit. A batch
+        // whose log rotated on the way left its head in sealed segments,
+        // which nothing fsyncs later: `rotate` has to, or power loss
+        // (closed handles flush nothing) takes acknowledged rows.
+        let dir = tmp_dir("powerloss");
+        let fvfs = Arc::new(FaultVfs::new());
+        let mut pt = PersistentTable::create_with(
+            fvfs.clone(),
+            &dir,
+            Schema::single("a"),
+            SyncPolicy::PerBatch,
+        )
+        .unwrap();
+        pt.log.wal.set_segment_bytes(96);
+        for i in 0..40 {
+            pt.insert(&[i], 1).unwrap();
+        }
+        pt.forget_batch(&[RowId(3), RowId(4), RowId(30)], 1)
+            .unwrap();
+        pt.log.commit().unwrap();
+        let stats = pt.stats();
+        assert!(stats.segments_rotated >= 2, "{stats:?}");
+        assert_eq!(
+            stats.fsyncs,
+            stats.segments_rotated + 1,
+            "one fsync per sealed segment, one for the commit"
+        );
+        // Not acknowledged: may or may not survive.
+        pt.insert(&[999], 2).unwrap();
+        fvfs.power_loss().unwrap();
+        drop(pt);
+
+        let rec = PersistentTable::open(&dir).unwrap();
+        let t = rec.table();
+        assert!(
+            t.num_rows() >= 40,
+            "acknowledged rows lost: {}",
+            t.num_rows()
+        );
+        for i in 0..40 {
+            assert_eq!(t.value(0, RowId(i)), i as i64);
+        }
+        for r in [3, 4, 30] {
+            assert!(!t.activity().is_active(RowId(r)), "forget of row {r} lost");
+        }
+        assert_eq!(t.forgotten_rows(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -121,6 +121,25 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Place one decoded run of `len` rows `gap` rows past the previous run's
+/// end, inside `[0, limit)`. Returns `(start, end)`. Shared by every run
+/// decoder (WAL kind 8, snapshot v4 death epochs), so they reject the same
+/// shapes: an empty run, a start before row 0, arithmetic overflow, an end
+/// past `limit`.
+pub fn place_run(prev_end: u64, gap: i64, len: u64, limit: u64) -> Result<(u64, u64)> {
+    if len == 0 {
+        return Err(storage_err!("zero-length row run"));
+    }
+    let start = prev_end
+        .checked_add_signed(gap)
+        .ok_or_else(|| storage_err!("row run gap {gap} from {prev_end} overflows"))?;
+    let end = start
+        .checked_add(len)
+        .filter(|&end| end <= limit)
+        .ok_or_else(|| storage_err!("row run {start}+{len} runs past {limit}"))?;
+    Ok((start, end))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +159,25 @@ mod tests {
         assert_eq!(r.u64().unwrap(), 42);
         assert_eq!(r.f64().unwrap(), 1.5);
         r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn place_run_rejects_every_malformed_shape() {
+        assert_eq!(place_run(10, 5, 3, 100).unwrap(), (15, 18));
+        assert_eq!(place_run(10, -10, 1, 100).unwrap(), (0, 1), "step back");
+        assert_eq!(
+            place_run(97, 0, 3, 100).unwrap(),
+            (97, 100),
+            "up to the limit"
+        );
+        assert!(place_run(10, 5, 0, 100).is_err(), "empty run");
+        assert!(place_run(10, -11, 1, 100).is_err(), "before row 0");
+        assert!(place_run(98, 0, 3, 100).is_err(), "past the limit");
+        assert!(place_run(u64::MAX, 1, 1, u64::MAX).is_err(), "gap overflow");
+        assert!(
+            place_run(2, 0, u64::MAX, u64::MAX).is_err(),
+            "length overflow"
+        );
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! without reading a single record body, and what lets recovery skip
 //! already-snapshotted records without trusting file order.
 //!
+//! A segment that reaches the rotation threshold is fsynced and then
+//! sealed: sealed segments are never written or fsynced again, so a batch
+//! commit — one fsync of the *active* segment — makes the whole batch
+//! durable however many rotations its records crossed.
+//!
 //! Recovery ([`recover_segments`]) walks segments in index order and is
 //! the place every crash mode lands:
 //!
@@ -248,6 +253,10 @@ impl SegmentedWal {
 
     /// Open a fresh active segment, sealing the current one.
     fn rotate(&mut self, base_epoch: u64) -> Result<()> {
+        // Nothing fsyncs a sealed segment again, and a batch commit fsyncs
+        // only the active one: whatever this segment took since its last
+        // fsync must reach the device before the handle goes.
+        self.sync()?;
         if let Some(active) = self.active.take() {
             self.sealed.push(SealedSegment {
                 index: active.index,

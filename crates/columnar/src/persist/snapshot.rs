@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic   "AMNSNAP1"                         8 bytes
-//! u32     version (= 3)
+//! u32     version (= 4)
 //! u64     payload length
 //! payload:
 //!   u64   last WAL seqno this snapshot covers     (v3+)
@@ -23,12 +23,40 @@
 //!     u8    tail encoding tag, u64 tail rows, u64 data length, data
 //!     u8    stats flag, [i64 min seen, i64 max seen]
 //!   u64   forgotten count
-//!   per forgotten row: varint row id, varint died-at epoch
-//!   per row: signed varint insert-epoch delta (vs previous row)
+//!   death runs, until they total the forgotten count:        (v4)
+//!         varint gap from the previous run's end, varint length,
+//!         varint died-at epoch
+//!   insert-epoch runs, until they total the row count:       (v4)
+//!         varint length, varint epoch
 //!   u64   touched count (rows with access stats)
 //!   per touched row: varint row id, f64 frequency, varint last access
 //! u32     CRC-32 of the payload
 //! ```
+//!
+//! Version 4 makes the file proportional to what is *remembered*. The
+//! two per-row metadata sections of versions 1–3 —
+//!
+//! ```text
+//!   per forgotten row: varint row id, varint died-at epoch   (v1–v3)
+//!   per row: signed varint insert-epoch delta (vs previous)  (v1–v3)
+//! ```
+//!
+//! — cost three to six bytes for every row *ever forgotten* and a byte for
+//! every row *ever inserted*, so a sliding-window store whose live data is
+//! under a megabyte rewrote seven at every checkpoint. Rows are inserted
+//! in batches and forgotten in batches, so both sections are runs: a death
+//! run is consecutive rows that died in the same epoch (the writer walks
+//! the activity words, so fully active words cost nothing), an
+//! insert-epoch run is consecutive rows of one batch. A dropped block
+//! then contributes no payload *and* no per-row bytes: the file is the
+//! frozen payload, the hot tail and O(batches) of metadata. Scattered
+//! forgetting degrades to one run per forgotten row, about what v3 paid.
+//!
+//! There is one writer (v4). The reader keeps every older version
+//! readable: v2 and v3 share v4's body and differ only in those two
+//! sections ([`read_row_metadata`] branches on the version), v1
+//! (pre-tier, one whole-column block per column) has its own column
+//! reader and the same metadata sections.
 //!
 //! Version 3 adds the [`RecoveryMeta`] prefix: the WAL sequence number
 //! the snapshot covers (so segmented-log replay knows exactly where to
@@ -52,21 +80,22 @@ use std::path::Path;
 use amnesia_util::{crc32, storage_err, Result};
 use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::compress::varint::{write_signed, write_varint};
+use crate::activity::ActivityMap;
+use crate::compress::varint::write_varint;
 use crate::compress::{EncodedBlock, Encoding};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::tier::{BlockMeta, BlockState, FrozenBlock, TieredColumn};
-use crate::types::RowId;
+use crate::types::{Epoch, RowId};
 
-use super::reader::Reader;
+use super::reader::{place_run, Reader};
 
 /// File magic.
 pub const MAGIC: &[u8; 8] = b"AMNSNAP1";
 /// Current format version.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
-/// Recovery bookkeeping carried at the head of a v3 payload.
+/// Recovery bookkeeping carried at the head of a v3+ payload.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryMeta {
     /// Last WAL sequence number whose effects are inside the snapshot.
@@ -152,25 +181,43 @@ pub fn encode_with_meta(table: &Table, meta: RecoveryMeta) -> Vec<u8> {
         }
     }
 
-    // Forgotten rows with their death epochs.
-    let forgotten: Vec<(u64, u64)> = (0..n)
-        .filter_map(|r| {
-            let id = RowId::from(r);
-            table.activity().died_at(id).map(|e| (r as u64, e))
-        })
-        .collect();
-    payload.put_u64_le(forgotten.len() as u64);
-    for (row, epoch) in forgotten {
-        write_varint(&mut payload, row);
-        write_varint(&mut payload, epoch);
+    // Death epochs: runs of consecutive rows that died in one epoch. Only
+    // words with a forgotten row are looked into; bits past the last row
+    // are zero in the activity words, hence the `row < n` cut.
+    payload.put_u64_le(table.forgotten_rows() as u64);
+    let activity = table.activity();
+    let mut prev_end = 0usize;
+    let mut run: Option<(usize, usize, Epoch)> = None; // start, end, epoch
+    for (w, &word) in activity.words().iter().enumerate() {
+        let mut dead = !word;
+        while dead != 0 {
+            let row = w * 64 + dead.trailing_zeros() as usize;
+            dead &= dead - 1;
+            if row >= n {
+                break;
+            }
+            let Some(epoch) = activity.died_at(RowId::from(row)) else {
+                continue;
+            };
+            match &mut run {
+                Some((_, end, e)) if *end == row && *e == epoch => *end += 1,
+                _ => {
+                    if let Some((start, end, e)) = run.replace((row, row + 1, epoch)) {
+                        put_death_run(&mut payload, prev_end, start, end, e);
+                        prev_end = end;
+                    }
+                }
+            }
+        }
+    }
+    if let Some((start, end, e)) = run {
+        put_death_run(&mut payload, prev_end, start, end, e);
     }
 
-    // Insert epochs, delta-coded (batch inserts make these long runs of
-    // zero deltas — one byte each).
-    let mut prev = 0i64;
-    for &e in table.insert_epochs() {
-        write_signed(&mut payload, e as i64 - prev);
-        prev = e as i64;
+    // Insert epochs: one run per batch.
+    for batch in table.insert_epochs().chunk_by(|a, b| a == b) {
+        write_varint(&mut payload, batch.len() as u64);
+        write_varint(&mut payload, batch[0]);
     }
 
     // Access stats: only touched rows.
@@ -193,6 +240,12 @@ pub fn encode_with_meta(table: &Table, meta: RecoveryMeta) -> Vec<u8> {
     out.extend_from_slice(&payload);
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out
+}
+
+fn put_death_run(payload: &mut BytesMut, prev_end: usize, start: usize, end: usize, epoch: Epoch) {
+    write_varint(payload, (start - prev_end) as u64);
+    write_varint(payload, (end - start) as u64);
+    write_varint(payload, epoch);
 }
 
 /// Reconstruct a table from snapshot bytes, discarding recovery meta.
@@ -246,11 +299,119 @@ pub fn decode_with_meta(bytes: &[u8]) -> Result<(Table, RecoveryMeta)> {
     } else {
         &payload[..]
     };
-    Ok((decode_v2_body(body)?, meta))
+    Ok((decode_body(body, version)?, meta))
 }
 
-/// Decode the column/activity/access body shared by versions 2 and 3.
-fn decode_v2_body(payload: &[u8]) -> Result<Table> {
+/// The per-row metadata that closes every version's payload.
+struct RowMetadata {
+    activity: ActivityMap,
+    insert_epochs: Vec<Epoch>,
+    /// `(row, frequency, last access)` of rows with access statistics.
+    touched: Vec<(RowId, f64, Epoch)>,
+}
+
+/// Read the death epochs, insert epochs and access statistics of an
+/// `n`-row table and require the payload to end there. Versions 1–3 list
+/// the first two per row, version 4 as runs (module docs). Counts read
+/// from disk never size an allocation the remaining bytes could not fill.
+fn read_row_metadata(p: &mut Reader<'_>, version: u32, n: usize) -> Result<RowMetadata> {
+    let forgotten_count = p.u64()?;
+    let mut activity = ActivityMap::new();
+    activity.push_active(n);
+    let mut insert_epochs = Vec::new();
+    if version >= 4 {
+        if forgotten_count > n as u64 {
+            return Err(storage_err!("{forgotten_count} forgotten rows of {n}"));
+        }
+        let mut prev_end = 0u64;
+        let mut total = 0u64;
+        while total < forgotten_count {
+            let gap =
+                i64::try_from(p.varint()?).map_err(|_| storage_err!("death run gap overflows"))?;
+            let len = p.varint()?;
+            let epoch = p.varint()?;
+            let (start, end) = place_run(prev_end, gap, len, n as u64)?;
+            // `end <= n` bounds `len`, so the sum cannot overflow.
+            total += len;
+            if total > forgotten_count {
+                return Err(storage_err!(
+                    "death runs exceed the declared {forgotten_count} rows"
+                ));
+            }
+            for row in start..end {
+                activity.forget(RowId(row), epoch);
+            }
+            prev_end = end;
+        }
+        while insert_epochs.len() < n {
+            let len = p.varint()?;
+            let epoch = p.varint()?;
+            if len == 0 || len > (n - insert_epochs.len()) as u64 {
+                return Err(storage_err!(
+                    "insert-epoch run of {len} rows at row {} of {n}",
+                    insert_epochs.len()
+                ));
+            }
+            insert_epochs.resize(insert_epochs.len() + len as usize, epoch);
+        }
+    } else {
+        // Two bytes at least per forgotten row, one per insert epoch.
+        if forgotten_count > (p.remaining() / 2) as u64 {
+            return Err(storage_err!(
+                "{forgotten_count} forgotten rows in {} bytes",
+                p.remaining()
+            ));
+        }
+        for _ in 0..forgotten_count {
+            let row = p.varint()?;
+            let epoch = p.varint()?;
+            if row >= n as u64 {
+                return Err(storage_err!("forgotten row {row} out of range"));
+            }
+            activity.forget(RowId(row), epoch);
+        }
+        if n > p.remaining() {
+            return Err(storage_err!("{n} insert epochs in {} bytes", p.remaining()));
+        }
+        insert_epochs.reserve_exact(n);
+        let mut prev = 0i64;
+        for _ in 0..n {
+            prev += p.signed_varint()?;
+            if prev < 0 {
+                return Err(storage_err!("negative insert epoch"));
+            }
+            insert_epochs.push(prev as u64);
+        }
+    }
+
+    // Ten bytes at least per touched row.
+    let touched_count = p.u64()?;
+    if touched_count > (p.remaining() / 10) as u64 {
+        return Err(storage_err!(
+            "{touched_count} touched rows in {} bytes",
+            p.remaining()
+        ));
+    }
+    let mut touched = Vec::with_capacity(touched_count as usize);
+    for _ in 0..touched_count {
+        let row = p.varint()?;
+        let freq = p.f64()?;
+        let last = p.varint()?;
+        if row >= n as u64 {
+            return Err(storage_err!("touched row {row} out of range"));
+        }
+        touched.push((RowId(row), freq, last));
+    }
+    p.expect_end()?;
+    Ok(RowMetadata {
+        activity,
+        insert_epochs,
+        touched,
+    })
+}
+
+/// Decode the column/activity/access body shared by versions 2 to 4.
+fn decode_body(payload: &[u8], version: u32) -> Result<Table> {
     let mut p = Reader::new(payload);
 
     // Schema.
@@ -290,10 +451,12 @@ fn decode_v2_body(payload: &[u8]) -> Result<Table> {
                     .ok_or_else(|| storage_err!("unknown pinned encoding tag {pinned}"))?,
             )
         };
+        // 34 bytes at least per frozen block, whatever its state.
         let frozen_count = p.u64()? as usize;
-        if frozen_count
-            .checked_mul(block_rows)
-            .is_none_or(|rows| rows > n)
+        if frozen_count > p.remaining() / 34
+            || frozen_count
+                .checked_mul(block_rows)
+                .is_none_or(|rows| rows > n)
         {
             return Err(storage_err!(
                 "column {c} declares {frozen_count} frozen blocks for {n} rows"
@@ -354,42 +517,7 @@ fn decode_v2_body(payload: &[u8]) -> Result<Table> {
         });
     }
 
-    // Forgotten rows.
-    let forgotten_count = p.u64()? as usize;
-    let mut forgotten = Vec::with_capacity(forgotten_count);
-    for _ in 0..forgotten_count {
-        let row = p.varint()?;
-        let epoch = p.varint()?;
-        if row as usize >= n {
-            return Err(storage_err!("forgotten row {row} out of range"));
-        }
-        forgotten.push((RowId(row), epoch));
-    }
-
-    // Insert epochs.
-    let mut epochs = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for _ in 0..n {
-        prev += p.signed_varint()?;
-        if prev < 0 {
-            return Err(storage_err!("negative insert epoch"));
-        }
-        epochs.push(prev as u64);
-    }
-
-    // Access stats.
-    let touched_count = p.u64()? as usize;
-    let mut touched = Vec::with_capacity(touched_count);
-    for _ in 0..touched_count {
-        let row = p.varint()?;
-        let freq = p.f64()?;
-        let last = p.varint()?;
-        if row as usize >= n {
-            return Err(storage_err!("touched row {row} out of range"));
-        }
-        touched.push((RowId(row), freq, last));
-    }
-    p.expect_end()?;
+    let meta = read_row_metadata(&mut p, version, n)?;
 
     // Rebuild: the persisted tiers install as-is and the activity /
     // epoch / access bookkeeping is reconstructed directly — the restore
@@ -398,9 +526,14 @@ fn decode_v2_body(payload: &[u8]) -> Result<Table> {
     // payloads are not re-encoded, and block metadata arrives already
     // reflecting the persisted forgets.
     let (tiers, stats): (Vec<_>, Vec<_>) = columns.into_iter().map(|c| (c.tier, c.stats)).unzip();
-    let mut table =
-        Table::from_restored_parts(Schema::new(names), block_rows, tiers, epochs, &forgotten)?;
-    for (row, freq, last) in touched {
+    let mut table = Table::from_restored_parts(
+        Schema::new(names),
+        block_rows,
+        tiers,
+        meta.insert_epochs,
+        meta.activity,
+    )?;
+    for (row, freq, last) in meta.touched {
         table.access_mut().restore(row, freq, last);
     }
     for (c, stats) in stats.into_iter().enumerate() {
@@ -465,42 +598,7 @@ fn decode_v1(payload: &[u8]) -> Result<Table> {
         columns.push(values);
     }
 
-    // Forgotten rows.
-    let forgotten_count = p.u64()? as usize;
-    let mut forgotten = Vec::with_capacity(forgotten_count);
-    for _ in 0..forgotten_count {
-        let row = p.varint()?;
-        let epoch = p.varint()?;
-        if row as usize >= n {
-            return Err(storage_err!("forgotten row {row} out of range"));
-        }
-        forgotten.push((RowId(row), epoch));
-    }
-
-    // Insert epochs.
-    let mut epochs = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for _ in 0..n {
-        prev += p.signed_varint()?;
-        if prev < 0 {
-            return Err(storage_err!("negative insert epoch"));
-        }
-        epochs.push(prev as u64);
-    }
-
-    // Access stats.
-    let touched_count = p.u64()? as usize;
-    let mut touched = Vec::with_capacity(touched_count);
-    for _ in 0..touched_count {
-        let row = p.varint()?;
-        let freq = p.f64()?;
-        let last = p.varint()?;
-        if row as usize >= n {
-            return Err(storage_err!("touched row {row} out of range"));
-        }
-        touched.push((RowId(row), freq, last));
-    }
-    p.expect_end()?;
+    let meta = read_row_metadata(&mut p, 1, n)?;
 
     // Rebuild as a fully hot tiered table. Stats recompute from the
     // decoded values (a v1 snapshot physically held every row), matching
@@ -517,13 +615,13 @@ fn decode_v1(payload: &[u8]) -> Result<Table> {
         Schema::new(names),
         crate::types::DEFAULT_BLOCK_ROWS,
         tiers,
-        epochs,
-        &forgotten,
+        meta.insert_epochs,
+        meta.activity,
     )?;
     for (c, (min, max)) in stats.into_iter().enumerate() {
         table.restore_col_stats(c, min, max);
     }
-    for (row, freq, last) in touched {
+    for (row, freq, last) in meta.touched {
         table.access_mut().restore(row, freq, last);
     }
     table.check_invariants()?;
@@ -721,6 +819,7 @@ mod tests {
     /// v1_pre_tier.snap` was produced by this code, and [`decode`] must
     /// keep loading both the fixture and anything this emits.
     pub(super) fn encode_v1(table: &Table) -> Vec<u8> {
+        use crate::compress::varint::write_signed;
         use crate::types::Value;
         let mut payload = BytesMut::new();
         let schema = table.schema();
@@ -827,6 +926,147 @@ mod tests {
             dup[i] ^= 0x01;
             assert!(decode(&dup).is_err(), "flip at {i} survived");
         }
+    }
+
+    /// Hand-build the metadata that closes a v4 payload.
+    fn v4_metadata(
+        forgotten: u64,
+        deaths: &[(u64, u64, u64)],
+        epochs: &[(u64, u64)],
+        touched: u64,
+    ) -> BytesMut {
+        let mut m = BytesMut::new();
+        m.put_u64_le(forgotten);
+        for &(gap, len, epoch) in deaths {
+            write_varint(&mut m, gap);
+            write_varint(&mut m, len);
+            write_varint(&mut m, epoch);
+        }
+        for &(len, epoch) in epochs {
+            write_varint(&mut m, len);
+            write_varint(&mut m, epoch);
+        }
+        m.put_u64_le(touched);
+        m
+    }
+
+    #[test]
+    fn malformed_v4_runs_are_errors_not_panics_or_allocations() {
+        let read = |m: &[u8], n: usize| read_row_metadata(&mut Reader::new(m), 4, n);
+        // 100 rows: rows 10..15 died at 3, rows 40..42 at 5; two batches.
+        let good = v4_metadata(7, &[(10, 5, 3), (25, 2, 5)], &[(60, 0), (40, 1)], 0);
+        let meta = read(&good, 100).unwrap();
+        assert_eq!(meta.activity.died_at(RowId(14)), Some(3));
+        assert_eq!(meta.activity.died_at(RowId(15)), None);
+        assert_eq!(meta.activity.died_at(RowId(41)), Some(5));
+        assert_eq!(meta.activity.forgotten_count(), 7);
+        assert_eq!((meta.insert_epochs[59], meta.insert_epochs[60]), (0, 1));
+
+        let e = &[(100u64, 0u64)][..];
+        for (what, m) in [
+            (
+                "zero-length death run",
+                v4_metadata(2, &[(1, 0, 3), (0, 2, 3)], e, 0),
+            ),
+            (
+                "death run past the row count",
+                v4_metadata(5, &[(98, 5, 3)], e, 0),
+            ),
+            (
+                "death run gap overflow",
+                v4_metadata(1, &[(u64::MAX, 1, 3)], e, 0),
+            ),
+            (
+                "death run length overflow",
+                v4_metadata(9, &[(5, u64::MAX, 3)], e, 0),
+            ),
+            (
+                "death total above the count",
+                v4_metadata(3, &[(1, 2, 3), (1, 2, 3)], e, 0),
+            ),
+            (
+                "death total below the count",
+                v4_metadata(9, &[(1, 2, 3), (1, 2, 3)], e, 0),
+            ),
+            ("more forgotten than rows", v4_metadata(101, &[], e, 0)),
+            (
+                "zero-length epoch run",
+                v4_metadata(0, &[], &[(0, 1), (100, 1)], 0),
+            ),
+            (
+                "epoch run past the row count",
+                v4_metadata(0, &[], &[(60, 0), (41, 1)], 0),
+            ),
+            (
+                "epoch runs short of the row count",
+                v4_metadata(0, &[], &[(60, 0), (39, 1)], 0),
+            ),
+            (
+                "epoch run length overflow",
+                v4_metadata(0, &[], &[(u64::MAX, 0)], 0),
+            ),
+            (
+                "touched count past the bytes",
+                v4_metadata(0, &[], e, 1 << 50),
+            ),
+        ] {
+            assert!(read(&m, 100).is_err(), "{what} accepted");
+        }
+        // Pre-v4 counts cannot size an allocation either.
+        let mut v3 = BytesMut::new();
+        v3.put_u64_le(1 << 50);
+        v3.put_slice(&[0u8; 64]);
+        assert!(read_row_metadata(&mut Reader::new(&v3), 3, 100).is_err());
+
+        // Every single-byte mutation of both run sections decodes or
+        // errors — and what decodes still describes 100 rows.
+        for i in 0..good.len() {
+            for flip in [0x01u8, 0x10, 0x80, 0xFF] {
+                let mut dup = good.to_vec();
+                dup[i] ^= flip;
+                if let Ok(meta) = read(&dup, 100) {
+                    assert_eq!(meta.activity.len(), 100);
+                    assert_eq!(meta.insert_epochs.len(), 100);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn history_costs_runs_not_rows() {
+        // A sliding window: 20 batches of 1 000 rows, the oldest 15
+        // forgotten batch by batch and their blocks dropped. The snapshot
+        // must not grow with the 15 000 rows of history.
+        let mut t = Table::with_block_rows(Schema::single("a"), 64);
+        for b in 0..20u64 {
+            let base = b as i64 * 1000;
+            t.insert_batch(&(base..base + 1000).map(|v| v * 7).collect::<Vec<_>>(), b)
+                .unwrap();
+            if b >= 5 {
+                for r in (b - 5) * 1000..(b - 4) * 1000 {
+                    t.forget(RowId(r), b).unwrap();
+                }
+            }
+        }
+        t.freeze_upto(19_000);
+        let (dropped, _) = t.drop_forgotten_blocks();
+        assert!(dropped > 200, "{dropped} blocks dropped");
+        let snap = encode(&t);
+        let restored = decode(&snap).unwrap();
+        assert_tables_equal(&t, &restored);
+        assert_eq!(restored.dropped_rows(), t.dropped_rows());
+        let mut live = Table::with_block_rows(Schema::single("a"), 64);
+        live.insert_batch(&(15_000..20_000).map(|v| v * 7).collect::<Vec<_>>(), 0)
+            .unwrap();
+        live.freeze_upto(4_000);
+        let floor = encode(&live).len();
+        // Per dropped block: 34 bytes of block header, no rows. (v3 spent
+        // three bytes and up on each of the 15 000 forgotten rows.)
+        assert!(
+            snap.len() < floor + dropped * 34 + 1024,
+            "snapshot {} bytes, live floor {floor}, {dropped} dropped blocks",
+            snap.len()
+        );
     }
 
     #[test]

@@ -11,24 +11,34 @@
 //!
 //! Kinds:
 //!
-//! | kind | record | payload |
-//! |------|--------|---------|
-//! | 1 | insert (row-major) | `varint epoch, varint rows, varint arity, signed varint values` |
-//! | 2 | forget | `varint epoch, varint row` |
-//! | 3 | insert (column-major) | `varint epoch, varint rows, varint arity`, per column: `u8 codec tag, varint data length, codec bytes` |
-//! | 4 | freeze | `varint upto` |
-//! | 5 | drop blocks | — |
-//! | 6 | recompress | `f64 max active fraction` |
-//! | 7 | checkpoint | `varint through-seqno` |
+//! | kind | record | payload | written by |
+//! |------|--------|---------|------------|
+//! | 1 | insert (row-major) | `varint epoch, varint rows, varint arity, signed varint values` | single-row `insert`, batches under 8 rows |
+//! | 2 | forget | `varint epoch, varint row` | single-row `forget` only |
+//! | 3 | insert (column-major) | `varint epoch, varint rows, varint arity`, per column: `u8 codec tag, varint data length, codec bytes` | `insert_batch` (one column, straight from the caller's slice) |
+//! | 4 | freeze | `varint upto` | `freeze_upto` |
+//! | 5 | drop blocks | — | `drop_forgotten_blocks` |
+//! | 6 | recompress | `f64 max active fraction` | `recompress_frozen` |
+//! | 7 | checkpoint | `varint through-seqno` | `checkpoint` |
+//! | 8 | forget rows | `varint epoch, varint count`, runs: `signed varint gap from the previous run's end, varint length` | `AmnesiacStore::forget_batch`, once per batch |
 //!
 //! Kind 3 is the compressed batch path: each column runs through
 //! [`EncodedBlock::encode_auto`], so a WAL full of serial or repetitive
 //! inserts costs about what the frozen tier costs, not eight bytes a
 //! value. Small batches stay row-major (kind 1) — the codec header would
-//! outweigh them. Kinds 4–6 are the tier transitions: they log the
+//! outweigh them. Kind 8 is its forgetting twin: a batch of victims is one
+//! record of row-id runs, so a FIFO batch of any size is about ten bytes
+//! and a scattered one about three bytes a row, where one kind-2 record
+//! per victim cost sixteen bytes, a checksum and a write call each. The
+//! gap is signed because victims arrive in policy order, not row order.
+//! Kinds 4–6 are the tier transitions: they log the
 //! *parameters* of `freeze_upto` / `drop_forgotten_blocks` /
 //! `recompress_frozen`, which are deterministic given table state, so
 //! replay reproduces the exact pre-crash tier layout.
+//!
+//! A one-column insert decodes to [`WalRecord::InsertColumn`] whichever of
+//! kinds 1 and 3 carried it, so replay applies it with one
+//! `Table::insert_batch`; wider rows decode to [`WalRecord::Insert`].
 //!
 //! Replay walks records until the file ends cleanly or a torn / corrupt
 //! record appears — everything before the damage is recovered, everything
@@ -46,7 +56,7 @@ use crate::compress::varint::{write_signed, write_varint};
 use crate::compress::{EncodedBlock, Encoding};
 use crate::types::{Epoch, RowId, Value};
 
-use super::reader::Reader;
+use super::reader::{place_run, Reader};
 
 const KIND_INSERT: u8 = 1;
 const KIND_FORGET: u8 = 2;
@@ -55,21 +65,46 @@ const KIND_FREEZE: u8 = 4;
 const KIND_DROP_BLOCKS: u8 = 5;
 const KIND_RECOMPRESS: u8 = 6;
 const KIND_CHECKPOINT: u8 = 7;
+const KIND_FORGET_ROWS: u8 = 8;
 
 /// Insert batches at or above this many rows take the column-major
 /// codec-compressed encoding (kind 3); below it, the per-column codec
 /// headers would outweigh the values.
 const COLUMNAR_THRESHOLD: usize = 8;
 
+/// The shared head of both insert kinds.
+fn put_insert_header(body: &mut BytesMut, kind: u8, epoch: Epoch, rows: usize, arity: usize) {
+    body.put_u8(kind);
+    write_varint(body, epoch);
+    write_varint(body, rows as u64);
+    write_varint(body, arity as u64);
+}
+
+/// One kind-3 column: `u8 codec tag, varint data length, codec bytes`.
+fn put_encoded_column(body: &mut BytesMut, values: &[Value]) {
+    let block = EncodedBlock::encode_auto(values);
+    body.put_u8(block.encoding().tag());
+    write_varint(body, block.data().len() as u64);
+    body.put_slice(block.data());
+}
+
 /// One logical WAL record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A batch of inserted rows (row-major values).
+    /// A batch of inserted rows (row-major values). One-column batches
+    /// read back as [`WalRecord::InsertColumn`].
     Insert {
         /// Insertion epoch.
         epoch: Epoch,
         /// Rows, each of schema arity.
         rows: Vec<Vec<Value>>,
+    },
+    /// A batch of values inserted into a one-column table.
+    InsertColumn {
+        /// Insertion epoch.
+        epoch: Epoch,
+        /// The column's new values, in row order.
+        values: Vec<Value>,
     },
     /// One forgotten row.
     Forget {
@@ -77,6 +112,14 @@ pub enum WalRecord {
         epoch: Epoch,
         /// Victim.
         row: RowId,
+    },
+    /// A batch of forgotten rows, as runs of consecutive row ids in the
+    /// order the batch named them (build with [`WalRecord::forget_rows`]).
+    ForgetRows {
+        /// Forget epoch.
+        epoch: Epoch,
+        /// `(first row, length)` of each run; lengths are non-zero.
+        runs: Vec<(RowId, u64)>,
     },
     /// Tier transition: `Table::freeze_upto(upto)`.
     Freeze {
@@ -100,6 +143,20 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
+    /// A [`WalRecord::ForgetRows`] for `rows`: consecutive ascending ids
+    /// collapse into one run, so the record is as long as the batch is
+    /// fragmented, not as long as it is large.
+    pub fn forget_rows(epoch: Epoch, rows: &[RowId]) -> WalRecord {
+        let mut runs: Vec<(RowId, u64)> = Vec::new();
+        for &row in rows {
+            match runs.last_mut() {
+                Some((start, len)) if start.0.checked_add(*len) == Some(row.0) => *len += 1,
+                _ => runs.push((row, 1)),
+            }
+        }
+        WalRecord::ForgetRows { epoch, runs }
+    }
+
     /// Encode the record body (kind byte + payload), without framing.
     pub fn encode_body(&self) -> Vec<u8> {
         let mut body = BytesMut::new();
@@ -107,10 +164,7 @@ impl WalRecord {
             WalRecord::Insert { epoch, rows } => {
                 let arity = rows.first().map_or(0, Vec::len);
                 if rows.len() >= COLUMNAR_THRESHOLD && arity > 0 {
-                    body.put_u8(KIND_INSERT_COLS);
-                    write_varint(&mut body, *epoch);
-                    write_varint(&mut body, rows.len() as u64);
-                    write_varint(&mut body, arity as u64);
+                    put_insert_header(&mut body, KIND_INSERT_COLS, *epoch, rows.len(), arity);
                     let mut col = Vec::with_capacity(rows.len());
                     for c in 0..arity {
                         col.clear();
@@ -118,21 +172,26 @@ impl WalRecord {
                             debug_assert_eq!(row.len(), arity, "ragged insert batch");
                             col.push(row[c]);
                         }
-                        let block = EncodedBlock::encode_auto(&col);
-                        body.put_u8(block.encoding().tag());
-                        write_varint(&mut body, block.data().len() as u64);
-                        body.put_slice(block.data());
+                        put_encoded_column(&mut body, &col);
                     }
                 } else {
-                    body.put_u8(KIND_INSERT);
-                    write_varint(&mut body, *epoch);
-                    write_varint(&mut body, rows.len() as u64);
-                    write_varint(&mut body, arity as u64);
+                    put_insert_header(&mut body, KIND_INSERT, *epoch, rows.len(), arity);
                     for row in rows {
                         debug_assert_eq!(row.len(), arity, "ragged insert batch");
                         for &v in row {
                             write_signed(&mut body, v);
                         }
+                    }
+                }
+            }
+            WalRecord::InsertColumn { epoch, values } => {
+                if values.len() >= COLUMNAR_THRESHOLD {
+                    put_insert_header(&mut body, KIND_INSERT_COLS, *epoch, values.len(), 1);
+                    put_encoded_column(&mut body, values);
+                } else {
+                    put_insert_header(&mut body, KIND_INSERT, *epoch, values.len(), 1);
+                    for &v in values {
+                        write_signed(&mut body, v);
                     }
                 }
             }
@@ -157,6 +216,19 @@ impl WalRecord {
             WalRecord::Checkpoint { through_seqno } => {
                 body.put_u8(KIND_CHECKPOINT);
                 write_varint(&mut body, *through_seqno);
+            }
+            WalRecord::ForgetRows { epoch, runs } => {
+                body.put_u8(KIND_FORGET_ROWS);
+                write_varint(&mut body, *epoch);
+                write_varint(&mut body, runs.iter().map(|&(_, len)| len).sum());
+                let mut prev_end = 0u64;
+                for &(start, len) in runs {
+                    // Wrapping: the two's-complement difference of any two
+                    // u64 row ids is the i64 gap the decoder adds back.
+                    write_signed(&mut body, start.0.wrapping_sub(prev_end) as i64);
+                    write_varint(&mut body, len);
+                    prev_end = start.0.wrapping_add(len);
+                }
             }
         }
         body.to_vec()
@@ -185,19 +257,29 @@ impl WalRecord {
                 if arity == 0 && n > 0 {
                     return Err(storage_err!("insert record with zero arity"));
                 }
-                // Guard against absurd sizes from corrupt length fields.
-                if n.saturating_mul(arity) > body.len() * 8 {
+                // Every value is at least one byte: a count the rest of
+                // the body cannot hold is corrupt, and must not size an
+                // allocation.
+                if n.saturating_mul(arity) > r.remaining() {
                     return Err(storage_err!("insert record claims impossible size"));
                 }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut row = Vec::with_capacity(arity);
-                    for _ in 0..arity {
-                        row.push(r.signed_varint()?);
+                if arity == 1 {
+                    let mut values = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        values.push(r.signed_varint()?);
                     }
-                    rows.push(row);
+                    WalRecord::InsertColumn { epoch, values }
+                } else {
+                    let mut rows = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        let mut row = Vec::with_capacity(arity);
+                        for _ in 0..arity {
+                            row.push(r.signed_varint()?);
+                        }
+                        rows.push(row);
+                    }
+                    WalRecord::Insert { epoch, rows }
                 }
-                WalRecord::Insert { epoch, rows }
             }
             KIND_INSERT_COLS => {
                 let epoch = r.varint()?;
@@ -206,10 +288,14 @@ impl WalRecord {
                 if arity == 0 || n == 0 {
                     return Err(storage_err!("columnar insert record with empty shape"));
                 }
-                if n.saturating_mul(arity) > (1 << 32) {
+                // Codecs compress, so `n` is not bounded by the body
+                // length; each column is at least a tag and a length.
+                if n.saturating_mul(arity) > (1 << 32) || arity > r.remaining() / 2 {
                     return Err(storage_err!("insert record claims impossible size"));
                 }
-                let mut rows = vec![Vec::with_capacity(arity); n];
+                // Nothing is sized from `n` until a column has decoded to
+                // exactly that many values.
+                let mut columns = Vec::with_capacity(arity);
                 for c in 0..arity {
                     let tag = r.u8()?;
                     let encoding = Encoding::from_tag(tag)
@@ -223,11 +309,17 @@ impl WalRecord {
                             values.len()
                         ));
                     }
-                    for (row, v) in rows.iter_mut().zip(values) {
-                        row.push(v);
-                    }
+                    columns.push(values);
                 }
-                WalRecord::Insert { epoch, rows }
+                match <[Vec<Value>; 1]>::try_from(columns) {
+                    Ok([values]) => WalRecord::InsertColumn { epoch, values },
+                    Err(columns) => WalRecord::Insert {
+                        epoch,
+                        rows: (0..n)
+                            .map(|i| columns.iter().map(|col| col[i]).collect())
+                            .collect(),
+                    },
+                }
             }
             KIND_FORGET => WalRecord::Forget {
                 epoch: r.varint()?,
@@ -243,6 +335,29 @@ impl WalRecord {
             KIND_CHECKPOINT => WalRecord::Checkpoint {
                 through_seqno: r.varint()?,
             },
+            KIND_FORGET_ROWS => {
+                let epoch = r.varint()?;
+                let count = r.varint()?;
+                // Each run is at least two bytes, so the body bounds the
+                // run list whatever `count` claims.
+                let mut runs = Vec::with_capacity((r.remaining() / 2).min(count as usize));
+                let mut prev_end = 0u64;
+                let mut total = 0u64;
+                while total < count {
+                    let gap = r.signed_varint()?;
+                    let len = r.varint()?;
+                    let (start, end) = place_run(prev_end, gap, len, u64::MAX)?;
+                    total = total
+                        .checked_add(len)
+                        .filter(|&t| t <= count)
+                        .ok_or_else(|| {
+                            storage_err!("forget-rows runs exceed the declared {count}")
+                        })?;
+                    runs.push((RowId(start), len));
+                    prev_end = end;
+                }
+                WalRecord::ForgetRows { epoch, runs }
+            }
             other => return Err(storage_err!("unknown WAL record kind {other}")),
         };
         r.expect_end()?;
@@ -411,17 +526,38 @@ mod tests {
                 row: RowId(0),
             },
             WalRecord::Checkpoint { through_seqno: 7 },
+            WalRecord::InsertColumn {
+                epoch: 3,
+                values: vec![7, -8],
+            },
+            // Policy order, not row order: a run, a step back, a repeat.
+            WalRecord::forget_rows(
+                3,
+                &[
+                    RowId(10),
+                    RowId(11),
+                    RowId(12),
+                    RowId(4),
+                    RowId(4),
+                    RowId(900),
+                ],
+            ),
         ]
     }
 
     #[test]
     fn every_kind_round_trips_through_body_encoding() {
         let mut all = sample_records();
-        // A batch big enough for the column-major path.
+        // Batches big enough for the column-major path.
         all.push(WalRecord::Insert {
             epoch: 9,
             rows: (0..100).map(|i| vec![i, i * 2, -i]).collect(),
         });
+        all.push(WalRecord::InsertColumn {
+            epoch: 9,
+            values: (0..100).map(|i| i * i - 50).collect(),
+        });
+        all.push(WalRecord::forget_rows(9, &[]));
         for rec in &all {
             let body = rec.encode_body();
             assert_eq!(&WalRecord::decode_body(&body).unwrap(), rec, "{rec:?}");
@@ -430,9 +566,9 @@ mod tests {
 
     #[test]
     fn large_batches_take_the_columnar_compressed_path() {
-        let serial = WalRecord::Insert {
+        let serial = WalRecord::InsertColumn {
             epoch: 0,
-            rows: (0..1000i64).map(|i| vec![i]).collect(),
+            values: (0..1000i64).collect(),
         };
         let body = serial.encode_body();
         assert_eq!(body[0], KIND_INSERT_COLS, "big batch is column-major");
@@ -440,12 +576,113 @@ mod tests {
         // bytes/value the row-major zigzag varints would need.
         assert!(body.len() < 1100, "compressed body is {} bytes", body.len());
         assert_eq!(WalRecord::decode_body(&body).unwrap(), serial);
-        // Small batches stay row-major.
+        // Kind 3 bytes did not change when the one-column variant split
+        // off: the row-major spelling of the same batch encodes the same.
+        let as_rows = WalRecord::Insert {
+            epoch: 0,
+            rows: (0..1000i64).map(|i| vec![i]).collect(),
+        };
+        assert_eq!(as_rows.encode_body(), body);
+        // Small batches stay row-major, and a one-column batch decodes to
+        // the column variant from either kind.
         let small = WalRecord::Insert {
             epoch: 0,
             rows: vec![vec![1], vec![2]],
         };
         assert_eq!(small.encode_body()[0], KIND_INSERT);
+        assert_eq!(
+            WalRecord::decode_body(&small.encode_body()).unwrap(),
+            WalRecord::InsertColumn {
+                epoch: 0,
+                values: vec![1, 2]
+            }
+        );
+    }
+
+    #[test]
+    fn forget_rows_cost_what_the_batch_is_fragmented_into() {
+        // FIFO: 20 000 consecutive victims are one run, about ten bytes.
+        let fifo: Vec<RowId> = (1_000_000..1_020_000).map(RowId).collect();
+        let rec = WalRecord::forget_rows(51, &fifo);
+        assert_eq!(
+            rec,
+            WalRecord::ForgetRows {
+                epoch: 51,
+                runs: vec![(RowId(1_000_000), 20_000)]
+            }
+        );
+        let body = rec.encode_body();
+        assert!(body.len() <= 12, "fifo batch is {} bytes", body.len());
+        assert_eq!(WalRecord::decode_body(&body).unwrap(), rec);
+        // Scattered, unordered victims: a few bytes a row, never the 16
+        // of a framed kind-2 record.
+        let mut rng = amnesia_util::SimRng::new(5);
+        let scattered: Vec<RowId> = (0..5_000)
+            .map(|_| RowId(rng.next_u64() % 1_000_000))
+            .collect();
+        let rec = WalRecord::forget_rows(2, &scattered);
+        let body = rec.encode_body();
+        assert!(body.len() < 5 * scattered.len(), "{} bytes", body.len());
+        let WalRecord::ForgetRows { runs, .. } = WalRecord::decode_body(&body).unwrap() else {
+            panic!("kind 8 decodes to ForgetRows");
+        };
+        let rows: Vec<RowId> = runs
+            .iter()
+            .flat_map(|&(start, len)| (start.0..start.0 + len).map(RowId))
+            .collect();
+        assert_eq!(rows, scattered, "order and duplicates survive");
+    }
+
+    /// Hand-build a kind-8 body from `(gap, len)` runs.
+    fn forget_rows_body(count: u64, runs: &[(i64, u64)]) -> BytesMut {
+        let mut body = BytesMut::new();
+        body.put_u8(KIND_FORGET_ROWS);
+        write_varint(&mut body, 1); // epoch
+        write_varint(&mut body, count);
+        for &(gap, len) in runs {
+            write_signed(&mut body, gap);
+            write_varint(&mut body, len);
+        }
+        body
+    }
+
+    #[test]
+    fn malformed_forget_rows_are_errors_not_panics_or_allocations() {
+        assert!(WalRecord::decode_body(&forget_rows_body(3, &[(5, 3)])).is_ok());
+        for (what, body) in [
+            ("zero-length run", forget_rows_body(3, &[(5, 0), (0, 3)])),
+            ("start before row 0", forget_rows_body(3, &[(-1, 3)])),
+            (
+                "gap overflow",
+                forget_rows_body(2, &[(i64::MAX, 1), (i64::MAX, 1), (5, 1)]),
+            ),
+            (
+                "length overflow",
+                forget_rows_body(u64::MAX, &[(8, u64::MAX - 3)]),
+            ),
+            (
+                "total above the count",
+                forget_rows_body(3, &[(5, 2), (1, 2)]),
+            ),
+            (
+                "total below the count",
+                forget_rows_body(9, &[(5, 2), (1, 2)]),
+            ),
+            ("trailing run", forget_rows_body(2, &[(5, 2), (1, 2)])),
+            ("huge count, no runs", forget_rows_body(1 << 60, &[])),
+        ] {
+            assert!(WalRecord::decode_body(&body).is_err(), "{what} accepted");
+        }
+        // Every single-byte mutation of a valid body decodes or errors.
+        let valid =
+            WalRecord::forget_rows(4, &[RowId(3), RowId(4), RowId(90), RowId(2)]).encode_body();
+        for i in 0..valid.len() {
+            for flip in [0x01u8, 0x40, 0x80, 0xFF] {
+                let mut dup = valid.clone();
+                dup[i] ^= flip;
+                let _ = WalRecord::decode_body(&dup);
+            }
+        }
     }
 
     #[test]
@@ -536,7 +773,7 @@ mod tests {
     #[test]
     fn unknown_kind_ends_replay() {
         let path = tmp("kind.wal");
-        let body = [9u8, 0, 0]; // kind 9 does not exist
+        let body = [99u8, 0, 0]; // kind 99 does not exist
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&body);
@@ -558,5 +795,17 @@ mod tests {
         write_varint(&mut body, 1 << 20); // arity
         let err = WalRecord::decode_body(&body).unwrap_err();
         assert!(err.to_string().contains("impossible"), "{err}");
+        // A count the remaining bytes cannot hold is refused before it
+        // sizes anything, in both insert kinds.
+        for (kind, rows, arity) in [(KIND_INSERT, 1000u64, 1u64), (KIND_INSERT_COLS, 4, 1000)] {
+            let mut body = BytesMut::new();
+            body.put_u8(kind);
+            write_varint(&mut body, 0);
+            write_varint(&mut body, rows);
+            write_varint(&mut body, arity);
+            body.put_slice(&[0u8; 16]);
+            let err = WalRecord::decode_body(&body).unwrap_err();
+            assert!(err.to_string().contains("impossible"), "{err}");
+        }
     }
 }

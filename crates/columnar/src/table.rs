@@ -106,6 +106,12 @@ impl Table {
         Ok(())
     }
 
+    /// Check that every row of a forget batch is forgettable, so a batch
+    /// is rejected whole before any of it is logged or applied.
+    pub fn validate_forget_batch(&self, rows: &[RowId]) -> Result<()> {
+        rows.iter().try_for_each(|&row| self.validate_forget(row))
+    }
+
     /// Insert one row (`values` must match the schema arity). Returns the
     /// new row id.
     pub fn insert(&mut self, values: &[Value], epoch: Epoch) -> Result<RowId> {
@@ -385,9 +391,9 @@ impl Table {
 
     /// Reassemble a table from restored parts (snapshot reader): the
     /// tiers install as-is — no dense materialization, no throwaway hot
-    /// columns — and the activity map is built directly from the
-    /// persisted forget list rather than routed through [`Table::forget`]
-    /// (the tiers' block metadata already reflects those forgets, so
+    /// columns — and the activity map arrives built from the persisted
+    /// death epochs rather than routed through [`Table::forget`] (the
+    /// tiers' block metadata already reflects those forgets, so
     /// `note_forget` must not run again). Column stats restore separately
     /// via [`Table::restore_col_stats`].
     pub fn from_restored_parts(
@@ -395,7 +401,7 @@ impl Table {
         block_rows: usize,
         tiers: Vec<TieredColumn>,
         insert_epoch: Vec<Epoch>,
-        forgotten: &[(RowId, Epoch)],
+        activity: ActivityMap,
     ) -> Result<Self> {
         if tiers.len() != schema.arity() {
             return Err(storage_err!(
@@ -405,13 +411,11 @@ impl Table {
             ));
         }
         let n = insert_epoch.len();
-        let mut activity = ActivityMap::new();
-        activity.push_active(n);
-        for &(row, epoch) in forgotten {
-            if row.as_usize() >= n {
-                return Err(storage_err!("forgotten row {row} out of range"));
-            }
-            activity.forget(row, epoch);
+        if activity.len() != n {
+            return Err(storage_err!(
+                "activity map covers {} rows, expected {n}",
+                activity.len()
+            ));
         }
         let mut access = AccessStats::new();
         access.push_rows(n);

@@ -258,8 +258,7 @@ impl AmnesiacStore {
             // must never reach the WAL, or replay would fail on it and
             // brick every future recovery.
             self.table.validate_insert_batch()?;
-            let rows: Vec<Vec<Value>> = values.iter().map(|&v| vec![v]).collect();
-            d.log_insert_rows(&rows, epoch)?;
+            d.log_insert_column(values, epoch)?;
         }
         self.table.insert_batch(values, epoch)?;
         // Both zone maps are dead weight once blocks are frozen: the
@@ -286,10 +285,32 @@ impl AmnesiacStore {
 
     /// Forget one tuple at `epoch`, applying the mode's physical action.
     pub fn forget(&mut self, row: RowId, epoch: Epoch) -> Result<()> {
+        self.table.validate_forget(row)?;
         if let Some(d) = &mut self.durability {
-            self.table.validate_forget(row)?;
             d.log_forget(row, epoch)?;
         }
+        self.apply_forget(row, epoch)
+    }
+
+    /// Forget many tuples, atomically: every id is validated before
+    /// anything is logged or applied, so a rejected batch leaves the log
+    /// and the table untouched, and the whole batch is one log record.
+    pub fn forget_batch(&mut self, rows: &[RowId], epoch: Epoch) -> Result<()> {
+        self.table.validate_forget_batch(rows)?;
+        if rows.is_empty() {
+            return Ok(());
+        }
+        if let Some(d) = &mut self.durability {
+            d.log_forget_rows(rows, epoch)?;
+        }
+        for &r in rows {
+            self.apply_forget(r, epoch)?;
+        }
+        Ok(())
+    }
+
+    /// The mode's physical action for one validated, logged forget.
+    fn apply_forget(&mut self, row: RowId, epoch: Epoch) -> Result<()> {
         match self.mode {
             ForgetMode::MarkOnly | ForgetMode::Delete { .. } | ForgetMode::Deindex => {}
             ForgetMode::Tier => {
@@ -320,14 +341,6 @@ impl AmnesiacStore {
             if let Some(idx) = &mut self.index {
                 idx.note_forget();
             }
-        }
-        Ok(())
-    }
-
-    /// Forget many tuples.
-    pub fn forget_batch(&mut self, rows: &[RowId], epoch: Epoch) -> Result<()> {
-        for &r in rows {
-            self.forget(r, epoch)?;
         }
         Ok(())
     }
@@ -436,9 +449,7 @@ impl AmnesiacStore {
             .map(RowId::from)
             .filter(|&r| self.table.activity().is_active(r))
             .collect();
-        for &r in &victims {
-            self.forget(r, epoch)?;
-        }
+        self.forget_batch(&victims, epoch)?;
         if let Some(d) = &mut self.durability {
             d.log_drop_blocks()?;
         }
@@ -828,6 +839,76 @@ mod tests {
             1_024,
             "neighbours untouched"
         );
+    }
+
+    #[test]
+    fn forget_batch_is_atomic_and_one_log_record() {
+        use amnesia_columnar::PersistentTable;
+        let dir = std::env::temp_dir().join(format!("amn-store-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pt = PersistentTable::create(&dir, Schema::single("a")).unwrap();
+        let (table, log) = pt.into_parts();
+        let mut store =
+            AmnesiacStore::from_table(table, ForgetMode::MarkOnly).with_durability(Box::new(log));
+        store
+            .insert_batch(&(0..100).collect::<Vec<i64>>(), 0)
+            .unwrap();
+        let records = |s: &AmnesiacStore| s.durability_stats().unwrap().records_appended;
+        assert_eq!(records(&store), 1, "one record for the insert batch");
+        // An out-of-range id mid-batch: nothing logged, nothing applied.
+        let bad = [RowId(1), RowId(2), RowId(500), RowId(3)];
+        assert!(store.forget_batch(&bad, 1).is_err());
+        assert_eq!(
+            records(&store),
+            1,
+            "a rejected batch leaves the log untouched"
+        );
+        assert_eq!(store.table().active_rows(), 100, "and the table");
+        assert_eq!(store.total_forgotten(), 0);
+        // The empty batch logs nothing.
+        store.forget_batch(&[], 1).unwrap();
+        assert_eq!(records(&store), 1);
+        // A good batch is one record however many rows it names; a repeat
+        // inside it is the usual no-op.
+        store
+            .forget_batch(&[RowId(1), RowId(2), RowId(3), RowId(2), RowId(90)], 1)
+            .unwrap();
+        assert_eq!(records(&store), 2);
+        assert_eq!(store.total_forgotten(), 4);
+        drop(store);
+        let rec = PersistentTable::open(&dir).unwrap();
+        assert!(rec.recovered_clean());
+        assert_eq!(rec.table().active_rows(), 96);
+        assert_eq!(rec.table().activity().died_at(RowId(90)), Some(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn forget_batch_still_runs_each_rows_physical_action() {
+        let victims: Vec<RowId> = (10..30).map(RowId).collect();
+        let load = |mode| {
+            let mut store = AmnesiacStore::new(mode);
+            if mode == ForgetMode::Tier {
+                store = store.with_cold_store(Box::new(MemoryColdStore::new()));
+            }
+            store
+                .insert_batch(&(0..100).collect::<Vec<i64>>(), 0)
+                .unwrap();
+            store.forget_batch(&victims, 1).unwrap();
+            store
+        };
+        let mut tier = load(ForgetMode::Tier);
+        assert_eq!(tier.footprint().cold_rows, victims.len());
+        assert_eq!(tier.recover_from_cold(RowId(29)).unwrap(), Some(vec![29]));
+        let summarize = load(ForgetMode::Summarize);
+        assert!(summarize.footprint().summary_bytes > 0);
+        let avg = Query::Aggregate {
+            kind: AggKind::Avg,
+            predicate: None,
+        };
+        assert_eq!(summarize.query(&avg).output.agg().unwrap(), Some(49.5));
+        let model = load(ForgetMode::Model { bins: 8 });
+        assert!(model.footprint().model_bytes > 0);
     }
 
     #[test]

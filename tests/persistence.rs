@@ -59,30 +59,51 @@ fn tables_equal(a: &Table, b: &Table) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// Lossless over every shape the v4 run sections meet: contiguous
+    /// forget runs, fully scattered forgets, several death epochs, several
+    /// insert epochs, and (when `tiered`) frozen, recompressed and dropped
+    /// blocks — equality includes every `died_at` and `insert_epoch`.
     #[test]
     fn snapshot_round_trip_is_lossless(
-        values in proptest::collection::vec(-100_000i64..100_000, 0..300),
+        batches in proptest::collection::vec(
+            (proptest::collection::vec(-100_000i64..100_000, 0..150), 0u64..3), 0..4),
         forget in proptest::collection::vec(0usize..1000, 0..80),
+        runs in proptest::collection::vec((0usize..1000, 1usize..160, 1u64..5), 0..4),
         touches in proptest::collection::vec(0usize..1000, 0..40),
+        tiered in 0u8..2,
     ) {
-        let mut t = Table::new(Schema::single("a"));
-        if !values.is_empty() {
-            t.insert_batch(&values, 0).unwrap();
-        }
-        for (i, &f) in forget.iter().enumerate() {
+        let mut t = Table::with_block_rows(Schema::single("a"), 64);
+        let mut epoch = 0;
+        for (values, step) in &batches {
+            epoch += step; // step 0: two batches share an insert epoch
             if !values.is_empty() {
-                let _ = t.forget(RowId((f % values.len()) as u64), 1 + (i as u64 % 3));
+                t.insert_batch(values, epoch).unwrap();
             }
         }
-        for &x in &touches {
-            if !values.is_empty() {
-                t.access_mut().touch(RowId((x % values.len()) as u64), 2);
+        let n = t.num_rows();
+        if n > 0 {
+            for (i, &f) in forget.iter().enumerate() {
+                let _ = t.forget(RowId((f % n) as u64), 1 + (i as u64 % 3));
             }
+            for &(start, len, e) in &runs {
+                let start = start % n;
+                for r in start..(start + len).min(n) {
+                    let _ = t.forget(RowId(r as u64), 10 + e);
+                }
+            }
+            for &x in &touches {
+                t.access_mut().touch(RowId((x % n) as u64), 2);
+            }
+        }
+        if tiered == 1 {
+            t.freeze_upto(n);
+            t.drop_forgotten_blocks();
+            t.recompress_frozen(0.5);
         }
         let restored = snapshot::decode(&snapshot::encode(&t)).unwrap();
-        prop_assert!(tables_equal(&t, &restored));
+        prop_assert!(states_equal(&t, &restored));
         // Access stats round-trip too.
-        for r in 0..t.num_rows() {
+        for r in 0..n {
             let id = RowId::from(r);
             prop_assert_eq!(t.access().frequency(id), restored.access().frequency(id));
         }
@@ -244,6 +265,125 @@ fn v1_pre_tier_snapshot_fixture_still_loads() {
     assert_eq!(again.value(0, RowId(123)), 123);
 }
 
+/// Backward compat: a version-3 snapshot written at the commit before
+/// the v4 run sections (per-row death epochs and insert-epoch deltas, a
+/// dropped, a recompressed and two plain frozen blocks, a hot tail) loads
+/// to exactly the table that wrote it.
+#[test]
+fn v3_snapshot_fixture_still_loads() {
+    let bytes = include_bytes!("fixtures/v3_table.snap");
+    assert_eq!(snapshot::peek_version(bytes).unwrap(), 3);
+    let (t, meta) = snapshot::decode_with_meta(bytes).expect("v3 fixture must decode");
+    assert_eq!(
+        (
+            meta.last_seqno,
+            meta.blocks_dropped,
+            meta.blocks_recompressed
+        ),
+        (41, 1, 1)
+    );
+    // What the fixture's generator ran, replayed on today's code.
+    let mut want = Table::with_block_rows(Schema::new(vec!["k", "v"]), 64);
+    for i in 0..300i64 {
+        want.insert(&[i, (i * 7919) % 1000 - 500], (i / 50) as u64)
+            .unwrap();
+    }
+    for r in 0..64 {
+        want.forget(RowId(r), 6).unwrap();
+    }
+    for r in (64..128).step_by(2) {
+        want.forget(RowId(r), 7).unwrap();
+    }
+    for r in [130, 131, 132] {
+        want.forget(RowId(r), 8).unwrap();
+    }
+    want.forget(RowId(200), 9).unwrap();
+    want.forget(RowId(299), 10).unwrap();
+    want.freeze_upto(256);
+    want.drop_forgotten_blocks();
+    want.recompress_frozen(0.6);
+    for r in (0..300).step_by(11) {
+        want.access_mut().touch(RowId(r), 2);
+        want.access_mut().touch(RowId(r), 4);
+    }
+    assert_eq!(t.schema(), want.schema());
+    assert!(states_equal(&want, &t));
+    for r in 0..300 {
+        let id = RowId(r);
+        assert_eq!(t.value(1, id), want.value(1, id), "v@{r}");
+        assert_eq!(t.access().frequency(id), want.access().frequency(id));
+        assert_eq!(t.access().last_access(id), want.access().last_access(id));
+    }
+    assert_eq!(t.dropped_rows(), 64);
+    assert_eq!((t.min_seen(0), t.max_seen(0)), (Some(0), Some(299)));
+    t.check_invariants().unwrap();
+    // Re-encoding writes v4; nothing is lost on the way.
+    let again = snapshot::encode(&t);
+    assert_eq!(snapshot::peek_version(&again).unwrap(), snapshot::VERSION);
+    assert!(states_equal(&t, &snapshot::decode(&again).unwrap()));
+}
+
+/// A whole directory as the parent commit left it — v3 `table.snap` from a
+/// drop's shred, then kind-3 and kind-1 inserts, kind-2 forgets, a freeze
+/// and a recompress in a live segment — opens and recovers to the same
+/// table, and keeps working (new batch records, a checkpoint, a reopen).
+#[test]
+fn v3_directory_fixture_recovers_to_the_same_table() {
+    let dir = tmp_dir("v3-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, bytes) in [
+        (
+            "table.snap",
+            &include_bytes!("fixtures/v3_dir/table.snap")[..],
+        ),
+        (
+            "wal-00000001.seg",
+            &include_bytes!("fixtures/v3_dir/wal-00000001.seg")[..],
+        ),
+    ] {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+    let ops = [
+        vec![WOp::Insert(0, (0..200).collect())],
+        (0..64).map(|r| WOp::Forget(1, r)).collect(),
+        vec![
+            WOp::Freeze(128),
+            WOp::Drop,
+            WOp::Insert(2, (200..230).collect()),
+            WOp::Insert(2, vec![999]),
+            WOp::Forget(3, 70),
+            WOp::Forget(3, 72),
+            WOp::Forget(3, 74),
+            WOp::Freeze(192),
+            WOp::Recompress(0.99),
+        ],
+    ]
+    .concat();
+    let (want, dropped, recompressed) = reference_state(&ops, 64);
+    let mut pt = PersistentTable::open(&dir).unwrap();
+    assert!(pt.recovered_clean());
+    assert!(states_equal(&want, pt.table()));
+    assert_eq!(
+        (pt.blocks_dropped(), pt.blocks_recompressed()),
+        (dropped, recompressed)
+    );
+    let tail = [
+        WOp::ForgetBatch(4, vec![100, 101, 102, 229]),
+        WOp::Checkpoint,
+        WOp::Insert(5, (0..20).collect()),
+    ];
+    for op in &tail {
+        apply_wop(&mut pt, op).unwrap();
+    }
+    pt.sync().unwrap();
+    drop(pt);
+    let (want, ..) = reference_state(&[&ops[..], &tail[..]].concat(), 64);
+    let rec = PersistentTable::open(&dir).unwrap();
+    assert!(rec.recovered_clean());
+    assert!(states_equal(&want, rec.table()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Segmented WAL: torn tails across record kinds and segment boundaries.
 // ---------------------------------------------------------------------------
@@ -258,7 +398,17 @@ fn any_record() -> impl Strategy<Value = WalRecord> {
                 epoch,
                 rows: vals.into_iter().map(|v| vec![v, v ^ 7]).collect(),
             }),
+        // One column: row-major under 8 values, codec-compressed above.
+        2 => (0u64..5, proptest::collection::vec(-1_000_000i64..1_000_000, 1..40))
+            .prop_map(|(epoch, values)| WalRecord::InsertColumn { epoch, values }),
         2 => (0u64..5, 0u64..1000).prop_map(|(epoch, row)| WalRecord::Forget { epoch, row: RowId(row) }),
+        // A forget batch in policy order: runs, steps back, repeats.
+        3 => (0u64..5, proptest::collection::vec((0u64..5000, 1u64..30), 0..12))
+            .prop_map(|(epoch, runs)| {
+                let rows: Vec<RowId> =
+                    runs.iter().flat_map(|&(start, len)| (start..start + len).map(RowId)).collect();
+                WalRecord::forget_rows(epoch, &rows)
+            }),
         1 => (0usize..5000).prop_map(|upto| WalRecord::Freeze { upto }),
         1 => Just(WalRecord::DropBlocks),
         1 => (0u32..=100).prop_map(|x| WalRecord::Recompress { max_active_fraction: x as f64 / 100.0 }),
@@ -313,6 +463,7 @@ proptest! {
 enum WOp {
     Insert(u64, Vec<i64>),
     Forget(u64, u64),
+    ForgetBatch(u64, Vec<u64>),
     Freeze(usize),
     Drop,
     Recompress(f64),
@@ -323,6 +474,10 @@ fn apply_wop(pt: &mut PersistentTable, op: &WOp) -> Result<()> {
     match op {
         WOp::Insert(e, vs) => pt.insert_batch(vs, *e).map(|_| ()),
         WOp::Forget(e, r) => pt.forget(RowId(*r), *e).map(|_| ()),
+        WOp::ForgetBatch(e, rows) => {
+            let rows: Vec<RowId> = rows.iter().copied().map(RowId).collect();
+            pt.forget_batch(&rows, *e).map(|_| ())
+        }
         WOp::Freeze(u) => pt.freeze_upto(*u).map(|_| ()),
         WOp::Drop => pt.drop_forgotten_blocks().map(|_| ()),
         WOp::Recompress(f) => pt.recompress_frozen(*f).map(|_| ()),
@@ -343,6 +498,11 @@ fn reference_state(ops: &[WOp], block_rows: usize) -> (Table, u64, u64) {
             }
             WOp::Forget(e, r) => {
                 let _ = t.forget(RowId(*r), *e).unwrap();
+            }
+            WOp::ForgetBatch(e, rows) => {
+                for r in rows {
+                    let _ = t.forget(RowId(*r), *e).unwrap();
+                }
             }
             WOp::Freeze(u) => {
                 t.freeze_upto(*u);
@@ -381,15 +541,20 @@ fn tier_workload() -> Vec<WOp> {
     }
     ops.push(WOp::Freeze(192));
     ops.push(WOp::Drop);
-    for r in (64..128).filter(|r| r % 2 == 0) {
-        ops.push(WOp::Forget(2, r)); // rot block 1
-    }
+    // Rot block 1 with one batch record: scattered victims, one repeat.
+    ops.push(WOp::ForgetBatch(
+        2,
+        (64..128).filter(|r| r % 2 == 0).chain([64]).collect(),
+    ));
     ops.push(WOp::Recompress(0.6));
     ops.push(WOp::Insert(2, (205..260).collect()));
     ops.push(WOp::Checkpoint);
     for r in 130..140 {
         ops.push(WOp::Forget(3, r));
     }
+    // A contiguous batch, out of order with a straggler, after the
+    // checkpoint: replayed from the live segment.
+    ops.push(WOp::ForgetBatch(3, (140..180).chain([129]).collect()));
     ops
 }
 
@@ -520,9 +685,27 @@ fn fault_matrix_torture() {
                 rows += n;
                 epoch += 1;
             }
-            4..=6 => {
+            4..=5 => {
                 if rows > 0 {
                     ops.push(WOp::Forget(epoch, rng.next_u64() % rows));
+                }
+            }
+            6 => {
+                if rows > 0 {
+                    // Half the batches a contiguous run, half scattered.
+                    let k = 1 + rng.next_u64() % 30;
+                    let start = rng.next_u64() % rows;
+                    let contiguous = rng.next_u64().is_multiple_of(2);
+                    let victims = (0..k)
+                        .map(|i| {
+                            if contiguous {
+                                (start + i) % rows
+                            } else {
+                                rng.next_u64() % rows
+                            }
+                        })
+                        .collect();
+                    ops.push(WOp::ForgetBatch(epoch, victims));
                 }
             }
             7 => ops.push(WOp::Freeze((rng.next_u64() % (rows + 1)) as usize)),
@@ -604,6 +787,39 @@ fn dir_files(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
         .collect()
 }
 
+/// High-entropy sentinels: every encoding of one is 8–9 distinctive
+/// bytes, so a directory scan can prove presence and absence. Bits 61–63
+/// are masked off so no sentinel becomes the column's global min/max-seen
+/// — those two values are the paper's sanctioned "summary" of forgotten
+/// data and legitimately persist.
+fn sentinels(n: u64) -> Vec<i64> {
+    (0..n)
+        .map(|i| {
+            ((0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i.wrapping_add(0x0DDB_1A5E))
+                & 0x0FFF_FFFF_FFFF_FFFF)
+                | 0x0100_0000_0000_0000) as i64
+        })
+        .collect()
+}
+
+/// Is any encoding of `s` the log uses — zigzag varint (row-major
+/// records), raw little-endian (plain codec, snapshots) — in `bytes`?
+fn holds_sentinel(bytes: &[u8], s: i64) -> bool {
+    contains(bytes, &zigzag_bytes(s)) || contains(bytes, &s.to_le_bytes())
+}
+
+fn assert_no_sentinel_survives(dir: &std::path::Path, sentinels: &[i64]) {
+    for (path, bytes) in dir_files(dir) {
+        for &s in sentinels {
+            assert!(
+                !holds_sentinel(&bytes, s),
+                "sentinel {s:#x} survives in {}",
+                path.display()
+            );
+        }
+    }
+}
+
 #[test]
 fn shred_leaves_no_forgotten_value_bytes_in_the_directory() {
     let dir = tmp_dir("shred-scan");
@@ -611,18 +827,7 @@ fn shred_leaves_no_forgotten_value_bytes_in_the_directory() {
     let mut pt =
         PersistentTable::create_with_table(StdVfs::shared(), &dir, table, SyncPolicy::PerRecord)
             .unwrap();
-    // High-entropy sentinels: every zigzag encoding is 8–9 distinctive
-    // bytes, so a directory scan can prove presence and absence. Bits
-    // 61–63 are masked off so no sentinel becomes the column's global
-    // min/max-seen — those two values are the paper's sanctioned
-    // "summary" of forgotten data and legitimately persist.
-    let sentinels: Vec<i64> = (0..64u64)
-        .map(|i| {
-            ((0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i.wrapping_add(0x0DDB_1A5E))
-                & 0x0FFF_FFFF_FFFF_FFFF)
-                | 0x0100_0000_0000_0000) as i64
-        })
-        .collect();
+    let sentinels = sentinels(64);
     // One row per record: the row-major WAL body carries each value's
     // zigzag varint verbatim.
     for (i, &s) in sentinels.iter().enumerate() {
@@ -654,24 +859,84 @@ fn shred_leaves_no_forgotten_value_bytes_in_the_directory() {
     drop(pt);
     // Scan every byte of every file left in the directory: neither the
     // varint nor the raw little-endian encoding of any sentinel survives.
-    for (path, bytes) in dir_files(&dir) {
-        for &s in &sentinels {
-            assert!(
-                !contains(&bytes, &zigzag_bytes(s)),
-                "sentinel {s:#x} varint survives in {}",
-                path.display()
-            );
-            assert!(
-                !contains(&bytes, &s.to_le_bytes()),
-                "sentinel {s:#x} LE bytes survive in {}",
-                path.display()
-            );
-        }
-    }
+    assert_no_sentinel_survives(&dir, &sentinels);
     // The survivors did survive.
     let rec = PersistentTable::open(&dir).unwrap();
     assert_eq!(rec.table().num_rows(), 128);
     assert_eq!(rec.table().active_rows(), 64);
+    assert_eq!(rec.table().value(0, RowId(100)), 36);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same guarantee on the batch path the amnesia loop takes:
+/// `AmnesiacStore::{insert_batch, forget_batch, end_batch}` over a
+/// `DurableLog` — one kind-3 record for the inserts, one kind-8 record for
+/// the forgets, the drop + v4 checkpoint + shred inside `end_batch`.
+#[test]
+fn shred_leaves_no_forgotten_value_bytes_on_the_batch_path() {
+    let dir = tmp_dir("shred-scan-batch");
+    let table = Table::with_block_rows(Schema::single("a"), 64);
+    let pt =
+        PersistentTable::create_with_table(StdVfs::shared(), &dir, table, SyncPolicy::PerBatch)
+            .unwrap();
+    let (table, log) = pt.into_parts();
+    let mut store = AmnesiacStore::from_table(table, ForgetMode::MarkOnly)
+        .with_durability(Box::new(log))
+        .with_tiering(amnesia::core::TierConfig {
+            hot_rows: 64,
+            recompress_below: 0.5,
+        });
+    // Block 0: a row-major trickle (under 8 values a record) and one
+    // codec-compressed batch whose two extremes — the column's sanctioned
+    // min/max summary — force a 64-bit width, hence the plain codec.
+    let sentinels = sentinels(62);
+    for few in sentinels[..12].chunks(4) {
+        store.insert_batch(few, 0).unwrap();
+    }
+    let mut big = sentinels[12..].to_vec();
+    big.extend([i64::MAX - 1, i64::MIN + 1]);
+    store.insert_batch(&big, 0).unwrap();
+    // Block 1: the survivors, hot.
+    store
+        .insert_batch(&(0..64).collect::<Vec<i64>>(), 1)
+        .unwrap();
+    store.end_batch().unwrap();
+    assert_eq!(store.table().frozen_blocks(), 1);
+    // The log holds every sentinel before the drop.
+    let files = dir_files(&dir);
+    for &s in &sentinels {
+        assert!(
+            files.iter().any(|(_, b)| holds_sentinel(b, s)),
+            "sentinel {s:#x} should be on disk before the drop"
+        );
+    }
+    let before = store.durability_stats().unwrap();
+    store
+        .forget_batch(&(0..64).map(RowId).collect::<Vec<_>>(), 2)
+        .unwrap();
+    assert_eq!(
+        store.durability_stats().unwrap().records_appended,
+        before.records_appended + 1,
+        "the whole batch is one record"
+    );
+    store.end_batch().unwrap();
+    let after = store.durability_stats().unwrap();
+    assert_eq!(
+        store.table().dropped_rows(),
+        64,
+        "the sentinel block must drop"
+    );
+    assert!(
+        after.segments_shredded > before.segments_shredded,
+        "drop must shred"
+    );
+    assert_eq!(after.checkpoints, before.checkpoints + 1);
+    drop(store);
+    assert_no_sentinel_survives(&dir, &sentinels);
+    let rec = PersistentTable::open(&dir).unwrap();
+    assert_eq!(rec.table().num_rows(), 128);
+    assert_eq!(rec.table().active_rows(), 64);
+    assert_eq!(rec.table().dropped_rows(), 64);
     assert_eq!(rec.table().value(0, RowId(100)), 36);
     std::fs::remove_dir_all(&dir).ok();
 }
