@@ -34,6 +34,9 @@ GATED = (
     # A drop's checkpoint over 1M live + 1M dropped rows (snapshot v4):
     # serial, in memory, and the per-cycle cost of physical forgetting.
     "snapshot/encode_fifo_history",
+    # Its restore: the dropped history decodes run by run into sealed
+    # runs, never row by row — the in-memory half of `recover_ms`.
+    "snapshot/decode_fifo_history",
 )
 
 DEFAULT_THRESHOLD_PCT = 25.0

@@ -2,9 +2,9 @@
 //! data distributions (compression choice dominates), WAL append /
 //! replay rates for both the legacy monolithic log and the segmented
 //! CRC-framed log, the batch-granular records and the checkpoint of a
-//! sliding-window history (`snapshot/encode_fifo_history` gates CI,
-//! `.github/bench_compare.py`), and end-to-end recovery time for a tiered
-//! store.
+//! sliding-window history and its restore (`snapshot/encode_fifo_history`
+//! and `snapshot/decode_fifo_history` gate CI, `.github/bench_compare.py`),
+//! and end-to-end recovery time for a tiered store.
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -193,16 +193,22 @@ fn persist(c: &mut Criterion) {
     }
     t.freeze_upto(t.num_rows() - 4_096);
     t.drop_forgotten_blocks();
-    let snapshot_bytes = snapshot::encode(&t).len();
+    let snap = snapshot::encode(&t);
     println!(
-        "snapshot/encode_fifo_history: {snapshot_bytes} bytes for {} live + {} dropped rows",
+        "snapshot/encode_fifo_history: {} bytes for {} live + {} dropped rows",
+        snap.len(),
         t.active_rows(),
         t.dropped_rows()
     );
     let mut group = c.benchmark_group("snapshot");
-    group.throughput(Throughput::Bytes(snapshot_bytes as u64));
+    group.throughput(Throughput::Bytes(snap.len() as u64));
     group.bench_function("encode_fifo_history", |b| {
         b.iter(|| black_box(snapshot::encode(black_box(&t))))
+    });
+    // The restore half of recovery: the dropped history arrives as runs
+    // and must land as runs, so this too costs the live rows.
+    group.bench_function("decode_fifo_history", |b| {
+        b.iter(|| black_box(snapshot::decode(black_box(&snap)).unwrap()))
     });
     group.finish();
     drop(t);

@@ -6,46 +6,64 @@
 //! last-access epoch so policies can combine frequency with recency, and
 //! provide exponential decay so ancient popularity fades ("no data should
 //! continue to appear in a result set, if that data has not been curated").
+//!
+//! The statistics are held per tier block ([`crate::paged`]): a block no
+//! row of which was ever touched costs nothing, and the pages of a block
+//! whose payload is dropped are freed with it — no policy scores a
+//! forgotten row. A snapshot writes the touched rows by walking the pages
+//! that exist.
 
 use serde::{Deserialize, Serialize};
 
-use crate::types::{Epoch, RowId};
+use crate::paged::Paged;
+use crate::types::{Epoch, RowId, DEFAULT_BLOCK_ROWS};
 
 /// Access frequency and recency for every row of a table.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Both are [`Paged`] by tier block: a block none of whose rows was ever
+/// touched holds nothing (its rows read frequency 0, last access 0), and a
+/// dropped block's pages are given back.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AccessStats {
-    freq: Vec<f64>,
-    last_access: Vec<Epoch>,
+    len: usize,
+    freq: Paged<f64>,
+    last_access: Paged<Epoch>,
 }
 
 impl AccessStats {
-    /// Empty stats.
+    /// Empty stats with the default tier block size.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_block_rows(DEFAULT_BLOCK_ROWS)
+    }
+
+    /// Empty stats paged by `block_rows`-row tier blocks.
+    pub fn with_block_rows(block_rows: usize) -> Self {
+        Self {
+            len: 0,
+            freq: Paged::new(block_rows, 0.0),
+            last_access: Paged::new(block_rows, 0),
+        }
     }
 
     /// Register `n` new rows with zero frequency.
     pub fn push_rows(&mut self, n: usize) {
-        self.freq.resize(self.freq.len() + n, 0.0);
-        self.last_access.resize(self.last_access.len() + n, 0);
+        self.len += n;
     }
 
     /// Number of tracked rows.
     pub fn len(&self) -> usize {
-        self.freq.len()
+        self.len
     }
 
     /// True if no rows are tracked.
     pub fn is_empty(&self) -> bool {
-        self.freq.is_empty()
+        self.len == 0
     }
 
     /// Record one access of `row` at `epoch`.
     #[inline]
     pub fn touch(&mut self, row: RowId, epoch: Epoch) {
-        let i = row.as_usize();
-        self.freq[i] += 1.0;
-        self.last_access[i] = epoch;
+        self.restore(row, self.frequency(row) + 1.0, epoch);
     }
 
     /// Record accesses for many rows at once (a query result).
@@ -58,12 +76,12 @@ impl AccessStats {
     /// Access frequency of a row (decayed count).
     #[inline]
     pub fn frequency(&self, row: RowId) -> f64 {
-        self.freq[row.as_usize()]
+        self.freq.get(row.as_usize())
     }
 
     /// Epoch of the last access (0 if never accessed).
     pub fn last_access(&self, row: RowId) -> Epoch {
-        self.last_access[row.as_usize()]
+        self.last_access.get(row.as_usize())
     }
 
     /// Multiply all frequencies by `factor` (exponential decay between
@@ -73,29 +91,50 @@ impl AccessStats {
         if factor == 1.0 {
             return;
         }
-        for f in &mut self.freq {
+        for f in self.freq.values_mut() {
             *f *= factor;
         }
     }
 
-    /// Raw frequency vector (for vectorized policy scoring).
-    pub fn frequencies(&self) -> &[f64] {
-        &self.freq
-    }
-
     /// Overwrite a row's statistics (used by vacuum when migrating state
-    /// to the compacted table).
+    /// to the compacted table, and by the snapshot reader).
     pub fn restore(&mut self, row: RowId, frequency: f64, last_access: Epoch) {
         let i = row.as_usize();
-        self.freq[i] = frequency;
-        self.last_access[i] = last_access;
+        assert!(i < self.len, "row {row} out of range (len {})", self.len);
+        self.freq.set(i, frequency);
+        self.last_access.set(i, last_access);
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Rows with a positive frequency as `(row, frequency, last access)`,
+    /// ascending — the access section of a snapshot. Walks the pages that
+    /// are held, never the untouched blocks.
+    pub(crate) fn iter_touched(&self) -> impl Iterator<Item = (RowId, f64, Epoch)> + '_ {
+        let block_rows = self.freq.page_rows();
+        self.freq
+            .held_pages()
+            .flat_map(move |b| b * block_rows..(b + 1) * block_rows)
+            .map(RowId::from)
+            .filter_map(|row| {
+                let frequency = self.frequency(row);
+                (frequency > 0.0).then(|| (row, frequency, self.last_access(row)))
+            })
+    }
+
+    /// Give back block `b`'s pages: its rows read as never accessed.
+    pub(crate) fn free_block(&mut self, b: usize) {
+        self.freq.free(b);
+        self.last_access.free(b);
+    }
+
+    /// Heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.freq.capacity() * std::mem::size_of::<f64>()
-            + self.last_access.capacity() * std::mem::size_of::<Epoch>()
-            + std::mem::size_of::<Self>()
+        self.freq.memory_bytes() + self.last_access.memory_bytes() + std::mem::size_of::<Self>()
+    }
+}
+
+impl Default for AccessStats {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -143,6 +182,26 @@ mod tests {
         s.push_rows(3);
         s.push_rows(2);
         assert_eq!(s.len(), 5);
-        assert_eq!(s.frequencies().len(), 5);
+        assert_eq!(s.frequency(RowId(4)), 0.0);
+    }
+
+    #[test]
+    fn untouched_blocks_hold_nothing_and_a_freed_block_reads_untouched() {
+        let mut s = AccessStats::with_block_rows(64);
+        s.push_rows(1000);
+        let empty = s.memory_bytes();
+        s.touch(RowId(70), 0); // last access 0 is the default: no page for it
+        s.touch(RowId(70), 3);
+        s.touch(RowId(700), 5);
+        assert_eq!(
+            s.iter_touched().collect::<Vec<_>>(),
+            [(RowId(70), 2.0, 3), (RowId(700), 1.0, 5)]
+        );
+        assert!(s.memory_bytes() >= empty + 4 * 64 * 8);
+        s.free_block(1);
+        assert_eq!((s.frequency(RowId(70)), s.last_access(RowId(70))), (0.0, 0));
+        assert_eq!(s.iter_touched().count(), 1);
+        s.decay(0.5);
+        assert_eq!(s.frequency(RowId(700)), 0.5);
     }
 }

@@ -4,35 +4,46 @@
 //! The granularity is purposely kept to a single record" (paper §2.1).
 //! Besides the active bitmap we record the *death epoch* of every
 //! forgotten tuple so reports can reconstruct when data rotted away.
+//!
+//! The bitmap covers every row ever inserted (an eighth of a byte each);
+//! the death epochs are [`Paged`] by tier block, so a block nobody forgot
+//! a row of holds none, and a block whose payload was dropped keeps only
+//! the runs snapshot v4 writes for it.
 
 use amnesia_util::{Bitmap, SimRng};
 use serde::{Deserialize, Serialize};
 
-use crate::types::{Epoch, RowId};
+use crate::paged::Paged;
+use crate::types::{Epoch, RowId, DEFAULT_BLOCK_ROWS};
 
 /// Sentinel in `died_at` for rows that are still active.
 const ALIVE: Epoch = Epoch::MAX;
 
 /// Activity marking for all rows of a table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ActivityMap {
     active: Bitmap,
-    died_at: Vec<Epoch>,
+    died_at: Paged<Epoch>,
 }
 
 impl ActivityMap {
-    /// Empty map.
+    /// Empty map with the default tier block size.
     pub fn new() -> Self {
+        Self::with_block_rows(DEFAULT_BLOCK_ROWS)
+    }
+
+    /// Empty map whose death-epoch pages match `block_rows`-row tier
+    /// blocks.
+    pub fn with_block_rows(block_rows: usize) -> Self {
         Self {
             active: Bitmap::new(),
-            died_at: Vec::new(),
+            died_at: Paged::new(block_rows, ALIVE),
         }
     }
 
     /// Register `n` freshly inserted (active) rows.
     pub fn push_active(&mut self, n: usize) {
         self.active.extend(n, true);
-        self.died_at.resize(self.died_at.len() + n, ALIVE);
     }
 
     /// Total rows ever registered (active + forgotten).
@@ -66,21 +77,54 @@ impl ActivityMap {
     pub fn forget(&mut self, row: RowId, epoch: Epoch) -> bool {
         let was_active = self.active.set(row.as_usize(), false);
         if was_active {
-            self.died_at[row.as_usize()] = epoch;
+            self.died_at.set(row.as_usize(), epoch);
         }
         was_active
     }
 
-    /// Resurrect a row (used by recovery-from-cold-storage flows).
-    pub fn revive(&mut self, row: RowId) {
-        self.active.set(row.as_usize(), true);
-        self.died_at[row.as_usize()] = ALIVE;
+    /// Mark the rows `[lo, hi)` — all of them active — forgotten at
+    /// `epoch`: the snapshot reader's run-at-a-time [`Self::forget`].
+    pub(crate) fn forget_range(&mut self, lo: usize, hi: usize, epoch: Epoch) {
+        let cleared = self.active.clear_range(lo, hi);
+        debug_assert_eq!(cleared, hi - lo, "rows {lo}..{hi} were not all active");
+        self.died_at.fill(lo, hi, epoch);
     }
 
     /// Epoch at which the row was forgotten, if it has been.
     pub fn died_at(&self, row: RowId) -> Option<Epoch> {
-        let e = self.died_at[row.as_usize()];
+        assert!(row.as_usize() < self.len(), "row {row} out of range");
+        let e = self.died_at.get(row.as_usize());
         (e != ALIVE).then_some(e)
+    }
+
+    /// Collapse block `b`'s death epochs to runs — what remains of them
+    /// once the block's payload is dropped
+    /// ([`Table::drop_forgotten_blocks`](crate::table::Table::drop_forgotten_blocks)).
+    /// Every [`Self::died_at`] still reads back.
+    pub(crate) fn seal_block(&mut self, b: usize) {
+        self.died_at.seal(b);
+    }
+
+    /// Visit the maximal runs of consecutive rows that died in one epoch
+    /// as `(start, end, epoch)`, ascending — the death section of a v4
+    /// snapshot. Costs the sealed runs of the dropped blocks plus a pass
+    /// over the pages that are still dense; an untouched block costs
+    /// nothing.
+    pub(crate) fn for_each_death_run(&self, mut visit: impl FnMut(usize, usize, Epoch)) {
+        let mut open: Option<(usize, usize, Epoch)> = None;
+        self.died_at
+            .for_each_run(|start, end, epoch| match &mut open {
+                _ if epoch == ALIVE => {}
+                Some((_, open_end, e)) if *open_end == start && *e == epoch => *open_end = end,
+                _ => {
+                    if let Some((s, e, epoch)) = open.replace((start, end, epoch)) {
+                        visit(s, e, epoch);
+                    }
+                }
+            });
+        if let Some((s, e, epoch)) = open {
+            visit(s, e, epoch);
+        }
     }
 
     /// Iterate over active row ids in insertion order.
@@ -126,11 +170,17 @@ impl ActivityMap {
         self.active.count_ones_in(lo, hi)
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Bytes of the death epochs: a page per block with a forgotten row,
+    /// a few runs per dropped block.
+    pub(crate) fn death_bytes(&self) -> usize {
+        self.died_at.memory_bytes()
+    }
+
+    /// Heap footprint in bytes: the death epochs, and the bitmap's eighth
+    /// of a byte per row of history — the one per-row cost a drop does not
+    /// give back.
     pub fn memory_bytes(&self) -> usize {
-        self.active.memory_bytes()
-            + self.died_at.capacity() * std::mem::size_of::<Epoch>()
-            + std::mem::size_of::<Self>()
+        self.active.memory_bytes() + self.death_bytes() + std::mem::size_of::<Self>()
     }
 }
 
@@ -162,10 +212,55 @@ mod tests {
         // Forgetting again is a no-op.
         assert!(!am.forget(RowId(3), 5));
         assert_eq!(am.died_at(RowId(3)), Some(2), "death epoch unchanged");
+    }
 
-        am.revive(RowId(3));
-        assert!(am.is_active(RowId(3)));
-        assert_eq!(am.died_at(RowId(3)), None);
+    fn death_runs(am: &ActivityMap) -> Vec<(usize, usize, Epoch)> {
+        let mut runs = Vec::new();
+        am.for_each_death_run(|s, e, epoch| runs.push((s, e, epoch)));
+        runs
+    }
+
+    #[test]
+    fn death_runs_merge_across_words_pages_and_sealed_blocks() {
+        let mut am = ActivityMap::with_block_rows(64);
+        am.push_active(300);
+        assert_eq!(am.death_bytes(), 0, "no forgets, no pages");
+        for r in 0..96 {
+            am.forget(RowId(r), 6);
+        }
+        am.forget_range(96, 130, 7);
+        for r in [140, 142, 143, 299] {
+            am.forget(RowId(r), 8);
+        }
+        let want = vec![
+            (0, 96, 6),
+            (96, 130, 7),
+            (140, 141, 8),
+            (142, 144, 8),
+            (299, 300, 8),
+        ];
+        assert_eq!(death_runs(&am), want);
+        assert_eq!(am.forgotten_count(), 96 + 34 + 4);
+        let pages = am.death_bytes();
+        // Blocks 0 and 1 are fully dead: seal them, as a drop does.
+        am.seal_block(0);
+        am.seal_block(1);
+        assert!(am.death_bytes() < pages - 2 * 64 * 8 + 64);
+        assert_eq!(death_runs(&am), want);
+        assert_eq!(am.died_at(RowId(95)), Some(6));
+        assert_eq!(am.died_at(RowId(96)), Some(7));
+        assert_eq!(am.died_at(RowId(141)), None);
+        // A restore seals first and forgets by runs afterwards: same map.
+        let mut restored = ActivityMap::with_block_rows(64);
+        restored.push_active(300);
+        restored.seal_block(0);
+        restored.seal_block(1);
+        for &(s, e, epoch) in &want {
+            restored.forget_range(s, e, epoch);
+        }
+        assert_eq!(death_runs(&restored), want);
+        assert_eq!(restored.death_bytes(), am.death_bytes());
+        assert_eq!(restored.words(), am.words());
     }
 
     #[test]

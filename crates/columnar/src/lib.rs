@@ -10,6 +10,11 @@
 //! * [`table::Table`] — the central amnesiac table,
 //! * [`activity::ActivityMap`] — per-tuple active/forgotten marking,
 //! * [`access::AccessStats`] — per-tuple access frequency / recency,
+//! * [`paged`] — the containers that keep the three per-row metadata
+//!   (death epochs, access statistics, insert epochs) proportional to what
+//!   is *remembered*: pages allocated by the first write, freed or
+//!   run-coded when their tier block is dropped — the in-memory mirror of
+//!   the runs a v4 snapshot writes,
 //! * [`zonemap::ZoneMap`] — block-range (BRIN-style) min/max pruning
 //!   (§4.4 "partial indices, such as Block-Range-Indices"),
 //! * [`index::SortedIndex`] — a droppable, re-creatable secondary index
@@ -39,6 +44,7 @@ pub mod database;
 pub mod imprints;
 pub mod index;
 pub mod micromodel;
+pub mod paged;
 pub mod persist;
 pub mod schema;
 pub mod segment;
@@ -57,6 +63,7 @@ pub use database::{Database, ForeignKey, ReferentialAction};
 pub use imprints::Imprints;
 pub use index::SortedIndex;
 pub use micromodel::{Estimate, MicroModel, ModelStore, ValueRange};
+pub use paged::{EpochCursor, EpochRuns, Paged};
 pub use persist::{
     DurabilityHook, DurableLog, FaultVfs, PersistentTable, SharedVfs, StdVfs, SyncPolicy, Vfs, Wal,
     WalRecord, WalStats,
@@ -64,7 +71,7 @@ pub use persist::{
 pub use schema::{ColumnDef, Schema};
 pub use segment::SegmentedColumn;
 pub use summary::{SummaryCell, SummaryStore};
-pub use table::Table;
+pub use table::{MemoryBreakdown, Table};
 pub use tier::{BlockMeta, BlockState, FrozenBlock, TieredColumn};
 pub use types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};
 pub use zonemap::{WordZoneMap, Zone, ZoneMap};

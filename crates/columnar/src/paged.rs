@@ -1,0 +1,439 @@
+//! Per-row metadata sized by what is resident.
+//!
+//! A [`Paged`] is a logical `Vec<T>` over every row ever inserted that
+//! only *holds* the pages somebody wrote to. Pages are aligned with the
+//! tier blocks (`page_rows == Table::block_rows`), so a block's metadata
+//! lives and dies with the block:
+//!
+//! * **absent** — nothing was ever written (or the page was
+//!   [freed](Paged::free)): every row reads as the default, and writing
+//!   the default allocates nothing;
+//! * **dense** — `page_rows` entries, allocated by the first non-default
+//!   write;
+//! * **sealed** — run-coded `(first offset, value)` pairs covering the
+//!   whole page, what [`Paged::seal`] leaves of a page whose block was
+//!   dropped. A block forgotten in one batch seals to a single pair, and
+//!   its rows still read back.
+//!
+//! Death epochs ([`ActivityMap`](crate::activity::ActivityMap)) and the
+//! access statistics ([`AccessStats`](crate::access::AccessStats)) are
+//! three of these; [`EpochRuns`] holds the insert epochs, which are runs
+//! from the start (one per batch).
+
+use serde::{Deserialize, Serialize};
+
+use crate::types::{Epoch, RowId};
+
+/// How many directory slots the directory grows by at a time, so its
+/// capacity depends on the row count alone, not on how it was reached.
+const DIRECTORY_CHUNK: usize = 64;
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+enum Slot<T> {
+    Absent,
+    Dense(Box<[T]>),
+    Sealed(Box<[(usize, T)]>),
+}
+
+/// A paged per-row container (module docs).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Paged<T> {
+    page_rows: usize,
+    default: T,
+    slots: Vec<Slot<T>>,
+}
+
+/// Value of offset `off` in a run-coded page.
+fn run_value<T: Copy>(runs: &[(usize, T)], off: usize) -> T {
+    runs[runs.partition_point(|&(start, _)| start <= off) - 1].1
+}
+
+/// The maximal runs of equal values in a dense page, as `(first offset,
+/// value)`.
+fn dense_runs<T: Copy + PartialEq>(entries: &[T]) -> impl Iterator<Item = (usize, T)> + '_ {
+    let mut start = 0;
+    entries.chunk_by(|a, b| a == b).map(move |run| {
+        let first = start;
+        start += run.len();
+        (first, run[0])
+    })
+}
+
+impl<T: Copy + PartialEq> Paged<T> {
+    /// Empty container: every row reads as `default`.
+    pub fn new(page_rows: usize, default: T) -> Self {
+        assert!(page_rows > 0, "page size must be positive");
+        Self {
+            page_rows,
+            default,
+            slots: Vec::new(),
+        }
+    }
+
+    /// Rows per page.
+    pub fn page_rows(&self) -> usize {
+        self.page_rows
+    }
+
+    /// Value of row `i` (the default for rows nobody wrote).
+    #[inline]
+    pub fn get(&self, i: usize) -> T {
+        match self.slots.get(i / self.page_rows) {
+            None | Some(Slot::Absent) => self.default,
+            Some(Slot::Dense(page)) => page[i % self.page_rows],
+            Some(Slot::Sealed(runs)) => run_value(runs, i % self.page_rows),
+        }
+    }
+
+    /// Set row `i`.
+    #[inline]
+    pub fn set(&mut self, i: usize, value: T) {
+        self.fill(i, i + 1, value);
+    }
+
+    /// Set every row in `[lo, hi)`.
+    pub fn fill(&mut self, lo: usize, hi: usize, value: T) {
+        let mut at = lo;
+        while at < hi {
+            let page = at / self.page_rows;
+            let end = hi.min((page + 1) * self.page_rows);
+            self.fill_in_page(
+                page,
+                at % self.page_rows,
+                end - page * self.page_rows,
+                value,
+            );
+            at = end;
+        }
+    }
+
+    /// Set offsets `[a, b)` of one page, in whatever form the page is held.
+    fn fill_in_page(&mut self, page: usize, a: usize, b: usize, value: T) {
+        let held = matches!(self.slots.get(page), Some(Slot::Dense(_) | Slot::Sealed(_)));
+        if !held {
+            if value == self.default {
+                return;
+            }
+            self.grow_directory(page + 1);
+            self.slots[page] = Slot::Dense(vec![self.default; self.page_rows].into());
+        }
+        match &mut self.slots[page] {
+            Slot::Absent => unreachable!("materialised above"),
+            Slot::Dense(entries) => entries[a..b].fill(value),
+            Slot::Sealed(sealed) => {
+                // Runs that start inside [a, b] go; the value that held at
+                // `b` resumes there.
+                let mut runs = std::mem::take(sealed).into_vec();
+                let resume = (b < self.page_rows).then(|| (b, run_value(&runs, b)));
+                let first = runs.partition_point(|&(start, _)| start < a);
+                let last = runs.partition_point(|&(start, _)| start <= b);
+                runs.splice(first..last, std::iter::once((a, value)).chain(resume));
+                runs.dedup_by(|next, prev| next.1 == prev.1);
+                *sealed = runs.into();
+            }
+        }
+    }
+
+    fn grow_directory(&mut self, pages: usize) {
+        if pages > self.slots.len() {
+            let capacity = pages.next_multiple_of(DIRECTORY_CHUNK);
+            self.slots.reserve_exact(capacity - self.slots.len());
+            self.slots.resize_with(pages, || Slot::Absent);
+        }
+    }
+
+    /// Forget everything written to `page`: its rows read as the default
+    /// again and it holds no memory.
+    pub fn free(&mut self, page: usize) {
+        if let Some(slot) = self.slots.get_mut(page) {
+            *slot = Slot::Absent;
+        }
+    }
+
+    /// Collapse `page` to runs. Reads are unchanged; later writes splice
+    /// the runs and leave the page sealed.
+    pub fn seal(&mut self, page: usize) {
+        self.grow_directory(page + 1);
+        let runs: Vec<(usize, T)> = match &self.slots[page] {
+            Slot::Sealed(_) => return,
+            Slot::Absent => vec![(0, self.default)],
+            Slot::Dense(entries) => dense_runs(entries).collect(),
+        };
+        self.slots[page] = Slot::Sealed(runs.into());
+    }
+
+    /// Indices of the pages that are held (dense or sealed), ascending.
+    pub fn held_pages(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| !matches!(slot, Slot::Absent))
+            .map(|(page, _)| page)
+    }
+
+    /// Visit the runs of equal values of every held page as `(first row,
+    /// end row, value)`, ascending; runs end at page boundaries. A sealed
+    /// page costs its runs, a dense one a pass over its entries, an absent
+    /// one nothing.
+    pub fn for_each_run(&self, mut visit: impl FnMut(usize, usize, T)) {
+        for (page, slot) in self.slots.iter().enumerate() {
+            let base = page * self.page_rows;
+            let mut open: Option<(usize, T)> = None;
+            let mut start_run = |start: usize, value: T| {
+                if let Some((first, v)) = open.replace((start, value)) {
+                    visit(base + first, base + start, v);
+                }
+            };
+            match slot {
+                Slot::Absent => continue,
+                Slot::Dense(entries) => dense_runs(entries).for_each(|(s, v)| start_run(s, v)),
+                Slot::Sealed(runs) => runs.iter().for_each(|&(s, v)| start_run(s, v)),
+            }
+            if let Some((first, v)) = open {
+                visit(base + first, base + self.page_rows, v);
+            }
+        }
+    }
+
+    /// Every value that is held (dense entries and run values), mutably.
+    /// Rows of absent pages keep reading as the default.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flat_map(|slot| {
+            let (dense, runs): (&mut [T], &mut [(usize, T)]) = match slot {
+                Slot::Absent => (&mut [], &mut []),
+                Slot::Dense(entries) => (entries, &mut []),
+                Slot::Sealed(runs) => (&mut [], runs),
+            };
+            dense.iter_mut().chain(runs.iter_mut().map(|(_, v)| v))
+        })
+    }
+
+    /// Heap bytes held: the directory at capacity, every dense page and
+    /// every run vector.
+    pub fn memory_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot<T>>()
+            + self
+                .slots
+                .iter()
+                .map(|slot| match slot {
+                    Slot::Absent => 0,
+                    Slot::Dense(entries) => std::mem::size_of_val(&**entries),
+                    Slot::Sealed(runs) => std::mem::size_of_val(&**runs),
+                })
+                .sum::<usize>()
+    }
+}
+
+/// Insert epochs as `(first row, epoch)` runs, one per batch. Rows arrive
+/// in batches, so this is O(batches) however long the history; epochs
+/// need not ascend with the row id.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct EpochRuns {
+    runs: Vec<(usize, Epoch)>,
+    len: usize,
+}
+
+impl EpochRuns {
+    /// No rows.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rows covered.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no rows are covered.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append `n` rows inserted at `epoch` (extends the last run when the
+    /// epoch repeats, so runs are maximal).
+    pub fn push(&mut self, n: usize, epoch: Epoch) {
+        if n > 0 && self.runs.last().is_none_or(|&(_, last)| last != epoch) {
+            self.runs.push((self.len, epoch));
+        }
+        self.len += n;
+    }
+
+    /// Insert epoch of `row` — a binary search over the runs. Ascending
+    /// readers take a [`Self::cursor`] instead.
+    #[inline]
+    pub fn get(&self, row: RowId) -> Epoch {
+        let row = row.as_usize();
+        assert!(row < self.len, "row {row} out of range (len {})", self.len);
+        self.runs[self.run_of(row)].1
+    }
+
+    fn run_of(&self, row: usize) -> usize {
+        self.runs.partition_point(|&(start, _)| start <= row) - 1
+    }
+
+    /// A reader that remembers the run it last hit: O(1) per row for
+    /// ascending (or clustered) row ids, a binary search otherwise.
+    pub fn cursor(&self) -> EpochCursor<'_> {
+        EpochCursor {
+            epochs: self,
+            at: 0,
+        }
+    }
+
+    /// The runs as `(rows, epoch)`, in row order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Epoch)> + '_ {
+        let ends = self.runs.iter().skip(1).map(|&(start, _)| start);
+        self.runs
+            .iter()
+            .zip(ends.chain(std::iter::once(self.len)))
+            .map(|(&(start, epoch), end)| (end - start, epoch))
+    }
+
+    /// Highest epoch of any row (0 when empty).
+    pub fn max_epoch(&self) -> Epoch {
+        self.runs.iter().map(|&(_, e)| e).max().unwrap_or(0)
+    }
+
+    /// Heap bytes held.
+    pub fn memory_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<(usize, Epoch)>()
+    }
+}
+
+/// See [`EpochRuns::cursor`].
+#[derive(Debug, Clone)]
+pub struct EpochCursor<'a> {
+    epochs: &'a EpochRuns,
+    at: usize,
+}
+
+impl EpochCursor<'_> {
+    /// Insert epoch of `row`.
+    #[inline]
+    pub fn get(&mut self, row: RowId) -> Epoch {
+        let row = row.as_usize();
+        let runs = &self.epochs.runs;
+        assert!(row < self.epochs.len, "row {row} out of range");
+        let within = |run: usize| {
+            runs.get(run).is_some_and(|&(start, _)| start <= row)
+                && runs.get(run + 1).is_none_or(|&(next, _)| row < next)
+        };
+        if !within(self.at) {
+            self.at = if within(self.at + 1) {
+                self.at + 1
+            } else {
+                self.epochs.run_of(row)
+            };
+        }
+        runs[self.at].1
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn absent_pages_read_default_and_default_writes_allocate_nothing() {
+        let mut p = Paged::new(64, u64::MAX);
+        assert_eq!(p.get(1_000_000), u64::MAX);
+        p.set(500, u64::MAX);
+        p.fill(0, 10_000, u64::MAX);
+        assert_eq!(p.memory_bytes(), 0);
+        assert_eq!(p.held_pages().count(), 0);
+        p.set(130, 7);
+        assert_eq!(p.get(130), 7);
+        assert_eq!(p.get(129), u64::MAX);
+        assert_eq!(p.held_pages().collect::<Vec<_>>(), [2]);
+        assert_eq!(
+            p.memory_bytes(),
+            64 * 8 + DIRECTORY_CHUNK * std::mem::size_of::<Slot<u64>>()
+        );
+    }
+
+    #[test]
+    fn seal_keeps_reads_and_free_forgets() {
+        let mut p = Paged::new(64, 0u64);
+        p.fill(10, 100, 3);
+        p.fill(100, 128, 4);
+        let before: Vec<u64> = (0..192).map(|i| p.get(i)).collect();
+        p.seal(0);
+        p.seal(1);
+        p.seal(2); // never written: one default run
+        assert_eq!((0..192).map(|i| p.get(i)).collect::<Vec<_>>(), before);
+        let sealed = |p: &Paged<u64>| -> Vec<Vec<(usize, u64)>> {
+            p.slots
+                .iter()
+                .map(|slot| match slot {
+                    Slot::Sealed(runs) => runs.to_vec(),
+                    other => panic!("not sealed: {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(
+            sealed(&p),
+            [vec![(0, 0), (10, 3)], vec![(0, 3), (36, 4)], vec![(0, 0)]]
+        );
+        let mut runs = Vec::new();
+        p.for_each_run(|s, e, v| runs.push((s, e, v)));
+        assert_eq!(
+            runs,
+            [
+                (0, 10, 0),
+                (10, 64, 3),
+                (64, 100, 3),
+                (100, 128, 4),
+                (128, 192, 0)
+            ]
+        );
+        // Writing into a sealed page splices its runs; it stays sealed.
+        p.fill(60, 70, 9);
+        assert_eq!(p.get(59), 3);
+        assert_eq!(p.get(63), 9);
+        assert_eq!(p.get(69), 9);
+        assert_eq!(p.get(70), 3);
+        assert_eq!(sealed(&p).len(), 3);
+        p.free(0);
+        assert_eq!(p.get(63), 0);
+        assert_eq!(p.get(64), 9);
+        p.free(99); // past the directory: nothing to do
+    }
+
+    #[test]
+    fn values_mut_reaches_dense_entries_and_run_values() {
+        let mut p = Paged::new(64, 0.0f64);
+        p.set(3, 2.0);
+        p.fill(64, 128, 4.0);
+        p.seal(1);
+        for v in p.values_mut() {
+            *v *= 0.5;
+        }
+        assert_eq!(
+            (p.get(3), p.get(4), p.get(100), p.get(128)),
+            (1.0, 0.0, 2.0, 0.0)
+        );
+    }
+
+    #[test]
+    fn epoch_runs_point_reads_and_cursor() {
+        let mut e = EpochRuns::new();
+        e.push(100, 0);
+        e.push(0, 9); // empty batch: no run
+        e.push(50, 3);
+        e.push(50, 3); // same epoch: the run extends
+        e.push(10, 1); // epochs need not ascend
+        assert_eq!(e.len(), 210);
+        assert_eq!(e.iter().collect::<Vec<_>>(), [(100, 0), (100, 3), (10, 1)]);
+        assert_eq!(e.max_epoch(), 3);
+        let want = |row: usize| match row {
+            0..100 => 0,
+            100..200 => 3,
+            _ => 1,
+        };
+        let mut cursor = e.cursor();
+        for row in (0..210).chain([5, 205, 150, 99, 100, 209, 0]) {
+            assert_eq!(e.get(RowId::from(row)), want(row), "get {row}");
+            assert_eq!(cursor.get(RowId::from(row)), want(row), "cursor {row}");
+        }
+    }
+}

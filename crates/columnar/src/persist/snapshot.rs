@@ -52,6 +52,16 @@
 //! frozen payload, the hot tail and O(batches) of metadata. Scattered
 //! forgetting degrades to one run per forgotten row, about what v3 paid.
 //!
+//! The table holds this metadata in the same shape in memory — sealed death
+//! runs per dropped block, death pages for blocks still resident, one
+//! insert-epoch run per batch, access pages only where a row was touched
+//! ([`crate::paged`]) — so the writer copies runs and walks the pages that
+//! exist, and the reader appends runs; neither loops over the row count. A
+//! dropped block contributes its sealed runs verbatim, an untouched block
+//! nothing, and a decoded run inside a dropped block lands sealed without a
+//! page ever being allocated for it. The v4 bytes are what they were when
+//! the metadata was per-row vectors (`tests/fixtures/v4_*` pin them).
+//!
 //! There is one writer (v4). The reader keeps every older version
 //! readable: v2 and v3 share v4's body and differ only in those two
 //! sections ([`read_row_metadata`] branches on the version), v1
@@ -83,6 +93,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use crate::activity::ActivityMap;
 use crate::compress::varint::write_varint;
 use crate::compress::{EncodedBlock, Encoding};
+use crate::paged::EpochRuns;
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::tier::{BlockMeta, BlockState, FrozenBlock, TieredColumn};
@@ -181,54 +192,30 @@ pub fn encode_with_meta(table: &Table, meta: RecoveryMeta) -> Vec<u8> {
         }
     }
 
-    // Death epochs: runs of consecutive rows that died in one epoch. Only
-    // words with a forgotten row are looked into; bits past the last row
-    // are zero in the activity words, hence the `row < n` cut.
+    // Death epochs: maximal runs of consecutive rows that died in one
+    // epoch, each as its gap from the previous run's end.
     payload.put_u64_le(table.forgotten_rows() as u64);
-    let activity = table.activity();
     let mut prev_end = 0usize;
-    let mut run: Option<(usize, usize, Epoch)> = None; // start, end, epoch
-    for (w, &word) in activity.words().iter().enumerate() {
-        let mut dead = !word;
-        while dead != 0 {
-            let row = w * 64 + dead.trailing_zeros() as usize;
-            dead &= dead - 1;
-            if row >= n {
-                break;
-            }
-            let Some(epoch) = activity.died_at(RowId::from(row)) else {
-                continue;
-            };
-            match &mut run {
-                Some((_, end, e)) if *end == row && *e == epoch => *end += 1,
-                _ => {
-                    if let Some((start, end, e)) = run.replace((row, row + 1, epoch)) {
-                        put_death_run(&mut payload, prev_end, start, end, e);
-                        prev_end = end;
-                    }
-                }
-            }
-        }
-    }
-    if let Some((start, end, e)) = run {
-        put_death_run(&mut payload, prev_end, start, end, e);
-    }
+    table.activity().for_each_death_run(|start, end, epoch| {
+        write_varint(&mut payload, (start - prev_end) as u64);
+        write_varint(&mut payload, (end - start) as u64);
+        write_varint(&mut payload, epoch);
+        prev_end = end;
+    });
 
     // Insert epochs: one run per batch.
-    for batch in table.insert_epochs().chunk_by(|a, b| a == b) {
-        write_varint(&mut payload, batch.len() as u64);
-        write_varint(&mut payload, batch[0]);
+    for (rows, epoch) in table.insert_epochs().iter() {
+        write_varint(&mut payload, rows as u64);
+        write_varint(&mut payload, epoch);
     }
 
     // Access stats: only touched rows.
-    let touched: Vec<u64> = (0..n as u64)
-        .filter(|&r| table.access().frequency(RowId(r)) > 0.0)
-        .collect();
+    let touched: Vec<_> = table.access().iter_touched().collect();
     payload.put_u64_le(touched.len() as u64);
-    for r in touched {
-        write_varint(&mut payload, r);
-        payload.put_f64_le(table.access().frequency(RowId(r)));
-        write_varint(&mut payload, table.access().last_access(RowId(r)));
+    for (row, frequency, last_access) in touched {
+        write_varint(&mut payload, row.0);
+        payload.put_f64_le(frequency);
+        write_varint(&mut payload, last_access);
     }
 
     // Frame.
@@ -240,12 +227,6 @@ pub fn encode_with_meta(table: &Table, meta: RecoveryMeta) -> Vec<u8> {
     out.extend_from_slice(&payload);
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     out
-}
-
-fn put_death_run(payload: &mut BytesMut, prev_end: usize, start: usize, end: usize, epoch: Epoch) {
-    write_varint(payload, (start - prev_end) as u64);
-    write_varint(payload, (end - start) as u64);
-    write_varint(payload, epoch);
 }
 
 /// Reconstruct a table from snapshot bytes, discarding recovery meta.
@@ -305,7 +286,7 @@ pub fn decode_with_meta(bytes: &[u8]) -> Result<(Table, RecoveryMeta)> {
 /// The per-row metadata that closes every version's payload.
 struct RowMetadata {
     activity: ActivityMap,
-    insert_epochs: Vec<Epoch>,
+    insert_epochs: EpochRuns,
     /// `(row, frequency, last access)` of rows with access statistics.
     touched: Vec<(RowId, f64, Epoch)>,
 }
@@ -314,11 +295,22 @@ struct RowMetadata {
 /// `n`-row table and require the payload to end there. Versions 1–3 list
 /// the first two per row, version 4 as runs (module docs). Counts read
 /// from disk never size an allocation the remaining bytes could not fill.
-fn read_row_metadata(p: &mut Reader<'_>, version: u32, n: usize) -> Result<RowMetadata> {
+/// The death epochs of the `dropped` blocks (`block_rows` rows each) are
+/// sealed before anything is read, so their runs are appended as runs.
+fn read_row_metadata(
+    p: &mut Reader<'_>,
+    version: u32,
+    n: usize,
+    block_rows: usize,
+    dropped: &[usize],
+) -> Result<RowMetadata> {
     let forgotten_count = p.u64()?;
-    let mut activity = ActivityMap::new();
+    let mut activity = ActivityMap::with_block_rows(block_rows);
     activity.push_active(n);
-    let mut insert_epochs = Vec::new();
+    for &b in dropped {
+        activity.seal_block(b);
+    }
+    let mut insert_epochs = EpochRuns::new();
     if version >= 4 {
         if forgotten_count > n as u64 {
             return Err(storage_err!("{forgotten_count} forgotten rows of {n}"));
@@ -338,9 +330,8 @@ fn read_row_metadata(p: &mut Reader<'_>, version: u32, n: usize) -> Result<RowMe
                     "death runs exceed the declared {forgotten_count} rows"
                 ));
             }
-            for row in start..end {
-                activity.forget(RowId(row), epoch);
-            }
+            // Runs ascend and never overlap (`place_run`): all rows active.
+            activity.forget_range(start as usize, end as usize, epoch);
             prev_end = end;
         }
         while insert_epochs.len() < n {
@@ -352,7 +343,7 @@ fn read_row_metadata(p: &mut Reader<'_>, version: u32, n: usize) -> Result<RowMe
                     insert_epochs.len()
                 ));
             }
-            insert_epochs.resize(insert_epochs.len() + len as usize, epoch);
+            insert_epochs.push(len as usize, epoch);
         }
     } else {
         // Two bytes at least per forgotten row, one per insert epoch.
@@ -373,14 +364,13 @@ fn read_row_metadata(p: &mut Reader<'_>, version: u32, n: usize) -> Result<RowMe
         if n > p.remaining() {
             return Err(storage_err!("{n} insert epochs in {} bytes", p.remaining()));
         }
-        insert_epochs.reserve_exact(n);
         let mut prev = 0i64;
         for _ in 0..n {
             prev += p.signed_varint()?;
             if prev < 0 {
                 return Err(storage_err!("negative insert epoch"));
             }
-            insert_epochs.push(prev as u64);
+            insert_epochs.push(1, prev as u64);
         }
     }
 
@@ -517,7 +507,12 @@ fn decode_body(payload: &[u8], version: u32) -> Result<Table> {
         });
     }
 
-    let meta = read_row_metadata(&mut p, version, n)?;
+    let dropped: Vec<usize> = columns.first().map_or_else(Vec::new, |c| {
+        (0..c.tier.frozen_blocks())
+            .filter(|&b| c.tier.frozen(b).is_some_and(FrozenBlock::is_dropped))
+            .collect()
+    });
+    let meta = read_row_metadata(&mut p, version, n, block_rows, &dropped)?;
 
     // Rebuild: the persisted tiers install as-is and the activity /
     // epoch / access bookkeeping is reconstructed directly — the restore
@@ -598,7 +593,7 @@ fn decode_v1(payload: &[u8]) -> Result<Table> {
         columns.push(values);
     }
 
-    let meta = read_row_metadata(&mut p, 1, n)?;
+    let meta = read_row_metadata(&mut p, 1, n, crate::types::DEFAULT_BLOCK_ROWS, &[])?;
 
     // Rebuild as a fully hot tiered table. Stats recompute from the
     // decoded values (a v1 snapshot physically held every row), matching
@@ -850,9 +845,10 @@ mod tests {
             write_varint(&mut payload, epoch);
         }
         let mut prev = 0i64;
-        for &e in table.insert_epochs() {
-            write_signed(&mut payload, e as i64 - prev);
-            prev = e as i64;
+        for r in 0..n {
+            let e = table.insert_epoch(RowId::from(r)) as i64;
+            write_signed(&mut payload, e - prev);
+            prev = e;
         }
         let touched: Vec<u64> = (0..n as u64)
             .filter(|&r| table.access().frequency(RowId(r)) > 0.0)
@@ -952,7 +948,7 @@ mod tests {
 
     #[test]
     fn malformed_v4_runs_are_errors_not_panics_or_allocations() {
-        let read = |m: &[u8], n: usize| read_row_metadata(&mut Reader::new(m), 4, n);
+        let read = |m: &[u8], n: usize| read_row_metadata(&mut Reader::new(m), 4, n, 64, &[]);
         // 100 rows: rows 10..15 died at 3, rows 40..42 at 5; two batches.
         let good = v4_metadata(7, &[(10, 5, 3), (25, 2, 5)], &[(60, 0), (40, 1)], 0);
         let meta = read(&good, 100).unwrap();
@@ -960,7 +956,14 @@ mod tests {
         assert_eq!(meta.activity.died_at(RowId(15)), None);
         assert_eq!(meta.activity.died_at(RowId(41)), Some(5));
         assert_eq!(meta.activity.forgotten_count(), 7);
-        assert_eq!((meta.insert_epochs[59], meta.insert_epochs[60]), (0, 1));
+        let epoch_of = |row| meta.insert_epochs.get(RowId(row));
+        assert_eq!((epoch_of(59), epoch_of(60)), (0, 1));
+        // Inside a dropped block the same runs land sealed: no page.
+        let sealed = read_row_metadata(&mut Reader::new(&good), 4, 100, 64, &[0]).unwrap();
+        assert_eq!(sealed.activity.died_at(RowId(14)), Some(3));
+        assert_eq!(sealed.activity.died_at(RowId(15)), None);
+        assert_eq!(sealed.activity.died_at(RowId(41)), Some(5));
+        assert!(sealed.activity.death_bytes() + 400 < meta.activity.death_bytes());
 
         let e = &[(100u64, 0u64)][..];
         for (what, m) in [
@@ -1016,7 +1019,7 @@ mod tests {
         let mut v3 = BytesMut::new();
         v3.put_u64_le(1 << 50);
         v3.put_slice(&[0u8; 64]);
-        assert!(read_row_metadata(&mut Reader::new(&v3), 3, 100).is_err());
+        assert!(read_row_metadata(&mut Reader::new(&v3), 3, 100, 64, &[]).is_err());
 
         // Every single-byte mutation of both run sections decodes or
         // errors — and what decodes still describes 100 rows.

@@ -1,4 +1,11 @@
 //! The amnesiac table: columns + activity + epochs + access stats.
+//!
+//! Everything per row is sized by what is resident, not by what was ever
+//! inserted: insert epochs are runs (one per batch), death epochs and
+//! access statistics are [paged](crate::paged) by tier block, and
+//! [`Table::drop_forgotten_blocks`] gives a dropped block's pages back
+//! along with its payload. Only the active bitmap (an eighth of a byte
+//! per row) still covers the whole history.
 
 use std::borrow::Cow;
 
@@ -9,6 +16,7 @@ use crate::access::AccessStats;
 use crate::activity::ActivityMap;
 use crate::column::Column;
 use crate::compress::Encoding;
+use crate::paged::EpochRuns;
 use crate::schema::Schema;
 use crate::tier::TieredColumn;
 use crate::types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};
@@ -31,10 +39,29 @@ pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
     activity: ActivityMap,
-    insert_epoch: Vec<Epoch>,
+    insert_epoch: EpochRuns,
     access: AccessStats,
     current_epoch: Epoch,
     block_rows: usize,
+}
+
+/// [`Table::memory_bytes`] by what holds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoryBreakdown {
+    /// Column payload: frozen blocks, hot tails, per-block metadata.
+    pub payload: usize,
+    /// The active bitmap: an eighth of a byte per row ever inserted.
+    pub activity: usize,
+    /// Per-row metadata: death-epoch pages and runs, access-statistics
+    /// pages, insert-epoch runs.
+    pub row_metadata: usize,
+}
+
+impl MemoryBreakdown {
+    /// Sum of the components.
+    pub fn total(&self) -> usize {
+        self.payload + self.activity + self.row_metadata
+    }
 }
 
 impl Table {
@@ -52,9 +79,9 @@ impl Table {
             columns: (0..arity)
                 .map(|_| Column::with_block_rows(block_rows))
                 .collect(),
-            activity: ActivityMap::new(),
-            insert_epoch: Vec::new(),
-            access: AccessStats::new(),
+            activity: ActivityMap::with_block_rows(block_rows),
+            insert_epoch: EpochRuns::new(),
+            access: AccessStats::with_block_rows(block_rows),
             current_epoch: 0,
             block_rows,
         }
@@ -121,7 +148,7 @@ impl Table {
             col.push(v);
         }
         self.activity.push_active(1);
-        self.insert_epoch.push(epoch);
+        self.insert_epoch.push(1, epoch);
         self.access.push_rows(1);
         self.current_epoch = self.current_epoch.max(epoch);
         Ok(id)
@@ -134,8 +161,7 @@ impl Table {
         let first = RowId::from(self.num_rows());
         self.columns[0].extend_from_slice(values);
         self.activity.push_active(values.len());
-        self.insert_epoch
-            .resize(self.insert_epoch.len() + values.len(), epoch);
+        self.insert_epoch.push(values.len(), epoch);
         self.access.push_rows(values.len());
         self.current_epoch = self.current_epoch.max(epoch);
         Ok(first)
@@ -228,10 +254,10 @@ impl Table {
     /// current activity map. Returns the number of blocks frozen (per
     /// column — all columns freeze in lockstep).
     pub fn freeze_upto(&mut self, row: usize) -> usize {
-        let words = self.activity.words().to_vec();
+        let words = self.activity.words();
         let mut frozen = 0;
         for c in &mut self.columns {
-            frozen = c.tier_mut().freeze_upto(row, &words);
+            frozen = c.tier_mut().freeze_upto(row, words);
         }
         frozen
     }
@@ -250,8 +276,12 @@ impl Table {
 
     /// Drop the payload of every fully-forgotten frozen block — the most
     /// radical tier transition: forgetting a whole block reclaims its
-    /// bytes while row ids stay stable. Returns `(blocks dropped, bytes
-    /// reclaimed)`.
+    /// bytes while row ids stay stable. Its per-row metadata goes with it:
+    /// nothing is kept of the access statistics (no policy scores a
+    /// forgotten row), and of the death epochs only the runs a snapshot
+    /// writes, so every `died_at` still reads back. Live and replayed
+    /// drops both come through here. Returns `(blocks dropped, bytes
+    /// reclaimed)` — payload bytes.
     pub fn drop_forgotten_blocks(&mut self) -> (usize, usize) {
         let mut blocks = 0;
         let mut bytes = 0;
@@ -270,6 +300,8 @@ impl Table {
             }
             if dropped_any {
                 blocks += 1;
+                self.access.free_block(b);
+                self.activity.seal_block(b);
             }
         }
         (blocks, bytes)
@@ -280,7 +312,7 @@ impl Table {
     /// neighbours, codecs re-run, meta bounds tighten. Returns `(blocks
     /// recompressed, bytes saved)`.
     pub fn recompress_frozen(&mut self, max_active_fraction: f64) -> (usize, usize) {
-        let words = self.activity.words().to_vec();
+        let words = self.activity.words();
         let mut blocks = 0;
         let mut bytes = 0;
         let nb = self.frozen_blocks();
@@ -298,7 +330,7 @@ impl Table {
             }
             let mut saved_any = false;
             for c in &mut self.columns {
-                let saved = c.tier_mut().recompress_block(b, &words);
+                let saved = c.tier_mut().recompress_block(b, words);
                 if saved > 0 {
                     saved_any = true;
                 }
@@ -394,13 +426,14 @@ impl Table {
     /// columns — and the activity map arrives built from the persisted
     /// death epochs rather than routed through [`Table::forget`] (the
     /// tiers' block metadata already reflects those forgets, so
-    /// `note_forget` must not run again). Column stats restore separately
-    /// via [`Table::restore_col_stats`].
+    /// `note_forget` must not run again), with the dropped blocks' death
+    /// epochs sealed before they were filled, as a drop leaves them.
+    /// Column stats restore separately via [`Table::restore_col_stats`].
     pub fn from_restored_parts(
         schema: Schema,
         block_rows: usize,
         tiers: Vec<TieredColumn>,
-        insert_epoch: Vec<Epoch>,
+        insert_epoch: EpochRuns,
         activity: ActivityMap,
     ) -> Result<Self> {
         if tiers.len() != schema.arity() {
@@ -417,9 +450,9 @@ impl Table {
                 activity.len()
             ));
         }
-        let mut access = AccessStats::new();
+        let mut access = AccessStats::with_block_rows(block_rows);
         access.push_rows(n);
-        let current_epoch = insert_epoch.iter().copied().max().unwrap_or(0);
+        let current_epoch = insert_epoch.max_epoch();
         let mut table = Self {
             schema,
             columns: Vec::with_capacity(tiers.len()),
@@ -497,11 +530,13 @@ impl Table {
     /// Insertion epoch of a row.
     #[inline]
     pub fn insert_epoch(&self, row: RowId) -> Epoch {
-        self.insert_epoch[row.as_usize()]
+        self.insert_epoch.get(row)
     }
 
-    /// All insertion epochs (physical order).
-    pub fn insert_epochs(&self) -> &[Epoch] {
+    /// All insertion epochs, as one run per batch (physical order).
+    /// Readers that walk row ids in ascending order — every policy's
+    /// candidate scan — take its [`cursor`](EpochRuns::cursor).
+    pub fn insert_epochs(&self) -> &EpochRuns {
         &self.insert_epoch
     }
 
@@ -542,10 +577,19 @@ impl Table {
     /// number the budget- and cost-based layers must see for compression
     /// to actually postpone forgetting (paper §4.4).
     pub fn memory_bytes(&self) -> usize {
-        self.columns.iter().map(Column::memory_bytes).sum::<usize>()
-            + self.activity.memory_bytes()
-            + self.access.memory_bytes()
-            + self.insert_epoch.capacity() * std::mem::size_of::<Epoch>()
+        self.memory_breakdown().total()
+    }
+
+    /// [`Table::memory_bytes`] split into payload, active bitmap and
+    /// per-row metadata — what is resident, and why.
+    pub fn memory_breakdown(&self) -> MemoryBreakdown {
+        MemoryBreakdown {
+            payload: self.columns.iter().map(Column::memory_bytes).sum(),
+            activity: self.activity.memory_bytes() - self.activity.death_bytes(),
+            row_metadata: self.activity.death_bytes()
+                + self.access.memory_bytes()
+                + self.insert_epoch.memory_bytes(),
+        }
     }
 
     /// Validate internal consistency (lengths agree); used by tests and
@@ -568,7 +612,7 @@ impl Table {
         }
         if self.insert_epoch.len() != n {
             return Err(storage_err!(
-                "epoch vector covers {} rows, expected {n}",
+                "insert-epoch runs cover {} rows, expected {n}",
                 self.insert_epoch.len()
             ));
         }

@@ -584,11 +584,12 @@ impl TieredColumn {
         self.frozen.iter().map(|f| f.block.compressed_bytes()).sum()
     }
 
-    /// Approximate resident heap bytes: frozen payloads + per-block
-    /// bookkeeping + hot-tail capacity.
+    /// Resident heap bytes: frozen payloads + per-block bookkeeping
+    /// (block headers and access counters) + hot-tail capacity.
     pub fn memory_bytes(&self) -> usize {
         self.bytes_frozen()
             + self.frozen.capacity() * std::mem::size_of::<FrozenBlock>()
+            + self.accesses.0.capacity() * std::mem::size_of::<AtomicU64>()
             + self.hot.capacity() * std::mem::size_of::<Value>()
             + std::mem::size_of::<Self>()
     }

@@ -42,12 +42,13 @@ pub fn vacuum(table: &Table) -> VacuumResult {
         .map(|c| table.col_values_dense(c))
         .collect();
     let mut values = vec![0i64; columns.len()];
+    let mut epochs = table.insert_epochs().cursor();
     for old in table.iter_active() {
         for (slot, col) in values.iter_mut().zip(&columns) {
             *slot = col[old.as_usize()];
         }
         let new_id = compacted
-            .insert(&values, table.insert_epoch(old))
+            .insert(&values, epochs.get(old))
             .expect("arity matches by construction");
         compacted.access_mut().restore(
             new_id,

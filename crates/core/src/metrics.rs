@@ -13,11 +13,12 @@
 //! (active-only) value against the exact value over all data seen so far.
 
 use amnesia_util::ascii;
+use amnesia_util::bitmap::count_set_bits_in;
 use amnesia_util::stats::relative_error;
 use amnesia_util::RunningStats;
 use serde::{Deserialize, Serialize};
 
-use amnesia_columnar::{RowId, Table};
+use amnesia_columnar::Table;
 
 /// Outcome of one query: returned vs missed tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -164,13 +165,12 @@ impl AmnesiaMap {
         let n = max_epoch as usize + 1;
         let mut totals = vec![0usize; n];
         let mut active = vec![0usize; n];
-        for r in 0..table.num_rows() {
-            let id = RowId::from(r);
-            let e = (table.insert_epoch(id) as usize).min(n - 1);
-            totals[e] += 1;
-            if table.activity().is_active(id) {
-                active[e] += 1;
-            }
+        let mut lo = 0;
+        for (rows, epoch) in table.insert_epochs().iter() {
+            let e = (epoch as usize).min(n - 1);
+            totals[e] += rows;
+            active[e] += count_set_bits_in(table.activity_words(), lo, lo + rows);
+            lo += rows;
         }
         Self { totals, active }
     }
@@ -365,7 +365,7 @@ impl SimReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amnesia_columnar::Schema;
+    use amnesia_columnar::{RowId, Schema};
 
     #[test]
     fn pf_definition() {

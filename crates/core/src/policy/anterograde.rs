@@ -48,9 +48,10 @@ impl AmnesiaPolicy for AnterogradePolicy {
     ) -> Vec<RowId> {
         let n = clamp_victims(ctx, n);
         let ids = active_rows(ctx);
+        let mut epochs = ctx.table.insert_epochs().cursor();
         let weights: Vec<f64> = ids
             .iter()
-            .map(|&r| ((ctx.table.insert_epoch(r) + 1) as f64).powf(self.bias))
+            .map(|&r| ((epochs.get(r) + 1) as f64).powf(self.bias))
             .collect();
         rng.weighted_sample(&weights, n)
             .into_iter()

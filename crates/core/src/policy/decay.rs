@@ -55,13 +55,14 @@ impl DecayPolicy {
         self.score.get(row.as_usize()).copied().unwrap_or(0.0)
     }
 
-    /// Fold the newest access increments into the learned scores.
+    /// Fold the newest access increments into the learned scores. Only
+    /// active rows learn: a forgotten row is never a candidate again.
     fn learn(&mut self, ctx: &PolicyContext<'_>) {
         let n = ctx.table.num_rows();
         self.score.resize(n, 0.0);
         self.seen_freq.resize(n, 0.0);
-        let freqs = ctx.table.access().frequencies();
-        for (i, &f) in freqs.iter().enumerate() {
+        for row in ctx.table.iter_active() {
+            let (i, f) = (row.as_usize(), ctx.table.access().frequency(row));
             let delta = (f - self.seen_freq[i]).max(0.0);
             self.score[i] = self.alpha * delta + (1.0 - self.alpha) * self.score[i];
             self.seen_freq[i] = f;
@@ -83,9 +84,10 @@ impl AmnesiaPolicy for DecayPolicy {
         let n = clamp_victims(ctx, n);
         self.learn(ctx);
         let table = ctx.table;
+        let mut epochs = table.insert_epochs().cursor();
         let mut ids: Vec<RowId> = table
             .iter_active()
-            .filter(|&r| ctx.epoch.saturating_sub(table.insert_epoch(r)) >= self.protect_age)
+            .filter(|&r| ctx.epoch.saturating_sub(epochs.get(r)) >= self.protect_age)
             .collect();
         if ids.len() < n {
             // The guard must yield when the budget demands victims.

@@ -74,12 +74,13 @@ impl AmnesiaPolicy for EbbinghausPolicy {
         let n = clamp_victims(ctx, n);
         let table = ctx.table;
         let ids: Vec<RowId> = table.active_row_ids();
+        let mut epochs = table.insert_epochs().cursor();
         let weights: Vec<f64> = ids
             .iter()
             .map(|&r| {
                 // A rehearsal resets the clock; an untouched tuple's clock
                 // starts at insertion.
-                let last = table.access().last_access(r).max(table.insert_epoch(r));
+                let last = table.access().last_access(r).max(epochs.get(r));
                 let age = ctx.epoch.saturating_sub(last) as f64;
                 self.lapse(age, table.access().frequency(r))
             })

@@ -30,10 +30,11 @@ impl AmnesiaPolicy for LruPolicy {
     ) -> Vec<RowId> {
         let n = clamp_victims(ctx, n);
         let table = ctx.table;
+        let mut epochs = table.insert_epochs().cursor();
         let mut by_recency: Vec<(u64, RowId)> = table
             .iter_active()
             .map(|r| {
-                let recency = table.insert_epoch(r).max(table.access().last_access(r));
+                let recency = epochs.get(r).max(table.access().last_access(r));
                 (recency, r)
             })
             .collect();

@@ -373,13 +373,11 @@ pub(crate) mod testkit {
     pub fn retention_by_epoch(table: &Table, batches: u64) -> Vec<f64> {
         let mut total = vec![0usize; batches as usize + 1];
         let mut active = vec![0usize; batches as usize + 1];
-        for r in 0..table.num_rows() {
-            let id = RowId::from(r);
-            let e = table.insert_epoch(id) as usize;
-            total[e] += 1;
-            if table.activity().is_active(id) {
-                active[e] += 1;
-            }
+        let mut lo = 0;
+        for (rows, epoch) in table.insert_epochs().iter() {
+            total[epoch as usize] += rows;
+            active[epoch as usize] += table.activity().active_in_range(lo, lo + rows);
+            lo += rows;
         }
         total
             .iter()

@@ -39,9 +39,10 @@ impl AmnesiaPolicy for RotPolicy {
         let n = clamp_victims(ctx, n);
         let table = ctx.table;
         // Candidates: active rows old enough to rot.
+        let mut epochs = table.insert_epochs().cursor();
         let mut ids: Vec<RowId> = table
             .iter_active()
-            .filter(|&r| ctx.epoch.saturating_sub(table.insert_epoch(r)) >= self.high_water_age)
+            .filter(|&r| ctx.epoch.saturating_sub(epochs.get(r)) >= self.high_water_age)
             .collect();
         if ids.len() < n {
             // Not enough aged rows: the budget still must hold, so the

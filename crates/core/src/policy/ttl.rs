@@ -25,9 +25,10 @@ impl TtlPolicy {
 
     /// Rows whose age strictly exceeds the TTL at `epoch`.
     pub fn expired(&self, ctx: &PolicyContext<'_>) -> Vec<RowId> {
+        let mut epochs = ctx.table.insert_epochs().cursor();
         ctx.table
             .iter_active()
-            .filter(|&r| ctx.epoch.saturating_sub(ctx.table.insert_epoch(r)) > self.max_age)
+            .filter(|&r| ctx.epoch.saturating_sub(epochs.get(r)) > self.max_age)
             .collect()
     }
 }

@@ -198,12 +198,34 @@ impl Bitmap {
         }
     }
 
-    /// Extend with `n` copies of `value`.
+    /// Extend with `n` copies of `value`, a word at a time.
     pub fn extend(&mut self, n: usize, value: bool) {
-        self.blocks.reserve(n / BLOCK_BITS + 1);
-        for _ in 0..n {
-            self.push(value);
+        let (lo, hi) = (self.len, self.len + n);
+        self.blocks.resize(hi.div_ceil(BLOCK_BITS), 0);
+        self.len = hi;
+        if value && n > 0 {
+            for i in lo / BLOCK_BITS..=(hi - 1) / BLOCK_BITS {
+                self.blocks[i] |= clip_word(!0, i, lo, hi);
+            }
+            self.ones += n;
         }
+    }
+
+    /// Clear every bit in `[lo, hi)`, a word at a time. Returns how many
+    /// of them were set.
+    pub fn clear_range(&mut self, lo: usize, hi: usize) -> usize {
+        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
+        if lo == hi {
+            return 0;
+        }
+        let mut cleared = 0;
+        for i in lo / BLOCK_BITS..=(hi - 1) / BLOCK_BITS {
+            let mask = clip_word(!0, i, lo, hi);
+            cleared += (self.blocks[i] & mask).count_ones() as usize;
+            self.blocks[i] &= !mask;
+        }
+        self.ones -= cleared;
+        cleared
     }
 
     /// Iterator over the positions of set bits, ascending.
@@ -697,6 +719,27 @@ mod proptests {
             let got: Vec<usize> = bm.iter_ones_in(lo, hi).collect();
             let expect: Vec<usize> = bm.iter_ones().filter(|&i| i >= lo && i < hi).collect();
             prop_assert_eq!(got, expect);
+        }
+
+        #[test]
+        fn extend_and_clear_range_equal_bit_at_a_time(
+            chunks in proptest::collection::vec((0usize..150, any::<bool>()), 0..6),
+            lo in 0usize..450,
+            hi in 0usize..450,
+        ) {
+            let mut bm = Bitmap::new();
+            let mut model: Vec<bool> = Vec::new();
+            for &(n, value) in &chunks {
+                bm.extend(n, value);
+                model.resize(model.len() + n, value);
+            }
+            prop_assert_eq!(&bm, &model.iter().copied().collect::<Bitmap>());
+            let hi = hi.min(model.len());
+            let lo = lo.min(hi);
+            let was_set = model[lo..hi].iter().filter(|&&b| b).count();
+            prop_assert_eq!(bm.clear_range(lo, hi), was_set);
+            model[lo..hi].fill(false);
+            prop_assert_eq!(&bm, &model.iter().copied().collect::<Bitmap>());
         }
 
         #[test]

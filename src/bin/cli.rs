@@ -169,6 +169,36 @@ impl Session {
                     self.db.table(id).active_rows()
                 ))
             }
+            ["stats", table] => {
+                let t = self.db.table(self.table_id(table)?);
+                let m = t.memory_breakdown();
+                let per_row = |bytes: usize| bytes as f64 / t.active_rows().max(1) as f64;
+                let mut out = format!(
+                    "{table}: {} active / {} physical rows, {} frozen blocks, {} rows in dropped blocks\n\
+                     resident {} B ({:.2} B per active row)\n",
+                    t.active_rows(),
+                    t.num_rows(),
+                    t.frozen_blocks(),
+                    t.dropped_rows(),
+                    m.total(),
+                    per_row(m.total()),
+                );
+                for (what, bytes, why) in [
+                    ("payload", m.payload, "hot tails, frozen blocks, block headers"),
+                    ("activity", m.activity, "active bitmap, 1 bit per physical row"),
+                    (
+                        "row metadata",
+                        m.row_metadata,
+                        "death-epoch and access pages of resident blocks, runs of dropped ones, insert-epoch runs",
+                    ),
+                ] {
+                    out.push_str(&format!(
+                        "  {what:<13}{bytes:>12} B {:>8.2} B/row  {why}\n",
+                        per_row(bytes)
+                    ));
+                }
+                Ok(out.trim_end().to_string())
+            }
             ["epoch"] => {
                 self.epoch += 1;
                 Ok(format!("advanced to epoch {}", self.epoch))
@@ -235,6 +265,7 @@ Meta:  \create <table> <col> [col ...]   make a table
        \epoch                            advance the logical clock
        \domain <n>                       set the \load value domain
        \tables                           list tables
+       \stats <table>                    resident bytes: payload / activity / row metadata
        \quit                             leave
 "#;
 
@@ -351,6 +382,16 @@ mod tests {
         let tables = ok(&mut s, r"\tables");
         assert!(tables.contains("t (a)"), "{tables}");
         assert!(ok(&mut s, r"\help").contains("\\forget"));
+        ok(&mut s, r"\load t uniform 3000");
+        ok(&mut s, r"\forget t fifo 100");
+        let stats = ok(&mut s, r"\stats t");
+        assert!(
+            stats.contains("2900 active / 3000 physical rows"),
+            "{stats}"
+        );
+        for part in ["payload", "activity", "row metadata"] {
+            assert!(stats.contains(part), "{stats}");
+        }
         // Comments and blank lines are silent.
         assert_eq!(ok(&mut s, "-- nothing"), "");
         assert_eq!(ok(&mut s, "   "), "");

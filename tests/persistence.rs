@@ -384,6 +384,137 @@ fn v3_directory_fixture_recovers_to_the_same_table() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The v4 bytes, pinned: a snapshot written at the commit before the
+/// per-row metadata became runs and pages (two-column table, 64-row
+/// blocks; two dropped blocks whose death run crosses their boundary, a
+/// recompressed block of scattered forgets, contiguous forgets in a frozen
+/// block and in the hot tail; six insert batches over four epochs that do
+/// not ascend; rows touched before the drop and after it, some inside the
+/// dropped blocks) decodes to the values its writer held and re-encodes to
+/// the same bytes.
+#[test]
+fn v4_snapshot_fixture_round_trips_byte_for_byte() {
+    let bytes = include_bytes!("fixtures/v4_table.snap");
+    assert_eq!(snapshot::peek_version(bytes).unwrap(), 4);
+    let (t, meta) = snapshot::decode_with_meta(bytes).expect("v4 fixture must decode");
+    assert_eq!(
+        (
+            meta.last_seqno,
+            meta.blocks_dropped,
+            meta.blocks_recompressed
+        ),
+        (77, 2, 1)
+    );
+    assert_eq!((t.num_rows(), t.dropped_rows()), (400, 128));
+    assert_eq!(t.forgotten_rows(), 128 + 48 + 9);
+    let died_at = |r| t.activity().died_at(RowId(r));
+    // Rows 0..96 died at 6 and 96..128 at 7: both blocks are dropped, and
+    // the first run crosses from one into the other.
+    assert_eq!(
+        (died_at(0), died_at(70), died_at(95)),
+        (Some(6), Some(6), Some(6))
+    );
+    assert_eq!((died_at(96), died_at(127)), (Some(7), Some(7)));
+    assert_eq!(
+        (died_at(128), died_at(129), died_at(131)),
+        (None, Some(8), Some(8))
+    );
+    assert_eq!(
+        (died_at(199), died_at(200), died_at(203)),
+        (None, Some(9), None)
+    );
+    assert_eq!(
+        (died_at(394), died_at(395), died_at(399)),
+        (Some(9), None, Some(10))
+    );
+    let epoch = |r| t.insert_epoch(RowId(r));
+    assert_eq!((epoch(0), epoch(70), epoch(99), epoch(100)), (0, 0, 0, 1));
+    assert_eq!((epoch(259), epoch(260), epoch(299)), (1, 3, 3));
+    assert_eq!(
+        (epoch(300), epoch(339), epoch(340), epoch(399)),
+        (2, 2, 5, 5)
+    );
+    assert_eq!(t.current_epoch(), 5);
+    let access = |r| {
+        (
+            t.access().frequency(RowId(r)),
+            t.access().last_access(RowId(r)),
+        )
+    };
+    // Every 13th row touched at 1 before the drop, every 11th at 2 and 4
+    // after it; rows 0, 11, 13 and 26 lie in the dropped blocks.
+    assert_eq!(
+        (access(0), access(11), access(13), access(26)),
+        ((3.0, 4), (2.0, 4), (1.0, 1), (1.0, 1))
+    );
+    assert_eq!(
+        (access(143), access(396), access(390), access(12)),
+        ((3.0, 4), (2.0, 4), (1.0, 1), (0.0, 0))
+    );
+    assert_eq!(t.value(0, RowId(321)), 321);
+    assert_eq!(t.value(1, RowId(321)), (321 * 7919) % 1000 - 500);
+    t.check_invariants().unwrap();
+    assert_eq!(snapshot::encode_with_meta(&t, meta), &bytes[..]);
+}
+
+/// A whole v4 directory as the parent commit left it — `table.snap` from a
+/// drop's shred, then batch inserts, a row insert, forgets (kind 2 and
+/// kind 8), a freeze and a recompress in the live segment — recovers to the
+/// table the same operations build today, its snapshot re-encodes to the
+/// same bytes, and the directory keeps working.
+#[test]
+fn v4_directory_fixture_recovers_to_the_same_table() {
+    let dir = tmp_dir("v4-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = &include_bytes!("fixtures/v4_dir/table.snap")[..];
+    let seg = &include_bytes!("fixtures/v4_dir/wal-00000001.seg")[..];
+    std::fs::write(dir.join("table.snap"), snap).unwrap();
+    std::fs::write(dir.join("wal-00000001.seg"), seg).unwrap();
+    let (at_shred, meta) = snapshot::decode_with_meta(snap).unwrap();
+    assert_eq!(at_shred.dropped_rows(), 64);
+    assert_eq!(at_shred.activity().died_at(RowId(40)), Some(1));
+    assert_eq!(snapshot::encode_with_meta(&at_shred, meta), snap);
+
+    let ops = vec![
+        WOp::Insert(0, (0..200).collect()),
+        WOp::Insert(1, (200..210).collect()),
+        WOp::ForgetBatch(1, (0..64).collect()),
+        WOp::Freeze(128),
+        WOp::Drop,
+        WOp::Insert(2, (210..240).collect()),
+        WOp::Insert(2, vec![999]),
+        WOp::Forget(3, 70),
+        WOp::ForgetBatch(3, vec![72, 74, 76, 239]),
+        WOp::Freeze(192),
+        WOp::Recompress(0.99),
+    ];
+    let (want, dropped, recompressed) = reference_state(&ops, 64);
+    let mut pt = PersistentTable::open(&dir).unwrap();
+    assert!(pt.recovered_clean());
+    assert!(states_equal(&want, pt.table()));
+    assert_eq!(
+        (pt.blocks_dropped(), pt.blocks_recompressed()),
+        (dropped, recompressed)
+    );
+    assert_eq!(pt.table().activity().died_at(RowId(40)), Some(1));
+    assert_eq!(pt.table().insert_epoch(RowId(205)), 1);
+    let tail = [
+        WOp::ForgetBatch(4, vec![100, 101, 102, 229]),
+        WOp::Checkpoint,
+        WOp::Insert(5, (0..20).collect()),
+    ];
+    for op in &tail {
+        apply_wop(&mut pt, op).unwrap();
+    }
+    pt.sync().unwrap();
+    drop(pt);
+    let (want, ..) = reference_state(&[&ops[..], &tail[..]].concat(), 64);
+    let rec = PersistentTable::open(&dir).unwrap();
+    assert!(rec.recovered_clean());
+    assert!(states_equal(&want, rec.table()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // Segmented WAL: torn tails across record kinds and segment boundaries.
 // ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 //! insert/forget interleaving.
 
 use amnesia::columnar::MemoryColdStore;
+use amnesia::core::store::TierConfig;
 use amnesia::prelude::*;
 use proptest::prelude::*;
 
-/// Drive a store through a fixed-budget amnesia loop; returns the ledger
-/// of everything inserted.
+/// Drive a store through a fixed-budget amnesia loop under uniform
+/// forgetting; returns the ledger of everything inserted.
 fn drive(
     store: &mut AmnesiacStore,
     dbsize: usize,
@@ -15,8 +16,27 @@ fn drive(
     batches: u64,
     seed: u64,
 ) -> Vec<i64> {
+    drive_with(
+        store,
+        &PolicyKind::Uniform,
+        dbsize,
+        per_batch,
+        batches,
+        seed,
+    )
+}
+
+/// [`drive`] under any policy.
+fn drive_with(
+    store: &mut AmnesiacStore,
+    policy: &PolicyKind,
+    dbsize: usize,
+    per_batch: usize,
+    batches: u64,
+    seed: u64,
+) -> Vec<i64> {
     let mut rng = SimRng::new(seed);
-    let mut policy = PolicyKind::Uniform.build();
+    let mut policy = policy.build();
     let mut ledger = Vec::new();
 
     let initial: Vec<i64> = (0..dbsize as i64).map(|i| i * 3).collect();
@@ -143,4 +163,60 @@ proptest! {
         let got = store.query(&Query::Range(pred)).output.cardinality();
         prop_assert_eq!(got, dbsize, "active-only answer is exactly the budget");
     }
+}
+
+/// A durable, tiered store held at `dbsize` rows and driven until
+/// `history` rows have been inserted; returns resident bytes per active
+/// row.
+fn resident_bytes_per_row(policy: &PolicyKind, dbsize: usize, history: usize, tag: &str) -> f64 {
+    let dir = std::env::temp_dir().join(format!("amn-flat-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (table, log) = PersistentTable::create(&dir, Schema::single("a"))
+        .unwrap()
+        .into_parts();
+    let mut store = AmnesiacStore::from_table(table, ForgetMode::MarkOnly)
+        .with_durability(Box::new(log))
+        .with_tiering(TierConfig::default());
+    let per_batch = dbsize / 20;
+    let batches = ((history - dbsize) / per_batch) as u64;
+    drive_with(&mut store, policy, dbsize, per_batch, batches, 7);
+    let snap = store.metrics_snapshot();
+    assert_eq!((snap.total_rows, snap.active_rows), (history, dbsize));
+    std::fs::remove_dir_all(&dir).ok();
+    snap.resident_bytes as f64 / snap.active_rows as f64
+}
+
+/// The paper holds storage at `DBSIZE`; so must the store, however long
+/// it has been running. Under FIFO every block older than the window is
+/// dropped, and what a dropped block leaves behind — its bits of the
+/// active bitmap, a block header, a death run — is under half a byte per
+/// row of the window for every further `DBSIZE` of history.
+#[test]
+fn fifo_resident_bytes_per_row_are_flat_in_history() {
+    let dbsize = 50_000;
+    let at = |history: usize, tag| resident_bytes_per_row(&PolicyKind::Fifo, dbsize, history, tag);
+    let (short, long) = (
+        at(dbsize * 3 / 2, "fifo-short"),
+        at(dbsize * 3, "fifo-long"),
+    );
+    let per_dbsize_of_history = (long - short) / 1.5;
+    assert!(
+        per_dbsize_of_history < 0.5,
+        "{short:.3} B/row at 1.5x DBSIZE of history, {long:.3} at 3x: \
+         +{per_dbsize_of_history:.3} B/row per DBSIZE"
+    );
+    assert!(long < 4.0, "{long:.3} B/row for one compressible column");
+}
+
+/// Uniform forgetting is the other extreme: no block ever dies, so every
+/// block keeps its payload and a page of death epochs (8 B per row ever
+/// inserted) — and nothing else per row.
+#[test]
+fn uniform_forgetting_keeps_one_death_page_per_block_and_nothing_else() {
+    let dbsize = 50_000;
+    let per_row = resident_bytes_per_row(&PolicyKind::Uniform, dbsize, dbsize * 37 / 20, "uniform");
+    assert!(
+        per_row <= 24.0,
+        "{per_row:.3} B/row at 1.85x DBSIZE of history"
+    );
 }
