@@ -37,6 +37,9 @@ GATED = (
     # Its restore: the dropped history decodes run by run into sealed
     # runs, never row by row — the in-memory half of `recover_ms`.
     "snapshot/decode_fifo_history",
+    # Planning a three-conjunct scan from held column summaries: it must
+    # stay O(predicates x bins) — a rebuild per statement is 1000x this.
+    "stats/order_predicates/frozen",
 )
 
 DEFAULT_THRESHOLD_PCT = 25.0

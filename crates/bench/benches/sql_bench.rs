@@ -12,17 +12,19 @@
 //!
 //! Legs: the grouped-aggregate query over hot / mixed / frozen tables,
 //! the row-at-a-time reference on the same frozen table, a global
-//! (ungrouped) multi-predicate aggregate, and a selective projection.
+//! (ungrouped) multi-predicate aggregate, a selective projection, and
+//! what planning costs: `order_predicates` in the steady state (every
+//! column's summary held) and one cold summary build over 2 000 blocks.
 
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use amnesia_columnar::compress::block_decodes;
-use amnesia_columnar::{Schema, Table, Value};
+use amnesia_columnar::{ColumnSummary, RowId, Schema, Table, Value};
 use amnesia_engine::{
-    q_error, ColPred, ColumnStats, CostModel, ExecMode, Executor, PhysItem, PhysScan, PhysicalPlan,
-    PlanHint,
+    order_predicates, q_error, ColPred, ColumnStats, CostModel, ExecMode, Executor, PhysItem,
+    PhysScan, PhysicalPlan, PlanHint,
 };
 use amnesia_sql::{run, run_with, Catalog, Datum, QueryOutcome};
 use amnesia_util::SimRng;
@@ -402,7 +404,7 @@ fn sql(c: &mut Criterion) {
         let mut qt = Table::new(Schema::single("v"));
         qt.insert_batch(&values, 0).unwrap();
         qt.freeze_upto((values.len() / qt.block_rows()) * qt.block_rows());
-        let stats = ColumnStats::from_tier(qt.col_tier(0), &model);
+        let stats = ColumnStats::of(&qt, 0, &model);
         for (lo, hi) in [(0i64, 999), (0, 4_999), (2_500, 7_499), (5_000, 9_999)] {
             let p = ColPred::range(0, lo, hi);
             let actual = values.iter().filter(|&&v| lo <= v && v <= hi).count() as f64;
@@ -485,6 +487,49 @@ fn sql(c: &mut Criterion) {
         b.iter(|| black_box(ex.execute_plan(&wtables, &[], &worst_order_plan(PlanHint::CostBased))))
     });
     wo.finish();
+
+    // Planning in the steady state: every referenced column holds a
+    // current summary, so ordering three conjuncts reads three histograms
+    // and walks no block meta and no hot value — the same on a table of
+    // 976 frozen blocks and on a million hot rows.
+    let preds = [
+        ColPred::range(0, 100, 140),
+        ColPred::range(1, A_LO, A_HI),
+        ColPred::range(2, B_GT + 1, i64::MAX),
+    ];
+    let mut planning = c.benchmark_group("stats/order_predicates");
+    for (name, t) in [("frozen", &frozen.table), ("hot", &hot.table)] {
+        planning.bench_function(name, |b| {
+            b.iter(|| black_box(order_predicates(t, black_box(&preds), &model)))
+        });
+    }
+    planning.finish();
+
+    // What the first statement after a forget pays, once per referenced
+    // column: a cold build over 2 000 frozen blocks whose metas all span
+    // the domain (uniform values, the `stream_scatter` shape) and a
+    // partly forgotten hot tail.
+    let mut rng = SimRng::new(0x5CA7);
+    let mut wide = Table::with_block_rows(Schema::single("v"), 64);
+    let values: Vec<Value> = (0..2_000 * 64 + 40)
+        .map(|_| rng.range_i64(0, 1_000_000))
+        .collect();
+    wide.insert_batch(&values, 0).unwrap();
+    for r in (0..values.len()).step_by(8) {
+        wide.forget(RowId::from(r), 1).unwrap();
+    }
+    wide.freeze_upto(values.len());
+    assert_eq!(wide.frozen_blocks(), 2_000);
+    let mut rebuild = c.benchmark_group("stats/summary_rebuild");
+    rebuild.bench_function("frozen_2000_blocks", |b| {
+        b.iter(|| {
+            black_box(ColumnSummary::from_tier(
+                wide.col_tier(0),
+                wide.activity_words(),
+            ))
+        })
+    });
+    rebuild.finish();
 }
 
 criterion_group! {

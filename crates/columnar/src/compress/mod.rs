@@ -100,6 +100,26 @@ pub fn block_decodes() -> u64 {
     BLOCK_DECODES.with(Cell::get)
 }
 
+thread_local! {
+    /// Column summaries built by this thread (see [`summary_builds`]).
+    static SUMMARY_BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of column summaries this thread has built — the planner's
+/// twin of [`block_decodes`]: a statement reads each referenced column's
+/// [`ColumnSummary`](crate::tier::ColumnSummary) and builds one only
+/// when a mutation since the last statement made the held one stale, so
+/// the delta across a statement is the number of rebuilds it paid for.
+/// Thread-local for the same reason as [`block_decodes`].
+pub fn summary_builds() -> u64 {
+    SUMMARY_BUILDS.with(Cell::get)
+}
+
+/// Count one summary build (the builder in [`crate::tier`] calls this).
+pub(crate) fn note_summary_build() {
+    SUMMARY_BUILDS.with(|c| c.set(c.get() + 1));
+}
+
 /// Available encodings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Encoding {

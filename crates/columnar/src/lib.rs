@@ -25,7 +25,9 @@
 //! * [`tier`] — tiered column storage: cold full blocks live *compressed
 //!   in place* (hot → frozen → recompressed → dropped) with cached
 //!   per-block zone metadata, so compression is the table's resting
-//!   state rather than a side-car snapshot,
+//!   state rather than a side-car snapshot; each column also holds the
+//!   [`ColumnSummary`] planners read, rebuilt at most once per burst of
+//!   mutations,
 //! * [`coldstore`] — where forgotten tuples can be moved instead of
 //!   deleted (§1, §5),
 //! * [`summary`] — aggregate summaries of forgotten data (§1 "keep a
@@ -72,6 +74,6 @@ pub use schema::{ColumnDef, Schema};
 pub use segment::SegmentedColumn;
 pub use summary::{SummaryCell, SummaryStore};
 pub use table::{MemoryBreakdown, Table};
-pub use tier::{BlockMeta, BlockState, FrozenBlock, TieredColumn};
+pub use tier::{BlockMeta, BlockState, ColumnSummary, FrozenBlock, TieredColumn};
 pub use types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};
 pub use zonemap::{WordZoneMap, Zone, ZoneMap};

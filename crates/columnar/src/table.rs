@@ -8,6 +8,7 @@
 //! per row) still covers the whole history.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use amnesia_util::{storage_err, Error, Result, SimRng};
 use serde::{Deserialize, Serialize};
@@ -18,7 +19,7 @@ use crate::column::Column;
 use crate::compress::Encoding;
 use crate::paged::EpochRuns;
 use crate::schema::Schema;
-use crate::tier::TieredColumn;
+use crate::tier::{ColumnSummary, TieredColumn};
 use crate::types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};
 
 /// A columnar table whose tuples can be *forgotten*.
@@ -218,6 +219,14 @@ impl Table {
     #[inline]
     pub fn col_tier(&self, col: usize) -> &TieredColumn {
         self.columns[col].tier()
+    }
+
+    /// The planner's view of `col`: the [`ColumnSummary`] of its active
+    /// rows, held by the column between mutations (see
+    /// [`TieredColumn::summary`]) — what a statement costs to plan does
+    /// not depend on what the table holds.
+    pub fn col_summary(&self, col: usize) -> Arc<ColumnSummary> {
+        self.columns[col].tier().summary(self.activity.words())
     }
 
     /// The whole column in physical row order: borrowed while fully hot,

@@ -46,8 +46,23 @@
 //! bounds *safe* rather than tight (they only shrink on recompression),
 //! and `active` counts are exact because [`TieredColumn::note_forget`]
 //! observes every first-time forget.
+//!
+//! # The column summary
+//!
+//! What a planner asks of a column — how its active values are
+//! distributed, which codecs hold them, whether they are in order — is a
+//! [`ColumnSummary`], built at most once per burst of mutations and held
+//! in a cell beside the data ([`TieredColumn::summary`]). Every
+//! transition above and every forget empties the cell; an append does
+//! not touch it, the summary remembers the hot length it was built at and
+//! is stale once that differs. The cell is derived state: it stays out of
+//! `Clone`, `PartialEq`, snapshots and the log.
 
+use std::sync::{Arc, PoisonError};
+
+use amnesia_distrib::Histogram;
 use amnesia_sync::atomic::{AtomicU64, Ordering};
+use amnesia_sync::mutex::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -55,7 +70,7 @@ use amnesia_util::WORD_BITS;
 use bytes::BytesMut;
 
 use crate::compress::varint::{write_signed, write_varint};
-use crate::compress::{bit_set, EncodedBlock, Encoding};
+use crate::compress::{bit_set, note_summary_build, EncodedBlock, Encoding};
 use crate::types::{Value, DEFAULT_BLOCK_ROWS};
 
 /// Cached per-block metadata: the tier layer's built-in zone map.
@@ -192,6 +207,187 @@ impl std::fmt::Debug for AccessCounters {
     }
 }
 
+/// Histogram resolution of a [`ColumnSummary`]: enough buckets to
+/// separate selective from wide predicates, few enough that a statement
+/// reads one in a handful of cache lines.
+const SUMMARY_BINS: usize = 64;
+
+/// Hot-tail sampling cap: past this many active hot rows the builder
+/// strides, each sampled value standing in for the rows it skipped so the
+/// total mass is conserved.
+const HOT_SAMPLE_CAP: usize = 65_536;
+
+/// What a planner asks of a column, independent of any cost model: a
+/// pseudo-histogram of the *active* values, the active rows held per
+/// codec, and whether the active rows are in value order.
+///
+/// Frozen blocks contribute their cached [`BlockMeta`] — `active` mass
+/// spread uniformly over `[min, max]` — so no payload is touched; the hot
+/// tail contributes its active values (stride-sampled past 65 536 of
+/// them). Built by [`TieredColumn::summary`], which is the one way to get
+/// one outside tests and benches.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnSummary {
+    /// `None` when the column has no active row.
+    hist: Option<Histogram>,
+    /// Active rows per [`Encoding::tag`], the hot tail last.
+    codec_active: [u64; Encoding::ALL.len() + 1],
+    sorted: bool,
+    /// Hot-tail length at build time: appends are the one mutation that
+    /// does not empty the cell, so they are detected here.
+    hot_len: usize,
+}
+
+impl ColumnSummary {
+    /// Build the summary of `tier` under the owning table's activity
+    /// `words` (which must cover every row of the column). Reads each
+    /// frozen block's meta twice and each hot value at most twice; the
+    /// builder behind [`TieredColumn::summary`] — call that instead.
+    pub fn from_tier(tier: &TieredColumn, words: &[u64]) -> Self {
+        assert!(
+            words.len() * WORD_BITS >= tier.len(),
+            "{} activity words for a column of {} rows",
+            words.len(),
+            tier.len()
+        );
+        note_summary_build();
+        let mut codec_active = [0u64; Encoding::ALL.len() + 1];
+        let mut lo = Value::MAX;
+        let mut hi = Value::MIN;
+        // `prev` is the largest value the rows so far allow; the column
+        // stays `sorted` while every next active value is at or above it.
+        let mut sorted = true;
+        let mut prev = Value::MIN;
+        for f in &tier.frozen {
+            if f.meta.active == 0 {
+                continue;
+            }
+            lo = lo.min(f.meta.min);
+            hi = hi.max(f.meta.max);
+            codec_active[f.block.encoding().tag() as usize] += f.meta.active as u64;
+            sorted &= f.meta.min >= prev;
+            prev = f.meta.max;
+        }
+        let mut hot_active = 0usize;
+        for (chunk, w) in tier.hot_words(words) {
+            hot_active += w.count_ones() as usize;
+            let mut bits = w;
+            while bits != 0 {
+                let v = chunk[bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+                lo = lo.min(v);
+                hi = hi.max(v);
+                sorted &= v >= prev;
+                prev = v;
+            }
+        }
+        codec_active[Encoding::ALL.len()] = hot_active as u64;
+        let hist = codec_active.iter().any(|&rows| rows > 0).then(|| {
+            let bins = (hi.abs_diff(lo).saturating_add(1)).min(SUMMARY_BINS as u64) as usize;
+            let mut hist = Histogram::new(lo, hi, bins);
+            for f in &tier.frozen {
+                hist.add_mass(f.meta.min, f.meta.max, f.meta.active as u64);
+            }
+            // Every `stride`-th active hot row stands in for its group
+            // (the last group may be short), so the mass is `hot_active`.
+            let stride = hot_active.div_ceil(HOT_SAMPLE_CAP).max(1);
+            let mut left = hot_active;
+            // Active rows to pass over before the next sample.
+            let mut skip = 0usize;
+            for (chunk, w) in tier.hot_words(words) {
+                let here = w.count_ones() as usize;
+                if skip >= here {
+                    skip -= here;
+                    continue;
+                }
+                let mut bits = w;
+                while bits != 0 {
+                    let v = chunk[bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    if skip == 0 {
+                        let group = stride.min(left);
+                        hist.add_n(v, group as u64);
+                        left -= group;
+                        skip = stride;
+                    }
+                    skip -= 1;
+                }
+            }
+            hist
+        });
+        Self {
+            hist,
+            codec_active,
+            sorted,
+            hot_len: tier.hot.len(),
+        }
+    }
+
+    /// The pseudo-histogram of the active values; `None` when the column
+    /// has no active row. Its total is [`Self::active_rows`].
+    pub fn histogram(&self) -> Option<&Histogram> {
+        self.hist.as_ref()
+    }
+
+    /// Active rows in the column (frozen and hot).
+    pub fn active_rows(&self) -> u64 {
+        self.codec_active.iter().sum()
+    }
+
+    /// Active rows held in blocks of `encoding` (`None` = the hot tail):
+    /// the weights a cost model blends its per-codec prices with.
+    pub fn active_rows_in(&self, encoding: Option<Encoding>) -> u64 {
+        self.codec_active[encoding.map_or(Encoding::ALL.len(), |e| e.tag() as usize)]
+    }
+
+    /// Cheap, conservative test that the column's physical row order is
+    /// nondecreasing in *value* over its active rows: frozen block metas
+    /// chain nondecreasingly (blocks with no active rows contribute
+    /// nothing) and the active hot rows continue the chain in order.
+    ///
+    /// A `true` is a *hint*: block meta cannot see within-block order, so
+    /// callers relying on global order (the sort-merge join path) must
+    /// verify on the materialized keys before trusting it. `false` is
+    /// always safe — it only forfeits an optimization.
+    pub fn sorted_hint(&self) -> bool {
+        self.sorted
+    }
+
+    /// Resident bytes of the summary.
+    fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.hist.as_ref().map_or(0, Histogram::bins) * std::mem::size_of::<u64>()
+    }
+}
+
+/// Where a column keeps its [`ColumnSummary`]. Derived state like
+/// [`AccessCounters`], so a clone starts empty (whoever holds the clone
+/// may pair it with other activity words) and equality ignores it. Read
+/// through `&self` under the lock; every `&mut` transition empties it
+/// with `get_mut`, which takes no lock.
+#[derive(Debug, Default)]
+struct SummaryCell(Mutex<Option<Arc<ColumnSummary>>>);
+
+impl SummaryCell {
+    /// Empty the cell: the data it describes is about to change.
+    #[inline]
+    fn clear(&mut self) {
+        *self.0.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+    }
+}
+
+impl Clone for SummaryCell {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for SummaryCell {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
 /// A column whose cold prefix lives compressed in place: frozen
 /// [`EncodedBlock`]s with cached [`BlockMeta`], then a hot uncompressed
 /// tail. Replaces the raw `Vec<Value>` inside `Table`/`Column`.
@@ -208,6 +404,7 @@ pub struct TieredColumn {
     frozen: Vec<FrozenBlock>,
     hot: Vec<Value>,
     accesses: AccessCounters,
+    summary: SummaryCell,
 }
 
 impl TieredColumn {
@@ -228,6 +425,7 @@ impl TieredColumn {
             frozen: Vec::new(),
             hot: Vec::new(),
             accesses: AccessCounters::default(),
+            summary: SummaryCell::default(),
         }
     }
 
@@ -353,29 +551,45 @@ impl TieredColumn {
             .sum()
     }
 
-    /// Cheap, conservative test that this column's physical row order is
-    /// nondecreasing in *value* over its active rows: frozen block metas
-    /// must chain nondecreasingly (blocks with no active rows contribute
-    /// nothing and are skipped) and the hot tail must be sorted and sit
-    /// at or above the frozen maximum. Costs O(frozen blocks + hot rows)
-    /// and never touches a compressed payload.
-    ///
-    /// A `true` is a *hint*: block meta cannot see within-block order, so
-    /// callers relying on global order (the sort-merge join path) must
-    /// verify on the materialized keys before trusting it. `false` is
-    /// always safe — it only forfeits an optimization.
-    pub fn sorted_hint(&self) -> bool {
-        let mut prev = Value::MIN;
-        for f in &self.frozen {
-            if f.meta.active == 0 {
-                continue;
-            }
-            if f.meta.min < prev {
-                return false;
-            }
-            prev = f.meta.max;
+    /// The column's [`ColumnSummary`] under the owning table's activity
+    /// `words` — O(1) while the held one is current, one rebuild after a
+    /// burst of mutations. Current means: no freeze, thaw, forget, drop or
+    /// recompression since it was built (each empties the cell) and the
+    /// same hot length (appends leave the cell alone). Concurrent readers
+    /// of a stale cell wait for one build rather than each running their
+    /// own. `words` must be the words every [`Self::note_forget`] of this
+    /// column mirrors, as for [`Self::freeze_upto`].
+    pub fn summary(&self, words: &[u64]) -> Arc<ColumnSummary> {
+        // A poisoned lock still holds a whole summary or none: the one
+        // write under it is the assignment below.
+        let mut held = self
+            .summary
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(s) = held.as_ref().filter(|s| s.hot_len == self.hot.len()) {
+            return Arc::clone(s);
         }
-        self.hot.first().is_none_or(|&h0| h0 >= prev) && self.hot.windows(2).all(|w| w[0] <= w[1])
+        let built = Arc::new(ColumnSummary::from_tier(self, words));
+        *held = Some(Arc::clone(&built));
+        built
+    }
+
+    /// The hot tail as 64-row chunks, each with its activity word (bits
+    /// past a short last chunk cleared).
+    fn hot_words<'a>(&'a self, words: &'a [u64]) -> impl Iterator<Item = (&'a [Value], u64)> {
+        let first = self.hot_start() / WORD_BITS;
+        self.hot
+            .chunks(WORD_BITS)
+            .zip(&words[first..])
+            .map(|(chunk, &w)| {
+                let live = if chunk.len() < WORD_BITS {
+                    (1u64 << chunk.len()) - 1
+                } else {
+                    !0
+                };
+                (chunk, w & live)
+            })
     }
 
     /// Append one value to the hot tail. Freezing is *explicit*
@@ -421,6 +635,7 @@ impl TieredColumn {
         if target <= self.frozen.len() {
             return 0;
         }
+        self.summary.clear();
         let k = target - self.frozen.len();
         let first = self.frozen.len();
         for i in 0..k {
@@ -451,6 +666,7 @@ impl TieredColumn {
         if b >= self.frozen.len() {
             return 0;
         }
+        self.summary.clear();
         let melted: Vec<FrozenBlock> = self.frozen.split_off(b);
         let mut values = Vec::with_capacity(melted.len() * self.block_rows + self.hot.len());
         for f in &melted {
@@ -469,9 +685,10 @@ impl TieredColumn {
 
     /// Record that `row` was forgotten: the owning frozen block's active
     /// count drops so meta pruning sees it immediately. Hot rows have no
-    /// meta to maintain.
+    /// meta to maintain, but they too leave the summary.
     #[inline]
     pub fn note_forget(&mut self, row: usize) {
+        self.summary.clear();
         let b = row / self.block_rows;
         if let Some(f) = self.frozen.get_mut(b) {
             f.meta.active = f.meta.active.saturating_sub(1);
@@ -489,6 +706,7 @@ impl TieredColumn {
         if f.meta.active != 0 || f.is_dropped() {
             return 0;
         }
+        self.summary.clear();
         let old = f.block.compressed_bytes();
         let mut buf = BytesMut::new();
         write_signed(&mut buf, 0);
@@ -523,6 +741,7 @@ impl TieredColumn {
         if f.is_dropped() {
             return 0;
         }
+        self.summary.clear();
         let base = b * block_rows;
         let mut values = f.block.decode();
         let mut meta = BlockMeta {
@@ -585,12 +804,22 @@ impl TieredColumn {
     }
 
     /// Resident heap bytes: frozen payloads + per-block bookkeeping
-    /// (block headers and access counters) + hot-tail capacity.
+    /// (block headers and access counters) + hot-tail capacity + the
+    /// summary while one is held.
     pub fn memory_bytes(&self) -> usize {
+        // The `Arc` allocation is the summary plus its two counts.
+        let summary = self
+            .summary
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .map_or(0, |s| s.memory_bytes() + 2 * std::mem::size_of::<usize>());
         self.bytes_frozen()
             + self.frozen.capacity() * std::mem::size_of::<FrozenBlock>()
             + self.accesses.0.capacity() * std::mem::size_of::<AtomicU64>()
             + self.hot.capacity() * std::mem::size_of::<Value>()
+            + summary
             + std::mem::size_of::<Self>()
     }
 
@@ -869,18 +1098,24 @@ mod tests {
 
     #[test]
     fn sorted_hint_is_conservative() {
+        let hint = |c: &TieredColumn| c.summary(&all_active(c.len())).sorted_hint();
         let mut c = TieredColumn::with_block_rows(64);
         c.extend_from_slice(&(0..200).collect::<Vec<i64>>());
-        assert!(c.sorted_hint(), "sorted hot tail");
+        assert!(hint(&c), "sorted hot tail");
         c.freeze_upto(200, &all_active(200));
-        assert!(c.sorted_hint(), "sorted across tiers");
+        assert!(hint(&c), "sorted across tiers");
         // A hot value below the frozen max breaks the chain.
         c.push(-1);
-        assert!(!c.sorted_hint());
+        assert!(!hint(&c));
+        // ...unless that row is forgotten: the hint is over active rows.
+        let mut words = all_active(201);
+        words[3] &= !(1u64 << 8);
+        c.note_forget(200);
+        assert!(c.summary(&words).sorted_hint());
         // Unsorted hot tail.
         let mut u = TieredColumn::with_block_rows(64);
         u.extend_from_slice(&[3, 1, 2]);
-        assert!(!u.sorted_hint());
+        assert!(!hint(&u));
         // Out-of-order block metas.
         let mut o = TieredColumn::with_block_rows(64);
         o.extend_from_slice(&(0..64).rev().collect::<Vec<i64>>());
@@ -889,12 +1124,114 @@ mod tests {
         // Block 0 meta is [0,63], block 1 meta [100,163]: the chain holds
         // even though block 0 is internally reversed — which is exactly
         // why the hint must be verified on materialized keys.
-        assert!(o.sorted_hint());
+        assert!(hint(&o));
         let mut bad = TieredColumn::with_block_rows(64);
         bad.extend_from_slice(&(100..164).collect::<Vec<i64>>());
         bad.extend_from_slice(&(0..64).collect::<Vec<i64>>());
         bad.freeze_upto(128, &all_active(128));
-        assert!(!bad.sorted_hint());
-        assert!(TieredColumn::new().sorted_hint(), "empty column is sorted");
+        assert!(!hint(&bad));
+        assert!(hint(&TieredColumn::new()), "empty column is sorted");
+    }
+
+    #[test]
+    fn summary_is_held_until_a_mutation_or_an_append() {
+        use crate::compress::summary_builds;
+        let mut c = TieredColumn::with_block_rows(64);
+        c.extend_from_slice(&(0..200).collect::<Vec<i64>>());
+        let mut words = all_active(200);
+        c.freeze_upto(200, &words);
+        let before = summary_builds();
+        let first = c.summary(&words);
+        assert_eq!(summary_builds() - before, 1);
+        assert!(Arc::ptr_eq(&first, &c.summary(&words)), "held, not rebuilt");
+        assert_eq!(summary_builds() - before, 1);
+        assert_eq!(first.active_rows(), 200);
+        assert_eq!(first.histogram().unwrap().total(), 200);
+        assert_eq!(first.histogram().unwrap().range(), (0, 199));
+        assert_eq!(first.active_rows_in(None), 8);
+        let frozen: u64 = Encoding::ALL
+            .iter()
+            .map(|&e| first.active_rows_in(Some(e)))
+            .sum();
+        assert_eq!(frozen, 192);
+        // A clone starts with an empty cell and still compares equal.
+        let twin = c.clone();
+        assert_eq!(twin, c);
+        assert_eq!(*twin.summary(&words), *first);
+        assert_eq!(summary_builds() - before, 2);
+        // An append is seen through the hot length, not through the cell.
+        c.push(500);
+        words = all_active(201);
+        let grown = c.summary(&words);
+        assert_eq!(summary_builds() - before, 3);
+        assert_eq!(grown.histogram().unwrap().range(), (0, 500));
+        // A forgotten hot row leaves the mass, the range and the count.
+        words[3] &= !(1u64 << 8);
+        c.note_forget(200);
+        let shrunk = c.summary(&words);
+        assert_eq!(summary_builds() - before, 4);
+        assert_eq!(shrunk.active_rows(), 200);
+        assert_eq!(shrunk.histogram().unwrap().range(), (0, 199));
+        // So does a forgotten frozen row; meta bounds stay wide.
+        words[0] &= !1;
+        c.note_forget(0);
+        assert_eq!(c.summary(&words).active_rows(), 199);
+        // Every tier transition empties the cell.
+        for step in 0..3 {
+            let held = c.summary(&words);
+            match step {
+                0 => {
+                    c.recompress_block(0, &words);
+                }
+                1 => assert_eq!(c.thaw_block(2), 64),
+                _ => assert_eq!(c.freeze_upto(192, &words), 1),
+            }
+            assert!(!Arc::ptr_eq(&held, &c.summary(&words)), "step {step}");
+        }
+        assert_eq!(c.summary(&words).histogram().unwrap().range(), (1, 199));
+    }
+
+    #[test]
+    fn a_dropped_block_leaves_the_summary() {
+        let mut c = TieredColumn::with_block_rows(64);
+        c.extend_from_slice(&(1000..1064).collect::<Vec<i64>>());
+        c.extend_from_slice(&(0..64).collect::<Vec<i64>>());
+        let mut words = all_active(128);
+        c.freeze_upto(128, &words);
+        assert_eq!(c.summary(&words).histogram().unwrap().range(), (0, 1063));
+        words[0] = 0;
+        for r in 0..64 {
+            c.note_forget(r);
+        }
+        let held = c.summary(&words);
+        assert!(c.drop_block(0) > 0);
+        let after = c.summary(&words);
+        assert!(!Arc::ptr_eq(&held, &after), "a drop empties the cell");
+        assert_eq!(after.histogram().unwrap().range(), (0, 63));
+        assert_eq!(after.histogram().unwrap().total(), 64);
+        let held = c.summary(&words);
+        assert_eq!(c.drop_block(0), 0, "nothing left to drop");
+        assert!(Arc::ptr_eq(&held, &c.summary(&words)), "a no-op keeps it");
+    }
+
+    #[test]
+    fn summary_stride_sample_conserves_active_mass() {
+        let n = 3 * HOT_SAMPLE_CAP + 1234;
+        let mut c = TieredColumn::with_block_rows(64);
+        c.extend_from_slice(&(0..n as i64).map(|i| i % 1000).collect::<Vec<i64>>());
+        // Forget every fifth row.
+        let mut words = all_active(n);
+        for r in (0..n).step_by(5) {
+            words[r / 64] &= !(1u64 << (r % 64));
+        }
+        let active = words.iter().map(|w| w.count_ones() as u64).sum::<u64>();
+        let s = c.summary(&words);
+        assert_eq!(s.active_rows(), active);
+        assert_eq!(s.histogram().unwrap().total(), active);
+        // The sample sees the same shape the rows have: a quarter of the
+        // domain holds a quarter of the mass.
+        let est = s.histogram().unwrap().estimate_range(0, 249);
+        assert!((est / active as f64 - 0.25).abs() < 0.01, "est {est}");
+        assert!(s.memory_bytes() < 1024, "{} bytes", s.memory_bytes());
     }
 }

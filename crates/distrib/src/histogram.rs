@@ -8,6 +8,9 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Bins one [`Histogram::add_mass`] call can overlap without allocating.
+const STACK_BINS: usize = 64;
+
 /// Fixed-range equi-width histogram over `[lo, hi]` with `bins` buckets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
@@ -41,9 +44,15 @@ impl Histogram {
 
     /// Record one observation.
     pub fn add(&mut self, v: i64) {
+        self.add_n(v, 1);
+    }
+
+    /// Record `n` observations of the same value (a sampled value
+    /// standing in for the rows it represents).
+    pub fn add_n(&mut self, v: i64, n: u64) {
         let b = self.bin_of(v);
-        self.counts[b] += 1;
-        self.total += 1;
+        self.counts[b] += n;
+        self.total += n;
     }
 
     /// The inclusive value range `[lo, hi]` this histogram covers.
@@ -64,6 +73,10 @@ impl Histogram {
     /// `BlockMeta` gives min/max and an active count but no per-value
     /// detail, so its mass is modelled as uniform over `[min, max]`.
     /// Ranges outside the histogram domain clamp to the edge bins.
+    ///
+    /// Allocation-free up to 64 overlapped bins (a column summary calls
+    /// this once per frozen block); wider histograms, which only the
+    /// policies build, fall back to the heap.
     pub fn add_mass(&mut self, lo: i64, hi: i64, mass: u64) {
         if mass == 0 || lo > hi {
             return;
@@ -78,22 +91,45 @@ impl Histogram {
         }
         let span = (hi_c - lo_c) as f64 + 1.0;
         let width = self.bin_width();
-        let mut shares: Vec<(usize, f64)> = Vec::with_capacity(b1 - b0 + 1);
+        let n = b1 - b0 + 1;
+        // The fractional remainders in bin order, and a scratch copy of
+        // them for the selection below.
+        let mut stack = [0.0f64; 2 * STACK_BINS];
+        let mut heap;
+        let buf: &mut [f64] = if n <= STACK_BINS {
+            &mut stack[..2 * n]
+        } else {
+            heap = vec![0.0f64; 2 * n];
+            &mut heap
+        };
+        let (fracs, scratch) = buf.split_at_mut(n);
         let mut assigned = 0u64;
-        for (b, share) in (b0..=b1).map(|b| {
-            let bin_lo = self.lo as f64 + b as f64 * width;
+        for (i, frac) in fracs.iter_mut().enumerate() {
+            let bin_lo = self.lo as f64 + (b0 + i) as f64 * width;
             let ov = ((bin_lo + width).min(hi_c as f64 + 1.0) - bin_lo.max(lo_c as f64)).max(0.0);
-            (b, mass as f64 * ov / span)
-        }) {
+            let share = mass as f64 * ov / span;
             let whole = share.floor() as u64;
-            self.counts[b] += whole;
+            self.counts[b0 + i] += whole;
             assigned += whole;
-            shares.push((b, share - share.floor()));
+            *frac = share - share.floor();
         }
-        // Largest remainders soak up the rounding shortfall.
-        shares.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        for &(b, _) in shares.iter().take((mass.saturating_sub(assigned)) as usize) {
-            self.counts[b] += 1;
+        // Largest remainders soak up the rounding shortfall, the lower
+        // bin winning a tie: every remainder above the `short`-th largest
+        // takes one, then the first bins that equal it.
+        let short = mass.saturating_sub(assigned).min(n as u64) as usize;
+        if short == 0 {
+            return;
+        }
+        scratch.copy_from_slice(fracs);
+        let (_, &mut cut, _) = scratch.select_nth_unstable_by(short - 1, |a, b| b.total_cmp(a));
+        let mut ties = short - fracs.iter().filter(|&&f| f > cut).count();
+        for (i, &f) in fracs.iter().enumerate() {
+            if f > cut {
+                self.counts[b0 + i] += 1;
+            } else if f == cut && ties > 0 {
+                self.counts[b0 + i] += 1;
+                ties -= 1;
+            }
         }
     }
 
@@ -355,7 +391,65 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `add_mass` as it was before it stopped allocating: collect every
+    /// overlapped bin's remainder, stable-sort descending, hand the
+    /// shortfall to the leaders. The reference the live body must match
+    /// count for count.
+    fn add_mass_reference(h: &mut Histogram, lo: i64, hi: i64, mass: u64) {
+        if mass == 0 || lo > hi {
+            return;
+        }
+        let lo_c = lo.clamp(h.lo, h.hi);
+        let hi_c = hi.clamp(h.lo, h.hi);
+        let (b0, b1) = (h.bin_of(lo_c), h.bin_of(hi_c));
+        h.total += mass;
+        if b0 == b1 {
+            h.counts[b0] += mass;
+            return;
+        }
+        let span = (hi_c - lo_c) as f64 + 1.0;
+        let width = h.bin_width();
+        let mut shares: Vec<(usize, f64)> = Vec::with_capacity(b1 - b0 + 1);
+        let mut assigned = 0u64;
+        for b in b0..=b1 {
+            let bin_lo = h.lo as f64 + b as f64 * width;
+            let ov = ((bin_lo + width).min(hi_c as f64 + 1.0) - bin_lo.max(lo_c as f64)).max(0.0);
+            let share = mass as f64 * ov / span;
+            let whole = share.floor() as u64;
+            h.counts[b] += whole;
+            assigned += whole;
+            shares.push((b, share - share.floor()));
+        }
+        shares.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        for &(b, _) in shares.iter().take((mass.saturating_sub(assigned)) as usize) {
+            h.counts[b] += 1;
+        }
+    }
+
     proptest! {
+        /// Same counts as the sorting reference over random geometries
+        /// and masses: narrow and wide domains, 1..=200 bins (past the
+        /// stack buffer), ranges that stick out of the domain on either
+        /// side, lie wholly outside it, or fall inside one bin.
+        #[test]
+        fn add_mass_matches_the_sorting_reference(
+            dom_lo in -1_000i64..1_000,
+            dom_span in 0i64..100_000,
+            bins in 1usize..200,
+            masses in proptest::collection::vec((-150_000i64..150_000, 0i64..120_000, 0u64..5_000), 1..40),
+        ) {
+            let mut live = Histogram::new(dom_lo, dom_lo + dom_span, bins);
+            let mut reference = live.clone();
+            for &(lo, len, mass) in &masses {
+                // A third of the ranges are single points.
+                let hi = if mass % 3 == 0 { lo } else { lo + len };
+                live.add_mass(lo, hi, mass);
+                add_mass_reference(&mut reference, lo, hi, mass);
+                prop_assert_eq!(&live, &reference, "after add_mass({}, {}, {})", lo, hi, mass);
+            }
+            prop_assert_eq!(live.counts().iter().sum::<u64>(), live.total());
+        }
+
         #[test]
         fn total_matches_adds(values in proptest::collection::vec(-200i64..400, 0..300)) {
             let mut h = Histogram::new(0, 199, 16);

@@ -8,14 +8,23 @@
 //! predicate against one row *in a codec's own domain*.
 //!
 //! The planner runs an estimate → order → execute → feedback loop with
-//! this module pricing the middle step:
+//! this module pricing the middle step. Only the top box depends on what
+//! the table holds, and it runs once per burst of mutations, not once per
+//! statement: each column keeps its summary until a freeze, thaw, forget,
+//! drop or recompression empties the cell, or an append outgrows it.
 //!
 //! ```text
-//!            BlockMeta (min/max/active per frozen block)
-//!                          │
+//!   BlockMeta (min/max/active per frozen block) + active hot rows
+//!                          │ first statement after a mutation
 //!        ┌─────────────────▼──────────────────┐
-//!        │ engine::stats — pseudo-histograms  │  estimate
-//!        │ selectivity(pred), per-codec cost  │
+//!        │ ColumnSummary, held by the column: │  summarize
+//!        │ histogram, active rows per codec,  │
+//!        │ sortedness hint                    │
+//!        └─────────────────┬──────────────────┘
+//!                          │ every statement: O(predicates × bins)
+//!        ┌─────────────────▼──────────────────┐
+//!        │ engine::stats — selectivity(pred), │  estimate
+//!        │ codec weights × this model's price │
 //!        └─────────────────┬──────────────────┘
 //!                          │ rank = selectivity × pred_eval_cost
 //!        ┌─────────────────▼──────────────────┐

@@ -546,15 +546,16 @@ impl Executor {
         // 2. Join. The physical choice is cost-driven and
         //    mode-independent (the same strategy runs serial and
         //    parallel, so rows *and* accounting agree across modes):
-        //    a merge join when both key columns are provably
-        //    frozen-sorted, otherwise a hash join building on the side
-        //    with the smaller estimated post-filter cardinality.
+        //    a merge join when both key columns' summaries hint they
+        //    are sorted (one flag read each), otherwise a hash join
+        //    building on the side with the smaller estimated post-filter
+        //    cardinality.
         let pairs: Option<Vec<(RowId, RowId)>> = plan.join.as_ref().map(|join| {
             let est_l = scan_estimates.first().copied().unwrap_or(0.0);
             let est_r = scan_estimates.get(1).copied().unwrap_or(0.0);
             if cost_based
-                && tables[0].col_tier(join.left_col).sorted_hint()
-                && tables[1].col_tier(join.right_col).sorted_hint()
+                && tables[0].col_summary(join.left_col).sorted_hint()
+                && tables[1].col_summary(join.right_col).sorted_hint()
             {
                 if let Some(p) = merge_join_sorted(
                     tables[0],
@@ -1043,9 +1044,9 @@ pub struct PhysResult {
     pub stats: ExecStats,
 }
 
-/// Sort-merge join over two selections whose key columns the cached
-/// block metadata proved frozen-sorted
-/// ([`sorted_hint`](amnesia_columnar::TieredColumn::sorted_hint)):
+/// Sort-merge join over two selections whose key columns their
+/// summaries hint are in order
+/// ([`sorted_hint`](amnesia_columnar::ColumnSummary::sorted_hint)):
 /// gather each side's selected rows and keys in row order (which *is*
 /// key order for a sorted column), verify the gathered keys really are
 /// nondecreasing (returning `None` — hash-join fallback — otherwise),

@@ -5,16 +5,25 @@
 //! The storage layer already pays for per-block statistics — every
 //! [`FrozenBlock`](amnesia_columnar::FrozenBlock) caches a
 //! [`BlockMeta`](amnesia_columnar::BlockMeta) (min/max over active rows
-//! plus the active count) to drive zone-map pruning. This module reuses
-//! those metas as a *pseudo-histogram*: each block contributes its
-//! active mass spread across `[min, max]` of a shared
-//! [`Histogram`] (the same bucket machinery
-//! the workload generators are validated with), and the hot tail adds
-//! its values directly (stride-sampled past a cap, mass-weighted so the
-//! total still adds up). No extra per-row pass, no decode: the estimate
-//! is free precisely because the tiering already summarized the data.
+//! plus the active count) to drive zone-map pruning — and each column
+//! folds them, with the active rows of its hot tail, into one
+//! [`ColumnSummary`]: a 64-bin pseudo-histogram
+//! (each block's active mass spread across its `[min, max]`, hot values
+//! added directly, stride-sampled past a cap with the mass conserved),
+//! the active rows per codec, and the sortedness hint. This module only
+//! *reads* it ([`Table::col_summary`]), so the estimate is free: a
+//! statement costs O(predicates × bins) to plan whatever the table holds.
 //!
-//! On top of the histogram sit the two numbers the executor orders
+//! A summary is rebuilt by the first statement after a burst of
+//! mutations and by none after that. What empties the column's cell:
+//! `freeze_upto`, `thaw_block`, a first-time forget of any row (hot rows
+//! included), `drop_forgotten_blocks` and `recompress_frozen` when they
+//! change a block. An append empties nothing — the summary records the
+//! hot length it was built at and is stale once the tail has grown. A
+//! rebuild walks every block meta and reads the hot values at most
+//! twice; it touches no compressed payload.
+//!
+//! On top of the summary sit the two numbers the executor orders
 //! conjuncts by:
 //!
 //! * **selectivity** — estimated fraction of active rows a
@@ -22,7 +31,8 @@
 //! * **evaluation cost** — the active-row-weighted blend of each
 //!   block codec's [`CostModel::pred_eval_cost`]
 //!   ([`ColumnStats::eval_cost`]): an RLE column is nearly free to
-//!   filter, a delta column is not.
+//!   filter, a delta column is not. The summary holds the weights, the
+//!   caller's model the prices, so one summary serves every model.
 //!
 //! [`order_predicates`] ranks a conjunction by `selectivity ×
 //! eval_cost`, ascending (stable, so ties keep the query's syntactic
@@ -30,103 +40,44 @@
 //! cardinalities after execution — the feedback half of the loop, which
 //! the bench suite gates via `AMNESIA_QERROR_GATE`.
 
-use amnesia_columnar::{Table, TieredColumn, Value};
-use amnesia_distrib::Histogram;
+use std::sync::Arc;
+
+use amnesia_columnar::compress::Encoding;
+use amnesia_columnar::{ColumnSummary, Table};
 
 use crate::cost::CostModel;
 use crate::physical::ColPred;
 
-/// Histogram resolution: enough buckets to separate selective from wide
-/// predicates, few enough that building one is a handful of `add_mass`
-/// calls per frozen block.
-const HIST_BINS: usize = 64;
-
-/// Hot-tail sampling cap: past this many hot values the builder strides,
-/// weighting each sampled value by the stride so total mass is conserved.
-const HOT_SAMPLE_CAP: usize = 65_536;
-
-/// Per-column statistics assembled from cached block metadata: a
-/// pseudo-histogram of the active value distribution plus the
-/// codec-aware cost of evaluating one predicate against one row.
+/// One column's [`ColumnSummary`] priced by a [`CostModel`]: the view
+/// the planner estimates and ranks through.
 #[derive(Debug, Clone)]
 pub struct ColumnStats {
-    hist: Option<Histogram>,
-    total: f64,
+    summary: Arc<ColumnSummary>,
     eval_cost: f64,
 }
 
 impl ColumnStats {
-    /// Build statistics for one tiered column. Frozen blocks contribute
-    /// `meta.active` mass spread over `[meta.min, meta.max]`; hot values
-    /// are added individually (stride-sampled past `HOT_SAMPLE_CAP`).
-    /// The per-row evaluation cost is the active-mass-weighted blend of
-    /// [`CostModel::pred_eval_cost`] across the column's block codecs
-    /// and its plain hot tail.
-    pub fn from_tier(tier: &TieredColumn, model: &CostModel) -> Self {
-        let hot = tier.hot_values();
-        let mut lo = Value::MAX;
-        let mut hi = Value::MIN;
-        let mut frozen_active = 0usize;
-        let mut cost_mass = 0.0f64;
-        for b in 0..tier.frozen_blocks() {
-            let meta = tier.meta(b);
-            if meta.active == 0 {
-                continue;
-            }
-            lo = lo.min(meta.min);
-            hi = hi.max(meta.max);
-            frozen_active += meta.active;
-            let enc = tier.frozen(b).map(|f| f.encoded().encoding());
-            cost_mass += meta.active as f64 * model.pred_eval_cost(enc);
-        }
-        for &v in hot {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        cost_mass += hot.len() as f64 * model.pred_eval_cost(None);
-        let total = frozen_active as f64 + hot.len() as f64;
-        if total == 0.0 {
-            return Self {
-                hist: None,
-                total: 0.0,
-                eval_cost: model.pred_eval_cost(None),
-            };
-        }
-        let width = (hi - lo).unsigned_abs().saturating_add(1);
-        let bins = HIST_BINS.min(width.min(HIST_BINS as u64) as usize).max(1);
-        let mut hist = Histogram::new(lo, hi, bins);
-        for b in 0..tier.frozen_blocks() {
-            let meta = tier.meta(b);
-            if meta.active > 0 {
-                hist.add_mass(meta.min, meta.max, meta.active as u64);
-            }
-        }
-        let stride = hot.len().div_ceil(HOT_SAMPLE_CAP).max(1);
-        if stride == 1 {
-            for &v in hot {
-                hist.add(v);
-            }
+    /// Statistics of column `col` of `table`: the summary the column
+    /// holds (built now if a mutation made the held one stale) and the
+    /// per-row evaluation cost, the active-mass-weighted blend of
+    /// [`CostModel::pred_eval_cost`] across the column's block codecs and
+    /// its plain hot tail.
+    pub fn of(table: &Table, col: usize, model: &CostModel) -> Self {
+        let summary = table.col_summary(col);
+        let total = summary.active_rows() as f64;
+        let eval_cost = if total == 0.0 {
+            model.pred_eval_cost(None)
         } else {
-            // Stride-sample, but conserve total mass: each sampled value
-            // stands in for `stride` hot rows (the last sample may cover
-            // a short remainder).
-            let mut covered = 0usize;
-            for v in hot.iter().step_by(stride) {
-                let mass = stride.min(hot.len() - covered) as u64;
-                hist.add_mass(*v, *v, mass);
-                covered += mass as usize;
-            }
-        }
-        Self {
-            hist: Some(hist),
-            total,
-            eval_cost: cost_mass / total,
-        }
+            let priced = |enc| summary.active_rows_in(enc) as f64 * model.pred_eval_cost(enc);
+            let frozen: f64 = Encoding::ALL.iter().map(|&e| priced(Some(e))).sum();
+            (frozen + priced(None)) / total
+        };
+        Self { summary, eval_cost }
     }
 
     /// Estimated active rows in the column (frozen active + hot tail).
     pub fn total_rows(&self) -> f64 {
-        self.total
+        self.summary.active_rows() as f64
     }
 
     /// Blended per-row predicate evaluation cost in
@@ -137,7 +88,7 @@ impl ColumnStats {
 
     /// Estimated number of rows matching `p`, clamped to `[0, total]`.
     pub fn estimate_pred(&self, p: &ColPred) -> f64 {
-        let Some(hist) = &self.hist else {
+        let Some(hist) = self.summary.histogram() else {
             return 0.0;
         };
         let mass = if p.is_empty_range() {
@@ -145,16 +96,18 @@ impl ColumnStats {
         } else {
             hist.estimate_range(p.lo, p.hi)
         };
-        let est = if p.negated { self.total - mass } else { mass };
-        est.clamp(0.0, self.total)
+        let total = self.total_rows();
+        let est = if p.negated { total - mass } else { mass };
+        est.clamp(0.0, total)
     }
 
     /// Estimated fraction of active rows `p` keeps, in `[0, 1]`.
     pub fn selectivity(&self, p: &ColPred) -> f64 {
-        if self.total == 0.0 {
+        let total = self.total_rows();
+        if total == 0.0 {
             return 0.0;
         }
-        self.estimate_pred(p) / self.total
+        self.estimate_pred(p) / total
     }
 
     /// The ordering key for conjunct ranking: estimated selectivity ×
@@ -182,9 +135,8 @@ pub struct PredOrder {
 }
 
 /// Rank a scan's predicate conjunction by estimated `selectivity ×
-/// eval_cost` using per-column statistics built from cached block
-/// metadata. Column statistics are built once per referenced column and
-/// shared across that column's predicates.
+/// eval_cost` using the summary each referenced column holds, read once
+/// per column and shared across that column's predicates.
 pub fn order_predicates(table: &Table, preds: &[ColPred], model: &CostModel) -> PredOrder {
     if preds.is_empty() {
         return PredOrder::default();
@@ -194,7 +146,7 @@ pub fn order_predicates(table: &Table, preds: &[ColPred], model: &CostModel) -> 
         if let Some(i) = cols.iter().position(|(c, _)| *c == col) {
             return i;
         }
-        cols.push((col, ColumnStats::from_tier(table.col_tier(col), model)));
+        cols.push((col, ColumnStats::of(table, col, model)));
         cols.len() - 1
     };
     let mut ranked: Vec<(usize, f64)> = Vec::with_capacity(preds.len());
@@ -242,8 +194,7 @@ pub fn q_error(est: f64, actual: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amnesia_columnar::compress::Encoding;
-    use amnesia_columnar::Schema;
+    use amnesia_columnar::{Schema, Value};
 
     fn frozen_table(values: &[Value], block_rows: usize, enc: Option<Encoding>) -> Table {
         let mut t = Table::with_block_rows(Schema::single("a"), block_rows);
@@ -264,7 +215,7 @@ mod tests {
             .map(|i| (i * 2654435761u64 % 8192) as Value)
             .collect();
         let t = frozen_table(&values, 1024, None);
-        let stats = ColumnStats::from_tier(t.col_tier(0), &CostModel::default());
+        let stats = ColumnStats::of(&t, 0, &CostModel::default());
         assert_eq!(stats.total_rows(), 8192.0);
         // A ~25% range predicate.
         let p = ColPred::range(0, 0, 2047);
@@ -280,7 +231,7 @@ mod tests {
     fn sorted_column_estimates_are_nearly_exact() {
         let values: Vec<Value> = (0..4096).collect();
         let t = frozen_table(&values, 1024, None);
-        let stats = ColumnStats::from_tier(t.col_tier(0), &CostModel::default());
+        let stats = ColumnStats::of(&t, 0, &CostModel::default());
         let p = ColPred::range(0, 100, 299);
         let est = stats.estimate_pred(&p);
         assert!(q_error(est, 200.0) < 1.5, "est {est} vs actual 200");
@@ -290,7 +241,7 @@ mod tests {
     fn negated_predicate_complements_the_estimate() {
         let values: Vec<Value> = (0..4096).collect();
         let t = frozen_table(&values, 1024, None);
-        let stats = ColumnStats::from_tier(t.col_tier(0), &CostModel::default());
+        let stats = ColumnStats::of(&t, 0, &CostModel::default());
         let inside = ColPred::range(0, 0, 1023);
         let mut outside = inside.clone();
         outside.negated = true;
@@ -307,8 +258,8 @@ mod tests {
         let rle = frozen_table(&runs, 1024, Some(Encoding::Rle));
         let plain = frozen_table(&runs, 1024, Some(Encoding::Plain));
         let m = CostModel::default();
-        let s_rle = ColumnStats::from_tier(rle.col_tier(0), &m);
-        let s_plain = ColumnStats::from_tier(plain.col_tier(0), &m);
+        let s_rle = ColumnStats::of(&rle, 0, &m);
+        let s_plain = ColumnStats::of(&plain, 0, &m);
         assert!(s_rle.eval_cost() < s_plain.eval_cost());
         let p = ColPred::range(0, 0, 3);
         assert!(s_rle.rank(&p) < s_plain.rank(&p));
@@ -332,7 +283,7 @@ mod tests {
     #[test]
     fn empty_column_and_empty_preds_are_safe() {
         let t = Table::with_block_rows(Schema::single("a"), 1024);
-        let stats = ColumnStats::from_tier(t.col_tier(0), &CostModel::default());
+        let stats = ColumnStats::of(&t, 0, &CostModel::default());
         assert_eq!(stats.total_rows(), 0.0);
         assert_eq!(stats.estimate_pred(&ColPred::range(0, 0, 10)), 0.0);
         let po = order_predicates(&t, &[], &CostModel::default());

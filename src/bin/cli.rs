@@ -19,6 +19,7 @@ use std::io::{BufRead, Write};
 
 type CliResult<T> = std::result::Result<T, String>;
 
+use amnesia::columnar::compress::summary_builds;
 use amnesia::distrib::DistributionKind;
 use amnesia::prelude::*;
 use amnesia::sql::{run, QueryOutcome};
@@ -197,7 +198,11 @@ impl Session {
                         per_row(bytes)
                     ));
                 }
-                Ok(out.trim_end().to_string())
+                out.push_str(&format!(
+                    "  summary_builds {:>10}    column summaries built this session: one per column a statement references, after each burst of mutations",
+                    summary_builds()
+                ));
+                Ok(out)
             }
             ["epoch"] => {
                 self.epoch += 1;
@@ -389,7 +394,7 @@ mod tests {
             stats.contains("2900 active / 3000 physical rows"),
             "{stats}"
         );
-        for part in ["payload", "activity", "row metadata"] {
+        for part in ["payload", "activity", "row metadata", "summary_builds"] {
             assert!(stats.contains(part), "{stats}");
         }
         // Comments and blank lines are silent.

@@ -1,16 +1,20 @@
 //! Cost-based planning suites: estimation quality (bounded q-error
-//! across value distributions, codecs and block sizes) and plan
+//! across value distributions, codecs and block sizes), plan
 //! equivalence (the cost-driven executor returns rows byte-identical to
 //! the syntactic-order oracle, serial and parallel, with zero extra
-//! block decodes).
+//! block decodes), and coherence of the column summary every statement
+//! plans from (what a live table holds equals what a fresh decode of its
+//! snapshot builds, after every kind of mutation; a statement rebuilds
+//! only what a mutation made stale).
 
-use amnesia::columnar::compress::{block_decodes, Encoding};
-use amnesia::columnar::{Schema, Table};
-use amnesia::engine::exec::PlanTag;
+use amnesia::columnar::compress::{block_decodes, summary_builds, Encoding};
+use amnesia::columnar::persist::snapshot;
+use amnesia::columnar::{RowId, Schema, Table};
+use amnesia::engine::exec::{ExecStats, PlanTag};
 use amnesia::engine::physical::JoinSpec;
 use amnesia::engine::{
-    q_error, ColPred, ColumnStats, CostModel, ExecMode, Executor, PhysItem, PhysScan, PhysicalPlan,
-    PlanHint, SortDir,
+    order_predicates, q_error, ColPred, ColumnStats, CostModel, ExecMode, Executor, PhysItem,
+    PhysScan, PhysicalPlan, PlanHint, SortDir,
 };
 
 /// Deterministic LCG so the suites never depend on an external RNG.
@@ -80,7 +84,7 @@ fn estimation_quality_bounded_q_error_across_shapes() {
                     enc
                 };
                 let t = frozen_column(&values, block_rows, enc);
-                let stats = ColumnStats::from_tier(t.col_tier(0), &model);
+                let stats = ColumnStats::of(&t, 0, &model);
                 for (lo, hi) in [(0i64, 999), (0, 4999), (2500, 7499), (7, 7)] {
                     let p = ColPred::range(0, lo, hi);
                     let actual = values.iter().filter(|&&v| lo <= v && v <= hi).count();
@@ -302,7 +306,7 @@ fn merge_join_on_sorted_keys_matches_hash_oracle() {
     }
     parent.freeze_upto(2048);
     child.freeze_upto(2048);
-    assert!(parent.col_tier(0).sorted_hint() && child.col_tier(0).sorted_hint());
+    assert!(parent.col_summary(0).sorted_hint() && child.col_summary(0).sorted_hint());
     let tables = [&parent, &child];
     let oracle = Executor::default()
         .with_exec_mode(ExecMode::Serial)
@@ -364,4 +368,222 @@ fn block_access_counters_tick_on_scans() {
         t.block_accesses() > before,
         "scanning frozen blocks must bump the access counters"
     );
+}
+
+/// What a planner reads of `t`, through the cell each column holds.
+fn planner_view(t: &Table, preds: &[ColPred]) -> (amnesia::engine::PredOrder, Vec<bool>) {
+    let hints = (0..t.schema().arity())
+        .map(|c| t.col_summary(c).sorted_hint())
+        .collect();
+    (order_predicates(t, preds, &CostModel::default()), hints)
+}
+
+/// The summary of every column describes exactly the data that is still
+/// there: its mass is the active row count, and its domain is the span of
+/// the surviving block metas and the active hot rows — nothing of a
+/// dropped block, a forgotten hot row or a thawed block's old meta.
+fn assert_summary_describes_live_data(t: &Table, ctx: &str) {
+    let words = t.activity_words();
+    for c in 0..t.schema().arity() {
+        let tier = t.col_tier(c);
+        let summary = t.col_summary(c);
+        assert_eq!(summary.active_rows(), t.active_rows() as u64, "{ctx}");
+        let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+        for b in 0..tier.frozen_blocks() {
+            let meta = tier.meta(b);
+            if meta.active > 0 {
+                lo = lo.min(meta.min);
+                hi = hi.max(meta.max);
+            }
+        }
+        for (i, &v) in tier.hot_values().iter().enumerate() {
+            let row = tier.hot_start() + i;
+            if words[row / 64] >> (row % 64) & 1 == 1 {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+        }
+        match summary.histogram() {
+            None => assert_eq!(t.active_rows(), 0, "{ctx}"),
+            Some(h) => {
+                assert_eq!(h.total(), t.active_rows() as u64, "{ctx} col {c}");
+                assert_eq!(h.range(), (lo, hi), "{ctx} col {c}");
+            }
+        }
+    }
+}
+
+/// A seeded history over every kind of mutation. After every step the
+/// live table — whose cells were filled by earlier steps and emptied (or
+/// outgrown) by this one — plans exactly as a table decoded from its own
+/// snapshot, whose cells were never filled.
+fn summary_coherence_history(arity: usize, seed: u64) {
+    const BLOCK: usize = 64;
+    let names: Vec<&str> = ["a", "b"][..arity].to_vec();
+    let mut t = Table::with_block_rows(Schema::new(names), BLOCK);
+    let mut rng = Lcg(seed);
+    // Column 0 trends upward (sorted until the noise bites), column 1 is
+    // noise; a far outlier lands now and then so a drop or a forget has a
+    // domain edge to take away.
+    let row = |rng: &mut Lcg, n: usize| -> Vec<i64> {
+        let outlier = if rng.below(40) == 0 { 1_000_000 } else { 0 };
+        [n as i64 / 2 + rng.below(3) + outlier, rng.below(500)][..arity].to_vec()
+    };
+    let preds: Vec<ColPred> = (0..arity)
+        .flat_map(|c| [ColPred::range(c, 10, 120), ColPred::range(c, 0, 400)])
+        .collect();
+    let mut seen = [0usize; 9];
+    for step in 0..260 {
+        let op = if step < 9 {
+            step
+        } else {
+            rng.below(9) as usize
+        };
+        seen[op] += 1;
+        let n = t.num_rows();
+        let hot_start = t.col_tier(0).hot_start();
+        let what = match op {
+            0 => {
+                let values = row(&mut rng, n);
+                t.insert(&values, step as u64).unwrap();
+                "insert"
+            }
+            1 => {
+                let k = 1 + rng.below(150) as usize;
+                if arity == 1 {
+                    let batch: Vec<i64> = (0..k).map(|i| row(&mut rng, n + i)[0]).collect();
+                    t.insert_batch(&batch, step as u64).unwrap();
+                } else {
+                    for i in 0..k {
+                        let values = row(&mut rng, n + i);
+                        t.insert(&values, step as u64).unwrap();
+                    }
+                }
+                "insert_batch"
+            }
+            2 if n > hot_start => {
+                let r = hot_start + rng.below((n - hot_start) as u64) as usize;
+                t.forget(RowId::from(r), step as u64).unwrap();
+                "forget a hot row"
+            }
+            3 if hot_start > 0 => {
+                // Now and then a whole block, so a later drop has a victim.
+                let r = rng.below(hot_start as u64) as usize;
+                let rows = if rng.below(3) == 0 {
+                    r / BLOCK * BLOCK..(r / BLOCK + 1) * BLOCK
+                } else {
+                    r..r + 1
+                };
+                for r in rows {
+                    t.forget(RowId::from(r), step as u64).unwrap();
+                }
+                "forget frozen rows"
+            }
+            4 => {
+                t.freeze_upto(n - rng.below(BLOCK as u64 + 1).min(n as i64) as usize);
+                "freeze_upto"
+            }
+            5 => {
+                t.recompress_frozen(0.95);
+                "recompress_frozen"
+            }
+            6 => {
+                t.drop_forgotten_blocks();
+                "drop_forgotten_blocks"
+            }
+            7 if t.frozen_blocks() > 0 => {
+                t.thaw_block(
+                    t.frozen_blocks() - 1 - rng.below(t.frozen_blocks().min(2) as u64) as usize,
+                );
+                "thaw"
+            }
+            8 => {
+                t = t.clone();
+                "clone"
+            }
+            _ => continue,
+        };
+        let ctx = format!("arity {arity} seed {seed} step {step} ({what})");
+        let fresh = snapshot::decode(&snapshot::encode(&t)).expect("snapshot roundtrip");
+        assert_eq!(
+            planner_view(&t, &preds),
+            planner_view(&fresh, &preds),
+            "{ctx}"
+        );
+        assert_summary_describes_live_data(&t, &ctx);
+    }
+    assert!(seen.iter().all(|&k| k > 0), "every operation ran: {seen:?}");
+    assert!(t.dropped_rows() > 0, "the history dropped a block");
+}
+
+#[test]
+fn summary_is_coherent_with_a_fresh_decode_after_every_mutation() {
+    summary_coherence_history(1, 3);
+    summary_coherence_history(2, 17);
+}
+
+/// `ExecStats` without the scheduler's own accounting, which is the one
+/// part allowed to differ between modes and between runs.
+fn planned(stats: &ExecStats) -> ExecStats {
+    ExecStats {
+        morsels: 0,
+        morsel_steals: 0,
+        merge_ns: 0,
+        ..stats.clone()
+    }
+}
+
+/// A statement pays for a summary only when a mutation since the last
+/// statement made the held one stale: nothing the second time, one per
+/// referenced column after a forget — and what it planned from a summary
+/// it just built is what it plans from one it found, in either mode.
+#[test]
+fn statements_rebuild_summaries_only_after_a_mutation() {
+    // 16 frozen blocks and a hot tail of 104 rows.
+    let mut t = plan_table(4200, 256, None);
+    let plan = multi_pred_plan(PlanHint::CostBased);
+    let run = |t: &Table, mode: ExecMode| {
+        let before = summary_builds();
+        let result = Executor::default()
+            .with_exec_mode(mode)
+            .execute_plan(&[t], &[], &plan);
+        (result, summary_builds() - before)
+    };
+    // `plan_table` forgot rows last, so every cell starts empty.
+    let (first, built) = run(&t, ExecMode::Serial);
+    assert_eq!(built, 3, "one summary per referenced column");
+    let (second, built) = run(&t, ExecMode::Serial);
+    assert_eq!(built, 0, "no mutation between the statements");
+    assert_eq!(first.rows, second.rows);
+    assert_eq!(planned(&first.stats), planned(&second.stats));
+
+    // A forget — of a hot row here — and the next statement rebuilds.
+    let victim = t.iter_active().last().unwrap();
+    assert!(victim.as_usize() >= t.col_tier(0).hot_start());
+    assert!(t.forget(victim, 2).unwrap());
+    let (cold, built) = run(&t, ExecMode::Parallel(4));
+    assert_eq!(built, 3, "a forget empties every column's cell");
+    let (warm, built) = run(&t, ExecMode::Parallel(4));
+    assert_eq!(built, 0);
+    let (serial, built) = run(&t, ExecMode::Serial);
+    assert_eq!(built, 0);
+    assert_eq!(cold.rows, warm.rows);
+    assert_eq!(cold.rows, serial.rows);
+    assert_eq!(planned(&cold.stats), planned(&warm.stats));
+    assert_eq!(planned(&cold.stats), planned(&serial.stats));
+
+    // An append is seen too, without anything having emptied the cell.
+    t.insert(&[1, 2, 3], 3).unwrap();
+    assert_eq!(run(&t, ExecMode::Serial).1, 3);
+    assert_eq!(run(&t, ExecMode::Serial).1, 0);
+
+    // The join path reads the sortedness hint from the same cells.
+    let before = summary_builds();
+    let plan = join_plan(PlanHint::CostBased, true);
+    for _ in 0..2 {
+        Executor::default()
+            .with_exec_mode(ExecMode::Serial)
+            .execute_plan(&[&t, &t], &[], &plan);
+    }
+    assert_eq!(summary_builds(), before, "cells already current");
 }
