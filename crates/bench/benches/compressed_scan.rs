@@ -1,12 +1,12 @@
-//! Fused compressed-block scans vs decompress-then-scan, per codec, plus
-//! word-granularity zone-map pruning — the numbers backing the
-//! compressed-execution PR (and ROADMAP's "scan cold data at hot-path
-//! speed" target).
+//! Fused compressed-block scans vs decompress-then-scan, per codec — the
+//! numbers backing the compressed-execution PR (and ROADMAP's "scan cold
+//! data at hot-path speed" target).
 //!
 //! Four datasets are shaped so [`EncodedBlock::encode_auto`] picks each
-//! codec in turn (asserted, so a codec regression shows up here, not in
-//! silently-moved goalposts). Both contenders produce identical row-id
-//! vectors; the fused path never materializes values.
+//! codec in turn when the table freezes (asserted, so a codec regression
+//! shows up here, not in silently-moved goalposts). Both contenders
+//! produce identical row-id vectors; the fused path never materializes
+//! values.
 //!
 //! `compressed_scan/<codec>_w<width>/{filter,fold}` is the codec ladder
 //! under those: [`EncodedBlock::filter_range_masks`] and
@@ -18,8 +18,8 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use amnesia_columnar::compress::{BlockAgg, EncodedBlock, Encoding};
-use amnesia_columnar::{Schema, Table, WordZoneMap};
-use amnesia_engine::{batch, kernels};
+use amnesia_columnar::{RowId, Schema, Table};
+use amnesia_engine::kernels;
 use amnesia_util::SimRng;
 use amnesia_workload::query::RangePredicate;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -90,48 +90,46 @@ fn datasets() -> Vec<(&'static str, Encoding, Vec<i64>, RangePredicate)> {
 
 fn compressed_scan(c: &mut Criterion) {
     for (name, expect_enc, values, pred) in datasets() {
-        let t = table_of(values);
-        let seg = t.compress_column(0);
+        let hot = table_of(values);
+        let mut t = hot.clone();
+        t.freeze_upto(N);
+        let tier = t.col_tier(0);
+        let blocks = tier.frozen_blocks();
         // The dataset must actually exercise the codec it is named for.
-        let hits = (0..seg.frozen_segments())
-            .filter(|&b| seg.frozen_block(b).unwrap().encoding() == expect_enc)
+        let hits = (0..blocks)
+            .filter(|&b| tier.frozen(b).unwrap().encoded().encoding() == expect_enc)
             .count();
         assert!(
-            hits * 2 > seg.frozen_segments(),
-            "{name}: only {hits}/{} blocks chose {expect_enc:?}",
-            seg.frozen_segments()
+            hits * 2 > blocks,
+            "{name}: only {hits}/{blocks} blocks chose {expect_enc:?}"
         );
         println!(
-            "compressed_scan_1m/{name}: {hits}/{} blocks {}, ratio {:.1}x",
-            seg.frozen_segments(),
+            "compressed_scan_1m/{name}: {hits}/{blocks} blocks {}, ratio {:.1}x",
             expect_enc.name(),
-            seg.compression_ratio()
+            t.compression_ratio()
         );
+        let want = kernels::range_scan_active(&hot, 0, pred);
+        assert_eq!(kernels::range_scan_active(&t, 0, pred), want);
+        assert_eq!(kernels::count_active_matches(&t, 0, pred), want.len());
 
         let mut group = c.benchmark_group(format!("compressed_scan_1m/{name}"));
         group.throughput(Throughput::Elements(N as u64));
         group.bench_function("fused_decode_filter", |b| {
-            b.iter(|| black_box(kernels::range_scan_compressed(&t, &seg, black_box(pred))))
+            b.iter(|| black_box(kernels::range_scan_active(&t, 0, black_box(pred))))
         });
         group.bench_function("fused_count", |b| {
-            b.iter(|| black_box(kernels::count_compressed(&t, &seg, black_box(pred))))
+            b.iter(|| black_box(kernels::count_active_matches(&t, 0, black_box(pred))))
         });
         group.bench_function("decompress_then_scan", |b| {
-            let mut buf: Vec<i64> = Vec::with_capacity(N);
+            // Decode every block, then filter the dense values row by row.
+            let words = t.activity_words();
             b.iter(|| {
-                buf.clear();
-                for blk in 0..seg.num_blocks() {
-                    buf.extend(seg.block_values(blk));
-                }
-                let mut out = Vec::new();
-                batch::scan_active_into(
-                    &buf,
-                    t.activity_words(),
-                    0,
-                    buf.len(),
-                    black_box(pred),
-                    &mut out,
-                );
+                let dense = t.col_values_dense(0);
+                let pred = black_box(pred);
+                let out: Vec<RowId> = (0..dense.len())
+                    .filter(|&r| words[r / 64] >> (r % 64) & 1 == 1 && pred.matches(dense[r]))
+                    .map(RowId::from)
+                    .collect();
                 black_box(out)
             })
         });
@@ -235,50 +233,9 @@ fn packed_widths(c: &mut Criterion) {
     }
 }
 
-fn zonemap_words(c: &mut Criterion) {
-    // Sorted column, ~1 % selectivity: the acceptance setting for
-    // word-granularity pruning.
-    let t = table_of((0..N as i64).collect());
-    let wz = WordZoneMap::build(&t, 0);
-    let pred = RangePredicate::new(500_000, 510_000);
-    let skipped = wz.prune_fraction(pred.lo, pred.hi_inclusive());
-    println!("zonemap_words_1m: prune fraction {skipped:.4}");
-    assert!(
-        skipped >= 0.9,
-        "word zones must skip >= 90% of words on sorted data, got {skipped:.4}"
-    );
-
-    let mut group = c.benchmark_group("zonemap_words_1m");
-    group.throughput(Throughput::Elements(N as u64));
-    group.bench_function("scan_unzoned", |b| {
-        b.iter(|| black_box(kernels::range_scan_active(&t, 0, black_box(pred))))
-    });
-    group.bench_function("scan_word_zoned", |b| {
-        b.iter(|| {
-            black_box(kernels::range_scan_active_zoned(
-                &t,
-                0,
-                &wz,
-                black_box(pred),
-            ))
-        })
-    });
-    group.bench_function("agg_word_zoned", |b| {
-        b.iter(|| {
-            black_box(kernels::aggregate_state_active_zoned(
-                &t,
-                0,
-                &wz,
-                Some(black_box(pred)),
-            ))
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(500));
-    targets = packed_widths, compressed_scan, zonemap_words
+    targets = packed_widths, compressed_scan
 }
 criterion_main!(benches);

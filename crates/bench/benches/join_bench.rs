@@ -16,7 +16,6 @@ use amnesia_columnar::compress::{block_decodes, Encoding};
 use amnesia_columnar::{RowId, Schema, Table, Value};
 use amnesia_core::experiments::{join_precision_experiment, referential_actions_table, Scale};
 use amnesia_engine::join::{hash_join, hash_join_count, JoinResult, JoinStats};
-use amnesia_engine::parallel::par_hash_join;
 use amnesia_engine::ForgetVisibility;
 use amnesia_util::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -254,18 +253,6 @@ fn join(c: &mut Criterion) {
                     black_box(&frozen),
                     0,
                     ForgetVisibility::ActiveOnly,
-                ))
-            })
-        });
-        group.bench_function("par_tiered_frozen_4t", |b| {
-            b.iter(|| {
-                black_box(par_hash_join(
-                    black_box(&frozen_parent),
-                    0,
-                    black_box(&frozen),
-                    0,
-                    ForgetVisibility::ActiveOnly,
-                    4,
                 ))
             })
         });

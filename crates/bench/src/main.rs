@@ -1,5 +1,5 @@
 //! `repro` — regenerate every figure and table of the CIDR 2017 amnesia
-//! paper, plus the ablations documented in `DESIGN.md`.
+//! paper, plus the ablations documented in `amnesia_core::experiments`.
 //!
 //! ```text
 //! repro [EXPERIMENT] [--scale test|paper] [--out DIR]

@@ -72,25 +72,6 @@ impl Column {
         self.tier.value_at(row)
     }
 
-    /// All values as one flat slice — the batch kernels' fast path.
-    ///
-    /// Only possible while the column is fully hot; once blocks are
-    /// frozen there is no contiguous slice to hand out, and every caller
-    /// must either go tier-aware ([`Self::tier`]) or materialize
-    /// ([`Self::dense_values`]). Panics if anything is frozen, so an
-    /// unmigrated flat-path caller fails loudly instead of scanning
-    /// stale data.
-    #[inline]
-    pub fn values(&self) -> &[Value] {
-        assert!(
-            self.tier.is_fully_hot(),
-            "flat value access on a column with {} frozen blocks; \
-             use tier() or dense_values()",
-            self.tier.frozen_blocks()
-        );
-        self.tier.hot_values()
-    }
-
     /// The tiered representation (frozen blocks + hot tail).
     pub fn tier(&self) -> &TieredColumn {
         &self.tier
@@ -178,7 +159,7 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert_eq!(c.get(0), 5);
         assert_eq!(c.get(1), -3);
-        assert_eq!(c.values(), &[5, -3, 10, 0]);
+        assert_eq!(c.tier().hot_values(), &[5, -3, 10, 0]);
         assert_eq!(c.dense_values().as_ref(), &[5, -3, 10, 0]);
     }
 
@@ -215,15 +196,6 @@ mod tests {
         }
         assert_eq!(c.dense_values().as_ref(), &values[..]);
         assert_eq!(c.max_seen(), Some(149), "stats survive freezing");
-    }
-
-    #[test]
-    #[should_panic]
-    fn flat_access_on_frozen_column_panics() {
-        let mut c = Column::with_block_rows(64);
-        c.extend_from_slice(&(0..64).collect::<Vec<i64>>());
-        c.tier_mut().freeze_upto(64, &[!0u64]);
-        let _ = c.values();
     }
 
     #[test]

@@ -15,17 +15,15 @@
 //!   is *remembered*: pages allocated by the first write, freed or
 //!   run-coded when their tier block is dropped — the in-memory mirror of
 //!   the runs a v4 snapshot writes,
-//! * [`zonemap::ZoneMap`] — block-range (BRIN-style) min/max pruning
-//!   (§4.4 "partial indices, such as Block-Range-Indices"),
-//! * [`index::SortedIndex`] — a droppable, re-creatable secondary index
-//!   (§4.4 "indices … can be easily dropped, and recreated upon need"),
 //! * [`compress`] — RLE / delta / frame-of-reference / dictionary codecs
 //!   (§4.4 "data compression can be called upon to postpone the decisions
 //!   to forget data"),
 //! * [`tier`] — tiered column storage: cold full blocks live *compressed
 //!   in place* (hot → frozen → recompressed → dropped) with cached
-//!   per-block zone metadata, so compression is the table's resting
-//!   state rather than a side-car snapshot; each column also holds the
+//!   per-block zone metadata — the one block-range (BRIN-style, §4.4)
+//!   pruning structure, owned by the storage rather than kept beside
+//!   it — so compression is the table's resting state rather than a
+//!   side-car snapshot; each column also holds the
 //!   [`ColumnSummary`] planners read, rebuilt at most once per burst of
 //!   mutations,
 //! * [`coldstore`] — where forgotten tuples can be moved instead of
@@ -43,27 +41,21 @@ pub mod coldstore;
 pub mod column;
 pub mod compress;
 pub mod database;
-pub mod imprints;
-pub mod index;
 pub mod micromodel;
 pub mod paged;
 pub mod persist;
 pub mod schema;
-pub mod segment;
 pub mod summary;
 pub mod table;
 pub mod tier;
 pub mod types;
 pub mod vacuum;
-pub mod zonemap;
 
 pub use access::AccessStats;
 pub use activity::ActivityMap;
 pub use coldstore::{ColdStore, FileColdStore, MemoryColdStore};
 pub use column::Column;
 pub use database::{Database, ForeignKey, ReferentialAction};
-pub use imprints::Imprints;
-pub use index::SortedIndex;
 pub use micromodel::{Estimate, MicroModel, ModelStore, ValueRange};
 pub use paged::{EpochCursor, EpochRuns, Paged};
 pub use persist::{
@@ -71,9 +63,7 @@ pub use persist::{
     WalRecord, WalStats,
 };
 pub use schema::{ColumnDef, Schema};
-pub use segment::SegmentedColumn;
 pub use summary::{SummaryCell, SummaryStore};
 pub use table::{MemoryBreakdown, Table};
 pub use tier::{BlockMeta, BlockState, ColumnSummary, FrozenBlock, TieredColumn};
 pub use types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};
-pub use zonemap::{WordZoneMap, Zone, ZoneMap};

@@ -199,20 +199,6 @@ impl Table {
         &self.columns[col]
     }
 
-    /// Contiguous values of `col` in physical row order, including rows
-    /// that have been forgotten — the batch kernels' flat fast path,
-    /// paired with [`Table::activity_words`].
-    ///
-    /// Only available while the column is fully hot; once blocks are
-    /// frozen there is no contiguous slice, and this *panics* so an
-    /// unmigrated flat caller fails loudly. Tier-aware consumers use
-    /// [`Table::col_tier`]; whole-column materializers use
-    /// [`Table::col_values_dense`].
-    #[inline]
-    pub fn col_values(&self, col: usize) -> &[Value] {
-        self.columns[col].values()
-    }
-
     /// The tiered representation of `col`: frozen compressed blocks with
     /// cached per-block metadata, then the hot tail. This is the entry
     /// point for the engine's tier-aware kernels.
@@ -406,28 +392,6 @@ impl Table {
     #[inline]
     pub fn activity_words(&self) -> &[u64] {
         self.activity.words()
-    }
-
-    /// Values of `col` for one `block_rows`-sized block (the last block
-    /// may be short). Block-granular access pairs with
-    /// [`ZoneMap`](crate::zonemap::ZoneMap) pruning so scans touch only
-    /// surviving blocks. Flat-path only: panics once blocks are frozen
-    /// (use [`Table::col_tier`] then).
-    #[inline]
-    pub fn col_block_values(&self, col: usize, block: usize, block_rows: usize) -> &[Value] {
-        let values = self.columns[col].values();
-        let lo = (block * block_rows).min(values.len());
-        let hi = (lo + block_rows).min(values.len());
-        &values[lo..hi]
-    }
-
-    /// Freeze a compressed *snapshot* of `col`: full blocks are encoded
-    /// with the best codec, the remainder stays as an uncompressed tail.
-    /// Unlike [`Table::freeze_upto`] — which changes the column's resting
-    /// state in place — this copy is owned by the caller (point-in-time
-    /// exports, the compressed-kernel benches).
-    pub fn compress_column(&self, col: usize) -> crate::segment::SegmentedColumn {
-        crate::segment::SegmentedColumn::from_values(&self.columns[col].dense_values())
     }
 
     /// Reassemble a table from restored parts (snapshot reader): the
@@ -712,20 +676,6 @@ mod tests {
         t.forget(RowId(0), 1).unwrap();
         t.forget(RowId(2), 1).unwrap();
         assert_eq!(t.active_row_ids(), vec![RowId(1), RowId(3)]);
-    }
-
-    #[test]
-    fn block_access_and_compressed_snapshot() {
-        let values: Vec<Value> = (0..1500).map(|i| i * 2).collect();
-        let t = table_with(&values);
-        assert_eq!(t.col_block_values(0, 0, 1024), &values[..1024]);
-        assert_eq!(t.col_block_values(0, 1, 1024), &values[1024..]);
-        assert!(t.col_block_values(0, 5, 1024).is_empty());
-        let seg = t.compress_column(0);
-        assert_eq!(seg.len(), values.len());
-        assert_eq!(seg.frozen_segments(), 1);
-        let got: Vec<Value> = seg.iter().collect();
-        assert_eq!(got, values);
     }
 
     #[test]

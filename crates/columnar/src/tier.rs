@@ -4,10 +4,9 @@
 //!
 //! Paper §4.4 argues "data compression can be called upon to postpone the
 //! decisions to forget data": every byte a cold segment gives back
-//! stretches the storage budget before any tuple must rot. Until this
-//! module existed, `compress_column` produced a snapshot the caller
-//! owned, so compression never reduced the table's resident footprint and
-//! the fused compressed kernels ran against stale copies. A
+//! stretches the storage budget before any tuple must rot. A compressed
+//! copy the caller owns would never reduce the table's resident
+//! footprint, and fused kernels over it would run against stale data. A
 //! [`TieredColumn`] instead *is* the column: the oldest rows live as
 //! [`EncodedBlock`]s with cached per-block [`BlockMeta`] (min/max over
 //! active rows, active-row count), the newest rows stay mutable and
@@ -42,7 +41,7 @@
 //!   Row ids stay stable (the block still occupies its row range);
 //!   reading a dropped row yields 0, which no active-only path ever does.
 //!
-//! Meta maintenance mirrors the zone-map contract: forgetting keeps
+//! Meta maintenance follows the usual zone-map contract: forgetting keeps
 //! bounds *safe* rather than tight (they only shrink on recompression),
 //! and `active` counts are exact because [`TieredColumn::note_forget`]
 //! observes every first-time forget.

@@ -41,8 +41,8 @@ impl From<usize> for RowId {
     }
 }
 
-/// Default number of rows per storage block used by zone maps and the
-/// segmented column. Chosen so a block of `i64`s spans a few cache pages.
+/// Default number of rows per tier block (the unit of freezing, block
+/// meta and pruning). Chosen so a block of `i64`s spans a few cache pages.
 pub const DEFAULT_BLOCK_ROWS: usize = 1024;
 
 #[cfg(test)]

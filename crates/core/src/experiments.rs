@@ -1,7 +1,7 @@
 //! Canned experiment runners: one function per figure/table of the paper
-//! plus the `DESIGN.md` ablations. The repro harness and the integration
-//! tests both call these; `Scale` lets tests run the same code at reduced
-//! size.
+//! plus the ablations (each runner's doc comment says what it varies).
+//! The repro harness and the integration tests both call these; `Scale`
+//! lets tests run the same code at reduced size.
 
 use amnesia_columnar::compress::{EncodedBlock, Encoding};
 use amnesia_columnar::{MemoryColdStore, RowId, Table};
@@ -588,12 +588,9 @@ pub fn ablation_forget_modes(scale: &Scale) -> Result<TableReport> {
 fn run_forget_mode(scale: &Scale, mode: ForgetMode) -> Result<Vec<String>> {
     let mut rng = SimRng::new(scale.seed);
     let mut dist = DistributionKind::Uniform.build(scale.domain, scale.seed);
-    let mut store = AmnesiacStore::new(mode).with_zonemap();
+    let mut store = AmnesiacStore::new(mode);
     if matches!(mode, ForgetMode::Tier) {
         store = store.with_cold_store(Box::new(MemoryColdStore::new()));
-    }
-    if matches!(mode, ForgetMode::Deindex | ForgetMode::Delete { .. }) {
-        store = store.with_index();
     }
     // Ground truth ledger: every value ever inserted.
     let mut ledger: Vec<i64> = Vec::new();

@@ -24,7 +24,7 @@
 //! * [`store`] — what *physically* happens to forgotten tuples
 //!   (mark / delete / de-index / cold-tier / summarize, §1),
 //! * [`experiments`] — canned runners for every figure and table of the
-//!   paper plus the ablations listed in `DESIGN.md`.
+//!   paper plus the ablations (listed in that module's docs).
 //!
 //! ## Quickstart
 //!

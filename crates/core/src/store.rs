@@ -12,8 +12,8 @@
 
 use amnesia_columnar::vacuum::vacuum;
 use amnesia_columnar::{
-    ColdStore, DurabilityHook, Epoch, ModelStore, RowId, Schema, SortedIndex, SummaryStore, Table,
-    Value, WalStats, WordZoneMap, ZoneMap,
+    ColdStore, DurabilityHook, Epoch, ModelStore, RowId, Schema, SummaryStore, Table, Value,
+    WalStats,
 };
 use amnesia_engine::{Aux, CostModel, ExecResult, Executor, ForgetVisibility};
 use amnesia_util::{Result, SimRng};
@@ -30,8 +30,10 @@ pub enum ForgetMode {
         /// Batches between vacuum passes.
         vacuum_every: u64,
     },
-    /// Keep tuples scannable but evict them from index structures; index
-    /// paths skip them, full scans still see them.
+    /// Keep tuples scannable but evict them from every pruning access
+    /// path: range and point queries run the complete scan and still see
+    /// them (paper §1: "a complete scan will fetch all data"); aggregates
+    /// stay amnesiac.
     Deindex,
     /// Move tuple payloads to cold storage, then mark.
     Tier,
@@ -68,8 +70,8 @@ pub struct StoreFootprint {
     pub hot_rows: usize,
     /// Active rows.
     pub active_rows: usize,
-    /// Approximate resident bytes (table + index + zone map). Frozen
-    /// blocks count at their *compressed* size.
+    /// Approximate resident bytes of the table. Frozen blocks count at
+    /// their *compressed* size.
     pub hot_bytes: usize,
     /// Compressed bytes held by frozen tier blocks (part of
     /// `hot_bytes`).
@@ -111,9 +113,6 @@ pub struct AmnesiacStore {
     table: Table,
     mode: ForgetMode,
     executor: Executor,
-    index: Option<SortedIndex>,
-    zonemap: Option<ZoneMap>,
-    word_zones: Option<WordZoneMap>,
     cold: Option<Box<dyn ColdStore>>,
     summaries: SummaryStore,
     models: Option<ModelStore>,
@@ -136,8 +135,7 @@ impl AmnesiacStore {
 
     /// Wrap an existing table (e.g. one recovered from a
     /// [`PersistentTable`](amnesia_columnar::PersistentTable)) under
-    /// `mode`. Auxiliary structures start empty; enable them with the
-    /// usual `with_*` builders, which build from the given table.
+    /// `mode`.
     pub fn from_table(table: Table, mode: ForgetMode) -> Self {
         let visibility = match mode {
             ForgetMode::Deindex => ForgetVisibility::ScanSeesForgotten,
@@ -147,9 +145,6 @@ impl AmnesiacStore {
             table,
             mode,
             executor: Executor::new(visibility, CostModel::default()),
-            index: None,
-            zonemap: None,
-            word_zones: None,
             cold: None,
             summaries: SummaryStore::new(),
             models: match mode {
@@ -217,25 +212,6 @@ impl AmnesiacStore {
         self
     }
 
-    /// Enable a sorted index (rebuilt on vacuum, staleness-tracked).
-    pub fn with_index(mut self) -> Self {
-        self.index = Some(SortedIndex::build(&self.table, 0));
-        self
-    }
-
-    /// Enable a zone map.
-    pub fn with_zonemap(mut self) -> Self {
-        self.zonemap = Some(ZoneMap::build(&self.table, 0));
-        self
-    }
-
-    /// Enable a word-granularity zone map: scans skip 64-row words whose
-    /// min/max can't intersect the predicate, on top of block pruning.
-    pub fn with_word_zones(mut self) -> Self {
-        self.word_zones = Some(WordZoneMap::build(&self.table, 0));
-        self
-    }
-
     /// The forget mode.
     pub fn mode(&self) -> ForgetMode {
         self.mode
@@ -261,25 +237,6 @@ impl AmnesiacStore {
             d.log_insert_column(values, epoch)?;
         }
         self.table.insert_batch(values, epoch)?;
-        // Both zone maps are dead weight once blocks are frozen: the
-        // executor switches to the tier's built-in block meta, and a
-        // rebuild would pay per-row point reads into compressed blocks.
-        if let Some(zm) = &mut self.zonemap {
-            if !self.table.has_frozen() {
-                zm.sync(&self.table);
-            }
-        }
-        // Word zones are dead weight once blocks are frozen (the executor
-        // switches to block-meta pruning) — skip the full-column decode
-        // their rebuild would cost.
-        if let Some(wz) = &mut self.word_zones {
-            if !self.table.has_frozen() {
-                wz.sync(&self.table);
-            }
-        }
-        if let Some(idx) = &mut self.index {
-            idx.rebuild(&self.table);
-        }
         Ok(())
     }
 
@@ -332,21 +289,12 @@ impl AmnesiacStore {
         }
         if self.table.forget(row, epoch)? {
             self.total_forgotten += 1;
-            if let Some(zm) = &mut self.zonemap {
-                zm.note_forget(row);
-            }
-            if let Some(wz) = &mut self.word_zones {
-                wz.note_forget(row);
-            }
-            if let Some(idx) = &mut self.index {
-                idx.note_forget();
-            }
         }
         Ok(())
     }
 
-    /// Batch boundary: vacuum if the mode schedules it, refresh auxiliary
-    /// structures.
+    /// Batch boundary: vacuum if the mode schedules it, then run the
+    /// tier schedule and commit the batch to the log.
     pub fn end_batch(&mut self) -> Result<()> {
         self.batches_since_vacuum += 1;
         if let Some(models) = &mut self.models {
@@ -367,33 +315,6 @@ impl AmnesiacStore {
             // table instead.
             if let Some(d) = &mut self.durability {
                 d.checkpoint(&self.table)?;
-            }
-            if let Some(idx) = &mut self.index {
-                idx.rebuild(&self.table);
-            }
-            if let Some(zm) = &mut self.zonemap {
-                *zm = ZoneMap::build_with_block_rows(&self.table, 0, zm.block_rows());
-            }
-            if let Some(wz) = &mut self.word_zones {
-                if !self.table.has_frozen() {
-                    wz.sync(&self.table);
-                }
-            }
-        } else {
-            if let Some(zm) = &mut self.zonemap {
-                if !self.table.has_frozen() {
-                    zm.sync(&self.table);
-                }
-            }
-            if let Some(wz) = &mut self.word_zones {
-                if !self.table.has_frozen() {
-                    wz.sync(&self.table);
-                }
-            }
-            if let Some(idx) = &mut self.index {
-                if idx.needs_rebuild(0.25) {
-                    idx.rebuild(&self.table);
-                }
             }
         }
         // Tier scheduling: freeze the cold prefix in place, drop dead
@@ -464,13 +385,10 @@ impl AmnesiacStore {
         Ok(victims.len())
     }
 
-    /// Execute a query with the mode's visibility and auxiliary
-    /// structures.
+    /// Execute a query with the mode's visibility, folding in what the
+    /// mode remembers of forgotten tuples (summaries, micro-models).
     pub fn query(&self, q: &Query) -> ExecResult {
         let aux = Aux {
-            zonemap: self.zonemap.as_ref(),
-            word_zones: self.word_zones.as_ref(),
-            index: self.index.as_ref(),
             summaries: matches!(self.mode, ForgetMode::Summarize).then_some(&self.summaries),
             models: self.models.as_ref(),
         };
@@ -496,13 +414,7 @@ impl AmnesiacStore {
         StoreFootprint {
             hot_rows: self.table.num_rows(),
             active_rows: self.table.active_rows(),
-            hot_bytes: self.table.memory_bytes()
-                + self.index.as_ref().map_or(0, SortedIndex::memory_bytes)
-                + self.zonemap.as_ref().map_or(0, ZoneMap::memory_bytes)
-                + self
-                    .word_zones
-                    .as_ref()
-                    .map_or(0, WordZoneMap::memory_bytes),
+            hot_bytes: self.table.memory_bytes(),
             bytes_frozen: self.table.bytes_frozen(),
             cold_rows: self.cold.as_ref().map_or(0, |c| c.len()),
             cold_bytes: self.cold.as_ref().map_or(0, |c| c.bytes_used()),
@@ -555,23 +467,6 @@ mod tests {
             .unwrap();
         store.end_batch().unwrap();
         store
-    }
-
-    #[test]
-    fn word_zones_ride_along_and_prune() {
-        let mut store = AmnesiacStore::new(ForgetMode::MarkOnly).with_word_zones();
-        store
-            .insert_batch(&(0..10_000).collect::<Vec<i64>>(), 0)
-            .unwrap();
-        store
-            .forget_batch(&(0..500).map(RowId).collect::<Vec<_>>(), 1)
-            .unwrap();
-        store.end_batch().unwrap();
-        let q = Query::Range(RangePredicate::new(6_000, 6_100));
-        let r = store.query(&q);
-        let expect: Vec<RowId> = (6_000..6_100).map(RowId).collect();
-        assert_eq!(r.output.rows().unwrap(), expect);
-        assert!(r.stats.words_pruned > 140, "{}", r.stats.words_pruned);
     }
 
     #[test]
@@ -678,8 +573,8 @@ mod tests {
     }
 
     #[test]
-    fn index_is_maintained_through_vacuum() {
-        let mut store = AmnesiacStore::new(ForgetMode::Delete { vacuum_every: 1 }).with_index();
+    fn queries_answer_through_vacuum() {
+        let mut store = AmnesiacStore::new(ForgetMode::Delete { vacuum_every: 1 });
         store
             .insert_batch(&(0..1000).collect::<Vec<i64>>(), 0)
             .unwrap();
@@ -687,8 +582,8 @@ mod tests {
             .forget_batch(&(0..500).map(RowId).collect::<Vec<_>>(), 1)
             .unwrap();
         store.end_batch().unwrap();
-        // After vacuum row ids changed; the index was rebuilt, so a probe
-        // must return exactly the surviving values.
+        // After vacuum row ids changed; a scan must return exactly the
+        // surviving values.
         let r = store.query(&Query::Range(RangePredicate::new(400, 600)));
         assert_eq!(r.output.cardinality(), 100, "values 500..600 survive");
     }

@@ -14,8 +14,8 @@
 //!
 //! Work proceeds in units of one **activity word** = [`WORD_BITS`] = 64
 //! rows; a logical *batch* is [`BATCH_ROWS`] = 1024 rows = 16 words
-//! (matching `amnesia_columnar::DEFAULT_BLOCK_ROWS`, so a zone-map block
-//! is exactly one batch). For each word the kernels build a *selection
+//! (matching `amnesia_columnar::DEFAULT_BLOCK_ROWS`, so a tier block is
+//! exactly one batch). For each word the kernels build a *selection
 //! mask*:
 //!
 //! ```text
@@ -42,55 +42,48 @@
 //! row (`word_index * 64`); consumers materialize them as [`RowId`]s, feed
 //! them to the fused aggregate, or count them with one `popcount`.
 //!
-//! All kernels take explicit `[lo, hi)` row bounds with word-boundary
-//! masking (via the same mask algebra as
-//! [`Bitmap::masked_word`](amnesia_util::Bitmap::masked_word)), so
-//! zone-map pruned blocks and parallel chunks run the identical code path
-//! as full scans.
+//! # One scan family
 //!
-//! # Zone-map pruning at word granularity
+//! Every single-column scan runs on a [`TieredColumn`] — the storage's
+//! resting state: frozen compressed blocks, then the hot uncompressed
+//! tail. A fully hot column is simply a tiered column with zero frozen
+//! blocks, so there is no separate "flat" path to keep in step:
 //!
-//! The `*_zoned` kernel variants take a [`Zone`] slice — one min/max per
-//! activity word, built by
-//! [`WordZoneMap`](amnesia_columnar::zonemap::WordZoneMap) — checked *in
-//! front of* the per-word work: a word whose zone proves the predicate
-//! cannot match is skipped before its values are loaded, composing with
-//! the all-forgotten (`activity == 0`) skip so cold and forgotten regions
-//! cost one metadata compare per 64 rows. On sorted or clustered columns
-//! a selective scan degenerates into a zone walk.
+//! * each **frozen block** is pruned by its cached
+//!   [`BlockMeta`](amnesia_columnar::BlockMeta) (min/max over active
+//!   rows, active count) before its payload is touched; survivors answer
+//!   the predicate through the codec's fused `filter_range_masks` (RLE
+//!   compares once per run, dictionaries compare bit-packed codes against
+//!   a code range, FOR compares rebased offsets — see
+//!   `amnesia_columnar::compress`), producing exactly the selection-mask
+//!   words defined above, which AND with the block's activity words.
+//!   Cold data is scanned without ever materializing a `Vec<Value>` — the
+//!   paper's bargain: compression postpones forgetting only if the
+//!   compressed form stays queryable at memory speed;
+//! * the **hot tail** runs the word loop above over the raw slice.
 //!
-//! # Fused scans over compressed blocks
-//!
-//! The `*_compressed` kernels run on a
-//! [`SegmentedColumn`]: each frozen
-//! block answers the predicate through its codec's fused
-//! `filter_range_masks` (RLE compares once per run, dictionaries compare
-//! bit-packed codes against a code range, FOR compares rebased offsets —
-//! see `amnesia_columnar::compress`), producing exactly the selection-mask
-//! words defined above. Those masks AND with the block's activity words
-//! and feed the same emit/count loops as hot-path scans, so cold
-//! compressed data is scanned without ever materializing a `Vec<Value>` —
-//! the paper's bargain: compression postpones forgetting only if the
-//! compressed form stays queryable at memory speed.
+//! [`scan_tiered_active_into`], [`count_tiered_active`] and
+//! [`aggregate_tiered_active`] see active rows only;
+//! [`scan_tiered_all_into`] is paper §1's "complete scan" that still
+//! fetches forgotten rows. The multi-predicate selection-vector operators
+//! in [`crate::kernels`] are built on the same word primitives.
 //!
 //! The row-at-a-time originals live in [`scalar`] as the reference
 //! implementations; `tests/kernel_equivalence.rs` holds the
-//! vectorized == scalar == parallel == compressed property tests, and the
-//! `scan_kernels`/`parallel_scan`/`compressed_scan` benches measure the
-//! gaps.
+//! vectorized == scalar == parallel property tests (hot, and frozen at
+//! every prefix), and the `tiered_scan` / `compressed_scan` benches
+//! measure the gaps.
 
 use std::collections::HashMap;
 
 use amnesia_columnar::compress::{dict, rle, BlockAgg, Encoding};
-use amnesia_columnar::{
-    RowId, SegmentedColumn, Table, TieredColumn, Value, Zone, DEFAULT_BLOCK_ROWS,
-};
+use amnesia_columnar::{RowId, Table, TieredColumn, Value, DEFAULT_BLOCK_ROWS};
 use amnesia_util::WORD_BITS;
 use amnesia_workload::query::{AggKind, RangePredicate};
 
-/// Rows per logical batch (16 activity words, one zone-map block —
-/// tied to the storage block size so the identities in the module doc
-/// hold by construction).
+/// Rows per logical batch (16 activity words, one tier block — tied to
+/// the storage block size so the identities in the module doc hold by
+/// construction).
 pub const BATCH_ROWS: usize = DEFAULT_BLOCK_ROWS;
 
 const _: () = assert!(
@@ -354,9 +347,6 @@ mod simd {
     }
 }
 
-// Boundary clipping lives in `amnesia_util::bitmap::clip_word` — one
-// home for the algebra shared with `Bitmap::masked_word`.
-use amnesia_util::bitmap::clip_word;
 use amnesia_util::bitmap::for_each_set_bit_in;
 
 /// Append `RowId`s for every set bit of `sel`, offset by `base` rows.
@@ -565,383 +555,11 @@ pub(crate) fn fold_selection(state: &mut AggState, chunk: &[Value], sel: u64) {
     state.push_block(count, spill + sum as i128, min, max);
 }
 
-/// Collect active rows in `[lo, hi)` matching `pred` into `out`
-/// (ascending row order). `values` and `words` span the whole table.
-pub fn scan_active_into(
-    values: &[Value],
-    words: &[u64],
-    lo: usize,
-    hi: usize,
-    pred: RangePredicate,
-    out: &mut Vec<RowId>,
-) {
-    let hi = hi.min(values.len());
-    if lo >= hi || pred.is_empty() {
-        return;
-    }
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let active = clip_word(word, wi, lo, hi);
-        if active == 0 {
-            continue; // all-forgotten word: values never touched
-        }
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        emit_selection(selection_word(chunk, active, pred, imp), base, out);
-    }
-}
-
-/// Collect *all* physical rows in `[lo, hi)` matching `pred` (forgotten
-/// included) into `out` — the "complete scan" regime of paper §1.
-pub fn scan_all_into(
-    values: &[Value],
-    lo: usize,
-    hi: usize,
-    pred: RangePredicate,
-    out: &mut Vec<RowId>,
-) {
-    let hi = hi.min(values.len());
-    if lo >= hi || pred.is_empty() {
-        return;
-    }
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    for wi in first..=last {
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        let sel = clip_word(predicate_mask(chunk, pred.lo, pred.hi, imp), wi, lo, hi);
-        emit_selection(sel, base, out);
-    }
-}
-
-/// Count active rows in `[lo, hi)` matching `pred` without materializing
-/// row ids: one popcount per word of selected rows.
-pub fn count_active(
-    values: &[Value],
-    words: &[u64],
-    lo: usize,
-    hi: usize,
-    pred: RangePredicate,
-) -> usize {
-    let hi = hi.min(values.len());
-    if lo >= hi || pred.is_empty() {
-        return 0;
-    }
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    let mut count = 0usize;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let active = clip_word(word, wi, lo, hi);
-        if active == 0 {
-            continue;
-        }
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        count += selection_word(chunk, active, pred, imp).count_ones() as usize;
-    }
-    count
-}
-
-/// Fused filter + aggregate over active rows in `[lo, hi)`: one pass
-/// builds the selection mask and folds matching values. Returns the state
-/// and the number of *active* rows examined (the executor's
-/// `rows_scanned`). All-selected words fold slice-at-a-time.
-pub fn aggregate_active(
-    values: &[Value],
-    words: &[u64],
-    lo: usize,
-    hi: usize,
-    pred: Option<RangePredicate>,
-) -> (AggState, usize) {
-    let hi = hi.min(values.len());
-    let mut state = AggState::new();
-    if lo >= hi {
-        return (state, 0);
-    }
-    if pred.is_some_and(|p| p.is_empty()) {
-        // Predicate selects nothing, but the scan still visits every
-        // active row (scanned mirrors the row-at-a-time semantics).
-        // masked_word tolerates a words slice shorter than the value
-        // range, matching the iterator-driven loops below.
-        let scanned: usize = (lo / WORD_BITS..=(hi - 1) / WORD_BITS)
-            .map(|wi| amnesia_util::bitmap::masked_word(words, wi, lo, hi).count_ones() as usize)
-            .sum();
-        return (state, scanned);
-    }
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    let mut scanned = 0usize;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let active = clip_word(word, wi, lo, hi);
-        scanned += active.count_ones() as usize;
-        if active == 0 {
-            continue;
-        }
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        let sel = match pred {
-            Some(p) => selection_word(chunk, active, p, imp),
-            None => active,
-        };
-        fold_selection(&mut state, chunk, sel);
-    }
-    (state, scanned)
-}
-
-/// Can any active value in the zone's word satisfy `pred`?
-///
-/// Zones carry *inclusive* bounds over active rows; `pred.hi` is
-/// exclusive. A stale zone is only ever wider than the truth, so a `false`
-/// here is always safe to skip on.
-#[inline]
-fn zone_may_match(z: &Zone, pred: RangePredicate) -> bool {
-    z.active > 0 && z.min < pred.hi && z.max >= pred.lo
-}
-
-/// Work accounting returned by the zone-pruned kernels: how many words
-/// the zones skipped outright and how many active rows were actually
-/// examined. The gap between `rows_scanned` and the table's active count
-/// is the work the metadata saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ZoneStats {
-    /// Words skipped because min/max proved the predicate can't match.
-    pub words_pruned: usize,
-    /// Active rows whose values were examined.
-    pub rows_scanned: usize,
-}
-
-impl ZoneStats {
-    /// Fold in another chunk's accounting (parallel partials).
-    pub fn merge(&mut self, other: ZoneStats) {
-        self.words_pruned += other.words_pruned;
-        self.rows_scanned += other.rows_scanned;
-    }
-}
-
-/// Zone-pruned [`scan_active_into`]: identical results, but each word
-/// consults `zones[word_index]` (from
-/// [`WordZoneMap::zones`](amnesia_columnar::zonemap::WordZoneMap::zones))
-/// before touching values. Words beyond `zones` are scanned unpruned, so
-/// a short zone slice degrades to correctness, never to wrong answers.
-pub fn scan_active_zoned_into(
-    values: &[Value],
-    words: &[u64],
-    zones: &[Zone],
-    lo: usize,
-    hi: usize,
-    pred: RangePredicate,
-    out: &mut Vec<RowId>,
-) -> ZoneStats {
-    let hi = hi.min(values.len());
-    let mut stats = ZoneStats::default();
-    if lo >= hi || pred.is_empty() {
-        return stats;
-    }
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let active = clip_word(word, wi, lo, hi);
-        if active == 0 {
-            continue; // all-forgotten word: free before zones even apply
-        }
-        if let Some(z) = zones.get(wi) {
-            if !zone_may_match(z, pred) {
-                stats.words_pruned += 1;
-                continue;
-            }
-        }
-        stats.rows_scanned += active.count_ones() as usize;
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        emit_selection(selection_word(chunk, active, pred, imp), base, out);
-    }
-    stats
-}
-
-/// Zone-pruned [`count_active`]: returns the match count plus accounting.
-pub fn count_active_zoned(
-    values: &[Value],
-    words: &[u64],
-    zones: &[Zone],
-    lo: usize,
-    hi: usize,
-    pred: RangePredicate,
-) -> (usize, ZoneStats) {
-    let hi = hi.min(values.len());
-    let mut stats = ZoneStats::default();
-    if lo >= hi || pred.is_empty() {
-        return (0, stats);
-    }
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    let mut count = 0usize;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let active = clip_word(word, wi, lo, hi);
-        if active == 0 {
-            continue;
-        }
-        if let Some(z) = zones.get(wi) {
-            if !zone_may_match(z, pred) {
-                stats.words_pruned += 1;
-                continue;
-            }
-        }
-        stats.rows_scanned += active.count_ones() as usize;
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        count += selection_word(chunk, active, pred, imp).count_ones() as usize;
-    }
-    (count, stats)
-}
-
-/// Zone-pruned fused filter+aggregate. Zone pruning *reduces*
-/// `rows_scanned` relative to [`aggregate_active`] — the delta is work
-/// the metadata saved, which the executor reports per query.
-pub fn aggregate_active_zoned(
-    values: &[Value],
-    words: &[u64],
-    zones: &[Zone],
-    lo: usize,
-    hi: usize,
-    pred: Option<RangePredicate>,
-) -> (AggState, ZoneStats) {
-    let hi = hi.min(values.len());
-    let mut state = AggState::new();
-    let mut stats = ZoneStats::default();
-    if lo >= hi {
-        return (state, stats);
-    }
-    let fallthrough = match pred {
-        // No predicate: zones cannot prune (every active row
-        // contributes); empty predicate: nothing to prune toward.
-        None => true,
-        Some(p) => p.is_empty(),
-    };
-    if fallthrough {
-        let (state, scanned) = aggregate_active(values, words, lo, hi, pred);
-        stats.rows_scanned = scanned;
-        return (state, stats);
-    }
-    let p = pred.expect("non-empty predicate");
-    let imp = mask_impl();
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let active = clip_word(word, wi, lo, hi);
-        if active == 0 {
-            continue;
-        }
-        if let Some(z) = zones.get(wi) {
-            if !zone_may_match(z, p) {
-                stats.words_pruned += 1;
-                continue;
-            }
-        }
-        stats.rows_scanned += active.count_ones() as usize;
-        let base = wi * WORD_BITS;
-        let chunk = &values[base..hi.min(base + WORD_BITS)];
-        fold_selection(&mut state, chunk, selection_word(chunk, active, p, imp));
-    }
-    (state, stats)
-}
-
-/// Scan one frozen compressed block: fused decode+filter through the
-/// codec, masks ANDed with the block's activity words, positions emitted
-/// relative to `base_row` (which must be word-aligned). `mask_buf` is a
-/// scratch buffer reused across blocks.
-fn scan_frozen_block_into(
-    block: &amnesia_columnar::compress::EncodedBlock,
-    words: &[u64],
-    base_row: usize,
-    pred: RangePredicate,
-    mask_buf: &mut Vec<u64>,
-    out: &mut Vec<RowId>,
-) {
-    debug_assert!(base_row.is_multiple_of(WORD_BITS));
-    let base_word = base_row / WORD_BITS;
-    let nwords = block.len().div_ceil(WORD_BITS);
-    // All-forgotten block: skip the decode entirely — forgetting keeps
-    // making scans cheaper, even compressed ones.
-    let block_words = words
-        .get(base_word..(base_word + nwords).min(words.len()))
-        .unwrap_or(&[]);
-    if block_words.iter().all(|&w| w == 0) {
-        return;
-    }
-    block.filter_range_masks(pred.lo, pred.hi, mask_buf);
-    for (k, &m) in mask_buf.iter().enumerate() {
-        let sel = m & block_words.get(k).copied().unwrap_or(0);
-        emit_selection(sel, base_row + k * WORD_BITS, out);
-    }
-}
-
-/// Assert the segmented column's blocks tile whole activity words — the
-/// alignment every compressed kernel relies on.
-#[inline]
-fn assert_word_aligned(col: &SegmentedColumn) {
-    assert!(
-        col.block_rows().is_multiple_of(WORD_BITS),
-        "block size {} must be a whole number of {WORD_BITS}-row words",
-        col.block_rows()
-    );
-}
-
-/// Scan the frozen blocks `[first_block, last_block)` of a compressed
-/// column — the parallel kernels' per-chunk primitive. Blocks are
-/// word-aligned by construction, so chunking at block boundaries never
-/// splits an activity word across threads.
-pub fn scan_compressed_blocks_into(
-    col: &SegmentedColumn,
-    words: &[u64],
-    first_block: usize,
-    last_block: usize,
-    pred: RangePredicate,
-    out: &mut Vec<RowId>,
-) {
-    assert_word_aligned(col);
-    let br = col.block_rows();
-    let mut mask_buf = Vec::new();
-    for b in first_block..last_block.min(col.frozen_segments()) {
-        let block = col.frozen_block(b).expect("frozen block in range");
-        scan_frozen_block_into(block, words, b * br, pred, &mut mask_buf, out);
-    }
-}
-
-/// Scan the uncompressed tail of a compressed column with the regular
-/// raw-slice kernel (the tail start is word-aligned because every frozen
-/// block is).
-pub fn scan_compressed_tail_into(
-    col: &SegmentedColumn,
-    words: &[u64],
-    pred: RangePredicate,
-    out: &mut Vec<RowId>,
-) {
-    assert_word_aligned(col);
-    let tail = col.tail_values();
-    let tail_start = col.frozen_segments() * col.block_rows();
-    let imp = mask_impl();
-    for (j, chunk) in tail.chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let active = tail_word(words, wi, chunk.len());
-        if active == 0 {
-            continue;
-        }
-        let base = tail_start + j * WORD_BITS;
-        emit_selection(selection_word(chunk, active, pred, imp), base, out);
-    }
-}
-
-/// Activity word `wi` clipped to the `chunk_len` rows the compressed
-/// snapshot actually covers. The live table may have grown past the
-/// snapshot, in which case the word carries activity bits for rows the
-/// snapshot does not hold — scanning those would index past the chunk.
+/// Activity (or selection) word `wi` clipped to the `chunk_len` rows of
+/// the value chunk it pairs with. The word slice may cover more rows
+/// than the values do — a partial last word, or a caller's words taken
+/// after the table grew — and scanning those bits would index past the
+/// chunk.
 #[inline]
 pub(crate) fn tail_word(words: &[u64], wi: usize, chunk_len: usize) -> u64 {
     let word = words.get(wi).copied().unwrap_or(0);
@@ -950,68 +568,6 @@ pub(crate) fn tail_word(words: &[u64], wi: usize, chunk_len: usize) -> u64 {
     } else {
         word & ((1u64 << chunk_len) - 1)
     }
-}
-
-/// Scan a compressed (segmented) column for active rows matching `pred`:
-/// every frozen block runs the fused decode+filter path, the uncompressed
-/// tail runs the regular raw-slice kernel. `words` spans the whole
-/// column. The column's block size must be a whole number of activity
-/// words (the default, 1024, is 16 words).
-pub fn scan_compressed_active_into(
-    col: &SegmentedColumn,
-    words: &[u64],
-    pred: RangePredicate,
-    out: &mut Vec<RowId>,
-) {
-    if pred.is_empty() || col.is_empty() {
-        return;
-    }
-    scan_compressed_blocks_into(col, words, 0, col.frozen_segments(), pred, out);
-    scan_compressed_tail_into(col, words, pred, out);
-}
-
-/// Count active matches in a compressed column without materializing row
-/// ids — one popcount per selection word, runs and dictionary fast paths
-/// included.
-pub fn count_compressed_active(
-    col: &SegmentedColumn,
-    words: &[u64],
-    pred: RangePredicate,
-) -> usize {
-    if pred.is_empty() || col.is_empty() {
-        return 0;
-    }
-    assert_word_aligned(col);
-    let br = col.block_rows();
-    let mut count = 0usize;
-    let mut mask_buf = Vec::new();
-    for b in 0..col.frozen_segments() {
-        let block = col.frozen_block(b).expect("frozen block in range");
-        let base_word = b * br / WORD_BITS;
-        let nwords = block.len().div_ceil(WORD_BITS);
-        let block_words = words
-            .get(base_word..(base_word + nwords).min(words.len()))
-            .unwrap_or(&[]);
-        if block_words.iter().all(|&w| w == 0) {
-            continue;
-        }
-        block.filter_range_masks(pred.lo, pred.hi, &mut mask_buf);
-        for (k, &m) in mask_buf.iter().enumerate() {
-            count += (m & block_words.get(k).copied().unwrap_or(0)).count_ones() as usize;
-        }
-    }
-    let tail = col.tail_values();
-    let tail_start = col.frozen_segments() * br;
-    let imp = mask_impl();
-    for (j, chunk) in tail.chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let active = tail_word(words, wi, chunk.len());
-        if active == 0 {
-            continue;
-        }
-        count += selection_word(chunk, active, pred, imp).count_ones() as usize;
-    }
-    count
 }
 
 // ---------------------------------------------------------------------
@@ -1052,24 +608,26 @@ pub(crate) fn block_words<'a>(tier: &TieredColumn, words: &'a [u64], b: usize) -
         .unwrap_or(&[])
 }
 
-/// Scan frozen blocks `[first, last)` of a tiered column for active rows
-/// matching `pred` — the per-chunk primitive behind both the serial and
-/// the parallel tiered scans. Each block is pruned by its cached meta
-/// (min/max over active rows, active count) before the codec's fused
-/// `filter_range_masks` runs; surviving masks AND with the activity
-/// words and feed the shared emit loop.
-pub fn scan_tiered_blocks_into(
+/// Scan a tiered column for active rows matching `pred`, ascending.
+/// Each frozen block is pruned by its cached meta (min/max over active
+/// rows, active count) before the codec's fused `filter_range_masks`
+/// runs; surviving masks AND with the activity words and feed the shared
+/// emit loop. The hot tail runs the raw-slice selection kernel (its start
+/// is word-aligned because frozen blocks tile whole activity words). A
+/// fully hot column has no frozen blocks and is all tail.
+pub fn scan_tiered_active_into(
     tier: &TieredColumn,
     words: &[u64],
-    first: usize,
-    last: usize,
     pred: RangePredicate,
     out: &mut Vec<RowId>,
 ) -> TierStats {
     let mut stats = TierStats::default();
+    if pred.is_empty() || tier.is_empty() {
+        return stats;
+    }
     let br = tier.block_rows();
     let mut mask_buf = Vec::new();
-    for b in first..last.min(tier.frozen_blocks()) {
+    for b in 0..tier.frozen_blocks() {
         let f = tier.frozen(b).expect("frozen block in range");
         let meta = f.meta();
         if !meta.may_match(pred.lo, pred.hi) {
@@ -1086,50 +644,18 @@ pub fn scan_tiered_blocks_into(
             emit_selection(sel, b * br + k * WORD_BITS, out);
         }
     }
-    stats
-}
-
-/// Scan the hot tail of a tiered column with the raw-slice selection
-/// kernel (the tail start is word-aligned because frozen blocks tile
-/// whole activity words). Returns active rows examined.
-pub fn scan_tiered_tail_into(
-    tier: &TieredColumn,
-    words: &[u64],
-    pred: RangePredicate,
-    out: &mut Vec<RowId>,
-) -> usize {
-    let tail = tier.hot_values();
     let tail_start = tier.hot_start();
     let imp = mask_impl();
-    let mut scanned = 0usize;
-    for (j, chunk) in tail.chunks(WORD_BITS).enumerate() {
+    for (j, chunk) in tier.hot_values().chunks(WORD_BITS).enumerate() {
         let wi = tail_start / WORD_BITS + j;
         let active = tail_word(words, wi, chunk.len());
         if active == 0 {
-            continue;
+            continue; // all-forgotten word: values never touched
         }
-        scanned += active.count_ones() as usize;
+        stats.rows_scanned += active.count_ones() as usize;
         let base = tail_start + j * WORD_BITS;
         emit_selection(selection_word(chunk, active, pred, imp), base, out);
     }
-    scanned
-}
-
-/// Scan a tiered column for active rows matching `pred`: frozen blocks
-/// run meta-pruned fused decode+filter, the hot tail runs the raw-slice
-/// kernel. Results are identical to a flat scan of the same logical
-/// column.
-pub fn scan_tiered_active_into(
-    tier: &TieredColumn,
-    words: &[u64],
-    pred: RangePredicate,
-    out: &mut Vec<RowId>,
-) -> TierStats {
-    if pred.is_empty() || tier.is_empty() {
-        return TierStats::default();
-    }
-    let mut stats = scan_tiered_blocks_into(tier, words, 0, tier.frozen_blocks(), pred, out);
-    stats.rows_scanned += scan_tiered_tail_into(tier, words, pred, out);
     stats
 }
 
@@ -1176,32 +702,38 @@ pub fn count_tiered_active(
     (count, stats)
 }
 
-/// Fold frozen blocks `[first, last)` into an aggregate state via the
-/// codecs' fused `fold_range_masked` — SUM/COUNT/MIN/MAX accumulate in
-/// code/offset/run space and the block is never decoded (the
-/// `agg_compressed` path the compressed benches measure).
-pub fn agg_compressed_blocks(
+/// Fused filter+aggregate over a tiered column. Frozen blocks fold
+/// through the codecs' fused `fold_range_masked` — SUM/COUNT/MIN/MAX
+/// accumulate in code/offset/run space and the block is never decoded —
+/// behind the same meta pruning as the scans; the hot tail folds the raw
+/// slice. `rows_scanned` counts the active rows examined (meta-pruned
+/// blocks are skipped, which is the work the metadata saved). An empty
+/// predicate selects nothing but still reports every active row as
+/// scanned, mirroring [`scalar::aggregate_active`].
+pub fn aggregate_tiered_active(
     tier: &TieredColumn,
     words: &[u64],
-    first: usize,
-    last: usize,
     pred: Option<RangePredicate>,
 ) -> (AggState, TierStats) {
     let mut state = AggState::new();
     let mut stats = TierStats::default();
+    if tier.is_empty() {
+        return (state, stats);
+    }
+    if pred.is_some_and(|p| p.is_empty()) {
+        let n = tier.len();
+        stats.rows_scanned = (0..n.div_ceil(WORD_BITS))
+            .map(|wi| amnesia_util::bitmap::masked_word(words, wi, 0, n).count_ones() as usize)
+            .sum();
+        return (state, stats);
+    }
     let filter = pred.map(|p| (p.lo, p.hi));
-    for b in first..last.min(tier.frozen_blocks()) {
+    for b in 0..tier.frozen_blocks() {
         let f = tier.frozen(b).expect("frozen block in range");
         let meta = f.meta();
-        if meta.active == 0 {
+        if meta.active == 0 || pred.is_some_and(|p| !meta.may_match(p.lo, p.hi)) {
             stats.blocks_pruned += 1;
             continue;
-        }
-        if let Some(p) = pred {
-            if !meta.may_match(p.lo, p.hi) {
-                stats.blocks_pruned += 1;
-                continue;
-            }
         }
         tier.note_block_access(b);
         let mut agg = BlockAgg::new();
@@ -1212,25 +744,12 @@ pub fn agg_compressed_blocks(
             state.push_block(agg.count, agg.sum, agg.min, agg.max);
         }
     }
-    (state, stats)
-}
-
-/// Fold the hot tail of a tiered column (fused filter+aggregate over the
-/// raw slice). Returns the partial state and active rows examined.
-pub fn agg_tiered_tail(
-    tier: &TieredColumn,
-    words: &[u64],
-    pred: Option<RangePredicate>,
-) -> (AggState, usize) {
-    let tail = tier.hot_values();
     let tail_start = tier.hot_start();
     let imp = mask_impl();
-    let mut state = AggState::new();
-    let mut scanned = 0usize;
-    for (j, chunk) in tail.chunks(WORD_BITS).enumerate() {
+    for (j, chunk) in tier.hot_values().chunks(WORD_BITS).enumerate() {
         let wi = tail_start / WORD_BITS + j;
         let active = tail_word(words, wi, chunk.len());
-        scanned += active.count_ones() as usize;
+        stats.rows_scanned += active.count_ones() as usize;
         if active == 0 {
             continue;
         }
@@ -1240,39 +759,6 @@ pub fn agg_tiered_tail(
         };
         fold_selection(&mut state, chunk, sel);
     }
-    (state, scanned)
-}
-
-/// Fused filter+aggregate over a tiered column: frozen blocks fold
-/// through [`agg_compressed_blocks`] (no decode), the hot tail through
-/// the raw-slice path. `rows_scanned` mirrors the flat kernels' contract
-/// (active rows examined; meta-pruned blocks are skipped, which is the
-/// work the metadata saved). An empty predicate still reports every
-/// active row as scanned, matching [`aggregate_active`].
-pub fn aggregate_tiered_active(
-    tier: &TieredColumn,
-    words: &[u64],
-    pred: Option<RangePredicate>,
-) -> (AggState, TierStats) {
-    let mut stats = TierStats::default();
-    if tier.is_empty() {
-        return (AggState::new(), stats);
-    }
-    if pred.is_some_and(|p| p.is_empty()) {
-        // Predicate selects nothing, but the scan still visits every
-        // active row (mirrors the flat kernel's accounting).
-        let n = tier.len();
-        let scanned: usize = (0..n.div_ceil(WORD_BITS))
-            .map(|wi| amnesia_util::bitmap::masked_word(words, wi, 0, n).count_ones() as usize)
-            .sum();
-        stats.rows_scanned = scanned;
-        return (AggState::new(), stats);
-    }
-    let (mut state, mut stats2) = agg_compressed_blocks(tier, words, 0, tier.frozen_blocks(), pred);
-    let (tail_state, tail_scanned) = agg_tiered_tail(tier, words, pred);
-    state.merge(&tail_state);
-    stats2.rows_scanned += tail_scanned;
-    stats.merge(stats2);
     (state, stats)
 }
 
@@ -1421,7 +907,7 @@ pub fn probe_tiered_blocks_with<T>(
 
 /// Probe the hot tail of a tiered column: a direct slice walk over the
 /// uncompressed values, one hash lookup per active row, ascending.
-pub fn probe_tiered_tail_with<T>(
+fn probe_tiered_tail_with<T>(
     tier: &TieredColumn,
     words: &[u64],
     build: &HashMap<Value, T>,
@@ -1437,36 +923,6 @@ pub fn probe_tiered_tail_with<T>(
             let bit = active.trailing_zeros() as usize;
             active &= active - 1;
             if let Some(t) = build.get(&chunk[bit]) {
-                on_hit(t, base + bit);
-            }
-        }
-    }
-}
-
-/// Probe rows `[lo, hi)` of a flat (fully hot) column slice: the
-/// word-masked equivalent of the tail probe, used by the parallel join to
-/// chunk a hot probe side. `values` and `words` span the whole column.
-pub fn probe_hot_with<T>(
-    values: &[Value],
-    words: &[u64],
-    lo: usize,
-    hi: usize,
-    build: &HashMap<Value, T>,
-    mut on_hit: impl FnMut(&T, usize),
-) {
-    let hi = hi.min(values.len());
-    if lo >= hi {
-        return;
-    }
-    let first = lo / WORD_BITS;
-    let last = (hi - 1) / WORD_BITS;
-    for (wi, &word) in words.iter().enumerate().take(last + 1).skip(first) {
-        let mut active = clip_word(word, wi, lo, hi);
-        let base = wi * WORD_BITS;
-        while active != 0 {
-            let bit = active.trailing_zeros() as usize;
-            active &= active - 1;
-            if let Some(t) = build.get(&values[base + bit]) {
                 on_hit(t, base + bit);
             }
         }
@@ -1517,12 +973,12 @@ pub mod scalar {
     //!
     //! These are the pre-vectorization implementations, kept verbatim as
     //! the behavioral reference: `tests/kernel_equivalence.rs` asserts the
-    //! batch kernels return identical results, and the `scan_kernels` /
-    //! `parallel_scan` benches measure the speedup against them.
+    //! tiered kernels return identical results on hot and frozen tables,
+    //! and the `tiered_scan` bench measures the speedup against them.
 
     use super::*;
 
-    /// Row-at-a-time [`scan_active_into`] equivalent.
+    /// Row-at-a-time [`scan_tiered_active_into`] equivalent.
     pub fn range_scan_active(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
         let mut out = Vec::new();
         let column = table.column(col);
@@ -1534,7 +990,7 @@ pub mod scalar {
         out
     }
 
-    /// Row-at-a-time [`scan_all_into`] equivalent.
+    /// Row-at-a-time [`scan_tiered_all_into`] equivalent.
     pub fn range_scan_all(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
         let column = table.column(col);
         (0..table.num_rows())
@@ -1543,7 +999,7 @@ pub mod scalar {
             .collect()
     }
 
-    /// Row-at-a-time [`count_active`] equivalent.
+    /// Row-at-a-time [`count_tiered_active`] equivalent.
     pub fn count_active_matches(table: &Table, col: usize, pred: RangePredicate) -> usize {
         let column = table.column(col);
         table
@@ -1552,7 +1008,7 @@ pub mod scalar {
             .count()
     }
 
-    /// Row-at-a-time [`aggregate_active`](super::aggregate_active).
+    /// Row-at-a-time [`aggregate_tiered_active`] equivalent.
     pub fn aggregate_active(
         table: &Table,
         col: usize,
@@ -1570,31 +1026,6 @@ pub mod scalar {
             }
         }
         (state.finalize(kind), scanned)
-    }
-
-    /// Row-at-a-time blocked scan (zone-map pruned path reference).
-    pub fn range_scan_blocks(
-        table: &Table,
-        col: usize,
-        pred: RangePredicate,
-        blocks: &[usize],
-        block_rows: usize,
-    ) -> Vec<RowId> {
-        let mut out = Vec::new();
-        let column = table.column(col);
-        let activity = table.activity();
-        let n = table.num_rows();
-        for &b in blocks {
-            let lo = b * block_rows;
-            let hi = (lo + block_rows).min(n);
-            for r in lo..hi {
-                let id = RowId::from(r);
-                if activity.is_active(id) && pred.matches(column.get(r)) {
-                    out.push(id);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -1617,6 +1048,12 @@ mod tests {
         t
     }
 
+    fn scan(t: &Table, pred: RangePredicate) -> Vec<RowId> {
+        let mut out = Vec::new();
+        scan_tiered_active_into(t.col_tier(0), t.activity_words(), pred, &mut out);
+        out
+    }
+
     #[test]
     fn predicate_mask_bits_match_predicate() {
         let values: Vec<i64> = (0..64).collect();
@@ -1631,13 +1068,13 @@ mod tests {
 
     #[test]
     fn clip_word_bounds() {
-        // Algebra lives in amnesia_util; spot-check it from the consumer
-        // side so kernel assumptions stay pinned.
-        assert_eq!(clip_word(!0, 0, 0, 64), !0);
-        assert_eq!(clip_word(!0, 0, 3, 64), !0 << 3);
-        assert_eq!(clip_word(!0, 1, 0, 70), (1 << 6) - 1);
-        assert_eq!(clip_word(!0, 1, 130, 200), 0);
-        assert_eq!(clip_word(!0, 3, 0, 64), 0);
+        // The one clipping primitive the tiered kernels lean on: a short
+        // last chunk keeps only its own rows' bits, words past the slice
+        // read as all-forgotten.
+        assert_eq!(tail_word(&[!0, !0], 0, 64), !0);
+        assert_eq!(tail_word(&[!0, !0], 1, 6), (1 << 6) - 1);
+        assert_eq!(tail_word(&[!0, !0], 1, 0), 0);
+        assert_eq!(tail_word(&[!0, !0], 2, 64), 0);
     }
 
     #[test]
@@ -1646,10 +1083,8 @@ mod tests {
             for forget_every in [0usize, 3] {
                 let t = table(n, forget_every);
                 let pred = RangePredicate::new(100, 600);
-                let mut got = Vec::new();
-                scan_active_into(t.col_values(0), t.activity_words(), 0, n, pred, &mut got);
                 assert_eq!(
-                    got,
+                    scan(&t, pred),
                     scalar::range_scan_active(&t, 0, pred),
                     "n={n} forget_every={forget_every}"
                 );
@@ -1658,56 +1093,22 @@ mod tests {
     }
 
     #[test]
-    fn subrange_scan_masks_boundaries() {
-        let t = table(300, 4);
-        let pred = RangePredicate::new(0, 1000); // everything matches
-        for (lo, hi) in [
-            (0, 300),
-            (1, 299),
-            (63, 65),
-            (64, 128),
-            (100, 100),
-            (170, 300),
-        ] {
-            let mut got = Vec::new();
-            scan_active_into(t.col_values(0), t.activity_words(), lo, hi, pred, &mut got);
-            let expect: Vec<RowId> = t
-                .iter_active()
-                .filter(|r| (lo..hi).contains(&r.as_usize()))
-                .collect();
-            assert_eq!(got, expect, "range [{lo}, {hi})");
-        }
-    }
-
-    #[test]
     fn count_equals_scan_len() {
         let t = table(5000, 7);
         let pred = RangePredicate::new(250, 500);
-        let mut rows = Vec::new();
-        scan_active_into(
-            t.col_values(0),
-            t.activity_words(),
-            0,
-            5000,
-            pred,
-            &mut rows,
-        );
-        assert_eq!(
-            count_active(t.col_values(0), t.activity_words(), 0, 5000, pred),
-            rows.len()
-        );
+        let (count, _) = count_tiered_active(t.col_tier(0), t.activity_words(), pred);
+        assert_eq!(count, scan(&t, pred).len());
     }
 
     #[test]
     fn fused_aggregate_matches_scalar() {
         let t = table(4097, 5);
         for pred in [None, Some(RangePredicate::new(200, 800))] {
-            let (state, scanned) =
-                aggregate_active(t.col_values(0), t.activity_words(), 0, 4097, pred);
+            let (state, stats) = aggregate_tiered_active(t.col_tier(0), t.activity_words(), pred);
             for kind in AggKind::ALL {
                 let (expect, expect_scanned) = scalar::aggregate_active(&t, 0, pred, kind);
                 assert_eq!(state.finalize(kind), expect, "{kind:?} pred={pred:?}");
-                assert_eq!(scanned, expect_scanned);
+                assert_eq!(stats.rows_scanned, expect_scanned);
             }
         }
     }
@@ -1715,15 +1116,13 @@ mod tests {
     #[test]
     fn aggregate_empty_predicate_still_scans() {
         let t = table(100, 3);
-        let (state, scanned) = aggregate_active(
-            t.col_values(0),
+        let (state, stats) = aggregate_tiered_active(
+            t.col_tier(0),
             t.activity_words(),
-            0,
-            100,
             Some(RangePredicate::new(50, 10)),
         );
         assert_eq!(state.count(), 0);
-        assert_eq!(scanned, t.active_rows());
+        assert_eq!(stats.rows_scanned, t.active_rows());
     }
 
     #[test]
@@ -1731,16 +1130,14 @@ mod tests {
         // No forgetting, predicate matches everything: every full word
         // takes the slice-fold path; result must still be exact.
         let t = table(640, 0);
-        let (state, scanned) = aggregate_active(
-            t.col_values(0),
+        let (state, stats) = aggregate_tiered_active(
+            t.col_tier(0),
             t.activity_words(),
-            0,
-            640,
             Some(RangePredicate::new(0, 1000)),
         );
         assert_eq!(state.count(), 640);
-        assert_eq!(scanned, 640);
-        let expect_sum: i128 = t.col_values(0).iter().map(|&v| v as i128).sum();
+        assert_eq!(stats.rows_scanned, 640);
+        let expect_sum: i128 = t.col_tier(0).hot_values().iter().map(|&v| v as i128).sum();
         assert_eq!(state.sum(), expect_sum);
     }
 
@@ -1759,213 +1156,106 @@ mod tests {
     }
 
     #[test]
-    fn zoned_scan_matches_and_prunes() {
-        use amnesia_columnar::WordZoneMap;
-        // Sorted column: zones are tight, a narrow predicate prunes hard.
-        let values: Vec<i64> = (0..10_000).collect();
-        let mut t = Table::new(Schema::single("a"));
-        t.insert_batch(&values, 0).unwrap();
-        for r in (0..10_000).step_by(9) {
-            t.forget(RowId::from(r), 1).unwrap();
-        }
-        let wz = WordZoneMap::build(&t, 0);
-        let pred = RangePredicate::new(4_000, 4_100);
-        let n = t.num_rows();
-
-        let mut plain = Vec::new();
-        scan_active_into(t.col_values(0), t.activity_words(), 0, n, pred, &mut plain);
-        let mut zoned = Vec::new();
-        let stats = scan_active_zoned_into(
-            t.col_values(0),
-            t.activity_words(),
-            wz.zones(),
-            0,
-            n,
-            pred,
-            &mut zoned,
-        );
-        assert_eq!(zoned, plain);
-        // 10k rows = 157 words; ~2 words can match; everything else prunes.
-        assert!(
-            stats.words_pruned > 150,
-            "pruned only {} words",
-            stats.words_pruned
-        );
-        assert!(
-            stats.rows_scanned < 200,
-            "scanned {} rows",
-            stats.rows_scanned
-        );
-
-        let (count, cstats) =
-            count_active_zoned(t.col_values(0), t.activity_words(), wz.zones(), 0, n, pred);
-        assert_eq!(count, plain.len());
-        assert_eq!(cstats, stats);
-
-        let (state, astats) = aggregate_active_zoned(
-            t.col_values(0),
-            t.activity_words(),
-            wz.zones(),
-            0,
-            n,
-            Some(pred),
-        );
-        let (want, want_scanned) =
-            aggregate_active(t.col_values(0), t.activity_words(), 0, n, Some(pred));
-        assert_eq!(state.finalize(AggKind::Sum), want.finalize(AggKind::Sum));
-        assert_eq!(astats, stats);
-        assert!(
-            astats.rows_scanned < want_scanned,
-            "zones must shrink scanned rows"
-        );
-    }
-
-    #[test]
-    fn zoned_kernels_tolerate_short_zone_slices() {
-        let t = table(200, 3);
-        let pred = RangePredicate::new(100, 600);
-        let mut want = Vec::new();
-        scan_active_into(t.col_values(0), t.activity_words(), 0, 200, pred, &mut want);
-        // Empty zone slice: no pruning, same answer.
-        let mut got = Vec::new();
-        let stats = scan_active_zoned_into(
-            t.col_values(0),
-            t.activity_words(),
-            &[],
-            0,
-            200,
-            pred,
-            &mut got,
-        );
-        assert_eq!(got, want);
-        assert_eq!(stats.words_pruned, 0);
-    }
-
-    #[test]
     fn compressed_scan_matches_flat_scan() {
         let mut rng = amnesia_util::SimRng::new(9);
         let values: Vec<i64> = (0..5_000).map(|_| rng.range_i64(0, 500)).collect();
-        let mut t = Table::new(Schema::single("a"));
-        t.insert_batch(&values, 0).unwrap();
+        let mut flat = Table::new(Schema::single("a"));
+        flat.insert_batch(&values, 0).unwrap();
         for r in (0..5_000).step_by(4) {
-            t.forget(RowId::from(r), 1).unwrap();
+            flat.forget(RowId::from(r), 1).unwrap();
         }
-        let seg = t.compress_column(0);
-        assert!(seg.frozen_segments() >= 4, "test must cover frozen blocks");
-        assert!(!seg.tail_values().is_empty(), "test must cover the tail");
+        let mut t = flat.clone();
+        t.freeze_upto(5_000);
+        assert!(t.frozen_blocks() >= 4, "test must cover frozen blocks");
+        assert!(
+            !t.col_tier(0).hot_values().is_empty(),
+            "test must cover the tail"
+        );
         for pred in [
             RangePredicate::new(100, 200),
             RangePredicate::new(0, 500),
             RangePredicate::new(900, 100),
         ] {
-            let mut want = Vec::new();
-            scan_active_into(
-                t.col_values(0),
-                t.activity_words(),
-                0,
-                5_000,
-                pred,
-                &mut want,
-            );
-            let mut got = Vec::new();
-            scan_compressed_active_into(&seg, t.activity_words(), pred, &mut got);
-            assert_eq!(got, want, "pred {pred:?}");
-            assert_eq!(
-                count_compressed_active(&seg, t.activity_words(), pred),
-                want.len()
-            );
+            let want = scan(&flat, pred);
+            assert_eq!(scan(&t, pred), want, "pred {pred:?}");
+            let (count, _) = count_tiered_active(t.col_tier(0), t.activity_words(), pred);
+            assert_eq!(count, want.len());
         }
     }
 
     #[test]
     fn compressed_scan_tolerates_table_grown_past_snapshot() {
-        // Regression: a compressed snapshot is a point-in-time copy; if
-        // the live table grows afterwards, its activity words carry bits
-        // for rows the snapshot's tail chunk does not hold. Those bits
-        // must be clipped, not indexed.
+        // Regression: a clone is a point-in-time snapshot; if the live
+        // table grows afterwards, its activity words carry bits for rows
+        // the snapshot's hot tail does not hold (the hot tail grown past
+        // the frozen prefix). Those bits must be clipped, not indexed.
         let mut t = Table::new(Schema::single("a"));
-        t.insert_batch(&(0..1_000).collect::<Vec<i64>>(), 0)
+        t.insert_batch(&(0..1_100).collect::<Vec<i64>>(), 0)
             .unwrap();
-        for r in 960..1_000 {
+        for r in 1_060..1_100 {
             t.forget(RowId::from(r), 1).unwrap();
         }
-        let seg = t.compress_column(0); // covers rows 0..1000
-        t.insert_batch(&(1_000..1_010).collect::<Vec<i64>>(), 1)
+        t.freeze_upto(1_024);
+        let snapshot = t.clone(); // covers rows 0..1100
+        t.insert_batch(&(1_100..1_110).collect::<Vec<i64>>(), 1)
             .unwrap();
         let pred = RangePredicate::new(0, 2_000);
+        let tier = snapshot.col_tier(0);
         let mut got = Vec::new();
-        scan_compressed_active_into(&seg, t.activity_words(), pred, &mut got);
-        let expect: Vec<RowId> = (0..960).map(RowId::from).collect();
+        scan_tiered_active_into(tier, t.activity_words(), pred, &mut got);
+        let expect: Vec<RowId> = (0..1_060).map(RowId::from).collect();
         assert_eq!(got, expect, "snapshot scan covers snapshot rows only");
-        assert_eq!(
-            count_compressed_active(&seg, t.activity_words(), pred),
-            expect.len()
-        );
+        let (count, _) = count_tiered_active(tier, t.activity_words(), pred);
+        assert_eq!(count, expect.len());
     }
 
     #[test]
     fn tiered_kernels_match_flat_kernels() {
+        // "Flat" = the same table with nothing frozen: the kernels must
+        // agree with the scalar reference on both layouts.
         let mut rng = amnesia_util::SimRng::new(13);
         let values: Vec<i64> = (0..6_000).map(|_| rng.range_i64(0, 700)).collect();
-        let mut flat = Table::new(Schema::single("a"));
-        flat.insert_batch(&values, 0).unwrap();
-        let mut tiered = flat.clone();
+        let mut hot = Table::new(Schema::single("a"));
+        hot.insert_batch(&values, 0).unwrap();
         for r in (0..6_000).step_by(3) {
-            flat.forget(RowId::from(r), 1).unwrap();
-            tiered.forget(RowId::from(r), 1).unwrap();
+            hot.forget(RowId::from(r), 1).unwrap();
         }
-        tiered.freeze_upto(5_000); // 4 frozen blocks + hot tail
-        assert_eq!(tiered.frozen_blocks(), 4);
-        let words = tiered.activity_words();
-        let tier = tiered.col_tier(0);
-        for pred in [
-            RangePredicate::new(100, 300),
-            RangePredicate::new(0, 700),
-            RangePredicate::new(650, 100),
-        ] {
-            let mut want = Vec::new();
-            scan_active_into(
-                flat.col_values(0),
-                flat.activity_words(),
-                0,
-                6_000,
-                pred,
-                &mut want,
-            );
-            let mut got = Vec::new();
-            scan_tiered_active_into(tier, words, pred, &mut got);
-            assert_eq!(got, want, "scan {pred:?}");
-            let (count, _) = count_tiered_active(tier, words, pred);
-            assert_eq!(count, want.len(), "count {pred:?}");
-            for predicate in [None, Some(pred)] {
-                let (want_state, want_scanned) = aggregate_active(
-                    flat.col_values(0),
-                    flat.activity_words(),
-                    0,
-                    6_000,
-                    predicate,
-                );
-                let (state, stats) = aggregate_tiered_active(tier, words, predicate);
-                assert_eq!(state.count(), want_state.count(), "agg count {predicate:?}");
-                assert_eq!(state.sum(), want_state.sum(), "agg sum {predicate:?}");
-                for kind in AggKind::ALL {
-                    assert_eq!(
-                        state.finalize(kind),
-                        want_state.finalize(kind),
-                        "agg {kind:?} {predicate:?}"
-                    );
+        let mut frozen = hot.clone();
+        frozen.freeze_upto(5_000); // 4 frozen blocks + hot tail
+        assert_eq!(frozen.frozen_blocks(), 4);
+        for t in [&hot, &frozen] {
+            let words = t.activity_words();
+            let tier = t.col_tier(0);
+            for pred in [
+                RangePredicate::new(100, 300),
+                RangePredicate::new(0, 700),
+                RangePredicate::new(650, 100),
+            ] {
+                let want = scalar::range_scan_active(&hot, 0, pred);
+                assert_eq!(scan(t, pred), want, "scan {pred:?}");
+                let (count, _) = count_tiered_active(tier, words, pred);
+                assert_eq!(count, want.len(), "count {pred:?}");
+                for predicate in [None, Some(pred)] {
+                    let (state, stats) = aggregate_tiered_active(tier, words, predicate);
+                    for kind in AggKind::ALL {
+                        let (want, want_scanned) =
+                            scalar::aggregate_active(&hot, 0, predicate, kind);
+                        assert_eq!(state.finalize(kind), want, "agg {kind:?} {predicate:?}");
+                        assert!(
+                            stats.rows_scanned <= want_scanned,
+                            "meta may only shrink work"
+                        );
+                    }
                 }
-                assert!(
-                    stats.rows_scanned <= want_scanned,
-                    "meta may only shrink work"
+                // Complete scan sees forgotten rows too.
+                let mut got_all = Vec::new();
+                scan_tiered_all_into(tier, pred, &mut got_all);
+                assert_eq!(
+                    got_all,
+                    scalar::range_scan_all(&hot, 0, pred),
+                    "scan-all {pred:?}"
                 );
             }
-            // Complete scan sees forgotten rows too.
-            let mut want_all = Vec::new();
-            scan_all_into(flat.col_values(0), 0, 6_000, pred, &mut want_all);
-            let mut got_all = Vec::new();
-            scan_tiered_all_into(tier, pred, &mut got_all);
-            assert_eq!(got_all, want_all, "scan-all {pred:?}");
         }
     }
 
@@ -1999,23 +1289,25 @@ mod tests {
 
     #[test]
     fn compressed_scan_skips_forgotten_blocks() {
-        // Whole first block forgotten: the scan must not decode it (we
-        // can't observe the skip directly, but the result must hold).
+        // Whole first block forgotten: the scan prunes it on meta alone
+        // and the survivors still answer.
         let values: Vec<i64> = (0..2_048).collect();
         let mut t = Table::new(Schema::single("a"));
         t.insert_batch(&values, 0).unwrap();
         for r in 0..1_024 {
             t.forget(RowId::from(r), 1).unwrap();
         }
-        let seg = t.compress_column(0);
+        t.freeze_upto(2_048);
         let mut got = Vec::new();
-        scan_compressed_active_into(
-            &seg,
+        let stats = scan_tiered_active_into(
+            t.col_tier(0),
             t.activity_words(),
             RangePredicate::new(0, 3_000),
             &mut got,
         );
         let expect: Vec<RowId> = (1_024..2_048).map(RowId::from).collect();
         assert_eq!(got, expect);
+        assert_eq!(stats.blocks_pruned, 1);
+        assert_eq!(stats.rows_scanned, 1_024);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! The simulator is "mostly interested in trends rather than speed"
 //! (paper §2.1), so costs are abstract units rather than microseconds:
-//! what matters is the *relative* price of touching a hot row, probing an
-//! index, dragging a tuple back from cold storage (the paper's Glacier
-//! anecdote), or — new with the tier-aware planner — evaluating one
-//! predicate against one row *in a codec's own domain*.
+//! what matters is the *relative* price of touching a hot row, dragging
+//! a tuple back from cold storage (the paper's Glacier anecdote), or
+//! evaluating one predicate against one row *in a codec's own domain*.
 //!
 //! The planner runs an estimate → order → execute → feedback loop with
 //! this module pricing the middle step. Only the top box depends on what
@@ -59,12 +58,6 @@ use serde::{Deserialize, Serialize};
 pub struct CostModel {
     /// Cost of examining one hot row in a scan.
     pub row_scan: f64,
-    /// Fixed overhead per block visited (decode + zone check).
-    pub block_overhead: f64,
-    /// Base cost of an index probe (binary search).
-    pub index_probe: f64,
-    /// Cost per row produced through the index path.
-    pub index_row: f64,
     /// Cost of fetching one tuple from cold storage — deliberately huge.
     pub cold_fetch: f64,
 }
@@ -73,28 +66,15 @@ impl Default for CostModel {
     fn default() -> Self {
         Self {
             row_scan: 1.0,
-            block_overhead: 4.0,
-            index_probe: 32.0,
-            index_row: 2.0,
             cold_fetch: 10_000.0,
         }
     }
 }
 
 impl CostModel {
-    /// Cost of a full scan over `rows` physical rows.
+    /// Cost of a scan that examined `rows` rows.
     pub fn full_scan(&self, rows: usize) -> f64 {
         rows as f64 * self.row_scan
-    }
-
-    /// Cost of scanning `blocks` blocks of at most `block_rows` rows.
-    pub fn pruned_scan(&self, blocks: usize, block_rows: usize) -> f64 {
-        blocks as f64 * (self.block_overhead + block_rows as f64 * self.row_scan)
-    }
-
-    /// Cost of an index probe returning an estimated `est_rows` rows.
-    pub fn index_probe_cost(&self, est_rows: f64) -> f64 {
-        self.index_probe + est_rows * self.index_row
     }
 
     /// Cost of recovering `n` tuples from cold storage.
@@ -128,20 +108,8 @@ mod tests {
     #[test]
     fn relative_ordering_makes_sense() {
         let m = CostModel::default();
-        // Probing beats scanning for selective queries on big tables.
-        assert!(m.index_probe_cost(10.0) < m.full_scan(100_000));
-        // Scanning beats probing for tiny tables.
-        assert!(m.full_scan(8) < m.index_probe_cost(8.0));
-        // Cold recovery dwarfs everything at comparable cardinality.
+        // Cold recovery dwarfs a scan at comparable cardinality.
         assert!(m.cold_recovery(10) > m.full_scan(10_000));
-    }
-
-    #[test]
-    fn pruned_scan_cheaper_than_full_when_blocks_skipped() {
-        let m = CostModel::default();
-        let full = m.full_scan(1024 * 100);
-        let pruned = m.pruned_scan(3, 1024);
-        assert!(pruned < full / 10.0);
     }
 
     #[test]

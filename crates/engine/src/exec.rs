@@ -1,15 +1,21 @@
-//! The executor: runs queries under a forget-visibility mode, with
-//! optional zone map, index and summary support, reporting per-query
-//! execution statistics.
+//! The executor: runs queries under a forget-visibility mode, folding in
+//! summaries and micro-models of forgotten data when the caller holds
+//! them, and reports per-query execution statistics.
+//!
+//! Two entry points, one kernel family underneath:
+//!
+//! * [`Executor::execute_plan`] runs a [`PhysicalPlan`] — the API every
+//!   multi-column surface (SQL) lowers onto;
+//! * [`Executor::execute`] is a thin adapter for the single-column
+//!   [`Query`] algebra of the paper's simulator. It chooses nothing: each
+//!   query kind maps to exactly one tiered kernel of [`crate::batch`].
 
-use amnesia_columnar::{
-    Estimate, ModelStore, SortedIndex, SummaryStore, Table, ValueRange, WordZoneMap, ZoneMap,
-};
+use amnesia_columnar::{Estimate, ModelStore, SummaryStore, Table, ValueRange};
 use amnesia_workload::query::{AggKind, Query, RangePredicate};
 use amnesia_workload::Query as Q;
 use serde::{Deserialize, Serialize};
 
-use crate::batch::AggState;
+use crate::batch::{self, AggState, TierStats};
 use crate::cost::CostModel;
 use crate::group::GroupTable;
 use crate::kernels;
@@ -18,22 +24,15 @@ use crate::morsel::{self, ExecMode, SchedStats};
 use crate::physical::{
     finalize_scalar, ColPred, PhysItem, PhysicalPlan, PlanHint, Scalar, SortDir,
 };
-use crate::plan::{Plan, Planner};
 
 use amnesia_columnar::{RowId, Value};
 use amnesia_util::WORD_BITS;
 
-/// Auxiliary structures available to the executor.
+/// What the caller remembers about forgotten data, for
+/// [`Executor::execute`]'s aggregates to fold in. Scans take no
+/// auxiliary access path: block pruning lives inside the tiers.
 #[derive(Default)]
 pub struct Aux<'a> {
-    /// Zone map over the queried column, if maintained.
-    pub zonemap: Option<&'a ZoneMap>,
-    /// Word-granularity zone map over the queried column: min/max per
-    /// 64-row activity word, consulted inside the batch kernels so scans
-    /// skip words the predicate cannot hit.
-    pub word_zones: Option<&'a WordZoneMap>,
-    /// Sorted index over the queried column, if built.
-    pub index: Option<&'a SortedIndex>,
     /// Summaries of forgotten data (enables whole-table aggregates that
     /// account for what rotted away).
     pub summaries: Option<&'a SummaryStore>,
@@ -45,8 +44,7 @@ pub struct Aux<'a> {
 /// Result rows or an aggregate value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryOutput {
-    /// Matching row ids (insertion order for scans, value order for index
-    /// probes).
+    /// Matching row ids, in insertion order.
     Rows(Vec<RowId>),
     /// Aggregate value; `None` encodes SQL NULL (empty selection).
     Agg(Option<f64>),
@@ -86,11 +84,9 @@ impl QueryOutput {
 pub struct ExecStats {
     /// Rows examined.
     pub rows_scanned: usize,
-    /// Blocks skipped thanks to zone-map / block-meta / join-key-range
+    /// Frozen blocks skipped thanks to block-meta / join-key-range
     /// pruning.
     pub blocks_pruned: usize,
-    /// 64-row words skipped thanks to the word-granularity zone map.
-    pub words_pruned: usize,
     /// Result cardinality: matching rows for scans and joins, output
     /// rows (the group count) for executed plans with aggregation, 0
     /// for the workload driver's scalar-aggregate path.
@@ -102,7 +98,7 @@ pub struct ExecStats {
     pub groups: usize,
     /// Abstract cost charged by the cost model.
     pub cost: f64,
-    /// Which plan ran ("full-scan", "pruned-scan", "index-probe").
+    /// Which physical path ran.
     pub plan: PlanTag,
     /// Morsels the scheduler executed across all plan stages (0 when
     /// every stage ran serially).
@@ -166,16 +162,13 @@ pub struct StageEstimate {
 /// Compact plan identifier for stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum PlanTag {
-    /// Full table scan.
+    /// Scan of a fully hot table (every block is hot tail).
     #[default]
     FullScan,
-    /// Zone-map pruned scan.
-    PrunedScan,
-    /// Sorted-index probe.
-    IndexProbe,
-    /// Tier-aware scan: frozen blocks run the fused compressed kernels
-    /// behind their cached block meta, the hot tail runs the flat
-    /// kernel. Chosen automatically once a table holds frozen blocks.
+    /// Scan of a table holding frozen blocks: they run the fused
+    /// compressed kernels behind their cached block meta, the hot tail
+    /// runs the raw-slice kernel. A label, not a choice — the same
+    /// kernel runs either way.
     TieredScan,
     /// Tier-aware hash join: the build side streams frozen blocks' keys
     /// in compressed space, the probe side prunes frozen blocks against
@@ -205,7 +198,7 @@ pub struct ExecResult {
 #[derive(Debug, Clone)]
 pub struct Executor {
     mode: ForgetVisibility,
-    planner: Planner,
+    cost: CostModel,
     exec_mode: ExecMode,
     morsel_rows: usize,
 }
@@ -218,7 +211,7 @@ impl Default for Executor {
     fn default() -> Self {
         Self {
             mode: ForgetVisibility::default(),
-            planner: Planner::default(),
+            cost: CostModel::default(),
             exec_mode: ExecMode::from_env(),
             morsel_rows: morsel::morsel_rows_from_env(),
         }
@@ -231,7 +224,7 @@ impl Executor {
     pub fn new(mode: ForgetVisibility, cost: CostModel) -> Self {
         Self {
             mode,
-            planner: Planner::new(cost),
+            cost,
             ..Self::default()
         }
     }
@@ -261,123 +254,94 @@ impl Executor {
         self.exec_mode
     }
 
-    /// Execute a query against column `col` of `table`. The workload
-    /// algebra is a trivial lowering onto the physical-plan operators:
-    /// `Range`/`Point` run the shared scan operator ([`Self::run_scan`],
-    /// the same code path SQL's lowered scans take), aggregates run the
-    /// fused filter+aggregate operator (the same [`AggState`] machinery
-    /// the plan's aggregation stages fold with).
+    /// Execute a single-column [`Query`] against column `col` of `table`
+    /// — the adapter the simulator and `AmnesiacStore::query` call. It
+    /// makes no choice: every query kind maps to one tiered kernel (a
+    /// fully hot table is a tiered column with zero frozen blocks), and
+    /// only the visibility mode decides whether a range scan may see
+    /// forgotten rows.
+    ///
+    /// * `Range` → [`batch::scan_tiered_active_into`], or
+    ///   [`batch::scan_tiered_all_into`] under
+    ///   [`ForgetVisibility::ScanSeesForgotten`] (paper §1: "a complete
+    ///   scan will fetch all data");
+    /// * `Point(v)` → the *inclusive* `[v, v]` (which, unlike `[v, v + 1)`,
+    ///   exists at `v = i64::MAX`) as a one-predicate
+    ///   [`kernels::selection_scan`], or [`kernels::selection_scan_all`]
+    ///   for the complete scan;
+    /// * `Aggregate` → [`batch::aggregate_tiered_active`] over active
+    ///   rows, then `aux`'s summaries / micro-models of the forgotten
+    ///   mass fold into the [`AggState`] before it finalizes.
+    ///
+    /// It is deliberately *not* a lowering onto [`PhysicalPlan`]: a plan
+    /// materializes one `Vec<Scalar>` per output row and carries no row
+    /// ids, has no visibility mode, and finalizes aggregates before the
+    /// summary / model combine could see the state.
     pub fn execute(&self, table: &Table, col: usize, query: &Query, aux: &Aux<'_>) -> ExecResult {
-        match query {
-            Q::Range(pred) => self.execute_scan_query(table, col, *pred, aux),
-            Q::Point(v) => self.execute_scan_query(
-                table,
-                col,
-                RangePredicate::new(*v, v.saturating_add(1)),
-                aux,
-            ),
-            Q::Aggregate { kind, predicate } => {
-                self.execute_aggregate(table, col, *kind, *predicate, aux)
+        let (output, ts) = match query {
+            Q::Range(pred) => {
+                let (rows, ts) = self.scan_rows(table, col, *pred);
+                (QueryOutput::Rows(rows), ts)
             }
-        }
+            Q::Point(v) => {
+                let (rows, ts) = self.scan_point(table, col, *v);
+                (QueryOutput::Rows(rows), ts)
+            }
+            Q::Aggregate { kind, predicate } => {
+                let (state, ts) = batch::aggregate_tiered_active(
+                    table.col_tier(col),
+                    table.activity_words(),
+                    *predicate,
+                );
+                let value = combine_forgotten(state, *kind, *predicate, aux);
+                (QueryOutput::Agg(value), ts)
+            }
+        };
+        let stats = ExecStats {
+            rows_scanned: ts.rows_scanned,
+            blocks_pruned: ts.blocks_pruned,
+            result_rows: output.cardinality(),
+            cost: self.cost.full_scan(ts.rows_scanned),
+            plan: scan_tag(table),
+            ..Default::default()
+        };
+        ExecResult { output, stats }
     }
 
-    /// Lower a single range predicate onto the shared scan operator and
-    /// materialize the selection as row ids (index probes keep their
-    /// value order through [`Selection::Rows`]).
-    fn execute_scan_query(
+    /// Rows of `col` in `pred` under the executor's visibility.
+    fn scan_rows(
         &self,
         table: &Table,
         col: usize,
         pred: RangePredicate,
-        aux: &Aux<'_>,
-    ) -> ExecResult {
-        let preds = [ColPred::from_range(col, pred)];
-        let (sel, mut stats) = self.run_scan(table, &preds, aux);
-        let rows = sel.into_rows();
-        stats.result_rows = rows.len();
-        ExecResult {
-            output: QueryOutput::Rows(rows),
-            stats,
-        }
-    }
-
-    /// Execute a hash equi-join `left.left_col = right.right_col` under
-    /// the executor's visibility mode, surfacing the join kernel's tier
-    /// accounting through [`ExecStats`]: `blocks_pruned` counts frozen
-    /// probe blocks skipped against the build side's key range, and
-    /// `rows_scanned` is the build rows plus the probe rows actually
-    /// streamed (pruned probe rows subtract out — the work the block
-    /// metadata saved). The plan reports [`PlanTag::TieredJoin`] once
-    /// either side holds frozen blocks under the amnesiac regime.
-    pub fn execute_join(
-        &self,
-        left: &Table,
-        left_col: usize,
-        right: &Table,
-        right_col: usize,
-    ) -> (crate::join::JoinResult, ExecStats) {
-        let r = crate::join::hash_join(left, left_col, right, right_col, self.mode);
-        let rows_scanned = r.stats.build_rows + r.stats.probe_rows - r.stats.probe_rows_skipped;
-        let tiered =
-            self.mode == ForgetVisibility::ActiveOnly && (left.has_frozen() || right.has_frozen());
-        let stats = ExecStats {
-            rows_scanned,
-            blocks_pruned: r.stats.blocks_pruned,
-            words_pruned: 0,
-            result_rows: r.stats.output_pairs,
-            join_pairs: r.stats.output_pairs,
-            groups: 0,
-            cost: self.planner.cost_model().full_scan(rows_scanned),
-            plan: if tiered {
-                PlanTag::TieredJoin
-            } else {
-                PlanTag::FullScan
-            },
-            ..Default::default()
-        };
-        (r, stats)
-    }
-
-    /// Run one physical scan — the shared operator underneath both the
-    /// workload driver's queries and the SQL surface's lowered plans.
-    ///
-    /// A single representable range predicate routes through the
-    /// cost-based planner exactly like [`Executor::execute`]'s range
-    /// queries (zone-map pruned scans and index probes included, when
-    /// the [`Aux`] structures exist); everything else — the empty
-    /// conjunction, multi-predicate conjunctions, negations, domain-edge
-    /// ranges — evaluates as fused 64-bit selection masks via
-    /// [`kernels::selection_scan`].
-    pub fn run_scan(
-        &self,
-        table: &Table,
-        preds: &[ColPred],
-        aux: &Aux<'_>,
-    ) -> (Selection, ExecStats) {
-        if preds.len() == 1 {
-            if let Some(range) = preds[0].as_range() {
-                let res = self.execute_range(table, preds[0].col, range, aux);
-                let rows = match res.output {
-                    QueryOutput::Rows(r) => r,
-                    QueryOutput::Agg(_) => unreachable!("range scans return rows"),
-                };
-                return (Selection::Rows(rows), res.stats);
+    ) -> (Vec<RowId>, TierStats) {
+        let tier = table.col_tier(col);
+        let mut rows = Vec::new();
+        let stats = match self.mode {
+            ForgetVisibility::ActiveOnly => {
+                batch::scan_tiered_active_into(tier, table.activity_words(), pred, &mut rows)
             }
-        }
-        let (sel, ts) = kernels::selection_scan(table, preds);
-        let stats = ExecStats {
-            rows_scanned: ts.rows_scanned,
-            blocks_pruned: ts.blocks_pruned,
-            cost: self.planner.cost_model().full_scan(ts.rows_scanned),
-            plan: if table.has_frozen() {
-                PlanTag::TieredScan
-            } else {
-                PlanTag::FullScan
-            },
-            ..Default::default()
+            ForgetVisibility::ScanSeesForgotten => {
+                batch::scan_tiered_all_into(tier, pred, &mut rows);
+                complete_scan_stats(table, pred.is_empty())
+            }
         };
-        (Selection::Words(sel), stats)
+        (rows, stats)
+    }
+
+    /// Rows of `col` equal to `v` under the executor's visibility: the
+    /// inclusive `[v, v]` as a one-predicate selection (the form SQL
+    /// uses at the domain edge), so `i64::MAX` is a findable value.
+    fn scan_point(&self, table: &Table, col: usize, v: Value) -> (Vec<RowId>, TierStats) {
+        let pred = ColPred::range(col, v, v);
+        let (sel, stats) = match self.mode {
+            ForgetVisibility::ActiveOnly => kernels::selection_scan(table, &[pred]),
+            ForgetVisibility::ScanSeesForgotten => (
+                kernels::selection_scan_all(table, &pred),
+                complete_scan_stats(table, false),
+            ),
+        };
+        (kernels::selection_rows(&sel), stats)
     }
 
     /// Execute a full [`PhysicalPlan`] — scans with pushed-down
@@ -388,21 +352,20 @@ impl Executor {
     /// The plan always runs under the amnesiac (active-only) visibility:
     /// a query surface lowered onto physical plans sees exactly the
     /// active data, per the paper's §1 contract that forgotten tuples
-    /// "will never show up in query results". `auxes` supplies per-slot
-    /// zone maps / indexes (missing slots scan unassisted).
+    /// "will never show up in query results". `_auxes` is unused — a plan
+    /// has no auxiliary access path — and stays in the signature only
+    /// until the benchmark package, which passes it, drops the argument.
     ///
     /// Under [`ExecMode::Parallel`] every stage dispatches through the
     /// [`morsel`] scheduler — tier-aligned morsels, a work-stealing
     /// worker pool, deterministic merges — and returns rows
-    /// byte-identical to the serial path (aux access paths are bypassed:
-    /// the fused selection kernels compute the same selection the
-    /// planner's assisted scans would). Scheduler accounting lands in
+    /// byte-identical to the serial path. Scheduler accounting lands in
     /// [`ExecStats::morsels`], [`ExecStats::morsel_steals`] and
     /// [`ExecStats::merge_ns`].
     pub fn execute_plan(
         &self,
         tables: &[&Table],
-        auxes: &[Aux<'_>],
+        _auxes: &[Aux<'_>],
         plan: &PhysicalPlan,
     ) -> PhysResult {
         assert_eq!(
@@ -410,12 +373,11 @@ impl Executor {
             plan.scans.len(),
             "one table per plan scan slot"
         );
-        let default_aux = Aux::default();
         let mut stats = ExecStats::default();
         let mut sched = SchedStats::default();
         let threads = self.exec_mode.threads();
         let cost_based = plan.hint == PlanHint::CostBased;
-        let model = self.planner.cost_model();
+        let model = &self.cost;
 
         // 1. Scans: per-slot selection masks under the pushed-down
         //    conjunction. Under the cost hint, multi-predicate
@@ -425,12 +387,12 @@ impl Executor {
         let mut sels: Vec<Vec<u64>> = Vec::with_capacity(tables.len());
         let mut scan_estimates: Vec<f64> = Vec::with_capacity(tables.len());
         for (slot, scan) in plan.scans.iter().enumerate() {
-            let nwords = tables[slot].num_rows().div_ceil(WORD_BITS);
-            if cost_based && scan.preds.len() >= 2 {
-                let po = crate::stats::order_predicates(tables[slot], &scan.preds, model);
+            let table = tables[slot];
+            let (sel, ts, est) = if cost_based && scan.preds.len() >= 2 {
+                let po = crate::stats::order_predicates(table, &scan.preds, model);
                 let (sel, ts, per_pred) = if threads > 1 {
                     let (sel, ts, per_pred, s) = morsel::par_selection_scan_ordered(
-                        tables[slot],
+                        table,
                         &scan.preds,
                         &po.order,
                         threads,
@@ -441,23 +403,13 @@ impl Executor {
                 } else {
                     let mut per_pred = vec![kernels::PredScanStats::default(); scan.preds.len()];
                     let (sel, ts) = kernels::selection_scan_ordered(
-                        tables[slot],
+                        table,
                         &scan.preds,
                         &po.order,
                         &mut per_pred,
                     );
                     (sel, ts, per_pred)
                 };
-                stats.rows_scanned += ts.rows_scanned;
-                stats.blocks_pruned += ts.blocks_pruned;
-                stats.cost += model.full_scan(ts.rows_scanned);
-                if slot == 0 {
-                    stats.plan = if tables[slot].has_frozen() {
-                        PlanTag::TieredScan
-                    } else {
-                        PlanTag::FullScan
-                    };
-                }
                 for (rank, &i) in po.order.iter().enumerate() {
                     stats.pred_stats.push(PredStat {
                         slot,
@@ -469,78 +421,38 @@ impl Executor {
                         blocks_refined: per_pred[i].blocks_refined,
                     });
                 }
+                (sel, ts, Some(po.est_out_rows))
+            } else {
+                // 0- or 1-predicate scans: nothing to order, one fused
+                // selection pass — the cost hint still records their
+                // estimate for join-side choice and EXPLAIN.
+                let (sel, ts) = if threads > 1 {
+                    let (sel, ts, s) =
+                        morsel::par_selection_scan(table, &scan.preds, threads, self.morsel_rows);
+                    sched.absorb(&s);
+                    (sel, ts)
+                } else {
+                    kernels::selection_scan(table, &scan.preds)
+                };
+                let est =
+                    cost_based.then(|| crate::stats::estimate_scan_rows(table, &scan.preds, model));
+                (sel, ts, est)
+            };
+            stats.rows_scanned += ts.rows_scanned;
+            stats.blocks_pruned += ts.blocks_pruned;
+            stats.cost += model.full_scan(ts.rows_scanned);
+            if slot == 0 {
+                stats.plan = scan_tag(table);
+            }
+            if let Some(est_rows) = est {
+                scan_estimates.push(est_rows);
                 stats.stage_estimates.push(StageEstimate {
                     label: scan.label.clone(),
-                    est_rows: po.est_out_rows,
+                    est_rows,
                     actual_rows: kernels::selection_count(&sel),
                 });
-                scan_estimates.push(po.est_out_rows);
-                sels.push(sel);
-                continue;
             }
-            // 0- or 1-predicate scans keep the legacy execution paths
-            // (including the planner's zone-map / index access paths on
-            // the serial route) — the cost hint still records their
-            // estimate for join-side choice and EXPLAIN.
-            let est = if cost_based {
-                let e = crate::stats::estimate_scan_rows(tables[slot], &scan.preds, model);
-                scan_estimates.push(e);
-                Some(e)
-            } else {
-                None
-            };
-            if threads > 1 {
-                let (sel, ts, s) = morsel::par_selection_scan(
-                    tables[slot],
-                    &scan.preds,
-                    threads,
-                    self.morsel_rows,
-                );
-                sched.absorb(&s);
-                stats.rows_scanned += ts.rows_scanned;
-                stats.blocks_pruned += ts.blocks_pruned;
-                stats.cost += model.full_scan(ts.rows_scanned);
-                if slot == 0 {
-                    stats.plan = if tables[slot].has_frozen() {
-                        PlanTag::TieredScan
-                    } else {
-                        PlanTag::FullScan
-                    };
-                }
-                if let Some(e) = est {
-                    stats.stage_estimates.push(StageEstimate {
-                        label: scan.label.clone(),
-                        est_rows: e,
-                        actual_rows: kernels::selection_count(&sel),
-                    });
-                }
-                sels.push(sel);
-                continue;
-            }
-            let aux = auxes.get(slot).unwrap_or(&default_aux);
-            let (sel, s) = self.run_scan(tables[slot], &scan.preds, aux);
-            stats.rows_scanned += s.rows_scanned;
-            stats.blocks_pruned += s.blocks_pruned;
-            stats.words_pruned += s.words_pruned;
-            stats.cost += s.cost;
-            if slot == 0 {
-                stats.plan = s.plan;
-            }
-            if let Some(e) = est {
-                let actual = match &sel {
-                    Selection::Words(w) => kernels::selection_count(w),
-                    Selection::Rows(rows) => rows.len(),
-                };
-                stats.stage_estimates.push(StageEstimate {
-                    label: scan.label.clone(),
-                    est_rows: e,
-                    actual_rows: actual,
-                });
-            }
-            sels.push(match sel {
-                Selection::Words(w) => w,
-                Selection::Rows(rows) => rows_to_words(&rows, nwords),
-            });
+            sels.push(sel);
         }
 
         // 2. Join. The physical choice is cost-driven and
@@ -626,8 +538,8 @@ impl Executor {
                 p.sort_unstable_by_key(|&(l, r)| (r.as_usize(), l.as_usize()));
             }
             stats.blocks_pruned += probe.blocks_pruned;
-            // Mirror `execute_join`'s accounting: probe rows the key-range
-            // meta pruned were never streamed, so they subtract from
+            // Probe rows the key-range meta pruned were never streamed, so
+            // they subtract from
             // `rows_scanned`. Only exact when the probe scan pushed no
             // predicates down (then its selection is the activity map,
             // which is what `probe_rows_skipped` counts); a filtered
@@ -820,218 +732,6 @@ impl Executor {
             .collect();
         vec![row]
     }
-
-    fn execute_range(
-        &self,
-        table: &Table,
-        col: usize,
-        pred: RangePredicate,
-        aux: &Aux<'_>,
-    ) -> ExecResult {
-        if pred.is_empty() {
-            return ExecResult {
-                output: QueryOutput::Rows(Vec::new()),
-                stats: ExecStats::default(),
-            };
-        }
-        // In ScanSeesForgotten mode the *complete scan* is the only plan
-        // that still covers forgotten tuples: zone maps and indexes track
-        // active data only (paper §1: "a complete scan will fetch all
-        // data, but a fast index-based query evaluation will skip the
-        // forgotten data"). Completeness costs a full physical scan.
-        //
-        // A frozen table drops the external zone map from planning: the
-        // tier's cached block meta prunes equivalently inside the scan
-        // kernel, and the flat blocked kernel no longer applies.
-        let zonemap = if table.has_frozen() {
-            None
-        } else {
-            aux.zonemap
-        };
-        let (plan, cost) = match self.mode {
-            ForgetVisibility::ScanSeesForgotten => (
-                Plan::FullScan,
-                self.planner.cost_model().full_scan(table.num_rows()),
-            ),
-            ForgetVisibility::ActiveOnly => {
-                self.planner.plan_range(table, pred, zonemap, aux.index)
-            }
-        };
-        let (rows, rows_scanned, blocks_pruned, words_pruned, tag) = match &plan {
-            Plan::FullScan if table.has_frozen() && self.mode == ForgetVisibility::ActiveOnly => {
-                // Tier-aware scan: block meta prunes frozen blocks, the
-                // codecs' fused filters run on the survivors.
-                let (rows, ts) = kernels::range_scan_tiered(table, col, pred);
-                (
-                    rows,
-                    ts.rows_scanned,
-                    ts.blocks_pruned,
-                    0,
-                    PlanTag::TieredScan,
-                )
-            }
-            Plan::FullScan => {
-                // Word-granularity zones slot into the full-scan plan:
-                // same results, but the kernel skips words whose min/max
-                // can't intersect the predicate. The complete-scan mode
-                // must keep reading forgotten tuples, which zone entries
-                // do not cover.
-                let word_zones = match self.mode {
-                    ForgetVisibility::ActiveOnly => aux.word_zones.filter(|wz| wz.column() == col),
-                    ForgetVisibility::ScanSeesForgotten => None,
-                };
-                if let Some(wz) = word_zones {
-                    let (rows, zs) = kernels::range_scan_active_zoned(table, col, wz, pred);
-                    (rows, zs.rows_scanned, 0, zs.words_pruned, PlanTag::FullScan)
-                } else {
-                    let rows = match self.mode {
-                        ForgetVisibility::ActiveOnly => {
-                            kernels::range_scan_active(table, col, pred)
-                        }
-                        ForgetVisibility::ScanSeesForgotten => {
-                            kernels::range_scan_all(table, col, pred)
-                        }
-                    };
-                    let scanned = match self.mode {
-                        ForgetVisibility::ActiveOnly => table.active_rows(),
-                        ForgetVisibility::ScanSeesForgotten => table.num_rows(),
-                    };
-                    (rows, scanned, 0, 0, PlanTag::FullScan)
-                }
-            }
-            Plan::PrunedScan { blocks, block_rows } => {
-                let total_blocks = aux.zonemap.map(ZoneMap::num_blocks).unwrap_or(blocks.len());
-                let rows = kernels::range_scan_blocks(table, col, pred, blocks, *block_rows);
-                (
-                    rows,
-                    blocks.len() * block_rows,
-                    total_blocks - blocks.len(),
-                    0,
-                    PlanTag::PrunedScan,
-                )
-            }
-            Plan::IndexProbe => {
-                let idx = aux.index.expect("planner only picks built indexes");
-                let rows = idx.probe_range_active(table, pred.lo, pred.hi_inclusive());
-                let scanned = rows.len();
-                (rows, scanned, 0, 0, PlanTag::IndexProbe)
-            }
-        };
-        let result_rows = rows.len();
-        ExecResult {
-            output: QueryOutput::Rows(rows),
-            stats: ExecStats {
-                rows_scanned,
-                blocks_pruned,
-                words_pruned,
-                result_rows,
-                cost,
-                plan: tag,
-                ..Default::default()
-            },
-        }
-    }
-
-    fn execute_aggregate(
-        &self,
-        table: &Table,
-        col: usize,
-        kind: AggKind,
-        predicate: Option<RangePredicate>,
-        aux: &Aux<'_>,
-    ) -> ExecResult {
-        // One fused filter+aggregate pass yields every statistic the
-        // combiners below might need (COUNT, SUM, MIN, MAX), so folding in
-        // summaries or micro-models no longer rescans the table. A word-
-        // granularity zone map slots straight into that pass when the
-        // aggregate is predicated; a frozen table instead folds its
-        // frozen blocks in code/offset space behind the cached block
-        // meta (no decode, no zone map needed).
-        let (active_state, scanned, blocks_pruned, words_pruned) = if table.has_frozen() {
-            let (state, ts) = kernels::aggregate_state_tiered(table, col, predicate);
-            (state, ts.rows_scanned, ts.blocks_pruned, 0)
-        } else {
-            match aux
-                .word_zones
-                .filter(|wz| wz.column() == col && predicate.is_some())
-            {
-                Some(wz) => {
-                    let (state, zs) =
-                        kernels::aggregate_state_active_zoned(table, col, wz, predicate);
-                    (state, zs.rows_scanned, 0, zs.words_pruned)
-                }
-                None => {
-                    let (state, scanned) = kernels::aggregate_state_active(table, col, predicate);
-                    (state, scanned, 0, 0)
-                }
-            }
-        };
-
-        // Whole-table aggregates can fold in summaries of forgotten data
-        // (paper §1: summaries answer "specific aggregation queries" only —
-        // a predicate disables them because cell membership is unknown).
-        // The cell folds into the running state, so a micro-model combine
-        // below still sees the summary contribution.
-        let mut state = active_state;
-        if predicate.is_none() {
-            if let Some(summaries) = aux.summaries {
-                let cell = summaries.combined();
-                if cell.count > 0 {
-                    state.push_block(cell.count, cell.sum, cell.min, cell.max);
-                }
-            }
-        }
-        let mut value = state.finalize(kind);
-
-        // Micro-models go further: their histograms pro-rate the
-        // forgotten mass inside a predicate, so ranged aggregates get an
-        // estimate instead of an active-only answer.
-        if let Some(models) = aux.models {
-            let range = predicate.map(|p| ValueRange { lo: p.lo, hi: p.hi });
-            let est = models.estimate(range);
-            if est.count > 1e-12 {
-                value = Some(combine_with_estimate(&state, kind, &est));
-            }
-        }
-
-        let cost = self.planner.cost_model().full_scan(scanned);
-        ExecResult {
-            output: QueryOutput::Agg(value),
-            stats: ExecStats {
-                rows_scanned: scanned,
-                blocks_pruned,
-                words_pruned,
-                cost,
-                plan: if table.has_frozen() {
-                    PlanTag::TieredScan
-                } else {
-                    PlanTag::FullScan
-                },
-                ..Default::default()
-            },
-        }
-    }
-}
-
-/// A scan operator's output: selection-mask words (one per 64 rows), or
-/// an explicit row list when the access path yields an order masks
-/// cannot express (index probes return value order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Selection {
-    /// One 64-bit selection word per activity word, ascending row order.
-    Words(Vec<u64>),
-    /// Explicit rows in access-path order.
-    Rows(Vec<RowId>),
-}
-
-impl Selection {
-    /// Materialize as row ids (ascending for [`Selection::Words`]).
-    pub fn into_rows(self) -> Vec<RowId> {
-        match self {
-            Selection::Rows(rows) => rows,
-            Selection::Words(words) => kernels::selection_rows(&words),
-        }
-    }
 }
 
 /// The result of executing a [`PhysicalPlan`]: materialized output rows
@@ -1095,16 +795,6 @@ fn merge_join_sorted(
         }
     }
     Some(out)
-}
-
-/// Pack explicit row ids into selection-mask words.
-fn rows_to_words(rows: &[RowId], nwords: usize) -> Vec<u64> {
-    let mut words = vec![0u64; nwords];
-    for r in rows {
-        let i = r.as_usize();
-        words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-    }
-    words
 }
 
 /// The aggregate items of a plan, in item order.
@@ -1296,11 +986,64 @@ fn aggregate_pairs(
     vec![row]
 }
 
+/// What a complete scan examined: it is the only scan that still covers
+/// forgotten tuples, and completeness costs every physical row — no
+/// meta can prune it.
+fn complete_scan_stats(table: &Table, empty_predicate: bool) -> TierStats {
+    TierStats {
+        blocks_pruned: 0,
+        rows_scanned: if empty_predicate { 0 } else { table.num_rows() },
+    }
+}
+
+/// The label a scan of `table` reports: it reads the layout, it selects
+/// nothing (the same tiered kernel runs on both).
+pub(crate) fn scan_tag(table: &Table) -> PlanTag {
+    if table.has_frozen() {
+        PlanTag::TieredScan
+    } else {
+        PlanTag::FullScan
+    }
+}
+
+/// Finalize an active-rows aggregate, folding in what `aux` remembers of
+/// the forgotten rows. One fused pass already yielded every statistic
+/// the combiners need (COUNT, SUM, MIN, MAX), so neither rescans.
+fn combine_forgotten(
+    mut state: AggState,
+    kind: AggKind,
+    predicate: Option<RangePredicate>,
+    aux: &Aux<'_>,
+) -> Option<f64> {
+    // Whole-table aggregates can fold in summaries of forgotten data
+    // (paper §1: summaries answer "specific aggregation queries" only —
+    // a predicate disables them because cell membership is unknown).
+    // The cell folds into the running state, so a micro-model combine
+    // below still sees the summary contribution.
+    if let (None, Some(summaries)) = (predicate, aux.summaries) {
+        let cell = summaries.combined();
+        if cell.count > 0 {
+            state.push_block(cell.count, cell.sum, cell.min, cell.max);
+        }
+    }
+    // Micro-models go further: their histograms pro-rate the forgotten
+    // mass inside a predicate, so ranged aggregates get an estimate
+    // instead of an active-only answer.
+    if let Some(models) = aux.models {
+        let range = predicate.map(|p| ValueRange { lo: p.lo, hi: p.hi });
+        let est = models.estimate(range);
+        if est.count > 1e-12 {
+            return Some(combine_with_estimate(&state, kind, &est));
+        }
+    }
+    state.finalize(kind)
+}
+
 /// Merge the aggregate state (active rows, plus any summary cell already
 /// folded in by the executor) with a micro-model estimate of the
 /// forgotten mass. The state is already restricted to the query's
 /// predicate, so its COUNT/SUM slot straight into the combination.
-fn combine_with_estimate(state: &kernels::AggState, kind: AggKind, est: &Estimate) -> f64 {
+fn combine_with_estimate(state: &AggState, kind: AggKind, est: &Estimate) -> f64 {
     let n_active = state.count() as f64;
     match kind {
         AggKind::Count => n_active + est.count,
@@ -1369,19 +1112,6 @@ mod tests {
     }
 
     #[test]
-    fn index_path_always_skips_forgotten() {
-        let t = table();
-        let mut idx = SortedIndex::build(&t, 0);
-        idx.rebuild(&t);
-        // Force index choice by making the table "large" conceptually:
-        // probe directly through the executor with aux present on a narrow
-        // predicate. With only 5 rows the planner may still choose scans,
-        // so call the probe path explicitly.
-        let rows = idx.probe_range_active(&t, 15, 44);
-        assert_eq!(rows, vec![RowId(2), RowId(3)]);
-    }
-
-    #[test]
     fn point_query() {
         let t = table();
         let ex = Executor::default();
@@ -1389,6 +1119,64 @@ mod tests {
         assert_eq!(r.output.rows().unwrap(), &[RowId(2)]);
         let miss = ex.execute(&t, 0, &Q::Point(20), &Aux::default());
         assert!(miss.output.rows().unwrap().is_empty(), "forgotten point");
+    }
+
+    #[test]
+    fn domain_edges_agree_with_scalar_on_every_layout_and_mode() {
+        use amnesia_columnar::compress::Encoding;
+        let values = [i64::MIN, -1, 0, i64::MAX];
+        // Whatever `encode_auto` picks, then forced Plain; each also hot.
+        for encoding in [None, Some(Encoding::Plain)] {
+            for forgotten in 0..values.len() {
+                let mut hot = Table::with_block_rows(Schema::single("a"), 64);
+                hot.pin_encoding(0, encoding);
+                // Pad to one full block so the four edge values freeze.
+                let padded: Vec<i64> = values
+                    .iter()
+                    .copied()
+                    .chain((0..60).map(|i| i * 7))
+                    .collect();
+                hot.insert_batch(&padded, 0).unwrap();
+                hot.forget(RowId::from(forgotten), 1).unwrap();
+                let mut frozen = hot.clone();
+                frozen.freeze_upto(64);
+                assert_eq!(frozen.frozen_blocks(), 1);
+                for t in [&hot, &frozen] {
+                    for mode in [
+                        ForgetVisibility::ActiveOnly,
+                        ForgetVisibility::ScanSeesForgotten,
+                    ] {
+                        let ex = Executor::new(mode, CostModel::default());
+                        let sees = |r: usize| {
+                            mode == ForgetVisibility::ScanSeesForgotten || r != forgotten
+                        };
+                        let ctx = format!("{encoding:?} forgot#{forgotten} {mode:?}");
+                        for (row, &v) in values.iter().enumerate() {
+                            let got = ex.execute(t, 0, &Q::Point(v), &Aux::default());
+                            let want: Vec<RowId> = (0..padded.len())
+                                .filter(|&r| padded[r] == v && sees(r))
+                                .map(RowId::from)
+                                .collect();
+                            assert_eq!(want.contains(&RowId::from(row)), sees(row), "{ctx}");
+                            assert_eq!(got.output.rows().unwrap(), want, "point {v} {ctx}");
+                        }
+                        let whole = RangePredicate::new(i64::MIN, i64::MAX);
+                        let got = ex.execute(t, 0, &Q::Range(whole), &Aux::default());
+                        let want = match mode {
+                            ForgetVisibility::ActiveOnly => {
+                                batch::scalar::range_scan_active(&hot, 0, whole)
+                            }
+                            ForgetVisibility::ScanSeesForgotten => {
+                                batch::scalar::range_scan_all(&hot, 0, whole)
+                            }
+                        };
+                        assert_eq!(got.output.rows().unwrap(), want, "range {ctx}");
+                        // Half-open: `i64::MAX` itself (row 3) is outside.
+                        assert!(!want.contains(&RowId(3)) && want.len() >= padded.len() - 2);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1566,7 +1354,6 @@ mod tests {
         let aux = Aux {
             summaries: Some(&summaries),
             models: Some(&models),
-            ..Default::default()
         };
         let sum = ex
             .execute(
@@ -1611,41 +1398,6 @@ mod tests {
         );
         assert!(r.output.rows().unwrap().is_empty());
         assert_eq!(r.stats.rows_scanned, 0);
-    }
-
-    #[test]
-    fn word_zones_prune_full_scans() {
-        let mut t = Table::new(Schema::single("a"));
-        let values: Vec<i64> = (0..50_000).collect();
-        t.insert_batch(&values, 0).unwrap();
-        let wz = WordZoneMap::build(&t, 0);
-        let ex = Executor::default();
-        let q = Q::Range(RangePredicate::new(100, 200));
-        let plain = ex.execute(&t, 0, &q, &Aux::default());
-        let aux = Aux {
-            word_zones: Some(&wz),
-            ..Default::default()
-        };
-        let zoned = ex.execute(&t, 0, &q, &aux);
-        assert_eq!(zoned.output, plain.output, "zones never change results");
-        assert_eq!(zoned.stats.plan, PlanTag::FullScan);
-        // 50k rows = 782 words; the sorted column leaves ~3 live.
-        assert!(
-            zoned.stats.words_pruned > 770,
-            "{}",
-            zoned.stats.words_pruned
-        );
-        assert!(zoned.stats.rows_scanned < plain.stats.rows_scanned);
-
-        // Predicated aggregates ride the same zones.
-        let agg = Q::Aggregate {
-            kind: AggKind::Sum,
-            predicate: Some(RangePredicate::new(100, 200)),
-        };
-        let plain_agg = ex.execute(&t, 0, &agg, &Aux::default());
-        let zoned_agg = ex.execute(&t, 0, &agg, &aux);
-        assert_eq!(zoned_agg.output, plain_agg.output);
-        assert!(zoned_agg.stats.words_pruned > 770);
     }
 
     #[test]
@@ -1703,7 +1455,8 @@ mod tests {
     }
 
     #[test]
-    fn execute_join_surfaces_tier_accounting() {
+    fn join_plan_surfaces_tier_accounting() {
+        use crate::physical::{JoinSpec, PhysScan};
         let mut left = Table::new(Schema::single("k"));
         left.insert_batch(&(0..100).collect::<Vec<i64>>(), 0)
             .unwrap();
@@ -1714,41 +1467,40 @@ mod tests {
             .chain((0..1024).map(|i| 50_000 + i))
             .collect();
         right.insert_batch(&vals, 0).unwrap();
+        let scan = |label: &str| PhysScan {
+            preds: Vec::new(),
+            label: label.into(),
+        };
+        let plan = PhysicalPlan {
+            scans: vec![scan("Scan l"), scan("Scan r")],
+            join: Some(JoinSpec {
+                left_col: 0,
+                right_col: 0,
+                display: "l.k = r.k".into(),
+            }),
+            items: vec![PhysItem::Column {
+                slot: 1,
+                col: 0,
+                display: "k".into(),
+            }],
+            group_by: None,
+            order_by: None,
+            limit: None,
+            hint: PlanHint::default(),
+        };
         let ex = Executor::default();
-        let (hot_r, hot_stats) = ex.execute_join(&left, 0, &right, 0);
-        assert_eq!(hot_stats.plan, PlanTag::FullScan);
-        assert_eq!(hot_stats.result_rows, hot_r.stats.output_pairs);
+        let hot = ex.execute_plan(&[&left, &right], &[], &plan);
+        assert_eq!(hot.stats.plan, PlanTag::FullScan);
+        assert_eq!(hot.stats.result_rows, hot.stats.join_pairs);
         right.freeze_upto(2048);
-        let (r, stats) = ex.execute_join(&left, 0, &right, 0);
-        assert_eq!(r.pairs, hot_r.pairs, "freezing never changes the join");
-        assert_eq!(stats.plan, PlanTag::TieredJoin);
-        assert_eq!(stats.blocks_pruned, 1, "the 50k block");
+        let frozen = ex.execute_plan(&[&left, &right], &[], &plan);
+        assert_eq!(frozen.rows, hot.rows, "freezing never changes the join");
+        assert_eq!(frozen.stats.plan, PlanTag::TieredJoin);
+        assert_eq!(frozen.stats.blocks_pruned, 1, "the 50k block");
         assert_eq!(
-            stats.rows_scanned,
+            frozen.stats.rows_scanned,
             left.active_rows() + right.active_rows() - 1024,
             "pruned probe rows subtract from the scanned accounting"
         );
-        // The ground-truth executor reports a dense full-scan join.
-        let ex_all = Executor::new(ForgetVisibility::ScanSeesForgotten, CostModel::default());
-        let (truth, tstats) = ex_all.execute_join(&left, 0, &right, 0);
-        assert_eq!(tstats.plan, PlanTag::FullScan);
-        assert_eq!(truth.stats.output_pairs, 1024, "forgotten-inclusive");
-    }
-
-    #[test]
-    fn pruned_scan_engages_with_zonemap() {
-        let mut t = Table::new(Schema::single("a"));
-        let values: Vec<i64> = (0..50_000).collect();
-        t.insert_batch(&values, 0).unwrap();
-        let zm = ZoneMap::build(&t, 0);
-        let ex = Executor::default();
-        let aux = Aux {
-            zonemap: Some(&zm),
-            ..Default::default()
-        };
-        let r = ex.execute(&t, 0, &Q::Range(RangePredicate::new(100, 200)), &aux);
-        assert_eq!(r.stats.plan, PlanTag::PrunedScan);
-        assert!(r.stats.blocks_pruned > 40);
-        assert_eq!(r.output.cardinality(), 100);
     }
 }

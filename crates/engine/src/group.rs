@@ -162,31 +162,6 @@ fn bump(state: &mut AggState) {
 /// the scan's selection-mask vector (one word per 64 rows).
 pub fn grouped_fold(table: &Table, sel: &[u64], key_col: usize, aggs: &[AggInput]) -> GroupTable {
     let mut groups = GroupTable::new(aggs.len());
-    if !table.has_frozen() {
-        let keys = table.col_values(key_col);
-        let cols: Vec<Option<&[Value]>> = aggs
-            .iter()
-            .map(|a| a.map(|c| table.col_values(c)))
-            .collect();
-        for (wi, &w) in sel.iter().enumerate() {
-            let mut w = w;
-            let base = wi * WORD_BITS;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                let row = base + bit;
-                let slot = groups.slot(keys[row]);
-                for (a, col) in cols.iter().enumerate() {
-                    match col {
-                        Some(values) => groups.state_mut(slot, a).push(values[row]),
-                        None => bump(groups.state_mut(slot, a)),
-                    }
-                }
-            }
-        }
-        return groups;
-    }
-
     // Frozen prefix: stream key + aggregate columns per block into
     // scratch buffers (each codec visits selected rows in ascending
     // order, so position `i` lines up across columns), then fold the
@@ -363,23 +338,11 @@ pub(crate) fn grouped_fold_span(
         crate::morsel::Span::Rows { lo, hi } => {
             // Hot rows: the raw key/aggregate slices, offset by where the
             // hot tier starts (zero for a fully hot table).
-            let (keys, start) = if table.has_frozen() {
-                let tier = table.col_tier(key_col);
-                (tier.hot_values(), tier.hot_start())
-            } else {
-                (table.col_values(key_col), 0)
-            };
+            let key_tier = table.col_tier(key_col);
+            let (keys, start) = (key_tier.hot_values(), key_tier.hot_start());
             let cols: Vec<Option<&[Value]>> = aggs
                 .iter()
-                .map(|a| {
-                    a.map(|c| {
-                        if table.has_frozen() {
-                            table.col_tier(c).hot_values()
-                        } else {
-                            table.col_values(c)
-                        }
-                    })
-                })
+                .map(|a| a.map(|c| table.col_tier(c).hot_values()))
                 .collect();
             for wi in lo / WORD_BITS..hi.div_ceil(WORD_BITS) {
                 let base = wi * WORD_BITS;

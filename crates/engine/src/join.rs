@@ -497,14 +497,6 @@ pub fn hash_join_count(
     }
 }
 
-/// Build the hash table `key → ascending build rows` for an external
-/// (parallel) probe, plus the inclusive build-key range. Exposed for
-/// [`crate::parallel::par_hash_join`], which shares the serial build and
-/// chunks only the probe.
-pub(crate) fn build_for_probe(table: &Table, col: usize) -> BuildTable {
-    build_rows_map(table, col)
-}
-
 /// Join precision under amnesia: pairs surviving in the active join over
 /// pairs in the all-rows ground truth (`RF/(RF+MF)` lifted to joins).
 /// `None` when the ground-truth join is empty.

@@ -1,46 +1,34 @@
-//! Vectorized scan and aggregate kernels.
+//! Table-level scan, filter and aggregate entry points.
 //!
 //! These are the tight loops underneath every query: filter a column by a
 //! range predicate intersected with the activity bitmap, or fold an
-//! aggregate over the selection. Since the word-at-a-time rewrite they are
-//! thin entry points over [`crate::batch`]: raw column slices, packed
-//! activity words, branch-light selection masks, and whole-word skips for
-//! all-forgotten regions. The row-at-a-time originals survive as
-//! [`crate::batch::scalar`] for equivalence tests and benchmarks.
+//! aggregate over the selection. The single-column functions at the top
+//! are one-line adapters from a [`Table`] onto the tiered kernels of
+//! [`crate::batch`] (a fully hot table is a tiered column with zero
+//! frozen blocks — there is no second path); the selection-vector
+//! operators below them are the physical plan's multi-predicate scan,
+//! gather and aggregate stages, built on the same word primitives. The
+//! row-at-a-time originals survive as [`crate::batch::scalar`] for
+//! equivalence tests and benchmarks.
 
 use amnesia_columnar::compress::BlockAgg;
-use amnesia_columnar::{RowId, SegmentedColumn, Table, Value, WordZoneMap};
+use amnesia_columnar::{RowId, Table, Value};
 use amnesia_util::WORD_BITS;
 use amnesia_workload::query::{AggKind, RangePredicate};
 
 use crate::batch;
 use crate::physical::ColPred;
 
-pub use crate::batch::{AggState, TierStats, ZoneStats};
+pub use crate::batch::{AggState, TierStats};
 
 /// Collect active rows of `col` matching `pred` (insertion order).
-/// Tier-aware: a column with frozen blocks takes the fused compressed
-/// path per block; fully-hot columns take the flat slice kernel.
 pub fn range_scan_active(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
-    if table.has_frozen() {
-        return range_scan_tiered(table, col, pred).0;
-    }
-    let mut out = Vec::new();
-    batch::scan_active_into(
-        table.col_values(col),
-        table.activity_words(),
-        0,
-        table.num_rows(),
-        pred,
-        &mut out,
-    );
-    out
+    range_scan_tiered(table, col, pred).0
 }
 
-/// Tier-aware scan with its pruning accounting: frozen blocks are
+/// [`range_scan_active`] with its pruning accounting: frozen blocks are
 /// skipped by their cached meta before the payload is touched, and the
-/// hot tail takes the raw-slice kernel. This is what the executor runs
-/// (and reports `blocks_pruned` from) once a table has frozen blocks.
+/// hot tail takes the raw-slice kernel.
 pub fn range_scan_tiered(
     table: &Table,
     col: usize,
@@ -56,216 +44,31 @@ pub fn range_scan_tiered(
 /// "complete scan will fetch all data" path of paper §1.
 pub fn range_scan_all(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
     let mut out = Vec::new();
-    if table.has_frozen() {
-        batch::scan_tiered_all_into(table.col_tier(col), pred, &mut out);
-    } else {
-        batch::scan_all_into(table.col_values(col), 0, table.num_rows(), pred, &mut out);
-    }
+    batch::scan_tiered_all_into(table.col_tier(col), pred, &mut out);
     out
 }
 
 /// Count active matches without materializing row ids.
 pub fn count_active_matches(table: &Table, col: usize, pred: RangePredicate) -> usize {
-    if table.has_frozen() {
-        return batch::count_tiered_active(table.col_tier(col), table.activity_words(), pred).0;
-    }
-    batch::count_active(
-        table.col_values(col),
-        table.activity_words(),
-        0,
-        table.num_rows(),
-        pred,
-    )
-}
-
-/// Collect active matches restricted to the given physical blocks
-/// (`block_rows` rows per block) — the zone-map pruned path. Each block is
-/// scanned with the same word-masked batch kernel as full scans.
-///
-/// On a frozen table this delegates to the fused tiered scan (whose
-/// built-in block meta prunes equivalently) and restricts the result to
-/// the requested blocks — the external zone map's blocks need not align
-/// with tier blocks, and per-row point access into compressed blocks
-/// would be quadratic. The executor prefers the tiered scan outright
-/// once anything is frozen.
-pub fn range_scan_blocks(
-    table: &Table,
-    col: usize,
-    pred: RangePredicate,
-    blocks: &[usize],
-    block_rows: usize,
-) -> Vec<RowId> {
-    let mut out = Vec::new();
-    let n = table.num_rows();
-    if table.has_frozen() {
-        let mut wanted = blocks.to_vec();
-        wanted.sort_unstable();
-        let (rows, _) = range_scan_tiered(table, col, pred);
-        return rows
-            .into_iter()
-            .filter(|r| wanted.binary_search(&(r.as_usize() / block_rows)).is_ok())
-            .collect();
-    }
-    let values = table.col_values(col);
-    let words = table.activity_words();
-    for &b in blocks {
-        let lo = b * block_rows;
-        let hi = (lo + block_rows).min(n);
-        batch::scan_active_into(values, words, lo, hi, pred, &mut out);
-    }
-    out
-}
-
-/// Zone-pruned [`range_scan_active`]: identical rows, but words (and so
-/// whole blocks) whose min/max can't intersect `pred` are skipped before
-/// their values are touched. Returns the rows plus the pruning
-/// accounting.
-pub fn range_scan_active_zoned(
-    table: &Table,
-    col: usize,
-    zones: &WordZoneMap,
-    pred: RangePredicate,
-) -> (Vec<RowId>, ZoneStats) {
-    debug_assert_eq!(zones.column(), col, "zone map covers a different column");
-    if table.has_frozen() {
-        // Frozen columns carry their own block meta; the word-zone slice
-        // no longer maps onto a flat value slice, so the tiered kernel
-        // (identical results, block-granular pruning) takes over.
-        let (rows, ts) = range_scan_tiered(table, col, pred);
-        return (
-            rows,
-            ZoneStats {
-                words_pruned: 0,
-                rows_scanned: ts.rows_scanned,
-            },
-        );
-    }
-    let mut out = Vec::new();
-    let stats = batch::scan_active_zoned_into(
-        table.col_values(col),
-        table.activity_words(),
-        zones.zones(),
-        0,
-        table.num_rows(),
-        pred,
-        &mut out,
-    );
-    (out, stats)
-}
-
-/// Zone-pruned [`count_active_matches`].
-pub fn count_active_matches_zoned(
-    table: &Table,
-    col: usize,
-    zones: &WordZoneMap,
-    pred: RangePredicate,
-) -> (usize, ZoneStats) {
-    debug_assert_eq!(zones.column(), col, "zone map covers a different column");
-    if table.has_frozen() {
-        let (count, ts) =
-            batch::count_tiered_active(table.col_tier(col), table.activity_words(), pred);
-        return (
-            count,
-            ZoneStats {
-                words_pruned: 0,
-                rows_scanned: ts.rows_scanned,
-            },
-        );
-    }
-    batch::count_active_zoned(
-        table.col_values(col),
-        table.activity_words(),
-        zones.zones(),
-        0,
-        table.num_rows(),
-        pred,
-    )
-}
-
-/// Zone-pruned fused filter+aggregate (see
-/// [`batch::aggregate_active_zoned`]).
-pub fn aggregate_state_active_zoned(
-    table: &Table,
-    col: usize,
-    zones: &WordZoneMap,
-    pred: Option<RangePredicate>,
-) -> (AggState, ZoneStats) {
-    debug_assert_eq!(zones.column(), col, "zone map covers a different column");
-    if table.has_frozen() {
-        let (state, ts) = aggregate_state_tiered(table, col, pred);
-        return (
-            state,
-            ZoneStats {
-                words_pruned: 0,
-                rows_scanned: ts.rows_scanned,
-            },
-        );
-    }
-    batch::aggregate_active_zoned(
-        table.col_values(col),
-        table.activity_words(),
-        zones.zones(),
-        0,
-        table.num_rows(),
-        pred,
-    )
-}
-
-/// Scan a compressed snapshot of a column (see
-/// [`Table::compress_column`]) without decompressing it: each frozen
-/// block's codec evaluates the predicate in its own domain and the
-/// resulting selection masks AND with the table's activity words.
-pub fn range_scan_compressed(
-    table: &Table,
-    col: &SegmentedColumn,
-    pred: RangePredicate,
-) -> Vec<RowId> {
-    let mut out = Vec::new();
-    batch::scan_compressed_active_into(col, table.activity_words(), pred, &mut out);
-    out
-}
-
-/// Count active matches in a compressed column without decompressing.
-pub fn count_compressed(table: &Table, col: &SegmentedColumn, pred: RangePredicate) -> usize {
-    batch::count_compressed_active(col, table.activity_words(), pred)
+    batch::count_tiered_active(table.col_tier(col), table.activity_words(), pred).0
 }
 
 /// Aggregate `col` over active rows matching the optional predicate.
+/// Returns the value and the active rows examined.
 pub fn aggregate_active(
     table: &Table,
     col: usize,
     pred: Option<RangePredicate>,
     kind: AggKind,
 ) -> (Option<f64>, usize) {
-    let (state, scanned) = aggregate_state_active(table, col, pred);
-    (state.finalize(kind), scanned)
+    let (state, stats) = aggregate_state_tiered(table, col, pred);
+    (state.finalize(kind), stats.rows_scanned)
 }
 
 /// Fused filter + aggregate returning the full [`AggState`], so callers
 /// needing several aggregate kinds (COUNT and SUM and AVG…) pay for one
-/// scan instead of one per kind. Tier-aware: frozen blocks fold in
-/// code/offset/run space via the codecs' `fold_range_masked` — they are
-/// never decoded.
-pub fn aggregate_state_active(
-    table: &Table,
-    col: usize,
-    pred: Option<RangePredicate>,
-) -> (AggState, usize) {
-    if table.has_frozen() {
-        let (state, stats) = aggregate_state_tiered(table, col, pred);
-        return (state, stats.rows_scanned);
-    }
-    batch::aggregate_active(
-        table.col_values(col),
-        table.activity_words(),
-        0,
-        table.num_rows(),
-        pred,
-    )
-}
-
-/// Tier-aware fused filter+aggregate with block-pruning accounting (the
-/// executor's entry point once blocks are frozen).
+/// scan instead of one per kind. Frozen blocks fold in code/offset/run
+/// space via the codecs' `fold_range_masked` — they are never decoded.
 pub fn aggregate_state_tiered(
     table: &Table,
     col: usize,
@@ -274,20 +77,12 @@ pub fn aggregate_state_tiered(
     batch::aggregate_tiered_active(table.col_tier(col), table.activity_words(), pred)
 }
 
-/// Aggregate over an explicit row-id list.
+/// Aggregate over an explicit row-id list (tier-aware point reads).
 pub fn aggregate_rows(table: &Table, col: usize, rows: &[RowId], kind: AggKind) -> Option<f64> {
-    if table.has_frozen() {
-        let tier = table.col_tier(col);
-        let mut state = AggState::new();
-        for &r in rows {
-            state.push(tier.value_at(r.as_usize()));
-        }
-        return state.finalize(kind);
-    }
-    let values: &[Value] = table.col_values(col);
+    let tier = table.col_tier(col);
     let mut state = AggState::new();
     for &r in rows {
-        state.push(values[r.as_usize()]);
+        state.push(tier.value_at(r.as_usize()));
     }
     state.finalize(kind)
 }
@@ -329,28 +124,6 @@ pub fn selection_scan(table: &Table, preds: &[ColPred]) -> (Vec<u64>, TierStats)
         return (sel, stats);
     }
     let imp = batch::mask_impl();
-    if !table.has_frozen() {
-        let cols: Vec<&[Value]> = preds.iter().map(|p| table.col_values(p.col)).collect();
-        for (wi, out) in sel.iter_mut().enumerate() {
-            let active = words.get(wi).copied().unwrap_or(0);
-            if active == 0 {
-                continue;
-            }
-            stats.rows_scanned += active.count_ones() as usize;
-            let base = wi * WORD_BITS;
-            let hi = (base + WORD_BITS).min(n);
-            let mut s = active;
-            for (p, col) in preds.iter().zip(&cols) {
-                s = batch::conj_word(&col[base..hi], s, p, imp);
-                if s == 0 {
-                    break;
-                }
-            }
-            *out = s;
-        }
-        return (sel, stats);
-    }
-
     // Frozen prefix: per block, meta-prune across every predicate column,
     // then AND the codec-fused masks of the survivors.
     let br = table.block_rows();
@@ -410,6 +183,33 @@ pub fn selection_scan(table: &Table, preds: &[ColPred]) -> (Vec<u64>, TierStats)
         sel[wi] = s;
     }
     (sel, stats)
+}
+
+/// The complete-scan counterpart of a one-predicate [`selection_scan`]:
+/// *every* physical row passing `pred`, forgotten included (paper §1's
+/// "a complete scan will fetch all data"). No meta can prune it — block
+/// meta describes active rows only; dropped blocks surrendered their
+/// values and select nothing.
+pub fn selection_scan_all(table: &Table, pred: &ColPred) -> Vec<u64> {
+    let tier = table.col_tier(pred.col);
+    let mut sel = vec![0u64; table.num_rows().div_ceil(WORD_BITS)];
+    let block_nwords = tier.block_rows() / WORD_BITS;
+    let mut mask_buf = Vec::new();
+    for b in 0..tier.frozen_blocks() {
+        let f = tier.frozen(b).expect("frozen block");
+        if f.is_dropped() {
+            continue;
+        }
+        batch::conj_block_masks(f.encoded(), pred, &mut mask_buf);
+        sel[b * block_nwords..(b + 1) * block_nwords].copy_from_slice(&mask_buf[..block_nwords]);
+    }
+    let imp = batch::mask_impl();
+    let first_word = tier.hot_start() / WORD_BITS;
+    for (j, chunk) in tier.hot_values().chunks(WORD_BITS).enumerate() {
+        let present = batch::tail_word(&[!0], 0, chunk.len());
+        sel[first_word + j] = batch::conj_word(chunk, present, pred, imp);
+    }
+    sel
 }
 
 /// Per-predicate accounting of the cost-ordered selection scan: how the
@@ -473,28 +273,6 @@ pub fn selection_scan_ordered(
         return selection_scan(table, preds);
     }
     let imp = batch::mask_impl();
-    if !table.has_frozen() {
-        let cols: Vec<&[Value]> = preds.iter().map(|p| table.col_values(p.col)).collect();
-        for (wi, out) in sel.iter_mut().enumerate() {
-            let active = words.get(wi).copied().unwrap_or(0);
-            if active == 0 {
-                continue;
-            }
-            stats.rows_scanned += active.count_ones() as usize;
-            let base = wi * WORD_BITS;
-            let hi = (base + WORD_BITS).min(n);
-            let mut s = active;
-            for &i in order {
-                s = batch::conj_word(&cols[i][base..hi], s, &preds[i], imp);
-                if s == 0 {
-                    break;
-                }
-            }
-            *out = s;
-        }
-        return (sel, stats);
-    }
-
     let br = table.block_rows();
     let nb = table.frozen_blocks();
     let block_nwords = br / WORD_BITS;
@@ -614,19 +392,6 @@ pub fn selection_count(sel: &[u64]) -> usize {
 /// `for_each_active` under the block's selection words — no decode, no
 /// dense materialization; the hot tail reads the raw slice.
 pub fn gather_column(table: &Table, sel: &[u64], col: usize, out: &mut Vec<Value>) {
-    if !table.has_frozen() {
-        let values = table.col_values(col);
-        for (wi, &w) in sel.iter().enumerate() {
-            let mut w = w;
-            let base = wi * WORD_BITS;
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                w &= w - 1;
-                out.push(values[base + bit]);
-            }
-        }
-        return;
-    }
     let tier = table.col_tier(col);
     for b in 0..tier.frozen_blocks() {
         let bw = batch::block_words(tier, sel, b);
@@ -655,18 +420,6 @@ pub fn gather_column(table: &Table, sel: &[u64], col: usize, out: &mut Vec<Value
 /// activity words (no decode), the hot tail folds the raw slice.
 pub fn aggregate_selection(table: &Table, sel: &[u64], col: usize) -> AggState {
     let mut state = AggState::new();
-    if !table.has_frozen() {
-        let values = table.col_values(col);
-        for (wi, &w) in sel.iter().enumerate() {
-            if w == 0 {
-                continue;
-            }
-            let base = wi * WORD_BITS;
-            let chunk = &values[base..(base + WORD_BITS).min(values.len())];
-            batch::fold_selection(&mut state, chunk, w);
-        }
-        return state;
-    }
     let tier = table.col_tier(col);
     for b in 0..tier.frozen_blocks() {
         let bw = batch::block_words(tier, sel, b);
@@ -699,15 +452,11 @@ pub fn aggregate_selection(table: &Table, sel: &[u64], col: usize) -> AggState {
 // order, reproducing the full-table kernels bit for bit.
 // ---------------------------------------------------------------------
 
-/// Hot-side value slice and its first absolute row: the hot tail of a
-/// frozen column, or the whole column of a fully hot table.
+/// Hot-side value slice and its first absolute row (zero for a fully
+/// hot table).
 fn hot_slice(table: &Table, col: usize) -> (&[Value], usize) {
-    if table.has_frozen() {
-        let tier = table.col_tier(col);
-        (tier.hot_values(), tier.hot_start())
-    } else {
-        (table.col_values(col), 0)
-    }
+    let tier = table.col_tier(col);
+    (tier.hot_values(), tier.hot_start())
 }
 
 /// [`selection_scan`] restricted to `span`. Returns the span's selection
@@ -976,18 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn block_scan_matches_full_active_scan() {
-        let t = table();
-        let pred = P::new(0, 100);
-        let via_blocks = range_scan_blocks(&t, 0, pred, &[0, 1, 2], 2);
-        let direct = range_scan_active(&t, 0, pred);
-        assert_eq!(via_blocks, direct);
-        // Restricting blocks restricts results.
-        let partial = range_scan_blocks(&t, 0, pred, &[0], 2);
-        assert_eq!(partial, vec![RowId(0), RowId(1)]);
-    }
-
-    #[test]
     fn aggregates_respect_activity() {
         let t = table();
         // Active values: 5, 15, 35, 45, 55 — sum 155, avg 31.
@@ -1030,29 +767,10 @@ mod tests {
     }
 
     #[test]
-    fn zoned_and_compressed_wrappers_agree() {
-        let t = table();
-        let pred = P::new(10, 50);
-        let want = range_scan_active(&t, 0, pred);
-
-        let wz = WordZoneMap::build(&t, 0);
-        let (rows, _) = range_scan_active_zoned(&t, 0, &wz, pred);
-        assert_eq!(rows, want);
-        let (count, _) = count_active_matches_zoned(&t, 0, &wz, pred);
-        assert_eq!(count, want.len());
-        let (state, _) = aggregate_state_active_zoned(&t, 0, &wz, Some(pred));
-        assert_eq!(state.count() as usize, want.len());
-
-        let seg = t.compress_column(0);
-        assert_eq!(range_scan_compressed(&t, &seg, pred), want);
-        assert_eq!(count_compressed(&t, &seg, pred), want.len());
-    }
-
-    #[test]
     fn one_pass_state_serves_every_kind() {
         let t = table();
-        let (state, scanned) = aggregate_state_active(&t, 0, None);
-        assert_eq!(scanned, 5);
+        let (state, stats) = aggregate_state_tiered(&t, 0, None);
+        assert_eq!(stats.rows_scanned, 5);
         assert_eq!(state.count(), 5);
         assert_eq!(state.finalize(AggKind::Sum), Some(155.0));
         assert_eq!(state.finalize(AggKind::Avg), Some(31.0));

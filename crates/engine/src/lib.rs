@@ -37,39 +37,51 @@
 //! breaker k-way-merges stably. [`morsel::ExecMode::Serial`] survives as
 //! the equivalence oracle the tests hold the parallel path to.
 //!
+//! # One path per job
+//!
+//! Every scan, single-column or multi-predicate, runs on a
+//! [`TieredColumn`](amnesia_columnar::TieredColumn): frozen compressed
+//! blocks behind their cached block meta, then the hot tail. A fully hot
+//! table is a tiered column with zero frozen blocks, so there is one
+//! scan family ([`batch`]), one planner ([`stats`] ordering conjuncts
+//! for [`exec::Executor::execute_plan`]) and one scheduler ([`morsel`]).
+//!
 //! # Modules
 //!
-//! * [`batch`] — the word-at-a-time vectorized batch layer: selection
-//!   masks over raw column slices and packed activity words, fused
-//!   filter+aggregate, whole-word skips of forgotten regions,
-//! * [`kernels`] — the scan / filter / aggregate entry points, built on
-//!   [`batch`] (row-at-a-time references live in [`batch::scalar`]),
-//! * [`physical`] — the **physical plan**: the one execution API every
-//!   query surface lowers onto (tier-aware scans with pushed-down
-//!   predicate conjunctions as 64-bit selection masks, tiered hash
-//!   join, fused/grouped aggregation, projection gather, sort + limit);
-//!   SQL's `BoundQuery::lower()` and the workload driver both target it,
+//! * [`batch`] — the word-at-a-time vectorized batch layer: the tiered
+//!   single-column kernels (selection masks over raw slices and
+//!   compressed blocks, fused filter+aggregate, whole-word skips of
+//!   forgotten regions) and the tiered join probe; row-at-a-time
+//!   references live in [`batch::scalar`],
+//! * [`kernels`] — table-level entry points onto [`batch`] and the
+//!   selection-vector operators (multi-predicate scan, gather,
+//!   aggregate) the physical plan's stages run,
+//! * [`physical`] — the **physical plan**: the execution API every
+//!   multi-column query surface lowers onto (tier-aware scans with
+//!   pushed-down predicate conjunctions as 64-bit selection masks, tiered
+//!   hash join, fused/grouped aggregation, projection gather, sort +
+//!   limit); SQL's `BoundQuery::lower()` targets it,
 //! * [`morsel`] — the morsel-driven scheduler described above: span
 //!   enumeration, the work-stealing worker pool, and the parallel
 //!   operators with their deterministic merges,
 //! * [`group`] — the vectorized hash group-by kernel, folding `GROUP BY`
 //!   aggregates straight over compressed blocks,
-//! * [`plan`] — a small cost-based planner choosing full scan, zone-map
-//!   pruned scan, or sorted-index probe,
 //! * [`stats`] — block-statistics cardinality estimation: per-column
 //!   pseudo-histograms from cached `BlockMeta`, predicate selectivity,
 //!   codec-aware evaluation costs, and the conjunct ordering the
 //!   executor runs (`selectivity × eval_cost`, ascending),
 //! * [`cost`] — the abstract cost model (hot rows vs. cold fetches,
 //!   per-codec predicate evaluation),
-//! * [`exec`] — the [`exec::Executor`] tying it together (serial or
-//!   [`morsel::ExecMode::Parallel`]) and reporting [`exec::ExecStats`]
-//!   for every query,
+//! * [`exec`] — the [`exec::Executor`]: `execute_plan` runs a physical
+//!   plan (serial or [`morsel::ExecMode::Parallel`]); `execute` is the
+//!   thin adapter for the simulator's single-column
+//!   [`Query`](amnesia_workload::Query) algebra — *not* a second
+//!   planner: each query kind maps to exactly one tiered kernel, and the
+//!   caller's summaries / micro-models of forgotten data fold into the
+//!   aggregate state. Both report [`exec::ExecStats`],
 //! * [`join`] — hash equi-joins with per-visibility answers (the §2.2
-//!   SELECT-PROJECT-JOIN subspace, and §5's referential precision),
-//! * [`parallel`] — std-scoped parallel scan/aggregate kernels over
-//!   word-aligned chunks (free-standing counterparts predating the
-//!   scheduler; their chunking now derives from the same morsel size),
+//!   SELECT-PROJECT-JOIN subspace, and §5's referential precision, which
+//!   needs the forgotten-inclusive truth join a plan cannot express),
 //! * [`mode`] — forget-visibility modes.
 
 #![warn(missing_docs)]
@@ -83,22 +95,17 @@ pub mod join;
 pub mod kernels;
 pub mod mode;
 pub mod morsel;
-pub mod parallel;
 pub mod physical;
-pub mod plan;
 pub mod stats;
 
 pub use batch::{AggState, BATCH_ROWS};
 pub use cost::CostModel;
 pub use exec::{
-    Aux, ExecResult, ExecStats, Executor, PhysResult, PredStat, QueryOutput, Selection,
-    StageEstimate,
+    Aux, ExecResult, ExecStats, Executor, PhysResult, PredStat, QueryOutput, StageEstimate,
 };
 pub use group::GroupTable;
 pub use join::{hash_join, hash_join_count, JoinResult, JoinStats};
 pub use mode::ForgetVisibility;
 pub use morsel::{ExecMode, SchedStats};
-pub use parallel::{par_aggregate_active, par_range_scan_active};
 pub use physical::{ColPred, PhysItem, PhysScan, PhysicalPlan, PlanHint, Scalar, SortDir};
-pub use plan::{Plan, Planner};
 pub use stats::{estimate_scan_rows, order_predicates, q_error, ColumnStats, PredOrder};

@@ -11,9 +11,10 @@ pub enum ForgetVisibility {
     #[default]
     ActiveOnly,
     /// The lighter option from §1: forgotten tuples are only dropped from
-    /// *index* structures. A full scan still fetches them; only the fast
-    /// index path skips them. Queries answered by scan are complete but
-    /// slow; queries answered by index are fast but amnesiac.
+    /// the fast, pruning access paths ("a complete scan will fetch all
+    /// data"). Range and point queries run that complete scan — every
+    /// physical row, no block-meta pruning — and so still see forgotten
+    /// tuples; aggregates and physical plans stay amnesiac.
     ScanSeesForgotten,
 }
 

@@ -13,9 +13,11 @@
 //!
 //! ```text
 //! BoundQuery (SQL)  ──lower()──►  PhysicalPlan  ──execute_plan()──►  rows + ExecStats
-//! workload Query    ──[`ColPred::from_range`]──►  the same scan operator
-//!                     (`Executor::run_scan`) + the same fused AggState folds
 //! ```
+//!
+//! The single-column workload [`Query`](amnesia_workload::Query) algebra
+//! does *not* lower onto a plan: [`Executor::execute`] maps it straight
+//! onto the tiered kernels of [`crate::batch`] (see there for why).
 //!
 //! * **Scan**: each table slot evaluates its predicate conjunction as
 //!   64-bit selection masks — `sel = activity & pred₀ & pred₁ & …` —
@@ -33,6 +35,7 @@
 //!   compare exactly (no `f64` collapse), `NULL` sorts first.
 //!
 //! [`Executor::execute_plan`]: crate::exec::Executor::execute_plan
+//! [`Executor::execute`]: crate::exec::Executor::execute
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -205,23 +208,6 @@ impl ColPred {
         p
     }
 
-    /// The half-open [`RangePredicate`] this predicate is equivalent to,
-    /// when one exists (not negated, upper bound below the domain edge).
-    /// The single-predicate scan uses it to reach the cost-based
-    /// planner's zone-map / index access paths unchanged.
-    pub fn as_range(&self) -> Option<RangePredicate> {
-        if self.negated {
-            return None;
-        }
-        if self.is_empty_range() {
-            return Some(RangePredicate::new(0, 0));
-        }
-        if self.hi == Value::MAX {
-            return None;
-        }
-        Some(RangePredicate::new(self.lo, self.hi + 1))
-    }
-
     /// True when the (non-negated) range can match no value.
     #[inline]
     pub fn is_empty_range(&self) -> bool {
@@ -379,11 +365,7 @@ impl PhysicalPlan {
     /// (used for EXPLAIN; execution re-derives it from the actual path
     /// taken).
     pub fn scan_tag(&self, table: &Table) -> PlanTag {
-        if table.has_frozen() {
-            PlanTag::TieredScan
-        } else {
-            PlanTag::FullScan
-        }
+        crate::exec::scan_tag(table)
     }
 
     /// Render the physical operator tree for EXPLAIN. With `tables`
@@ -514,8 +496,6 @@ impl PhysicalPlan {
 pub fn plan_tag_name(tag: PlanTag) -> &'static str {
     match tag {
         PlanTag::FullScan => "full-scan",
-        PlanTag::PrunedScan => "pruned-scan",
-        PlanTag::IndexProbe => "index-probe",
         PlanTag::TieredScan => "tiered-scan",
         PlanTag::TieredJoin => "tiered-join",
         PlanTag::MergeJoin => "merge-join",
@@ -540,10 +520,9 @@ mod tests {
         let r = RangePredicate::new(5, 11);
         let p = ColPred::from_range(0, r);
         assert_eq!((p.lo, p.hi), (5, 10));
-        assert_eq!(p.as_range(), Some(r));
+        assert!(ColPred::from_range(0, RangePredicate::new(7, 3)).is_empty_range());
         // Domain edge: inclusive hi == MAX has no half-open equivalent.
         let edge = ColPred::range(0, 0, Value::MAX);
-        assert_eq!(edge.as_range(), None);
         assert!(edge.matches(Value::MAX));
     }
 

@@ -46,7 +46,7 @@ pub struct Violation {
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Module paths (prefix match) where dense materialization is legal:
-    /// codec internals, tier transitions, recovery rebuild, Aux builders.
+    /// codec internals, tier transitions, recovery rebuild, vacuum.
     pub dense_whitelist: Vec<String>,
     /// Module paths (prefix match) where panicking is banned: corrupt
     /// on-disk bytes must surface as `Err`.
@@ -78,15 +78,11 @@ impl Default for Config {
                 // Define the `col_values*`/`dense_values` accessors.
                 "crates/columnar/src/table.rs",
                 "crates/columnar/src/column.rs",
-                // Legacy row-engine segment store: the pre-tiering oracle.
-                "crates/columnar/src/segment.rs",
                 // Recovery rebuilds the dense hot tail from WAL/snapshot
                 // bytes; frozen blocks stay encoded.
                 "crates/columnar/src/persist/",
-                // Aux builders (zone maps, sorted index, vacuum rewrite)
-                // materialize at freeze/vacuum time, off the query path.
-                "crates/columnar/src/zonemap.rs",
-                "crates/columnar/src/index.rs",
+                // The vacuum rewrite materializes survivors at vacuum
+                // time, off the query path.
                 "crates/columnar/src/vacuum.rs",
             ]),
             panic_paths: v(&[
@@ -514,6 +510,28 @@ mod tests {
 
     fn check(path: &str, src: &str) -> Vec<Violation> {
         check_source(path, src, &Config::default())
+    }
+
+    #[test]
+    fn every_configured_path_exists() {
+        // A deleted module must take its exemption with it: a path that
+        // no longer exists would silently exempt whatever is created
+        // there next.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let cfg = Config::default();
+        let lists = [
+            &cfg.dense_whitelist,
+            &cfg.panic_paths,
+            &cfg.panic_exempt,
+            &cfg.sync_whitelist,
+            &cfg.skip,
+        ];
+        for path in lists.into_iter().flatten() {
+            assert!(
+                root.join(path).exists(),
+                "lint config names `{path}`, which is not in the tree"
+            );
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! shares *believing* some protocol orders every access. In a `model`
 //! run every access is clock-checked: an unordered conflicting pair is
 //! reported as a data race with a schedule trace. Model tests use it
-//! two ways: as the payload whose safety a protocol (epoch reclamation,
-//! morsel ownership) is supposed to guarantee — the detector must stay
+//! two ways: as the payload whose safety a protocol (release/acquire
+//! publication, morsel ownership) is supposed to guarantee — the detector must stay
 //! silent on every schedule — and as a deliberately racy fixture the
 //! detector must flag (the true-positive gate).
 

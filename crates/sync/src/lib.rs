@@ -90,7 +90,6 @@
 
 pub mod atomic;
 pub mod cell;
-pub mod epoch;
 pub mod mutex;
 pub mod thread;
 

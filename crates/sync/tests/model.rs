@@ -2,20 +2,17 @@
 //!
 //! Three families:
 //! - true-positive gates: deliberately broken fixtures (an unprotected
-//!   `PlainCell`, a Relaxed publication, a Relaxed epoch unpin, an ABBA
-//!   lock cycle) that the explorer MUST flag — these keep the detector
-//!   honest;
+//!   `PlainCell`, a Relaxed publication, an ABBA lock cycle) that the
+//!   explorer MUST flag — these keep the detector honest;
 //! - correctness proofs: protocols (mutex counter, release/acquire
-//!   publication, epoch retire-while-pinned) that must stay silent on
-//!   every explored schedule;
+//!   publication) that must stay silent on every explored schedule;
 //! - harness properties: replay determinism and schedule-space volume.
 //!
 //! Run with `cargo test -p amnesia-sync --features model`. Override the
 //! exploration via `AMNESIA_MODEL_{ITERS,PREEMPTIONS,SEED,REPLAY}`.
 
-use amnesia_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use amnesia_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use amnesia_sync::cell::PlainCell;
-use amnesia_sync::epoch::EpochGc;
 use amnesia_sync::model::{explore, FailureKind, ModelConfig};
 use amnesia_sync::mutex::Mutex;
 use amnesia_sync::thread;
@@ -184,99 +181,6 @@ fn child_panic_is_reported() {
         "panic message should be preserved, got: {}",
         failure.desc
     );
-}
-
-/// The flagship epoch proof: a reader pins, loads the live index with
-/// Acquire, dereferences the cell, and unpins; the writer swaps the
-/// live index, retires the old cell, advances the epoch, reclaims, and
-/// poison-writes everything reclaimed. If retire-while-pinned could
-/// ever reclaim, the poison write would race the reader's dereference
-/// and the detector would flag it. Acceptance requires the proof to
-/// cover at least 1000 distinct schedules.
-#[test]
-fn epoch_retire_while_pinned_never_reclaims() {
-    // Widen the schedule cap for the flagship proof; an explicit
-    // AMNESIA_MODEL_ITERS (CI, replay) still wins.
-    let mut base = cfg();
-    if std::env::var("AMNESIA_MODEL_ITERS").is_err() {
-        base = base.with_max_schedules(40_000);
-    }
-    let report = explore(base, || {
-        let cells = [
-            PlainCell::new(0u32),
-            PlainCell::new(1u32),
-            PlainCell::new(2u32),
-        ];
-        let live = AtomicUsize::new(0);
-        let gc: EpochGc<usize> = EpochGc::new(2);
-        let (cells, live, gc) = (&cells, &live, &gc);
-        thread::scope(|s| {
-            for slot in 0..2 {
-                s.spawn(move || {
-                    let guard = gc.pin(slot);
-                    // Acquire: pairs with the writer's Release
-                    // publication of the new live index.
-                    let i = live.load(Ordering::Acquire);
-                    let _ = cells[i].get();
-                    drop(guard);
-                });
-            }
-            // Two generations: unlink (Release-publish the new live
-            // cell), retire the old one, advance, reclaim, and
-            // poison-write whatever came back.
-            for new in 1..=2usize {
-                live.store(new, Ordering::Release);
-                gc.retire(new - 1);
-                gc.advance();
-                for i in gc.reclaim() {
-                    // Poison write: only sound if no pinned reader can
-                    // still dereference the reclaimed cell.
-                    cells[i].set(0xdead);
-                }
-            }
-        });
-    });
-    report.assert_clean();
-    assert!(
-        report.schedules >= 1000,
-        "epoch proof must cover >=1000 schedules, got {}",
-        report.schedules
-    );
-}
-
-/// The epoch protocol with the unpin edge deliberately weakened to
-/// Relaxed: the reader's dereference is no longer ordered before the
-/// writer's reuse of the slot, so the poison write must be flagged.
-/// This is the true-positive gate for the epoch proof above.
-#[test]
-fn epoch_relaxed_unpin_is_flagged() {
-    const IDLE: u64 = u64::MAX;
-    let report = explore(cfg(), || {
-        let data = PlainCell::new(0u32);
-        let global = AtomicU64::new(0);
-        let slot = AtomicU64::new(IDLE);
-        thread::scope(|s| {
-            s.spawn(|| {
-                // Hand-rolled pin: epoch read + slot publication.
-                let e = global.load(Ordering::SeqCst);
-                slot.store(e, Ordering::SeqCst);
-                if global.load(Ordering::SeqCst) == e {
-                    let _ = data.get();
-                }
-                // Bug under test: Relaxed unpin drops the release edge
-                // that orders the read above before reclamation.
-                slot.store(IDLE, Ordering::Relaxed);
-            });
-            global.fetch_add(1, Ordering::SeqCst);
-            // Writer-side reclaim: slot idle means the reader is done —
-            // but only if the unpin released.
-            if slot.load(Ordering::SeqCst) == IDLE {
-                data.set(0xdead);
-            }
-        });
-    });
-    let failure = report.expect_failure();
-    assert_eq!(failure.kind, FailureKind::Race);
 }
 
 /// Replaying the schedule printed in a failure report reproduces the

@@ -37,12 +37,13 @@ impl RangePredicate {
         self.lo >= self.hi
     }
 
-    /// Width of the interval.
+    /// Width of the interval, saturating at `i64::MAX` (the widest
+    /// range, `[i64::MIN, i64::MAX)`, is wider than `i64` can count).
     pub fn width(&self) -> i64 {
-        (self.hi - self.lo).max(0)
+        self.hi.saturating_sub(self.lo).max(0)
     }
 
-    /// Inclusive upper bound (for index probes): `hi − 1`.
+    /// Inclusive upper bound: `hi − 1`.
     pub fn hi_inclusive(&self) -> Value {
         self.hi.saturating_sub(1)
     }
@@ -147,6 +148,19 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.width(), 0);
         assert!(!p.matches(15));
+    }
+
+    #[test]
+    fn width_saturates_at_the_domain_edges() {
+        assert_eq!(RangePredicate::new(i64::MIN, i64::MAX).width(), i64::MAX);
+        assert_eq!(RangePredicate::new(-2, i64::MAX).width(), i64::MAX);
+        assert_eq!(RangePredicate::new(i64::MIN, i64::MIN + 3).width(), 3);
+        // Unnormalized (fields are public): still empty, never negative.
+        let inverted = RangePredicate {
+            lo: i64::MAX,
+            hi: i64::MIN,
+        };
+        assert_eq!(inverted.width(), 0);
     }
 
     #[test]

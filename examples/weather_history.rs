@@ -40,7 +40,7 @@ fn main() -> Result<()> {
     let mut rng = SimRng::new(0xEA7);
     let mut dist = station_mix().build(domain, 0xEA7);
     let mut policy = PolicyKind::Aligned { bins: 24 }.build();
-    let mut store = AmnesiacStore::new(ForgetMode::Summarize).with_zonemap();
+    let mut store = AmnesiacStore::new(ForgetMode::Summarize);
 
     // Ledger for verification only (a real deployment has no such thing).
     let mut all_readings: Vec<i64> = Vec::new();

@@ -5,7 +5,7 @@
 # .github/bench_compare.py.
 #
 # Usage:
-#   scripts/bench_local.sh                 # full 7-bench suite
+#   scripts/bench_local.sh                 # full 5-bench suite
 #   scripts/bench_local.sh sql_bench       # just one bench
 #   BASELINE=old.json scripts/bench_local.sh   # also diff vs a baseline
 #
@@ -38,7 +38,7 @@ OUT="BENCH_smoke.json"
 export AMNESIA_BENCH_JSON="$(pwd)/$OUT"
 rm -f "$OUT"
 
-BENCHES=(scan_kernels parallel_scan compressed_scan tiered_scan join_bench sql_bench persist_bench)
+BENCHES=(compressed_scan tiered_scan join_bench sql_bench persist_bench)
 if [[ $# -gt 0 ]]; then
     BENCHES=("$@")
 fi

@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | [`util`] | `amnesia-util` | deterministic RNG, bitmaps, stats, ASCII charts |
 //! | [`distrib`] | `amnesia-distrib` | serial/uniform/normal/zipfian generators, histograms |
-//! | [`columnar`] | `amnesia-columnar` | tables, activity marking, zone maps, indexes, compression, cold storage, summaries, vacuum |
+//! | [`columnar`] | `amnesia-columnar` | tables, activity marking, tiered compression with block meta, cold storage, summaries, vacuum |
 //! | [`workload`] | `amnesia-workload` | range/point/aggregate query generators, update batches |
 //! | [`engine`] | `amnesia-engine` | executor, planner, joins, cost model, forget-visibility modes |
 //! | [`sql`] | `amnesia-sql` | SQL lexer/parser/binder/executor over amnesiac tables |

@@ -1,13 +1,15 @@
-//! Engine consistency: every physical plan must return the same answer,
+//! Engine consistency: every physical layout must return the same answer,
 //! and the executor must agree with a naive reference evaluation.
 
-use amnesia::columnar::{SortedIndex, ZoneMap};
 use amnesia::engine::{kernels, Aux, CostModel, Executor, ForgetVisibility};
 use amnesia::prelude::*;
 use proptest::prelude::*;
 
+/// Small tier blocks, so a few hundred rows span several of them.
+const BLOCK_ROWS: usize = 64;
+
 fn build(values: &[i64], forget: &[usize]) -> Table {
-    let mut t = Table::new(Schema::single("a"));
+    let mut t = Table::with_block_rows(Schema::single("a"), BLOCK_ROWS);
     t.insert_batch(values, 0).unwrap();
     for &f in forget {
         if !values.is_empty() {
@@ -45,22 +47,15 @@ proptest! {
         let scan = kernels::range_scan_active(&t, 0, pred);
         prop_assert_eq!(&scan, &reference);
 
-        // Kernel: zone-map pruned scan.
-        let zm = ZoneMap::build_with_block_rows(&t, 0, 32);
-        let blocks = zm.candidate_blocks(pred.lo, pred.hi_inclusive());
-        let pruned = kernels::range_scan_blocks(&t, 0, pred, &blocks, 32);
+        // Same table frozen: block-meta pruned, codec-fused scan.
+        let mut frozen = t.clone();
+        frozen.freeze_upto(values.len());
+        let (pruned, _) = kernels::range_scan_tiered(&frozen, 0, pred);
         prop_assert_eq!(&pruned, &reference);
 
-        // Index probe (value order) — same set of rows.
-        let idx = SortedIndex::build(&t, 0);
-        let mut probed = idx.probe_range_active(&t, pred.lo, pred.hi_inclusive());
-        probed.sort_unstable();
-        let mut sorted_ref = reference.clone();
-        sorted_ref.sort_unstable();
-        prop_assert_eq!(probed, sorted_ref);
-
-        // Count-only kernel agrees.
+        // Count-only kernel agrees on both layouts.
         prop_assert_eq!(kernels::count_active_matches(&t, 0, pred), reference.len());
+        prop_assert_eq!(kernels::count_active_matches(&frozen, 0, pred), reference.len());
     }
 
     #[test]
@@ -72,25 +67,16 @@ proptest! {
     ) {
         let t = build(&values, &forget);
         let pred = RangePredicate::new(lo, lo + width);
-        let zm = ZoneMap::build_with_block_rows(&t, 0, 64);
-        let idx = SortedIndex::build(&t, 0);
-        let aux = Aux {
-            zonemap: Some(&zm),
-            index: Some(&idx),
-            ..Default::default()
-        };
+        let aux = Aux::default();
 
         let active_only = Executor::new(ForgetVisibility::ActiveOnly, CostModel::default());
-        let mut got = active_only
+        let got = active_only
             .execute(&t, 0, &Query::Range(pred), &aux)
             .output
             .rows()
             .unwrap()
             .to_vec();
-        got.sort_unstable();
-        let mut expect = reference_range(&t, pred, false);
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
+        prop_assert_eq!(got, reference_range(&t, pred, false));
 
         let sees_forgotten =
             Executor::new(ForgetVisibility::ScanSeesForgotten, CostModel::default());
@@ -136,22 +122,21 @@ proptest! {
         lo in 0i64..5000,
         width in 1i64..1000,
     ) {
-        // Build the zone map FIRST, then forget without syncing: stale
-        // bounds may be loose but must never lose matches.
+        // The zone map is the tier's cached block meta. Freeze FIRST,
+        // then forget: the bounds are not re-tightened, and stale bounds
+        // may be loose but must never lose matches.
         let mut t = build(&values, &[]);
-        let mut zm = ZoneMap::build_with_block_rows(&t, 0, 16);
+        t.freeze_upto(values.len());
         for &f in &forget {
             let row = RowId((f % values.len()) as u64);
             if t.activity().is_active(row) {
                 t.forget(row, 1).unwrap();
-                zm.note_forget(row);
             }
         }
         let pred = RangePredicate::new(lo, lo + width);
-        let blocks = zm.candidate_blocks(pred.lo, pred.hi_inclusive());
-        let pruned = kernels::range_scan_blocks(&t, 0, pred, &blocks, 16);
+        let (pruned, _) = kernels::range_scan_tiered(&t, 0, pred);
         let reference = reference_range(&t, pred, false);
-        prop_assert_eq!(pruned, reference, "stale zone map lost matches");
+        prop_assert_eq!(pruned, reference, "stale block meta lost matches");
     }
 }
 

@@ -1,26 +1,20 @@
-//! Property tests: the word-at-a-time vectorized kernels, the
-//! row-at-a-time scalar references, the parallel kernels, the fused
-//! compressed-block kernels (every codec), and the word-zone-pruned
-//! kernels all compute identical answers — across randomized tables,
+//! Property tests: the word-at-a-time tiered kernels, the row-at-a-time
+//! scalar references, morsel-parallel plan execution, and the fused
+//! compressed-block paths (every codec, frozen at every block-prefix
+//! boundary) all compute identical answers — across randomized tables,
 //! forget patterns (none / a quarter / everything), and the
 //! word-boundary sizes where masking bugs live (0, 1, 63, 64, 65, 1023,
 //! 1024, 1025).
 
 use amnesia::columnar::compress::{block_decodes, Encoding};
 use amnesia::columnar::vacuum::vacuum;
-use amnesia::columnar::{SegmentedColumn, WordZoneMap};
-use amnesia::engine::batch::{self, scalar};
+use amnesia::engine::batch::scalar;
 use amnesia::engine::join::{hash_join, hash_join_count};
 use amnesia::engine::kernels;
-use amnesia::engine::parallel::{
-    par_aggregate_active, par_hash_join, par_range_scan_active, par_range_scan_compressed,
-};
 use amnesia::engine::ForgetVisibility;
 use amnesia::prelude::*;
 use amnesia::workload::query::RangePredicate;
 use proptest::prelude::*;
-
-const THREAD_COUNTS: [usize; 4] = [1, 2, 8, 64];
 
 /// How much of the table a forget pattern erases.
 #[derive(Debug, Clone, Copy)]
@@ -62,27 +56,32 @@ fn build_table(values: &[i64], pattern: ForgetPattern, seed: u64) -> Table {
     t
 }
 
-fn assert_all_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
-    // Scans: vectorized == scalar == parallel (all thread counts).
-    let vectorized = kernels::range_scan_active(t, 0, pred);
-    let reference = scalar::range_scan_active(t, 0, pred);
-    assert_eq!(vectorized, reference, "scan {ctx}");
-    for threads in THREAD_COUNTS {
-        let par = par_range_scan_active(t, 0, pred, threads);
-        assert_eq!(par, reference, "par scan threads={threads} {ctx}");
-    }
-
-    // Full (forgotten-inclusive) scan.
+/// Every serial single-column kernel over `t` against the scalar
+/// reference evaluated on `truth` — the same logical table, never frozen
+/// (pass `t` itself when it is hot). `exact_work` additionally pins the
+/// aggregate's `rows_scanned` to the reference's (true on a hot table;
+/// block meta may only shrink it on a frozen one). `scan_all_comparable`
+/// must be false once a lossy transition (a recompression that
+/// re-encoded, a drop) destroyed forgotten rows' values.
+fn assert_serial_kernels_agree(
+    t: &Table,
+    truth: &Table,
+    pred: RangePredicate,
+    exact_work: bool,
+    scan_all_comparable: bool,
+    ctx: &str,
+) {
+    let reference = scalar::range_scan_active(truth, 0, pred);
     assert_eq!(
-        kernels::range_scan_all(t, 0, pred),
-        scalar::range_scan_all(t, 0, pred),
-        "scan-all {ctx}"
+        kernels::range_scan_active(t, 0, pred),
+        reference,
+        "scan {ctx}"
     );
-
-    // Count-only kernel.
+    let (rows, _) = kernels::range_scan_tiered(t, 0, pred);
+    assert_eq!(rows, reference, "scan+stats {ctx}");
     assert_eq!(
         kernels::count_active_matches(t, 0, pred),
-        scalar::count_active_matches(t, 0, pred),
+        scalar::count_active_matches(truth, 0, pred),
         "count {ctx}"
     );
     assert_eq!(
@@ -90,104 +89,149 @@ fn assert_all_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
         reference.len(),
         "count==scan-len {ctx}"
     );
-
     // Aggregates: every kind, with and without the predicate.
     for predicate in [None, Some(pred)] {
         for kind in AggKind::ALL {
-            let (want, want_scanned) = scalar::aggregate_active(t, 0, predicate, kind);
+            let (want, want_scanned) = scalar::aggregate_active(truth, 0, predicate, kind);
             let (got, got_scanned) = kernels::aggregate_active(t, 0, predicate, kind);
             assert_eq!(got, want, "agg {kind:?} pred={predicate:?} {ctx}");
-            assert_eq!(got_scanned, want_scanned, "agg scanned {kind:?} {ctx}");
-            for threads in THREAD_COUNTS {
-                let (par, par_scanned) = par_aggregate_active(t, 0, predicate, kind, threads);
-                match (want, par) {
-                    (Some(a), Some(b)) => assert!(
-                        (a - b).abs() < 1e-9,
-                        "par agg {kind:?} threads={threads} {ctx}: {a} vs {b}"
-                    ),
-                    (a, b) => assert_eq!(a, b, "par agg {kind:?} threads={threads} {ctx}"),
-                }
-                assert_eq!(par_scanned, want_scanned, "par agg scanned {kind:?} {ctx}");
+            if exact_work {
+                assert_eq!(got_scanned, want_scanned, "agg scanned {kind:?} {ctx}");
+            } else {
+                assert!(
+                    got_scanned <= want_scanned,
+                    "meta may only shrink work {ctx}"
+                );
             }
         }
     }
-
-    // Blocked (zone-map shaped) scans cover every block partition of the
-    // batch size.
-    for block_rows in [batch::BATCH_ROWS, 64, 100] {
-        let nblocks = t.num_rows().div_ceil(block_rows);
-        let blocks: Vec<usize> = (0..nblocks).collect();
+    // Full (forgotten-inclusive) scan.
+    if scan_all_comparable {
         assert_eq!(
-            kernels::range_scan_blocks(t, 0, pred, &blocks, block_rows),
-            scalar::range_scan_blocks(t, 0, pred, &blocks, block_rows),
-            "blocks={block_rows} {ctx}"
+            kernels::range_scan_all(t, 0, pred),
+            scalar::range_scan_all(truth, 0, pred),
+            "scan-all {ctx}"
         );
     }
+}
 
+/// The parallel leg: a one-predicate [`PhysicalPlan`] over `t` — once
+/// projecting the column, once folding every aggregate kind — must
+/// return byte-identical rows under `ExecMode::Serial` and every
+/// `Parallel(n)`, and the serial projection must be exactly the values
+/// of the scalar reference's rows on `truth`.
+fn assert_one_predicate_plans_agree(t: &Table, truth: &Table, pred: RangePredicate, ctx: &str) {
+    let scan = || {
+        vec![PhysScan {
+            preds: vec![ColPred::from_range(0, pred)],
+            label: "Scan t [active-only]".into(),
+        }]
+    };
+    let project = PhysicalPlan {
+        scans: scan(),
+        join: None,
+        items: vec![PhysItem::Column {
+            slot: 0,
+            col: 0,
+            display: "a".into(),
+        }],
+        group_by: None,
+        order_by: None,
+        limit: None,
+        hint: PlanHint::CostBased,
+    };
+    let aggregate = PhysicalPlan {
+        items: AggKind::ALL
+            .iter()
+            .map(|&kind| PhysItem::Aggregate {
+                kind,
+                arg: Some((0, 0)),
+                display: kind.name().into(),
+            })
+            .collect(),
+        ..project.clone()
+    };
+    let want: Vec<Vec<Scalar>> = scalar::range_scan_active(truth, 0, pred)
+        .into_iter()
+        .map(|r| vec![Scalar::Int(truth.value(0, r))])
+        .collect();
+    assert_eq!(
+        executor(1).execute_plan(&[t], &[], &project).rows,
+        want,
+        "plan projection {ctx}"
+    );
+    assert_plan_parallel_equals_serial(&[t], &project, &format!("projection {ctx}"));
+    assert_plan_parallel_equals_serial(&[t], &aggregate, &format!("aggregate {ctx}"));
+}
+
+fn assert_all_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
+    // Fully hot: vectorized == scalar == parallel (all thread counts).
+    assert_serial_kernels_agree(t, t, pred, true, true, ctx);
+    assert_one_predicate_plans_agree(t, t, pred, ctx);
     assert_compressed_kernels_agree(t, pred, ctx);
-    assert_zoned_kernels_agree(t, pred, ctx);
 }
 
-/// Fused compressed scans == decompress-then-scalar-scan, for every codec
-/// (pinned per block), the automatic chooser, word-aligned block sizes
-/// that land frozen/tail boundaries on and off batch edges, and the
-/// parallel block-chunked variant.
+/// A copy of hot table `t` under another tier block size and pinned
+/// codec (`None` = the automatic chooser), forgets included.
+fn rebuilt(t: &Table, block_rows: usize, encoding: Option<Encoding>) -> Table {
+    let mut copy = Table::with_block_rows(Schema::single("a"), block_rows);
+    copy.pin_encoding(0, encoding);
+    let values = t.col_values_dense(0);
+    if !values.is_empty() {
+        copy.insert_batch(&values, 0).unwrap();
+    }
+    for r in (0..t.num_rows()).map(RowId::from) {
+        if !t.activity().is_active(r) {
+            copy.forget(r, 1).unwrap();
+        }
+    }
+    copy
+}
+
+/// Fused compressed scans == scalar scans of the hot original, for every
+/// codec (pinned per block) and the automatic chooser, at word-aligned
+/// block sizes that land frozen/tail boundaries on and off batch edges,
+/// with the table frozen at *every* block-prefix boundary in turn — then
+/// with the hot tail grown past the frozen prefix.
 fn assert_compressed_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
-    let reference = scalar::range_scan_active(t, 0, pred);
-    let values = t.col_values(0);
-    let mut segs: Vec<(String, SegmentedColumn)> = Vec::new();
+    let n = t.num_rows();
     for block_rows in [64usize, 1024] {
-        for enc in Encoding::ALL {
-            let mut seg = SegmentedColumn::with_encoding(block_rows, enc);
-            seg.extend_from_slice(values);
-            segs.push((format!("{}@{block_rows}", enc.name()), seg));
-        }
-        let mut auto = SegmentedColumn::with_block_rows(block_rows);
-        auto.extend_from_slice(values);
-        segs.push((format!("auto@{block_rows}"), auto));
-    }
-    for (tag, seg) in &segs {
-        // The compressed column must reconstruct the original exactly —
-        // otherwise "equivalence" below would prove nothing.
-        assert_eq!(seg.len(), values.len(), "{tag} {ctx}");
-        let got = kernels::range_scan_compressed(t, seg, pred);
-        assert_eq!(got, reference, "compressed {tag} {ctx}");
-        assert_eq!(
-            kernels::count_compressed(t, seg, pred),
-            reference.len(),
-            "compressed count {tag} {ctx}"
-        );
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                par_range_scan_compressed(t, seg, pred, threads),
-                reference,
-                "par compressed {tag} threads={threads} {ctx}"
-            );
-        }
-    }
-}
-
-/// Word-zone-pruned kernels == their unpruned counterparts, with fresh
-/// and stale (forget-noted but unsynced) zone maps.
-fn assert_zoned_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
-    let reference = scalar::range_scan_active(t, 0, pred);
-    let wz = WordZoneMap::build(t, 0);
-    let (rows, _) = kernels::range_scan_active_zoned(t, 0, &wz, pred);
-    assert_eq!(rows, reference, "zoned scan {ctx}");
-    let (count, _) = kernels::count_active_matches_zoned(t, 0, &wz, pred);
-    assert_eq!(count, reference.len(), "zoned count {ctx}");
-    for predicate in [None, Some(pred)] {
-        let (state, zs) = kernels::aggregate_state_active_zoned(t, 0, &wz, predicate);
-        for kind in AggKind::ALL {
-            let (want, want_scanned) = scalar::aggregate_active(t, 0, predicate, kind);
-            assert_eq!(
-                state.finalize(kind),
-                want,
-                "zoned agg {kind:?} pred={predicate:?} {ctx}"
-            );
-            assert!(
-                zs.rows_scanned <= want_scanned,
-                "zones may only shrink work {ctx}"
+        let codecs = Encoding::ALL.into_iter().map(Some).chain([None]);
+        for encoding in codecs {
+            let tag = format!("{encoding:?}@{block_rows} {ctx}");
+            let mut frozen = rebuilt(t, block_rows, encoding);
+            for prefix in (block_rows..=n).step_by(block_rows) {
+                frozen.freeze_upto(prefix);
+                assert_eq!(frozen.frozen_blocks(), prefix / block_rows, "{tag}");
+                let before = block_decodes();
+                assert_serial_kernels_agree(
+                    &frozen,
+                    t,
+                    pred,
+                    false,
+                    true,
+                    &format!("frozen<{prefix} {tag}"),
+                );
+                assert_eq!(block_decodes(), before, "a fused scan decoded: {tag}");
+            }
+            if encoding.is_none() {
+                assert_one_predicate_plans_agree(&frozen, t, pred, &format!("frozen {tag}"));
+            }
+            // The hot tail grows past the frozen prefix: new rows land
+            // behind it and the activity words lengthen with them.
+            let mut grown = t.clone();
+            let tail: Vec<i64> = (0..70)
+                .map(|i| pred.lo.saturating_add(i * 3 - 30))
+                .collect();
+            grown.insert_batch(&tail, 2).unwrap();
+            frozen.insert_batch(&tail, 2).unwrap();
+            assert_serial_kernels_agree(
+                &frozen,
+                &grown,
+                pred,
+                false,
+                true,
+                &format!("grown tail {tag}"),
             );
         }
     }
@@ -234,12 +278,12 @@ fn boundary_sizes_and_forget_patterns() {
 }
 
 /// Assert a tiered table and its never-frozen twin answer every kernel
-/// identically: scans (serial + parallel, all thread counts), counts,
-/// aggregates of every kind with and without predicates, and — while no
-/// lossy transition has run — the complete-scan regime. The twin's
-/// scalar kernels are the ground truth. Runs under whichever SIMD mode
-/// the process was started in — CI's matrix covers both native and
-/// `AMNESIA_PORTABLE_ONLY`.
+/// identically: scans, counts, aggregates of every kind with and without
+/// predicates, the same scans and folds as one-predicate plans (serial +
+/// parallel, all thread counts), and — while no lossy transition has run
+/// — the complete-scan regime. The twin's scalar kernels are the ground
+/// truth. Runs under whichever SIMD mode the process was started in —
+/// CI's matrix covers both native and `AMNESIA_PORTABLE_ONLY`.
 ///
 /// `scan_all_comparable` must be false once a recompression actually
 /// re-encoded a block (or a block was dropped): both transitions destroy
@@ -253,59 +297,56 @@ fn assert_tiered_equals_flat(
     scan_all_comparable: bool,
     ctx: &str,
 ) {
-    let reference = scalar::range_scan_active(flat, 0, pred);
-    assert_eq!(
-        kernels::range_scan_active(tiered, 0, pred),
-        reference,
-        "tiered scan {ctx}"
-    );
-    let (rows, _) = kernels::range_scan_tiered(tiered, 0, pred);
-    assert_eq!(rows, reference, "tiered scan+stats {ctx}");
-    assert_eq!(
-        kernels::count_active_matches(tiered, 0, pred),
-        reference.len(),
-        "tiered count {ctx}"
-    );
-    for threads in THREAD_COUNTS {
-        assert_eq!(
-            par_range_scan_active(tiered, 0, pred, threads),
-            reference,
-            "par tiered scan threads={threads} {ctx}"
-        );
-    }
-    for predicate in [None, Some(pred)] {
-        for kind in AggKind::ALL {
-            let (want, want_scanned) = scalar::aggregate_active(flat, 0, predicate, kind);
-            let (got, got_scanned) = kernels::aggregate_active(tiered, 0, predicate, kind);
-            assert_eq!(got, want, "tiered agg {kind:?} pred={predicate:?} {ctx}");
-            assert!(
-                got_scanned <= want_scanned,
-                "tiered agg may only shrink work {ctx}"
-            );
-            for threads in THREAD_COUNTS {
-                let (par, _) = par_aggregate_active(tiered, 0, predicate, kind, threads);
-                match (want, par) {
-                    (Some(a), Some(b)) => assert!(
-                        (a - b).abs() < 1e-9,
-                        "par tiered agg {kind:?} threads={threads} {ctx}: {a} vs {b}"
-                    ),
-                    (a, b) => assert_eq!(a, b, "par tiered agg {kind:?} {ctx}"),
-                }
-            }
-        }
-    }
-    if scan_all_comparable {
-        assert_eq!(
-            kernels::range_scan_all(tiered, 0, pred),
-            scalar::range_scan_all(flat, 0, pred),
-            "tiered scan-all {ctx}"
-        );
-    }
+    assert_serial_kernels_agree(tiered, flat, pred, false, scan_all_comparable, ctx);
+    assert_one_predicate_plans_agree(tiered, flat, pred, ctx);
+}
+
+/// The join `left.a = right.a` as a [`PhysicalPlan`] emitting both key
+/// columns: serial and parallel runs must agree with each other and with
+/// `want_pairs` — the hash join's pairs, in its canonical order, whatever
+/// build side or join strategy the cost model picked.
+fn assert_join_plan_equals(left: &Table, right: &Table, want_pairs: &[(RowId, RowId)], ctx: &str) {
+    let scan = |label: &str| PhysScan {
+        preds: Vec::new(),
+        label: label.into(),
+    };
+    let key = |slot| PhysItem::Column {
+        slot,
+        col: 0,
+        display: "a".into(),
+    };
+    let plan = PhysicalPlan {
+        scans: vec![scan("Scan l [active-only]"), scan("Scan r [active-only]")],
+        join: Some(JoinSpec {
+            left_col: 0,
+            right_col: 0,
+            display: "l.a = r.a".into(),
+        }),
+        items: vec![key(0), key(1)],
+        group_by: None,
+        order_by: None,
+        limit: None,
+        hint: PlanHint::CostBased,
+    };
+    let want: Vec<Vec<Scalar>> = want_pairs
+        .iter()
+        .map(|&(l, r)| {
+            vec![
+                Scalar::Int(left.value(0, l)),
+                Scalar::Int(right.value(0, r)),
+            ]
+        })
+        .collect();
+    let serial = executor(1).execute_plan(&[left, right], &[], &plan);
+    assert_eq!(serial.rows, want, "join plan {ctx}");
+    assert_eq!(serial.stats.join_pairs, want_pairs.len(), "join plan {ctx}");
+    assert_plan_parallel_equals_serial(&[left, right], &plan, &format!("join {ctx}"));
 }
 
 /// The tiered self-join must equal the dense twin's self-join *exactly* —
 /// same pairs in the same order (build rows ascend per key, probe rows
-/// right-major), same count, across serial and parallel probes. Active-only
+/// right-major), same count, and the same rows from the join plan across
+/// serial and parallel probes. Active-only
 /// answers survive every tier transition, so this runs even after lossy
 /// recompressions.
 fn assert_tiered_join_equals_flat(tiered: &Table, flat: &Table, ctx: &str) {
@@ -323,13 +364,7 @@ fn assert_tiered_join_equals_flat(tiered: &Table, flat: &Table, ctx: &str) {
         want.stats.output_pairs,
         "tiered join count {ctx}"
     );
-    for threads in THREAD_COUNTS {
-        let par = par_hash_join(tiered, 0, tiered, 0, ForgetVisibility::ActiveOnly, threads);
-        assert_eq!(
-            par.pairs, want.pairs,
-            "par tiered join threads={threads} {ctx}"
-        );
-    }
+    assert_join_plan_equals(tiered, tiered, &want.pairs, ctx);
 }
 
 /// Randomized freeze/forget/thaw/drop/recompress/vacuum/query
@@ -511,13 +546,7 @@ fn tiered_join_equals_dense_join_across_codecs() {
                 want.stats.output_pairs,
                 "{ctx} {stage} count"
             );
-            for threads in THREAD_COUNTS {
-                assert_eq!(
-                    par_hash_join(parent, 0, child, 0, ForgetVisibility::ActiveOnly, threads).pairs,
-                    want.pairs,
-                    "{ctx} {stage} par threads={threads}"
-                );
-            }
+            assert_join_plan_equals(parent, child, &want.pairs, &format!("{ctx} {stage}"));
         };
 
         // Hot × hot (sanity), then every frozen combination.
@@ -620,52 +649,6 @@ fn tiered_join_never_decodes_frozen_blocks() {
 }
 
 #[test]
-fn stale_word_zones_stay_safe() {
-    // Build zones first, forget afterwards with note_forget only (no
-    // sync): bounds are stale-but-wide, results must stay exact.
-    let mut rng = SimRng::new(21);
-    let values: Vec<i64> = (0..2_000).map(|_| rng.range_i64(0, 1_000)).collect();
-    let mut t = Table::new(Schema::single("a"));
-    t.insert_batch(&values, 0).unwrap();
-    let mut wz = WordZoneMap::build(&t, 0);
-    for _ in 0..1_200 {
-        if let Some(r) = t.random_active(&mut rng) {
-            t.forget(r, 1).unwrap();
-            wz.note_forget(r);
-        }
-    }
-    for pred in [
-        RangePredicate::new(0, 1_000),
-        RangePredicate::new(400, 600),
-        RangePredicate::new(990, 2_000),
-    ] {
-        let (rows, _) = kernels::range_scan_active_zoned(&t, 0, &wz, pred);
-        assert_eq!(rows, scalar::range_scan_active(&t, 0, pred), "{pred:?}");
-    }
-}
-
-#[test]
-fn word_zones_hit_the_ninety_percent_bar() {
-    // Acceptance setting: sorted column, ~1 % selectivity — at least
-    // 90 % of words must be zone-pruned.
-    let n = 200_000usize;
-    let values: Vec<i64> = (0..n as i64).collect();
-    let mut t = Table::new(Schema::single("a"));
-    t.insert_batch(&values, 0).unwrap();
-    let wz = WordZoneMap::build(&t, 0);
-    let pred = RangePredicate::new(100_000, 102_000);
-    let (rows, stats) = kernels::range_scan_active_zoned(&t, 0, &wz, pred);
-    assert_eq!(rows.len(), 2_000);
-    let total_words = n.div_ceil(64);
-    assert!(
-        stats.words_pruned as f64 >= 0.9 * total_words as f64,
-        "pruned {} of {} words",
-        stats.words_pruned,
-        total_words
-    );
-}
-
-#[test]
 fn join_kernels_agree_with_row_at_a_time_reference() {
     use amnesia::engine::join::{hash_join, hash_join_count};
     use amnesia::engine::ForgetVisibility;
@@ -724,7 +707,7 @@ fn join_kernels_agree_with_row_at_a_time_reference() {
 
 use amnesia::engine::physical::JoinSpec;
 use amnesia::engine::{
-    ColPred, ExecMode, Executor, PhysItem, PhysScan, PhysicalPlan, PlanHint, SortDir,
+    ColPred, ExecMode, Executor, PhysItem, PhysScan, PhysicalPlan, PlanHint, Scalar, SortDir,
 };
 
 /// Non-power-of-two worker counts included on purpose: uneven morsel

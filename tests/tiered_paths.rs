@@ -1,32 +1,65 @@
-//! Regression suite for the flat-only panic paths tiering left behind.
+//! Regression suite for the tier boundary.
 //!
-//! `Table::col_values` deliberately panics once a column holds frozen
-//! blocks, so any engine entry point that forgot to go tier-aware fails
-//! loudly instead of scanning stale data. This suite drives **every
-//! public kernel, executor, auxiliary-structure and SQL path** over a
-//! half-frozen table (frozen prefix + hot tail, forgets on both sides of
-//! the boundary) and checks the answers against a never-frozen twin — if
-//! a straggler still reaches for the flat slice, the panic surfaces
-//! here, and if one silently materializes wrong data, the twin
-//! comparison catches it.
+//! Every engine entry point runs on a `TieredColumn`, so what can go
+//! wrong is the seam itself: a kernel that mis-aligns the frozen prefix
+//! and the hot tail, or clips the wrong word. This suite drives **every public
+//! kernel, executor and SQL path** over a half-frozen table (frozen
+//! prefix + hot tail, forgets on both sides of the boundary) and checks
+//! the answers against a never-frozen twin.
 //!
 //! The second half is the recompression-safety property test: frozen
 //! blocks squash *forgotten* rows' values onto active neighbours when
-//! they re-encode, so every structure built **before** the squash — word
-//! zone maps, sorted indexes, join hash tables — must either be
-//! invalidated or keep answering exactly. They keep answering exactly,
-//! because all of them consult the activity map before trusting a value;
-//! the interleaved property test pins that contract.
+//! they re-encode, so every reader of the recompressed payloads — scans,
+//! join hash tables — must keep answering exactly. They do, because all
+//! of them consult the activity map before trusting a value; the
+//! interleaved property test pins that contract.
 
 use amnesia::columnar::vacuum::vacuum;
-use amnesia::columnar::{Database, Imprints, SortedIndex, WordZoneMap, ZoneMap};
+use amnesia::columnar::Database;
 use amnesia::engine::exec::PlanTag;
 use amnesia::engine::join::{hash_join, hash_join_count, join_precision};
-use amnesia::engine::{kernels, parallel, Aux, CostModel, Executor, ForgetVisibility};
+use amnesia::engine::physical::{JoinSpec, PhysScan};
+use amnesia::engine::{
+    kernels, Aux, ColPred, CostModel, ExecMode, Executor, ForgetVisibility, PhysItem, PhysicalPlan,
+    PlanHint,
+};
 use amnesia::prelude::*;
 use amnesia::sql;
 use amnesia::workload::query::RangePredicate;
 use amnesia::workload::Query as EngineQuery;
+
+/// A plan over single-column tables: one scan per entry of `preds`
+/// (joined on column 0 when there are two), emitting `items`.
+fn plan(preds: Vec<Vec<ColPred>>, items: Vec<PhysItem>) -> PhysicalPlan {
+    let join = (preds.len() == 2).then(|| JoinSpec {
+        left_col: 0,
+        right_col: 0,
+        display: "l.a = r.a".into(),
+    });
+    PhysicalPlan {
+        scans: preds
+            .into_iter()
+            .map(|preds| PhysScan {
+                preds,
+                label: "Scan t".into(),
+            })
+            .collect(),
+        join,
+        items,
+        group_by: None,
+        order_by: None,
+        limit: None,
+        hint: PlanHint::default(),
+    }
+}
+
+fn column(slot: usize) -> PhysItem {
+    PhysItem::Column {
+        slot,
+        col: 0,
+        display: "a".into(),
+    }
+}
 
 /// A half-frozen table (4 frozen blocks + hot tail) and its never-frozen
 /// twin, with forgets scattered across both tiers.
@@ -63,11 +96,6 @@ fn every_kernel_path_survives_a_half_frozen_table() {
         kernels::count_active_matches(&tiered, 0, pred),
         want_rows.len()
     );
-    let blocks: Vec<usize> = (0..6).collect();
-    assert_eq!(
-        kernels::range_scan_blocks(&tiered, 0, pred, &blocks, 1024),
-        kernels::range_scan_blocks(&flat, 0, pred, &blocks, 1024)
-    );
     assert_eq!(
         kernels::aggregate_rows(&tiered, 0, &want_rows, AggKind::Sum),
         kernels::aggregate_rows(&flat, 0, &want_rows, AggKind::Sum)
@@ -79,99 +107,45 @@ fn every_kernel_path_survives_a_half_frozen_table() {
             assert_eq!(got, want, "{kind:?} {predicate:?}");
         }
         let (state, _) = kernels::aggregate_state_tiered(&tiered, 0, predicate);
-        let (want_state, _) = kernels::aggregate_state_active(&flat, 0, predicate);
+        let (want_state, _) = kernels::aggregate_state_tiered(&flat, 0, predicate);
         assert_eq!(state.count(), want_state.count());
         assert_eq!(state.sum(), want_state.sum());
     }
 
-    // Zone-map wrappers dispatch tiered once blocks are frozen; the zone
-    // map itself is built (tier-aware) from the frozen table.
-    let wz = WordZoneMap::build(&tiered, 0);
-    assert_eq!(
-        kernels::range_scan_active_zoned(&tiered, 0, &wz, pred).0,
-        want_rows
+    // The morsel scheduler chunks at tier boundaries: a one-predicate
+    // plan answers the same rows, and the same aggregates, at any width.
+    let pushed = ColPred::from_range(0, pred);
+    let project = plan(vec![vec![pushed.clone()]], vec![column(0)]);
+    let aggregate = plan(
+        vec![vec![pushed]],
+        AggKind::ALL
+            .iter()
+            .map(|&kind| PhysItem::Aggregate {
+                kind,
+                arg: Some((0, 0)),
+                display: kind.name().into(),
+            })
+            .collect(),
     );
-    assert_eq!(
-        kernels::count_active_matches_zoned(&tiered, 0, &wz, pred).0,
-        want_rows.len()
-    );
-    let (zstate, _) = kernels::aggregate_state_active_zoned(&tiered, 0, &wz, Some(pred));
-    let (want_state, _) = kernels::aggregate_state_active(&flat, 0, Some(pred));
-    assert_eq!(zstate.count(), want_state.count());
-
-    // Compressed-snapshot kernels materialize via the tier-aware dense
-    // path, never the flat slice.
-    let seg = tiered.compress_column(0);
-    assert_eq!(
-        kernels::range_scan_compressed(&tiered, &seg, pred),
-        want_rows
-    );
-    assert_eq!(
-        kernels::count_compressed(&tiered, &seg, pred),
-        want_rows.len()
-    );
-
-    // Parallel kernels chunk at tier boundaries.
+    let serial = Executor::default().with_exec_mode(ExecMode::Serial);
+    let want_values = serial.execute_plan(&[&flat], &[], &project).rows;
+    assert_eq!(want_values.len(), want_rows.len());
+    let want_aggs = serial.execute_plan(&[&flat], &[], &aggregate).rows;
     for threads in [1usize, 3, 8] {
-        assert_eq!(
-            parallel::par_range_scan_active(&tiered, 0, pred, threads),
-            want_rows
-        );
-        assert_eq!(
-            parallel::par_range_scan_tiered(&tiered, 0, pred, threads),
-            want_rows
-        );
-        assert_eq!(
-            parallel::par_range_scan_compressed(&tiered, &seg, pred, threads),
-            want_rows
-        );
-        for kind in AggKind::ALL {
-            let (want, _) = kernels::aggregate_active(&flat, 0, Some(pred), kind);
-            let (got, _) = parallel::par_aggregate_active(&tiered, 0, Some(pred), kind, threads);
-            match (want, got) {
-                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{kind:?}"),
-                (a, b) => assert_eq!(a, b, "{kind:?}"),
-            }
-            let (got, _) = parallel::par_aggregate_tiered(&tiered, 0, Some(pred), kind, threads);
-            match (want, got) {
-                (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9, "{kind:?}"),
-                (a, b) => assert_eq!(a, b, "{kind:?}"),
-            }
-        }
+        let ex = Executor::default()
+            .with_exec_mode(ExecMode::Parallel(threads))
+            .with_morsel_rows(256);
+        let got = ex.execute_plan(&[&tiered], &[], &project);
+        assert_eq!(got.rows, want_values, "{threads} threads");
+        assert_eq!(got.stats.plan, PlanTag::TieredScan);
+        let got = ex.execute_plan(&[&tiered], &[], &aggregate);
+        assert_eq!(got.rows, want_aggs, "{threads} threads");
     }
 }
 
 #[test]
 fn every_executor_path_survives_a_half_frozen_table() {
     let (tiered, flat) = half_frozen_pair();
-    // Auxiliary structures all build tier-aware from the frozen table.
-    let zm = ZoneMap::build(&tiered, 0);
-    let wz = WordZoneMap::build(&tiered, 0);
-    let mut idx = SortedIndex::build(&tiered, 0);
-    idx.rebuild(&tiered);
-    let imp = Imprints::build(&tiered, 0, 16);
-    assert!(imp.memory_bytes() > 0);
-    let auxes: Vec<Aux<'_>> = vec![
-        Aux::default(),
-        Aux {
-            zonemap: Some(&zm),
-            ..Default::default()
-        },
-        Aux {
-            word_zones: Some(&wz),
-            ..Default::default()
-        },
-        Aux {
-            index: Some(&idx),
-            ..Default::default()
-        },
-        Aux {
-            zonemap: Some(&zm),
-            word_zones: Some(&wz),
-            index: Some(&idx),
-            ..Default::default()
-        },
-    ];
     let queries = [
         EngineQuery::Range(RangePredicate::new(100, 260)),
         EngineQuery::Point(333),
@@ -191,39 +165,29 @@ fn every_executor_path_survives_a_half_frozen_table() {
         let ex = Executor::new(mode, CostModel::default());
         for q in &queries {
             let want = ex.execute(&flat, 0, q, &Aux::default());
-            for (i, aux) in auxes.iter().enumerate() {
-                let got = ex.execute(&tiered, 0, q, aux);
-                match (&got.output, &want.output) {
-                    // An index probe returns value order where scans
-                    // return insertion order; the *set* must agree.
-                    (
-                        amnesia::engine::QueryOutput::Rows(g),
-                        amnesia::engine::QueryOutput::Rows(w),
-                    ) => {
-                        let mut g = g.clone();
-                        let mut w = w.clone();
-                        g.sort();
-                        w.sort();
-                        assert_eq!(g, w, "{mode:?} {q:?} aux#{i}");
-                    }
-                    (g, w) => assert_eq!(g, w, "{mode:?} {q:?} aux#{i}"),
-                }
-            }
+            let got = ex.execute(&tiered, 0, q, &Aux::default());
+            assert_eq!(got.output, want.output, "{mode:?} {q:?}");
         }
     }
 
     // The join surface: executor-level stats and the raw kernels.
     let ex = Executor::default();
-    let (r, stats) = ex.execute_join(&tiered, 0, &flat, 0);
+    let join = plan(vec![vec![], vec![]], vec![column(0), column(1)]);
     let want = hash_join(&flat, 0, &flat, 0, ForgetVisibility::ActiveOnly);
-    assert_eq!(r.pairs, want.pairs, "frozen build side");
-    assert_eq!(stats.plan, PlanTag::TieredJoin);
-    assert_eq!(stats.result_rows, want.stats.output_pairs);
-    let (r2, stats2) = ex.execute_join(&flat, 0, &tiered, 0);
-    assert_eq!(r2.pairs, want.pairs, "frozen probe side");
-    assert_eq!(stats2.plan, PlanTag::TieredJoin);
-    let (_, flat_stats) = ex.execute_join(&flat, 0, &flat, 0);
-    assert_eq!(flat_stats.plan, PlanTag::FullScan, "hot join is not tiered");
+    let hot = ex.execute_plan(&[&flat, &flat], &[], &join);
+    assert_eq!(hot.stats.plan, PlanTag::FullScan, "hot join is not tiered");
+    assert_eq!(hot.stats.join_pairs, want.stats.output_pairs);
+    let r = ex.execute_plan(&[&tiered, &flat], &[], &join);
+    assert_eq!(r.rows, hot.rows, "frozen build side");
+    assert_eq!(r.stats.plan, PlanTag::TieredJoin);
+    assert_eq!(r.stats.result_rows, want.stats.output_pairs);
+    let r2 = ex.execute_plan(&[&flat, &tiered], &[], &join);
+    assert_eq!(r2.rows, hot.rows, "frozen probe side");
+    assert_eq!(r2.stats.plan, PlanTag::TieredJoin);
+    assert_eq!(
+        hash_join(&tiered, 0, &flat, 0, ForgetVisibility::ActiveOnly).pairs,
+        want.pairs
+    );
     assert_eq!(
         hash_join_count(&tiered, 0, &tiered, 0, ForgetVisibility::ActiveOnly),
         want.stats.output_pairs
@@ -243,7 +207,7 @@ fn every_executor_path_survives_a_half_frozen_table() {
 fn sql_paths_survive_half_frozen_tables() {
     // Two-table SQL join + filters + aggregates over frozen storage: the
     // SQL executor reads through `Table::value`, which must hit the codec
-    // point-access paths, never the flat slice.
+    // point-access paths.
     let mut db = Database::new();
     let parent = db.add_table("parent", Schema::new(vec!["key", "grp"]));
     let child = db.add_table("child", Schema::new(vec!["fk", "amount"]));
@@ -275,39 +239,34 @@ fn sql_paths_survive_half_frozen_tables() {
 }
 
 /// Satellite: `recompress_frozen` mutates stored values at *forgotten*
-/// positions (squashing them onto active neighbours). Structures built
-/// before the squash — word zone maps, sorted indexes, join hash tables
-/// (rebuilt per call but probing recompressed blocks) — must keep
-/// answering exactly, because every one of them filters through the
-/// activity map before trusting a value. Interleave recompression with
-/// zoned scans, index probes and joins against a flat twin to prove it.
+/// positions (squashing them onto active neighbours). Every reader of
+/// the recompressed payloads — scans behind block meta that is only ever
+/// stale-wide, join hash tables (rebuilt per call but probing
+/// recompressed blocks) — must keep answering exactly, because each of
+/// them filters through the activity map before trusting a value.
+/// Interleave recompression with scans and joins against a never-frozen
+/// twin to prove it.
 #[test]
-fn recompress_keeps_zones_indexes_and_joins_correct() {
+fn recompress_keeps_scans_and_joins_correct() {
     for seed in [5u64, 6, 7] {
         let mut rng = SimRng::new(seed);
         let mut flat = Table::new(Schema::single("a"));
         let mut tiered = Table::with_block_rows(Schema::single("a"), 256);
         let ctx = format!("seed={seed}");
-        // Aux structures built ONCE up front and deliberately left stale
-        // across forgets and recompressions (note_forget only, no sync).
         let values: Vec<i64> = (0..4_096).map(|_| rng.range_i64(0, 300)).collect();
         flat.insert_batch(&values, 0).unwrap();
         tiered.insert_batch(&values, 0).unwrap();
         tiered.freeze_upto(4_096);
-        let mut wz = WordZoneMap::build(&tiered, 0);
-        let mut idx = SortedIndex::build(&tiered, 0);
         for step in 0..8 {
             // Forget a burst on both twins.
             for _ in 0..300 {
                 if let Some(r) = flat.random_active(&mut rng) {
                     flat.forget(r, step).unwrap();
                     tiered.forget(r, step).unwrap();
-                    wz.note_forget(r);
-                    idx.note_forget();
                 }
             }
             // Recompress rotten blocks: forgotten positions' values are
-            // physically rewritten under the stale structures' feet.
+            // physically rewritten.
             let (reencoded, _) = tiered.recompress_frozen(0.9);
             if step > 2 {
                 assert!(
@@ -320,17 +279,14 @@ fn recompress_keeps_zones_indexes_and_joins_correct() {
                 RangePredicate::new(rng.range_i64(0, 250), rng.range_i64(100, 300)),
             ] {
                 let want = kernels::range_scan_active(&flat, 0, pred);
-                // Zoned scan with the stale map: bounds are stale-wide,
-                // never stale-narrow.
-                let (got, _) = kernels::range_scan_active_zoned(&tiered, 0, &wz, pred);
-                assert_eq!(got, want, "zoned {ctx} step {step} {pred:?}");
-                // Index probe with stale entries: activity filtering
-                // hides both forgotten rows and their squashed values.
-                let mut via_index = idx.probe_range_active(&tiered, pred.lo, pred.hi_inclusive());
-                via_index.sort();
-                let mut want_sorted = want.clone();
-                want_sorted.sort();
-                assert_eq!(via_index, want_sorted, "index {ctx} step {step}");
+                // Block meta bounds are stale-wide, never stale-narrow.
+                let (got, _) = kernels::range_scan_tiered(&tiered, 0, pred);
+                assert_eq!(got, want, "scan {ctx} step {step} {pred:?}");
+                assert_eq!(
+                    kernels::count_active_matches(&tiered, 0, pred),
+                    want.len(),
+                    "count {ctx} step {step}"
+                );
             }
             // Joins rebuild their hash table per call, but build and
             // probe both stream the *recompressed* payloads.
