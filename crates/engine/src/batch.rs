@@ -833,8 +833,8 @@ impl ProbeStats {
 }
 
 /// Probe frozen blocks `[first, last)` of a tiered column against a hash
-/// table *in compressed space* — the per-chunk primitive behind
-/// [`probe_tiered`] and the parallel join. `on_hit(payload, probe_row)`
+/// table *in compressed space* — the frozen half of the join-probe kernel
+/// (`join::probe_span`). `on_hit(payload, probe_row)`
 /// fires for every active probe row whose key is in `build`, in ascending
 /// probe-row order (the order a dense probe would emit). `key_range` is
 /// the inclusive `[min, max]` of the build keys; blocks whose cached meta
@@ -905,25 +905,26 @@ pub fn probe_tiered_blocks_with<T>(
     stats
 }
 
-/// Probe the hot tail of a tiered column: a direct slice walk over the
-/// uncompressed values, one hash lookup per active row, ascending.
-fn probe_tiered_tail_with<T>(
+/// Probe hot rows `[lo, hi)` of a tiered column (`lo` word-aligned, at or
+/// past the hot start): a direct slice walk over the uncompressed
+/// values, one hash lookup per selected row, ascending.
+pub(crate) fn probe_tiered_rows_with<T>(
     tier: &TieredColumn,
     words: &[u64],
+    lo: usize,
+    hi: usize,
     build: &HashMap<Value, T>,
     mut on_hit: impl FnMut(&T, usize),
 ) {
-    let tail = tier.hot_values();
-    let tail_start = tier.hot_start();
-    for (j, chunk) in tail.chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let mut active = tail_word(words, wi, chunk.len());
-        let base = tail_start + j * WORD_BITS;
-        while active != 0 {
-            let bit = active.trailing_zeros() as usize;
-            active &= active - 1;
-            if let Some(t) = build.get(&chunk[bit]) {
-                on_hit(t, base + bit);
+    let (hot, start) = (tier.hot_values(), tier.hot_start());
+    for wi in lo / WORD_BITS..hi.div_ceil(WORD_BITS) {
+        let base = wi * WORD_BITS;
+        let mut selected = tail_word(words, wi, hi - base);
+        while selected != 0 {
+            let row = base + selected.trailing_zeros() as usize;
+            selected &= selected - 1;
+            if let Some(t) = build.get(&hot[row - start]) {
+                on_hit(t, row);
             }
         }
     }
@@ -949,23 +950,8 @@ pub fn probe_tiered_with<T>(
         key_range,
         &mut on_hit,
     );
-    probe_tiered_tail_with(tier, words, build, on_hit);
+    probe_tiered_rows_with(tier, words, tier.hot_start(), tier.len(), build, on_hit);
     stats
-}
-
-/// Pair-emitting [`probe_tiered_with`]: the hash-join probe. Appends
-/// `(build row, probe row)` pairs grouped by probe row (right-major), the
-/// exact order the dense hash join emits.
-pub fn probe_tiered(
-    tier: &TieredColumn,
-    words: &[u64],
-    build: &HashMap<Value, Vec<RowId>>,
-    key_range: Option<(Value, Value)>,
-    out: &mut Vec<(RowId, RowId)>,
-) -> ProbeStats {
-    probe_tiered_with(tier, words, build, key_range, |ls, row| {
-        out.extend(ls.iter().map(|&l| (l, RowId::from(row))));
-    })
 }
 
 pub mod scalar {

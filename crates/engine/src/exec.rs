@@ -20,7 +20,7 @@ use crate::cost::CostModel;
 use crate::group::GroupTable;
 use crate::kernels;
 use crate::mode::ForgetVisibility;
-use crate::morsel::{self, ExecMode, SchedStats};
+use crate::morsel::{self, ExecMode, Pool};
 use crate::physical::{
     finalize_scalar, ColPred, PhysItem, PhysicalPlan, PlanHint, Scalar, SortDir,
 };
@@ -100,13 +100,13 @@ pub struct ExecStats {
     pub cost: f64,
     /// Which physical path ran.
     pub plan: PlanTag,
-    /// Morsels the scheduler executed across all plan stages (0 when
-    /// every stage ran serially).
+    /// Morsels the scheduler executed across all plan stages (one or two
+    /// per stage on one worker: the frozen prefix and the hot tail).
     pub morsels: usize,
     /// Morsels a worker claimed from another worker's range.
     pub morsel_steals: usize,
-    /// Nanoseconds spent merging per-worker partial state at pipeline
-    /// breakers.
+    /// Nanoseconds spent folding per-morsel partial state together at
+    /// pipeline breakers.
     pub merge_ns: u64,
     /// Per-predicate execution breakdown for cost-ordered conjunctive
     /// scans: one entry per pushed-down predicate across all scan slots,
@@ -204,10 +204,10 @@ pub struct Executor {
 }
 
 impl Default for Executor {
-    /// Serial unless `AMNESIA_TEST_THREADS` selects a parallel pool
-    /// (morsel size likewise overridable via `AMNESIA_MORSEL_ROWS`) — so
-    /// CI's thread matrix drives every default-constructed executor
-    /// through the morsel scheduler without touching call sites.
+    /// One worker unless `AMNESIA_TEST_THREADS` selects a pool (morsel
+    /// size likewise overridable via `AMNESIA_MORSEL_ROWS`) — so CI's
+    /// thread matrix runs every default-constructed executor at more than
+    /// one width without touching call sites.
     fn default() -> Self {
         Self {
             mode: ForgetVisibility::default(),
@@ -234,8 +234,7 @@ impl Executor {
         self.mode
     }
 
-    /// Select how [`Self::execute_plan`] runs: serial, or morsel-driven
-    /// across a fixed worker pool.
+    /// Select how many workers [`Self::execute_plan`] runs on.
     pub fn with_exec_mode(mut self, exec_mode: ExecMode) -> Self {
         self.exec_mode = exec_mode;
         self
@@ -267,8 +266,8 @@ impl Executor {
     ///   scan will fetch all data");
     /// * `Point(v)` → the *inclusive* `[v, v]` (which, unlike `[v, v + 1)`,
     ///   exists at `v = i64::MAX`) as a one-predicate
-    ///   [`kernels::selection_scan`], or [`kernels::selection_scan_all`]
-    ///   for the complete scan;
+    ///   [`kernels::selection_scan_ordered`], or
+    ///   [`kernels::selection_scan_all`] for the complete scan;
     /// * `Aggregate` → [`batch::aggregate_tiered_active`] over active
     ///   rows, then `aux`'s summaries / micro-models of the forgotten
     ///   mass fold into the [`AggState`] before it finalizes.
@@ -335,7 +334,10 @@ impl Executor {
     fn scan_point(&self, table: &Table, col: usize, v: Value) -> (Vec<RowId>, TierStats) {
         let pred = ColPred::range(col, v, v);
         let (sel, stats) = match self.mode {
-            ForgetVisibility::ActiveOnly => kernels::selection_scan(table, &[pred]),
+            ForgetVisibility::ActiveOnly => {
+                let (sel, stats, _) = Pool::inline().selection_scan(table, &[pred], &[0]);
+                (sel, stats)
+            }
             ForgetVisibility::ScanSeesForgotten => (
                 kernels::selection_scan_all(table, &pred),
                 complete_scan_stats(table, false),
@@ -356,12 +358,13 @@ impl Executor {
     /// has no auxiliary access path — and stays in the signature only
     /// until the benchmark package, which passes it, drops the argument.
     ///
-    /// Under [`ExecMode::Parallel`] every stage dispatches through the
-    /// [`morsel`] scheduler — tier-aligned morsels, a work-stealing
-    /// worker pool, deterministic merges — and returns rows
-    /// byte-identical to the serial path. Scheduler accounting lands in
-    /// [`ExecStats::morsels`], [`ExecStats::morsel_steals`] and
-    /// [`ExecStats::merge_ns`].
+    /// Every stage runs through one `morsel::Pool`: the operator's span
+    /// kernel over the table cut into tier-aligned morsels, partials
+    /// folded in morsel order. [`ExecMode`] sets only the pool's width —
+    /// one inline worker over the uncut table, or `n` work-stealing
+    /// threads — so rows and work accounting are the same at any width.
+    /// Scheduler accounting lands in [`ExecStats::morsels`],
+    /// [`ExecStats::morsel_steals`] and [`ExecStats::merge_ns`].
     pub fn execute_plan(
         &self,
         tables: &[&Table],
@@ -374,69 +377,45 @@ impl Executor {
             "one table per plan scan slot"
         );
         let mut stats = ExecStats::default();
-        let mut sched = SchedStats::default();
-        let threads = self.exec_mode.threads();
+        let mut pool = Pool::new(self.exec_mode.threads(), self.morsel_rows);
         let cost_based = plan.hint == PlanHint::CostBased;
         let model = &self.cost;
 
         // 1. Scans: per-slot selection masks under the pushed-down
         //    conjunction. Under the cost hint, multi-predicate
         //    conjunctions run in estimated `selectivity × eval_cost`
-        //    order with sparse residual refinement (AND commutes, so the
-        //    selection is byte-identical to the syntactic order).
+        //    order; otherwise in the order written. AND commutes, so the
+        //    selection is the same either way.
         let mut sels: Vec<Vec<u64>> = Vec::with_capacity(tables.len());
         let mut scan_estimates: Vec<f64> = Vec::with_capacity(tables.len());
         for (slot, scan) in plan.scans.iter().enumerate() {
             let table = tables[slot];
-            let (sel, ts, est) = if cost_based && scan.preds.len() >= 2 {
-                let po = crate::stats::order_predicates(table, &scan.preds, model);
-                let (sel, ts, per_pred) = if threads > 1 {
-                    let (sel, ts, per_pred, s) = morsel::par_selection_scan_ordered(
-                        table,
-                        &scan.preds,
-                        &po.order,
-                        threads,
-                        self.morsel_rows,
-                    );
-                    sched.absorb(&s);
-                    (sel, ts, per_pred)
-                } else {
-                    let mut per_pred = vec![kernels::PredScanStats::default(); scan.preds.len()];
-                    let (sel, ts) = kernels::selection_scan_ordered(
-                        table,
-                        &scan.preds,
-                        &po.order,
-                        &mut per_pred,
-                    );
-                    (sel, ts, per_pred)
-                };
-                for (rank, &i) in po.order.iter().enumerate() {
-                    stats.pred_stats.push(PredStat {
-                        slot,
-                        display: scan.preds[i].display.clone(),
-                        syntactic_pos: i,
-                        exec_rank: rank,
-                        est_rows: po.est_rows[i],
-                        blocks_pruned: per_pred[i].blocks_pruned,
-                        blocks_refined: per_pred[i].blocks_refined,
-                    });
+            let ordered = (cost_based && scan.preds.len() >= 2)
+                .then(|| crate::stats::order_predicates(table, &scan.preds, model));
+            let as_written: Vec<usize> = (0..scan.preds.len()).collect();
+            let order = ordered.as_ref().map_or(&as_written, |po| &po.order);
+            let (sel, ts, per_pred) = pool.selection_scan(table, &scan.preds, order);
+            let est = match &ordered {
+                Some(po) => {
+                    for (rank, &i) in po.order.iter().enumerate() {
+                        stats.pred_stats.push(PredStat {
+                            slot,
+                            display: scan.preds[i].display.clone(),
+                            syntactic_pos: i,
+                            exec_rank: rank,
+                            est_rows: po.est_rows[i],
+                            blocks_pruned: per_pred[i].blocks_pruned,
+                            blocks_refined: per_pred[i].blocks_refined,
+                        });
+                    }
+                    Some(po.est_out_rows)
                 }
-                (sel, ts, Some(po.est_out_rows))
-            } else {
-                // 0- or 1-predicate scans: nothing to order, one fused
-                // selection pass — the cost hint still records their
-                // estimate for join-side choice and EXPLAIN.
-                let (sel, ts) = if threads > 1 {
-                    let (sel, ts, s) =
-                        morsel::par_selection_scan(table, &scan.preds, threads, self.morsel_rows);
-                    sched.absorb(&s);
-                    (sel, ts)
-                } else {
-                    kernels::selection_scan(table, &scan.preds)
-                };
-                let est =
-                    cost_based.then(|| crate::stats::estimate_scan_rows(table, &scan.preds, model));
-                (sel, ts, est)
+                // 0- or 1-predicate scans: nothing to order — the cost
+                // hint still records their estimate for join-side choice
+                // and EXPLAIN.
+                None => {
+                    cost_based.then(|| crate::stats::estimate_scan_rows(table, &scan.preds, model))
+                }
             };
             stats.rows_scanned += ts.rows_scanned;
             stats.blocks_pruned += ts.blocks_pruned;
@@ -455,13 +434,11 @@ impl Executor {
             sels.push(sel);
         }
 
-        // 2. Join. The physical choice is cost-driven and
-        //    mode-independent (the same strategy runs serial and
-        //    parallel, so rows *and* accounting agree across modes):
-        //    a merge join when both key columns' summaries hint they
-        //    are sorted (one flag read each), otherwise a hash join
-        //    building on the side with the smaller estimated post-filter
-        //    cardinality.
+        // 2. Join. The physical choice is cost-driven and independent of
+        //    the pool's width: a merge join when both key columns'
+        //    summaries hint they are sorted (one flag read each),
+        //    otherwise a hash join building on the side with the smaller
+        //    estimated post-filter cardinality.
         let pairs: Option<Vec<(RowId, RowId)>> = plan.join.as_ref().map(|join| {
             let est_l = scan_estimates.first().copied().unwrap_or(0.0);
             let est_r = scan_estimates.get(1).copied().unwrap_or(0.0);
@@ -495,39 +472,9 @@ impl Executor {
             } else {
                 (0usize, 1usize, join.left_col, join.right_col)
             };
-            let (mut p, probe) = if threads > 1 {
-                let ((build, key_range), s) = morsel::par_build_rows_map(
-                    tables[bslot],
-                    bcol,
-                    &sels[bslot],
-                    threads,
-                    self.morsel_rows,
-                );
-                sched.absorb(&s);
-                let (p, probe, s) = morsel::par_probe(
-                    tables[pslot],
-                    pcol,
-                    &sels[pslot],
-                    &build,
-                    key_range,
-                    threads,
-                    self.morsel_rows,
-                );
-                sched.absorb(&s);
-                (p, probe)
-            } else {
-                let (build, key_range) =
-                    crate::join::build_rows_map_with(tables[bslot], bcol, &sels[bslot]);
-                let mut p = Vec::new();
-                let probe = crate::batch::probe_tiered(
-                    tables[pslot].col_tier(pcol),
-                    &sels[pslot],
-                    &build,
-                    key_range,
-                    &mut p,
-                );
-                (p, probe)
-            };
+            let (build, key_range) = pool.join_build(tables[bslot], bcol, &sels[bslot]);
+            let (mut p, probe) =
+                pool.join_probe(tables[pslot], pcol, &sels[pslot], &build, key_range);
             if swap {
                 // The kernel emitted (build=right, probe=left) pairs in
                 // probe-major order; restore the canonical
@@ -564,174 +511,112 @@ impl Executor {
 
         // 3. Projection or (grouped) aggregation.
         let mut rows: Vec<Vec<Scalar>> = match (&pairs, plan.has_aggregates()) {
-            (None, false) => {
-                self.project_selection(tables[0], &sels[0], &plan.items, threads, &mut sched)
+            (None, false) => project_selection(tables[0], &sels[0], &plan.items, &mut pool),
+            (None, true) => {
+                aggregate_selection_rows(tables[0], &sels[0], plan, &mut stats, &mut pool)
             }
-            (None, true) => self.aggregate_selection_rows(
-                tables[0], &sels[0], plan, threads, &mut stats, &mut sched,
-            ),
-            (Some(pairs), false) => project_pairs(
-                tables,
-                pairs,
-                &plan.items,
-                threads,
-                self.morsel_rows,
-                &mut sched,
-            ),
-            (Some(pairs), true) => aggregate_pairs(
-                tables,
-                pairs,
-                plan,
-                threads,
-                self.morsel_rows,
-                &mut stats,
-                &mut sched,
-            ),
+            (Some(pairs), false) => project_pairs(tables, pairs, &plan.items, &mut pool),
+            (Some(pairs), true) => aggregate_pairs(tables, pairs, plan, &mut stats, &mut pool),
         };
 
         // 4. Sort + limit over the materialized scalars (type-aware
-        //    total order: i64 keys never collapse through f64). The
-        //    parallel path chunk-sorts and k-way merges with leftmost
-        //    tie preference — exactly the serial stable sort's order.
+        //    total order: i64 keys never collapse through f64). Stable
+        //    at any width: a pool chunk-sorts and k-way merges with
+        //    leftmost tie preference.
         if let Some((idx, dir)) = plan.order_by {
-            let cmp = |a: &Vec<Scalar>, b: &Vec<Scalar>| {
+            pool.sort_by(&mut rows, |a, b| {
                 let ord = a[idx].total_cmp(&b[idx]);
                 match dir {
                     SortDir::Asc => ord,
                     SortDir::Desc => ord.reverse(),
                 }
-            };
-            if threads > 1 && rows.len() > self.morsel_rows {
-                sched.merge_ns += morsel::par_sort_by(&mut rows, threads, cmp);
-            } else {
-                rows.sort_by(cmp);
-            }
+            });
         }
         if let Some(limit) = plan.limit {
             rows.truncate(limit as usize);
         }
         stats.result_rows = rows.len();
-        stats.morsels = sched.morsels;
-        stats.morsel_steals = sched.steals;
-        stats.merge_ns = sched.merge_ns;
+        stats.morsels = pool.stats.morsels;
+        stats.morsel_steals = pool.stats.steals;
+        stats.merge_ns = pool.stats.merge_ns;
         PhysResult { rows, stats }
     }
+}
 
-    /// Projection gather over a single-table selection: each output
-    /// column streams through the tier-aware gather (compressed blocks
-    /// are never decoded), then rows zip positionally. With a parallel
-    /// pool each column's gather fans out over morsels and concatenates
-    /// in ascending row order.
-    fn project_selection(
-        &self,
-        table: &Table,
-        sel: &[u64],
-        items: &[PhysItem],
-        threads: usize,
-        sched: &mut SchedStats,
-    ) -> Vec<Vec<Scalar>> {
-        let n_out = kernels::selection_count(sel);
-        let mut bufs: Vec<Vec<Value>> = Vec::with_capacity(items.len());
-        for item in items {
+/// Projection gather over a single-table selection: each output column
+/// streams through the tier-aware gather (compressed blocks are never
+/// decoded), then rows zip positionally.
+fn project_selection(
+    table: &Table,
+    sel: &[u64],
+    items: &[PhysItem],
+    pool: &mut Pool,
+) -> Vec<Vec<Scalar>> {
+    let bufs: Vec<Vec<Value>> = items
+        .iter()
+        .map(|item| {
             let PhysItem::Column { col, .. } = item else {
                 unreachable!("projection plans carry only column items");
             };
-            if threads > 1 {
-                let (buf, s) =
-                    morsel::par_gather_column(table, sel, *col, threads, self.morsel_rows);
-                sched.absorb(&s);
-                bufs.push(buf);
-            } else {
-                let mut buf = Vec::with_capacity(n_out);
-                kernels::gather_column(table, sel, *col, &mut buf);
-                bufs.push(buf);
-            }
-        }
-        (0..n_out)
-            .map(|i| bufs.iter().map(|b| Scalar::Int(b[i])).collect())
-            .collect()
-    }
+            pool.gather_column(table, sel, *col)
+        })
+        .collect();
+    (0..kernels::selection_count(sel))
+        .map(|i| bufs.iter().map(|b| Scalar::Int(b[i])).collect())
+        .collect()
+}
 
-    /// Global or grouped aggregation over a single-table selection.
-    fn aggregate_selection_rows(
-        &self,
-        table: &Table,
-        sel: &[u64],
-        plan: &PhysicalPlan,
-        threads: usize,
-        stats: &mut ExecStats,
-        sched: &mut SchedStats,
-    ) -> Vec<Vec<Scalar>> {
-        if let Some((_, gcol, _)) = &plan.group_by {
-            // The vectorized hash group-by: folds over compressed blocks,
-            // morsel-parallel with a deterministic first-seen-order merge
-            // under a worker pool.
-            let agg_cols: Vec<Option<usize>> = agg_specs(&plan.items)
-                .iter()
-                .map(|(_, arg)| arg.map(|(_, c)| c))
-                .collect();
-            let groups = if threads > 1 {
-                let (groups, s) = morsel::par_grouped_fold(
-                    table,
-                    sel,
-                    *gcol,
-                    &agg_cols,
-                    threads,
-                    self.morsel_rows,
-                );
-                sched.absorb(&s);
-                groups
-            } else {
-                crate::group::grouped_fold(table, sel, *gcol, &agg_cols)
-            };
-            stats.groups = groups.len();
-            return finalize_groups(&groups, &plan.items);
-        }
-        // Global aggregates: one fused fold per distinct input column,
-        // COUNT(*) is a popcount of the selection.
-        stats.groups = 1;
-        let mut cache: Vec<(usize, AggState)> = Vec::new();
-        let row = plan
-            .items
+/// Global or grouped aggregation over a single-table selection.
+fn aggregate_selection_rows(
+    table: &Table,
+    sel: &[u64],
+    plan: &PhysicalPlan,
+    stats: &mut ExecStats,
+    pool: &mut Pool,
+) -> Vec<Vec<Scalar>> {
+    if let Some((_, gcol, _)) = &plan.group_by {
+        // The vectorized hash group-by: folds over compressed blocks,
+        // groups in first-seen row order.
+        let agg_cols: Vec<Option<usize>> = agg_specs(&plan.items)
             .iter()
-            .map(|item| match item {
-                PhysItem::Aggregate {
-                    kind,
-                    arg: Some((_, c)),
-                    ..
-                } => {
-                    let state = match cache.iter().find(|(col, _)| col == c) {
-                        Some((_, s)) => *s,
-                        None => {
-                            let s = if threads > 1 {
-                                let (s, sc) = morsel::par_aggregate_selection(
-                                    table,
-                                    sel,
-                                    *c,
-                                    threads,
-                                    self.morsel_rows,
-                                );
-                                sched.absorb(&sc);
-                                s
-                            } else {
-                                kernels::aggregate_selection(table, sel, *c)
-                            };
-                            cache.push((*c, s));
-                            s
-                        }
-                    };
-                    finalize_scalar(&state, *kind)
-                }
-                PhysItem::Aggregate { arg: None, .. } => {
-                    Scalar::Int(kernels::selection_count(sel) as i64)
-                }
-                PhysItem::Column { .. } => {
-                    unreachable!("plain columns require GROUP BY")
-                }
-            })
+            .map(|(_, arg)| arg.map(|(_, c)| c))
             .collect();
-        vec![row]
+        let groups = pool.grouped_fold(table, sel, *gcol, &agg_cols);
+        stats.groups = groups.len();
+        return finalize_groups(&groups, &plan.items);
     }
+    // Global aggregates: one fused fold per distinct input column,
+    // COUNT(*) is a popcount of the selection.
+    stats.groups = 1;
+    let mut cache: Vec<(usize, AggState)> = Vec::new();
+    let row = plan
+        .items
+        .iter()
+        .map(|item| match item {
+            PhysItem::Aggregate {
+                kind,
+                arg: Some((_, c)),
+                ..
+            } => {
+                let state = match cache.iter().find(|(col, _)| col == c) {
+                    Some((_, s)) => *s,
+                    None => {
+                        let s = pool.aggregate_selection(table, sel, *c);
+                        cache.push((*c, s));
+                        s
+                    }
+                };
+                finalize_scalar(&state, *kind)
+            }
+            PhysItem::Aggregate { arg: None, .. } => {
+                Scalar::Int(kernels::selection_count(sel) as i64)
+            }
+            PhysItem::Column { .. } => {
+                unreachable!("plain columns require GROUP BY")
+            }
+        })
+        .collect();
+    vec![row]
 }
 
 /// The result of executing a [`PhysicalPlan`]: materialized output rows
@@ -844,132 +729,93 @@ fn pair_row(pair: &(RowId, RowId), slot: usize) -> RowId {
 }
 
 /// Project join pairs: per-item tier-aware point reads (codec
-/// `value_at`, never a block decode). Under a parallel pool the pair
-/// vector splits into index-range morsels whose projected rows
-/// concatenate back in pair order.
+/// `value_at`, never a block decode), over index-range morsels of the
+/// pair vector whose projected rows concatenate back in pair order.
 fn project_pairs(
     tables: &[&Table],
     pairs: &[(RowId, RowId)],
     items: &[PhysItem],
-    threads: usize,
-    morsel_rows: usize,
-    sched: &mut SchedStats,
+    pool: &mut Pool,
 ) -> Vec<Vec<Scalar>> {
-    let project_range = |range: &std::ops::Range<usize>| -> Vec<Vec<Scalar>> {
-        pairs[range.clone()]
+    let project = |pair: &(RowId, RowId)| -> Vec<Scalar> {
+        items
             .iter()
-            .map(|pair| {
-                items
-                    .iter()
-                    .map(|item| match item {
-                        PhysItem::Column { slot, col, .. } => {
-                            Scalar::Int(tables[*slot].value(*col, pair_row(pair, *slot)))
-                        }
-                        PhysItem::Aggregate { .. } => {
-                            unreachable!("projection plans carry only column items")
-                        }
-                    })
-                    .collect()
+            .map(|item| match item {
+                PhysItem::Column { slot, col, .. } => {
+                    Scalar::Int(tables[*slot].value(*col, pair_row(pair, *slot)))
+                }
+                PhysItem::Aggregate { .. } => {
+                    unreachable!("projection plans carry only column items")
+                }
             })
             .collect()
     };
-    let chunks = morsel::index_chunks(pairs.len(), morsel_rows);
-    if threads <= 1 || chunks.len() <= 1 {
-        return project_range(&(0..pairs.len()));
-    }
-    let (parts, s) = morsel::run_morsels(chunks.len(), threads, |i| {
-        project_range(&(chunks[i].0..chunks[i].1))
-    });
-    sched.absorb(&s);
-    let mut out = Vec::with_capacity(pairs.len());
-    for p in parts {
-        out.extend(p);
-    }
-    out
+    pool.fold_chunks(
+        pairs.len(),
+        Vec::new,
+        |range, out| out.extend(pairs[range.clone()].iter().map(project)),
+        |out, part| out.extend(part),
+    )
 }
 
 /// Aggregate join pairs, grouped or global, via tier-aware point reads.
-/// Under a parallel pool each index-range morsel folds a local
-/// [`GroupTable`] keyed with the *pair index* as its first-seen marker;
-/// the merged table re-sorts by that marker, reproducing the serial
-/// first-seen group order (global aggregates merge integer-exact
-/// states in morsel order).
+/// Index-range morsels of the pair vector fold, in pair order, into a
+/// [`GroupTable`] (or a row of aggregate states): groups stay in
+/// first-seen order, and the integer-exact states reach the same totals
+/// however the pairs were cut.
 fn aggregate_pairs(
     tables: &[&Table],
     pairs: &[(RowId, RowId)],
     plan: &PhysicalPlan,
-    threads: usize,
-    morsel_rows: usize,
     stats: &mut ExecStats,
-    sched: &mut SchedStats,
+    pool: &mut Pool,
 ) -> Vec<Vec<Scalar>> {
     let specs = agg_specs(&plan.items);
-    let chunks = morsel::index_chunks(pairs.len(), morsel_rows);
-    let parallel = threads > 1 && chunks.len() > 1;
     if let Some((gslot, gcol, _)) = &plan.group_by {
-        let fold_range = |lo: usize, hi: usize| -> GroupTable {
-            let mut groups = GroupTable::new(specs.len());
-            for (i, pair) in pairs[lo..hi].iter().enumerate() {
-                let key = tables[*gslot].value(*gcol, pair_row(pair, *gslot));
-                let slot = groups.slot_at(key, lo + i);
-                for (a, (_, arg)) in specs.iter().enumerate() {
-                    match arg {
-                        Some((aslot, acol)) => groups
-                            .state_mut(slot, a)
-                            .push(tables[*aslot].value(*acol, pair_row(pair, *aslot))),
-                        None => groups.bump(slot, a),
+        let groups = pool.fold_chunks(
+            pairs.len(),
+            || GroupTable::new(specs.len()),
+            |range, groups| {
+                for pair in &pairs[range.clone()] {
+                    let key = tables[*gslot].value(*gcol, pair_row(pair, *gslot));
+                    let slot = groups.slot(key);
+                    for (a, (_, arg)) in specs.iter().enumerate() {
+                        match arg {
+                            Some((aslot, acol)) => groups
+                                .state_mut(slot, a)
+                                .push(tables[*aslot].value(*acol, pair_row(pair, *aslot))),
+                            None => groups.bump(slot, a),
+                        }
                     }
                 }
-            }
-            groups
-        };
-        let groups = if parallel {
-            let (parts, s) = morsel::run_morsels(chunks.len(), threads, |i| {
-                fold_range(chunks[i].0, chunks[i].1)
-            });
-            sched.absorb(&s);
-            let mut merged = GroupTable::new(specs.len());
-            for part in &parts {
-                merged.absorb(part);
-            }
-            merged.sort_by_first_row();
-            merged
-        } else {
-            fold_range(0, pairs.len())
-        };
+            },
+            |groups, part| groups.absorb(&part),
+        );
         stats.groups = groups.len();
         return finalize_groups(&groups, &plan.items);
     }
     stats.groups = 1;
-    let fold_range = |lo: usize, hi: usize| -> Vec<AggState> {
-        let mut states = vec![AggState::new(); specs.len()];
-        for pair in &pairs[lo..hi] {
-            for (state, (_, arg)) in states.iter_mut().zip(&specs) {
-                match arg {
-                    Some((aslot, acol)) => {
-                        state.push(tables[*aslot].value(*acol, pair_row(pair, *aslot)))
+    let states = pool.fold_chunks(
+        pairs.len(),
+        || vec![AggState::new(); specs.len()],
+        |range, states| {
+            for pair in &pairs[range.clone()] {
+                for (state, (_, arg)) in states.iter_mut().zip(&specs) {
+                    match arg {
+                        Some((aslot, acol)) => {
+                            state.push(tables[*aslot].value(*acol, pair_row(pair, *aslot)))
+                        }
+                        None => state.push_block(1, 0, Value::MAX, Value::MIN),
                     }
-                    None => state.push_block(1, 0, Value::MAX, Value::MIN),
                 }
             }
-        }
-        states
-    };
-    let states = if parallel {
-        let (parts, s) = morsel::run_morsels(chunks.len(), threads, |i| {
-            fold_range(chunks[i].0, chunks[i].1)
-        });
-        sched.absorb(&s);
-        let mut states = vec![AggState::new(); specs.len()];
-        for part in &parts {
-            for (state, p) in states.iter_mut().zip(part) {
+        },
+        |states, part| {
+            for (state, p) in states.iter_mut().zip(&part) {
                 state.merge(p);
             }
-        }
-        states
-    } else {
-        fold_range(0, pairs.len())
-    };
+        },
+    );
     let mut agg_i = 0usize;
     let row = plan
         .items

@@ -14,6 +14,11 @@
 //!
 //! `COUNT(*)` aggregates fold as bare count bumps; an aggregate over the
 //! group key aliases the key stream instead of re-reading the column.
+//!
+//! The fold exists once, over one span of the table
+//! (`grouped_fold_span`); [`grouped_fold`] runs it over the uncut
+//! table, a `morsel::Pool` over however many pieces its workers
+//! share, absorbing the pieces' tables in span order.
 
 use std::collections::HashMap;
 
@@ -21,6 +26,7 @@ use amnesia_columnar::{Table, Value};
 use amnesia_util::WORD_BITS;
 
 use crate::batch::AggState;
+use crate::morsel::{whole_table, Span};
 
 /// Accumulated groups: first-seen order, one [`AggState`] per aggregate
 /// input per group (row-major: `states[group * n_aggs + agg]`).
@@ -28,10 +34,6 @@ use crate::batch::AggState;
 pub struct GroupTable {
     index: HashMap<Value, u32>,
     keys: Vec<Value>,
-    /// The smallest row (or insertion ordinal, for [`Self::slot`]) that
-    /// produced each group — what "first-seen order" means once morsels
-    /// fold out of row order.
-    first_rows: Vec<usize>,
     states: Vec<AggState>,
     n_aggs: usize,
 }
@@ -42,7 +44,6 @@ impl GroupTable {
         Self {
             index: HashMap::new(),
             keys: Vec::new(),
-            first_rows: Vec::new(),
             states: Vec::new(),
             n_aggs,
         }
@@ -54,63 +55,26 @@ impl GroupTable {
         let next = self.keys.len() as u32;
         let g = *self.index.entry(key).or_insert(next);
         if g == next {
-            self.first_rows.push(self.keys.len());
             self.keys.push(key);
             self.states
                 .extend(std::iter::repeat_n(AggState::new(), self.n_aggs));
-        }
-        g as usize * self.n_aggs
-    }
-
-    /// [`Self::slot`] that also records the *global* row feeding the
-    /// group, keeping the smallest across revisits — the morsel folds
-    /// use this so a later [`Self::sort_by_first_row`] can reproduce the
-    /// serial first-seen group order.
-    #[inline]
-    pub(crate) fn slot_at(&mut self, key: Value, row: usize) -> usize {
-        let next = self.keys.len() as u32;
-        let g = *self.index.entry(key).or_insert(next);
-        if g == next {
-            self.first_rows.push(row);
-            self.keys.push(key);
-            self.states
-                .extend(std::iter::repeat_n(AggState::new(), self.n_aggs));
-        } else if row < self.first_rows[g as usize] {
-            self.first_rows[g as usize] = row;
         }
         g as usize * self.n_aggs
     }
 
     /// Merge another table's groups into this one: states merge per key
-    /// (integer-exact), first rows keep the minimum.
+    /// (integer-exact), unseen keys append in `other`'s order. Absorbing
+    /// the tables of ascending spans in span order therefore keeps the
+    /// whole in first-seen row order — every key a later span introduces
+    /// first occurs after every row of the spans before it.
     pub(crate) fn absorb(&mut self, other: &GroupTable) {
         debug_assert_eq!(self.n_aggs, other.n_aggs);
-        for g in 0..other.len() {
-            let slot = self.slot_at(other.keys[g], other.first_rows[g]);
+        for (g, &key) in other.keys.iter().enumerate() {
+            let slot = self.slot(key);
             for a in 0..self.n_aggs {
                 self.states[slot + a].merge(&other.states[g * other.n_aggs + a]);
             }
         }
-    }
-
-    /// Reorder groups by ascending first row. After absorbing per-morsel
-    /// tables (whose spans tile the row space), this is exactly the
-    /// order a serial fold would have discovered the keys in.
-    pub(crate) fn sort_by_first_row(&mut self) {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by_key(|&g| self.first_rows[g]);
-        let mut keys = Vec::with_capacity(self.len());
-        let mut first_rows = Vec::with_capacity(self.len());
-        let mut states = Vec::with_capacity(self.states.len());
-        for (new_g, &g) in order.iter().enumerate() {
-            keys.push(self.keys[g]);
-            first_rows.push(self.first_rows[g]);
-            states.extend_from_slice(&self.states[g * self.n_aggs..(g + 1) * self.n_aggs]);
-            self.index.insert(self.keys[g], new_g as u32);
-        }
-        self.keys = keys;
-        self.first_rows = first_rows;
-        self.states = states;
     }
 
     /// Group keys in first-seen order.
@@ -157,130 +121,49 @@ fn bump(state: &mut AggState) {
     state.push_block(1, 0, Value::MAX, Value::MIN);
 }
 
-/// Fold the selected rows of `table` into `groups`, keyed by `key_col`,
-/// aggregating each of `aggs` — the vectorized hash group-by. `sel` is
-/// the scan's selection-mask vector (one word per 64 rows).
+/// Fold the selected rows of `table` into a [`GroupTable`], keyed by
+/// `key_col`, aggregating each of `aggs` — the vectorized hash group-by.
+/// `sel` is the scan's selection-mask vector (one word per 64 rows).
 pub fn grouped_fold(table: &Table, sel: &[u64], key_col: usize, aggs: &[AggInput]) -> GroupTable {
     let mut groups = GroupTable::new(aggs.len());
-    // Frozen prefix: stream key + aggregate columns per block into
-    // scratch buffers (each codec visits selected rows in ascending
-    // order, so position `i` lines up across columns), then fold the
-    // zipped rows. Distinct aggregate columns are gathered once; an
-    // aggregate over the key column aliases the key buffer.
-    let key_tier = table.col_tier(key_col);
-    let mut distinct: Vec<usize> = Vec::new();
-    for a in aggs.iter().flatten() {
-        if *a != key_col && !distinct.contains(a) {
-            distinct.push(*a);
-        }
-    }
-    /// Where each aggregate reads its per-row input from (resolved once,
-    /// outside the per-row fold loop).
-    enum Src {
-        /// `COUNT(*)`: no input.
-        Count,
-        /// Aggregate over the group key: alias the key stream.
-        Key,
-        /// Scratch buffer `i` (one per distinct aggregate column).
-        Buf(usize),
-    }
-    let srcs: Vec<Src> = aggs
-        .iter()
-        .map(|a| match a {
-            None => Src::Count,
-            Some(c) if *c == key_col => Src::Key,
-            Some(c) => Src::Buf(distinct.iter().position(|d| d == c).expect("gathered")),
-        })
-        .collect();
-    let mut key_buf: Vec<Value> = Vec::new();
-    let mut bufs: Vec<Vec<Value>> = vec![Vec::new(); distinct.len()];
-    for b in 0..key_tier.frozen_blocks() {
-        let bw = crate::batch::block_words(key_tier, sel, b);
-        if bw.iter().all(|&w| w == 0) {
-            continue;
-        }
-        key_buf.clear();
-        key_tier.note_block_access(b);
-        key_tier
-            .frozen(b)
-            .expect("frozen block")
-            .encoded()
-            .for_each_active(bw, |_, v| key_buf.push(v));
-        for (i, &col) in distinct.iter().enumerate() {
-            bufs[i].clear();
-            let tier = table.col_tier(col);
-            tier.note_block_access(b);
-            tier.frozen(b)
-                .expect("columns freeze in lockstep")
-                .encoded()
-                .for_each_active(bw, |_, v| bufs[i].push(v));
-        }
-        for (i, &key) in key_buf.iter().enumerate() {
-            let slot = groups.slot(key);
-            for (a, src) in srcs.iter().enumerate() {
-                match src {
-                    Src::Key => groups.state_mut(slot, a).push(key),
-                    Src::Buf(j) => {
-                        let v = bufs[*j][i];
-                        groups.state_mut(slot, a).push(v)
-                    }
-                    Src::Count => bump(groups.state_mut(slot, a)),
-                }
-            }
-        }
-    }
-    // Hot tail: raw-slice folds, no scratch.
-    let key_tail = key_tier.hot_values();
-    let tail_start = key_tier.hot_start();
-    let tails: Vec<Option<&[Value]>> = aggs
-        .iter()
-        .map(|a| a.map(|c| table.col_tier(c).hot_values()))
-        .collect();
-    for (j, chunk) in key_tail.chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let mut w = crate::batch::tail_word(sel, wi, chunk.len());
-        let base = j * WORD_BITS;
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            w &= w - 1;
-            let slot = groups.slot(chunk[bit]);
-            for (a, tail) in tails.iter().enumerate() {
-                match tail {
-                    Some(values) => groups.state_mut(slot, a).push(values[base + bit]),
-                    None => bump(groups.state_mut(slot, a)),
-                }
-            }
-        }
+    for span in &whole_table(table) {
+        grouped_fold_span(table, sel, key_col, aggs, span, &mut groups);
     }
     groups
 }
 
-/// [`grouped_fold`] restricted to one morsel of the table, recording each
-/// group's smallest global row so per-morsel tables can be
-/// [absorbed](GroupTable::absorb) and
-/// [re-sorted](GroupTable::sort_by_first_row) into the serial first-seen
-/// order. Same fused streams, same scratch discipline, zero decodes.
+/// The grouped-fold kernel: the selected rows of one span of the table,
+/// in ascending row order, folded into `groups`.
 pub(crate) fn grouped_fold_span(
     table: &Table,
     sel: &[u64],
     key_col: usize,
     aggs: &[AggInput],
-    span: &crate::morsel::Span,
-) -> GroupTable {
-    let mut groups = GroupTable::new(aggs.len());
+    span: &Span,
+    groups: &mut GroupTable,
+) {
+    let key_tier = table.col_tier(key_col);
     match *span {
-        crate::morsel::Span::Blocks { first, last } => {
-            let key_tier = table.col_tier(key_col);
-            let br = table.block_rows();
+        // Frozen blocks: stream key + aggregate columns per block into
+        // scratch buffers (each codec visits selected rows in ascending
+        // order, so position `i` lines up across columns), then fold the
+        // zipped rows. Distinct aggregate columns are gathered once; an
+        // aggregate over the key column aliases the key buffer.
+        Span::Blocks { first, last } => {
             let mut distinct: Vec<usize> = Vec::new();
             for a in aggs.iter().flatten() {
                 if *a != key_col && !distinct.contains(a) {
                     distinct.push(*a);
                 }
             }
+            /// Where each aggregate reads its per-row input from
+            /// (resolved once, outside the per-row fold loop).
             enum Src {
+                /// `COUNT(*)`: no input.
                 Count,
+                /// Aggregate over the group key: alias the key stream.
                 Key,
+                /// Scratch buffer `i` (one per distinct aggregate column).
                 Buf(usize),
             }
             let srcs: Vec<Src> = aggs
@@ -292,7 +175,6 @@ pub(crate) fn grouped_fold_span(
                 })
                 .collect();
             let mut key_buf: Vec<Value> = Vec::new();
-            let mut row_buf: Vec<usize> = Vec::new();
             let mut bufs: Vec<Vec<Value>> = vec![Vec::new(); distinct.len()];
             for b in first..last {
                 let bw = crate::batch::block_words(key_tier, sel, b);
@@ -300,17 +182,12 @@ pub(crate) fn grouped_fold_span(
                     continue;
                 }
                 key_buf.clear();
-                row_buf.clear();
-                let block_base = b * br;
                 key_tier.note_block_access(b);
                 key_tier
                     .frozen(b)
                     .expect("frozen block")
                     .encoded()
-                    .for_each_active(bw, |r, v| {
-                        key_buf.push(v);
-                        row_buf.push(block_base + r);
-                    });
+                    .for_each_active(bw, |_, v| key_buf.push(v));
                 for (i, &col) in distinct.iter().enumerate() {
                     bufs[i].clear();
                     let tier = table.col_tier(col);
@@ -321,7 +198,7 @@ pub(crate) fn grouped_fold_span(
                         .for_each_active(bw, |_, v| bufs[i].push(v));
                 }
                 for (i, &key) in key_buf.iter().enumerate() {
-                    let slot = groups.slot_at(key, row_buf[i]);
+                    let slot = groups.slot(key);
                     for (a, src) in srcs.iter().enumerate() {
                         match src {
                             Src::Key => groups.state_mut(slot, a).push(key),
@@ -335,10 +212,9 @@ pub(crate) fn grouped_fold_span(
                 }
             }
         }
-        crate::morsel::Span::Rows { lo, hi } => {
-            // Hot rows: the raw key/aggregate slices, offset by where the
-            // hot tier starts (zero for a fully hot table).
-            let key_tier = table.col_tier(key_col);
+        // Hot rows: raw-slice folds, no scratch; the slices are offset by
+        // where the hot tier starts (zero for a fully hot table).
+        Span::Rows { lo, hi } => {
             let (keys, start) = (key_tier.hot_values(), key_tier.hot_start());
             let cols: Vec<Option<&[Value]>> = aggs
                 .iter()
@@ -350,11 +226,11 @@ pub(crate) fn grouped_fold_span(
                 while w != 0 {
                     let bit = w.trailing_zeros() as usize;
                     w &= w - 1;
-                    let row = base + bit;
-                    let slot = groups.slot_at(keys[row - start], row);
+                    let i = base + bit - start;
+                    let slot = groups.slot(keys[i]);
                     for (a, col) in cols.iter().enumerate() {
                         match col {
-                            Some(values) => groups.state_mut(slot, a).push(values[row - start]),
+                            Some(values) => groups.state_mut(slot, a).push(values[i]),
                             None => bump(groups.state_mut(slot, a)),
                         }
                     }
@@ -362,13 +238,12 @@ pub(crate) fn grouped_fold_span(
             }
         }
     }
-    groups
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::selection_scan;
+    use crate::kernels::selection_scan_ordered;
     use crate::physical::ColPred;
     use amnesia_columnar::{RowId, Schema};
     use amnesia_workload::query::AggKind;
@@ -392,7 +267,8 @@ mod tests {
     fn grouped_fold_matches_row_at_a_time() {
         for freeze in [None, Some(2_048), Some(4_096)] {
             let t = sample(4_096, freeze);
-            let (sel, _) = selection_scan(&t, &[ColPred::range(1, 100, 3_000)]);
+            let pred = [ColPred::range(1, 100, 3_000)];
+            let (sel, _) = selection_scan_ordered(&t, &pred, &[0], &mut [Default::default()]);
             let groups = grouped_fold(&t, &sel, 0, &[None, Some(1)]);
             // Reference: row-at-a-time over the same predicate.
             let mut want: Vec<(Value, u64, i128)> = Vec::new();
@@ -434,7 +310,7 @@ mod tests {
     #[test]
     fn aggregate_over_group_key_aliases_key_stream() {
         let t = sample(2_048, Some(2_048));
-        let (sel, _) = selection_scan(&t, &[]);
+        let (sel, _) = selection_scan_ordered(&t, &[], &[], &mut []);
         let groups = grouped_fold(&t, &sel, 0, &[Some(0), Some(1)]);
         for g in 0..groups.len() {
             let k = groups.keys()[g];

@@ -1,73 +1,51 @@
-//! Equi-join execution over amnesiac tables — tier-aware since the
-//! tiered-join PR.
+//! Equi-joins over amnesiac tables: the plan's build and probe kernels,
+//! and the forgotten-inclusive truth join beside them.
 //!
 //! The paper carves its workload out of "the unbounded space of
 //! SELECT-PROJECT-JOIN queries" (§2.2) and flags joins as the place where
 //! amnesia bites hardest: a forgotten tuple on *either* side removes all
 //! its join partners from the result (§5's referential-integrity
-//! discussion). The hash join here exposes both visibility regimes so the
-//! JOIN-PREC experiment can compare the amnesiac answer with the
-//! all-rows-ever ground truth kept by mark-only storage.
+//! discussion).
 //!
-//! # Tier-aware execution
+//! * **The amnesiac join** is `build_span` + `probe_span`, the two
+//!   join kernels of
+//!   [`Executor::execute_plan`](crate::exec::Executor::execute_plan),
+//!   each over one span of its table and both in compressed space: the
+//!   build streams a frozen block's selected keys through the codec's
+//!   structure (one hash-table touch per RLE run, one per distinct
+//!   dictionary value, offset/prefix walks for FOR/delta), the probe
+//!   prunes frozen blocks by their cached
+//!   [`BlockMeta`](amnesia_columnar::BlockMeta) against the build side's
+//!   key range and probes survivors in their codec's domain
+//!   ([`crate::batch::probe_tiered_blocks_with`]); hot rows are raw slice
+//!   walks. No block is decoded. [`hash_join`] and [`hash_join_count`]
+//!   under [`ForgetVisibility::ActiveOnly`] are those kernels run under
+//!   the activity words — the plan join with no predicate pushed down.
+//! * **The truth join** ([`ForgetVisibility::ScanSeesForgotten`], and
+//!   the denominator of [`join_precision`]) is what a plan cannot
+//!   express: every physical row that still holds a value participates,
+//!   forgotten or not. It is dense on purpose — a forgotten row's value
+//!   is reachable only by decoding its block, which the active-only
+//!   kernels never do — and it skips dropped blocks, whose values no
+//!   longer exist anywhere. That one decode per side carries the
+//!   module's only `lint: allow(dense)` waiver; `amnesia-lint` bans dense
+//!   materialization everywhere else (the rule and its waiver policy
+//!   live in `CONTRIBUTING.md`).
 //!
-//! Compression is the table's *resting state* (see
-//! [`amnesia_columnar::tier`]): cold blocks live as [`EncodedBlock`]s and
-//! every scan/aggregate kernel reads them in place. Joins were the last
-//! operator that silently undid that — `col_values_dense` re-materialized
-//! every frozen block into a `Vec<Value>`, spending exactly the memory
-//! tiering saved. Under [`ForgetVisibility::ActiveOnly`] both join sides
-//! now run in compressed space:
-//!
-//! * **Build** streams each frozen block's active keys straight into the
-//!   hash table via the codecs' structural visitors: RLE decodes a run's
-//!   value once and touches the hash table once per run
-//!   ([`rle::for_each_run`]), dictionaries insert each distinct value
-//!   *once* and fan row ids out by code
-//!   ([`dict::read_dictionary`] + [`dict::for_each_active_code`]),
-//!   FOR/delta walk active rows in offset/prefix space
-//!   ([`EncodedBlock::for_each_active`]). The hot tail is a raw slice
-//!   walk. No dense `Vec<Value>` is ever allocated —
-//!   [`amnesia_columnar::compress::block_decodes`] pins that in tests
-//!   and `join_bench`.
-//! * **Probe** runs [`crate::batch::probe_tiered`]: frozen probe blocks
-//!   are pruned by their cached [`BlockMeta`](amnesia_columnar::BlockMeta)
-//!   against the build side's `[min, max]` key range before the payload
-//!   is touched ([`JoinStats::blocks_pruned`] /
-//!   [`JoinStats::probe_rows_skipped`] report the skips), survivors probe
-//!   in their codec's domain (one lookup per RLE run, a code→match table
-//!   per block dictionary, offset/prefix walks for FOR/delta), and the
-//!   hot tail probes as a direct slice.
-//!
-//! Output pairs are byte-identical to the dense join: ascending per key
-//! on the build side, right-major in probe-row order on the probe side
-//! (`tests/kernel_equivalence.rs` proves it across codecs × block sizes ×
-//! freeze/forget/recompress interleavings).
-//!
-//! The [`ForgetVisibility::ScanSeesForgotten`] ground truth still
-//! materializes densely on purpose: it must read *forgotten* rows, which
-//! the active-only streaming never touches — and the store layer gates
-//! every lossy tier transition (drop/recompress) off that regime. Those
-//! deliberate decodes carry inline `lint: allow(dense)` waivers;
-//! `amnesia-lint` statically bans dense materialization everywhere else
-//! (the no-decode rule and its waiver policy live in `CONTRIBUTING.md`
-//! at the repo root).
-//!
-//! [`EncodedBlock`]: amnesia_columnar::compress::EncodedBlock
-//! [`EncodedBlock::for_each_active`]: amnesia_columnar::compress::EncodedBlock::for_each_active
-//! [`rle::for_each_run`]: amnesia_columnar::compress::rle::for_each_run
-//! [`dict::read_dictionary`]: amnesia_columnar::compress::dict::read_dictionary
-//! [`dict::for_each_active_code`]: amnesia_columnar::compress::dict::for_each_active_code
+//! Pairs come out ascending per key on the build side and right-major in
+//! probe-row order, whichever regime and however the tables are tiered
+//! (`tests/kernel_equivalence.rs`, `tests/join_properties.rs`).
 
 use std::collections::HashMap;
 
 use amnesia_columnar::compress::{dict, rle, Encoding};
 use amnesia_columnar::{RowId, Table, Value};
+use amnesia_util::bitmap::{any_set_bit_in, for_each_set_bit_in};
+use amnesia_util::WORD_BITS;
 
-use amnesia_util::bitmap::{any_set_bit_in, count_set_bits_in, for_each_set_bit_in};
-
-use crate::batch;
+use crate::batch::{self, ProbeStats};
 use crate::mode::ForgetVisibility;
+use crate::morsel::{Pool, Span};
 
 /// Cardinalities observed while executing a join.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,337 +77,174 @@ pub struct JoinResult {
     pub stats: JoinStats,
 }
 
-/// A build-side hash table (`key → ascending build rows`) plus the
-/// inclusive `[min, max]` range of its keys (`None` when no active row
-/// exists) — what the probe side prunes frozen blocks against.
-type BuildTable = (HashMap<Value, Vec<RowId>>, Option<(Value, Value)>);
+/// A join build side: `key → ascending build rows` plus the inclusive
+/// `[min, max]` range of its keys (`None` when no row was selected) —
+/// what the probe side prunes frozen blocks against.
+pub(crate) type BuildSide = (HashMap<Value, Vec<RowId>>, Option<(Value, Value)>);
 
-/// Widen an inclusive key range to cover `v`.
-#[inline]
-fn widen(range: &mut Option<(Value, Value)>, v: Value) {
-    *range = Some(match *range {
-        Some((lo, hi)) => (lo.min(v), hi.max(v)),
-        None => (v, v),
-    });
+/// The rows of key `v` in a build side under construction, widening the
+/// key range to cover it.
+fn rows_of(side: &mut BuildSide, v: Value) -> &mut Vec<RowId> {
+    side.1 = Some(side.1.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))));
+    side.0.entry(v).or_default()
 }
 
-/// How a build-side accumulator ingests the keys streamed from the
-/// tiers. The block dispatch — which codec streams how — lives once in
-/// [`stream_active_keys`]; the two sinks below decide what accumulates
-/// (ascending row lists for the pair join, multiplicities for the
-/// count-only join).
-trait BuildSink {
-    /// An RLE run of `len` rows sharing `v`, starting at block-local row
-    /// `start` of the block whose first global row is `base`; `bw` are
-    /// the block-local activity words.
-    fn run(&mut self, v: Value, bw: &[u64], base: usize, start: usize, len: usize);
-    /// One distinct dictionary value with its ascending block-local
-    /// active rows (never empty).
-    fn code_group(&mut self, v: Value, base: usize, rows: &[u32]);
-    /// A single active row at global `row` holding `v`.
-    fn row(&mut self, v: Value, row: usize);
-}
-
-/// Stream the active keys of one column into a [`BuildSink`] without
-/// dense materialization. Each codec feeds through its structure: RLE
-/// hands whole runs over ([`rle::for_each_run`] — one sink call per
-/// run), dict buckets active rows per code in one unpacking pass and
-/// hands each distinct dictionary value over exactly once, FOR/delta/
-/// plain stream `(row, value)` through
-/// [`amnesia_columnar::compress::EncodedBlock::for_each_active`], and
-/// the hot tail walks as a raw slice. Blocks ascend and every fan-out
-/// ascends, so per key the accumulated rows are byte-identical to a
-/// dense build's.
-fn stream_active_keys(table: &Table, col: usize, sink: &mut impl BuildSink) {
-    stream_selected_keys(table, col, table.activity_words(), sink)
-}
-
-/// [`stream_active_keys`] under an *external* selection-mask vector —
-/// the physical plan's filtered build side. `words` stands in for the
-/// activity words everywhere (the scan already ANDed activity in), so
-/// only rows surviving the pushed-down predicates reach the sink; blocks
-/// whose selection words are all zero skip before their payload is
-/// touched.
-fn stream_selected_keys(table: &Table, col: usize, words: &[u64], sink: &mut impl BuildSink) {
-    let tier = table.col_tier(col);
-    stream_selected_keys_blocks(table, col, words, 0, tier.frozen_blocks(), sink);
-    stream_selected_keys_rows(table, col, words, tier.hot_start(), table.num_rows(), sink);
-}
-
-/// The frozen-block half of [`stream_selected_keys`], restricted to
-/// blocks `[first, last)` — the morsel scheduler's build unit.
-fn stream_selected_keys_blocks(
+/// The join-build kernel: hash the rows of one span of `table` that
+/// `words` selects (the scan's selection, which already has activity
+/// ANDed in) by their `col` key, without dense materialization. Each
+/// codec feeds through its structure: RLE touches the table once per run
+/// ([`rle::for_each_run`]), dict buckets selected rows per code in one
+/// unpacking pass and inserts each distinct dictionary value once,
+/// FOR/delta/plain stream `(row, value)` through
+/// [`amnesia_columnar::compress::EncodedBlock::for_each_active`], and hot
+/// rows walk the raw slice. Blocks ascend and every fan-out ascends, so
+/// per key the rows ascend — also across calls that fold ascending spans
+/// into one `side`.
+pub(crate) fn build_span(
     table: &Table,
     col: usize,
     words: &[u64],
-    first: usize,
-    last: usize,
-    sink: &mut impl BuildSink,
+    span: &Span,
+    side: &mut BuildSide,
 ) {
     let tier = table.col_tier(col);
-    let br = tier.block_rows();
-    for b in first..last {
-        let f = tier.frozen(b).expect("frozen block in range");
-        if f.meta().active == 0 {
-            continue; // dropped or fully-forgotten: payload never touched
-        }
-        let bw = batch::block_words(tier, words, b);
-        if bw.iter().all(|&w| w == 0) {
-            continue; // nothing selected in this block
-        }
-        tier.note_block_access(b);
-        let base = b * br;
-        let block = f.encoded();
-        match block.encoding() {
-            Encoding::Rle => rle::for_each_run(block.data(), |v, start, len| {
-                sink.run(v, bw, base, start, len)
-            }),
-            Encoding::Dict => {
-                let dictionary = dict::read_dictionary(block.data());
-                let mut rows_per_code: Vec<Vec<u32>> = vec![Vec::new(); dictionary.len()];
-                dict::for_each_active_code(block.data(), bw, |row, code| {
-                    rows_per_code[code as usize].push(row as u32);
-                });
-                for (code, rows) in rows_per_code.iter().enumerate() {
-                    if !rows.is_empty() {
-                        sink.code_group(dictionary[code], base, rows);
+    match *span {
+        Span::Blocks { first, last } => {
+            let br = tier.block_rows();
+            for b in first..last {
+                let f = tier.frozen(b).expect("frozen block in range");
+                if f.meta().active == 0 {
+                    continue; // dropped or fully-forgotten: payload never touched
+                }
+                let bw = batch::block_words(tier, words, b);
+                if bw.iter().all(|&w| w == 0) {
+                    continue; // nothing selected in this block
+                }
+                tier.note_block_access(b);
+                let base = b * br;
+                let block = f.encoded();
+                match block.encoding() {
+                    // One entry lookup per run; runs with no selected row
+                    // are skipped so the table never learns rowless keys.
+                    Encoding::Rle => rle::for_each_run(block.data(), |v, start, len| {
+                        if any_set_bit_in(bw, start, start + len) {
+                            let rows = rows_of(side, v);
+                            for_each_set_bit_in(bw, start, start + len, |row| {
+                                rows.push(RowId::from(base + row));
+                            });
+                        }
+                    }),
+                    Encoding::Dict => {
+                        let dictionary = dict::read_dictionary(block.data());
+                        let mut rows_per_code: Vec<Vec<u32>> = vec![Vec::new(); dictionary.len()];
+                        dict::for_each_active_code(block.data(), bw, |row, code| {
+                            rows_per_code[code as usize].push(row as u32);
+                        });
+                        for (code, rows) in rows_per_code.iter().enumerate() {
+                            if !rows.is_empty() {
+                                rows_of(side, dictionary[code])
+                                    .extend(rows.iter().map(|&r| RowId::from(base + r as usize)));
+                            }
+                        }
                     }
+                    _ => block.for_each_active(bw, |row, v| {
+                        rows_of(side, v).push(RowId::from(base + row))
+                    }),
                 }
             }
-            _ => block.for_each_active(bw, |row, v| sink.row(v, base + row)),
+        }
+        Span::Rows { lo, hi } => {
+            let (hot, start) = (tier.hot_values(), tier.hot_start());
+            for wi in lo / WORD_BITS..hi.div_ceil(WORD_BITS) {
+                let base = wi * WORD_BITS;
+                let mut selected = batch::tail_word(words, wi, (hi - base).min(WORD_BITS));
+                while selected != 0 {
+                    let row = base + selected.trailing_zeros() as usize;
+                    selected &= selected - 1;
+                    rows_of(side, hot[row - start]).push(RowId::from(row));
+                }
+            }
         }
     }
 }
 
-/// The hot half of [`stream_selected_keys`], restricted to absolute rows
-/// `[lo, hi)` (word-aligned `lo`, rows at or past the column's
-/// `hot_start`).
-fn stream_selected_keys_rows(
+/// The join-probe kernel: probe the rows of one span of `table` that
+/// `sel` selects against `build`, appending `(build row, probe row)`
+/// pairs grouped by probe row to `pairs` and the pruning accounting to
+/// `stats`. Frozen blocks probe in compressed space behind key-range meta
+/// pruning, hot rows as a direct slice walk.
+// The arguments are the stage's inputs plus the accumulator pair every
+// span of the stage folds into; a struct would only rename them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn probe_span(
     table: &Table,
     col: usize,
-    words: &[u64],
-    lo: usize,
-    hi: usize,
-    sink: &mut impl BuildSink,
+    sel: &[u64],
+    span: &Span,
+    build: &HashMap<Value, Vec<RowId>>,
+    key_range: Option<(Value, Value)>,
+    pairs: &mut Vec<(RowId, RowId)>,
+    stats: &mut ProbeStats,
 ) {
     let tier = table.col_tier(col);
-    let hot = tier.hot_values();
-    let start = tier.hot_start();
-    for wi in lo / amnesia_util::WORD_BITS..hi.div_ceil(amnesia_util::WORD_BITS) {
-        let base = wi * amnesia_util::WORD_BITS;
-        let mut active = batch::tail_word(words, wi, (hi - base).min(amnesia_util::WORD_BITS));
-        while active != 0 {
-            let bit = active.trailing_zeros() as usize;
-            active &= active - 1;
-            sink.row(hot[base - start + bit], base + bit);
-        }
-    }
-}
-
-/// Accumulates `key → ascending build rows` — the pair join's build.
-struct RowsSink {
-    map: HashMap<Value, Vec<RowId>>,
-    range: Option<(Value, Value)>,
-}
-
-impl BuildSink for RowsSink {
-    fn run(&mut self, v: Value, bw: &[u64], base: usize, start: usize, len: usize) {
-        // One entry lookup per run; runs with no active rows are skipped
-        // so the table never learns rowless keys.
-        if any_set_bit_in(bw, start, start + len) {
-            widen(&mut self.range, v);
-            let rows = self.map.entry(v).or_default();
-            for_each_set_bit_in(bw, start, start + len, |row| {
-                rows.push(RowId::from(base + row));
-            });
-        }
-    }
-
-    fn code_group(&mut self, v: Value, base: usize, rows: &[u32]) {
-        widen(&mut self.range, v);
-        self.map
-            .entry(v)
-            .or_default()
-            .extend(rows.iter().map(|&row| RowId::from(base + row as usize)));
-    }
-
-    fn row(&mut self, v: Value, row: usize) {
-        widen(&mut self.range, v);
-        self.map.entry(v).or_default().push(RowId::from(row));
-    }
-}
-
-/// Accumulates `key → multiplicity` — the count-only join's build (RLE
-/// runs fold a whole popcount at once instead of fanning out rows).
-struct CountsSink {
-    map: HashMap<Value, usize>,
-    range: Option<(Value, Value)>,
-}
-
-impl CountsSink {
-    fn note(&mut self, v: Value, n: usize) {
-        if n > 0 {
-            widen(&mut self.range, v);
-            *self.map.entry(v).or_default() += n;
-        }
-    }
-}
-
-impl BuildSink for CountsSink {
-    fn run(&mut self, v: Value, bw: &[u64], _base: usize, start: usize, len: usize) {
-        self.note(v, count_set_bits_in(bw, start, start + len));
-    }
-
-    fn code_group(&mut self, v: Value, _base: usize, rows: &[u32]) {
-        self.note(v, rows.len());
-    }
-
-    fn row(&mut self, v: Value, _row: usize) {
-        self.note(v, 1);
-    }
-}
-
-/// Build the hash table `key → ascending build rows` from the active rows
-/// of one column, streaming frozen blocks in compressed space (no dense
-/// `Vec<Value>` detour), plus the inclusive `[min, max]` key range the
-/// probe prunes against (`None` when no active row exists).
-fn build_rows_map(table: &Table, col: usize) -> BuildTable {
-    let mut sink = RowsSink {
-        map: HashMap::with_capacity(table.active_rows()),
-        range: None,
-    };
-    stream_active_keys(table, col, &mut sink);
-    (sink.map, sink.range)
-}
-
-/// Build the pair-join hash table from the rows *selected* by an
-/// external selection-mask vector (the physical plan's filtered build
-/// side), streaming frozen blocks in compressed space exactly like
-/// [`build_rows_map`]. Exposed for
-/// [`Executor::execute_plan`](crate::exec::Executor::execute_plan).
-pub(crate) fn build_rows_map_with(table: &Table, col: usize, words: &[u64]) -> BuildTable {
-    let mut sink = RowsSink {
-        map: HashMap::new(),
-        range: None,
-    };
-    stream_selected_keys(table, col, words, &mut sink);
-    (sink.map, sink.range)
-}
-
-/// [`build_rows_map_with`] restricted to one morsel of the build side.
-/// Each per-morsel map holds ascending rows per key; the scheduler
-/// concatenates the maps in span order, so a key's final row list is
-/// byte-identical to the serial build's.
-pub(crate) fn build_rows_map_span(
-    table: &Table,
-    col: usize,
-    words: &[u64],
-    span: &crate::morsel::Span,
-) -> BuildTable {
-    let mut sink = RowsSink {
-        map: HashMap::new(),
-        range: None,
+    let on_hit = |ls: &Vec<RowId>, row: usize| {
+        pairs.extend(ls.iter().map(|&l| (l, RowId::from(row))));
     };
     match *span {
-        crate::morsel::Span::Blocks { first, last } => {
-            stream_selected_keys_blocks(table, col, words, first, last, &mut sink)
-        }
-        crate::morsel::Span::Rows { lo, hi } => {
-            stream_selected_keys_rows(table, col, words, lo, hi, &mut sink)
-        }
-    }
-    (sink.map, sink.range)
-}
-
-/// Build `key → multiplicity` for the count-only join.
-fn build_counts_map(table: &Table, col: usize) -> (HashMap<Value, usize>, Option<(Value, Value)>) {
-    let mut sink = CountsSink {
-        map: HashMap::new(),
-        range: None,
-    };
-    stream_active_keys(table, col, &mut sink);
-    (sink.map, sink.range)
-}
-
-/// Pre-size the pair output: each probe row matches the average build-key
-/// multiplicity (exact for foreign-key joins, an estimate otherwise).
-/// Capped at the input cardinality so a skewed build side (one hot key)
-/// cannot request a quadratic allocation up front — beyond the cap,
-/// normal Vec growth takes over.
-fn pair_estimate(build_rows: usize, build_distinct_keys: usize, probe_rows: usize) -> usize {
-    let avg_multiplicity = build_rows.div_ceil(build_distinct_keys.max(1));
-    probe_rows
-        .saturating_mul(avg_multiplicity)
-        .min(probe_rows.max(build_rows))
-}
-
-/// The amnesiac hash join: build and probe both run tier-aware — frozen
-/// blocks stream/probe in compressed space, hot tails as raw slices, and
-/// a fully hot table is simply the all-tail case of the same code path.
-fn hash_join_active(left: &Table, left_col: usize, right: &Table, right_col: usize) -> JoinResult {
-    let build_rows = left.active_rows();
-    let probe_rows = right.active_rows();
-    let (build, key_range) = build_rows_map(left, left_col);
-    let build_distinct_keys = build.len();
-    let mut pairs = Vec::with_capacity(pair_estimate(build_rows, build_distinct_keys, probe_rows));
-    let probe = batch::probe_tiered(
-        right.col_tier(right_col),
-        right.activity_words(),
-        &build,
-        key_range,
-        &mut pairs,
-    );
-    let output_pairs = pairs.len();
-    JoinResult {
-        pairs,
-        stats: JoinStats {
-            build_rows,
-            build_distinct_keys,
-            probe_rows,
-            output_pairs,
-            blocks_pruned: probe.blocks_pruned,
-            probe_rows_skipped: probe.probe_rows_skipped,
-        },
+        Span::Blocks { first, last } => stats.merge(batch::probe_tiered_blocks_with(
+            tier, sel, first, last, build, key_range, on_hit,
+        )),
+        Span::Rows { lo, hi } => batch::probe_tiered_rows_with(tier, sel, lo, hi, build, on_hit),
     }
 }
 
-/// The mark-only ground truth: every physical row participates, so both
-/// sides materialize densely (forgotten rows' values live nowhere else).
-/// The store layer gates lossy tier transitions (drop/recompress) off
-/// this regime, which is what keeps the answer exact.
-fn hash_join_all(left: &Table, left_col: usize, right: &Table, right_col: usize) -> JoinResult {
-    let build_rows = left.num_rows();
-    let probe_rows = right.num_rows();
+/// Visit every physical row of `col` that still holds a value, forgotten
+/// or not, in row order — one side of the truth join. Dense by
+/// necessity (a forgotten row's value survives nowhere but its block's
+/// decode); rows of dropped blocks are skipped, because a dropped block
+/// surrendered its values and its dense image is padding, not data.
+fn for_each_surviving_key(table: &Table, col: usize, mut f: impl FnMut(usize, Value)) {
+    let tier = table.col_tier(col);
+    let br = tier.block_rows();
     // lint: allow(dense) mark-only ground truth: forgotten rows' values survive nowhere but the dense decode
-    let left_vals = left.col_values_dense(left_col);
-    // lint: allow(dense) mark-only ground truth: forgotten rows' values survive nowhere but the dense decode
-    let right_vals = right.col_values_dense(right_col);
-    let left_vals = left_vals.as_ref();
-    let right_vals = right_vals.as_ref();
+    let values = table.col_values_dense(col);
+    for (b, block) in values.chunks(br).enumerate() {
+        if tier.frozen(b).is_some_and(|f| f.is_dropped()) {
+            continue;
+        }
+        for (i, &v) in block.iter().enumerate() {
+            f(b * br + i, v);
+        }
+    }
+}
 
-    let mut build: HashMap<Value, Vec<RowId>> = HashMap::with_capacity(build_rows);
-    for (r, &v) in left_vals.iter().enumerate() {
+/// The mark-only ground truth: hash every surviving left key, probe
+/// with every surviving right key, `on_hit(left rows, right row)` per
+/// matching right row in row order. Returns the input cardinalities
+/// (`output_pairs` is the caller's to count). The store layer gates lossy
+/// tier transitions (drop/recompress) off this regime, which is what
+/// keeps it exact.
+fn truth_join(
+    left: &Table,
+    left_col: usize,
+    right: &Table,
+    right_col: usize,
+    mut on_hit: impl FnMut(&[RowId], usize),
+) -> JoinStats {
+    let mut stats = JoinStats::default();
+    let mut build: HashMap<Value, Vec<RowId>> = HashMap::new();
+    for_each_surviving_key(left, left_col, |r, v| {
+        stats.build_rows += 1;
         build.entry(v).or_default().push(RowId::from(r));
-    }
-    let build_distinct_keys = build.len();
-    let mut pairs = Vec::with_capacity(pair_estimate(build_rows, build_distinct_keys, probe_rows));
-    for (r, &v) in right_vals.iter().enumerate() {
+    });
+    stats.build_distinct_keys = build.len();
+    for_each_surviving_key(right, right_col, |r, v| {
+        stats.probe_rows += 1;
         if let Some(ls) = build.get(&v) {
-            pairs.extend(ls.iter().map(|&l| (l, RowId::from(r))));
+            on_hit(ls, r);
         }
-    }
-    let output_pairs = pairs.len();
-    JoinResult {
-        pairs,
-        stats: JoinStats {
-            build_rows,
-            build_distinct_keys,
-            probe_rows,
-            output_pairs,
-            blocks_pruned: 0,
-            probe_rows_skipped: 0,
-        },
-    }
+    });
+    stats
 }
 
 /// Hash equi-join `left.left_col = right.right_col`.
@@ -437,10 +252,9 @@ fn hash_join_all(left: &Table, left_col: usize, right: &Table, right_col: usize)
 /// Builds on the left input and probes with the right, so pairs come out
 /// grouped by right row. `visibility` decides whether forgotten tuples
 /// participate: [`ForgetVisibility::ActiveOnly`] is the amnesiac answer
-/// (tier-aware: frozen blocks build and probe in compressed space — see
-/// the module docs), [`ForgetVisibility::ScanSeesForgotten`] the
-/// mark-only ground truth (dense by necessity: it must read forgotten
-/// rows).
+/// (the plan's build and probe kernels under the activity words),
+/// [`ForgetVisibility::ScanSeesForgotten`] the mark-only ground truth
+/// (dense by necessity: it must read forgotten rows).
 pub fn hash_join(
     left: &Table,
     left_col: usize,
@@ -448,17 +262,37 @@ pub fn hash_join(
     right_col: usize,
     visibility: ForgetVisibility,
 ) -> JoinResult {
-    match visibility {
-        ForgetVisibility::ActiveOnly => hash_join_active(left, left_col, right, right_col),
-        ForgetVisibility::ScanSeesForgotten => hash_join_all(left, left_col, right, right_col),
-    }
+    let (pairs, mut stats) = match visibility {
+        ForgetVisibility::ActiveOnly => {
+            let mut pool = Pool::inline();
+            let (build, key_range) = pool.join_build(left, left_col, left.activity_words());
+            let (pairs, probe) =
+                pool.join_probe(right, right_col, right.activity_words(), &build, key_range);
+            let stats = JoinStats {
+                build_rows: left.active_rows(),
+                build_distinct_keys: build.len(),
+                probe_rows: right.active_rows(),
+                blocks_pruned: probe.blocks_pruned,
+                probe_rows_skipped: probe.probe_rows_skipped,
+                ..Default::default()
+            };
+            (pairs, stats)
+        }
+        ForgetVisibility::ScanSeesForgotten => {
+            let mut pairs = Vec::new();
+            let stats = truth_join(left, left_col, right, right_col, |ls, r| {
+                pairs.extend(ls.iter().map(|&l| (l, RowId::from(r))));
+            });
+            (pairs, stats)
+        }
+    };
+    stats.output_pairs = pairs.len();
+    JoinResult { pairs, stats }
 }
 
-/// Number of matching pairs without materializing them. Tier-aware under
-/// [`ForgetVisibility::ActiveOnly`]: the build folds multiplicities in
-/// compressed space (one popcount per RLE run, a histogram per block
-/// dictionary) and the probe adds `multiplicity` per hit without touching
-/// row ids.
+/// Number of matching pairs without materializing them: the same build,
+/// and a probe that adds each hit's build-row count instead of fanning
+/// the rows out.
 pub fn hash_join_count(
     left: &Table,
     left_col: usize,
@@ -466,35 +300,24 @@ pub fn hash_join_count(
     right_col: usize,
     visibility: ForgetVisibility,
 ) -> usize {
+    let mut count = 0usize;
     match visibility {
         ForgetVisibility::ActiveOnly => {
-            let (build, key_range) = build_counts_map(left, left_col);
-            let mut count = 0usize;
+            let (build, key_range) =
+                Pool::inline().join_build(left, left_col, left.activity_words());
             batch::probe_tiered_with(
                 right.col_tier(right_col),
                 right.activity_words(),
                 &build,
                 key_range,
-                |&m, _| count += m,
+                |ls, _| count += ls.len(),
             );
-            count
         }
         ForgetVisibility::ScanSeesForgotten => {
-            // lint: allow(dense) ScanSeesForgotten is a whitelisted seam: it must see rows the tiered path hides
-            let left_vals = left.col_values_dense(left_col);
-            // lint: allow(dense) ScanSeesForgotten is a whitelisted seam: it must see rows the tiered path hides
-            let right_vals = right.col_values_dense(right_col);
-            let mut build: HashMap<Value, usize> = HashMap::with_capacity(left.num_rows());
-            for &v in left_vals.as_ref() {
-                *build.entry(v).or_default() += 1;
-            }
-            right_vals
-                .as_ref()
-                .iter()
-                .filter_map(|v| build.get(v).copied())
-                .sum()
+            truth_join(left, left_col, right, right_col, |ls, _| count += ls.len());
         }
     }
+    count
 }
 
 /// Join precision under amnesia: pairs surviving in the active join over

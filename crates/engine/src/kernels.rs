@@ -5,11 +5,14 @@
 //! aggregate over the selection. The single-column functions at the top
 //! are one-line adapters from a [`Table`] onto the tiered kernels of
 //! [`crate::batch`] (a fully hot table is a tiered column with zero
-//! frozen blocks — there is no second path); the selection-vector
+//! frozen blocks — there is no second path). The selection-vector
 //! operators below them are the physical plan's multi-predicate scan,
-//! gather and aggregate stages, built on the same word primitives. The
-//! row-at-a-time originals survive as [`crate::batch::scalar`] for
-//! equivalence tests and benchmarks.
+//! gather and aggregate stages, built on the same word primitives: each
+//! exists once, as a kernel over one span of the table, and its
+//! whole-table function is that kernel over the uncut table — the same
+//! code a morsel pool of any width runs. The row-at-a-time originals
+//! survive as [`crate::batch::scalar`], the reference the equivalence
+//! tests and benchmarks compare against.
 
 use amnesia_columnar::compress::BlockAgg;
 use amnesia_columnar::{RowId, Table, Value};
@@ -17,6 +20,7 @@ use amnesia_util::WORD_BITS;
 use amnesia_workload::query::{AggKind, RangePredicate};
 
 use crate::batch;
+use crate::morsel::{whole_table, Span};
 use crate::physical::ColPred;
 
 pub use crate::batch::{AggState, TierStats};
@@ -91,131 +95,20 @@ pub fn aggregate_rows(table: &Table, col: usize, rows: &[RowId], kind: AggKind) 
 // Selection-vector operators: the physical plan's scan, gather and
 // aggregate stages. A *selection* is one 64-bit word per activity word
 // (`sel = activity & pred₀ & pred₁ & …`), the currency every operator
-// below exchanges — produced once by `selection_scan`, consumed by the
+// below exchanges — produced once by the selection scan, consumed by the
 // join build/probe, the projection gather, the fused aggregate and the
 // grouped hash aggregation of [`crate::group`].
+//
+// Each operator is one kernel over one [`Span`] of the table (a run of
+// frozen blocks or a range of hot rows); [`crate::morsel::Pool`] decides
+// how the table is cut into spans and folds the partials. The
+// whole-table functions here are that kernel over the two spans of the
+// uncut table.
 // ---------------------------------------------------------------------
 
-/// Evaluate a conjunction of pushed-down predicates over `table` into a
-/// selection-mask vector, tier-aware:
-///
-/// * hot words AND each predicate's [`batch`] mask into the activity
-///   word (early exit once a word empties),
-/// * frozen blocks are pruned when *any* predicate's cached
-///   [`BlockMeta`](amnesia_columnar::BlockMeta) proves it cannot match,
-///   survivors evaluate every predicate via the codecs' fused
-///   `filter_range_masks` — the block is never decoded.
-///
-/// `rows_scanned` counts the active rows the selection examined (all of
-/// them when `preds` is empty — the downstream operators will read every
-/// survivor); meta-pruned blocks' rows are excluded, which is the work
-/// the metadata saved.
-pub fn selection_scan(table: &Table, preds: &[ColPred]) -> (Vec<u64>, TierStats) {
-    let n = table.num_rows();
-    let nwords = n.div_ceil(WORD_BITS);
-    let words = table.activity_words();
-    let mut sel = vec![0u64; nwords];
-    let mut stats = TierStats::default();
-    if preds.is_empty() {
-        for (wi, s) in sel.iter_mut().enumerate() {
-            *s = words.get(wi).copied().unwrap_or(0);
-            stats.rows_scanned += s.count_ones() as usize;
-        }
-        return (sel, stats);
-    }
-    let imp = batch::mask_impl();
-    // Frozen prefix: per block, meta-prune across every predicate column,
-    // then AND the codec-fused masks of the survivors.
-    let br = table.block_rows();
-    let nb = table.frozen_blocks();
-    let block_nwords = br / WORD_BITS;
-    let mut mask_buf = Vec::new();
-    'blocks: for b in 0..nb {
-        let active_in_block = table.col_tier(0).meta(b).active;
-        if active_in_block == 0 {
-            stats.blocks_pruned += 1;
-            continue;
-        }
-        for p in preds {
-            if !p.block_may_match(table.col_tier(p.col).meta(b)) {
-                stats.blocks_pruned += 1;
-                continue 'blocks;
-            }
-        }
-        stats.rows_scanned += active_in_block;
-        let first_word = b * br / WORD_BITS;
-        for k in 0..block_nwords {
-            sel[first_word + k] = words.get(first_word + k).copied().unwrap_or(0);
-        }
-        for p in preds {
-            let tier = table.col_tier(p.col);
-            tier.note_block_access(b);
-            let f = tier.frozen(b).expect("frozen block");
-            batch::conj_block_masks(f.encoded(), p, &mut mask_buf);
-            for k in 0..block_nwords {
-                sel[first_word + k] &= mask_buf.get(k).copied().unwrap_or(0);
-            }
-        }
-    }
-    // Hot tail: the flat word loop over each predicate column's tail.
-    let tail_start = table.col_tier(0).hot_start();
-    let tails: Vec<&[Value]> = preds
-        .iter()
-        .map(|p| table.col_tier(p.col).hot_values())
-        .collect();
-    let tail_len = tails.first().map_or(0, |t| t.len());
-    for j in 0..tail_len.div_ceil(WORD_BITS) {
-        let wi = tail_start / WORD_BITS + j;
-        let base = j * WORD_BITS;
-        let chunk_len = (tail_len - base).min(WORD_BITS);
-        let active = batch::tail_word(words, wi, chunk_len);
-        if active == 0 {
-            continue;
-        }
-        stats.rows_scanned += active.count_ones() as usize;
-        let mut s = active;
-        for (p, tail) in preds.iter().zip(&tails) {
-            s = batch::conj_word(&tail[base..base + chunk_len], s, p, imp);
-            if s == 0 {
-                break;
-            }
-        }
-        sel[wi] = s;
-    }
-    (sel, stats)
-}
-
-/// The complete-scan counterpart of a one-predicate [`selection_scan`]:
-/// *every* physical row passing `pred`, forgotten included (paper §1's
-/// "a complete scan will fetch all data"). No meta can prune it — block
-/// meta describes active rows only; dropped blocks surrendered their
-/// values and select nothing.
-pub fn selection_scan_all(table: &Table, pred: &ColPred) -> Vec<u64> {
-    let tier = table.col_tier(pred.col);
-    let mut sel = vec![0u64; table.num_rows().div_ceil(WORD_BITS)];
-    let block_nwords = tier.block_rows() / WORD_BITS;
-    let mut mask_buf = Vec::new();
-    for b in 0..tier.frozen_blocks() {
-        let f = tier.frozen(b).expect("frozen block");
-        if f.is_dropped() {
-            continue;
-        }
-        batch::conj_block_masks(f.encoded(), pred, &mut mask_buf);
-        sel[b * block_nwords..(b + 1) * block_nwords].copy_from_slice(&mask_buf[..block_nwords]);
-    }
-    let imp = batch::mask_impl();
-    let first_word = tier.hot_start() / WORD_BITS;
-    for (j, chunk) in tier.hot_values().chunks(WORD_BITS).enumerate() {
-        let present = batch::tail_word(&[!0], 0, chunk.len());
-        sel[first_word + j] = batch::conj_word(chunk, present, pred, imp);
-    }
-    sel
-}
-
-/// Per-predicate accounting of the cost-ordered selection scan: how the
-/// work split across the conjunction. Indexed *syntactically* (parallel
-/// to the plan's predicate list), whatever execution order the cost
-/// model chose.
+/// Per-predicate accounting of the selection scan: how the work split
+/// across the conjunction. Indexed *syntactically* (parallel to the
+/// plan's predicate list), whatever execution order ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredScanStats {
     /// Frozen blocks whose cached meta this predicate killed. Pruning is
@@ -231,111 +124,143 @@ pub struct PredScanStats {
 }
 
 impl PredScanStats {
-    /// Fold in another span's accounting (parallel partials).
+    /// Fold in another span's accounting.
     pub fn merge(&mut self, other: PredScanStats) {
         self.blocks_pruned += other.blocks_pruned;
         self.blocks_refined += other.blocks_refined;
     }
 }
 
-/// Cost-ordered [`selection_scan`]: evaluates the same conjunction in an
-/// explicit execution `order` (indices into `preds`, as produced by
-/// [`crate::stats::order_predicates`]), short-circuiting later
-/// predicates to the surviving selection:
+/// Evaluate a conjunction of pushed-down predicates over `table` into a
+/// selection-mask vector, in an explicit execution `order` (indices into
+/// `preds`: the identity for the order as written, or what
+/// [`crate::stats::order_predicates`] chose), tier-aware:
 ///
-/// * frozen blocks meta-check every predicate in execution order (prune
-///   attributed to the first failure), the first surviving predicate
-///   filters densely, and each *residual* predicate refines only the
-///   surviving selection words — sparse survivors test individual rows
-///   in codec space (`batch::refine_block_masks`), and a block whose
-///   selection empties skips its remaining predicates outright,
-/// * hot words AND predicate masks in execution order with the same
-///   early exit the syntactic kernel uses.
+/// * frozen blocks meta-check every predicate in execution order (a
+///   block is pruned when *any* predicate's cached
+///   [`BlockMeta`](amnesia_columnar::BlockMeta) proves it cannot match,
+///   attributed to the first failure); in a survivor the first predicate
+///   filters densely via the codecs' fused `filter_range_masks`, and each
+///   *residual* predicate refines only the surviving selection words
+///   (`batch::refine_block_masks` is density-adaptive: sparse survivors
+///   test individual rows in codec space, dense ones take the block
+///   filter) — a block whose selection empties skips its remaining
+///   predicates outright, and no block is ever decoded,
+/// * hot words AND each predicate's [`batch`] mask into the activity
+///   word in execution order (early exit once a word empties).
 ///
-/// AND commutes, so the returned selection is byte-identical to
-/// [`selection_scan`]'s for any `order`; only the work (and its
-/// per-predicate attribution in `per_pred`) differs. `per_pred` must be
-/// `preds.len()` long.
+/// AND commutes, so the returned selection is the same for any `order`;
+/// only the work (and its per-predicate attribution, accumulated into
+/// `per_pred`, which must be `preds.len()` long) differs.
+///
+/// `rows_scanned` counts the active rows the selection examined (all of
+/// them when `preds` is empty — the downstream operators will read every
+/// survivor); meta-pruned blocks' rows are excluded, which is the work
+/// the metadata saved.
 pub fn selection_scan_ordered(
     table: &Table,
     preds: &[ColPred],
     order: &[usize],
     per_pred: &mut [PredScanStats],
 ) -> (Vec<u64>, TierStats) {
-    debug_assert_eq!(order.len(), preds.len());
-    debug_assert_eq!(per_pred.len(), preds.len());
-    let n = table.num_rows();
-    let nwords = n.div_ceil(WORD_BITS);
-    let words = table.activity_words();
-    let mut sel = vec![0u64; nwords];
+    let mut sel = Vec::with_capacity(table.num_rows().div_ceil(WORD_BITS));
     let mut stats = TierStats::default();
-    if preds.is_empty() {
-        return selection_scan(table, preds);
-    }
-    let imp = batch::mask_impl();
-    let br = table.block_rows();
-    let nb = table.frozen_blocks();
-    let block_nwords = br / WORD_BITS;
-    let mut mask_buf = Vec::new();
-    'blocks: for b in 0..nb {
-        let active_in_block = table.col_tier(0).meta(b).active;
-        if active_in_block == 0 {
-            stats.blocks_pruned += 1;
-            continue;
-        }
-        for &i in order {
-            if !preds[i].block_may_match(table.col_tier(preds[i].col).meta(b)) {
-                stats.blocks_pruned += 1;
-                per_pred[i].blocks_pruned += 1;
-                continue 'blocks;
-            }
-        }
-        stats.rows_scanned += active_in_block;
-        let first_word = b * br / WORD_BITS;
-        scan_block_ordered(
-            table,
-            preds,
-            order,
-            per_pred,
-            b,
-            &mut sel[first_word..first_word + block_nwords],
-            &words[first_word..(first_word + block_nwords).min(words.len())],
-            &mut mask_buf,
-        );
-    }
-    // Hot tail: identical to the syntactic kernel, in execution order.
-    let tail_start = table.col_tier(0).hot_start();
-    let tails: Vec<&[Value]> = preds
-        .iter()
-        .map(|p| table.col_tier(p.col).hot_values())
-        .collect();
-    let tail_len = tails.first().map_or(0, |t| t.len());
-    for j in 0..tail_len.div_ceil(WORD_BITS) {
-        let wi = tail_start / WORD_BITS + j;
-        let base = j * WORD_BITS;
-        let chunk_len = (tail_len - base).min(WORD_BITS);
-        let active = batch::tail_word(words, wi, chunk_len);
-        if active == 0 {
-            continue;
-        }
-        stats.rows_scanned += active.count_ones() as usize;
-        let mut s = active;
-        for &i in order {
-            s = batch::conj_word(&tails[i][base..base + chunk_len], s, &preds[i], imp);
-            if s == 0 {
-                break;
-            }
-        }
-        sel[wi] = s;
+    for span in &whole_table(table) {
+        selection_scan_span(table, preds, order, span, &mut sel, &mut stats, per_pred);
     }
     (sel, stats)
 }
 
-/// One surviving frozen block of the cost-ordered scan: seed the block's
+/// The selection-scan kernel: [`selection_scan_ordered`] restricted to
+/// `span`. Appends the span's selection words to `sel` (which holds the
+/// words of the spans before it, if any) and adds its share of the tier
+/// accounting and per-predicate attribution to `stats` / `per_pred`.
+pub(crate) fn selection_scan_span(
+    table: &Table,
+    preds: &[ColPred],
+    order: &[usize],
+    span: &Span,
+    sel: &mut Vec<u64>,
+    stats: &mut TierStats,
+    per_pred: &mut [PredScanStats],
+) {
+    debug_assert_eq!(order.len(), preds.len());
+    debug_assert_eq!(per_pred.len(), preds.len());
+    let words = table.activity_words();
+    let span_words = span.words(table.block_rows());
+    if preds.is_empty() {
+        // The empty conjunction selects the activity map itself.
+        let w0 = sel.len();
+        sel.extend(span_words.map(|wi| words.get(wi).copied().unwrap_or(0)));
+        stats.rows_scanned += selection_count(&sel[w0..]);
+        return;
+    }
+    let imp = batch::mask_impl();
+    let w0 = sel.len();
+    sel.resize(w0 + span_words.len(), 0);
+    let sel = &mut sel[w0..];
+    match *span {
+        Span::Blocks { first, last } => {
+            let block_nwords = table.block_rows() / WORD_BITS;
+            let mut mask_buf = Vec::new();
+            'blocks: for b in first..last {
+                let active_in_block = table.col_tier(0).meta(b).active;
+                if active_in_block == 0 {
+                    stats.blocks_pruned += 1;
+                    continue;
+                }
+                for &i in order {
+                    if !preds[i].block_may_match(table.col_tier(preds[i].col).meta(b)) {
+                        stats.blocks_pruned += 1;
+                        per_pred[i].blocks_pruned += 1;
+                        continue 'blocks;
+                    }
+                }
+                stats.rows_scanned += active_in_block;
+                let local_word = (b - first) * block_nwords;
+                scan_block_ordered(
+                    table,
+                    preds,
+                    order,
+                    per_pred,
+                    b,
+                    &mut sel[local_word..local_word + block_nwords],
+                    batch::block_words(table.col_tier(0), words, b),
+                    &mut mask_buf,
+                );
+            }
+        }
+        Span::Rows { hi, .. } => {
+            let slices: Vec<(&[Value], usize)> =
+                preds.iter().map(|p| hot_slice(table, p.col)).collect();
+            for wi in span_words.clone() {
+                let base = wi * WORD_BITS;
+                let chunk_len = (hi - base).min(WORD_BITS);
+                let active = batch::tail_word(words, wi, chunk_len);
+                if active == 0 {
+                    continue;
+                }
+                stats.rows_scanned += active.count_ones() as usize;
+                let mut s = active;
+                for &i in order {
+                    let (slice, start) = slices[i];
+                    let off = base - start;
+                    s = batch::conj_word(&slice[off..off + chunk_len], s, &preds[i], imp);
+                    if s == 0 {
+                        break;
+                    }
+                }
+                sel[wi - span_words.start] = s;
+            }
+        }
+    }
+}
+
+/// One surviving frozen block of the selection scan: seed the block's
 /// selection words from activity, filter densely with the first
-/// predicate in execution order, then refine residuals sparsely —
-/// bailing out of the block as soon as the selection empties. `sel` and
-/// `act` are the block's word slices.
+/// predicate in execution order, then refine residuals — bailing out of
+/// the block as soon as the selection empties. `sel` and `act` are the
+/// block's word slices.
 // The arguments are the per-block slices of the caller's scan state;
 // bundling them into a struct would rebuild it for every frozen block
 // on the hot path without making any call site clearer.
@@ -373,6 +298,33 @@ fn scan_block_ordered(
     }
 }
 
+/// The complete-scan counterpart of a one-predicate selection scan:
+/// *every* physical row passing `pred`, forgotten included (paper §1's
+/// "a complete scan will fetch all data"). No meta can prune it — block
+/// meta describes active rows only; dropped blocks surrendered their
+/// values and select nothing.
+pub fn selection_scan_all(table: &Table, pred: &ColPred) -> Vec<u64> {
+    let tier = table.col_tier(pred.col);
+    let mut sel = vec![0u64; table.num_rows().div_ceil(WORD_BITS)];
+    let block_nwords = tier.block_rows() / WORD_BITS;
+    let mut mask_buf = Vec::new();
+    for b in 0..tier.frozen_blocks() {
+        let f = tier.frozen(b).expect("frozen block");
+        if f.is_dropped() {
+            continue;
+        }
+        batch::conj_block_masks(f.encoded(), pred, &mut mask_buf);
+        sel[b * block_nwords..(b + 1) * block_nwords].copy_from_slice(&mask_buf[..block_nwords]);
+    }
+    let imp = batch::mask_impl();
+    let first_word = tier.hot_start() / WORD_BITS;
+    for (j, chunk) in tier.hot_values().chunks(WORD_BITS).enumerate() {
+        let present = batch::tail_word(&[!0], 0, chunk.len());
+        sel[first_word + j] = batch::conj_word(chunk, present, pred, imp);
+    }
+    sel
+}
+
 /// Materialize a selection as ascending [`RowId`]s.
 pub fn selection_rows(sel: &[u64]) -> Vec<RowId> {
     let mut out = Vec::new();
@@ -387,71 +339,6 @@ pub fn selection_count(sel: &[u64]) -> usize {
     sel.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-/// Gather the values of `col` at the selected rows, in ascending row
-/// order. Frozen blocks stream through the codecs'
-/// `for_each_active` under the block's selection words — no decode, no
-/// dense materialization; the hot tail reads the raw slice.
-pub fn gather_column(table: &Table, sel: &[u64], col: usize, out: &mut Vec<Value>) {
-    let tier = table.col_tier(col);
-    for b in 0..tier.frozen_blocks() {
-        let bw = batch::block_words(tier, sel, b);
-        if bw.iter().all(|&w| w == 0) {
-            continue;
-        }
-        let f = tier.frozen(b).expect("frozen block");
-        f.encoded().for_each_active(bw, |_, v| out.push(v));
-    }
-    let tail = tier.hot_values();
-    let tail_start = tier.hot_start();
-    for (j, chunk) in tail.chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let mut w = batch::tail_word(sel, wi, chunk.len());
-        while w != 0 {
-            let bit = w.trailing_zeros() as usize;
-            w &= w - 1;
-            out.push(chunk[bit]);
-        }
-    }
-}
-
-/// Fused aggregate of `col` over an externally-computed selection:
-/// frozen blocks fold in run/code/offset space via the codecs'
-/// `fold_range_masked` with the selection words standing in for the
-/// activity words (no decode), the hot tail folds the raw slice.
-pub fn aggregate_selection(table: &Table, sel: &[u64], col: usize) -> AggState {
-    let mut state = AggState::new();
-    let tier = table.col_tier(col);
-    for b in 0..tier.frozen_blocks() {
-        let bw = batch::block_words(tier, sel, b);
-        if bw.iter().all(|&w| w == 0) {
-            continue;
-        }
-        let f = tier.frozen(b).expect("frozen block");
-        let mut agg = BlockAgg::new();
-        f.encoded().fold_range_masked(None, bw, &mut agg);
-        if agg.count > 0 {
-            state.push_block(agg.count, agg.sum, agg.min, agg.max);
-        }
-    }
-    let tail = tier.hot_values();
-    let tail_start = tier.hot_start();
-    for (j, chunk) in tail.chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let w = batch::tail_word(sel, wi, chunk.len());
-        if w != 0 {
-            batch::fold_selection(&mut state, chunk, w);
-        }
-    }
-    state
-}
-
-// ---------------------------------------------------------------------
-// Span variants: the same fused kernels, restricted to one morsel of the
-// table (a run of frozen blocks or a word-aligned hot row range). The
-// morsel scheduler (`crate::morsel`) stitches their results back in span
-// order, reproducing the full-table kernels bit for bit.
-// ---------------------------------------------------------------------
-
 /// Hot-side value slice and its first absolute row (zero for a fully
 /// hot table).
 fn hot_slice(table: &Table, col: usize) -> (&[Value], usize) {
@@ -459,176 +346,27 @@ fn hot_slice(table: &Table, col: usize) -> (&[Value], usize) {
     (tier.hot_values(), tier.hot_start())
 }
 
-/// [`selection_scan`] restricted to `span`. Returns the span's selection
-/// words (local, starting at the span's first word) and its share of the
-/// tier accounting. Callers guarantee `preds` is non-empty — the empty
-/// conjunction short-circuits to the serial kernel before spans exist.
-pub(crate) fn selection_scan_span(
-    table: &Table,
-    preds: &[ColPred],
-    span: &crate::morsel::Span,
-) -> (Vec<u64>, TierStats) {
-    debug_assert!(!preds.is_empty());
-    let words = table.activity_words();
-    let imp = batch::mask_impl();
-    let mut stats = TierStats::default();
-    match *span {
-        crate::morsel::Span::Blocks { first, last } => {
-            let br = table.block_rows();
-            let block_nwords = br / WORD_BITS;
-            let mut sel = vec![0u64; (last - first) * block_nwords];
-            let mut mask_buf = Vec::new();
-            'blocks: for b in first..last {
-                let active_in_block = table.col_tier(0).meta(b).active;
-                if active_in_block == 0 {
-                    stats.blocks_pruned += 1;
-                    continue;
-                }
-                for p in preds {
-                    if !p.block_may_match(table.col_tier(p.col).meta(b)) {
-                        stats.blocks_pruned += 1;
-                        continue 'blocks;
-                    }
-                }
-                stats.rows_scanned += active_in_block;
-                let global_word = b * br / WORD_BITS;
-                let local_word = (b - first) * block_nwords;
-                for k in 0..block_nwords {
-                    sel[local_word + k] = words.get(global_word + k).copied().unwrap_or(0);
-                }
-                for p in preds {
-                    let tier = table.col_tier(p.col);
-                    tier.note_block_access(b);
-                    let f = tier.frozen(b).expect("frozen block");
-                    batch::conj_block_masks(f.encoded(), p, &mut mask_buf);
-                    for k in 0..block_nwords {
-                        sel[local_word + k] &= mask_buf.get(k).copied().unwrap_or(0);
-                    }
-                }
-            }
-            (sel, stats)
-        }
-        crate::morsel::Span::Rows { lo, hi } => {
-            let slices: Vec<(&[Value], usize)> =
-                preds.iter().map(|p| hot_slice(table, p.col)).collect();
-            let first_word = lo / WORD_BITS;
-            let mut sel = vec![0u64; hi.div_ceil(WORD_BITS) - first_word];
-            for wi in first_word..hi.div_ceil(WORD_BITS) {
-                let base = wi * WORD_BITS;
-                let chunk_len = (hi - base).min(WORD_BITS);
-                let active = batch::tail_word(words, wi, chunk_len);
-                if active == 0 {
-                    continue;
-                }
-                stats.rows_scanned += active.count_ones() as usize;
-                let mut s = active;
-                for (p, &(slice, start)) in preds.iter().zip(&slices) {
-                    let off = base - start;
-                    s = batch::conj_word(&slice[off..off + chunk_len], s, p, imp);
-                    if s == 0 {
-                        break;
-                    }
-                }
-                sel[wi - first_word] = s;
-            }
-            (sel, stats)
-        }
+/// Gather the values of `col` at the selected rows, in ascending row
+/// order. Frozen blocks stream through the codecs'
+/// `for_each_active` under the block's selection words — no decode, no
+/// dense materialization; the hot tail reads the raw slice.
+pub fn gather_column(table: &Table, sel: &[u64], col: usize, out: &mut Vec<Value>) {
+    for span in &whole_table(table) {
+        gather_column_span(table, sel, col, span, out);
     }
 }
 
-/// [`selection_scan_ordered`] restricted to `span`: the morsel unit of
-/// the cost-ordered scan. Returns the span's local selection words, its
-/// tier accounting, and its per-predicate attribution (merged across
-/// spans by the parallel wrapper). Callers guarantee `preds` is
-/// non-empty.
-pub(crate) fn selection_scan_ordered_span(
-    table: &Table,
-    preds: &[ColPred],
-    order: &[usize],
-    span: &crate::morsel::Span,
-) -> (Vec<u64>, TierStats, Vec<PredScanStats>) {
-    debug_assert!(!preds.is_empty());
-    let words = table.activity_words();
-    let imp = batch::mask_impl();
-    let mut stats = TierStats::default();
-    let mut per_pred = vec![PredScanStats::default(); preds.len()];
-    match *span {
-        crate::morsel::Span::Blocks { first, last } => {
-            let br = table.block_rows();
-            let block_nwords = br / WORD_BITS;
-            let mut sel = vec![0u64; (last - first) * block_nwords];
-            let mut mask_buf = Vec::new();
-            'blocks: for b in first..last {
-                let active_in_block = table.col_tier(0).meta(b).active;
-                if active_in_block == 0 {
-                    stats.blocks_pruned += 1;
-                    continue;
-                }
-                for &i in order {
-                    if !preds[i].block_may_match(table.col_tier(preds[i].col).meta(b)) {
-                        stats.blocks_pruned += 1;
-                        per_pred[i].blocks_pruned += 1;
-                        continue 'blocks;
-                    }
-                }
-                stats.rows_scanned += active_in_block;
-                let global_word = b * br / WORD_BITS;
-                let local_word = (b - first) * block_nwords;
-                scan_block_ordered(
-                    table,
-                    preds,
-                    order,
-                    &mut per_pred,
-                    b,
-                    &mut sel[local_word..local_word + block_nwords],
-                    words
-                        .get(global_word..(global_word + block_nwords).min(words.len()))
-                        .unwrap_or(&[]),
-                    &mut mask_buf,
-                );
-            }
-            (sel, stats, per_pred)
-        }
-        crate::morsel::Span::Rows { lo, hi } => {
-            let slices: Vec<(&[Value], usize)> =
-                preds.iter().map(|p| hot_slice(table, p.col)).collect();
-            let first_word = lo / WORD_BITS;
-            let mut sel = vec![0u64; hi.div_ceil(WORD_BITS) - first_word];
-            for wi in first_word..hi.div_ceil(WORD_BITS) {
-                let base = wi * WORD_BITS;
-                let chunk_len = (hi - base).min(WORD_BITS);
-                let active = batch::tail_word(words, wi, chunk_len);
-                if active == 0 {
-                    continue;
-                }
-                stats.rows_scanned += active.count_ones() as usize;
-                let mut s = active;
-                for &i in order {
-                    let (slice, start) = slices[i];
-                    let off = base - start;
-                    s = batch::conj_word(&slice[off..off + chunk_len], s, &preds[i], imp);
-                    if s == 0 {
-                        break;
-                    }
-                }
-                sel[wi - first_word] = s;
-            }
-            (sel, stats, per_pred)
-        }
-    }
-}
-
-/// [`gather_column`] restricted to `span`, appending to `out` in
-/// ascending row order. `sel` is the full-table selection.
+/// The gather kernel: [`gather_column`] restricted to `span`, appending
+/// to `out` in ascending row order. `sel` is the full-table selection.
 pub(crate) fn gather_column_span(
     table: &Table,
     sel: &[u64],
     col: usize,
-    span: &crate::morsel::Span,
+    span: &Span,
     out: &mut Vec<Value>,
 ) {
     match *span {
-        crate::morsel::Span::Blocks { first, last } => {
+        Span::Blocks { first, last } => {
             let tier = table.col_tier(col);
             for b in first..last {
                 let bw = batch::block_words(tier, sel, b);
@@ -639,7 +377,7 @@ pub(crate) fn gather_column_span(
                 f.encoded().for_each_active(bw, |_, v| out.push(v));
             }
         }
-        crate::morsel::Span::Rows { lo, hi } => {
+        Span::Rows { lo, hi } => {
             let (slice, start) = hot_slice(table, col);
             for wi in lo / WORD_BITS..hi.div_ceil(WORD_BITS) {
                 let base = wi * WORD_BITS;
@@ -654,18 +392,31 @@ pub(crate) fn gather_column_span(
     }
 }
 
-/// [`aggregate_selection`] restricted to `span`. The returned partial
-/// states merge exactly (integer count/sum, min/max), so folding the
-/// spans' results in any order reproduces the full-table fold.
+/// Fused aggregate of `col` over an externally-computed selection:
+/// frozen blocks fold in run/code/offset space via the codecs'
+/// `fold_range_masked` with the selection words standing in for the
+/// activity words (no decode), the hot tail folds the raw slice.
+pub fn aggregate_selection(table: &Table, sel: &[u64], col: usize) -> AggState {
+    let mut state = AggState::new();
+    for span in &whole_table(table) {
+        aggregate_selection_span(table, sel, col, span, &mut state);
+    }
+    state
+}
+
+/// The fused-aggregate kernel: [`aggregate_selection`] restricted to
+/// `span`, folded into `state`. States merge exactly (integer count/sum,
+/// min/max), so per-span states folded in any order reproduce the
+/// whole-table fold.
 pub(crate) fn aggregate_selection_span(
     table: &Table,
     sel: &[u64],
     col: usize,
-    span: &crate::morsel::Span,
-) -> AggState {
-    let mut state = AggState::new();
+    span: &Span,
+    state: &mut AggState,
+) {
     match *span {
-        crate::morsel::Span::Blocks { first, last } => {
+        Span::Blocks { first, last } => {
             let tier = table.col_tier(col);
             for b in first..last {
                 let bw = batch::block_words(tier, sel, b);
@@ -680,7 +431,7 @@ pub(crate) fn aggregate_selection_span(
                 }
             }
         }
-        crate::morsel::Span::Rows { lo, hi } => {
+        Span::Rows { lo, hi } => {
             let (slice, start) = hot_slice(table, col);
             for wi in lo / WORD_BITS..hi.div_ceil(WORD_BITS) {
                 let base = wi * WORD_BITS;
@@ -688,12 +439,11 @@ pub(crate) fn aggregate_selection_span(
                 let w = batch::tail_word(sel, wi, chunk_len);
                 if w != 0 {
                     let off = base - start;
-                    batch::fold_selection(&mut state, &slice[off..off + chunk_len], w);
+                    batch::fold_selection(state, &slice[off..off + chunk_len], w);
                 }
             }
         }
     }
-    state
 }
 
 #[cfg(test)]

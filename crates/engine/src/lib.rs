@@ -4,38 +4,41 @@
 //! delete it, stop indexing it ("a complete scan will fetch all data, but a
 //! fast index-based query evaluation will skip the forgotten data"), or
 //! tier/summarize it. This crate provides the executor that realizes those
-//! regimes over [`amnesia_columnar::Table`] — and, since the morsel
-//! rewrite, runs every plan stage either serially or morsel-parallel with
-//! byte-identical results.
+//! regimes over [`amnesia_columnar::Table`].
 //!
-//! # The morsel pipeline
+//! # One kernel per operator
 //!
-//! Every [`physical::PhysicalPlan`] stage — selection scan, join
-//! build/probe, grouped fold, projection gather, sort — executes as a
-//! sequence of *morsels*: work units aligned to the storage tiers, so a
-//! frozen block or a 64-row activity word never straddles two workers.
+//! Every [`physical::PhysicalPlan`] operator — selection scan, column
+//! gather, fused aggregate, grouped fold, join build, join probe — exists
+//! once, as a kernel over one *span* of a table: a run of frozen blocks
+//! or a word-aligned range of hot rows, so a frozen block or a 64-row
+//! activity word never straddles two kernel calls. One driver,
+//! [`morsel`]'s pool, runs every stage: cut the table into spans, run the
+//! kernel over them, fold the partials in span order.
 //!
 //! ```text
-//!   plan stage                 morsel scheduler              pipeline breaker
-//!   ──────────                 ────────────────              ────────────────
+//!   plan stage                 morsel pool                   pipeline breaker
+//!   ──────────                 ───────────                   ────────────────
 //!   TieredColumn               ┌─ worker 0 ─┐ partial 0 ┐
-//!   [B0|B1|B2|B3|hot tail] ──► ├─ worker 1 ─┤ partial 1 ├──► deterministic
-//!    └──┬───┘└┬─┘ └──┬──┘      ├─   ...    ─┤    ...    │    merge in morsel
-//!   block-run  │  word-aligned └─ worker n ─┘ partial n ┘    order ==
-//!   morsels  morsel  row morsels   atomic cursors +          serial output
-//!                                  work stealing
+//!   [B0|B1|B2|B3|hot tail] ──► ├─ worker 1 ─┤ partial 1 ├──► fold in span
+//!    └──┬───┘└┬─┘ └──┬──┘      ├─   ...    ─┤    ...    │    order
+//!   block-run  │  word-aligned └─ worker n ─┘ partial n ┘
+//!   spans    span  row spans     atomic cursors +
+//!                                work stealing
 //! ```
 //!
-//! Workers pull morsels from per-worker atomic cursors (stealing from the
-//! most-loaded peer when their range drains) and fold each morsel with
-//! the *same* fused compressed-space kernel the serial path uses — so
-//! parallelism adds zero block decodes. Per-worker partial state
-//! (selection words, [`group::GroupTable`]s, pair buffers) merges at the
-//! pipeline breakers in morsel order: selections stitch at word offsets,
-//! gathers and join pairs concatenate by ascending row, group tables
-//! merge by key then re-sort by global first-seen row, and the sort
-//! breaker k-way-merges stably. [`morsel::ExecMode::Serial`] survives as
-//! the equivalence oracle the tests hold the parallel path to.
+//! [`morsel::ExecMode`] is only the pool's width. One worker
+//! ([`morsel::ExecMode::Serial`]) takes the uncut table — the two spans
+//! `[all frozen blocks, whole hot tail]` — inline, spawning nothing; `n`
+//! workers pull ~16K-row spans from per-worker atomic cursors, stealing
+//! from the most-loaded peer when their range drains. Either way the same
+//! kernel computes every partial and the partials fold left to right over
+//! ascending spans: selections, gathers and join pairs concatenate, group
+//! tables absorb in first-seen row order, and the sort breaker k-way
+//! merges stably. A thread count, a morsel size or a tier boundary can
+//! change how much work a stage does, but there is no second body
+//! through which it could change the answer; the row-at-a-time reference
+//! the tests hold that answer to is [`batch::scalar`].
 //!
 //! # One path per job
 //!
@@ -44,7 +47,9 @@
 //! blocks behind their cached block meta, then the hot tail. A fully hot
 //! table is a tiered column with zero frozen blocks, so there is one
 //! scan family ([`batch`]), one planner ([`stats`] ordering conjuncts
-//! for [`exec::Executor::execute_plan`]) and one scheduler ([`morsel`]).
+//! for [`exec::Executor::execute_plan`]), one scheduler ([`morsel`]) and
+//! one join ([`join`]'s build and probe kernels, which the free-standing
+//! [`hash_join`] runs too).
 //!
 //! # Modules
 //!
@@ -55,15 +60,16 @@
 //!   references live in [`batch::scalar`],
 //! * [`kernels`] — table-level entry points onto [`batch`] and the
 //!   selection-vector operators (multi-predicate scan, gather,
-//!   aggregate) the physical plan's stages run,
+//!   aggregate) the physical plan's stages run, each as a span kernel
+//!   plus its whole-table call,
 //! * [`physical`] — the **physical plan**: the execution API every
 //!   multi-column query surface lowers onto (tier-aware scans with
 //!   pushed-down predicate conjunctions as 64-bit selection masks, tiered
 //!   hash join, fused/grouped aggregation, projection gather, sort +
 //!   limit); SQL's `BoundQuery::lower()` targets it,
-//! * [`morsel`] — the morsel-driven scheduler described above: span
-//!   enumeration, the work-stealing worker pool, and the parallel
-//!   operators with their deterministic merges,
+//! * [`morsel`] — the driver described above: span enumeration, the
+//!   work-stealing scheduler, and the pool that runs each operator's
+//!   kernel and folds its partials,
 //! * [`group`] — the vectorized hash group-by kernel, folding `GROUP BY`
 //!   aggregates straight over compressed blocks,
 //! * [`stats`] — block-statistics cardinality estimation: per-column
@@ -73,15 +79,16 @@
 //! * [`cost`] — the abstract cost model (hot rows vs. cold fetches,
 //!   per-codec predicate evaluation),
 //! * [`exec`] — the [`exec::Executor`]: `execute_plan` runs a physical
-//!   plan (serial or [`morsel::ExecMode::Parallel`]); `execute` is the
-//!   thin adapter for the simulator's single-column
-//!   [`Query`](amnesia_workload::Query) algebra — *not* a second
-//!   planner: each query kind maps to exactly one tiered kernel, and the
-//!   caller's summaries / micro-models of forgotten data fold into the
-//!   aggregate state. Both report [`exec::ExecStats`],
-//! * [`join`] — hash equi-joins with per-visibility answers (the §2.2
-//!   SELECT-PROJECT-JOIN subspace, and §5's referential precision, which
-//!   needs the forgotten-inclusive truth join a plan cannot express),
+//!   plan through the pool; `execute` is the thin adapter for the
+//!   simulator's single-column [`Query`](amnesia_workload::Query)
+//!   algebra — *not* a second planner: each query kind maps to exactly
+//!   one tiered kernel, and the caller's summaries / micro-models of
+//!   forgotten data fold into the aggregate state. Both report
+//!   [`exec::ExecStats`],
+//! * [`join`] — the plan's join build and probe kernels, the
+//!   free-standing equi-join over them (the §2.2 SELECT-PROJECT-JOIN
+//!   subspace), and the forgotten-inclusive truth join §5's referential
+//!   precision needs and a plan cannot express,
 //! * [`mode`] — forget-visibility modes.
 
 #![warn(missing_docs)]

@@ -1,45 +1,50 @@
-//! Morsel-driven parallel plan execution.
+//! The morsel driver: how every plan stage runs.
 //!
-//! The scheduler splits every [`PhysicalPlan`](crate::physical::PhysicalPlan)
-//! stage into *morsels* — work units aligned to the storage tiers, so no
-//! frozen block and no 64-row activity word is ever shared between two
-//! workers — and pulls them through a fixed pool of std scoped threads:
+//! Each [`PhysicalPlan`](crate::physical::PhysicalPlan) operator exists
+//! once, as a kernel over one `Span` — a run of frozen blocks or a
+//! word-aligned range of hot rows, so no frozen block and no 64-row
+//! activity word is ever shared between two kernel calls — that folds
+//! its span into an accumulator. A `Pool` turns a table into a span list
+//! and folds it through the kernel **in span order**:
 //!
 //! ```text
-//!        TieredColumn                     worker pool (ExecMode::Parallel(n))
+//!        TieredColumn                     Pool { threads, morsel_rows }
 //!  ┌────┬────┬────┬───┬╌╌╌╌┐      ┌──────────┐
 //!  │ B0 │ B1 │ B2 │B3 │hot │ ───► │ worker 0 │──► partial (sel words /
 //!  └────┴────┴────┴───┴╌╌╌╌┘      │ worker 1 │      GroupTable / pairs)
-//!    morsels: frozen blocks       │    …     │            │
-//!    grouped to ~MORSEL_ROWS,     └──────────┘            ▼
-//!    word-aligned hot chunks       atomic-cursor    deterministic merge
-//!                                  ranges + steals  in morsel order
+//!    spans: frozen blocks         │    …     │            │
+//!    grouped to ~morsel_rows,     └──────────┘            ▼
+//!    word-aligned hot chunks       atomic-cursor    absorb partials
+//!                                  ranges + steals  in span order
 //! ```
 //!
-//! * **Morsels** (`Span`): contiguous runs of frozen blocks grouped to a
-//!   target row count, then word-aligned chunks over the hot tail (or the
-//!   whole table when nothing is frozen). Block boundaries are a whole
-//!   number of activity words by construction, so no word is ever split
-//!   between two morsels.
+//! * **One worker is the whole table in two spans.** [`ExecMode::Serial`]
+//!   is not another executor: it is a pool of one, whose morsel size is
+//!   unbounded, so the span list is `[all frozen blocks, whole hot tail]`
+//!   and both spans fold straight into one accumulator — no thread, no
+//!   partial to allocate and stitch. [`ExecMode::Parallel`] runs the same
+//!   kernels over the same table cut into ~`morsel_rows` pieces, one
+//!   accumulator per piece. A thread count or a morsel size changes how
+//!   the work is cut, never which code computes the answer; the
+//!   row-at-a-time reference the tests hold that answer to is
+//!   [`crate::batch::scalar`].
 //! * **Scheduling** (`run_morsels`): each worker owns a contiguous range
-//!   of morsel indices behind an atomic cursor; a worker that drains its
-//!   range *steals* single morsels from the most-loaded peer. Steal counts
+//!   of span indices behind an atomic cursor; a worker that drains its
+//!   range *steals* single spans from the most-loaded peer. Steal counts
 //!   surface in [`SchedStats`] and, through the executor, in
 //!   [`ExecStats`](crate::exec::ExecStats).
-//! * **Determinism**: every morsel's partial result is tagged with its
-//!   morsel index and stitched back in morsel order, whichever worker ran
-//!   it — selection words land at their word offset, gathered values and
-//!   join pairs concatenate in ascending row order, per-worker
-//!   [`GroupTable`]s merge by key and re-sort by global first-seen row.
-//!   The output is **byte-identical** to serial execution, which survives
-//!   as the equivalence oracle ([`ExecMode::Serial`]).
-//! * **Zero extra decodes**: every per-morsel kernel is the same fused
-//!   compressed-space kernel the serial path runs (selection masks,
-//!   `for_each_active` streams, codec-domain probes), restricted to the
-//!   morsel's blocks — each stage still touches each frozen block at most
-//!   once, and never decodes it.
+//! * **Determinism**: partials come back indexed by span, whichever
+//!   worker ran them, and absorb left to right. Spans tile the row space
+//!   in ascending order, so selection words concatenate, gathered values
+//!   and join pairs concatenate in ascending row order, and a
+//!   [`GroupTable`] absorbing later spans
+//!   appends their new keys after every key an earlier span saw — the
+//!   first-seen group order, with nothing to re-sort.
+//! * **Zero extra decodes**: a kernel touches each frozen block of its
+//!   span at most once and never decodes it, however the table is cut.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 use amnesia_sync::atomic::{AtomicUsize, Ordering};
@@ -48,37 +53,41 @@ use amnesia_sync::thread;
 use amnesia_columnar::{RowId, Table, Value};
 use amnesia_util::WORD_BITS;
 
-use crate::batch::{self, AggState, ProbeStats, TierStats};
+use crate::batch::{AggState, ProbeStats, TierStats};
 use crate::group::{self, AggInput, GroupTable};
-use crate::kernels;
+use crate::join::{self, BuildSide};
+use crate::kernels::{self, PredScanStats};
 use crate::physical::ColPred;
 
-/// Default target rows per morsel: large enough that per-morsel overhead
-/// (a result allocation, one cursor `fetch_add`) is noise, small enough
-/// that a 1M-row table yields ~60 morsels for 8 workers to balance and
-/// steal over. Tunable per executor via
+/// Default target rows per morsel of a multi-worker pool: large enough
+/// that per-morsel overhead (a result allocation, one cursor
+/// `fetch_add`) is noise, small enough that a 1M-row table yields ~60
+/// morsels for 8 workers to balance and steal over. Tunable per
+/// executor via
 /// [`Executor::with_morsel_rows`](crate::exec::Executor::with_morsel_rows)
 /// or the `AMNESIA_MORSEL_ROWS` environment variable.
 pub const MORSEL_ROWS: usize = 16_384;
 
-/// Environment variable selecting the default executor's thread count
-/// (`>1` enables [`ExecMode::Parallel`]); CI's test matrix sets it so the
-/// equivalence suites run both executors.
+/// Environment variable selecting the default executor's worker count
+/// (`>1` selects [`ExecMode::Parallel`]); CI's test matrix sets it so the
+/// equivalence suites run at more than one width.
 pub const THREADS_ENV: &str = "AMNESIA_TEST_THREADS";
 
 /// Environment variable overriding the default morsel size (rows), so
-/// the parallel path engages on small tables in test runs.
+/// small test tables still split into many morsels per stage.
 pub const MORSEL_ROWS_ENV: &str = "AMNESIA_MORSEL_ROWS";
 
-/// How [`Executor::execute_plan`](crate::exec::Executor::execute_plan)
-/// runs a plan's stages.
+/// How many workers
+/// [`Executor::execute_plan`](crate::exec::Executor::execute_plan) runs a
+/// plan's stages on — a worker count and nothing else: both variants run
+/// the same span kernels through the same `Pool`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// One thread, stage by stage — the equivalence oracle.
+    /// One inline worker over the whole table (no thread is spawned).
     #[default]
     Serial,
-    /// Morsel-driven across a fixed pool of `n` scoped threads. `n <= 1`
-    /// behaves exactly like [`ExecMode::Serial`].
+    /// A fixed pool of `n` scoped threads over ~`morsel_rows` morsels.
+    /// `n <= 1` is [`ExecMode::Serial`].
     Parallel(usize),
 }
 
@@ -117,13 +126,13 @@ pub(crate) fn morsel_rows_from_env() -> usize {
 /// [`ExecStats`](crate::exec::ExecStats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Morsels executed.
+    /// Morsels (spans) executed — one or two per stage on one worker.
     pub morsels: usize,
     /// Morsels a worker claimed from another worker's range.
     pub steals: usize,
-    /// Nanoseconds spent merging per-worker partial state at pipeline
-    /// breakers (stitching selections, merging group tables, k-way sort
-    /// merge).
+    /// Nanoseconds spent folding per-span partials together at pipeline
+    /// breakers (concatenating selections, merging group tables, k-way
+    /// sort merge).
     pub merge_ns: u64,
 }
 
@@ -136,14 +145,28 @@ impl SchedStats {
     }
 }
 
-/// One morsel of a table: a contiguous run of frozen blocks, or a
-/// word-aligned row range on the hot tail (or a fully hot table).
+/// One morsel of a table — what every plan kernel takes: a contiguous
+/// run of frozen blocks, or a word-aligned row range on the hot tail (or
+/// a fully hot table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Span {
     /// Frozen blocks `[first, last)`.
     Blocks { first: usize, last: usize },
     /// Absolute rows `[lo, hi)`; `lo` is a multiple of [`WORD_BITS`].
     Rows { lo: usize, hi: usize },
+}
+
+impl Span {
+    /// The selection words the span covers. Spans tile the row space on
+    /// word boundaries, so consecutive spans' ranges abut.
+    pub(crate) fn words(&self, block_rows: usize) -> Range<usize> {
+        match *self {
+            Span::Blocks { first, last } => {
+                first * block_rows / WORD_BITS..last * block_rows / WORD_BITS
+            }
+            Span::Rows { lo, hi } => lo / WORD_BITS..hi.div_ceil(WORD_BITS),
+        }
+    }
 }
 
 /// Contiguous runs of frozen blocks grouped so each run covers about
@@ -161,17 +184,20 @@ pub(crate) fn frozen_block_spans(
     let per = target_rows.max(1).div_ceil(block_rows.max(1)).max(1);
     (0..frozen_blocks)
         .step_by(per)
-        .map(|b| (b, (b + per).min(frozen_blocks)))
+        .map(|b| (b, b.saturating_add(per).min(frozen_blocks)))
         .collect()
 }
 
 /// Word-aligned row chunks of about `target_rows` over `[lo, hi)`.
 /// `lo` must be word-aligned (block boundaries are).
 fn push_row_spans(lo: usize, hi: usize, target_rows: usize, out: &mut Vec<Span>) {
-    let step = target_rows.max(WORD_BITS).div_ceil(WORD_BITS) * WORD_BITS;
+    let step = target_rows
+        .max(WORD_BITS)
+        .div_ceil(WORD_BITS)
+        .saturating_mul(WORD_BITS);
     let mut l = lo;
     while l < hi {
-        let h = (l + step).min(hi);
+        let h = l.saturating_add(step).min(hi);
         out.push(Span::Rows { lo: l, hi: h });
         l = h;
     }
@@ -179,7 +205,9 @@ fn push_row_spans(lo: usize, hi: usize, target_rows: usize, out: &mut Vec<Span>)
 
 /// Tier-boundary-aligned morsels covering every row of `table`: frozen
 /// blocks grouped to ~`morsel_rows`, then the hot tail in word-aligned
-/// chunks. Spans tile the row space in ascending order.
+/// chunks. Spans tile the row space in ascending order. An unbounded
+/// `morsel_rows` (`usize::MAX`) yields one span per tier — the whole
+/// table as `[all frozen blocks, whole hot tail]`.
 pub(crate) fn table_morsels(table: &Table, morsel_rows: usize) -> Vec<Span> {
     let n = table.num_rows();
     let mut out = Vec::new();
@@ -194,14 +222,20 @@ pub(crate) fn table_morsels(table: &Table, morsel_rows: usize) -> Vec<Span> {
     out
 }
 
+/// The uncut table: `[all frozen blocks, whole hot tail]` — what one
+/// worker runs, and what the whole-table kernel wrappers iterate.
+pub(crate) fn whole_table(table: &Table) -> Vec<Span> {
+    table_morsels(table, usize::MAX)
+}
+
 /// Plain index chunks `[lo, hi)` of about `target` items over `n` items
 /// — the morsel unit for join-pair stages, where there is no tier to
 /// align with.
-pub(crate) fn index_chunks(n: usize, target: usize) -> Vec<(usize, usize)> {
+fn index_chunks(n: usize, target: usize) -> Vec<Range<usize>> {
     let step = target.max(1);
     (0..n)
         .step_by(step)
-        .map(|lo| (lo, (lo + step).min(n)))
+        .map(|lo| lo..lo.saturating_add(step).min(n))
         .collect()
 }
 
@@ -318,283 +352,244 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Parallel plan operators: each fans one serial stage out over morsels
-// and merges the partials deterministically.
+// The pool: one driver for every plan stage.
 // ---------------------------------------------------------------------
 
-/// Parallel [`kernels::selection_scan`]: per-morsel selection words
-/// stitched at their word offsets. An empty conjunction (a pure activity
-/// copy) and single-morsel tables fall back to the serial kernel.
-pub(crate) fn par_selection_scan(
-    table: &Table,
-    preds: &[ColPred],
+/// The workers a plan runs on and the scheduler accounting they
+/// accumulate. Every stage is the same steps — cut the table into spans,
+/// fold them through the operator's span kernel, absorb the partials in
+/// span order — so a stage cannot answer differently at a different
+/// width: there is no second body to answer from.
+#[derive(Debug)]
+pub(crate) struct Pool {
     threads: usize,
+    /// Target rows per morsel; unbounded for a pool of one, which has
+    /// nobody to share the table with.
     morsel_rows: usize,
-) -> (Vec<u64>, TierStats, SchedStats) {
-    let spans = table_morsels(table, morsel_rows);
-    if preds.is_empty() || threads <= 1 || spans.len() <= 1 {
-        let (sel, ts) = kernels::selection_scan(table, preds);
-        return (sel, ts, single_morsel(&spans));
-    }
-    let (parts, mut sched) = run_morsels(spans.len(), threads, |i| {
-        kernels::selection_scan_span(table, preds, &spans[i])
-    });
-    let t0 = Instant::now();
-    let nwords = table.num_rows().div_ceil(WORD_BITS);
-    let mut sel = vec![0u64; nwords];
-    let mut stats = TierStats::default();
-    let br = table.block_rows();
-    for (span, (words, ts)) in spans.iter().zip(parts) {
-        let w0 = span_first_word(span, br);
-        sel[w0..w0 + words.len()].copy_from_slice(&words);
-        stats.merge(ts);
-    }
-    sched.merge_ns = t0.elapsed().as_nanos() as u64;
-    (sel, stats, sched)
+    /// Scheduler accounting across every stage run so far.
+    pub(crate) stats: SchedStats,
 }
 
-/// Parallel [`kernels::selection_scan_ordered`]: the cost-ordered scan
-/// fanned over morsels, per-span selection words stitched at their word
-/// offsets and per-predicate attribution merged across spans. Falls back
-/// to the serial ordered kernel for empty conjunctions, one thread, or
-/// single-morsel tables.
-pub(crate) fn par_selection_scan_ordered(
-    table: &Table,
-    preds: &[ColPred],
-    order: &[usize],
-    threads: usize,
-    morsel_rows: usize,
-) -> (Vec<u64>, TierStats, Vec<kernels::PredScanStats>, SchedStats) {
-    let spans = table_morsels(table, morsel_rows);
-    if preds.is_empty() || threads <= 1 || spans.len() <= 1 {
-        let mut per_pred = vec![kernels::PredScanStats::default(); preds.len()];
-        let (sel, ts) = kernels::selection_scan_ordered(table, preds, order, &mut per_pred);
-        return (sel, ts, per_pred, single_morsel(&spans));
-    }
-    let (parts, mut sched) = run_morsels(spans.len(), threads, |i| {
-        kernels::selection_scan_ordered_span(table, preds, order, &spans[i])
-    });
-    let t0 = Instant::now();
-    let nwords = table.num_rows().div_ceil(WORD_BITS);
-    let mut sel = vec![0u64; nwords];
-    let mut stats = TierStats::default();
-    let mut per_pred = vec![kernels::PredScanStats::default(); preds.len()];
-    let br = table.block_rows();
-    for (span, (words, ts, pp)) in spans.iter().zip(parts) {
-        let w0 = span_first_word(span, br);
-        sel[w0..w0 + words.len()].copy_from_slice(&words);
-        stats.merge(ts);
-        for (agg, part) in per_pred.iter_mut().zip(pp) {
-            agg.merge(part);
+impl Pool {
+    /// A pool of `threads` workers over ~`morsel_rows` morsels.
+    pub(crate) fn new(threads: usize, morsel_rows: usize) -> Self {
+        let threads = threads.max(1);
+        Self {
+            threads,
+            morsel_rows: if threads == 1 {
+                usize::MAX
+            } else {
+                morsel_rows
+            },
+            stats: SchedStats::default(),
         }
     }
-    sched.merge_ns = t0.elapsed().as_nanos() as u64;
-    (sel, stats, per_pred, sched)
-}
 
-/// Parallel [`group::grouped_fold`]: per-morsel [`GroupTable`]s (each
-/// tracking the global first row of every key) merged by key and
-/// re-sorted by first-seen row, reproducing the serial first-seen group
-/// order exactly.
-pub(crate) fn par_grouped_fold(
-    table: &Table,
-    sel: &[u64],
-    key_col: usize,
-    aggs: &[AggInput],
-    threads: usize,
-    morsel_rows: usize,
-) -> (GroupTable, SchedStats) {
-    let spans = table_morsels(table, morsel_rows);
-    if threads <= 1 || spans.len() <= 1 {
-        return (
-            group::grouped_fold(table, sel, key_col, aggs),
-            single_morsel(&spans),
-        );
+    /// One inline worker over the whole table.
+    pub(crate) fn inline() -> Self {
+        Self::new(1, usize::MAX)
     }
-    let (parts, mut sched) = run_morsels(spans.len(), threads, |i| {
-        group::grouped_fold_span(table, sel, key_col, aggs, &spans[i])
-    });
-    let t0 = Instant::now();
-    let mut merged = GroupTable::new(aggs.len());
-    for part in &parts {
-        merged.absorb(part);
-    }
-    merged.sort_by_first_row();
-    sched.merge_ns = t0.elapsed().as_nanos() as u64;
-    (merged, sched)
-}
 
-/// Parallel [`kernels::gather_column`]: per-morsel gathers concatenated
-/// in morsel (= ascending row) order.
-pub(crate) fn par_gather_column(
-    table: &Table,
-    sel: &[u64],
-    col: usize,
-    threads: usize,
-    morsel_rows: usize,
-) -> (Vec<Value>, SchedStats) {
-    let spans = table_morsels(table, morsel_rows);
-    if threads <= 1 || spans.len() <= 1 {
-        let mut out = Vec::new();
-        kernels::gather_column(table, sel, col, &mut out);
-        return (out, single_morsel(&spans));
-    }
-    let (parts, mut sched) = run_morsels(spans.len(), threads, |i| {
-        let mut out = Vec::new();
-        kernels::gather_column_span(table, sel, col, &spans[i], &mut out);
-        out
-    });
-    let t0 = Instant::now();
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        out.extend(p);
-    }
-    sched.merge_ns = t0.elapsed().as_nanos() as u64;
-    (out, sched)
-}
-
-/// Parallel [`kernels::aggregate_selection`]: per-morsel states merged
-/// in morsel order (integer-exact, so the fold order cannot change the
-/// result — merging in a fixed order keeps even the accounting
-/// deterministic).
-pub(crate) fn par_aggregate_selection(
-    table: &Table,
-    sel: &[u64],
-    col: usize,
-    threads: usize,
-    morsel_rows: usize,
-) -> (AggState, SchedStats) {
-    let spans = table_morsels(table, morsel_rows);
-    if threads <= 1 || spans.len() <= 1 {
-        return (
-            kernels::aggregate_selection(table, sel, col),
-            single_morsel(&spans),
-        );
-    }
-    let (parts, mut sched) = run_morsels(spans.len(), threads, |i| {
-        kernels::aggregate_selection_span(table, sel, col, &spans[i])
-    });
-    let t0 = Instant::now();
-    let mut state = AggState::new();
-    for p in &parts {
-        state.merge(p);
-    }
-    sched.merge_ns = t0.elapsed().as_nanos() as u64;
-    (state, sched)
-}
-
-/// Parallel join build: per-morsel `key → ascending rows` maps merged in
-/// morsel order, so each key's row list is byte-identical to the serial
-/// build's.
-/// A join build side: `key → ascending build rows` plus the observed
-/// key range (`None` when no row survived the selection).
-pub(crate) type BuildSide = (HashMap<Value, Vec<RowId>>, Option<(Value, Value)>);
-
-pub(crate) fn par_build_rows_map(
-    table: &Table,
-    col: usize,
-    words: &[u64],
-    threads: usize,
-    morsel_rows: usize,
-) -> (BuildSide, SchedStats) {
-    let spans = table_morsels(table, morsel_rows);
-    if threads <= 1 || spans.len() <= 1 {
-        return (
-            crate::join::build_rows_map_with(table, col, words),
-            single_morsel(&spans),
-        );
-    }
-    let (parts, mut sched) = run_morsels(spans.len(), threads, |i| {
-        crate::join::build_rows_map_span(table, col, words, &spans[i])
-    });
-    let t0 = Instant::now();
-    let mut map: HashMap<Value, Vec<RowId>> = HashMap::new();
-    let mut range: Option<(Value, Value)> = None;
-    for (part, part_range) in parts {
-        if let Some((lo, hi)) = part_range {
-            range = Some(match range {
-                Some((a, b)) => (a.min(lo), b.max(hi)),
-                None => (lo, hi),
-            });
-        }
-        for (k, rows) in part {
-            map.entry(k).or_default().extend(rows);
-        }
-    }
-    sched.merge_ns = t0.elapsed().as_nanos() as u64;
-    ((map, range), sched)
-}
-
-/// Parallel tiered probe: frozen morsels probe in their codec's domain
-/// via [`batch::probe_tiered_blocks_with`] (block-meta pruned against
-/// the build key range, same accounting as the serial probe), hot
-/// morsels probe the raw slice; pairs concatenate in morsel order —
-/// byte-identical to [`batch::probe_tiered`].
-pub(crate) fn par_probe(
-    table: &Table,
-    col: usize,
-    sel: &[u64],
-    build: &HashMap<Value, Vec<RowId>>,
-    key_range: Option<(Value, Value)>,
-    threads: usize,
-    morsel_rows: usize,
-) -> (Vec<(RowId, RowId)>, ProbeStats, SchedStats) {
-    let tier = table.col_tier(col);
-    let spans = table_morsels(table, morsel_rows);
-    if threads <= 1 || spans.len() <= 1 {
-        let mut pairs = Vec::new();
-        let probe = batch::probe_tiered(tier, sel, build, key_range, &mut pairs);
-        return (pairs, probe, single_morsel(&spans));
-    }
-    let hot = tier.hot_values();
-    let hot_start = tier.hot_start();
-    let (parts, mut sched) = run_morsels(spans.len(), threads, |i| {
-        let mut out: Vec<(RowId, RowId)> = Vec::new();
-        let mut stats = ProbeStats::default();
-        match spans[i] {
-            Span::Blocks { first, last } => {
-                stats = batch::probe_tiered_blocks_with(
-                    tier,
-                    sel,
-                    first,
-                    last,
-                    build,
-                    key_range,
-                    |ls, row| out.extend(ls.iter().map(|&l| (l, RowId::from(row)))),
-                );
+    /// Fold `units`, in order, through `kernel` into one accumulator.
+    ///
+    /// A kernel folds one unit into an accumulator that may already hold
+    /// the units before it, so one worker — who has nobody to hand a
+    /// partial to — runs the units straight into a single accumulator:
+    /// nothing is scheduled, nothing merged. A pool gives every unit a
+    /// fresh accumulator (`init`) and `absorb`s them left to right; units
+    /// ascend, so that merge is an append too.
+    fn fold<U: Sync, R: Send>(
+        &mut self,
+        units: &[U],
+        init: impl Fn() -> R + Sync,
+        kernel: impl Fn(&U, &mut R) + Sync,
+        mut absorb: impl FnMut(&mut R, R),
+    ) -> R {
+        if self.threads == 1 {
+            let mut acc = init();
+            for unit in units {
+                kernel(unit, &mut acc);
             }
-            Span::Rows { lo, hi } => {
-                for wi in lo / WORD_BITS..hi.div_ceil(WORD_BITS) {
-                    let base = wi * WORD_BITS;
-                    let mut active = batch::tail_word(sel, wi, hi - base);
-                    while active != 0 {
-                        let bit = active.trailing_zeros() as usize;
-                        active &= active - 1;
-                        let row = base + bit;
-                        if let Some(ls) = build.get(&hot[row - hot_start]) {
-                            out.extend(ls.iter().map(|&l| (l, RowId::from(row))));
-                        }
-                    }
+            self.stats.morsels += units.len();
+            return acc;
+        }
+        let (parts, sched) = run_morsels(units.len(), self.threads, |i| {
+            let mut part = init();
+            kernel(&units[i], &mut part);
+            part
+        });
+        self.stats.absorb(&sched);
+        let t0 = Instant::now();
+        let mut parts = parts.into_iter();
+        let mut acc = parts.next().unwrap_or_else(&init);
+        for part in parts {
+            absorb(&mut acc, part);
+        }
+        self.stats.merge_ns += t0.elapsed().as_nanos() as u64;
+        acc
+    }
+
+    /// [`Self::fold`] over the tier-aligned spans of `table`.
+    fn fold_spans<R: Send>(
+        &mut self,
+        table: &Table,
+        init: impl Fn() -> R + Sync,
+        kernel: impl Fn(&Span, &mut R) + Sync,
+        absorb: impl FnMut(&mut R, R),
+    ) -> R {
+        let spans = table_morsels(table, self.morsel_rows);
+        self.fold(&spans, init, kernel, absorb)
+    }
+
+    /// [`Self::fold`] over index ranges of `n` items — the unit of the
+    /// join-pair stages.
+    pub(crate) fn fold_chunks<R: Send>(
+        &mut self,
+        n: usize,
+        init: impl Fn() -> R + Sync,
+        kernel: impl Fn(&Range<usize>, &mut R) + Sync,
+        absorb: impl FnMut(&mut R, R),
+    ) -> R {
+        let chunks = index_chunks(n, self.morsel_rows);
+        self.fold(&chunks, init, kernel, absorb)
+    }
+
+    /// The selection scan: `preds` evaluated in execution `order`
+    /// ([`kernels::selection_scan_span`]); span selections concatenate,
+    /// accounting adds up. Returns the selection words, the tier
+    /// accounting and the per-predicate attribution (parallel to
+    /// `preds`).
+    pub(crate) fn selection_scan(
+        &mut self,
+        table: &Table,
+        preds: &[ColPred],
+        order: &[usize],
+    ) -> (Vec<u64>, TierStats, Vec<PredScanStats>) {
+        // An accumulator holds at most the table, and about a morsel.
+        let words = table.num_rows().min(self.morsel_rows).div_ceil(WORD_BITS);
+        self.fold_spans(
+            table,
+            || {
+                let per_pred = vec![PredScanStats::default(); preds.len()];
+                (Vec::with_capacity(words), TierStats::default(), per_pred)
+            },
+            |span, (sel, stats, per_pred)| {
+                kernels::selection_scan_span(table, preds, order, span, sel, stats, per_pred)
+            },
+            |(sel, stats, per_pred), (words, ts, pp)| {
+                sel.extend(words);
+                stats.merge(ts);
+                for (agg, part) in per_pred.iter_mut().zip(pp) {
+                    agg.merge(part);
                 }
-            }
-        }
-        (out, stats)
-    });
-    let t0 = Instant::now();
-    let mut pairs = Vec::with_capacity(parts.iter().map(|(p, _)| p.len()).sum());
-    let mut probe = ProbeStats::default();
-    for (p, s) in parts {
-        pairs.extend(p);
-        probe.merge(s);
+            },
+        )
     }
-    sched.merge_ns = t0.elapsed().as_nanos() as u64;
-    (pairs, probe, sched)
+
+    /// The projection gather: `col` at the selected rows, ascending.
+    pub(crate) fn gather_column(&mut self, table: &Table, sel: &[u64], col: usize) -> Vec<Value> {
+        self.fold_spans(
+            table,
+            Vec::new,
+            |span, out| kernels::gather_column_span(table, sel, col, span, out),
+            |out, part| out.extend(part),
+        )
+    }
+
+    /// The fused aggregate of `col` over a selection. States merge
+    /// integer-exact, so the cut cannot change the result.
+    pub(crate) fn aggregate_selection(
+        &mut self,
+        table: &Table,
+        sel: &[u64],
+        col: usize,
+    ) -> AggState {
+        self.fold_spans(
+            table,
+            AggState::new,
+            |span, state| kernels::aggregate_selection_span(table, sel, col, span, state),
+            |state, part| state.merge(&part),
+        )
+    }
+
+    /// The grouped fold: later spans' tables absorb into the first, which
+    /// keeps the groups in first-seen row order.
+    pub(crate) fn grouped_fold(
+        &mut self,
+        table: &Table,
+        sel: &[u64],
+        key_col: usize,
+        aggs: &[AggInput],
+    ) -> GroupTable {
+        self.fold_spans(
+            table,
+            || GroupTable::new(aggs.len()),
+            |span, groups| group::grouped_fold_span(table, sel, key_col, aggs, span, groups),
+            |groups, part| groups.absorb(&part),
+        )
+    }
+
+    /// The join build over the rows `words` selects: per-span
+    /// `key → ascending rows` maps appended in span order, so each key's
+    /// row list ascends whatever the cut.
+    pub(crate) fn join_build(&mut self, table: &Table, col: usize, words: &[u64]) -> BuildSide {
+        self.fold_spans(
+            table,
+            BuildSide::default,
+            |span, side| join::build_span(table, col, words, span, side),
+            |(map, range), (part, part_range)| {
+                if let Some((lo, hi)) = part_range {
+                    *range = Some(range.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+                }
+                for (k, rows) in part {
+                    map.entry(k).or_default().extend(rows);
+                }
+            },
+        )
+    }
+
+    /// The join probe: `(build row, probe row)` pairs grouped by probe
+    /// row (right-major), concatenated in span order.
+    pub(crate) fn join_probe(
+        &mut self,
+        table: &Table,
+        col: usize,
+        sel: &[u64],
+        build: &HashMap<Value, Vec<RowId>>,
+        key_range: Option<(Value, Value)>,
+    ) -> (Vec<(RowId, RowId)>, ProbeStats) {
+        self.fold_spans(
+            table,
+            Default::default,
+            |span, (pairs, stats)| {
+                join::probe_span(table, col, sel, span, build, key_range, pairs, stats)
+            },
+            |(pairs, stats), (part, part_stats)| {
+                pairs.extend(part);
+                stats.merge(part_stats);
+            },
+        )
+    }
+
+    /// Stable sort: one worker (or an input under one morsel) sorts in
+    /// place, a pool chunk-sorts and k-way merges to the same order.
+    pub(crate) fn sort_by<T: Send>(
+        &mut self,
+        items: &mut Vec<T>,
+        cmp: impl Fn(&T, &T) -> std::cmp::Ordering + Sync,
+    ) {
+        if items.len() > self.morsel_rows {
+            self.stats.merge_ns += par_sort_by(items, self.threads, cmp);
+        } else {
+            items.sort_by(cmp);
+        }
+    }
 }
 
 /// Parallel stable sort: contiguous chunks sort on scoped threads, then
 /// a leftmost-preference k-way merge stitches them — exactly what a
 /// serial stable `sort_by` produces. Returns merge time in nanoseconds.
-pub(crate) fn par_sort_by<T, C>(items: &mut Vec<T>, threads: usize, cmp: C) -> u64
+fn par_sort_by<T, C>(items: &mut Vec<T>, threads: usize, cmp: C) -> u64
 where
     T: Send,
     C: Fn(&T, &T) -> std::cmp::Ordering + Sync,
@@ -647,20 +642,6 @@ where
     t0.elapsed().as_nanos() as u64
 }
 
-/// Accounting for a stage that fell back to the serial kernel: the
-/// scheduler never engaged, so it executed zero morsels.
-fn single_morsel(_spans: &[Span]) -> SchedStats {
-    SchedStats::default()
-}
-
-/// The first selection word a span covers.
-fn span_first_word(span: &Span, block_rows: usize) -> usize {
-    match *span {
-        Span::Blocks { first, .. } => first * block_rows / WORD_BITS,
-        Span::Rows { lo, .. } => lo / WORD_BITS,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -686,19 +667,41 @@ mod tests {
     #[test]
     fn morsels_tile_the_row_space() {
         let t = sample(10_000, 128, 8_192);
-        let spans = table_morsels(&t, 256);
-        let mut next = 0usize;
-        for s in &spans {
-            let (lo, hi) = match *s {
-                Span::Blocks { first, last } => (first * 128, last * 128),
-                Span::Rows { lo, hi } => (lo, hi),
-            };
-            assert_eq!(lo, next, "spans tile without gaps");
-            assert!(hi > lo);
-            assert_eq!(lo % WORD_BITS, 0, "word-aligned starts");
-            next = hi;
+        for morsel_rows in [1, 256, usize::MAX] {
+            let spans = table_morsels(&t, morsel_rows);
+            let (mut next, mut next_word) = (0usize, 0usize);
+            for s in &spans {
+                let (lo, hi) = match *s {
+                    Span::Blocks { first, last } => (first * 128, last * 128),
+                    Span::Rows { lo, hi } => (lo, hi),
+                };
+                assert_eq!(lo, next, "spans tile without gaps");
+                assert!(hi > lo);
+                assert_eq!(lo % WORD_BITS, 0, "word-aligned starts");
+                assert_eq!(s.words(128).start, next_word, "word ranges abut");
+                next = hi;
+                next_word = s.words(128).end;
+            }
+            assert_eq!(next, t.num_rows());
+            assert_eq!(next_word, t.num_rows().div_ceil(WORD_BITS));
+            if morsel_rows == usize::MAX {
+                // Unbounded morsels: one span per tier, the whole table.
+                let whole = [
+                    Span::Blocks { first: 0, last: 64 },
+                    Span::Rows {
+                        lo: 8_192,
+                        hi: 10_000,
+                    },
+                ];
+                assert_eq!(spans, whole);
+            }
         }
-        assert_eq!(next, t.num_rows());
+        // The same on a table with no frozen prefix.
+        let hot = sample(200, 128, 0);
+        assert_eq!(
+            table_morsels(&hot, usize::MAX),
+            [Span::Rows { lo: 0, hi: 200 }]
+        );
     }
 
     #[test]
@@ -752,13 +755,15 @@ mod tests {
     fn par_selection_scan_equals_serial() {
         let t = sample(20_000, 128, 12_800);
         let preds = [ColPred::range(1, 100, 800), ColPred::range(0, 1, 6)];
-        let (want, want_ts) = kernels::selection_scan(&t, &preds);
-        for threads in [1, 2, 7, 8] {
-            let (got, ts, sched) = par_selection_scan(&t, &preds, threads, 256);
-            assert_eq!(got, want, "threads={threads}");
-            assert_eq!(ts, want_ts, "accounting matches serial");
-            if threads > 1 {
-                assert!(sched.morsels > 1);
+        for order in [[0, 1], [1, 0]] {
+            let mut inline = Pool::inline();
+            let want = inline.selection_scan(&t, &preds, &order);
+            assert_eq!(inline.stats.morsels, 2, "frozen prefix + hot tail");
+            for threads in [2, 7, 8] {
+                let mut pool = Pool::new(threads, 256);
+                let got = pool.selection_scan(&t, &preds, &order);
+                assert_eq!(got, want, "threads={threads}: words and accounting");
+                assert!(pool.stats.morsels > 2);
             }
         }
     }

@@ -23,10 +23,11 @@
 //!   64-bit selection masks — `sel = activity & pred₀ & pred₁ & …` —
 //!   per activity word on hot data and per compressed block on frozen
 //!   data (codec-fused `filter_range_masks`, cached block-meta pruning
-//!   for every predicate column). See [`crate::kernels::selection_scan`].
+//!   for every predicate column). See
+//!   [`crate::kernels::selection_scan_ordered`].
 //! * **Join**: the build side streams keys in compressed space under the
-//!   scan's selection words, the probe side runs
-//!   [`crate::batch::probe_tiered`] with key-range block pruning.
+//!   scan's selection words, the probe side probes in each codec's domain
+//!   with key-range block pruning — the two kernels of [`crate::join`].
 //! * **Aggregate**: ungrouped aggregates fold through the codecs'
 //!   `fold_range_masked` (no decode); `GROUP BY` runs the vectorized
 //!   hash group-by of [`crate::group`], which folds frozen blocks in

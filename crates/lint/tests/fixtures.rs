@@ -34,7 +34,7 @@ fn dense_whitelist_and_tests_are_exempt() {
     assert!(check_at("crates/columnar/src/compress/rle.rs", src).is_empty());
     // …and so are integration tests and benches (oracles, baselines).
     assert!(check_at("crates/engine/tests/oracle.rs", src).is_empty());
-    assert!(check_at("crates/bench/benches/join_bench.rs", src).is_empty());
+    assert!(check_at("crates/bench/benches/sql_bench.rs", src).is_empty());
 }
 
 #[test]

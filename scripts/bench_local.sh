@@ -38,7 +38,7 @@ OUT="BENCH_smoke.json"
 export AMNESIA_BENCH_JSON="$(pwd)/$OUT"
 rm -f "$OUT"
 
-BENCHES=(compressed_scan tiered_scan join_bench sql_bench persist_bench)
+BENCHES=(compressed_scan tiered_scan sql_bench persist_bench)
 if [[ $# -gt 0 ]]; then
     BENCHES=("$@")
 fi

@@ -45,3 +45,5 @@ done
 printf '%-22s %8d %8d %8d %8d\n' TOTAL "$tl" "$tt" "$tb" "$tp"
 echo "workspace (library + test + bench): $((tl + tt + tb)) lines"
 echo "engine/src/batch.rs: $(grep -c 'pub fn' crates/engine/src/batch.rs) pub fn"
+# The plan's operators, span kernels included: everything another module can call.
+echo "engine/src/kernels.rs: $(grep -cE 'pub(\(crate\))? fn' crates/engine/src/kernels.rs) pub fn + pub(crate) fn"

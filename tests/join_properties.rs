@@ -19,12 +19,43 @@ fn build(values: &[i64], forget: &[usize]) -> Table {
     t
 }
 
-/// Brute-force nested-loop join over the chosen visibility.
+/// `build` behind a dropped block: 64 rows of keys no other row holds,
+/// all forgotten, frozen and dropped, then `values` / `forget` as the hot
+/// tail. The dropped rows keep their ids but hold no value any more.
+fn build_behind_dropped_block(values: &[i64], forget: &[usize]) -> Table {
+    let mut t = Table::with_block_rows(Schema::single("k"), 64);
+    t.insert_batch(&(1000..1064).collect::<Vec<i64>>(), 0)
+        .unwrap();
+    for r in 0..64 {
+        t.forget(RowId(r), 1).unwrap();
+    }
+    t.freeze_upto(64);
+    assert_eq!(t.drop_forgotten_blocks().0, 1);
+    if !values.is_empty() {
+        t.insert_batch(values, 0).unwrap();
+    }
+    for &f in forget {
+        if !values.is_empty() {
+            let _ = t.forget(RowId((64 + f % values.len()) as u64), 1);
+        }
+    }
+    t
+}
+
+/// Brute-force nested-loop join over the chosen visibility. The complete
+/// scan sees every row that still holds a value — forgotten ones too, but
+/// not the rows of a dropped block.
 fn model_join(left: &Table, right: &Table, vis: ForgetVisibility) -> Vec<(RowId, RowId)> {
     let rows = |t: &Table| -> Vec<RowId> {
         match vis {
             ForgetVisibility::ActiveOnly => t.active_row_ids(),
-            ForgetVisibility::ScanSeesForgotten => (0..t.num_rows()).map(RowId::from).collect(),
+            ForgetVisibility::ScanSeesForgotten => (0..t.num_rows())
+                .filter(|r| {
+                    let block = t.col_tier(0).frozen(r / t.block_rows());
+                    !block.is_some_and(|f| f.is_dropped())
+                })
+                .map(RowId::from)
+                .collect(),
         }
     };
     let mut out = Vec::new();
@@ -48,18 +79,33 @@ proptest! {
         lf in proptest::collection::vec(0usize..100, 0..20),
         rf in proptest::collection::vec(0usize..100, 0..20),
     ) {
-        let left = build(&left_vals, &lf);
-        let right = build(&right_vals, &rf);
-        for vis in [ForgetVisibility::ActiveOnly, ForgetVisibility::ScanSeesForgotten] {
-            let mut expected = model_join(&left, &right, vis);
-            let mut got = hash_join(&left, 0, &right, 0, vis).pairs;
-            expected.sort();
-            got.sort();
-            prop_assert_eq!(&got, &expected, "{:?}", vis);
+        // Each side plain, and behind a dropped block: a dropped row has
+        // no key, so it joins nothing — least of all the live key `0` its
+        // zero-padded dense image would suggest.
+        let lefts = [build(&left_vals, &lf), build_behind_dropped_block(&left_vals, &lf)];
+        let rights = [build(&right_vals, &rf), build_behind_dropped_block(&right_vals, &rf)];
+        for (left, right) in lefts.iter().flat_map(|l| rights.iter().map(move |r| (l, r))) {
+            let mut sizes = [0usize; 2];
+            for (i, vis) in [ForgetVisibility::ActiveOnly, ForgetVisibility::ScanSeesForgotten]
+                .into_iter()
+                .enumerate()
+            {
+                let mut expected = model_join(left, right, vis);
+                let mut got = hash_join(left, 0, right, 0, vis).pairs;
+                expected.sort();
+                got.sort();
+                prop_assert_eq!(&got, &expected, "{:?}", vis);
+                prop_assert_eq!(
+                    hash_join_count(left, 0, right, 0, vis),
+                    expected.len(),
+                    "count-only must agree"
+                );
+                sizes[i] = expected.len();
+            }
+            let [active, truth] = sizes;
             prop_assert_eq!(
-                hash_join_count(&left, 0, &right, 0, vis),
-                expected.len(),
-                "count-only must agree"
+                join_precision(left, 0, right, 0),
+                (truth > 0).then(|| active as f64 / truth as f64)
             );
         }
     }

@@ -6,6 +6,8 @@
 //! word-boundary sizes where masking bugs live (0, 1, 63, 64, 65, 1023,
 //! 1024, 1025).
 
+mod common;
+
 use amnesia::columnar::compress::{block_decodes, Encoding};
 use amnesia::columnar::vacuum::vacuum;
 use amnesia::engine::batch::scalar;
@@ -156,7 +158,7 @@ fn assert_one_predicate_plans_agree(t: &Table, truth: &Table, pred: RangePredica
         .map(|r| vec![Scalar::Int(truth.value(0, r))])
         .collect();
     assert_eq!(
-        executor(1).execute_plan(&[t], &[], &project).rows,
+        serial().execute_plan(&[t], &[], &project).rows,
         want,
         "plan projection {ctx}"
     );
@@ -337,7 +339,7 @@ fn assert_join_plan_equals(left: &Table, right: &Table, want_pairs: &[(RowId, Ro
             ]
         })
         .collect();
-    let serial = executor(1).execute_plan(&[left, right], &[], &plan);
+    let serial = serial().execute_plan(&[left, right], &[], &plan);
     assert_eq!(serial.rows, want, "join plan {ctx}");
     assert_eq!(serial.stats.join_pairs, want_pairs.len(), "join plan {ctx}");
     assert_plan_parallel_equals_serial(&[left, right], &plan, &format!("join {ctx}"));
@@ -711,51 +713,54 @@ use amnesia::engine::{
 };
 
 /// Non-power-of-two worker counts included on purpose: uneven morsel
-/// partitions are where merge-order bugs live.
-const PLAN_THREADS: [usize; 3] = [2, 7, 8];
+/// partitions are where merge-order bugs live. `Parallel(1)` is one
+/// worker by another name.
+const PLAN_THREADS: [usize; 4] = [1, 2, 7, 8];
 
 /// Small morsels so even the few-thousand-row test tables split into
-/// many morsels per stage (the default 16K-row morsel would collapse
-/// them all into the serial fallback).
+/// many morsels per stage (the default 16K-row morsel cuts them into one
+/// or two).
 const SMALL_MORSEL: usize = 128;
 
-fn executor(threads: usize) -> Executor {
-    let mode = if threads <= 1 {
-        ExecMode::Serial
-    } else {
-        ExecMode::Parallel(threads)
-    };
-    Executor::default()
-        .with_exec_mode(mode)
-        .with_morsel_rows(SMALL_MORSEL)
+/// The one-worker executor every width is compared against.
+fn serial() -> Executor {
+    Executor::default().with_exec_mode(ExecMode::Serial)
 }
 
-/// Run `plan` serially and at every parallel width; the rows must be
-/// byte-identical, and parallel execution must not add block decodes
-/// beyond what the serial run performs.
+/// Run `plan` on one worker and at every pool width, at the small and at
+/// the default morsel size. The rows must be byte-identical and so must
+/// every work counter — pruning, per-predicate attribution, estimates,
+/// join and group cardinalities, the plan tag: only the scheduler's own
+/// accounting (`planned` masks it) may depend on how the table was cut.
+/// No width may add block decodes over fully-frozen tables.
 fn assert_plan_parallel_equals_serial(tables: &[&Table], plan: &PhysicalPlan, ctx: &str) {
-    let serial = executor(1).execute_plan(tables, &[], plan);
+    let serial = serial().execute_plan(tables, &[], plan);
     for threads in PLAN_THREADS {
-        let before = block_decodes();
-        let par = executor(threads).execute_plan(tables, &[], plan);
-        let decoded = block_decodes() - before;
-        assert_eq!(
-            par.rows, serial.rows,
-            "plan output diverged at {threads} threads: {ctx}"
-        );
-        assert_eq!(
-            par.stats.rows_scanned, serial.stats.rows_scanned,
-            "scan accounting diverged at {threads} threads: {ctx}"
-        );
-        let fully_frozen = tables
-            .iter()
-            .all(|t| t.frozen_blocks() * t.block_rows() >= t.num_rows());
-        if fully_frozen {
+        for morsel_rows in [Some(SMALL_MORSEL), None] {
+            let ctx = format!("{threads} threads, morsel {morsel_rows:?}: {ctx}");
+            let pool = Executor::default().with_exec_mode(ExecMode::Parallel(threads));
+            let pool = match morsel_rows {
+                Some(rows) => pool.with_morsel_rows(rows),
+                None => pool,
+            };
+            let before = block_decodes();
+            let par = pool.execute_plan(tables, &[], plan);
+            let decoded = block_decodes() - before;
+            assert_eq!(par.rows, serial.rows, "plan output diverged at {ctx}");
             assert_eq!(
-                decoded, 0,
-                "parallel plan over fully-frozen tables decoded {decoded} blocks \
-                 at {threads} threads: {ctx}"
+                common::planned(&par.stats),
+                common::planned(&serial.stats),
+                "work accounting diverged at {ctx}"
             );
+            let fully_frozen = tables
+                .iter()
+                .all(|t| t.frozen_blocks() * t.block_rows() >= t.num_rows());
+            if fully_frozen {
+                assert_eq!(
+                    decoded, 0,
+                    "plan over fully-frozen tables decoded {decoded} blocks at {ctx}"
+                );
+            }
         }
     }
 }

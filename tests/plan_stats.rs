@@ -7,10 +7,12 @@
 //! snapshot builds, after every kind of mutation; a statement rebuilds
 //! only what a mutation made stale).
 
+mod common;
+
 use amnesia::columnar::compress::{block_decodes, summary_builds, Encoding};
 use amnesia::columnar::persist::snapshot;
 use amnesia::columnar::{RowId, Schema, Table};
-use amnesia::engine::exec::{ExecStats, PlanTag};
+use amnesia::engine::exec::PlanTag;
 use amnesia::engine::physical::JoinSpec;
 use amnesia::engine::{
     order_predicates, q_error, ColPred, ColumnStats, CostModel, ExecMode, Executor, PhysItem,
@@ -522,17 +524,6 @@ fn summary_is_coherent_with_a_fresh_decode_after_every_mutation() {
     summary_coherence_history(2, 17);
 }
 
-/// `ExecStats` without the scheduler's own accounting, which is the one
-/// part allowed to differ between modes and between runs.
-fn planned(stats: &ExecStats) -> ExecStats {
-    ExecStats {
-        morsels: 0,
-        morsel_steals: 0,
-        merge_ns: 0,
-        ..stats.clone()
-    }
-}
-
 /// A statement pays for a summary only when a mutation since the last
 /// statement made the held one stale: nothing the second time, one per
 /// referenced column after a forget — and what it planned from a summary
@@ -555,7 +546,10 @@ fn statements_rebuild_summaries_only_after_a_mutation() {
     let (second, built) = run(&t, ExecMode::Serial);
     assert_eq!(built, 0, "no mutation between the statements");
     assert_eq!(first.rows, second.rows);
-    assert_eq!(planned(&first.stats), planned(&second.stats));
+    assert_eq!(
+        common::planned(&first.stats),
+        common::planned(&second.stats)
+    );
 
     // A forget — of a hot row here — and the next statement rebuilds.
     let victim = t.iter_active().last().unwrap();
@@ -569,8 +563,8 @@ fn statements_rebuild_summaries_only_after_a_mutation() {
     assert_eq!(built, 0);
     assert_eq!(cold.rows, warm.rows);
     assert_eq!(cold.rows, serial.rows);
-    assert_eq!(planned(&cold.stats), planned(&warm.stats));
-    assert_eq!(planned(&cold.stats), planned(&serial.stats));
+    assert_eq!(common::planned(&cold.stats), common::planned(&warm.stats));
+    assert_eq!(common::planned(&cold.stats), common::planned(&serial.stats));
 
     // An append is seen too, without anything having emptied the cell.
     t.insert(&[1, 2, 3], 3).unwrap();
