@@ -1,17 +1,17 @@
 //! Durability microbenchmarks: snapshot encode/decode throughput across
-//! data distributions (compression choice dominates), WAL append /
-//! replay rates for both the legacy monolithic log and the segmented
-//! CRC-framed log, the batch-granular records and the checkpoint of a
-//! sliding-window history and its restore (`snapshot/encode_fifo_history`
-//! and `snapshot/decode_fifo_history` gate CI, `.github/bench_compare.py`),
-//! and end-to-end recovery time for a tiered store.
+//! data distributions (compression choice dominates), append and
+//! recovery rates of the segmented CRC-framed log, the batch-granular
+//! records and the checkpoint of a sliding-window history and its restore
+//! (`snapshot/encode_fifo_history` and `snapshot/decode_fifo_history` gate
+//! CI, `.github/bench_compare.py`), and end-to-end recovery time for a
+//! tiered store.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use amnesia_columnar::persist::{
-    recover_segments, replay, snapshot, PersistentTable, SegmentedWal, StdVfs, SyncPolicy, Wal,
-    WalRecord, DEFAULT_SEGMENT_BYTES,
+    recover_segments, snapshot, PersistentTable, SegmentedWal, StdVfs, SyncPolicy, WalRecord,
+    DEFAULT_SEGMENT_BYTES,
 };
 use amnesia_columnar::{RowId, Schema, Table};
 use amnesia_distrib::DistributionKind;
@@ -57,66 +57,12 @@ fn persist(c: &mut Criterion) {
     }
     dec.finish();
 
-    // WAL: appends per second (no fsync — measuring the encode+write
-    // path, not the disk).
     let dir = std::env::temp_dir().join(format!("amn-bench-wal-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let mut group = c.benchmark_group("persist/wal");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("append_insert", |b| {
-        let path = dir.join("append.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
-        let rec = WalRecord::Insert {
-            epoch: 3,
-            rows: vec![vec![42, -7]],
-        };
-        b.iter(|| wal.append(black_box(&rec)).unwrap())
-    });
-    group.bench_function("append_forget", |b| {
-        let path = dir.join("forget.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
-        let rec = WalRecord::Forget {
-            epoch: 5,
-            row: RowId(123),
-        };
-        b.iter(|| wal.append(black_box(&rec)).unwrap())
-    });
-    group.finish();
-
-    // Replay rate over a 10k-record log.
-    let path = dir.join("replay.wal");
-    let _ = std::fs::remove_file(&path);
-    let mut wal = Wal::open(&path).unwrap();
-    for i in 0..10_000u64 {
-        let rec = if i % 4 == 3 {
-            WalRecord::Forget {
-                epoch: i,
-                row: RowId(i),
-            }
-        } else {
-            WalRecord::Insert {
-                epoch: i,
-                rows: vec![vec![i as i64]],
-            }
-        };
-        wal.append(&rec).unwrap();
-    }
-    wal.sync().unwrap();
-    let mut group = c.benchmark_group("persist/replay");
-    group.throughput(Throughput::Elements(10_000));
-    group.bench_function("10k_records", |b| {
-        b.iter(|| {
-            let outcome = replay(black_box(&path)).unwrap();
-            assert!(outcome.clean);
-            black_box(outcome.records.len())
-        })
-    });
-    group.finish();
 
     // Segmented WAL: append rate through the VFS seam with CRC framing,
-    // rotation, and codec-compressed columnar inserts (no fsync).
+    // rotation, and codec-compressed columnar inserts (no fsync — this
+    // measures the encode + write path, not the disk).
     let mut group = c.benchmark_group("persist/segmented_wal");
     group.throughput(Throughput::Elements(1));
     group.bench_function("append_insert", |b| {

@@ -38,7 +38,6 @@
 pub mod access;
 pub mod activity;
 pub mod coldstore;
-pub mod column;
 pub mod compress;
 pub mod database;
 pub mod micromodel;
@@ -54,13 +53,11 @@ pub mod vacuum;
 pub use access::AccessStats;
 pub use activity::ActivityMap;
 pub use coldstore::{ColdStore, FileColdStore, MemoryColdStore};
-pub use column::Column;
 pub use database::{Database, ForeignKey, ReferentialAction};
 pub use micromodel::{Estimate, MicroModel, ModelStore, ValueRange};
 pub use paged::{EpochCursor, EpochRuns, Paged};
 pub use persist::{
-    DurabilityHook, DurableLog, FaultVfs, PersistentTable, SharedVfs, StdVfs, SyncPolicy, Vfs, Wal,
-    WalRecord, WalStats,
+    DurableLog, FaultVfs, PersistentTable, SharedVfs, StdVfs, SyncPolicy, Vfs, WalRecord, WalStats,
 };
 pub use schema::{ColumnDef, Schema};
 pub use summary::{SummaryCell, SummaryStore};

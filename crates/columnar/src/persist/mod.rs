@@ -60,11 +60,45 @@
 //! the unacknowledged suffix, never checkpointed state, and a record is
 //! never applied unless every record before it was.
 //!
+//! # One write path
+//!
+//! Every mutation of a durable table is one sequence, and [`DurableLog`]'s
+//! transition methods are the only place it is written:
+//!
+//! ```text
+//!   validate ──▶ log ──▶ apply            (insert, insert_batch, forget,
+//!   (the table,   (one      (the table's    forget_batch, freeze_upto,
+//!    read-only)    record)   own mutator)    recompress_frozen)
+//!
+//!   log drop ─▶ fsync ─▶ apply drop ─▶ count ─▶ [recompress] ─▶ shred
+//!                                                (reclaim: the only way
+//!                                                 a durable table gives
+//!                                                 bytes up)
+//! ```
+//!
+//! Each method takes the [`Table`] it logs for, because the log does not
+//! own one: [`PersistentTable`] keeps a table and a log side by side and
+//! its mutators are one-line calls, and the core store
+//! (`amnesia_core::AmnesiacStore`) holds the two halves
+//! [`PersistentTable::into_parts`] hands it and makes the same calls.
+//! *Validate* is the table's (`Table::validate_*`): a record that reaches
+//! the log must always apply, now and at replay, or one rejected call
+//! would leave a durable record that bricks every future recovery.
+//! *Apply* is the table's too, the same mutators recovery replays
+//! through, so live and recovered state cannot diverge. A forget mode's
+//! *emission* (archive, absorb into a summary) is not part of the
+//! sequence: it hangs off the hook `Table::forget_batch` fires for a
+//! row's first active → forgotten transition, after the record is down.
+//! The *shred* sits at the end of [`DurableLog::reclaim`]: once a drop
+//! has freed a block, the post-drop state is snapshotted and every covered
+//! segment — where the dropped values' encodings still live — is zeroed,
+//! fsynced and unlinked.
+//!
 //! # Durability policies
 //!
 //! "Acknowledged" means different things under different [`SyncPolicy`]s:
 //! per-record (every append fsyncs before returning), per-batch (a
-//! [`DurabilityHook::commit`] / [`PersistentTable::sync`] fsyncs the
+//! [`DurableLog::commit`] / [`PersistentTable::sync`] fsyncs the
 //! batch), or manual. Log records are batch-granular — one kind-3 record
 //! per `insert_batch`, one kind-8 record per `forget_batch`, one record
 //! per tier transition — so under per-batch sync a cycle of the amnesia
@@ -99,7 +133,7 @@ pub use fault::{Fault, FaultKind, FaultVfs};
 pub use segment::{recover_segments, SegmentedWal, WalStats, DEFAULT_SEGMENT_BYTES};
 pub use snapshot::RecoveryMeta;
 pub use vfs::{SharedVfs, StdVfs, Vfs, VfsFile};
-pub use wal::{replay, ReplayOutcome, Wal, WalRecord};
+pub use wal::{replay, ReplayOutcome, WalRecord};
 
 use snapshot as snap;
 
@@ -116,7 +150,7 @@ pub enum SyncPolicy {
     /// the record survives any crash. The strongest and slowest option.
     #[default]
     PerRecord,
-    /// fsync at batch boundaries ([`DurabilityHook::commit`] /
+    /// fsync at batch boundaries ([`DurableLog::commit`] /
     /// [`PersistentTable::sync`]): a crash mid-batch may lose the whole
     /// unsynced batch, never a synced one.
     PerBatch,
@@ -124,71 +158,44 @@ pub enum SyncPolicy {
     Manual,
 }
 
-/// The seam through which a table owner (the core store, or
-/// [`PersistentTable`] itself) reaches the durability layer.
-///
-/// Logging calls append to the WAL *before* the in-memory mutation is
-/// applied (write-ahead) — so the owner must validate the operation
-/// against the table first (`Table::validate_insert` /
-/// `validate_insert_batch` / `validate_forget`): a record that reaches
-/// the log must always apply, both now and at replay, or a single
-/// rejected call would leave a durable record that bricks every future
-/// recovery. `checkpoint` and `shred` take the table by reference
-/// because the hook does not own it.
-pub trait DurabilityHook: std::fmt::Debug + Send {
-    /// Log the insert of one row.
-    fn log_insert_row(&mut self, values: &[Value], epoch: Epoch) -> Result<()>;
-    /// Log a batch insert into a one-column table, as one record.
-    fn log_insert_column(&mut self, values: &[Value], epoch: Epoch) -> Result<()>;
-    /// Log one forget.
-    fn log_forget(&mut self, row: RowId, epoch: Epoch) -> Result<()>;
-    /// Log a batch of forgets, as one record. The caller validates the
-    /// *whole* batch first: the record either applies completely or was
-    /// never written.
-    fn log_forget_rows(&mut self, rows: &[RowId], epoch: Epoch) -> Result<()>;
-    /// Log a `freeze_upto(upto)` tier transition.
-    fn log_freeze(&mut self, upto: usize) -> Result<()>;
-    /// Log a `drop_forgotten_blocks()` tier transition.
-    fn log_drop_blocks(&mut self) -> Result<()>;
-    /// Log a `recompress_frozen(max_active_fraction)` tier transition.
-    fn log_recompress(&mut self, max_active_fraction: f64) -> Result<()>;
-    /// Report how many blocks the just-applied transitions dropped and
-    /// recompressed (keeps cumulative counters recovery-accurate).
-    fn note_transition_results(&mut self, blocks_dropped: u64, blocks_recompressed: u64);
-    /// Batch boundary: under [`SyncPolicy::PerBatch`] this is the fsync.
-    fn commit(&mut self) -> Result<()>;
-    /// Snapshot `table` and prune covered segments (unlink only).
-    fn checkpoint(&mut self, table: &Table) -> Result<()>;
-    /// Snapshot `table`, then physically destroy (zero + fsync + unlink)
-    /// every covered segment. Call after a drop so forgotten values'
-    /// encoded bytes do not survive in the log.
-    fn shred(&mut self, table: &Table) -> Result<()>;
-    /// Make everything appended so far durable regardless of policy.
-    fn sync(&mut self) -> Result<()>;
-    /// Durability counters.
-    fn stats(&self) -> WalStats;
-}
-
 /// The durability half of a [`PersistentTable`]: segmented WAL, snapshot
-/// bookkeeping, sync policy, and cumulative tier counters. Owns no table
-/// — the core store attaches one of these to its own table via
-/// [`DurabilityHook`].
+/// bookkeeping, sync policy, and cumulative tier counters — and the one
+/// validate → log → apply sequence of every transition (module docs).
+/// Owns no table: each method takes the one it logs for.
 #[derive(Debug)]
 pub struct DurableLog {
     vfs: SharedVfs,
     dir: PathBuf,
     wal: SegmentedWal,
     policy: SyncPolicy,
-    /// Seqno covered by the snapshot on disk.
-    snap_seqno: u64,
-    /// Cumulative tier counters (live; persisted in the snapshot meta).
-    blocks_dropped: u64,
-    blocks_recompressed: u64,
+    /// What the next snapshot records: the seqno the last one covered and
+    /// the cumulative tier counters (live).
+    meta: RecoveryMeta,
     last_epoch: u64,
     records_since_checkpoint: u64,
 }
 
 impl DurableLog {
+    /// A log over `wal` in `dir` whose cumulative counters resume from
+    /// `meta` (what the snapshot recorded plus what replay added).
+    fn new(
+        vfs: SharedVfs,
+        dir: PathBuf,
+        wal: SegmentedWal,
+        policy: SyncPolicy,
+        meta: RecoveryMeta,
+    ) -> Self {
+        Self {
+            vfs,
+            dir,
+            wal,
+            policy,
+            meta,
+            last_epoch: 0,
+            records_since_checkpoint: 0,
+        }
+    }
+
     fn append(&mut self, rec: &WalRecord) -> Result<()> {
         self.wal.append(rec, self.last_epoch)?;
         self.records_since_checkpoint += 1;
@@ -198,14 +205,163 @@ impl DurableLog {
         Ok(())
     }
 
-    /// The directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Insert one row: validated, logged, then applied — a call the table
+    /// would reject never reaches the log, so replay can never hit a
+    /// record that fails to apply.
+    pub fn insert(&mut self, table: &mut Table, values: &[Value], epoch: Epoch) -> Result<RowId> {
+        table.validate_insert(values)?;
+        self.last_epoch = epoch;
+        self.append(&WalRecord::Insert {
+            epoch,
+            rows: vec![values.to_vec()],
+        })?;
+        table.insert(values, epoch)
     }
 
-    /// Current sync policy.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
+    /// Insert a batch into a one-column table, as one record.
+    pub fn insert_batch(
+        &mut self,
+        table: &mut Table,
+        values: &[Value],
+        epoch: Epoch,
+    ) -> Result<RowId> {
+        table.validate_insert_batch()?;
+        self.last_epoch = epoch;
+        self.append(&WalRecord::InsertColumn {
+            epoch,
+            values: values.to_vec(),
+        })?;
+        table.insert_batch(values, epoch)
+    }
+
+    /// Forget one row. `true` when it was still active.
+    pub fn forget(&mut self, table: &mut Table, row: RowId, epoch: Epoch) -> Result<bool> {
+        table.validate_forget(row)?;
+        self.last_epoch = epoch;
+        self.append(&WalRecord::Forget { epoch, row })?;
+        table.forget(row, epoch)
+    }
+
+    /// Forget a batch of rows atomically, as one record: every id is
+    /// validated before anything is logged, so a rejected batch leaves
+    /// the log and the table untouched (and an empty one logs nothing).
+    /// `on_first` is [`Table::forget_batch`]'s hook. Returns how many of
+    /// the rows were still active.
+    pub fn forget_batch(
+        &mut self,
+        table: &mut Table,
+        rows: &[RowId],
+        epoch: Epoch,
+        on_first: impl FnMut(&Table, RowId) -> Result<()>,
+    ) -> Result<usize> {
+        table.validate_forget_batch(rows)?;
+        if rows.is_empty() {
+            return Ok(0);
+        }
+        self.last_epoch = epoch;
+        self.append(&WalRecord::forget_rows(epoch, rows))?;
+        table.forget_batch(rows, epoch, on_first)
+    }
+
+    /// Freeze full blocks at or below `upto` rows. Tier transitions log
+    /// their *parameters*; replay re-runs the same deterministic call.
+    /// Returns the number of blocks frozen.
+    pub fn freeze_upto(&mut self, table: &mut Table, upto: usize) -> Result<usize> {
+        self.append(&WalRecord::Freeze { upto })?;
+        Ok(table.freeze_upto(upto))
+    }
+
+    /// Recompress frozen blocks whose active fraction fell to the
+    /// threshold or below. Returns `(blocks, bytes saved)`.
+    pub fn recompress_frozen(
+        &mut self,
+        table: &mut Table,
+        max_active_fraction: f64,
+    ) -> Result<(usize, usize)> {
+        self.append(&WalRecord::Recompress {
+            max_active_fraction,
+        })?;
+        let (blocks, bytes) = table.recompress_frozen(max_active_fraction);
+        self.meta.blocks_recompressed += blocks as u64;
+        Ok((blocks, bytes))
+    }
+
+    /// The reclaim step — drop, count, shred: fully-forgotten frozen
+    /// blocks give their payloads up, durably and *physically*. With
+    /// `schedule = Some((freeze_upto, recompress_below))` it is one turn
+    /// of the tier schedule (what a batch boundary runs): the freeze goes
+    /// first and the recompression sits between the drop and the shred,
+    /// so the shred's snapshot covers all three and the log starts empty
+    /// after it. Returns what [`Table::drop_forgotten_blocks`] and
+    /// [`Table::recompress_frozen`] returned (the latter `(0, 0)` without
+    /// a schedule).
+    pub fn reclaim(
+        &mut self,
+        table: &mut Table,
+        schedule: Option<(usize, f64)>,
+    ) -> Result<((usize, usize), (usize, usize))> {
+        if let Some((upto, _)) = schedule {
+            self.freeze_upto(table, upto)?;
+        }
+        // The drop must be durable before anything is destroyed: if the
+        // shred's snapshot never commits, replay has to redo the drop.
+        self.append(&WalRecord::DropBlocks)?;
+        if self.policy != SyncPolicy::PerRecord {
+            self.wal.sync()?;
+        }
+        let dropped = table.drop_forgotten_blocks();
+        self.meta.blocks_dropped += dropped.0 as u64;
+        let recompressed = match schedule {
+            Some((_, below)) => self.recompress_frozen(table, below)?,
+            None => (0, 0),
+        };
+        if dropped.0 > 0 {
+            // Amnesia must reach the log too: snapshot the post-drop
+            // state, then destroy (zero + fsync + unlink) every covered
+            // segment — the active one included — where the dropped
+            // values' encodings still live.
+            let through = self.save_snapshot(table)?;
+            self.wal.shred_covered(through)?;
+            self.records_since_checkpoint = 0;
+        }
+        Ok((dropped, recompressed))
+    }
+
+    /// Batch boundary: under [`SyncPolicy::PerBatch`] this is the fsync.
+    pub fn commit(&mut self) -> Result<()> {
+        if self.policy == SyncPolicy::PerBatch {
+            self.wal.sync()?;
+        }
+        Ok(())
+    }
+
+    /// Make everything appended so far durable regardless of policy.
+    pub fn sync(&mut self) -> Result<()> {
+        self.wal.sync()
+    }
+
+    /// Snapshot `table` and prune covered segments (unlink only). Replay
+    /// after a crash starts from this state.
+    pub fn checkpoint(&mut self, table: &Table) -> Result<()> {
+        let through = self.save_snapshot(table)?;
+        self.wal.prune_covered(through)?;
+        self.append(&WalRecord::Checkpoint {
+            through_seqno: through,
+        })?;
+        self.records_since_checkpoint = 0;
+        Ok(())
+    }
+
+    /// Write the snapshot covering every record logged so far; returns
+    /// the seqno it covers. The rename inside is the commit point: from
+    /// here on, replay starts past it and the covered segments are
+    /// redundant.
+    fn save_snapshot(&mut self, table: &Table) -> Result<u64> {
+        self.meta.last_seqno = self.wal.next_seqno() - 1;
+        let path = self.dir.join(SNAPSHOT_FILE);
+        snap::save_with(&*self.vfs, table, self.meta, &path)?;
+        self.wal.note_checkpoint();
+        Ok(self.meta.last_seqno)
     }
 
     /// Change the sync policy (affects subsequent appends).
@@ -215,12 +371,12 @@ impl DurableLog {
 
     /// Cumulative frozen blocks dropped (survives checkpoints/restarts).
     pub fn blocks_dropped(&self) -> u64 {
-        self.blocks_dropped
+        self.meta.blocks_dropped
     }
 
     /// Cumulative frozen blocks recompressed.
     pub fn blocks_recompressed(&self) -> u64 {
-        self.blocks_recompressed
+        self.meta.blocks_recompressed
     }
 
     /// Records logged since the last checkpoint.
@@ -228,118 +384,16 @@ impl DurableLog {
         self.records_since_checkpoint
     }
 
-    fn meta(&self, through_seqno: u64) -> RecoveryMeta {
-        RecoveryMeta {
-            last_seqno: through_seqno,
-            blocks_dropped: self.blocks_dropped,
-            blocks_recompressed: self.blocks_recompressed,
-        }
-    }
-
-    fn snapshot_path(&self) -> PathBuf {
-        self.dir.join(SNAPSHOT_FILE)
-    }
-}
-
-impl DurabilityHook for DurableLog {
-    fn log_insert_row(&mut self, values: &[Value], epoch: Epoch) -> Result<()> {
-        self.last_epoch = epoch;
-        self.append(&WalRecord::Insert {
-            epoch,
-            rows: vec![values.to_vec()],
-        })
-    }
-
-    fn log_insert_column(&mut self, values: &[Value], epoch: Epoch) -> Result<()> {
-        self.last_epoch = epoch;
-        self.append(&WalRecord::InsertColumn {
-            epoch,
-            values: values.to_vec(),
-        })
-    }
-
-    fn log_forget(&mut self, row: RowId, epoch: Epoch) -> Result<()> {
-        self.last_epoch = epoch;
-        self.append(&WalRecord::Forget { epoch, row })
-    }
-
-    fn log_forget_rows(&mut self, rows: &[RowId], epoch: Epoch) -> Result<()> {
-        self.last_epoch = epoch;
-        self.append(&WalRecord::forget_rows(epoch, rows))
-    }
-
-    fn log_freeze(&mut self, upto: usize) -> Result<()> {
-        self.append(&WalRecord::Freeze { upto })
-    }
-
-    fn log_drop_blocks(&mut self) -> Result<()> {
-        // The drop must be durable before anything is destroyed: if the
-        // shred's snapshot never commits, replay has to redo the drop.
-        self.append(&WalRecord::DropBlocks)?;
-        if self.policy != SyncPolicy::PerRecord {
-            self.wal.sync()?;
-        }
-        Ok(())
-    }
-
-    fn log_recompress(&mut self, max_active_fraction: f64) -> Result<()> {
-        self.append(&WalRecord::Recompress {
-            max_active_fraction,
-        })
-    }
-
-    fn note_transition_results(&mut self, blocks_dropped: u64, blocks_recompressed: u64) {
-        self.blocks_dropped += blocks_dropped;
-        self.blocks_recompressed += blocks_recompressed;
-    }
-
-    fn commit(&mut self) -> Result<()> {
-        if self.policy == SyncPolicy::PerBatch {
-            self.wal.sync()?;
-        }
-        Ok(())
-    }
-
-    fn checkpoint(&mut self, table: &Table) -> Result<()> {
-        let through = self.wal.next_seqno() - 1;
-        snap::save_with(&*self.vfs, table, self.meta(through), &self.snapshot_path())?;
-        // The rename above is the commit point: from here on, replay
-        // starts at `through + 1` and the covered segments are redundant.
-        self.snap_seqno = through;
-        self.wal.note_checkpoint();
-        self.wal.prune_covered(through)?;
-        self.append(&WalRecord::Checkpoint {
-            through_seqno: through,
-        })?;
-        self.records_since_checkpoint = 0;
-        Ok(())
-    }
-
-    fn shred(&mut self, table: &Table) -> Result<()> {
-        let through = self.wal.next_seqno() - 1;
-        snap::save_with(&*self.vfs, table, self.meta(through), &self.snapshot_path())?;
-        self.snap_seqno = through;
-        self.wal.note_checkpoint();
-        // Everything (including the active segment) is covered: destroy
-        // the bytes, not just the directory entries.
-        self.wal.shred_covered(through)?;
-        self.records_since_checkpoint = 0;
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.wal.sync()
-    }
-
-    fn stats(&self) -> WalStats {
+    /// Durability counters (appends, rotations, shreds, fsyncs).
+    pub fn stats(&self) -> WalStats {
         self.wal.stats()
     }
 }
 
-/// Apply one replayed record to a table. Returns `(blocks_dropped,
-/// blocks_recompressed)` increments so recovery can keep the cumulative
-/// counters exact.
-fn apply_record(table: &mut Table, rec: &WalRecord) -> Result<(u64, u64)> {
+/// Apply one replayed record to a table — through the mutators the live
+/// sequence applies with — adding the blocks it dropped or recompressed
+/// to `meta`, so recovery keeps the cumulative counters exact.
+fn apply_record(table: &mut Table, rec: &WalRecord, meta: &mut RecoveryMeta) -> Result<()> {
     match rec {
         WalRecord::Insert { epoch, rows } => {
             for row in rows {
@@ -373,23 +427,22 @@ fn apply_record(table: &mut Table, rec: &WalRecord) -> Result<(u64, u64)> {
             table.freeze_upto(*upto);
         }
         WalRecord::DropBlocks => {
-            let (blocks, _rows) = table.drop_forgotten_blocks();
-            return Ok((blocks as u64, 0));
+            meta.blocks_dropped += table.drop_forgotten_blocks().0 as u64;
         }
         WalRecord::Recompress {
             max_active_fraction,
         } => {
-            let (blocks, _bytes) = table.recompress_frozen(*max_active_fraction);
-            return Ok((0, blocks as u64));
+            meta.blocks_recompressed += table.recompress_frozen(*max_active_fraction).0 as u64;
         }
         WalRecord::Checkpoint { .. } => {}
     }
-    Ok((0, 0))
+    Ok(())
 }
 
 /// A [`Table`] with a durable home directory.
 ///
-/// Writes go to the segmented WAL first, then the in-memory table;
+/// Every mutator is a one-line call to the [`DurableLog`] method of the
+/// same name (validate → log → apply, module docs);
 /// [`checkpoint`] (snapshot + segment pruning) bounds replay time, and
 /// tier transitions are both logged and — for drops — followed by a
 /// physical shred of the covered segments. [`PersistentTable::open`]
@@ -454,17 +507,7 @@ impl PersistentTable {
         let wal = SegmentedWal::create(vfs.clone(), &dir, 1)?;
         Ok(Self {
             table,
-            log: DurableLog {
-                vfs,
-                dir,
-                wal,
-                policy,
-                snap_seqno: 0,
-                blocks_dropped: 0,
-                blocks_recompressed: 0,
-                last_epoch: 0,
-                records_since_checkpoint: 0,
-            },
+            log: DurableLog::new(vfs, dir, wal, policy, RecoveryMeta::default()),
             recovered_clean: true,
         })
     }
@@ -481,7 +524,7 @@ impl PersistentTable {
         let snap_path = dir.join(SNAPSHOT_FILE);
         let snap_bytes = vfs.read(&snap_path)?;
         let version = snap::peek_version(&snap_bytes)?;
-        let (mut table, meta) = snap::decode_with_meta(&snap_bytes)?;
+        let (mut table, mut meta) = snap::decode_with_meta(&snap_bytes)?;
         let legacy_path = dir.join(LEGACY_WAL_FILE);
 
         if version < 3 && vfs.exists(&legacy_path) {
@@ -490,27 +533,13 @@ impl PersistentTable {
             // snapshot is the "migrated" marker — its rename commits the
             // migration, so a crash before the unlink merely re-runs the
             // (now no-op) cleanup, never re-applies the legacy records.
-            let outcome = replay(&legacy_path)?;
-            let mut dropped = 0;
-            let mut recompressed = 0;
+            let outcome = replay(&vfs.read(&legacy_path)?);
             for rec in &outcome.records {
-                let (d, r) = apply_record(&mut table, rec)?;
-                dropped += d;
-                recompressed += r;
+                apply_record(&mut table, rec, &mut meta)?;
             }
             let wal = SegmentedWal::create(vfs.clone(), &dir, 1)?;
-            let log = DurableLog {
-                vfs,
-                dir,
-                wal,
-                policy: SyncPolicy::PerRecord,
-                snap_seqno: 0,
-                blocks_dropped: meta.blocks_dropped + dropped,
-                blocks_recompressed: meta.blocks_recompressed + recompressed,
-                last_epoch: 0,
-                records_since_checkpoint: 0,
-            };
-            snap::save_with(&*log.vfs, &table, log.meta(0), &log.snapshot_path())?;
+            let log = DurableLog::new(vfs, dir, wal, SyncPolicy::PerRecord, meta);
+            snap::save_with(&*log.vfs, &table, log.meta, &snap_path)?;
             log.vfs.remove_file(&legacy_path)?;
             return Ok(Self {
                 table,
@@ -525,30 +554,16 @@ impl PersistentTable {
         }
 
         let recovery = recover_segments(vfs.clone(), &dir, meta.last_seqno, DEFAULT_SEGMENT_BYTES)?;
-        let mut dropped = meta.blocks_dropped;
-        let mut recompressed = meta.blocks_recompressed;
         let mut applied = 0u64;
         for rec in &recovery.records {
-            let (d, r) = apply_record(&mut table, rec)?;
-            dropped += d;
-            recompressed += r;
-            if !matches!(rec, WalRecord::Checkpoint { .. }) {
-                applied += 1;
-            }
+            apply_record(&mut table, rec, &mut meta)?;
+            applied += u64::from(!matches!(rec, WalRecord::Checkpoint { .. }));
         }
+        let mut log = DurableLog::new(vfs, dir, recovery.wal, SyncPolicy::PerRecord, meta);
+        log.records_since_checkpoint = applied;
         Ok(Self {
             table,
-            log: DurableLog {
-                vfs,
-                dir,
-                wal: recovery.wal,
-                policy: SyncPolicy::PerRecord,
-                snap_seqno: meta.last_seqno,
-                blocks_dropped: dropped,
-                blocks_recompressed: recompressed,
-                last_epoch: 0,
-                records_since_checkpoint: applied,
-            },
+            log,
             recovered_clean: recovery.clean,
         })
     }
@@ -560,7 +575,7 @@ impl PersistentTable {
 
     /// The durable directory.
     pub fn dir(&self) -> &Path {
-        self.log.dir()
+        &self.log.dir
     }
 
     /// Did the last `open` find an undamaged log?
@@ -571,11 +586,6 @@ impl PersistentTable {
     /// WAL records applied since the last checkpoint.
     pub fn records_since_checkpoint(&self) -> u64 {
         self.log.records_since_checkpoint()
-    }
-
-    /// Current sync policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.log.policy()
     }
 
     /// Change the sync policy for subsequent writes.
@@ -598,80 +608,56 @@ impl PersistentTable {
         self.log.blocks_recompressed()
     }
 
-    /// Split into the table and its durability hook (the core store
-    /// wires the hook into its own write paths).
+    /// Split into the table and its log (the core store keeps the two
+    /// side by side and makes the same [`DurableLog`] calls).
     pub fn into_parts(self) -> (Table, DurableLog) {
         (self.table, self.log)
     }
 
-    /// Insert one row durably (validated, logged, then applied — a call
-    /// the table would reject never reaches the log, so replay can never
-    /// hit a record that fails to apply).
+    /// Insert one row durably ([`DurableLog::insert`]).
     pub fn insert(&mut self, values: &[Value], epoch: Epoch) -> Result<RowId> {
-        self.table.validate_insert(values)?;
-        self.log.log_insert_row(values, epoch)?;
-        self.table.insert(values, epoch)
+        self.log.insert(&mut self.table, values, epoch)
     }
 
-    /// Insert a batch of single-column values durably.
+    /// Insert a batch of single-column values durably
+    /// ([`DurableLog::insert_batch`]).
     pub fn insert_batch(&mut self, values: &[Value], epoch: Epoch) -> Result<RowId> {
-        self.table.validate_insert_batch()?;
-        self.log.log_insert_column(values, epoch)?;
-        self.table.insert_batch(values, epoch)
+        self.log.insert_batch(&mut self.table, values, epoch)
     }
 
-    /// Forget one row durably.
+    /// Forget one row durably ([`DurableLog::forget`]).
     pub fn forget(&mut self, row: RowId, epoch: Epoch) -> Result<bool> {
-        self.table.validate_forget(row)?;
-        self.log.log_forget(row, epoch)?;
-        self.table.forget(row, epoch)
+        self.log.forget(&mut self.table, row, epoch)
     }
 
-    /// Forget a batch of rows durably and atomically: every id is
-    /// validated before the one record is logged, so a rejected batch
-    /// leaves the log and the table untouched. Returns how many of the
-    /// rows were still active.
+    /// Forget a batch of rows durably and atomically
+    /// ([`DurableLog::forget_batch`]). Returns how many were still active.
     pub fn forget_batch(&mut self, rows: &[RowId], epoch: Epoch) -> Result<usize> {
-        self.table.validate_forget_batch(rows)?;
-        if rows.is_empty() {
-            return Ok(0);
-        }
-        self.log.log_forget_rows(rows, epoch)?;
-        let mut forgotten = 0;
-        for &row in rows {
-            forgotten += usize::from(self.table.forget(row, epoch)?);
-        }
-        Ok(forgotten)
+        self.log
+            .forget_batch(&mut self.table, rows, epoch, |_, _| Ok(()))
     }
 
-    /// Freeze full blocks at or below `upto` rows, durably. Returns the
-    /// number of blocks frozen.
+    /// Freeze full blocks at or below `upto` rows, durably
+    /// ([`DurableLog::freeze_upto`]). Returns the number of blocks frozen.
     pub fn freeze_upto(&mut self, upto: usize) -> Result<usize> {
-        self.log.log_freeze(upto)?;
-        Ok(self.table.freeze_upto(upto))
+        self.log.freeze_upto(&mut self.table, upto)
     }
 
-    /// Drop fully-forgotten frozen blocks, durably and *physically*: the
-    /// drop is logged, applied, checkpointed, and the log segments that
-    /// still carried the dropped values are zero-overwritten and
-    /// unlinked. Returns `(blocks dropped, bytes freed)`.
+    /// Drop fully-forgotten frozen blocks, durably and *physically*
+    /// ([`DurableLog::reclaim`]): the drop is logged, applied,
+    /// checkpointed, and the log segments that still carried the dropped
+    /// values are zero-overwritten and unlinked. Returns `(blocks dropped,
+    /// bytes freed)`.
     pub fn drop_forgotten_blocks(&mut self) -> Result<(usize, usize)> {
-        self.log.log_drop_blocks()?;
-        let (blocks, bytes) = self.table.drop_forgotten_blocks();
-        self.log.note_transition_results(blocks as u64, 0);
-        if blocks > 0 {
-            self.log.shred(&self.table)?;
-        }
-        Ok((blocks, bytes))
+        Ok(self.log.reclaim(&mut self.table, None)?.0)
     }
 
     /// Recompress frozen blocks whose active fraction fell below the
-    /// threshold, durably. Returns `(blocks, bytes saved)`.
+    /// threshold, durably ([`DurableLog::recompress_frozen`]). Returns
+    /// `(blocks, bytes saved)`.
     pub fn recompress_frozen(&mut self, max_active_fraction: f64) -> Result<(usize, usize)> {
-        self.log.log_recompress(max_active_fraction)?;
-        let (blocks, bytes) = self.table.recompress_frozen(max_active_fraction);
-        self.log.note_transition_results(0, blocks as u64);
-        Ok((blocks, bytes))
+        self.log
+            .recompress_frozen(&mut self.table, max_active_fraction)
     }
 
     /// Make everything appended so far durable.
@@ -940,21 +926,20 @@ mod tests {
         ));
         assert_eq!(snap::peek_version(v2).unwrap(), 2);
         std::fs::write(dir.join(SNAPSHOT_FILE), v2).unwrap();
-        let mut old_wal = Wal::open(dir.join(LEGACY_WAL_FILE)).unwrap();
-        old_wal
-            .append(&WalRecord::Insert {
+        let old_wal: Vec<u8> = [
+            WalRecord::Insert {
                 epoch: 1,
                 rows: vec![vec![500], vec![501]],
-            })
-            .unwrap();
-        old_wal
-            .append(&WalRecord::Forget {
+            },
+            WalRecord::Forget {
                 epoch: 2,
                 row: RowId(3),
-            })
-            .unwrap();
-        old_wal.sync().unwrap();
-        drop(old_wal);
+            },
+        ]
+        .iter()
+        .flat_map(wal::legacy_frame)
+        .collect();
+        std::fs::write(dir.join(LEGACY_WAL_FILE), old_wal).unwrap();
 
         let pt = PersistentTable::open(&dir).unwrap();
         assert!(pt.recovered_clean());

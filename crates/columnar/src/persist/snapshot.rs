@@ -662,14 +662,6 @@ pub fn load(path: &Path) -> Result<Table> {
     decode(&bytes)
 }
 
-/// Load a snapshot and its recovery meta through a [`Vfs`].
-///
-/// [`Vfs`]: crate::persist::vfs::Vfs
-pub fn load_with(vfs: &dyn crate::persist::vfs::Vfs, path: &Path) -> Result<(Table, RecoveryMeta)> {
-    let bytes = vfs.read(path)?;
-    decode_with_meta(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,4 +1,4 @@
-//! WAL record encoding and the legacy single-file write-ahead log.
+//! WAL record encoding, and the reader of the legacy single-file log.
 //!
 //! Record framing (legacy `table.wal` and inside
 //! [segments](super::segment) alike):
@@ -40,13 +40,11 @@
 //! kinds 1 and 3 carried it, so replay applies it with one
 //! `Table::insert_batch`; wider rows decode to [`WalRecord::Insert`].
 //!
-//! Replay walks records until the file ends cleanly or a torn / corrupt
-//! record appears — everything before the damage is recovered, everything
-//! after is discarded (it was never acknowledged durable).
-
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+//! Nothing writes a `table.wal` any more; a directory that still holds one
+//! is supported input, and [`replay`] reads its bytes: records until they
+//! end cleanly or a torn / corrupt record appears — everything before the
+//! damage is recovered, everything after is discarded (it was never
+//! acknowledged durable).
 
 use amnesia_util::fixed::le_u32;
 use amnesia_util::{crc32, storage_err, Result};
@@ -234,17 +232,6 @@ impl WalRecord {
         body.to_vec()
     }
 
-    /// Frame the record for the legacy single-file log:
-    /// `u32 len | body | u32 crc`.
-    fn encode(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let mut out = Vec::with_capacity(body.len() + 8);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out
-    }
-
     /// Decode a record body (inverse of [`WalRecord::encode_body`]).
     pub fn decode_body(body: &[u8]) -> Result<WalRecord> {
         let mut r = Reader::new(body);
@@ -363,15 +350,6 @@ impl WalRecord {
         r.expect_end()?;
         Ok(rec)
     }
-
-    /// Is this a tier-transition record (as opposed to row data or a
-    /// checkpoint marker)?
-    pub fn is_tier_transition(&self) -> bool {
-        matches!(
-            self,
-            WalRecord::Freeze { .. } | WalRecord::DropBlocks | WalRecord::Recompress { .. }
-        )
-    }
 }
 
 /// What replay found.
@@ -381,82 +359,20 @@ pub struct ReplayOutcome {
     pub records: Vec<WalRecord>,
     /// True when the log ended exactly at a record boundary.
     pub clean: bool,
-    /// Bytes of valid log prefix (where the next append should start).
+    /// Bytes of valid log prefix.
     pub valid_bytes: u64,
 }
 
-/// The legacy single-file write-ahead log (`table.wal`).
-///
-/// Superseded by [`segment::SegmentedWal`](super::segment::SegmentedWal);
-/// kept so that pre-segment directories can be read and migrated, and as
-/// the baseline in the WAL benchmarks.
-#[derive(Debug)]
-pub struct Wal {
-    file: File,
-    path: PathBuf,
-}
-
-impl Wal {
-    /// Open (creating if missing) for appending.
-    pub fn open(path: impl Into<PathBuf>) -> Result<Self> {
-        let path = path.into();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Self { file, path })
-    }
-
-    /// The log path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Append one record (buffered by the OS; call [`Wal::sync`] for
-    /// durability).
-    pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        self.file.write_all(&record.encode())?;
-        Ok(())
-    }
-
-    /// fsync the log.
-    pub fn sync(&self) -> Result<()> {
-        self.file.sync_data()?;
-        Ok(())
-    }
-
-    /// Discard every record (after a checkpoint made them redundant).
-    pub fn truncate(&mut self) -> Result<()> {
-        self.file.set_len(0)?;
-        self.file.sync_data()?;
-        Ok(())
-    }
-
-    /// Current log size in bytes.
-    pub fn len_bytes(&self) -> Result<u64> {
-        Ok(self.file.metadata()?.len())
-    }
-}
-
-/// Replay a legacy log file. Missing file = empty clean log. Corruption
-/// (torn frame, bad CRC, undecodable body) ends replay at the last good
-/// record.
-pub fn replay(path: &Path) -> Result<ReplayOutcome> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(ReplayOutcome {
-                records: Vec::new(),
-                clean: true,
-                valid_bytes: 0,
-            })
-        }
-        Err(e) => return Err(e.into()),
-    };
+/// Replay the bytes of a legacy log file (`table.wal`). Corruption (torn
+/// frame, bad CRC, undecodable body) ends replay at the last good record.
+pub fn replay(bytes: &[u8]) -> ReplayOutcome {
     let mut records = Vec::new();
     let mut pos = 0usize;
     let clean = loop {
         if pos == bytes.len() {
             break true; // exact boundary
         }
-        let Some((body, next)) = next_frame(&bytes, pos) else {
+        let Some((body, next)) = next_frame(bytes, pos) else {
             break false;
         };
         match WalRecord::decode_body(body) {
@@ -465,11 +381,11 @@ pub fn replay(path: &Path) -> Result<ReplayOutcome> {
         }
         pos = next;
     };
-    Ok(ReplayOutcome {
+    ReplayOutcome {
         records,
         clean,
         valid_bytes: pos as u64,
-    })
+    }
 }
 
 /// Parse one `u32 len | body | u32 crc` frame at `pos`. Returns the body
@@ -492,14 +408,23 @@ pub(super) fn next_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
     Some((body, crc_start + 4))
 }
 
+/// One record as the legacy log framed it (`u32 len | body | u32 crc`):
+/// how tests fabricate the `table.wal` nothing writes any more.
+#[cfg(test)]
+pub(super) fn legacy_frame(record: &WalRecord) -> Vec<u8> {
+    let body = record.encode_body();
+    let mut out = (body.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&body);
+    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("amn-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn sample_log() -> Vec<u8> {
+        sample_records().iter().flat_map(legacy_frame).collect()
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -687,65 +612,37 @@ mod tests {
 
     #[test]
     fn append_then_replay_round_trips() {
-        let path = tmp("roundtrip.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
-        for rec in sample_records() {
-            wal.append(&rec).unwrap();
-        }
-        wal.sync().unwrap();
-        let outcome = replay(&path).unwrap();
+        let full = sample_log();
+        let outcome = replay(&full);
         assert!(outcome.clean);
         assert_eq!(outcome.records, sample_records());
-        assert_eq!(outcome.valid_bytes, wal.len_bytes().unwrap());
-    }
-
-    #[test]
-    fn missing_file_is_a_clean_empty_log() {
-        let outcome = replay(&tmp("never-created.wal")).unwrap();
-        assert!(outcome.clean);
-        assert!(outcome.records.is_empty());
+        assert_eq!(outcome.valid_bytes, full.len() as u64);
+        let empty = replay(&[]);
+        assert!(empty.clean && empty.records.is_empty());
     }
 
     #[test]
     fn torn_tail_recovers_the_prefix() {
-        let path = tmp("torn.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
-        for rec in sample_records() {
-            wal.append(&rec).unwrap();
-        }
-        wal.sync().unwrap();
-        let full = std::fs::read(&path).unwrap();
-        // Cut the file at every possible byte: replay must never panic
+        let full = sample_log();
+        // Cut the log at every possible byte: replay must never panic
         // and must return a prefix of the logical records.
         for cut in 0..full.len() {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            let outcome = replay(&path).unwrap();
+            let outcome = replay(&full[..cut]);
             assert!(outcome.records.len() <= sample_records().len(), "cut {cut}");
             let expected = &sample_records()[..outcome.records.len()];
             assert_eq!(outcome.records, expected, "cut {cut}: prefix property");
             assert!(outcome.valid_bytes <= cut as u64);
-            if cut < full.len() {
-                assert!(!outcome.clean || outcome.valid_bytes == cut as u64);
-            }
+            assert!(!outcome.clean || outcome.valid_bytes == cut as u64);
         }
     }
 
     #[test]
     fn bit_flips_drop_the_damaged_suffix() {
-        let path = tmp("flip.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
-        for rec in sample_records() {
-            wal.append(&rec).unwrap();
-        }
-        let full = std::fs::read(&path).unwrap();
+        let full = sample_log();
         for i in (0..full.len()).step_by(5) {
             let mut dup = full.clone();
             dup[i] ^= 0x40;
-            std::fs::write(&path, &dup).unwrap();
-            let outcome = replay(&path).unwrap();
+            let outcome = replay(&dup);
             // The records recovered must be a prefix of the originals —
             // a flip can only truncate history, never corrupt it
             // silently into different-but-valid records (CRC would have
@@ -756,30 +653,12 @@ mod tests {
     }
 
     #[test]
-    fn truncate_resets_the_log() {
-        let path = tmp("trunc.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
-        wal.append(&sample_records()[0]).unwrap();
-        wal.truncate().unwrap();
-        assert_eq!(wal.len_bytes().unwrap(), 0);
-        // Appends continue to work after truncation.
-        wal.append(&sample_records()[1]).unwrap();
-        wal.sync().unwrap();
-        let outcome = replay(&path).unwrap();
-        assert_eq!(outcome.records, vec![sample_records()[1].clone()]);
-    }
-
-    #[test]
     fn unknown_kind_ends_replay() {
-        let path = tmp("kind.wal");
         let body = [99u8, 0, 0]; // kind 99 does not exist
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&body);
         bytes.extend_from_slice(&crc32(&body).to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let outcome = replay(&path).unwrap();
+        let outcome = replay(&bytes);
         assert!(!outcome.clean);
         assert!(outcome.records.is_empty());
     }

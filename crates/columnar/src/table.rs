@@ -1,5 +1,8 @@
 //! The amnesiac table: columns + activity + epochs + access stats.
 //!
+//! A column is a [`TieredColumn`] — nothing wraps it — plus the min/max of
+//! every value it ever held, which the table keeps beside it.
+//!
 //! Everything per row is sized by what is resident, not by what was ever
 //! inserted: insert epochs are runs (one per batch), death epochs and
 //! access statistics are [paged](crate::paged) by tier block, and
@@ -10,12 +13,11 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use amnesia_util::{storage_err, Error, Result, SimRng};
+use amnesia_util::{storage_err, Error, MinMax, Result, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::access::AccessStats;
 use crate::activity::ActivityMap;
-use crate::column::Column;
 use crate::compress::Encoding;
 use crate::paged::EpochRuns;
 use crate::schema::Schema;
@@ -38,7 +40,11 @@ use crate::types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<TieredColumn>,
+    /// Min/max of every value ever appended to each column, forgotten or
+    /// not: the paper's `RANGE` bound (§4.2), and what a dropped block
+    /// still leaves behind of its values.
+    seen: Vec<MinMax>,
     activity: ActivityMap,
     insert_epoch: EpochRuns,
     access: AccessStats,
@@ -78,8 +84,9 @@ impl Table {
         Self {
             schema,
             columns: (0..arity)
-                .map(|_| Column::with_block_rows(block_rows))
+                .map(|_| TieredColumn::with_block_rows(block_rows))
                 .collect(),
+            seen: vec![MinMax::new(); arity],
             activity: ActivityMap::with_block_rows(block_rows),
             insert_epoch: EpochRuns::new(),
             access: AccessStats::with_block_rows(block_rows),
@@ -145,8 +152,9 @@ impl Table {
     pub fn insert(&mut self, values: &[Value], epoch: Epoch) -> Result<RowId> {
         self.validate_insert(values)?;
         let id = RowId::from(self.num_rows());
-        for (col, &v) in self.columns.iter_mut().zip(values) {
+        for ((col, seen), &v) in self.columns.iter_mut().zip(&mut self.seen).zip(values) {
             col.push(v);
+            seen.push(v);
         }
         self.activity.push_active(1);
         self.insert_epoch.push(1, epoch);
@@ -161,6 +169,9 @@ impl Table {
         self.validate_insert_batch()?;
         let first = RowId::from(self.num_rows());
         self.columns[0].extend_from_slice(values);
+        for &v in values {
+            self.seen[0].push(v);
+        }
         self.activity.push_active(values.len());
         self.insert_epoch.push(values.len(), epoch);
         self.access.push_rows(values.len());
@@ -177,26 +188,49 @@ impl Table {
         let first = self.activity.forget(row, epoch);
         if first {
             for c in &mut self.columns {
-                c.tier_mut().note_forget(row.as_usize());
+                c.note_forget(row.as_usize());
             }
         }
         Ok(first)
     }
 
-    /// Value of `col` at `row` (whether or not the row is active).
+    /// Forget a batch of rows atomically — every id is checked before any
+    /// is marked — and call `on_first` for each row this batch took from
+    /// active to forgotten, right after the transition (its value and
+    /// insert epoch still read). That call is the one hook a forget mode
+    /// emits from: a row named twice, in one batch or across batches,
+    /// fires it once. Returns how many rows were still active.
+    pub fn forget_batch(
+        &mut self,
+        rows: &[RowId],
+        epoch: Epoch,
+        mut on_first: impl FnMut(&Table, RowId) -> Result<()>,
+    ) -> Result<usize> {
+        self.validate_forget_batch(rows)?;
+        let mut forgotten = 0;
+        for &row in rows {
+            if self.forget(row, epoch)? {
+                forgotten += 1;
+                on_first(self, row)?;
+            }
+        }
+        Ok(forgotten)
+    }
+
+    /// Value of `col` at `row` (whether or not the row is active). Hot
+    /// rows are array indexing; frozen rows take the owning codec's
+    /// `value_at` fast path (no block decode). Panics if out of range.
     #[inline]
     pub fn value(&self, col: usize, row: RowId) -> Value {
-        self.columns[col].get(row.as_usize())
+        self.columns[col].value_at(row.as_usize())
     }
 
     /// Full row as a vector of values.
     pub fn row_values(&self, row: RowId) -> Vec<Value> {
-        self.columns.iter().map(|c| c.get(row.as_usize())).collect()
-    }
-
-    /// The column at index `col`.
-    pub fn column(&self, col: usize) -> &Column {
-        &self.columns[col]
+        self.columns
+            .iter()
+            .map(|c| c.value_at(row.as_usize()))
+            .collect()
     }
 
     /// The tiered representation of `col`: frozen compressed blocks with
@@ -204,7 +238,7 @@ impl Table {
     /// point for the engine's tier-aware kernels.
     #[inline]
     pub fn col_tier(&self, col: usize) -> &TieredColumn {
-        self.columns[col].tier()
+        &self.columns[col]
     }
 
     /// The planner's view of `col`: the [`ColumnSummary`] of its active
@@ -212,7 +246,7 @@ impl Table {
     /// [`TieredColumn::summary`]) — what a statement costs to plan does
     /// not depend on what the table holds.
     pub fn col_summary(&self, col: usize) -> Arc<ColumnSummary> {
-        self.columns[col].tier().summary(self.activity.words())
+        self.columns[col].summary(self.activity.words())
     }
 
     /// The whole column in physical row order: borrowed while fully hot,
@@ -220,15 +254,18 @@ impl Table {
     /// (joins, index builds, ground-truth scoring) that genuinely need
     /// every value materialized.
     pub fn col_values_dense(&self, col: usize) -> Cow<'_, [Value]> {
-        self.columns[col].dense_values()
+        let tier = &self.columns[col];
+        if tier.is_fully_hot() {
+            Cow::Borrowed(tier.hot_values())
+        } else {
+            Cow::Owned(tier.dense_values())
+        }
     }
 
     /// True when any column holds frozen blocks (all columns freeze in
     /// lockstep, so checking the first suffices).
     pub fn has_frozen(&self) -> bool {
-        self.columns
-            .first()
-            .is_some_and(|c| !c.tier().is_fully_hot())
+        self.columns.first().is_some_and(|c| !c.is_fully_hot())
     }
 
     /// Rows per tier block.
@@ -240,7 +277,7 @@ impl Table {
     /// and equivalence-test hook; production tables use the automatic
     /// per-block chooser.
     pub fn pin_encoding(&mut self, col: usize, encoding: Option<Encoding>) {
-        self.columns[col].tier_mut().pin_encoding(encoding);
+        self.columns[col].pin_encoding(encoding);
     }
 
     /// Freeze every column's full blocks below `row` (rounded down to a
@@ -252,7 +289,7 @@ impl Table {
         let words = self.activity.words();
         let mut frozen = 0;
         for c in &mut self.columns {
-            frozen = c.tier_mut().freeze_upto(row, words);
+            frozen = c.freeze_upto(row, words);
         }
         frozen
     }
@@ -264,7 +301,7 @@ impl Table {
     pub fn thaw_block(&mut self, b: usize) -> usize {
         let mut thawed = 0;
         for c in &mut self.columns {
-            thawed = c.tier_mut().thaw_block(b);
+            thawed = c.thaw_block(b);
         }
         thawed
     }
@@ -282,12 +319,12 @@ impl Table {
         let mut bytes = 0;
         let nb = self.frozen_blocks();
         for b in 0..nb {
-            if self.columns[0].tier().meta(b).active != 0 {
+            if self.columns[0].meta(b).active != 0 {
                 continue;
             }
             let mut dropped_any = false;
             for c in &mut self.columns {
-                let freed = c.tier_mut().drop_block(b);
+                let freed = c.drop_block(b);
                 if freed > 0 {
                     dropped_any = true;
                 }
@@ -312,12 +349,8 @@ impl Table {
         let mut bytes = 0;
         let nb = self.frozen_blocks();
         for b in 0..nb {
-            let meta = *self.columns[0].tier().meta(b);
-            if self.columns[0]
-                .tier()
-                .frozen(b)
-                .is_some_and(|f| f.is_dropped())
-            {
+            let meta = *self.columns[0].meta(b);
+            if self.columns[0].frozen(b).is_some_and(|f| f.is_dropped()) {
                 continue;
             }
             if meta.active as f64 > max_active_fraction * self.block_rows as f64 {
@@ -325,7 +358,7 @@ impl Table {
             }
             let mut saved_any = false;
             for c in &mut self.columns {
-                let saved = c.tier_mut().recompress_block(b, words);
+                let saved = c.recompress_block(b, words);
                 if saved > 0 {
                     saved_any = true;
                 }
@@ -340,13 +373,13 @@ impl Table {
 
     /// Number of frozen blocks (identical across columns).
     pub fn frozen_blocks(&self) -> usize {
-        self.columns.first().map_or(0, |c| c.tier().frozen_blocks())
+        self.columns.first().map_or(0, |c| c.frozen_blocks())
     }
 
     /// Compressed bytes currently held by frozen blocks, summed over
     /// columns.
     pub fn bytes_frozen(&self) -> usize {
-        self.columns.iter().map(|c| c.tier().bytes_frozen()).sum()
+        self.columns.iter().map(|c| c.bytes_frozen()).sum()
     }
 
     /// Rows living in dropped blocks (identical across columns — blocks
@@ -354,7 +387,7 @@ impl Table {
     /// surrendered; they are excluded from [`Table::compression_ratio`]
     /// so amnesia savings never masquerade as codec savings.
     pub fn dropped_rows(&self) -> usize {
-        self.columns.first().map_or(0, |c| c.tier().dropped_rows())
+        self.columns.first().map_or(0, |c| c.dropped_rows())
     }
 
     /// Flat bytes of *surviving* rows / resident bytes over all columns
@@ -365,9 +398,9 @@ impl Table {
         let surviving: usize = self
             .columns
             .iter()
-            .map(|c| (c.tier().len() - c.tier().dropped_rows()) * std::mem::size_of::<Value>())
+            .map(|c| (c.len() - c.dropped_rows()) * std::mem::size_of::<Value>())
             .sum();
-        let resident: usize = self.columns.iter().map(|c| c.tier().memory_bytes()).sum();
+        let resident: usize = self.columns.iter().map(|c| c.memory_bytes()).sum();
         if resident == 0 || surviving == 0 {
             1.0
         } else {
@@ -381,10 +414,7 @@ impl Table {
     /// calibration. See
     /// [`TieredColumn::note_block_access`](crate::tier::TieredColumn::note_block_access).
     pub fn block_accesses(&self) -> u64 {
-        self.columns
-            .iter()
-            .map(|c| c.tier().total_block_accesses())
-            .sum()
+        self.columns.iter().map(|c| c.total_block_accesses()).sum()
     }
 
     /// The packed active-row words (see
@@ -401,7 +431,7 @@ impl Table {
     /// tiers' block metadata already reflects those forgets, so
     /// `note_forget` must not run again), with the dropped blocks' death
     /// epochs sealed before they were filled, as a drop leaves them.
-    /// Column stats restore separately via [`Table::restore_col_stats`].
+    /// The seen-min/max restore separately via [`Table::restore_col_stats`].
     pub fn from_restored_parts(
         schema: Schema,
         block_rows: usize,
@@ -429,6 +459,7 @@ impl Table {
         let mut table = Self {
             schema,
             columns: Vec::with_capacity(tiers.len()),
+            seen: vec![MinMax::new(); tiers.len()],
             activity,
             insert_epoch,
             access,
@@ -442,36 +473,24 @@ impl Table {
                     tier.len()
                 ));
             }
-            let mut col = Column::with_block_rows(block_rows);
-            col.install_tier(tier);
-            table.columns.push(col);
+            table.columns.push(tier);
         }
         Ok(table)
-    }
-
-    /// Install a restored tiered column (snapshot reader). The tier must
-    /// hold exactly as many rows as the table.
-    pub fn install_tier(&mut self, col: usize, tier: TieredColumn) -> Result<()> {
-        if tier.len() != self.num_rows() {
-            return Err(storage_err!(
-                "tier for column {col} holds {} rows, expected {}",
-                tier.len(),
-                self.num_rows()
-            ));
-        }
-        self.columns[col].install_tier(tier);
-        Ok(())
     }
 
     /// Restore one column's historical min/max (snapshot reader; dropped
     /// blocks lose their values so stats cannot be recomputed).
     pub fn restore_col_stats(&mut self, col: usize, min: Option<Value>, max: Option<Value>) {
-        self.columns[col].restore_stats(min, max);
+        let mut seen = MinMax::new();
+        for v in min.into_iter().chain(max) {
+            seen.push(v);
+        }
+        self.seen[col] = seen;
     }
 
     /// Total physical rows (active + forgotten).
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, Column::len)
+        self.columns.first().map_or(0, TieredColumn::len)
     }
 
     /// Number of active rows — the storage budget the paper holds at
@@ -536,12 +555,12 @@ impl Table {
     /// Largest value seen in `col` since table creation (the paper's
     /// `RANGE` bound for query generation).
     pub fn max_seen(&self, col: usize) -> Option<Value> {
-        self.columns[col].max_seen()
+        self.seen[col].max()
     }
 
     /// Smallest value seen in `col`.
     pub fn min_seen(&self, col: usize) -> Option<Value> {
-        self.columns[col].min_seen()
+        self.seen[col].min()
     }
 
     /// True *resident* heap bytes: compressed frozen blocks + hot tails +
@@ -557,7 +576,11 @@ impl Table {
     /// per-row metadata — what is resident, and why.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         MemoryBreakdown {
-            payload: self.columns.iter().map(Column::memory_bytes).sum(),
+            payload: self
+                .columns
+                .iter()
+                .map(|c| c.memory_bytes() + std::mem::size_of::<MinMax>())
+                .sum(),
             activity: self.activity.memory_bytes() - self.activity.death_bytes(),
             row_metadata: self.activity.death_bytes()
                 + self.access.memory_bytes()
@@ -665,9 +688,20 @@ mod tests {
 
     #[test]
     fn max_seen_includes_forgotten() {
-        let mut t = table_with(&[5, 100, 7]);
+        let mut t = Table::single("a");
+        assert_eq!((t.min_seen(0), t.max_seen(0)), (None, None));
+        t.insert_batch(&[5, 100, 7], 0).unwrap();
         t.forget(RowId(1), 1).unwrap();
         assert_eq!(t.max_seen(0), Some(100), "RANGE covers forgotten values");
+        t.insert(&[2], 1).unwrap();
+        t.freeze_upto(t.num_rows());
+        assert_eq!((t.min_seen(0), t.max_seen(0)), (Some(2), Some(100)));
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_range_value_panics() {
+        let _ = Table::single("a").value(0, RowId(0));
     }
 
     #[test]

@@ -389,7 +389,8 @@ impl PartialEq for SummaryCell {
 
 /// A column whose cold prefix lives compressed in place: frozen
 /// [`EncodedBlock`]s with cached [`BlockMeta`], then a hot uncompressed
-/// tail. Replaces the raw `Vec<Value>` inside `Table`/`Column`.
+/// tail. A [`Table`](crate::table::Table) holds one per column, beside
+/// the min/max of every value the column ever saw.
 ///
 /// The block size must be a whole number of 64-row activity words so
 /// frozen blocks tile activity words exactly — the alignment every fused

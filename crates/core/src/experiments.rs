@@ -555,7 +555,7 @@ pub fn ablation_budget(scale: &Scale) -> Result<(SeriesReport, SeriesReport)> {
 pub fn ablation_forget_modes(scale: &Scale) -> Result<TableReport> {
     let modes = [
         ForgetMode::MarkOnly,
-        ForgetMode::Delete { vacuum_every: 2 },
+        ForgetMode::Delete,
         ForgetMode::Deindex,
         ForgetMode::Tier,
         ForgetMode::Summarize,

@@ -66,7 +66,7 @@ pub mod store;
 pub use adaptive::{AdaptiveConfig, AdaptiveStore};
 pub use budget::BudgetMode;
 pub use config::SimConfig;
-pub use metrics::{AmnesiaMap, BatchSummary, DurabilityCounters, MetricsSnapshot, SimReport};
+pub use metrics::{AmnesiaMap, BatchSummary, MetricsSnapshot, SimReport};
 pub use policy::{AmnesiaPolicy, PolicyContext, PolicyKind};
 pub use sim::Simulator;
 pub use store::{AmnesiacStore, ForgetMode, TierConfig};

@@ -272,46 +272,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Durability-side counters of a run: what the segmented WAL did while
-/// the store was executing batches. A serializable mirror of
-/// [`WalStats`](amnesia_columnar::WalStats) for reports and bench JSON.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DurabilityCounters {
-    /// WAL records appended.
-    pub records_appended: u64,
-    /// Framed bytes appended across all segments.
-    pub bytes_appended: u64,
-    /// Segment rotations (a new `wal-*.seg` was started).
-    pub segments_rotated: u64,
-    /// Segments physically shredded (zero-overwritten and unlinked).
-    pub segments_shredded: u64,
-    /// Bytes destroyed by shredding.
-    pub bytes_shredded: u64,
-    /// fsync calls issued by the log against segment data.
-    pub fsyncs: u64,
-    /// fsync calls issued against the log directory (entry durability
-    /// after segment creates and prune/shred unlinks).
-    #[serde(default)]
-    pub dir_fsyncs: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-}
-
-impl From<amnesia_columnar::WalStats> for DurabilityCounters {
-    fn from(s: amnesia_columnar::WalStats) -> Self {
-        Self {
-            records_appended: s.records_appended,
-            bytes_appended: s.bytes_appended,
-            segments_rotated: s.segments_rotated,
-            segments_shredded: s.segments_shredded,
-            bytes_shredded: s.bytes_shredded,
-            fsyncs: s.fsyncs,
-            dir_fsyncs: s.dir_fsyncs,
-            checkpoints: s.checkpoints,
-        }
-    }
-}
-
 /// Storage accounting at the end of a run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StorageReport {

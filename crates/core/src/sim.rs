@@ -43,14 +43,12 @@ impl TableSnapshot for Snapshot<'_> {
 /// Returns the precision outcome and the active matches (for access-
 /// frequency accounting).
 pub fn eval_range(table: &Table, pred: RangePredicate) -> (QueryPrecision, Vec<RowId>) {
-    let col = table.column(0);
     let activity = table.activity();
     let mut returned = 0usize;
     let mut missed = 0usize;
     let mut matches = Vec::new();
-    for r in 0..table.num_rows() {
-        if pred.matches(col.get(r)) {
-            let id = RowId::from(r);
+    for id in (0..table.num_rows()).map(RowId::from) {
+        if pred.matches(table.value(0, id)) {
             if activity.is_active(id) {
                 returned += 1;
                 matches.push(id);
@@ -71,16 +69,14 @@ pub fn eval_aggregate(
     pred: Option<RangePredicate>,
 ) -> (Option<f64>, Option<f64>, Vec<RowId>) {
     use amnesia_engine::kernels::AggState;
-    let col = table.column(0);
     let activity = table.activity();
     let mut active_state = AggState::new();
     let mut full_state = AggState::new();
     let mut contributors = Vec::new();
-    for r in 0..table.num_rows() {
-        let v = col.get(r);
+    for id in (0..table.num_rows()).map(RowId::from) {
+        let v = table.value(0, id);
         if pred.is_none_or(|p| p.matches(v)) {
             full_state.push(v);
-            let id = RowId::from(r);
             if activity.is_active(id) {
                 active_state.push(v);
                 contributors.push(id);

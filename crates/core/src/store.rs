@@ -9,11 +9,32 @@
 //! [`AmnesiacStore`] realizes all of them behind one insert/forget/query
 //! API so the `ABL-FORGET` ablation can compare bytes resident, query cost
 //! and recoverability under identical workloads.
+//!
+//! # The write path
+//!
+//! The store holds a [`Table`] and, when it is durable, the
+//! [`DurableLog`] beside it. A mutation of a durable store is one call to
+//! the log's method of that name — which validates against the table,
+//! logs one record, then applies through the table's own mutator (the
+//! sequence is written once, in `amnesia_columnar::persist`, and
+//! `PersistentTable` makes the same calls) — and of a volatile store the
+//! table's mutator alone. Two things are the store's own:
+//!
+//! * **Emission.** What a mode keeps of a forgotten row (a cold archive
+//!   record, a summary or micro-model absorb) is written by one hook,
+//!   `Emission::first_forget`, fired by the row's *first* active →
+//!   forgotten transition, after the table (and the log) took it: a row
+//!   named twice is emitted once.
+//! * **Reclaim.** `end_batch` and `forget_block` give bytes up through
+//!   one step ([`DurableLog::reclaim`] when durable: drop → count →
+//!   shred, with the batch boundary's freeze and recompression around the
+//!   drop), and `Delete` / `Summarize` / `Model` additionally compact
+//!   through [`vacuum`] at every batch boundary — block drops cannot
+//!   reclaim scattered rows (ROADMAP item 2 has the measurement).
 
 use amnesia_columnar::vacuum::vacuum;
 use amnesia_columnar::{
-    ColdStore, DurabilityHook, Epoch, ModelStore, RowId, Schema, SummaryStore, Table, Value,
-    WalStats,
+    ColdStore, DurableLog, Epoch, ModelStore, RowId, Schema, SummaryStore, Table, Value, WalStats,
 };
 use amnesia_engine::{Aux, CostModel, ExecResult, Executor, ForgetVisibility};
 use amnesia_util::{Result, SimRng};
@@ -25,11 +46,8 @@ use serde::{Deserialize, Serialize};
 pub enum ForgetMode {
     /// Mark inactive only (the simulator's measurable baseline).
     MarkOnly,
-    /// Mark, then physically vacuum every `vacuum_every` batches.
-    Delete {
-        /// Batches between vacuum passes.
-        vacuum_every: u64,
-    },
+    /// Mark, then physically vacuum at every batch boundary.
+    Delete,
     /// Keep tuples scannable but evict them from every pruning access
     /// path: range and point queries run the complete scan and still see
     /// them (paper §1: "a complete scan will fetch all data"); aggregates
@@ -38,7 +56,7 @@ pub enum ForgetMode {
     /// Move tuple payloads to cold storage, then mark.
     Tier,
     /// Absorb tuples into per-epoch aggregate summaries, then mark and
-    /// periodically vacuum (summaries replace the bytes).
+    /// vacuum (summaries replace the bytes).
     Summarize,
     /// Absorb tuples into per-epoch micro-models (paper §5 \[15\]): like
     /// `Summarize` but the histogram also interpolates *range-restricted*
@@ -54,7 +72,7 @@ impl ForgetMode {
     pub fn name(&self) -> &'static str {
         match self {
             ForgetMode::MarkOnly => "mark-only",
-            ForgetMode::Delete { .. } => "delete",
+            ForgetMode::Delete => "delete",
             ForgetMode::Deindex => "deindex",
             ForgetMode::Tier => "tier",
             ForgetMode::Summarize => "summarize",
@@ -108,20 +126,51 @@ impl Default for TierConfig {
     }
 }
 
-/// A table plus the machinery that executes its forget mode.
-pub struct AmnesiacStore {
-    table: Table,
+/// What the mode keeps of forgotten rows, and the one hook that writes it.
+struct Emission {
     mode: ForgetMode,
-    executor: Executor,
     cold: Option<Box<dyn ColdStore>>,
     summaries: SummaryStore,
     models: Option<ModelStore>,
-    batches_since_vacuum: u64,
     total_forgotten: u64,
+}
+
+impl Emission {
+    /// `row` just went from active to forgotten in `table`: count it and
+    /// run the mode's emission. The value and insert epoch still read —
+    /// a forget only marks.
+    fn first_forget(&mut self, table: &Table, row: RowId) -> Result<()> {
+        self.total_forgotten += 1;
+        match self.mode {
+            ForgetMode::MarkOnly | ForgetMode::Delete | ForgetMode::Deindex => {}
+            ForgetMode::Tier => {
+                if let Some(cold) = &mut self.cold {
+                    cold.archive(row, &table.row_values(row))?;
+                }
+            }
+            ForgetMode::Summarize => {
+                self.summaries
+                    .absorb(table.insert_epoch(row), table.value(0, row));
+            }
+            ForgetMode::Model { .. } => {
+                if let Some(models) = &mut self.models {
+                    models.absorb(table.insert_epoch(row), table.value(0, row));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A table plus the machinery that executes its forget mode.
+pub struct AmnesiacStore {
+    table: Table,
+    log: Option<DurableLog>,
+    emission: Emission,
+    executor: Executor,
     tiering: Option<TierConfig>,
     blocks_dropped: u64,
     blocks_recompressed: u64,
-    durability: Option<Box<dyn DurabilityHook>>,
 }
 
 impl AmnesiacStore {
@@ -143,59 +192,49 @@ impl AmnesiacStore {
         };
         Self {
             table,
-            mode,
-            executor: Executor::new(visibility, CostModel::default()),
-            cold: None,
-            summaries: SummaryStore::new(),
-            models: match mode {
-                ForgetMode::Model { bins } => Some(ModelStore::new(bins)),
-                _ => None,
+            log: None,
+            emission: Emission {
+                mode,
+                cold: None,
+                summaries: SummaryStore::new(),
+                models: match mode {
+                    ForgetMode::Model { bins } => Some(ModelStore::new(bins)),
+                    _ => None,
+                },
+                total_forgotten: 0,
             },
-            batches_since_vacuum: 0,
-            total_forgotten: 0,
+            executor: Executor::new(visibility, CostModel::default()),
             tiering: None,
             blocks_dropped: 0,
             blocks_recompressed: 0,
-            durability: None,
         }
     }
 
     /// Attach a cold store (required for `Tier`).
     pub fn with_cold_store(mut self, cold: Box<dyn ColdStore>) -> Self {
-        self.cold = Some(cold);
+        self.emission.cold = Some(cold);
         self
     }
 
-    /// Attach a durability hook (typically a
-    /// [`DurableLog`](amnesia_columnar::DurableLog) split off a
-    /// [`PersistentTable`](amnesia_columnar::PersistentTable) via
-    /// `into_parts`). Every insert, forget and tier transition is logged
-    /// *before* it is applied; [`AmnesiacStore::end_batch`] commits the
-    /// batch, checkpoints after a vacuum (vacuums renumber rows and are
-    /// not replayable) and shreds covered segments after a block drop so
-    /// forgotten values' encoded bytes do not outlive the drop.
-    pub fn with_durability(mut self, hook: Box<dyn DurabilityHook>) -> Self {
-        self.durability = Some(hook);
+    /// Make the store durable: `log` is the [`DurableLog`] half of a
+    /// [`PersistentTable`](amnesia_columnar::PersistentTable) whose table
+    /// half this store was built from (`into_parts`). Every insert, forget
+    /// and tier transition is then logged *before* it is applied;
+    /// [`AmnesiacStore::end_batch`] commits the batch, checkpoints after a
+    /// vacuum (vacuums renumber rows and are not replayable) and shreds
+    /// covered segments after a block drop so forgotten values' encoded
+    /// bytes do not outlive the drop. The cumulative tier counters resume
+    /// from the totals the log recovered.
+    pub fn with_durability(mut self, log: Box<DurableLog>) -> Self {
+        self.blocks_dropped = log.blocks_dropped();
+        self.blocks_recompressed = log.blocks_recompressed();
+        self.log = Some(*log);
         self
     }
 
-    /// Cumulative counters of the attached durability hook, if any.
+    /// Cumulative counters of the attached log, if any.
     pub fn durability_stats(&self) -> Option<WalStats> {
-        self.durability.as_ref().map(|d| d.stats())
-    }
-
-    /// Restore the cumulative tier-transition counters (used when resuming
-    /// a store from a recovered table, so `metrics_snapshot` keeps
-    /// counting from the pre-crash totals).
-    pub fn restore_tier_counters(&mut self, blocks_dropped: u64, blocks_recompressed: u64) {
-        self.blocks_dropped = blocks_dropped;
-        self.blocks_recompressed = blocks_recompressed;
-    }
-
-    /// Give the durability hook back (e.g. to checkpoint and close
-    /// cleanly), detaching it from the store.
-    pub fn take_durability(&mut self) -> Option<Box<dyn DurabilityHook>> {
-        self.durability.take()
+        self.log.as_ref().map(DurableLog::stats)
     }
 
     /// Enable tiered freeze scheduling: at every batch boundary the store
@@ -214,7 +253,7 @@ impl AmnesiacStore {
 
     /// The forget mode.
     pub fn mode(&self) -> ForgetMode {
-        self.mode
+        self.emission.mode
     }
 
     /// The underlying table.
@@ -224,97 +263,84 @@ impl AmnesiacStore {
 
     /// Total tuples forgotten through this store.
     pub fn total_forgotten(&self) -> u64 {
-        self.total_forgotten
+        self.emission.total_forgotten
     }
 
     /// Insert a batch of values at `epoch`.
     pub fn insert_batch(&mut self, values: &[Value], epoch: Epoch) -> Result<()> {
-        if let Some(d) = &mut self.durability {
-            // Validate before logging: a record the table would reject
-            // must never reach the WAL, or replay would fail on it and
-            // brick every future recovery.
-            self.table.validate_insert_batch()?;
-            d.log_insert_column(values, epoch)?;
-        }
-        self.table.insert_batch(values, epoch)?;
+        match &mut self.log {
+            Some(log) => log.insert_batch(&mut self.table, values, epoch)?,
+            None => self.table.insert_batch(values, epoch)?,
+        };
         Ok(())
     }
 
     /// Forget one tuple at `epoch`, applying the mode's physical action.
     pub fn forget(&mut self, row: RowId, epoch: Epoch) -> Result<()> {
-        self.table.validate_forget(row)?;
-        if let Some(d) = &mut self.durability {
-            d.log_forget(row, epoch)?;
+        let first = match &mut self.log {
+            Some(log) => log.forget(&mut self.table, row, epoch)?,
+            None => self.table.forget(row, epoch)?,
+        };
+        if first {
+            self.emission.first_forget(&self.table, row)?;
         }
-        self.apply_forget(row, epoch)
+        Ok(())
     }
 
     /// Forget many tuples, atomically: every id is validated before
     /// anything is logged or applied, so a rejected batch leaves the log
     /// and the table untouched, and the whole batch is one log record.
     pub fn forget_batch(&mut self, rows: &[RowId], epoch: Epoch) -> Result<()> {
-        self.table.validate_forget_batch(rows)?;
-        if rows.is_empty() {
-            return Ok(());
-        }
-        if let Some(d) = &mut self.durability {
-            d.log_forget_rows(rows, epoch)?;
-        }
-        for &r in rows {
-            self.apply_forget(r, epoch)?;
-        }
+        let emission = &mut self.emission;
+        let on_first = |table: &Table, row| emission.first_forget(table, row);
+        match &mut self.log {
+            Some(log) => log.forget_batch(&mut self.table, rows, epoch, on_first)?,
+            None => self.table.forget_batch(rows, epoch, on_first)?,
+        };
         Ok(())
     }
 
-    /// The mode's physical action for one validated, logged forget.
-    fn apply_forget(&mut self, row: RowId, epoch: Epoch) -> Result<()> {
-        match self.mode {
-            ForgetMode::MarkOnly | ForgetMode::Delete { .. } | ForgetMode::Deindex => {}
-            ForgetMode::Tier => {
-                let values = self.table.row_values(row);
-                if let Some(cold) = &mut self.cold {
-                    cold.archive(row, &values)?;
+    /// The one reclaim step: drop every fully-forgotten frozen block and
+    /// count it — with `schedule = Some((freeze_upto, recompress_below))`
+    /// as the middle of a turn of the tier schedule. Durable, that is
+    /// [`DurableLog::reclaim`] (logged, fsynced, shredded); volatile, the
+    /// table's transitions alone.
+    fn reclaim(&mut self, schedule: Option<(usize, f64)>) -> Result<()> {
+        let ((dropped, _), (recompressed, _)) = match &mut self.log {
+            Some(log) => log.reclaim(&mut self.table, schedule)?,
+            None => {
+                if let Some((upto, _)) = schedule {
+                    self.table.freeze_upto(upto);
                 }
+                let dropped = self.table.drop_forgotten_blocks();
+                let recompressed =
+                    schedule.map_or((0, 0), |(_, below)| self.table.recompress_frozen(below));
+                (dropped, recompressed)
             }
-            ForgetMode::Summarize => {
-                let v = self.table.value(0, row);
-                self.summaries.absorb(self.table.insert_epoch(row), v);
-            }
-            ForgetMode::Model { .. } => {
-                let v = self.table.value(0, row);
-                if let Some(models) = &mut self.models {
-                    models.absorb(self.table.insert_epoch(row), v);
-                }
-            }
-        }
-        if self.table.forget(row, epoch)? {
-            self.total_forgotten += 1;
-        }
+        };
+        self.blocks_dropped += dropped as u64;
+        self.blocks_recompressed += recompressed as u64;
         Ok(())
     }
 
-    /// Batch boundary: vacuum if the mode schedules it, then run the
-    /// tier schedule and commit the batch to the log.
+    /// Batch boundary: vacuum if the mode compacts, then run the tier
+    /// schedule and commit the batch to the log.
     pub fn end_batch(&mut self) -> Result<()> {
-        self.batches_since_vacuum += 1;
-        if let Some(models) = &mut self.models {
+        if let Some(models) = &mut self.emission.models {
             models.seal();
         }
-        let vacuum_due = match self.mode {
-            ForgetMode::Delete { vacuum_every } => self.batches_since_vacuum >= vacuum_every,
-            // Summaries and models replace the bytes: reclaim aggressively.
-            ForgetMode::Summarize | ForgetMode::Model { .. } => true,
-            _ => false,
-        };
-        if vacuum_due && self.table.forgotten_rows() > 0 {
-            let result = vacuum(&self.table);
-            self.table = result.table;
-            self.batches_since_vacuum = 0;
+        // `Delete` deletes; summaries and models replace the bytes.
+        let compacts = matches!(
+            self.emission.mode,
+            ForgetMode::Delete | ForgetMode::Summarize | ForgetMode::Model { .. }
+        );
+        if compacts && self.table.forgotten_rows() > 0 {
+            self.table = vacuum(&self.table).table;
             // A vacuum renumbers rows, which no WAL replay can reproduce:
             // re-anchor durability on a fresh snapshot of the compacted
             // table instead.
-            if let Some(d) = &mut self.durability {
-                d.checkpoint(&self.table)?;
+            if let Some(log) = &mut self.log {
+                log.checkpoint(&self.table)?;
             }
         }
         // Tier scheduling: freeze the cold prefix in place, drop dead
@@ -323,34 +349,12 @@ impl AmnesiacStore {
         // forgotten tuples.
         if let Some(cfg) = self.tiering {
             if self.executor.mode() == ForgetVisibility::ActiveOnly {
-                let n = self.table.num_rows();
-                let upto = n.saturating_sub(cfg.hot_rows);
-                // Tier transitions log their *parameters* ahead of the
-                // mutation; replay re-runs the same deterministic calls.
-                if let Some(d) = &mut self.durability {
-                    d.log_freeze(upto)?;
-                    d.log_drop_blocks()?;
-                    d.log_recompress(cfg.recompress_below)?;
-                }
-                self.table.freeze_upto(upto);
-                let (dropped, _) = self.table.drop_forgotten_blocks();
-                self.blocks_dropped += dropped as u64;
-                let (recompressed, _) = self.table.recompress_frozen(cfg.recompress_below);
-                self.blocks_recompressed += recompressed as u64;
-                if let Some(d) = &mut self.durability {
-                    d.note_transition_results(dropped as u64, recompressed as u64);
-                    if dropped > 0 {
-                        // Amnesia must reach the log too: snapshot the
-                        // post-drop state and destroy the covered
-                        // segments, where the dropped values' encodings
-                        // still live.
-                        d.shred(&self.table)?;
-                    }
-                }
+                let upto = self.table.num_rows().saturating_sub(cfg.hot_rows);
+                self.reclaim(Some((upto, cfg.recompress_below)))?;
             }
         }
-        if let Some(d) = &mut self.durability {
-            d.commit()?;
+        if let Some(log) = &mut self.log {
+            log.commit()?;
         }
         Ok(())
     }
@@ -371,26 +375,17 @@ impl AmnesiacStore {
             .filter(|&r| self.table.activity().is_active(r))
             .collect();
         self.forget_batch(&victims, epoch)?;
-        if let Some(d) = &mut self.durability {
-            d.log_drop_blocks()?;
-        }
-        let (dropped, _) = self.table.drop_forgotten_blocks();
-        self.blocks_dropped += dropped as u64;
-        if let Some(d) = &mut self.durability {
-            d.note_transition_results(dropped as u64, 0);
-            if dropped > 0 {
-                d.shred(&self.table)?;
-            }
-        }
+        self.reclaim(None)?;
         Ok(victims.len())
     }
 
     /// Execute a query with the mode's visibility, folding in what the
     /// mode remembers of forgotten tuples (summaries, micro-models).
     pub fn query(&self, q: &Query) -> ExecResult {
+        let kept = &self.emission;
         let aux = Aux {
-            summaries: matches!(self.mode, ForgetMode::Summarize).then_some(&self.summaries),
-            models: self.models.as_ref(),
+            summaries: matches!(kept.mode, ForgetMode::Summarize).then_some(&kept.summaries),
+            models: kept.models.as_ref(),
         };
         self.executor.execute(&self.table, 0, q, &aux)
     }
@@ -398,7 +393,7 @@ impl AmnesiacStore {
     /// Explicitly recover a tuple from cold storage (paper §5: cold data
     /// only returns through deliberate user action).
     pub fn recover_from_cold(&mut self, row: RowId) -> Result<Option<Vec<Value>>> {
-        match &mut self.cold {
+        match &mut self.emission.cold {
             Some(cold) => cold.fetch(row),
             None => Ok(None),
         }
@@ -411,15 +406,16 @@ impl AmnesiacStore {
 
     /// Storage accounting.
     pub fn footprint(&self) -> StoreFootprint {
+        let kept = &self.emission;
         StoreFootprint {
             hot_rows: self.table.num_rows(),
             active_rows: self.table.active_rows(),
             hot_bytes: self.table.memory_bytes(),
             bytes_frozen: self.table.bytes_frozen(),
-            cold_rows: self.cold.as_ref().map_or(0, |c| c.len()),
-            cold_bytes: self.cold.as_ref().map_or(0, |c| c.bytes_used()),
-            summary_bytes: self.summaries.memory_bytes(),
-            model_bytes: self.models.as_ref().map_or(0, ModelStore::memory_bytes),
+            cold_rows: kept.cold.as_ref().map_or(0, |c| c.len()),
+            cold_bytes: kept.cold.as_ref().map_or(0, |c| c.bytes_used()),
+            summary_bytes: kept.summaries.memory_bytes(),
+            model_bytes: kept.models.as_ref().map_or(0, ModelStore::memory_bytes),
         }
     }
 
@@ -428,18 +424,11 @@ impl AmnesiacStore {
     /// cost-based policies watch to see compression actually postponing
     /// forgetting.
     pub fn metrics_snapshot(&self) -> crate::metrics::MetricsSnapshot {
-        crate::metrics::MetricsSnapshot {
-            total_rows: self.table.num_rows(),
-            active_rows: self.table.active_rows(),
-            resident_bytes: self.table.memory_bytes(),
-            bytes_frozen: self.table.bytes_frozen(),
-            frozen_blocks: self.table.frozen_blocks(),
-            blocks_dropped: self.blocks_dropped,
-            blocks_recompressed: self.blocks_recompressed,
-            dropped_rows: self.table.dropped_rows(),
-            compression_ratio: self.table.compression_ratio(),
-            block_accesses: self.table.block_accesses(),
-        }
+        crate::metrics::MetricsSnapshot::from_table(
+            &self.table,
+            self.blocks_dropped,
+            self.blocks_recompressed,
+        )
     }
 }
 
@@ -480,7 +469,7 @@ mod tests {
 
     #[test]
     fn delete_reclaims_rows() {
-        let store = run_forgetting(ForgetMode::Delete { vacuum_every: 1 });
+        let store = run_forgetting(ForgetMode::Delete);
         let fp = store.footprint();
         assert_eq!(fp.hot_rows, 50, "vacuum removed the forgotten rows");
         assert_eq!(fp.active_rows, 50);
@@ -574,7 +563,7 @@ mod tests {
 
     #[test]
     fn queries_answer_through_vacuum() {
-        let mut store = AmnesiacStore::new(ForgetMode::Delete { vacuum_every: 1 });
+        let mut store = AmnesiacStore::new(ForgetMode::Delete);
         store
             .insert_batch(&(0..1000).collect::<Vec<i64>>(), 0)
             .unwrap();
@@ -869,13 +858,34 @@ mod tests {
             recovered, snap,
             "recovered tier layout must match pre-crash"
         );
+        // A store resumed over the recovered halves keeps counting from
+        // the pre-crash totals: kill block 1's survivors, drop it.
+        let (table, log) = rec.into_parts();
+        let mut resumed = AmnesiacStore::from_table(table, ForgetMode::MarkOnly)
+            .with_durability(Box::new(log))
+            .with_tiering(TierConfig {
+                hot_rows: 0,
+                recompress_below: 0.5,
+            });
+        let before = resumed.metrics_snapshot();
+        assert_eq!(
+            (before.blocks_dropped, before.blocks_recompressed),
+            (snap.blocks_dropped, snap.blocks_recompressed)
+        );
+        resumed
+            .forget_batch(&(1_024..2_048).map(RowId).collect::<Vec<_>>(), 3)
+            .unwrap();
+        resumed.end_batch().unwrap();
+        let after = resumed.metrics_snapshot();
+        assert_eq!(after.blocks_dropped, snap.blocks_dropped + 1);
+        assert_eq!(after.blocks_recompressed, snap.blocks_recompressed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn footprint_shrinks_most_under_summarize() {
         let mark = run_forgetting(ForgetMode::MarkOnly).footprint();
-        let del = run_forgetting(ForgetMode::Delete { vacuum_every: 1 }).footprint();
+        let del = run_forgetting(ForgetMode::Delete).footprint();
         let summ = run_forgetting(ForgetMode::Summarize).footprint();
         assert!(del.hot_rows < mark.hot_rows);
         assert!(summ.hot_rows <= del.hot_rows);

@@ -967,9 +967,8 @@ pub mod scalar {
     /// Row-at-a-time [`scan_tiered_active_into`] equivalent.
     pub fn range_scan_active(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
         let mut out = Vec::new();
-        let column = table.column(col);
         for row in table.iter_active() {
-            if pred.matches(column.get(row.as_usize())) {
+            if pred.matches(table.value(col, row)) {
                 out.push(row);
             }
         }
@@ -978,19 +977,17 @@ pub mod scalar {
 
     /// Row-at-a-time [`scan_tiered_all_into`] equivalent.
     pub fn range_scan_all(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
-        let column = table.column(col);
         (0..table.num_rows())
-            .filter(|&r| pred.matches(column.get(r)))
             .map(RowId::from)
+            .filter(|&r| pred.matches(table.value(col, r)))
             .collect()
     }
 
     /// Row-at-a-time [`count_tiered_active`] equivalent.
     pub fn count_active_matches(table: &Table, col: usize, pred: RangePredicate) -> usize {
-        let column = table.column(col);
         table
             .iter_active()
-            .filter(|r| pred.matches(column.get(r.as_usize())))
+            .filter(|&r| pred.matches(table.value(col, r)))
             .count()
     }
 
@@ -1001,12 +998,11 @@ pub mod scalar {
         pred: Option<RangePredicate>,
         kind: AggKind,
     ) -> (Option<f64>, usize) {
-        let column = table.column(col);
         let mut state = AggState::new();
         let mut scanned = 0usize;
         for row in table.iter_active() {
             scanned += 1;
-            let v = column.get(row.as_usize());
+            let v = table.value(col, row);
             if pred.is_none_or(|p| p.matches(v)) {
                 state.push(v);
             }

@@ -75,9 +75,8 @@ impl Default for Config {
                 // Tier transitions (thaw/recompress/drop) are the one legal
                 // seam where a frozen block becomes dense again.
                 "crates/columnar/src/tier.rs",
-                // Define the `col_values*`/`dense_values` accessors.
+                // Defines the `col_values_dense` accessor.
                 "crates/columnar/src/table.rs",
-                "crates/columnar/src/column.rs",
                 // Recovery rebuilds the dense hot tail from WAL/snapshot
                 // bytes; frozen blocks stay encoded.
                 "crates/columnar/src/persist/",

@@ -30,7 +30,7 @@ fn main() -> Result<()> {
     }
     .build();
     // Vacuum every batch: forgotten = physically gone.
-    let mut store = AmnesiacStore::new(ForgetMode::Delete { vacuum_every: 1 });
+    let mut store = AmnesiacStore::new(ForgetMode::Delete);
 
     let initial: Vec<i64> = (0..dbsize).map(|_| dist.sample(&mut rng)).collect();
     store.insert_batch(&initial, 0)?;

@@ -32,6 +32,14 @@ if [[ "${AMNESIA_SKIP_MODEL:-0}" != "1" ]]; then
   cargo test -q -p amnesia-engine --features model --test model
 fi
 
+# Preflight: `benchmark/` is a workspace of its own that tier-1 never
+# builds; an API it names must not drift (CI job `benchmark-api`). The
+# build rewrites its stale Cargo.lock, which is not ours to change.
+echo "=== benchmark/ build + test preflight ==="
+(cd benchmark && export CARGO_TARGET_DIR="$PWD/../target" &&
+    cargo build --release --offline && cargo test --offline)
+git checkout -q -- benchmark/Cargo.lock 2>/dev/null || true
+
 OUT="BENCH_smoke.json"
 # Absolute path: cargo runs bench binaries with cwd = the package dir
 # (crates/bench), so a relative path would land the file there.

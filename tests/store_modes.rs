@@ -23,10 +23,14 @@ fn drive(
         per_batch,
         batches,
         seed,
+        0,
     )
 }
 
-/// [`drive`] under any policy.
+/// [`drive`] under any policy, naming up to `repeats` of each batch's
+/// victims twice inside the batch and one of them once more in a call of
+/// its own: forgetting a forgotten row is a no-op, whatever the mode
+/// emits.
 fn drive_with(
     store: &mut AmnesiacStore,
     policy: &PolicyKind,
@@ -34,6 +38,7 @@ fn drive_with(
     per_batch: usize,
     batches: u64,
     seed: u64,
+    repeats: usize,
 ) -> Vec<i64> {
     let mut rng = SimRng::new(seed);
     let mut policy = policy.build();
@@ -50,14 +55,18 @@ fn drive_with(
         ledger.extend_from_slice(&fresh);
         store.insert_batch(&fresh, b).unwrap();
         let need = store.table().active_rows().saturating_sub(dbsize);
-        let victims = {
+        let mut victims = {
             let ctx = PolicyContext {
                 table: store.table(),
                 epoch: b,
             };
             policy.select_victims(&ctx, need, &mut rng)
         };
+        victims.extend_from_within(..repeats.min(victims.len()));
         store.forget_batch(&victims, b).unwrap();
+        if let Some(&again) = victims.first().filter(|_| repeats > 0) {
+            store.forget(again, b).unwrap();
+        }
         store.end_batch().unwrap();
     }
     ledger
@@ -73,7 +82,7 @@ proptest! {
         batches in 1u64..6,
         seed in any::<u64>(),
     ) {
-        let mut store = AmnesiacStore::new(ForgetMode::Delete { vacuum_every: 1 });
+        let mut store = AmnesiacStore::new(ForgetMode::Delete);
         drive(&mut store, dbsize, per_batch, batches, seed);
         let fp = store.footprint();
         prop_assert_eq!(fp.hot_rows, fp.active_rows, "vacuum must be complete");
@@ -86,12 +95,14 @@ proptest! {
         per_batch in 5usize..40,
         batches in 1u64..6,
         seed in any::<u64>(),
+        repeats in 0usize..4,
     ) {
         let mut store = AmnesiacStore::new(ForgetMode::Tier)
             .with_cold_store(Box::new(MemoryColdStore::new()));
-        drive(&mut store, dbsize, per_batch, batches, seed);
+        drive_with(&mut store, &PolicyKind::Uniform, dbsize, per_batch, batches, seed, repeats);
         let fp = store.footprint();
         prop_assert_eq!(fp.cold_rows as u64, store.total_forgotten());
+        prop_assert_eq!(fp.cold_bytes, 8 * fp.cold_rows as u64, "one value archived per row, once");
         // Every archived tuple is recoverable with its exact payload.
         let table = store.table();
         let forgotten: Vec<RowId> = (0..table.num_rows())
@@ -111,24 +122,29 @@ proptest! {
         per_batch in 5usize..40,
         batches in 1u64..6,
         seed in any::<u64>(),
+        repeats in 0usize..4,
     ) {
-        let mut store = AmnesiacStore::new(ForgetMode::Summarize);
-        let ledger = drive(&mut store, dbsize, per_batch, batches, seed);
-        let exact_avg = ledger.iter().map(|&v| v as f64).sum::<f64>() / ledger.len() as f64;
-        let got = store
-            .query(&Query::Aggregate { kind: AggKind::Avg, predicate: None })
-            .output
-            .agg()
-            .unwrap()
-            .unwrap();
-        prop_assert!((got - exact_avg).abs() < 1e-6, "avg {got} vs {exact_avg}");
-        let count = store
-            .query(&Query::Aggregate { kind: AggKind::Count, predicate: None })
-            .output
-            .agg()
-            .unwrap()
-            .unwrap();
-        prop_assert_eq!(count as usize, ledger.len());
+        // Model totals are exact too; its histogram only adds ranged estimates.
+        for mode in [ForgetMode::Summarize, ForgetMode::Model { bins: 16 }] {
+            let mut store = AmnesiacStore::new(mode);
+            let ledger =
+                drive_with(&mut store, &PolicyKind::Uniform, dbsize, per_batch, batches, seed, repeats);
+            let exact_avg = ledger.iter().map(|&v| v as f64).sum::<f64>() / ledger.len() as f64;
+            let got = store
+                .query(&Query::Aggregate { kind: AggKind::Avg, predicate: None })
+                .output
+                .agg()
+                .unwrap()
+                .unwrap();
+            prop_assert!((got - exact_avg).abs() < 1e-6, "{mode:?}: avg {got} vs {exact_avg}");
+            let count = store
+                .query(&Query::Aggregate { kind: AggKind::Count, predicate: None })
+                .output
+                .agg()
+                .unwrap()
+                .unwrap();
+            prop_assert_eq!(count as usize, ledger.len(), "{:?}", mode);
+        }
     }
 
     #[test]
@@ -179,7 +195,7 @@ fn resident_bytes_per_row(policy: &PolicyKind, dbsize: usize, history: usize, ta
         .with_tiering(TierConfig::default());
     let per_batch = dbsize / 20;
     let batches = ((history - dbsize) / per_batch) as u64;
-    drive_with(&mut store, policy, dbsize, per_batch, batches, 7);
+    drive_with(&mut store, policy, dbsize, per_batch, batches, 7, 0);
     let snap = store.metrics_snapshot();
     assert_eq!((snap.total_rows, snap.active_rows), (history, dbsize));
     std::fs::remove_dir_all(&dir).ok();
