@@ -31,6 +31,10 @@ GATED = (
     # The packed-field group kernel (columnar::compress::filter): a 20-bit
     # forpack filter, serial and allocation-free, so quiet on runners.
     "compressed_scan/forpack_w20/filter",
+    # The codec chooser every freeze, recompression and replay runs: it
+    # sizes all five codecs arithmetically and encodes only the winner.
+    # Encoding all five and keeping the smallest is about 4x this.
+    "compressed_scan/encode_auto/uniform_w20",
     # A drop's checkpoint over 1M live + 1M dropped rows (snapshot v4):
     # serial, in memory, and the per-cycle cost of physical forgetting.
     "snapshot/encode_fifo_history",

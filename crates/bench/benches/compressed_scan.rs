@@ -12,7 +12,9 @@
 //! under those: [`EncodedBlock::filter_range_masks`] and
 //! [`EncodedBlock::fold_range_masked`] alone, per packed width, in ns/row
 //! and GB/s of packed bytes — the number the ROADMAP holds against memcpy
-//! bandwidth. `forpack_w20/filter` gates CI (`.github/bench_compare.py`).
+//! bandwidth. `compressed_scan/encode_auto/*` is the write side: the codec
+//! chooser alone. `forpack_w20/filter` and `encode_auto/uniform_w20` gate
+//! CI (`.github/bench_compare.py`).
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -233,9 +235,73 @@ fn packed_widths(c: &mut Criterion) {
     }
 }
 
+/// `compressed_scan/encode_auto/{uniform_w20,squashed_50}`: the codec
+/// chooser every freeze and recompression runs, over 512 tier-sized
+/// blocks of uniform 20-bit values (forpack wins) and the same blocks
+/// with half the rows squashed onto their neighbour, as recompression
+/// leaves them (rle and delta tie at about two bytes a row). Reported in
+/// ns/row.
+fn encode_auto(c: &mut Criterion) {
+    let mut rng = SimRng::new(25);
+    let uniform: Vec<Vec<i64>> = (0..WIDTH_BLOCKS)
+        .map(|_| {
+            (0..WIDTH_BLOCK_ROWS)
+                .map(|_| (rng.next_u64() >> 44) as i64)
+                .collect()
+        })
+        .collect();
+    let squashed: Vec<Vec<i64>> = uniform
+        .iter()
+        .map(|block| {
+            let mut last = 0;
+            block
+                .iter()
+                .map(|&v| {
+                    if rng.below(2) == 0 {
+                        last = v;
+                    }
+                    last
+                })
+                .collect()
+        })
+        .collect();
+    let rows = (WIDTH_BLOCKS * WIDTH_BLOCK_ROWS) as f64;
+    let mut group = c.benchmark_group("compressed_scan/encode_auto");
+    group.throughput(Throughput::Elements(rows as u64));
+    for (name, blocks, winners) in [
+        ("uniform_w20", uniform, &[Encoding::ForPack][..]),
+        ("squashed_50", squashed, &[Encoding::Rle, Encoding::Delta]),
+    ] {
+        let mut pass = || {
+            let mut bytes = 0;
+            for block in &blocks {
+                bytes += EncodedBlock::encode_auto(black_box(block)).compressed_bytes();
+            }
+            black_box(bytes)
+        };
+        let lost = blocks
+            .iter()
+            .find(|b| !winners.contains(&EncodedBlock::encode_auto(b).encoding()));
+        assert!(lost.is_none(), "{name}: a block chose none of {winners:?}");
+        let secs = (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                pass();
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::MAX, f64::min);
+        println!(
+            "compressed_scan/encode_auto/{name}: {:.1} ns/row",
+            secs * 1e9 / rows
+        );
+        group.bench_function(name, |b| b.iter(&mut pass));
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(500));
-    targets = packed_widths, compressed_scan
+    targets = packed_widths, encode_auto, compressed_scan
 }
 criterion_main!(benches);

@@ -3,22 +3,34 @@
 use bytes::{Bytes, BytesMut};
 
 use super::filter::{bit_set, in_range, range_width, BlockAgg, MaskWriter};
-use super::varint::{read_signed, write_signed};
+use super::varint::{read_signed, signed_len, write_signed};
 use crate::types::Value;
 
 /// Encode as `v0, v1−v0, v2−v1, …` with zigzag varints.
 pub fn encode(values: &[Value]) -> Bytes {
     let mut buf = BytesMut::new();
+    encode_into(&mut buf, values);
+    buf.freeze()
+}
+
+/// [`encode`] appending to `buf`; `v0` is its difference from 0.
+pub(super) fn encode_into(buf: &mut BytesMut, values: &[Value]) {
     let mut prev = 0i64;
-    for (i, &v) in values.iter().enumerate() {
-        if i == 0 {
-            write_signed(&mut buf, v);
-        } else {
-            write_signed(&mut buf, v.wrapping_sub(prev));
-        }
+    for &v in values {
+        write_signed(buf, v.wrapping_sub(prev));
         prev = v;
     }
-    buf.freeze()
+}
+
+/// Exact byte length of [`encode`]`(values)`, without writing a byte:
+/// the summed zigzag-varint lengths of the differences.
+pub fn size(values: &[Value]) -> usize {
+    let (mut bytes, mut prev) = (0, 0i64);
+    for &v in values {
+        bytes += signed_len(v.wrapping_sub(prev));
+        prev = v;
+    }
+    bytes
 }
 
 /// Decode a buffer produced by [`encode`].

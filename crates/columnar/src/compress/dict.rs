@@ -4,12 +4,51 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use super::filter::{check_region, low_ones, Band, BlockAgg, Packed};
-use super::varint::{read_signed, read_varint, try_read_varint, write_signed, write_varint};
+use super::delta;
+use super::filter::{check_region, pack_fields, packed_bytes, Band, BlockAgg, Packed};
+use super::varint::{read_signed, read_varint, try_read_varint, varint_len, write_varint};
 use crate::types::Value;
 
 fn bits_for(x: u64) -> u32 {
     64 - x.leading_zeros()
+}
+
+/// Code width of a dictionary of `dict_len ≥ 1` entries.
+fn code_width(dict_len: usize) -> u32 {
+    bits_for((dict_len - 1) as u64).max(1)
+}
+
+/// The dictionary of `values`: their distinct values, sorted. The copy
+/// keeps one value per run (a squashed block sorts half as many) and is
+/// radix sorted on its offsets from the minimum, a byte per pass and only
+/// as many passes as the span has bytes: one for `31·i mod 100`, three for
+/// 20-bit values, where a comparison sort costs about twice as much.
+pub(super) fn dictionary_of(values: &[Value]) -> Vec<Value> {
+    let mut dict = values.to_vec();
+    dict.dedup();
+    let (Some(&min), Some(&max)) = (dict.iter().min(), dict.iter().max()) else {
+        return dict;
+    };
+    let mut scratch = vec![0; dict.len()];
+    for pass in 0..bits_for(max.abs_diff(min)).div_ceil(8) {
+        let digit = |v: Value| (v.abs_diff(min) >> (8 * pass)) as usize & 0xFF;
+        let mut starts = [0usize; 256];
+        for &v in &dict {
+            starts[digit(v)] += 1;
+        }
+        let mut at = 0;
+        for start in &mut starts {
+            (*start, at) = (at, at + *start);
+        }
+        for &v in &dict {
+            let d = digit(v);
+            scratch[starts[d]] = v;
+            starts[d] += 1;
+        }
+        std::mem::swap(&mut dict, &mut scratch);
+    }
+    dict.dedup();
+    dict
 }
 
 /// Encode with a sorted dictionary.
@@ -18,52 +57,38 @@ fn bits_for(x: u64) -> u32 {
 /// zigzag varints) | code width u8 | packed codes`.
 pub fn encode(values: &[Value]) -> Bytes {
     let mut buf = BytesMut::new();
-    write_varint(&mut buf, values.len() as u64);
-    if values.is_empty() {
-        return buf.freeze();
-    }
-    let mut dict: Vec<Value> = values.to_vec();
-    dict.sort_unstable();
-    dict.dedup();
-    write_varint(&mut buf, dict.len() as u64);
-    let mut prev = 0i64;
-    for (i, &v) in dict.iter().enumerate() {
-        if i == 0 {
-            write_signed(&mut buf, v);
-        } else {
-            write_signed(&mut buf, v.wrapping_sub(prev));
-        }
-        prev = v;
-    }
-    let width = bits_for((dict.len() - 1) as u64).max(1);
-    buf.put_u8(width as u8);
-
-    let mut word = 0u64;
-    let mut filled = 0u32;
-    for &v in values {
-        let code = dict.binary_search(&v).expect("value is in dict") as u64;
-        let take = width; // width <= 64 always; codes fit in one push
-        debug_assert!(take <= 64 - filled || take <= 64);
-        let mut remaining = take;
-        let mut chunk = code;
-        while remaining > 0 {
-            let t = remaining.min(64 - filled);
-            word |= (chunk & low_ones(t)) << filled;
-            filled += t;
-            chunk >>= t - 1;
-            chunk >>= 1;
-            remaining -= t;
-            if filled == 64 {
-                buf.put_u64_le(word);
-                word = 0;
-                filled = 0;
-            }
-        }
-    }
-    if filled > 0 {
-        buf.put_u64_le(word);
-    }
+    encode_into(&mut buf, values, &dictionary_of(values));
     buf.freeze()
+}
+
+/// [`encode`] appending to `buf`, given `dict = dictionary_of(values)`.
+pub(super) fn encode_into(buf: &mut BytesMut, values: &[Value], dict: &[Value]) {
+    write_varint(buf, values.len() as u64);
+    if values.is_empty() {
+        return;
+    }
+    write_varint(buf, dict.len() as u64);
+    // The entries are the delta codec's stream over the dictionary.
+    delta::encode_into(buf, dict);
+    let width = code_width(dict.len());
+    buf.put_u8(width as u8);
+    let code = |v: &Value| dict.binary_search(v).expect("value is in dict") as u64;
+    pack_fields(buf, width, values.iter().map(code));
+}
+
+/// Exact byte length of [`encode`]`(values)`, without writing a byte.
+pub fn size(values: &[Value]) -> usize {
+    size_of_dictionary(values.len(), &dictionary_of(values))
+}
+
+/// [`size`] of `n` values whose dictionary is `dict`: the header, the
+/// entries' delta-varint lengths and `ceil(n·width / 64)` packed words.
+pub(super) fn size_of_dictionary(n: usize, dict: &[Value]) -> usize {
+    if n == 0 {
+        return varint_len(0);
+    }
+    let header = varint_len(n as u64) + varint_len(dict.len() as u64) + 1;
+    header + delta::size(dict) + packed_bytes(n, code_width(dict.len()))
 }
 
 /// A parsed block: the dictionary still in its delta-varint form and the

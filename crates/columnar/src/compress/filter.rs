@@ -34,12 +34,15 @@
 //! when it left many), and [`Packed::decode_each`] unpacks group by group. Predicates arrive as a
 //! [`Band`] — already rebased into the region's unsigned field space, with
 //! the empty and whole-domain cases split off as constant fills — and
-//! compare in `u64`.
+//! compare in `u64`. [`pack_fields`] is the one writer of the layout (the
+//! forpack and dict encoders), and [`packed_bytes`] its exact size.
 //!
 //! The [`MaskWriter`] serves the codecs without fixed-width fields (rle,
 //! delta): it packs bits LSB-first and zero-fills the tail of the last
 //! word; [`range_width`] / [`in_range`] are the single-unsigned-compare
 //! range test the batch kernels use.
+
+use bytes::{BufMut, BytesMut};
 
 use crate::types::Value;
 
@@ -305,6 +308,36 @@ pub(super) fn check_region(region: &[u8], width: u8, count: usize) -> Result<(),
         return Err("packed region shorter than its header claims");
     }
     Ok(())
+}
+
+/// Bytes of a packed region of `count` fields of `width` bits: whole
+/// words, `ceil(count·width / 64)` of them.
+pub(super) fn packed_bytes(count: usize, width: u32) -> usize {
+    8 * (count * width as usize).div_ceil(64)
+}
+
+/// Append `fields` (each below `2^width`) as a packed region, LSB-first,
+/// the last word zero-padded: exactly [`packed_bytes`] bytes, which
+/// [`Packed`] reads back.
+pub(super) fn pack_fields(buf: &mut BytesMut, width: u32, fields: impl Iterator<Item = u64>) {
+    let (mut word, mut filled) = (0u64, 0u32);
+    for field in fields {
+        word |= field << filled;
+        filled += width;
+        if filled >= 64 {
+            buf.put_u64_le(word);
+            filled -= 64;
+            // The field's bits that did not fit start the next word.
+            word = if filled == 0 {
+                0
+            } else {
+                field >> (width - filled)
+            };
+        }
+    }
+    if filled > 0 {
+        buf.put_u64_le(word);
+    }
 }
 
 /// A borrowed fixed-width packed region: `count` fields of `width` bits.
@@ -658,6 +691,26 @@ mod tests {
                         assert_eq!(got, expect, "for_each_selected w{width} n{count} {band:?}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_fields_read_back_at_every_width() {
+        for width in 1..=64u32 {
+            for count in [0usize, 1, 63, 64, 65, 200] {
+                let fields: Vec<u64> = (0..count as u64)
+                    .map(|i| (i ^ u64::from(width)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .map(|f| f & low_ones(width))
+                    .collect();
+                let mut buf = BytesMut::new();
+                pack_fields(&mut buf, width, fields.iter().copied());
+                assert_eq!(buf.len(), packed_bytes(count, width), "w{width} n{count}");
+                assert_eq!(
+                    oracle_fields(&buf, width, count),
+                    fields,
+                    "w{width} n{count}"
+                );
             }
         }
     }

@@ -6,8 +6,10 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use super::filter::{check_region, low_ones, Band, BlockAgg, Packed};
-use super::varint::{read_signed, read_varint, try_read_varint, write_signed, write_varint};
+use super::filter::{check_region, low_ones, pack_fields, packed_bytes, Band, BlockAgg, Packed};
+use super::varint::{
+    read_signed, read_varint, signed_len, try_read_varint, varint_len, write_signed, write_varint,
+};
 use crate::types::Value;
 
 /// Bits needed to represent `x`.
@@ -15,48 +17,45 @@ fn bits_for(x: u64) -> u32 {
     64 - x.leading_zeros()
 }
 
+/// Field width of a frame spanning `min..=max` (the offset fits `u64`
+/// even for the full `i64` span).
+fn width_of(min: Value, max: Value) -> u32 {
+    bits_for(max.abs_diff(min)).max(1)
+}
+
 /// Encode with frame-of-reference bit-packing.
 ///
 /// Layout: `count varint | min zigzag-varint | width u8 | packed words`.
 pub fn encode(values: &[Value]) -> Bytes {
     let mut buf = BytesMut::new();
-    write_varint(&mut buf, values.len() as u64);
-    if values.is_empty() {
-        return buf.freeze();
-    }
-    let min = *values.iter().min().expect("non-empty");
-    let max = *values.iter().max().expect("non-empty");
-    // The offset fits u64 even for full i64 span.
-    let span = (max as i128 - min as i128) as u64;
-    let width = bits_for(span).max(1);
-    write_signed(&mut buf, min);
-    buf.put_u8(width as u8);
-
-    let mut word = 0u64;
-    let mut filled = 0u32;
-    for &v in values {
-        let off = (v as i128 - min as i128) as u64;
-        // Write `width` bits of `off`, LSB first across words.
-        let mut remaining = width;
-        let mut chunk = off;
-        while remaining > 0 {
-            let take = remaining.min(64 - filled);
-            word |= (chunk & low_ones(take)) << filled;
-            filled += take;
-            chunk >>= take - 1;
-            chunk >>= 1; // two-step shift: `take` may be 64
-            remaining -= take;
-            if filled == 64 {
-                buf.put_u64_le(word);
-                word = 0;
-                filled = 0;
-            }
-        }
-    }
-    if filled > 0 {
-        buf.put_u64_le(word);
-    }
+    encode_into(&mut buf, values);
     buf.freeze()
+}
+
+/// [`encode`] appending to `buf`.
+pub(super) fn encode_into(buf: &mut BytesMut, values: &[Value]) {
+    write_varint(buf, values.len() as u64);
+    let (Some(&min), Some(&max)) = (values.iter().min(), values.iter().max()) else {
+        return;
+    };
+    let width = width_of(min, max);
+    write_signed(buf, min);
+    buf.put_u8(width as u8);
+    pack_fields(buf, width, values.iter().map(|&v| v.abs_diff(min)));
+}
+
+/// Exact byte length of [`encode`]`(values)`, without writing a byte.
+pub fn size(values: &[Value]) -> usize {
+    match (values.iter().min(), values.iter().max()) {
+        (Some(&min), Some(&max)) => size_of_frame(values.len(), min, max),
+        _ => varint_len(0),
+    }
+}
+
+/// [`size`] of `n ≥ 1` values spanning `min..=max`: the header plus
+/// `ceil(n·width / 64)` packed words.
+pub(super) fn size_of_frame(n: usize, min: Value, max: Value) -> usize {
+    varint_len(n as u64) + signed_len(min) + 1 + packed_bytes(n, width_of(min, max))
 }
 
 /// Parse the header: the frame minimum and the packed offsets, *borrowed*

@@ -8,6 +8,28 @@
 //! automatic chooser, so the ablation experiment can quantify exactly how
 //! many batches of amnesia each codec buys per distribution.
 //!
+//! # Choosing a codec by arithmetic
+//!
+//! [`EncodedBlock::encode_auto`] runs at every forgetting boundary —
+//! each freeze, each recompression, each replayed tier record — so it
+//! never encodes a block it will throw away. Every codec has a `size`
+//! function that returns exactly what its `encode` would produce, without
+//! writing a byte ([`rle::size`], [`delta::size`], [`forpack::size`],
+//! [`dict::size`]; plain is `8n`):
+//!
+//! * **rle** is the summed varint lengths of every run's value and length,
+//! * **delta** the summed zigzag-varint lengths of the differences,
+//! * **forpack** its header plus `8·⌈n·w/64⌉` bytes of packed offsets at
+//!   the frame's width `w`,
+//! * **dict** its header, the delta-varint lengths of the sorted distinct
+//!   values and `8·⌈n·w/64⌉` bytes of packed codes.
+//!
+//! The chooser gets the runs and the differences from one pass over the
+//! block and the distinct values (whose ends are forpack's frame) from one
+//! sort, takes the first smallest size in [`Encoding::ALL`] order — the
+//! same choice, byte for byte, as encoding all five and keeping the
+//! smallest — and then runs only the winner's encoder.
+//!
 //! # The mask contract (fused decode+filter)
 //!
 //! Compressed data only postpones forgetting if predicates can run on it
@@ -70,7 +92,7 @@ pub mod varint;
 use std::cell::Cell;
 
 use amnesia_util::{storage_err, Result};
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 pub(crate) use filter::bit_set;
@@ -224,13 +246,14 @@ impl EncodedBlock {
         }
     }
 
-    /// Encode with whichever encoding yields the fewest bytes.
+    /// Encode with whichever encoding yields the fewest bytes, ties going
+    /// to the first in [`Encoding::ALL`] order. The choice is made on
+    /// exact sizes computed without writing a byte (the sizing rule is in
+    /// the module docs); only the winner's encoder runs, into a buffer
+    /// reserved at its known size.
     pub fn encode_auto(values: &[Value]) -> Self {
-        Encoding::ALL
-            .iter()
-            .map(|&e| Self::encode(values, e))
-            .min_by_key(|b| b.compressed_bytes())
-            .expect("at least one encoding")
+        let sizes = BlockSizes::of(values);
+        sizes.encode(sizes.smallest())
     }
 
     /// Decode back to the original values.
@@ -413,13 +436,96 @@ impl EncodedBlock {
     }
 }
 
+/// A block sized exactly in every codec before any codec runs — what
+/// [`EncodedBlock::encode_auto`] and recompression decide on (the sizing
+/// rule is in the module docs).
+pub(crate) struct BlockSizes<'a> {
+    values: &'a [Value],
+    /// The sorted distinct values: dict's size needs them, and dict's
+    /// encoder reuses them if it wins.
+    dict: Vec<Value>,
+    /// `EncodedBlock::encode(values, e).compressed_bytes()` at `e.tag()`.
+    bytes: [usize; 5],
+}
+
+impl<'a> BlockSizes<'a> {
+    /// Size `values` in every codec.
+    pub(crate) fn of(values: &'a [Value]) -> Self {
+        let n = values.len();
+        let dict = dict::dictionary_of(values);
+        let (mut rle, mut delta) = (0, 0);
+        if let Some((&first, rest)) = values.split_first() {
+            let (mut prev, mut run) = (first, 1);
+            delta = varint::signed_len(first);
+            for &v in rest {
+                delta += varint::signed_len(v.wrapping_sub(prev));
+                if v != prev {
+                    rle += rle::run_bytes(prev, run);
+                    run = 0;
+                }
+                run += 1;
+                prev = v;
+            }
+            rle += rle::run_bytes(prev, run);
+        }
+        let forpack = match (dict.first(), dict.last()) {
+            (Some(&min), Some(&max)) => forpack::size_of_frame(n, min, max),
+            _ => forpack::size(values),
+        };
+        let bytes = [
+            8 * n,
+            rle,
+            delta,
+            forpack,
+            dict::size_of_dictionary(n, &dict),
+        ];
+        Self {
+            values,
+            dict,
+            bytes,
+        }
+    }
+
+    /// Exact encoded size in `encoding`.
+    pub(crate) fn bytes(&self, encoding: Encoding) -> usize {
+        // `Encoding::ALL` is in tag order.
+        self.bytes[usize::from(encoding.tag())]
+    }
+
+    /// The fewest bytes, ties going to the first in [`Encoding::ALL`].
+    pub(crate) fn smallest(&self) -> Encoding {
+        Encoding::ALL
+            .into_iter()
+            .min_by_key(|&e| self.bytes(e))
+            .expect("five encodings")
+    }
+
+    /// Run `encoding`'s encoder, into a buffer of exactly its size.
+    pub(crate) fn encode(&self, encoding: Encoding) -> EncodedBlock {
+        let values = self.values;
+        let mut buf = BytesMut::with_capacity(self.bytes(encoding));
+        match encoding {
+            Encoding::Plain => plain_encode_into(&mut buf, values),
+            Encoding::Rle => rle::encode_into(&mut buf, values),
+            Encoding::Delta => delta::encode_into(&mut buf, values),
+            Encoding::ForPack => forpack::encode_into(&mut buf, values),
+            Encoding::Dict => dict::encode_into(&mut buf, values, &self.dict),
+        }
+        debug_assert_eq!(buf.len(), self.bytes(encoding), "{encoding:?} sized");
+        EncodedBlock::from_parts(encoding, values.len(), buf.freeze())
+    }
+}
+
 fn plain_encode(values: &[Value]) -> Bytes {
-    use bytes::{BufMut, BytesMut};
     let mut buf = BytesMut::with_capacity(values.len() * 8);
+    plain_encode_into(&mut buf, values);
+    buf.freeze()
+}
+
+fn plain_encode_into(buf: &mut BytesMut, values: &[Value]) {
     for &v in values {
         buf.put_i64_le(v);
     }
-    buf.freeze()
 }
 
 fn plain_decode(data: &[u8]) -> Vec<Value> {
@@ -711,7 +817,140 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use amnesia_util::SimRng;
     use proptest::prelude::*;
+
+    /// The chooser this crate shipped before sizing: encode all five,
+    /// keep the first smallest.
+    fn encode_all_keep_first_smallest(values: &[Value]) -> EncodedBlock {
+        Encoding::ALL
+            .iter()
+            .map(|&e| EncodedBlock::encode(values, e))
+            .min_by_key(|b| b.compressed_bytes())
+            .expect("at least one encoding")
+    }
+
+    /// Each codec's `size` function.
+    fn size_of(values: &[Value], encoding: Encoding) -> usize {
+        match encoding {
+            Encoding::Plain => 8 * values.len(),
+            Encoding::Rle => rle::size(values),
+            Encoding::Delta => delta::size(values),
+            Encoding::ForPack => forpack::size(values),
+            Encoding::Dict => dict::size(values),
+        }
+    }
+
+    /// A block of `len` values in one of the shapes the codecs' sizes
+    /// turn on: random 64-bit, FOR widths 57–64 pinned at both ends,
+    /// constant, sorted, alternating, squashed (runs of a forgotten row's
+    /// last active neighbour), `i64` extremes, a narrow band, and a few
+    /// far-apart distinct values.
+    fn shaped(len: usize, shape: u8, seed: u64) -> Vec<Value> {
+        let mut rng = SimRng::new(seed);
+        let extremes = [i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1, 0, -1, 1];
+        let pick = |rng: &mut SimRng| extremes[rng.index(extremes.len())];
+        let mut values: Vec<Value> = match shape {
+            0 => (0..len).map(|_| rng.next_u64() as i64).collect(),
+            1 => {
+                let width = 57 + rng.below(8) as u32;
+                let offset = |r: u64| i64::MIN.wrapping_add((r >> (64 - width)) as i64);
+                let mut v: Vec<Value> = (0..len).map(|_| offset(rng.next_u64())).collect();
+                if len >= 2 {
+                    v[0] = offset(0);
+                    v[len - 1] = offset(u64::MAX);
+                }
+                v
+            }
+            2 => vec![pick(&mut rng); len],
+            3 => {
+                let mut acc = rng.range_i64(-1 << 40, 1 << 40);
+                let step: i64 = 1 << rng.below(20);
+                (0..len)
+                    .map(|_| {
+                        acc += rng.range_i64(0, step);
+                        acc
+                    })
+                    .collect()
+            }
+            4 => {
+                let pair = [pick(&mut rng), rng.next_u64() as i64 >> rng.below(64)];
+                (0..len).map(|i| pair[i % 2]).collect()
+            }
+            5 => {
+                let mut last = 0;
+                (0..len)
+                    .map(|_| {
+                        if rng.below(2) == 0 {
+                            last = rng.range_i64(0, 1 << 20);
+                        }
+                        last
+                    })
+                    .collect()
+            }
+            6 => (0..len).map(|_| pick(&mut rng)).collect(),
+            7 => {
+                let base = rng.next_u64() as i64 >> 2;
+                let width = 1 + rng.below(20);
+                (0..len)
+                    .map(|_| base + (rng.next_u64() >> (64 - width)) as i64)
+                    .collect()
+            }
+            _ => {
+                let distinct: Vec<Value> = (0..1 + rng.below(300))
+                    .map(|_| rng.next_u64() as i64)
+                    .collect();
+                (0..len)
+                    .map(|_| distinct[rng.index(distinct.len())])
+                    .collect()
+            }
+        };
+        // Now and then an extreme lands anywhere in the block.
+        if len > 0 && rng.below(4) == 0 {
+            let at = rng.index(len);
+            values[at] = pick(&mut rng);
+        }
+        values
+    }
+
+    fn shaped_block() -> impl Strategy<Value = Vec<Value>> {
+        let len = prop_oneof![
+            Just(0usize),
+            Just(1),
+            Just(63),
+            Just(64),
+            Just(65),
+            Just(1_024),
+            0usize..1_100,
+        ];
+        (len, 0u8..9, any::<u64>()).prop_map(|(len, shape, seed)| shaped(len, shape, seed))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(768))]
+
+        #[test]
+        fn sizes_are_exact_and_the_choice_matches_encoding_all(values in shaped_block()) {
+            let sizes = BlockSizes::of(&values);
+            for enc in Encoding::ALL {
+                let encoded = EncodedBlock::encode(&values, enc);
+                prop_assert_eq!(size_of(&values, enc), encoded.compressed_bytes(), "{:?}", enc);
+                prop_assert_eq!(sizes.bytes(enc), encoded.compressed_bytes(), "{:?}", enc);
+                prop_assert_eq!(&sizes.encode(enc), &encoded, "{:?}", enc);
+            }
+            prop_assert_eq!(EncodedBlock::encode_auto(&values), encode_all_keep_first_smallest(&values));
+        }
+    }
+
+    /// `[0, 0, 1, 1]` is 4 bytes as rle and as delta: the tie goes to the
+    /// first in `Encoding::ALL`.
+    #[test]
+    fn an_exact_tie_goes_to_the_first_in_all_order() {
+        let values = [0, 0, 1, 1];
+        assert_eq!(rle::size(&values), 4);
+        assert_eq!(delta::size(&values), 4);
+        assert_eq!(EncodedBlock::encode_auto(&values).encoding(), Encoding::Rle);
+    }
 
     proptest! {
         #[test]

@@ -5,24 +5,36 @@ use bytes::{Bytes, BytesMut};
 use amnesia_util::bitmap::{count_set_bits_in, for_each_set_bit_in};
 
 use super::filter::{in_range, range_width, BlockAgg, MaskWriter};
-use super::varint::{read_signed, read_varint, write_signed, write_varint};
+use super::varint::{read_signed, read_varint, signed_len, varint_len, write_signed, write_varint};
 use crate::types::Value;
 
 /// Encode as a sequence of `(zigzag value, run length)` varint pairs.
 pub fn encode(values: &[Value]) -> Bytes {
     let mut buf = BytesMut::new();
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i];
-        let mut run = 1u64;
-        while i + (run as usize) < values.len() && values[i + run as usize] == v {
-            run += 1;
-        }
-        write_signed(&mut buf, v);
-        write_varint(&mut buf, run);
-        i += run as usize;
-    }
+    encode_into(&mut buf, values);
     buf.freeze()
+}
+
+/// [`encode`] appending to `buf`.
+pub(super) fn encode_into(buf: &mut BytesMut, values: &[Value]) {
+    for run in values.chunk_by(|a, b| a == b) {
+        write_signed(buf, run[0]);
+        write_varint(buf, run.len() as u64);
+    }
+}
+
+/// Exact byte length of [`encode`]`(values)`, without writing a byte.
+pub fn size(values: &[Value]) -> usize {
+    values
+        .chunk_by(|a, b| a == b)
+        .map(|run| run_bytes(run[0], run.len()))
+        .sum()
+}
+
+/// Bytes of one run: its value's zigzag varint and its length's varint.
+#[inline]
+pub(super) fn run_bytes(v: Value, len: usize) -> usize {
+    signed_len(v) + varint_len(len as u64)
 }
 
 /// Decode a buffer produced by [`encode`].

@@ -29,6 +29,18 @@ pub fn write_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
+/// Bytes [`write_varint`] appends for `v`: one per started 7 bits.
+#[inline]
+pub(super) fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Bytes [`write_signed`] appends for `v`.
+#[inline]
+pub(super) fn signed_len(v: i64) -> usize {
+    varint_len(zigzag_encode(v))
+}
+
 /// Read an LEB128 varint starting at `*pos`, advancing it.
 ///
 /// Panics on truncated input (codecs own their buffers, so corruption is a
@@ -140,5 +152,18 @@ mod tests {
         assert_eq!(buf.len(), 1);
         write_varint(&mut buf, 128);
         assert_eq!(buf.len(), 3);
+    }
+
+    #[test]
+    fn lengths_match_what_is_written() {
+        let edges = (0..64).flat_map(|b| [1u64 << b, (1u64 << b) - 1, (1u64 << b) + 1]);
+        for v in edges.chain([0, u64::MAX]) {
+            let mut buf = BytesMut::new();
+            write_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v}");
+            let mut buf = BytesMut::new();
+            write_signed(&mut buf, v as i64);
+            assert_eq!(signed_len(v as i64), buf.len(), "{}", v as i64);
+        }
     }
 }

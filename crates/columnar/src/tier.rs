@@ -69,7 +69,7 @@ use amnesia_util::WORD_BITS;
 use bytes::BytesMut;
 
 use crate::compress::varint::{write_signed, write_varint};
-use crate::compress::{bit_set, note_summary_build, EncodedBlock, Encoding};
+use crate::compress::{bit_set, note_summary_build, BlockSizes, EncodedBlock, Encoding};
 use crate::types::{Value, DEFAULT_BLOCK_ROWS};
 
 /// Cached per-block metadata: the tier layer's built-in zone map.
@@ -724,9 +724,11 @@ impl TieredColumn {
     /// Re-encode frozen block `b` after forgetting: forgotten rows'
     /// values are squashed onto their last active neighbour (lengthening
     /// runs and shrinking dictionaries), meta bounds tighten to the
-    /// surviving rows, and the smaller encoding wins (the old payload is
-    /// kept if recompression does not help). Returns compressed bytes
-    /// saved.
+    /// surviving rows, and the smaller encoding wins. The comparison
+    /// happens *before* encoding: the squashed block is sized in every
+    /// codec, and unless the best size is below the current payload no
+    /// encoder runs and the old payload — forgotten values included — is
+    /// kept. Returns compressed bytes saved.
     ///
     /// Safe because active-only scans AND every mask with the activity
     /// words: a forgotten row's value can change freely without a single
@@ -760,16 +762,15 @@ impl TieredColumn {
                 *v = last_active;
             }
         }
-        let reencoded = match self.encoding {
-            Some(e) => EncodedBlock::encode(&values, e),
-            None => EncodedBlock::encode_auto(&values),
-        };
+        let sizes = BlockSizes::of(&values);
+        let encoding = self.encoding.unwrap_or_else(|| sizes.smallest());
         f.meta = meta;
         let old = f.block.compressed_bytes();
-        if reencoded.compressed_bytes() < old {
-            f.block = reencoded;
+        let new = sizes.bytes(encoding);
+        if new < old {
+            f.block = sizes.encode(encoding);
             f.state = BlockState::Recompressed;
-            old - f.block.compressed_bytes()
+            old - new
         } else {
             0
         }

@@ -515,6 +515,63 @@ fn v4_directory_fixture_recovers_to_the_same_table() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The table behind `tests/fixtures/codec_choice.snap`: four frozen
+/// 1 024-row blocks of columns shaped like the benchmark's — uniform
+/// `U[0, 10^6)`, `i/100 + U[0, 50)`, `i/2000`, `31·i mod 100` — and one of
+/// `i64` extremes; block 1 forgotten to 50 % active and block 2 to 42 %,
+/// then `recompress_frozen(0.5)`; a 300-row hot tail.
+fn codec_choice_table() -> Table {
+    let cols = vec!["uniform", "band", "serial", "cyclic", "extremes"];
+    let mut t = Table::with_block_rows(Schema::new(cols), 1024);
+    let mut rng = SimRng::new(25);
+    let extremes = [i64::MIN, i64::MAX, i64::MIN + 1, -1, 0, 1];
+    for i in 0..4 * 1024 + 300i64 {
+        let row = [
+            rng.range_i64(0, 1_000_000),
+            i / 100 + rng.range_i64(0, 50),
+            i / 2000,
+            31 * i % 100,
+            extremes[rng.index(extremes.len())],
+        ];
+        t.insert(&row, (i / 1024) as u64).unwrap();
+    }
+    t.freeze_upto(4 * 1024);
+    for (b, active) in [(1u64, 512), (2, 430)] {
+        let mut rows: Vec<u64> = (b * 1024..(b + 1) * 1024).collect();
+        rng.shuffle(&mut rows);
+        for &r in &rows[active..] {
+            t.forget(RowId(r), 9).unwrap();
+        }
+    }
+    t.recompress_frozen(0.5);
+    t
+}
+
+/// Every block of `codec_choice_table` chooses the codec, and holds the
+/// bytes, it did when the chooser encoded all five codecs: the parent of
+/// size-arithmetic `encode_auto` wrote the fixture, and today's freeze,
+/// recompression and hot-tail encode rebuild it byte for byte.
+#[test]
+fn codec_choice_fixture_is_rebuilt_byte_for_byte() {
+    let bytes = include_bytes!("fixtures/codec_choice.snap");
+    let t = codec_choice_table();
+    let mut codecs = std::collections::BTreeSet::new();
+    for c in 0..5 {
+        let tier = t.col_tier(c);
+        for b in 0..tier.frozen_blocks() {
+            codecs.insert(tier.frozen(b).unwrap().encoded().encoding().name());
+        }
+    }
+    assert_eq!(codecs.len(), 4, "the fixture exercises {codecs:?}");
+    assert!(snapshot::encode(&t) == bytes, "rebuilt table differs");
+    let back = snapshot::decode(bytes).unwrap();
+    assert!(states_equal(&t, &back));
+    assert!(
+        snapshot::encode(&back) == bytes,
+        "re-encoded fixture differs"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Segmented WAL: torn tails across record kinds and segment boundaries.
 // ---------------------------------------------------------------------------
