@@ -1,26 +1,14 @@
-//! ABL-ADAPT bench: the adaptive-partitioning experiment plus the raw
-//! cost of routing + end-of-batch bandit bookkeeping.
+//! ABL-ADAPT bench: the raw cost of routing + end-of-batch bandit
+//! bookkeeping in the adaptive partitioned store.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use amnesia_core::adaptive::{AdaptiveConfig, AdaptiveStore};
-use amnesia_core::experiments::{ablation_adaptive, Scale};
 use amnesia_util::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn adaptive(c: &mut Criterion) {
-    c.bench_function("adaptive/experiment", |b| {
-        let scale = Scale {
-            dbsize: 200,
-            queries_per_batch: 60,
-            batches: 5,
-            domain: 20_000,
-            seed: 0xC1D8_2017,
-        };
-        b.iter(|| black_box(ablation_adaptive(black_box(&scale)).unwrap()))
-    });
-
     let mut group = c.benchmark_group("adaptive/insert_route");
     group.throughput(Throughput::Elements(1));
     for partitions in [2usize, 8, 32] {

@@ -1,11 +1,10 @@
-//! Micro-model microbenchmarks: fit cost vs tuple count, estimate cost vs
-//! bin count, and the full ABL-MODEL experiment.
+//! Micro-model microbenchmarks: fit cost vs tuple count and estimate cost
+//! vs bin count.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use amnesia_columnar::{MicroModel, ModelStore, ValueRange};
-use amnesia_core::experiments::{ablation_micromodels, Scale};
 use amnesia_util::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -46,17 +45,6 @@ fn micromodel(c: &mut Criterion) {
         });
     }
     est.finish();
-
-    c.bench_function("micromodel/abl_model_experiment", |b| {
-        let scale = Scale {
-            dbsize: 300,
-            queries_per_batch: 50,
-            batches: 6,
-            domain: 50_000,
-            seed: 0xC1D8_2017,
-        };
-        b.iter(|| black_box(ablation_micromodels(black_box(&scale)).unwrap()))
-    });
 }
 
 criterion_group! {

@@ -36,6 +36,18 @@ fn policy_overhead(c: &mut Criterion) {
         PolicyKind::Ttl { max_age: 1 },
         PolicyKind::Pair,
         PolicyKind::Aligned { bins: 32 },
+        PolicyKind::Ebbinghaus {
+            base_strength: 1.0,
+            rehearsal_boost: 1.0,
+        },
+        PolicyKind::Decay {
+            alpha: 0.4,
+            protect_age: 1,
+        },
+        PolicyKind::CostBased {
+            bins: 64,
+            gamma: 1.0,
+        },
     ];
 
     let mut group = c.benchmark_group("policy/select_1000_of_40000");

@@ -23,8 +23,9 @@
 //! * [`sim`] — the query-batch → update-batch → amnesia loop (§2.3),
 //! * [`store`] — what *physically* happens to forgotten tuples
 //!   (mark / delete / de-index / cold-tier / summarize, §1),
-//! * [`experiments`] — canned runners for every figure and table of the
-//!   paper plus the ablations (listed in that module's docs).
+//! * [`experiments`] — the paper's evaluation as one table
+//!   ([`experiments::EXPERIMENTS`]: every figure, table and ablation) and
+//!   one runner ([`experiments::run`]).
 //!
 //! ## Quickstart
 //!

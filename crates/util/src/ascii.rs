@@ -151,18 +151,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as CSV (no quoting — the harness only emits numeric cells and
-    /// identifiers without commas).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.header.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float with fixed precision, trimming to a compact width.
@@ -218,9 +206,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("policy"));
         assert!(s.lines().count() >= 4);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().next().unwrap(), "policy,pf");
-        assert_eq!(csv.lines().count(), 3);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }
