@@ -10,6 +10,7 @@
 //! a row of holds none, and a block whose payload was dropped keeps only
 //! the runs snapshot v4 writes for it.
 
+use amnesia_util::bitmap::for_each_set_bit_in;
 use amnesia_util::{Bitmap, SimRng};
 use serde::{Deserialize, Serialize};
 
@@ -84,10 +85,26 @@ impl ActivityMap {
 
     /// Mark the rows `[lo, hi)` — all of them active — forgotten at
     /// `epoch`: the snapshot reader's run-at-a-time [`Self::forget`].
-    pub(crate) fn forget_range(&mut self, lo: usize, hi: usize, epoch: Epoch) {
+    pub(crate) fn forget_active_range(&mut self, lo: usize, hi: usize, epoch: Epoch) {
         let cleared = self.active.clear_range(lo, hi);
         debug_assert_eq!(cleared, hi - lo, "rows {lo}..{hi} were not all active");
         self.died_at.fill(lo, hi, epoch);
+    }
+
+    /// [`Self::forget`] over the rows `[lo, hi)`, a word at a time: the
+    /// active ones die at `epoch`, the forgotten ones keep their death
+    /// epoch. Returns how many were active. A range that is all active
+    /// (most replayed forget runs) is one fill.
+    pub(crate) fn forget_range(&mut self, lo: usize, hi: usize, epoch: Epoch) -> usize {
+        let active = self.active.count_ones_in(lo, hi);
+        if active == hi - lo {
+            self.forget_active_range(lo, hi, epoch);
+        } else {
+            let died_at = &mut self.died_at;
+            for_each_set_bit_in(self.active.words(), lo, hi, |row| died_at.set(row, epoch));
+            self.active.clear_range(lo, hi);
+        }
+        active
     }
 
     /// Epoch at which the row was forgotten, if it has been.
@@ -228,7 +245,7 @@ mod tests {
         for r in 0..96 {
             am.forget(RowId(r), 6);
         }
-        am.forget_range(96, 130, 7);
+        am.forget_active_range(96, 130, 7);
         for r in [140, 142, 143, 299] {
             am.forget(RowId(r), 8);
         }
@@ -256,7 +273,7 @@ mod tests {
         restored.seal_block(0);
         restored.seal_block(1);
         for &(s, e, epoch) in &want {
-            restored.forget_range(s, e, epoch);
+            restored.forget_active_range(s, e, epoch);
         }
         assert_eq!(death_runs(&restored), want);
         assert_eq!(restored.death_bytes(), am.death_bytes());

@@ -18,13 +18,14 @@ fn code_width(dict_len: usize) -> u32 {
     bits_for((dict_len - 1) as u64).max(1)
 }
 
-/// The dictionary of `values`: their distinct values, sorted. The copy
-/// keeps one value per run (a squashed block sorts half as many) and is
-/// radix sorted on its offsets from the minimum, a byte per pass and only
-/// as many passes as the span has bytes: one for `31·i mod 100`, three for
-/// 20-bit values, where a comparison sort costs about twice as much.
-pub(super) fn dictionary_of(values: &[Value]) -> Vec<Value> {
-    let mut dict = values.to_vec();
+/// The dictionary of `values`: their distinct values, sorted, in the
+/// vector passed in. It keeps one value per run (a caller holding runs
+/// passes one value each) and is radix sorted on its offsets from the
+/// minimum, a byte per pass and only as many passes as the span has
+/// bytes: one for `31·i mod 100`, three for 20-bit values, where a
+/// comparison sort costs about twice as much.
+pub(super) fn dictionary_of(values: Vec<Value>) -> Vec<Value> {
+    let mut dict = values;
     dict.dedup();
     let (Some(&min), Some(&max)) = (dict.iter().min(), dict.iter().max()) else {
         return dict;
@@ -57,7 +58,7 @@ pub(super) fn dictionary_of(values: &[Value]) -> Vec<Value> {
 /// zigzag varints) | code width u8 | packed codes`.
 pub fn encode(values: &[Value]) -> Bytes {
     let mut buf = BytesMut::new();
-    encode_into(&mut buf, values, &dictionary_of(values));
+    encode_into(&mut buf, values, &dictionary_of(values.to_vec()));
     buf.freeze()
 }
 
@@ -78,7 +79,7 @@ pub(super) fn encode_into(buf: &mut BytesMut, values: &[Value], dict: &[Value]) 
 
 /// Exact byte length of [`encode`]`(values)`, without writing a byte.
 pub fn size(values: &[Value]) -> usize {
-    size_of_dictionary(values.len(), &dictionary_of(values))
+    size_of_dictionary(values.len(), &dictionary_of(values.to_vec()))
 }
 
 /// [`size`] of `n` values whose dictionary is `dict`: the header, the

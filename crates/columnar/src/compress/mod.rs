@@ -24,11 +24,18 @@
 //! * **dict** its header, the delta-varint lengths of the sorted distinct
 //!   values and `8·⌈n·w/64⌉` bytes of packed codes.
 //!
-//! The chooser gets the runs and the differences from one pass over the
-//! block and the distinct values (whose ends are forpack's frame) from one
-//! sort, takes the first smallest size in [`Encoding::ALL`] order — the
-//! same choice, byte for byte, as encoding all five and keeping the
-//! smallest — and then runs only the winner's encoder.
+//! Freeze sizes its rows: one pass finds the runs and the differences,
+//! one sort the distinct values (whose ends are forpack's frame).
+//! Recompression sizes a squashed block by its maximal `(value, length)`
+//! runs instead, never its rows (an rle source never expands at all): rle
+//! is Σ `run_bytes`; delta is the varint of each run's change from the
+//! previous value (the first from 0) plus one zero byte per repeated row;
+//! dict sorts one value per run; forpack's frame is that dictionary's
+//! ends. Either way the first smallest size in [`Encoding::ALL`] order
+//! wins — the same choice, byte for byte, as encoding all five and keeping
+//! the smallest — and only the winner's encoder runs; a squashed block's
+//! rle is written from its runs, any other winner from its rows (expanded
+//! once).
 //!
 //! # The mask contract (fused decode+filter)
 //!
@@ -89,7 +96,9 @@ pub mod forpack;
 pub mod rle;
 pub mod varint;
 
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::iter::repeat_n;
 
 use amnesia_util::{storage_err, Result};
 use bytes::{BufMut, Bytes, BytesMut};
@@ -414,17 +423,20 @@ impl EncodedBlock {
     /// hold exactly `len` words; forpack and dict must carry `len` as
     /// their row count, a field width in `1..=64`, a packed region of at
     /// least `ceil(len·width / 64)` words and (dict) a complete
-    /// dictionary — O(1), O(1) and O(dictionary). Rle and delta are
-    /// headerless varint streams and pass through; field *contents* stay
+    /// dictionary — O(1), O(1) and O(dictionary). Rle's varints must end
+    /// inside the payload and its run lengths sum to `len`, O(runs): the
+    /// run walks index activity and mask words by them. Delta is a
+    /// headerless varint stream and passes through; field *contents* stay
     /// the checksum's job.
     pub fn try_from_parts(encoding: Encoding, len: usize, data: Bytes) -> Result<Self> {
         let checked = match encoding {
             Encoding::Plain if len.checked_mul(8) != Some(data.len()) => {
                 Err("payload is not 8 bytes per row")
             }
+            Encoding::Rle => rle::check(&data, len),
             Encoding::ForPack => forpack::check(&data, len),
             Encoding::Dict => dict::check(&data, len),
-            Encoding::Plain | Encoding::Rle | Encoding::Delta => Ok(()),
+            Encoding::Plain | Encoding::Delta => Ok(()),
         };
         match checked {
             Ok(()) => Ok(Self::from_parts(encoding, len, data)),
@@ -437,10 +449,12 @@ impl EncodedBlock {
 }
 
 /// A block sized exactly in every codec before any codec runs — what
-/// [`EncodedBlock::encode_auto`] and recompression decide on (the sizing
-/// rule is in the module docs).
+/// [`EncodedBlock::encode_auto`] (from rows) and recompression (from
+/// runs) decide on; the sizing rule is in the module docs.
 pub(crate) struct BlockSizes<'a> {
-    values: &'a [Value],
+    block: Block<'a>,
+    /// Rows in the block.
+    len: usize,
     /// The sorted distinct values: dict's size needs them, and dict's
     /// encoder reuses them if it wins.
     dict: Vec<Value>,
@@ -448,11 +462,18 @@ pub(crate) struct BlockSizes<'a> {
     bytes: [usize; 5],
 }
 
+/// What a [`BlockSizes`] encodes from.
+enum Block<'a> {
+    /// The caller's values (freeze).
+    Values(&'a [Value]),
+    /// Maximal `(value, length)` runs (a squashed block): rle writes them,
+    /// a fixed-width winner expands them once.
+    Runs(Vec<(Value, usize)>),
+}
+
 impl<'a> BlockSizes<'a> {
     /// Size `values` in every codec.
     pub(crate) fn of(values: &'a [Value]) -> Self {
-        let n = values.len();
-        let dict = dict::dictionary_of(values);
         let (mut rle, mut delta) = (0, 0);
         if let Some((&first, rest)) = values.split_first() {
             let (mut prev, mut run) = (first, 1);
@@ -468,22 +489,24 @@ impl<'a> BlockSizes<'a> {
             }
             rle += rle::run_bytes(prev, run);
         }
-        let forpack = match (dict.first(), dict.last()) {
-            (Some(&min), Some(&max)) => forpack::size_of_frame(n, min, max),
-            _ => forpack::size(values),
-        };
-        let bytes = [
-            8 * n,
+        let sizes = RunSizes {
+            rows: values.len(),
             rle,
             delta,
-            forpack,
-            dict::size_of_dictionary(n, &dict),
-        ];
-        Self {
-            values,
-            dict,
-            bytes,
+            prev: 0,
+        };
+        sizes.finish(Block::Values(values), values.to_vec())
+    }
+
+    /// Size, in every codec, the block that `runs` spell out. The runs
+    /// must be maximal (no two neighbours equal) and non-empty.
+    pub(crate) fn of_runs(runs: Vec<(Value, usize)>) -> Self {
+        let mut sizes = RunSizes::default();
+        for &(v, len) in &runs {
+            sizes.push(v, len);
         }
+        let distinct = runs.iter().map(|&(v, _)| v).collect();
+        sizes.finish(Block::Runs(runs), distinct)
     }
 
     /// Exact encoded size in `encoding`.
@@ -502,17 +525,85 @@ impl<'a> BlockSizes<'a> {
 
     /// Run `encoding`'s encoder, into a buffer of exactly its size.
     pub(crate) fn encode(&self, encoding: Encoding) -> EncodedBlock {
-        let values = self.values;
         let mut buf = BytesMut::with_capacity(self.bytes(encoding));
-        match encoding {
-            Encoding::Plain => plain_encode_into(&mut buf, values),
-            Encoding::Rle => rle::encode_into(&mut buf, values),
-            Encoding::Delta => delta::encode_into(&mut buf, values),
-            Encoding::ForPack => forpack::encode_into(&mut buf, values),
-            Encoding::Dict => dict::encode_into(&mut buf, values, &self.dict),
+        let values = match (&self.block, encoding) {
+            (Block::Values(values), Encoding::Rle) => {
+                rle::encode_into(&mut buf, values);
+                None
+            }
+            (Block::Runs(runs), Encoding::Rle) => {
+                for &(v, len) in runs {
+                    rle::write_run(&mut buf, v, len);
+                }
+                None
+            }
+            (Block::Values(values), _) => Some(Cow::Borrowed(*values)),
+            (Block::Runs(runs), _) => Some(Cow::Owned(
+                runs.iter().flat_map(|&(v, len)| repeat_n(v, len)).collect(),
+            )),
+        };
+        if let Some(values) = values {
+            match encoding {
+                Encoding::Plain => plain_encode_into(&mut buf, &values),
+                Encoding::Delta => delta::encode_into(&mut buf, &values),
+                Encoding::ForPack => forpack::encode_into(&mut buf, &values),
+                Encoding::Dict => dict::encode_into(&mut buf, &values, &self.dict),
+                Encoding::Rle => unreachable!("written from the runs above"),
+            }
         }
         debug_assert_eq!(buf.len(), self.bytes(encoding), "{encoding:?} sized");
-        EncodedBlock::from_parts(encoding, values.len(), buf.freeze())
+        EncodedBlock::from_parts(encoding, self.len, buf.freeze())
+    }
+}
+
+/// The sizing pass of a [`BlockSizes`]: what rle and delta write for a
+/// block, summed row by row ([`BlockSizes::of`]) or fed its maximal runs
+/// in order ([`Self::push`]).
+#[derive(Default)]
+struct RunSizes {
+    rows: usize,
+    rle: usize,
+    delta: usize,
+    prev: Value,
+}
+
+impl RunSizes {
+    #[inline]
+    fn push(&mut self, v: Value, len: usize) {
+        debug_assert!(
+            len > 0 && (v != self.prev || self.rows == 0),
+            "runs are maximal"
+        );
+        self.rows += len;
+        self.rle += rle::run_bytes(v, len);
+        // The run's first row is a value change (the block's first value
+        // is its difference from 0); each repeat is a one-byte zero.
+        self.delta += varint::signed_len(v.wrapping_sub(self.prev)) + len - 1;
+        self.prev = v;
+    }
+
+    /// Every codec's size, the dictionary sorted from `values` (the run
+    /// values, or the rows themselves).
+    fn finish(self, block: Block<'_>, values: Vec<Value>) -> BlockSizes<'_> {
+        let n = self.rows;
+        let dict = dict::dictionary_of(values);
+        let forpack = match (dict.first(), dict.last()) {
+            (Some(&min), Some(&max)) => forpack::size_of_frame(n, min, max),
+            _ => forpack::size(&[]),
+        };
+        let bytes = [
+            8 * n,
+            self.rle,
+            self.delta,
+            forpack,
+            dict::size_of_dictionary(n, &dict),
+        ];
+        BlockSizes {
+            block,
+            len: n,
+            dict,
+            bytes,
+        }
     }
 }
 
@@ -772,6 +863,19 @@ mod tests {
             &plain.data()[..8],
             "missing rows",
         );
+        // rle: runs that end inside the payload and sum to the row count.
+        let rle = EncodedBlock::encode(&values, Encoding::Rle);
+        for cut in 1..rle.data().len() {
+            let prefix = &rle.data()[..cut];
+            assert_rejected(Encoding::Rle, values.len(), prefix, "a truncated run");
+        }
+        assert_rejected(Encoding::Rle, values.len() - 1, rle.data(), "too many rows");
+        assert_rejected(Encoding::Rle, values.len() + 1, rle.data(), "too few rows");
+        let overflow = [
+            0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01,
+        ];
+        let huge = [overflow, overflow].concat();
+        assert_rejected(Encoding::Rle, 3, &huge, "run lengths that overflow");
         // Empty blocks of every codec are fine.
         for enc in Encoding::ALL {
             let empty = EncodedBlock::encode(&[], enc);

@@ -5,7 +5,9 @@ use bytes::{Bytes, BytesMut};
 use amnesia_util::bitmap::{count_set_bits_in, for_each_set_bit_in};
 
 use super::filter::{in_range, range_width, BlockAgg, MaskWriter};
-use super::varint::{read_signed, read_varint, signed_len, varint_len, write_signed, write_varint};
+use super::varint::{
+    read_signed, read_varint, signed_len, try_read_varint, varint_len, write_signed, write_varint,
+};
 use crate::types::Value;
 
 /// Encode as a sequence of `(zigzag value, run length)` varint pairs.
@@ -18,9 +20,15 @@ pub fn encode(values: &[Value]) -> Bytes {
 /// [`encode`] appending to `buf`.
 pub(super) fn encode_into(buf: &mut BytesMut, values: &[Value]) {
     for run in values.chunk_by(|a, b| a == b) {
-        write_signed(buf, run[0]);
-        write_varint(buf, run.len() as u64);
+        write_run(buf, run[0], run.len());
     }
+}
+
+/// Append one run to an [`encode`] stream. Fed maximal runs (no two
+/// neighbours share a value) it writes [`encode`]'s bytes.
+pub(super) fn write_run(buf: &mut BytesMut, v: Value, len: usize) {
+    write_signed(buf, v);
+    write_varint(buf, len as u64);
 }
 
 /// Exact byte length of [`encode`]`(values)`, without writing a byte.
@@ -35,6 +43,27 @@ pub fn size(values: &[Value]) -> usize {
 #[inline]
 pub(super) fn run_bytes(v: Value, len: usize) -> usize {
     signed_len(v) + varint_len(len as u64)
+}
+
+/// Payload check behind `EncodedBlock::try_from_parts`: every varint
+/// ends inside the payload and the run lengths sum to exactly `len` —
+/// what the run walks ([`for_each_run`], the mask writer, the tier's
+/// squash) index activity words and mask words by. O(runs).
+pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
+    let mut pos = 0;
+    let mut rows = 0u64;
+    while pos < data.len() {
+        try_read_varint(data, &mut pos).ok_or("truncated run value")?;
+        let run = try_read_varint(data, &mut pos).ok_or("truncated run length")?;
+        rows = rows
+            .checked_add(run)
+            .filter(|&rows| rows <= len as u64)
+            .ok_or("run lengths overshoot the block")?;
+    }
+    if rows != len as u64 {
+        return Err("run lengths fall short of the block");
+    }
+    Ok(())
 }
 
 /// Decode a buffer produced by [`encode`].

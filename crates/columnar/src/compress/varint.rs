@@ -16,17 +16,18 @@ pub fn zigzag_decode(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Append `v` as an LEB128 varint.
+/// Append `v` as an LEB128 varint: built on the stack, appended once.
+#[inline]
 pub fn write_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+    let mut bytes = [0u8; 10];
+    let mut n = 0;
+    while v >= 0x80 {
+        bytes[n] = v as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+        n += 1;
     }
+    bytes[n] = v as u8;
+    buf.put_slice(&bytes[..=n]);
 }
 
 /// Bytes [`write_varint`] appends for `v`: one per started 7 bits.
@@ -76,6 +77,7 @@ pub fn try_read_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
 }
 
 /// Append a zigzag-encoded signed varint.
+#[inline]
 pub fn write_signed(buf: &mut BytesMut, v: i64) {
     write_varint(buf, zigzag_encode(v));
 }

@@ -418,9 +418,8 @@ fn apply_record(table: &mut Table, rec: &WalRecord, meta: &mut RecoveryMeta) -> 
                 ));
             }
             for &(start, len) in runs {
-                for row in start.0..start.0 + len {
-                    table.forget(RowId(row), *epoch)?;
-                }
+                let lo = start.as_usize();
+                table.forget_range(lo, lo + len as usize, *epoch)?;
             }
         }
         WalRecord::Freeze { upto } => {
@@ -910,6 +909,48 @@ mod tests {
         let rec = PersistentTable::open(&dir).unwrap();
         assert_eq!(rec.blocks_dropped(), blocks as u64);
         assert_eq!(rec.table().dropped_rows(), live_dropped_rows);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot whose frozen RLE block spells out more (or fewer) rows
+    /// than the block holds — CRC intact — is refused at open: the run
+    /// walks index activity words by those lengths.
+    #[test]
+    fn snapshot_with_rle_run_lengths_off_the_block_fails_to_open() {
+        let dir = tmp_dir("rle-runs");
+        let mut table = Table::with_block_rows(Schema::single("a"), 64);
+        table.insert_batch(&[7; 100], 0).unwrap();
+        table.freeze_upto(64);
+        let pt = PersistentTable::create_with_table(
+            StdVfs::shared(),
+            &dir,
+            table,
+            SyncPolicy::PerRecord,
+        )
+        .unwrap();
+        drop(pt);
+        let pristine = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        // The frozen block's record ends `active = 64 | data length = 2 |
+        // zigzag(7) | run length 64`.
+        let needle: Vec<u8> = [&64u64.to_le_bytes()[..], &2u64.to_le_bytes(), &[14, 64]].concat();
+        let at = pristine
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("the RLE block's record")
+            + needle.len()
+            - 1;
+        for run in [65u8, 63, 0x7F] {
+            let mut bytes = pristine.clone();
+            bytes[at] = run;
+            let crc_at = bytes.len() - 4;
+            let crc = amnesia_util::crc32(&bytes[20..crc_at]);
+            bytes[crc_at..].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(dir.join(SNAPSHOT_FILE), &bytes).unwrap();
+            assert!(PersistentTable::open(&dir).is_err(), "run length {run}");
+        }
+        std::fs::write(dir.join(SNAPSHOT_FILE), &pristine).unwrap();
+        let back = PersistentTable::open(&dir).unwrap();
+        assert_eq!(back.table().value(0, RowId(10)), 7);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

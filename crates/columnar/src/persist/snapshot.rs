@@ -331,7 +331,7 @@ fn read_row_metadata(
                 ));
             }
             // Runs ascend and never overlap (`place_run`): all rows active.
-            activity.forget_range(start as usize, end as usize, epoch);
+            activity.forget_active_range(start as usize, end as usize, epoch);
             prev_end = end;
         }
         while insert_epochs.len() < n {

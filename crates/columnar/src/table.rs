@@ -194,6 +194,33 @@ impl Table {
         Ok(first)
     }
 
+    /// [`Table::forget`] of every row in `[lo, hi)`, a block at a time:
+    /// one range check, word-masked clears, and per touched block one
+    /// meta update per column. Rows already forgotten keep their death
+    /// epoch. Returns how many rows were still active.
+    pub(crate) fn forget_range(&mut self, lo: usize, hi: usize, epoch: Epoch) -> Result<usize> {
+        if lo > hi || hi > self.num_rows() {
+            return Err(storage_err!(
+                "rows {lo}..{hi} out of range ({} rows)",
+                self.num_rows()
+            ));
+        }
+        let mut forgotten = 0;
+        let mut at = lo;
+        while at < hi {
+            let end = hi.min((at / self.block_rows + 1) * self.block_rows);
+            let n = self.activity.forget_range(at, end, epoch);
+            if n > 0 {
+                for c in &mut self.columns {
+                    c.note_forgotten(at, n);
+                }
+            }
+            forgotten += n;
+            at = end;
+        }
+        Ok(forgotten)
+    }
+
     /// Forget a batch of rows atomically — every id is checked before any
     /// is marked — and call `on_first` for each row this batch took from
     /// active to forgotten, right after the transition (its value and
@@ -671,6 +698,45 @@ mod tests {
         assert!(!t.forget(RowId(1), 2).unwrap());
         // Out of range errors.
         assert!(t.forget(RowId(99), 1).is_err());
+    }
+
+    #[test]
+    fn forget_range_matches_forgetting_row_by_row() {
+        let build = || {
+            let mut t = Table::with_block_rows(Schema::new(vec!["a", "b"]), 64);
+            for i in 0..300 {
+                t.insert(&[i % 7, -i], 0).unwrap();
+            }
+            t.freeze_upto(256);
+            t
+        };
+        let (mut by_rows, mut by_range) = (build(), build());
+        // Ranges inside a word, across words and blocks, into the hot
+        // tail, empty, and over rows an earlier range already forgot.
+        let ranges = [(3, 5), (60, 70), (100, 230), (250, 300), (0, 0), (1, 129)];
+        for (epoch, &(lo, hi)) in (1..).zip(&ranges) {
+            let mut want = 0;
+            for r in lo..hi {
+                want += usize::from(by_rows.forget(RowId::from(r), epoch).unwrap());
+            }
+            assert_eq!(by_range.forget_range(lo, hi, epoch).unwrap(), want);
+        }
+        assert_eq!(by_range.activity_words(), by_rows.activity_words());
+        for r in 0..300 {
+            let r = RowId::from(r);
+            assert_eq!(
+                by_range.activity().died_at(r),
+                by_rows.activity().died_at(r)
+            );
+        }
+        for c in 0..2 {
+            for b in 0..by_rows.frozen_blocks() {
+                assert_eq!(by_range.col_tier(c).meta(b), by_rows.col_tier(c).meta(b));
+            }
+        }
+        by_range.check_invariants().unwrap();
+        assert!(by_range.forget_range(299, 301, 9).is_err());
+        assert_eq!(by_range.active_rows(), by_rows.active_rows());
     }
 
     #[test]

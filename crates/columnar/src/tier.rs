@@ -65,11 +65,12 @@ use amnesia_sync::mutex::Mutex;
 
 use serde::{Deserialize, Serialize};
 
+use amnesia_util::bitmap::{count_set_bits_in, first_set_bit_in};
 use amnesia_util::WORD_BITS;
 use bytes::BytesMut;
 
 use crate::compress::varint::{write_signed, write_varint};
-use crate::compress::{bit_set, note_summary_build, BlockSizes, EncodedBlock, Encoding};
+use crate::compress::{bit_set, note_summary_build, rle, BlockSizes, EncodedBlock, Encoding};
 use crate::types::{Value, DEFAULT_BLOCK_ROWS};
 
 /// Cached per-block metadata: the tier layer's built-in zone map.
@@ -688,10 +689,17 @@ impl TieredColumn {
     /// meta to maintain, but they too leave the summary.
     #[inline]
     pub fn note_forget(&mut self, row: usize) {
+        self.note_forgotten(row, 1);
+    }
+
+    /// [`Self::note_forget`] for `n` rows of the block holding `row`, all
+    /// forgotten at once: one meta update, one summary clear.
+    #[inline]
+    pub(crate) fn note_forgotten(&mut self, row: usize, n: usize) {
         self.summary.clear();
         let b = row / self.block_rows;
         if let Some(f) = self.frozen.get_mut(b) {
-            f.meta.active = f.meta.active.saturating_sub(1);
+            f.meta.active = f.meta.active.saturating_sub(n);
         }
     }
 
@@ -722,13 +730,23 @@ impl TieredColumn {
     }
 
     /// Re-encode frozen block `b` after forgetting: forgotten rows'
-    /// values are squashed onto their last active neighbour (lengthening
-    /// runs and shrinking dictionaries), meta bounds tighten to the
-    /// surviving rows, and the smaller encoding wins. The comparison
-    /// happens *before* encoding: the squashed block is sized in every
-    /// codec, and unless the best size is below the current payload no
-    /// encoder runs and the old payload — forgotten values included — is
-    /// kept. Returns compressed bytes saved.
+    /// values are squashed onto their last active neighbour (0 before the
+    /// first), lengthening runs and shrinking dictionaries; meta bounds
+    /// tighten to the surviving rows, and the smaller encoding wins.
+    ///
+    /// The whole step works on runs, not rows. The block becomes its
+    /// squashed `(value, length)` runs in one walk ([`Squash`]): an rle
+    /// block's runs are read straight off the payload, any other codec
+    /// decodes and collapses into runs in the same pass, and each source
+    /// run costs one word-at-a-time search for its first active row — it
+    /// splits there, the rows before it taking the previous survivor's
+    /// value. The runs are sized in every codec ([`BlockSizes::of_runs`],
+    /// rule in the `compress` module docs), and unless the best size is
+    /// below the current payload no encoder runs and the old payload —
+    /// forgotten values included — is kept. An rle winner is written from
+    /// the runs; another winner expands them once. The bytes, meta and
+    /// state are those of squashing, sizing and encoding row by row.
+    /// Returns compressed bytes saved.
     ///
     /// Safe because active-only scans AND every mask with the activity
     /// words: a forgotten row's value can change freely without a single
@@ -744,25 +762,15 @@ impl TieredColumn {
             return 0;
         }
         self.summary.clear();
-        let base = b * block_rows;
-        let mut values = f.block.decode();
-        let mut meta = BlockMeta {
-            min: Value::MAX,
-            max: Value::MIN,
-            active: 0,
-        };
-        let mut last_active = 0i64;
-        for (i, v) in values.iter_mut().enumerate() {
-            if bit_set(words, base + i) {
-                meta.min = meta.min.min(*v);
-                meta.max = meta.max.max(*v);
-                meta.active += 1;
-                last_active = *v;
-            } else {
-                *v = last_active;
-            }
+        let words = &words[b * block_rows / WORD_BITS..(b + 1) * block_rows / WORD_BITS];
+        let mut squash = Squash::new(words);
+        if f.block.encoding() == Encoding::Rle {
+            rle::for_each_run(f.block.data(), |v, start, len| squash.run(v, start, len));
+        } else {
+            f.block.for_each_active(words, |i, v| squash.survivor(i, v));
         }
-        let sizes = BlockSizes::of(&values);
+        let (runs, meta) = squash.finish(block_rows);
+        let sizes = BlockSizes::of_runs(runs);
         let encoding = self.encoding.unwrap_or_else(|| sizes.smallest());
         f.meta = meta;
         let old = f.block.compressed_bytes();
@@ -879,6 +887,79 @@ fn meta_of(chunk: &[Value], words: &[u64], base: usize) -> BlockMeta {
         }
     }
     meta
+}
+
+/// A frozen block squashed in one walk (see
+/// [`TieredColumn::recompress_block`]): fed the block's runs, or its
+/// surviving rows, in row order, it builds the maximal runs of the
+/// squashed block and the meta of its active rows.
+struct Squash<'a> {
+    /// The block's activity words, block-local.
+    words: &'a [u64],
+    /// Rows settled so far: every row from here to the next survivor
+    /// takes `last`.
+    rows: usize,
+    runs: Vec<(Value, usize)>,
+    /// The last active value so far: what a forgotten row takes.
+    last: Value,
+    min: Value,
+    max: Value,
+}
+
+impl<'a> Squash<'a> {
+    fn new(words: &'a [u64]) -> Self {
+        Self {
+            words,
+            rows: 0,
+            runs: Vec::new(),
+            last: 0,
+            min: Value::MAX,
+            max: Value::MIN,
+        }
+    }
+
+    /// Rows `[start, start + len)` all hold `v`. Those before the first
+    /// active one take the last survivor's value, the rest `v`; a run
+    /// with no survivor is left to the next survivor (or
+    /// [`Self::finish`]) to fill.
+    fn run(&mut self, v: Value, start: usize, len: usize) {
+        let end = start + len;
+        if let Some(first) = first_set_bit_in(self.words, start, end) {
+            self.survivor(first, v);
+            self.push(v, end - self.rows);
+            self.rows = end;
+        }
+    }
+
+    /// Row `i` is active and holds `v`: the rows since the previous
+    /// survivor take that survivor's value.
+    fn survivor(&mut self, i: usize, v: Value) {
+        self.push(self.last, i - self.rows);
+        self.push(v, 1);
+        self.rows = i + 1;
+        self.last = v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    fn push(&mut self, v: Value, len: usize) {
+        match self.runs.last_mut() {
+            _ if len == 0 => {}
+            Some((last, n)) if *last == v => *n += len,
+            _ => self.runs.push((v, len)),
+        }
+    }
+
+    /// The squashed runs of the block's `len` rows and its meta.
+    fn finish(mut self, len: usize) -> (Vec<(Value, usize)>, BlockMeta) {
+        self.push(self.last, len - self.rows);
+        let meta = BlockMeta {
+            min: self.min,
+            max: self.max,
+            active: count_set_bits_in(self.words, 0, len),
+        };
+        (self.runs, meta)
+    }
 }
 
 #[cfg(test)]
@@ -1234,5 +1315,201 @@ mod tests {
         let est = s.histogram().unwrap().estimate_range(0, 249);
         assert!((est / active as f64 - 0.25).abs() < 0.01, "est {est}");
         assert!(s.memory_bytes() < 1024, "{} bytes", s.memory_bytes());
+    }
+}
+
+#[cfg(test)]
+mod recompress_equivalence {
+    use super::*;
+    use amnesia_util::SimRng;
+    use proptest::prelude::*;
+
+    /// Recompression row by row, as it ran before it worked on runs: decode,
+    /// squash each forgotten row onto the last active value (0 before the
+    /// first), then encode in every codec (or the pinned one) and keep the
+    /// first smallest if it beats the payload. The reference
+    /// [`TieredColumn::recompress_block`] must match byte for byte.
+    fn recompress_rows(c: &mut TieredColumn, b: usize, words: &[u64]) -> usize {
+        let (base, pinned) = (b * c.block_rows, c.encoding);
+        let f = &mut c.frozen[b];
+        if f.is_dropped() {
+            return 0;
+        }
+        let mut values = f.block.decode();
+        let mut meta = BlockMeta {
+            min: Value::MAX,
+            max: Value::MIN,
+            active: 0,
+        };
+        let mut last_active = 0;
+        for (i, v) in values.iter_mut().enumerate() {
+            if bit_set(words, base + i) {
+                meta.min = meta.min.min(*v);
+                meta.max = meta.max.max(*v);
+                meta.active += 1;
+                last_active = *v;
+            } else {
+                *v = last_active;
+            }
+        }
+        let block = match pinned {
+            Some(e) => EncodedBlock::encode(&values, e),
+            None => Encoding::ALL
+                .map(|e| EncodedBlock::encode(&values, e))
+                .into_iter()
+                .min_by_key(EncodedBlock::compressed_bytes)
+                .expect("five encodings"),
+        };
+        f.meta = meta;
+        let (old, new) = (f.block.compressed_bytes(), block.compressed_bytes());
+        if new < old {
+            f.block = block;
+            f.state = BlockState::Recompressed;
+            old - new
+        } else {
+            0
+        }
+    }
+
+    const EXTREMES: [Value; 7] = [i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1, 0, -1, 1];
+
+    /// `n` values in one of the shapes that pick different codecs: random
+    /// 64-bit, runs over a few values (extremes among them), a narrow
+    /// band, extremes only, ascending, constant.
+    fn values(n: usize, shape: u8, rng: &mut SimRng) -> Vec<Value> {
+        let few: Vec<Value> = (0..1 + rng.below(6))
+            .map(|i| match i {
+                0 => EXTREMES[rng.index(EXTREMES.len())],
+                _ => rng.range_i64(-1_000, 1_000),
+            })
+            .collect();
+        let base = rng.next_u64() as i64 >> 2;
+        let mut out = Vec::with_capacity(n);
+        let mut acc = rng.range_i64(-1 << 40, 1 << 40);
+        while out.len() < n {
+            match shape {
+                0 => out.push(rng.next_u64() as i64),
+                1 => {
+                    let v = few[rng.index(few.len())];
+                    let len = 1 + rng.index(40);
+                    out.extend(std::iter::repeat_n(v, len.min(n - out.len())));
+                }
+                2 => out.push(base + rng.below(16) as i64),
+                3 => out.push(EXTREMES[rng.index(EXTREMES.len())]),
+                4 => {
+                    acc += rng.range_i64(0, 3);
+                    out.push(acc);
+                }
+                _ => out.push(few[0]),
+            }
+        }
+        out
+    }
+
+    /// Clear the bits of rows `rows` (global) in `words`.
+    fn forget(words: &mut [u64], rows: impl IntoIterator<Item = usize>) {
+        for r in rows {
+            words[r / WORD_BITS] &= !(1u64 << (r % WORD_BITS));
+        }
+    }
+
+    /// Forget rows of the block at `base` in one of the activity patterns
+    /// the squash turns on: a random density, leading rows (squashed onto
+    /// 0), the whole block, all but one survivor, alternating rows, runs
+    /// ending and starting at word boundaries, or nothing.
+    fn apply_pattern(words: &mut [u64], base: usize, rows: usize, pattern: u8, rng: &mut SimRng) {
+        let block = base..base + rows;
+        match pattern {
+            0 => {
+                let p = [0.05, 0.3, 0.5, 0.9][rng.index(4)];
+                forget(words, block.filter(|_| rng.chance(p)));
+            }
+            1 => forget(words, base..base + 1 + rng.index(rows)),
+            2 => forget(words, block),
+            3 => {
+                let keep = base + rng.index(rows);
+                forget(words, block.filter(|&r| r != keep));
+            }
+            4 => {
+                let parity = rng.index(2);
+                forget(words, block.filter(|r| r % 2 == parity));
+            }
+            5 => {
+                for _ in 0..1 + rng.index(4) {
+                    let edge = base + WORD_BITS * rng.index(rows / WORD_BITS + 1);
+                    let lo = edge.saturating_sub(rng.index(3)).max(base);
+                    let hi = (edge + rng.index(3) + WORD_BITS * rng.index(2)).min(base + rows);
+                    forget(words, lo..hi);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        /// Every source codec (pinned and automatic), every activity
+        /// pattern, three block sizes, and a second round of forgetting
+        /// and recompression over the first's output: the run-domain step
+        /// leaves the same payload, meta and state and returns the same
+        /// savings as the row-domain reference.
+        #[test]
+        fn run_domain_recompression_equals_the_row_domain_reference(
+            rows in prop_oneof![Just(64usize), Just(128), Just(1_024)],
+            codec in 0usize..6,
+            shape in 0u8..6,
+            patterns in (0u8..7, 0u8..7),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SimRng::new(seed);
+            let mut c = match Encoding::ALL.get(codec) {
+                Some(&e) => TieredColumn::with_encoding(rows, e),
+                None => TieredColumn::with_block_rows(rows),
+            };
+            c.extend_from_slice(&values(2 * rows, shape, &mut rng));
+            let mut words = vec![!0u64; 2 * rows / WORD_BITS];
+            c.freeze_upto(2 * rows, &words);
+            let mut reference = c.clone();
+            for pattern in [patterns.0, patterns.1] {
+                for b in 0..2 {
+                    apply_pattern(&mut words, b * rows, rows, pattern, &mut rng);
+                    let want = recompress_rows(&mut reference, b, &words);
+                    let got = c.recompress_block(b, &words);
+                    prop_assert_eq!(got, want, "saved, block {}", b);
+                    prop_assert_eq!(c.frozen(b), reference.frozen(b), "block {}", b);
+                }
+            }
+        }
+    }
+
+    /// The pinned shapes the proptest samples: `i64::MIN`/`i64::MAX` runs,
+    /// a forgotten prefix that squashes onto 0, then more forgetting, then
+    /// a third recompression with nothing new forgotten.
+    #[test]
+    fn extremes_and_repeated_recompression_match_the_reference() {
+        let mut c = TieredColumn::with_block_rows(128);
+        let vals: Vec<Value> = (0..128)
+            .map(|i| EXTREMES[i / 20 % EXTREMES.len()])
+            .collect();
+        c.extend_from_slice(&vals);
+        let mut words = vec![!0u64; 2];
+        c.freeze_upto(128, &words);
+        let mut reference = c.clone();
+        let rounds: [Vec<usize>; 3] = [
+            (0..70).collect(),
+            (71..128).filter(|r| r % 3 != 0).collect(),
+            Vec::new(),
+        ];
+        for (round, rows) in rounds.into_iter().enumerate() {
+            forget(&mut words, rows);
+            let saved = c.recompress_block(0, &words);
+            assert_eq!(saved, recompress_rows(&mut reference, 0, &words));
+            assert_eq!(c.frozen(0), reference.frozen(0));
+            assert_eq!(saved > 0, round == 0, "round {round}");
+        }
+        assert_eq!(c.frozen(0).unwrap().state(), BlockState::Recompressed);
+        // Row 70 and every third row after it survive.
+        assert_eq!(c.meta(0).active, 20);
     }
 }

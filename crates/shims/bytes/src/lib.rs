@@ -130,6 +130,7 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Append one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
@@ -161,6 +162,7 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }

@@ -75,15 +75,23 @@ pub fn for_each_set_bit_in(words: &[u64], lo: usize, hi: usize, mut f: impl FnMu
     }
 }
 
+/// The first set bit of `words` in `[lo, hi)`: one `trailing_zeros` on
+/// the first non-zero word spanned. Bits past the slice count as clear.
+#[inline]
+pub fn first_set_bit_in(words: &[u64], lo: usize, hi: usize) -> Option<usize> {
+    if lo >= hi {
+        return None;
+    }
+    (lo / BLOCK_BITS..=(hi - 1) / BLOCK_BITS).find_map(|wi| {
+        let w = masked_word(words, wi, lo, hi);
+        (w != 0).then(|| wi * BLOCK_BITS + w.trailing_zeros() as usize)
+    })
+}
+
 /// Does `[lo, hi)` contain any set bit of `words`?
 #[inline]
 pub fn any_set_bit_in(words: &[u64], lo: usize, hi: usize) -> bool {
-    if lo >= hi {
-        return false;
-    }
-    let first = lo / BLOCK_BITS;
-    let last = (hi - 1) / BLOCK_BITS;
-    (first..=last).any(|wi| masked_word(words, wi, lo, hi) != 0)
+    first_set_bit_in(words, lo, hi).is_some()
 }
 
 /// Count the set bits of `words` in `[lo, hi)` — one popcount per word
@@ -382,7 +390,7 @@ impl Bitmap {
     /// Count set bits within `[lo, hi)`.
     pub fn count_ones_in(&self, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
-        self.rank(hi) - self.rank(lo)
+        count_set_bits_in(&self.blocks, lo, hi)
     }
 
     fn recount(&mut self) {
@@ -475,7 +483,15 @@ mod tests {
     fn bit_range_helpers_match_naive() {
         let words = [0xDEAD_BEEF_0123_4567u64, 0xFFFF_0000_FFFF_0000, 0x1];
         let set = |i: usize| words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1);
-        for (lo, hi) in [(0, 0), (0, 64), (3, 61), (60, 70), (64, 192), (150, 200)] {
+        for (lo, hi) in [
+            (0, 0),
+            (0, 64),
+            (3, 61),
+            (60, 70),
+            (64, 192),
+            (80, 112),
+            (150, 200),
+        ] {
             let mut got = Vec::new();
             for_each_set_bit_in(&words, lo, hi, |i| got.push(i));
             let want: Vec<usize> = (lo..hi).filter(|&i| set(i)).collect();
@@ -488,6 +504,11 @@ mod tests {
             assert_eq!(
                 any_set_bit_in(&words, lo, hi),
                 !want.is_empty(),
+                "[{lo}, {hi})"
+            );
+            assert_eq!(
+                first_set_bit_in(&words, lo, hi),
+                want.first().copied(),
                 "[{lo}, {hi})"
             );
         }
