@@ -11,7 +11,9 @@
 //! by at least 5x. Both are asserted below before anything is timed.
 //!
 //! Legs: the grouped-aggregate query over hot / mixed / frozen tables,
-//! the row-at-a-time reference on the same frozen table, a global
+//! the row-at-a-time reference on the same frozen table, a top-10 of
+//! ~10 000 groups (the sort breaker keeps ten positions and builds ten
+//! rows, the group table hashes every selected row), a global
 //! (ungrouped) multi-predicate aggregate, a selective projection, and
 //! what planning costs: `order_predicates` in the steady state (every
 //! column's summary held) and one cold summary build over 2 000 blocks.
@@ -42,6 +44,12 @@ const B_GT: i64 = 30;
 
 const GROUPED_SQL: &str = "SELECT g, COUNT(*) AS n, SUM(a) AS s, AVG(a) AS m FROM t \
      WHERE a BETWEEN 2000 AND 2399 AND b > 30 GROUP BY g ORDER BY s DESC LIMIT 10";
+
+/// `GROUP BY` over `a` (~10 000 distinct values, ~80 per group) keeping
+/// the top 10 by sum: the group-table probes and the top-k sort breaker
+/// carry it.
+const HIGH_CARD_SQL: &str =
+    "SELECT a, COUNT(*) AS n, SUM(b) AS s FROM t GROUP BY a ORDER BY s DESC LIMIT 10";
 
 /// A catalog over one explicitly-built table.
 struct BenchCatalog {
@@ -279,6 +287,15 @@ fn sql(c: &mut Criterion) {
     );
     assert_eq!(got, want, "frozen == reference");
     assert_eq!(sql_rows(&mixed, GROUPED_SQL), want, "mixed == reference");
+    let top = sql_rows(&hot, HIGH_CARD_SQL);
+    assert_eq!(top.len(), 10);
+    let before = block_decodes();
+    assert_eq!(
+        sql_rows(&frozen, HIGH_CARD_SQL),
+        top,
+        "high-card frozen == hot"
+    );
+    assert_eq!(block_decodes() - before, 0, "high-card frozen decodes");
 
     // The ≥ 5x acceptance gate: vectorized SQL vs the row-at-a-time
     // reference over the same frozen table.
@@ -441,6 +458,9 @@ fn sql(c: &mut Criterion) {
     });
     group.bench_function("row_at_a_time_frozen", |b| {
         b.iter(|| black_box(reference_grouped(&frozen.table)))
+    });
+    group.bench_function("high_card_frozen", |b| {
+        b.iter(|| black_box(sql_rows(&frozen, HIGH_CARD_SQL)))
     });
     group.finish();
 

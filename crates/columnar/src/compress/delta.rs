@@ -3,7 +3,7 @@
 use bytes::{Bytes, BytesMut};
 
 use super::filter::{bit_set, in_range, range_width, BlockAgg, MaskWriter};
-use super::varint::{read_signed, signed_len, write_signed};
+use super::varint::{read_signed, signed_len, try_read_varint, write_signed};
 use crate::types::Value;
 
 /// Encode as `v0, v1−v0, v2−v1, …` with zigzag varints.
@@ -31,6 +31,25 @@ pub fn size(values: &[Value]) -> usize {
         prev = v;
     }
     bytes
+}
+
+/// Payload check behind `EncodedBlock::try_from_parts`: every varint
+/// ends inside the payload and there are exactly `len` of them — what
+/// [`value_at`] and the prefix walks index rows by. O(bytes).
+pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
+    let mut pos = 0;
+    let mut values = 0usize;
+    while pos < data.len() {
+        try_read_varint(data, &mut pos).ok_or("truncated difference")?;
+        values += 1;
+        if values > len {
+            return Err("more values than the block has rows");
+        }
+    }
+    if values != len {
+        return Err("fewer values than the block has rows");
+    }
+    Ok(())
 }
 
 /// Decode a buffer produced by [`encode`].
@@ -214,6 +233,27 @@ mod tests {
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(value_at(&data, i), v, "row {i}");
         }
+    }
+
+    #[test]
+    fn check_rejects_truncated_and_extended_payloads() {
+        let values = vec![i64::MIN, i64::MAX, -7, 0, 42, 41, 1 << 40];
+        let data = encode(&values);
+        assert_eq!(check(&data, values.len()), Ok(()));
+        assert_eq!(check(&[], 0), Ok(()));
+        // Every proper prefix ends inside a varint or holds too few values.
+        for cut in 0..data.len() {
+            assert!(check(&data[..cut], values.len()).is_err(), "cut at {cut}");
+        }
+        // One more value, a dangling continuation byte, a spare row.
+        for tail in [&[0x00u8][..], &[0x80], &[0x02, 0xFF]] {
+            let extended = [&data[..], tail].concat();
+            assert!(check(&extended, values.len()).is_err(), "tail {tail:?}");
+        }
+        assert!(check(&data, values.len() + 1).is_err(), "a row short");
+        assert!(check(&data, values.len() - 1).is_err(), "a row over");
+        // An over-long varint (eleven bytes) is refused, not read.
+        assert!(check(&[0x80; 11], 1).is_err());
     }
 
     #[test]

@@ -425,18 +425,20 @@ impl EncodedBlock {
     /// least `ceil(len·width / 64)` words and (dict) a complete
     /// dictionary — O(1), O(1) and O(dictionary). Rle's varints must end
     /// inside the payload and its run lengths sum to `len`, O(runs): the
-    /// run walks index activity and mask words by them. Delta is a
-    /// headerless varint stream and passes through; field *contents* stay
-    /// the checksum's job.
+    /// run walks index activity and mask words by them. Delta's varints
+    /// must end inside the payload and number exactly `len`, O(bytes):
+    /// `value_at` and the prefix walks index rows by them. Field
+    /// *contents* stay the checksum's job.
     pub fn try_from_parts(encoding: Encoding, len: usize, data: Bytes) -> Result<Self> {
         let checked = match encoding {
             Encoding::Plain if len.checked_mul(8) != Some(data.len()) => {
                 Err("payload is not 8 bytes per row")
             }
             Encoding::Rle => rle::check(&data, len),
+            Encoding::Delta => delta::check(&data, len),
             Encoding::ForPack => forpack::check(&data, len),
             Encoding::Dict => dict::check(&data, len),
-            Encoding::Plain | Encoding::Delta => Ok(()),
+            Encoding::Plain => Ok(()),
         };
         match checked {
             Ok(()) => Ok(Self::from_parts(encoding, len, data)),
@@ -876,6 +878,20 @@ mod tests {
         ];
         let huge = [overflow, overflow].concat();
         assert_rejected(Encoding::Rle, 3, &huge, "run lengths that overflow");
+        // delta: varints that end inside the payload, one per row.
+        let delta = EncodedBlock::encode(&values, Encoding::Delta);
+        for cut in 0..delta.data().len() {
+            let prefix = &delta.data()[..cut];
+            assert_rejected(Encoding::Delta, values.len(), prefix, "a truncated stream");
+        }
+        let extended = [&delta.data()[..], &[0x00]].concat();
+        assert_rejected(Encoding::Delta, values.len(), &extended, "a spare value");
+        assert_rejected(
+            Encoding::Delta,
+            values.len() + 1,
+            delta.data(),
+            "too few values",
+        );
         // Empty blocks of every codec are fine.
         for enc in Encoding::ALL {
             let empty = EncodedBlock::encode(&[], enc);

@@ -426,11 +426,13 @@ fn decode_body(payload: &[u8], version: u32) -> Result<Table> {
     if block_rows == 0 || !block_rows.is_multiple_of(64) {
         return Err(storage_err!("invalid tier block size {block_rows}"));
     }
-    struct ColParts {
-        tier: TieredColumn,
-        stats: Option<(i64, i64)>,
-    }
-    let mut columns: Vec<ColParts> = Vec::with_capacity(arity);
+    // Both vectors are sized before the first column buffer, and the
+    // table adopts `tiers` as its columns. So no throwaway vector is
+    // allocated above the column buffers. A small freed chunk left there
+    // stops the allocator from giving their memory back when the table is
+    // dropped.
+    let mut tiers: Vec<TieredColumn> = Vec::with_capacity(arity);
+    let mut stats: Vec<Option<(i64, i64)>> = Vec::with_capacity(arity);
     for c in 0..arity {
         let pinned = p.u8()?;
         let pinned = if pinned == 0xFF {
@@ -496,20 +498,17 @@ fn decode_body(payload: &[u8], version: u32) -> Result<Table> {
                 tail.len()
             ));
         }
-        let stats = match p.u8()? {
+        stats.push(match p.u8()? {
             0 => None,
             1 => Some((p.i64()?, p.i64()?)),
             f => return Err(storage_err!("bad stats flag {f}")),
-        };
-        columns.push(ColParts {
-            tier: TieredColumn::from_parts(block_rows, pinned, frozen, tail),
-            stats,
         });
+        tiers.push(TieredColumn::from_parts(block_rows, pinned, frozen, tail));
     }
 
-    let dropped: Vec<usize> = columns.first().map_or_else(Vec::new, |c| {
-        (0..c.tier.frozen_blocks())
-            .filter(|&b| c.tier.frozen(b).is_some_and(FrozenBlock::is_dropped))
+    let dropped: Vec<usize> = tiers.first().map_or_else(Vec::new, |c| {
+        (0..c.frozen_blocks())
+            .filter(|&b| c.frozen(b).is_some_and(FrozenBlock::is_dropped))
             .collect()
     });
     let meta = read_row_metadata(&mut p, version, n, block_rows, &dropped)?;
@@ -520,7 +519,6 @@ fn decode_body(payload: &[u8], version: u32) -> Result<Table> {
     // beyond the tiers it keeps. Dropped blocks stay dropped, frozen
     // payloads are not re-encoded, and block metadata arrives already
     // reflecting the persisted forgets.
-    let (tiers, stats): (Vec<_>, Vec<_>) = columns.into_iter().map(|c| (c.tier, c.stats)).unzip();
     let mut table = Table::from_restored_parts(
         Schema::new(names),
         block_rows,

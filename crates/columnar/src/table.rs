@@ -452,8 +452,9 @@ impl Table {
     }
 
     /// Reassemble a table from restored parts (snapshot reader): the
-    /// tiers install as-is — no dense materialization, no throwaway hot
-    /// columns — and the activity map arrives built from the persisted
+    /// tiers install as-is, and their vector becomes the table's
+    /// columns. There is no dense materialization and no throwaway hot
+    /// column or vector. The activity map arrives built from the persisted
     /// death epochs rather than routed through [`Table::forget`] (the
     /// tiers' block metadata already reflects those forgets, so
     /// `note_forget` must not run again), with the dropped blocks' death
@@ -480,29 +481,27 @@ impl Table {
                 activity.len()
             ));
         }
-        let mut access = AccessStats::with_block_rows(block_rows);
-        access.push_rows(n);
-        let current_epoch = insert_epoch.max_epoch();
-        let mut table = Self {
-            schema,
-            columns: Vec::with_capacity(tiers.len()),
-            seen: vec![MinMax::new(); tiers.len()],
-            activity,
-            insert_epoch,
-            access,
-            current_epoch,
-            block_rows,
-        };
-        for (c, tier) in tiers.into_iter().enumerate() {
+        for (c, tier) in tiers.iter().enumerate() {
             if tier.len() != n {
                 return Err(storage_err!(
                     "tier for column {c} holds {} rows, expected {n}",
                     tier.len()
                 ));
             }
-            table.columns.push(tier);
         }
-        Ok(table)
+        let mut access = AccessStats::with_block_rows(block_rows);
+        access.push_rows(n);
+        let current_epoch = insert_epoch.max_epoch();
+        Ok(Self {
+            schema,
+            seen: vec![MinMax::new(); tiers.len()],
+            columns: tiers,
+            activity,
+            insert_epoch,
+            access,
+            current_epoch,
+            block_rows,
+        })
     }
 
     /// Restore one column's historical min/max (snapshot reader; dropped

@@ -11,6 +11,12 @@ use serde::{Deserialize, Serialize};
 /// Bins one [`Histogram::add_mass`] call can overlap without allocating.
 const STACK_BINS: usize = 64;
 
+/// `hi − lo` for `lo <= hi`, exact over the whole i64 domain, where the
+/// i64 difference overflows.
+fn gap(lo: i64, hi: i64) -> u64 {
+    hi.wrapping_sub(lo) as u64
+}
+
 /// Fixed-range equi-width histogram over `[lo, hi]` with `bins` buckets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
@@ -38,8 +44,7 @@ impl Histogram {
     /// Bin index for a value (values outside the range clamp to the edges).
     pub fn bin_of(&self, v: i64) -> usize {
         let v = v.clamp(self.lo, self.hi);
-        let width = (self.hi - self.lo + 1) as f64 / self.counts.len() as f64;
-        (((v - self.lo) as f64 / width) as usize).min(self.counts.len() - 1)
+        ((gap(self.lo, v) as f64 / self.bin_width()) as usize).min(self.counts.len() - 1)
     }
 
     /// Record one observation.
@@ -62,7 +67,11 @@ impl Histogram {
 
     /// Width of one bin in value space.
     fn bin_width(&self) -> f64 {
-        (self.hi - self.lo + 1) as f64 / self.counts.len() as f64
+        // `gap + 1` overflows u64 only for the whole i64 domain: 2^64 values.
+        let values = gap(self.lo, self.hi)
+            .checked_add(1)
+            .map_or(18_446_744_073_709_551_616.0, |n| n as f64);
+        values / self.counts.len() as f64
     }
 
     /// Spread `mass` observations uniformly over the inclusive value
@@ -89,7 +98,7 @@ impl Histogram {
             self.counts[b0] += mass;
             return;
         }
-        let span = (hi_c - lo_c) as f64 + 1.0;
+        let span = gap(lo_c, hi_c) as f64 + 1.0;
         let width = self.bin_width();
         let n = b1 - b0 + 1;
         // The fractional remainders in bin order, and a scratch copy of
@@ -277,6 +286,22 @@ mod tests {
     }
 
     #[test]
+    fn the_whole_i64_domain_bins_without_overflow() {
+        let mut h = Histogram::new(i64::MIN, i64::MAX, 4);
+        assert_eq!(h.bin_of(i64::MIN), 0);
+        assert_eq!(h.bin_of(-(1 << 61)), 1);
+        assert_eq!(h.bin_of(1 << 61), 2);
+        assert_eq!(h.bin_of(i64::MAX), 3);
+        h.add_mass(i64::MIN, i64::MAX, 8);
+        assert_eq!(
+            (0..4).map(|b| h.count_in_bin(b)).collect::<Vec<_>>(),
+            [2; 4]
+        );
+        let half = h.estimate_range(0, i64::MAX);
+        assert!((half - 4.0).abs() < 1e-9, "{half}");
+    }
+
+    #[test]
     fn add_remove_roundtrip() {
         let mut h = Histogram::new(0, 99, 10);
         h.add(42);
@@ -407,7 +432,7 @@ mod proptests {
             h.counts[b0] += mass;
             return;
         }
-        let span = (hi_c - lo_c) as f64 + 1.0;
+        let span = gap(lo_c, hi_c) as f64 + 1.0;
         let width = h.bin_width();
         let mut shares: Vec<(usize, f64)> = Vec::with_capacity(b1 - b0 + 1);
         let mut assigned = 0u64;

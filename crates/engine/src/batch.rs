@@ -74,12 +74,12 @@
 //! every prefix), and the `tiered_scan` / `compressed_scan` benches
 //! measure the gaps.
 
-use std::collections::HashMap;
-
 use amnesia_columnar::compress::{dict, rle, BlockAgg, Encoding};
 use amnesia_columnar::{RowId, Table, TieredColumn, Value, DEFAULT_BLOCK_ROWS};
 use amnesia_util::WORD_BITS;
 use amnesia_workload::query::{AggKind, RangePredicate};
+
+use crate::hash::ValueMap;
 
 /// Rows per logical batch (16 activity words, one tier block — tied to
 /// the storage block size so the identities in the module doc hold by
@@ -845,7 +845,7 @@ pub fn probe_tiered_blocks_with<T>(
     words: &[u64],
     first: usize,
     last: usize,
-    build: &HashMap<Value, T>,
+    build: &ValueMap<T>,
     key_range: Option<(Value, Value)>,
     mut on_hit: impl FnMut(&T, usize),
 ) -> ProbeStats {
@@ -913,7 +913,7 @@ pub(crate) fn probe_tiered_rows_with<T>(
     words: &[u64],
     lo: usize,
     hi: usize,
-    build: &HashMap<Value, T>,
+    build: &ValueMap<T>,
     mut on_hit: impl FnMut(&T, usize),
 ) {
     let (hot, start) = (tier.hot_values(), tier.hot_start());
@@ -937,7 +937,7 @@ pub(crate) fn probe_tiered_rows_with<T>(
 pub fn probe_tiered_with<T>(
     tier: &TieredColumn,
     words: &[u64],
-    build: &HashMap<Value, T>,
+    build: &ValueMap<T>,
     key_range: Option<(Value, Value)>,
     mut on_hit: impl FnMut(&T, usize),
 ) -> ProbeStats {

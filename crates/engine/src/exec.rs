@@ -509,32 +509,29 @@ impl Executor {
             p
         });
 
-        // 3. Projection or (grouped) aggregation.
-        let mut rows: Vec<Vec<Scalar>> = match (&pairs, plan.has_aggregates()) {
-            (None, false) => project_selection(tables[0], &sels[0], &plan.items, &mut pool),
-            (None, true) => {
-                aggregate_selection_rows(tables[0], &sels[0], plan, &mut stats, &mut pool)
-            }
-            (Some(pairs), false) => project_pairs(tables, pairs, &plan.items, &mut pool),
+        // 3. Projection or (grouped) aggregation, as a row source: the
+        //    values each output row is made of, but no row yet.
+        let source: Box<dyn RowSource + '_> = match (&pairs, plan.has_aggregates()) {
+            (None, false) => Box::new(project_selection(
+                tables[0],
+                &sels[0],
+                &plan.items,
+                &mut pool,
+            )),
+            (None, true) => aggregate_selection(tables[0], &sels[0], plan, &mut stats, &mut pool),
+            (Some(pairs), false) => Box::new(PairRows {
+                tables,
+                pairs,
+                items: &plan.items,
+            }),
             (Some(pairs), true) => aggregate_pairs(tables, pairs, plan, &mut stats, &mut pool),
         };
 
-        // 4. Sort + limit over the materialized scalars (type-aware
-        //    total order: i64 keys never collapse through f64). Stable
-        //    at any width: a pool chunk-sorts and k-way merges with
-        //    leftmost tie preference.
-        if let Some((idx, dir)) = plan.order_by {
-            pool.sort_by(&mut rows, |a, b| {
-                let ord = a[idx].total_cmp(&b[idx]);
-                match dir {
-                    SortDir::Asc => ord,
-                    SortDir::Desc => ord.reverse(),
-                }
-            });
-        }
-        if let Some(limit) = plan.limit {
-            rows.truncate(limit as usize);
-        }
+        // 4. Sort + limit over *positions* into the source, never over
+        //    rows: `LIMIT k` selects the stable top k by (key, position),
+        //    no limit sorts every position through the pool's stable sort.
+        //    Rows are built only for the positions that reach the result.
+        let rows = sort_limit(source.as_ref(), plan.order_by, plan.limit, &mut pool);
         stats.result_rows = rows.len();
         stats.morsels = pool.stats.morsels;
         stats.morsel_steals = pool.stats.steals;
@@ -543,16 +540,114 @@ impl Executor {
     }
 }
 
-/// Projection gather over a single-table selection: each output column
-/// streams through the tier-aware gather (compressed blocks are never
-/// decoded), then rows zip positionally.
-fn project_selection(
-    table: &Table,
-    sel: &[u64],
-    items: &[PhysItem],
+/// Step 3's output as the sort breaker sees it: `len` rows that exist
+/// only as positions. The breaker reads one item of every position (the
+/// sort key) and builds whole rows only for the positions it returns.
+trait RowSource: Sync {
+    /// Output rows before sort and limit.
+    fn len(&self) -> usize;
+    /// Item `idx` of row `i`.
+    fn item(&self, i: usize, idx: usize) -> Scalar;
+    /// Row `i`: one scalar per plan item.
+    fn row(&self, i: usize) -> Vec<Scalar>;
+}
+
+/// Step 4, the sort breaker: order *positions* into `src` by the ORDER BY
+/// item under the type-aware total order (`i64` keys never collapse
+/// through `f64`), ties in position order, cut to the limit, then build
+/// the surviving rows. Under `LIMIT k` it selects the top k by
+/// `(key, position)` — a total order, so the unstable selection keeps
+/// exactly the rows a stable sort would — and sorts only those. Without a
+/// limit [`Pool::sort_by`] sorts every position stably: the one full
+/// sort, which a multi-worker pool chunk-sorts and k-way merges. Key
+/// reads and row builds run as index chunks through the pool.
+fn sort_limit(
+    src: &dyn RowSource,
+    order_by: Option<(usize, SortDir)>,
+    limit: Option<u64>,
     pool: &mut Pool,
 ) -> Vec<Vec<Scalar>> {
-    let bufs: Vec<Vec<Value>> = items
+    let n = src.len();
+    let k = limit.map_or(n, |l| usize::try_from(l).unwrap_or(usize::MAX).min(n));
+    let positions: Vec<usize> = match order_by {
+        None => (0..k).collect(),
+        Some((idx, dir)) => {
+            let keys: Vec<Scalar> = pool.fold_chunks(
+                n,
+                Vec::new,
+                |range, out| out.extend(range.clone().map(|i| src.item(i, idx))),
+                |out, part| out.extend(part),
+            );
+            let by_key = |a: &usize, b: &usize| {
+                let ord = keys[*a].total_cmp(&keys[*b]);
+                match dir {
+                    SortDir::Asc => ord,
+                    SortDir::Desc => ord.reverse(),
+                }
+            };
+            let mut positions: Vec<usize> = (0..n).collect();
+            if k < n {
+                let by_key_then_position = |a: &usize, b: &usize| by_key(a, b).then(a.cmp(b));
+                if k > 0 {
+                    positions.select_nth_unstable_by(k - 1, by_key_then_position);
+                }
+                positions.truncate(k);
+                positions.sort_unstable_by(by_key_then_position);
+            } else {
+                pool.sort_by(&mut positions, by_key);
+            }
+            positions
+        }
+    };
+    pool.fold_chunks(
+        positions.len(),
+        Vec::new,
+        |range, out| out.extend(positions[range.clone()].iter().map(|&i| src.row(i))),
+        |out, part| out.extend(part),
+    )
+}
+
+/// Already-built rows: a global aggregate's one row.
+impl RowSource for Vec<Vec<Scalar>> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn item(&self, i: usize, idx: usize) -> Scalar {
+        self[i][idx]
+    }
+
+    fn row(&self, i: usize) -> Vec<Scalar> {
+        self[i].clone()
+    }
+}
+
+/// A single-table projection: one gathered column per item, row `i` at
+/// position `i` of each.
+struct Gathered {
+    rows: usize,
+    cols: Vec<Vec<Value>>,
+}
+
+impl RowSource for Gathered {
+    fn len(&self) -> usize {
+        self.rows
+    }
+
+    fn item(&self, i: usize, idx: usize) -> Scalar {
+        Scalar::Int(self.cols[idx][i])
+    }
+
+    fn row(&self, i: usize) -> Vec<Scalar> {
+        self.cols.iter().map(|c| Scalar::Int(c[i])).collect()
+    }
+}
+
+/// Projection gather over a single-table selection: each output column
+/// streams through the tier-aware gather (compressed blocks are never
+/// decoded); rows zip positionally when the sort breaker builds them.
+fn project_selection(table: &Table, sel: &[u64], items: &[PhysItem], pool: &mut Pool) -> Gathered {
+    let cols = items
         .iter()
         .map(|item| {
             let PhysItem::Column { col, .. } = item else {
@@ -561,19 +656,20 @@ fn project_selection(
             pool.gather_column(table, sel, *col)
         })
         .collect();
-    (0..kernels::selection_count(sel))
-        .map(|i| bufs.iter().map(|b| Scalar::Int(b[i])).collect())
-        .collect()
+    Gathered {
+        rows: kernels::selection_count(sel),
+        cols,
+    }
 }
 
 /// Global or grouped aggregation over a single-table selection.
-fn aggregate_selection_rows(
+fn aggregate_selection<'a>(
     table: &Table,
     sel: &[u64],
-    plan: &PhysicalPlan,
+    plan: &'a PhysicalPlan,
     stats: &mut ExecStats,
     pool: &mut Pool,
-) -> Vec<Vec<Scalar>> {
+) -> Box<dyn RowSource + 'a> {
     if let Some((_, gcol, _)) = &plan.group_by {
         // The vectorized hash group-by: folds over compressed blocks,
         // groups in first-seen row order.
@@ -583,7 +679,7 @@ fn aggregate_selection_rows(
             .collect();
         let groups = pool.grouped_fold(table, sel, *gcol, &agg_cols);
         stats.groups = groups.len();
-        return finalize_groups(&groups, &plan.items);
+        return Box::new(GroupRows::new(groups, &plan.items));
     }
     // Global aggregates: one fused fold per distinct input column,
     // COUNT(*) is a popcount of the selection.
@@ -616,7 +712,7 @@ fn aggregate_selection_rows(
             }
         })
         .collect();
-    vec![row]
+    Box::new(vec![row])
 }
 
 /// The result of executing a [`PhysicalPlan`]: materialized output rows
@@ -695,27 +791,52 @@ fn agg_specs(
         .collect()
 }
 
-/// Materialize a [`GroupTable`] as output rows in first-seen group
-/// order: plain columns replay the group key, aggregates finalize with
-/// the checked (overflow-widening) conversion.
-fn finalize_groups(groups: &GroupTable, items: &[PhysItem]) -> Vec<Vec<Scalar>> {
-    (0..groups.len())
-        .map(|g| {
-            let states = groups.group_states(g);
-            let mut agg_i = 0usize;
-            items
-                .iter()
-                .map(|item| match item {
-                    PhysItem::Column { .. } => Scalar::Int(groups.keys()[g]),
-                    PhysItem::Aggregate { kind, .. } => {
-                        let s = finalize_scalar(&states[agg_i], *kind);
-                        agg_i += 1;
-                        s
-                    }
-                })
-                .collect()
-        })
-        .collect()
+/// A [`GroupTable`]'s output rows in first-seen group order: plain
+/// columns replay the group key, aggregates finalize with the checked
+/// (overflow-widening) conversion — per item, when the breaker asks.
+struct GroupRows<'a> {
+    groups: GroupTable,
+    items: &'a [PhysItem],
+    /// Per item, its index among the aggregate items (the group's state
+    /// slot); unused for plain columns.
+    agg_of: Vec<usize>,
+}
+
+impl<'a> GroupRows<'a> {
+    fn new(groups: GroupTable, items: &'a [PhysItem]) -> Self {
+        let agg_of = items
+            .iter()
+            .scan(0usize, |next, item| {
+                let a = *next;
+                *next += usize::from(item.is_aggregate());
+                Some(a)
+            })
+            .collect();
+        Self {
+            groups,
+            items,
+            agg_of,
+        }
+    }
+}
+
+impl RowSource for GroupRows<'_> {
+    fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    fn item(&self, g: usize, idx: usize) -> Scalar {
+        match &self.items[idx] {
+            PhysItem::Column { .. } => Scalar::Int(self.groups.keys()[g]),
+            PhysItem::Aggregate { kind, .. } => {
+                finalize_scalar(&self.groups.group_states(g)[self.agg_of[idx]], *kind)
+            }
+        }
+    }
+
+    fn row(&self, g: usize) -> Vec<Scalar> {
+        (0..self.items.len()).map(|idx| self.item(g, idx)).collect()
+    }
 }
 
 /// Row id of `slot` within a join pair.
@@ -728,34 +849,34 @@ fn pair_row(pair: &(RowId, RowId), slot: usize) -> RowId {
     }
 }
 
-/// Project join pairs: per-item tier-aware point reads (codec
-/// `value_at`, never a block decode), over index-range morsels of the
-/// pair vector whose projected rows concatenate back in pair order.
-fn project_pairs(
-    tables: &[&Table],
-    pairs: &[(RowId, RowId)],
-    items: &[PhysItem],
-    pool: &mut Pool,
-) -> Vec<Vec<Scalar>> {
-    let project = |pair: &(RowId, RowId)| -> Vec<Scalar> {
-        items
-            .iter()
-            .map(|item| match item {
-                PhysItem::Column { slot, col, .. } => {
-                    Scalar::Int(tables[*slot].value(*col, pair_row(pair, *slot)))
-                }
-                PhysItem::Aggregate { .. } => {
-                    unreachable!("projection plans carry only column items")
-                }
-            })
-            .collect()
-    };
-    pool.fold_chunks(
-        pairs.len(),
-        Vec::new,
-        |range, out| out.extend(pairs[range.clone()].iter().map(project)),
-        |out, part| out.extend(part),
-    )
+/// Projected join pairs: per-item tier-aware point reads (codec
+/// `value_at`, never a block decode), made only for the sort key and for
+/// the pairs that reach the result.
+struct PairRows<'a> {
+    tables: &'a [&'a Table],
+    pairs: &'a [(RowId, RowId)],
+    items: &'a [PhysItem],
+}
+
+impl RowSource for PairRows<'_> {
+    fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    fn item(&self, i: usize, idx: usize) -> Scalar {
+        match &self.items[idx] {
+            PhysItem::Column { slot, col, .. } => {
+                Scalar::Int(self.tables[*slot].value(*col, pair_row(&self.pairs[i], *slot)))
+            }
+            PhysItem::Aggregate { .. } => {
+                unreachable!("projection plans carry only column items")
+            }
+        }
+    }
+
+    fn row(&self, i: usize) -> Vec<Scalar> {
+        (0..self.items.len()).map(|idx| self.item(i, idx)).collect()
+    }
 }
 
 /// Aggregate join pairs, grouped or global, via tier-aware point reads.
@@ -763,13 +884,13 @@ fn project_pairs(
 /// [`GroupTable`] (or a row of aggregate states): groups stay in
 /// first-seen order, and the integer-exact states reach the same totals
 /// however the pairs were cut.
-fn aggregate_pairs(
+fn aggregate_pairs<'a>(
     tables: &[&Table],
     pairs: &[(RowId, RowId)],
-    plan: &PhysicalPlan,
+    plan: &'a PhysicalPlan,
     stats: &mut ExecStats,
     pool: &mut Pool,
-) -> Vec<Vec<Scalar>> {
+) -> Box<dyn RowSource + 'a> {
     let specs = agg_specs(&plan.items);
     if let Some((gslot, gcol, _)) = &plan.group_by {
         let groups = pool.fold_chunks(
@@ -792,7 +913,7 @@ fn aggregate_pairs(
             |groups, part| groups.absorb(&part),
         );
         stats.groups = groups.len();
-        return finalize_groups(&groups, &plan.items);
+        return Box::new(GroupRows::new(groups, &plan.items));
     }
     stats.groups = 1;
     let states = pool.fold_chunks(
@@ -829,7 +950,7 @@ fn aggregate_pairs(
             PhysItem::Column { .. } => unreachable!("plain columns require GROUP BY"),
         })
         .collect();
-    vec![row]
+    Box::new(vec![row])
 }
 
 /// What a complete scan examined: it is the only scan that still covers
@@ -1298,6 +1419,49 @@ mod tests {
             &Aux::default(),
         );
         assert_eq!(r.output.cardinality(), 100);
+    }
+
+    #[test]
+    fn sort_breaker_top_k_is_the_stable_sort_prefix() {
+        // Ties, NULLs, floats beside ints and the i64 edges; the second
+        // item is the position, so stability is visible in the output.
+        let keys = [
+            Scalar::Int(3),
+            Scalar::Null,
+            Scalar::Float(2.5),
+            Scalar::Int(i64::MIN),
+            Scalar::Int(3),
+            Scalar::Float(9.3e18),
+            Scalar::Int(i64::MAX),
+            Scalar::Null,
+            Scalar::Float(3.0),
+            Scalar::Int(2),
+            Scalar::Float(-9.3e18),
+            Scalar::Int(3),
+        ];
+        let rows: Vec<Vec<Scalar>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| vec![k, Scalar::Int(i as i64)])
+            .collect();
+        let n = rows.len();
+        for dir in [SortDir::Asc, SortDir::Desc] {
+            let mut want = rows.clone();
+            want.sort_by(|a, b| match dir {
+                SortDir::Asc => a[0].total_cmp(&b[0]),
+                SortDir::Desc => b[0].total_cmp(&a[0]),
+            });
+            // One worker, and two over 4-row chunks: the full sort then
+            // chunk-sorts and k-way merges.
+            for mut pool in [Pool::inline(), Pool::new(2, 4)] {
+                for k in 0..=n + 1 {
+                    let got = sort_limit(&rows, Some((0, dir)), Some(k as u64), &mut pool);
+                    assert_eq!(got, want[..k.min(n)], "{dir:?} LIMIT {k}");
+                }
+                assert_eq!(sort_limit(&rows, Some((0, dir)), None, &mut pool), want);
+                assert_eq!(sort_limit(&rows, None, Some(5), &mut pool), rows[..5]);
+            }
+        }
     }
 
     #[test]

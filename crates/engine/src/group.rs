@@ -8,9 +8,11 @@
 //! input column through the codecs' `for_each_active` under the block's
 //! selection words (ascending row order for every codec, so the streams
 //! stay aligned by position), lands them in per-block scratch buffers,
-//! and folds the zipped rows into a [`GroupTable`] — one hash probe per
-//! row, zero block decodes, zero dense column materialization. The hot
-//! tail folds directly from the raw slices with no scratch at all.
+//! and folds the zipped rows into a [`GroupTable`] — one probe of its
+//! [`ValueMap`] per row (one multiply to hash the key, see
+//! [`crate::hash`]), zero block decodes, zero dense column
+//! materialization. The hot tail folds directly from the raw slices with
+//! no scratch at all.
 //!
 //! `COUNT(*)` aggregates fold as bare count bumps; an aggregate over the
 //! group key aliases the key stream instead of re-reading the column.
@@ -20,19 +22,18 @@
 //! table, a `morsel::Pool` over however many pieces its workers
 //! share, absorbing the pieces' tables in span order.
 
-use std::collections::HashMap;
-
 use amnesia_columnar::{Table, Value};
 use amnesia_util::WORD_BITS;
 
 use crate::batch::AggState;
+use crate::hash::ValueMap;
 use crate::morsel::{whole_table, Span};
 
 /// Accumulated groups: first-seen order, one [`AggState`] per aggregate
 /// input per group (row-major: `states[group * n_aggs + agg]`).
 #[derive(Debug, Clone)]
 pub struct GroupTable {
-    index: HashMap<Value, u32>,
+    index: ValueMap<u32>,
     keys: Vec<Value>,
     states: Vec<AggState>,
     n_aggs: usize,
@@ -42,7 +43,7 @@ impl GroupTable {
     /// Empty table for `n_aggs` aggregate inputs per group.
     pub fn new(n_aggs: usize) -> Self {
         Self {
-            index: HashMap::new(),
+            index: ValueMap::default(),
             keys: Vec::new(),
             states: Vec::new(),
             n_aggs,

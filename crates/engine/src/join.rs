@@ -36,14 +36,13 @@
 //! probe-row order, whichever regime and however the tables are tiered
 //! (`tests/kernel_equivalence.rs`, `tests/join_properties.rs`).
 
-use std::collections::HashMap;
-
 use amnesia_columnar::compress::{dict, rle, Encoding};
 use amnesia_columnar::{RowId, Table, Value};
 use amnesia_util::bitmap::{any_set_bit_in, for_each_set_bit_in};
 use amnesia_util::WORD_BITS;
 
 use crate::batch::{self, ProbeStats};
+use crate::hash::ValueMap;
 use crate::mode::ForgetVisibility;
 use crate::morsel::{Pool, Span};
 
@@ -80,7 +79,7 @@ pub struct JoinResult {
 /// A join build side: `key → ascending build rows` plus the inclusive
 /// `[min, max]` range of its keys (`None` when no row was selected) —
 /// what the probe side prunes frozen blocks against.
-pub(crate) type BuildSide = (HashMap<Value, Vec<RowId>>, Option<(Value, Value)>);
+pub(crate) type BuildSide = (ValueMap<Vec<RowId>>, Option<(Value, Value)>);
 
 /// The rows of key `v` in a build side under construction, widening the
 /// key range to cover it.
@@ -181,7 +180,7 @@ pub(crate) fn probe_span(
     col: usize,
     sel: &[u64],
     span: &Span,
-    build: &HashMap<Value, Vec<RowId>>,
+    build: &ValueMap<Vec<RowId>>,
     key_range: Option<(Value, Value)>,
     pairs: &mut Vec<(RowId, RowId)>,
     stats: &mut ProbeStats,
@@ -232,7 +231,7 @@ fn truth_join(
     mut on_hit: impl FnMut(&[RowId], usize),
 ) -> JoinStats {
     let mut stats = JoinStats::default();
-    let mut build: HashMap<Value, Vec<RowId>> = HashMap::new();
+    let mut build: ValueMap<Vec<RowId>> = ValueMap::default();
     for_each_surviving_key(left, left_col, |r, v| {
         stats.build_rows += 1;
         build.entry(v).or_default().push(RowId::from(r));

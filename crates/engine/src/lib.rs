@@ -33,12 +33,16 @@
 //! workers pull ~16K-row spans from per-worker atomic cursors, stealing
 //! from the most-loaded peer when their range drains. Either way the same
 //! kernel computes every partial and the partials fold left to right over
-//! ascending spans: selections, gathers and join pairs concatenate, group
-//! tables absorb in first-seen row order, and the sort breaker k-way
-//! merges stably. A thread count, a morsel size or a tier boundary can
-//! change how much work a stage does, but there is no second body
-//! through which it could change the answer; the row-at-a-time reference
-//! the tests hold that answer to is [`batch::scalar`].
+//! ascending spans: selections, gathers and join pairs concatenate, and
+//! group tables absorb in first-seen row order. The sort breaker orders
+//! *positions* into that output, not rows: under `LIMIT k` it selects the
+//! stable top k by `(key, position)`; without a limit the pool sorts the
+//! positions stably (chunk sorts, then a leftmost-preference k-way merge).
+//! Rows are built only for the positions that reach the result. A thread
+//! count, a morsel size or a tier boundary can change how much work a
+//! stage does, but there is no second body through which it could change
+//! the answer; the row-at-a-time reference the tests hold that answer to
+//! is [`batch::scalar`].
 //!
 //! # One path per job
 //!
@@ -72,6 +76,8 @@
 //!   kernel and folds its partials,
 //! * [`group`] — the vectorized hash group-by kernel, folding `GROUP BY`
 //!   aggregates straight over compressed blocks,
+//! * [`hash`] — [`ValueMap`], the one hash table under the group-by and
+//!   both joins: one seeded multiply per key,
 //! * [`stats`] — block-statistics cardinality estimation: per-column
 //!   pseudo-histograms from cached `BlockMeta`, predicate selectivity,
 //!   codec-aware evaluation costs, and the conjunct ordering the
@@ -98,6 +104,7 @@ pub mod batch;
 pub mod cost;
 pub mod exec;
 pub mod group;
+pub mod hash;
 pub mod join;
 pub mod kernels;
 pub mod mode;
@@ -111,6 +118,7 @@ pub use exec::{
     Aux, ExecResult, ExecStats, Executor, PhysResult, PredStat, QueryOutput, StageEstimate,
 };
 pub use group::GroupTable;
+pub use hash::ValueMap;
 pub use join::{hash_join, hash_join_count, JoinResult, JoinStats};
 pub use mode::ForgetVisibility;
 pub use morsel::{ExecMode, SchedStats};

@@ -43,7 +43,6 @@
 //! * **Zero extra decodes**: a kernel touches each frozen block of its
 //!   span at most once and never decodes it, however the table is cut.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -55,6 +54,7 @@ use amnesia_util::WORD_BITS;
 
 use crate::batch::{AggState, ProbeStats, TierStats};
 use crate::group::{self, AggInput, GroupTable};
+use crate::hash::ValueMap;
 use crate::join::{self, BuildSide};
 use crate::kernels::{self, PredScanStats};
 use crate::physical::ColPred;
@@ -555,7 +555,7 @@ impl Pool {
         table: &Table,
         col: usize,
         sel: &[u64],
-        build: &HashMap<Value, Vec<RowId>>,
+        build: &ValueMap<Vec<RowId>>,
         key_range: Option<(Value, Value)>,
     ) -> (Vec<(RowId, RowId)>, ProbeStats) {
         self.fold_spans(

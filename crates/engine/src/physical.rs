@@ -33,7 +33,9 @@
 //!   hash group-by of [`crate::group`], which folds frozen blocks in
 //!   compressed space.
 //! * **Sort**: type-aware total ordering over [`Scalar`]s — `i64` keys
-//!   compare exactly (no `f64` collapse), `NULL` sorts first.
+//!   compare exactly (no `f64` collapse), `NULL` sorts first — applied to
+//!   positions, not rows: under `LIMIT k` only the stable top k are
+//!   selected, and only the rows returned are ever built.
 //!
 //! [`Executor::execute_plan`]: crate::exec::Executor::execute_plan
 //! [`Executor::execute`]: crate::exec::Executor::execute
