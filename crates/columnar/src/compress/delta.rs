@@ -35,7 +35,7 @@ pub fn size(values: &[Value]) -> usize {
 
 /// Payload check behind `EncodedBlock::try_from_parts`: every varint
 /// ends inside the payload and there are exactly `len` of them — what
-/// [`value_at`] and the prefix walks index rows by. O(bytes).
+/// the [`Cursor`] and the prefix walks index rows by. O(bytes).
 pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
     let mut pos = 0;
     let mut values = 0usize;
@@ -98,29 +98,51 @@ pub fn filter_range_masks(data: &[u8], lo: Value, hi: Value, out: &mut Vec<u64>)
     w.finish();
 }
 
-/// Value at row `i`: prefix-sum walk up to `i` (deltas force sequential
-/// reconstruction, but nothing past row `i` is touched and no `Vec` is
-/// allocated).
-pub fn value_at(data: &[u8], i: usize) -> Value {
-    let mut pos = 0;
-    let mut prev = 0i64;
-    let mut first = true;
-    let mut row = 0usize;
-    while pos < data.len() {
-        let d = read_signed(data, &mut pos);
-        let v = if first {
-            first = false;
-            d
-        } else {
-            prev.wrapping_add(d)
-        };
-        if row == i {
-            return v;
+/// Point reads by a forward prefix-sum walk (deltas force sequential
+/// reconstruction): a read at or after the last one sums on from it, one
+/// before it restarts at the block's first row. Ascending reads therefore
+/// cost O(bytes up to the last one) per block in total, and nothing past
+/// the row read is touched.
+#[derive(Clone, Copy)]
+pub(super) struct Cursor<'a> {
+    data: &'a [u8],
+    /// Byte offset of row `next`'s difference.
+    pos: usize,
+    /// Rows summed so far; `value` is row `next − 1`'s (0 before any,
+    /// which makes the first row its difference from 0).
+    next: usize,
+    value: Value,
+}
+
+impl<'a> Cursor<'a> {
+    pub(super) fn new(data: &'a [u8]) -> Self {
+        Self {
+            data,
+            pos: 0,
+            next: 0,
+            value: 0,
         }
-        prev = v;
-        row += 1;
     }
-    panic!("row {i} out of range for delta block of {row} rows");
+
+    /// The value of row `i`. Panics past the block's last row.
+    #[inline]
+    pub(super) fn get(&mut self, i: usize) -> Value {
+        if i < self.next.saturating_sub(1) {
+            *self = Self::new(self.data);
+        }
+        while self.next <= i {
+            assert!(
+                self.pos < self.data.len(),
+                "row {i} out of range for delta block of {} rows",
+                self.next
+            );
+            self.value = self
+                .value
+                .wrapping_add(read_signed(self.data, &mut self.pos));
+            self.next += 1;
+        }
+        self.value
+    }
 }
 
 /// Visit `(row, value)` for every row whose bit is set in `active`
@@ -230,8 +252,12 @@ mod tests {
     fn value_at_prefix_walk() {
         let values = vec![i64::MIN, i64::MAX, -7, 0, 42, 41];
         let data = encode(&values);
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(value_at(&data, i), v, "row {i}");
+        // Ascending, descending (every read restarts), repeats.
+        let mut cursor = Cursor::new(&data);
+        let order = (0..values.len()).chain((0..values.len()).rev());
+        for i in order.chain([3, 3, 5, 0, 0]) {
+            assert_eq!(cursor.get(i), values[i], "row {i}");
+            assert_eq!(Cursor::new(&data).get(i), values[i], "one-shot row {i}");
         }
     }
 

@@ -5,8 +5,10 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 use super::delta;
-use super::filter::{check_region, pack_fields, packed_bytes, Band, BlockAgg, Packed};
-use super::varint::{read_signed, read_varint, try_read_varint, varint_len, write_varint};
+use super::filter::{check_region, low_ones, pack_fields, packed_bytes, Band, BlockAgg, Packed};
+use super::varint::{
+    read_signed, read_varint, try_read_varint, varint_len, write_varint, zigzag_decode,
+};
 use crate::types::Value;
 
 fn bits_for(x: u64) -> u32 {
@@ -94,6 +96,7 @@ pub(super) fn size_of_dictionary(n: usize, dict: &[Value]) -> usize {
 
 /// A parsed block: the dictionary still in its delta-varint form and the
 /// packed codes, both *borrowed* from the payload.
+#[derive(Clone, Copy)]
 struct Header<'a> {
     dict_len: usize,
     entries: &'a [u8],
@@ -163,8 +166,13 @@ impl<'a> Header<'a> {
     }
 }
 
-/// Header check behind `EncodedBlock::try_from_parts` — everything
-/// [`Header::parse`] and the kernels take on trust: O(dictionary).
+/// Payload check behind `EncodedBlock::try_from_parts` — everything
+/// [`Header::parse`] and the kernels take on trust: a complete, strictly
+/// ascending dictionary ([`Header::code_band`] counts entries below a
+/// bound), a packed region the header fits, and every code naming an
+/// entry (the decoders, the per-code histogram of [`fold_range_masked`]
+/// and the point reader index the dictionary by code). O(dictionary) plus
+/// one band filter over the codes for `[dict_len, 2^width)`.
 pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
     let mut pos = 0;
     let count = try_read_varint(data, &mut pos).ok_or("truncated row count")?;
@@ -180,11 +188,30 @@ pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
     if dict_len == 0 || dict_len > (data.len() - pos) as u64 {
         return Err("dictionary size impossible for the payload");
     }
-    for _ in 0..dict_len {
-        try_read_varint(data, &mut pos).ok_or("truncated dictionary entry")?;
+    let mut prev = 0i64;
+    for k in 0..dict_len {
+        let delta = try_read_varint(data, &mut pos).ok_or("truncated dictionary entry")?;
+        let v = prev.wrapping_add(zigzag_decode(delta));
+        if k > 0 && v <= prev {
+            return Err("dictionary not strictly ascending");
+        }
+        prev = v;
     }
     let width = *data.get(pos).ok_or("missing width byte")?;
-    check_region(&data[pos + 1..], width, len)
+    let region = &data[pos + 1..];
+    check_region(region, width, len)?;
+    let codes = Packed {
+        region,
+        width: width.into(),
+        count: len,
+    };
+    let past_the_end = Band::clip(dict_len.into(), 1i128 << width, low_ones(width.into()));
+    let mut masks = Vec::with_capacity(len.div_ceil(64));
+    codes.filter_masks(past_the_end, &mut masks);
+    if masks.iter().any(|&w| w != 0) {
+        return Err("a code past the end of the dictionary");
+    }
+    Ok(())
 }
 
 /// Decode a buffer produced by [`encode`].
@@ -241,18 +268,48 @@ pub fn for_each_active(data: &[u8], active: &[u64], mut f: impl FnMut(usize, Val
     }
 }
 
-/// Value at row `i`: one fixed-width code read, then a walk over the
-/// dictionary's delta-varints that stops at that code — no allocation,
-/// the point read never materializes the dictionary.
-pub fn value_at(data: &[u8], i: usize) -> Value {
-    let h = Header::parse(data).expect("row in an empty dict block");
-    assert!(
-        i < h.codes.count,
-        "row {i} out of range for dict block of {} rows",
-        h.codes.count
-    );
-    let code = h.codes.get(i) as usize;
-    h.values().nth(code).expect("code within the dictionary")
+/// Point reads of a parsed block: one fixed-width code read, then the
+/// code's entry from a scratch dictionary decoded lazily — only as far as
+/// the highest code read so far — so the entries are decoded at most once
+/// per block however many rows are read, in any order.
+#[derive(Clone, Copy)]
+pub(super) struct Cursor<'a> {
+    header: Header<'a>,
+    /// Byte offset in `header.entries` of the first entry not yet in the
+    /// scratch dictionary, and the last entry decoded (0 before any).
+    pos: usize,
+    prev: Value,
+}
+
+impl<'a> Cursor<'a> {
+    /// `None` for an empty block.
+    pub(super) fn new(data: &'a [u8]) -> Option<Self> {
+        Header::parse(data).map(|header| Self {
+            header,
+            pos: 0,
+            prev: 0,
+        })
+    }
+
+    /// The value of row `i` (`i` must be a row of the block). `dict`
+    /// holds the entries this cursor decoded so far, and nothing else:
+    /// empty when the cursor is new.
+    #[inline]
+    pub(super) fn get(&mut self, i: usize, dict: &mut Vec<Value>) -> Value {
+        debug_assert!(i < self.header.codes.count, "row {i} out of range");
+        let code = self.header.codes.get(i) as usize;
+        if code >= dict.len() {
+            // Load-time validation bounds every code by the dictionary.
+            dict.reserve(self.header.dict_len - dict.len());
+            while dict.len() <= code {
+                self.prev = self
+                    .prev
+                    .wrapping_add(read_signed(self.header.entries, &mut self.pos));
+                dict.push(self.prev);
+            }
+        }
+        dict[code]
+    }
 }
 
 /// Fused masked aggregate in *code space*: each 64-row group contributes
@@ -348,9 +405,15 @@ mod tests {
         let vals = [i64::MIN, -3, 7, 1 << 50];
         let values: Vec<i64> = (0..200).map(|i| vals[(i * 11 + i / 3) % 4]).collect();
         let data = encode(&values);
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(value_at(&data, i), v, "row {i}");
+        let mut cursor = Cursor::new(&data).expect("a non-empty block");
+        let mut dict = Vec::new();
+        for (i, &v) in values.iter().enumerate().rev() {
+            assert_eq!(cursor.get(i, &mut dict), v, "row {i}");
+            let mut one_shot = Vec::new();
+            let mut fresh = Cursor::new(&data).expect("a non-empty block");
+            assert_eq!(fresh.get(i, &mut one_shot), v, "one-shot row {i}");
         }
+        assert_eq!(dict, vals, "every entry decoded once, in order");
     }
 
     #[test]

@@ -349,9 +349,20 @@ pub(super) struct Packed<'a> {
 }
 
 impl Packed<'_> {
-    /// Field `i`: one two-word point read.
+    /// Field `i`: one unaligned 8-byte load at the field's first byte
+    /// when it holds the whole field (widths up to 56 and 64, as in the
+    /// group kernels, and not the region's last few bytes), else the
+    /// two-word [`unpack_fixed`].
     #[inline]
     pub(super) fn get(&self, i: usize) -> u64 {
+        let bit = i * self.width as usize;
+        let at = bit / 8;
+        if self.width <= 56 || self.width == 64 {
+            if let Some(bytes) = self.region.get(at..at + 8) {
+                let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+                return word >> (bit % 8) & low_ones(self.width);
+            }
+        }
         unpack_fixed(self.region, self.width, i)
     }
 

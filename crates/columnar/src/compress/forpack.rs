@@ -120,17 +120,27 @@ pub fn filter_range_masks(data: &[u8], lo: Value, hi: Value, out: &mut Vec<u64>)
     }
 }
 
-/// Value at row `i`: one direct fixed-width unpack — frame-of-reference
-/// is a random-access format, so point reads cost O(1) with no
-/// allocation.
-pub fn value_at(data: &[u8], i: usize) -> Value {
-    let (min, offsets) = parse_header(data).expect("row in an empty forpack block");
-    assert!(
-        i < offsets.count,
-        "row {i} out of range for forpack block of {} rows",
-        offsets.count
-    );
-    (min as i128 + offsets.get(i) as i128) as i64
+/// Point reads of a parsed frame: frame-of-reference is a random-access
+/// format, so with the header parsed once a read in any order is one
+/// fixed-width unpack plus the minimum.
+#[derive(Clone, Copy)]
+pub(super) struct Cursor<'a> {
+    min: Value,
+    offsets: Packed<'a>,
+}
+
+impl<'a> Cursor<'a> {
+    /// `None` for an empty block.
+    pub(super) fn new(data: &'a [u8]) -> Option<Self> {
+        parse_header(data).map(|(min, offsets)| Self { min, offsets })
+    }
+
+    /// The value of row `i` (`i` must be a row of the block).
+    #[inline]
+    pub(super) fn get(&self, i: usize) -> Value {
+        debug_assert!(i < self.offsets.count, "row {i} out of range");
+        (self.min as i128 + self.offsets.get(i) as i128) as i64
+    }
 }
 
 /// Visit `(row, value)` for every row whose bit is set in `active`
@@ -249,14 +259,17 @@ mod tests {
     fn value_at_direct_unpack() {
         let values: Vec<i64> = (0..130).map(|i| -1000 + (i * 37) % 255).collect();
         let data = encode(&values);
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(value_at(&data, i), v, "row {i}");
+        let cursor = Cursor::new(&data).expect("a non-empty block");
+        for (i, &v) in values.iter().enumerate().rev() {
+            assert_eq!(cursor.get(i), v, "row {i}");
         }
         let extremes = vec![i64::MIN, 0, i64::MAX];
         let data = encode(&extremes);
+        let cursor = Cursor::new(&data).expect("a non-empty block");
         for (i, &v) in extremes.iter().enumerate() {
-            assert_eq!(value_at(&data, i), v, "extreme row {i}");
+            assert_eq!(cursor.get(i), v, "extreme row {i}");
         }
+        assert!(Cursor::new(&encode(&[])).is_none());
     }
 
     #[test]

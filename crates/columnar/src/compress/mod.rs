@@ -83,6 +83,16 @@
 //! caller's activity word and read only the surviving fields, so an
 //! all-forgotten or all-rejected group costs no field access.
 //!
+//! # Point reads
+//!
+//! Reads driven by row ids — join pairs, a sparse residual refinement —
+//! go through a [`BlockReader`]: it parses a block's header once when the
+//! block is opened and keeps what it parsed (a frame, a lazily decoded
+//! dictionary, an rle or delta cursor that only restarts on a backward
+//! read) until the next block, so a read is one fixed-width unpack or a
+//! step of a forward walk. [`EncodedBlock::value_at`] is its one-shot
+//! form.
+//!
 //! [`EncodedBlock::filter_range_masks`] dispatches on the block's
 //! encoding; equivalence with a per-value oracle is pinned for every
 //! width × length × bound × activity shape in
@@ -301,27 +311,26 @@ impl EncodedBlock {
         debug_assert_eq!(out.len(), self.len.div_ceil(64));
     }
 
-    /// Value at row `i` without decoding the block — the point-access
-    /// fast path behind `Table::value` on frozen rows. Dictionary and
-    /// frame-of-reference blocks are random-access (one fixed-width
-    /// unpack); RLE walks run headers and delta prefix-sums up to `i`;
-    /// none of them allocate. Panics if `i >= len`.
+    /// Value at row `i` without decoding the block: the one-shot form of
+    /// [`Self::reader`], behind `Table::value` on frozen rows. Plain and
+    /// frame-of-reference blocks read one fixed-width field; dict reads
+    /// one code, then decodes its dictionary up to that code; rle walks
+    /// run headers and delta prefix-sums up to `i`. Panics if `i >= len`.
     pub fn value_at(&self, i: usize) -> Value {
         assert!(
             i < self.len,
             "row {i} out of range for block of {} rows",
             self.len
         );
-        match self.encoding {
-            Encoding::Plain => {
-                let bytes = &self.data[i * 8..i * 8 + 8];
-                i64::from_le_bytes(bytes.try_into().expect("chunk of 8"))
-            }
-            Encoding::Rle => rle::value_at(&self.data, i),
-            Encoding::Delta => delta::value_at(&self.data, i),
-            Encoding::ForPack => forpack::value_at(&self.data, i),
-            Encoding::Dict => dict::value_at(&self.data, i),
-        }
+        self.reader().get(i)
+    }
+
+    /// A [`BlockReader`] over this block: point reads that parse its
+    /// header once.
+    pub fn reader(&self) -> BlockReader<'_> {
+        let mut reader = BlockReader::default();
+        reader.open(self);
+        reader
     }
 
     /// Visit `(row, value)` for every block-local row whose bit is set in
@@ -421,14 +430,16 @@ impl EncodedBlock {
     /// every kernel indexes by, so a damaged payload is an `Err` here
     /// instead of an index or shift panic deep inside a scan. Plain must
     /// hold exactly `len` words; forpack and dict must carry `len` as
-    /// their row count, a field width in `1..=64`, a packed region of at
-    /// least `ceil(len·width / 64)` words and (dict) a complete
-    /// dictionary — O(1), O(1) and O(dictionary). Rle's varints must end
-    /// inside the payload and its run lengths sum to `len`, O(runs): the
-    /// run walks index activity and mask words by them. Delta's varints
-    /// must end inside the payload and number exactly `len`, O(bytes):
-    /// `value_at` and the prefix walks index rows by them. Field
-    /// *contents* stay the checksum's job.
+    /// their row count, a field width in `1..=64` and a packed region of
+    /// at least `ceil(len·width / 64)` words, O(1). Dict must also carry
+    /// a complete, strictly ascending dictionary and no code at or past
+    /// its length, O(dictionary) plus one band filter over the codes: the
+    /// decoders, folds and point reads index the dictionary by code. Rle's
+    /// varints must end inside the payload and its run lengths sum to
+    /// `len`, O(runs): the run walks index activity and mask words by
+    /// them. Delta's varints must end inside the payload and number
+    /// exactly `len`, O(bytes): the point reader and the prefix walks
+    /// index rows by them. Other field *contents* stay the checksum's job.
     pub fn try_from_parts(encoding: Encoding, len: usize, data: Bytes) -> Result<Self> {
         let checked = match encoding {
             Encoding::Plain if len.checked_mul(8) != Some(data.len()) => {
@@ -446,6 +457,78 @@ impl EncodedBlock {
                 "corrupt {} block of {len} rows: {why}",
                 encoding.name()
             )),
+        }
+    }
+}
+
+/// Point reads into one block at a time, the block's header parsed once
+/// when it is opened rather than once per read — the path every
+/// row-id-driven read takes ([`crate::tier::ColumnReader`] opens frozen
+/// blocks in it). Per codec it holds:
+///
+/// * **plain**: the payload; a read is one 8-byte load;
+/// * **forpack**: the frame minimum and the packed offsets; a read is one
+///   fixed-width unpack;
+/// * **dict**: the packed codes and a scratch dictionary decoded only as
+///   far as the highest code read, at most once per block, its
+///   allocation reused across blocks; a read is one code unpack and one
+///   index;
+/// * **rle** / **delta**: a forward run or prefix-sum cursor that
+///   restarts only on a backward read, so ascending reads cost one walk
+///   of the block in total.
+///
+/// Reads must name rows of the open block; a reader with no block open,
+/// or on a dropped block's rows, reads 0 everywhere.
+#[derive(Default)]
+pub struct BlockReader<'a> {
+    cursor: Cursor<'a>,
+    /// The dict cursor's decoded entries (empty for other codecs).
+    dict: Vec<Value>,
+}
+
+/// A [`BlockReader`]'s parsed block.
+#[derive(Default)]
+enum Cursor<'a> {
+    #[default]
+    Zeros,
+    Plain(&'a [u8]),
+    Rle(rle::Cursor<'a>),
+    Delta(delta::Cursor<'a>),
+    ForPack(forpack::Cursor<'a>),
+    Dict(dict::Cursor<'a>),
+}
+
+impl<'a> BlockReader<'a> {
+    /// Read `block` from now on (its header parsed here, once).
+    pub(crate) fn open(&mut self, block: &'a EncodedBlock) {
+        self.dict.clear();
+        let data = &block.data[..];
+        self.cursor = match block.encoding {
+            Encoding::Plain => Cursor::Plain(data),
+            Encoding::Rle => Cursor::Rle(rle::Cursor::new(data)),
+            Encoding::Delta => Cursor::Delta(delta::Cursor::new(data)),
+            Encoding::ForPack => forpack::Cursor::new(data).map_or(Cursor::Zeros, Cursor::ForPack),
+            Encoding::Dict => dict::Cursor::new(data).map_or(Cursor::Zeros, Cursor::Dict),
+        };
+    }
+
+    /// Read 0 for every row from now on: a dropped block's rows.
+    pub(crate) fn open_zeros(&mut self) {
+        self.cursor = Cursor::Zeros;
+    }
+
+    /// The value of row `i` of the open block.
+    #[inline]
+    pub fn get(&mut self, i: usize) -> Value {
+        match &mut self.cursor {
+            Cursor::Zeros => 0,
+            Cursor::Plain(data) => {
+                i64::from_le_bytes(data[i * 8..i * 8 + 8].try_into().expect("chunk of 8"))
+            }
+            Cursor::Rle(c) => c.get(i),
+            Cursor::Delta(c) => c.get(i),
+            Cursor::ForPack(c) => c.get(i),
+            Cursor::Dict(c) => c.get(i, &mut self.dict),
         }
     }
 }
@@ -897,6 +980,50 @@ mod tests {
             let empty = EncodedBlock::encode(&[], enc);
             let back = EncodedBlock::try_from_parts(enc, 0, empty.data().clone());
             assert!(back.expect("empty block").decode().is_empty(), "{enc:?}");
+        }
+    }
+
+    /// A dict payload whose header is sound but whose codes or entries
+    /// are not: every code must name an entry, and the entries must be
+    /// strictly ascending. Each would otherwise index past the dictionary
+    /// (decode, the per-code fold, point reads) or make the code band of
+    /// a range filter wrong.
+    #[test]
+    fn try_from_parts_rejects_dict_codes_past_the_dictionary_and_unsorted_entries() {
+        // 300 rows over 3 entries at width 2: code 3 is the one past the end.
+        let values: Vec<Value> = (0..300).map(|i| [10, 20, 30][i % 3]).collect();
+        let good = EncodedBlock::encode(&values, Encoding::Dict);
+        let at = width_byte_at(&good);
+        assert_eq!(good.data()[at], 2);
+        let codes = at + 1;
+        for row in [0usize, 1, 63, 64, 200, 299] {
+            let mut bad = good.data().to_vec();
+            bad[codes + row * 2 / 8] |= 0b11 << (row * 2 % 8);
+            assert_rejected(Encoding::Dict, values.len(), &bad, "code 3 of 3 entries");
+        }
+        // Bits past the last row are padding, not codes.
+        let mut padded = good.data().to_vec();
+        let last = padded.len() - 1;
+        padded[last] |= 0xC0;
+        let back = EncodedBlock::try_from_parts(Encoding::Dict, values.len(), padded.into());
+        assert_eq!(back.expect("padding is not checked").decode(), values);
+
+        // Entries out of order or repeated, as raw payloads: 2 rows,
+        // 2 entries, width 1, codes 0 and 1.
+        let payload = |entries: [Value; 2]| {
+            let mut buf = BytesMut::new();
+            varint::write_varint(&mut buf, 2);
+            varint::write_varint(&mut buf, 2);
+            varint::write_signed(&mut buf, entries[0]);
+            varint::write_signed(&mut buf, entries[1].wrapping_sub(entries[0]));
+            buf.put_u8(1);
+            buf.put_u64_le(0b10);
+            buf.freeze()
+        };
+        let sorted = EncodedBlock::try_from_parts(Encoding::Dict, 2, payload([10, 20]));
+        assert_eq!(sorted.expect("ascending entries").decode(), [10, 20]);
+        for entries in [[20, 10], [10, 10], [i64::MAX, i64::MIN]] {
+            assert_rejected(Encoding::Dict, 2, &payload(entries), "unsorted entries");
         }
     }
 

@@ -94,22 +94,50 @@ pub fn filter_range_masks(data: &[u8], lo: Value, hi: Value, out: &mut Vec<u64>)
     w.finish();
 }
 
-/// Value at row `i` without decoding the block: walk the run headers
-/// (varints forbid random access) until the cumulative length covers `i`.
-/// O(runs before `i`) — for the long runs RLE wins on, that is far fewer
-/// steps than rows, and no `Vec` is ever allocated.
-pub fn value_at(data: &[u8], i: usize) -> Value {
-    let mut pos = 0;
-    let mut covered = 0usize;
-    while pos < data.len() {
-        let v = read_signed(data, &mut pos);
-        let run = read_varint(data, &mut pos) as usize;
-        covered += run;
-        if i < covered {
-            return v;
+/// Point reads by a forward walk over the run headers (varints forbid
+/// random access): a read at or after the current run walks on from it,
+/// one before it restarts at the block's first run. Ascending reads
+/// therefore cost O(runs) per block in total, however many there are.
+#[derive(Clone, Copy)]
+pub(super) struct Cursor<'a> {
+    data: &'a [u8],
+    /// Byte offset of the next run header.
+    pos: usize,
+    /// Rows `start..end` hold the current run's `value`.
+    start: usize,
+    end: usize,
+    value: Value,
+}
+
+impl<'a> Cursor<'a> {
+    pub(super) fn new(data: &'a [u8]) -> Self {
+        Self {
+            data,
+            pos: 0,
+            start: 0,
+            end: 0,
+            value: 0,
         }
     }
-    panic!("row {i} out of range for rle block of {covered} rows");
+
+    /// The value of row `i`. Panics past the block's last row.
+    #[inline]
+    pub(super) fn get(&mut self, i: usize) -> Value {
+        if i < self.start {
+            *self = Self::new(self.data);
+        }
+        while i >= self.end {
+            assert!(
+                self.pos < self.data.len(),
+                "row {i} out of range for rle block of {} rows",
+                self.end
+            );
+            self.value = read_signed(self.data, &mut self.pos);
+            self.start = self.end;
+            self.end += read_varint(self.data, &mut self.pos) as usize;
+        }
+        self.value
+    }
 }
 
 /// Visit every run as `(value, first_row, run_len)` in row order — the
@@ -213,8 +241,13 @@ mod tests {
             .flat_map(|i| std::iter::repeat_n(i * 3, (i as usize % 4) + 1))
             .collect();
         let data = encode(&values);
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(value_at(&data, i), v, "row {i}");
+        // Ascending, then descending (every read restarts), then a
+        // repeat and a backward jump inside one run.
+        let mut cursor = Cursor::new(&data);
+        let order = (0..values.len()).chain((0..values.len()).rev());
+        for i in order.chain([7, 7, 6, 0, values.len() - 1]) {
+            assert_eq!(cursor.get(i), values[i], "row {i}");
+            assert_eq!(Cursor::new(&data).get(i), values[i], "one-shot row {i}");
         }
     }
 

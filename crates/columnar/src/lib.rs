@@ -62,5 +62,5 @@ pub use persist::{
 pub use schema::{ColumnDef, Schema};
 pub use summary::{SummaryCell, SummaryStore};
 pub use table::{MemoryBreakdown, Table};
-pub use tier::{BlockMeta, BlockState, ColumnSummary, FrozenBlock, TieredColumn};
+pub use tier::{BlockMeta, BlockState, ColumnReader, ColumnSummary, FrozenBlock, TieredColumn};
 pub use types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};

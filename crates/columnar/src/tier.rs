@@ -28,9 +28,10 @@
 //!   are array indexing, scans take the raw-slice batch kernels.
 //! * **frozen** — [`EncodedBlock::encode_auto`] (or a pinned codec)
 //!   compressed the block; scans run the codec's fused
-//!   `filter_range_masks` / `fold_range_masked`, point reads take the
-//!   codec's `value_at` fast path, and the cached [`BlockMeta`] prunes
-//!   blocks the predicate cannot hit before the payload is touched.
+//!   `filter_range_masks` / `fold_range_masked`, point reads parse a
+//!   block once per visit ([`ColumnReader`]), and the cached
+//!   [`BlockMeta`] prunes blocks the predicate cannot hit before the
+//!   payload is touched.
 //! * **recompressed** — heavy forgetting inside a frozen block squashes
 //!   the forgotten rows' values onto their active neighbours and
 //!   re-encodes; runs lengthen, dictionaries shrink, and the meta bounds
@@ -70,7 +71,9 @@ use amnesia_util::WORD_BITS;
 use bytes::BytesMut;
 
 use crate::compress::varint::{write_signed, write_varint};
-use crate::compress::{bit_set, note_summary_build, rle, BlockSizes, EncodedBlock, Encoding};
+use crate::compress::{
+    bit_set, note_summary_build, rle, BlockReader, BlockSizes, EncodedBlock, Encoding,
+};
 use crate::types::{Value, DEFAULT_BLOCK_ROWS};
 
 /// Cached per-block metadata: the tier layer's built-in zone map.
@@ -612,8 +615,8 @@ impl TieredColumn {
     }
 
     /// Value at a physical row. Hot rows are array indexing; frozen rows
-    /// take the codec's `value_at` fast path (no block decode); dropped
-    /// rows yield 0.
+    /// take the codec's one-shot [`EncodedBlock::value_at`] (no block
+    /// decode); dropped rows yield 0. Many reads take a [`Self::reader`].
     #[inline]
     pub fn value_at(&self, row: usize) -> Value {
         let hot_start = self.hot_start();
@@ -625,6 +628,19 @@ impl TieredColumn {
             return 0;
         }
         f.block.value_at(row % self.block_rows)
+    }
+
+    /// A [`ColumnReader`] over this column: [`Self::value_at`] for many
+    /// rows, each frozen block parsed once per visit instead of once per
+    /// read.
+    pub fn reader(&self) -> ColumnReader<'_> {
+        ColumnReader {
+            column: self,
+            hot_start: self.hot_start(),
+            lo: 0,
+            hi: 0,
+            block: BlockReader::default(),
+        }
     }
 
     /// Freeze full blocks so that every row below `row` (rounded *down*
@@ -868,6 +884,52 @@ impl TieredColumn {
 impl Default for TieredColumn {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Point reads of one [`TieredColumn`] in any row order:
+/// [`Self::get`]`(row)` is exactly [`TieredColumn::value_at`]`(row)`.
+/// A hot row is one slice index. A frozen row is read through the
+/// [`BlockReader`] of its block, which stays open — header parsed, dict
+/// entries decoded, rle/delta cursor where it stopped — until a read
+/// leaves the block's row range; the range test replaces the division by
+/// the block size. Reads clustered by block (join pairs in key order, a
+/// sparse selection's ascending survivors) therefore pay each block's
+/// parse once. A dropped block reads 0.
+pub struct ColumnReader<'a> {
+    column: &'a TieredColumn,
+    hot_start: usize,
+    /// Rows `lo..hi` are the open block's (empty before the first frozen
+    /// read).
+    lo: usize,
+    hi: usize,
+    block: BlockReader<'a>,
+}
+
+impl ColumnReader<'_> {
+    /// The value at physical `row`. Panics past the column's end.
+    #[inline]
+    pub fn get(&mut self, row: usize) -> Value {
+        if row >= self.hot_start {
+            return self.column.hot[row - self.hot_start];
+        }
+        if !(self.lo..self.hi).contains(&row) {
+            self.enter(row);
+        }
+        self.block.get(row - self.lo)
+    }
+
+    /// Open the frozen block holding `row`.
+    fn enter(&mut self, row: usize) {
+        let rows = self.column.block_rows;
+        let b = row / rows;
+        let f = &self.column.frozen[b];
+        (self.lo, self.hi) = (b * rows, (b + 1) * rows);
+        if f.is_dropped() {
+            self.block.open_zeros();
+        } else {
+            self.block.open(&f.block);
+        }
     }
 }
 

@@ -122,6 +122,14 @@ impl AggState {
         self.max = self.max.max(v);
     }
 
+    /// Fold every value of `values`, 64 at a time on the all-selected
+    /// word path.
+    pub(crate) fn push_slice(&mut self, values: &[Value]) {
+        for chunk in values.chunks(WORD_BITS) {
+            fold_selection(self, chunk, tail_word(&[!0], 0, chunk.len()));
+        }
+    }
+
     /// Fold a pre-aggregated block (the all-selected word fast path).
     #[inline]
     pub fn push_block(&mut self, count: u64, sum: i128, min: Value, max: Value) {
@@ -463,15 +471,17 @@ pub(crate) fn conj_block_masks(
 
 /// Sparse residual refinement: narrow an existing selection (`sel`) by a
 /// further [`ColPred`](crate::physical::ColPred) without re-filtering the
-/// whole block. When earlier conjuncts left only a few survivors and the
-/// codec supports O(1) random access ([`EncodedBlock::value_at`] for
-/// plain / FOR / dict), each surviving bit is tested individually in
-/// codec space; otherwise the block-wide fused filter runs once and ANDs
-/// in. Both paths compute the same conjunction (AND commutes), so the
-/// selection is byte-identical to evaluating the predicate densely —
-/// only the work differs. The block is never decoded either way.
-///
-/// [`EncodedBlock::value_at`]: amnesia_columnar::compress::EncodedBlock::value_at
+/// whole block. When earlier conjuncts left at most one row in eight, the
+/// survivors are read in ascending order through one
+/// [`BlockReader`](amnesia_columnar::compress::BlockReader) and tested
+/// individually: the header is parsed once, a plain / FOR / dict read is
+/// one fixed-width unpack (dict decodes its entries at most once), and
+/// the rle / delta cursors only move forward, so the block costs one walk
+/// of its runs or prefix sums up to the last survivor, not one per
+/// survivor. Otherwise the block-wide fused filter runs once and ANDs in.
+/// Both paths compute the same conjunction (AND commutes), so the
+/// selection is byte-identical to evaluating the predicate densely — only
+/// the work differs. The block is never decoded either way.
 pub(crate) fn refine_block_masks(
     block: &amnesia_columnar::compress::EncodedBlock,
     p: &crate::physical::ColPred,
@@ -482,17 +492,14 @@ pub(crate) fn refine_block_masks(
     if surviving == 0 {
         return;
     }
-    let random_access = matches!(
-        block.encoding(),
-        Encoding::Plain | Encoding::ForPack | Encoding::Dict
-    );
-    if random_access && surviving * 8 <= block.len() {
+    if surviving * 8 <= block.len() {
+        let mut reader = block.reader();
         for (k, w) in sel.iter_mut().enumerate() {
             let mut m = *w;
             while m != 0 {
                 let bit = m.trailing_zeros() as usize;
                 m &= m - 1;
-                if !p.matches(block.value_at(k * WORD_BITS + bit)) {
+                if !p.matches(reader.get(k * WORD_BITS + bit)) {
                     *w &= !(1u64 << bit);
                 }
             }

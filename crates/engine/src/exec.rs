@@ -10,7 +10,9 @@
 //!   [`Query`] algebra of the paper's simulator. It chooses nothing: each
 //!   query kind maps to exactly one tiered kernel of [`crate::batch`].
 
-use amnesia_columnar::{Estimate, ModelStore, SummaryStore, Table, ValueRange};
+use std::ops::Range;
+
+use amnesia_columnar::{ColumnReader, Estimate, ModelStore, SummaryStore, Table, ValueRange};
 use amnesia_workload::query::{AggKind, Query, RangePredicate};
 use amnesia_workload::Query as Q;
 use serde::{Deserialize, Serialize};
@@ -542,14 +544,16 @@ impl Executor {
 
 /// Step 3's output as the sort breaker sees it: `len` rows that exist
 /// only as positions. The breaker reads one item of every position (the
-/// sort key) and builds whole rows only for the positions it returns.
+/// sort key) and builds whole rows only for the positions it returns —
+/// both a chunk of positions per call, so a source that reads its values
+/// from the tables keeps one [`ColumnReader`] per column across a chunk.
 trait RowSource: Sync {
     /// Output rows before sort and limit.
     fn len(&self) -> usize;
-    /// Item `idx` of row `i`.
-    fn item(&self, i: usize, idx: usize) -> Scalar;
-    /// Row `i`: one scalar per plan item.
-    fn row(&self, i: usize) -> Vec<Scalar>;
+    /// Append item `idx` of each row in `rows`.
+    fn items(&self, rows: Range<usize>, idx: usize, out: &mut Vec<Scalar>);
+    /// Append the rows at `positions`: one scalar per plan item each.
+    fn rows(&self, positions: &[usize], out: &mut Vec<Vec<Scalar>>);
 }
 
 /// Step 4, the sort breaker: order *positions* into `src` by the ORDER BY
@@ -575,7 +579,7 @@ fn sort_limit(
             let keys: Vec<Scalar> = pool.fold_chunks(
                 n,
                 Vec::new,
-                |range, out| out.extend(range.clone().map(|i| src.item(i, idx))),
+                |range, out| src.items(range.clone(), idx, out),
                 |out, part| out.extend(part),
             );
             let by_key = |a: &usize, b: &usize| {
@@ -602,7 +606,7 @@ fn sort_limit(
     pool.fold_chunks(
         positions.len(),
         Vec::new,
-        |range, out| out.extend(positions[range.clone()].iter().map(|&i| src.row(i))),
+        |range, out| src.rows(&positions[range.clone()], out),
         |out, part| out.extend(part),
     )
 }
@@ -613,12 +617,12 @@ impl RowSource for Vec<Vec<Scalar>> {
         Vec::len(self)
     }
 
-    fn item(&self, i: usize, idx: usize) -> Scalar {
-        self[i][idx]
+    fn items(&self, rows: Range<usize>, idx: usize, out: &mut Vec<Scalar>) {
+        out.extend(self[rows].iter().map(|row| row[idx]));
     }
 
-    fn row(&self, i: usize) -> Vec<Scalar> {
-        self[i].clone()
+    fn rows(&self, positions: &[usize], out: &mut Vec<Vec<Scalar>>) {
+        out.extend(positions.iter().map(|&i| self[i].clone()));
     }
 }
 
@@ -634,12 +638,16 @@ impl RowSource for Gathered {
         self.rows
     }
 
-    fn item(&self, i: usize, idx: usize) -> Scalar {
-        Scalar::Int(self.cols[idx][i])
+    fn items(&self, rows: Range<usize>, idx: usize, out: &mut Vec<Scalar>) {
+        out.extend(self.cols[idx][rows].iter().map(|&v| Scalar::Int(v)));
     }
 
-    fn row(&self, i: usize) -> Vec<Scalar> {
-        self.cols.iter().map(|c| Scalar::Int(c[i])).collect()
+    fn rows(&self, positions: &[usize], out: &mut Vec<Vec<Scalar>>) {
+        out.extend(
+            positions
+                .iter()
+                .map(|&i| self.cols.iter().map(|c| Scalar::Int(c[i])).collect()),
+        );
     }
 }
 
@@ -820,11 +828,8 @@ impl<'a> GroupRows<'a> {
     }
 }
 
-impl RowSource for GroupRows<'_> {
-    fn len(&self) -> usize {
-        self.groups.len()
-    }
-
+impl GroupRows<'_> {
+    /// Item `idx` of group `g`.
     fn item(&self, g: usize, idx: usize) -> Scalar {
         match &self.items[idx] {
             PhysItem::Column { .. } => Scalar::Int(self.groups.keys()[g]),
@@ -833,9 +838,23 @@ impl RowSource for GroupRows<'_> {
             }
         }
     }
+}
 
-    fn row(&self, g: usize) -> Vec<Scalar> {
-        (0..self.items.len()).map(|idx| self.item(g, idx)).collect()
+impl RowSource for GroupRows<'_> {
+    fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    fn items(&self, rows: Range<usize>, idx: usize, out: &mut Vec<Scalar>) {
+        out.extend(rows.map(|g| self.item(g, idx)));
+    }
+
+    fn rows(&self, positions: &[usize], out: &mut Vec<Vec<Scalar>>) {
+        out.extend(
+            positions
+                .iter()
+                .map(|&g| (0..self.items.len()).map(|idx| self.item(g, idx)).collect()),
+        );
     }
 }
 
@@ -849,9 +868,67 @@ fn pair_row(pair: &(RowId, RowId), slot: usize) -> RowId {
     }
 }
 
-/// Projected join pairs: per-item tier-aware point reads (codec
-/// `value_at`, never a block decode), made only for the sort key and for
-/// the pairs that reach the result.
+/// One join side's column, read pair by pair through one
+/// [`ColumnReader`]: pairs read in order keep the reader in a block while
+/// consecutive pairs do — merge-join output, and a probe side streamed in
+/// row order, revisit a block many pairs in a row.
+struct PairColumn<'t> {
+    slot: usize,
+    reader: ColumnReader<'t>,
+}
+
+impl<'t> PairColumn<'t> {
+    fn new(tables: &[&'t Table], (slot, col): (usize, usize)) -> Self {
+        Self {
+            slot,
+            reader: tables[slot].col_tier(col).reader(),
+        }
+    }
+
+    /// The column's value in `pair`.
+    #[inline]
+    fn get(&mut self, pair: &(RowId, RowId)) -> Value {
+        self.reader.get(pair_row(pair, self.slot).as_usize())
+    }
+}
+
+/// Join pairs per batch of [`read_pairs`]: a column's values for one batch
+/// stay in cache until the batch is folded.
+const PAIR_BATCH: usize = 1024;
+
+/// Read `pairs` a batch at a time, one column at a time: each of `cols`
+/// through its own [`PairColumn`] into its buffer (`bufs[c][i]` is column
+/// `c` of the batch's pair `i`), then `fold(batch length, bufs)`. A tight
+/// loop per column keeps its reader's open block hot.
+fn read_pairs(
+    tables: &[&Table],
+    pairs: &[(RowId, RowId)],
+    cols: &[(usize, usize)],
+    mut fold: impl FnMut(usize, &[Vec<Value>]),
+) {
+    let mut columns: Vec<PairColumn<'_>> =
+        cols.iter().map(|&c| PairColumn::new(tables, c)).collect();
+    let mut bufs = vec![Vec::with_capacity(PAIR_BATCH.min(pairs.len())); cols.len()];
+    for batch in pairs.chunks(PAIR_BATCH) {
+        for (column, buf) in columns.iter_mut().zip(&mut bufs) {
+            buf.clear();
+            buf.extend(batch.iter().map(|p| column.get(p)));
+        }
+        fold(batch.len(), &bufs);
+    }
+}
+
+/// The `(slot, column)` of a projection item.
+fn item_column(item: &PhysItem) -> (usize, usize) {
+    match item {
+        PhysItem::Column { slot, col, .. } => (*slot, *col),
+        PhysItem::Aggregate { .. } => unreachable!("projection plans carry only column items"),
+    }
+}
+
+/// Projected join pairs: tier-aware point reads (never a block decode)
+/// through one [`PairColumn`] per item column and chunk of positions,
+/// made only for the sort key and for the pairs that reach the result.
 struct PairRows<'a> {
     tables: &'a [&'a Table],
     pairs: &'a [(RowId, RowId)],
@@ -863,27 +940,39 @@ impl RowSource for PairRows<'_> {
         self.pairs.len()
     }
 
-    fn item(&self, i: usize, idx: usize) -> Scalar {
-        match &self.items[idx] {
-            PhysItem::Column { slot, col, .. } => {
-                Scalar::Int(self.tables[*slot].value(*col, pair_row(&self.pairs[i], *slot)))
-            }
-            PhysItem::Aggregate { .. } => {
-                unreachable!("projection plans carry only column items")
-            }
-        }
+    fn items(&self, rows: Range<usize>, idx: usize, out: &mut Vec<Scalar>) {
+        let mut column = PairColumn::new(self.tables, item_column(&self.items[idx]));
+        out.extend(self.pairs[rows].iter().map(|p| Scalar::Int(column.get(p))));
     }
 
-    fn row(&self, i: usize) -> Vec<Scalar> {
-        (0..self.items.len()).map(|idx| self.item(i, idx)).collect()
+    fn rows(&self, positions: &[usize], out: &mut Vec<Vec<Scalar>>) {
+        let mut columns: Vec<PairColumn<'_>> = self
+            .items
+            .iter()
+            .map(|item| PairColumn::new(self.tables, item_column(item)))
+            .collect();
+        out.extend(positions.iter().map(|&i| {
+            let pair = &self.pairs[i];
+            columns
+                .iter_mut()
+                .map(|c| Scalar::Int(c.get(pair)))
+                .collect()
+        }));
     }
 }
 
-/// Aggregate join pairs, grouped or global, via tier-aware point reads.
-/// Index-range morsels of the pair vector fold, in pair order, into a
-/// [`GroupTable`] (or a row of aggregate states): groups stay in
-/// first-seen order, and the integer-exact states reach the same totals
-/// however the pairs were cut.
+/// Aggregate join pairs, grouped or global, via tier-aware point reads:
+/// every distinct `(slot, column)` the statement reads — the group key
+/// and each aggregate input — is read once per pair, a batch of pairs at a
+/// time through one [`ColumnReader`] per column ([`read_pairs`]). A batch
+/// then folds run by run: the group keys resolve to slots first
+/// ([`GroupTable::slot`] probes once per run of equal keys), and each run
+/// of equal slots folds into each of its states in one go — merge-join
+/// output and insertion-ordered keys arrive in long runs. Index-range
+/// morsels of
+/// the pair vector fold, in pair order, into a [`GroupTable`] (or a row of
+/// aggregate states): groups stay in first-seen order, and the
+/// integer-exact states reach the same totals however the pairs were cut.
 fn aggregate_pairs<'a>(
     tables: &[&Table],
     pairs: &[(RowId, RowId)],
@@ -892,23 +981,40 @@ fn aggregate_pairs<'a>(
     pool: &mut Pool,
 ) -> Box<dyn RowSource + 'a> {
     let specs = agg_specs(&plan.items);
-    if let Some((gslot, gcol, _)) = &plan.group_by {
+    let mut cols: Vec<(usize, usize)> = Vec::new();
+    let mut column = |sc: (usize, usize)| match cols.iter().position(|&c| c == sc) {
+        Some(c) => c,
+        None => {
+            cols.push(sc);
+            cols.len() - 1
+        }
+    };
+    let key = plan.group_by.as_ref().map(|(s, c, _)| column((*s, *c)));
+    let args: Vec<Option<usize>> = specs.iter().map(|(_, arg)| arg.map(&mut column)).collect();
+    if let Some(key) = key {
         let groups = pool.fold_chunks(
             pairs.len(),
             || GroupTable::new(specs.len()),
             |range, groups| {
-                for pair in &pairs[range.clone()] {
-                    let key = tables[*gslot].value(*gcol, pair_row(pair, *gslot));
-                    let slot = groups.slot(key);
-                    for (a, (_, arg)) in specs.iter().enumerate() {
-                        match arg {
-                            Some((aslot, acol)) => groups
-                                .state_mut(slot, a)
-                                .push(tables[*aslot].value(*acol, pair_row(pair, *aslot))),
-                            None => groups.bump(slot, a),
+                let mut slots = Vec::with_capacity(PAIR_BATCH);
+                read_pairs(tables, &pairs[range.clone()], &cols, |_, bufs| {
+                    slots.clear();
+                    slots.extend(bufs[key].iter().map(|&k| groups.slot(k)));
+                    let mut start = 0;
+                    for run in slots.chunk_by(|a, b| a == b) {
+                        let rows = start..start + run.len();
+                        start = rows.end;
+                        for (a, arg) in args.iter().enumerate() {
+                            let state = groups.state_mut(run[0], a);
+                            match arg {
+                                Some(c) => state.push_slice(&bufs[*c][rows.clone()]),
+                                None => {
+                                    state.push_block(run.len() as u64, 0, Value::MAX, Value::MIN)
+                                }
+                            }
                         }
                     }
-                }
+                })
             },
             |groups, part| groups.absorb(&part),
         );
@@ -920,16 +1026,14 @@ fn aggregate_pairs<'a>(
         pairs.len(),
         || vec![AggState::new(); specs.len()],
         |range, states| {
-            for pair in &pairs[range.clone()] {
-                for (state, (_, arg)) in states.iter_mut().zip(&specs) {
+            read_pairs(tables, &pairs[range.clone()], &cols, |n, bufs| {
+                for (state, arg) in states.iter_mut().zip(&args) {
                     match arg {
-                        Some((aslot, acol)) => {
-                            state.push(tables[*aslot].value(*acol, pair_row(pair, *aslot)))
-                        }
-                        None => state.push_block(1, 0, Value::MAX, Value::MIN),
+                        Some(c) => state.push_slice(&bufs[*c]),
+                        None => state.push_block(n as u64, 0, Value::MAX, Value::MIN),
                     }
                 }
-            }
+            })
         },
         |states, part| {
             for (state, p) in states.iter_mut().zip(&part) {

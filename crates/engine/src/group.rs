@@ -9,10 +9,11 @@
 //! selection words (ascending row order for every codec, so the streams
 //! stay aligned by position), lands them in per-block scratch buffers,
 //! and folds the zipped rows into a [`GroupTable`] — one probe of its
-//! [`ValueMap`] per row (one multiply to hash the key, see
-//! [`crate::hash`]), zero block decodes, zero dense column
-//! materialization. The hot tail folds directly from the raw slices with
-//! no scratch at all.
+//! [`ValueMap`] per run of equal keys (one multiply to hash the key, see
+//! [`crate::hash`]; the table remembers the last key's slot, so a column
+//! in insertion or key order pays one probe per group change, not per
+//! row), zero block decodes, zero dense column materialization. The hot
+//! tail folds directly from the raw slices with no scratch at all.
 //!
 //! `COUNT(*)` aggregates fold as bare count bumps; an aggregate over the
 //! group key aliases the key stream instead of re-reading the column.
@@ -37,6 +38,9 @@ pub struct GroupTable {
     keys: Vec<Value>,
     states: Vec<AggState>,
     n_aggs: usize,
+    /// The last key [`Self::slot`] resolved and its slot: a run of equal
+    /// keys pays one probe.
+    last: Option<(Value, usize)>,
 }
 
 impl GroupTable {
@@ -47,12 +51,26 @@ impl GroupTable {
             keys: Vec::new(),
             states: Vec::new(),
             n_aggs,
+            last: None,
         }
     }
 
     /// The slot of `key`'s aggregate states, allocating on first sight.
+    /// A key equal to the previous call's answers without a probe.
     #[inline]
     pub fn slot(&mut self, key: Value) -> usize {
+        match self.last {
+            Some((last, slot)) if last == key => slot,
+            _ => {
+                let slot = self.probe(key);
+                self.last = Some((key, slot));
+                slot
+            }
+        }
+    }
+
+    /// [`Self::slot`] through the index.
+    fn probe(&mut self, key: Value) -> usize {
         let next = self.keys.len() as u32;
         let g = *self.index.entry(key).or_insert(next);
         if g == next {
@@ -103,12 +121,6 @@ impl GroupTable {
     #[inline]
     pub fn state_mut(&mut self, slot: usize, a: usize) -> &mut AggState {
         &mut self.states[slot + a]
-    }
-
-    /// `COUNT(*)` bump for aggregate `a` of the group at `slot`.
-    #[inline]
-    pub fn bump(&mut self, slot: usize, a: usize) {
-        bump(&mut self.states[slot + a]);
     }
 }
 
@@ -296,6 +308,25 @@ mod tests {
                 assert_eq!(states[1].count(), *n);
             }
         }
+    }
+
+    #[test]
+    fn runs_of_equal_keys_resolve_like_separate_probes() {
+        // Runs, revisits after a run, a key equal to the cache's initial
+        // absence, and the i64 edges.
+        let keys = [5, 5, 5, 9, 9, 5, 0, 0, i64::MIN, i64::MAX, i64::MAX, 9, 5];
+        let mut cached = GroupTable::new(2);
+        let mut probed = GroupTable::new(2);
+        for &k in &keys {
+            let slot = cached.slot(k);
+            assert_eq!(slot, probed.probe(k), "key {k}");
+            cached.state_mut(slot, 1).push(k);
+        }
+        assert_eq!(cached.keys(), [5, 9, 0, i64::MIN, i64::MAX]);
+        let counts: Vec<u64> = (0..cached.len())
+            .map(|g| cached.group_states(g)[1].count())
+            .collect();
+        assert_eq!(counts, [5, 3, 2, 1, 2]);
     }
 
     #[test]

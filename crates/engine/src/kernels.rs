@@ -81,16 +81,6 @@ pub fn aggregate_state_tiered(
     batch::aggregate_tiered_active(table.col_tier(col), table.activity_words(), pred)
 }
 
-/// Aggregate over an explicit row-id list (tier-aware point reads).
-pub fn aggregate_rows(table: &Table, col: usize, rows: &[RowId], kind: AggKind) -> Option<f64> {
-    let tier = table.col_tier(col);
-    let mut state = AggState::new();
-    for &r in rows {
-        state.push(tier.value_at(r.as_usize()));
-    }
-    state.finalize(kind)
-}
-
 // ---------------------------------------------------------------------
 // Selection-vector operators: the physical plan's scan, gather and
 // aggregate stages. A *selection* is one 64-bit word per activity word
@@ -506,14 +496,6 @@ mod tests {
         assert_eq!(avg, None, "AVG of empty is NULL");
         let (count, _) = aggregate_active(&t, 0, Some(P::new(1000, 2000)), AggKind::Count);
         assert_eq!(count, Some(0.0), "COUNT of empty is 0");
-    }
-
-    #[test]
-    fn aggregate_rows_over_explicit_ids() {
-        let t = table();
-        let v = aggregate_rows(&t, 0, &[RowId(0), RowId(5)], AggKind::Sum);
-        assert_eq!(v, Some(60.0));
-        assert_eq!(aggregate_rows(&t, 0, &[], AggKind::Sum), None);
     }
 
     #[test]

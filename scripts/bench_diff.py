@@ -4,7 +4,7 @@
 Usage: scripts/bench_diff.py A.json B.json [--all]
 
 For every workload and metric the two records share, prints A's value,
-B's value and the ratio B/A twice:
+B's value and the ratio B/A three times:
 
   raw   B/A as measured;
   norm  B/A with the machine's speed divided out. Each workload's traced
@@ -13,6 +13,14 @@ B's value and the ratio B/A twice:
         rate (higher is better) divides by s, a time (lower is better)
         multiplies by s, so both read "B against A on A's machine".
         Counts, sizes and ratios are not machine-bound: norm is "-".
+  ref   the same with s taken from the scalar reference loop instead
+        (machine.scalar_ref_s, timed at the start and at the end of each
+        record's run): s = mean ref(A) / mean ref(B). "-" when a record
+        has no reference (records before BENCH_29).
+
+A record whose start and end references differ by more than 10 % ran on
+a machine whose speed changed during the run; the header says so, and
+neither normalisation can be trusted for it.
 
 A mark follows: "+" when the normalised ratio is better than 1 by more
 than 5 %, "-" when worse by more than 5 %, nothing otherwise ("better"
@@ -30,6 +38,8 @@ import sys
 TIME_UNITS = {"s", "ms", "us", "ns", "ns/row"}
 RATE_UNITS = {"rows/s", "stmt/s", "GB/s"}
 NOISE = 0.05
+# Start/end scalar references further apart than this flag a record.
+DRIFT = 0.10
 
 
 def metric_specs():
@@ -62,25 +72,50 @@ def fmt(v):
     return f"{v:.3e}"
 
 
-def compare(name, a, b, speed, specs):
-    """(raw ratio, normalised ratio, mark) for one metric, or None."""
+def scalar_ref(record):
+    """(start, end) seconds of the record's scalar reference, or None."""
+    ref = record.get("machine", {}).get("scalar_ref_s")
+    if isinstance(ref, list) and len(ref) == 2 and all(ref):
+        return ref[0], ref[1]
+    return None
+
+
+def drift_note(ref):
+    """How far a record's end reference is from its start one."""
+    if ref is None:
+        return "no scalar reference"
+    drift = ref[1] / ref[0] - 1.0
+    flag = "  ** machine speed drifted by more than 10 % **" if abs(drift) > DRIFT else ""
+    return f"scalar ref {fmt(ref[0])} -> {fmt(ref[1])} s ({drift * 100:+.1f} %){flag}"
+
+
+def normalise(raw, unit, name, speed):
+    """B/A on A's machine, for a machine that ran `speed` times faster."""
+    if raw is None or not speed:
+        return None
+    if unit in TIME_UNITS:
+        return raw * speed
+    if unit in RATE_UNITS and name != "machine.memcpy_gbps":
+        return raw / speed
+    return None
+
+
+def compare(name, a, b, speed, ref_speed, specs):
+    """(raw, memcpy-normalised, reference-normalised ratio, mark) for one
+    metric, or None."""
     if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
         return None
     raw = b / a if a else None
     # Traced self times (self_s.<span>) are seconds.
     unit, better = specs.get(name, ("s" if name.startswith("self_s.") else "", "lower"))
-    norm = None
-    if raw is not None and speed:
-        if unit in TIME_UNITS:
-            norm = raw * speed
-        elif unit in RATE_UNITS and name != "machine.memcpy_gbps":
-            norm = raw / speed
+    norm = normalise(raw, unit, name, speed)
+    by_ref = normalise(raw, unit, name, ref_speed)
     judged = norm if norm is not None else raw
     mark = ""
     if judged is not None and abs(judged - 1.0) > NOISE:
         improved = judged > 1.0 if better == "higher" else judged < 1.0
         mark = "+" if improved else "-"
-    return raw, norm, mark
+    return raw, norm, by_ref, mark
 
 
 def main(argv):
@@ -91,8 +126,11 @@ def main(argv):
         return 2
     (rec_a, work_a), (rec_b, work_b) = load(args[0]), load(args[1])
     specs = metric_specs()
-    print(f"A = {args[0]} (pr {rec_a.get('pr')}, {rec_a.get('commit')})")
-    print(f"B = {args[1]} (pr {rec_b.get('pr')}, {rec_b.get('commit')})")
+    ref_a, ref_b = scalar_ref(rec_a), scalar_ref(rec_b)
+    print(f"A = {args[0]} (pr {rec_a.get('pr')}, {rec_a.get('commit')}; {drift_note(ref_a)})")
+    print(f"B = {args[1]} (pr {rec_b.get('pr')}, {rec_b.get('commit')}; {drift_note(ref_b)})")
+    ref_speed = sum(ref_a) / sum(ref_b) if ref_a and ref_b else None
+    print(f"scalar reference speed B/A: {fmt(ref_speed)}")
     for workload in work_a:
         if workload not in work_b:
             continue
@@ -103,18 +141,18 @@ def main(argv):
         print()
         print(f"== {workload}: memcpy {fmt(mem_a)} -> {fmt(mem_b)} GB/s "
               f"(s = {fmt(speed)}); failed {wa.get('failed')} -> {wb.get('failed')}")
-        print(f"{'metric':34} {'A':>11} {'B':>11} {'raw B/A':>8} {'norm':>8}")
+        print(f"{'metric':34} {'A':>11} {'B':>11} {'raw B/A':>8} {'norm':>8} {'ref':>8}")
         for section in ("end_to_end", "per_layer"):
             ma, mb = wa.get(section, {}), wb.get(section, {})
             for name in sorted(ma):
-                row = compare(name, ma[name], mb.get(name), speed, specs)
+                row = compare(name, ma[name], mb.get(name), speed, ref_speed, specs)
                 if row is None:
                     continue
-                raw, norm, mark = row
+                raw, norm, by_ref, mark = row
                 if section == "per_layer" and not show_all and not mark:
                     continue
                 print(f"{name:34} {fmt(ma[name]):>11} {fmt(mb[name]):>11} "
-                      f"{fmt(raw):>8} {fmt(norm):>8} {mark}")
+                      f"{fmt(raw):>8} {fmt(norm):>8} {fmt(by_ref):>8} {mark}")
     return 0
 
 

@@ -6,7 +6,10 @@
 #   "results": benchmark/out/results.json as the suite wrote it;
 #   "machine": cores and memcpy GB/s the traced run measured, plus nproc
 #              and the architecture, so records taken at different times can be
-#              told apart (and divided out) before they are compared;
+#              told apart (and divided out) before they are compared; and
+#              scalar_ref_s, the seconds a fixed scalar loop took right
+#              before and right after the suite: a machine that slowed or
+#              sped up during the run shows as two different numbers;
 #   "loc":     scripts/loc.sh as numbers, per crate and the total.
 #
 # Usage:
@@ -29,11 +32,27 @@ pr="$1"
 shift
 cd "$(dirname "$0")/.."
 
+# Seconds one fixed scalar loop takes (an integer LCG in awk: exact in
+# doubles, no memory traffic; about a second on a 2-core x86-64 VM).
+scalar_ref() {
+    local start end
+    start=$(date +%s%N)
+    awk 'BEGIN { x = 1; for (i = 0; i < 4000000; i++) x = (x * 69069 + 1) % 4294967296; if (x < 0) print x }'
+    end=$(date +%s%N)
+    awk -v ns=$((end - start)) 'BEGIN { printf "%.4f", ns / 1e9 }'
+}
+
 lock=benchmark/Cargo.lock
 lock_clean=0
 git diff --quiet -- "$lock" 2>/dev/null && lock_clean=1
+# Build first (into the target directory run.sh uses), so the first
+# reference is not taken beside the compiler.
+export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml >&2
+ref_start="$(scalar_ref)"
 status=0
 benchmark/run.sh --trace "$@" || status=$?
+ref_end="$(scalar_ref)"
 if [[ $lock_clean -eq 1 ]]; then
     git checkout -q -- "$lock"
 elif ! git diff --quiet -- "$lock" 2>/dev/null; then
@@ -59,13 +78,16 @@ jq -n \
     --arg arch "$(uname -m)" \
     --argjson nproc "$(nproc)" \
     --argjson loc "$loc" \
+    --argjson ref_start "$ref_start" \
+    --argjson ref_end "$ref_end" \
     --slurpfile results benchmark/out/results.json \
     '$results[0] as $r
      | ($r.workloads | to_entries[0].value.per_layer) as $m
      | {pr: $pr, commit: $commit,
         machine: {arch: $arch, nproc: $nproc, cores: $m["machine.cores"],
                   simd_bits: $m["machine.simd_bits"],
-                  memcpy_gbps: [$r.workloads[].per_layer["machine.memcpy_gbps"]]},
+                  memcpy_gbps: [$r.workloads[].per_layer["machine.memcpy_gbps"]],
+                  scalar_ref_s: [$ref_start, $ref_end]},
         loc: $loc, results: $r}' >"BENCH_$pr.json"
 echo "wrote BENCH_$pr.json" >&2
 exit "$status"
