@@ -35,6 +35,16 @@ GATED = (
     # The packed-field group kernel (columnar::compress::filter): a 20-bit
     # forpack filter, serial and allocation-free, so quiet on runners.
     "compressed_scan/forpack_w20/filter",
+    # The same filter at 7 bits, sql_frozen's `b`: one AVX-512 VBMI octet
+    # step per 8 fields where the runner has it, the scalar step elsewhere.
+    "compressed_scan/forpack_w7/filter",
+    # The `global` statement's fold: 50 % of rows selected, no filter —
+    # masked lane adds, mins and maxes per octet on the vector tier.
+    "compressed_scan/forpack_w7/fold_sel50",
+    # A 0.5 % selection (`scatter`'s fold, about one row per touched
+    # group) must stay on per-row point reads: the vector fold costs a
+    # whole group's step per touched group.
+    "compressed_scan/forpack_w20/fold_sparse",
     # The codec chooser every freeze, recompression and replay runs: it
     # sizes all five codecs arithmetically and encodes only the winner.
     # Encoding all five and keeping the smallest is about 4x this.

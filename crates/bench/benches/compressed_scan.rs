@@ -8,13 +8,15 @@
 //! produce identical row-id vectors; the fused path never materializes
 //! values.
 //!
-//! `compressed_scan/<codec>_w<width>/{filter,fold}` is the codec ladder
-//! under those: [`EncodedBlock::filter_range_masks`] and
-//! [`EncodedBlock::fold_range_masked`] alone, per packed width, in ns/row
-//! and GB/s of packed bytes — the number the ROADMAP holds against memcpy
-//! bandwidth. `compressed_scan/encode_auto/*` is the write side: the codec
-//! chooser alone. `forpack_w20/filter` and `encode_auto/uniform_w20` gate
-//! CI (`.github/bench_compare.py`).
+//! `compressed_scan/<codec>_w<width>/{filter,fold,fold_sel50,fold_sparse}`
+//! is the codec ladder under those: [`EncodedBlock::filter_range_masks`]
+//! and [`EncodedBlock::fold_range_masked`] alone, per packed width, in
+//! ns/row and GB/s of packed bytes — the number the ROADMAP holds against
+//! memcpy bandwidth; the fold runs filtered over every row, then
+//! unfiltered under 50 % and 0.5 % selections. `compressed_scan/encode_auto/*`
+//! is the write side: the codec chooser alone. `forpack_w{7,20}/filter`,
+//! `forpack_w7/fold_sel50`, `forpack_w20/fold_sparse` and
+//! `encode_auto/uniform_w20` gate CI (`.github/bench_compare.py`).
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -190,6 +192,23 @@ fn width_cases() -> Vec<(String, Vec<EncodedBlock>, (i64, i64))> {
 fn packed_widths(c: &mut Criterion) {
     let rows = (WIDTH_BLOCKS * WIDTH_BLOCK_ROWS) as f64;
     let all_rows = vec![u64::MAX; WIDTH_BLOCK_ROWS / 64];
+    // Selection words per block: each row kept with probability 1/2 and
+    // 1/200.
+    let mut rng = SimRng::new(50);
+    let mut selections = |keep_one_in: u64| -> Vec<Vec<u64>> {
+        (0..WIDTH_BLOCKS)
+            .map(|_| {
+                (0..WIDTH_BLOCK_ROWS / 64)
+                    .map(|_| {
+                        (0..64).fold(0u64, |w, i| {
+                            w | u64::from(rng.next_u64().is_multiple_of(keep_one_in)) << i
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let (half, sparse) = (selections(2), selections(200));
     for (name, blocks, (lo, hi)) in width_cases() {
         let bytes: usize = blocks.iter().map(|b| b.compressed_bytes()).sum();
         // ns/row and packed GB/s, which the shim's one-rate line lacks:
@@ -224,13 +243,29 @@ fn packed_widths(c: &mut Criterion) {
             }
             black_box(agg);
         };
+        // Unfiltered folds under a selection, as `aggregate_selection`
+        // runs them: half the rows (the `global` statement's shape), and
+        // 0.5 % of them (about five rows a block, `scatter`'s shape).
+        let fold_under = |words: &[Vec<u64>]| {
+            let mut agg = BlockAgg::new();
+            for (b, active) in blocks.iter().zip(words) {
+                b.fold_range_masked(None, black_box(active), &mut agg);
+            }
+            black_box(agg);
+        };
+        let mut fold_sel50 = || fold_under(&half);
+        let mut fold_sparse = || fold_under(&sparse);
         report("filter", &mut filter);
         report("fold", &mut fold);
+        report("fold_sel50", &mut fold_sel50);
+        report("fold_sparse", &mut fold_sparse);
 
         let mut group = c.benchmark_group(format!("compressed_scan/{name}"));
         group.throughput(Throughput::Elements(rows as u64));
         group.bench_function("filter", |b| b.iter(&mut filter));
         group.bench_function("fold", |b| b.iter(&mut fold));
+        group.bench_function("fold_sel50", |b| b.iter(&mut fold_sel50));
+        group.bench_function("fold_sparse", |b| b.iter(&mut fold_sparse));
         group.finish();
     }
 }

@@ -124,11 +124,7 @@ impl<'a> Header<'a> {
         Some(Self {
             dict_len,
             entries: &data[start..pos],
-            codes: Packed {
-                region: &data[pos + 1..],
-                width: data[pos].into(),
-                count,
-            },
+            codes: Packed::new(&data[pos + 1..], data[pos].into(), count),
         })
     }
 
@@ -200,11 +196,7 @@ pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
     let width = *data.get(pos).ok_or("missing width byte")?;
     let region = &data[pos + 1..];
     check_region(region, width, len)?;
-    let codes = Packed {
-        region,
-        width: width.into(),
-        count: len,
-    };
+    let codes = Packed::new(region, width.into(), len);
     let past_the_end = Band::clip(dict_len.into(), 1i128 << width, low_ones(width.into()));
     let mut masks = Vec::with_capacity(len.div_ceil(64));
     codes.filter_masks(past_the_end, &mut masks);

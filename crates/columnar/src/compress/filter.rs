@@ -11,27 +11,55 @@
 //! `g·8·width` whatever the width. Within a group every 8 fields (an
 //! *octet*) fill exactly `width` bytes, so field `k` of an octet sits at
 //! the constant byte offset `k·width/8` with the constant shift
-//! `k·width % 8`: [`each_octet`] reads it with **one unaligned 8-byte
-//! load** from the borrowed block bytes, no word buffer and no per-bit
-//! loop. The width is a const generic picked by the single `match` in
-//! [`group_kernel`], so every offset and shift folds to an immediate.
+//! `k·width % 8`. A region picks its **octet step** once, when it is
+//! parsed ([`Packed::new`], from the width and the process's
+//! [`MaskImpl`] tier):
+//!
+//! * **The vector step** (x86-64 with AVX-512 F + BW + VBMI, widths
+//!   1–56; the private `vbmi` module, which runs the region's whole
+//!   filter, visit or fold loop): one masked byte load of the octet's
+//!   `width` bytes, one `vpermb` that gives 64-bit lane `k` the 8-byte
+//!   window at byte `k·width/8`, one `vpsrlvq` by `k·width % 8`, one AND
+//!   with `low_ones(width)` — eight fields in four instructions, the
+//!   permutation and shifts per-width constants built at compile time.
+//! * **The scalar step** (every other CPU, and width 64 — the plain
+//!   codec): [`each_octet`] reads each field with one unaligned 8-byte
+//!   load from the borrowed block bytes, no word buffer and no per-bit
+//!   loop. The width is a const generic picked by the single `match` in
+//!   [`group_kernel`], so every offset and shift folds to an immediate.
+//!   It is also the reference the vector step is tested against (every
+//!   tier the CPU has runs in one test process), and the code CI's
+//!   portable leg ([`PORTABLE_ONLY_ENV`](crate::simd::PORTABLE_ONLY_ENV))
+//!   runs end to end.
+//!
+//! Details both steps share:
 //!
 //! * **Why `width ≤ 56`.** The shift is at most 7, so a field of up to 56
-//!   bits lies wholly inside its 8-byte load. `width = 64` also
-//!   qualifies (the shift is always 0 — that is the plain codec).
-//!   Widths 57–63 can straddle nine bytes and keep the two-word
-//!   [`unpack_fixed`] path, one field at a time.
-//! * **The last group.** The load of a group's last field may reach 8
-//!   bytes past the group, and a block's final group may be ragged.
-//!   [`Packed::with_group`] runs that one group from a zero-padded stack
-//!   copy, so the kernels never branch on a tail and never index out of
-//!   the region.
+//!   bits lies wholly inside its 8-byte window. `width = 64` also
+//!   qualifies for the scalar step (the shift is always 0). Widths 57–63
+//!   can straddle nine bytes and keep the two-word [`unpack_fixed`] path,
+//!   one field at a time.
+//! * **The last group.** A block's final group may be ragged, and the
+//!   scalar load of a group's last field may reach 8 bytes past the
+//!   group: [`Packed::with_group`] runs that one group from a zero-padded
+//!   stack copy, so the scalar kernels never branch on a tail and never
+//!   index out of the region. The vector step needs no copy: its load
+//!   mask is **clipped** to the region's end, so no byte past
+//!   `region.len()` is ever read and the missing bytes read as zero.
+//! * **The flush rule.** The vector fold sums eight `u64` lanes; a group
+//!   adds at most eight fields below `2^width` to each, so the lanes are
+//!   reduced into the `u128` total at least every `2^(58−width)` groups
+//!   (every 4 at width 56), before their sum could wrap.
 //!
 //! On top of it: [`Packed::filter_masks`] emits one whole mask word per
-//! group, [`Packed::for_each_selected`] computes `filter mask & activity
-//! word` per group and visits only the surviving fields (point reads
-//! through [`unpack_fixed`] when the AND left few, one whole-group unpack
-//! when it left many), and [`Packed::decode_each`] unpacks group by group. Predicates arrive as a
+//! group (eight k-masks per group on the vector step),
+//! [`Packed::for_each_selected`] computes `filter mask & activity word`
+//! per group and visits only the surviving fields (point reads through
+//! [`Packed::get`] when the AND left few, one whole-group unpack when it
+//! left [`DENSE`] or more), [`Packed::fold_selected`] folds the selected
+//! fields' COUNT/SUM/MIN/MAX (masked lane adds, mins and maxes on the
+//! vector step, unless the block is sparser than [`VECTOR_FOLD`]), and
+//! [`Packed::decode_each`] unpacks group by group. Predicates arrive as a
 //! [`Band`] — already rebased into the region's unsigned field space, with
 //! the empty and whole-domain cases split off as constant fills — and
 //! compare in `u64`. [`pack_fields`] is the one writer of the layout (the
@@ -44,7 +72,11 @@
 
 use bytes::{BufMut, BytesMut};
 
+use crate::simd::{mask_impl, MaskImpl};
 use crate::types::Value;
+
+#[cfg(target_arch = "x86_64")]
+mod vbmi;
 
 /// Streaming COUNT/SUM/MIN/MAX accumulator for the fused masked-aggregate
 /// paths (`fold_range_masked`). The engine folds it into its own
@@ -161,8 +193,25 @@ pub(super) fn in_range(v: Value, lo: Value, width: u64) -> bool {
 const GROUP: usize = 64;
 
 /// Selected rows from which [`Packed::for_each_selected`] unpacks a whole
-/// group instead of point-reading its survivors.
+/// group instead of point-reading its survivors: a scalar unpack of all
+/// 64 fields costs about 16 point reads. The vector unpack breaks even
+/// nearer 10 (measured as for [`VECTOR_FOLD`]), but from 10 to 16 rows the
+/// two legs differ by less than the run-to-run noise, so one cutoff
+/// serves both tiers.
 const DENSE: u32 = 16;
+
+/// Mean selected rows per touched group from which
+/// [`Packed::fold_selected`] folds a block with the vector step. The
+/// vector fold pays one octet step per octet of every group with an
+/// active row, whatever it selects (30–40 ns a group); the per-row path
+/// one point read per selected row (6–8 ns). On forpack blocks of 1 024
+/// rows at widths 7, 20 and 56, rows spread uniformly, best of 30 passes
+/// over 2 000 blocks on a 2-core x86-64 VM with AVX-512 VBMI, the two
+/// cross between 3 and 4 rows a group. At `scatter`'s 0.4 % (about one
+/// row per touched group) the per-row fold takes a third of the vector
+/// fold's time; at 50 % the vector fold takes a quarter of the per-row
+/// one.
+const VECTOR_FOLD: u32 = 4;
 
 /// The most bytes a group kernel reads: a 64-bit group plus the 8-byte
 /// load of its last field.
@@ -178,6 +227,13 @@ pub(super) struct FieldRange {
 }
 
 impl FieldRange {
+    /// Every field: the vector fold's range when there is no filter.
+    #[cfg(target_arch = "x86_64")]
+    const ALL: FieldRange = FieldRange {
+        lo: 0,
+        span: u64::MAX,
+    };
+
     #[inline]
     fn contains(self, field: u64) -> bool {
         field.wrapping_sub(self.lo) <= self.span
@@ -269,7 +325,7 @@ fn group_unpack<const W: usize>(bytes: &[u8], out: &mut [u64; GROUP]) {
     });
 }
 
-/// The width-specialised kernels of one group step.
+/// The width-specialised kernels of one scalar group step.
 #[derive(Clone, Copy)]
 struct GroupKernel {
     mask: fn(&[u8], FieldRange) -> u64,
@@ -340,12 +396,78 @@ pub(super) fn pack_fields(buf: &mut BytesMut, width: u32, fields: impl Iterator<
     }
 }
 
-/// A borrowed fixed-width packed region: `count` fields of `width` bits.
+/// COUNT/SUM/MIN/MAX of selected fields in a region's unsigned field
+/// space ([`Packed::fold_selected`]); the codec maps it back to values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct FieldAgg {
+    pub(super) count: u64,
+    /// `u128`: no count of 64-bit fields a block can hold overflows it.
+    pub(super) sum: u128,
+    /// `u64::MAX` when `count == 0`.
+    pub(super) min: u64,
+    /// 0 when `count == 0`.
+    pub(super) max: u64,
+}
+
+impl FieldAgg {
+    const EMPTY: FieldAgg = FieldAgg {
+        count: 0,
+        sum: 0,
+        min: u64::MAX,
+        max: 0,
+    };
+
+    #[inline]
+    fn push(&mut self, field: u64) {
+        self.count += 1;
+        self.sum += u128::from(field);
+        self.min = self.min.min(field);
+        self.max = self.max.max(field);
+    }
+}
+
+/// A borrowed fixed-width packed region: `count` fields of `width` bits,
+/// and whether its octets take the vector step.
 #[derive(Clone, Copy)]
 pub(super) struct Packed<'a> {
     pub(super) region: &'a [u8],
     pub(super) width: u32,
     pub(super) count: usize,
+    /// Widths 1–56 on the [`MaskImpl::Avx512Vbmi`] tier: the kernels
+    /// below hand the whole region to [`vbmi`].
+    #[cfg(target_arch = "x86_64")]
+    vector: bool,
+}
+
+impl<'a> Packed<'a> {
+    /// The region read on this process's tier ([`mask_impl`]).
+    #[inline]
+    pub(super) fn new(region: &'a [u8], width: u32, count: usize) -> Self {
+        Self::on_tier(mask_impl(), region, width, count)
+    }
+
+    /// The region read on `tier` — the tests' way to run every tier in
+    /// one process. Panics unless this CPU has `tier`: the vector kernels
+    /// are only sound where their features were detected.
+    #[cfg(test)]
+    pub(super) fn on(tier: MaskImpl, region: &'a [u8], width: u32, count: usize) -> Self {
+        assert!(tier <= mask_impl(), "{tier:?} is not available here");
+        Self::on_tier(tier, region, width, count)
+    }
+
+    /// `tier` must not exceed [`mask_impl`].
+    #[inline]
+    fn on_tier(tier: MaskImpl, region: &'a [u8], width: u32, count: usize) -> Self {
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = tier;
+        Self {
+            region,
+            width,
+            count,
+            #[cfg(target_arch = "x86_64")]
+            vector: tier >= MaskImpl::Avx512Vbmi && (1..=vbmi::MAX_WIDTH).contains(&width),
+        }
+    }
 }
 
 impl Packed<'_> {
@@ -366,6 +488,12 @@ impl Packed<'_> {
         unpack_fixed(self.region, self.width, i)
     }
 
+    /// Groups of the region (the last one may be ragged).
+    #[inline]
+    fn groups(&self) -> usize {
+        self.count.div_ceil(GROUP)
+    }
+
     /// Rows of group `g` (64 but for a ragged last group).
     #[inline]
     fn rows_in(&self, g: usize) -> usize {
@@ -373,7 +501,7 @@ impl Packed<'_> {
     }
 
     /// Run `read` on the bytes of group `g` — in place when the
-    /// `8·width + 8` bytes a kernel reads are all there, else (the
+    /// `8·width + 8` bytes a scalar kernel reads are all there, else (the
     /// region's last group) from a zero-padded stack copy.
     #[inline]
     fn with_group<R>(&self, g: usize, read: impl FnOnce(&[u8]) -> R) -> R {
@@ -387,8 +515,8 @@ impl Packed<'_> {
         read(&pad)
     }
 
-    /// Selection word of group `g`: bit `i` set iff field `64g + i` is in
-    /// `band`, bits past `count` clear.
+    /// Selection word of group `g` on the scalar step: bit `i` set iff
+    /// field `64g + i` is in `band`, bits past `count` clear.
     #[inline]
     fn group_mask(&self, kernel: Option<GroupKernel>, g: usize, band: Band) -> u64 {
         let rows = self.rows_in(g);
@@ -406,8 +534,34 @@ impl Packed<'_> {
     /// Append one selection word per group (the mask contract): an empty
     /// or whole-domain band is a constant fill that reads no field.
     pub(super) fn filter_masks(&self, band: Band, out: &mut Vec<u64>) {
+        #[cfg(target_arch = "x86_64")]
+        if let (true, Band::Some(range)) = (self.vector, band) {
+            // SAFETY: `vector` is set only on the tier whose features
+            // `mask_impl` detected on this CPU.
+            return unsafe { vbmi::filter_masks(self, range, out) };
+        }
         let kernel = group_kernel(self.width);
-        out.extend((0..self.count.div_ceil(GROUP)).map(|g| self.group_mask(kernel, g, band)));
+        out.extend((0..self.groups()).map(|g| self.group_mask(kernel, g, band)));
+    }
+
+    /// COUNT/SUM/MIN/MAX of the fields [`Self::for_each_selected`] would
+    /// visit. On the vector step a block whose active groups select at
+    /// least [`VECTOR_FOLD`] rows each on average folds every octet of
+    /// them into lanes with masked adds, mins and maxes; a sparser one,
+    /// and the scalar step, visit the selected fields.
+    pub(super) fn fold_selected(&self, band: Band, active: &[u64]) -> FieldAgg {
+        let mut agg = FieldAgg::EMPTY;
+        if band == Band::Empty {
+            return agg;
+        }
+        let active = &active[..active.len().min(self.groups())];
+        #[cfg(target_arch = "x86_64")]
+        if self.vector {
+            // SAFETY: as in `filter_masks`.
+            return unsafe { vbmi::fold(self, band, active, VECTOR_FOLD) };
+        }
+        self.for_each_selected(band, active, |_, field| agg.push(field));
+        agg
     }
 
     /// Visit `(row, field)` in row order for every row whose bit is set
@@ -437,15 +591,18 @@ impl Packed<'_> {
         active: impl Iterator<Item = u64>,
         mut visit: impl FnMut(usize, u64),
     ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.vector {
+            // SAFETY: as in `filter_masks`.
+            return unsafe { vbmi::each_selected(self, band, active, visit) };
+        }
         let kernel = group_kernel(self.width);
         let mut fields = [0u64; GROUP];
-        for (g, word) in (0..self.count.div_ceil(GROUP)).zip(active) {
+        for (g, word) in (0..self.groups()).zip(active) {
             if word == 0 {
                 continue;
             }
             let mut selected = word & self.group_mask(kernel, g, band);
-            // Unpacking all 64 fields costs about 16 point reads, so a
-            // densely selected group is unpacked whole.
             let unpacked = kernel.filter(|_| selected.count_ones() >= DENSE);
             if let Some(k) = unpacked {
                 self.with_group(g, |bytes| (k.unpack)(bytes, &mut fields));
@@ -650,56 +807,94 @@ mod tests {
             .collect()
     }
 
+    /// One selection word per group of `count` rows: row `r` is selected
+    /// iff `pick(r)`, bits past `count` clear.
+    fn words_of(count: usize, pick: impl Fn(usize) -> bool) -> Vec<u64> {
+        let mut words = vec![0u64; count.div_ceil(64)];
+        for r in (0..count).filter(|&r| pick(r)) {
+            words[r / 64] |= 1 << (r % 64);
+        }
+        words
+    }
+
+    /// The activity shapes every kernel runs under: none, one row per
+    /// octet, about 3 %, about 90 %, and all.
+    fn activity_patterns(count: usize) -> [(&'static str, Vec<u64>); 5] {
+        let hashed = |pct: u64| {
+            words_of(count, move |r| {
+                ((r as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 100 < pct
+            })
+        };
+        [
+            ("none", vec![0; count.div_ceil(64)]),
+            ("one per octet", words_of(count, |r| r % 8 == r / 8 % 8)),
+            ("3%", hashed(3)),
+            ("90%", hashed(90)),
+            ("all", words_of(count, |_| true)),
+        ]
+    }
+
+    /// Every kernel tier this CPU has, in one process, at every width:
+    /// decode, filter (empty, whole, and bands at both field-space edges
+    /// and in the middle), visit and fold under every activity shape.
     #[test]
     fn group_kernels_match_the_per_value_oracle_at_every_width() {
-        // 1 024: the last group is full but has no load slack; 200: ragged.
+        // 1 024: the last group is full; 200, 4 103: ragged. Every region
+        // is allocated at its exact size, so the vector tier's clipped
+        // loads run at the allocation's very end.
+        let tiers: Vec<MaskImpl> = MaskImpl::available().collect();
         for width in 1..=64u32 {
-            for count in [0usize, 1, 64, 200, 1_024] {
-                let region = region_of((count * width as usize).div_ceil(64) * 8, width.into());
+            for count in [0usize, 1, 63, 64, 65, 200, 1_024, 4_103] {
+                let region = region_of(packed_bytes(count, width), width.into());
+                let region = region.into_boxed_slice();
                 check_region(&region, width as u8, count).expect("sized to fit");
-                let packed = Packed {
-                    region: &region,
-                    width,
-                    count,
-                };
+                let on = |tier| Packed::on(tier, &region, width, count);
                 let want = oracle_fields(&region, width, count);
+                for &tier in &tiers {
+                    let mut got = Vec::new();
+                    on(tier).decode_each(|f| got.push(f));
+                    assert_eq!(got, want, "decode_each {tier:?} w{width} n{count}");
+                }
 
-                let mut got = Vec::new();
-                packed.decode_each(|f| got.push(f));
-                assert_eq!(got, want, "decode_each w{width} n{count}");
-
-                let mid = low_ones(width) / 2;
-                let band = Band::clip((mid / 2).into(), (mid + mid / 2).into(), low_ones(width));
-                let hit = |f: u64| f >= mid / 2 && f < mid + mid / 2;
-                let mut masks = Vec::new();
-                packed.filter_masks(band, &mut masks);
-                let expect: Vec<u64> = want
-                    .chunks(64)
-                    .map(|g| {
-                        g.iter()
-                            .enumerate()
-                            .fold(0, |w, (i, &f)| w | u64::from(hit(f)) << i)
-                    })
-                    .collect();
-                assert_eq!(masks, expect, "filter_masks w{width} n{count}");
-
-                // Sparse and dense selections take the point-read and the
-                // whole-group unpack legs of `for_each_selected`.
-                for active in [0x8000_0100_0000_0001u64, !0x10] {
-                    let words = vec![active; count.div_ceil(64)];
-                    for band in [band, Band::All, Band::Empty] {
+                let max = low_ones(width);
+                let quarter = i128::from(max / 4) + 1;
+                let bands = [
+                    Band::Empty,
+                    Band::All,
+                    // Both edges of the field space, and its middle.
+                    Band::clip(0, quarter, max),
+                    Band::clip(i128::from(max) + 1 - quarter, i128::from(max) + 1, max),
+                    Band::clip(quarter, 3 * quarter, max),
+                ];
+                for band in bands {
+                    let hit = |f: u64| match band {
+                        Band::Empty => false,
+                        Band::All => true,
+                        Band::Some(range) => range.contains(f),
+                    };
+                    let masks = words_of(count, |r| hit(want[r]));
+                    for &tier in &tiers {
                         let mut got = Vec::new();
-                        packed.for_each_selected(band, &words, |row, f| got.push((row, f)));
-                        let expect: Vec<(usize, u64)> = (0..count)
-                            .filter(|&r| active >> (r % 64) & 1 == 1)
-                            .filter(|&r| match band {
-                                Band::Empty => false,
-                                Band::All => true,
-                                Band::Some(range) => range.contains(want[r]),
-                            })
+                        on(tier).filter_masks(band, &mut got);
+                        assert_eq!(
+                            got, masks,
+                            "filter_masks {tier:?} w{width} n{count} {band:?}"
+                        );
+                    }
+                    for (shape, active) in activity_patterns(count) {
+                        let visits: Vec<(usize, u64)> = (0..count)
+                            .filter(|&r| bit_set(&active, r) && hit(want[r]))
                             .map(|r| (r, want[r]))
                             .collect();
-                        assert_eq!(got, expect, "for_each_selected w{width} n{count} {band:?}");
+                        let mut folded = FieldAgg::EMPTY;
+                        visits.iter().for_each(|&(_, f)| folded.push(f));
+                        for &tier in &tiers {
+                            let ctx = format!("{tier:?} w{width} n{count} {band:?} {shape}");
+                            let mut got = Vec::new();
+                            on(tier).for_each_selected(band, &active, |row, f| got.push((row, f)));
+                            assert_eq!(got, visits, "for_each_selected {ctx}");
+                            assert_eq!(on(tier).fold_selected(band, &active), folded, "fold {ctx}");
+                        }
                     }
                 }
             }

@@ -54,11 +54,16 @@
 //! The unit of work is the mask word. The three fixed-width codecs share
 //! one **group primitive** (the private `filter` module, whose docs have
 //! the details): a *group* is 64 consecutive rows — one mask word — which
-//! at `width` bits per field is exactly `width` packed words, so a
-//! width-specialised kernel reads the *borrowed* block bytes in place, one
-//! unaligned 8-byte load per field, compares in `u64` and emits the whole
-//! word per step. Widths up to 56 and 64 take that kernel; 57–63 keep a
-//! two-word read per field.
+//! at `width` bits per field is exactly `width` packed words, read in
+//! place from the *borrowed* block bytes eight fields (one *octet*, exactly
+//! `width` bytes) at a time. On x86-64 with AVX-512 VBMI an octet of
+//! width up to 56 is one masked load clipped to the region's end, one
+//! byte permute, one variable shift and one AND, compared into a k-mask;
+//! elsewhere, and at width 64, a width-specialised scalar step reads each
+//! field with one unaligned 8-byte load. Either way the fields compare in
+//! `u64` and each step emits a whole mask word. Widths 57–63 keep a
+//! two-word read per field. The tier comes from the one CPU dispatch,
+//! [`crate::simd::mask_impl`].
 //!
 //! * **forpack** rebases the predicate once into offset space
 //!   (`[lo − min, hi − min)` clipped to the band the width can hold) and
@@ -80,8 +85,10 @@
 //! The masked folds and visits ([`EncodedBlock::fold_range_masked`],
 //! [`EncodedBlock::for_each_active`]) follow the same contract from the
 //! other side: per group they AND the filter's mask word with the
-//! caller's activity word and read only the surviving fields, so an
-//! all-forgotten or all-rejected group costs no field access.
+//! caller's activity word, so an all-forgotten or all-rejected group
+//! costs no field access. A sparse selection reads only the surviving
+//! fields; forpack's fold of a dense one adds, mins and maxes whole
+//! octets into vector lanes under the selection as a write mask.
 //!
 //! # Point reads
 //!
@@ -713,11 +720,7 @@ fn plain_decode(data: &[u8]) -> Vec<Value> {
 /// A plain block as the `width = 64` case of the packed-field primitive:
 /// its fields are the values' own bits.
 fn plain_fields(data: &[u8]) -> Packed<'_> {
-    Packed {
-        region: data,
-        width: 64,
-        count: data.len() / 8,
-    }
+    Packed::new(data, 64, data.len() / 8)
 }
 
 #[cfg(test)]

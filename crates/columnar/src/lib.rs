@@ -30,7 +30,9 @@
 //!   deleted (§1, §5),
 //! * [`summary`] — aggregate summaries of forgotten data (§1 "keep a
 //!   summary, i.e., a few aggregated values (min, max, avg)"),
-//! * [`vacuum`] — physical removal of forgotten tuples.
+//! * [`vacuum`] — physical removal of forgotten tuples,
+//! * [`simd`] — the one CPU-feature dispatch every vector kernel reads,
+//!   the packed-field kernels here and the engine's hot masks alike.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,6 +46,7 @@ pub mod micromodel;
 pub mod paged;
 pub mod persist;
 pub mod schema;
+pub mod simd;
 pub mod summary;
 pub mod table;
 pub mod tier;

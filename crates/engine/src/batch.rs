@@ -25,7 +25,9 @@
 //! * `predicate_mask` evaluates the range test as one unsigned compare
 //!   per value with no data-dependent branches, dispatching to an
 //!   AVX-512/AVX2 kernel at runtime on x86-64 (portable byte-lane
-//!   fallback elsewhere).
+//!   fallback elsewhere). The tier is the one the packed-field kernels
+//!   under the frozen blocks read too:
+//!   [`amnesia_columnar::simd::mask_impl`], detected once per process.
 //! * An all-forgotten word (`activity == 0`) is skipped before its values
 //!   are ever touched: forgetting data makes scans *cheaper*, which is the
 //!   paper's point.
@@ -75,6 +77,7 @@
 //! measure the gaps.
 
 use amnesia_columnar::compress::{dict, rle, BlockAgg, Encoding};
+pub(crate) use amnesia_columnar::simd::{mask_impl, MaskImpl};
 use amnesia_columnar::{RowId, Table, TieredColumn, Value, DEFAULT_BLOCK_ROWS};
 use amnesia_util::WORD_BITS;
 use amnesia_workload::query::{AggKind, RangePredicate};
@@ -195,51 +198,6 @@ impl Default for AggState {
 /// forgetting data keeps making scans cheaper, per the paper's argument.
 const DENSE_WORD_MIN_ACTIVE: u32 = 24;
 
-/// Which predicate-mask kernel this CPU gets. Resolved once per kernel
-/// invocation (not per 64-row word) so the detection's atomic loads and
-/// branches stay out of the hot loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MaskImpl {
-    /// Byte-lane scalar loop; every architecture.
-    Portable,
-    /// AVX2 sign-bias compare + movmskpd (x86-64 only).
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// AVX-512F unsigned compare straight into kmasks (x86-64 only).
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-/// Environment variable that pins predicate evaluation to the portable
-/// (non-SIMD) kernel when set to anything but `0` — CI's way of running
-/// the whole suite down the fallback path that non-AVX hardware takes.
-pub const PORTABLE_ONLY_ENV: &str = "AMNESIA_PORTABLE_ONLY";
-
-/// True when [`PORTABLE_ONLY_ENV`] disables SIMD dispatch (read once).
-fn portable_forced() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED
-        .get_or_init(|| std::env::var(PORTABLE_ONLY_ENV).is_ok_and(|v| !v.is_empty() && v != "0"))
-}
-
-/// Detect the best available mask kernel.
-#[inline]
-pub(crate) fn mask_impl() -> MaskImpl {
-    if portable_forced() {
-        return MaskImpl::Portable;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return MaskImpl::Avx512;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return MaskImpl::Avx2;
-        }
-    }
-    MaskImpl::Portable
-}
-
 /// Branch-light predicate evaluation over up to 64 values: bit `i` of the
 /// result is set iff `pred` matches `values[i]`.
 ///
@@ -256,7 +214,9 @@ fn predicate_mask(values: &[Value], lo: Value, hi: Value, imp: MaskImpl) -> u64 
     if values.len() == WORD_BITS {
         match imp {
             // SAFETY: mask_impl() verified the feature on this CPU.
-            MaskImpl::Avx512 => return unsafe { simd::mask_avx512(values, lo, hi) },
+            MaskImpl::Avx512 | MaskImpl::Avx512Vbmi => {
+                return unsafe { simd::mask_avx512(values, lo, hi) }
+            }
             // SAFETY: mask_impl() verified the feature on this CPU.
             MaskImpl::Avx2 => return unsafe { simd::mask_avx2(values, lo, hi) },
             MaskImpl::Portable => {}
@@ -293,7 +253,10 @@ fn range_width(lo: Value, hi: Value) -> u64 {
 
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    //! SIMD predicate-mask kernels, selected at runtime.
+    //! SIMD predicate-mask kernels over the hot tail's raw values,
+    //! selected at runtime by the tier of `amnesia_columnar::simd` (the
+    //! one CPU dispatch, shared with the packed-field kernels; its
+    //! `PORTABLE_ONLY_ENV` pins both to their portable code).
     //!
     //! Both evaluate the same single-compare range test as the portable
     //! path. AVX-512 compares eight `i64` lanes straight into a `__mmask8`

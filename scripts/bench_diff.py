@@ -20,7 +20,10 @@ B's value and the ratio B/A three times:
 
 A record whose start and end references differ by more than 10 % ran on
 a machine whose speed changed during the run; the header says so, and
-neither normalisation can be trusted for it.
+neither normalisation can be trusted for it. Two records whose
+machine.cpu_flags differ (records from BENCH_31 on) ran different kernel
+tiers: their compressed-read timings come from different code, and a
+warning says so.
 
 A mark follows: "+" when the normalised ratio is better than 1 by more
 than 5 %, "-" when worse by more than 5 %, nothing otherwise ("better"
@@ -89,6 +92,18 @@ def drift_note(ref):
     return f"scalar ref {fmt(ref[0])} -> {fmt(ref[1])} s ({drift * 100:+.1f} %){flag}"
 
 
+def tier_warning(rec_a, rec_b):
+    """A warning line when the records ran different kernel tiers, else
+    None (also when either predates machine.cpu_flags)."""
+    flags_a = rec_a.get("machine", {}).get("cpu_flags")
+    flags_b = rec_b.get("machine", {}).get("cpu_flags")
+    if flags_a is None or flags_b is None or set(flags_a) == set(flags_b):
+        return None
+    return (f"warning: CPU flags differ ({' '.join(flags_a) or 'none'} -> "
+            f"{' '.join(flags_b) or 'none'}): the records ran different kernel "
+            "tiers, so their compressed-read timings come from different code")
+
+
 def normalise(raw, unit, name, speed):
     """B/A on A's machine, for a machine that ran `speed` times faster."""
     if raw is None or not speed:
@@ -129,6 +144,9 @@ def main(argv):
     ref_a, ref_b = scalar_ref(rec_a), scalar_ref(rec_b)
     print(f"A = {args[0]} (pr {rec_a.get('pr')}, {rec_a.get('commit')}; {drift_note(ref_a)})")
     print(f"B = {args[1]} (pr {rec_b.get('pr')}, {rec_b.get('commit')}; {drift_note(ref_b)})")
+    warning = tier_warning(rec_a, rec_b)
+    if warning:
+        print(warning)
     ref_speed = sum(ref_a) / sum(ref_b) if ref_a and ref_b else None
     print(f"scalar reference speed B/A: {fmt(ref_speed)}")
     for workload in work_a:

@@ -10,6 +10,11 @@
 #              scalar_ref_s, the seconds a fixed scalar loop took right
 #              before and right after the suite: a machine that slowed or
 #              sped up during the run shows as two different numbers;
+#              and cpu_flags, which of avx2, avx512f, avx512bw and
+#              avx512vbmi /proc/cpuinfo lists: the vector tier the
+#              kernels ran (amnesia_columnar::simd), so two records
+#              whose compressed reads ran different code can be told
+#              apart;
 #   "loc":     scripts/loc.sh as numbers, per crate and the total.
 #
 # Usage:
@@ -40,6 +45,16 @@ scalar_ref() {
     awk 'BEGIN { x = 1; for (i = 0; i < 4000000; i++) x = (x * 69069 + 1) % 4294967296; if (x < 0) print x }'
     end=$(date +%s%N)
     awk -v ns=$((end - start)) 'BEGIN { printf "%.4f", ns / 1e9 }'
+}
+
+# The kernel-tier flags /proc/cpuinfo lists, as a JSON array (empty where
+# there is no /proc/cpuinfo).
+cpu_flags() {
+    local flag present=()
+    for flag in avx2 avx512f avx512bw avx512vbmi; do
+        grep -qw "$flag" /proc/cpuinfo 2>/dev/null && present+=("$flag")
+    done
+    printf '%s\n' "${present[@]}" | jq -R . | jq -sc 'map(select(. != ""))'
 }
 
 lock=benchmark/Cargo.lock
@@ -77,6 +92,7 @@ jq -n \
     --arg commit "$(git describe --always --dirty 2>/dev/null || echo unknown)" \
     --arg arch "$(uname -m)" \
     --argjson nproc "$(nproc)" \
+    --argjson cpu_flags "$(cpu_flags)" \
     --argjson loc "$loc" \
     --argjson ref_start "$ref_start" \
     --argjson ref_end "$ref_end" \
@@ -85,7 +101,7 @@ jq -n \
      | ($r.workloads | to_entries[0].value.per_layer) as $m
      | {pr: $pr, commit: $commit,
         machine: {arch: $arch, nproc: $nproc, cores: $m["machine.cores"],
-                  simd_bits: $m["machine.simd_bits"],
+                  simd_bits: $m["machine.simd_bits"], cpu_flags: $cpu_flags,
                   memcpy_gbps: [$r.workloads[].per_layer["machine.memcpy_gbps"]],
                   scalar_ref_s: [$ref_start, $ref_end]},
         loc: $loc, results: $r}' >"BENCH_$pr.json"
