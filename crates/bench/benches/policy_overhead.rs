@@ -1,4 +1,6 @@
-//! Engineering bench: victim-selection overhead per policy.
+//! Victim-selection time of the eleven policies the `benchmark/`
+//! workloads never run (they run only Fifo and Uniform, timed here too as
+//! the reference).
 //!
 //! The paper argues amnesia must be "an integral part of a DBMS kernel";
 //! that only works if choosing victims is cheap relative to the update

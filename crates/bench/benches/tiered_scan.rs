@@ -1,6 +1,7 @@
-//! Tiered storage benchmarks: hot vs frozen vs mixed tables, and fused
-//! compressed aggregation vs decompress-then-aggregate — the numbers
-//! backing the tiered-column PR.
+//! One table per codec shape read three ways (all hot, all frozen, half
+//! frozen), and the fused compressed fold against decompressing first:
+//! the same data across tier layouts, which no workload of `benchmark/`
+//! (each fixes its layout) and no per-block codec bench compares.
 //!
 //! The acceptance setting: a 1M-row table with at least half its blocks
 //! frozen must show reduced `Table::memory_bytes` versus hot storage

@@ -121,11 +121,6 @@ impl AdaptiveStore {
         Self { cfg, partitions }
     }
 
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
     /// Which partition a value routes to.
     pub fn partition_of(&self, v: Value) -> usize {
         let clamped = v.clamp(0, self.cfg.domain - 1);

@@ -19,8 +19,9 @@ mod loops;
 
 use std::sync::LazyLock;
 
-use amnesia_columnar::{ReferentialAction, RowId, Table};
+use amnesia_columnar::{ReferentialAction, Table, Value};
 use amnesia_distrib::{DistributionKind, Histogram};
+use amnesia_engine::{kernels, ColPred};
 use amnesia_util::{config_err, Result};
 use amnesia_workload::QueryGenKind;
 use serde::{Deserialize, Serialize};
@@ -28,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use crate::budget::BudgetMode;
 use crate::config::SimConfig;
 use crate::policy::PolicyKind;
-use crate::sim::Simulator;
+use crate::sim::{select, Simulator};
 use crate::store::ForgetMode;
 
 /// Experiment size knobs.
@@ -704,16 +705,15 @@ const TV_BINS: usize = 32;
 fn active_history_tv(table: &Table) -> f64 {
     let lo = table.min_seen(0).unwrap_or(0);
     let hi = table.max_seen(0).unwrap_or(0).max(lo);
-    let mut all = Histogram::new(lo, hi, TV_BINS);
-    let mut active = Histogram::new(lo, hi, TV_BINS);
-    for r in 0..table.num_rows() {
-        let v = table.value(0, RowId::from(r));
-        all.add(v);
-        if table.activity().is_active(RowId::from(r)) {
-            active.add(v);
-        }
-    }
-    active.total_variation(&all)
+    let (active, all) = select(table, &ColPred::range(0, Value::MIN, Value::MAX));
+    let histogram = |sel: &[u64]| {
+        let mut values = Vec::new();
+        kernels::gather_column(table, sel, 0, &mut values);
+        let mut h = Histogram::new(lo, hi, TV_BINS);
+        values.into_iter().for_each(|v| h.add(v));
+        h
+    };
+    histogram(&active).total_variation(&histogram(&all))
 }
 
 #[cfg(test)]

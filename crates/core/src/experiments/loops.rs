@@ -5,8 +5,9 @@
 //! published numbers hold.
 
 use amnesia_columnar::compress::{EncodedBlock, Encoding};
-use amnesia_columnar::{Database, ForeignKey, MemoryColdStore, ReferentialAction, RowId, Schema};
+use amnesia_columnar::{Database, ForeignKey, MemoryColdStore, ReferentialAction, Schema};
 use amnesia_distrib::DistributionKind;
+use amnesia_engine::{kernels, ColPred};
 use amnesia_util::{Result, SimRng};
 use amnesia_workload::query::{AggKind, RangePredicate};
 use amnesia_workload::Query;
@@ -14,6 +15,7 @@ use amnesia_workload::Query;
 use super::{Probes, Scale};
 use crate::adaptive::{AdaptiveConfig, AdaptiveStore};
 use crate::policy::{PolicyContext, PolicyKind};
+use crate::sim::select_active;
 use crate::store::{AmnesiacStore, ForgetMode};
 
 /// The store-plus-ledger loop: an [`AmnesiacStore`] in `mode` under
@@ -371,11 +373,8 @@ fn partitioned_loop(scale: &Scale, arm: Option<PolicyKind>) -> Result<(Vec<f64>,
             if truth == 0 {
                 continue;
             }
-            let table = store.table(p);
-            let touched: Vec<RowId> = table
-                .iter_active()
-                .filter(|&r| pred.matches(table.value(0, r)))
-                .collect();
+            let active = select_active(store.table(p), &ColPred::from_range(0, pred));
+            let touched = kernels::selection_rows(&active);
             store.touch(p, &touched, b);
             let pf = touched.len() as f64 / truth as f64;
             store.observe(p, pf);

@@ -21,6 +21,8 @@
 //!   amnesia-map matrices behind Figures 1–2, and aggregate error
 //!   tracking,
 //! * [`sim`] — the query-batch → update-batch → amnesia loop (§2.3),
+//!   run on a mark-only [`store::AmnesiacStore`], every query scored by
+//!   the engine's selection kernels against the full history it keeps,
 //! * [`store`] — what *physically* happens to forgotten tuples
 //!   (mark / delete / de-index / cold-tier / summarize, §1),
 //! * [`experiments`] — the paper's evaluation as one table

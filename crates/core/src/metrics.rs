@@ -121,11 +121,6 @@ impl PrecisionAccumulator {
             (self.sum_total - self.sum_rf) as f64 / self.pf_stats.count() as f64
         }
     }
-
-    /// Standard deviation of `PF` across the batch.
-    pub fn pf_std_dev(&self) -> f64 {
-        self.pf_stats.std_dev()
-    }
 }
 
 /// Summary of one batch in a simulation run.

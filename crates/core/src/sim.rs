@@ -6,13 +6,14 @@
 //! of DBSIZE. The metrics are reported by averaging over a batch of 1000
 //! individual queries fired against the incomplete database."
 //!
-//! Because the simulator only *marks* tuples as forgotten (§2.1), the
-//! table itself doubles as the ground-truth ledger: every query is scored
-//! against all physically present rows to compute `RF`/`MF` exactly.
+//! The simulator drives an [`AmnesiacStore`] in [`ForgetMode::MarkOnly`],
+//! which keeps forgotten values (§2.1), so the store plus the complete
+//! scan is the ground-truth ledger: the engine's selection kernels score
+//! every query over the active rows and over all rows ever inserted.
 
-use amnesia_columnar::{RowId, Schema, Table};
+use amnesia_columnar::{Table, Value};
+use amnesia_engine::{kernels, ColPred};
 use amnesia_util::{Result, SimRng};
-use amnesia_workload::query::{AggKind, RangePredicate};
 use amnesia_workload::{Query, QueryGenerator, TableSnapshot, UpdateGenerator};
 
 use crate::config::SimConfig;
@@ -20,87 +21,47 @@ use crate::metrics::{
     AmnesiaMap, BatchSummary, PrecisionAccumulator, QueryPrecision, SimReport, StorageReport,
 };
 use crate::policy::{AmnesiaPolicy, PolicyContext};
+use crate::store::{AmnesiacStore, ForgetMode};
 
-/// Adapter exposing a [`Table`] to query generators.
-struct Snapshot<'a>(&'a Table);
-
-impl TableSnapshot for Snapshot<'_> {
+/// Query generators draw from the store's table.
+impl TableSnapshot for AmnesiacStore {
     fn max_value_seen(&self) -> Option<i64> {
-        self.0.max_seen(0)
+        self.table().max_seen(0)
     }
 
     fn random_active_value(&self, rng: &mut SimRng) -> Option<i64> {
-        self.0.random_active(rng).map(|r| self.0.value(0, r))
+        self.random_active(rng).map(|r| self.table().value(0, r))
     }
 
     fn active_count(&self) -> usize {
-        self.0.active_rows()
+        self.table().active_rows()
     }
 }
 
-/// Score a range predicate against the full history held in the table.
-///
-/// Returns the precision outcome and the active matches (for access-
-/// frequency accounting).
-pub fn eval_range(table: &Table, pred: RangePredicate) -> (QueryPrecision, Vec<RowId>) {
-    let activity = table.activity();
-    let mut returned = 0usize;
-    let mut missed = 0usize;
-    let mut matches = Vec::new();
-    for id in (0..table.num_rows()).map(RowId::from) {
-        if pred.matches(table.value(0, id)) {
-            if activity.is_active(id) {
-                returned += 1;
-                matches.push(id);
-            } else {
-                missed += 1;
-            }
-        }
-    }
-    (QueryPrecision { returned, missed }, matches)
+/// The active rows of `table` passing `pred`, as selection words.
+pub(crate) fn select_active(table: &Table, pred: &ColPred) -> Vec<u64> {
+    let preds = std::slice::from_ref(pred);
+    kernels::selection_scan_ordered(table, preds, &[0], &mut [Default::default()]).0
 }
 
-/// Aggregate twice: over active tuples (the amnesiac answer) and over all
-/// tuples ever inserted (the exact answer). Returns `(approx, exact,
-/// active contributors)`.
-pub fn eval_aggregate(
-    table: &Table,
-    kind: AggKind,
-    pred: Option<RangePredicate>,
-) -> (Option<f64>, Option<f64>, Vec<RowId>) {
-    use amnesia_engine::kernels::AggState;
-    let activity = table.activity();
-    let mut active_state = AggState::new();
-    let mut full_state = AggState::new();
-    let mut contributors = Vec::new();
-    for id in (0..table.num_rows()).map(RowId::from) {
-        let v = table.value(0, id);
-        if pred.is_none_or(|p| p.matches(v)) {
-            full_state.push(v);
-            if activity.is_active(id) {
-                active_state.push(v);
-                contributors.push(id);
-            }
-        }
-    }
-    (
-        active_state.finalize(kind),
-        full_state.finalize(kind),
-        contributors,
-    )
+/// Score `pred` against `table`: the selection words of its active rows
+/// (what the amnesiac database answers) and of all its rows, forgotten
+/// included (what the full history would answer).
+pub(crate) fn select(table: &Table, pred: &ColPred) -> (Vec<u64>, Vec<u64>) {
+    let all = kernels::selection_scan_all(table, pred);
+    (select_active(table, pred), all)
 }
 
 /// The simulator.
 pub struct Simulator {
     cfg: SimConfig,
-    table: Table,
+    store: AmnesiacStore,
     updates: UpdateGenerator,
     query_gen: Box<dyn QueryGenerator>,
     policy: Box<dyn AmnesiaPolicy>,
     rng_data: SimRng,
     rng_queries: SimRng,
     rng_policy: SimRng,
-    current_batch: u64,
     summaries: Vec<BatchSummary>,
 }
 
@@ -118,20 +79,19 @@ impl Simulator {
         let query_gen = cfg.query_gen.build();
         let policy = cfg.policy.build();
 
-        let mut table = Table::new(Schema::single("a"));
+        let mut store = AmnesiacStore::new(ForgetMode::MarkOnly);
         let initial = updates.batch(cfg.dbsize, &mut rng_data);
-        table.insert_batch(&initial, 0)?;
+        store.insert_batch(&initial, 0)?;
 
         Ok(Self {
             cfg,
-            table,
+            store,
             updates,
             query_gen,
             policy,
             rng_data,
             rng_queries,
             rng_policy,
-            current_batch: 0,
             summaries: Vec::new(),
         })
     }
@@ -141,50 +101,50 @@ impl Simulator {
         &self.cfg
     }
 
-    /// The amnesiac table (ground truth included, as forgotten marks).
-    pub fn table(&self) -> &Table {
-        &self.table
+    /// The store the simulator drives (its footprint and metrics).
+    pub fn store(&self) -> &AmnesiacStore {
+        &self.store
     }
 
-    /// Batches executed so far.
-    pub fn batches_run(&self) -> u64 {
-        self.current_batch
+    /// The amnesiac table (ground truth included, as forgotten marks).
+    pub fn table(&self) -> &Table {
+        self.store.table()
     }
 
     /// Execute one batch: queries → inserts → amnesia. Returns the batch
     /// summary (also retained internally for the final report).
     pub fn step(&mut self) -> Result<BatchSummary> {
-        let batch = self.current_batch + 1;
+        let batch = self.summaries.len() as u64 + 1;
         let mut acc = PrecisionAccumulator::new();
 
         // ---- query phase ------------------------------------------------
         for _ in 0..self.cfg.queries_per_batch {
-            let query = {
-                let snapshot = Snapshot(&self.table);
-                self.query_gen.next_query(&snapshot, &mut self.rng_queries)
+            let query = self
+                .query_gen
+                .next_query(&self.store, &mut self.rng_queries);
+            let table = self.store.table();
+            let pred = match (query, query.predicate()) {
+                (Query::Point(v), _) => ColPred::range(0, v, v),
+                (_, Some(p)) => ColPred::from_range(0, p),
+                (_, None) => ColPred::range(0, Value::MIN, Value::MAX),
             };
+            let (active, all) = select(table, &pred);
+            let returned = kernels::selection_count(&active);
             match query {
-                Query::Range(pred) => {
-                    let (precision, matches) = eval_range(&self.table, pred);
-                    acc.record(precision);
-                    self.table.access_mut().touch_all(&matches, batch);
-                }
-                Query::Point(v) => {
-                    let pred = RangePredicate::new(v, v.saturating_add(1));
-                    let (precision, matches) = eval_range(&self.table, pred);
-                    acc.record(precision);
-                    self.table.access_mut().touch_all(&matches, batch);
-                }
-                Query::Aggregate { kind, predicate } => {
-                    let (approx, exact, contributors) =
-                        eval_aggregate(&self.table, kind, predicate);
-                    acc.record_aggregate(approx, exact);
-                    self.table.access_mut().touch_all(&contributors, batch);
-                }
+                Query::Aggregate { kind, .. } => acc.record_aggregate(
+                    kernels::aggregate_selection(table, &active, 0).finalize(kind),
+                    kernels::aggregate_selection(table, &all, 0).finalize(kind),
+                ),
+                _ => acc.record(QueryPrecision {
+                    returned,
+                    missed: kernels::selection_count(&all) - returned,
+                }),
             }
+            let touched = kernels::selection_rows(&active);
+            self.store.access_mut().touch_all(&touched, batch);
         }
         if self.cfg.access_decay < 1.0 {
-            self.table.access_mut().decay(self.cfg.access_decay);
+            self.store.access_mut().decay(self.cfg.access_decay);
         }
 
         // ---- update phase -----------------------------------------------
@@ -193,29 +153,27 @@ impl Simulator {
             .updates
             .batch(self.cfg.batch_rows(), &mut self.rng_data);
         if !fresh.is_empty() {
-            self.table.insert_batch(&fresh, batch)?;
+            self.store.insert_batch(&fresh, batch)?;
         }
 
         // ---- amnesia phase ----------------------------------------------
+        let table = self.store.table();
         let need = self
             .cfg
             .budget
-            .victims_needed(self.table.active_rows(), self.cfg.dbsize);
+            .victims_needed(table.active_rows(), self.cfg.dbsize);
         if need > 0 {
-            let victims = {
-                let ctx = PolicyContext {
-                    table: &self.table,
-                    epoch: batch,
-                };
-                self.policy.select_victims(&ctx, need, &mut self.rng_policy)
+            let ctx = PolicyContext {
+                table,
+                epoch: batch,
             };
-            debug_assert_eq!(victims.len(), need.min(self.table.active_rows()));
-            for v in victims {
-                self.table.forget(v, batch)?;
-            }
+            let victims = self.policy.select_victims(&ctx, need, &mut self.rng_policy);
+            debug_assert_eq!(victims.len(), need.min(table.active_rows()));
+            self.store.forget_batch(&victims, batch)?;
         }
+        self.store.end_batch()?;
 
-        self.current_batch = batch;
+        let table = self.store.table();
         let summary = BatchSummary {
             batch,
             mean_pf: acc.mean_pf(),
@@ -223,8 +181,8 @@ impl Simulator {
             mean_rf: acc.mean_rf(),
             mean_mf: acc.mean_mf(),
             agg_error: acc.mean_agg_error(),
-            active_rows: self.table.active_rows(),
-            total_rows: self.table.num_rows(),
+            active_rows: table.active_rows(),
+            total_rows: table.num_rows(),
         };
         self.summaries.push(summary.clone());
         Ok(summary)
@@ -241,12 +199,13 @@ impl Simulator {
     /// Produce a report from the current state (useful after manual
     /// stepping).
     pub fn into_report(self) -> SimReport {
-        let map = AmnesiaMap::from_table(&self.table, self.current_batch.max(1));
+        let table = self.store.table();
+        let map = AmnesiaMap::from_table(table, (self.summaries.len() as u64).max(1));
         let storage = StorageReport {
-            final_active_rows: self.table.active_rows(),
-            total_rows_inserted: self.table.num_rows(),
-            rows_forgotten: self.table.forgotten_rows(),
-            table_bytes: self.table.memory_bytes(),
+            final_active_rows: table.active_rows(),
+            total_rows_inserted: table.num_rows(),
+            rows_forgotten: table.forgotten_rows(),
+            table_bytes: table.memory_bytes(),
         };
         SimReport {
             policy: self.cfg.policy.name().to_string(),
@@ -263,7 +222,9 @@ mod tests {
     use super::*;
     use crate::budget::BudgetMode;
     use crate::policy::PolicyKind;
+    use amnesia_columnar::{RowId, Schema};
     use amnesia_distrib::DistributionKind;
+    use amnesia_workload::query::{AggKind, RangePredicate};
     use amnesia_workload::QueryGenKind;
 
     fn small_cfg(policy: PolicyKind) -> SimConfig {
@@ -355,15 +316,31 @@ mod tests {
         assert!(last < 0.05, "avg error {last}");
     }
 
+    /// `pred` scored as the query phase scores it: `(returned, missed,
+    /// touched rows)`, and the `(approximate, exact)` answers of `kind`.
+    #[allow(clippy::type_complexity)]
+    fn score(
+        t: &Table,
+        pred: &ColPred,
+        kind: AggKind,
+    ) -> ((usize, usize, Vec<RowId>), (Option<f64>, Option<f64>)) {
+        let (active, all) = select(t, pred);
+        let returned = kernels::selection_count(&active);
+        let missed = kernels::selection_count(&all) - returned;
+        let answer = |sel| kernels::aggregate_selection(t, sel, 0).finalize(kind);
+        let precision = (returned, missed, kernels::selection_rows(&active));
+        (precision, (answer(&active), answer(&all)))
+    }
+
     #[test]
     fn eval_range_counts_rf_and_mf() {
         let mut t = Table::new(Schema::single("a"));
         t.insert_batch(&[1, 2, 3, 4, 5], 0).unwrap();
         t.forget(RowId(1), 1).unwrap(); // 2 forgotten
-        let (p, matches) = eval_range(&t, RangePredicate::new(1, 4));
-        assert_eq!(p.returned, 2); // 1, 3
-        assert_eq!(p.missed, 1); // 2
-        assert_eq!(matches, vec![RowId(0), RowId(2)]);
+        let pred = ColPred::from_range(0, RangePredicate::new(1, 4));
+        // Returned 1 and 3, missed 2.
+        let rows = vec![RowId(0), RowId(2)];
+        assert_eq!(score(&t, &pred, AggKind::Count).0, (2, 1, rows));
     }
 
     #[test]
@@ -371,10 +348,38 @@ mod tests {
         let mut t = Table::new(Schema::single("a"));
         t.insert_batch(&[10, 20, 30], 0).unwrap();
         t.forget(RowId(2), 1).unwrap(); // 30 forgotten
-        let (approx, exact, contributors) = eval_aggregate(&t, AggKind::Avg, None);
-        assert_eq!(approx, Some(15.0));
-        assert_eq!(exact, Some(20.0));
+        let everything = ColPred::range(0, Value::MIN, Value::MAX);
+        let ((_, _, contributors), answers) = score(&t, &everything, AggKind::Avg);
+        assert_eq!(answers, (Some(15.0), Some(20.0)));
         assert_eq!(contributors.len(), 2);
+    }
+
+    #[test]
+    fn select_scores_hot_and_tiered_tables() {
+        // Value = row id. Blocks of 64 rows: [0, 128) frozen, [128, 160)
+        // hot. Forgotten: 5 (before the freeze) and 70 (after it) in the
+        // frozen prefix, 130 and 139 in the hot tail.
+        let mut t = Table::with_block_rows(Schema::single("a"), 64);
+        let values: Vec<Value> = (0..160).collect();
+        t.insert_batch(&values, 0).unwrap();
+        t.forget(RowId(5), 1).unwrap();
+        assert_eq!(t.freeze_upto(128), 2);
+        t.forget_batch(&[RowId(70), RowId(130), RowId(139)], 2, |_, _| Ok(()))
+            .unwrap();
+        // [5, 140): 135 rows summing to 9720; the forgotten sum to 344.
+        let pred = ColPred::from_range(0, RangePredicate::new(5, 140));
+        let kept = |r: &u64| ![5, 70, 130, 139].contains(r);
+        let touched: Vec<RowId> = (5..140).filter(kept).map(RowId).collect();
+        for (kind, approx, exact) in [
+            (AggKind::Sum, 9376.0, 9720.0),
+            (AggKind::Min, 6.0, 5.0),
+            (AggKind::Max, 138.0, 139.0),
+            (AggKind::Count, 131.0, 135.0),
+        ] {
+            let got = score(&t, &pred, kind);
+            assert_eq!(got.0, (131, 4, touched.clone()));
+            assert_eq!(got.1, (Some(approx), Some(exact)), "{kind:?}");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! [`AmnesiacStore`] realizes all of them behind one insert/forget/query
 //! API so the `ABL-FORGET` ablation can compare bytes resident, query cost
-//! and recoverability under identical workloads.
+//! and recoverability under identical workloads; the paper's own loop,
+//! [`Simulator`](crate::sim::Simulator), runs on a `MarkOnly` store.
 //!
 //! # The write path
 //!
@@ -44,7 +45,8 @@ use serde::{Deserialize, Serialize};
 /// Physical fate of forgotten tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ForgetMode {
-    /// Mark inactive only (the simulator's measurable baseline).
+    /// Mark inactive only; a complete scan still reads the tuple (the
+    /// ground truth [`Simulator`](crate::sim::Simulator) scores against).
     MarkOnly,
     /// Mark, then physically vacuum at every batch boundary.
     Delete,
@@ -259,6 +261,12 @@ impl AmnesiacStore {
     /// The underlying table.
     pub fn table(&self) -> &Table {
         &self.table
+    }
+
+    /// The table's access statistics, which a driver scoring its own
+    /// queries touches and decays.
+    pub fn access_mut(&mut self) -> &mut amnesia_columnar::AccessStats {
+        self.table.access_mut()
     }
 
     /// Total tuples forgotten through this store.

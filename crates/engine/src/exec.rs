@@ -7,7 +7,7 @@
 //! * [`Executor::execute_plan`] runs a [`PhysicalPlan`] — the API every
 //!   multi-column surface (SQL) lowers onto;
 //! * [`Executor::execute`] is a thin adapter for the single-column
-//!   [`Query`] algebra of the paper's simulator. It chooses nothing: each
+//!   [`Query`] algebra of the paper, behind `AmnesiacStore::query`. It chooses nothing: each
 //!   query kind maps to exactly one tiered kernel of [`crate::batch`].
 
 use std::ops::Range;
@@ -256,8 +256,9 @@ impl Executor {
     }
 
     /// Execute a single-column [`Query`] against column `col` of `table`
-    /// — the adapter the simulator and `AmnesiacStore::query` call. It
-    /// makes no choice: every query kind maps to one tiered kernel (a
+    /// — the adapter behind `AmnesiacStore::query`, which the forget-mode
+    /// ablations of the paper's evaluation call (the simulator scores its
+    /// queries with the selection kernels directly). It makes no choice: every query kind maps to one tiered kernel (a
     /// fully hot table is a tiered column with zero frozen blocks), and
     /// only the visibility mode decides whether a range scan may see
     /// forgotten rows.

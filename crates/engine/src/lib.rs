@@ -86,8 +86,8 @@
 //!   per-codec predicate evaluation),
 //! * [`exec`] — the [`exec::Executor`]: `execute_plan` runs a physical
 //!   plan through the pool; `execute` is the thin adapter for the
-//!   simulator's single-column [`Query`](amnesia_workload::Query)
-//!   algebra — *not* a second planner: each query kind maps to exactly
+//!   paper's single-column [`Query`](amnesia_workload::Query) algebra
+//!   behind `AmnesiacStore::query` — *not* a second planner: each query kind maps to exactly
 //!   one tiered kernel, and the caller's summaries / micro-models of
 //!   forgotten data fold into the aggregate state. Both report
 //!   [`exec::ExecStats`],

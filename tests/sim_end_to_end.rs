@@ -143,8 +143,16 @@ fn stepping_matches_run() {
     let mut sim = Simulator::new(c).unwrap();
     for _ in 0..6 {
         sim.step().unwrap();
+        assert_eq!(sim.store().footprint().active_rows, 150);
     }
+    // Every forget went through the store: its emission count agrees
+    // with the table's activity bits.
+    let forgotten_by_store = sim.store().total_forgotten();
     let step_report = sim.into_report();
+    assert_eq!(
+        forgotten_by_store,
+        step_report.storage.rows_forgotten as u64
+    );
     assert_eq!(
         run_report.precision_series(),
         step_report.precision_series()
