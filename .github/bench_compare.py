@@ -45,9 +45,17 @@ GATED = (
     # group) must stay on per-row point reads: the vector fold costs a
     # whole group's step per touched group.
     "compressed_scan/forpack_w20/fold_sparse",
+    # Rotting blocks: uniform 20-bit values, half the rows squashed onto
+    # their neighbour, as the run bitmap codec (runbits) holds them. The
+    # filter compares one packed value per run and deposits the verdicts
+    # over the rows; the same blocks as rle took 6.3 ns/row (runbits 0.40).
+    "compressed_scan/squashed_50_runbits/filter",
+    # Their fold under a 50 % selection: one rank and one unpack per
+    # selected row; as rle 11.6 ns/row (runbits 1.9).
+    "compressed_scan/squashed_50_runbits/fold_sel50",
     # The codec chooser every freeze, recompression and replay runs: it
-    # sizes all five codecs arithmetically and encodes only the winner.
-    # Encoding all five and keeping the smallest is about 4x this.
+    # sizes all six codecs arithmetically and encodes only the winner.
+    # Encoding all six and keeping the smallest is about 4x this.
     "compressed_scan/encode_auto/uniform_w20",
     # A drop's checkpoint over 1M live + 1M dropped rows (snapshot v4):
     # serial, in memory, and the per-cycle cost of physical forgetting.

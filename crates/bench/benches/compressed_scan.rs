@@ -13,10 +13,15 @@
 //! and [`EncodedBlock::fold_range_masked`] alone, per packed width, in
 //! ns/row and GB/s of packed bytes — the number the ROADMAP holds against
 //! memcpy bandwidth; the fold runs filtered over every row, then
-//! unfiltered under 50 % and 0.5 % selections. `compressed_scan/encode_auto/*`
-//! is the write side: the codec chooser alone. `forpack_w{7,20}/filter`,
-//! `forpack_w7/fold_sel50`, `forpack_w20/fold_sparse` and
-//! `encode_auto/uniform_w20` gate CI (`.github/bench_compare.py`).
+//! unfiltered under 50 % and 0.5 % selections.
+//! `compressed_scan/squashed_50_{rle,runbits}/*` runs the same legs over
+//! rotting blocks — uniform 20-bit values, half the rows squashed onto
+//! their neighbour as recompression leaves them — in the codec they used
+//! to take and the one they take now. `compressed_scan/encode_auto/*` is
+//! the write side: the codec chooser alone. `forpack_w{7,20}/filter`,
+//! `forpack_w7/fold_sel50`, `forpack_w20/fold_sparse`,
+//! `squashed_50_runbits/{filter,fold_sel50}` and `encode_auto/uniform_w20`
+//! gate CI (`.github/bench_compare.py`).
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -145,10 +150,42 @@ fn compressed_scan(c: &mut Criterion) {
 const WIDTH_BLOCKS: usize = 512;
 const WIDTH_BLOCK_ROWS: usize = 1_024;
 
+/// 512 tier-sized blocks of uniform 20-bit values, and the same blocks
+/// with each row but the first squashed onto its predecessor with
+/// probability 1/2, as recompression leaves a half-forgotten block: runs
+/// of two rows on average.
+fn uniform_and_squashed() -> (Vec<Vec<i64>>, Vec<Vec<i64>>) {
+    let mut rng = SimRng::new(25);
+    let uniform: Vec<Vec<i64>> = (0..WIDTH_BLOCKS)
+        .map(|_| {
+            (0..WIDTH_BLOCK_ROWS)
+                .map(|_| (rng.next_u64() >> 44) as i64)
+                .collect()
+        })
+        .collect();
+    let squashed = uniform
+        .iter()
+        .map(|block| {
+            let mut last = 0;
+            block
+                .iter()
+                .map(|&v| {
+                    if rng.below(2) == 0 {
+                        last = v;
+                    }
+                    last
+                })
+                .collect()
+        })
+        .collect();
+    (uniform, squashed)
+}
+
 /// `(name, blocks, ~1 % predicate)` per packed width. Forpack offsets are
 /// uniform over the `width`-bit band (60 is on the two-word path the
 /// group kernel leaves to widths 57–63). Dict stops at the widest code
-/// `encode` can emit for a 1 024-row block with repeats: 7 bits.
+/// `encode` can emit for a 1 024-row block with repeats: 7 bits. Last,
+/// the squashed blocks of [`uniform_and_squashed`] as rle and as runbits.
 fn width_cases() -> Vec<(String, Vec<EncodedBlock>, (i64, i64))> {
     let mut rng = SimRng::new(16);
     let mut blocks_of = |encoding: Encoding, width: u32, scale: i64| -> Vec<EncodedBlock> {
@@ -184,6 +221,18 @@ fn width_cases() -> Vec<(String, Vec<EncodedBlock>, (i64, i64))> {
             format!("dict_w{width}"),
             blocks_of(Encoding::Dict, width, 1_000),
             (band / 2, band / 2 + 1_000),
+        ));
+    }
+    let (_, squashed) = uniform_and_squashed();
+    for encoding in [Encoding::Rle, Encoding::RunBits] {
+        let band = 1i64 << 20;
+        cases.push((
+            format!("squashed_50_{}", encoding.name()),
+            squashed
+                .iter()
+                .map(|values| EncodedBlock::encode(values, encoding))
+                .collect(),
+            (band / 2, band / 2 + band / 100),
         ));
     }
     cases
@@ -271,41 +320,18 @@ fn packed_widths(c: &mut Criterion) {
 }
 
 /// `compressed_scan/encode_auto/{uniform_w20,squashed_50}`: the codec
-/// chooser every freeze and recompression runs, over 512 tier-sized
-/// blocks of uniform 20-bit values (forpack wins) and the same blocks
-/// with half the rows squashed onto their neighbour, as recompression
-/// leaves them (rle and delta tie at about two bytes a row). Reported in
-/// ns/row.
+/// chooser every freeze and recompression runs, over the blocks of
+/// [`uniform_and_squashed`]: uniform 20-bit values (forpack wins) and the
+/// same blocks half squashed (runbits wins, at about 1.4 bytes a row to
+/// rle's and delta's two). Reported in ns/row.
 fn encode_auto(c: &mut Criterion) {
-    let mut rng = SimRng::new(25);
-    let uniform: Vec<Vec<i64>> = (0..WIDTH_BLOCKS)
-        .map(|_| {
-            (0..WIDTH_BLOCK_ROWS)
-                .map(|_| (rng.next_u64() >> 44) as i64)
-                .collect()
-        })
-        .collect();
-    let squashed: Vec<Vec<i64>> = uniform
-        .iter()
-        .map(|block| {
-            let mut last = 0;
-            block
-                .iter()
-                .map(|&v| {
-                    if rng.below(2) == 0 {
-                        last = v;
-                    }
-                    last
-                })
-                .collect()
-        })
-        .collect();
+    let (uniform, squashed) = uniform_and_squashed();
     let rows = (WIDTH_BLOCKS * WIDTH_BLOCK_ROWS) as f64;
     let mut group = c.benchmark_group("compressed_scan/encode_auto");
     group.throughput(Throughput::Elements(rows as u64));
     for (name, blocks, winners) in [
         ("uniform_w20", uniform, &[Encoding::ForPack][..]),
-        ("squashed_50", squashed, &[Encoding::Rle, Encoding::Delta]),
+        ("squashed_50", squashed, &[Encoding::RunBits]),
     ] {
         let mut pass = || {
             let mut bytes = 0;

@@ -410,7 +410,7 @@ pub(super) struct FieldAgg {
 }
 
 impl FieldAgg {
-    const EMPTY: FieldAgg = FieldAgg {
+    pub(super) const EMPTY: FieldAgg = FieldAgg {
         count: 0,
         sum: 0,
         min: u64::MAX,
@@ -418,7 +418,7 @@ impl FieldAgg {
     };
 
     #[inline]
-    fn push(&mut self, field: u64) {
+    pub(super) fn push(&mut self, field: u64) {
         self.count += 1;
         self.sum += u128::from(field);
         self.min = self.min.min(field);

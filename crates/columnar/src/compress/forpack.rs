@@ -36,14 +36,29 @@ pub fn encode(values: &[Value]) -> Bytes {
 
 /// [`encode`] appending to `buf`.
 pub(super) fn encode_into(buf: &mut BytesMut, values: &[Value]) {
-    write_varint(buf, values.len() as u64);
-    let (Some(&min), Some(&max)) = (values.iter().min(), values.iter().max()) else {
-        return;
-    };
+    match (values.iter().min(), values.iter().max()) {
+        (Some(&min), Some(&max)) => {
+            encode_frame_into(buf, values.len(), min, max, values.iter().copied())
+        }
+        _ => write_varint(buf, 0),
+    }
+}
+
+/// [`encode_into`] of `n ≥ 1` values spanning exactly `min..=max`, read
+/// once from an iterator (runbits writes its run values this way,
+/// without collecting them).
+pub(super) fn encode_frame_into(
+    buf: &mut BytesMut,
+    n: usize,
+    min: Value,
+    max: Value,
+    values: impl Iterator<Item = Value>,
+) {
     let width = width_of(min, max);
+    write_varint(buf, n as u64);
     write_signed(buf, min);
     buf.put_u8(width as u8);
-    pack_fields(buf, width, values.iter().map(|&v| v.abs_diff(min)));
+    pack_fields(buf, width, values.map(|v| v.abs_diff(min)));
 }
 
 /// Exact byte length of [`encode`]`(values)`, without writing a byte.
@@ -62,7 +77,7 @@ pub(super) fn size_of_frame(n: usize, min: Value, max: Value) -> usize {
 
 /// Parse the header: the frame minimum and the packed offsets, *borrowed*
 /// from `data`; `None` for an empty block.
-fn parse_header(data: &[u8]) -> Option<(Value, Packed<'_>)> {
+pub(super) fn parse_header(data: &[u8]) -> Option<(Value, Packed<'_>)> {
     let mut pos = 0;
     let count = read_varint(data, &mut pos) as usize;
     if count == 0 {
@@ -92,7 +107,7 @@ pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
 /// `[lo, hi)` rebased once into offset space: `v` matches iff its packed
 /// offset falls in `[lo − min, hi − min)`, clipped to the band the width
 /// can represent — so no kernel ever adds `min` back to compare.
-fn offset_band(lo: Value, hi: Value, min: Value, offsets: &Packed<'_>) -> Band {
+pub(super) fn offset_band(lo: Value, hi: Value, min: Value, offsets: &Packed<'_>) -> Band {
     let min = min as i128;
     Band::clip(lo as i128 - min, hi as i128 - min, low_ones(offsets.width))
 }
@@ -179,7 +194,7 @@ pub fn fold_range_masked(
 }
 
 /// Fold an offset-space aggregate into `agg`, adding the frame base back.
-fn rebase(min: Value, offsets: FieldAgg, agg: &mut BlockAgg) {
+pub(super) fn rebase(min: Value, offsets: FieldAgg, agg: &mut BlockAgg) {
     if offsets.count > 0 {
         let base = min as i128;
         agg.count += offsets.count;

@@ -2,11 +2,13 @@
 //!
 //! Paper §4.4: "Data compression can be called upon to postpone the
 //! decisions to forget data." Every byte saved stretches the storage
-//! budget `DBSIZE` before any tuple must rot. This module implements the
-//! classic column-store codecs — run-length, delta, frame-of-reference
-//! bit-packing and dictionary — behind one [`EncodedBlock`] type with an
-//! automatic chooser, so the ablation experiment can quantify exactly how
-//! many batches of amnesia each codec buys per distribution.
+//! budget `DBSIZE` before any tuple must rot. This module implements six
+//! codecs — plain, the classic column-store four (run-length, delta,
+//! frame-of-reference bit-packing and dictionary) and a run bitmap for
+//! the short runs that rotting blocks squash into — behind one
+//! [`EncodedBlock`] type with an automatic chooser, so the ablation
+//! experiment can quantify exactly how many batches of amnesia each codec
+//! buys per distribution.
 //!
 //! # Choosing a codec by arithmetic
 //!
@@ -15,27 +17,34 @@
 //! never encodes a block it will throw away. Every codec has a `size`
 //! function that returns exactly what its `encode` would produce, without
 //! writing a byte ([`rle::size`], [`delta::size`], [`forpack::size`],
-//! [`dict::size`]; plain is `8n`):
+//! [`dict::size`], [`runbits::size`]; plain is `8n`):
 //!
 //! * **rle** is the summed varint lengths of every run's value and length,
 //! * **delta** the summed zigzag-varint lengths of the differences,
 //! * **forpack** its header plus `8·⌈n·w/64⌉` bytes of packed offsets at
 //!   the frame's width `w`,
 //! * **dict** its header, the delta-varint lengths of the sorted distinct
-//!   values and `8·⌈n·w/64⌉` bytes of packed codes.
+//!   values and `8·⌈n·w/64⌉` bytes of packed codes,
+//! * **runbits** `8·⌈n/64⌉` bytes of run-start bits plus forpack's size
+//!   of the frame over one value per run, `r` of them: its header and
+//!   `8·⌈r·w/64⌉` bytes. O(1) given the run count.
 //!
 //! Freeze sizes its rows: one pass finds the runs and the differences,
-//! one sort the distinct values (whose ends are forpack's frame).
-//! Recompression sizes a squashed block by its maximal `(value, length)`
-//! runs instead, never its rows (an rle source never expands at all): rle
-//! is Σ `run_bytes`; delta is the varint of each run's change from the
-//! previous value (the first from 0) plus one zero byte per repeated row;
-//! dict sorts one value per run; forpack's frame is that dictionary's
-//! ends. Either way the first smallest size in [`Encoding::ALL`] order
-//! wins — the same choice, byte for byte, as encoding all five and keeping
-//! the smallest — and only the winner's encoder runs; a squashed block's
-//! rle is written from its runs, any other winner from its rows (expanded
-//! once).
+//! one sort the distinct values (whose ends are forpack's and runbits'
+//! frame). Recompression sizes a squashed block by its maximal
+//! `(value, length)` runs instead, never its rows (an rle or runbits
+//! source never expands at all): rle is Σ `run_bytes`; delta is the
+//! varint of each run's change from the previous value (the first from 0)
+//! plus one zero byte per repeated row; dict sorts one value per run;
+//! forpack's frame is that dictionary's ends; runbits counts the runs.
+//! Either way the first smallest size in [`Encoding::ALL`] order wins —
+//! the same choice, byte for byte, as encoding all six and keeping the
+//! smallest — and only the winner's encoder runs; a squashed block's rle
+//! or runbits is written from its runs, any other winner from its rows
+//! (expanded once). Runbits is last in that order, so it wins only where
+//! it is strictly smallest: short runs (at 20-bit values, a mean run below
+//! about 12 rows), never long ones, where its start bits cost far more
+//! than rle's few pairs.
 //!
 //! # The mask contract (fused decode+filter)
 //!
@@ -51,8 +60,8 @@
 //! into the same `trailing_zeros` emit loops — no row is ever
 //! materialized to be rejected.
 //!
-//! The unit of work is the mask word. The three fixed-width codecs share
-//! one **group primitive** (the private `filter` module, whose docs have
+//! The unit of work is the mask word. The three fixed-width codecs, and
+//! runbits' run values, share one **group primitive** (the private `filter` module, whose docs have
 //! the details): a *group* is 64 consecutive rows — one mask word — which
 //! at `width` bits per field is exactly `width` packed words, read in
 //! place from the *borrowed* block bytes eight fields (one *octet*, exactly
@@ -78,6 +87,13 @@
 //!   words,
 //! * **rle** compares once per *run* and fans the verdict out into whole
 //!   mask words ([`rle::filter_range_masks`]),
+//! * **runbits** runs forpack's rebased compare over the packed run
+//!   values — one verdict bit per run — then, per row word, XORs each
+//!   verdict with its predecessor's, deposits those transitions at the
+//!   word's run-start bits (BMI2 `pdep` on the AVX-512 VBMI tier, a loop
+//!   over the start bits elsewhere) and prefix-XORs the word with the
+//!   carried verdict of the run in progress; no branch depends on a run's
+//!   length ([`runbits::filter_range_masks`]),
 //! * **delta** fuses the compare into the sequential prefix-sum walk, one
 //!   bit at a time ([`delta::filter_range_masks`]) — the one codec still
 //!   far from memory speed.
@@ -88,16 +104,20 @@
 //! caller's activity word, so an all-forgotten or all-rejected group
 //! costs no field access. A sparse selection reads only the surviving
 //! fields; forpack's fold of a dense one adds, mins and maxes whole
-//! octets into vector lanes under the selection as a write mask.
+//! octets into vector lanes under the selection as a write mask. Runbits
+//! ranks each selected row into its run with one popcount, so its visit
+//! and fold cost the selected rows, not the block's runs; its fold
+//! filters the runs first and weights each surviving run's value by its
+//! selected rows.
 //!
 //! # Point reads
 //!
 //! Reads driven by row ids — join pairs, a sparse residual refinement —
 //! go through a [`BlockReader`]: it parses a block's header once when the
 //! block is opened and keeps what it parsed (a frame, a lazily decoded
-//! dictionary, an rle or delta cursor that only restarts on a backward
-//! read) until the next block, so a read is one fixed-width unpack or a
-//! step of a forward walk. [`EncodedBlock::value_at`] is its one-shot
+//! dictionary, runbits' rank prefix, an rle or delta cursor that only
+//! restarts on a backward read) until the next block, so a read is one
+//! fixed-width unpack or a step of a forward walk. [`EncodedBlock::value_at`] is its one-shot
 //! form.
 //!
 //! [`EncodedBlock::filter_range_masks`] dispatches on the block's
@@ -111,6 +131,7 @@ pub mod dict;
 mod filter;
 pub mod forpack;
 pub mod rle;
+pub mod runbits;
 pub mod varint;
 
 use std::borrow::Cow;
@@ -173,8 +194,8 @@ pub(crate) fn note_summary_build() {
 pub enum Encoding {
     /// Raw 8-byte little-endian values.
     Plain,
-    /// Run-length: (value, run) pairs. Wins on serial keys' epochs and
-    /// low-cardinality data.
+    /// Run-length: (value, run) pairs. Wins on long runs: serial keys'
+    /// epochs, low-cardinality data, dropped blocks' placeholders.
     Rle,
     /// Zigzag-varint deltas. Wins on sorted / slowly-changing sequences.
     Delta,
@@ -182,16 +203,20 @@ pub enum Encoding {
     ForPack,
     /// Dictionary + bit-packed codes. Wins on skewed (zipfian) data.
     Dict,
+    /// Run-start bitmap + frame-of-reference packed run values. Wins on
+    /// squashed blocks, whose runs are too short for rle.
+    RunBits,
 }
 
 impl Encoding {
     /// All encodings, for sweeps.
-    pub const ALL: [Encoding; 5] = [
+    pub const ALL: [Encoding; 6] = [
         Encoding::Plain,
         Encoding::Rle,
         Encoding::Delta,
         Encoding::ForPack,
         Encoding::Dict,
+        Encoding::RunBits,
     ];
 
     /// Stable short name for reports.
@@ -202,6 +227,7 @@ impl Encoding {
             Encoding::Delta => "delta",
             Encoding::ForPack => "forpack",
             Encoding::Dict => "dict",
+            Encoding::RunBits => "runbits",
         }
     }
 
@@ -213,6 +239,7 @@ impl Encoding {
             Encoding::Delta => 2,
             Encoding::ForPack => 3,
             Encoding::Dict => 4,
+            Encoding::RunBits => 5,
         }
     }
 
@@ -224,6 +251,7 @@ impl Encoding {
             2 => Encoding::Delta,
             3 => Encoding::ForPack,
             4 => Encoding::Dict,
+            5 => Encoding::RunBits,
             _ => return None,
         })
     }
@@ -264,6 +292,7 @@ impl EncodedBlock {
             Encoding::Delta => delta::encode(values),
             Encoding::ForPack => forpack::encode(values),
             Encoding::Dict => dict::encode(values),
+            Encoding::RunBits => runbits::encode(values),
         };
         Self {
             encoding,
@@ -295,6 +324,7 @@ impl EncodedBlock {
             Encoding::Delta => delta::decode(&self.data),
             Encoding::ForPack => forpack::decode(&self.data),
             Encoding::Dict => dict::decode(&self.data),
+            Encoding::RunBits => runbits::decode(&self.data, self.len),
         }
     }
 
@@ -304,7 +334,8 @@ impl EncodedBlock {
     /// contract). Runs in the codec's own domain — values are never
     /// materialized — and costs O(compressed size), not O(rows), for
     /// codecs with exploitable structure (whole RLE runs, and ranges that
-    /// miss or cover a dictionary or a frame, collapse to constant fills).
+    /// miss or cover a dictionary or a frame, collapse to constant fills;
+    /// runbits compares one packed value per run).
     pub fn filter_range_masks(&self, lo: Value, hi: Value, out: &mut Vec<u64>) {
         out.clear();
         out.reserve(self.len.div_ceil(64));
@@ -314,22 +345,28 @@ impl EncodedBlock {
             Encoding::Delta => delta::filter_range_masks(&self.data, lo, hi, out),
             Encoding::ForPack => forpack::filter_range_masks(&self.data, lo, hi, out),
             Encoding::Dict => dict::filter_range_masks(&self.data, lo, hi, out),
+            Encoding::RunBits => runbits::filter_range_masks(&self.data, self.len, lo, hi, out),
         }
         debug_assert_eq!(out.len(), self.len.div_ceil(64));
     }
 
     /// Value at row `i` without decoding the block: the one-shot form of
     /// [`Self::reader`], behind `Table::value` on frozen rows. Plain and
-    /// frame-of-reference blocks read one fixed-width field; dict reads
-    /// one code, then decodes its dictionary up to that code; rle walks
-    /// run headers and delta prefix-sums up to `i`. Panics if `i >= len`.
+    /// frame-of-reference blocks read one fixed-width field; runbits sums
+    /// its start words' popcounts, then reads one packed run value; dict
+    /// reads one code, then decodes its dictionary up to that code; rle
+    /// walks run headers and delta prefix-sums up to `i`. Panics if
+    /// `i >= len`.
     pub fn value_at(&self, i: usize) -> Value {
         assert!(
             i < self.len,
             "row {i} out of range for block of {} rows",
             self.len
         );
-        self.reader().get(i)
+        match self.encoding {
+            Encoding::RunBits => runbits::value_at(&self.data, self.len, i),
+            _ => self.reader().get(i),
+        }
     }
 
     /// A [`BlockReader`] over this block: point reads that parse its
@@ -344,10 +381,11 @@ impl EncodedBlock {
     /// `active` (block-local selection words, LSB-first), in ascending
     /// row order, *without decoding the block*. Each codec walks in its
     /// own domain: RLE decodes a run's value once and fans it over the
-    /// run's active bits, dict parses the dictionary once and reads only
-    /// active codes, FOR and plain read only active fields (an
-    /// all-forgotten 64-row word costs one load), delta reconstructs
-    /// inside the prefix-sum walk. This is the streaming primitive the
+    /// run's active bits, runbits ranks each active row into its run and
+    /// reads one packed value per run it touches, dict parses the
+    /// dictionary once and reads only active codes, FOR and plain read
+    /// only active fields (an all-forgotten 64-row word costs one load),
+    /// delta reconstructs inside the prefix-sum walk. This is the streaming primitive the
     /// tiered hash-join build side feeds its hash table from.
     pub fn for_each_active(&self, active: &[u64], mut f: impl FnMut(usize, Value)) {
         match self.encoding {
@@ -359,6 +397,24 @@ impl EncodedBlock {
             Encoding::Delta => delta::for_each_active(&self.data, active, f),
             Encoding::ForPack => forpack::for_each_active(&self.data, active, f),
             Encoding::Dict => dict::for_each_active(&self.data, active, f),
+            Encoding::RunBits => runbits::for_each_active(&self.data, self.len, active, f),
+        }
+    }
+
+    /// Visit the block as `(value, first_row, run_len)` in row order — the
+    /// structural primitive behind the tiered join kernels and
+    /// recompression: a hash probe or build touches its table once per
+    /// *run*, then fans the verdict out over the run's active rows. Rle
+    /// and runbits blocks visit their maximal runs; other codecs, which
+    /// keep no run structure, visit each row as a run of one.
+    pub fn for_each_run(&self, mut f: impl FnMut(Value, usize, usize)) {
+        match self.encoding {
+            Encoding::Rle => rle::for_each_run(&self.data, f),
+            Encoding::RunBits => runbits::for_each_run(&self.data, self.len, f),
+            _ => {
+                let mut reader = self.reader();
+                (0..self.len).for_each(|i| f(reader.get(i), i, 1));
+            }
         }
     }
 
@@ -366,10 +422,11 @@ impl EncodedBlock {
     /// bit is set in `active` (block-local selection words, LSB-first)
     /// and whose value passes the optional `[lo, hi)` filter, into `agg`
     /// — *without decoding the block*. Each codec folds in its own
-    /// domain: RLE per run (one compare + one popcount-range), dict via a
-    /// per-code histogram, FOR in rebased offset space — both over `filter
-    /// mask & activity word` per 64-row group — delta inside the
-    /// prefix-sum walk. This is what lets frozen blocks answer aggregate
+    /// domain: RLE per run (one compare + one popcount-range), runbits per
+    /// selected row (one rank, one unpack; the filter compares the runs
+    /// first), dict via a per-code histogram, FOR in rebased offset space
+    /// — both over `filter mask & activity word` per 64-row group — delta
+    /// inside the prefix-sum walk. This is what lets frozen blocks answer aggregate
     /// queries at hot-path speed.
     pub fn fold_range_masked(
         &self,
@@ -386,6 +443,9 @@ impl EncodedBlock {
             Encoding::Delta => delta::fold_range_masked(&self.data, filter, active, agg),
             Encoding::ForPack => forpack::fold_range_masked(&self.data, filter, active, agg),
             Encoding::Dict => dict::fold_range_masked(&self.data, filter, active, agg),
+            Encoding::RunBits => {
+                runbits::fold_range_masked(&self.data, self.len, filter, active, agg)
+            }
         }
     }
 
@@ -446,7 +506,11 @@ impl EncodedBlock {
     /// `len`, O(runs): the run walks index activity and mask words by
     /// them. Delta's varints must end inside the payload and number
     /// exactly `len`, O(bytes): the point reader and the prefix walks
-    /// index rows by them. Other field *contents* stay the checksum's job.
+    /// index rows by them. Runbits must hold all `⌈len/64⌉` start words,
+    /// start a run at row 0 and none at or past `len`, and end in a
+    /// forpack payload that passes forpack's check for exactly one value
+    /// per start bit, O(len / 64): the ranks index the run values. Other
+    /// field *contents* stay the checksum's job.
     pub fn try_from_parts(encoding: Encoding, len: usize, data: Bytes) -> Result<Self> {
         let checked = match encoding {
             Encoding::Plain if len.checked_mul(8) != Some(data.len()) => {
@@ -456,6 +520,7 @@ impl EncodedBlock {
             Encoding::Delta => delta::check(&data, len),
             Encoding::ForPack => forpack::check(&data, len),
             Encoding::Dict => dict::check(&data, len),
+            Encoding::RunBits => runbits::check(&data, len),
             Encoding::Plain => Ok(()),
         };
         match checked {
@@ -480,6 +545,10 @@ impl EncodedBlock {
 ///   far as the highest code read, at most once per block, its
 ///   allocation reused across blocks; a read is one code unpack and one
 ///   index;
+/// * **runbits**: the run values' frame and a rank prefix (runs starting
+///   before each start word) summed once into a scratch reused across
+///   blocks; a read in any order is one popcount and one fixed-width
+///   unpack;
 /// * **rle** / **delta**: a forward run or prefix-sum cursor that
 ///   restarts only on a backward read, so ascending reads cost one walk
 ///   of the block in total.
@@ -491,6 +560,9 @@ pub struct BlockReader<'a> {
     cursor: Cursor<'a>,
     /// The dict cursor's decoded entries (empty for other codecs).
     dict: Vec<Value>,
+    /// The runbits cursor's rank prefix: runs starting before each start
+    /// word (stale for other codecs).
+    ranks: Vec<usize>,
 }
 
 /// A [`BlockReader`]'s parsed block.
@@ -503,6 +575,7 @@ enum Cursor<'a> {
     Delta(delta::Cursor<'a>),
     ForPack(forpack::Cursor<'a>),
     Dict(dict::Cursor<'a>),
+    RunBits(runbits::Cursor<'a>),
 }
 
 impl<'a> BlockReader<'a> {
@@ -516,6 +589,8 @@ impl<'a> BlockReader<'a> {
             Encoding::Delta => Cursor::Delta(delta::Cursor::new(data)),
             Encoding::ForPack => forpack::Cursor::new(data).map_or(Cursor::Zeros, Cursor::ForPack),
             Encoding::Dict => dict::Cursor::new(data).map_or(Cursor::Zeros, Cursor::Dict),
+            Encoding::RunBits => runbits::Cursor::new(data, block.len, &mut self.ranks)
+                .map_or(Cursor::Zeros, Cursor::RunBits),
         };
     }
 
@@ -536,6 +611,7 @@ impl<'a> BlockReader<'a> {
             Cursor::Delta(c) => c.get(i),
             Cursor::ForPack(c) => c.get(i),
             Cursor::Dict(c) => c.get(i, &mut self.dict),
+            Cursor::RunBits(c) => c.get(i, &self.ranks),
         }
     }
 }
@@ -551,7 +627,7 @@ pub(crate) struct BlockSizes<'a> {
     /// encoder reuses them if it wins.
     dict: Vec<Value>,
     /// `EncodedBlock::encode(values, e).compressed_bytes()` at `e.tag()`.
-    bytes: [usize; 5],
+    bytes: [usize; Encoding::ALL.len()],
 }
 
 /// What a [`BlockSizes`] encodes from.
@@ -566,7 +642,7 @@ enum Block<'a> {
 impl<'a> BlockSizes<'a> {
     /// Size `values` in every codec.
     pub(crate) fn of(values: &'a [Value]) -> Self {
-        let (mut rle, mut delta) = (0, 0);
+        let (mut rle, mut delta, mut runs) = (0, 0, 0);
         if let Some((&first, rest)) = values.split_first() {
             let (mut prev, mut run) = (first, 1);
             delta = varint::signed_len(first);
@@ -574,15 +650,18 @@ impl<'a> BlockSizes<'a> {
                 delta += varint::signed_len(v.wrapping_sub(prev));
                 if v != prev {
                     rle += rle::run_bytes(prev, run);
+                    runs += 1;
                     run = 0;
                 }
                 run += 1;
                 prev = v;
             }
             rle += rle::run_bytes(prev, run);
+            runs += 1;
         }
         let sizes = RunSizes {
             rows: values.len(),
+            runs,
             rle,
             delta,
             prev: 0,
@@ -612,7 +691,7 @@ impl<'a> BlockSizes<'a> {
         Encoding::ALL
             .into_iter()
             .min_by_key(|&e| self.bytes(e))
-            .expect("five encodings")
+            .expect("at least one encoding")
     }
 
     /// Run `encoding`'s encoder, into a buffer of exactly its size.
@@ -629,6 +708,18 @@ impl<'a> BlockSizes<'a> {
                 }
                 None
             }
+            (block, Encoding::RunBits) => {
+                let (min, max) = self.frame();
+                match block {
+                    Block::Values(values) => {
+                        runbits::encode_into(runbits::runs_of(values), self.len, min, max, &mut buf)
+                    }
+                    Block::Runs(runs) => {
+                        runbits::encode_into(runs.iter().copied(), self.len, min, max, &mut buf)
+                    }
+                }
+                None
+            }
             (Block::Values(values), _) => Some(Cow::Borrowed(*values)),
             (Block::Runs(runs), _) => Some(Cow::Owned(
                 runs.iter().flat_map(|&(v, len)| repeat_n(v, len)).collect(),
@@ -640,11 +731,20 @@ impl<'a> BlockSizes<'a> {
                 Encoding::Delta => delta::encode_into(&mut buf, &values),
                 Encoding::ForPack => forpack::encode_into(&mut buf, &values),
                 Encoding::Dict => dict::encode_into(&mut buf, &values, &self.dict),
-                Encoding::Rle => unreachable!("written from the runs above"),
+                Encoding::Rle | Encoding::RunBits => unreachable!("written from the runs above"),
             }
         }
         debug_assert_eq!(buf.len(), self.bytes(encoding), "{encoding:?} sized");
         EncodedBlock::from_parts(encoding, self.len, buf.freeze())
+    }
+
+    /// The block's smallest and largest value (0 and 0 when empty): the
+    /// ends of its sorted distinct values.
+    fn frame(&self) -> (Value, Value) {
+        match (self.dict.first(), self.dict.last()) {
+            (Some(&min), Some(&max)) => (min, max),
+            _ => (0, 0),
+        }
     }
 }
 
@@ -654,6 +754,8 @@ impl<'a> BlockSizes<'a> {
 #[derive(Default)]
 struct RunSizes {
     rows: usize,
+    /// Maximal runs so far.
+    runs: usize,
     rle: usize,
     delta: usize,
     prev: Value,
@@ -667,6 +769,7 @@ impl RunSizes {
             "runs are maximal"
         );
         self.rows += len;
+        self.runs += 1;
         self.rle += rle::run_bytes(v, len);
         // The run's first row is a value change (the block's first value
         // is its difference from 0); each repeat is a one-byte zero.
@@ -675,13 +778,18 @@ impl RunSizes {
     }
 
     /// Every codec's size, the dictionary sorted from `values` (the run
-    /// values, or the rows themselves).
+    /// values, or the rows themselves). Forpack's frame is the
+    /// dictionary's ends, and runbits' the same frame over one value per
+    /// run.
     fn finish(self, block: Block<'_>, values: Vec<Value>) -> BlockSizes<'_> {
         let n = self.rows;
         let dict = dict::dictionary_of(values);
-        let forpack = match (dict.first(), dict.last()) {
-            (Some(&min), Some(&max)) => forpack::size_of_frame(n, min, max),
-            _ => forpack::size(&[]),
+        let (forpack, runbits) = match (dict.first(), dict.last()) {
+            (Some(&min), Some(&max)) => (
+                forpack::size_of_frame(n, min, max),
+                runbits::size_of_runs(n, self.runs, min, max),
+            ),
+            _ => (forpack::size(&[]), runbits::size(&[])),
         };
         let bytes = [
             8 * n,
@@ -689,6 +797,7 @@ impl RunSizes {
             self.delta,
             forpack,
             dict::size_of_dictionary(n, &dict),
+            runbits,
         ];
         BlockSizes {
             block,
@@ -986,6 +1095,154 @@ mod tests {
         }
     }
 
+    /// A runbits payload is start words and then a forpack payload of
+    /// one value per start bit; `try_from_parts` refuses each way the
+    /// two can disagree, and whatever it accepts scans without a panic.
+    #[test]
+    fn try_from_parts_rejects_damaged_runbits_payloads_without_panicking() {
+        // 300 rows in runs of 3: five start words, the last one ragged.
+        let values: Vec<Value> = (0..300).map(|i| 1_000 + (i / 3 * 37) % 90).collect();
+        let good = EncodedBlock::encode(&values, Encoding::RunBits);
+        let bytes = good.data().to_vec();
+        let ok = EncodedBlock::try_from_parts(Encoding::RunBits, values.len(), good.data().clone());
+        assert_eq!(ok.expect("pristine payload"), good);
+        let frame = 8 * values.len().div_ceil(64);
+        let starts = |bytes: &[u8], w: usize| {
+            u64::from_le_bytes(bytes[8 * w..8 * w + 8].try_into().expect("8 bytes"))
+        };
+        let with_word = |w: usize, word: u64| {
+            let mut bad = bytes.clone();
+            bad[8 * w..8 * w + 8].copy_from_slice(&word.to_le_bytes());
+            bad
+        };
+
+        for cut in 0..bytes.len() {
+            assert_rejected(
+                Encoding::RunBits,
+                values.len(),
+                &bytes[..cut],
+                "a truncation",
+            );
+        }
+        assert_rejected(
+            Encoding::RunBits,
+            values.len() + 64,
+            &bytes,
+            "too few words",
+        );
+        assert_rejected(Encoding::RunBits, 0, &bytes, "rows in an empty block");
+        // Row 0 starts no run: its bit moves to row 1, the run count kept.
+        let first = starts(&bytes, 0);
+        assert_eq!(first & 0b11, 0b01);
+        let moved = with_word(0, first ^ 0b11);
+        assert_rejected(
+            Encoding::RunBits,
+            values.len(),
+            &moved,
+            "row 0 starting no run",
+        );
+        // A start at row 300, past the end, the count kept.
+        let last = starts(&bytes, 4);
+        assert_eq!(last >> 44, 0, "rows 300.. start nothing");
+        let moved = with_word(4, (last & (last - 1)) | 1 << 44);
+        assert_rejected(
+            Encoding::RunBits,
+            values.len(),
+            &moved,
+            "a start past the end",
+        );
+        // One start more than the embedded payload has values.
+        let extra = with_word(0, first | 0b10);
+        assert_rejected(
+            Encoding::RunBits,
+            values.len(),
+            &extra,
+            "a start without a value",
+        );
+        // The embedded width byte: its count varint (100 runs) is one
+        // byte, its minimum (1 000, zigzag 2 000) two.
+        let at = frame + 3;
+        assert_eq!(bytes[at], 7, "width of 1 000..=1 089");
+        for width in [0u8, 65, 255] {
+            let mut bad = bytes.clone();
+            bad[at] = width;
+            assert_rejected(Encoding::RunBits, values.len(), &bad, "an impossible width");
+        }
+        let mut wide = bytes.clone();
+        wide[at] = 64;
+        assert_rejected(
+            Encoding::RunBits,
+            values.len(),
+            &wide,
+            "a short packed region",
+        );
+
+        // Any single damaged byte: refused, or scanned without a panic.
+        for i in 0..bytes.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[i] ^= flip;
+                let Ok(block) =
+                    EncodedBlock::try_from_parts(Encoding::RunBits, values.len(), Bytes::from(bad))
+                else {
+                    continue;
+                };
+                let mut masks = Vec::new();
+                block.filter_range_masks(1_010, 1_050, &mut masks);
+                let mut agg = BlockAgg::new();
+                block.fold_range_masked(Some((1_010, 1_050)), &masks, &mut agg);
+                assert_eq!(
+                    agg.count,
+                    u64::from(masks.iter().map(|m| m.count_ones()).sum::<u32>())
+                );
+                block.for_each_active(&masks, |_, _| {});
+                assert_eq!(block.decode().len(), values.len());
+                assert_eq!(block.value_at(299), block.decode()[299]);
+            }
+        }
+    }
+
+    /// The run bitmap is last in `Encoding::ALL` and strictly smaller only
+    /// on short runs: fresh blocks shaped like the benchmark's columns
+    /// keep the codec, and the bytes, of the five-codec chooser.
+    #[test]
+    fn fresh_blocks_keep_their_five_codec_choice() {
+        let mut rng = amnesia_util::SimRng::new(33);
+        let shapes: [(&str, Vec<Value>, Encoding); 4] = [
+            (
+                "i/100 + U[0, 50)",
+                (0..1_024).map(|i| i / 100 + rng.range_i64(0, 50)).collect(),
+                Encoding::ForPack,
+            ),
+            (
+                "i/2000",
+                (0..1_024).map(|i| i / 2_000).collect(),
+                Encoding::Rle,
+            ),
+            (
+                "31i mod 100",
+                (0..1_024).map(|i| 31 * i % 100).collect(),
+                Encoding::ForPack,
+            ),
+            (
+                "U[0, 10^6)",
+                (0..1_024).map(|_| rng.range_i64(0, 1_000_000)).collect(),
+                Encoding::ForPack,
+            ),
+        ];
+        for (name, values, want) in shapes {
+            let auto = EncodedBlock::encode_auto(&values);
+            assert_eq!(auto, EncodedBlock::encode(&values, want), "{name}");
+            let five = Encoding::ALL[..5]
+                .iter()
+                .map(|&e| EncodedBlock::encode(&values, e))
+                .min_by_key(EncodedBlock::compressed_bytes)
+                .expect("five codecs");
+            assert_eq!(auto, five, "{name}");
+            assert!(runbits::size(&values) > auto.compressed_bytes(), "{name}");
+        }
+    }
+
     /// A dict payload whose header is sound but whose codes or entries
     /// are not: every code must name an entry, and the entries must be
     /// strictly ascending. Each would otherwise index past the dictionary
@@ -1070,7 +1327,7 @@ mod proptests {
     use amnesia_util::SimRng;
     use proptest::prelude::*;
 
-    /// The chooser this crate shipped before sizing: encode all five,
+    /// The chooser this crate shipped before sizing: encode every codec,
     /// keep the first smallest.
     fn encode_all_keep_first_smallest(values: &[Value]) -> EncodedBlock {
         Encoding::ALL
@@ -1088,6 +1345,7 @@ mod proptests {
             Encoding::Delta => delta::size(values),
             Encoding::ForPack => forpack::size(values),
             Encoding::Dict => dict::size(values),
+            Encoding::RunBits => runbits::size(values),
         }
     }
 
@@ -1285,6 +1543,12 @@ mod proptests {
                 let mut got = Vec::new();
                 block.for_each_active(&active, |row, v| got.push((row, v)));
                 prop_assert_eq!(&got, &want, "{:?}", enc);
+                let mut rows = Vec::new();
+                block.for_each_run(|v, start, len| {
+                    assert_eq!(start, rows.len(), "{enc:?} runs ascend");
+                    rows.extend(std::iter::repeat_n(v, len));
+                });
+                prop_assert_eq!(&rows, &values, "{:?} runs", enc);
                 prop_assert_eq!(block_decodes(), before, "{:?} must not decode", enc);
             }
         }

@@ -2,9 +2,10 @@
 //!
 //! Two families of kernels run vector code: the engine's hot-tail
 //! predicate masks (`amnesia_engine::batch`, 64 raw `i64` values per
-//! step) and the packed-field group kernels under forpack, dict and plain
-//! blocks (`compress`'s private `filter` module, one octet of packed
-//! fields per step). Both read the tier this CPU gets from
+//! step) and the packed-field group kernels under forpack, dict, plain
+//! and runbits blocks (`compress`'s private `filter` module, one octet of
+//! packed fields per step; runbits also deposits its run verdicts with
+//! BMI2 `pdep`). Both read the tier this CPU gets from
 //! [`mask_impl`], which detects the features once per process — never
 //! per kernel call — so a kernel pays one cached load to learn it.
 //!
@@ -17,9 +18,12 @@
 //! * **Avx2** — the hot masks' sign-biased 4-lane compare.
 //! * **Avx512** (AVX-512F) — the hot masks' unsigned 8-lane compare
 //!   straight into k-masks.
-//! * **Avx512Vbmi** (AVX-512 F + BW + VBMI, and POPCNT) — additionally
-//!   the packed kernels' octet step: one masked byte load, one `vpermb`,
-//!   one `vpsrlvq`, one AND per 8 fields.
+//! * **Avx512Vbmi** (AVX-512 F + BW + VBMI, and POPCNT and BMI2) —
+//!   additionally the packed kernels' octet step: one masked byte load,
+//!   one `vpermb`, one `vpsrlvq`, one AND per 8 fields; and runbits'
+//!   `pdep` deposit. Every CPU with VBMI has BMI2 and runs `pdep` in one
+//!   µop; the AMD cores without AVX-512 (Zen 1 and 2) run it in
+//!   microcode, which is why the deposit does not ride the AVX2 tier.
 //!
 //! [`PORTABLE_ONLY_ENV`] is the one override: it pins both families to
 //! their scalar code.
@@ -44,8 +48,8 @@ pub enum MaskImpl {
     /// AVX-512F on top of AVX2 (x86-64 only).
     #[cfg(target_arch = "x86_64")]
     Avx512,
-    /// AVX-512 BW and VBMI (and POPCNT, which every such CPU has) on top
-    /// of AVX-512F (x86-64 only).
+    /// AVX-512 BW and VBMI (and POPCNT and BMI2, which every such CPU
+    /// has) on top of AVX-512F (x86-64 only).
     #[cfg(target_arch = "x86_64")]
     Avx512Vbmi,
 }
@@ -79,7 +83,7 @@ impl MaskImpl {
             if !has!("avx512f") {
                 return MaskImpl::Avx2;
             }
-            if !(has!("avx512bw") && has!("avx512vbmi") && has!("popcnt")) {
+            if !(has!("avx512bw") && has!("avx512vbmi") && has!("popcnt") && has!("bmi2")) {
                 return MaskImpl::Avx512;
             }
             MaskImpl::Avx512Vbmi

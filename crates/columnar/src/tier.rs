@@ -72,7 +72,7 @@ use bytes::BytesMut;
 
 use crate::compress::varint::{write_signed, write_varint};
 use crate::compress::{
-    bit_set, note_summary_build, rle, BlockReader, BlockSizes, EncodedBlock, Encoding,
+    bit_set, note_summary_build, BlockReader, BlockSizes, EncodedBlock, Encoding,
 };
 use crate::types::{Value, DEFAULT_BLOCK_ROWS};
 
@@ -751,18 +751,18 @@ impl TieredColumn {
     /// tighten to the surviving rows, and the smaller encoding wins.
     ///
     /// The whole step works on runs, not rows. The block becomes its
-    /// squashed `(value, length)` runs in one walk ([`Squash`]): an rle
-    /// block's runs are read straight off the payload, any other codec
-    /// decodes and collapses into runs in the same pass, and each source
-    /// run costs one word-at-a-time search for its first active row — it
-    /// splits there, the rows before it taking the previous survivor's
-    /// value. The runs are sized in every codec ([`BlockSizes::of_runs`],
-    /// rule in the `compress` module docs), and unless the best size is
-    /// below the current payload no encoder runs and the old payload —
-    /// forgotten values included — is kept. An rle winner is written from
-    /// the runs; another winner expands them once. The bytes, meta and
-    /// state are those of squashing, sizing and encoding row by row.
-    /// Returns compressed bytes saved.
+    /// squashed `(value, length)` runs in one walk ([`Squash`]): an rle or
+    /// runbits block's runs are read straight off the payload, any other
+    /// codec decodes and collapses into runs in the same pass, and each
+    /// source run costs one word-at-a-time search for its first active
+    /// row — it splits there, the rows before it taking the previous
+    /// survivor's value. The runs are sized in every codec
+    /// ([`BlockSizes::of_runs`], rule in the `compress` module docs), and
+    /// unless the best size is below the current payload no encoder runs
+    /// and the old payload — forgotten values included — is kept. An rle
+    /// or runbits winner is written from the runs; another winner expands
+    /// them once. The bytes, meta and state are those of squashing, sizing
+    /// and encoding row by row. Returns compressed bytes saved.
     ///
     /// Safe because active-only scans AND every mask with the activity
     /// words: a forgotten row's value can change freely without a single
@@ -780,8 +780,9 @@ impl TieredColumn {
         self.summary.clear();
         let words = &words[b * block_rows / WORD_BITS..(b + 1) * block_rows / WORD_BITS];
         let mut squash = Squash::new(words);
-        if f.block.encoding() == Encoding::Rle {
-            rle::for_each_run(f.block.data(), |v, start, len| squash.run(v, start, len));
+        if matches!(f.block.encoding(), Encoding::Rle | Encoding::RunBits) {
+            f.block
+                .for_each_run(|v, start, len| squash.run(v, start, len));
         } else {
             f.block.for_each_active(words, |i, v| squash.survivor(i, v));
         }
@@ -891,11 +892,11 @@ impl Default for TieredColumn {
 /// [`Self::get`]`(row)` is exactly [`TieredColumn::value_at`]`(row)`.
 /// A hot row is one slice index. A frozen row is read through the
 /// [`BlockReader`] of its block, which stays open — header parsed, dict
-/// entries decoded, rle/delta cursor where it stopped — until a read
-/// leaves the block's row range; the range test replaces the division by
-/// the block size. Reads clustered by block (join pairs in key order, a
-/// sparse selection's ascending survivors) therefore pay each block's
-/// parse once. A dropped block reads 0.
+/// entries decoded, runbits ranks summed, rle/delta cursor where it
+/// stopped — until a read leaves the block's row range; the range test
+/// replaces the division by the block size. Reads clustered by block
+/// (join pairs in key order, a sparse selection's ascending survivors)
+/// therefore pay each block's parse once. A dropped block reads 0.
 pub struct ColumnReader<'a> {
     column: &'a TieredColumn,
     hot_start: usize,
@@ -1128,6 +1129,53 @@ mod tests {
         for r in (0..1024).step_by(2) {
             assert_eq!(c.value_at(r), 5, "active row {r}");
         }
+    }
+
+    /// A uniform block rotted to half its rows squashes into runs of
+    /// about two rows: the run bitmap undercuts the rle of the same runs,
+    /// and every active row reads as before. A second recompression reads
+    /// that block back as runs and squashes it further, still without a
+    /// block decode.
+    #[test]
+    fn a_half_rotten_uniform_block_recompresses_to_runbits() {
+        let mut rng = amnesia_util::SimRng::new(50);
+        let values: Vec<i64> = (0..1024).map(|_| rng.range_i64(0, 1_000_000)).collect();
+        let mut c = TieredColumn::with_block_rows(1024);
+        c.extend_from_slice(&values);
+        let mut words = all_active(1024);
+        c.freeze_upto(1024, &words);
+        assert_eq!(c.frozen(0).unwrap().encoded().encoding(), Encoding::ForPack);
+        // Each round forgets rows at random, then recompresses; the
+        // squashed rows are what every row must read afterwards.
+        let mut rot = |c: &mut TieredColumn, words: &mut [u64], keep: u64| {
+            for r in 0..1024 {
+                if bit_set(words, r) && rng.below(100) >= keep {
+                    words[r / 64] &= !(1u64 << (r % 64));
+                    c.note_forget(r);
+                }
+            }
+            let mut last = 0;
+            let squashed: Vec<i64> = (0..1024)
+                .map(|r| {
+                    if bit_set(words, r) {
+                        last = values[r];
+                    }
+                    last
+                })
+                .collect();
+            let before = crate::compress::block_decodes();
+            assert!(c.recompress_block(0, words) > 0, "the block shrinks");
+            assert_eq!(crate::compress::block_decodes(), before);
+            let block = c.frozen(0).unwrap().encoded();
+            assert_eq!(block.encoding(), Encoding::RunBits);
+            assert_eq!(block.decode(), squashed);
+            assert!(block.compressed_bytes() < crate::compress::rle::size(&squashed));
+            for r in (0..1024).filter(|&r| bit_set(words, r)) {
+                assert_eq!(c.value_at(r), values[r], "active row {r}");
+            }
+        };
+        rot(&mut c, &mut words, 50);
+        rot(&mut c, &mut words, 60);
     }
 
     #[test]
@@ -1420,7 +1468,7 @@ mod recompress_equivalence {
                 .map(|e| EncodedBlock::encode(&values, e))
                 .into_iter()
                 .min_by_key(EncodedBlock::compressed_bytes)
-                .expect("five encodings"),
+                .expect("every encoding"),
         };
         f.meta = meta;
         let (old, new) = (f.block.compressed_bytes(), block.compressed_bytes());

@@ -878,8 +878,8 @@ mod tests {
     #[test]
     fn compression_table_covers_grid() {
         let report = table("ablation_compression");
-        // 4 distributions × (5 codecs + auto) = 24 rows.
-        assert_eq!(report.rows.len(), 24);
+        // 4 distributions × (6 codecs + auto) = 28 rows.
+        assert_eq!(report.rows.len(), 28);
         // Serial data must compress extremely well under delta.
         let serial_delta = report
             .rows

@@ -76,7 +76,7 @@
 //! every prefix), and the `tiered_scan` / `compressed_scan` benches
 //! measure the gaps.
 
-use amnesia_columnar::compress::{dict, rle, BlockAgg, Encoding};
+use amnesia_columnar::compress::{dict, BlockAgg, Encoding};
 pub(crate) use amnesia_columnar::simd::{mask_impl, MaskImpl};
 use amnesia_columnar::{RowId, Table, TieredColumn, Value, DEFAULT_BLOCK_ROWS};
 use amnesia_util::WORD_BITS;
@@ -437,11 +437,11 @@ pub(crate) fn conj_block_masks(
 /// whole block. When earlier conjuncts left at most one row in eight, the
 /// survivors are read in ascending order through one
 /// [`BlockReader`](amnesia_columnar::compress::BlockReader) and tested
-/// individually: the header is parsed once, a plain / FOR / dict read is
-/// one fixed-width unpack (dict decodes its entries at most once), and
-/// the rle / delta cursors only move forward, so the block costs one walk
-/// of its runs or prefix sums up to the last survivor, not one per
-/// survivor. Otherwise the block-wide fused filter runs once and ANDs in.
+/// individually: the header is parsed once, a plain / FOR / dict /
+/// runbits read is one fixed-width unpack (dict decodes its entries at
+/// most once, runbits ranks with one popcount), and the rle / delta
+/// cursors only move forward, so the block costs one walk of its runs or
+/// prefix sums up to the last survivor, not one per survivor. Otherwise the block-wide fused filter runs once and ANDs in.
 /// Both paths compute the same conjunction (AND commutes), so the
 /// selection is byte-identical to evaluating the predicate densely — only
 /// the work differs. The block is never decoded either way.
@@ -845,7 +845,7 @@ pub fn probe_tiered_blocks_with<T>(
             // One hash lookup per *run*, fanned over the run's active
             // rows — a long matching run costs its emits, a long missing
             // run costs one lookup.
-            Encoding::Rle => rle::for_each_run(block.data(), |v, start, len| {
+            Encoding::Rle | Encoding::RunBits => block.for_each_run(|v, start, len| {
                 if let Some(t) = build.get(&v) {
                     for_each_set_bit_in(bw, start, start + len, |row| on_hit(t, base + row));
                 }

@@ -36,7 +36,7 @@
 //! probe-row order, whichever regime and however the tables are tiered
 //! (`tests/kernel_equivalence.rs`, `tests/join_properties.rs`).
 
-use amnesia_columnar::compress::{dict, rle, Encoding};
+use amnesia_columnar::compress::{dict, Encoding};
 use amnesia_columnar::{RowId, Table, Value};
 use amnesia_util::bitmap::{any_set_bit_in, for_each_set_bit_in};
 use amnesia_util::WORD_BITS;
@@ -91,10 +91,11 @@ fn rows_of(side: &mut BuildSide, v: Value) -> &mut Vec<RowId> {
 /// The join-build kernel: hash the rows of one span of `table` that
 /// `words` selects (the scan's selection, which already has activity
 /// ANDed in) by their `col` key, without dense materialization. Each
-/// codec feeds through its structure: RLE touches the table once per run
-/// ([`rle::for_each_run`]), dict buckets selected rows per code in one
-/// unpacking pass and inserts each distinct dictionary value once,
-/// FOR/delta/plain stream `(row, value)` through
+/// codec feeds through its structure: rle and runbits touch the table
+/// once per run ([`amnesia_columnar::compress::EncodedBlock::for_each_run`]),
+/// dict buckets selected rows per code in one unpacking pass and inserts
+/// each distinct dictionary value once, FOR/delta/plain stream
+/// `(row, value)` through
 /// [`amnesia_columnar::compress::EncodedBlock::for_each_active`], and hot
 /// rows walk the raw slice. Blocks ascend and every fan-out ascends, so
 /// per key the rows ascend — also across calls that fold ascending spans
@@ -125,7 +126,7 @@ pub(crate) fn build_span(
                 match block.encoding() {
                     // One entry lookup per run; runs with no selected row
                     // are skipped so the table never learns rowless keys.
-                    Encoding::Rle => rle::for_each_run(block.data(), |v, start, len| {
+                    Encoding::Rle | Encoding::RunBits => block.for_each_run(|v, start, len| {
                         if any_set_bit_in(bw, start, start + len) {
                             let rows = rows_of(side, v);
                             for_each_set_bit_in(bw, start, start + len, |row| {

@@ -387,6 +387,8 @@ fn tiered_interleavings_match_flat_storage() {
         (128, Some(Encoding::ForPack), 5),
         (1024, Some(Encoding::Plain), 6),
         (1024, None, 7),
+        (64, Some(Encoding::RunBits), 8),
+        (1024, Some(Encoding::RunBits), 9),
     ] {
         let mut rng = SimRng::new(seed);
         let mut flat = Table::new(Schema::single("a"));
@@ -498,6 +500,7 @@ fn tiered_join_equals_dense_join_across_codecs() {
         (128, Some(Encoding::ForPack), 45),
         (1024, Some(Encoding::Plain), 46),
         (1024, None, 47),
+        (64, Some(Encoding::RunBits), 48),
     ] {
         let ctx = format!("block_rows={block_rows} enc={encoding:?} seed={seed}");
         let mut rng = SimRng::new(seed);
@@ -601,6 +604,7 @@ fn tiered_join_never_decodes_frozen_blocks() {
         Encoding::Dict,
         Encoding::ForPack,
         Encoding::Delta,
+        Encoding::RunBits,
     ] {
         let mut left = Table::with_block_rows(Schema::single("k"), 256);
         left.pin_encoding(0, Some(encoding));
@@ -909,6 +913,7 @@ fn physical_plans_parallel_equals_serial_across_tiers() {
         (128, Some(Encoding::ForPack), 15),
         (256, Some(Encoding::Plain), 16),
         (1024, None, 17),
+        (64, Some(Encoding::RunBits), 18),
     ] {
         let ctx = format!("block_rows={block_rows} enc={encoding:?}");
         let mut rng = SimRng::new(seed);
@@ -1010,6 +1015,7 @@ fn join_plans_parallel_equals_serial_across_tiers() {
     for (block_rows, encoding) in [
         (64usize, Some(Encoding::Dict)),
         (64, Some(Encoding::Rle)),
+        (64, Some(Encoding::RunBits)),
         (128, None),
     ] {
         let ctx = format!("block_rows={block_rows} enc={encoding:?}");
@@ -1050,7 +1056,7 @@ fn join_plans_parallel_equals_serial_across_tiers() {
 mod packed_codecs {
     use amnesia::columnar::compress::varint::{read_signed, read_varint, zigzag_encode};
     use amnesia::columnar::compress::{
-        block_decodes, dict, forpack, BlockAgg, EncodedBlock, Encoding,
+        block_decodes, dict, forpack, runbits, BlockAgg, EncodedBlock, Encoding,
     };
     use amnesia::prelude::SimRng;
 
@@ -1281,6 +1287,17 @@ mod packed_codecs {
     /// Every read path of one payload against the oracle's decode.
     fn assert_block_agrees(encoding: Encoding, data: Vec<u8>, frame: (i64, i64), ctx: &str) {
         let want = oracle_decode(encoding, &data);
+        assert_rows_agree(encoding, data, want, frame, ctx);
+    }
+
+    /// Every read path of one payload against the rows it holds.
+    fn assert_rows_agree(
+        encoding: Encoding,
+        data: Vec<u8>,
+        want: Vec<i64>,
+        frame: (i64, i64),
+        ctx: &str,
+    ) {
         let n = want.len();
         let block = EncodedBlock::try_from_parts(encoding, n, data.clone().into())
             .unwrap_or_else(|e| panic!("{ctx}: well-formed payload refused: {e}"));
@@ -1336,6 +1353,19 @@ mod packed_codecs {
         assert_eq!(block.decode(), want, "{ctx} decode");
         match encoding {
             Encoding::ForPack => assert_eq!(forpack::decode(&data), want, "{ctx} codec decode"),
+            Encoding::RunBits => {
+                assert_eq!(runbits::decode(&data, n), want, "{ctx} codec decode");
+                let mut rows = 0;
+                runbits::for_each_run(&data, n, |v, start, len| {
+                    assert_eq!(start, rows, "{ctx} runs ascend");
+                    assert!(
+                        want[start..start + len].iter().all(|&w| w == v),
+                        "{ctx} run"
+                    );
+                    rows += len;
+                });
+                assert_eq!(rows, n, "{ctx} runs cover the block");
+            }
             Encoding::Dict => {
                 assert_eq!(dict::decode(&data), want, "{ctx} codec decode");
                 let dictionary = dict::read_dictionary(&data);
@@ -1406,6 +1436,46 @@ mod packed_codecs {
                     payload,
                     frame,
                     &format!("dict w{width} n{len}"),
+                );
+            }
+        }
+    }
+
+    /// Runbits at every width of its embedded run values: start words with
+    /// row 0 and a random share of the other rows set (runs of about one,
+    /// two and fifty rows), then a forpack payload of one offset per start
+    /// at exactly `width` bits. The oracle gives each row the value of the
+    /// last start at or before it.
+    #[test]
+    fn runbits_kernels_equal_the_per_value_oracle_at_every_width() {
+        let mut rng = SimRng::new(0x5B17);
+        for width in 1..=64u32 {
+            for len in LENGTHS {
+                let keep = [0.98, 0.5, 0.02][rng.index(3)];
+                let starts: Vec<usize> = (0..len).filter(|&r| r == 0 || rng.chance(keep)).collect();
+                let min = frame_min(&mut rng, width);
+                let offsets = random_fields(&mut rng, starts.len(), low_ones(width));
+                let mut payload = vec![0u8; 8 * len.div_ceil(64)];
+                for &r in &starts {
+                    payload[r / 8] |= 1 << (r % 8);
+                }
+                payload.extend(forpack_payload(min, width, &offsets));
+                let mut run = 0;
+                let want: Vec<i64> = (0..len)
+                    .map(|r| {
+                        if starts.get(run + 1) == Some(&r) {
+                            run += 1;
+                        }
+                        (min as i128 + offsets[run] as i128) as i64
+                    })
+                    .collect();
+                let frame_hi = (min as i128 + low_ones(width) as i128) as i64;
+                assert_rows_agree(
+                    Encoding::RunBits,
+                    payload,
+                    want,
+                    (min, frame_hi),
+                    &format!("runbits w{width} n{len}"),
                 );
             }
         }

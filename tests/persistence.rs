@@ -8,6 +8,7 @@
 //! the acknowledged prefix (tier layout included), and a shredded drop
 //! leaves no forgotten value's encoded bytes anywhere in the directory.
 
+use amnesia::columnar::compress::Encoding;
 use amnesia::columnar::persist::{
     recover_segments, replay, snapshot, Fault, FaultKind, FaultVfs, PersistentTable, SegmentedWal,
     SharedVfs, StdVfs, SyncPolicy, WalRecord,
@@ -301,6 +302,11 @@ fn v3_snapshot_fixture_still_loads() {
     want.forget(RowId(299), 10).unwrap();
     want.freeze_upto(256);
     want.drop_forgotten_blocks();
+    // The generator's chooser found nothing smaller than the forpack
+    // payloads of the rotten block 1 and kept them; today's would
+    // re-encode them as runbits, so the replay pins what it kept.
+    want.pin_encoding(0, Some(Encoding::ForPack));
+    want.pin_encoding(1, Some(Encoding::ForPack));
     want.recompress_frozen(0.6);
     for r in (0..300).step_by(11) {
         want.access_mut().touch(RowId(r), 2);
@@ -548,9 +554,13 @@ fn codec_choice_table() -> Table {
 }
 
 /// Every block of `codec_choice_table` chooses the codec, and holds the
-/// bytes, it did when the chooser encoded all five codecs: the parent of
-/// size-arithmetic `encode_auto` wrote the fixture, and today's freeze,
-/// recompression and hot-tail encode rebuild it byte for byte.
+/// bytes, the fixture records: today's freeze, recompression and
+/// hot-tail encode rebuild it byte for byte. The parent of
+/// size-arithmetic `encode_auto` wrote it, when the chooser encoded all
+/// five codecs; it was rewritten once since, when the run bitmap codec
+/// arrived, and only the recompressed blocks 1 and 2 of the uniform,
+/// band and cyclic columns changed (to runbits) — every fresh block and
+/// the hot tail kept their bytes.
 #[test]
 fn codec_choice_fixture_is_rebuilt_byte_for_byte() {
     let bytes = include_bytes!("fixtures/codec_choice.snap");
@@ -1253,6 +1263,9 @@ fn sync_policies_keep_the_acknowledged_prefix_under_torn_appends() {
 /// batches (kind 8) that kill block 0 and rot block 1, a `forget_block`,
 /// three `end_batch`es (the second drops and shreds, the third leaves its
 /// three tier records in the log) and a tail no commit covers. Returns what the live store reported at the end.
+/// The snapshot was rewritten once since, when the run bitmap codec
+/// arrived: the rotten block 1 recompresses to runbits instead of rle,
+/// and the log kept its bytes.
 fn drive_store_history(dir: &std::path::Path) -> amnesia::core::metrics::MetricsSnapshot {
     let rows = |r: std::ops::Range<u64>| r.map(RowId).collect::<Vec<_>>();
     let table = Table::with_block_rows(Schema::single("a"), 1024);

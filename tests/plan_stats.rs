@@ -74,7 +74,12 @@ fn distributions(n: usize) -> Vec<(&'static str, Vec<i64>)> {
 fn estimation_quality_bounded_q_error_across_shapes() {
     let n = 8192;
     let model = CostModel::default();
-    let codecs = [None, Some(Encoding::ForPack), Some(Encoding::Dict)];
+    let codecs = [
+        None,
+        Some(Encoding::ForPack),
+        Some(Encoding::Dict),
+        Some(Encoding::RunBits),
+    ];
     let mut worst: (f64, String) = (1.0, String::new());
     for (dist, values) in distributions(n) {
         for block_rows in [256usize, 1024] {
@@ -178,6 +183,7 @@ fn cost_based_scan_equals_syntactic_oracle() {
         Some(Encoding::ForPack),
         Some(Encoding::Dict),
         Some(Encoding::Delta),
+        Some(Encoding::RunBits),
     ] {
         for block_rows in [256usize, 1024] {
             let t = plan_table(4096, block_rows, enc);

@@ -19,13 +19,14 @@ use amnesia::util::SimRng;
 use amnesia::workload::AggKind;
 
 /// Every pinned codec, and the automatic choice.
-const CODECS: [Option<Encoding>; 6] = [
+const CODECS: [Option<Encoding>; 7] = [
     None,
     Some(Encoding::Plain),
     Some(Encoding::Rle),
     Some(Encoding::Delta),
     Some(Encoding::ForPack),
     Some(Encoding::Dict),
+    Some(Encoding::RunBits),
 ];
 
 /// Four columns, each a shape some codec is built for: runs over a small

@@ -386,6 +386,7 @@ fn sql_over_tiered_tables_matches_flat_twin_and_reference() {
         Some(Encoding::Dict),
         Some(Encoding::ForPack),
         Some(Encoding::Delta),
+        Some(Encoding::RunBits),
     ] {
         for block_rows in [128usize, 1024] {
             for recompress in [false, true] {
@@ -419,7 +420,12 @@ fn frozen_only_queries_decode_zero_blocks() {
     let rows: Vec<(i64, i64, i64)> = (0..4_096)
         .map(|i| ((i / 512) % 8, rng.range_i64(0, 200), rng.range_i64(0, 50)))
         .collect();
-    for encoding in [None, Some(Encoding::Rle), Some(Encoding::Dict)] {
+    for encoding in [
+        None,
+        Some(Encoding::Rle),
+        Some(Encoding::Dict),
+        Some(Encoding::RunBits),
+    ] {
         let (tiered, flat) =
             tiered_and_flat(&rows, &[1, 65, 1030, 2049], 1024, encoding, 1.0, false);
         assert_eq!(tiered.col_tier(0).hot_values().len(), 0, "fully frozen");
@@ -563,6 +569,7 @@ fn sql_parallel_equals_serial_across_tiers() {
         Some(Encoding::Dict),
         Some(Encoding::ForPack),
         Some(Encoding::Delta),
+        Some(Encoding::RunBits),
     ] {
         for block_rows in [128usize, 1024] {
             for recompress in [false, true] {
@@ -603,7 +610,12 @@ fn parallel_frozen_queries_decode_zero_blocks() {
     let rows: Vec<(i64, i64, i64)> = (0..4_096)
         .map(|i| ((i / 512) % 8, rng.range_i64(0, 200), rng.range_i64(0, 50)))
         .collect();
-    for encoding in [None, Some(Encoding::Rle), Some(Encoding::Dict)] {
+    for encoding in [
+        None,
+        Some(Encoding::Rle),
+        Some(Encoding::Dict),
+        Some(Encoding::RunBits),
+    ] {
         let (tiered, _) = tiered_and_flat(&rows, &[1, 65, 1030, 2049], 1024, encoding, 1.0, false);
         assert_eq!(tiered.col_tier(0).hot_values().len(), 0, "fully frozen");
         let cat = TestCatalog {
