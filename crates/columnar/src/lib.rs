@@ -19,8 +19,9 @@
 //!   (§4.4 "data compression can be called upon to postpone the decisions
 //!   to forget data"),
 //! * [`tier`] — tiered column storage: cold full blocks live *compressed
-//!   in place* (hot → frozen → recompressed → dropped) with cached
-//!   per-block zone metadata — the one block-range (BRIN-style, §4.4)
+//!   in place* (hot → frozen → recompressed → dropped); every full block,
+//!   hot ones included, has cached zone metadata — the one block-range
+//!   (BRIN-style, §4.4)
 //!   pruning structure, owned by the storage rather than kept beside
 //!   it — so compression is the table's resting state rather than a
 //!   side-car snapshot; each column also holds the
@@ -65,5 +66,7 @@ pub use persist::{
 pub use schema::{ColumnDef, Schema};
 pub use summary::{SummaryCell, SummaryStore};
 pub use table::{MemoryBreakdown, Table};
-pub use tier::{BlockMeta, BlockState, ColumnReader, ColumnSummary, FrozenBlock, TieredColumn};
+pub use tier::{
+    BlockMeta, BlockState, ColumnReader, ColumnSummary, FrozenBlock, HotBlock, TieredColumn,
+};
 pub use types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};

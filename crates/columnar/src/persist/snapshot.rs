@@ -776,8 +776,28 @@ mod tests {
         }
         t.drop_forgotten_blocks();
         t.recompress_frozen(0.6);
+        // A hot tail of two full blocks and an open one, forgets in each.
+        t.insert_batch(&(0..2_600).rev().collect::<Vec<i64>>(), 3)
+            .unwrap();
+        for r in [4_106u64, 5_600, 5_601, 6_690] {
+            t.forget(RowId(r), 4).unwrap();
+        }
         let restored = decode(&encode(&t)).unwrap();
         assert_eq!(restored.frozen_blocks(), t.frozen_blocks());
+        // The hot metas, which no snapshot holds, come back as the live
+        // table maintained them — the open block's forgets included.
+        let full = |t: &Table| {
+            let c = t.col_tier(0);
+            (0..c.full_blocks()).map(|b| *c.meta(b)).collect::<Vec<_>>()
+        };
+        assert_eq!(full(&restored), full(&t));
+        let (mut grown, mut regrown) = (t.clone(), restored.clone());
+        for table in [&mut grown, &mut regrown] {
+            table.insert_batch(&[5; 600], 5).unwrap();
+        }
+        assert_eq!(full(&regrown), full(&grown));
+        assert_eq!(grown.col_tier(0).full_blocks(), 7);
+        assert_eq!(grown.col_tier(0).meta(6).active, 1_023);
         assert_eq!(restored.bytes_frozen(), t.bytes_frozen());
         for b in 0..t.frozen_blocks() {
             let (a, r) = (

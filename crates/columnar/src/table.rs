@@ -1,7 +1,9 @@
 //! The amnesiac table: columns + activity + epochs + access stats.
 //!
-//! A column is a [`TieredColumn`] — nothing wraps it — plus the min/max of
-//! every value it ever held, which the table keeps beside it.
+//! A column is a [`TieredColumn`] — nothing wraps it. The min/max of
+//! every value a column ever held is the column's own
+//! `TieredColumn::appended_range` plus, after a restore, the persisted
+//! bounds the table keeps beside it.
 //!
 //! Everything per row is sized by what is resident, not by what was ever
 //! inserted: insert epochs are runs (one per batch), death epochs and
@@ -41,9 +43,12 @@ use crate::types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};
 pub struct Table {
     schema: Schema,
     columns: Vec<TieredColumn>,
-    /// Min/max of every value ever appended to each column, forgotten or
-    /// not: the paper's `RANGE` bound (§4.2), and what a dropped block
-    /// still leaves behind of its values.
+    /// The persisted min/max of every value appended to each column
+    /// before the snapshot it was restored from (empty for a table built
+    /// here). With each column's `TieredColumn::appended_range` it makes
+    /// [`Table::max_seen`] / [`Table::min_seen`]: the paper's `RANGE`
+    /// bound (§4.2), and what a dropped block still leaves behind of its
+    /// values.
     seen: Vec<MinMax>,
     activity: ActivityMap,
     insert_epoch: EpochRuns,
@@ -152,9 +157,8 @@ impl Table {
     pub fn insert(&mut self, values: &[Value], epoch: Epoch) -> Result<RowId> {
         self.validate_insert(values)?;
         let id = RowId::from(self.num_rows());
-        for ((col, seen), &v) in self.columns.iter_mut().zip(&mut self.seen).zip(values) {
+        for (col, &v) in self.columns.iter_mut().zip(values) {
             col.push(v);
-            seen.push(v);
         }
         self.activity.push_active(1);
         self.insert_epoch.push(1, epoch);
@@ -169,9 +173,6 @@ impl Table {
         self.validate_insert_batch()?;
         let first = RowId::from(self.num_rows());
         self.columns[0].extend_from_slice(values);
-        for &v in values {
-            self.seen[0].push(v);
-        }
         self.activity.push_active(values.len());
         self.insert_epoch.push(values.len(), epoch);
         self.access.push_rows(values.len());
@@ -187,8 +188,9 @@ impl Table {
         self.validate_forget(row)?;
         let first = self.activity.forget(row, epoch);
         if first {
+            let b = row.as_usize() / self.block_rows;
             for c in &mut self.columns {
-                c.note_forget(row.as_usize());
+                c.note_forgotten(b, 1);
             }
         }
         Ok(first)
@@ -208,11 +210,12 @@ impl Table {
         let mut forgotten = 0;
         let mut at = lo;
         while at < hi {
-            let end = hi.min((at / self.block_rows + 1) * self.block_rows);
+            let b = at / self.block_rows;
+            let end = hi.min((b + 1) * self.block_rows);
             let n = self.activity.forget_range(at, end, epoch);
             if n > 0 {
                 for c in &mut self.columns {
-                    c.note_forgotten(at, n);
+                    c.note_forgotten(b, n);
                 }
             }
             forgotten += n;
@@ -458,12 +461,14 @@ impl Table {
     /// death epochs rather than routed through [`Table::forget`] (the
     /// tiers' block metadata already reflects those forgets, so
     /// `note_forget` must not run again), with the dropped blocks' death
-    /// epochs sealed before they were filled, as a drop leaves them.
-    /// The seen-min/max restore separately via [`Table::restore_col_stats`].
+    /// epochs sealed before they were filled, as a drop leaves them. The
+    /// hot blocks' active counts, which no snapshot holds, are recounted
+    /// from it. The seen-min/max restore separately via
+    /// [`Table::restore_col_stats`].
     pub fn from_restored_parts(
         schema: Schema,
         block_rows: usize,
-        tiers: Vec<TieredColumn>,
+        mut tiers: Vec<TieredColumn>,
         insert_epoch: EpochRuns,
         activity: ActivityMap,
     ) -> Result<Self> {
@@ -488,6 +493,9 @@ impl Table {
                     tier.len()
                 ));
             }
+        }
+        for tier in &mut tiers {
+            tier.recount_hot_active(activity.words());
         }
         let mut access = AccessStats::with_block_rows(block_rows);
         access.push_rows(n);
@@ -581,12 +589,20 @@ impl Table {
     /// Largest value seen in `col` since table creation (the paper's
     /// `RANGE` bound for query generation).
     pub fn max_seen(&self, col: usize) -> Option<Value> {
-        self.seen[col].max()
+        self.seen_range(col).max()
     }
 
     /// Smallest value seen in `col`.
     pub fn min_seen(&self, col: usize) -> Option<Value> {
-        self.seen[col].min()
+        self.seen_range(col).min()
+    }
+
+    /// Every value `col` ever held: what the column appended, and the
+    /// persisted bounds of what it held before a restore.
+    fn seen_range(&self, col: usize) -> MinMax {
+        let mut range = self.columns[col].appended_range();
+        range.merge(&self.seen[col]);
+        range
     }
 
     /// True *resident* heap bytes: compressed frozen blocks + hot tails +

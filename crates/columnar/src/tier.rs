@@ -25,7 +25,11 @@
 //! ```
 //!
 //! * **hot** — plain `Vec<Value>` tail; inserts append here, point reads
-//!   are array indexing, scans take the raw-slice batch kernels.
+//!   are array indexing, scans take the raw-slice batch kernels. Each
+//!   *full* hot block carries a [`BlockMeta`] too, sealed when the block
+//!   fills (see "The hot zone map" below), so active-only scans prune
+//!   hot blocks by the same rule as frozen ones; the open last block has
+//!   none and is always scanned.
 //! * **frozen** — [`EncodedBlock::encode_auto`] (or a pinned codec)
 //!   compressed the block; scans run the codec's fused
 //!   `filter_range_masks` / `fold_range_masked`, point reads parse a
@@ -47,6 +51,25 @@
 //! and `active` counts are exact because [`TieredColumn::note_forget`]
 //! observes every first-time forget.
 //!
+//! # The hot zone map
+//!
+//! When the hot tail's open block fills, [`TieredColumn::push`] (or
+//! [`TieredColumn::extend_from_slice`]) seals a [`BlockMeta`] for it: the
+//! min/max over *all* its values — one vector pass per block, under the
+//! [`mask_impl`] dispatch — and an exact `active` count. Every appended
+//! row is active, so the count is the block size less the forgets that
+//! landed in the block while it was open, which
+//! [`TieredColumn::note_forget`] tallies; after the seal it decrements
+//! the meta itself. Bounds over forgotten values too are wider than the
+//! frozen ones (which cover active rows only) but stale-safe all the
+//! same. A freeze drops the metas of the blocks it compresses (the frozen
+//! meta is computed afresh); a thaw seals the melted blocks from their
+//! decoded values, taking `active` from their frozen meta. Like the
+//! summary, the hot metas are derived state: they stay out of
+//! `PartialEq`, snapshots and the log, and a restored table rebuilds them
+//! from the hot values and its activity words
+//! ([`Table::from_restored_parts`](crate::table::Table::from_restored_parts)).
+//!
 //! # The column summary
 //!
 //! What a planner asks of a column — how its active values are
@@ -67,21 +90,23 @@ use amnesia_sync::mutex::Mutex;
 use serde::{Deserialize, Serialize};
 
 use amnesia_util::bitmap::{count_set_bits_in, first_set_bit_in};
-use amnesia_util::WORD_BITS;
+use amnesia_util::{MinMax, WORD_BITS};
 use bytes::BytesMut;
 
 use crate::compress::varint::{write_signed, write_varint};
 use crate::compress::{
     bit_set, note_summary_build, BlockReader, BlockSizes, EncodedBlock, Encoding,
 };
+use crate::simd::{mask_impl, MaskImpl};
 use crate::types::{Value, DEFAULT_BLOCK_ROWS};
 
-/// Cached per-block metadata: the tier layer's built-in zone map.
+/// Cached per-block metadata of a full block, frozen or hot: the tier
+/// layer's built-in zone map.
 ///
-/// `min`/`max` cover the block's *active* rows at freeze (or last
-/// recompression) time and are stale-safe afterwards — never narrower
-/// than the truth. `active` is kept exact by
-/// [`TieredColumn::note_forget`].
+/// A frozen block's `min`/`max` cover its *active* rows at freeze (or
+/// last recompression) time, a hot block's every value it held when it
+/// filled; both are stale-safe afterwards — never narrower than the
+/// truth. `active` is kept exact by [`TieredColumn::note_forget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockMeta {
     /// Minimum active value (undefined when `active == 0`).
@@ -209,6 +234,11 @@ impl std::fmt::Debug for AccessCounters {
             .finish()
     }
 }
+
+/// Hot block metas a freeze may leave allocated beyond what the hot
+/// tail's capacity can fill (64 × 24 B): below that, shrinking would only
+/// reallocate them again as the next batch fills its blocks.
+const METAS_SLACK: usize = 64;
 
 /// Histogram resolution of a [`ColumnSummary`]: enough buckets to
 /// separate selective from wide predicates, few enough that a statement
@@ -391,6 +421,54 @@ impl PartialEq for SummaryCell {
     }
 }
 
+/// The hot tail's zone map (see the module docs): one [`BlockMeta`] per
+/// full hot block, and the forgets noted in the open block since it
+/// opened. Derived state: it holds nothing the hot values and the
+/// activity words do not, so equality ignores it (a clone keeps it —
+/// the clone holds the same values). Beside it, the fold of every sealed
+/// block's bounds, which [`TieredColumn::appended_range`] reads.
+#[derive(Debug, Clone, Default)]
+struct HotMeta {
+    /// Meta of hot block `h`, rows `hot_start + h * block_rows ..`;
+    /// always `hot.len() / block_rows` long.
+    metas: Vec<BlockMeta>,
+    /// Forgets noted in the open block; its `active` at seal is the
+    /// block size less these.
+    open_forgotten: usize,
+    /// The hot length at which the open block fills: `push` compares
+    /// against it instead of dividing.
+    seal_at: usize,
+    /// Min/max over every block `seal` sealed, whether
+    /// it is still hot or frozen since; a thaw's blocks are not folded
+    /// in (a dropped block thaws as zeros nobody appended).
+    sealed: MinMax,
+}
+
+impl PartialEq for HotMeta {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
+/// One block of the hot tail clipped to a row span, as
+/// [`TieredColumn::hot_blocks`] yields it.
+#[derive(Debug, Clone)]
+pub struct HotBlock<'a> {
+    /// Index of the block in the column (frozen blocks first).
+    pub block: usize,
+    /// Absolute rows of the block inside the span (word-aligned start
+    /// when the span's start is).
+    pub rows: std::ops::Range<usize>,
+    /// The values of those rows.
+    pub values: &'a [Value],
+    /// The block's meta; `None` for the open last block.
+    pub meta: Option<&'a BlockMeta>,
+    /// The span holds the block's first row: of the spans tiling the
+    /// tail, exactly one sees this for each block, so per-block counts
+    /// taken here are the same however the tail is cut.
+    pub starts: bool,
+}
+
 /// A column whose cold prefix lives compressed in place: frozen
 /// [`EncodedBlock`]s with cached [`BlockMeta`], then a hot uncompressed
 /// tail. A [`Table`](crate::table::Table) holds one per column, beside
@@ -407,6 +485,7 @@ pub struct TieredColumn {
     encoding: Option<Encoding>,
     frozen: Vec<FrozenBlock>,
     hot: Vec<Value>,
+    hot_meta: HotMeta,
     accesses: AccessCounters,
     summary: SummaryCell,
 }
@@ -428,6 +507,10 @@ impl TieredColumn {
             encoding: None,
             frozen: Vec::new(),
             hot: Vec::new(),
+            hot_meta: HotMeta {
+                seal_at: block_rows,
+                ..HotMeta::default()
+            },
             accesses: AccessCounters::default(),
             summary: SummaryCell::default(),
         }
@@ -452,7 +535,9 @@ impl TieredColumn {
     }
 
     /// Rebuild from persisted parts (snapshot reader). Every frozen block
-    /// must hold exactly `block_rows` rows.
+    /// must hold exactly `block_rows` rows. The full hot blocks are sealed
+    /// as if every hot row were active; the owning table recounts them
+    /// under its activity words (`recount_hot_active`).
     pub fn from_parts(
         block_rows: usize,
         encoding: Option<Encoding>,
@@ -471,8 +556,23 @@ impl TieredColumn {
         c.encoding = encoding;
         c.frozen = frozen;
         c.hot = hot;
+        c.seal_full_blocks();
         c.accesses.resize(c.frozen.len());
         c
+    }
+
+    /// Set every full hot block's `active`, and the open block's count of
+    /// forgotten rows, from the activity `words` — the restore path's
+    /// half of the hot zone map (the bounds come from the values alone).
+    pub(crate) fn recount_hot_active(&mut self, words: &[u64]) {
+        let (start, br) = (self.hot_start(), self.block_rows);
+        for (h, meta) in self.hot_meta.metas.iter_mut().enumerate() {
+            let lo = start + h * br;
+            meta.active = count_set_bits_in(words, lo, lo + br);
+        }
+        let open = start + self.hot_meta.metas.len() * br;
+        self.hot_meta.open_forgotten =
+            self.len() - open - count_set_bits_in(words, open, self.len());
     }
 
     /// Rows per frozen block.
@@ -517,9 +617,39 @@ impl TieredColumn {
         self.frozen.get(b)
     }
 
-    /// Cached metadata of frozen block `b`. Panics if out of range.
+    /// Number of full blocks, frozen and hot: the blocks
+    /// [`Self::meta`] answers for.
+    pub fn full_blocks(&self) -> usize {
+        self.frozen.len() + self.hot_meta.metas.len()
+    }
+
+    /// Cached metadata of full block `b`, frozen or hot. Panics past
+    /// [`Self::full_blocks`] (the open last block has no meta).
     pub fn meta(&self, b: usize) -> &BlockMeta {
-        &self.frozen[b].meta
+        match self.frozen.get(b) {
+            Some(f) => &f.meta,
+            None => &self.hot_meta.metas[b - self.frozen.len()],
+        }
+    }
+
+    /// The hot blocks meeting rows `[lo, hi)`, ascending, each clipped to
+    /// them: the walk every active-only hot kernel takes, so a full
+    /// block is pruned by its meta before a value is read.
+    pub fn hot_blocks(&self, lo: usize, hi: usize) -> impl Iterator<Item = HotBlock<'_>> {
+        let (start, br) = (self.hot_start(), self.block_rows);
+        let (lo, hi) = (lo.max(start), hi.min(self.len()));
+        let first = if lo < hi { (lo - start) / br } else { 0 };
+        (first..).map_while(move |h| {
+            let block_lo = start + h * br;
+            let rows = lo.max(block_lo)..hi.min(block_lo + br);
+            (rows.start < rows.end).then(|| HotBlock {
+                block: self.frozen.len() + h,
+                values: &self.hot[rows.start - start..rows.end - start],
+                meta: self.hot_meta.metas.get(h),
+                starts: rows.start == block_lo,
+                rows,
+            })
+        })
     }
 
     /// Record that frozen block `b` survived pruning and was actually
@@ -596,17 +726,70 @@ impl TieredColumn {
             })
     }
 
-    /// Append one value to the hot tail. Freezing is *explicit*
-    /// ([`Self::freeze_upto`]) — appends never compress behind the
-    /// caller's back.
+    /// Append one value to the hot tail, sealing the open block's meta
+    /// when it fills. Freezing is *explicit* ([`Self::freeze_upto`]) —
+    /// appends never compress behind the caller's back.
     #[inline]
     pub fn push(&mut self, v: Value) {
         self.hot.push(v);
+        if self.hot.len() == self.hot_meta.seal_at {
+            self.seal();
+        }
     }
 
-    /// Append many values to the hot tail.
+    /// Append many values to the hot tail, sealing every block they fill.
     pub fn extend_from_slice(&mut self, vs: &[Value]) {
         self.hot.extend_from_slice(vs);
+        self.seal_full_blocks();
+    }
+
+    /// Seal every hot block the tail has filled since the last seal.
+    fn seal_full_blocks(&mut self) {
+        while self.hot.len() >= self.hot_meta.seal_at {
+            self.seal();
+        }
+    }
+
+    /// Seal the meta of the hot block ending at `seal_at`: its bounds in
+    /// one vector pass, its active rows the block less the forgets noted
+    /// while it was open. The meta vector grows with the hot tail's
+    /// capacity, so it reallocates when the tail did.
+    #[inline(never)]
+    fn seal(&mut self) {
+        let br = self.block_rows;
+        let end = self.hot_meta.seal_at;
+        let (min, max) = bounds(&self.hot[end - br..end], mask_impl());
+        let h = &mut self.hot_meta;
+        if h.metas.len() == h.metas.capacity() {
+            h.metas
+                .reserve_exact((self.hot.capacity() / br).max(h.metas.len() + 1) - h.metas.len());
+        }
+        h.metas.push(BlockMeta {
+            min,
+            max,
+            active: br.saturating_sub(h.open_forgotten),
+        });
+        h.sealed.push(min);
+        h.sealed.push(max);
+        h.open_forgotten = 0;
+        h.seal_at += br;
+    }
+
+    /// Min/max of every value appended to the column — forgotten or not,
+    /// frozen, recompressed or dropped since, and the hot tail
+    /// [`Self::from_parts`] installed: the sealed blocks' bounds, folded
+    /// as each block filled, and the open block's values, read now (at
+    /// most a block's worth). Values a restore brought back only inside
+    /// frozen blocks are not in it; the owning table keeps those.
+    pub(crate) fn appended_range(&self) -> MinMax {
+        let mut range = self.hot_meta.sealed;
+        let open = &self.hot[self.hot_meta.metas.len() * self.block_rows..];
+        if !open.is_empty() {
+            let (min, max) = bounds(open, mask_impl());
+            range.push(min);
+            range.push(max);
+        }
+        range
     }
 
     /// Reserve hot-tail capacity.
@@ -670,6 +853,16 @@ impl TieredColumn {
             });
         }
         self.hot = self.hot.split_off(k * self.block_rows);
+        // The metas grew with the tail's capacity; they follow it down when
+        // that frees more than a few cache lines, and otherwise keep their
+        // room for the next blocks (no reallocation every freeze).
+        let h = &mut self.hot_meta;
+        h.metas.drain(..k);
+        let room = self.hot.capacity() / self.block_rows;
+        if h.metas.capacity() > room + METAS_SLACK {
+            h.metas.shrink_to(room);
+        }
+        h.seal_at -= k * self.block_rows;
         self.accesses.resize(self.frozen.len());
         k
     }
@@ -677,45 +870,69 @@ impl TieredColumn {
     /// Thaw blocks `b..` back into the hot tail (the frozen prefix must
     /// stay contiguous, so thawing is suffix-granular: to thaw one block,
     /// pass its index and everything younger melts with it). Dropped
-    /// blocks thaw as zero-filled — their values are gone for good.
+    /// blocks thaw as zero-filled — their values are gone for good. Each
+    /// melted block becomes a full hot block, its meta sealed from the
+    /// thawed values with the frozen meta's exact `active`.
     /// Returns the number of rows thawed.
     pub fn thaw_block(&mut self, b: usize) -> usize {
         if b >= self.frozen.len() {
             return 0;
         }
         self.summary.clear();
+        let br = self.block_rows;
         let melted: Vec<FrozenBlock> = self.frozen.split_off(b);
-        let mut values = Vec::with_capacity(melted.len() * self.block_rows + self.hot.len());
+        let mut values = Vec::with_capacity(melted.len() * br + self.hot.len());
+        let mut metas = Vec::with_capacity(melted.len() + self.hot_meta.metas.len());
+        let imp = mask_impl();
         for f in &melted {
             if f.is_dropped() {
-                values.resize(values.len() + self.block_rows, 0);
+                values.resize(values.len() + br, 0);
             } else {
                 values.extend(f.block.decode());
             }
+            let (min, max) = bounds(&values[values.len() - br..], imp);
+            metas.push(BlockMeta {
+                min,
+                max,
+                active: f.meta.active,
+            });
         }
         let thawed = values.len();
         values.append(&mut self.hot);
         self.hot = values;
+        metas.append(&mut self.hot_meta.metas);
+        self.hot_meta.metas = metas;
+        self.hot_meta.seal_at += thawed;
         self.accesses.resize(self.frozen.len());
         thawed
     }
 
-    /// Record that `row` was forgotten: the owning frozen block's active
-    /// count drops so meta pruning sees it immediately. Hot rows have no
-    /// meta to maintain, but they too leave the summary.
+    /// Record that `row` was forgotten: the owning full block's active
+    /// count drops so meta pruning sees it immediately — frozen or hot; a
+    /// row of the open hot block is tallied until the block seals. Every
+    /// forgotten row also leaves the summary.
     #[inline]
     pub fn note_forget(&mut self, row: usize) {
-        self.note_forgotten(row, 1);
+        if row < self.len() {
+            self.note_forgotten(row / self.block_rows, 1);
+        }
     }
 
-    /// [`Self::note_forget`] for `n` rows of the block holding `row`, all
-    /// forgotten at once: one meta update, one summary clear.
+    /// [`Self::note_forget`] for `n` rows of block `b` (rows `b *
+    /// block_rows ..`, all in the column), all forgotten at once: one
+    /// meta update, one summary clear. The owning table divides once for
+    /// all its columns.
     #[inline]
-    pub(crate) fn note_forgotten(&mut self, row: usize, n: usize) {
+    pub(crate) fn note_forgotten(&mut self, b: usize, n: usize) {
         self.summary.clear();
-        let b = row / self.block_rows;
         if let Some(f) = self.frozen.get_mut(b) {
             f.meta.active = f.meta.active.saturating_sub(n);
+            return;
+        }
+        let h = &mut self.hot_meta;
+        match h.metas.get_mut(b - self.frozen.len()) {
+            Some(meta) => meta.active = meta.active.saturating_sub(n),
+            None => h.open_forgotten += n,
         }
     }
 
@@ -830,8 +1047,8 @@ impl TieredColumn {
     }
 
     /// Resident heap bytes: frozen payloads + per-block bookkeeping
-    /// (block headers and access counters) + hot-tail capacity + the
-    /// summary while one is held.
+    /// (block headers, hot block metas and access counters) + hot-tail
+    /// capacity + the summary while one is held.
     pub fn memory_bytes(&self) -> usize {
         // The `Arc` allocation is the summary plus its two counts.
         let summary = self
@@ -843,6 +1060,7 @@ impl TieredColumn {
             .map_or(0, |s| s.memory_bytes() + 2 * std::mem::size_of::<usize>());
         self.bytes_frozen()
             + self.frozen.capacity() * std::mem::size_of::<FrozenBlock>()
+            + self.hot_meta.metas.capacity() * std::mem::size_of::<BlockMeta>()
             + self.accesses.0.capacity() * std::mem::size_of::<AtomicU64>()
             + self.hot.capacity() * std::mem::size_of::<Value>()
             + summary
@@ -932,6 +1150,53 @@ impl ColumnReader<'_> {
             self.block.open(&f.block);
         }
     }
+}
+
+/// `(min, max)` of `values` (`(MAX, MIN)` when empty): the seal of a
+/// full hot block. One AVX-512 `vpminsq`/`vpmaxsq` pass on that tier and
+/// up; elsewhere the portable fold, which is the reference — baseline
+/// x86-64 has no 64-bit vector min to autovectorize it with.
+#[inline]
+fn bounds(values: &[Value], imp: MaskImpl) -> (Value, Value) {
+    #[cfg(target_arch = "x86_64")]
+    if imp >= MaskImpl::Avx512 {
+        // SAFETY: the tier is at least Avx512, so mask_impl() verified
+        // avx512f on this CPU.
+        return unsafe { bounds_avx512(values) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = imp;
+    values
+        .iter()
+        .fold((Value::MAX, Value::MIN), |(lo, hi), &v| {
+            (lo.min(v), hi.max(v))
+        })
+}
+
+/// [`bounds`] eight lanes at a time.
+///
+/// # Safety
+/// Caller must verify `avx512f` is available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+// SAFETY: sound iff `avx512f` is present (the caller dispatches on the
+// detected tier); every load reads one whole `chunks_exact(8)` chunk.
+unsafe fn bounds_avx512(values: &[Value]) -> (Value, Value) {
+    use std::arch::x86_64::*;
+    let mut lo = _mm512_set1_epi64(Value::MAX);
+    let mut hi = _mm512_set1_epi64(Value::MIN);
+    let mut chunks = values.chunks_exact(8);
+    for chunk in &mut chunks {
+        let v = _mm512_loadu_si512(chunk.as_ptr() as *const __m512i);
+        lo = _mm512_min_epi64(lo, v);
+        hi = _mm512_max_epi64(hi, v);
+    }
+    let (mut min, mut max) = (_mm512_reduce_min_epi64(lo), _mm512_reduce_max_epi64(hi));
+    for &v in chunks.remainder() {
+        min = min.min(v);
+        max = max.max(v);
+    }
+    (min, max)
 }
 
 /// Meta over one block's values: min/max/count of the rows whose activity
@@ -1404,6 +1669,167 @@ mod tests {
         let held = c.summary(&words);
         assert_eq!(c.drop_block(0), 0, "nothing left to drop");
         assert!(Arc::ptr_eq(&held, &c.summary(&words)), "a no-op keeps it");
+    }
+
+    fn meta(min: Value, max: Value, active: usize) -> BlockMeta {
+        BlockMeta { min, max, active }
+    }
+
+    /// Every full hot block's meta, in order.
+    fn hot_metas(c: &TieredColumn) -> Vec<BlockMeta> {
+        (c.frozen_blocks()..c.full_blocks())
+            .map(|b| *c.meta(b))
+            .collect()
+    }
+
+    #[test]
+    fn bounds_equal_the_portable_fold_on_every_tier() {
+        let mut rng = amnesia_util::SimRng::new(34);
+        let edges = [Value::MIN, Value::MAX, 0, -1];
+        for len in [1usize, 7, 8, 9, 63, 64, 1_000, 1_024] {
+            let values: Vec<Value> = (0..len)
+                .map(|i| match i % 97 {
+                    0..4 if len > 100 => edges[i % 97],
+                    _ => rng.range_i64(-1_000_000, 1_000_000),
+                })
+                .collect();
+            let want = bounds(&values, MaskImpl::Portable);
+            assert_eq!(want.0, *values.iter().min().unwrap());
+            assert_eq!(want.1, *values.iter().max().unwrap());
+            for imp in MaskImpl::available() {
+                assert_eq!(bounds(&values, imp), want, "{imp:?} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn full_hot_blocks_seal_through_push_and_extend() {
+        let mut c = TieredColumn::with_block_rows(64);
+        for v in 0..63 {
+            c.push(v);
+        }
+        assert_eq!(c.full_blocks(), 0, "the open block has no meta");
+        c.push(-5);
+        assert_eq!(hot_metas(&c), [meta(-5, 62, 64)]);
+        // One slice filling two blocks and opening a third.
+        c.extend_from_slice(&(100..250).collect::<Vec<i64>>());
+        assert_eq!(c.full_blocks(), 3);
+        assert_eq!(*c.meta(1), meta(100, 163, 64));
+        assert_eq!(*c.meta(2), meta(164, 227, 64));
+        // An extend ending on a boundary seals the block it closes.
+        c.extend_from_slice(&(250..292).collect::<Vec<i64>>());
+        assert_eq!(c.full_blocks(), 4);
+        assert_eq!(*c.meta(3), meta(228, 291, 64));
+        let values: Vec<i64> = (0..256).collect();
+        let mut a = TieredColumn::with_block_rows(64);
+        a.extend_from_slice(&values);
+        let mut b = TieredColumn::with_block_rows(64);
+        values.iter().for_each(|&v| b.push(v));
+        assert_eq!(hot_metas(&a), hot_metas(&b));
+    }
+
+    #[test]
+    fn forgets_before_and_after_a_seal_keep_active_exact() {
+        let mut c = TieredColumn::with_block_rows(64);
+        c.extend_from_slice(&(0..100).collect::<Vec<i64>>());
+        // Block 0 is sealed; rows 64..100 are the open block.
+        c.note_forget(3);
+        c.note_forgotten(1, 5);
+        c.note_forget(99);
+        assert_eq!(c.meta(0).active, 63);
+        c.extend_from_slice(&(100..200).collect::<Vec<i64>>());
+        assert_eq!(
+            c.meta(1).active,
+            58,
+            "forgets in the open block count at seal"
+        );
+        assert_eq!(c.meta(2).active, 64, "and only in the block they hit");
+        c.note_forget(130);
+        assert_eq!(c.meta(2).active, 63);
+        c.note_forget(10_000); // past the end: ignored
+        assert_eq!(
+            hot_metas(&c).iter().map(|m| m.active).sum::<usize>(),
+            63 + 58 + 63
+        );
+        // Bounds cover forgotten values too: stale-safe, never narrow.
+        assert_eq!((c.meta(0).min, c.meta(0).max), (0, 63));
+    }
+
+    #[test]
+    fn freeze_moves_the_hot_metas_and_thaw_reseals_them() {
+        let mut c = TieredColumn::with_block_rows(64);
+        c.extend_from_slice(&(0..300).map(|i| i * 3 - 100).collect::<Vec<i64>>());
+        let mut words = all_active(300);
+        for r in [5, 70, 71, 200, 290] {
+            words[r / 64] &= !(1u64 << (r % 64));
+            c.note_forget(r);
+        }
+        let live = hot_metas(&c);
+        assert_eq!(live.len(), 4);
+        assert_eq!(c.freeze_upto(150, &words), 2);
+        assert_eq!(hot_metas(&c), live[2..], "the unfrozen blocks keep theirs");
+        assert_eq!(c.meta(1).active, 62, "the frozen meta of the same rows");
+        c.push(7);
+        assert_eq!(c.full_blocks(), 4, "no seal until the open block fills");
+        // Thawing melts blocks back into sealed hot blocks: the same metas
+        // a column built hot would hold.
+        assert_eq!(c.thaw_block(0), 128);
+        assert_eq!(hot_metas(&c), live);
+        let mut again = c.clone();
+        again.freeze_upto(256, &words);
+        again.thaw_block(1);
+        assert_eq!(hot_metas(&again), live[1..]);
+        // A dropped block thaws as zeros with nothing active.
+        let mut d = TieredColumn::with_block_rows(64);
+        d.extend_from_slice(&(1..=128).collect::<Vec<i64>>());
+        d.freeze_upto(128, &all_active(128));
+        for r in 0..64 {
+            d.note_forget(r);
+        }
+        assert!(d.drop_block(0) > 0);
+        d.thaw_block(0);
+        assert_eq!(*d.meta(0), meta(0, 0, 0));
+        assert_eq!(*d.meta(1), meta(65, 128, 64));
+    }
+
+    #[test]
+    fn a_restored_column_recounts_the_maintained_metas() {
+        let mut c = TieredColumn::with_block_rows(64);
+        c.extend_from_slice(&(0..230).map(|i| (i * 37) % 101).collect::<Vec<i64>>());
+        let mut words = all_active(230);
+        for r in [0, 1, 63, 64, 130, 200, 229] {
+            words[r / 64] &= !(1u64 << (r % 64));
+            c.note_forget(r);
+        }
+        c.freeze_upto(64, &words);
+        let mut restored = TieredColumn::from_parts(
+            64,
+            None,
+            vec![c.frozen(0).unwrap().clone()],
+            c.hot_values().to_vec(),
+        );
+        restored.recount_hot_active(&words);
+        assert_eq!(hot_metas(&restored), hot_metas(&c));
+        // The open block's forgets carry over too.
+        restored.extend_from_slice(&[1_000; 26]);
+        c.extend_from_slice(&[1_000; 26]);
+        assert_eq!(hot_metas(&restored), hot_metas(&c));
+        assert_eq!(c.meta(3).active, 62);
+    }
+
+    #[test]
+    fn memory_bytes_count_the_hot_metas() {
+        let mut c = TieredColumn::with_block_rows(64);
+        c.extend_from_slice(&[1; 63]);
+        let open = c.memory_bytes() - c.hot.capacity() * std::mem::size_of::<Value>();
+        c.push(1);
+        let sealed = c.memory_bytes() - c.hot.capacity() * std::mem::size_of::<Value>();
+        assert_eq!(
+            sealed - open,
+            c.hot_meta.metas.capacity() * std::mem::size_of::<BlockMeta>()
+        );
+        assert!(c.hot_meta.metas.capacity() >= 1);
+        assert_eq!(std::mem::size_of::<BlockMeta>(), 24);
     }
 
     #[test]

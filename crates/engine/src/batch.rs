@@ -51,9 +51,11 @@
 //! tail. A fully hot column is simply a tiered column with zero frozen
 //! blocks, so there is no separate "flat" path to keep in step:
 //!
-//! * each **frozen block** is pruned by its cached
-//!   [`BlockMeta`](amnesia_columnar::BlockMeta) (min/max over active
-//!   rows, active count) before its payload is touched; survivors answer
+//! * every **full block**, frozen or hot, carries a cached
+//!   [`BlockMeta`](amnesia_columnar::BlockMeta) (min/max, active count),
+//!   and the active-only kernels prune it by that meta before a payload
+//!   byte or a hot value is read — one pruning rule for both tiers;
+//! * each surviving **frozen block** answers
 //!   the predicate through the codec's fused `filter_range_masks` (RLE
 //!   compares once per run, dictionaries compare bit-packed codes against
 //!   a code range, FOR compares rebased offsets — see
@@ -62,13 +64,17 @@
 //!   Cold data is scanned without ever materializing a `Vec<Value>` — the
 //!   paper's bargain: compression postpones forgetting only if the
 //!   compressed form stays queryable at memory speed;
-//! * the **hot tail** runs the word loop above over the raw slice.
+//! * each surviving **hot block**, and the open last block (which has
+//!   no meta until it fills), runs the word loop above over the raw
+//!   slice, block by block
+//!   ([`TieredColumn::hot_blocks`](amnesia_columnar::TieredColumn::hot_blocks)).
 //!
 //! [`scan_tiered_active_into`], [`count_tiered_active`] and
 //! [`aggregate_tiered_active`] see active rows only;
 //! [`scan_tiered_all_into`] is paper §1's "complete scan" that still
-//! fetches forgotten rows. The multi-predicate selection-vector operators
-//! in [`crate::kernels`] are built on the same word primitives.
+//! fetches forgotten rows, and never consults meta. The multi-predicate
+//! selection-vector operators in [`crate::kernels`] are built on the
+//! same word primitives.
 //!
 //! The row-at-a-time originals live in [`scalar`] as the reference
 //! implementations; `tests/kernel_equivalence.rs` holds the
@@ -78,7 +84,7 @@
 
 use amnesia_columnar::compress::{dict, BlockAgg, Encoding};
 pub(crate) use amnesia_columnar::simd::{mask_impl, MaskImpl};
-use amnesia_columnar::{RowId, Table, TieredColumn, Value, DEFAULT_BLOCK_ROWS};
+use amnesia_columnar::{HotBlock, RowId, Table, TieredColumn, Value, DEFAULT_BLOCK_ROWS};
 use amnesia_util::WORD_BITS;
 use amnesia_workload::query::{AggKind, RangePredicate};
 
@@ -349,23 +355,24 @@ fn selection_word(chunk: &[Value], active: u64, pred: RangePredicate, imp: MaskI
     }
 }
 
-/// Bit `i` set iff `values[i]` lies in the *inclusive* range `[lo, hi]`.
-/// Reuses the half-open SIMD kernels when `hi < i64::MAX`; the domain
-/// edge takes a portable `<=` compare (the half-open width would
-/// overflow there).
+/// Bit `i` set iff `values[i]` lies in the *inclusive* range `[lo, hi]`
+/// (no bit past the chunk), on the half-open vector kernel of every
+/// tier: `[lo, hi + 1)` below the domain edge; at it — every `col > c` —
+/// the complement of `[MIN, lo)`, as [`conj_block_masks`] does for frozen
+/// blocks (the half-open width would overflow there); `[MIN, MAX]` is
+/// every row.
 #[inline]
 fn predicate_mask_incl(values: &[Value], lo: Value, hi: Value, imp: MaskImpl) -> u64 {
     debug_assert!(lo <= hi);
     if hi < Value::MAX {
         return predicate_mask(values, lo, hi + 1, imp);
     }
-    // v in [lo, MAX] ⇔ (v - lo) as u64 <= (MAX - lo) as u64.
-    let width = (Value::MAX as i128 - lo as i128) as u64;
-    let mut mask = 0u64;
-    for (i, &v) in values.iter().enumerate() {
-        mask |= ((((v as u64).wrapping_sub(lo as u64)) <= width) as u64) << i;
+    let present = tail_word(&[!0], 0, values.len());
+    if lo == Value::MIN {
+        present
+    } else {
+        !predicate_mask(values, Value::MIN, lo, imp) & present
     }
-    mask
 }
 
 /// Narrow one word's selection by a pushed-down [`ColPred`]: surviving
@@ -546,13 +553,16 @@ pub(crate) fn tail_word(words: &[u64], wi: usize, chunk_len: usize) -> u64 {
 // not a snapshot.
 // ---------------------------------------------------------------------
 
-/// Work accounting for the tier-aware kernels: how many frozen blocks the
+/// Work accounting for the tier-aware kernels: how many full blocks the
 /// cached [`BlockMeta`](amnesia_columnar::BlockMeta) pruned before their
-/// payloads were touched, and how many active rows were examined.
+/// payloads (frozen) or values (hot) were touched, and how many active
+/// rows were examined.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
-    /// Frozen blocks skipped because meta proved the predicate can't
-    /// match (fully-forgotten blocks included).
+    /// Full blocks, frozen or hot, skipped because meta proved the
+    /// predicate can't match (fully-forgotten blocks included). A hot
+    /// block cut across two spans counts once, in the span holding its
+    /// first row, so the count is the same at every morsel size.
     pub blocks_pruned: usize,
     /// Active rows whose values (compressed or hot) were examined.
     pub rows_scanned: usize,
@@ -564,6 +574,24 @@ impl TierStats {
         self.blocks_pruned += other.blocks_pruned;
         self.rows_scanned += other.rows_scanned;
     }
+}
+
+/// The 64-row chunks of one hot block, each with its first row and its
+/// activity (or selection) word clipped to the chunk. The block's rows
+/// start word-aligned, so the word index is a shift, not a division.
+#[inline]
+pub(crate) fn hot_words<'a>(
+    blk: &HotBlock<'a>,
+    words: &'a [u64],
+) -> impl Iterator<Item = (usize, &'a [Value], u64)> {
+    let first = blk.rows.start / WORD_BITS;
+    blk.values
+        .chunks(WORD_BITS)
+        .enumerate()
+        .map(move |(j, chunk)| {
+            let wi = first + j;
+            (wi * WORD_BITS, chunk, tail_word(words, wi, chunk.len()))
+        })
 }
 
 /// The activity words covering frozen block `b` of `tier` (block-local
@@ -579,12 +607,13 @@ pub(crate) fn block_words<'a>(tier: &TieredColumn, words: &'a [u64], b: usize) -
 }
 
 /// Scan a tiered column for active rows matching `pred`, ascending.
-/// Each frozen block is pruned by its cached meta (min/max over active
-/// rows, active count) before the codec's fused `filter_range_masks`
-/// runs; surviving masks AND with the activity words and feed the shared
-/// emit loop. The hot tail runs the raw-slice selection kernel (its start
-/// is word-aligned because frozen blocks tile whole activity words). A
-/// fully hot column has no frozen blocks and is all tail.
+/// Each full block is pruned by its cached meta (min/max, active count)
+/// before it is read: a frozen survivor runs the codec's fused
+/// `filter_range_masks`, whose masks AND with the activity words and
+/// feed the shared emit loop; a hot survivor, and the open last block,
+/// run the raw-slice selection kernel (the tail's start is word-aligned
+/// because frozen blocks tile whole activity words). A fully hot column
+/// has no frozen blocks and is all tail.
 pub fn scan_tiered_active_into(
     tier: &TieredColumn,
     words: &[u64],
@@ -614,17 +643,19 @@ pub fn scan_tiered_active_into(
             emit_selection(sel, b * br + k * WORD_BITS, out);
         }
     }
-    let tail_start = tier.hot_start();
     let imp = mask_impl();
-    for (j, chunk) in tier.hot_values().chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let active = tail_word(words, wi, chunk.len());
-        if active == 0 {
-            continue; // all-forgotten word: values never touched
+    for blk in tier.hot_blocks(tier.hot_start(), tier.len()) {
+        if blk.meta.is_some_and(|m| !m.may_match(pred.lo, pred.hi)) {
+            stats.blocks_pruned += 1;
+            continue;
         }
-        stats.rows_scanned += active.count_ones() as usize;
-        let base = tail_start + j * WORD_BITS;
-        emit_selection(selection_word(chunk, active, pred, imp), base, out);
+        for (base, chunk, active) in hot_words(&blk, words) {
+            if active == 0 {
+                continue; // all-forgotten word: values never touched
+            }
+            stats.rows_scanned += active.count_ones() as usize;
+            emit_selection(selection_word(chunk, active, pred, imp), base, out);
+        }
     }
     stats
 }
@@ -657,17 +688,19 @@ pub fn count_tiered_active(
             count += (m & bw.get(k).copied().unwrap_or(0)).count_ones() as usize;
         }
     }
-    let tail = tier.hot_values();
-    let tail_start = tier.hot_start();
     let imp = mask_impl();
-    for (j, chunk) in tail.chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let active = tail_word(words, wi, chunk.len());
-        if active == 0 {
+    for blk in tier.hot_blocks(tier.hot_start(), tier.len()) {
+        if blk.meta.is_some_and(|m| !m.may_match(pred.lo, pred.hi)) {
+            stats.blocks_pruned += 1;
             continue;
         }
-        stats.rows_scanned += active.count_ones() as usize;
-        count += selection_word(chunk, active, pred, imp).count_ones() as usize;
+        for (_, chunk, active) in hot_words(&blk, words) {
+            if active == 0 {
+                continue;
+            }
+            stats.rows_scanned += active.count_ones() as usize;
+            count += selection_word(chunk, active, pred, imp).count_ones() as usize;
+        }
     }
     (count, stats)
 }
@@ -675,9 +708,10 @@ pub fn count_tiered_active(
 /// Fused filter+aggregate over a tiered column. Frozen blocks fold
 /// through the codecs' fused `fold_range_masked` — SUM/COUNT/MIN/MAX
 /// accumulate in code/offset/run space and the block is never decoded —
-/// behind the same meta pruning as the scans; the hot tail folds the raw
-/// slice. `rows_scanned` counts the active rows examined (meta-pruned
-/// blocks are skipped, which is the work the metadata saved). An empty
+/// and the hot tail folds the raw slice, both behind the same meta
+/// pruning as the scans. `rows_scanned` counts the active rows examined
+/// (meta-pruned blocks are skipped, which is the work the metadata
+/// saved). An empty
 /// predicate selects nothing but still reports every active row as
 /// scanned, mirroring [`scalar::aggregate_active`].
 pub fn aggregate_tiered_active(
@@ -714,20 +748,26 @@ pub fn aggregate_tiered_active(
             state.push_block(agg.count, agg.sum, agg.min, agg.max);
         }
     }
-    let tail_start = tier.hot_start();
     let imp = mask_impl();
-    for (j, chunk) in tier.hot_values().chunks(WORD_BITS).enumerate() {
-        let wi = tail_start / WORD_BITS + j;
-        let active = tail_word(words, wi, chunk.len());
-        stats.rows_scanned += active.count_ones() as usize;
-        if active == 0 {
+    for blk in tier.hot_blocks(tier.hot_start(), tier.len()) {
+        if blk
+            .meta
+            .is_some_and(|m| m.active == 0 || pred.is_some_and(|p| !m.may_match(p.lo, p.hi)))
+        {
+            stats.blocks_pruned += 1;
             continue;
         }
-        let sel = match pred {
-            Some(p) => selection_word(chunk, active, p, imp),
-            None => active,
-        };
-        fold_selection(&mut state, chunk, sel);
+        for (_, chunk, active) in hot_words(&blk, words) {
+            if active == 0 {
+                continue;
+            }
+            stats.rows_scanned += active.count_ones() as usize;
+            let sel = match pred {
+                Some(p) => selection_word(chunk, active, p, imp),
+                None => active,
+            };
+            fold_selection(&mut state, chunk, sel);
+        }
     }
     (state, stats)
 }
@@ -781,14 +821,16 @@ pub fn scan_tiered_all_into(tier: &TieredColumn, pred: RangePredicate, out: &mut
 // skipped before their payload is touched.
 // ---------------------------------------------------------------------
 
-/// Work accounting for the tiered join probe: frozen probe blocks pruned
-/// against the build side's key range, and the active probe rows those
-/// skips avoided streaming. The gap between the probe side's active count
-/// and `probe_rows_skipped` is the work actually done.
+/// Work accounting for the tiered join probe: full probe blocks, frozen
+/// or hot, pruned against the build side's key range, and the active
+/// probe rows those skips avoided streaming. The gap between the probe
+/// side's active count and `probe_rows_skipped` is the work actually
+/// done.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
-    /// Frozen probe blocks skipped (meta disjoint from the build keys,
-    /// fully-forgotten, or probed against an empty build side).
+    /// Full probe blocks skipped (meta disjoint from the build keys,
+    /// fully-forgotten, or probed against an empty build side); a hot
+    /// block cut across two spans counts once.
     pub blocks_pruned: usize,
     /// Active probe rows inside those skipped blocks.
     pub probe_rows_skipped: usize,
@@ -876,34 +918,49 @@ pub fn probe_tiered_blocks_with<T>(
 }
 
 /// Probe hot rows `[lo, hi)` of a tiered column (`lo` word-aligned, at or
-/// past the hot start): a direct slice walk over the uncompressed
-/// values, one hash lookup per selected row, ascending.
+/// past the hot start) — the hot half of the join-probe kernel: full hot
+/// blocks are pruned against `key_range` by their meta exactly as
+/// [`probe_tiered_blocks_with`] prunes frozen ones, survivors and the
+/// open block are a direct slice walk, one hash lookup per selected row,
+/// ascending.
 pub(crate) fn probe_tiered_rows_with<T>(
     tier: &TieredColumn,
     words: &[u64],
     lo: usize,
     hi: usize,
     build: &ValueMap<T>,
+    key_range: Option<(Value, Value)>,
     mut on_hit: impl FnMut(&T, usize),
-) {
-    let (hot, start) = (tier.hot_values(), tier.hot_start());
-    for wi in lo / WORD_BITS..hi.div_ceil(WORD_BITS) {
-        let base = wi * WORD_BITS;
-        let mut selected = tail_word(words, wi, hi - base);
-        while selected != 0 {
-            let row = base + selected.trailing_zeros() as usize;
-            selected &= selected - 1;
-            if let Some(t) = build.get(&hot[row - start]) {
-                on_hit(t, row);
+) -> ProbeStats {
+    let mut stats = ProbeStats::default();
+    for blk in tier.hot_blocks(lo, hi) {
+        if let Some(meta) = blk.meta {
+            let in_range = key_range.is_some_and(|(min, max)| meta.may_match_inclusive(min, max));
+            if !in_range {
+                if blk.starts {
+                    stats.blocks_pruned += 1;
+                    stats.probe_rows_skipped += meta.active;
+                }
+                continue;
+            }
+        }
+        for (base, chunk, mut selected) in hot_words(&blk, words) {
+            while selected != 0 {
+                let bit = selected.trailing_zeros() as usize;
+                selected &= selected - 1;
+                if let Some(t) = build.get(&chunk[bit]) {
+                    on_hit(t, base + bit);
+                }
             }
         }
     }
+    stats
 }
 
 /// Probe a whole tiered column against a hash table: frozen blocks in
-/// compressed space behind key-range meta pruning, then the hot tail as a
-/// direct slice walk. `on_hit` fires in ascending probe-row order —
-/// identical to probing a dense materialization of the column.
+/// compressed space, then the hot tail as a direct slice walk, both
+/// behind key-range meta pruning. `on_hit` fires in ascending probe-row
+/// order — identical to probing a dense materialization of the column.
 pub fn probe_tiered_with<T>(
     tier: &TieredColumn,
     words: &[u64],
@@ -911,7 +968,7 @@ pub fn probe_tiered_with<T>(
     key_range: Option<(Value, Value)>,
     mut on_hit: impl FnMut(&T, usize),
 ) -> ProbeStats {
-    let stats = probe_tiered_blocks_with(
+    let mut stats = probe_tiered_blocks_with(
         tier,
         words,
         0,
@@ -920,7 +977,15 @@ pub fn probe_tiered_with<T>(
         key_range,
         &mut on_hit,
     );
-    probe_tiered_rows_with(tier, words, tier.hot_start(), tier.len(), build, on_hit);
+    stats.merge(probe_tiered_rows_with(
+        tier,
+        words,
+        tier.hot_start(),
+        tier.len(),
+        build,
+        key_range,
+        on_hit,
+    ));
     stats
 }
 
@@ -1016,6 +1081,55 @@ mod tests {
         // Short (tail) chunk: high bits stay clear.
         let m = predicate_mask(&values[..5], 0, 1000, mask_impl());
         assert_eq!(m, 0b11111);
+    }
+
+    /// `col >= lo` (the inclusive range `[lo, MAX]`) at the domain edges,
+    /// on every chunk length a hot word takes and every kernel tier this
+    /// CPU runs: bit `i` is `values[i] >= lo`, and no bit is set past the
+    /// chunk.
+    #[test]
+    fn inclusive_masks_at_the_domain_edge_on_every_tier() {
+        let tiers = [
+            MaskImpl::Portable,
+            #[cfg(target_arch = "x86_64")]
+            MaskImpl::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            MaskImpl::Avx512,
+            #[cfg(target_arch = "x86_64")]
+            MaskImpl::Avx512Vbmi,
+        ];
+        let mut rng = SimRng::new(34);
+        let edges = [
+            Value::MIN,
+            Value::MIN + 1,
+            -1,
+            0,
+            1,
+            Value::MAX - 1,
+            Value::MAX,
+        ];
+        let values: Vec<Value> = (0..WORD_BITS)
+            .map(|i| match edges.get(i % 9) {
+                Some(&e) => e,
+                None => rng.next_u64() as i64,
+            })
+            .collect();
+        for imp in tiers.into_iter().filter(|&t| t <= mask_impl()) {
+            for lo in [Value::MIN, Value::MIN + 1, 0, Value::MAX] {
+                for len in [1, 63, 64] {
+                    let chunk = &values[..len];
+                    let want = chunk
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |m, (i, &v)| m | u64::from(v >= lo) << i);
+                    assert_eq!(
+                        predicate_mask_incl(chunk, lo, Value::MAX, imp),
+                        want,
+                        "{imp:?} lo={lo} len={len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1236,6 +1350,42 @@ mod tests {
         t2.freeze_upto(8_192);
         let (state, stats) = aggregate_tiered_active(t2.col_tier(0), t2.activity_words(), None);
         assert_eq!(state.count(), 8_192 - 1_024);
+        assert_eq!(stats.blocks_pruned, 1, "the dead block");
+    }
+
+    /// [`tiered_meta_prunes_blocks`] on the hot tail: full hot blocks
+    /// carry metas and prune by the same rule; the open last block has
+    /// none and is always scanned.
+    #[test]
+    fn hot_meta_prunes_blocks() {
+        let values: Vec<i64> = (0..8_192 + 100).collect();
+        let mut t = Table::new(Schema::single("a"));
+        t.insert_batch(&values, 0).unwrap();
+        assert_eq!(t.frozen_blocks(), 0);
+        let (tier, words) = (t.col_tier(0), t.activity_words());
+        let pred = RangePredicate::new(3_100, 3_200); // inside block 3
+        let mut out = Vec::new();
+        let stats = scan_tiered_active_into(tier, words, pred, &mut out);
+        assert_eq!(out.len(), 100);
+        assert_eq!(
+            stats.blocks_pruned, 7,
+            "only block 3 and the open block survive"
+        );
+        assert_eq!(stats.rows_scanned, 1_024 + 100);
+        let (count, counted) = count_tiered_active(tier, words, pred);
+        assert_eq!((count, counted), (100, stats));
+        let (state, folded) = aggregate_tiered_active(tier, words, Some(pred));
+        assert_eq!((state.count(), folded), (100, stats));
+        // The open block answers although no meta covers it.
+        let tail = RangePredicate::new(8_192, 9_000);
+        let (count, stats) = count_tiered_active(tier, words, tail);
+        assert_eq!((count, stats.blocks_pruned), (100, 8));
+        // Fully forgotten hot blocks prune without a value read.
+        for r in 0..1_024u64 {
+            t.forget(RowId(r), 1).unwrap();
+        }
+        let (state, stats) = aggregate_tiered_active(t.col_tier(0), t.activity_words(), None);
+        assert_eq!(state.count(), 8_192 + 100 - 1_024);
         assert_eq!(stats.blocks_pruned, 1, "the dead block");
     }
 

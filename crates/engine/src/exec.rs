@@ -86,8 +86,8 @@ impl QueryOutput {
 pub struct ExecStats {
     /// Rows examined.
     pub rows_scanned: usize,
-    /// Frozen blocks skipped thanks to block-meta / join-key-range
-    /// pruning.
+    /// Full blocks, frozen or hot, skipped thanks to block-meta /
+    /// join-key-range pruning.
     pub blocks_pruned: usize,
     /// Result cardinality: matching rows for scans and joins, output
     /// rows (the group count) for executed plans with aggregation, 0
@@ -140,9 +140,9 @@ pub struct PredStat {
     pub exec_rank: usize,
     /// Estimated surviving rows for this predicate alone.
     pub est_rows: f64,
-    /// Frozen blocks this predicate's block meta pruned outright
-    /// (attributed to the first predicate in execution order whose meta
-    /// check failed).
+    /// Full blocks, frozen or hot, this predicate's block meta pruned
+    /// outright (attributed to the first predicate in execution order
+    /// whose meta check failed).
     pub blocks_pruned: usize,
     /// Frozen blocks where this predicate ran as a sparse residual
     /// refinement over the prior predicates' survivors instead of a
@@ -173,7 +173,7 @@ pub enum PlanTag {
     /// kernel runs either way.
     TieredScan,
     /// Tier-aware hash join: the build side streams frozen blocks' keys
-    /// in compressed space, the probe side prunes frozen blocks against
+    /// in compressed space, the probe side prunes full blocks against
     /// the build key range and probes survivors in their codec's domain
     /// (see [`crate::join`]). Chosen automatically once either side holds
     /// frozen blocks.

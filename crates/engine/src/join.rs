@@ -14,9 +14,9 @@
 //!   build streams a frozen block's selected keys through the codec's
 //!   structure (one hash-table touch per RLE run, one per distinct
 //!   dictionary value, offset/prefix walks for FOR/delta), the probe
-//!   prunes frozen blocks by their cached
+//!   prunes full blocks, frozen and hot, by their cached
 //!   [`BlockMeta`](amnesia_columnar::BlockMeta) against the build side's
-//!   key range and probes survivors in their codec's domain
+//!   key range and probes frozen survivors in their codec's domain
 //!   ([`crate::batch::probe_tiered_blocks_with`]); hot rows are raw slice
 //!   walks. No block is decoded. [`hash_join`] and [`hash_join_count`]
 //!   under [`ForgetVisibility::ActiveOnly`] are those kernels run under
@@ -59,8 +59,9 @@ pub struct JoinStats {
     pub probe_rows: usize,
     /// Output pairs produced.
     pub output_pairs: usize,
-    /// Frozen probe blocks skipped because their cached meta cannot
-    /// intersect the build side's key range (tiered probe only).
+    /// Full probe blocks, frozen or hot, skipped because their cached
+    /// meta cannot intersect the build side's key range (tiered probe
+    /// only).
     pub blocks_pruned: usize,
     /// Active probe rows inside those skipped blocks — work the metadata
     /// saved.
@@ -78,7 +79,7 @@ pub struct JoinResult {
 
 /// A join build side: `key → ascending build rows` plus the inclusive
 /// `[min, max]` range of its keys (`None` when no row was selected) —
-/// what the probe side prunes frozen blocks against.
+/// what the probe side prunes full blocks against.
 pub(crate) type BuildSide = (ValueMap<Vec<RowId>>, Option<(Value, Value)>);
 
 /// The rows of key `v` in a build side under construction, widening the
@@ -171,8 +172,8 @@ pub(crate) fn build_span(
 /// The join-probe kernel: probe the rows of one span of `table` that
 /// `sel` selects against `build`, appending `(build row, probe row)`
 /// pairs grouped by probe row to `pairs` and the pruning accounting to
-/// `stats`. Frozen blocks probe in compressed space behind key-range meta
-/// pruning, hot rows as a direct slice walk.
+/// `stats`. Full blocks are pruned by key-range meta; frozen survivors
+/// probe in compressed space, hot rows as a direct slice walk.
 // The arguments are the stage's inputs plus the accumulator pair every
 // span of the stage folds into; a struct would only rename them.
 #[allow(clippy::too_many_arguments)]
@@ -194,7 +195,9 @@ pub(crate) fn probe_span(
         Span::Blocks { first, last } => stats.merge(batch::probe_tiered_blocks_with(
             tier, sel, first, last, build, key_range, on_hit,
         )),
-        Span::Rows { lo, hi } => batch::probe_tiered_rows_with(tier, sel, lo, hi, build, on_hit),
+        Span::Rows { lo, hi } => stats.merge(batch::probe_tiered_rows_with(
+            tier, sel, lo, hi, build, key_range, on_hit,
+        )),
     }
 }
 

@@ -101,10 +101,10 @@ pub fn aggregate_state_tiered(
 /// plan's predicate list), whatever execution order ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredScanStats {
-    /// Frozen blocks whose cached meta this predicate killed. Pruning is
-    /// attributed to the *first* predicate (in execution order) whose
-    /// meta check failed, so the sum across predicates equals the scan's
-    /// total `blocks_pruned`.
+    /// Full blocks, frozen or hot, whose cached meta this predicate
+    /// killed. Pruning is attributed to the *first* predicate (in
+    /// execution order) whose meta check failed, so the sum across
+    /// predicates equals the scan's total `blocks_pruned`.
     pub blocks_pruned: usize,
     /// Frozen blocks where this predicate ran as a *residual* — refining
     /// the survivors of earlier conjuncts via
@@ -136,8 +136,10 @@ impl PredScanStats {
 ///   test individual rows in codec space, dense ones take the block
 ///   filter) — a block whose selection empties skips its remaining
 ///   predicates outright, and no block is ever decoded,
-/// * hot words AND each predicate's [`batch`] mask into the activity
-///   word in execution order (early exit once a word empties).
+/// * full hot blocks take the same meta check, attributed the same way;
+///   in a survivor, and in the open last block, hot words AND each
+///   predicate's [`batch`] mask into the activity word in execution
+///   order (early exit once a word empties).
 ///
 /// AND commutes, so the returned selection is the same for any `order`;
 /// only the work (and its per-predicate attribution, accumulated into
@@ -220,27 +222,47 @@ pub(crate) fn selection_scan_span(
                 );
             }
         }
-        Span::Rows { hi, .. } => {
+        Span::Rows { lo, hi } => {
             let slices: Vec<(&[Value], usize)> =
                 preds.iter().map(|p| hot_slice(table, p.col)).collect();
-            for wi in span_words.clone() {
-                let base = wi * WORD_BITS;
-                let chunk_len = (hi - base).min(WORD_BITS);
-                let active = batch::tail_word(words, wi, chunk_len);
-                if active == 0 {
-                    continue;
-                }
-                stats.rows_scanned += active.count_ones() as usize;
-                let mut s = active;
-                for &i in order {
-                    let (slice, start) = slices[i];
-                    let off = base - start;
-                    s = batch::conj_word(&slice[off..off + chunk_len], s, &preds[i], imp);
-                    if s == 0 {
-                        break;
+            'hot: for blk in table.col_tier(0).hot_blocks(lo, hi) {
+                if let Some(meta) = blk.meta {
+                    // A block cut across spans is counted by the span
+                    // holding its first row.
+                    let counted = usize::from(blk.starts);
+                    if meta.active == 0 {
+                        stats.blocks_pruned += counted;
+                        continue;
+                    }
+                    for &i in order {
+                        let tier = table.col_tier(preds[i].col);
+                        if !preds[i].block_may_match(tier.meta(blk.block)) {
+                            stats.blocks_pruned += counted;
+                            per_pred[i].blocks_pruned += counted;
+                            continue 'hot;
+                        }
                     }
                 }
-                sel[wi - span_words.start] = s;
+                let hi = blk.rows.end;
+                for wi in blk.rows.start / WORD_BITS..hi.div_ceil(WORD_BITS) {
+                    let base = wi * WORD_BITS;
+                    let chunk_len = (hi - base).min(WORD_BITS);
+                    let active = batch::tail_word(words, wi, chunk_len);
+                    if active == 0 {
+                        continue;
+                    }
+                    stats.rows_scanned += active.count_ones() as usize;
+                    let mut s = active;
+                    for &i in order {
+                        let (slice, start) = slices[i];
+                        let off = base - start;
+                        s = batch::conj_word(&slice[off..off + chunk_len], s, &preds[i], imp);
+                        if s == 0 {
+                            break;
+                        }
+                    }
+                    sel[wi - span_words.start] = s;
+                }
             }
         }
     }

@@ -22,8 +22,9 @@
 //! * **Scan**: each table slot evaluates its predicate conjunction as
 //!   64-bit selection masks — `sel = activity & pred₀ & pred₁ & …` —
 //!   per activity word on hot data and per compressed block on frozen
-//!   data (codec-fused `filter_range_masks`, cached block-meta pruning
-//!   for every predicate column). See
+//!   data (codec-fused `filter_range_masks`), behind cached block-meta
+//!   pruning for every predicate column on every full block, frozen or
+//!   hot. See
 //!   [`crate::kernels::selection_scan_ordered`].
 //! * **Join**: the build side streams keys in compressed space under the
 //!   scan's selection words, the probe side probes in each codec's domain
@@ -381,9 +382,9 @@ impl PhysicalPlan {
     /// Render the *executed* plan tree: the EXPLAIN shape annotated with
     /// the run's [`ExecStats`] — estimated vs. actual rows per stage
     /// (`est≈… act=…`), the predicate order the cost model actually ran
-    /// (with each predicate's pruned/refined frozen-block counts), the
-    /// hash-join build side, and the merge-join operator when the
-    /// statistics chose it.
+    /// (with each predicate's pruned full-block and refined frozen-block
+    /// counts), the hash-join build side, and the merge-join operator
+    /// when the statistics chose it.
     pub fn explain_executed(&self, tables: Option<&[&Table]>, stats: &ExecStats) -> String {
         self.render(tables, Some(stats))
     }
