@@ -28,12 +28,19 @@ use std::time::Duration;
 
 use amnesia_columnar::compress::{BlockAgg, EncodedBlock, Encoding};
 use amnesia_columnar::{RowId, Schema, Table};
-use amnesia_engine::kernels;
+use amnesia_engine::batch::{count_tiered_active, scan_tiered_active_into};
 use amnesia_util::SimRng;
 use amnesia_workload::query::RangePredicate;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 const N: usize = 1_000_000;
+
+/// Active rows of `t` in `pred`, through the tiered scan kernel.
+fn scan(t: &Table, pred: RangePredicate) -> Vec<RowId> {
+    let mut out = Vec::new();
+    scan_tiered_active_into(t.col_tier(0), t.activity_words(), pred, &mut out);
+    out
+}
 
 /// Build a 1M-row table with 20 % forgotten rows.
 fn table_of(values: Vec<i64>) -> Table {
@@ -117,17 +124,22 @@ fn compressed_scan(c: &mut Criterion) {
             expect_enc.name(),
             t.compression_ratio()
         );
-        let want = kernels::range_scan_active(&hot, 0, pred);
-        assert_eq!(kernels::range_scan_active(&t, 0, pred), want);
-        assert_eq!(kernels::count_active_matches(&t, 0, pred), want.len());
+        let want = scan(&hot, pred);
+        assert_eq!(scan(&t, pred), want);
+        assert_eq!(
+            count_tiered_active(t.col_tier(0), t.activity_words(), pred).0,
+            want.len()
+        );
 
         let mut group = c.benchmark_group(format!("compressed_scan_1m/{name}"));
         group.throughput(Throughput::Elements(N as u64));
         group.bench_function("fused_decode_filter", |b| {
-            b.iter(|| black_box(kernels::range_scan_active(&t, 0, black_box(pred))))
+            b.iter(|| black_box(scan(&t, black_box(pred))))
         });
         group.bench_function("fused_count", |b| {
-            b.iter(|| black_box(kernels::count_active_matches(&t, 0, black_box(pred))))
+            b.iter(|| {
+                black_box(count_tiered_active(t.col_tier(0), t.activity_words(), black_box(pred)).0)
+            })
         });
         group.bench_function("decompress_then_scan", |b| {
             // Decode every block, then filter the dense values row by row.

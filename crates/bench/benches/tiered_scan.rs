@@ -13,13 +13,21 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use amnesia_columnar::compress::Encoding;
-use amnesia_columnar::{Schema, Table};
-use amnesia_engine::{kernels, AggState};
+use amnesia_columnar::{RowId, Schema, Table};
+use amnesia_engine::batch::{aggregate_tiered_active, scan_tiered_active_into};
+use amnesia_engine::AggState;
 use amnesia_util::SimRng;
 use amnesia_workload::query::RangePredicate;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 const N: usize = 1_000_000;
+
+/// Active rows of `t` in `pred`, through the tiered scan kernel.
+fn scan(t: &Table, pred: RangePredicate) -> Vec<RowId> {
+    let mut out = Vec::new();
+    scan_tiered_active_into(t.col_tier(0), t.activity_words(), pred, &mut out);
+    out
+}
 
 /// Build a 1M-row table with 20 % forgotten rows.
 fn table_of(values: &[i64]) -> Table {
@@ -116,26 +124,26 @@ fn tiered_scan(c: &mut Criterion) {
         );
 
         // Answers agree before we time anything.
-        let want = kernels::range_scan_active(&hot, 0, pred);
-        assert_eq!(kernels::range_scan_active(&frozen, 0, pred), want);
-        assert_eq!(kernels::range_scan_active(&mixed, 0, pred), want);
+        let want = scan(&hot, pred);
+        assert_eq!(scan(&frozen, pred), want);
+        assert_eq!(scan(&mixed, pred), want);
 
         let mut group = c.benchmark_group(format!("tiered_scan_1m/{name}"));
         group.throughput(Throughput::Elements(N as u64));
         group.bench_function("scan_hot", |b| {
-            b.iter(|| black_box(kernels::range_scan_active(&hot, 0, black_box(pred))))
+            b.iter(|| black_box(scan(&hot, black_box(pred))))
         });
         group.bench_function("scan_frozen", |b| {
-            b.iter(|| black_box(kernels::range_scan_active(&frozen, 0, black_box(pred))))
+            b.iter(|| black_box(scan(&frozen, black_box(pred))))
         });
         group.bench_function("scan_mixed", |b| {
-            b.iter(|| black_box(kernels::range_scan_active(&mixed, 0, black_box(pred))))
+            b.iter(|| black_box(scan(&mixed, black_box(pred))))
         });
         group.bench_function("agg_fused_frozen", |b| {
             b.iter(|| {
-                black_box(kernels::aggregate_state_tiered(
-                    &frozen,
-                    0,
+                black_box(aggregate_tiered_active(
+                    frozen.col_tier(0),
+                    frozen.activity_words(),
                     Some(black_box(pred)),
                 ))
             })
@@ -156,7 +164,13 @@ fn tiered_scan(c: &mut Criterion) {
             })
         });
         group.bench_function("agg_unpredicated_fused", |b| {
-            b.iter(|| black_box(kernels::aggregate_state_tiered(&frozen, 0, None)))
+            b.iter(|| {
+                black_box(aggregate_tiered_active(
+                    frozen.col_tier(0),
+                    frozen.activity_words(),
+                    None,
+                ))
+            })
         });
         group.finish();
     }

@@ -70,21 +70,20 @@
 //!   ([`TieredColumn::hot_blocks`](amnesia_columnar::TieredColumn::hot_blocks)).
 //!
 //! [`scan_tiered_active_into`], [`count_tiered_active`] and
-//! [`aggregate_tiered_active`] see active rows only;
-//! [`scan_tiered_all_into`] is paper §1's "complete scan" that still
-//! fetches forgotten rows, and never consults meta. The multi-predicate
+//! [`aggregate_tiered_active`] see active rows only. Paper §1's "complete
+//! scan", which still fetches forgotten rows, is the one-predicate
+//! [`crate::kernels::selection_scan_all`]. The multi-predicate
 //! selection-vector operators in [`crate::kernels`] are built on the
 //! same word primitives.
 //!
-//! The row-at-a-time originals live in [`scalar`] as the reference
-//! implementations; `tests/kernel_equivalence.rs` holds the
-//! vectorized == scalar == parallel property tests (hot, and frozen at
-//! every prefix), and the `tiered_scan` / `compressed_scan` benches
-//! measure the gaps.
+//! The row-at-a-time model these kernels are held to is the dev-only
+//! `amnesia-model` crate: `tests/kernel_equivalence.rs` checks the
+//! vectorized kernels against it on hot tables and frozen at every
+//! prefix, and at every pool width.
 
 use amnesia_columnar::compress::{dict, BlockAgg, Encoding};
 pub(crate) use amnesia_columnar::simd::{mask_impl, MaskImpl};
-use amnesia_columnar::{HotBlock, RowId, Table, TieredColumn, Value, DEFAULT_BLOCK_ROWS};
+use amnesia_columnar::{HotBlock, RowId, TieredColumn, Value, DEFAULT_BLOCK_ROWS};
 use amnesia_util::WORD_BITS;
 use amnesia_workload::query::{AggKind, RangePredicate};
 
@@ -713,7 +712,7 @@ pub fn count_tiered_active(
 /// (meta-pruned blocks are skipped, which is the work the metadata
 /// saved). An empty
 /// predicate selects nothing but still reports every active row as
-/// scanned, mirroring [`scalar::aggregate_active`].
+/// scanned.
 pub fn aggregate_tiered_active(
     tier: &TieredColumn,
     words: &[u64],
@@ -770,38 +769,6 @@ pub fn aggregate_tiered_active(
         }
     }
     (state, stats)
-}
-
-/// Complete-scan variant over a tiered column: *all* physical rows
-/// matching `pred`, forgotten included (paper §1's "a complete scan will
-/// fetch all data"). Frozen blocks answer through `filter_range_masks`
-/// with no activity AND; dropped blocks contribute nothing — their
-/// values were surrendered, which is the one place the complete-scan
-/// regime observes tiering (the store layer never drops blocks under
-/// that regime).
-pub fn scan_tiered_all_into(tier: &TieredColumn, pred: RangePredicate, out: &mut Vec<RowId>) {
-    if pred.is_empty() || tier.is_empty() {
-        return;
-    }
-    let br = tier.block_rows();
-    let mut mask_buf = Vec::new();
-    for b in 0..tier.frozen_blocks() {
-        let f = tier.frozen(b).expect("frozen block in range");
-        if f.is_dropped() {
-            continue;
-        }
-        f.encoded()
-            .filter_range_masks(pred.lo, pred.hi, &mut mask_buf);
-        for (k, &m) in mask_buf.iter().enumerate() {
-            emit_selection(m, b * br + k * WORD_BITS, out);
-        }
-    }
-    let tail_start = tier.hot_start();
-    let imp = mask_impl();
-    for (j, chunk) in tier.hot_values().chunks(WORD_BITS).enumerate() {
-        let sel = predicate_mask(chunk, pred.lo, pred.hi, imp);
-        emit_selection(sel, tail_start + j * WORD_BITS, out);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -989,67 +956,10 @@ pub fn probe_tiered_with<T>(
     stats
 }
 
-pub mod scalar {
-    //! Row-at-a-time reference kernels.
-    //!
-    //! These are the pre-vectorization implementations, kept verbatim as
-    //! the behavioral reference: `tests/kernel_equivalence.rs` asserts the
-    //! tiered kernels return identical results on hot and frozen tables,
-    //! and the `tiered_scan` bench measures the speedup against them.
-
-    use super::*;
-
-    /// Row-at-a-time [`scan_tiered_active_into`] equivalent.
-    pub fn range_scan_active(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
-        let mut out = Vec::new();
-        for row in table.iter_active() {
-            if pred.matches(table.value(col, row)) {
-                out.push(row);
-            }
-        }
-        out
-    }
-
-    /// Row-at-a-time [`scan_tiered_all_into`] equivalent.
-    pub fn range_scan_all(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
-        (0..table.num_rows())
-            .map(RowId::from)
-            .filter(|&r| pred.matches(table.value(col, r)))
-            .collect()
-    }
-
-    /// Row-at-a-time [`count_tiered_active`] equivalent.
-    pub fn count_active_matches(table: &Table, col: usize, pred: RangePredicate) -> usize {
-        table
-            .iter_active()
-            .filter(|&r| pred.matches(table.value(col, r)))
-            .count()
-    }
-
-    /// Row-at-a-time [`aggregate_tiered_active`] equivalent.
-    pub fn aggregate_active(
-        table: &Table,
-        col: usize,
-        pred: Option<RangePredicate>,
-        kind: AggKind,
-    ) -> (Option<f64>, usize) {
-        let mut state = AggState::new();
-        let mut scanned = 0usize;
-        for row in table.iter_active() {
-            scanned += 1;
-            let v = table.value(col, row);
-            if pred.is_none_or(|p| p.matches(v)) {
-                state.push(v);
-            }
-        }
-        (state.finalize(kind), scanned)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amnesia_columnar::Schema;
+    use amnesia_columnar::{Schema, Table};
     use amnesia_util::SimRng;
 
     fn table(n: usize, forget_every: usize) -> Table {
@@ -1144,39 +1054,11 @@ mod tests {
     }
 
     #[test]
-    fn scan_matches_scalar_on_awkward_sizes() {
-        for n in [0usize, 1, 63, 64, 65, 1023, 1024, 1025] {
-            for forget_every in [0usize, 3] {
-                let t = table(n, forget_every);
-                let pred = RangePredicate::new(100, 600);
-                assert_eq!(
-                    scan(&t, pred),
-                    scalar::range_scan_active(&t, 0, pred),
-                    "n={n} forget_every={forget_every}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn count_equals_scan_len() {
         let t = table(5000, 7);
         let pred = RangePredicate::new(250, 500);
         let (count, _) = count_tiered_active(t.col_tier(0), t.activity_words(), pred);
         assert_eq!(count, scan(&t, pred).len());
-    }
-
-    #[test]
-    fn fused_aggregate_matches_scalar() {
-        let t = table(4097, 5);
-        for pred in [None, Some(RangePredicate::new(200, 800))] {
-            let (state, stats) = aggregate_tiered_active(t.col_tier(0), t.activity_words(), pred);
-            for kind in AggKind::ALL {
-                let (expect, expect_scanned) = scalar::aggregate_active(&t, 0, pred, kind);
-                assert_eq!(state.finalize(kind), expect, "{kind:?} pred={pred:?}");
-                assert_eq!(stats.rows_scanned, expect_scanned);
-            }
-        }
     }
 
     #[test]
@@ -1222,34 +1104,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_scan_matches_flat_scan() {
-        let mut rng = amnesia_util::SimRng::new(9);
-        let values: Vec<i64> = (0..5_000).map(|_| rng.range_i64(0, 500)).collect();
-        let mut flat = Table::new(Schema::single("a"));
-        flat.insert_batch(&values, 0).unwrap();
-        for r in (0..5_000).step_by(4) {
-            flat.forget(RowId::from(r), 1).unwrap();
-        }
-        let mut t = flat.clone();
-        t.freeze_upto(5_000);
-        assert!(t.frozen_blocks() >= 4, "test must cover frozen blocks");
-        assert!(
-            !t.col_tier(0).hot_values().is_empty(),
-            "test must cover the tail"
-        );
-        for pred in [
-            RangePredicate::new(100, 200),
-            RangePredicate::new(0, 500),
-            RangePredicate::new(900, 100),
-        ] {
-            let want = scan(&flat, pred);
-            assert_eq!(scan(&t, pred), want, "pred {pred:?}");
-            let (count, _) = count_tiered_active(t.col_tier(0), t.activity_words(), pred);
-            assert_eq!(count, want.len());
-        }
-    }
-
-    #[test]
     fn compressed_scan_tolerates_table_grown_past_snapshot() {
         // Regression: a clone is a point-in-time snapshot; if the live
         // table grows afterwards, its activity words carry bits for rows
@@ -1273,56 +1127,6 @@ mod tests {
         assert_eq!(got, expect, "snapshot scan covers snapshot rows only");
         let (count, _) = count_tiered_active(tier, t.activity_words(), pred);
         assert_eq!(count, expect.len());
-    }
-
-    #[test]
-    fn tiered_kernels_match_flat_kernels() {
-        // "Flat" = the same table with nothing frozen: the kernels must
-        // agree with the scalar reference on both layouts.
-        let mut rng = amnesia_util::SimRng::new(13);
-        let values: Vec<i64> = (0..6_000).map(|_| rng.range_i64(0, 700)).collect();
-        let mut hot = Table::new(Schema::single("a"));
-        hot.insert_batch(&values, 0).unwrap();
-        for r in (0..6_000).step_by(3) {
-            hot.forget(RowId::from(r), 1).unwrap();
-        }
-        let mut frozen = hot.clone();
-        frozen.freeze_upto(5_000); // 4 frozen blocks + hot tail
-        assert_eq!(frozen.frozen_blocks(), 4);
-        for t in [&hot, &frozen] {
-            let words = t.activity_words();
-            let tier = t.col_tier(0);
-            for pred in [
-                RangePredicate::new(100, 300),
-                RangePredicate::new(0, 700),
-                RangePredicate::new(650, 100),
-            ] {
-                let want = scalar::range_scan_active(&hot, 0, pred);
-                assert_eq!(scan(t, pred), want, "scan {pred:?}");
-                let (count, _) = count_tiered_active(tier, words, pred);
-                assert_eq!(count, want.len(), "count {pred:?}");
-                for predicate in [None, Some(pred)] {
-                    let (state, stats) = aggregate_tiered_active(tier, words, predicate);
-                    for kind in AggKind::ALL {
-                        let (want, want_scanned) =
-                            scalar::aggregate_active(&hot, 0, predicate, kind);
-                        assert_eq!(state.finalize(kind), want, "agg {kind:?} {predicate:?}");
-                        assert!(
-                            stats.rows_scanned <= want_scanned,
-                            "meta may only shrink work"
-                        );
-                    }
-                }
-                // Complete scan sees forgotten rows too.
-                let mut got_all = Vec::new();
-                scan_tiered_all_into(tier, pred, &mut got_all);
-                assert_eq!(
-                    got_all,
-                    scalar::range_scan_all(&hot, 0, pred),
-                    "scan-all {pred:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -263,14 +263,13 @@ impl Executor {
     /// only the visibility mode decides whether a range scan may see
     /// forgotten rows.
     ///
-    /// * `Range` → [`batch::scan_tiered_active_into`], or
-    ///   [`batch::scan_tiered_all_into`] under
-    ///   [`ForgetVisibility::ScanSeesForgotten`] (paper §1: "a complete
-    ///   scan will fetch all data");
+    /// * `Range` → [`batch::scan_tiered_active_into`];
     /// * `Point(v)` → the *inclusive* `[v, v]` (which, unlike `[v, v + 1)`,
     ///   exists at `v = i64::MAX`) as a one-predicate
-    ///   [`kernels::selection_scan_ordered`], or
-    ///   [`kernels::selection_scan_all`] for the complete scan;
+    ///   [`kernels::selection_scan_ordered`];
+    /// * under [`ForgetVisibility::ScanSeesForgotten`] (paper §1: "a
+    ///   complete scan will fetch all data") both take the one complete
+    ///   scan, [`kernels::selection_scan_all`];
     /// * `Aggregate` → [`batch::aggregate_tiered_active`] over active
     ///   rows, then `aux`'s summaries / micro-models of the forgotten
     ///   mass fold into the [`AggState`] before it finalizes.
@@ -317,18 +316,21 @@ impl Executor {
         col: usize,
         pred: RangePredicate,
     ) -> (Vec<RowId>, TierStats) {
-        let tier = table.col_tier(col);
-        let mut rows = Vec::new();
-        let stats = match self.mode {
+        match self.mode {
             ForgetVisibility::ActiveOnly => {
-                batch::scan_tiered_active_into(tier, table.activity_words(), pred, &mut rows)
+                let mut rows = Vec::new();
+                let stats = batch::scan_tiered_active_into(
+                    table.col_tier(col),
+                    table.activity_words(),
+                    pred,
+                    &mut rows,
+                );
+                (rows, stats)
             }
             ForgetVisibility::ScanSeesForgotten => {
-                batch::scan_tiered_all_into(tier, pred, &mut rows);
-                complete_scan_stats(table, pred.is_empty())
+                complete_scan(table, &ColPred::from_range(col, pred))
             }
-        };
-        (rows, stats)
+        }
     }
 
     /// Rows of `col` equal to `v` under the executor's visibility: the
@@ -336,17 +338,13 @@ impl Executor {
     /// uses at the domain edge), so `i64::MAX` is a findable value.
     fn scan_point(&self, table: &Table, col: usize, v: Value) -> (Vec<RowId>, TierStats) {
         let pred = ColPred::range(col, v, v);
-        let (sel, stats) = match self.mode {
+        match self.mode {
             ForgetVisibility::ActiveOnly => {
                 let (sel, stats, _) = Pool::inline().selection_scan(table, &[pred], &[0]);
-                (sel, stats)
+                (kernels::selection_rows(&sel), stats)
             }
-            ForgetVisibility::ScanSeesForgotten => (
-                kernels::selection_scan_all(table, &pred),
-                complete_scan_stats(table, false),
-            ),
-        };
-        (kernels::selection_rows(&sel), stats)
+            ForgetVisibility::ScanSeesForgotten => complete_scan(table, &pred),
+        }
     }
 
     /// Execute a full [`PhysicalPlan`] — scans with pushed-down
@@ -1058,14 +1056,21 @@ fn aggregate_pairs<'a>(
     Box::new(vec![row])
 }
 
-/// What a complete scan examined: it is the only scan that still covers
-/// forgotten tuples, and completeness costs every physical row — no
-/// meta can prune it.
-fn complete_scan_stats(table: &Table, empty_predicate: bool) -> TierStats {
-    TierStats {
+/// The complete scan (paper §1): every physical row passing `pred`,
+/// forgotten included. It is the only scan that still covers forgotten
+/// tuples, and completeness costs every physical row — no meta can
+/// prune it.
+fn complete_scan(table: &Table, pred: &ColPred) -> (Vec<RowId>, TierStats) {
+    let rows = kernels::selection_rows(&kernels::selection_scan_all(table, pred));
+    let stats = TierStats {
         blocks_pruned: 0,
-        rows_scanned: if empty_predicate { 0 } else { table.num_rows() },
-    }
+        rows_scanned: if pred.is_empty_range() {
+            0
+        } else {
+            table.num_rows()
+        },
+    };
+    (rows, stats)
 }
 
 /// The label a scan of `table` reports: it reads the layout, it selects
@@ -1191,64 +1196,6 @@ mod tests {
         assert_eq!(r.output.rows().unwrap(), &[RowId(2)]);
         let miss = ex.execute(&t, 0, &Q::Point(20), &Aux::default());
         assert!(miss.output.rows().unwrap().is_empty(), "forgotten point");
-    }
-
-    #[test]
-    fn domain_edges_agree_with_scalar_on_every_layout_and_mode() {
-        use amnesia_columnar::compress::Encoding;
-        let values = [i64::MIN, -1, 0, i64::MAX];
-        // Whatever `encode_auto` picks, then forced Plain; each also hot.
-        for encoding in [None, Some(Encoding::Plain)] {
-            for forgotten in 0..values.len() {
-                let mut hot = Table::with_block_rows(Schema::single("a"), 64);
-                hot.pin_encoding(0, encoding);
-                // Pad to one full block so the four edge values freeze.
-                let padded: Vec<i64> = values
-                    .iter()
-                    .copied()
-                    .chain((0..60).map(|i| i * 7))
-                    .collect();
-                hot.insert_batch(&padded, 0).unwrap();
-                hot.forget(RowId::from(forgotten), 1).unwrap();
-                let mut frozen = hot.clone();
-                frozen.freeze_upto(64);
-                assert_eq!(frozen.frozen_blocks(), 1);
-                for t in [&hot, &frozen] {
-                    for mode in [
-                        ForgetVisibility::ActiveOnly,
-                        ForgetVisibility::ScanSeesForgotten,
-                    ] {
-                        let ex = Executor::new(mode, CostModel::default());
-                        let sees = |r: usize| {
-                            mode == ForgetVisibility::ScanSeesForgotten || r != forgotten
-                        };
-                        let ctx = format!("{encoding:?} forgot#{forgotten} {mode:?}");
-                        for (row, &v) in values.iter().enumerate() {
-                            let got = ex.execute(t, 0, &Q::Point(v), &Aux::default());
-                            let want: Vec<RowId> = (0..padded.len())
-                                .filter(|&r| padded[r] == v && sees(r))
-                                .map(RowId::from)
-                                .collect();
-                            assert_eq!(want.contains(&RowId::from(row)), sees(row), "{ctx}");
-                            assert_eq!(got.output.rows().unwrap(), want, "point {v} {ctx}");
-                        }
-                        let whole = RangePredicate::new(i64::MIN, i64::MAX);
-                        let got = ex.execute(t, 0, &Q::Range(whole), &Aux::default());
-                        let want = match mode {
-                            ForgetVisibility::ActiveOnly => {
-                                batch::scalar::range_scan_active(&hot, 0, whole)
-                            }
-                            ForgetVisibility::ScanSeesForgotten => {
-                                batch::scalar::range_scan_all(&hot, 0, whole)
-                            }
-                        };
-                        assert_eq!(got.output.rows().unwrap(), want, "range {ctx}");
-                        // Half-open: `i64::MAX` itself (row 3) is outside.
-                        assert!(!want.contains(&RowId(3)) && want.len() >= padded.len() - 2);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

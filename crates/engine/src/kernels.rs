@@ -1,85 +1,26 @@
-//! Table-level scan, filter and aggregate entry points.
+//! The selection-vector operators: the physical plan's multi-predicate
+//! scan, gather and aggregate stages.
 //!
-//! These are the tight loops underneath every query: filter a column by a
-//! range predicate intersected with the activity bitmap, or fold an
-//! aggregate over the selection. The single-column functions at the top
-//! are one-line adapters from a [`Table`] onto the tiered kernels of
-//! [`crate::batch`] (a fully hot table is a tiered column with zero
-//! frozen blocks — there is no second path). The selection-vector
-//! operators below them are the physical plan's multi-predicate scan,
-//! gather and aggregate stages, built on the same word primitives: each
-//! exists once, as a kernel over one span of the table, and its
+//! These are the tight loops underneath every plan: filter a table by a
+//! conjunction of predicates intersected with the activity bitmap, gather
+//! the selected values, or fold an aggregate over the selection. They are
+//! built on the word primitives of [`crate::batch`] (a fully hot table is
+//! a tiered column with zero frozen blocks — there is no second path).
+//! Each exists once, as a kernel over one span of the table, and its
 //! whole-table function is that kernel over the uncut table — the same
-//! code a morsel pool of any width runs. The row-at-a-time originals
-//! survive as [`crate::batch::scalar`], the reference the equivalence
-//! tests and benchmarks compare against.
+//! code a morsel pool of any width runs. The row-at-a-time model the
+//! equivalence suites hold every operator to is the dev-only
+//! `amnesia-model` crate.
 
 use amnesia_columnar::compress::BlockAgg;
 use amnesia_columnar::{RowId, Table, Value};
 use amnesia_util::WORD_BITS;
-use amnesia_workload::query::{AggKind, RangePredicate};
 
 use crate::batch;
 use crate::morsel::{whole_table, Span};
 use crate::physical::ColPred;
 
 pub use crate::batch::{AggState, TierStats};
-
-/// Collect active rows of `col` matching `pred` (insertion order).
-pub fn range_scan_active(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
-    range_scan_tiered(table, col, pred).0
-}
-
-/// [`range_scan_active`] with its pruning accounting: frozen blocks are
-/// skipped by their cached meta before the payload is touched, and the
-/// hot tail takes the raw-slice kernel.
-pub fn range_scan_tiered(
-    table: &Table,
-    col: usize,
-    pred: RangePredicate,
-) -> (Vec<RowId>, TierStats) {
-    let mut out = Vec::new();
-    let stats =
-        batch::scan_tiered_active_into(table.col_tier(col), table.activity_words(), pred, &mut out);
-    (out, stats)
-}
-
-/// Collect *all* physical rows matching `pred`, forgotten or not — the
-/// "complete scan will fetch all data" path of paper §1.
-pub fn range_scan_all(table: &Table, col: usize, pred: RangePredicate) -> Vec<RowId> {
-    let mut out = Vec::new();
-    batch::scan_tiered_all_into(table.col_tier(col), pred, &mut out);
-    out
-}
-
-/// Count active matches without materializing row ids.
-pub fn count_active_matches(table: &Table, col: usize, pred: RangePredicate) -> usize {
-    batch::count_tiered_active(table.col_tier(col), table.activity_words(), pred).0
-}
-
-/// Aggregate `col` over active rows matching the optional predicate.
-/// Returns the value and the active rows examined.
-pub fn aggregate_active(
-    table: &Table,
-    col: usize,
-    pred: Option<RangePredicate>,
-    kind: AggKind,
-) -> (Option<f64>, usize) {
-    let (state, stats) = aggregate_state_tiered(table, col, pred);
-    (state.finalize(kind), stats.rows_scanned)
-}
-
-/// Fused filter + aggregate returning the full [`AggState`], so callers
-/// needing several aggregate kinds (COUNT and SUM and AVG…) pay for one
-/// scan instead of one per kind. Frozen blocks fold in code/offset/run
-/// space via the codecs' `fold_range_masked` — they are never decoded.
-pub fn aggregate_state_tiered(
-    table: &Table,
-    col: usize,
-    pred: Option<RangePredicate>,
-) -> (AggState, TierStats) {
-    batch::aggregate_tiered_active(table.col_tier(col), table.activity_words(), pred)
-}
 
 // ---------------------------------------------------------------------
 // Selection-vector operators: the physical plan's scan, gather and
@@ -462,7 +403,7 @@ pub(crate) fn aggregate_selection_span(
 mod tests {
     use super::*;
     use amnesia_columnar::Schema;
-    use amnesia_workload::query::RangePredicate as P;
+    use amnesia_workload::query::{AggKind, RangePredicate as P};
 
     fn table() -> Table {
         let mut t = Table::new(Schema::single("a"));
@@ -471,42 +412,49 @@ mod tests {
         t
     }
 
+    fn scan(t: &Table, pred: P) -> Vec<RowId> {
+        let mut out = Vec::new();
+        batch::scan_tiered_active_into(t.col_tier(0), t.activity_words(), pred, &mut out);
+        out
+    }
+
+    fn aggregate(t: &Table, pred: Option<P>) -> (AggState, TierStats) {
+        batch::aggregate_tiered_active(t.col_tier(0), t.activity_words(), pred)
+    }
+
     #[test]
     fn active_scan_skips_forgotten() {
         let t = table();
-        let rows = range_scan_active(&t, 0, P::new(10, 40));
-        assert_eq!(rows, vec![RowId(1), RowId(3)]); // 15, 35
-        assert_eq!(count_active_matches(&t, 0, P::new(10, 40)), 2);
+        assert_eq!(scan(&t, P::new(10, 40)), vec![RowId(1), RowId(3)]); // 15, 35
+        let (count, _) =
+            batch::count_tiered_active(t.col_tier(0), t.activity_words(), P::new(10, 40));
+        assert_eq!(count, 2);
     }
 
     #[test]
     fn full_scan_sees_forgotten() {
         let t = table();
-        let rows = range_scan_all(&t, 0, P::new(10, 40));
-        assert_eq!(rows, vec![RowId(1), RowId(2), RowId(3)]);
+        let sel = selection_scan_all(&t, &ColPred::from_range(0, P::new(10, 40)));
+        assert_eq!(selection_rows(&sel), vec![RowId(1), RowId(2), RowId(3)]);
     }
 
     #[test]
     fn aggregates_respect_activity() {
         let t = table();
         // Active values: 5, 15, 35, 45, 55 — sum 155, avg 31.
-        let (avg, scanned) = aggregate_active(&t, 0, None, AggKind::Avg);
-        assert_eq!(avg, Some(31.0));
-        assert_eq!(scanned, 5);
-        let (sum, _) = aggregate_active(&t, 0, None, AggKind::Sum);
-        assert_eq!(sum, Some(155.0));
-        let (min, _) = aggregate_active(&t, 0, None, AggKind::Min);
-        assert_eq!(min, Some(5.0));
-        let (max, _) = aggregate_active(&t, 0, None, AggKind::Max);
-        assert_eq!(max, Some(55.0));
-        let (count, _) = aggregate_active(&t, 0, None, AggKind::Count);
-        assert_eq!(count, Some(5.0));
+        let (state, stats) = aggregate(&t, None);
+        assert_eq!(stats.rows_scanned, 5);
+        assert_eq!(state.finalize(AggKind::Avg), Some(31.0));
+        assert_eq!(state.finalize(AggKind::Sum), Some(155.0));
+        assert_eq!(state.finalize(AggKind::Min), Some(5.0));
+        assert_eq!(state.finalize(AggKind::Max), Some(55.0));
+        assert_eq!(state.finalize(AggKind::Count), Some(5.0));
     }
 
     #[test]
     fn aggregate_with_predicate() {
         let t = table();
-        let (avg, _) = aggregate_active(&t, 0, Some(P::new(10, 50)), AggKind::Avg);
+        let avg = aggregate(&t, Some(P::new(10, 50))).0.finalize(AggKind::Avg);
         // matching active values: 15, 35, 45 → avg 31.666…
         assert!((avg.unwrap() - 95.0 / 3.0).abs() < 1e-9);
     }
@@ -514,16 +462,19 @@ mod tests {
     #[test]
     fn empty_selection_semantics() {
         let t = table();
-        let (avg, _) = aggregate_active(&t, 0, Some(P::new(1000, 2000)), AggKind::Avg);
-        assert_eq!(avg, None, "AVG of empty is NULL");
-        let (count, _) = aggregate_active(&t, 0, Some(P::new(1000, 2000)), AggKind::Count);
-        assert_eq!(count, Some(0.0), "COUNT of empty is 0");
+        let (state, _) = aggregate(&t, Some(P::new(1000, 2000)));
+        assert_eq!(state.finalize(AggKind::Avg), None, "AVG of empty is NULL");
+        assert_eq!(
+            state.finalize(AggKind::Count),
+            Some(0.0),
+            "COUNT of empty is 0"
+        );
     }
 
     #[test]
     fn one_pass_state_serves_every_kind() {
         let t = table();
-        let (state, stats) = aggregate_state_tiered(&t, 0, None);
+        let (state, stats) = aggregate(&t, None);
         assert_eq!(stats.rows_scanned, 5);
         assert_eq!(state.count(), 5);
         assert_eq!(state.finalize(AggKind::Sum), Some(155.0));

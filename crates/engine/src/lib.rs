@@ -41,8 +41,9 @@
 //! Rows are built only for the positions that reach the result. A thread
 //! count, a morsel size or a tier boundary can change how much work a
 //! stage does, but there is no second body through which it could change
-//! the answer; the row-at-a-time reference the tests hold that answer to
-//! is [`batch::scalar`].
+//! the answer; the row-at-a-time model the tests hold that answer to is
+//! the dev-only `amnesia-model` crate, which reads no table, codec or
+//! kernel of this one.
 //!
 //! # One path per job
 //!
@@ -60,12 +61,10 @@
 //! * [`batch`] — the word-at-a-time vectorized batch layer: the tiered
 //!   single-column kernels (selection masks over raw slices and
 //!   compressed blocks, fused filter+aggregate, whole-word skips of
-//!   forgotten regions) and the tiered join probe; row-at-a-time
-//!   references live in [`batch::scalar`],
-//! * [`kernels`] — table-level entry points onto [`batch`] and the
-//!   selection-vector operators (multi-predicate scan, gather,
-//!   aggregate) the physical plan's stages run, each as a span kernel
-//!   plus its whole-table call,
+//!   forgotten regions) and the tiered join probe,
+//! * [`kernels`] — the selection-vector operators (multi-predicate
+//!   scan, the complete scan, gather, aggregate) the physical plan's
+//!   stages run, each as a span kernel plus its whole-table call,
 //! * [`physical`] — the **physical plan**: the execution API every
 //!   multi-column query surface lowers onto (tier-aware scans with
 //!   pushed-down predicate conjunctions as 64-bit selection masks, tiered

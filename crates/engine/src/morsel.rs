@@ -26,8 +26,8 @@
 //!   kernels over the same table cut into ~`morsel_rows` pieces, one
 //!   accumulator per piece. A thread count or a morsel size changes how
 //!   the work is cut, never which code computes the answer; the
-//!   row-at-a-time reference the tests hold that answer to is
-//!   [`crate::batch::scalar`].
+//!   row-at-a-time model the tests hold that answer to is the dev-only
+//!   `amnesia-model` crate.
 //! * **Scheduling** (`run_morsels`): each worker owns a contiguous range
 //!   of span indices behind an atomic cursor; a worker that drains its
 //!   range *steals* single spans from the most-loaded peer. Steal counts

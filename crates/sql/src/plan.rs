@@ -576,6 +576,39 @@ mod tests {
         }
     }
 
+    /// Every comparison lowers to exactly the values it passes, at the
+    /// `i64` edges and on both sides of every literal.
+    #[test]
+    fn lowering_is_exact_at_the_domain_edges() {
+        const EDGES: [i64; 7] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let col = BoundColumn {
+            slot: 0,
+            col: 0,
+            display: "t.a".into(),
+        };
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Neq,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            for value in EDGES {
+                let f = BoundFilter::Compare {
+                    col: col.clone(),
+                    op,
+                    value,
+                };
+                let p = f.lower();
+                let near = [value.saturating_sub(1), value, value.saturating_add(1)];
+                for v in EDGES.into_iter().chain(near) {
+                    assert_eq!(p.matches(v), f.matches(v), "{} at {v}", f.describe());
+                }
+            }
+        }
+    }
+
     #[test]
     fn binds_columns_to_slots_and_ordinals() {
         let db = shop();

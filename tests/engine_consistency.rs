@@ -1,31 +1,35 @@
-//! Engine consistency: every physical layout must return the same answer,
-//! and the executor must agree with a naive reference evaluation.
+//! Engine consistency: every physical layout returns the model's answer,
+//! through the tiered kernels and through the executor under both
+//! visibilities.
 
-use amnesia::engine::{kernels, Aux, CostModel, Executor, ForgetVisibility};
+mod common;
+
+use amnesia::columnar::compress::Encoding;
+use amnesia::engine::batch::count_tiered_active;
+use amnesia::engine::{Aux, ColPred, CostModel, Executor, ForgetVisibility};
 use amnesia::prelude::*;
+use amnesia_model::{eval_plan, Case, Model, Op};
+use common::{col, plan, scan};
 use proptest::prelude::*;
 
 /// Small tier blocks, so a few hundred rows span several of them.
 const BLOCK_ROWS: usize = 64;
 
-fn build(values: &[i64], forget: &[usize]) -> Table {
-    let mut t = Table::with_block_rows(Schema::single("a"), BLOCK_ROWS);
-    t.insert_batch(values, 0).unwrap();
-    for &f in forget {
-        if !values.is_empty() {
-            let _ = t.forget(RowId((f % values.len()) as u64), 1);
-        }
-    }
-    t
+/// `values` (at least one) in 64-row blocks, then a forget of every row
+/// `forget` names (modulo the row count).
+fn build(values: &[i64], forget: &[usize]) -> Case {
+    let victims = forget.iter().map(|f| f % values.len()).collect();
+    Case::replay(
+        Schema::single("a"),
+        BLOCK_ROWS,
+        [Op::column(values), Op::Forget(victims)],
+    )
 }
 
-/// Reference implementation: naive loop over all rows.
-fn reference_range(t: &Table, pred: RangePredicate, include_forgotten: bool) -> Vec<RowId> {
-    (0..t.num_rows())
-        .map(RowId::from)
-        .filter(|&r| include_forgotten || t.activity().is_active(r))
-        .filter(|&r| pred.matches(t.value(0, r)))
-        .collect()
+/// The model's active rows in `pred`.
+fn want_rows(m: &Model, pred: RangePredicate) -> Vec<RowId> {
+    let out = m.query(0, &Query::Range(pred), ForgetVisibility::ActiveOnly);
+    out.rows().expect("a range answers rows").to_vec()
 }
 
 proptest! {
@@ -38,24 +42,16 @@ proptest! {
         lo in 0i64..2000,
         width in 1i64..500,
     ) {
-        let t = build(&values, &forget);
+        let hot = build(&values, &forget);
         let pred = RangePredicate::new(lo, lo + width);
-
-        let reference = reference_range(&t, pred, false);
-
-        // Kernel: full active scan.
-        let scan = kernels::range_scan_active(&t, 0, pred);
-        prop_assert_eq!(&scan, &reference);
-
-        // Same table frozen: block-meta pruned, codec-fused scan.
-        let mut frozen = t.clone();
-        frozen.freeze_upto(values.len());
-        let (pruned, _) = kernels::range_scan_tiered(&frozen, 0, pred);
-        prop_assert_eq!(&pruned, &reference);
-
-        // Count-only kernel agrees on both layouts.
-        prop_assert_eq!(kernels::count_active_matches(&t, 0, pred), reference.len());
-        prop_assert_eq!(kernels::count_active_matches(&frozen, 0, pred), reference.len());
+        let want = want_rows(&hot.model, pred);
+        // Hot, and frozen: block-meta pruned, codec-fused.
+        let mut frozen = hot.clone();
+        frozen.apply(Op::FreezeUpto(values.len()));
+        for t in [&hot.table, &frozen.table] {
+            prop_assert_eq!(&scan(t, pred).0, &want);
+            prop_assert_eq!(count_tiered_active(t.col_tier(0), t.activity_words(), pred).0, want.len());
+        }
     }
 
     #[test]
@@ -65,28 +61,14 @@ proptest! {
         lo in 0i64..500,
         width in 1i64..200,
     ) {
-        let t = build(&values, &forget);
-        let pred = RangePredicate::new(lo, lo + width);
-        let aux = Aux::default();
-
-        let active_only = Executor::new(ForgetVisibility::ActiveOnly, CostModel::default());
-        let got = active_only
-            .execute(&t, 0, &Query::Range(pred), &aux)
-            .output
-            .rows()
-            .unwrap()
-            .to_vec();
-        prop_assert_eq!(got, reference_range(&t, pred, false));
-
-        let sees_forgotten =
-            Executor::new(ForgetVisibility::ScanSeesForgotten, CostModel::default());
-        let got_all = sees_forgotten
-            .execute(&t, 0, &Query::Range(pred), &aux)
-            .output
-            .rows()
-            .unwrap()
-            .to_vec();
-        prop_assert_eq!(got_all, reference_range(&t, pred, true));
+        let case = build(&values, &forget);
+        for vis in [ForgetVisibility::ActiveOnly, ForgetVisibility::ScanSeesForgotten] {
+            let ex = Executor::new(vis, CostModel::default());
+            for q in [Query::Range(RangePredicate::new(lo, lo + width)), Query::Point(lo)] {
+                let got = ex.execute(&case.table, 0, &q, &Aux::default()).output;
+                prop_assert_eq!(got, case.model.query(0, &q, vis), "{:?} {:?}", vis, q);
+            }
+        }
     }
 
     #[test]
@@ -94,24 +76,11 @@ proptest! {
         values in proptest::collection::vec(-1000i64..1000, 1..300),
         forget in proptest::collection::vec(0usize..600, 0..100),
     ) {
-        let t = build(&values, &forget);
-        let actives: Vec<i64> = t.iter_active().map(|r| t.value(0, r)).collect();
-
-        let (count, _) = kernels::aggregate_active(&t, 0, None, AggKind::Count);
-        prop_assert_eq!(count, Some(actives.len() as f64));
-
-        let (sum, _) = kernels::aggregate_active(&t, 0, None, AggKind::Sum);
-        if actives.is_empty() {
-            prop_assert_eq!(sum, None);
-        } else {
-            prop_assert_eq!(sum, Some(actives.iter().sum::<i64>() as f64));
-            let (avg, _) = kernels::aggregate_active(&t, 0, None, AggKind::Avg);
-            let expect = actives.iter().sum::<i64>() as f64 / actives.len() as f64;
-            prop_assert!((avg.unwrap() - expect).abs() < 1e-9);
-            let (min, _) = kernels::aggregate_active(&t, 0, None, AggKind::Min);
-            prop_assert_eq!(min, Some(*actives.iter().min().unwrap() as f64));
-            let (max, _) = kernels::aggregate_active(&t, 0, None, AggKind::Max);
-            prop_assert_eq!(max, Some(*actives.iter().max().unwrap() as f64));
+        let case = build(&values, &forget);
+        for kind in AggKind::ALL {
+            let q = Query::Aggregate { kind, predicate: None };
+            let got = Executor::default().execute(&case.table, 0, &q, &Aux::default()).output;
+            prop_assert_eq!(got, case.model.query(0, &q, ForgetVisibility::ActiveOnly), "{:?}", kind);
         }
     }
 
@@ -125,18 +94,71 @@ proptest! {
         // The zone map is the tier's cached block meta. Freeze FIRST,
         // then forget: the bounds are not re-tightened, and stale bounds
         // may be loose but must never lose matches.
-        let mut t = build(&values, &[]);
-        t.freeze_upto(values.len());
-        for &f in &forget {
-            let row = RowId((f % values.len()) as u64);
-            if t.activity().is_active(row) {
-                t.forget(row, 1).unwrap();
+        let mut case = build(&values, &[]);
+        case.apply(Op::FreezeUpto(values.len()));
+        case.apply(Op::Forget(forget.iter().map(|f| f % values.len()).collect()));
+        let pred = RangePredicate::new(lo, lo + width);
+        prop_assert_eq!(scan(&case.table, pred).0, want_rows(&case.model, pred), "stale block meta lost matches");
+    }
+}
+
+/// The `i64` domain edges as values, on a hot table and frozen in the
+/// automatic codec and in plain, with each edge row forgotten in turn:
+/// every point query finds its rows under both visibilities (the
+/// half-open `[MAX, MAX + 1)` does not exist), so does the whole-domain
+/// range, and a plan's inclusive `col >= v` keeps `i64::MAX`. One full
+/// 64-row block holds them all, so block meta with `max == i64::MAX`
+/// decides each of them, hot and frozen.
+#[test]
+fn domain_edges_agree_with_the_model_on_every_layout_and_mode() {
+    let edges = [i64::MIN, -1, 0, i64::MAX];
+    let values: Vec<i64> = edges.into_iter().chain((0..60).map(|i| i * 7)).collect();
+    let queries: Vec<Query> = edges
+        .map(Query::Point)
+        .into_iter()
+        .chain([Query::Range(RangePredicate::new(i64::MIN, i64::MAX))])
+        .collect();
+    for encoding in [None, Some(Encoding::Plain)] {
+        for forgotten in 0..edges.len() {
+            let hot = Case::replay(
+                Schema::single("a"),
+                BLOCK_ROWS,
+                [
+                    Op::Pin(0, encoding),
+                    Op::column(&values),
+                    Op::Forget(vec![forgotten]),
+                ],
+            );
+            let mut frozen = hot.clone();
+            frozen.apply(Op::FreezeUpto(BLOCK_ROWS));
+            assert_eq!(frozen.table.frozen_blocks(), 1);
+            for (layout, case) in [("hot", &hot), ("frozen", &frozen)] {
+                let ctx = format!("{encoding:?} forgot #{forgotten} {layout}");
+                for vis in [
+                    ForgetVisibility::ActiveOnly,
+                    ForgetVisibility::ScanSeesForgotten,
+                ] {
+                    let ex = Executor::new(vis, CostModel::default());
+                    for q in &queries {
+                        let got = ex.execute(&case.table, 0, q, &Aux::default()).output;
+                        assert_eq!(got, case.model.query(0, q, vis), "{q:?} {vis:?} {ctx}");
+                    }
+                }
+                for lo in edges {
+                    let plan = plan(
+                        vec![vec![ColPred::range(0, lo, i64::MAX)]],
+                        None,
+                        vec![col(0, 0)],
+                    );
+                    let got = Executor::default().execute_plan(&[&case.table], &[], &plan);
+                    assert_eq!(
+                        got.rows,
+                        eval_plan(&[&case.model], &plan),
+                        "a >= {lo} {ctx}"
+                    );
+                }
             }
         }
-        let pred = RangePredicate::new(lo, lo + width);
-        let (pruned, _) = kernels::range_scan_tiered(&t, 0, pred);
-        let reference = reference_range(&t, pred, false);
-        prop_assert_eq!(pruned, reference, "stale block meta lost matches");
     }
 }
 

@@ -1,72 +1,48 @@
-//! Property tests of the hash-join kernel against a brute-force
-//! nested-loop model, across random tables and forget patterns.
+//! Property tests of the hash-join kernel against the model's join,
+//! across random tables, forget patterns, dropped blocks and freeze
+//! states.
 
 use amnesia::engine::join::{hash_join, hash_join_count, join_precision};
 use amnesia::engine::ForgetVisibility;
 use amnesia::prelude::*;
+use amnesia_model::{join_pairs, Case, Op};
 use proptest::prelude::*;
 
-fn build(values: &[i64], forget: &[usize]) -> Table {
-    let mut t = Table::new(Schema::single("k"));
+/// `values` in 64-row blocks, then a forget of every row `forget` names
+/// (modulo the row count).
+fn build(values: &[i64], forget: &[usize]) -> Case {
+    let mut case = Case::new(Schema::single("k"), 64);
+    case.apply(Op::column(values));
     if !values.is_empty() {
-        t.insert_batch(values, 0).unwrap();
+        case.apply(Op::Forget(
+            forget.iter().map(|f| f % values.len()).collect(),
+        ));
     }
-    for &f in forget {
-        if !values.is_empty() {
-            let _ = t.forget(RowId((f % values.len()) as u64), 1);
-        }
-    }
-    t
+    case
 }
 
 /// `build` behind a dropped block: 64 rows of keys no other row holds,
 /// all forgotten, frozen and dropped, then `values` / `forget` as the hot
 /// tail. The dropped rows keep their ids but hold no value any more.
-fn build_behind_dropped_block(values: &[i64], forget: &[usize]) -> Table {
-    let mut t = Table::with_block_rows(Schema::single("k"), 64);
-    t.insert_batch(&(1000..1064).collect::<Vec<i64>>(), 0)
-        .unwrap();
-    for r in 0..64 {
-        t.forget(RowId(r), 1).unwrap();
-    }
-    t.freeze_upto(64);
-    assert_eq!(t.drop_forgotten_blocks().0, 1);
+fn build_behind_dropped_block(values: &[i64], forget: &[usize]) -> Case {
+    let mut case = Case::replay(
+        Schema::single("k"),
+        64,
+        [
+            Op::column(&(1000..1064).collect::<Vec<i64>>()),
+            Op::Forget((0..64).collect()),
+            Op::FreezeUpto(64),
+            Op::Drop,
+        ],
+    );
+    assert_eq!(case.table.dropped_rows(), 64);
+    case.apply(Op::column(values));
     if !values.is_empty() {
-        t.insert_batch(values, 0).unwrap();
+        case.apply(Op::Forget(
+            forget.iter().map(|f| 64 + f % values.len()).collect(),
+        ));
     }
-    for &f in forget {
-        if !values.is_empty() {
-            let _ = t.forget(RowId((64 + f % values.len()) as u64), 1);
-        }
-    }
-    t
-}
-
-/// Brute-force nested-loop join over the chosen visibility. The complete
-/// scan sees every row that still holds a value — forgotten ones too, but
-/// not the rows of a dropped block.
-fn model_join(left: &Table, right: &Table, vis: ForgetVisibility) -> Vec<(RowId, RowId)> {
-    let rows = |t: &Table| -> Vec<RowId> {
-        match vis {
-            ForgetVisibility::ActiveOnly => t.active_row_ids(),
-            ForgetVisibility::ScanSeesForgotten => (0..t.num_rows())
-                .filter(|r| {
-                    let block = t.col_tier(0).frozen(r / t.block_rows());
-                    !block.is_some_and(|f| f.is_dropped())
-                })
-                .map(RowId::from)
-                .collect(),
-        }
-    };
-    let mut out = Vec::new();
-    for l in rows(left) {
-        for r in rows(right) {
-            if left.value(0, l) == right.value(0, r) {
-                out.push((l, r));
-            }
-        }
-    }
-    out
+    case
 }
 
 proptest! {
@@ -85,26 +61,20 @@ proptest! {
         let lefts = [build(&left_vals, &lf), build_behind_dropped_block(&left_vals, &lf)];
         let rights = [build(&right_vals, &rf), build_behind_dropped_block(&right_vals, &rf)];
         for (left, right) in lefts.iter().flat_map(|l| rights.iter().map(move |r| (l, r))) {
+            let (l, r) = (&left.table, &right.table);
             let mut sizes = [0usize; 2];
             for (i, vis) in [ForgetVisibility::ActiveOnly, ForgetVisibility::ScanSeesForgotten]
                 .into_iter()
                 .enumerate()
             {
-                let mut expected = model_join(left, right, vis);
-                let mut got = hash_join(left, 0, right, 0, vis).pairs;
-                expected.sort();
-                got.sort();
-                prop_assert_eq!(&got, &expected, "{:?}", vis);
-                prop_assert_eq!(
-                    hash_join_count(left, 0, right, 0, vis),
-                    expected.len(),
-                    "count-only must agree"
-                );
-                sizes[i] = expected.len();
+                let want = join_pairs(&left.model, 0, &right.model, 0, vis);
+                prop_assert_eq!(&hash_join(l, 0, r, 0, vis).pairs, &want, "{:?}", vis);
+                prop_assert_eq!(hash_join_count(l, 0, r, 0, vis), want.len(), "count-only must agree");
+                sizes[i] = want.len();
             }
             let [active, truth] = sizes;
             prop_assert_eq!(
-                join_precision(left, 0, right, 0),
+                join_precision(l, 0, r, 0),
                 (truth > 0).then(|| active as f64 / truth as f64)
             );
         }
@@ -114,8 +84,8 @@ proptest! {
     fn precision_is_a_valid_ratio_and_monotone_in_forgetting(
         vals in proptest::collection::vec(0i64..20, 1..50),
     ) {
-        let left = build(&vals, &[]);
-        let mut right = build(&vals, &[]);
+        let left = build(&vals, &[]).table;
+        let mut right = build(&vals, &[]).table;
         let p0 = join_precision(&left, 0, &right, 0);
         prop_assert_eq!(p0, Some(1.0), "nothing forgotten yet");
         // Forget right-side rows one at a time: precision never rises.
@@ -139,36 +109,19 @@ proptest! {
         freeze_left in 0usize..4,
         freeze_right in 0usize..4,
     ) {
-        // Same logical tables, but with 64-row tier blocks and a random
-        // amount of each side frozen: answers must match the nested-loop
-        // model exactly, frozen or not.
-        let build_tiered = |values: &[i64], forget: &[usize], upto: usize| {
-            let mut t = Table::with_block_rows(Schema::single("k"), 64);
-            if !values.is_empty() {
-                t.insert_batch(values, 0).unwrap();
-            }
-            for &f in forget {
-                if !values.is_empty() {
-                    let _ = t.forget(RowId((f % values.len()) as u64), 1);
-                }
-            }
-            t.freeze_upto(upto * 64);
-            t
-        };
-        let left = build_tiered(&left_vals, &lf, freeze_left);
-        let right = build_tiered(&right_vals, &rf, freeze_right);
-        let mut expected = model_join(&left, &right, ForgetVisibility::ActiveOnly);
-        let result = hash_join(&left, 0, &right, 0, ForgetVisibility::ActiveOnly);
-        let mut got = result.pairs;
-        expected.sort();
-        got.sort();
-        prop_assert_eq!(&got, &expected);
+        // A random number of each side's 64-row blocks frozen: the
+        // answers are the model's, frozen or not.
+        let mut left = build(&left_vals, &lf);
+        left.apply(Op::FreezeUpto(freeze_left * 64));
+        let mut right = build(&right_vals, &rf);
+        right.apply(Op::FreezeUpto(freeze_right * 64));
+        let (l, r) = (&left.table, &right.table);
+        let want = join_pairs(&left.model, 0, &right.model, 0, ForgetVisibility::ActiveOnly);
+        let result = hash_join(l, 0, r, 0, ForgetVisibility::ActiveOnly);
+        prop_assert_eq!(&result.pairs, &want);
+        prop_assert_eq!(hash_join_count(l, 0, r, 0, ForgetVisibility::ActiveOnly), want.len());
         prop_assert_eq!(
-            hash_join_count(&left, 0, &right, 0, ForgetVisibility::ActiveOnly),
-            expected.len()
-        );
-        prop_assert_eq!(
-            result.stats.probe_rows_skipped <= right.active_rows(),
+            result.stats.probe_rows_skipped <= r.active_rows(),
             true
         );
     }
@@ -178,8 +131,7 @@ proptest! {
         left_vals in proptest::collection::vec(0i64..15, 0..40),
         right_vals in proptest::collection::vec(0i64..15, 0..40),
     ) {
-        let left = build(&left_vals, &[]);
-        let right = build(&right_vals, &[]);
+        let (left, right) = (build(&left_vals, &[]).table, build(&right_vals, &[]).table);
         let r = hash_join(&left, 0, &right, 0, ForgetVisibility::ActiveOnly);
         prop_assert_eq!(r.stats.build_rows, left_vals.len());
         prop_assert_eq!(r.stats.probe_rows, right_vals.len());

@@ -1,124 +1,115 @@
-//! Property tests: the word-at-a-time tiered kernels, the row-at-a-time
-//! scalar references, morsel-parallel plan execution, and the fused
-//! compressed-block paths (every codec, frozen at every block-prefix
-//! boundary) all compute identical answers — across randomized tables,
-//! forget patterns (none / a quarter / everything), and the
-//! word-boundary sizes where masking bugs live (0, 1, 63, 64, 65, 1023,
-//! 1024, 1025).
+//! Property tests: the word-at-a-time tiered kernels, the executor,
+//! morsel-parallel plan execution, and the fused compressed-block paths
+//! (every codec, frozen at every block-prefix boundary) all compute the
+//! model's answers — across randomized tables, forget patterns (none /
+//! periodic / a quarter / everything), and the word-boundary sizes where
+//! masking bugs live (0, 1, 63, 64, 65, 1023, 1024, 1025). The packed
+//! codecs' group kernels answer to a per-value bit-walk oracle.
 
 mod common;
 
 use amnesia::columnar::compress::{block_decodes, Encoding};
-use amnesia::columnar::vacuum::vacuum;
-use amnesia::engine::batch::scalar;
-use amnesia::engine::join::{hash_join, hash_join_count};
-use amnesia::engine::kernels;
-use amnesia::engine::ForgetVisibility;
+use amnesia::columnar::DEFAULT_BLOCK_ROWS;
+use amnesia::engine::batch::{aggregate_tiered_active, count_tiered_active};
+use amnesia::engine::join::{hash_join, hash_join_count, JoinStats};
+use amnesia::engine::{
+    kernels, Aux, ColPred, CostModel, ExecMode, Executor, ForgetVisibility, PhysicalPlan,
+    QueryOutput, SortDir,
+};
 use amnesia::prelude::*;
 use amnesia::workload::query::RangePredicate;
+use amnesia_model::{eval_plan, join_pairs, Case, Model, Op};
+use common::{agg, col, plan, scan};
 use proptest::prelude::*;
 
-/// How much of the table a forget pattern erases.
+const ACTIVE: ForgetVisibility = ForgetVisibility::ActiveOnly;
+const COMPLETE: ForgetVisibility = ForgetVisibility::ScanSeesForgotten;
+
+/// Which rows a history forgets.
 #[derive(Debug, Clone, Copy)]
 enum ForgetPattern {
     None,
+    /// Every k-th row, from row 0 (`Every(1)` forgets everything).
+    Every(usize),
+    /// A quarter of the row count in random picks.
     Quarter,
-    All,
 }
 
 fn forget_pattern() -> impl Strategy<Value = ForgetPattern> {
     prop_oneof![
         Just(ForgetPattern::None),
         Just(ForgetPattern::Quarter),
-        Just(ForgetPattern::All),
+        Just(ForgetPattern::Every(1)),
     ]
 }
 
-fn build_table(values: &[i64], pattern: ForgetPattern, seed: u64) -> Table {
-    let mut t = Table::new(Schema::single("a"));
-    if !values.is_empty() {
-        t.insert_batch(values, 0).unwrap();
-    }
-    match pattern {
-        ForgetPattern::None => {}
+/// Insert `values`, then forget by `pattern`.
+fn history(values: &[i64], pattern: ForgetPattern, seed: u64) -> Vec<Op> {
+    let n = values.len();
+    let victims = match pattern {
+        ForgetPattern::None => Vec::new(),
+        ForgetPattern::Every(k) => (0..n).step_by(k).collect(),
         ForgetPattern::Quarter => {
             let mut rng = SimRng::new(seed);
-            for _ in 0..values.len() / 4 {
-                if let Some(r) = t.random_active(&mut rng) {
-                    t.forget(r, 1).unwrap();
-                }
-            }
+            (0..n / 4).map(|_| rng.index(n)).collect()
         }
-        ForgetPattern::All => {
-            for r in 0..values.len() {
-                t.forget(RowId::from(r), 1).unwrap();
-            }
-        }
-    }
-    t
+    };
+    vec![Op::column(values), Op::Forget(victims)]
 }
 
-/// Every serial single-column kernel over `t` against the scalar
-/// reference evaluated on `truth` — the same logical table, never frozen
-/// (pass `t` itself when it is hot). `exact_work` additionally pins the
-/// aggregate's `rows_scanned` on a hot `t` to [`hot_rows_examined`]
-/// (otherwise block meta may only shrink it below the reference's).
-/// `scan_all_comparable`
-/// must be false once a lossy transition (a recompression that
-/// re-encoded, a drop) destroyed forgotten rows' values.
-fn assert_serial_kernels_agree(
-    t: &Table,
-    truth: &Table,
-    pred: RangePredicate,
-    exact_work: bool,
-    scan_all_comparable: bool,
-    ctx: &str,
-) {
-    let reference = scalar::range_scan_active(truth, 0, pred);
-    assert_eq!(
-        kernels::range_scan_active(t, 0, pred),
-        reference,
-        "scan {ctx}"
-    );
-    let (rows, _) = kernels::range_scan_tiered(t, 0, pred);
-    assert_eq!(rows, reference, "scan+stats {ctx}");
-    assert_eq!(
-        kernels::count_active_matches(t, 0, pred),
-        scalar::count_active_matches(truth, 0, pred),
-        "count {ctx}"
-    );
-    assert_eq!(
-        kernels::count_active_matches(t, 0, pred),
-        reference.len(),
-        "count==scan-len {ctx}"
-    );
-    // Aggregates: every kind, with and without the predicate.
-    for predicate in [None, Some(pred)] {
-        for kind in AggKind::ALL {
-            let (want, want_scanned) = scalar::aggregate_active(truth, 0, predicate, kind);
-            let (got, got_scanned) = kernels::aggregate_active(t, 0, predicate, kind);
-            assert_eq!(got, want, "agg {kind:?} pred={predicate:?} {ctx}");
-            if exact_work {
-                assert_eq!(
-                    got_scanned,
-                    hot_rows_examined(t, predicate),
-                    "agg scanned {kind:?} pred={predicate:?} {ctx}"
-                );
-            } else {
-                assert!(
-                    got_scanned <= want_scanned,
-                    "meta may only shrink work {ctx}"
-                );
-            }
+/// `history` on a single-column table in blocks of `block_rows`, frozen
+/// in `encoding` (`None` = the automatic chooser).
+fn case(block_rows: usize, encoding: Option<Encoding>, history: &[Op]) -> Case {
+    let pin = Op::Pin(0, encoding);
+    Case::replay(
+        Schema::single("a"),
+        block_rows,
+        std::iter::once(pin).chain(history.iter().cloned()),
+    )
+}
+
+/// Every serial single-column path over `case` against the model: the
+/// tiered scan and count kernels, and the executor's queries — range,
+/// point and every aggregate kind with and without the predicate — and
+/// the range, point and count again under the complete scan while the
+/// model defines it (aggregates stay amnesiac there).
+/// `exact_work` pins the aggregates' `rows_scanned` on a hot table to
+/// [`hot_rows_examined`]; otherwise block meta may only shrink it below
+/// the active row count.
+fn assert_serial_kernels_agree(case: &Case, pred: RangePredicate, exact_work: bool, ctx: &str) {
+    let (t, m) = (&case.table, &case.model);
+    let (tier, words) = (t.col_tier(0), t.activity_words());
+    let want = m.query(0, &Query::Range(pred), ACTIVE);
+    assert_eq!(QueryOutput::Rows(scan(t, pred).0), want, "scan {ctx}");
+    let (count, _) = count_tiered_active(tier, words, pred);
+    assert_eq!(count, want.cardinality(), "count {ctx}");
+    let check = |vis: ForgetVisibility, q: &Query| {
+        let got = Executor::new(vis, CostModel::default()).execute(t, 0, q, &Aux::default());
+        assert_eq!(got.output, m.query(0, q, vis), "{vis:?} {q:?} {ctx}");
+        got.stats.rows_scanned
+    };
+    let count = Query::Aggregate {
+        kind: AggKind::Count,
+        predicate: Some(pred),
+    };
+    for q in [Query::Range(pred), Query::Point(pred.lo), count] {
+        check(ACTIVE, &q);
+        if m.complete_scan_is_defined() {
+            check(COMPLETE, &q);
         }
     }
-    // Full (forgotten-inclusive) scan.
-    if scan_all_comparable {
-        assert_eq!(
-            kernels::range_scan_all(t, 0, pred),
-            scalar::range_scan_all(truth, 0, pred),
-            "scan-all {ctx}"
-        );
+    for predicate in [None, Some(pred)] {
+        let work = exact_work.then(|| hot_rows_examined(t, predicate));
+        for kind in AggKind::ALL {
+            let scanned = check(ACTIVE, &Query::Aggregate { kind, predicate });
+            match work {
+                Some(want) => assert_eq!(scanned, want, "agg scanned {kind:?} {ctx}"),
+                None => assert!(
+                    scanned <= t.active_rows(),
+                    "meta may only shrink work {ctx}"
+                ),
+            }
+        }
     }
 }
 
@@ -126,8 +117,7 @@ fn assert_serial_kernels_agree(
 /// worked out row by row from the values and the activity map: every
 /// active row of the open last block, plus the active rows of each full
 /// block whose value range (over all its values, forgotten ones too)
-/// meets `pred`. An empty predicate examines every active row, as the
-/// scalar reference does.
+/// meets `pred`. An empty predicate examines every active row.
 fn hot_rows_examined(t: &Table, pred: Option<RangePredicate>) -> usize {
     let (n, br) = (t.num_rows(), t.block_rows());
     let active = |rows: std::ops::Range<usize>| {
@@ -153,124 +143,75 @@ fn hot_rows_examined(t: &Table, pred: Option<RangePredicate>) -> usize {
         .sum()
 }
 
-/// The parallel leg: a one-predicate [`PhysicalPlan`] over `t` — once
-/// projecting the column, once folding every aggregate kind — must
-/// return byte-identical rows under `ExecMode::Serial` and every
-/// `Parallel(n)`, and the serial projection must be exactly the values
-/// of the scalar reference's rows on `truth`.
-fn assert_one_predicate_plans_agree(t: &Table, truth: &Table, pred: RangePredicate, ctx: &str) {
-    let scan = || {
-        vec![PhysScan {
-            preds: vec![ColPred::from_range(0, pred)],
-            label: "Scan t [active-only]".into(),
-        }]
-    };
-    let project = PhysicalPlan {
-        scans: scan(),
-        join: None,
-        items: vec![PhysItem::Column {
-            slot: 0,
-            col: 0,
-            display: "a".into(),
-        }],
-        group_by: None,
-        order_by: None,
-        limit: None,
-        hint: PlanHint::CostBased,
-    };
-    let aggregate = PhysicalPlan {
-        items: AggKind::ALL
-            .iter()
-            .map(|&kind| PhysItem::Aggregate {
-                kind,
-                arg: Some((0, 0)),
-                display: kind.name().into(),
-            })
-            .collect(),
-        ..project.clone()
-    };
-    let want: Vec<Vec<Scalar>> = scalar::range_scan_active(truth, 0, pred)
-        .into_iter()
-        .map(|r| vec![Scalar::Int(truth.value(0, r))])
-        .collect();
-    assert_eq!(
-        serial().execute_plan(&[t], &[], &project).rows,
-        want,
-        "plan projection {ctx}"
-    );
-    assert_plan_parallel_equals_serial(&[t], &project, &format!("projection {ctx}"));
-    assert_plan_parallel_equals_serial(&[t], &aggregate, &format!("aggregate {ctx}"));
+/// A one-predicate [`PhysicalPlan`] over `case` — once projecting the
+/// column, once folding every aggregate kind — returns the model's rows
+/// at every pool width.
+fn assert_one_predicate_plans_agree(case: &Case, pred: RangePredicate, ctx: &str) {
+    let scans = || vec![vec![ColPred::from_range(0, pred)]];
+    let project = plan(scans(), None, vec![col(0, 0)]);
+    let aggregates = AggKind::ALL.map(|kind| agg(kind, Some((0, 0))));
+    let aggregate = plan(scans(), None, aggregates.to_vec());
+    assert_plan_matches_model(&[case], &project, &format!("projection {ctx}"));
+    assert_plan_matches_model(&[case], &aggregate, &format!("aggregate {ctx}"));
 }
 
-fn assert_all_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
-    // Fully hot: vectorized == scalar == parallel (all thread counts).
-    assert_serial_kernels_agree(t, t, pred, true, true, ctx);
-    assert_one_predicate_plans_agree(t, t, pred, ctx);
-    assert_compressed_kernels_agree(t, pred, ctx);
+/// `values` forgotten by `pattern`: fully hot (with exact work), then
+/// frozen in every codec at every block-prefix boundary, in blocks of
+/// each of `block_sizes`.
+fn assert_all_kernels_agree(
+    values: &[i64],
+    pattern: ForgetPattern,
+    seed: u64,
+    pred: RangePredicate,
+    block_sizes: &[usize],
+    ctx: &str,
+) {
+    let history = history(values, pattern, seed);
+    let hot = case(DEFAULT_BLOCK_ROWS, None, &history);
+    assert_serial_kernels_agree(&hot, pred, true, ctx);
+    assert_one_predicate_plans_agree(&hot, pred, ctx);
+    assert_compressed_kernels_agree(&history, pred, block_sizes, ctx);
 }
 
-/// A copy of hot table `t` under another tier block size and pinned
-/// codec (`None` = the automatic chooser), forgets included.
-fn rebuilt(t: &Table, block_rows: usize, encoding: Option<Encoding>) -> Table {
-    let mut copy = Table::with_block_rows(Schema::single("a"), block_rows);
-    copy.pin_encoding(0, encoding);
-    let values = t.col_values_dense(0);
-    if !values.is_empty() {
-        copy.insert_batch(&values, 0).unwrap();
-    }
-    for r in (0..t.num_rows()).map(RowId::from) {
-        if !t.activity().is_active(r) {
-            copy.forget(r, 1).unwrap();
-        }
-    }
-    copy
-}
-
-/// Fused compressed scans == scalar scans of the hot original, for every
-/// codec (pinned per block) and the automatic chooser, at word-aligned
-/// block sizes that land frozen/tail boundaries on and off batch edges,
-/// with the table frozen at *every* block-prefix boundary in turn — then
-/// with the hot tail grown past the frozen prefix.
-fn assert_compressed_kernels_agree(t: &Table, pred: RangePredicate, ctx: &str) {
-    let n = t.num_rows();
-    for block_rows in [64usize, 1024] {
+/// Fused compressed scans answer the model for every codec (pinned per
+/// block) and the automatic chooser, at word-aligned block sizes that
+/// land frozen/tail boundaries on and off batch edges, with the table
+/// frozen at *every* block-prefix boundary in turn — then with the hot
+/// tail grown past the frozen prefix.
+fn assert_compressed_kernels_agree(
+    history: &[Op],
+    pred: RangePredicate,
+    block_sizes: &[usize],
+    ctx: &str,
+) {
+    for &block_rows in block_sizes {
         let codecs = Encoding::ALL.into_iter().map(Some).chain([None]);
         for encoding in codecs {
             let tag = format!("{encoding:?}@{block_rows} {ctx}");
-            let mut frozen = rebuilt(t, block_rows, encoding);
+            let mut frozen = case(block_rows, encoding, history);
+            let n = frozen.model.len();
             for prefix in (block_rows..=n).step_by(block_rows) {
-                frozen.freeze_upto(prefix);
-                assert_eq!(frozen.frozen_blocks(), prefix / block_rows, "{tag}");
+                frozen.apply(Op::FreezeUpto(prefix));
+                assert_eq!(frozen.table.frozen_blocks(), prefix / block_rows, "{tag}");
                 let before = block_decodes();
                 assert_serial_kernels_agree(
                     &frozen,
-                    t,
                     pred,
                     false,
-                    true,
                     &format!("frozen<{prefix} {tag}"),
                 );
                 assert_eq!(block_decodes(), before, "a fused scan decoded: {tag}");
             }
             if encoding.is_none() {
-                assert_one_predicate_plans_agree(&frozen, t, pred, &format!("frozen {tag}"));
+                assert_one_predicate_plans_agree(&frozen, pred, &format!("frozen {tag}"));
             }
             // The hot tail grows past the frozen prefix: new rows land
             // behind it and the activity words lengthen with them.
-            let mut grown = t.clone();
             let tail: Vec<i64> = (0..70)
                 .map(|i| pred.lo.saturating_add(i * 3 - 30))
                 .collect();
-            grown.insert_batch(&tail, 2).unwrap();
-            frozen.insert_batch(&tail, 2).unwrap();
-            assert_serial_kernels_agree(
-                &frozen,
-                &grown,
-                pred,
-                false,
-                true,
-                &format!("grown tail {tag}"),
-            );
+            frozen.apply(Op::column(&tail));
+            assert_serial_kernels_agree(&frozen, pred, false, &format!("grown tail {tag}"));
         }
     }
 }
@@ -286,9 +227,9 @@ proptest! {
         width in 0i64..8_000,
         seed in any::<u64>(),
     ) {
-        let t = build_table(&values, pattern, seed);
         let pred = RangePredicate::new(lo, lo.saturating_add(width));
-        assert_all_kernels_agree(&t, pred, &format!("n={} {pattern:?}", values.len()));
+        let ctx = format!("n={} {pattern:?}", values.len());
+        assert_all_kernels_agree(&values, pattern, seed, pred, &[64, 1024], &ctx);
     }
 }
 
@@ -300,123 +241,96 @@ fn boundary_sizes_and_forget_patterns() {
         let values: Vec<i64> = (0..n).map(|_| rng.range_i64(0, 1_000)).collect();
         for pattern in [
             ForgetPattern::None,
+            ForgetPattern::Every(3),
             ForgetPattern::Quarter,
-            ForgetPattern::All,
+            ForgetPattern::Every(1),
         ] {
-            let t = build_table(&values, pattern, 99);
             for pred in [
                 RangePredicate::new(0, 1_000), // everything
                 RangePredicate::new(250, 500), // selective
                 RangePredicate::new(900, 100), // empty (inverted)
             ] {
-                assert_all_kernels_agree(&t, pred, &format!("n={n} {pattern:?}"));
+                let ctx = format!("n={n} {pattern:?}");
+                assert_all_kernels_agree(&values, pattern, 99, pred, &[64, 1024], &ctx);
             }
         }
     }
+    // Several blocks with periodic forgets and a partial tail: 4 097,
+    // 5 000 and 6 000 rows over domains of 1 000, 500 and 700, frozen a
+    // batch-sized block at a time.
+    for (n, domain, every, seed) in [
+        (4_097, 1_000, 5, 42),
+        (5_000, 500, 4, 9),
+        (6_000, 700, 3, 13),
+    ] {
+        let mut rng = SimRng::new(seed);
+        let values: Vec<i64> = (0..n).map(|_| rng.range_i64(0, domain)).collect();
+        let pred = RangePredicate::new(domain / 5, domain * 4 / 5);
+        let pattern = ForgetPattern::Every(every);
+        let ctx = format!("n={n} every {every}");
+        assert_all_kernels_agree(&values, pattern, seed, pred, &[1024], &ctx);
+    }
 }
 
-/// Assert a tiered table and its never-frozen twin answer every kernel
-/// identically: scans, counts, aggregates of every kind with and without
-/// predicates, the same scans and folds as one-predicate plans (serial +
-/// parallel, all thread counts), and — while no lossy transition has run
-/// — the complete-scan regime. The twin's scalar kernels are the ground
-/// truth. Runs under whichever SIMD mode the process was started in —
-/// CI's matrix covers both native and `AMNESIA_PORTABLE_ONLY`.
-///
-/// `scan_all_comparable` must be false once a recompression actually
-/// re-encoded a block (or a block was dropped): both transitions destroy
-/// *forgotten* rows' values by design, so the ScanSeesForgotten regime
-/// legitimately diverges from the flat twin afterwards — active-only
-/// answers are the invariant that survives every transition.
-fn assert_tiered_equals_flat(
-    tiered: &Table,
-    flat: &Table,
-    pred: RangePredicate,
-    scan_all_comparable: bool,
-    ctx: &str,
-) {
-    assert_serial_kernels_agree(tiered, flat, pred, false, scan_all_comparable, ctx);
-    assert_one_predicate_plans_agree(tiered, flat, pred, ctx);
+/// The plan-level checks of one self-join: the hash join's pairs, count
+/// and join plan over `case` are the model's.
+fn assert_self_join_matches_model(case: &Case, ctx: &str) {
+    let t = &case.table;
+    let want = join_pairs(&case.model, 0, &case.model, 0, ACTIVE);
+    let got = hash_join(t, 0, t, 0, ACTIVE);
+    assert_eq!(got.pairs, want, "tiered join pairs {ctx}");
+    assert_eq!(got.stats.output_pairs, want.len(), "{ctx}");
+    assert_eq!(
+        build_side(&got.stats),
+        model_build_side(&case.model),
+        "build {ctx}"
+    );
+    assert_eq!(
+        hash_join_count(t, 0, t, 0, ACTIVE),
+        want.len(),
+        "count {ctx}"
+    );
+    assert_join_plan_matches_model(case, case, ctx);
+}
+
+/// A join's build accounting: the rows it hashed and their distinct keys.
+fn build_side(stats: &JoinStats) -> (usize, usize) {
+    (stats.build_rows, stats.build_distinct_keys)
+}
+
+/// The build accounting of an active-only join building on column 0 of
+/// `m`: its active rows, and as many distinct keys as they form groups.
+fn model_build_side(m: &Model) -> (usize, usize) {
+    let mut keys = plan(vec![vec![]], None, vec![agg(AggKind::Count, None)]);
+    keys.group_by = Some((0, 0, "k".into()));
+    (m.active_len(), eval_plan(&[m], &keys).len())
 }
 
 /// The join `left.a = right.a` as a [`PhysicalPlan`] emitting both key
-/// columns: serial and parallel runs must agree with each other and with
-/// `want_pairs` — the hash join's pairs, in its canonical order, whatever
-/// build side or join strategy the cost model picked.
-fn assert_join_plan_equals(left: &Table, right: &Table, want_pairs: &[(RowId, RowId)], ctx: &str) {
-    let scan = |label: &str| PhysScan {
-        preds: Vec::new(),
-        label: label.into(),
-    };
-    let key = |slot| PhysItem::Column {
-        slot,
-        col: 0,
-        display: "a".into(),
-    };
-    let plan = PhysicalPlan {
-        scans: vec![scan("Scan l [active-only]"), scan("Scan r [active-only]")],
-        join: Some(JoinSpec {
-            left_col: 0,
-            right_col: 0,
-            display: "l.a = r.a".into(),
-        }),
-        items: vec![key(0), key(1)],
-        group_by: None,
-        order_by: None,
-        limit: None,
-        hint: PlanHint::CostBased,
-    };
-    let want: Vec<Vec<Scalar>> = want_pairs
-        .iter()
-        .map(|&(l, r)| {
-            vec![
-                Scalar::Int(left.value(0, l)),
-                Scalar::Int(right.value(0, r)),
-            ]
-        })
-        .collect();
-    let serial = serial().execute_plan(&[left, right], &[], &plan);
-    assert_eq!(serial.rows, want, "join plan {ctx}");
-    assert_eq!(serial.stats.join_pairs, want_pairs.len(), "join plan {ctx}");
-    assert_plan_parallel_equals_serial(&[left, right], &plan, &format!("join {ctx}"));
+/// columns returns the model's rows at every width, whatever build side
+/// or join strategy the cost model picked.
+fn assert_join_plan_matches_model(left: &Case, right: &Case, ctx: &str) {
+    let join = plan(
+        vec![vec![], vec![]],
+        Some((0, 0)),
+        vec![col(0, 0), col(1, 0)],
+    );
+    assert_plan_matches_model(&[left, right], &join, &format!("join {ctx}"));
 }
 
-/// The tiered self-join must equal the dense twin's self-join *exactly* —
-/// same pairs in the same order (build rows ascend per key, probe rows
-/// right-major), same count, and the same rows from the join plan across
-/// serial and parallel probes. Active-only
-/// answers survive every tier transition, so this runs even after lossy
-/// recompressions.
-fn assert_tiered_join_equals_flat(tiered: &Table, flat: &Table, ctx: &str) {
-    let want = hash_join(flat, 0, flat, 0, ForgetVisibility::ActiveOnly);
-    let got = hash_join(tiered, 0, tiered, 0, ForgetVisibility::ActiveOnly);
-    assert_eq!(got.pairs, want.pairs, "tiered join pairs {ctx}");
-    assert_eq!(
-        got.stats.build_distinct_keys, want.stats.build_distinct_keys,
-        "tiered join distinct keys {ctx}"
-    );
-    assert_eq!(got.stats.build_rows, want.stats.build_rows, "{ctx}");
-    assert_eq!(got.stats.output_pairs, want.stats.output_pairs, "{ctx}");
-    assert_eq!(
-        hash_join_count(tiered, 0, tiered, 0, ForgetVisibility::ActiveOnly),
-        want.stats.output_pairs,
-        "tiered join count {ctx}"
-    );
-    assert_join_plan_equals(tiered, tiered, &want.pairs, ctx);
-}
-
-/// Randomized freeze/forget/thaw/drop/recompress/vacuum/query
-/// interleavings: after every transition the tiered table must keep
-/// answering exactly like its never-frozen twin, across block sizes and
-/// every pinned codec plus the automatic chooser.
+/// Randomized insert/forget/freeze/thaw/recompress/vacuum interleavings,
+/// then a drop: after every transition the tiered table answers every
+/// kernel, plan and join as the model does, across block sizes and every
+/// pinned codec plus the automatic chooser. The complete scan is checked
+/// whenever the model defines it: up to the first recompression, and
+/// again after a vacuum.
 #[test]
-fn tiered_interleavings_match_flat_storage() {
+fn tiered_interleavings_match_the_model() {
     for (block_rows, encoding, seed) in [
         (64usize, None, 1u64),
         (64, Some(Encoding::Rle), 2),
-        // Seed 102 previously tripped the scan-all comparison after an
-        // RLE recompression — kept as a regression case for the lossy
-        // gating.
+        // Seed 102 once tripped the complete-scan check after an RLE
+        // recompression: a regression case for its gating.
         (64, Some(Encoding::Rle), 102),
         (64, Some(Encoding::Dict), 3),
         (128, Some(Encoding::Delta), 4),
@@ -427,105 +341,61 @@ fn tiered_interleavings_match_flat_storage() {
         (1024, Some(Encoding::RunBits), 9),
     ] {
         let mut rng = SimRng::new(seed);
-        let mut flat = Table::new(Schema::single("a"));
-        let mut tiered = Table::with_block_rows(Schema::single("a"), block_rows);
-        tiered.pin_encoding(0, encoding);
+        let mut case = case(block_rows, encoding, &[]);
         let ctx = format!("block_rows={block_rows} enc={encoding:?} seed={seed}");
-        // Set once a transition destroys forgotten rows' values (a
-        // recompression that actually re-encoded): active-only answers
-        // stay exact forever, but the complete-scan regime legitimately
-        // diverges from the flat twin. Vacuum rebuilds both twins from
-        // survivors only, which makes them byte-identical again.
-        let mut lossy = false;
         for step in 0..12 {
             // Mutate: insert a batch, forget some rows, then a random
             // tier transition.
             let n = 100 + (rng.range_i64(0, 400) as usize);
             let values: Vec<i64> = (0..n).map(|_| rng.range_i64(-500, 500)).collect();
-            flat.insert_batch(&values, step).unwrap();
-            tiered.insert_batch(&values, step).unwrap();
-            for _ in 0..n / 3 {
-                if let Some(r) = flat.random_active(&mut rng) {
-                    flat.forget(r, step).unwrap();
-                    tiered.forget(r, step).unwrap();
-                }
-            }
-            match rng.range_i64(0, 6) {
-                0 | 1 => {
-                    let upto = rng.range_i64(0, flat.num_rows() as i64 + 1) as usize;
-                    tiered.freeze_upto(upto);
-                }
-                2 => {
-                    tiered.freeze_upto(tiered.num_rows());
-                }
-                3 => {
-                    let nb = tiered.frozen_blocks();
-                    if nb > 0 {
-                        tiered.thaw_block(rng.range_i64(0, nb as i64) as usize);
-                    }
-                }
-                4 => {
-                    let (reencoded, _) = tiered.recompress_frozen(0.9);
-                    lossy |= reencoded > 0;
-                }
-                _ => {
-                    // Vacuum both twins identically; the compacted tiered
-                    // table comes back hot (survivor values only, so the
-                    // twins are byte-identical again) and refreezes later.
-                    let keep_flat = vacuum(&flat);
-                    let keep_tiered = vacuum(&tiered);
-                    assert_eq!(
-                        keep_flat.removed, keep_tiered.removed,
-                        "vacuum parity {ctx}"
-                    );
-                    flat = keep_flat.table;
-                    tiered = keep_tiered.table;
-                    lossy = false;
-                }
-            }
-            tiered.check_invariants().unwrap();
-            assert_eq!(tiered.num_rows(), flat.num_rows(), "{ctx} step {step}");
+            case.apply(Op::column(&values));
+            let len = case.model.len();
+            case.apply(Op::Forget((0..n / 3).map(|_| rng.index(len)).collect()));
+            let op = match rng.range_i64(0, 6) {
+                0 | 1 => Op::FreezeUpto(rng.range_i64(0, len as i64 + 1) as usize),
+                2 => Op::FreezeUpto(len),
+                3 => Op::Thaw(rng.range_i64(0, case.table.frozen_blocks() as i64 + 1) as usize),
+                4 => Op::Recompress(0.9),
+                // The compacted table comes back hot (survivors only,
+                // renumbered) and refreezes later.
+                _ => Op::Vacuum,
+            };
+            case.apply(op);
+            case.table.check_invariants().unwrap();
+            let ctx = format!("{ctx} step {step}");
+            assert_eq!(case.table.num_rows(), case.model.len(), "{ctx}");
             // Query: a selective, a covering, and an empty predicate.
             for pred in [
                 RangePredicate::new(rng.range_i64(-500, 400), rng.range_i64(-400, 500)),
                 RangePredicate::new(-500, 500),
                 RangePredicate::new(400, -400),
             ] {
-                assert_tiered_equals_flat(
-                    &tiered,
-                    &flat,
-                    pred,
-                    !lossy,
-                    &format!("{ctx} step {step}"),
-                );
+                assert_serial_kernels_agree(&case, pred, false, &ctx);
+                assert_one_predicate_plans_agree(&case, pred, &ctx);
             }
             // Joins ride the same interleavings: build and probe must
             // read the exact tier layout this step produced.
-            assert_tiered_join_equals_flat(&tiered, &flat, &format!("{ctx} step {step}"));
+            assert_self_join_matches_model(&case, &ctx);
         }
         // Dropping fully-forgotten blocks keeps active answers intact.
-        tiered.freeze_upto(tiered.num_rows());
-        let (_, _) = tiered.drop_forgotten_blocks();
+        let len = case.model.len();
+        case.apply(Op::FreezeUpto(len));
+        case.apply(Op::Drop);
         for pred in [
             RangePredicate::new(-500, 500),
             RangePredicate::new(-100, 100),
         ] {
-            let reference = scalar::range_scan_active(&flat, 0, pred);
-            assert_eq!(
-                kernels::range_scan_active(&tiered, 0, pred),
-                reference,
-                "{ctx} after drop"
-            );
+            assert_serial_kernels_agree(&case, pred, false, &format!("{ctx} after drop"));
         }
     }
 }
 
-/// Tiered join == dense-materialized join across every codec × block
+/// The tiered join's pairs are the model's across every codec × block
 /// size × freeze/forget/recompress/drop interleaving, on a two-table
 /// (parent/child) shape where the build and probe sides freeze
 /// *independently* — left frozen/right hot, left hot/right frozen, both
-/// frozen, recompressed, partially dropped. The flat twins are the
-/// ground truth; pair order must match bit-for-bit.
+/// frozen, recompressed, partially dropped. Pair order must match
+/// bit-for-bit.
 #[test]
 fn tiered_join_equals_dense_join_across_codecs() {
     for (block_rows, encoding, seed) in [
@@ -549,83 +419,58 @@ fn tiered_join_equals_dense_join_across_codecs() {
                 (r * r * 400.0) as i64
             })
             .collect();
-        let mut flat_parent = Table::new(Schema::single("k"));
-        flat_parent.insert_batch(&parent_vals, 0).unwrap();
-        let mut flat_child = Table::new(Schema::single("fk"));
-        flat_child.insert_batch(&child_vals, 0).unwrap();
-        let mut parent = Table::with_block_rows(Schema::single("k"), block_rows);
-        parent.pin_encoding(0, encoding);
-        parent.insert_batch(&parent_vals, 0).unwrap();
-        let mut child = Table::with_block_rows(Schema::single("fk"), block_rows);
-        child.pin_encoding(0, encoding);
-        child.insert_batch(&child_vals, 0).unwrap();
-        for _ in 0..300 {
-            if let Some(r) = flat_parent.random_active(&mut rng) {
-                flat_parent.forget(r, 1).unwrap();
-                parent.forget(r, 1).unwrap();
-            }
-            if let Some(r) = flat_child.random_active(&mut rng) {
-                flat_child.forget(r, 1).unwrap();
-                child.forget(r, 1).unwrap();
-            }
-        }
+        let parent_victims = (0..300).map(|_| rng.index(700)).collect();
+        let child_victims = (0..300).map(|_| rng.index(1_500)).collect();
+        let mut parent = case(
+            block_rows,
+            encoding,
+            &[Op::column(&parent_vals), Op::Forget(parent_victims)],
+        );
+        let mut child = case(
+            block_rows,
+            encoding,
+            &[Op::column(&child_vals), Op::Forget(child_victims)],
+        );
 
-        let check = |flat_parent: &Table,
-                     flat_child: &Table,
-                     parent: &Table,
-                     child: &Table,
-                     stage: &str| {
-            let want = hash_join(flat_parent, 0, flat_child, 0, ForgetVisibility::ActiveOnly);
-            let got = hash_join(parent, 0, child, 0, ForgetVisibility::ActiveOnly);
-            assert_eq!(got.pairs, want.pairs, "{ctx} {stage}");
+        let check = |parent: &Case, child: &Case, stage: &str| {
+            let want = join_pairs(&parent.model, 0, &child.model, 0, ACTIVE);
+            let (p, c) = (&parent.table, &child.table);
+            let got = hash_join(p, 0, c, 0, ACTIVE);
+            assert_eq!(got.pairs, want, "{ctx} {stage}");
             assert_eq!(
-                got.stats.build_distinct_keys,
-                want.stats.build_distinct_keys
+                build_side(&got.stats),
+                model_build_side(&parent.model),
+                "{ctx} {stage} build"
             );
             assert_eq!(
-                hash_join_count(parent, 0, child, 0, ForgetVisibility::ActiveOnly),
-                want.stats.output_pairs,
+                hash_join_count(p, 0, c, 0, ACTIVE),
+                want.len(),
                 "{ctx} {stage} count"
             );
-            assert_join_plan_equals(parent, child, &want.pairs, &format!("{ctx} {stage}"));
+            assert_join_plan_matches_model(parent, child, &format!("{ctx} {stage}"));
         };
 
-        // Hot × hot (sanity), then every frozen combination.
-        check(&flat_parent, &flat_child, &parent, &child, "hot/hot");
-        parent.freeze_upto(parent.num_rows());
-        check(&flat_parent, &flat_child, &parent, &child, "frozen/hot");
-        child.freeze_upto(child.num_rows() / 2);
-        check(&flat_parent, &flat_child, &parent, &child, "frozen/mixed");
-        child.freeze_upto(child.num_rows());
-        check(&flat_parent, &flat_child, &parent, &child, "frozen/frozen");
+        // Hot × hot, then every frozen combination.
+        check(&parent, &child, "hot/hot");
+        parent.apply(Op::FreezeUpto(700));
+        check(&parent, &child, "frozen/hot");
+        child.apply(Op::FreezeUpto(750));
+        check(&parent, &child, "frozen/mixed");
+        child.apply(Op::FreezeUpto(1_500));
+        check(&parent, &child, "frozen/frozen");
         // Ground truth (forgotten rows included) holds while no lossy
         // transition has run.
-        let truth_want = hash_join(
-            &flat_parent,
-            0,
-            &flat_child,
-            0,
-            ForgetVisibility::ScanSeesForgotten,
-        );
-        let truth_got = hash_join(&parent, 0, &child, 0, ForgetVisibility::ScanSeesForgotten);
-        assert_eq!(truth_got.pairs, truth_want.pairs, "{ctx} ground truth");
+        let truth = hash_join(&parent.table, 0, &child.table, 0, COMPLETE);
+        let want = join_pairs(&parent.model, 0, &child.model, 0, COMPLETE);
+        assert_eq!(truth.pairs, want, "{ctx} ground truth");
         // Recompress squashes forgotten values; active answers must hold.
-        parent.recompress_frozen(0.95);
-        child.recompress_frozen(0.95);
-        check(&flat_parent, &flat_child, &parent, &child, "recompressed");
-        // Forget a whole child block and drop it: its pairs vanish from
-        // both twins because the *flat* twin forgets the same rows.
-        let doomed: Vec<RowId> = (0..block_rows.min(child.num_rows()))
-            .map(RowId::from)
-            .collect();
-        for &r in &doomed {
-            if flat_child.activity().is_active(r) {
-                flat_child.forget(r, 2).unwrap();
-                child.forget(r, 2).unwrap();
-            }
-        }
-        child.drop_forgotten_blocks();
-        check(&flat_parent, &flat_child, &parent, &child, "dropped");
+        parent.apply(Op::Recompress(0.95));
+        child.apply(Op::Recompress(0.95));
+        check(&parent, &child, "recompressed");
+        // Forget a whole child block and drop it: its pairs vanish.
+        child.apply(Op::Forget((0..block_rows).collect()));
+        child.apply(Op::Drop);
+        check(&parent, &child, "dropped");
     }
 }
 
@@ -642,115 +487,62 @@ fn tiered_join_never_decodes_frozen_blocks() {
         Encoding::Delta,
         Encoding::RunBits,
     ] {
-        let mut left = Table::with_block_rows(Schema::single("k"), 256);
-        left.pin_encoding(0, Some(encoding));
-        left.insert_batch(&(0..2_048).map(|i| i / 8).collect::<Vec<i64>>(), 0)
-            .unwrap();
-        let mut right = Table::with_block_rows(Schema::single("fk"), 256);
-        right.pin_encoding(0, Some(encoding));
-        right
-            .insert_batch(&(0..2_048).map(|i| i % 300).collect::<Vec<i64>>(), 0)
-            .unwrap();
-        for r in (0..2_048u64).step_by(5) {
-            left.forget(RowId(r), 1).unwrap();
-            right.forget(RowId(r), 1).unwrap();
-        }
-        left.freeze_upto(2_048);
-        right.freeze_upto(2_048);
-        let dense_want = {
-            // Dense reference computed before the counter snapshot (it
-            // decodes on purpose).
-            let l: Vec<i64> = (0..2_048).map(|r| left.value(0, RowId::from(r))).collect();
-            let r: Vec<i64> = (0..2_048)
-                .map(|row| right.value(0, RowId::from(row)))
-                .collect();
-            let mut pairs = Vec::new();
-            for probe in right.iter_active() {
-                for build in left.iter_active() {
-                    if l[build.as_usize()] == r[probe.as_usize()] {
-                        pairs.push((build, probe));
-                    }
-                }
-            }
-            pairs.sort_by_key(|&(l, r)| (r, l));
-            pairs
+        let side = |values: Vec<i64>| {
+            case(
+                256,
+                Some(encoding),
+                &[
+                    Op::column(&values),
+                    Op::Forget((0..2_048).step_by(5).collect()),
+                    Op::FreezeUpto(2_048),
+                ],
+            )
         };
+        let left = side((0..2_048).map(|i| i / 8).collect());
+        let right = side((0..2_048).map(|i| i % 300).collect());
+        let (l, r) = (&left.table, &right.table);
         let before = block_decodes();
-        let got = hash_join(&left, 0, &right, 0, ForgetVisibility::ActiveOnly);
-        let count = hash_join_count(&left, 0, &right, 0, ForgetVisibility::ActiveOnly);
+        let got = hash_join(l, 0, r, 0, ACTIVE);
+        let count = hash_join_count(l, 0, r, 0, ACTIVE);
         assert_eq!(
             block_decodes() - before,
             0,
             "{encoding:?}: tiered join must not decode any frozen block"
         );
-        let mut sorted = got.pairs.clone();
-        sorted.sort_by_key(|&(l, r)| (r, l));
-        assert_eq!(sorted, dense_want, "{encoding:?}");
-        assert_eq!(count, got.pairs.len(), "{encoding:?}");
+        let want = join_pairs(&left.model, 0, &right.model, 0, ACTIVE);
+        assert_eq!(got.pairs, want, "{encoding:?}");
+        assert_eq!(count, want.len(), "{encoding:?}");
     }
 }
 
 #[test]
 fn join_kernels_agree_with_row_at_a_time_reference() {
-    use amnesia::engine::join::{hash_join, hash_join_count};
-    use amnesia::engine::ForgetVisibility;
-
     let mut rng = SimRng::new(77);
-    let mut left = Table::new(Schema::single("k"));
-    let left_vals: Vec<i64> = (0..500).map(|_| rng.range_i64(0, 50)).collect();
-    left.insert_batch(&left_vals, 0).unwrap();
-    let mut right = Table::new(Schema::single("k"));
-    let right_vals: Vec<i64> = (0..800).map(|_| rng.range_i64(0, 50)).collect();
-    right.insert_batch(&right_vals, 0).unwrap();
-    for _ in 0..150 {
-        if let Some(r) = left.random_active(&mut rng) {
-            left.forget(r, 1).unwrap();
-        }
-        if let Some(r) = right.random_active(&mut rng) {
-            right.forget(r, 1).unwrap();
-        }
-    }
-
-    for vis in [
-        ForgetVisibility::ActiveOnly,
-        ForgetVisibility::ScanSeesForgotten,
-    ] {
-        let result = hash_join(&left, 0, &right, 0, vis);
-        // Row-at-a-time reference join.
-        let mut expect = Vec::new();
-        let rows = |t: &Table| -> Vec<RowId> {
-            match vis {
-                ForgetVisibility::ActiveOnly => t.active_row_ids(),
-                ForgetVisibility::ScanSeesForgotten => (0..t.num_rows()).map(RowId::from).collect(),
-            }
-        };
-        for &r in &rows(&right) {
-            for &l in &rows(&left) {
-                if left_vals[l.as_usize()] == right_vals[r.as_usize()] {
-                    expect.push((l, r));
-                }
-            }
-        }
-        let mut got = result.pairs.clone();
-        got.sort();
-        expect.sort();
-        assert_eq!(got, expect, "{vis:?}");
+    let mut side = |n: usize| {
+        let values: Vec<i64> = (0..n).map(|_| rng.range_i64(0, 50)).collect();
+        let victims = (0..150).map(|_| rng.index(n)).collect();
+        case(
+            DEFAULT_BLOCK_ROWS,
+            None,
+            &[Op::column(&values), Op::Forget(victims)],
+        )
+    };
+    let (left, right) = (side(500), side(800));
+    for vis in [ACTIVE, COMPLETE] {
+        let want = join_pairs(&left.model, 0, &right.model, 0, vis);
+        let (l, r) = (&left.table, &right.table);
+        assert_eq!(hash_join(l, 0, r, 0, vis).pairs, want, "{vis:?}");
         assert_eq!(
-            hash_join_count(&left, 0, &right, 0, vis),
-            expect.len(),
+            hash_join_count(l, 0, r, 0, vis),
+            want.len(),
             "{vis:?} count"
         );
     }
 }
 
 // ===================================================================
-// Morsel scheduler: PhysicalPlan execution, parallel == serial
+// Morsel scheduler: PhysicalPlan execution at every pool width
 // ===================================================================
-
-use amnesia::engine::physical::JoinSpec;
-use amnesia::engine::{
-    ColPred, ExecMode, Executor, PhysItem, PhysScan, PhysicalPlan, PlanHint, Scalar, SortDir,
-};
 
 /// Non-power-of-two worker counts included on purpose: uneven morsel
 /// partitions are where merge-order bugs live. `Parallel(1)` is one
@@ -762,19 +554,24 @@ const PLAN_THREADS: [usize; 4] = [1, 2, 7, 8];
 /// or two).
 const SMALL_MORSEL: usize = 128;
 
-/// The one-worker executor every width is compared against.
-fn serial() -> Executor {
-    Executor::default().with_exec_mode(ExecMode::Serial)
-}
-
-/// Run `plan` on one worker and at every pool width, at the small and at
-/// the default morsel size. The rows must be byte-identical and so must
-/// every work counter — pruning, per-predicate attribution, estimates,
-/// join and group cardinalities, the plan tag: only the scheduler's own
-/// accounting (`planned` masks it) may depend on how the table was cut.
-/// No width may add block decodes over fully-frozen tables.
-fn assert_plan_parallel_equals_serial(tables: &[&Table], plan: &PhysicalPlan, ctx: &str) {
-    let serial = serial().execute_plan(tables, &[], plan);
+/// Run `plan` over `cases` on one worker and at every pool width, at the
+/// small and at the default morsel size. The rows must be the model's,
+/// and every work counter must be the one worker's — pruning,
+/// per-predicate attribution, estimates, join and group cardinalities,
+/// the plan tag: only the scheduler's own accounting (`planned` masks
+/// it) may depend on how the table was cut. No width may decode a block
+/// of fully-frozen tables.
+fn assert_plan_matches_model(cases: &[&Case], plan: &PhysicalPlan, ctx: &str) {
+    let tables: Vec<&Table> = cases.iter().map(|c| &c.table).collect();
+    let models: Vec<&Model> = cases.iter().map(|c| &c.model).collect();
+    let want = eval_plan(&models, plan);
+    let serial = Executor::default()
+        .with_exec_mode(ExecMode::Serial)
+        .execute_plan(&tables, &[], plan);
+    assert_eq!(serial.rows, want, "serial: {ctx}");
+    let fully_frozen = tables
+        .iter()
+        .all(|t| t.frozen_blocks() * t.block_rows() >= t.num_rows());
     for threads in PLAN_THREADS {
         for morsel_rows in [Some(SMALL_MORSEL), None] {
             let ctx = format!("{threads} threads, morsel {morsel_rows:?}: {ctx}");
@@ -784,17 +581,14 @@ fn assert_plan_parallel_equals_serial(tables: &[&Table], plan: &PhysicalPlan, ct
                 None => pool,
             };
             let before = block_decodes();
-            let par = pool.execute_plan(tables, &[], plan);
+            let par = pool.execute_plan(&tables, &[], plan);
             let decoded = block_decodes() - before;
-            assert_eq!(par.rows, serial.rows, "plan output diverged at {ctx}");
+            assert_eq!(par.rows, want, "plan output diverged at {ctx}");
             assert_eq!(
                 common::planned(&par.stats),
                 common::planned(&serial.stats),
                 "work accounting diverged at {ctx}"
             );
-            let fully_frozen = tables
-                .iter()
-                .all(|t| t.frozen_blocks() * t.block_rows() >= t.num_rows());
             if fully_frozen {
                 assert_eq!(
                     decoded, 0,
@@ -807,48 +601,20 @@ fn assert_plan_parallel_equals_serial(tables: &[&Table], plan: &PhysicalPlan, ct
 
 /// The grouped-aggregate plan shape (scan → group → sort → limit).
 fn grouped_plan() -> PhysicalPlan {
+    let preds = vec![ColPred::range(1, 100, 700), ColPred::range(2, 10, 80)];
+    let items = vec![
+        col(0, 0),
+        agg(AggKind::Count, None),
+        agg(AggKind::Sum, Some((0, 1))),
+        agg(AggKind::Avg, Some((0, 2))),
+        agg(AggKind::Min, Some((0, 1))),
+        agg(AggKind::Max, Some((0, 1))),
+    ];
     PhysicalPlan {
-        scans: vec![PhysScan {
-            preds: vec![ColPred::range(1, 100, 700), ColPred::range(2, 10, 80)],
-            label: "Scan t [active-only]".into(),
-        }],
-        join: None,
-        items: vec![
-            PhysItem::Column {
-                slot: 0,
-                col: 0,
-                display: "g".into(),
-            },
-            PhysItem::Aggregate {
-                kind: AggKind::Count,
-                arg: None,
-                display: "n".into(),
-            },
-            PhysItem::Aggregate {
-                kind: AggKind::Sum,
-                arg: Some((0, 1)),
-                display: "s".into(),
-            },
-            PhysItem::Aggregate {
-                kind: AggKind::Avg,
-                arg: Some((0, 2)),
-                display: "m".into(),
-            },
-            PhysItem::Aggregate {
-                kind: AggKind::Min,
-                arg: Some((0, 1)),
-                display: "lo".into(),
-            },
-            PhysItem::Aggregate {
-                kind: AggKind::Max,
-                arg: Some((0, 1)),
-                display: "hi".into(),
-            },
-        ],
         group_by: Some((0, 0, "g".into())),
         order_by: Some((2, SortDir::Desc)),
         limit: Some(16),
-        hint: PlanHint::CostBased,
+        ..plan(vec![preds], None, items)
     }
 }
 
@@ -856,89 +622,51 @@ fn grouped_plan() -> PhysicalPlan {
 /// merge) and no LIMIT (every surviving row must come back, in order).
 fn projection_plan() -> PhysicalPlan {
     PhysicalPlan {
-        scans: vec![PhysScan {
-            preds: vec![ColPred::range(1, 0, 500)],
-            label: "Scan t [active-only]".into(),
-        }],
-        join: None,
-        items: vec![
-            PhysItem::Column {
-                slot: 0,
-                col: 0,
-                display: "g".into(),
-            },
-            PhysItem::Column {
-                slot: 0,
-                col: 2,
-                display: "b".into(),
-            },
-        ],
-        group_by: None,
         order_by: Some((1, SortDir::Asc)),
-        limit: None,
-        hint: PlanHint::CostBased,
+        ..plan(
+            vec![vec![ColPred::range(1, 0, 500)]],
+            None,
+            vec![col(0, 0), col(0, 2)],
+        )
     }
 }
 
 /// Global (ungrouped) aggregate — the per-chunk AggState merge path.
 fn global_agg_plan() -> PhysicalPlan {
-    PhysicalPlan {
-        scans: vec![PhysScan {
-            preds: vec![ColPred::range(1, 50, 900)],
-            label: "Scan t [active-only]".into(),
-        }],
-        join: None,
-        items: vec![
-            PhysItem::Aggregate {
-                kind: AggKind::Count,
-                arg: None,
-                display: "n".into(),
-            },
-            PhysItem::Aggregate {
-                kind: AggKind::Sum,
-                arg: Some((0, 2)),
-                display: "s".into(),
-            },
-            PhysItem::Aggregate {
-                kind: AggKind::Avg,
-                arg: Some((0, 1)),
-                display: "m".into(),
-            },
-        ],
-        group_by: None,
-        order_by: None,
-        limit: None,
-        hint: PlanHint::CostBased,
-    }
+    let items = vec![
+        agg(AggKind::Count, None),
+        agg(AggKind::Sum, Some((0, 2))),
+        agg(AggKind::Avg, Some((0, 1))),
+    ];
+    plan(vec![vec![ColPred::range(1, 50, 900)]], None, items)
 }
 
 /// A three-column table (`g`, `a`, `b`) under a pinned codec.
-fn plan_table(block_rows: usize, encoding: Option<Encoding>, n: usize, seed: u64) -> Table {
+fn plan_table(block_rows: usize, encoding: Option<Encoding>, n: usize, seed: u64) -> Case {
     let mut rng = SimRng::new(seed);
-    let mut t = Table::with_block_rows(Schema::new(vec!["g", "a", "b"]), block_rows);
-    for c in 0..3 {
-        t.pin_encoding(c, encoding);
-    }
-    for i in 0..n {
-        // `g` cycles (dict/rle-friendly), `a` trends (delta-friendly),
-        // `b` is noise (forpack-friendly).
-        t.insert(
-            &[
-                (i % 23) as i64,
-                (i as i64 / 4) % 1_000,
-                rng.range_i64(0, 100),
-            ],
-            0,
-        )
-        .unwrap();
-    }
-    t
+    // `g` cycles (dict/rle-friendly), `a` trends (delta-friendly), `b` is
+    // noise (forpack-friendly).
+    let rows = (0..n as i64)
+        .map(|i| vec![i % 23, (i / 4) % 1_000, rng.range_i64(0, 100)])
+        .collect();
+    Case::replay(
+        Schema::new(vec!["g", "a", "b"]),
+        block_rows,
+        (0..3)
+            .map(|c| Op::Pin(c, encoding))
+            .chain([Op::Insert(rows)]),
+    )
 }
 
-/// `execute_plan` under `ExecMode::Parallel` must match the serial path
-/// byte-for-byte across codecs × block sizes × thread counts ×
-/// freeze/forget/recompress interleavings, without extra block decodes
-/// once the table is fully frozen.
+/// `count` random picks among the rows of `case` to forget.
+fn random_forgets(case: &Case, rng: &mut SimRng, count: usize) -> Op {
+    let n = case.model.len();
+    Op::Forget((0..count).map(|_| rng.index(n)).collect())
+}
+
+/// `execute_plan` returns the model's rows at every pool width across
+/// codecs × block sizes × freeze/forget/recompress interleavings, without
+/// block decodes once the table is fully frozen.
 #[test]
 fn physical_plans_parallel_equals_serial_across_tiers() {
     for (block_rows, encoding, seed) in [
@@ -955,91 +683,90 @@ fn physical_plans_parallel_equals_serial_across_tiers() {
         let mut rng = SimRng::new(seed);
         let mut t = plan_table(block_rows, encoding, 3_000, seed);
         let plans = [grouped_plan(), projection_plan(), global_agg_plan()];
-        let check = |t: &Table, stage: &str| {
+        let check = |t: &Case, stage: &str| {
             for (i, plan) in plans.iter().enumerate() {
-                assert_plan_parallel_equals_serial(&[t], plan, &format!("{ctx} plan#{i} {stage}"));
+                assert_plan_matches_model(&[t], plan, &format!("{ctx} plan#{i} {stage}"));
             }
         };
         check(&t, "hot");
-        for _ in 0..700 {
-            if let Some(r) = t.random_active(&mut rng) {
-                t.forget(r, 1).unwrap();
-            }
-        }
+        let forgets = random_forgets(&t, &mut rng, 700);
+        t.apply(forgets);
         check(&t, "hot+forgets");
-        t.freeze_upto(t.num_rows() / 2);
+        t.apply(Op::FreezeUpto(1_500));
         check(&t, "half-frozen");
-        t.freeze_upto(t.num_rows());
+        t.apply(Op::FreezeUpto(3_000));
         check(&t, "frozen");
-        for _ in 0..400 {
-            if let Some(r) = t.random_active(&mut rng) {
-                t.forget(r, 2).unwrap();
-            }
-        }
+        let forgets = random_forgets(&t, &mut rng, 400);
+        t.apply(forgets);
         check(&t, "frozen+forgets");
-        t.recompress_frozen(0.9);
+        t.apply(Op::Recompress(0.9));
         check(&t, "recompressed");
-        for i in 0..900 {
-            t.insert(&[i % 23, 400 + (i % 300), rng.range_i64(0, 100)], 3)
-                .unwrap();
-        }
+        let tail = (0..900)
+            .map(|i| vec![i % 23, 400 + (i % 300), rng.range_i64(0, 100)])
+            .collect();
+        t.apply(Op::Insert(tail));
         check(&t, "regrown-tail");
     }
 }
 
-/// A hot table and its frozen twin on a correlated column: the hot
+/// A hot table and its frozen copy on a correlated column: the hot
 /// blocks' metas prune exactly the blocks the frozen metas prune, so the
-/// two return identical rows and count identical work — through the
-/// single-column kernels, a one-predicate plan under `Serial` and
+/// two count identical work, and both return the model's rows — through
+/// the single-column kernels, a one-predicate plan under `Serial` and
 /// `Parallel(2)` (at a morsel size that cuts blocks in two), and a join
 /// probe against a narrow build side. The forgets spare each block's
 /// first and last rows (the column ascends), so the hot bounds over all
-/// values and the frozen bounds over active ones coincide.
+/// values and the frozen bounds over active ones coincide. One predicate
+/// starts at a block's maximum: that block must survive the pruning.
 #[test]
 fn hot_and_frozen_twins_prune_the_same_blocks() {
     let br = 256;
     let n = 16 * br + 100;
-    let mut hot = Table::with_block_rows(Schema::new(vec!["a", "b"]), br);
-    for i in 0..n {
-        hot.insert(&[i as i64, (i % 7) as i64], 0).unwrap();
-    }
     let mut rng = SimRng::new(34);
-    for r in 0..n {
-        let edge = r % br == 0 || r % br == br - 1;
-        if (3 * br..4 * br).contains(&r) || (!edge && rng.chance(0.25)) {
-            hot.forget(RowId::from(r), 1).unwrap();
-        }
-    }
+    let victims = (0..n)
+        .filter(|&r| {
+            let edge = r % br == 0 || r % br == br - 1;
+            (3 * br..4 * br).contains(&r) || (!edge && rng.chance(0.25))
+        })
+        .collect();
+    let hot = Case::replay(
+        Schema::new(vec!["a", "b"]),
+        br,
+        [
+            Op::Insert((0..n as i64).map(|i| vec![i, i % 7]).collect()),
+            Op::Forget(victims),
+        ],
+    );
     let mut frozen = hot.clone();
-    frozen.freeze_upto(n);
-    assert_eq!(frozen.frozen_blocks(), 16);
-    assert_eq!(hot.col_tier(0).full_blocks(), 16);
-    let mut keys = Table::single("k");
-    keys.insert_batch(&(1_000..1_100).collect::<Vec<i64>>(), 0)
-        .unwrap();
+    frozen.apply(Op::FreezeUpto(n));
+    assert_eq!(frozen.table.frozen_blocks(), 16);
+    assert_eq!(hot.table.col_tier(0).full_blocks(), 16);
+    let keys = case(
+        DEFAULT_BLOCK_ROWS,
+        None,
+        &[Op::column(&(1_000..1_100).collect::<Vec<i64>>())],
+    );
     let span = n as i64;
     for (lo, hi, pruned) in [
         (700, 1_300, 13),
         (3 * 256 + 10, 5 * 256, 15),
+        (2 * 256 - 1, 2 * 256 + 1, 14),
         (0, span, 1),
         (span - 50, span, 16),
         (-10, 0, 16),
     ] {
         let pred = RangePredicate::new(lo, hi);
         let ctx = format!("[{lo}, {hi})");
-        let (rows, stats) = kernels::range_scan_tiered(&hot, 0, pred);
-        assert_eq!(
-            (rows, stats),
-            kernels::range_scan_tiered(&frozen, 0, pred),
-            "{ctx}"
-        );
-        assert_eq!(stats.blocks_pruned, pruned, "{ctx}");
-        assert_eq!(
-            kernels::aggregate_state_tiered(&hot, 0, Some(pred)).1,
-            kernels::aggregate_state_tiered(&frozen, 0, Some(pred)).1,
-            "{ctx}"
-        );
-        assert_serial_kernels_agree(&hot, &hot, pred, true, true, &ctx);
+        let want = hot.model.query(0, &Query::Range(pred), ACTIVE);
+        let (h, f) = (scan(&hot.table, pred), scan(&frozen.table, pred));
+        assert_eq!(h, f, "{ctx}");
+        assert_eq!(QueryOutput::Rows(h.0), want, "{ctx}");
+        assert_eq!(h.1.blocks_pruned, pruned, "{ctx}");
+        let agg =
+            |t: &Table| aggregate_tiered_active(t.col_tier(0), t.activity_words(), Some(pred)).1;
+        assert_eq!(agg(&hot.table), agg(&frozen.table), "aggregate {ctx}");
+        assert_serial_kernels_agree(&hot, pred, true, &ctx);
+        assert_serial_kernels_agree(&frozen, pred, false, &ctx);
         // A two-predicate scan attributes each pruned block to the first
         // predicate that killed it; the forgotten block 3 goes to none.
         let preds = [ColPred::range(1, 0, 6), ColPred::from_range(0, pred)];
@@ -1047,112 +774,62 @@ fn hot_and_frozen_twins_prune_the_same_blocks() {
             let mut per_pred = vec![kernels::PredScanStats::default(); 2];
             let (sel, stats) = kernels::selection_scan_ordered(t, &preds, &[0, 1], &mut per_pred);
             let pruned: Vec<usize> = per_pred.iter().map(|p| p.blocks_pruned).collect();
-            (sel, stats, pruned)
+            (kernels::selection_rows(&sel), stats, pruned)
         };
-        let (h, f) = (scan(&hot), scan(&frozen));
-        assert_eq!((&h.0, h.1, &h.2), (&f.0, f.1, &f.2), "{ctx}");
+        let (h, f) = (scan(&hot.table), scan(&frozen.table));
+        assert_eq!(h, f, "{ctx}");
+        assert_eq!(QueryOutput::Rows(h.0), want, "{ctx}");
         assert_eq!(h.2, [0, pruned - 1], "{ctx}");
-        let plan = PhysicalPlan {
-            scans: vec![PhysScan {
-                preds: vec![ColPred::from_range(0, pred)],
-                label: "Scan t [active-only]".into(),
-            }],
-            join: None,
-            items: vec![PhysItem::Column {
-                slot: 0,
-                col: 1,
-                display: "b".into(),
-            }],
-            group_by: None,
-            order_by: None,
-            limit: None,
-            hint: PlanHint::CostBased,
-        };
+        let plan = plan(
+            vec![vec![ColPred::from_range(0, pred)]],
+            None,
+            vec![col(0, 1)],
+        );
+        let want = eval_plan(&[&hot.model], &plan);
         for mode in [ExecMode::Serial, ExecMode::Parallel(2)] {
             let exec = Executor::default()
                 .with_exec_mode(mode)
                 .with_morsel_rows(br + br / 2);
             let (h, f) = (
-                exec.execute_plan(&[&hot], &[], &plan),
-                exec.execute_plan(&[&frozen], &[], &plan),
+                exec.execute_plan(&[&hot.table], &[], &plan),
+                exec.execute_plan(&[&frozen.table], &[], &plan),
             );
-            assert_eq!(h.rows, f.rows, "{mode:?} {ctx}");
+            assert_eq!(h.rows, want, "{mode:?} {ctx}");
+            assert_eq!(f.rows, want, "{mode:?} {ctx}");
             assert_eq!(h.stats.blocks_pruned, pruned, "{mode:?} {ctx}");
             assert_eq!(f.stats.blocks_pruned, pruned, "{mode:?} {ctx}");
             assert_eq!(h.stats.rows_scanned, f.stats.rows_scanned, "{mode:?} {ctx}");
         }
     }
+    let want = join_pairs(&keys.model, 0, &hot.model, 0, ACTIVE);
     let (h, f) = (
-        hash_join(&keys, 0, &hot, 0, ForgetVisibility::ActiveOnly),
-        hash_join(&keys, 0, &frozen, 0, ForgetVisibility::ActiveOnly),
+        hash_join(&keys.table, 0, &hot.table, 0, ACTIVE),
+        hash_join(&keys.table, 0, &frozen.table, 0, ACTIVE),
     );
     assert_eq!(h, f);
+    assert_eq!(h.pairs, want);
     assert_eq!(
         h.stats.blocks_pruned, 15,
         "block 4 meets the keys, block 3 is forgotten"
     );
 }
 
-/// The two-table join plan: parallel build/probe/gather must reproduce
-/// the serial pair stream exactly, across independent freeze states of
-/// the two sides.
+/// The two-table join plan: parallel build/probe/gather returns the
+/// model's rows across independent freeze states of the two sides.
 #[test]
 fn join_plans_parallel_equals_serial_across_tiers() {
-    let join_plan = PhysicalPlan {
-        scans: vec![
-            PhysScan {
-                preds: vec![],
-                label: "Scan parent [active-only]".into(),
-            },
-            PhysScan {
-                preds: vec![ColPred::range(1, 0, 600)],
-                label: "Scan child [active-only]".into(),
-            },
-        ],
-        join: Some(JoinSpec {
-            left_col: 0,
-            right_col: 0,
-            display: "parent.k = child.fk".into(),
-        }),
-        items: vec![
-            PhysItem::Column {
-                slot: 0,
-                col: 1,
-                display: "pa".into(),
-            },
-            PhysItem::Column {
-                slot: 1,
-                col: 2,
-                display: "cb".into(),
-            },
-        ],
-        group_by: None,
-        order_by: None,
-        limit: None,
-        hint: PlanHint::CostBased,
-    };
+    let scans = || vec![vec![], vec![ColPred::range(1, 0, 600)]];
+    let join_plan = plan(scans(), Some((0, 0)), vec![col(0, 1), col(1, 2)]);
+    let items = vec![
+        col(0, 0),
+        agg(AggKind::Count, None),
+        agg(AggKind::Sum, Some((1, 2))),
+    ];
     let grouped_join_plan = PhysicalPlan {
-        items: vec![
-            PhysItem::Column {
-                slot: 0,
-                col: 0,
-                display: "k".into(),
-            },
-            PhysItem::Aggregate {
-                kind: AggKind::Count,
-                arg: None,
-                display: "n".into(),
-            },
-            PhysItem::Aggregate {
-                kind: AggKind::Sum,
-                arg: Some((1, 2)),
-                display: "s".into(),
-            },
-        ],
         group_by: Some((0, 0, "k".into())),
         order_by: Some((2, SortDir::Desc)),
         limit: Some(8),
-        ..join_plan.clone()
+        ..plan(scans(), Some((0, 0)), items)
     };
     for (block_rows, encoding) in [
         (64usize, Some(Encoding::Dict)),
@@ -1164,31 +841,27 @@ fn join_plans_parallel_equals_serial_across_tiers() {
         let mut rng = SimRng::new(31);
         let mut parent = plan_table(block_rows, encoding, 1_200, 32);
         let mut child = plan_table(block_rows, encoding, 2_400, 33);
-        for _ in 0..500 {
-            if let Some(r) = parent.random_active(&mut rng) {
-                parent.forget(r, 1).unwrap();
-            }
-            if let Some(r) = child.random_active(&mut rng) {
-                child.forget(r, 1).unwrap();
-            }
-        }
-        let check = |p: &Table, c: &Table, stage: &str| {
-            assert_plan_parallel_equals_serial(&[p, c], &join_plan, &format!("{ctx} {stage}"));
-            assert_plan_parallel_equals_serial(
+        let forgets = random_forgets(&parent, &mut rng, 500);
+        parent.apply(forgets);
+        let forgets = random_forgets(&child, &mut rng, 500);
+        child.apply(forgets);
+        let check = |p: &Case, c: &Case, stage: &str| {
+            assert_plan_matches_model(&[p, c], &join_plan, &format!("{ctx} {stage}"));
+            assert_plan_matches_model(
                 &[p, c],
                 &grouped_join_plan,
                 &format!("{ctx} grouped {stage}"),
             );
         };
         check(&parent, &child, "hot/hot");
-        parent.freeze_upto(parent.num_rows());
+        parent.apply(Op::FreezeUpto(1_200));
         check(&parent, &child, "frozen/hot");
-        child.freeze_upto(child.num_rows() / 2);
+        child.apply(Op::FreezeUpto(1_200));
         check(&parent, &child, "frozen/mixed");
-        child.freeze_upto(child.num_rows());
+        child.apply(Op::FreezeUpto(2_400));
         check(&parent, &child, "frozen/frozen");
-        parent.recompress_frozen(0.95);
-        child.recompress_frozen(0.95);
+        parent.apply(Op::Recompress(0.95));
+        child.apply(Op::Recompress(0.95));
         check(&parent, &child, "recompressed");
     }
 }

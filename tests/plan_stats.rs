@@ -1,8 +1,8 @@
 //! Cost-based planning suites: estimation quality (bounded q-error
 //! across value distributions, codecs and block sizes), plan
-//! equivalence (the cost-driven executor returns rows byte-identical to
-//! the syntactic-order oracle, serial and parallel, with zero extra
-//! block decodes), and coherence of the column summary every statement
+//! equivalence (the cost-driven executor and the syntactic order both
+//! return the model's rows, serial and parallel, with zero extra block
+//! decodes), and coherence of the column summary every statement
 //! plans from (what a live table holds equals what a fresh decode of its
 //! snapshot builds, after every kind of mutation; a statement rebuilds
 //! only what a mutation made stale).
@@ -13,11 +13,12 @@ use amnesia::columnar::compress::{block_decodes, summary_builds, Encoding};
 use amnesia::columnar::persist::snapshot;
 use amnesia::columnar::{RowId, Schema, Table};
 use amnesia::engine::exec::PlanTag;
-use amnesia::engine::physical::JoinSpec;
 use amnesia::engine::{
-    order_predicates, q_error, ColPred, ColumnStats, CostModel, ExecMode, Executor, PhysItem,
-    PhysScan, PhysicalPlan, PlanHint, SortDir,
+    order_predicates, q_error, ColPred, ColumnStats, CostModel, ExecMode, Executor,
+    ForgetVisibility, PhysicalPlan, PlanHint, SortDir,
 };
+use amnesia_model::{eval_plan, join_pairs, Case, Op};
+use common::{col, plan};
 
 /// Deterministic LCG so the suites never depend on an external RNG.
 struct Lcg(u64);
@@ -124,55 +125,42 @@ fn estimation_quality_bounded_q_error_across_shapes() {
 
 /// Three-column table (`g`, `a`, `b`): `g` cycles, `a` trends with the
 /// row id (tight block metas), `b` is uniform noise (useless metas).
-fn plan_table(n: usize, block_rows: usize, enc: Option<Encoding>) -> Table {
-    let mut t = Table::with_block_rows(Schema::new(vec!["g", "a", "b"]), block_rows);
-    if enc.is_some() {
-        for c in 0..3 {
-            t.pin_encoding(c, enc);
-        }
-    }
+/// Every full block frozen, then an eighth of the rows forgotten.
+fn plan_table(n: usize, block_rows: usize, enc: Option<Encoding>) -> Case {
     let mut rng = Lcg(7);
-    for i in 0..n as i64 {
-        t.insert(&[i % 23, (i / 4) + rng.below(32), rng.below(1000)], 0)
-            .unwrap();
-    }
-    t.freeze_upto((n / block_rows) * block_rows);
+    let rows = (0..n as i64)
+        .map(|i| vec![i % 23, (i / 4) + rng.below(32), rng.below(1000)])
+        .collect();
     let mut forget = Lcg(99);
-    for _ in 0..n / 8 {
-        let _ = t.forget(amnesia::columnar::RowId(forget.below(n as u64) as u64), 1);
-    }
-    t
+    let victims = (0..n / 8)
+        .map(|_| forget.below(n as u64) as usize)
+        .collect();
+    Case::replay(
+        Schema::new(vec!["g", "a", "b"]),
+        block_rows,
+        [
+            Op::Pin(0, enc),
+            Op::Pin(1, enc),
+            Op::Pin(2, enc),
+            Op::Insert(rows),
+            Op::FreezeUpto(n / block_rows * block_rows),
+            Op::Forget(victims),
+        ],
+    )
 }
 
 fn multi_pred_plan(hint: PlanHint) -> PhysicalPlan {
+    // Written worst-first: the wide noise predicate leads, the selective
+    // trending predicate trails.
+    let preds = vec![
+        ColPred::range(2, 0, 899),
+        ColPred::range(1, 100, 400),
+        ColPred::range(0, 0, 20),
+    ];
     PhysicalPlan {
-        scans: vec![PhysScan {
-            // Written worst-first: the wide noise predicate leads, the
-            // selective trending predicate trails.
-            preds: vec![
-                ColPred::range(2, 0, 899),
-                ColPred::range(1, 100, 400),
-                ColPred::range(0, 0, 20),
-            ],
-            label: "Scan t [active-only]".into(),
-        }],
-        join: None,
-        items: vec![
-            PhysItem::Column {
-                slot: 0,
-                col: 0,
-                display: "g".into(),
-            },
-            PhysItem::Column {
-                slot: 0,
-                col: 1,
-                display: "a".into(),
-            },
-        ],
-        group_by: None,
         order_by: Some((1, SortDir::Asc)),
-        limit: None,
         hint,
+        ..plan(vec![preds], None, vec![col(0, 0), col(0, 1)])
     }
 }
 
@@ -187,151 +175,141 @@ fn cost_based_scan_equals_syntactic_oracle() {
     ] {
         for block_rows in [256usize, 1024] {
             let t = plan_table(4096, block_rows, enc);
-            let tables = [&t];
-            let oracle = Executor::default()
-                .with_exec_mode(ExecMode::Serial)
-                .execute_plan(&tables, &[], &multi_pred_plan(PlanHint::SyntacticOrder));
-            for mode in [ExecMode::Serial, ExecMode::Parallel(8)] {
-                let before = block_decodes();
-                let cost = Executor::default().with_exec_mode(mode).execute_plan(
-                    &tables,
-                    &[],
-                    &multi_pred_plan(PlanHint::CostBased),
-                );
-                assert_eq!(
-                    cost.rows, oracle.rows,
-                    "cost-based != syntactic (enc={enc:?} block_rows={block_rows} mode={mode:?})"
-                );
-                assert_eq!(
-                    block_decodes() - before,
-                    0,
-                    "cost-ordered scan decoded blocks (enc={enc:?} mode={mode:?})"
-                );
-                // The cost path must also record its estimates.
-                assert!(!cost.stats.stage_estimates.is_empty());
-                assert_eq!(cost.stats.pred_stats.len(), 3);
+            let want = eval_plan(&[&t.model], &multi_pred_plan(PlanHint::CostBased));
+            for hint in [PlanHint::SyntacticOrder, PlanHint::CostBased] {
+                for mode in [ExecMode::Serial, ExecMode::Parallel(8)] {
+                    let ctx = format!("enc={enc:?} block_rows={block_rows} {hint:?} {mode:?}");
+                    let before = block_decodes();
+                    let got = Executor::default().with_exec_mode(mode).execute_plan(
+                        &[&t.table],
+                        &[],
+                        &multi_pred_plan(hint),
+                    );
+                    assert_eq!(got.rows, want, "{ctx}");
+                    assert_eq!(
+                        block_decodes() - before,
+                        0,
+                        "the scan decoded blocks: {ctx}"
+                    );
+                    // The cost path records its estimates; the syntactic
+                    // order records none.
+                    let cost = hint == PlanHint::CostBased;
+                    assert_eq!(!got.stats.stage_estimates.is_empty(), cost, "{ctx}");
+                    assert_eq!(
+                        got.stats.pred_stats.len(),
+                        if cost { 3 } else { 0 },
+                        "{ctx}"
+                    );
+                }
             }
-            // The oracle records none.
-            assert!(oracle.stats.stage_estimates.is_empty());
-            assert!(oracle.stats.pred_stats.is_empty());
         }
     }
 }
 
 fn join_plan(hint: PlanHint, right_pred: bool) -> PhysicalPlan {
+    let child = if right_pred {
+        vec![ColPred::range(1, 0, 600)]
+    } else {
+        vec![]
+    };
     PhysicalPlan {
-        scans: vec![
-            PhysScan {
-                preds: vec![],
-                label: "Scan parent [active-only]".into(),
-            },
-            PhysScan {
-                preds: if right_pred {
-                    vec![ColPred::range(1, 0, 600)]
-                } else {
-                    vec![]
-                },
-                label: "Scan child [active-only]".into(),
-            },
-        ],
-        join: Some(JoinSpec {
-            left_col: 0,
-            right_col: 0,
-            display: "parent.k = child.fk".into(),
-        }),
-        items: vec![
-            PhysItem::Column {
-                slot: 0,
-                col: 1,
-                display: "pv".into(),
-            },
-            PhysItem::Column {
-                slot: 1,
-                col: 1,
-                display: "cv".into(),
-            },
-        ],
-        group_by: None,
-        order_by: None,
-        limit: None,
         hint,
+        ..plan(
+            vec![vec![], child],
+            Some((0, 0)),
+            vec![col(0, 1), col(1, 1)],
+        )
     }
 }
 
 /// parent(k, v) large, child(fk, v) small and filtered — the syntactic
 /// build side (slot 0) is the *larger* side, so the cost model should
-/// swap the build to slot 1 and still return identical pairs.
+/// swap the build to slot 1 and still return the model's pairs.
 #[test]
 fn join_build_side_swap_preserves_rows() {
-    let mut parent = Table::with_block_rows(Schema::new(vec!["k", "v"]), 256);
-    let mut child = Table::with_block_rows(Schema::new(vec!["fk", "v"]), 256);
     let mut rng = Lcg(5);
-    for i in 0..4096i64 {
-        parent.insert(&[i % 997, rng.below(1000)], 0).unwrap();
+    let parent_rows = (0..4096i64)
+        .map(|i| vec![i % 997, rng.below(1000)])
+        .collect();
+    let child_rows = (0..512)
+        .map(|_| vec![rng.below(997), rng.below(1000)])
+        .collect();
+    let parent = Case::replay(
+        Schema::new(vec!["k", "v"]),
+        256,
+        [Op::Insert(parent_rows), Op::FreezeUpto(4096)],
+    );
+    let child = Case::replay(
+        Schema::new(vec!["fk", "v"]),
+        256,
+        [Op::Insert(child_rows), Op::FreezeUpto(512)],
+    );
+    let tables = [&parent.table, &child.table];
+    let want = eval_plan(
+        &[&parent.model, &child.model],
+        &join_plan(PlanHint::CostBased, true),
+    );
+    for hint in [PlanHint::SyntacticOrder, PlanHint::CostBased] {
+        for mode in [ExecMode::Serial, ExecMode::Parallel(8)] {
+            let got = Executor::default().with_exec_mode(mode).execute_plan(
+                &tables,
+                &[],
+                &join_plan(hint, true),
+            );
+            assert_eq!(got.rows, want, "{hint:?} {mode:?}");
+            let build = (hint == PlanHint::CostBased).then_some(1);
+            assert_eq!(
+                got.stats.build_side, build,
+                "the smaller filtered child is the build side under the cost hint ({mode:?})"
+            );
+        }
     }
-    for _ in 0..512 {
-        child.insert(&[rng.below(997), rng.below(1000)], 0).unwrap();
-    }
-    parent.freeze_upto(4096);
-    child.freeze_upto(512);
-    let tables = [&parent, &child];
-    let oracle = Executor::default()
-        .with_exec_mode(ExecMode::Serial)
-        .execute_plan(&tables, &[], &join_plan(PlanHint::SyntacticOrder, true));
-    for mode in [ExecMode::Serial, ExecMode::Parallel(8)] {
-        let cost = Executor::default().with_exec_mode(mode).execute_plan(
-            &tables,
-            &[],
-            &join_plan(PlanHint::CostBased, true),
-        );
-        assert_eq!(
-            cost.rows, oracle.rows,
-            "swapped build side changed rows ({mode:?})"
-        );
-        assert_eq!(
-            cost.stats.build_side,
-            Some(1),
-            "expected the smaller filtered child as build side ({mode:?})"
-        );
-    }
-    assert_eq!(oracle.stats.build_side, None);
 }
 
 /// Both join keys frozen-sorted: the cost-based executor takes the merge
-/// path (no hash table), with pairs identical to the hash oracle, in
-/// serial and parallel modes alike.
+/// path (no hash table), and it and the hash join both return the model's
+/// pairs, in serial and parallel modes alike.
 #[test]
 fn merge_join_on_sorted_keys_matches_hash_oracle() {
-    let mut parent = Table::with_block_rows(Schema::new(vec!["k", "v"]), 256);
-    let mut child = Table::with_block_rows(Schema::new(vec!["fk", "v"]), 256);
     let mut rng = Lcg(11);
-    for i in 0..2048i64 {
-        parent.insert(&[i, rng.below(1000)], 0).unwrap();
-    }
+    let parent_rows = (0..2048i64).map(|i| vec![i, rng.below(1000)]).collect();
     // Sorted foreign keys (each parent key 0..=1023 twice).
-    for i in 0..2048i64 {
-        child.insert(&[i / 2, rng.below(1000)], 0).unwrap();
-    }
-    parent.freeze_upto(2048);
-    child.freeze_upto(2048);
-    assert!(parent.col_summary(0).sorted_hint() && child.col_summary(0).sorted_hint());
-    let tables = [&parent, &child];
-    let oracle = Executor::default()
-        .with_exec_mode(ExecMode::Serial)
-        .execute_plan(&tables, &[], &join_plan(PlanHint::SyntacticOrder, false));
-    for mode in [ExecMode::Serial, ExecMode::Parallel(8)] {
-        let cost = Executor::default().with_exec_mode(mode).execute_plan(
-            &tables,
-            &[],
-            &join_plan(PlanHint::CostBased, false),
-        );
-        assert_eq!(cost.rows, oracle.rows, "merge join changed rows ({mode:?})");
-        assert_eq!(
-            cost.stats.plan,
-            PlanTag::MergeJoin,
-            "expected merge join ({mode:?})"
-        );
-        assert_eq!(cost.stats.join_pairs, oracle.stats.join_pairs);
+    let child_rows = (0..2048i64).map(|i| vec![i / 2, rng.below(1000)]).collect();
+    let [parent, child] =
+        [(vec!["k", "v"], parent_rows), (vec!["fk", "v"], child_rows)].map(|(names, rows)| {
+            Case::replay(
+                Schema::new(names),
+                256,
+                [Op::Insert(rows), Op::FreezeUpto(2048)],
+            )
+        });
+    let (p, c) = (&parent.table, &child.table);
+    assert!(p.col_summary(0).sorted_hint() && c.col_summary(0).sorted_hint());
+    let want = eval_plan(
+        &[&parent.model, &child.model],
+        &join_plan(PlanHint::CostBased, false),
+    );
+    let pairs = join_pairs(
+        &parent.model,
+        0,
+        &child.model,
+        0,
+        ForgetVisibility::ActiveOnly,
+    );
+    for (hint, tag) in [
+        (PlanHint::SyntacticOrder, PlanTag::TieredJoin),
+        (PlanHint::CostBased, PlanTag::MergeJoin),
+    ] {
+        for mode in [ExecMode::Serial, ExecMode::Parallel(8)] {
+            let got = Executor::default().with_exec_mode(mode).execute_plan(
+                &[p, c],
+                &[],
+                &join_plan(hint, false),
+            );
+            assert_eq!(got.rows, want, "{hint:?} {mode:?}");
+            assert_eq!(got.stats.plan, tag, "{hint:?} {mode:?}");
+            assert_eq!(got.stats.join_pairs, pairs.len());
+        }
     }
 }
 
@@ -339,7 +317,7 @@ fn merge_join_on_sorted_keys_matches_hash_oracle() {
 /// chosen predicate order and per-predicate pruning.
 #[test]
 fn explain_executed_prints_estimates_and_cost_order() {
-    let t = plan_table(4096, 256, None);
+    let t = plan_table(4096, 256, None).table;
     let tables = [&t];
     let plan = multi_pred_plan(PlanHint::CostBased);
     let result = Executor::default()
@@ -366,7 +344,7 @@ fn explain_executed_prints_estimates_and_cost_order() {
 /// pruning and are actually scanned.
 #[test]
 fn block_access_counters_tick_on_scans() {
-    let t = plan_table(4096, 256, None);
+    let t = plan_table(4096, 256, None).table;
     let before = t.block_accesses();
     let tables = [&t];
     let _ = Executor::default()
@@ -539,11 +517,12 @@ fn statements_rebuild_summaries_only_after_a_mutation() {
     // 16 frozen blocks and a hot tail of 104 rows.
     let mut t = plan_table(4200, 256, None);
     let plan = multi_pred_plan(PlanHint::CostBased);
-    let run = |t: &Table, mode: ExecMode| {
+    let run = |t: &Case, mode: ExecMode| {
         let before = summary_builds();
         let result = Executor::default()
             .with_exec_mode(mode)
-            .execute_plan(&[t], &[], &plan);
+            .execute_plan(&[&t.table], &[], &plan);
+        assert_eq!(result.rows, eval_plan(&[&t.model], &plan), "{mode:?}");
         (result, summary_builds() - before)
     };
     // `plan_table` forgot rows last, so every cell starts empty.
@@ -551,29 +530,26 @@ fn statements_rebuild_summaries_only_after_a_mutation() {
     assert_eq!(built, 3, "one summary per referenced column");
     let (second, built) = run(&t, ExecMode::Serial);
     assert_eq!(built, 0, "no mutation between the statements");
-    assert_eq!(first.rows, second.rows);
     assert_eq!(
         common::planned(&first.stats),
         common::planned(&second.stats)
     );
 
     // A forget — of a hot row here — and the next statement rebuilds.
-    let victim = t.iter_active().last().unwrap();
-    assert!(victim.as_usize() >= t.col_tier(0).hot_start());
-    assert!(t.forget(victim, 2).unwrap());
+    let victim = t.table.iter_active().last().unwrap();
+    assert!(victim.as_usize() >= t.table.col_tier(0).hot_start());
+    t.apply(Op::Forget(vec![victim.as_usize()]));
     let (cold, built) = run(&t, ExecMode::Parallel(4));
     assert_eq!(built, 3, "a forget empties every column's cell");
     let (warm, built) = run(&t, ExecMode::Parallel(4));
     assert_eq!(built, 0);
     let (serial, built) = run(&t, ExecMode::Serial);
     assert_eq!(built, 0);
-    assert_eq!(cold.rows, warm.rows);
-    assert_eq!(cold.rows, serial.rows);
     assert_eq!(common::planned(&cold.stats), common::planned(&warm.stats));
     assert_eq!(common::planned(&cold.stats), common::planned(&serial.stats));
 
     // An append is seen too, without anything having emptied the cell.
-    t.insert(&[1, 2, 3], 3).unwrap();
+    t.apply(Op::Insert(vec![vec![1, 2, 3]]));
     assert_eq!(run(&t, ExecMode::Serial).1, 3);
     assert_eq!(run(&t, ExecMode::Serial).1, 0);
 
@@ -583,7 +559,7 @@ fn statements_rebuild_summaries_only_after_a_mutation() {
     for _ in 0..2 {
         Executor::default()
             .with_exec_mode(ExecMode::Serial)
-            .execute_plan(&[&t, &t], &[], &plan);
+            .execute_plan(&[&t.table, &t.table], &[], &plan);
     }
     assert_eq!(summary_builds(), before, "cells already current");
 }

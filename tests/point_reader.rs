@@ -2,21 +2,20 @@
 //! sizes 128 and 1024, ascending, descending, random and repeated access,
 //! reads that cross the hot/frozen boundary and land in dropped blocks,
 //! and again after recompression — with zero block decodes. The join
-//! aggregates that read through readers (grouped and global, the build
-//! side swapped so its reads arrive out of row order) answer the same rows
-//! on hot, half-frozen and frozen tables, on one worker and on two, again
-//! with zero block decodes.
+//! aggregates and projections that read through readers (grouped and
+//! global, the build side swapped so its reads arrive out of row order)
+//! answer the model's rows on hot, half-frozen and frozen tables, on one
+//! worker and on two, again with zero block decodes.
 
-use std::collections::BTreeMap;
+mod common;
 
 use amnesia::columnar::compress::{block_decodes, Encoding};
 use amnesia::columnar::{RowId, Schema, Table};
-use amnesia::engine::physical::JoinSpec;
-use amnesia::engine::{
-    ColPred, ExecMode, Executor, PhysItem, PhysScan, PhysicalPlan, PlanHint, Scalar,
-};
+use amnesia::engine::{ColPred, ExecMode, Executor, PhysItem, PhysicalPlan, PlanHint, Scalar};
 use amnesia::util::SimRng;
 use amnesia::workload::AggKind;
+use amnesia_model::{eval_plan, Case, Model, Op};
+use common::{agg, col, plan};
 
 /// Every pinned codec, and the automatic choice.
 const CODECS: [Option<Encoding>; 7] = [
@@ -150,53 +149,42 @@ const BLOCK_ROWS: usize = 128;
 /// (so no merge join), `v` small with ±2^40 outliers (wide frames; SUM
 /// stays an exact `Int`), `w` distinct; every fifth row forgotten.
 /// `frozen_blocks` of its blocks are compressed.
-fn fact(frozen_blocks: usize) -> Table {
+fn fact(frozen_blocks: usize) -> Case {
     let mut rng = SimRng::new(29);
-    let mut t = Table::with_block_rows(Schema::new(vec!["k", "v", "w"]), BLOCK_ROWS);
-    for i in 0..3_000i64 {
-        let v = match i % 211 {
-            0 => 1 << 40,
-            1 => -(1 << 40),
-            _ => rng.range_i64(-50, 50),
-        };
-        t.insert(&[rng.range_i64(0, 23), v, i], 0).unwrap();
-    }
-    for r in (0..3_000u64).step_by(5) {
-        t.forget(RowId(r), 1).unwrap();
-    }
-    t.freeze_upto(frozen_blocks * BLOCK_ROWS);
-    t
+    let rows = (0..3_000i64)
+        .map(|i| {
+            let v = match i % 211 {
+                0 => 1 << 40,
+                1 => -(1 << 40),
+                _ => rng.range_i64(-50, 50),
+            };
+            vec![rng.range_i64(0, 23), v, i]
+        })
+        .collect();
+    Case::replay(
+        Schema::new(vec!["k", "v", "w"]),
+        BLOCK_ROWS,
+        [
+            Op::Insert(rows),
+            Op::Forget((0..3_000).step_by(5).collect()),
+            Op::FreezeUpto(frozen_blocks * BLOCK_ROWS),
+        ],
+    )
 }
 
 /// d(id, region): keys 0..40 (some unmatched) in shuffled order, then a
 /// padding block of unmatched ids; `frozen_blocks` of its blocks frozen.
-fn dim(frozen_blocks: usize) -> Table {
-    let mut d = Table::with_block_rows(Schema::new(vec!["id", "region"]), BLOCK_ROWS);
-    for i in 0..40 {
-        let id = (i * 17) % 40;
-        d.insert(&[id, id % 6], 0).unwrap();
-    }
-    for id in 1_000..(1_000 + BLOCK_ROWS as i64) {
-        d.insert(&[id, 9], 0).unwrap();
-    }
-    d.freeze_upto(frozen_blocks * BLOCK_ROWS);
-    d
-}
-
-fn col(slot: usize, col: usize) -> PhysItem {
-    PhysItem::Column {
-        slot,
-        col,
-        display: format!("s{slot}c{col}"),
-    }
-}
-
-fn agg(kind: AggKind, arg: Option<(usize, usize)>) -> PhysItem {
-    PhysItem::Aggregate {
-        kind,
-        arg,
-        display: format!("{kind:?}"),
-    }
+fn dim(frozen_blocks: usize) -> Case {
+    let keys = (0..40).map(|i| (i * 17) % 40).map(|id| vec![id, id % 6]);
+    let padding = (1_000..(1_000 + BLOCK_ROWS as i64)).map(|id| vec![id, 9]);
+    Case::replay(
+        Schema::new(vec!["id", "region"]),
+        BLOCK_ROWS,
+        [
+            Op::Insert(keys.chain(padding).collect()),
+            Op::FreezeUpto(frozen_blocks * BLOCK_ROWS),
+        ],
+    )
 }
 
 /// `f ⋈ d on f.k = d.id` with `f.w` in `[100, 2 800]`, under `hint`.
@@ -205,22 +193,11 @@ fn join_plan(
     group_by: Option<(usize, usize)>,
     hint: PlanHint,
 ) -> PhysicalPlan {
-    let scan = |preds| PhysScan {
-        preds,
-        label: "Scan".into(),
-    };
+    let scans = vec![vec![ColPred::range(2, 100, 2_800)], vec![]];
     PhysicalPlan {
-        scans: vec![scan(vec![ColPred::range(2, 100, 2_800)]), scan(Vec::new())],
-        join: Some(JoinSpec {
-            left_col: 0,
-            right_col: 0,
-            display: "f.k = d.id".into(),
-        }),
-        items,
         group_by: group_by.map(|(s, c)| (s, c, "g".into())),
-        order_by: None,
-        limit: None,
         hint,
+        ..plan(scans, Some((0, 0)), items)
     }
 }
 
@@ -248,85 +225,60 @@ fn join_plans(hint: PlanHint) -> Vec<(&'static str, PhysicalPlan)> {
     ]
 }
 
-/// Row-at-a-time reference: `(group, COUNT, SUM(f.v), MIN(f.w), MAX(d.region))`
-/// per group (`None` for the global plan), groups by key.
-fn reference(f: &Table, d: &Table, group: Option<(usize, usize)>) -> BTreeMap<i64, Vec<i128>> {
-    let mut out: BTreeMap<i64, Vec<i128>> = BTreeMap::new();
-    for fr in f.iter_active() {
-        let w = f.value(2, fr);
-        if !(100..=2_800).contains(&w) {
-            continue;
-        }
-        for dr in d.iter_active() {
-            if f.value(0, fr) != d.value(0, dr) {
-                continue;
-            }
-            let key = match group {
-                Some((0, c)) => f.value(c, fr),
-                Some((_, c)) => d.value(c, dr),
-                None => 0,
-            };
-            let (v, region) = (f.value(1, fr), d.value(1, dr));
-            let e = out
-                .entry(key)
-                .or_insert_with(|| vec![0, 0, i128::MAX, i128::MIN]);
-            e[0] += 1;
-            e[1] += i128::from(v);
-            e[2] = e[2].min(i128::from(w));
-            e[3] = e[3].max(i128::from(region));
+/// `plan` over f and d with `f_blocks` and `d_blocks` of theirs frozen
+/// returns the model's rows at one worker and at two, without a decode.
+fn assert_plan_matches_model(
+    plan: &PhysicalPlan,
+    want: &[Vec<Scalar>],
+    f_blocks: usize,
+    d_blocks: usize,
+    ctx: &str,
+) {
+    let (f, d) = (fact(f_blocks), dim(d_blocks));
+    assert_eq!(f.table.frozen_blocks(), f_blocks, "{ctx}");
+    for exec_mode in [ExecMode::Serial, ExecMode::Parallel(2)] {
+        let ex = Executor::default()
+            .with_exec_mode(exec_mode)
+            .with_morsel_rows(256);
+        let before = block_decodes();
+        let got = ex.execute_plan(&[&f.table, &d.table], &[], plan);
+        assert_eq!(
+            block_decodes(),
+            before,
+            "{ctx}, {f_blocks} frozen: a decode"
+        );
+        assert_eq!(
+            got.rows, want,
+            "{ctx}, {f_blocks} frozen blocks, {exec_mode:?}"
+        );
+        if plan.hint == PlanHint::CostBased {
+            assert_eq!(got.stats.build_side, Some(1), "{ctx}: d is built");
         }
     }
-    out
 }
 
-fn int(s: &Scalar) -> i128 {
-    match s {
-        Scalar::Int(v) => i128::from(*v),
-        Scalar::Float(f) => *f as i128,
-        Scalar::Null => panic!("no empty group"),
-    }
+/// The models of f and d: the layout changes no row of them.
+fn models() -> (Model, Model) {
+    (fact(0).model, dim(0).model)
 }
 
 #[test]
 fn join_aggregates_read_through_readers_agree_on_every_layout() {
-    let layouts = [("hot", 0, 0), ("half-frozen", 12, 0), ("frozen", 23, 1)];
+    let (f, d) = models();
     for hint in [PlanHint::SyntacticOrder, PlanHint::CostBased] {
-        let hot = (fact(0), dim(0));
         for (name, plan) in join_plans(hint) {
-            let base = Executor::default()
-                .execute_plan(&[&hot.0, &hot.1], &[], &plan)
-                .rows;
+            let want = eval_plan(&[&f, &d], &plan);
             let ctx = format!("{name}, {hint:?}");
-            // The hot rows are the reference's, group by group.
-            let group = plan.group_by.as_ref().map(|(s, c, _)| (*s, *c));
-            let want = reference(&hot.0, &hot.1, group);
-            assert_eq!(base.len(), want.len(), "{ctx}: groups");
-            let offset = usize::from(group.is_some());
-            for row in &base {
-                let key = if group.is_some() {
-                    int(&row[0]) as i64
-                } else {
-                    0
-                };
-                let w = &want[&key];
-                let got: Vec<i128> = row[offset..offset + 4].iter().map(int).collect();
-                assert_eq!(&got, w, "{ctx}: group {key}");
-            }
-            for (layout, f_blocks, d_blocks) in layouts {
-                let (f, d) = (fact(f_blocks), dim(d_blocks));
-                assert_eq!(f.frozen_blocks(), f_blocks, "{layout}");
-                for exec_mode in [ExecMode::Serial, ExecMode::Parallel(2)] {
-                    let ex = Executor::default()
-                        .with_exec_mode(exec_mode)
-                        .with_morsel_rows(256);
-                    let before = block_decodes();
-                    let got = ex.execute_plan(&[&f, &d], &[], &plan);
-                    assert_eq!(block_decodes(), before, "{ctx}, {layout}: a decode");
-                    assert_eq!(got.rows, base, "{ctx}, {layout}, {exec_mode:?}");
-                    if hint == PlanHint::CostBased {
-                        assert_eq!(got.stats.build_side, Some(1), "{ctx}: d is built");
-                    }
-                }
+            for (layout, f_blocks, d_blocks) in
+                [("hot", 0, 0), ("half-frozen", 12, 0), ("frozen", 23, 1)]
+            {
+                assert_plan_matches_model(
+                    &plan,
+                    &want,
+                    f_blocks,
+                    d_blocks,
+                    &format!("{ctx}, {layout}"),
+                );
             }
         }
     }
@@ -339,20 +291,10 @@ fn join_projection_reads_through_readers_agree_on_every_layout() {
         None,
         PlanHint::CostBased,
     );
-    let base = Executor::default()
-        .execute_plan(&[&fact(0), &dim(0)], &[], &plan)
-        .rows;
-    assert!(base.len() > 1_000, "a join with many pairs");
-    for (f_blocks, d_blocks) in [(12, 0), (23, 1)] {
-        let (f, d) = (fact(f_blocks), dim(d_blocks));
-        for exec_mode in [ExecMode::Serial, ExecMode::Parallel(2)] {
-            let ex = Executor::default()
-                .with_exec_mode(exec_mode)
-                .with_morsel_rows(256);
-            let before = block_decodes();
-            let got = ex.execute_plan(&[&f, &d], &[], &plan).rows;
-            assert_eq!(block_decodes(), before, "{f_blocks} frozen: a decode");
-            assert_eq!(got, base, "{f_blocks} frozen blocks, {exec_mode:?}");
-        }
+    let (f, d) = models();
+    let want = eval_plan(&[&f, &d], &plan);
+    assert!(want.len() > 1_000, "a join with many pairs");
+    for (f_blocks, d_blocks) in [(0, 0), (12, 0), (23, 1)] {
+        assert_plan_matches_model(&plan, &want, f_blocks, d_blocks, "projection");
     }
 }

@@ -1,36 +1,36 @@
-//! Cross-crate checks: the SQL surface must agree exactly with the
-//! engine kernels on the amnesiac visibility semantics.
+//! Cross-crate checks: the SQL surface must agree exactly with the model
+//! on the amnesiac visibility semantics.
 //!
 //! The second half is the physical-plan equivalence suite: every SQL
 //! query shape, executed over a half-frozen (and recompressed) table
-//! through the lowered `PhysicalPlan`, must return exactly what (a) the
-//! same query over a never-frozen flat twin returns and (b) a
-//! row-at-a-time reference interpreter computes — across codecs × block
-//! sizes — and frozen-only queries must finish with **zero** block
-//! decodes.
+//! through the lowered `PhysicalPlan`, must return exactly what the model
+//! computes for that plan — across codecs × block sizes × pool widths —
+//! and frozen-only queries must finish with **zero** block decodes.
+
+mod common;
 
 use amnesia::columnar::compress::{block_decodes, Encoding};
-use amnesia::engine::kernels;
+use amnesia::columnar::DEFAULT_BLOCK_ROWS;
+use amnesia::engine::batch::{aggregate_tiered_active, count_tiered_active};
+use amnesia::engine::{ExecMode, Executor, ForgetVisibility, QueryOutput};
 use amnesia::prelude::*;
-use amnesia::sql::plan::{BoundFilter, BoundItem, Catalog as SqlCatalog};
-use amnesia::sql::{bind, parse, run, Datum, QueryOutcome, Statement};
+use amnesia::sql::{run, Datum, QueryOutcome};
+use amnesia_model::{Case, Op};
+use common::Catalog;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
-/// One-table database plus a model vector of `(value, active)`.
-fn build(values: &[i64], forget: &[usize]) -> (Database, Vec<(i64, bool)>) {
-    let mut db = Database::new();
-    let t = db.add_table("t", Schema::single("a"));
-    db.table_mut(t).insert_batch(values, 0).unwrap();
-    let mut model: Vec<(i64, bool)> = values.iter().map(|&v| (v, true)).collect();
-    for &f in forget {
-        if !values.is_empty() {
-            let idx = f % values.len();
-            db.table_mut(t).forget(RowId(idx as u64), 1).unwrap();
-            model[idx].1 = false;
-        }
-    }
-    (db, model)
+/// One-table catalog `t(a)`: `values`, then a forget of every row
+/// `forget` names (modulo the row count).
+fn build(values: &[i64], forget: &[usize]) -> Catalog {
+    let victims = forget.iter().map(|f| f % values.len()).collect();
+    Catalog(vec![(
+        "t",
+        Case::replay(
+            Schema::single("a"),
+            DEFAULT_BLOCK_ROWS,
+            [Op::column(values), Op::Forget(victims)],
+        ),
+    )])
 }
 
 fn sql_rows(db: &Database, sql: &str) -> Vec<Vec<Datum>> {
@@ -40,25 +40,37 @@ fn sql_rows(db: &Database, sql: &str) -> Vec<Vec<Datum>> {
     }
 }
 
-fn sql_scalar(db: &Database, sql: &str) -> Datum {
-    let rows = sql_rows(db, sql);
+/// The single value `sql` returns over `catalog`.
+fn sql_scalar(catalog: &Catalog, sql: &str) -> Datum {
+    let rows = catalog.run(sql, &Executor::default());
     assert_eq!(rows.len(), 1, "{sql}");
     rows[0][0]
+}
+
+/// The model's answer to a query over `t.a`.
+fn model_answer(catalog: &Catalog, q: Query) -> QueryOutput {
+    catalog.0[0]
+        .1
+        .model
+        .query(0, &q, ForgetVisibility::ActiveOnly)
 }
 
 #[test]
 fn sql_count_matches_engine_kernel() {
     let values: Vec<i64> = (0..500).map(|i| (i * 37) % 1000).collect();
-    let (db, _) = build(&values, &[1, 5, 9, 13, 200, 201, 499]);
-    let table = db.table(db.table_id("t").unwrap());
+    let catalog = build(&values, &[1, 5, 9, 13, 200, 201, 499]);
+    let table = &catalog.0[0].1.table;
     for (lo, hi) in [(0i64, 100i64), (250, 750), (990, 1000), (500, 500)] {
-        let engine_count = kernels::count_active_matches(table, 0, RangePredicate::new(lo, hi));
+        let pred = RangePredicate::new(lo, hi);
+        let want = model_answer(&catalog, Query::Range(pred)).cardinality();
+        let (kernel, _) = count_tiered_active(table.col_tier(0), table.activity_words(), pred);
+        assert_eq!(kernel, want, "kernel [{lo}, {hi})");
         // SQL BETWEEN is inclusive: [lo, hi-1] == [lo, hi).
         let sql = format!("SELECT COUNT(*) FROM t WHERE a BETWEEN {lo} AND {}", hi - 1);
         assert_eq!(
-            sql_scalar(&db, &sql),
-            Datum::Int(engine_count as i64),
-            "range [{lo}, {hi})"
+            sql_scalar(&catalog, &sql),
+            Datum::Int(want as i64),
+            "SQL [{lo}, {hi})"
         );
     }
 }
@@ -66,31 +78,34 @@ fn sql_count_matches_engine_kernel() {
 #[test]
 fn sql_avg_matches_engine_kernel() {
     let values: Vec<i64> = (0..300).map(|i| (i * 13) % 777).collect();
-    let (db, _) = build(&values, &[2, 4, 8, 16, 32, 64, 128, 256]);
-    let table = db.table(db.table_id("t").unwrap());
-    let (engine_avg, _) =
-        kernels::aggregate_active(table, 0, Some(RangePredicate::new(100, 600)), AggKind::Avg);
-    match sql_scalar(&db, "SELECT AVG(a) FROM t WHERE a BETWEEN 100 AND 599") {
-        Datum::Float(v) => {
-            let expected = engine_avg.unwrap();
-            assert!((v - expected).abs() < 1e-9, "sql {v} engine {expected}");
-        }
-        other => panic!("expected float, got {other:?}"),
-    }
+    let catalog = build(&values, &[2, 4, 8, 16, 32, 64, 128, 256]);
+    let table = &catalog.0[0].1.table;
+    let predicate = Some(RangePredicate::new(100, 600));
+    let want = model_answer(
+        &catalog,
+        Query::Aggregate {
+            kind: AggKind::Avg,
+            predicate,
+        },
+    );
+    let (state, _) = aggregate_tiered_active(table.col_tier(0), table.activity_words(), predicate);
+    assert_eq!(
+        QueryOutput::Agg(state.finalize(AggKind::Avg)),
+        want,
+        "kernel"
+    );
+    let sql = sql_scalar(&catalog, "SELECT AVG(a) FROM t WHERE a BETWEEN 100 AND 599");
+    assert_eq!(QueryOutput::Agg(sql.as_f64()), want, "SQL");
 }
 
 #[test]
 fn forgotten_tuples_never_appear_in_sql_results() {
     let values: Vec<i64> = (0..100).collect();
-    let (db, model) = build(&values, &[10, 20, 30, 40]);
-    let rows = sql_rows(&db, "SELECT a FROM t ORDER BY a");
-    let got: Vec<i64> = rows.iter().map(|r| r[0].as_int().unwrap()).collect();
-    let expected: Vec<i64> = model
-        .iter()
-        .filter(|(_, active)| *active)
-        .map(|(v, _)| *v)
-        .collect();
-    assert_eq!(got, expected);
+    let catalog = build(&values, &[10, 20, 30, 40]);
+    let sql = "SELECT a FROM t ORDER BY a";
+    let got = catalog.run(sql, &Executor::default());
+    assert_eq!(got, catalog.want(sql));
+    assert_eq!(got.len(), 96);
 }
 
 #[test]
@@ -125,182 +140,13 @@ fn sql_sees_the_simulator_store() {
             db.table_mut(t).forget(id, 1).unwrap();
         }
     }
-    let n = sql_scalar(&db, "SELECT COUNT(*) FROM t");
-    assert_eq!(n, Datum::Int(200), "SQL sees exactly the active budget");
+    let n = sql_rows(&db, "SELECT COUNT(*) FROM t");
+    assert_eq!(n, [[Datum::Int(200)]], "SQL sees exactly the active budget");
 }
 
 // ---------------------------------------------------------------------
-// Physical-plan equivalence: tiered == flat == row-at-a-time reference.
+// Physical-plan equivalence: every layout and width == the model.
 // ---------------------------------------------------------------------
-
-/// A catalog over explicitly-built tables (block sizes and codecs the
-/// `Database` constructor doesn't expose).
-struct TestCatalog {
-    tables: Vec<(String, Table)>,
-}
-
-impl SqlCatalog for TestCatalog {
-    fn resolve(&self, name: &str) -> Option<&Table> {
-        self.tables.iter().find(|(n, _)| n == name).map(|(_, t)| t)
-    }
-
-    fn table_names(&self) -> Vec<String> {
-        self.tables.iter().map(|(n, _)| n.clone()).collect()
-    }
-}
-
-/// Row-at-a-time reference interpreter for a bound query: `iter_active`
-/// with per-row `Table::value` reads and a scalar `HashMap` — exactly
-/// the execution shape the physical plan replaced, kept here as the
-/// behavioral oracle.
-fn reference_execute(catalog: &TestCatalog, sql: &str) -> Vec<Vec<Datum>> {
-    let stmt = parse(sql).unwrap();
-    let select = match stmt {
-        Statement::Select(s) | Statement::Explain(s) => s,
-    };
-    let q = bind(catalog, &select).unwrap();
-    let tables: Vec<&Table> = q
-        .tables
-        .iter()
-        .map(|(n, _)| catalog.resolve(n).unwrap())
-        .collect();
-
-    let scan = |slot: usize| -> Vec<RowId> {
-        let filters: Vec<&BoundFilter> = q
-            .filters
-            .iter()
-            .filter(|f| f.column().slot == slot)
-            .collect();
-        tables[slot]
-            .iter_active()
-            .filter(|&r| {
-                filters
-                    .iter()
-                    .all(|f| f.matches(tables[slot].value(f.column().col, r)))
-            })
-            .collect()
-    };
-
-    // Joined (or single-table) row stream: [left row, right row].
-    let rows: Vec<[RowId; 2]> = match &q.join {
-        Some((l, r)) => {
-            let mut build: HashMap<i64, Vec<RowId>> = HashMap::new();
-            for &lr in &scan(0) {
-                build
-                    .entry(tables[0].value(l.col, lr))
-                    .or_default()
-                    .push(lr);
-            }
-            let mut out = Vec::new();
-            for &rr in &scan(1) {
-                if let Some(ls) = build.get(&tables[1].value(r.col, rr)) {
-                    out.extend(ls.iter().map(|&lr| [lr, rr]));
-                }
-            }
-            out
-        }
-        None => scan(0).into_iter().map(|r| [r, RowId(0)]).collect(),
-    };
-
-    let value_of = |slot: usize, col: usize, row: &[RowId; 2]| tables[slot].value(col, row[slot]);
-
-    let mut out: Vec<Vec<Datum>> = if q.has_aggregates() || q.group_by.is_some() {
-        // (key, per-item (count, sum, min, max)) in first-seen order.
-        type Acc = (u64, i128, i64, i64);
-        let mut groups: Vec<(Option<i64>, Vec<Acc>)> = Vec::new();
-        if q.group_by.is_none() {
-            groups.push((None, vec![(0, 0, i64::MAX, i64::MIN); q.items.len()]));
-        }
-        for row in &rows {
-            let key = q.group_by.as_ref().map(|g| value_of(g.slot, g.col, row));
-            let slot = match groups.iter().position(|(k, _)| *k == key) {
-                Some(s) => s,
-                None => {
-                    groups.push((key, vec![(0, 0, i64::MAX, i64::MIN); q.items.len()]));
-                    groups.len() - 1
-                }
-            };
-            for (i, item) in q.items.iter().enumerate() {
-                let acc = &mut groups[slot].1[i];
-                match item {
-                    BoundItem::Aggregate { arg: Some(c), .. } => {
-                        let v = value_of(c.slot, c.col, row);
-                        acc.0 += 1;
-                        acc.1 += v as i128;
-                        acc.2 = acc.2.min(v);
-                        acc.3 = acc.3.max(v);
-                    }
-                    BoundItem::Aggregate { arg: None, .. } => acc.0 += 1,
-                    BoundItem::Column(_) => {}
-                }
-            }
-        }
-        groups
-            .into_iter()
-            .map(|(key, accs)| {
-                q.items
-                    .iter()
-                    .zip(accs)
-                    .map(|(item, (count, sum, min, max))| match item {
-                        BoundItem::Column(_) => Datum::Int(key.expect("group key")),
-                        BoundItem::Aggregate { func, .. } => {
-                            use amnesia::sql::ast::AggFunc;
-                            if count == 0 {
-                                return match func {
-                                    AggFunc::Count => Datum::Int(0),
-                                    _ => Datum::Null,
-                                };
-                            }
-                            match func {
-                                AggFunc::Count => Datum::Int(count as i64),
-                                AggFunc::Sum => match i64::try_from(sum) {
-                                    Ok(v) => Datum::Int(v),
-                                    Err(_) => Datum::Float(sum as f64),
-                                },
-                                AggFunc::Avg => Datum::Float(sum as f64 / count as f64),
-                                AggFunc::Min => Datum::Int(min),
-                                AggFunc::Max => Datum::Int(max),
-                            }
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    } else {
-        rows.iter()
-            .map(|row| {
-                q.items
-                    .iter()
-                    .map(|item| match item {
-                        BoundItem::Column(c) => Datum::Int(value_of(c.slot, c.col, row)),
-                        BoundItem::Aggregate { .. } => unreachable!(),
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-
-    if let Some((idx, order)) = q.order_by {
-        out.sort_by(|a, b| {
-            let ord = a[idx].total_cmp(&b[idx]);
-            match order {
-                amnesia::sql::ast::SortOrder::Asc => ord,
-                amnesia::sql::ast::SortOrder::Desc => ord.reverse(),
-            }
-        });
-    }
-    if let Some(limit) = q.limit {
-        out.truncate(limit as usize);
-    }
-    out
-}
-
-fn run_rows(catalog: &TestCatalog, sql: &str) -> Vec<Vec<Datum>> {
-    match run(catalog, sql).unwrap() {
-        QueryOutcome::Rows(rs) => rs.rows,
-        QueryOutcome::Plan(p) => panic!("unexpected plan {p}"),
-    }
-}
 
 /// The query shapes the suite sweeps: projections, conjunctions,
 /// negation, grouped and global aggregates, join, order, limit.
@@ -322,60 +168,66 @@ fn query_shapes(lo: i64, hi: i64, ne: i64) -> Vec<String> {
     ]
 }
 
-/// Build the tiered table + flat twin pair for one codec/block-size
-/// configuration, with forgets on both sides of the freeze boundary and
-/// an optional recompression pass.
-fn tiered_and_flat(
+/// `t(g, a, b)` for one codec/block-size configuration: `rows`, forgets
+/// on both sides of the freeze boundary, the first `freeze_frac` frozen,
+/// and an optional recompression pass.
+fn tiered(
     rows: &[(i64, i64, i64)],
     forget: &[usize],
     block_rows: usize,
     encoding: Option<Encoding>,
     freeze_frac: f64,
     recompress: bool,
-) -> (Table, Table) {
-    let schema = Schema::new(vec!["g", "a", "b"]);
-    let mut tiered = Table::with_block_rows(schema.clone(), block_rows);
-    let mut flat = Table::new(schema);
-    for &(g, a, b) in rows {
-        tiered.insert(&[g, a, b], 0).unwrap();
-        flat.insert(&[g, a, b], 0).unwrap();
+) -> Case {
+    let mut case = Case::new(Schema::new(vec!["g", "a", "b"]), block_rows);
+    case.apply(Op::Insert(
+        rows.iter().map(|&(g, a, b)| vec![g, a, b]).collect(),
+    ));
+    for c in 0..3 {
+        case.apply(Op::Pin(c, encoding));
     }
-    if let Some(enc) = encoding {
-        for c in 0..3 {
-            tiered.pin_encoding(c, Some(enc));
-        }
-    }
-    for &f in forget {
-        let r = RowId((f % rows.len().max(1)) as u64);
-        tiered.forget(r, 1).unwrap();
-        flat.forget(r, 1).unwrap();
-    }
-    tiered.freeze_upto((rows.len() as f64 * freeze_frac) as usize);
+    case.apply(Op::Forget(forget.iter().map(|f| f % rows.len()).collect()));
+    case.apply(Op::FreezeUpto((rows.len() as f64 * freeze_frac) as usize));
     if recompress {
-        tiered.recompress_frozen(1.0);
+        case.apply(Op::Recompress(1.0));
     }
-    (tiered, flat)
+    case
 }
 
-/// `u(k, w)` join partner table (kept hot in the flat twin, frozen in
-/// the tiered one).
-fn partner(n: usize, freeze: bool) -> Table {
-    let mut t = Table::new(Schema::new(vec!["k", "w"]));
-    for i in 0..n as i64 {
-        t.insert(&[i % 97, (i * 31) % 100], 0).unwrap();
-    }
-    for r in (0..n as u64).step_by(6) {
-        t.forget(RowId(r), 1).unwrap();
-    }
-    if freeze {
-        t.freeze_upto(n);
-    }
-    t
+/// The frozen `u(k, w)` join partner, every sixth row forgotten.
+fn partner(n: usize) -> Case {
+    let rows = (0..n as i64)
+        .map(|i| vec![i % 97, (i * 31) % 100])
+        .collect();
+    Case::replay(
+        Schema::new(vec!["k", "w"]),
+        DEFAULT_BLOCK_ROWS,
+        [
+            Op::Insert(rows),
+            Op::Forget((0..n).step_by(6).collect()),
+            Op::FreezeUpto(n),
+        ],
+    )
 }
 
-#[test]
-fn sql_over_tiered_tables_matches_flat_twin_and_reference() {
-    let mut rng = SimRng::new(0x5EED);
+/// An executor on `threads` workers with small morsels, so the
+/// few-thousand-row suite tables split into many morsels per stage.
+fn executor(threads: usize) -> Executor {
+    let mode = if threads <= 1 {
+        ExecMode::Serial
+    } else {
+        ExecMode::Parallel(threads)
+    };
+    Executor::default()
+        .with_exec_mode(mode)
+        .with_morsel_rows(128)
+}
+
+/// Every SQL query shape over every codec × block size × recompress
+/// configuration of the rows `seed` draws: `check(catalog, query, the
+/// model's rows, context)`.
+fn for_each_tiered_query(seed: u64, mut check: impl FnMut(&Catalog, &str, &[Vec<Datum>], &str)) {
+    let mut rng = SimRng::new(seed);
     let rows: Vec<(i64, i64, i64)> = (0..3_000)
         .map(|i| ((i / 100) % 7, rng.range_i64(0, 120), rng.range_i64(0, 100)))
         .collect();
@@ -390,24 +242,14 @@ fn sql_over_tiered_tables_matches_flat_twin_and_reference() {
     ] {
         for block_rows in [128usize, 1024] {
             for recompress in [false, true] {
-                let (tiered, flat) =
-                    tiered_and_flat(&rows, &forget, block_rows, encoding, 0.7, recompress);
-                assert!(tiered.has_frozen(), "suite must cover frozen blocks");
-                let tiered_cat = TestCatalog {
-                    tables: vec![("t".into(), tiered), ("u".into(), partner(1_500, true))],
-                };
-                let flat_cat = TestCatalog {
-                    tables: vec![("t".into(), flat), ("u".into(), partner(1_500, false))],
-                };
+                let t = tiered(&rows, &forget, block_rows, encoding, 0.7, recompress);
+                assert!(t.table.has_frozen(), "suite must cover frozen blocks");
+                let catalog = Catalog(vec![("t", t), ("u", partner(1_500))]);
                 for q in query_shapes(20, 90, 3) {
-                    let got = run_rows(&tiered_cat, &q);
-                    let flat_rows = run_rows(&flat_cat, &q);
-                    let want = reference_execute(&flat_cat, &q);
                     let ctx = format!(
                         "{encoding:?} block_rows={block_rows} recompress={recompress} q={q}"
                     );
-                    assert_eq!(got, flat_rows, "tiered == flat: {ctx}");
-                    assert_eq!(got, want, "tiered == reference: {ctx}");
+                    check(&catalog, &q, &catalog.want(&q), &ctx);
                 }
             }
         }
@@ -415,7 +257,31 @@ fn sql_over_tiered_tables_matches_flat_twin_and_reference() {
 }
 
 #[test]
-fn frozen_only_queries_decode_zero_blocks() {
+fn sql_over_tiered_tables_matches_the_model() {
+    for_each_tiered_query(0x5EED, |catalog, q, want, ctx| {
+        assert_eq!(catalog.run(q, &Executor::default()), want, "{ctx}");
+    });
+}
+
+/// The same sweep over other rows at 1/2/7/8 worker threads
+/// (non-power-of-two on purpose: uneven morsel partitions are where
+/// merge-order bugs live).
+#[test]
+fn sql_parallel_equals_serial_across_tiers() {
+    for_each_tiered_query(0xC0FFEE, |catalog, q, want, ctx| {
+        for threads in [1usize, 2, 7, 8] {
+            assert_eq!(
+                catalog.run(q, &executor(threads)),
+                want,
+                "{threads} threads: {ctx}"
+            );
+        }
+    });
+}
+
+/// Frozen-only queries answer the model's rows at `threads` workers
+/// without decoding a block.
+fn assert_frozen_queries_decode_zero_blocks(threads: usize) {
     let mut rng = SimRng::new(7);
     let rows: Vec<(i64, i64, i64)> = (0..4_096)
         .map(|i| ((i / 512) % 8, rng.range_i64(0, 200), rng.range_i64(0, 50)))
@@ -426,15 +292,9 @@ fn frozen_only_queries_decode_zero_blocks() {
         Some(Encoding::Dict),
         Some(Encoding::RunBits),
     ] {
-        let (tiered, flat) =
-            tiered_and_flat(&rows, &[1, 65, 1030, 2049], 1024, encoding, 1.0, false);
-        assert_eq!(tiered.col_tier(0).hot_values().len(), 0, "fully frozen");
-        let cat = TestCatalog {
-            tables: vec![("t".into(), tiered)],
-        };
-        let flat_cat = TestCatalog {
-            tables: vec![("t".into(), flat)],
-        };
+        let t = tiered(&rows, &[1, 65, 1030, 2049], 1024, encoding, 1.0, false);
+        assert_eq!(t.table.col_tier(0).hot_values().len(), 0, "fully frozen");
+        let catalog = Catalog(vec![("t", t)]);
         let queries = [
             "SELECT g, COUNT(*) AS n, SUM(a) AS s FROM t \
              WHERE a BETWEEN 20 AND 150 AND b > 5 GROUP BY g ORDER BY s DESC",
@@ -442,15 +302,28 @@ fn frozen_only_queries_decode_zero_blocks() {
             "SELECT a FROM t WHERE a BETWEEN 40 AND 45 AND b <= 20",
         ];
         for q in queries {
+            let want = catalog.want(q);
             let before = block_decodes();
-            let got = run_rows(&cat, q);
+            let got = catalog.run(q, &executor(threads));
             assert_eq!(
                 block_decodes(),
                 before,
-                "{encoding:?} {q}: frozen SQL must not decode blocks"
+                "{encoding:?} {q}: frozen SQL at {threads} threads must not decode blocks"
             );
-            assert_eq!(got, run_rows(&flat_cat, q), "{encoding:?} {q}");
+            assert_eq!(got, want, "{encoding:?} {q} at {threads} threads");
         }
+    }
+}
+
+#[test]
+fn frozen_only_queries_decode_zero_blocks() {
+    assert_frozen_queries_decode_zero_blocks(1);
+}
+
+#[test]
+fn parallel_frozen_queries_decode_zero_blocks() {
+    for threads in [2, 8] {
+        assert_frozen_queries_decode_zero_blocks(threads);
     }
 }
 
@@ -458,8 +331,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // Randomized freeze/forget/recompress interleavings: SQL answers
-    // over the mutating tiered table always equal the flat twin's and
-    // the row-at-a-time reference's.
+    // over the mutating tiered table always equal the model's, serially
+    // and at 7 workers (deliberately non-power-of-two).
     #[test]
     fn sql_equivalence_under_random_tiering(
         seed in 0u64..1_000,
@@ -474,18 +347,12 @@ proptest! {
         let rows: Vec<(i64, i64, i64)> = (0..n)
             .map(|i| ((i as i64 / 50) % 5, rng.range_i64(0, 120), rng.range_i64(0, 100)))
             .collect();
-        let (tiered, flat) =
-            tiered_and_flat(&rows, &forget, 128, None, freeze_frac, recompress);
-        let tiered_cat = TestCatalog { tables: vec![("t".into(), tiered), ("u".into(), partner(400, true))] };
-        let flat_cat = TestCatalog { tables: vec![("t".into(), flat), ("u".into(), partner(400, false))] };
+        let t = tiered(&rows, &forget, 128, None, freeze_frac, recompress);
+        let catalog = Catalog(vec![("t", t), ("u", partner(400))]);
         for q in query_shapes(lo, lo + width, 2) {
-            let got = run_rows(&tiered_cat, &q);
-            prop_assert_eq!(&got, &run_rows(&flat_cat, &q), "tiered == flat: {}", &q);
-            prop_assert_eq!(&got, &reference_execute(&flat_cat, &q), "tiered == reference: {}", &q);
-            // Morsel-parallel dispatch rides the same random freeze/
-            // forget/recompress interleavings (7 workers: deliberately
-            // non-power-of-two).
-            prop_assert_eq!(&got, &run_rows_at(&tiered_cat, &q, 7), "parallel == serial: {}", &q);
+            let want = catalog.want(&q);
+            prop_assert_eq!(&catalog.run(&q, &Executor::default()), &want, "{}", &q);
+            prop_assert_eq!(&catalog.run(&q, &executor(7)), &want, "7 threads: {}", &q);
         }
     }
 }
@@ -500,14 +367,11 @@ proptest! {
         lo in -1100i64..1100,
         width in 0i64..800,
     ) {
-        let (db, model) = build(&values, &forget);
+        let catalog = build(&values, &forget);
         let hi = lo + width;
-        let expected = model
-            .iter()
-            .filter(|(v, active)| *active && *v >= lo && *v <= hi)
-            .count() as i64;
+        let want = model_answer(&catalog, Query::Range(RangePredicate::new(lo, hi + 1)));
         let sql = format!("SELECT COUNT(*) FROM t WHERE a BETWEEN {lo} AND {hi}");
-        prop_assert_eq!(sql_scalar(&db, &sql), Datum::Int(expected));
+        prop_assert_eq!(sql_scalar(&catalog, &sql), Datum::Int(want.cardinality() as i64));
     }
 
     #[test]
@@ -515,131 +379,8 @@ proptest! {
         values in proptest::collection::vec(-500i64..500, 1..100),
         forget in proptest::collection::vec(0usize..500, 0..30),
     ) {
-        let (db, model) = build(&values, &forget);
-        let expected: i64 = model.iter().filter(|(_, a)| *a).map(|(v, _)| v).sum();
-        let active = model.iter().filter(|(_, a)| *a).count();
-        match sql_scalar(&db, "SELECT SUM(a) FROM t") {
-            Datum::Int(v) => prop_assert_eq!(v, expected),
-            Datum::Null => prop_assert_eq!(active, 0),
-            other => prop_assert!(false, "unexpected {:?}", other),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Morsel scheduler: SQL through ExecMode::Parallel == serial.
-// ---------------------------------------------------------------------
-
-use amnesia::engine::{ExecMode, Executor};
-use amnesia::sql::run_with;
-
-/// Run `sql` through an executor pinned to `threads` workers with small
-/// morsels, so the few-thousand-row suite tables split into many
-/// morsels per stage.
-fn run_rows_at(catalog: &TestCatalog, sql: &str, threads: usize) -> Vec<Vec<Datum>> {
-    let mode = if threads <= 1 {
-        ExecMode::Serial
-    } else {
-        ExecMode::Parallel(threads)
-    };
-    let executor = Executor::default()
-        .with_exec_mode(mode)
-        .with_morsel_rows(128);
-    match run_with(catalog, sql, &executor).unwrap() {
-        QueryOutcome::Rows(rs) => rs.rows,
-        QueryOutcome::Plan(p) => panic!("unexpected plan {p}"),
-    }
-}
-
-/// Every SQL query shape, over every codec × block size × recompress
-/// configuration, at 1/2/7/8 worker threads (non-power-of-two on
-/// purpose: uneven morsel partitions are where merge-order bugs live):
-/// the parallel rows must be byte-identical to the serial rows and to
-/// the row-at-a-time reference.
-#[test]
-fn sql_parallel_equals_serial_across_tiers() {
-    let mut rng = SimRng::new(0xC0FFEE);
-    let rows: Vec<(i64, i64, i64)> = (0..3_000)
-        .map(|i| ((i / 100) % 7, rng.range_i64(0, 120), rng.range_i64(0, 100)))
-        .collect();
-    let forget: Vec<usize> = (0..400).map(|_| rng.range_i64(0, 3_000) as usize).collect();
-    for encoding in [
-        None,
-        Some(Encoding::Rle),
-        Some(Encoding::Dict),
-        Some(Encoding::ForPack),
-        Some(Encoding::Delta),
-        Some(Encoding::RunBits),
-    ] {
-        for block_rows in [128usize, 1024] {
-            for recompress in [false, true] {
-                let (tiered, _) =
-                    tiered_and_flat(&rows, &forget, block_rows, encoding, 0.7, recompress);
-                let cat = TestCatalog {
-                    tables: vec![("t".into(), tiered), ("u".into(), partner(1_500, true))],
-                };
-                for q in query_shapes(20, 90, 3) {
-                    let serial = run_rows_at(&cat, &q, 1);
-                    let ctx = format!(
-                        "{encoding:?} block_rows={block_rows} recompress={recompress} q={q}"
-                    );
-                    assert_eq!(
-                        serial,
-                        run_rows(&cat, &q),
-                        "pinned serial == default: {ctx}"
-                    );
-                    for threads in [2usize, 7, 8] {
-                        assert_eq!(
-                            run_rows_at(&cat, &q, threads),
-                            serial,
-                            "parallel ({threads} threads) == serial: {ctx}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The zero-decode invariant survives parallel dispatch: a frozen-only
-/// query fanned out over morsel workers must not decode a single block
-/// more than the serial path (which decodes none).
-#[test]
-fn parallel_frozen_queries_decode_zero_blocks() {
-    let mut rng = SimRng::new(7);
-    let rows: Vec<(i64, i64, i64)> = (0..4_096)
-        .map(|i| ((i / 512) % 8, rng.range_i64(0, 200), rng.range_i64(0, 50)))
-        .collect();
-    for encoding in [
-        None,
-        Some(Encoding::Rle),
-        Some(Encoding::Dict),
-        Some(Encoding::RunBits),
-    ] {
-        let (tiered, _) = tiered_and_flat(&rows, &[1, 65, 1030, 2049], 1024, encoding, 1.0, false);
-        assert_eq!(tiered.col_tier(0).hot_values().len(), 0, "fully frozen");
-        let cat = TestCatalog {
-            tables: vec![("t".into(), tiered)],
-        };
-        let queries = [
-            "SELECT g, COUNT(*) AS n, SUM(a) AS s FROM t \
-             WHERE a BETWEEN 20 AND 150 AND b > 5 GROUP BY g ORDER BY s DESC",
-            "SELECT COUNT(*), SUM(a), MIN(a), MAX(b), AVG(b) FROM t WHERE a >= 10 AND b <> 7",
-            "SELECT a FROM t WHERE a BETWEEN 40 AND 45 AND b <= 20",
-        ];
-        for q in queries {
-            let serial = run_rows_at(&cat, q, 1);
-            for threads in [2usize, 8] {
-                let before = block_decodes();
-                let got = run_rows_at(&cat, q, threads);
-                assert_eq!(
-                    block_decodes(),
-                    before,
-                    "{encoding:?} {q}: parallel ({threads} threads) frozen SQL must not \
-                     decode blocks"
-                );
-                assert_eq!(got, serial, "{encoding:?} {q} at {threads} threads");
-            }
-        }
+        let catalog = build(&values, &forget);
+        let sql = "SELECT SUM(a) FROM t";
+        prop_assert_eq!(catalog.run(sql, &Executor::default()), catalog.want(sql));
     }
 }

@@ -5,7 +5,7 @@
 //! and the hot tail, or clips the wrong word. This suite drives **every public
 //! kernel, executor and SQL path** over a half-frozen table (frozen
 //! prefix + hot tail, forgets on both sides of the boundary) and checks
-//! the answers against a never-frozen twin.
+//! the answers against the model.
 //!
 //! The second half is the recompression-safety property test: frozen
 //! blocks squash *forgotten* rows' values onto active neighbours when
@@ -14,136 +14,90 @@
 //! of them consult the activity map before trusting a value; the
 //! interleaved property test pins that contract.
 
+mod common;
+
 use amnesia::columnar::compress::Encoding;
-use amnesia::columnar::vacuum::vacuum;
-use amnesia::columnar::Database;
+use amnesia::columnar::DEFAULT_BLOCK_ROWS;
+use amnesia::engine::batch::{aggregate_tiered_active, count_tiered_active};
 use amnesia::engine::exec::PlanTag;
 use amnesia::engine::join::{hash_join, hash_join_count, join_precision};
-use amnesia::engine::physical::{JoinSpec, PhysScan};
-use amnesia::engine::{
-    kernels, Aux, ColPred, CostModel, ExecMode, Executor, ForgetVisibility, PhysItem, PhysicalPlan,
-    PlanHint,
-};
+use amnesia::engine::{Aux, ColPred, CostModel, ExecMode, Executor, ForgetVisibility, QueryOutput};
 use amnesia::prelude::*;
-use amnesia::sql;
-use amnesia::workload::query::RangePredicate;
-use amnesia::workload::Query as EngineQuery;
+use amnesia_model::{eval_plan, join_pairs, Case, Op};
+use common::{agg, col, plan, scan};
 
-/// A plan over single-column tables: one scan per entry of `preds`
-/// (joined on column 0 when there are two), emitting `items`.
-fn plan(preds: Vec<Vec<ColPred>>, items: Vec<PhysItem>) -> PhysicalPlan {
-    let join = (preds.len() == 2).then(|| JoinSpec {
-        left_col: 0,
-        right_col: 0,
-        display: "l.a = r.a".into(),
-    });
-    PhysicalPlan {
-        scans: preds
-            .into_iter()
-            .map(|preds| PhysScan {
-                preds,
-                label: "Scan t".into(),
-            })
-            .collect(),
-        join,
-        items,
-        group_by: None,
-        order_by: None,
-        limit: None,
-        hint: PlanHint::default(),
-    }
-}
-
-fn column(slot: usize) -> PhysItem {
-    PhysItem::Column {
-        slot,
-        col: 0,
-        display: "a".into(),
-    }
-}
+const ACTIVE: ForgetVisibility = ForgetVisibility::ActiveOnly;
+const COMPLETE: ForgetVisibility = ForgetVisibility::ScanSeesForgotten;
 
 /// The codecs the half-frozen tables freeze in: the automatic choice,
 /// and the run bitmap pinned (its kernels rank rows into runs, so a
 /// frozen prefix that ends mid-table is a seam of its own).
 const CODECS: [Option<Encoding>; 2] = [None, Some(Encoding::RunBits)];
 
-/// A half-frozen table (4 frozen blocks + hot tail) in `encoding` and its
-/// never-frozen twin, with forgets scattered across both tiers.
-fn half_frozen_pair(encoding: Option<Encoding>) -> (Table, Table) {
+/// 6 000 values in `encoding` with every 7th row forgotten; `frozen`
+/// freezes 4 blocks of 1 024 and leaves a hot tail.
+fn half_frozen(encoding: Option<Encoding>, frozen: bool) -> Case {
     let mut rng = SimRng::new(97);
     let values: Vec<i64> = (0..6_000).map(|_| rng.range_i64(0, 900)).collect();
-    let mut flat = Table::new(Schema::single("a"));
-    flat.insert_batch(&values, 0).unwrap();
-    let mut tiered = flat.clone();
-    tiered.pin_encoding(0, encoding);
-    for r in (0..6_000u64).step_by(7) {
-        flat.forget(RowId(r), 1).unwrap();
-        tiered.forget(RowId(r), 1).unwrap();
+    let mut case = Case::replay(
+        Schema::single("a"),
+        DEFAULT_BLOCK_ROWS,
+        [
+            Op::Pin(0, encoding),
+            Op::column(&values),
+            Op::Forget((0..6_000).step_by(7).collect()),
+        ],
+    );
+    if frozen {
+        case.apply(Op::FreezeUpto(4_100)); // rounds down to 4 blocks
+        assert_eq!(case.table.frozen_blocks(), 4);
+        assert!(!case.table.col_tier(0).hot_values().is_empty());
     }
-    tiered.freeze_upto(4_100); // rounds down to 4 blocks of 1024
-    assert_eq!(tiered.frozen_blocks(), 4);
-    assert!(!tiered.col_tier(0).hot_values().is_empty());
-    (tiered, flat)
+    case
 }
 
 #[test]
 fn every_kernel_path_survives_a_half_frozen_table() {
     for encoding in CODECS {
-        let (tiered, flat) = half_frozen_pair(encoding);
+        let case = half_frozen(encoding, true);
+        let (t, m) = (&case.table, &case.model);
+        let (tier, words) = (t.col_tier(0), t.activity_words());
         let pred = RangePredicate::new(200, 500);
-        let want_rows = kernels::range_scan_active(&flat, 0, pred);
+        let want = m.query(0, &Query::Range(pred), ACTIVE);
+        let want_rows = want.rows().unwrap();
 
         // Serial kernels.
-        assert_eq!(kernels::range_scan_active(&tiered, 0, pred), want_rows);
-        assert_eq!(kernels::range_scan_tiered(&tiered, 0, pred).0, want_rows);
-        assert_eq!(
-            kernels::range_scan_all(&tiered, 0, pred),
-            kernels::range_scan_all(&flat, 0, pred)
-        );
-        assert_eq!(
-            kernels::count_active_matches(&tiered, 0, pred),
-            want_rows.len()
-        );
+        assert_eq!(scan(t, pred).0, want_rows);
+        assert_eq!(count_tiered_active(tier, words, pred).0, want_rows.len());
         for predicate in [None, Some(pred)] {
+            let (state, _) = aggregate_tiered_active(tier, words, predicate);
             for kind in AggKind::ALL {
-                let (want, _) = kernels::aggregate_active(&flat, 0, predicate, kind);
-                let (got, _) = kernels::aggregate_active(&tiered, 0, predicate, kind);
-                assert_eq!(got, want, "{kind:?} {predicate:?}");
+                let q = Query::Aggregate { kind, predicate };
+                let got = QueryOutput::Agg(state.finalize(kind));
+                assert_eq!(got, m.query(0, &q, ACTIVE), "{kind:?} {predicate:?}");
             }
-            let (state, _) = kernels::aggregate_state_tiered(&tiered, 0, predicate);
-            let (want_state, _) = kernels::aggregate_state_tiered(&flat, 0, predicate);
-            assert_eq!(state.count(), want_state.count());
-            assert_eq!(state.sum(), want_state.sum());
         }
+        let complete = Executor::new(COMPLETE, CostModel::default());
+        let got = complete.execute(t, 0, &Query::Range(pred), &Aux::default());
+        assert_eq!(got.output, m.query(0, &Query::Range(pred), COMPLETE));
 
         // The morsel scheduler chunks at tier boundaries: a one-predicate
-        // plan answers the same rows, and the same aggregates, at any width.
-        let pushed = ColPred::from_range(0, pred);
-        let project = plan(vec![vec![pushed.clone()]], vec![column(0)]);
-        let aggregate = plan(
-            vec![vec![pushed]],
-            AggKind::ALL
-                .iter()
-                .map(|&kind| PhysItem::Aggregate {
-                    kind,
-                    arg: Some((0, 0)),
-                    display: kind.name().into(),
-                })
-                .collect(),
-        );
-        let serial = Executor::default().with_exec_mode(ExecMode::Serial);
-        let want_values = serial.execute_plan(&[&flat], &[], &project).rows;
+        // plan answers the model's rows, and its aggregates, at any width.
+        let scans = || vec![vec![ColPred::from_range(0, pred)]];
+        let project = plan(scans(), None, vec![col(0, 0)]);
+        let aggregates = AggKind::ALL.map(|kind| agg(kind, Some((0, 0))));
+        let aggregate = plan(scans(), None, aggregates.to_vec());
+        let want_values = eval_plan(&[m], &project);
         assert_eq!(want_values.len(), want_rows.len());
-        let want_aggs = serial.execute_plan(&[&flat], &[], &aggregate).rows;
         for threads in [1usize, 3, 8] {
             let ex = Executor::default()
                 .with_exec_mode(ExecMode::Parallel(threads))
                 .with_morsel_rows(256);
-            let got = ex.execute_plan(&[&tiered], &[], &project);
+            let got = ex.execute_plan(&[t], &[], &project);
             assert_eq!(got.rows, want_values, "{threads} threads");
             assert_eq!(got.stats.plan, PlanTag::TieredScan);
-            let got = ex.execute_plan(&[&tiered], &[], &aggregate);
-            assert_eq!(got.rows, want_aggs, "{threads} threads");
+            let got = ex.execute_plan(&[t], &[], &aggregate);
+            assert_eq!(got.rows, eval_plan(&[m], &aggregate), "{threads} threads");
         }
     }
 }
@@ -151,98 +105,116 @@ fn every_kernel_path_survives_a_half_frozen_table() {
 #[test]
 fn every_executor_path_survives_a_half_frozen_table() {
     for encoding in CODECS {
-        let (tiered, flat) = half_frozen_pair(encoding);
+        let tiered = half_frozen(encoding, true);
+        let hot = half_frozen(encoding, false);
+        let m = &tiered.model;
         let queries = [
-            EngineQuery::Range(RangePredicate::new(100, 260)),
-            EngineQuery::Point(333),
-            EngineQuery::Aggregate {
+            Query::Range(RangePredicate::new(100, 260)),
+            Query::Point(333),
+            Query::Aggregate {
                 kind: AggKind::Avg,
                 predicate: Some(RangePredicate::new(50, 700)),
             },
-            EngineQuery::Aggregate {
+            Query::Aggregate {
                 kind: AggKind::Sum,
                 predicate: None,
             },
         ];
-        for mode in [
-            ForgetVisibility::ActiveOnly,
-            ForgetVisibility::ScanSeesForgotten,
-        ] {
-            let ex = Executor::new(mode, CostModel::default());
-            for q in &queries {
-                let want = ex.execute(&flat, 0, q, &Aux::default());
-                let got = ex.execute(&tiered, 0, q, &Aux::default());
-                assert_eq!(got.output, want.output, "{mode:?} {q:?}");
+        let assert_queries = |case: &Case, ctx: &str| {
+            for mode in [ACTIVE, COMPLETE] {
+                let ex = Executor::new(mode, CostModel::default());
+                for q in &queries {
+                    let got = ex.execute(&case.table, 0, q, &Aux::default());
+                    let want = case.model.query(0, q, mode);
+                    assert_eq!(got.output, want, "{ctx} {mode:?} {q:?}");
+                }
             }
-        }
+        };
+        assert_queries(&tiered, "half-frozen");
 
-        // The join surface: executor-level stats and the raw kernels.
+        // The join surface: every side frozen or hot, the plan tag it
+        // reports, and the raw kernels.
         let ex = Executor::default();
-        let join = plan(vec![vec![], vec![]], vec![column(0), column(1)]);
-        let want = hash_join(&flat, 0, &flat, 0, ForgetVisibility::ActiveOnly);
-        let hot = ex.execute_plan(&[&flat, &flat], &[], &join);
-        assert_eq!(hot.stats.plan, PlanTag::FullScan, "hot join is not tiered");
-        assert_eq!(hot.stats.join_pairs, want.stats.output_pairs);
-        let r = ex.execute_plan(&[&tiered, &flat], &[], &join);
-        assert_eq!(r.rows, hot.rows, "frozen build side");
-        assert_eq!(r.stats.plan, PlanTag::TieredJoin);
-        assert_eq!(r.stats.result_rows, want.stats.output_pairs);
-        let r2 = ex.execute_plan(&[&flat, &tiered], &[], &join);
-        assert_eq!(r2.rows, hot.rows, "frozen probe side");
-        assert_eq!(r2.stats.plan, PlanTag::TieredJoin);
+        let join = plan(
+            vec![vec![], vec![]],
+            Some((0, 0)),
+            vec![col(0, 0), col(1, 0)],
+        );
+        let want = eval_plan(&[m, m], &join);
+        let pairs = join_pairs(m, 0, m, 0, ACTIVE);
+        for (left, right, tag) in [
+            (&hot, &hot, PlanTag::FullScan),
+            (&tiered, &hot, PlanTag::TieredJoin),
+            (&hot, &tiered, PlanTag::TieredJoin),
+        ] {
+            let r = ex.execute_plan(&[&left.table, &right.table], &[], &join);
+            assert_eq!(r.rows, want, "{tag:?}");
+            assert_eq!(r.stats.plan, tag);
+            assert_eq!(r.stats.join_pairs, pairs.len());
+        }
         assert_eq!(
-            hash_join(&tiered, 0, &flat, 0, ForgetVisibility::ActiveOnly).pairs,
-            want.pairs
+            hash_join(&tiered.table, 0, &hot.table, 0, ACTIVE).pairs,
+            pairs
         );
         assert_eq!(
-            hash_join_count(&tiered, 0, &tiered, 0, ForgetVisibility::ActiveOnly),
-            want.stats.output_pairs
+            hash_join_count(&tiered.table, 0, &tiered.table, 0, ACTIVE),
+            pairs.len()
         );
+        let truth = join_pairs(m, 0, m, 0, COMPLETE);
         assert_eq!(
-            join_precision(&tiered, 0, &flat, 0),
-            join_precision(&flat, 0, &flat, 0),
+            join_precision(&tiered.table, 0, &hot.table, 0),
+            Some(pairs.len() as f64 / truth.len() as f64),
             "precision mixes both visibility regimes over frozen blocks"
         );
 
-        // Vacuum compacts through the codec point-read paths.
-        let kept = vacuum(&tiered);
-        assert_eq!(kept.table.num_rows(), flat.active_rows());
+        // Vacuum compacts through the codec point-read paths and renumbers
+        // the survivors.
+        let mut vacuumed = tiered.clone();
+        vacuumed.apply(Op::Vacuum);
+        assert_eq!(vacuumed.table.num_rows(), m.active_len());
+        assert_queries(&vacuumed, "vacuumed");
     }
 }
 
 #[test]
 fn sql_paths_survive_half_frozen_tables() {
     // Two-table SQL join + filters + aggregates over frozen storage: the
-    // SQL executor reads through `Table::value`, which must hit the codec
-    // point-access paths.
-    let mut db = Database::new();
-    let parent = db.add_table("parent", Schema::new(vec!["key", "grp"]));
-    let child = db.add_table("child", Schema::new(vec!["fk", "amount"]));
-    for i in 0..3_000i64 {
-        db.table_mut(parent).insert(&[i, i % 10], 0).unwrap();
-    }
-    for i in 0..3_000i64 {
-        db.table_mut(child).insert(&[i % 500, i], 0).unwrap();
-    }
-    for r in (0..3_000u64).step_by(9) {
-        db.table_mut(parent).forget(RowId(r), 1).unwrap();
-    }
+    // plan's readers must hit the codec point-access paths.
+    let parent_rows = (0..3_000i64).map(|i| vec![i, i % 10]).collect();
+    let child_rows = (0..3_000i64).map(|i| vec![i % 500, i]).collect();
+    let mut catalog = common::Catalog(vec![
+        (
+            "parent",
+            Case::replay(
+                Schema::new(vec!["key", "grp"]),
+                DEFAULT_BLOCK_ROWS,
+                [
+                    Op::Insert(parent_rows),
+                    Op::Forget((0..3_000).step_by(9).collect()),
+                ],
+            ),
+        ),
+        (
+            "child",
+            Case::replay(
+                Schema::new(vec!["fk", "amount"]),
+                DEFAULT_BLOCK_ROWS,
+                [Op::Insert(child_rows)],
+            ),
+        ),
+    ]);
     let q = "SELECT p.grp, COUNT(*) AS n, SUM(c.amount) AS total \
              FROM parent p JOIN child c ON p.key = c.fk \
              WHERE c.amount BETWEEN 100 AND 2500 \
              GROUP BY p.grp ORDER BY total DESC LIMIT 5";
-    let hot = match sql::run(&db, q).unwrap() {
-        sql::QueryOutcome::Rows(rs) => rs,
-        _ => unreachable!(),
-    };
-    db.table_mut(parent).freeze_upto(3_000);
-    db.table_mut(child).freeze_upto(2_048);
-    assert!(db.table(parent).has_frozen());
-    let frozen = match sql::run(&db, q).unwrap() {
-        sql::QueryOutcome::Rows(rs) => rs,
-        _ => unreachable!(),
-    };
-    assert_eq!(frozen.rows, hot.rows, "SQL answers survive freezing");
+    let ex = Executor::default();
+    let want = catalog.want(q);
+    assert_eq!(want.len(), 5);
+    assert_eq!(catalog.run(q, &ex), want, "hot");
+    catalog.0[0].1.apply(Op::FreezeUpto(3_000));
+    catalog.0[1].1.apply(Op::FreezeUpto(2_048));
+    assert!(catalog.0[0].1.table.has_frozen());
+    assert_eq!(catalog.run(q, &ex), want, "SQL answers survive freezing");
 }
 
 /// Satellite: `recompress_frozen` mutates stored values at *forgotten*
@@ -251,8 +223,8 @@ fn sql_paths_survive_half_frozen_tables() {
 /// stale-wide, join hash tables (rebuilt per call but probing
 /// recompressed blocks) — must keep answering exactly, because each of
 /// them filters through the activity map before trusting a value.
-/// Interleave recompression with scans and joins against a never-frozen
-/// twin to prove it.
+/// Interleave recompression with scans and joins and hold them to the
+/// model to prove it.
 #[test]
 fn recompress_keeps_scans_and_joins_correct() {
     for (seed, encoding) in [5u64, 6, 7]
@@ -260,28 +232,26 @@ fn recompress_keeps_scans_and_joins_correct() {
         .flat_map(|s| CODECS.map(|e| (s, e)))
     {
         let mut rng = SimRng::new(seed);
-        let mut flat = Table::new(Schema::single("a"));
-        let mut tiered = Table::with_block_rows(Schema::single("a"), 256);
-        tiered.pin_encoding(0, encoding);
         let ctx = format!("seed={seed} {encoding:?}");
         let values: Vec<i64> = (0..4_096).map(|_| rng.range_i64(0, 300)).collect();
-        flat.insert_batch(&values, 0).unwrap();
-        tiered.insert_batch(&values, 0).unwrap();
-        tiered.freeze_upto(4_096);
+        let mut case = Case::replay(
+            Schema::single("a"),
+            256,
+            [
+                Op::Pin(0, encoding),
+                Op::column(&values),
+                Op::FreezeUpto(4_096),
+            ],
+        );
         for step in 0..8 {
-            // Forget a burst on both twins.
-            for _ in 0..300 {
-                if let Some(r) = flat.random_active(&mut rng) {
-                    flat.forget(r, step).unwrap();
-                    tiered.forget(r, step).unwrap();
-                }
-            }
-            // Recompress rotten blocks: forgotten positions' values are
-            // physically rewritten.
-            let (reencoded, _) = tiered.recompress_frozen(0.9);
+            // Forget a burst, then recompress rotten blocks: forgotten
+            // positions' values are physically rewritten.
+            case.apply(Op::Forget((0..300).map(|_| rng.index(4_096)).collect()));
+            case.apply(Op::Recompress(0.9));
+            let (t, m) = (&case.table, &case.model);
             if step > 2 {
                 assert!(
-                    reencoded == 0 || tiered.bytes_frozen() > 0,
+                    t.bytes_frozen() > 0,
                     "recompression keeps payloads live {ctx}"
                 );
             }
@@ -289,24 +259,27 @@ fn recompress_keeps_scans_and_joins_correct() {
                 RangePredicate::new(0, 300),
                 RangePredicate::new(rng.range_i64(0, 250), rng.range_i64(100, 300)),
             ] {
-                let want = kernels::range_scan_active(&flat, 0, pred);
+                let want = m.query(0, &Query::Range(pred), ACTIVE);
+                let want = want.rows().unwrap();
                 // Block meta bounds are stale-wide, never stale-narrow.
-                let (got, _) = kernels::range_scan_tiered(&tiered, 0, pred);
-                assert_eq!(got, want, "scan {ctx} step {step} {pred:?}");
+                assert_eq!(scan(t, pred).0, want, "scan {ctx} step {step} {pred:?}");
                 assert_eq!(
-                    kernels::count_active_matches(&tiered, 0, pred),
+                    count_tiered_active(t.col_tier(0), t.activity_words(), pred).0,
                     want.len(),
                     "count {ctx} step {step}"
                 );
             }
             // Joins rebuild their hash table per call, but build and
             // probe both stream the *recompressed* payloads.
-            let want = hash_join(&flat, 0, &flat, 0, ForgetVisibility::ActiveOnly);
-            let got = hash_join(&tiered, 0, &tiered, 0, ForgetVisibility::ActiveOnly);
-            assert_eq!(got.pairs, want.pairs, "join {ctx} step {step}");
+            let want = join_pairs(m, 0, m, 0, ACTIVE);
             assert_eq!(
-                hash_join_count(&tiered, 0, &tiered, 0, ForgetVisibility::ActiveOnly),
-                want.stats.output_pairs,
+                hash_join(t, 0, t, 0, ACTIVE).pairs,
+                want,
+                "join {ctx} step {step}"
+            );
+            assert_eq!(
+                hash_join_count(t, 0, t, 0, ACTIVE),
+                want.len(),
                 "join count {ctx} step {step}"
             );
         }
