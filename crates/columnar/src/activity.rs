@@ -7,8 +7,10 @@
 //!
 //! The bitmap covers every row ever inserted (an eighth of a byte each);
 //! the death epochs are [`Paged`] by tier block, so a block nobody forgot
-//! a row of holds none, and a block whose payload was dropped keeps only
-//! the runs snapshot v4 writes for it.
+//! a row of holds none, a block that lost rows holds a byte per row
+//! coding into the few epochs they died in ([`Paged::coded`]), and a
+//! block whose payload was dropped keeps only the runs snapshot v4 writes
+//! for it.
 
 use amnesia_util::bitmap::for_each_set_bit_in;
 use amnesia_util::{Bitmap, SimRng};
@@ -24,7 +26,7 @@ const ALIVE: Epoch = Epoch::MAX;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ActivityMap {
     active: Bitmap,
-    died_at: Paged<Epoch>,
+    died_at: Paged<Epoch, true>,
 }
 
 impl ActivityMap {
@@ -38,7 +40,7 @@ impl ActivityMap {
     pub fn with_block_rows(block_rows: usize) -> Self {
         Self {
             active: Bitmap::new(),
-            died_at: Paged::new(block_rows, ALIVE),
+            died_at: Paged::coded(block_rows, ALIVE),
         }
     }
 
@@ -187,8 +189,8 @@ impl ActivityMap {
         self.active.count_ones_in(lo, hi)
     }
 
-    /// Bytes of the death epochs: a page per block with a forgotten row,
-    /// a few runs per dropped block.
+    /// Bytes of the death epochs: a coded page per block with a forgotten
+    /// row, a few runs per dropped block.
     pub(crate) fn death_bytes(&self) -> usize {
         self.died_at.memory_bytes()
     }
@@ -259,10 +261,15 @@ mod tests {
         assert_eq!(death_runs(&am), want);
         assert_eq!(am.forgotten_count(), 96 + 34 + 4);
         let pages = am.death_bytes();
-        // Blocks 0 and 1 are fully dead: seal them, as a drop does.
+        // Blocks 0 and 1 are fully dead: seal them, as a drop does. Each
+        // gives back its coded page (the box: a `Vec` and a boxed slice;
+        // a dictionary of ALIVE and one or two epochs at capacity 4; 64
+        // codes) and keeps its runs: (0, 6) and (0, 6), (32, 7).
+        let coded_page = std::mem::size_of::<(Vec<Epoch>, Box<[u8]>)>() + 4 * 8 + 64;
+        let run = std::mem::size_of::<(usize, Epoch)>();
         am.seal_block(0);
         am.seal_block(1);
-        assert!(am.death_bytes() < pages - 2 * 64 * 8 + 64);
+        assert_eq!(am.death_bytes(), pages - 2 * coded_page + 3 * run);
         assert_eq!(death_runs(&am), want);
         assert_eq!(am.died_at(RowId(95)), Some(6));
         assert_eq!(am.died_at(RowId(96)), Some(7));

@@ -12,9 +12,9 @@
 //! * [`access::AccessStats`] — per-tuple access frequency / recency,
 //! * [`paged`] — the containers that keep the three per-row metadata
 //!   (death epochs, access statistics, insert epochs) proportional to what
-//!   is *remembered*: pages allocated by the first write, freed or
-//!   run-coded when their tier block is dropped — the in-memory mirror of
-//!   the runs a v4 snapshot writes,
+//!   is *remembered*: pages allocated by the first write (a byte per row
+//!   for death epochs), freed or run-coded when their tier block is
+//!   dropped — the in-memory mirror of the runs a v4 snapshot writes,
 //! * [`compress`] — RLE / delta / frame-of-reference / dictionary codecs
 //!   (§4.4 "data compression can be called upon to postpone the decisions
 //!   to forget data"),

@@ -3,22 +3,33 @@
 //! A [`Paged`] is a logical `Vec<T>` over every row ever inserted that
 //! only *holds* the pages somebody wrote to. Pages are aligned with the
 //! tier blocks (`page_rows == Table::block_rows`), so a block's metadata
-//! lives and dies with the block:
+//! lives and dies with the block. A page is held in one of four forms:
 //!
 //! * **absent** — nothing was ever written (or the page was
 //!   [freed](Paged::free)): every row reads as the default, and writing
 //!   the default allocates nothing;
 //! * **dense** — `page_rows` entries, allocated by the first non-default
-//!   write;
+//!   write to a [`Paged::new`] container;
+//! * **coded** — a byte per row indexing a dictionary of the page's
+//!   distinct values (code 0 is the default), what the first non-default
+//!   write to a [`Paged::coded`] container allocates. A value the page has
+//!   not seen is appended to the dictionary (stale ones stay); the write
+//!   that would make the 257th entry turns the page dense;
 //! * **sealed** — run-coded `(first offset, value)` pairs covering the
 //!   whole page, what [`Paged::seal`] leaves of a page whose block was
 //!   dropped. A block forgotten in one batch seals to a single pair, and
 //!   its rows still read back.
 //!
-//! Death epochs ([`ActivityMap`](crate::activity::ActivityMap)) and the
-//! access statistics ([`AccessStats`](crate::access::AccessStats)) are
-//! three of these; [`EpochRuns`] holds the insert epochs, which are runs
-//! from the start (one per batch).
+//! Death epochs ([`ActivityMap`](crate::activity::ActivityMap)) are coded:
+//! each row is written once and a block's rows die in a few epochs, so a
+//! page costs a byte per row instead of eight. The access statistics
+//! ([`AccessStats`](crate::access::AccessStats)) stay dense: every touch
+//! rewrites a row, a decay rewrites every value, and frequencies take many
+//! distinct values; coding them too made `repro all --scale paper` 11 %
+//! slower in the median of 10 alternating pairs (1 of 10 faster), while
+//! coding the death epochs alone was neutral (7 of 10 faster than dense).
+//! [`EpochRuns`] holds the insert epochs, which are runs from the start
+//! (one per batch).
 
 use serde::{Deserialize, Serialize};
 
@@ -28,16 +39,78 @@ use crate::types::{Epoch, RowId};
 /// capacity depends on the row count alone, not on how it was reached.
 const DIRECTORY_CHUNK: usize = 64;
 
+/// Most values a coded page tells apart: one per code.
+const CODES: usize = 1 << u8::BITS;
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Slot<T> {
     Absent,
     Dense(Box<[T]>),
+    /// Boxed, so a slot stays three words like the others.
+    Coded(Box<Coded<T>>),
     Sealed(Box<[(usize, T)]>),
 }
 
-/// A paged per-row container (module docs).
+/// A page as a byte per row into its distinct values.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Paged<T> {
+struct Coded<T> {
+    /// Every value written since the page was made, in order of first
+    /// write, after the container's default at code 0.
+    values: Vec<T>,
+    codes: Box<[u8]>,
+}
+
+impl<T: Copy + PartialEq> Coded<T> {
+    fn new(page_rows: usize, default: T) -> Self {
+        Self {
+            values: vec![default],
+            codes: vec![0; page_rows].into(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, off: usize) -> T {
+        self.values[usize::from(self.codes[off])]
+    }
+
+    /// The code of `value`, appended to the dictionary if it is new;
+    /// `None` when the dictionary is full. Searched from the newest entry:
+    /// a page is mostly written the value it was last written.
+    fn code_of(&mut self, value: T) -> Option<u8> {
+        let code = match self.values.iter().rposition(|&v| v == value) {
+            Some(code) => code,
+            None if self.values.len() < CODES => {
+                self.values.push(value);
+                self.values.len() - 1
+            }
+            None => return None,
+        };
+        u8::try_from(code).ok()
+    }
+
+    fn to_dense(&self) -> Box<[T]> {
+        self.codes
+            .iter()
+            .map(|&c| self.values[usize::from(c)])
+            .collect()
+    }
+
+    /// The runs of equal codes, as `(first offset, value)`.
+    fn runs(&self) -> impl Iterator<Item = (usize, T)> + '_ {
+        runs_of(&self.codes, |&c| self.values[usize::from(c)])
+    }
+
+    fn memory_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.values.capacity() * std::mem::size_of::<T>()
+            + self.codes.len()
+    }
+}
+
+/// A paged per-row container (module docs) whose pages materialise coded
+/// if `CODED`, dense otherwise.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Paged<T, const CODED: bool = false> {
     page_rows: usize,
     default: T,
     slots: Vec<Slot<T>>,
@@ -48,20 +121,38 @@ fn run_value<T: Copy>(runs: &[(usize, T)], off: usize) -> T {
     runs[runs.partition_point(|&(start, _)| start <= off) - 1].1
 }
 
-/// The maximal runs of equal values in a dense page, as `(first offset,
-/// value)`.
-fn dense_runs<T: Copy + PartialEq>(entries: &[T]) -> impl Iterator<Item = (usize, T)> + '_ {
+/// The maximal runs of equal entries of a page as `(first offset, value
+/// of the entry)`.
+fn runs_of<'a, E: PartialEq, T>(
+    entries: &'a [E],
+    value: impl Fn(&E) -> T + 'a,
+) -> impl Iterator<Item = (usize, T)> + 'a {
     let mut start = 0;
     entries.chunk_by(|a, b| a == b).map(move |run| {
         let first = start;
         start += run.len();
-        (first, run[0])
+        (first, value(&run[0]))
     })
 }
 
 impl<T: Copy + PartialEq> Paged<T> {
-    /// Empty container: every row reads as `default`.
+    /// Empty container whose pages materialise dense: every row reads as
+    /// `default`.
     pub fn new(page_rows: usize, default: T) -> Self {
+        Self::empty(page_rows, default)
+    }
+}
+
+impl<T: Copy + PartialEq> Paged<T, true> {
+    /// Empty container whose pages materialise coded (module docs), for
+    /// values written once per row that a page holds few of.
+    pub fn coded(page_rows: usize, default: T) -> Self {
+        Self::empty(page_rows, default)
+    }
+}
+
+impl<T: Copy + PartialEq, const CODED: bool> Paged<T, CODED> {
+    fn empty(page_rows: usize, default: T) -> Self {
         assert!(page_rows > 0, "page size must be positive");
         Self {
             page_rows,
@@ -81,6 +172,7 @@ impl<T: Copy + PartialEq> Paged<T> {
         match self.slots.get(i / self.page_rows) {
             None | Some(Slot::Absent) => self.default,
             Some(Slot::Dense(page)) => page[i % self.page_rows],
+            Some(Slot::Coded(page)) => page.get(i % self.page_rows),
             Some(Slot::Sealed(runs)) => run_value(runs, i % self.page_rows),
         }
     }
@@ -109,16 +201,27 @@ impl<T: Copy + PartialEq> Paged<T> {
 
     /// Set offsets `[a, b)` of one page, in whatever form the page is held.
     fn fill_in_page(&mut self, page: usize, a: usize, b: usize, value: T) {
-        let held = matches!(self.slots.get(page), Some(Slot::Dense(_) | Slot::Sealed(_)));
-        if !held {
+        if matches!(self.slots.get(page), None | Some(Slot::Absent)) {
             if value == self.default {
                 return;
             }
             self.grow_directory(page + 1);
-            self.slots[page] = Slot::Dense(vec![self.default; self.page_rows].into());
+            self.slots[page] = if CODED {
+                Slot::Coded(Box::new(Coded::new(self.page_rows, self.default)))
+            } else {
+                Slot::Dense(vec![self.default; self.page_rows].into())
+            };
         }
-        match &mut self.slots[page] {
-            Slot::Absent => unreachable!("materialised above"),
+        let slot = &mut self.slots[page];
+        if let Slot::Coded(coded) = slot {
+            match coded.code_of(value) {
+                Some(code) => return coded.codes[a..b].fill(code),
+                // It would be the 257th entry: the page goes dense for good.
+                None => *slot = Slot::Dense(coded.to_dense()),
+            }
+        }
+        match slot {
+            Slot::Absent | Slot::Coded(_) => unreachable!("materialised or expanded above"),
             Slot::Dense(entries) => entries[a..b].fill(value),
             Slot::Sealed(sealed) => {
                 // Runs that start inside [a, b] go; the value that held at
@@ -157,12 +260,13 @@ impl<T: Copy + PartialEq> Paged<T> {
         let runs: Vec<(usize, T)> = match &self.slots[page] {
             Slot::Sealed(_) => return,
             Slot::Absent => vec![(0, self.default)],
-            Slot::Dense(entries) => dense_runs(entries).collect(),
+            Slot::Dense(entries) => runs_of(entries, |&v| v).collect(),
+            Slot::Coded(page) => page.runs().collect(),
         };
         self.slots[page] = Slot::Sealed(runs.into());
     }
 
-    /// Indices of the pages that are held (dense or sealed), ascending.
+    /// Indices of the pages that are held (not absent), ascending.
     pub fn held_pages(&self) -> impl Iterator<Item = usize> + '_ {
         self.slots
             .iter()
@@ -171,22 +275,28 @@ impl<T: Copy + PartialEq> Paged<T> {
             .map(|(page, _)| page)
     }
 
-    /// Visit the runs of equal values of every held page as `(first row,
-    /// end row, value)`, ascending; runs end at page boundaries. A sealed
-    /// page costs its runs, a dense one a pass over its entries, an absent
-    /// one nothing.
+    /// Visit the maximal runs of equal values of every held page as
+    /// `(first row, end row, value)`, ascending; runs end at page
+    /// boundaries. A sealed page costs its runs, a dense or coded one a
+    /// pass over its entries, an absent one nothing.
     pub fn for_each_run(&self, mut visit: impl FnMut(usize, usize, T)) {
         for (page, slot) in self.slots.iter().enumerate() {
             let base = page * self.page_rows;
             let mut open: Option<(usize, T)> = None;
-            let mut start_run = |start: usize, value: T| {
-                if let Some((first, v)) = open.replace((start, value)) {
-                    visit(base + first, base + start, v);
+            // Equal neighbours merge: [`Self::values_mut`] can make two
+            // runs, or two codes, hold one value.
+            let mut start_run = |start: usize, value: T| match open {
+                Some((_, v)) if v == value => {}
+                _ => {
+                    if let Some((first, v)) = open.replace((start, value)) {
+                        visit(base + first, base + start, v);
+                    }
                 }
             };
             match slot {
                 Slot::Absent => continue,
-                Slot::Dense(entries) => dense_runs(entries).for_each(|(s, v)| start_run(s, v)),
+                Slot::Dense(entries) => runs_of(entries, |&v| v).for_each(|(s, v)| start_run(s, v)),
+                Slot::Coded(page) => page.runs().for_each(|(s, v)| start_run(s, v)),
                 Slot::Sealed(runs) => runs.iter().for_each(|&(s, v)| start_run(s, v)),
             }
             if let Some((first, v)) = open {
@@ -195,21 +305,23 @@ impl<T: Copy + PartialEq> Paged<T> {
         }
     }
 
-    /// Every value that is held (dense entries and run values), mutably.
-    /// Rows of absent pages keep reading as the default.
+    /// Every value that is held (dense entries, dictionary entries and run
+    /// values), mutably. Rows of absent pages keep reading as the default.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flat_map(|slot| {
             let (dense, runs): (&mut [T], &mut [(usize, T)]) = match slot {
                 Slot::Absent => (&mut [], &mut []),
                 Slot::Dense(entries) => (entries, &mut []),
+                Slot::Coded(page) => (&mut page.values[..], &mut []),
                 Slot::Sealed(runs) => (&mut [], runs),
             };
             dense.iter_mut().chain(runs.iter_mut().map(|(_, v)| v))
         })
     }
 
-    /// Heap bytes held: the directory at capacity, every dense page and
-    /// every run vector.
+    /// Heap bytes held: the directory at capacity, every dense page, every
+    /// coded page's box, dictionary capacity and codes, and every run
+    /// vector.
     pub fn memory_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot<T>>()
             + self
@@ -218,6 +330,7 @@ impl<T: Copy + PartialEq> Paged<T> {
                 .map(|slot| match slot {
                     Slot::Absent => 0,
                     Slot::Dense(entries) => std::mem::size_of_val(&**entries),
+                    Slot::Coded(page) => page.memory_bytes(),
                     Slot::Sealed(runs) => std::mem::size_of_val(&**runs),
                 })
                 .sum::<usize>()
@@ -397,6 +510,87 @@ mod tests {
         assert_eq!(p.get(63), 0);
         assert_eq!(p.get(64), 9);
         p.free(99); // past the directory: nothing to do
+    }
+
+    #[test]
+    fn a_slot_is_three_words() {
+        // Every page of history pays for a slot: a coded page boxed inside
+        // it keeps it the size of a boxed slice and a tag (unboxed, 48).
+        assert_eq!(std::mem::size_of::<Slot<u64>>(), 24);
+    }
+
+    fn runs<const CODED: bool>(p: &Paged<u64, CODED>) -> Vec<(usize, usize, u64)> {
+        let mut runs = Vec::new();
+        p.for_each_run(|s, e, v| runs.push((s, e, v)));
+        runs
+    }
+
+    #[test]
+    fn a_coded_page_reads_the_same_across_its_turn_to_dense() {
+        const ROWS: usize = 512;
+        let mut coded = Paged::coded(ROWS, u64::MAX);
+        let mut dense = Paged::new(ROWS, u64::MAX);
+        let agree = |coded: &Paged<u64, true>, dense: &Paged<u64>| {
+            assert!((0..2 * ROWS).all(|i| coded.get(i) == dense.get(i)));
+            assert_eq!(runs(coded), runs(dense));
+        };
+        let is_coded = |p: &Paged<u64, true>| matches!(p.slots[0], Slot::Coded(_));
+        let directory = DIRECTORY_CHUNK * std::mem::size_of::<Slot<u64>>();
+        // 255 distinct values besides the default, in pairs of rows, the
+        // newest lowest: the dictionary is full, and still coded.
+        for v in 0..255 {
+            let row = 2 * (254 - v as usize);
+            coded.fill(row, row + 2, v);
+            dense.fill(row, row + 2, v);
+            agree(&coded, &dense);
+        }
+        // A value it holds, and the default, stay coded.
+        coded.fill(0, 4, 7);
+        dense.fill(0, 4, 7);
+        coded.set(600, u64::MAX);
+        agree(&coded, &dense);
+        assert!(is_coded(&coded));
+        assert_eq!(
+            coded.memory_bytes(),
+            directory + std::mem::size_of::<Coded<u64>>() + 256 * 8 + ROWS
+        );
+        let reads: Vec<u64> = (0..2 * ROWS).map(|i| coded.get(i)).collect();
+        let before = runs(&coded);
+        // The 256th distinct value: the page turns dense, and only the
+        // rows written read differently.
+        coded.fill(510, 512, 1_000);
+        dense.fill(510, 512, 1_000);
+        assert!(!is_coded(&coded));
+        assert_eq!(coded.memory_bytes(), directory + ROWS * 8);
+        agree(&coded, &dense);
+        for (i, &was) in reads.iter().enumerate() {
+            let want = if (510..512).contains(&i) { 1_000 } else { was };
+            assert_eq!(coded.get(i), want, "row {i}");
+        }
+        let mut want = before;
+        assert_eq!(want.pop(), Some((510, 512, u64::MAX)));
+        want.push((510, 512, 1_000));
+        assert_eq!(runs(&coded), want);
+    }
+
+    #[test]
+    fn a_coded_page_costs_its_contents_not_its_write_order() {
+        // Four fills, or 64 single writes out of order: as a restore and a
+        // live table write the same death epochs.
+        let mut ascending = Paged::coded(64, u64::MAX);
+        let mut scattered = Paged::coded(64, u64::MAX);
+        for quarter in 0..4 {
+            ascending.fill(16 * quarter, 16 * quarter + 16, quarter as u64);
+        }
+        for row in (0..64)
+            .rev()
+            .step_by(3)
+            .chain((0..64).filter(|r| r % 3 != 0))
+        {
+            scattered.set(row, row as u64 / 16);
+        }
+        assert_eq!(runs(&ascending), runs(&scattered));
+        assert_eq!(ascending.memory_bytes(), scattered.memory_bytes());
     }
 
     #[test]

@@ -973,7 +973,17 @@ mod tests {
         assert_eq!(sealed.activity.died_at(RowId(14)), Some(3));
         assert_eq!(sealed.activity.died_at(RowId(15)), None);
         assert_eq!(sealed.activity.died_at(RowId(41)), Some(5));
-        assert!(sealed.activity.death_bytes() + 400 < meta.activity.death_bytes());
+        // Exactly: beside the directory, the sealed block holds its five
+        // runs, the restored one a coded page (the box: a `Vec` and a boxed
+        // slice; ALIVE, 3 and 5 at capacity 4; 64 codes).
+        let mut bare = ActivityMap::with_block_rows(64);
+        bare.push_active(100);
+        bare.seal_block(0);
+        let directory = bare.death_bytes() - std::mem::size_of::<(usize, Epoch)>();
+        let coded_page = std::mem::size_of::<(Vec<Epoch>, Box<[u8]>)>() + 4 * 8 + 64;
+        let runs = 5 * std::mem::size_of::<(usize, Epoch)>();
+        assert_eq!(sealed.activity.death_bytes(), directory + runs);
+        assert_eq!(meta.activity.death_bytes(), directory + coded_page);
 
         let e = &[(100u64, 0u64)][..];
         for (what, m) in [

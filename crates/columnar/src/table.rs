@@ -57,22 +57,25 @@ pub struct Table {
     block_rows: usize,
 }
 
-/// [`Table::memory_bytes`] by what holds it.
+/// [`Table::memory_bytes`] by what holds it: the values, and what
+/// forgetting and access tracking keep about each row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryBreakdown {
     /// Column payload: frozen blocks, hot tails, per-block metadata.
     pub payload: usize,
     /// The active bitmap: an eighth of a byte per row ever inserted.
     pub activity: usize,
-    /// Per-row metadata: death-epoch pages and runs, access-statistics
-    /// pages, insert-epoch runs.
+    /// Death epochs: a byte per row, plus a small dictionary, for each
+    /// resident block that lost a row; a few runs per dropped block.
+    pub death_epochs: usize,
+    /// Other per-row metadata: access-statistics pages, insert-epoch runs.
     pub row_metadata: usize,
 }
 
 impl MemoryBreakdown {
     /// Sum of the components.
     pub fn total(&self) -> usize {
-        self.payload + self.activity + self.row_metadata
+        self.payload + self.activity + self.death_epochs + self.row_metadata
     }
 }
 
@@ -614,8 +617,8 @@ impl Table {
         self.memory_breakdown().total()
     }
 
-    /// [`Table::memory_bytes`] split into payload, active bitmap and
-    /// per-row metadata — what is resident, and why.
+    /// [`Table::memory_bytes`] split into payload, active bitmap, death
+    /// epochs and other per-row metadata — what is resident, and why.
     pub fn memory_breakdown(&self) -> MemoryBreakdown {
         MemoryBreakdown {
             payload: self
@@ -624,9 +627,8 @@ impl Table {
                 .map(|c| c.memory_bytes() + std::mem::size_of::<MinMax>())
                 .sum(),
             activity: self.activity.memory_bytes() - self.activity.death_bytes(),
-            row_metadata: self.activity.death_bytes()
-                + self.access.memory_bytes()
-                + self.insert_epoch.memory_bytes(),
+            death_epochs: self.activity.death_bytes(),
+            row_metadata: self.access.memory_bytes() + self.insert_epoch.memory_bytes(),
         }
     }
 

@@ -835,6 +835,11 @@ mod tests {
                 1,
             )
             .unwrap();
+        // Block 2 loses a row in each of five epochs, the lowest row last:
+        // the snapshot hands its coded page the epochs in row order instead.
+        for epoch in 1..=5 {
+            store.forget(RowId(2_100 - 7 * epoch), epoch).unwrap();
+        }
         store.end_batch().unwrap();
         // Tail work after the shred: replayed from the log, not the
         // snapshot.
@@ -843,6 +848,13 @@ mod tests {
             .unwrap();
         store.forget(RowId(4_100), 2).unwrap();
         let snap = store.metrics_snapshot();
+        let died_at = |table: &Table| -> Vec<Option<Epoch>> {
+            (0..table.num_rows())
+                .map(|r| table.activity().died_at(RowId::from(r)))
+                .collect()
+        };
+        let deaths = died_at(store.table());
+        let death_bytes = store.table().memory_breakdown().death_epochs;
         assert!(snap.blocks_dropped >= 1, "{snap:?}");
         assert!(snap.blocks_recompressed >= 1, "{snap:?}");
         drop(store);
@@ -866,6 +878,10 @@ mod tests {
             recovered, snap,
             "recovered tier layout must match pre-crash"
         );
+        // Death epochs are written once per row, so a page's size follows
+        // from its contents: recovery rebuilds them byte for byte.
+        assert_eq!(died_at(rec.table()), deaths);
+        assert_eq!(rec.table().memory_breakdown().death_epochs, death_bytes);
         // A store resumed over the recovered halves keeps counting from
         // the pre-crash totals: kill block 1's survivors, drop it.
         let (table, log) = rec.into_parts();

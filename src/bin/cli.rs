@@ -188,9 +188,14 @@ impl Session {
                     ("payload", m.payload, "hot tails, frozen blocks, block headers"),
                     ("activity", m.activity, "active bitmap, 1 bit per physical row"),
                     (
+                        "death epochs",
+                        m.death_epochs,
+                        "1-byte codes per row of resident blocks that lost a row, runs of dropped ones",
+                    ),
+                    (
                         "row metadata",
                         m.row_metadata,
-                        "death-epoch and access pages of resident blocks, runs of dropped ones, insert-epoch runs",
+                        "access pages of resident blocks, insert-epoch runs",
                     ),
                 ] {
                     out.push_str(&format!(
@@ -270,7 +275,8 @@ Meta:  \create <table> <col> [col ...]   make a table
        \epoch                            advance the logical clock
        \domain <n>                       set the \load value domain
        \tables                           list tables
-       \stats <table>                    resident bytes: payload / activity / row metadata
+       \stats <table>                    resident bytes: payload / activity / death epochs /
+                                         row metadata
        \quit                             leave
 "#;
 
@@ -394,7 +400,13 @@ mod tests {
             stats.contains("2900 active / 3000 physical rows"),
             "{stats}"
         );
-        for part in ["payload", "activity", "row metadata", "summary_builds"] {
+        for part in [
+            "payload",
+            "activity",
+            "death epochs",
+            "row metadata",
+            "summary_builds",
+        ] {
             assert!(stats.contains(part), "{stats}");
         }
         // Comments and blank lines are silent.

@@ -241,7 +241,10 @@ fn a_dropped_block_costs_bytes_not_pages() {
     assert!(parts.activity <= history / 4, "{parts:?}");
     // Row metadata: pages for the few blocks of the window that have a
     // forgotten row, a run per dropped block, a run per batch.
-    assert!(parts.row_metadata < history / 4, "{parts:?}");
+    assert!(
+        parts.death_epochs + parts.row_metadata < history / 4,
+        "{parts:?}"
+    );
     let row = RowId::from(3 * BATCH + 17);
     assert_eq!(t.activity().died_at(row), Some(8), "a dropped row's death");
     assert_eq!(t.insert_epoch(row), 3);

@@ -136,71 +136,137 @@ proptest! {
 /// the model's length, pages modulo its page count).
 #[derive(Debug, Clone)]
 enum PagedOp {
-    Set(usize, u8),
-    Fill(usize, usize, u8),
+    Set(usize, u16),
+    Fill(usize, usize, u16),
     Free(usize),
     Seal(usize),
+    /// Map every held value through [`scaled`] (`values_mut`).
+    Scale,
+    /// Write one row 300 values in turn: a coded page's dictionary
+    /// overflows and the page turns dense.
+    Churn(usize),
+}
+
+/// Not one-to-one, so a coded page's dictionary comes to hold a value
+/// twice under two codes.
+fn scaled(v: u16) -> u16 {
+    v / 2 + 1
 }
 
 fn paged_op() -> impl Strategy<Value = PagedOp> {
     // Value 0 is the default: writing it to an absent page must allocate
     // nothing.
     prop_oneof![
-        4 => (0usize..1000, 0u8..4).prop_map(|(i, v)| PagedOp::Set(i, v)),
-        3 => (0usize..1000, 0usize..200, 0u8..4).prop_map(|(i, n, v)| PagedOp::Fill(i, n, v)),
+        4 => (0usize..1000, 0u16..4).prop_map(|(i, v)| PagedOp::Set(i, v)),
+        3 => (0usize..1000, 0usize..200, 0u16..4).prop_map(|(i, n, v)| PagedOp::Fill(i, n, v)),
         1 => (0usize..16).prop_map(PagedOp::Free),
         2 => (0usize..16).prop_map(PagedOp::Seal),
+        1 => Just(PagedOp::Scale),
+        1 => (0usize..1000).prop_map(PagedOp::Churn),
     ]
+}
+
+/// The maximal runs of `model` inside the pages `paged` holds, as
+/// [`Paged::for_each_run`] reports them.
+fn model_runs<const CODED: bool>(
+    paged: &Paged<u16, CODED>,
+    model: &[u16],
+    page_rows: usize,
+) -> Vec<(usize, usize, u16)> {
+    let mut runs = Vec::new();
+    for page in paged.held_pages() {
+        let mut at = page * page_rows;
+        for run in model[at..at + page_rows].chunk_by(|a, b| a == b) {
+            runs.push((at, at + run.len(), run[0]));
+            at += run.len();
+        }
+    }
+    runs
+}
+
+/// Run `ops` on an empty `paged` and on a plain `Vec`, comparing every
+/// read and every run after each.
+fn paged_follows_the_vec<const CODED: bool>(mut paged: Paged<u16, CODED>, ops: &[PagedOp]) {
+    const PAGE: usize = 64;
+    const ROWS: usize = 16 * PAGE;
+    prop_assert_eq!(paged.page_rows(), PAGE);
+    let mut model = vec![0u16; ROWS];
+    let held = |paged: &Paged<u16, CODED>, page: usize| paged.held_pages().any(|p| p == page);
+    for op in ops {
+        let before = paged.memory_bytes();
+        match *op {
+            PagedOp::Set(i, v) => {
+                let absent = !held(&paged, i / PAGE);
+                paged.set(i, v);
+                model[i] = v;
+                if absent && v == 0 {
+                    prop_assert_eq!(paged.memory_bytes(), before, "default write allocated");
+                    prop_assert!(!held(&paged, i / PAGE));
+                }
+            }
+            PagedOp::Fill(lo, n, v) => {
+                let hi = (lo + n).min(ROWS);
+                paged.fill(lo, hi, v);
+                model[lo..hi].fill(v);
+            }
+            PagedOp::Free(page) => {
+                paged.free(page);
+                model[page * PAGE..(page + 1) * PAGE].fill(0);
+                prop_assert!(!held(&paged, page));
+                prop_assert!(paged.memory_bytes() <= before);
+            }
+            PagedOp::Seal(page) => {
+                paged.seal(page);
+                prop_assert!(held(&paged, page));
+            }
+            PagedOp::Scale => {
+                for page in paged.held_pages() {
+                    for v in &mut model[page * PAGE..(page + 1) * PAGE] {
+                        *v = scaled(*v);
+                    }
+                }
+                for v in paged.values_mut() {
+                    *v = scaled(*v);
+                }
+            }
+            PagedOp::Churn(i) => {
+                for v in 1_000..1_300 {
+                    paged.set(i, v);
+                }
+                model[i] = 1_299;
+            }
+        }
+        for (i, &want) in model.iter().enumerate() {
+            prop_assert_eq!(paged.get(i), want, "row {} after {:?}", i, op);
+        }
+        let mut runs = Vec::new();
+        paged.for_each_run(|s, e, v| runs.push((s, e, v)));
+        prop_assert_eq!(
+            runs,
+            model_runs(&paged, &model, PAGE),
+            "runs after {:?}",
+            op
+        );
+    }
+    prop_assert_eq!(
+        paged.get(ROWS + 5 * PAGE),
+        0,
+        "past the directory reads default"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The paged container against a plain `Vec`: every read agrees after
-    /// every write, free and seal; a sealed page keeps answering from its
-    /// runs (and takes writes); a default write to an absent page holds no
-    /// memory.
+    /// Both page forms against a plain `Vec`: every read and every run
+    /// agrees after every write, free, seal and `values_mut`; a sealed
+    /// page keeps answering from its runs (and takes writes); a coded page
+    /// answers the same before and after its dictionary overflows; a
+    /// default write to an absent page holds no memory.
     #[test]
     fn paged_container_equals_a_vec(ops in proptest::collection::vec(paged_op(), 1..60)) {
-        const ROWS: usize = 1000;
-        const PAGE: usize = 64;
-        let mut paged = Paged::new(PAGE, 0u8);
-        let mut model = vec![0u8; ROWS];
-        for op in &ops {
-            let before = paged.memory_bytes();
-            let held = |paged: &Paged<u8>, page: usize| paged.held_pages().any(|p| p == page);
-            match *op {
-                PagedOp::Set(i, v) => {
-                    let absent = !held(&paged, i / PAGE);
-                    paged.set(i, v);
-                    model[i] = v;
-                    if absent && v == 0 {
-                        prop_assert_eq!(paged.memory_bytes(), before, "default write allocated");
-                        prop_assert!(!held(&paged, i / PAGE));
-                    }
-                }
-                PagedOp::Fill(lo, n, v) => {
-                    let hi = (lo + n).min(ROWS);
-                    paged.fill(lo, hi, v);
-                    model[lo..hi].fill(v);
-                }
-                PagedOp::Free(page) => {
-                    paged.free(page);
-                    let hi = ((page + 1) * PAGE).min(ROWS);
-                    model[(page * PAGE).min(hi)..hi].fill(0);
-                    prop_assert!(!held(&paged, page));
-                    prop_assert!(paged.memory_bytes() <= before);
-                }
-                PagedOp::Seal(page) => {
-                    paged.seal(page);
-                    prop_assert!(held(&paged, page));
-                }
-            }
-            for (i, &want) in model.iter().enumerate() {
-                prop_assert_eq!(paged.get(i), want, "row {} after {:?}", i, op);
-            }
-        }
-        prop_assert_eq!(paged.get(ROWS + 5 * PAGE), 0, "past the directory reads default");
+        paged_follows_the_vec(Paged::new(64, 0), &ops);
+        paged_follows_the_vec(Paged::coded(64, 0), &ops);
     }
 }
 
