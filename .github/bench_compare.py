@@ -70,6 +70,12 @@ GATED = (
     # Planning a three-conjunct scan from held column summaries: it must
     # stay O(predicates x bins) — a rebuild per statement is 1000x this.
     "stats/order_predicates/frozen",
+    # stream_scatter's victim draw: 25 000 uniform victims of 1 000 000
+    # active rows out of 1 850 000, sampled as ranks into a bitmap and
+    # deposited into the activity words (about 0.6 ms on a 2-core VM).
+    # Listing every active id and drawing through a hash set took
+    # 3.8-4.2 ms there.
+    "policy/scatter_25000_of_1m/uniform",
 )
 
 DEFAULT_THRESHOLD_PCT = 25.0

@@ -6,11 +6,18 @@
 //! that only works if choosing victims is cheap relative to the update
 //! batch it follows. Measures `select_victims` for every policy on a
 //! 50k-row table with realistic staleness and access skew.
+//!
+//! A second group has the shape of the `stream_scatter` workload's forget
+//! half: 1 850 000 rows, 1 000 000 of them active, frozen but for a
+//! 4 096-row hot tail. `uniform` draws 25 000 victims (ranks sampled as a
+//! bitmap, deposited into the activity words); `forget_batch` applies
+//! them as runs to a clone of the table, clone included.
 
 use std::hint::black_box;
 
 use amnesia_bench::{forget_fraction, table_from_distribution};
-use amnesia_core::policy::{PolicyContext, PolicyKind};
+use amnesia_columnar::RowId;
+use amnesia_core::policy::{AmnesiaPolicy, PolicyContext, PolicyKind, UniformPolicy};
 use amnesia_distrib::DistributionKind;
 use amnesia_util::SimRng;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -73,9 +80,41 @@ fn policy_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+fn scatter_forget(c: &mut Criterion) {
+    const ROWS: usize = 1_850_000;
+    const ACTIVE: usize = 1_000_000;
+    const VICTIMS: usize = 25_000;
+    let mut table = table_from_distribution(&DistributionKind::Uniform, ROWS, 1 << 20, 11);
+    let mut dead = SimRng::new(12).sample_indices(ROWS, ROWS - ACTIVE);
+    dead.sort_unstable();
+    let dead: Vec<RowId> = dead.into_iter().map(RowId::from).collect();
+    table
+        .forget_batch(&dead, 1, |_, _| Ok(()))
+        .expect("rows in range");
+    table.freeze_upto(ROWS - 4_096);
+    let ctx = PolicyContext {
+        table: &table,
+        epoch: 2,
+    };
+    let victims = UniformPolicy.select_victims(&ctx, VICTIMS, &mut SimRng::new(13));
+
+    let mut group = c.benchmark_group("policy/scatter_25000_of_1m");
+    group.bench_function("uniform", |b| {
+        let mut rng = SimRng::new(13);
+        b.iter(|| black_box(UniformPolicy.select_victims(&ctx, VICTIMS, &mut rng)))
+    });
+    group.bench_function("forget_batch", |b| {
+        b.iter(|| {
+            let mut copy = table.clone();
+            black_box(copy.forget_batch(&victims, 2, |_, _| Ok(())))
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(Duration::from_secs(2)).warm_up_time(Duration::from_millis(500));
-    targets = policy_overhead
+    targets = policy_overhead, scatter_forget
 }
 criterion_main!(benches);

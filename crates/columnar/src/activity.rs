@@ -17,6 +17,7 @@ use amnesia_util::{Bitmap, SimRng};
 use serde::{Deserialize, Serialize};
 
 use crate::paged::Paged;
+use crate::simd::{deposit, has_bit_ops, mask_impl, MaskImpl};
 use crate::types::{Epoch, RowId, DEFAULT_BLOCK_ROWS};
 
 /// Sentinel in `died_at` for rows that are still active.
@@ -96,8 +97,12 @@ impl ActivityMap {
     /// [`Self::forget`] over the rows `[lo, hi)`, a word at a time: the
     /// active ones die at `epoch`, the forgotten ones keep their death
     /// epoch. Returns how many were active. A range that is all active
-    /// (most replayed forget runs) is one fill.
+    /// (most forget runs) is one fill; a one-row range (a scattered
+    /// victim) is one bit.
     pub(crate) fn forget_range(&mut self, lo: usize, hi: usize, epoch: Epoch) -> usize {
+        if hi - lo == 1 {
+            return usize::from(self.forget(RowId::from(lo), epoch));
+        }
         let active = self.active.count_ones_in(lo, hi);
         if active == hi - lo {
             self.forget_active_range(lo, hi, epoch);
@@ -174,6 +179,15 @@ impl ActivityMap {
         self.active.select(k).map(RowId::from)
     }
 
+    /// The active rows whose rank among the active rows (the `r`-th
+    /// active row has rank `r`) is set in `ranks`, ascending: the row ids
+    /// of a uniformly sampled set of ranks (`SimRng::sample_set`), found
+    /// in one pass over the activity words with no list of the active
+    /// rows. Rank bits at or past [`Self::active_count`] select nothing.
+    pub fn select_ranks(&self, ranks: &Bitmap) -> Vec<RowId> {
+        select_ranks_on(mask_impl(), self.active.words(), ranks)
+    }
+
     /// Next active row at or after `from` (row-space order).
     pub fn next_active(&self, from: RowId) -> Option<RowId> {
         self.active.next_one(from.as_usize()).map(RowId::from)
@@ -200,6 +214,53 @@ impl ActivityMap {
     /// give back.
     pub fn memory_bytes(&self) -> usize {
         self.active.memory_bytes() + self.death_bytes() + std::mem::size_of::<Self>()
+    }
+}
+
+/// [`ActivityMap::select_ranks`] over `active` on `tier`: `pdep` as the
+/// deposit where [`has_bit_ops`] allows it.
+fn select_ranks_on(tier: MaskImpl, active: &[u64], ranks: &Bitmap) -> Vec<RowId> {
+    let mut out = Vec::with_capacity(ranks.count_ones());
+    #[cfg(target_arch = "x86_64")]
+    if has_bit_ops(tier) {
+        // SAFETY: `has_bit_ops` holds only on a tier whose detection
+        // required POPCNT and BMI2.
+        unsafe { select_ranks_pdep(active, ranks.words(), &mut out) };
+        return out;
+    }
+    let _ = tier;
+    select_ranks::<false>(active, ranks.words(), &mut out);
+    out
+}
+
+/// [`select_ranks`] with BMI2 `pdep` as the deposit.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2,popcnt")]
+fn select_ranks_pdep(active: &[u64], ranks: &[u64], out: &mut Vec<RowId>) {
+    select_ranks::<true>(active, ranks, out);
+}
+
+/// Per activity word holding `c` active rows, the rank bits
+/// `[rank, rank + c)` — the next `c` bits of `ranks` — are deposited at
+/// the word's set bits; what lands there are the selected rows.
+#[inline(always)]
+fn select_ranks<const PDEP: bool>(active: &[u64], ranks: &[u64], out: &mut Vec<RowId>) {
+    let mut rank = 0; // active rows before word `w`
+    for (w, &word) in active.iter().enumerate() {
+        let (q, shift) = (rank / 64, rank % 64);
+        if q >= ranks.len() {
+            break;
+        }
+        // `(next << 1) << 63 - shift` is 0 at shift 0. (No closures here:
+        // they would not inline into a `target_feature` caller.)
+        let next = if q + 1 < ranks.len() { ranks[q + 1] } else { 0 };
+        let slice = ranks[q] >> shift | (next << 1) << (63 - shift);
+        let mut hits = deposit::<PDEP>(slice, word);
+        while hits != 0 {
+            out.push(RowId((64 * w) as u64 + u64::from(hits.trailing_zeros())));
+            hits &= hits - 1;
+        }
+        rank += word.count_ones() as usize;
     }
 }
 
@@ -285,6 +346,48 @@ mod tests {
         assert_eq!(death_runs(&restored), want);
         assert_eq!(restored.death_bytes(), am.death_bytes());
         assert_eq!(restored.words(), am.words());
+    }
+
+    /// Random activity words — all-zero and all-one words among them, a
+    /// partial last word — and rank sets (none, a sample, every rank,
+    /// ranks past the last active row) through the deposit on every tier:
+    /// each selected row is `Bitmap::select` of its rank.
+    #[test]
+    fn select_ranks_equals_select_on_every_tier() {
+        let mut rng = SimRng::new(31);
+        for len in [0usize, 1, 63, 64, 65, 300, 1_000, 4_097] {
+            for density in [0, 3, 50, 97, 100] {
+                let mut active = Bitmap::new();
+                for i in 0..len {
+                    let bit = match (i / 64) % 4 {
+                        0 => false,
+                        1 => true,
+                        _ => rng.below(100) < density,
+                    };
+                    active.push(bit);
+                }
+                let ones = active.count_ones();
+                let mut rank_sets = vec![
+                    Bitmap::with_len(ones, false),
+                    Bitmap::with_len(ones, true),
+                    Bitmap::with_len(ones + 70, true),
+                ];
+                for k in [1, ones / 3, ones / 2] {
+                    rank_sets.push(rng.sample_set(ones, k.min(ones)));
+                }
+                for ranks in &rank_sets {
+                    let want: Vec<RowId> = ranks
+                        .iter_ones()
+                        .map_while(|r| active.select(r))
+                        .map(RowId::from)
+                        .collect();
+                    for tier in MaskImpl::available() {
+                        let got = select_ranks_on(tier, active.words(), ranks);
+                        assert_eq!(got, want, "{tier:?} len {len} density {density}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use super::filter::{low_ones, Band, BlockAgg, FieldAgg, Packed};
 use super::forpack;
-use crate::simd::{mask_impl, MaskImpl};
+use crate::simd::{deposit, has_bit_ops, mask_impl};
 use crate::types::Value;
 
 /// Start words of a block of `len` rows.
@@ -103,20 +103,6 @@ struct Runs<'a> {
     values: Packed<'a>,
     /// The walks and the spread may use POPCNT and BMI2 ([`has_bit_ops`]).
     bit_ops: bool,
-}
-
-/// Does `tier` have POPCNT and BMI2 for the walks and the spread? Only
-/// the AVX-512 VBMI tier, whose detection requires both: the AMD cores
-/// without AVX-512 (Zen 1 and 2) run BMI2's `pdep` in microcode, one
-/// step per mask bit.
-fn has_bit_ops(tier: MaskImpl) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    return tier >= MaskImpl::Avx512Vbmi;
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = tier;
-        false
-    }
 }
 
 impl<'a> Runs<'a> {
@@ -340,24 +326,6 @@ fn spread<const PDEP: bool>(runs: &Runs<'_>, masks: &mut [u64]) {
     }
 }
 
-/// Bit `k` of `bits` to the position of the `k`-th set bit of `mask`.
-#[inline(always)]
-fn deposit<const PDEP: bool>(bits: u64, mask: u64) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if PDEP {
-        // SAFETY: `PDEP` is true only inside `spread_pdep`, which
-        // enables BMI2 and is called only where the CPU has it.
-        return unsafe { std::arch::x86_64::_pdep_u64(bits, mask) };
-    }
-    let (mut bits, mut mask, mut out) = (bits, mask, 0);
-    while mask != 0 {
-        out |= mask & mask.wrapping_neg() & (bits & 1).wrapping_neg();
-        bits >>= 1;
-        mask &= mask - 1;
-    }
-    out
-}
-
 /// Bit `i` of the result is the XOR of bits `0..=i` of `x`.
 #[inline(always)]
 fn prefix_xor(mut x: u64) -> u64 {
@@ -461,6 +429,7 @@ fn fold(runs: &Runs<'_>, filter: Option<(Value, Value)>, active: &[u64], agg: &m
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::MaskImpl;
     use amnesia_util::SimRng;
 
     /// Blocks of squashed runs (each row keeps the previous row's value
@@ -596,34 +565,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn deposit_matches_the_bit_loop() {
-        let mut rng = SimRng::new(5);
-        for _ in 0..2_000 {
-            let (bits, mask) = (rng.next_u64(), rng.next_u64() & rng.next_u64());
-            let mut want = 0;
-            let mut k = 0;
-            for i in 0..64 {
-                if mask >> i & 1 == 1 {
-                    want |= (bits >> k & 1) << i;
-                    k += 1;
-                }
-            }
-            assert_eq!(deposit::<false>(bits, mask), want);
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("bmi2") {
-                // SAFETY: BMI2 was just detected.
-                assert_eq!(unsafe { spread_pdep_deposit(bits, mask) }, want);
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "bmi2")]
-    fn spread_pdep_deposit(bits: u64, mask: u64) -> u64 {
-        deposit::<true>(bits, mask)
     }
 
     #[test]

@@ -123,10 +123,10 @@ pub mod wal;
 
 use std::path::{Path, PathBuf};
 
-use amnesia_util::{storage_err, Result};
+use amnesia_util::Result;
 
 use crate::schema::Schema;
-use crate::table::Table;
+use crate::table::{forget_runs, Table};
 use crate::types::{Epoch, RowId, Value};
 
 pub use fault::{Fault, FaultKind, FaultVfs};
@@ -242,9 +242,10 @@ impl DurableLog {
         table.forget(row, epoch)
     }
 
-    /// Forget a batch of rows atomically, as one record: every id is
-    /// validated before anything is logged, so a rejected batch leaves
-    /// the log and the table untouched (and an empty one logs nothing).
+    /// Forget a batch of rows atomically, as one record of its runs: the
+    /// runs are checked before anything is logged, so a rejected batch
+    /// leaves the log and the table untouched (and an empty one logs
+    /// nothing), and then applied by the path replay applies them with.
     /// `on_first` is [`Table::forget_batch`]'s hook. Returns how many of
     /// the rows were still active.
     pub fn forget_batch(
@@ -254,13 +255,13 @@ impl DurableLog {
         epoch: Epoch,
         on_first: impl FnMut(&Table, RowId) -> Result<()>,
     ) -> Result<usize> {
-        table.validate_forget_batch(rows)?;
+        table.validate_forget_runs(forget_runs(rows))?;
         if rows.is_empty() {
             return Ok(0);
         }
         self.last_epoch = epoch;
         self.append(&WalRecord::forget_rows(epoch, rows))?;
-        table.forget_batch(rows, epoch, on_first)
+        table.apply_forget_runs(forget_runs(rows), epoch, on_first)
     }
 
     /// Freeze full blocks at or below `upto` rows. Tier transitions log
@@ -409,18 +410,8 @@ fn apply_record(table: &mut Table, rec: &WalRecord, meta: &mut RecoveryMeta) -> 
         WalRecord::ForgetRows { epoch, runs } => {
             // Whole record or nothing, and no loop over a run the table
             // cannot hold.
-            let n = table.num_rows() as u64;
-            let past_end =
-                |&&(start, len): &&(RowId, u64)| start.0.checked_add(len).is_none_or(|end| end > n);
-            if let Some(&(start, len)) = runs.iter().find(past_end) {
-                return Err(storage_err!(
-                    "forget-rows run {start}+{len} past the table's {n} rows"
-                ));
-            }
-            for &(start, len) in runs {
-                let lo = start.as_usize();
-                table.forget_range(lo, lo + len as usize, *epoch)?;
-            }
+            table.validate_forget_runs(runs.iter().copied())?;
+            table.apply_forget_runs(runs.iter().copied(), *epoch, |_, _| Ok(()))?;
         }
         WalRecord::Freeze { upto } => {
             table.freeze_upto(*upto);

@@ -15,6 +15,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use amnesia_util::bitmap::for_each_set_bit_in;
 use amnesia_util::{storage_err, Error, MinMax, Result, SimRng};
 use serde::{Deserialize, Serialize};
 
@@ -77,6 +78,27 @@ impl MemoryBreakdown {
     pub fn total(&self) -> usize {
         self.payload + self.activity + self.death_epochs + self.row_metadata
     }
+}
+
+/// A forget batch as `(start, len)` runs, in batch order: consecutive
+/// ascending ids collapse into one run, so a batch costs as many runs as
+/// it is fragmented into. Both the log record of a batch
+/// ([`WalRecord::forget_rows`](crate::persist::WalRecord::forget_rows))
+/// and its apply path ([`Table::forget_batch`]) take these.
+pub(crate) fn forget_runs(rows: &[RowId]) -> impl Iterator<Item = (RowId, u64)> + '_ {
+    let mut rest = rows;
+    std::iter::from_fn(move || {
+        let &start = rest.first()?;
+        let mut len = 1;
+        while rest
+            .get(len)
+            .is_some_and(|row| start.0.checked_add(len as u64) == Some(row.0))
+        {
+            len += 1;
+        }
+        rest = &rest[len..];
+        Some((start, len as u64))
+    })
 }
 
 impl Table {
@@ -149,10 +171,24 @@ impl Table {
         Ok(())
     }
 
-    /// Check that every row of a forget batch is forgettable, so a batch
-    /// is rejected whole before any of it is logged or applied.
-    pub fn validate_forget_batch(&self, rows: &[RowId]) -> Result<()> {
-        rows.iter().try_for_each(|&row| self.validate_forget(row))
+    /// Check that every run of a forget batch ([`forget_runs`]) lies in
+    /// the table — no end that overflows, none past the last row — without
+    /// mutating anything. The one check a batch gets: the live path runs
+    /// it before logging, replay before applying, so a batch is rejected
+    /// whole and a rejected batch leaves no log record.
+    pub(crate) fn validate_forget_runs(
+        &self,
+        runs: impl IntoIterator<Item = (RowId, u64)>,
+    ) -> Result<()> {
+        let n = self.num_rows() as u64;
+        let past_end =
+            |&(start, len): &(RowId, u64)| start.0.checked_add(len).is_none_or(|end| end > n);
+        match runs.into_iter().find(past_end) {
+            Some((start, len)) => Err(storage_err!(
+                "forget run {start}+{len} past the table's {n} rows"
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Insert one row (`values` must match the schema arity). Returns the
@@ -200,16 +236,13 @@ impl Table {
     }
 
     /// [`Table::forget`] of every row in `[lo, hi)`, a block at a time:
-    /// one range check, word-masked clears, and per touched block one
-    /// meta update per column. Rows already forgotten keep their death
-    /// epoch. Returns how many rows were still active.
-    pub(crate) fn forget_range(&mut self, lo: usize, hi: usize, epoch: Epoch) -> Result<usize> {
-        if lo > hi || hi > self.num_rows() {
-            return Err(storage_err!(
-                "rows {lo}..{hi} out of range ({} rows)",
-                self.num_rows()
-            ));
-        }
+    /// word-masked clears, a died-at fill, and per touched block one meta
+    /// update per column. Rows already forgotten keep their death epoch.
+    /// Returns how many rows were still active. Each run of a forget batch
+    /// takes this step, live or replayed ([`Self::apply_forget_runs`]);
+    /// the range is the caller's to check ([`Table::validate_forget_runs`]).
+    fn forget_range(&mut self, lo: usize, hi: usize, epoch: Epoch) -> usize {
+        debug_assert!(lo <= hi && hi <= self.num_rows(), "rows {lo}..{hi}");
         let mut forgotten = 0;
         let mut at = lo;
         while at < hi {
@@ -224,27 +257,61 @@ impl Table {
             forgotten += n;
             at = end;
         }
-        Ok(forgotten)
+        forgotten
     }
 
-    /// Forget a batch of rows atomically — every id is checked before any
-    /// is marked — and call `on_first` for each row this batch took from
-    /// active to forgotten, right after the transition (its value and
-    /// insert epoch still read). That call is the one hook a forget mode
-    /// emits from: a row named twice, in one batch or across batches,
-    /// fires it once. Returns how many rows were still active.
+    /// Forget a batch of rows atomically — the batch's runs
+    /// ([`forget_runs`]) are range-checked before any row is marked, then
+    /// applied by the path replay applies a logged batch with — and
+    /// call `on_first` for each row this batch took from active to
+    /// forgotten, in batch order, right after its run was applied (its
+    /// value and insert epoch still read). That call is the one hook a
+    /// forget mode emits from: a row named twice, in one batch or across
+    /// batches, fires it once. Returns how many rows were still active.
     pub fn forget_batch(
         &mut self,
         rows: &[RowId],
         epoch: Epoch,
+        on_first: impl FnMut(&Table, RowId) -> Result<()>,
+    ) -> Result<usize> {
+        self.validate_forget_runs(forget_runs(rows))?;
+        self.apply_forget_runs(forget_runs(rows), epoch, on_first)
+    }
+
+    /// The one apply path of a forget batch, live and replayed alike: each
+    /// run through [`Self::forget_range`], in order, then `on_first` for
+    /// each row of the run that was still active, ascending. The runs are
+    /// the caller's to check ([`Table::validate_forget_runs`]).
+    pub(crate) fn apply_forget_runs(
+        &mut self,
+        runs: impl IntoIterator<Item = (RowId, u64)>,
+        epoch: Epoch,
         mut on_first: impl FnMut(&Table, RowId) -> Result<()>,
     ) -> Result<usize> {
-        self.validate_forget_batch(rows)?;
         let mut forgotten = 0;
-        for &row in rows {
-            if self.forget(row, epoch)? {
-                forgotten += 1;
-                on_first(self, row)?;
+        let mut dying = Vec::new();
+        for (start, len) in runs {
+            let (lo, hi) = (start.as_usize(), start.as_usize() + len as usize);
+            // A run part dead already (a row named twice, or forgotten by
+            // an earlier batch): note which rows die before they do. A
+            // one-row run dies whole or not at all.
+            dying.clear();
+            if len > 1 {
+                let active = self.activity.active_in_range(lo, hi);
+                if active != 0 && active != hi - lo {
+                    for_each_set_bit_in(self.activity.words(), lo, hi, |row| dying.push(row));
+                }
+            }
+            let n = self.forget_range(lo, hi, epoch);
+            forgotten += n;
+            if n == hi - lo {
+                for row in lo..hi {
+                    on_first(self, RowId::from(row))?;
+                }
+            } else {
+                for &row in &dying {
+                    on_first(self, RowId::from(row))?;
+                }
             }
         }
         Ok(forgotten)
@@ -581,7 +648,9 @@ impl Table {
 
     /// Collect the active row ids.
     pub fn active_row_ids(&self) -> Vec<RowId> {
-        self.iter_active().collect()
+        let mut ids = Vec::with_capacity(self.active_rows());
+        ids.extend(self.iter_active());
+        ids
     }
 
     /// Uniformly random active row.
@@ -736,7 +805,7 @@ mod tests {
             for r in lo..hi {
                 want += usize::from(by_rows.forget(RowId::from(r), epoch).unwrap());
             }
-            assert_eq!(by_range.forget_range(lo, hi, epoch).unwrap(), want);
+            assert_eq!(by_range.forget_range(lo, hi, epoch), want);
         }
         assert_eq!(by_range.activity_words(), by_rows.activity_words());
         for r in 0..300 {
@@ -752,7 +821,14 @@ mod tests {
             }
         }
         by_range.check_invariants().unwrap();
-        assert!(by_range.forget_range(299, 301, 9).is_err());
+        // A run past the last row is rejected by the one check, and a
+        // batch holding one forgets nothing.
+        assert!(by_range.validate_forget_runs([(RowId(299), 2)]).is_err());
+        assert!(by_range
+            .validate_forget_runs([(RowId(u64::MAX), 1)])
+            .is_err());
+        let batch = [RowId(3), RowId(299), RowId(300)];
+        assert!(by_range.forget_batch(&batch, 9, |_, _| Ok(())).is_err());
         assert_eq!(by_range.active_rows(), by_rows.active_rows());
     }
 

@@ -27,7 +27,9 @@ impl AmnesiaPolicy for FifoPolicy {
         let n = clamp_victims(ctx, n);
         // Row ids are insertion-ordered, so the first n active rows are
         // exactly the n oldest.
-        ctx.table.iter_active().take(n).collect()
+        let mut victims = Vec::with_capacity(n);
+        victims.extend(ctx.table.iter_active().take(n));
+        victims
     }
 }
 

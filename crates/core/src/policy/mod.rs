@@ -78,7 +78,9 @@ pub trait AmnesiaPolicy: Send {
     ///
     /// Implementations must only return active rows and must not return
     /// duplicates; when fewer than `n` rows are active they return all of
-    /// them.
+    /// them. The order of the victims is the policy's own, and callers
+    /// must not depend on it: [`UniformPolicy`] and [`FifoPolicy`] return
+    /// them ascending, others in the order they ranked them.
     fn select_victims(&mut self, ctx: &PolicyContext<'_>, n: usize, rng: &mut SimRng)
         -> Vec<RowId>;
 

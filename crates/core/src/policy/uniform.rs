@@ -5,11 +5,20 @@
 //! round of amnesia, a tuple has the same probability to be forgotten, but
 //! older tuples have been a candidate to be forgotten multiple times." The
 //! easy-to-understand baseline.
+//!
+//! The victims are drawn as *ranks* among the active rows: a set of `n`
+//! of the `active_rows()` ranks, packed one bit per rank
+//! (`SimRng::sample_set`, the same draws as `sample_indices`), and the
+//! table turns ranks into rows in one pass over its activity words,
+//! depositing each word's slice of the rank bits into its set bits
+//! (`ActivityMap::select_ranks`). No list of the active rows is built, and the
+//! victims come out ascending, so a batch's log record and apply path see
+//! runs rather than scattered rows.
 
 use amnesia_columnar::RowId;
 use amnesia_util::SimRng;
 
-use super::{active_rows, clamp_victims, AmnesiaPolicy, PolicyContext};
+use super::{clamp_victims, AmnesiaPolicy, PolicyContext};
 
 /// Uniform random forgetting.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,11 +36,8 @@ impl AmnesiaPolicy for UniformPolicy {
         rng: &mut SimRng,
     ) -> Vec<RowId> {
         let n = clamp_victims(ctx, n);
-        let ids = active_rows(ctx);
-        rng.sample_indices(ids.len(), n)
-            .into_iter()
-            .map(|i| ids[i])
-            .collect()
+        let ranks = rng.sample_set(ctx.table.active_rows(), n);
+        ctx.table.activity().select_ranks(&ranks)
     }
 }
 

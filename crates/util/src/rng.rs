@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::Bitmap;
+
 /// SplitMix64 step: advances `state` and returns the next output.
 ///
 /// Used for seeding and for cheap stateless hashing (e.g. scrambling zipf
@@ -184,14 +186,7 @@ impl SimRng {
             return Vec::new();
         }
         if k * 3 >= n {
-            // Partial Fisher–Yates: O(n) memory but cheap per element.
-            let mut idx: Vec<usize> = (0..n).collect();
-            for i in 0..k {
-                let j = i + self.index(n - i);
-                idx.swap(i, j);
-            }
-            idx.truncate(k);
-            idx
+            self.partial_shuffle(n, k)
         } else {
             // Floyd's algorithm: O(k) expected time and memory.
             let mut chosen = std::collections::HashSet::with_capacity(k * 2);
@@ -206,6 +201,45 @@ impl SimRng {
             }
             out
         }
+    }
+
+    /// The set [`Self::sample_indices`] draws, as a bitmap of length `n`:
+    /// the same draws from the generator, so the same set at every state.
+    ///
+    /// Floyd's branch tests membership on the bitmap instead of a hash
+    /// set, so it allocates an eighth of a byte per index and no list;
+    /// the Fisher–Yates branch is the same partial shuffle.
+    pub fn sample_set(&mut self, n: usize, k: usize) -> Bitmap {
+        assert!(k <= n, "cannot sample {k} of {n}");
+        let mut set = Bitmap::with_len(n, false);
+        if k == 0 {
+            return set;
+        }
+        if k * 3 >= n {
+            for i in self.partial_shuffle(n, k) {
+                set.set(i, true);
+            }
+        } else {
+            for j in (n - k)..n {
+                let t = self.index(j + 1);
+                // `j` is new: every earlier pick is at most `j - 1`.
+                let pick = if set.get(t) { j } else { t };
+                set.set(pick, true);
+            }
+        }
+        set
+    }
+
+    /// The first `k` indices of a partial Fisher–Yates shuffle of `0..n`:
+    /// O(n) memory but cheap per element.
+    fn partial_shuffle(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = i + self.index(n - i);
+            idx.swap(i, j);
+        }
+        idx.truncate(k);
+        idx
     }
 
     /// Weighted sampling of `k` distinct items *without replacement*.
@@ -380,6 +414,38 @@ mod tests {
             for &i in &s {
                 assert!(i < n);
                 assert!(set.insert(i), "duplicate index {i}");
+            }
+        }
+    }
+
+    /// Both branches (Floyd's below `k = n / 3`, Fisher–Yates from it),
+    /// `k = 0` and `k = n`: the same set, and the generator left in the
+    /// same state.
+    #[test]
+    fn sample_set_is_the_set_sample_indices_draws() {
+        let mut draws = SimRng::new(11);
+        for n in [0usize, 1, 2, 3, 63, 64, 65, 200, 1_000] {
+            let mut ks = vec![
+                0,
+                1,
+                n / 3,
+                n / 3 + 1,
+                n / 2,
+                n - n.min(1),
+                n,
+                n.saturating_sub(1) / 3,
+            ];
+            ks.retain(|&k| k <= n);
+            for k in ks {
+                let seed = draws.next_u64();
+                let (mut a, mut b) = (SimRng::new(seed), SimRng::new(seed));
+                let mut want = a.sample_indices(n, k);
+                want.sort_unstable();
+                let set = b.sample_set(n, k);
+                assert_eq!(set.len(), n);
+                let got: Vec<usize> = set.iter_ones().collect();
+                assert_eq!(got, want, "n {n} k {k}");
+                assert_eq!(a.next_u64(), b.next_u64(), "n {n} k {k}: generator state");
             }
         }
     }

@@ -2,6 +2,7 @@
 //! random table shapes and victim counts.
 
 use amnesia::columnar::Paged;
+use amnesia::core::policy::UniformPolicy;
 use amnesia::prelude::*;
 use proptest::prelude::*;
 
@@ -129,6 +130,61 @@ proptest! {
             prop_assert!(table.forget(*v, 9).unwrap(), "double forget of {v}");
         }
         prop_assert_eq!(table.active_rows(), before - victims.len());
+    }
+}
+
+/// Uniform victims as the policy drew them before it sampled ranks: every
+/// active row id in a list, `sample_indices` over its positions. The
+/// reference for the rank deposit.
+fn uniform_by_list(table: &Table, n: usize, rng: &mut SimRng) -> Vec<RowId> {
+    let ids = table.active_row_ids();
+    let n = n.min(ids.len());
+    rng.sample_indices(ids.len(), n)
+        .into_iter()
+        .map(|i| ids[i])
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `UniformPolicy` returns distinct active rows, ascending, and the
+    /// set the list-based draw returns from the same seed — on a hot
+    /// table, a tiered one and one with dropped blocks, and for any `n`,
+    /// one past the active rows (clamped) included.
+    #[test]
+    fn uniform_victims_are_the_list_draws_set_ascending(
+        rows in 1usize..3_000,
+        forget_pct in 0u64..100,
+        layout in 0usize..3,
+        n_frac in 0.0f64..1.3,
+        seed in any::<u64>(),
+    ) {
+        let mut table = Table::with_block_rows(Schema::single("a"), 64);
+        table.insert_batch(&(0..rows as i64).collect::<Vec<_>>(), 0).unwrap();
+        let mut holes = SimRng::new(seed ^ 1);
+        for r in 0..rows {
+            // Whole dead blocks as well as scattered holes.
+            if (r / 64) % 5 == 1 || holes.below(100) < forget_pct {
+                table.forget(RowId::from(r), 1).unwrap();
+            }
+        }
+        if layout >= 1 {
+            table.freeze_upto(rows);
+        }
+        if layout == 2 {
+            table.drop_forgotten_blocks();
+        }
+        let active = table.active_rows();
+        let n = (n_frac * active as f64) as usize;
+        let ctx = PolicyContext { table: &table, epoch: 2 };
+        let victims = UniformPolicy.select_victims(&ctx, n, &mut SimRng::new(seed));
+        prop_assert_eq!(victims.len(), n.min(active));
+        prop_assert!(victims.windows(2).all(|w| w[0] < w[1]), "ascending and distinct");
+        prop_assert!(victims.iter().all(|&v| table.activity().is_active(v)));
+        let mut want = uniform_by_list(&table, n, &mut SimRng::new(seed));
+        want.sort_unstable();
+        prop_assert_eq!(victims, want);
     }
 }
 

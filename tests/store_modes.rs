@@ -2,7 +2,9 @@
 //! workload: each mode's storage/answer trade-off must hold for any
 //! insert/forget interleaving.
 
-use amnesia::columnar::MemoryColdStore;
+use std::sync::{Arc, Mutex};
+
+use amnesia::columnar::{ColdStore, MemoryColdStore};
 use amnesia::core::store::TierConfig;
 use amnesia::prelude::*;
 use proptest::prelude::*;
@@ -235,4 +237,134 @@ fn uniform_forgetting_keeps_one_death_page_per_block_and_nothing_else() {
         per_row <= 24.0,
         "{per_row:.3} B/row at 1.85x DBSIZE of history"
     );
+}
+
+/// A cold store that records the order rows reach it.
+#[derive(Default)]
+struct ArchiveOrder {
+    rows: Arc<Mutex<Vec<RowId>>>,
+    values: MemoryColdStore,
+}
+
+impl ColdStore for ArchiveOrder {
+    fn archive(&mut self, row: RowId, values: &[i64]) -> Result<()> {
+        self.rows.lock().unwrap().push(row);
+        self.values.archive(row, values)
+    }
+    fn fetch(&mut self, row: RowId) -> Result<Option<Vec<i64>>> {
+        self.values.fetch(row)
+    }
+    fn contains(&self, row: RowId) -> bool {
+        self.values.contains(row)
+    }
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+    fn bytes_used(&self) -> u64 {
+        self.values.bytes_used()
+    }
+    fn name(&self) -> &'static str {
+        "archive-order"
+    }
+}
+
+/// `forget_batch` applies a batch as runs and emits each row it takes
+/// from active to forgotten once, in batch order: a repeat inside the
+/// batch, or a row an earlier batch forgot, emits nothing. Tier mode shows
+/// the order (its cold store records it), MarkOnly the count, Summarize
+/// the count and the values (whole-table aggregates stay exact). Durable,
+/// the live table equals the table recovered from its directory.
+#[test]
+fn forget_batch_emits_once_per_newly_forgotten_row_in_batch_order() {
+    let rows = |ids: &[u64]| ids.iter().map(|&r| RowId(r)).collect::<Vec<_>>();
+    let earlier = rows(&[5, 3, 2_500]);
+    // Unsorted, adjacent, repeated, across the frozen block 0 | block 1
+    // boundary and into the open hot block.
+    let batch = rows(&[
+        70, 4, 5, 6, 4, 1_023, 1_024, 1_025, 3, 2_050, 2_049, 2_999, 2_500, 1_023, 7,
+    ]);
+    let mut want = earlier.clone();
+    for &r in &batch {
+        if !want.contains(&r) {
+            want.push(r);
+        }
+    }
+    let values: Vec<i64> = (0..3_000).map(|v| v * 3).collect();
+    for mode in [
+        ForgetMode::MarkOnly,
+        ForgetMode::Tier,
+        ForgetMode::Summarize,
+    ] {
+        for durable in [false, true] {
+            let ctx = format!("{mode:?}, durable {durable}");
+            let dir = std::env::temp_dir().join(format!(
+                "amn-emit-order-{}-{}-{durable}",
+                std::process::id(),
+                mode.name()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut store = if durable {
+                let (table, log) = PersistentTable::create(&dir, Schema::single("a"))
+                    .unwrap()
+                    .into_parts();
+                AmnesiacStore::from_table(table, mode).with_durability(Box::new(log))
+            } else {
+                AmnesiacStore::new(mode)
+            };
+            let order = ArchiveOrder::default();
+            let archived = Arc::clone(&order.rows);
+            if mode == ForgetMode::Tier {
+                store = store.with_cold_store(Box::new(order));
+            }
+            store.insert_batch(&values, 0).unwrap();
+            if mode != ForgetMode::Summarize {
+                // Freeze block 0 (Summarize would compact instead).
+                store = store.with_tiering(TierConfig {
+                    hot_rows: 1_500,
+                    recompress_below: 0.0,
+                });
+                store.end_batch().unwrap();
+                assert_eq!(store.table().frozen_blocks(), 1, "{ctx}");
+            }
+            store.forget_batch(&earlier, 1).unwrap();
+            store.forget_batch(&batch, 2).unwrap();
+            assert_eq!(store.total_forgotten(), want.len() as u64, "{ctx}");
+            assert_eq!(store.table().forgotten_rows(), want.len(), "{ctx}");
+            match mode {
+                ForgetMode::Tier => assert_eq!(*archived.lock().unwrap(), want, "{ctx}"),
+                ForgetMode::Summarize => {
+                    let whole = |kind| {
+                        let q = Query::Aggregate {
+                            kind,
+                            predicate: None,
+                        };
+                        store.query(&q).output.agg().unwrap().unwrap()
+                    };
+                    assert_eq!(whole(AggKind::Count), 3_000.0, "{ctx}");
+                    assert_eq!(whole(AggKind::Sum), 3.0 * 2_999.0 * 1_500.0, "{ctx}");
+                }
+                _ => {}
+            }
+            if durable {
+                let live = store.table().clone();
+                drop(store);
+                let recovered = PersistentTable::open(&dir).unwrap();
+                let back = recovered.table();
+                assert_eq!(back.activity_words(), live.activity_words(), "{ctx}");
+                assert_eq!(back.frozen_blocks(), live.frozen_blocks(), "{ctx}");
+                for r in 0..live.num_rows() {
+                    let r = RowId::from(r);
+                    let died = back.activity().died_at(r);
+                    assert_eq!(died, live.activity().died_at(r), "{ctx} row {r}");
+                }
+                let tier = live.col_tier(0);
+                for b in 0..tier.full_blocks() {
+                    let got = back.col_tier(0).meta(b).active;
+                    assert_eq!(got, tier.meta(b).active, "{ctx} block {b}");
+                }
+                drop(recovered);
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
 }

@@ -285,3 +285,72 @@ fn recompress_keeps_scans_and_joins_correct() {
         }
     }
 }
+
+/// A forget batch applies as runs (`Table::forget_batch`, the path replay
+/// shares); the model's history forgets row by row (`Case::apply` →
+/// `Table::forget`). Batches unsorted, duplicated, adjacent, across block
+/// boundaries and into the open hot block must leave the same activity,
+/// death epochs and block-meta active counts, frozen prefix or not.
+#[test]
+fn forget_batches_as_runs_equal_the_per_row_forget() {
+    const BR: usize = 64;
+    let batches: Vec<Vec<usize>> = vec![
+        vec![70, 3, 5, 4, 200],     // unsorted, adjacent
+        vec![9, 9, 10, 9, 3, 4, 8], // duplicated, some dead already
+        (60..70).collect(),         // across the frozen 63 | 64 boundary
+        (120..135).rev().collect(), // descending across 127 | 128
+        vec![250, 251, 252, 255, 256, 257, 258, 311],
+        (300..345).chain([2, 1, 0]).collect(), // 319 | 320, the open block
+    ];
+    for frozen in [false, true] {
+        let mut case = Case::new(Schema::single("a"), BR);
+        let mut batched = case.table.clone();
+        let mut next = 0;
+        let mut insert = |case: &mut Case, batched: &mut Table, epoch: u64, n: i64| {
+            let values: Vec<i64> = (next..next + n).map(|v| v * 7 % 1_000).collect();
+            next += n;
+            case.table.insert_batch(&values, epoch).unwrap();
+            case.model.apply(&Op::column(&values));
+            batched.insert_batch(&values, epoch).unwrap();
+        };
+        insert(&mut case, &mut batched, 0, 300);
+        if frozen {
+            case.apply(Op::FreezeUpto(256));
+            batched.freeze_upto(256);
+            assert_eq!(batched.frozen_blocks(), 4);
+        }
+        for (epoch, ids) in (1..).zip(&batches) {
+            insert(&mut case, &mut batched, epoch, 10);
+            let rows: Vec<RowId> = ids.iter().map(|&r| RowId::from(r)).collect();
+            let want = case.table.active_rows();
+            case.apply(Op::Forget(ids.clone()));
+            let forgotten = batched.forget_batch(&rows, epoch, |_, _| Ok(())).unwrap();
+            let ctx = format!("frozen {frozen}, batch {epoch}");
+            assert_eq!(forgotten, want - case.table.active_rows(), "{ctx}");
+            assert_eq!(
+                batched.activity_words(),
+                case.table.activity_words(),
+                "{ctx}"
+            );
+            assert_eq!(batched.active_rows(), case.model.active_len(), "{ctx}");
+            for r in 0..batched.num_rows() {
+                let r = RowId::from(r);
+                let died = batched.activity().died_at(r);
+                assert_eq!(died, case.table.activity().died_at(r), "{ctx} row {r}");
+            }
+            let tier = batched.col_tier(0);
+            for b in 0..tier.full_blocks() {
+                let want = case.table.col_tier(0).meta(b).active;
+                assert_eq!(tier.meta(b).active, want, "{ctx} block {b}");
+            }
+            batched.check_invariants().unwrap();
+        }
+        assert_eq!(batched.num_rows(), 360);
+        let everything = Query::Range(RangePredicate::new(i64::MIN, i64::MAX));
+        let want = case.model.query(0, &everything, ACTIVE);
+        assert_eq!(
+            scan(&batched, RangePredicate::new(i64::MIN, i64::MAX)).0,
+            want.rows().unwrap()
+        );
+    }
+}
