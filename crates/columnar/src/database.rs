@@ -108,11 +108,6 @@ impl Database {
         self.names.get(id).map(String::as_str)
     }
 
-    /// Declared foreign keys.
-    pub fn foreign_keys(&self) -> &[ForeignKey] {
-        &self.fks
-    }
-
     /// Active rows of `fk.child_table` referencing key value `key`.
     fn active_referents(&self, fk: &ForeignKey, key: Value) -> Vec<RowId> {
         let child = &self.tables[fk.child_table];

@@ -197,7 +197,12 @@ impl DurableLog {
     }
 
     fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        self.wal.append(rec, self.last_epoch)?;
+        self.append_body(&rec.encode_body())
+    }
+
+    /// [`Self::append`] for a body encoded already.
+    fn append_body(&mut self, body: &[u8]) -> Result<()> {
+        self.wal.append_body(body, self.last_epoch)?;
         self.records_since_checkpoint += 1;
         if self.policy == SyncPolicy::PerRecord {
             self.wal.sync()?;
@@ -260,7 +265,7 @@ impl DurableLog {
             return Ok(0);
         }
         self.last_epoch = epoch;
-        self.append(&WalRecord::forget_rows(epoch, rows))?;
+        self.append_body(&wal::encode_forget_rows(epoch, rows))?;
         table.apply_forget_runs(forget_runs(rows), epoch, on_first)
     }
 

@@ -287,6 +287,12 @@ impl SegmentedWal {
     /// OS — call [`SegmentedWal::sync`] (or use a per-record sync policy)
     /// for durability.
     pub fn append(&mut self, record: &WalRecord, epoch_hint: u64) -> Result<u64> {
+        self.append_body(&record.encode_body(), epoch_hint)
+    }
+
+    /// [`Self::append`] for a record body encoded already
+    /// ([`WalRecord::encode_body`] or its kind-8 twin).
+    pub(crate) fn append_body(&mut self, body: &[u8], epoch_hint: u64) -> Result<u64> {
         let needs_rotate = match &self.active {
             None => true,
             Some(a) => a.bytes >= self.segment_bytes,
@@ -297,7 +303,7 @@ impl SegmentedWal {
         let seqno = self.next_seqno;
         let mut frame = bytes::BytesMut::new();
         crate::compress::varint::write_varint(&mut frame, seqno);
-        frame.put_slice(&record.encode_body());
+        frame.put_slice(body);
         let mut framed = Vec::with_capacity(frame.len() + 8);
         framed.extend_from_slice(&(frame.len() as u32).to_le_bytes());
         framed.extend_from_slice(&frame);

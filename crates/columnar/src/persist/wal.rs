@@ -213,17 +213,8 @@ impl WalRecord {
                 write_varint(&mut body, *through_seqno);
             }
             WalRecord::ForgetRows { epoch, runs } => {
-                body.put_u8(KIND_FORGET_ROWS);
-                write_varint(&mut body, *epoch);
-                write_varint(&mut body, runs.iter().map(|&(_, len)| len).sum());
-                let mut prev_end = 0u64;
-                for &(start, len) in runs {
-                    // Wrapping: the two's-complement difference of any two
-                    // u64 row ids is the i64 gap the decoder adds back.
-                    write_signed(&mut body, start.0.wrapping_sub(prev_end) as i64);
-                    write_varint(&mut body, len);
-                    prev_end = start.0.wrapping_add(len);
-                }
+                let count = runs.iter().map(|&(_, len)| len).sum();
+                put_forget_rows(&mut body, *epoch, count, runs.iter().copied());
             }
         }
         body.to_vec()
@@ -405,6 +396,37 @@ pub(super) fn next_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
     Some((body, crc_start + 4))
 }
 
+/// The body [`WalRecord::forget_rows`]`(epoch, rows)` encodes to, written
+/// straight from the rows: the durable forget path logs a batch without
+/// collecting its runs. Every row is in exactly one run, so the count is
+/// `rows.len()`.
+pub(crate) fn encode_forget_rows(epoch: Epoch, rows: &[RowId]) -> Vec<u8> {
+    let mut body = BytesMut::new();
+    put_forget_rows(&mut body, epoch, rows.len() as u64, forget_runs(rows));
+    body.to_vec()
+}
+
+/// A kind-8 body: the header, then each run as its signed gap from the
+/// previous run's end and its length.
+fn put_forget_rows(
+    body: &mut BytesMut,
+    epoch: Epoch,
+    count: u64,
+    runs: impl IntoIterator<Item = (RowId, u64)>,
+) {
+    body.put_u8(KIND_FORGET_ROWS);
+    write_varint(body, epoch);
+    write_varint(body, count);
+    let mut prev_end = 0u64;
+    for (start, len) in runs {
+        // Wrapping: the two's-complement difference of any two u64 row
+        // ids is the i64 gap the decoder adds back.
+        write_signed(body, start.0.wrapping_sub(prev_end) as i64);
+        write_varint(body, len);
+        prev_end = start.0.wrapping_add(len);
+    }
+}
+
 /// One record as the legacy log framed it (`u32 len | body | u32 crc`):
 /// how tests fabricate the `table.wal` nothing writes any more.
 #[cfg(test)]
@@ -566,6 +588,25 @@ mod tests {
         let per_row = body.len() as f64 / ascending.len() as f64;
         assert!(per_row <= 3.6, "{per_row:.3} bytes per ascending row");
         assert_eq!(WalRecord::decode_body(&body).unwrap(), rec);
+    }
+
+    #[test]
+    fn encode_forget_rows_is_the_record_encoding() {
+        let mut rng = amnesia_util::SimRng::new(8);
+        let unsorted: Vec<RowId> = (0..2_000)
+            .map(|_| RowId(rng.index(50_000) as u64))
+            .collect();
+        let batches: [Vec<RowId>; 5] = [
+            Vec::new(),
+            unsorted,
+            [7, 7, 8, 9, 9, 3, 4, 4, 5, 0].map(RowId).to_vec(),
+            (100..900).map(RowId).collect(),
+            [u64::MAX - 1, u64::MAX, 0, 1].map(RowId).to_vec(),
+        ];
+        for rows in &batches {
+            let want = WalRecord::forget_rows(6, rows).encode_body();
+            assert_eq!(encode_forget_rows(6, rows), want, "{} rows", rows.len());
+        }
     }
 
     /// Hand-build a kind-8 body from `(gap, len)` runs.

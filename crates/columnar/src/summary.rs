@@ -128,23 +128,9 @@ impl SummaryStore {
         total
     }
 
-    /// Combined summary for insertion epochs in `[lo, hi]`.
-    pub fn combined_range(&self, lo: Epoch, hi: Epoch) -> SummaryCell {
-        let mut total = SummaryCell::new();
-        for (_, cell) in self.cells.range(lo..=hi) {
-            total.merge(cell);
-        }
-        total
-    }
-
     /// Number of epochs with data.
     pub fn epochs(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Total values absorbed.
-    pub fn total_count(&self) -> u64 {
-        self.cells.values().map(|c| c.count).sum()
     }
 
     /// Approximate heap footprint: the point of summaries is that this is
@@ -218,15 +204,12 @@ mod tests {
         s.absorb(0, 20);
         s.absorb(3, 100);
         assert_eq!(s.epochs(), 2);
-        assert_eq!(s.total_count(), 3);
         assert_eq!(s.cell(0).unwrap().avg(), Some(15.0));
         assert_eq!(s.cell(3).unwrap().count, 1);
         assert!(s.cell(1).is_none());
         let all = s.combined();
         assert_eq!(all.count, 3);
         assert!((all.avg().unwrap() - (130.0 / 3.0)).abs() < 1e-9);
-        let r = s.combined_range(0, 2);
-        assert_eq!(r.count, 2);
     }
 
     #[test]

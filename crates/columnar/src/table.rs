@@ -394,18 +394,6 @@ impl Table {
         frozen
     }
 
-    /// Thaw frozen blocks `b..` of every column back into hot storage
-    /// (suffix-granular — see
-    /// [`TieredColumn::thaw_block`](crate::tier::TieredColumn::thaw_block)).
-    /// Returns the rows thawed.
-    pub fn thaw_block(&mut self, b: usize) -> usize {
-        let mut thawed = 0;
-        for c in &mut self.columns {
-            thawed = c.thaw_block(b);
-        }
-        thawed
-    }
-
     /// Drop the payload of every fully-forgotten frozen block — the most
     /// radical tier transition: forgetting a whole block reclaims its
     /// bytes while row ids stay stable. Its per-row metadata goes with it:
@@ -506,15 +494,6 @@ impl Table {
         } else {
             surviving as f64 / resident as f64
         }
-    }
-
-    /// Total frozen-block accesses (blocks that survived pruning and were
-    /// actually scanned or probed) summed over every column — the
-    /// feedback signal for recency-driven freezing and estimator
-    /// calibration. See
-    /// [`TieredColumn::note_block_access`](crate::tier::TieredColumn::note_block_access).
-    pub fn block_accesses(&self) -> u64 {
-        self.columns.iter().map(|c| c.total_block_accesses()).sum()
     }
 
     /// The packed active-row words (see
@@ -931,19 +910,6 @@ mod tests {
         // Active rows still answer exactly.
         assert_eq!(t.value(0, RowId(1026)), 7);
         assert_eq!(t.value(0, RowId(3000)), 3000);
-        t.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn thaw_returns_rows_to_hot() {
-        let mut t = table_with(&(0..3000).collect::<Vec<Value>>());
-        t.freeze_upto(3000);
-        assert_eq!(t.frozen_blocks(), 2);
-        let thawed = t.thaw_block(1);
-        assert_eq!(thawed, 1024);
-        assert_eq!(t.frozen_blocks(), 1);
-        assert_eq!(t.col_values_dense(0).as_ref().len(), 3000);
-        assert_eq!(t.value(0, RowId(2999)), 2999);
         t.check_invariants().unwrap();
     }
 

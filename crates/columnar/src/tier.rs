@@ -15,13 +15,15 @@
 //!
 //! # The tier state machine
 //!
-//! Each block of `block_rows` rows moves monotonically through four
-//! states, driven by vacuum scheduling and the amnesia policies:
+//! Each block of `block_rows` rows moves one way through four states,
+//! never back: the store's batch-boundary schedule freezes, drops and
+//! recompresses (`AmnesiacStore::end_batch` under a tier config), and
+//! the amnesia policies' forgets decide which blocks qualify.
 //!
 //! ```text
 //!   hot ──freeze_upto──▶ frozen ──recompress_block──▶ recompressed
-//!    ▲                      │                              │
-//!    └─────thaw_block───────┴──────────drop_block──────────▶ dropped
+//!                           │                              │
+//!                           └──────────drop_block──────────┴──▶ dropped
 //! ```
 //!
 //! * **hot** — plain `Vec<Value>` tail; inserts append here, point reads
@@ -63,11 +65,9 @@
 //! the meta itself. Bounds over forgotten values too are wider than the
 //! frozen ones (which cover active rows only) but stale-safe all the
 //! same. A freeze drops the metas of the blocks it compresses (the frozen
-//! meta is computed afresh); a thaw seals the melted blocks from their
-//! decoded values, taking `active` from their frozen meta. Like the
-//! summary, the hot metas are derived state: they stay out of
-//! `PartialEq`, snapshots and the log, and a restored table rebuilds them
-//! from the hot values and its activity words
+//! meta is computed afresh). Like the summary, the hot metas are derived
+//! state: they stay out of `PartialEq`, snapshots and the log, and a
+//! restored table rebuilds them from the hot values and its activity words
 //! ([`Table::from_restored_parts`](crate::table::Table::from_restored_parts)).
 //!
 //! # The column summary
@@ -84,7 +84,6 @@
 use std::sync::{Arc, PoisonError};
 
 use amnesia_distrib::Histogram;
-use amnesia_sync::atomic::{AtomicU64, Ordering};
 use amnesia_sync::mutex::Mutex;
 
 use serde::{Deserialize, Serialize};
@@ -181,57 +180,6 @@ impl FrozenBlock {
     /// Reassemble from persisted parts (snapshot reader).
     pub fn from_parts(block: EncodedBlock, meta: BlockMeta, state: BlockState) -> Self {
         Self { block, meta, state }
-    }
-}
-
-/// Per-block access counters: how many times each frozen block survived
-/// pruning and was actually scanned or probed. This is *observability*,
-/// not state — the feedback signal recency-driven freezing and the
-/// cost-based planner's estimator calibration read — so it is
-/// deliberately excluded from equality (`PartialEq` always holds): a
-/// recovered or cloned-for-comparison column with fresh counters still
-/// compares layout-equal. Counters bump through `&self` (relaxed
-/// atomics), so the read-only scan kernels can account without taking a
-/// write path.
-#[derive(Default)]
-pub struct AccessCounters(Vec<AtomicU64>);
-
-impl AccessCounters {
-    fn resize(&mut self, blocks: usize) {
-        while self.0.len() < blocks {
-            self.0.push(AtomicU64::new(0));
-        }
-        self.0.truncate(blocks);
-    }
-}
-
-impl Clone for AccessCounters {
-    fn clone(&self) -> Self {
-        Self(
-            self.0
-                .iter()
-                // Relaxed: counters are advisory scan statistics; a clone
-                // concurrent with bumps may be slightly stale, which is
-                // fine — no other memory is ordered against them.
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect(),
-        )
-    }
-}
-
-impl PartialEq for AccessCounters {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for AccessCounters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list()
-            // Relaxed: debug rendering of advisory counters; staleness
-            // is acceptable and nothing is ordered against the reads.
-            .entries(self.0.iter().map(|c| c.load(Ordering::Relaxed)))
-            .finish()
     }
 }
 
@@ -393,11 +341,10 @@ impl ColumnSummary {
     }
 }
 
-/// Where a column keeps its [`ColumnSummary`]. Derived state like
-/// [`AccessCounters`], so a clone starts empty (whoever holds the clone
-/// may pair it with other activity words) and equality ignores it. Read
-/// through `&self` under the lock; every `&mut` transition empties it
-/// with `get_mut`, which takes no lock.
+/// Where a column keeps its [`ColumnSummary`]. Derived state, so a clone
+/// starts empty (whoever holds the clone may pair it with other activity
+/// words) and equality ignores it. Read through `&self` under the lock;
+/// every `&mut` transition empties it with `get_mut`, which takes no lock.
 #[derive(Debug, Default)]
 struct SummaryCell(Mutex<Option<Arc<ColumnSummary>>>);
 
@@ -439,8 +386,7 @@ struct HotMeta {
     /// against it instead of dividing.
     seal_at: usize,
     /// Min/max over every block `seal` sealed, whether
-    /// it is still hot or frozen since; a thaw's blocks are not folded
-    /// in (a dropped block thaws as zeros nobody appended).
+    /// it is still hot or frozen since.
     sealed: MinMax,
 }
 
@@ -486,7 +432,6 @@ pub struct TieredColumn {
     frozen: Vec<FrozenBlock>,
     hot: Vec<Value>,
     hot_meta: HotMeta,
-    accesses: AccessCounters,
     summary: SummaryCell,
 }
 
@@ -511,7 +456,6 @@ impl TieredColumn {
                 seal_at: block_rows,
                 ..HotMeta::default()
             },
-            accesses: AccessCounters::default(),
             summary: SummaryCell::default(),
         }
     }
@@ -557,7 +501,6 @@ impl TieredColumn {
         c.frozen = frozen;
         c.hot = hot;
         c.seal_full_blocks();
-        c.accesses.resize(c.frozen.len());
         c
     }
 
@@ -652,42 +595,9 @@ impl TieredColumn {
         })
     }
 
-    /// Record that frozen block `b` survived pruning and was actually
-    /// scanned or probed. Relaxed atomic bump through `&self`, so the
-    /// read-only kernels (and their parallel morsel variants) can account
-    /// without a write path. Out-of-range indices are ignored.
-    #[inline]
-    pub fn note_block_access(&self, b: usize) {
-        if let Some(c) = self.accesses.0.get(b) {
-            // Relaxed: a pure event count; bumps from parallel morsel
-            // workers may interleave in any order, only the total matters.
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Times frozen block `b` survived pruning and was scanned/probed
-    /// (0 for out-of-range).
-    pub fn block_accesses(&self, b: usize) -> u64 {
-        self.accesses
-            .0
-            .get(b)
-            // Relaxed: advisory statistic, staleness is acceptable.
-            .map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// Total block accesses across all frozen blocks of this column.
-    pub fn total_block_accesses(&self) -> u64 {
-        self.accesses
-            .0
-            .iter()
-            // Relaxed: advisory statistic, staleness is acceptable.
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// The column's [`ColumnSummary`] under the owning table's activity
     /// `words` — O(1) while the held one is current, one rebuild after a
-    /// burst of mutations. Current means: no freeze, thaw, forget, drop or
+    /// burst of mutations. Current means: no freeze, forget, drop or
     /// recompression since it was built (each empties the cell) and the
     /// same hot length (appends leave the cell alone). Concurrent readers
     /// of a stale cell wait for one build rather than each running their
@@ -863,48 +773,7 @@ impl TieredColumn {
             h.metas.shrink_to(room);
         }
         h.seal_at -= k * self.block_rows;
-        self.accesses.resize(self.frozen.len());
         k
-    }
-
-    /// Thaw blocks `b..` back into the hot tail (the frozen prefix must
-    /// stay contiguous, so thawing is suffix-granular: to thaw one block,
-    /// pass its index and everything younger melts with it). Dropped
-    /// blocks thaw as zero-filled — their values are gone for good. Each
-    /// melted block becomes a full hot block, its meta sealed from the
-    /// thawed values with the frozen meta's exact `active`.
-    /// Returns the number of rows thawed.
-    pub fn thaw_block(&mut self, b: usize) -> usize {
-        if b >= self.frozen.len() {
-            return 0;
-        }
-        self.summary.clear();
-        let br = self.block_rows;
-        let melted: Vec<FrozenBlock> = self.frozen.split_off(b);
-        let mut values = Vec::with_capacity(melted.len() * br + self.hot.len());
-        let mut metas = Vec::with_capacity(melted.len() + self.hot_meta.metas.len());
-        let imp = mask_impl();
-        for f in &melted {
-            if f.is_dropped() {
-                values.resize(values.len() + br, 0);
-            } else {
-                values.extend(f.block.decode());
-            }
-            let (min, max) = bounds(&values[values.len() - br..], imp);
-            metas.push(BlockMeta {
-                min,
-                max,
-                active: f.meta.active,
-            });
-        }
-        let thawed = values.len();
-        values.append(&mut self.hot);
-        self.hot = values;
-        metas.append(&mut self.hot_meta.metas);
-        self.hot_meta.metas = metas;
-        self.hot_meta.seal_at += thawed;
-        self.accesses.resize(self.frozen.len());
-        thawed
     }
 
     /// Record that `row` was forgotten: the owning full block's active
@@ -1047,8 +916,8 @@ impl TieredColumn {
     }
 
     /// Resident heap bytes: frozen payloads + per-block bookkeeping
-    /// (block headers, hot block metas and access counters) + hot-tail
-    /// capacity + the summary while one is held.
+    /// (block headers and hot block metas) + hot-tail capacity + the
+    /// summary while one is held.
     pub fn memory_bytes(&self) -> usize {
         // The `Arc` allocation is the summary plus its two counts.
         let summary = self
@@ -1061,7 +930,6 @@ impl TieredColumn {
         self.bytes_frozen()
             + self.frozen.capacity() * std::mem::size_of::<FrozenBlock>()
             + self.hot_meta.metas.capacity() * std::mem::size_of::<BlockMeta>()
-            + self.accesses.0.capacity() * std::mem::size_of::<AtomicU64>()
             + self.hot.capacity() * std::mem::size_of::<Value>()
             + summary
             + std::mem::size_of::<Self>()
@@ -1330,22 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn thaw_restores_hot_suffix() {
-        let mut c = TieredColumn::with_block_rows(64);
-        let values: Vec<i64> = (0..256).map(|i| i * 7 - 300).collect();
-        c.extend_from_slice(&values);
-        c.freeze_upto(256, &all_active(256));
-        assert_eq!(c.frozen_blocks(), 4);
-        let thawed = c.thaw_block(2);
-        assert_eq!(thawed, 128);
-        assert_eq!(c.frozen_blocks(), 2);
-        assert_eq!(c.hot_start(), 128);
-        let dense = c.dense_values();
-        assert_eq!(dense, values);
-        assert_eq!(c.thaw_block(5), 0, "out of range is a no-op");
-    }
-
-    #[test]
     fn drop_block_requires_fully_forgotten() {
         let mut c = TieredColumn::with_block_rows(64);
         c.extend_from_slice(&(0..128).collect::<Vec<i64>>());
@@ -1527,33 +1379,6 @@ mod tests {
     }
 
     #[test]
-    fn access_counters_track_blocks_and_stay_out_of_equality() {
-        let mut c = TieredColumn::with_block_rows(64);
-        c.extend_from_slice(&(0..192).collect::<Vec<i64>>());
-        c.freeze_upto(192, &all_active(192));
-        assert_eq!(c.total_block_accesses(), 0);
-        c.note_block_access(0);
-        c.note_block_access(0);
-        c.note_block_access(2);
-        c.note_block_access(99); // out of range: ignored
-        assert_eq!(c.block_accesses(0), 2);
-        assert_eq!(c.block_accesses(1), 0);
-        assert_eq!(c.block_accesses(2), 1);
-        assert_eq!(c.total_block_accesses(), 3);
-        // Counters survive clone…
-        let twin = c.clone();
-        assert_eq!(twin.block_accesses(0), 2);
-        // …but never participate in layout equality.
-        let mut fresh = TieredColumn::with_block_rows(64);
-        fresh.extend_from_slice(&(0..192).collect::<Vec<i64>>());
-        fresh.freeze_upto(192, &all_active(192));
-        assert_eq!(c, fresh, "access counts are observability, not state");
-        // Thawing a suffix truncates its counters.
-        c.thaw_block(1);
-        assert_eq!(c.total_block_accesses(), 2);
-    }
-
-    #[test]
     fn sorted_hint_is_conservative() {
         let hint = |c: &TieredColumn| c.summary(&all_active(c.len())).sorted_hint();
         let mut c = TieredColumn::with_block_rows(64);
@@ -1633,19 +1458,31 @@ mod tests {
         words[0] &= !1;
         c.note_forget(0);
         assert_eq!(c.summary(&words).active_rows(), 199);
-        // Every tier transition empties the cell.
+        // Every tier transition empties the cell, and each reaches its
+        // state: block 1 keeps one row and recompresses, block 2 keeps
+        // none and drops, and the hot tail fills block 3 and freezes it.
+        for r in 64..192 {
+            if r != 127 {
+                words[r / 64] &= !(1u64 << (r % 64));
+                c.note_forget(r);
+            }
+        }
+        c.extend_from_slice(&[150; 55]);
+        words[3] |= !0u64 << 9;
         for step in 0..3 {
             let held = c.summary(&words);
             match step {
-                0 => {
-                    c.recompress_block(0, &words);
-                }
-                1 => assert_eq!(c.thaw_block(2), 64),
-                _ => assert_eq!(c.freeze_upto(192, &words), 1),
+                0 => assert!(c.recompress_block(1, &words) > 0),
+                1 => assert!(c.drop_block(2) > 0),
+                _ => assert_eq!(c.freeze_upto(256, &words), 1),
             }
             assert!(!Arc::ptr_eq(&held, &c.summary(&words)), "step {step}");
         }
-        assert_eq!(c.summary(&words).histogram().unwrap().range(), (1, 199));
+        assert_eq!(c.frozen(1).unwrap().state(), BlockState::Recompressed);
+        assert_eq!(c.frozen(2).unwrap().state(), BlockState::Dropped);
+        assert_eq!(*c.meta(1), meta(127, 127, 1), "recompression tightens");
+        // Block 0 was never recompressed: its meta still covers row 0.
+        assert_eq!(c.summary(&words).histogram().unwrap().range(), (0, 199));
     }
 
     #[test]
@@ -1756,7 +1593,7 @@ mod tests {
     }
 
     #[test]
-    fn freeze_moves_the_hot_metas_and_thaw_reseals_them() {
+    fn freeze_moves_the_hot_metas() {
         let mut c = TieredColumn::with_block_rows(64);
         c.extend_from_slice(&(0..300).map(|i| i * 3 - 100).collect::<Vec<i64>>());
         let mut words = all_active(300);
@@ -1771,25 +1608,6 @@ mod tests {
         assert_eq!(c.meta(1).active, 62, "the frozen meta of the same rows");
         c.push(7);
         assert_eq!(c.full_blocks(), 4, "no seal until the open block fills");
-        // Thawing melts blocks back into sealed hot blocks: the same metas
-        // a column built hot would hold.
-        assert_eq!(c.thaw_block(0), 128);
-        assert_eq!(hot_metas(&c), live);
-        let mut again = c.clone();
-        again.freeze_upto(256, &words);
-        again.thaw_block(1);
-        assert_eq!(hot_metas(&again), live[1..]);
-        // A dropped block thaws as zeros with nothing active.
-        let mut d = TieredColumn::with_block_rows(64);
-        d.extend_from_slice(&(1..=128).collect::<Vec<i64>>());
-        d.freeze_upto(128, &all_active(128));
-        for r in 0..64 {
-            d.note_forget(r);
-        }
-        assert!(d.drop_block(0) > 0);
-        d.thaw_block(0);
-        assert_eq!(*d.meta(0), meta(0, 0, 0));
-        assert_eq!(*d.meta(1), meta(65, 128, 64));
     }
 
     #[test]

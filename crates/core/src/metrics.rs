@@ -178,11 +178,6 @@ impl AmnesiaMap {
             .map(|(&t, &a)| if t == 0 { 0.0 } else { a as f64 / t as f64 })
             .collect()
     }
-
-    /// Active percentage per epoch (the paper's y-axis).
-    pub fn percentages(&self) -> Vec<f64> {
-        self.fractions().iter().map(|f| f * 100.0).collect()
-    }
 }
 
 /// Point-in-time tier metrics of an
@@ -191,7 +186,7 @@ impl AmnesiaMap {
 /// and the overall compression ratio. Budget- and cost-based policies
 /// read `resident_bytes`/`compression_ratio` so the savings from frozen
 /// cold segments actually stretch the storage budget (paper §4.4).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Physical rows (active + marked).
     pub total_rows: usize,
@@ -218,31 +213,6 @@ pub struct MetricsSnapshot {
     /// numerator, so the ratio stays meaningful even when
     /// `drop_forgotten_blocks` has surrendered most payloads.
     pub compression_ratio: f64,
-    /// Cumulative frozen-block accesses across every column: scans and
-    /// probes bump a block's counter each time it survives zone-map
-    /// pruning and is actually touched. Hot traffic — a block that keeps
-    /// getting read is a bad candidate for recompression or dropping.
-    /// Excluded from `PartialEq`: a replayed table starts with fresh
-    /// counters, and crash-recovery compares snapshots field for field.
-    #[serde(default)]
-    pub block_accesses: u64,
-}
-
-/// Equality ignores `block_accesses`: access counters are runtime
-/// telemetry, not logical state, and must not fail crash-recovery
-/// layout comparisons.
-impl PartialEq for MetricsSnapshot {
-    fn eq(&self, other: &Self) -> bool {
-        self.total_rows == other.total_rows
-            && self.active_rows == other.active_rows
-            && self.resident_bytes == other.resident_bytes
-            && self.bytes_frozen == other.bytes_frozen
-            && self.frozen_blocks == other.frozen_blocks
-            && self.blocks_dropped == other.blocks_dropped
-            && self.blocks_recompressed == other.blocks_recompressed
-            && self.dropped_rows == other.dropped_rows
-            && self.compression_ratio == other.compression_ratio
-    }
 }
 
 impl MetricsSnapshot {
@@ -262,7 +232,6 @@ impl MetricsSnapshot {
             blocks_recompressed,
             dropped_rows: table.dropped_rows(),
             compression_ratio: table.compression_ratio(),
-            block_accesses: table.block_accesses(),
         }
     }
 }
@@ -434,6 +403,5 @@ mod tests {
         let f = map.fractions();
         assert!((f[0] - 0.75).abs() < 1e-12);
         assert!((f[1] - 0.5).abs() < 1e-12);
-        assert_eq!(map.percentages()[1], 50.0);
     }
 }

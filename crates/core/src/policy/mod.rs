@@ -83,41 +83,6 @@ pub trait AmnesiaPolicy: Send {
     /// them ascending, others in the order they ranked them.
     fn select_victims(&mut self, ctx: &PolicyContext<'_>, n: usize, rng: &mut SimRng)
         -> Vec<RowId>;
-
-    /// Choose up to `max_blocks` *frozen tier blocks* as whole-block
-    /// forget candidates — the block-granular amnesia decision layered on
-    /// tiered storage: forgetting an entire block lets the store drop its
-    /// compressed payload outright
-    /// (`AmnesiacStore::forget_block`), reclaiming bytes without moving a
-    /// row id.
-    ///
-    /// The default ranks blocks by the cached meta's remaining active
-    /// count (fewest survivors first — the cheapest information loss per
-    /// byte reclaimed), breaking ties toward older blocks. Policies with
-    /// a stronger opinion (e.g. strict FIFO age) may override.
-    fn select_victim_blocks(
-        &mut self,
-        ctx: &PolicyContext<'_>,
-        max_blocks: usize,
-        _rng: &mut SimRng,
-    ) -> Vec<usize> {
-        if ctx.table.schema().arity() == 0 {
-            return Vec::new();
-        }
-        let tier = ctx.table.col_tier(0);
-        let mut candidates: Vec<(usize, usize)> = (0..tier.frozen_blocks())
-            .filter_map(|b| {
-                let meta = tier.meta(b);
-                (meta.active > 0).then_some((meta.active, b))
-            })
-            .collect();
-        candidates.sort_unstable();
-        candidates
-            .into_iter()
-            .take(max_blocks)
-            .map(|(_, b)| b)
-            .collect()
-    }
 }
 
 /// Serializable recipe for an [`AmnesiaPolicy`].

@@ -368,9 +368,8 @@ impl AmnesiacStore {
     }
 
     /// Forget every remaining active row of frozen block `b` (a
-    /// block-level amnesia decision — see
-    /// [`AmnesiaPolicy::select_victim_blocks`](crate::policy::AmnesiaPolicy::select_victim_blocks))
-    /// and immediately drop its payload. Returns the rows forgotten.
+    /// block-level amnesia decision: the caller names the block) and
+    /// immediately drop its payload. Returns the rows forgotten.
     pub fn forget_block(&mut self, b: usize, epoch: Epoch) -> Result<usize> {
         let block_rows = self.table.block_rows();
         if b >= self.table.frozen_blocks() {
@@ -690,8 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn forget_block_drops_whole_blocks_via_policy_candidates() {
-        use crate::policy::{AmnesiaPolicy, PolicyContext, UniformPolicy};
+    fn forget_block_drops_a_whole_block() {
         let mut store = AmnesiacStore::new(ForgetMode::MarkOnly).with_tiering(TierConfig {
             hot_rows: 0,
             recompress_below: 0.0,
@@ -700,7 +698,7 @@ mod tests {
             .insert_batch(&(0..3_072).collect::<Vec<i64>>(), 0)
             .unwrap();
         store.end_batch().unwrap();
-        // Make block 1 the cheapest to evict.
+        // Block 1 keeps a quarter of its rows.
         store
             .forget_batch(
                 &(1_024..2_048)
@@ -710,14 +708,6 @@ mod tests {
                 1,
             )
             .unwrap();
-        let mut rng = SimRng::new(5);
-        let mut policy = UniformPolicy;
-        let ctx = PolicyContext {
-            table: store.table(),
-            epoch: 2,
-        };
-        let blocks = policy.select_victim_blocks(&ctx, 1, &mut rng);
-        assert_eq!(blocks, vec![1], "fewest active rows first");
         let forgotten = store.forget_block(1, 2).unwrap();
         assert_eq!(forgotten, 256, "the surviving quarter");
         assert_eq!(store.metrics_snapshot().blocks_dropped, 1);

@@ -22,14 +22,6 @@ impl SerialDistribution {
     pub fn new(domain: i64) -> Self {
         Self { next: 0, domain }
     }
-
-    /// Counter starting at a given value (useful for resuming streams).
-    pub fn starting_at(domain: i64, start: i64) -> Self {
-        Self {
-            next: start,
-            domain,
-        }
-    }
 }
 
 impl DataDistribution for SerialDistribution {
@@ -59,14 +51,6 @@ mod tests {
         for expect in 0..500 {
             assert_eq!(d.sample(&mut rng), expect);
         }
-    }
-
-    #[test]
-    fn starting_at_offsets() {
-        let mut d = SerialDistribution::starting_at(100, 42);
-        let mut rng = SimRng::new(0);
-        assert_eq!(d.sample(&mut rng), 42);
-        assert_eq!(d.sample(&mut rng), 43);
     }
 
     #[test]

@@ -632,7 +632,6 @@ pub fn scan_tiered_active_into(
             stats.blocks_pruned += 1;
             continue;
         }
-        tier.note_block_access(b);
         let bw = block_words(tier, words, b);
         f.encoded()
             .filter_range_masks(pred.lo, pred.hi, &mut mask_buf);
@@ -678,7 +677,6 @@ pub fn count_tiered_active(
             stats.blocks_pruned += 1;
             continue;
         }
-        tier.note_block_access(b);
         let bw = block_words(tier, words, b);
         f.encoded()
             .filter_range_masks(pred.lo, pred.hi, &mut mask_buf);
@@ -738,7 +736,6 @@ pub fn aggregate_tiered_active(
             stats.blocks_pruned += 1;
             continue;
         }
-        tier.note_block_access(b);
         let mut agg = BlockAgg::new();
         f.encoded()
             .fold_range_masked(filter, block_words(tier, words, b), &mut agg);
@@ -846,7 +843,6 @@ pub fn probe_tiered_blocks_with<T>(
             stats.probe_rows_skipped += meta.active;
             continue;
         }
-        tier.note_block_access(b);
         let bw = block_words(tier, words, b);
         let base = b * br;
         let block = f.encoded();

@@ -2,15 +2,14 @@
 //!
 //! The simulator is "mostly interested in trends rather than speed"
 //! (paper §2.1), so costs are abstract units rather than microseconds:
-//! what matters is the *relative* price of touching a hot row, dragging
-//! a tuple back from cold storage (the paper's Glacier anecdote), or
+//! what matters is the *relative* price of touching a hot row, or of
 //! evaluating one predicate against one row *in a codec's own domain*.
 //!
 //! The planner runs an estimate → order → execute → feedback loop with
 //! this module pricing the middle step. Only the top box depends on what
 //! the table holds, and it runs once per burst of mutations, not once per
-//! statement: each column keeps its summary until a freeze, thaw, forget,
-//! drop or recompression empties the cell, or an append outgrows it.
+//! statement: each column keeps its summary until a freeze, forget, drop
+//! or recompression empties the cell, or an append outgrows it.
 //!
 //! ```text
 //!   BlockMeta (min/max/active per frozen block) + active hot rows
@@ -58,16 +57,11 @@ use serde::{Deserialize, Serialize};
 pub struct CostModel {
     /// Cost of examining one hot row in a scan.
     pub row_scan: f64,
-    /// Cost of fetching one tuple from cold storage — deliberately huge.
-    pub cold_fetch: f64,
 }
 
 impl Default for CostModel {
     fn default() -> Self {
-        Self {
-            row_scan: 1.0,
-            cold_fetch: 10_000.0,
-        }
+        Self { row_scan: 1.0 }
     }
 }
 
@@ -75,11 +69,6 @@ impl CostModel {
     /// Cost of a scan that examined `rows` rows.
     pub fn full_scan(&self, rows: usize) -> f64 {
         rows as f64 * self.row_scan
-    }
-
-    /// Cost of recovering `n` tuples from cold storage.
-    pub fn cold_recovery(&self, n: usize) -> f64 {
-        n as f64 * self.cold_fetch
     }
 
     /// Relative cost of evaluating one range predicate against one row
@@ -113,13 +102,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relative_ordering_makes_sense() {
-        let m = CostModel::default();
-        // Cold recovery dwarfs a scan at comparable cardinality.
-        assert!(m.cold_recovery(10) > m.full_scan(10_000));
-    }
 
     #[test]
     fn codec_eval_costs_rank_rle_cheapest_delta_dearest() {

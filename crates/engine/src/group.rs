@@ -195,7 +195,6 @@ pub(crate) fn grouped_fold_span(
                     continue;
                 }
                 key_buf.clear();
-                key_tier.note_block_access(b);
                 key_tier
                     .frozen(b)
                     .expect("frozen block")
@@ -204,7 +203,6 @@ pub(crate) fn grouped_fold_span(
                 for (i, &col) in distinct.iter().enumerate() {
                     bufs[i].clear();
                     let tier = table.col_tier(col);
-                    tier.note_block_access(b);
                     tier.frozen(b)
                         .expect("columns freeze in lockstep")
                         .encoded()

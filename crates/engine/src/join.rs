@@ -121,7 +121,6 @@ pub(crate) fn build_span(
                 if bw.iter().all(|&w| w == 0) {
                     continue; // nothing selected in this block
                 }
-                tier.note_block_access(b);
                 let base = b * br;
                 let block = f.encoded();
                 match block.encoding() {

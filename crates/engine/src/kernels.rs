@@ -237,7 +237,6 @@ fn scan_block_ordered(
         if sel.iter().all(|&w| w == 0) {
             return; // earlier conjuncts emptied the block
         }
-        tier.note_block_access(b);
         let f = tier.frozen(b).expect("frozen block");
         if rank == 0 {
             batch::conj_block_masks(f.encoded(), p, mask_buf);

@@ -16,9 +16,9 @@
 //!
 //! A summary is rebuilt by the first statement after a burst of
 //! mutations and by none after that. What empties the column's cell:
-//! `freeze_upto`, `thaw_block`, a first-time forget of any row (hot rows
-//! included), `drop_forgotten_blocks` and `recompress_frozen` when they
-//! change a block. An append empties nothing — the summary records the
+//! `freeze_upto`, a first-time forget of any row (hot rows included),
+//! `drop_forgotten_blocks` and `recompress_frozen` when they change a
+//! block. An append empties nothing — the summary records the
 //! hot length it was built at and is stale once the tail has grown. A
 //! rebuild walks every block meta and reads the hot values at most
 //! twice; it touches no compressed payload.

@@ -72,8 +72,8 @@ impl Default for Config {
             dense_whitelist: v(&[
                 // Codec internals: decode is defined (and round-tripped) here.
                 "crates/columnar/src/compress/",
-                // Tier transitions (thaw/recompress/drop) are the one legal
-                // seam where a frozen block becomes dense again.
+                // Defines `block_dense` / `dense_values`, the slow path that
+                // decodes a frozen block for callers needing its values.
                 "crates/columnar/src/tier.rs",
                 // Defines the `col_values_dense` accessor.
                 "crates/columnar/src/table.rs",

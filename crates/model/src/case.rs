@@ -31,9 +31,6 @@ fn apply(table: &mut Table, op: &Op) {
         Op::FreezeUpto(row) => {
             table.freeze_upto(*row);
         }
-        Op::Thaw(b) => {
-            table.thaw_block(*b);
-        }
         Op::Pin(col, encoding) => table.pin_encoding(*col, *encoding),
         Op::Recompress(share) => {
             table.recompress_frozen(*share);

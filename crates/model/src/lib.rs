@@ -54,8 +54,6 @@ pub enum Op {
     Forget(Vec<usize>),
     /// Freeze every full block below this row.
     FreezeUpto(usize),
-    /// Thaw the frozen blocks from this index on.
-    Thaw(usize),
     /// Pin (`Some`) or unpin (`None`) the freeze codec of a column.
     Pin(usize, Option<Encoding>),
     /// Recompress the frozen blocks whose active share fell to this
@@ -79,9 +77,8 @@ impl Op {
 enum Fate {
     /// Still stored as inserted.
     Held,
-    /// Forgotten and then rewritten by a recompression (or zero-filled
-    /// by the thaw of a dropped block): the values are gone, and nothing
-    /// says what the storage now holds in their place.
+    /// Forgotten and then rewritten by a recompression: the values are
+    /// gone, and nothing says what the storage now holds in their place.
     Squashed,
     /// In a dropped block: the values are gone, and no scan returns it.
     Dropped,
@@ -153,15 +150,6 @@ impl Model {
                 }
             }
             Op::FreezeUpto(row) => self.frozen = self.frozen.max((*row).min(self.len()) / br),
-            Op::Thaw(b) => {
-                // A dropped block thaws zero-filled.
-                for row in self.rows.iter_mut().take(self.frozen * br).skip(b * br) {
-                    if row.fate == Fate::Dropped {
-                        row.fate = Fate::Squashed;
-                    }
-                }
-                self.frozen = self.frozen.min(*b);
-            }
             Op::Pin(..) => {}
             Op::Recompress(share) => {
                 for block in self.rows[..self.frozen * br].chunks_mut(br) {

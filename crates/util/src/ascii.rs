@@ -153,15 +153,6 @@ impl TextTable {
     }
 }
 
-/// Format a float with fixed precision, trimming to a compact width.
-pub fn fnum(x: f64) -> String {
-    if x.abs() >= 1000.0 {
-        format!("{x:.0}")
-    } else {
-        format!("{x:.4}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,11 +199,5 @@ mod tests {
         assert!(s.lines().count() >= 4);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn fnum_formats() {
-        assert_eq!(fnum(0.123456), "0.1235");
-        assert_eq!(fnum(12345.6), "12346");
     }
 }

@@ -360,41 +360,10 @@ impl Bitmap {
         unreachable!("ones counter disagrees with block contents")
     }
 
-    /// In-place bitwise AND with `other`. Lengths must match.
-    pub fn and_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= b;
-        }
-        self.recount();
-    }
-
-    /// In-place bitwise OR with `other`. Lengths must match.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= b;
-        }
-        self.recount();
-    }
-
-    /// In-place AND-NOT (`self &= !other`). Lengths must match.
-    pub fn and_not_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= !b;
-        }
-        self.recount();
-    }
-
     /// Count set bits within `[lo, hi)`.
     pub fn count_ones_in(&self, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
         count_set_bits_in(&self.blocks, lo, hi)
-    }
-
-    fn recount(&mut self) {
-        self.ones = self.blocks.iter().map(|b| b.count_ones() as usize).sum();
     }
 
     /// Approximate heap footprint in bytes.
@@ -597,30 +566,6 @@ mod tests {
         assert_eq!(bm.select(bm.count_ones()), None);
         assert_eq!(bm.rank(500), bm.count_ones());
         assert_eq!(bm.rank(0), 0);
-    }
-
-    #[test]
-    fn boolean_ops() {
-        let a: Bitmap = (0..128).map(|i| i % 2 == 0).collect();
-        let b: Bitmap = (0..128).map(|i| i % 3 == 0).collect();
-
-        let mut and = a.clone();
-        and.and_assign(&b);
-        assert_eq!(and.count_ones(), (0..128).filter(|i| i % 6 == 0).count());
-
-        let mut or = a.clone();
-        or.or_assign(&b);
-        assert_eq!(
-            or.count_ones(),
-            (0..128).filter(|i| i % 2 == 0 || i % 3 == 0).count()
-        );
-
-        let mut andnot = a.clone();
-        andnot.and_not_assign(&b);
-        assert_eq!(
-            andnot.count_ones(),
-            (0..128).filter(|i| i % 2 == 0 && i % 3 != 0).count()
-        );
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32-bit output (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {

@@ -47,15 +47,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample variance (0 if fewer than 2 observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()

@@ -26,11 +26,6 @@ impl UpdateGenerator {
         Self::new(kind.build(domain, seed))
     }
 
-    /// The wrapped distribution's name.
-    pub fn distribution_name(&self) -> &'static str {
-        self.dist.name()
-    }
-
     /// Inform the distribution that a new update batch begins (drifting
     /// distributions move here).
     pub fn on_epoch(&mut self, epoch: u64) {
@@ -66,7 +61,6 @@ mod tests {
         let mut rng = SimRng::new(40);
         assert_eq!(g.batch(0, &mut rng).len(), 0);
         assert_eq!(g.batch(17, &mut rng).len(), 17);
-        assert_eq!(g.distribution_name(), "uniform");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 mod common;
 
 use amnesia::columnar::compress::{block_decodes, Encoding};
-use amnesia::columnar::DEFAULT_BLOCK_ROWS;
+use amnesia::columnar::{BlockState, DEFAULT_BLOCK_ROWS};
 use amnesia::engine::batch::{aggregate_tiered_active, count_tiered_active};
 use amnesia::engine::join::{hash_join, hash_join_count, JoinStats};
 use amnesia::engine::{
@@ -19,7 +19,7 @@ use amnesia::engine::{
 use amnesia::prelude::*;
 use amnesia::workload::query::RangePredicate;
 use amnesia_model::{eval_plan, join_pairs, Case, Model, Op};
-use common::{agg, col, plan, scan};
+use common::{agg, col, has_block_in, plan, scan};
 use proptest::prelude::*;
 
 const ACTIVE: ForgetVisibility = ForgetVisibility::ActiveOnly;
@@ -318,14 +318,16 @@ fn assert_join_plan_matches_model(left: &Case, right: &Case, ctx: &str) {
     assert_plan_matches_model(&[left, right], &join, &format!("join {ctx}"));
 }
 
-/// Randomized insert/forget/freeze/thaw/recompress/vacuum interleavings,
+/// Randomized insert/forget/freeze/recompress/drop/vacuum interleavings,
 /// then a drop: after every transition the tiered table answers every
 /// kernel, plan and join as the model does, across block sizes and every
 /// pinned codec plus the automatic chooser. The complete scan is checked
 /// whenever the model defines it: up to the first recompression, and
-/// again after a vacuum.
+/// again after a vacuum. Some step must leave a recompressed block and
+/// some a dropped one, so the mix cannot quietly stop reaching them.
 #[test]
 fn tiered_interleavings_match_the_model() {
+    let (mut recompressed, mut dropped) = (false, false);
     for (block_rows, encoding, seed) in [
         (64usize, None, 1u64),
         (64, Some(Encoding::Rle), 2),
@@ -344,24 +346,32 @@ fn tiered_interleavings_match_the_model() {
         let mut case = case(block_rows, encoding, &[]);
         let ctx = format!("block_rows={block_rows} enc={encoding:?} seed={seed}");
         for step in 0..12 {
-            // Mutate: insert a batch, forget some rows, then a random
-            // tier transition.
+            // Mutate: insert a batch, forget some rows (now and then a
+            // whole block, so a drop has a victim), then a random tier
+            // transition.
             let n = 100 + (rng.range_i64(0, 400) as usize);
             let values: Vec<i64> = (0..n).map(|_| rng.range_i64(-500, 500)).collect();
             case.apply(Op::column(&values));
             let len = case.model.len();
-            case.apply(Op::Forget((0..n / 3).map(|_| rng.index(len)).collect()));
+            let mut victims: Vec<usize> = (0..n / 3).map(|_| rng.index(len)).collect();
+            if len >= block_rows && rng.range_i64(0, 3) == 0 {
+                let b = rng.index(len / block_rows);
+                victims.extend(b * block_rows..(b + 1) * block_rows);
+            }
+            case.apply(Op::Forget(victims));
             let op = match rng.range_i64(0, 6) {
                 0 | 1 => Op::FreezeUpto(rng.range_i64(0, len as i64 + 1) as usize),
                 2 => Op::FreezeUpto(len),
-                3 => Op::Thaw(rng.range_i64(0, case.table.frozen_blocks() as i64 + 1) as usize),
-                4 => Op::Recompress(0.9),
+                3 => Op::Recompress(0.9),
+                4 => Op::Drop,
                 // The compacted table comes back hot (survivors only,
                 // renumbered) and refreezes later.
                 _ => Op::Vacuum,
             };
             case.apply(op);
             case.table.check_invariants().unwrap();
+            recompressed |= has_block_in(&case.table, BlockState::Recompressed);
+            dropped |= has_block_in(&case.table, BlockState::Dropped);
             let ctx = format!("{ctx} step {step}");
             assert_eq!(case.table.num_rows(), case.model.len(), "{ctx}");
             // Query: a selective, a covering, and an empty predicate.
@@ -388,6 +398,8 @@ fn tiered_interleavings_match_the_model() {
             assert_serial_kernels_agree(&case, pred, false, &format!("{ctx} after drop"));
         }
     }
+    assert!(recompressed, "no step left a recompressed block");
+    assert!(dropped, "no step left a dropped block");
 }
 
 /// The tiered join's pairs are the model's across every codec × block
