@@ -18,7 +18,7 @@ pub fn zigzag_decode(v: u64) -> i64 {
 
 /// Append `v` as an LEB128 varint: built on the stack, appended once.
 #[inline]
-pub fn write_varint(buf: &mut BytesMut, mut v: u64) {
+pub fn write_varint(buf: &mut impl BufMut, mut v: u64) {
     let mut bytes = [0u8; 10];
     let mut n = 0;
     while v >= 0x80 {

@@ -883,6 +883,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A crash right after a fanned-out freeze and recompression (20
+    /// blocks, over the fan-out floor) recovers, by replaying both
+    /// records through the same fan-out, to the live table — which is the
+    /// table the same history builds on one worker.
+    #[test]
+    fn a_fanned_out_sweep_replays_to_the_live_table() {
+        use crate::compress::Encoding;
+        use crate::table::tier_width::{assert_same_table, history, rows};
+        let dir = tmp_dir("fan-out");
+        let (serial, counts) = history(1, 20);
+        let mut table = Table::with_block_rows(Schema::new(vec!["a", "b", "c"]), 64);
+        table.pin_encoding(2, Some(Encoding::Dict));
+        let mut pt = PersistentTable::create_with_table(
+            StdVfs::shared(),
+            &dir,
+            table,
+            SyncPolicy::PerRecord,
+        )
+        .unwrap();
+        // `history`'s steps, logged.
+        let rows = rows(20);
+        for row in &rows {
+            pt.insert(row, 0).unwrap();
+        }
+        pt.freeze_upto(128).unwrap();
+        let first: Vec<RowId> = (0..64)
+            .chain((64..128).filter(|r| r % 5 < 2))
+            .map(RowId)
+            .collect();
+        pt.forget_batch(&first, 1).unwrap();
+        pt.drop_forgotten_blocks().unwrap();
+        pt.recompress_frozen(0.7).unwrap();
+        assert_eq!(pt.freeze_upto(rows.len()).unwrap(), counts[0]);
+        let n = rows.len() as u64;
+        let second: Vec<RowId> = (128..n).filter(|r| r % 8 < 5).map(RowId).collect();
+        pt.forget_batch(&second, 2).unwrap();
+        assert_eq!(pt.recompress_frozen(0.5).unwrap(), (counts[1], counts[2]));
+        let live = pt.table().clone();
+        let live_recompressed = pt.blocks_recompressed();
+        assert_same_table(&live, &serial, "live at full width vs one worker");
+        drop(pt);
+        let rec = PersistentTable::open(&dir).unwrap();
+        assert!(rec.recovered_clean());
+        assert_same_table(rec.table(), &live, "recovered vs live");
+        assert_eq!(rec.blocks_recompressed(), live_recompressed);
+        rec.table().check_invariants().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn drop_shreds_the_covered_segments() {
         let dir = tmp_dir("dropshred");

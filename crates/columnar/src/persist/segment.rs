@@ -57,7 +57,6 @@ use std::path::{Path, PathBuf};
 
 use amnesia_util::fixed::{le_u32, le_u64};
 use amnesia_util::{crc32, storage_err, Result};
-use bytes::BufMut;
 
 use super::reader::Reader;
 use super::vfs::{SharedVfs, VfsFile};
@@ -301,13 +300,17 @@ impl SegmentedWal {
             self.rotate(epoch_hint)?;
         }
         let seqno = self.next_seqno;
-        let mut frame = bytes::BytesMut::new();
-        crate::compress::varint::write_varint(&mut frame, seqno);
-        frame.put_slice(body);
-        let mut framed = Vec::with_capacity(frame.len() + 8);
-        framed.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&frame);
-        framed.extend_from_slice(&crc32(&frame).to_le_bytes());
+        // `len | seqno | body | crc` in one buffer, the body copied once:
+        // the length goes into the 4 bytes reserved for it once the frame
+        // (seqno and body) is in, the CRC after it.
+        let mut framed = Vec::with_capacity(4 + 10 + body.len() + 4);
+        framed.extend_from_slice(&[0; 4]);
+        crate::compress::varint::write_varint(&mut framed, seqno);
+        framed.extend_from_slice(body);
+        let frame_len = (framed.len() - 4) as u32;
+        framed[..4].copy_from_slice(&frame_len.to_le_bytes());
+        let crc = crc32(&framed[4..]);
+        framed.extend_from_slice(&crc.to_le_bytes());
         let Some(active) = self.active.as_mut() else {
             // rotate() always installs an active segment; if it somehow
             // did not, fail the append rather than crash mid-durability.

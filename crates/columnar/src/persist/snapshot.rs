@@ -64,7 +64,7 @@
 //!
 //! There is one writer (v4). The reader keeps every older version
 //! readable: v2 and v3 share v4's body and differ only in those two
-//! sections ([`read_row_metadata`] branches on the version), v1
+//! sections (`read_row_metadata` branches on the version), v1
 //! (pre-tier, one whole-column block per column) has its own column
 //! reader and the same metadata sections.
 //!

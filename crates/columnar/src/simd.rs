@@ -8,8 +8,8 @@
 //! [`mask_impl`], which detects the features once per process — never
 //! per kernel call — so a kernel pays one cached load to learn it.
 //!
-//! One bit primitive rides the same tiers: the [`deposit`] (BMI2 `pdep`
-//! where [`has_bit_ops`] allows it, a portable loop elsewhere). It has
+//! One bit primitive rides the same tiers: the `deposit` (BMI2 `pdep`
+//! where `has_bit_ops` allows it, a portable loop elsewhere). It has
 //! two users: runbits deposits its run verdicts at the run-start bits,
 //! and the activity map deposits a slice of a rank bitmap into each
 //! activity word, which turns uniformly sampled ranks into active row ids

@@ -15,6 +15,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use amnesia_sync::morsel::{cores, run_morsels};
 use amnesia_util::bitmap::for_each_set_bit_in;
 use amnesia_util::{storage_err, Error, MinMax, Result, SimRng};
 use serde::{Deserialize, Serialize};
@@ -26,6 +27,31 @@ use crate::paged::EpochRuns;
 use crate::schema::Schema;
 use crate::tier::{ColumnSummary, TieredColumn};
 use crate::types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};
+
+/// Blocks a tier transition must cover before its jobs fan out across
+/// cores. A job (freezing or recompressing one 1024-row block of one
+/// column) costs some tens of µs, about what starting a worker thread
+/// costs, so a transition over fewer blocks — a FIFO stream's
+/// recompressions, about one block per batch — runs inline and spawns
+/// nothing.
+const TIER_FAN_OUT_BLOCKS: usize = 16;
+
+/// Run the `jobs` jobs of a tier transition over `blocks` blocks and
+/// return their results in job order: on `threads` workers from
+/// [`TIER_FAN_OUT_BLOCKS`] blocks up, inline below.
+fn tier_jobs<R: Send>(
+    threads: usize,
+    blocks: usize,
+    jobs: usize,
+    job: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let threads = if blocks < TIER_FAN_OUT_BLOCKS {
+        1
+    } else {
+        threads
+    };
+    run_morsels(jobs, threads, job).0
+}
 
 /// A columnar table whose tuples can be *forgotten*.
 ///
@@ -261,7 +287,7 @@ impl Table {
     }
 
     /// Forget a batch of rows atomically — the batch's runs
-    /// ([`forget_runs`]) are range-checked before any row is marked, then
+    /// (`forget_runs`) are range-checked before any row is marked, then
     /// applied by the path replay applies a logged batch with — and
     /// call `on_first` for each row this batch took from active to
     /// forgotten, in batch order, right after its run was applied (its
@@ -384,14 +410,33 @@ impl Table {
     /// block boundary): the cold prefix moves into its compressed resting
     /// state with per-block min/max/active metadata cached from the
     /// current activity map. Returns the number of blocks frozen (per
-    /// column — all columns freeze in lockstep).
+    /// column — all columns freeze in lockstep). One job per block and
+    /// column, on every core from 16 blocks up (`TIER_FAN_OUT_BLOCKS`).
     pub fn freeze_upto(&mut self, row: usize) -> usize {
-        let words = self.activity.words();
-        let mut frozen = 0;
-        for c in &mut self.columns {
-            frozen = c.freeze_upto(row, words);
+        self.freeze_upto_on(cores(), row)
+    }
+
+    /// [`Self::freeze_upto`] with its jobs on `threads` workers once the
+    /// freeze covers [`TIER_FAN_OUT_BLOCKS`] blocks (inline below): the
+    /// blocks come back in order, whatever ran them.
+    pub(crate) fn freeze_upto_on(&mut self, threads: usize, row: usize) -> usize {
+        let Some(first) = self.columns.first() else {
+            return 0;
+        };
+        let blocks = first.blocks_to_freeze(row);
+        let nb = blocks.len();
+        if nb == 0 {
+            return 0;
         }
-        frozen
+        let (columns, words) = (&self.columns, self.activity.words());
+        let jobs = tier_jobs(threads, nb, nb * columns.len(), |i| {
+            columns[i / nb].freeze_block(blocks.start + i % nb, words)
+        });
+        let mut jobs = jobs.into_iter();
+        for c in &mut self.columns {
+            c.push_frozen(jobs.by_ref().take(nb));
+        }
+        nb
     }
 
     /// Drop the payload of every fully-forgotten frozen block — the most
@@ -430,31 +475,49 @@ impl Table {
     /// Recompress frozen blocks whose active fraction fell to
     /// `max_active_fraction` or below: forgotten rows squash onto active
     /// neighbours, codecs re-run, meta bounds tighten. Returns `(blocks
-    /// recompressed, bytes saved)`.
+    /// recompressed, bytes saved)`; a block counts when any column saved
+    /// bytes. One job per block and column, on every core from 16
+    /// eligible blocks up (`TIER_FAN_OUT_BLOCKS`).
     pub fn recompress_frozen(&mut self, max_active_fraction: f64) -> (usize, usize) {
-        let words = self.activity.words();
-        let mut blocks = 0;
-        let mut bytes = 0;
-        let nb = self.frozen_blocks();
-        for b in 0..nb {
-            let meta = *self.columns[0].meta(b);
-            if self.columns[0].frozen(b).is_some_and(|f| f.is_dropped()) {
-                continue;
-            }
-            if meta.active as f64 > max_active_fraction * self.block_rows as f64 {
-                continue;
-            }
+        self.recompress_frozen_on(cores(), max_active_fraction)
+    }
+
+    /// [`Self::recompress_frozen`] with its jobs on `threads` workers once
+    /// [`TIER_FAN_OUT_BLOCKS`] blocks are eligible (inline below). The
+    /// jobs only read; their results install serially, in block order.
+    pub(crate) fn recompress_frozen_on(
+        &mut self,
+        threads: usize,
+        max_active_fraction: f64,
+    ) -> (usize, usize) {
+        let Some(first) = self.columns.first() else {
+            return (0, 0);
+        };
+        let most_active = max_active_fraction * self.block_rows as f64;
+        let eligible: Vec<usize> = (0..first.frozen_blocks())
+            .filter(|&b| {
+                first
+                    .frozen(b)
+                    .is_some_and(|f| !f.is_dropped() && f.meta().active as f64 <= most_active)
+            })
+            .collect();
+        let (columns, words) = (&self.columns, self.activity.words());
+        let ncols = columns.len();
+        let jobs = tier_jobs(threads, eligible.len(), eligible.len() * ncols, |i| {
+            columns[i % ncols].recompress_job(eligible[i / ncols], words)
+        });
+        let mut jobs = jobs.into_iter();
+        let (mut blocks, mut bytes) = (0, 0);
+        for &b in &eligible {
             let mut saved_any = false;
-            for c in &mut self.columns {
-                let saved = c.recompress_block(b, words);
-                if saved > 0 {
-                    saved_any = true;
-                }
+            // `zip` asks the columns first, so it takes exactly one job
+            // per column of block `b`.
+            for (c, job) in self.columns.iter_mut().zip(jobs.by_ref()) {
+                let saved = job.map_or(0, |job| c.install_recompressed(b, job));
+                saved_any |= saved > 0;
                 bytes += saved;
             }
-            if saved_any {
-                blocks += 1;
-            }
+            blocks += usize::from(saved_any);
         }
         (blocks, bytes)
     }
@@ -931,5 +994,82 @@ mod tests {
         assert_eq!(t.access().frequency(RowId(0)), 1.0);
         assert_eq!(t.access().frequency(RowId(1)), 0.0);
         assert_eq!(t.access().last_access(RowId(2)), 3);
+    }
+}
+
+/// The tier schedule at every width: the crate-private fan-out driven at
+/// one, two and four workers, on both sides of its floor.
+#[cfg(test)]
+pub(crate) mod tier_width {
+    use super::*;
+    use crate::persist::snapshot;
+
+    /// Three columns of `blocks + 2` full 64-row blocks and a partial
+    /// one, the last column pinned to dict. Blocks 0 and 1 freeze first,
+    /// inline; block 0 dies and drops, block 1 loses 40 % of its rows and
+    /// recompresses. Then the calls under test, on `threads` workers: one
+    /// freeze of the next `blocks` blocks and, with 5 rows in 8 of them
+    /// forgotten, one recompression at 0.5 — which block 1 (59 % active)
+    /// and the dropped block sit out, so it sees exactly `blocks`
+    /// eligible blocks. Returns the table, the blocks the freeze froze
+    /// and the recompression's `(blocks, bytes)`.
+    pub(crate) fn history(threads: usize, blocks: usize) -> (Table, [usize; 3]) {
+        let mut t = Table::with_block_rows(Schema::new(vec!["a", "b", "c"]), 64);
+        t.pin_encoding(2, Some(Encoding::Dict));
+        let rows = rows(blocks);
+        for row in &rows {
+            t.insert(row, 0).unwrap();
+        }
+        let rows = rows.len();
+        assert_eq!(t.freeze_upto_on(1, 128), 2);
+        for r in (0..64).chain((64..128).filter(|r| r % 5 < 2)) {
+            t.forget(RowId(r), 1).unwrap();
+        }
+        assert_eq!(t.drop_forgotten_blocks().0, 1);
+        assert_eq!(t.recompress_frozen_on(1, 0.7).0, 1);
+
+        let frozen = t.freeze_upto_on(threads, rows);
+        for r in (128..rows as u64).filter(|r| r % 8 < 5) {
+            t.forget(RowId(r), 2).unwrap();
+        }
+        let (recompressed, saved) = t.recompress_frozen_on(threads, 0.5);
+        (t, [frozen, recompressed, saved])
+    }
+
+    /// The rows [`history`] inserts: a serial column, a low-cardinality
+    /// one and a wide random one.
+    pub(crate) fn rows(blocks: usize) -> Vec<[Value; 3]> {
+        let mut rng = SimRng::new(0x71E4);
+        (0..((blocks + 2) * 64 + 40) as i64)
+            .map(|i| [i, i / 7 % 5, rng.range_i64(-1 << 40, 1 << 40)])
+            .collect()
+    }
+
+    /// Every column's tiers (payloads, metas, states, hot tail) and the
+    /// snapshot bytes (activity, epochs, death epochs, access, bounds) of
+    /// `a` and `b` agree.
+    pub(crate) fn assert_same_table(a: &Table, b: &Table, ctx: &str) {
+        assert_eq!(a.schema(), b.schema(), "{ctx}");
+        for c in 0..a.schema().arity() {
+            assert_eq!(a.col_tier(c), b.col_tier(c), "{ctx}: column {c}");
+        }
+        assert_eq!(snapshot::encode(a), snapshot::encode(b), "{ctx}: snapshot");
+    }
+
+    #[test]
+    fn the_tier_schedule_is_identical_at_every_width() {
+        for blocks in [15, 16] {
+            let (want, want_counts) = history(1, blocks);
+            assert_eq!(want_counts[0], blocks);
+            assert!(want_counts[1] > 0 && want_counts[2] > 0, "{want_counts:?}");
+            for threads in [2, 4] {
+                let (got, counts) = history(threads, blocks);
+                let ctx = format!("{blocks} blocks, {threads} workers");
+                assert_eq!(counts, want_counts, "{ctx}: returned counts");
+                assert_same_table(&got, &want, &ctx);
+                assert_eq!(got.memory_bytes(), want.memory_bytes(), "{ctx}");
+                got.check_invariants().unwrap();
+            }
+        }
     }
 }

@@ -21,10 +21,13 @@
 //! the amnesia policies' forgets decide which blocks qualify.
 //!
 //! ```text
-//!   hot ──freeze_upto──▶ frozen ──recompress_block──▶ recompressed
-//!                           │                              │
-//!                           └──────────drop_block──────────┴──▶ dropped
+//!   hot ──freeze_upto──▶ frozen ──recompress_frozen──▶ recompressed
+//!                           │                               │
+//!                           └─────drop_forgotten_blocks─────┴──▶ dropped
 //! ```
+//!
+//! (the [`Table`](crate::table::Table) methods; a column's own steps are
+//! below)
 //!
 //! * **hot** — plain `Vec<Value>` tail; inserts append here, point reads
 //!   are array indexing, scans take the raw-slice batch kernels. Each
@@ -47,6 +50,32 @@
 //!   payload entirely: only the 2-byte placeholder and the meta survive.
 //!   Row ids stay stable (the block still occupies its row range);
 //!   reading a dropped row yields 0, which no active-only path ever does.
+//!
+//! # Who runs the tier schedule
+//!
+//! The store calls the transitions at a batch boundary, and recovery
+//! replays them from the log (`WalRecord::Freeze`, `WalRecord::Recompress`),
+//! both through the same [`Table`](crate::table::Table) methods. A
+//! freeze and a recompression are each two steps:
+//!
+//! * **jobs** — one per block and column, reading the column and the
+//!   activity words only: `TieredColumn::freeze_block` (meta and
+//!   encoding of a hot block) and `FrozenBlock::recompressed` (squashed
+//!   meta and, when smaller, a new payload). The table runs them through
+//!   `amnesia-sync`'s morsel scheduler — the one the engine's plan
+//!   stages run on — on every core the process may use
+//!   (`amnesia_sync::morsel::cores`, read once), once a transition covers
+//!   16 blocks; below that it runs them inline and spawns nothing. No
+//!   option sets the width.
+//! * **install** — serial, in block order: frozen blocks are pushed one
+//!   at a time (the frozen vector's capacity is resident bytes, so it
+//!   grows as it always did), recompressed metas and payloads replace the
+//!   old ones in place.
+//!
+//! The results come back in job order whichever worker ran them, so the
+//! bytes, the metas, the returned counts and the log are the same at any
+//! width. Drops stay serial: a drop rewrites a 2-byte placeholder and
+//! has nothing to fan out.
 //!
 //! Meta maintenance follows the usual zone-map contract: forgetting keeps
 //! bounds *safe* rather than tight (they only shrink on recompression),
@@ -180,6 +209,53 @@ impl FrozenBlock {
     /// Reassemble from persisted parts (snapshot reader).
     pub fn from_parts(block: EncodedBlock, meta: BlockMeta, state: BlockState) -> Self {
         Self { block, meta, state }
+    }
+
+    /// The recompression job of this block, given its own activity
+    /// `words` (block-local) and the column's pinned codec: forgotten
+    /// rows' values are squashed onto their last active neighbour (0
+    /// before the first), lengthening runs and shrinking dictionaries.
+    /// Returns the meta of the active rows (bounds tighten to the
+    /// survivors), and the re-encoded payload when the smaller encoding
+    /// beats the current one (`None`: the old payload, forgotten values
+    /// included, stays). Reads only, so a table's jobs run on any thread.
+    ///
+    /// Safe because active-only scans AND every mask with the activity
+    /// words: a forgotten row's value can change freely without a single
+    /// query result moving. The complete-scan regime
+    /// (`ScanSeesForgotten`) must not drive recompression — the store
+    /// layer gates on visibility.
+    ///
+    /// The whole step works on runs, not rows. The block becomes its
+    /// squashed `(value, length)` runs in one walk (the `Squash` builder):
+    /// an rle or runbits block's runs are read straight off the payload,
+    /// any other codec decodes and collapses into runs in the same pass,
+    /// and each source run costs one word-at-a-time search for its first
+    /// active row — it splits there, the rows before it taking the
+    /// previous survivor's value. The runs are sized in every codec
+    /// (`BlockSizes::of_runs`, rule in the [`compress`](crate::compress)
+    /// module docs), and unless the best size is below the current
+    /// payload no encoder runs. An rle or runbits winner is written from
+    /// the runs; another winner expands them once. The bytes and meta are
+    /// those of squashing, sizing and encoding row by row.
+    pub(crate) fn recompressed(
+        &self,
+        words: &[u64],
+        pinned: Option<Encoding>,
+    ) -> (BlockMeta, Option<EncodedBlock>) {
+        let mut squash = Squash::new(words);
+        if matches!(self.block.encoding(), Encoding::Rle | Encoding::RunBits) {
+            self.block
+                .for_each_run(|v, start, len| squash.run(v, start, len));
+        } else {
+            self.block
+                .for_each_active(words, |i, v| squash.survivor(i, v));
+        }
+        let (runs, meta) = squash.finish(self.block.len());
+        let sizes = BlockSizes::of_runs(runs);
+        let encoding = pinned.unwrap_or_else(|| sizes.smallest());
+        let smaller = sizes.bytes(encoding) < self.block.compressed_bytes();
+        (meta, smaller.then(|| sizes.encode(encoding)))
     }
 }
 
@@ -602,7 +678,7 @@ impl TieredColumn {
     /// same hot length (appends leave the cell alone). Concurrent readers
     /// of a stale cell wait for one build rather than each running their
     /// own. `words` must be the words every [`Self::note_forget`] of this
-    /// column mirrors, as for [`Self::freeze_upto`].
+    /// column mirrors: the owning table's activity words.
     pub fn summary(&self, words: &[u64]) -> Arc<ColumnSummary> {
         // A poisoned lock still holds a whole summary or none: the one
         // write under it is the assignment below.
@@ -637,7 +713,8 @@ impl TieredColumn {
     }
 
     /// Append one value to the hot tail, sealing the open block's meta
-    /// when it fills. Freezing is *explicit* ([`Self::freeze_upto`]) —
+    /// when it fills. Freezing is *explicit*
+    /// ([`Table::freeze_upto`](crate::table::Table::freeze_upto)) —
     /// appends never compress behind the caller's back.
     #[inline]
     pub fn push(&mut self, v: Value) {
@@ -737,31 +814,61 @@ impl TieredColumn {
     }
 
     /// Freeze full blocks so that every row below `row` (rounded *down*
-    /// to a block boundary) is compressed. `words` are the table's packed
-    /// activity words, consulted to cache each block's [`BlockMeta`].
-    /// Returns the number of blocks frozen.
-    pub fn freeze_upto(&mut self, row: usize, words: &[u64]) -> usize {
+    /// to a block boundary) is compressed, `words` being the table's
+    /// activity words: one column's freeze on the calling thread, the two
+    /// steps a [`Table`](crate::table::Table) runs for all its columns at
+    /// once (module docs, "Who runs the tier schedule"). Returns the
+    /// number of blocks frozen.
+    #[cfg(test)]
+    fn freeze_upto(&mut self, row: usize, words: &[u64]) -> usize {
+        let frozen: Vec<FrozenBlock> = self
+            .blocks_to_freeze(row)
+            .map(|b| self.freeze_block(b, words))
+            .collect();
+        self.push_frozen(frozen)
+    }
+
+    /// The blocks a freeze up to `row` freezes: the full hot blocks below
+    /// `row` rounded down to a block boundary (none when the frozen prefix
+    /// reaches that far already).
+    pub(crate) fn blocks_to_freeze(&self, row: usize) -> std::ops::Range<usize> {
         let target = row.min(self.len()) / self.block_rows;
-        if target <= self.frozen.len() {
+        self.frozen.len()..target.max(self.frozen.len())
+    }
+
+    /// The freeze job of hot block `b`, one of [`Self::blocks_to_freeze`]:
+    /// the block's meta under `words` and its encoding (the pinned codec,
+    /// or the smallest). Reads the column only, so the jobs of a freeze
+    /// run on any thread; [`Self::push_frozen`] installs them.
+    pub(crate) fn freeze_block(&self, b: usize, words: &[u64]) -> FrozenBlock {
+        let br = self.block_rows;
+        let i = b - self.frozen.len();
+        let chunk = &self.hot[i * br..(i + 1) * br];
+        FrozenBlock {
+            meta: meta_of(chunk, words, b * br),
+            block: match self.encoding {
+                Some(e) => EncodedBlock::encode(chunk, e),
+                None => EncodedBlock::encode_auto(chunk),
+            },
+            state: BlockState::Frozen,
+        }
+    }
+
+    /// Install the [`Self::freeze_block`] jobs of the first hot blocks,
+    /// in block order. One `push` per block: resident bytes count the
+    /// frozen vector's capacity, and an `extend` would reserve for the
+    /// whole batch at once and grow it differently. Returns the number of
+    /// blocks frozen.
+    pub(crate) fn push_frozen(&mut self, blocks: impl IntoIterator<Item = FrozenBlock>) -> usize {
+        let first = self.frozen.len();
+        for f in blocks {
+            self.frozen.push(f);
+        }
+        let k = self.frozen.len() - first;
+        if k == 0 {
             return 0;
         }
         self.summary.clear();
-        let k = target - self.frozen.len();
-        let first = self.frozen.len();
-        for i in 0..k {
-            let base = (first + i) * self.block_rows;
-            let chunk = &self.hot[i * self.block_rows..(i + 1) * self.block_rows];
-            let meta = meta_of(chunk, words, base);
-            let block = match self.encoding {
-                Some(e) => EncodedBlock::encode(chunk, e),
-                None => EncodedBlock::encode_auto(chunk),
-            };
-            self.frozen.push(FrozenBlock {
-                block,
-                meta,
-                state: BlockState::Frozen,
-            });
-        }
         self.hot = self.hot.split_off(k * self.block_rows);
         // The metas grew with the tail's capacity; they follow it down when
         // that frees more than a few cache lines, and otherwise keep their
@@ -831,60 +938,50 @@ impl TieredColumn {
         old.saturating_sub(f.block.compressed_bytes())
     }
 
-    /// Re-encode frozen block `b` after forgetting: forgotten rows'
-    /// values are squashed onto their last active neighbour (0 before the
-    /// first), lengthening runs and shrinking dictionaries; meta bounds
-    /// tighten to the surviving rows, and the smaller encoding wins.
-    ///
-    /// The whole step works on runs, not rows. The block becomes its
-    /// squashed `(value, length)` runs in one walk ([`Squash`]): an rle or
-    /// runbits block's runs are read straight off the payload, any other
-    /// codec decodes and collapses into runs in the same pass, and each
-    /// source run costs one word-at-a-time search for its first active
-    /// row — it splits there, the rows before it taking the previous
-    /// survivor's value. The runs are sized in every codec
-    /// ([`BlockSizes::of_runs`], rule in the `compress` module docs), and
-    /// unless the best size is below the current payload no encoder runs
-    /// and the old payload — forgotten values included — is kept. An rle
-    /// or runbits winner is written from the runs; another winner expands
-    /// them once. The bytes, meta and state are those of squashing, sizing
-    /// and encoding row by row. Returns compressed bytes saved.
-    ///
-    /// Safe because active-only scans AND every mask with the activity
-    /// words: a forgotten row's value can change freely without a single
-    /// query result moving. The complete-scan regime
-    /// (`ScanSeesForgotten`) must not drive recompression — the store
-    /// layer gates on visibility.
-    pub fn recompress_block(&mut self, b: usize, words: &[u64]) -> usize {
-        let block_rows = self.block_rows;
-        let Some(f) = self.frozen.get_mut(b) else {
+    /// Recompress frozen block `b` of this one column on the calling
+    /// thread: its job ([`Self::recompress_job`]) and its install, the two
+    /// steps a [`Table`](crate::table::Table) runs for every column of
+    /// many blocks at once. Returns compressed bytes saved.
+    #[cfg(test)]
+    fn recompress_block(&mut self, b: usize, words: &[u64]) -> usize {
+        match self.recompress_job(b, words) {
+            Some(job) => self.install_recompressed(b, job),
+            None => 0,
+        }
+    }
+
+    /// The recompression job of frozen block `b` under the table's
+    /// activity `words` ([`FrozenBlock::recompressed`] with the column's
+    /// pinned codec); `None` when the block is dropped or not frozen.
+    pub(crate) fn recompress_job(
+        &self,
+        b: usize,
+        words: &[u64],
+    ) -> Option<(BlockMeta, Option<EncodedBlock>)> {
+        let f = self.frozen.get(b).filter(|f| !f.is_dropped())?;
+        let br = self.block_rows;
+        let words = &words[b * br / WORD_BITS..(b + 1) * br / WORD_BITS];
+        Some(f.recompressed(words, self.encoding))
+    }
+
+    /// Install the [`Self::recompress_job`] of frozen block `b`: the meta
+    /// always (and the summary goes), the payload when the job found a
+    /// smaller one. Returns compressed bytes saved.
+    pub(crate) fn install_recompressed(
+        &mut self,
+        b: usize,
+        (meta, block): (BlockMeta, Option<EncodedBlock>),
+    ) -> usize {
+        self.summary.clear();
+        let f = &mut self.frozen[b];
+        f.meta = meta;
+        let Some(block) = block else {
             return 0;
         };
-        if f.is_dropped() {
-            return 0;
-        }
-        self.summary.clear();
-        let words = &words[b * block_rows / WORD_BITS..(b + 1) * block_rows / WORD_BITS];
-        let mut squash = Squash::new(words);
-        if matches!(f.block.encoding(), Encoding::Rle | Encoding::RunBits) {
-            f.block
-                .for_each_run(|v, start, len| squash.run(v, start, len));
-        } else {
-            f.block.for_each_active(words, |i, v| squash.survivor(i, v));
-        }
-        let (runs, meta) = squash.finish(block_rows);
-        let sizes = BlockSizes::of_runs(runs);
-        let encoding = self.encoding.unwrap_or_else(|| sizes.smallest());
-        f.meta = meta;
-        let old = f.block.compressed_bytes();
-        let new = sizes.bytes(encoding);
-        if new < old {
-            f.block = sizes.encode(encoding);
-            f.state = BlockState::Recompressed;
-            old - new
-        } else {
-            0
-        }
+        let saved = f.block.compressed_bytes() - block.compressed_bytes();
+        f.block = block;
+        f.state = BlockState::Recompressed;
+        saved
     }
 
     /// Decode one frozen block (or borrow nothing for dropped: yields
@@ -1086,7 +1183,7 @@ fn meta_of(chunk: &[Value], words: &[u64], base: usize) -> BlockMeta {
 }
 
 /// A frozen block squashed in one walk (see
-/// [`TieredColumn::recompress_block`]): fed the block's runs, or its
+/// [`FrozenBlock::recompressed`]): fed the block's runs, or its
 /// surviving rows, in row order, it builds the maximal runs of the
 /// squashed block and the meta of its active rows.
 struct Squash<'a> {
@@ -1161,6 +1258,8 @@ impl<'a> Squash<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Schema;
+    use crate::table::Table;
 
     fn all_active(n: usize) -> Vec<u64> {
         let mut words = vec![!0u64; n.div_ceil(WORD_BITS)];
@@ -1171,6 +1270,27 @@ mod tests {
             }
         }
         words
+    }
+
+    /// Resident bytes count the frozen vector's capacity, so a table's
+    /// freeze of many blocks — fanned out from 16 on — pushes them one at
+    /// a time, as a serial freeze does, never reserving for the batch.
+    #[test]
+    fn a_table_freeze_pushes_block_by_block() {
+        let mut t = Table::with_block_rows(Schema::new(vec!["a", "b"]), 64);
+        for i in 0..17 * 64 {
+            t.insert(&[i, i % 3], 0).unwrap();
+        }
+        assert_eq!(t.freeze_upto(64), 1);
+        assert_eq!(t.freeze_upto(17 * 64), 16);
+        for c in 0..2 {
+            let frozen = &t.col_tier(c).frozen;
+            let mut pushed = Vec::new();
+            for f in frozen {
+                pushed.push(f.clone());
+            }
+            assert_eq!(frozen.capacity(), pushed.capacity(), "column {c}");
+        }
     }
 
     #[test]

@@ -28,10 +28,14 @@
 //!   the work is cut, never which code computes the answer; the
 //!   row-at-a-time model the tests hold that answer to is the dev-only
 //!   `amnesia-model` crate.
-//! * **Scheduling** (`run_morsels`): each worker owns a contiguous range
-//!   of span indices behind an atomic cursor; a worker that drains its
-//!   range *steals* single spans from the most-loaded peer. Steal counts
-//!   surface in [`SchedStats`] and, through the executor, in
+//! * **Scheduling** ([`run_morsels`]): the workspace has one scheduler,
+//!   and it lives a layer down, in `amnesia-sync`, because the tier
+//!   schedule in `amnesia-columnar` (freeze and recompression jobs) runs
+//!   on it too. Each worker owns a contiguous range of span indices
+//!   behind an atomic cursor; a worker that drains its range *steals*
+//!   single spans from the most-loaded peer. This module keeps the
+//!   spans and the per-plan accounting: steal counts surface in
+//!   [`SchedStats`] and, through the executor, in
 //!   [`ExecStats`](crate::exec::ExecStats).
 //! * **Determinism**: partials come back indexed by span, whichever
 //!   worker ran them, and absorb left to right. Spans tile the row space
@@ -46,7 +50,7 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use amnesia_sync::atomic::{AtomicUsize, Ordering};
+use amnesia_sync::morsel::run_morsels;
 use amnesia_sync::thread;
 
 use amnesia_columnar::{RowId, Table, Value};
@@ -134,15 +138,6 @@ pub struct SchedStats {
     /// breakers (concatenating selections, merging group tables, k-way
     /// sort merge).
     pub merge_ns: u64,
-}
-
-impl SchedStats {
-    /// Fold in another stage's accounting.
-    pub fn absorb(&mut self, other: &SchedStats) {
-        self.morsels += other.morsels;
-        self.steals += other.steals;
-        self.merge_ns += other.merge_ns;
-    }
 }
 
 /// One morsel of a table — what every plan kernel takes: a contiguous
@@ -240,118 +235,6 @@ fn index_chunks(n: usize, target: usize) -> Vec<Range<usize>> {
 }
 
 // ---------------------------------------------------------------------
-// The scheduler.
-// ---------------------------------------------------------------------
-
-/// Run `n` morsels across `threads` workers and return the per-morsel
-/// results **in morsel order**, plus scheduler accounting.
-///
-/// Each worker owns a contiguous range of morsel indices behind an
-/// atomic cursor; after draining its own range it steals one morsel at a
-/// time from the peer with the most work left. Results are collected
-/// per-worker and scattered back by morsel index, so downstream merges
-/// see a deterministic order no matter which worker ran what.
-pub fn run_morsels<R, F>(n: usize, threads: usize, run: F) -> (Vec<R>, SchedStats)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if n == 0 {
-        return (Vec::new(), SchedStats::default());
-    }
-    let workers = threads.max(1).min(n);
-    if workers <= 1 {
-        let results = (0..n).map(&run).collect();
-        return (
-            results,
-            SchedStats {
-                morsels: n,
-                ..Default::default()
-            },
-        );
-    }
-    let per = n.div_ceil(workers);
-    let cursors: Vec<AtomicUsize> = (0..workers).map(|w| AtomicUsize::new(w * per)).collect();
-    let ends: Vec<usize> = (0..workers).map(|w| ((w + 1) * per).min(n)).collect();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut steal_total = 0usize;
-    thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let cursors = &cursors;
-                let ends = &ends;
-                let run = &run;
-                s.spawn(move || {
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut steals = 0usize;
-                    // Own range first. Relaxed claim: each cursor word
-                    // is independently atomic, and results travel to
-                    // the collector through the scope-join edge, not
-                    // through cursor ordering — the model suite
-                    // (tests/model.rs, morsel exactly-once) verifies
-                    // this happens-before shape on every explored
-                    // schedule.
-                    loop {
-                        let i = cursors[w].fetch_add(1, Ordering::Relaxed);
-                        if i >= ends[w] {
-                            break;
-                        }
-                        out.push((i, run(i)));
-                    }
-                    // Steal one morsel at a time from the most-loaded
-                    // peer until everyone is drained.
-                    loop {
-                        let victim = (0..workers).filter(|&v| v != w).max_by_key(|&v| {
-                            ends[v].saturating_sub(cursors[v].load(Ordering::Relaxed))
-                        });
-                        let Some(v) = victim else { break };
-                        // Relaxed re-check: the fetch_add below is the
-                        // claim; a stale read here only costs one wasted
-                        // steal attempt, never a double-claimed morsel.
-                        // The model checker explores stale-read
-                        // interleavings explicitly and proves no morsel
-                        // double-executes or drops.
-                        if ends[v].saturating_sub(cursors[v].load(Ordering::Relaxed)) == 0 {
-                            break;
-                        }
-                        // Relaxed claim: cursors are the sole shared words
-                        // and fetch_add is atomic per cursor; results are
-                        // published by the scope join, not by this write —
-                        // the join edge is the model-verified
-                        // happens-before that makes Relaxed sufficient.
-                        let i = cursors[v].fetch_add(1, Ordering::Relaxed);
-                        if i < ends[v] {
-                            steals += 1;
-                            out.push((i, run(i)));
-                        }
-                    }
-                    (out, steals)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (part, steals) = h.join().expect("morsel worker");
-            steal_total += steals;
-            for (i, r) in part {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|r| r.expect("every morsel ran exactly once"))
-        .collect();
-    (
-        results,
-        SchedStats {
-            morsels: n,
-            steals: steal_total,
-            merge_ns: 0,
-        },
-    )
-}
-
-// ---------------------------------------------------------------------
 // The pool: one driver for every plan stage.
 // ---------------------------------------------------------------------
 
@@ -405,20 +288,20 @@ impl Pool {
         kernel: impl Fn(&U, &mut R) + Sync,
         mut absorb: impl FnMut(&mut R, R),
     ) -> R {
+        self.stats.morsels += units.len();
         if self.threads == 1 {
             let mut acc = init();
             for unit in units {
                 kernel(unit, &mut acc);
             }
-            self.stats.morsels += units.len();
             return acc;
         }
-        let (parts, sched) = run_morsels(units.len(), self.threads, |i| {
+        let (parts, steals) = run_morsels(units.len(), self.threads, |i| {
             let mut part = init();
             kernel(&units[i], &mut part);
             part
         });
-        self.stats.absorb(&sched);
+        self.stats.steals += steals;
         let t0 = Instant::now();
         let mut parts = parts.into_iter();
         let mut acc = parts.next().unwrap_or_else(&init);
@@ -702,15 +585,6 @@ mod tests {
             table_morsels(&hot, usize::MAX),
             [Span::Rows { lo: 0, hi: 200 }]
         );
-    }
-
-    #[test]
-    fn scheduler_runs_every_morsel_once_in_order() {
-        for (n, threads) in [(1usize, 8usize), (7, 2), (64, 7), (100, 8), (5, 64)] {
-            let (results, sched) = run_morsels(n, threads, |i| i * 3);
-            assert_eq!(results, (0..n).map(|i| i * 3).collect::<Vec<_>>());
-            assert_eq!(sched.morsels, n);
-        }
     }
 
     #[test]

@@ -6,12 +6,17 @@
 //! `std` — zero types, zero wrappers, zero overhead. Under the `model`
 //! cargo feature the same names become thin wrappers that route every
 //! load/store/RMW/lock/spawn/join through a deterministic cooperative
-//! scheduler ([`model`]), which makes interleaving-dependent bugs
-//! *checkable* instead of merely unlikely to reproduce.
+//! scheduler (the `model` module, built only with the feature), which
+//! makes interleaving-dependent bugs *checkable* instead of merely
+//! unlikely to reproduce.
+//!
+//! Built on those names, [`morsel::run_morsels`] is the workspace's one
+//! fan-out: the engine's plan stages and the tier schedule's freeze and
+//! recompression jobs both run through it.
 //!
 //! ## Scheduler design
 //!
-//! [`model::explore`] runs a closure (the "body") many times. Each run
+//! `model::explore` runs a closure (the "body") many times. Each run
 //! executes the body's threads as real OS threads, but serialized: a
 //! thread may only cross a synchronization operation (any wrapper call)
 //! when the controller grants it a step, and exactly one thread runs
@@ -36,7 +41,7 @@
 //!   order in which backtrack candidates are tried (CI passes the run
 //!   number, mirroring the `recovery-torture` fault matrix), and
 //!   `AMNESIA_MODEL_ITERS` caps the number of schedules. Every schedule
-//!   explored by the DFS is distinct by construction; [`model::Report`]
+//!   explored by the DFS is distinct by construction; `model::Report`
 //!   says how many ran and whether the space was exhausted.
 //!
 //! ## The race detector
@@ -55,7 +60,7 @@
 //! ## Reading a race trace
 //!
 //! A failure report (printed by the `model` tests on panic, see
-//! [`model::Failure`]) contains:
+//! `model::Failure`) contains:
 //!
 //! * the failure kind (`data race`, `deadlock`, `panic`) with the two
 //!   racing accesses (`t1 wrote loc#3 at step 12; t2 read loc#3 at step
@@ -90,6 +95,7 @@
 
 pub mod atomic;
 pub mod cell;
+pub mod morsel;
 pub mod mutex;
 pub mod thread;
 

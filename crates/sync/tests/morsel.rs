@@ -1,27 +1,32 @@
-//! Model-checked verification of the engine's concurrency surface.
+//! Model-checked verification of the morsel scheduler.
 //!
-//! The morsel scheduler's claim/steal protocol runs entirely on Relaxed
-//! atomics (see `morsel.rs` for the rationale comments); this suite is
-//! the proof those comments cite: under every explored interleaving —
+//! [`run_morsels`]'s claim/steal protocol runs entirely on Relaxed
+//! atomics (see `src/morsel.rs` for the rationale comments); this suite
+//! is the proof those comments cite: under every explored interleaving —
 //! including steals racing the owner's own claims and stale re-check
 //! reads — every morsel executes exactly once, no result is dropped,
-//! and the output order is byte-identical to serial execution.
+//! and the output order is byte-identical to serial execution. The
+//! engine's plan stages and the columnar tier schedule both fan out
+//! through this one function.
 //!
-//! Run with `cargo test -p amnesia-engine --features model --test model`.
+//! Run with `cargo test -p amnesia-sync --features model --test morsel`.
 //! Override exploration via `AMNESIA_MODEL_{ITERS,PREEMPTIONS,SEED,REPLAY}`.
 
-use amnesia_engine::morsel::run_morsels;
 use amnesia_sync::atomic::{AtomicUsize, Ordering};
 use amnesia_sync::model::{explore, ModelConfig};
+use amnesia_sync::morsel::run_morsels;
 
 /// Exactly-once across steals: every morsel body runs once on some
-/// worker, results land in morsel order, and the steal accounting adds
-/// up. The per-morsel execution counters are shim atomics, so a
+/// worker, results land in morsel order, and no more morsels are stolen
+/// than exist. The per-morsel execution counters are shim atomics, so a
 /// double-execute *or* a drop fails the in-body asserts on whichever
 /// schedule produces it. Acceptance requires >=1000 distinct schedules.
+/// Two workers are the caller and one spawned thread; six morsels give
+/// each a range of three, so steals race the owner's claims over more
+/// than one morsel.
 #[test]
 fn morsel_steal_is_exactly_once() {
-    const N: usize = 4;
+    const N: usize = 6;
     const WORKERS: usize = 2;
     // Bound 4 (default 3): the steal loop's re-check/claim interleavings
     // need one extra preemption to expose their full schedule variety,
@@ -36,7 +41,7 @@ fn morsel_steal_is_exactly_once() {
     }
     let report = explore(cfg, || {
         let runs: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
-        let (results, stats) = run_morsels(N, WORKERS, |i| {
+        let (results, steals) = run_morsels(N, WORKERS, |i| {
             // Relaxed: the count is reconciled after the scope join
             // below; the join edge is the model-verified
             // happens-before, exactly as in the scheduler itself.
@@ -45,7 +50,7 @@ fn morsel_steal_is_exactly_once() {
         });
         let expected: Vec<usize> = (0..N).map(|i| i * 10).collect();
         assert_eq!(results, expected, "morsel order must equal serial");
-        assert_eq!(stats.morsels, N);
+        assert!(steals <= N, "{steals} steals of {N} morsels");
         for (i, c) in runs.iter().enumerate() {
             // Relaxed read: ordered by run_morsels' internal join.
             let count = c.load(Ordering::Relaxed);
@@ -65,10 +70,9 @@ fn morsel_steal_is_exactly_once() {
 #[test]
 fn morsel_single_worker_is_serial() {
     let report = explore(ModelConfig::from_env(), || {
-        let (results, stats) = run_morsels(4, 1, |i| i + 1);
+        let (results, steals) = run_morsels(4, 1, |i| i + 1);
         assert_eq!(results, vec![1, 2, 3, 4]);
-        assert_eq!(stats.morsels, 4);
-        assert_eq!(stats.steals, 0);
+        assert_eq!(steals, 0);
     });
     report.assert_clean();
     assert_eq!(report.schedules, 1, "no spawn, no scheduling choice");
