@@ -87,11 +87,30 @@ impl ActivityMap {
     }
 
     /// Mark the rows `[lo, hi)` — all of them active — forgotten at
-    /// `epoch`: the snapshot reader's run-at-a-time [`Self::forget`].
+    /// `epoch`: a run-at-a-time [`Self::forget`], for a range known to be
+    /// active and for a restored run across death-epoch pages.
     pub(crate) fn forget_active_range(&mut self, lo: usize, hi: usize, epoch: Epoch) {
         let cleared = self.active.clear_range(lo, hi);
         debug_assert_eq!(cleared, hi - lo, "rows {lo}..{hi} were not all active");
         self.died_at.fill(lo, hi, epoch);
+    }
+
+    /// [`Self::forget_active_range`] for each `(lo, hi, epoch)` of `runs`,
+    /// ascending, disjoint and all inside death-epoch page `page`: the
+    /// snapshot reader's page-at-a-time restore. A run inside one
+    /// activity word clears one mask, and the page's epochs are filled in
+    /// one pass ([`Paged::fill_page_runs`]).
+    pub(crate) fn forget_page_runs(&mut self, page: usize, runs: &[(usize, usize, Epoch)]) {
+        let mut cleared = 0;
+        for &(lo, hi, _) in runs {
+            cleared += self.active.clear_range(lo, hi);
+        }
+        debug_assert_eq!(
+            cleared,
+            runs.iter().map(|&(lo, hi, _)| hi - lo).sum::<usize>(),
+            "page {page}'s runs were not all active"
+        );
+        self.died_at.fill_page_runs(page, runs);
     }
 
     /// [`Self::forget`] over the rows `[lo, hi)`, a word at a time: the

@@ -237,6 +237,66 @@ impl<T: Copy + PartialEq, const CODED: bool> Paged<T, CODED> {
         }
     }
 
+    /// Set each `(lo, hi, value)` of `runs` — ascending, disjoint, all
+    /// inside page `page` — what [`Self::fill`] does run by run, with the
+    /// page looked up and materialised once: a coded page codes each run's
+    /// value (reusing the last run's code when it repeats) and fills its
+    /// codes, a sealed page is expanded, filled and sealed again.
+    pub(crate) fn fill_page_runs(&mut self, page: usize, runs: &[(usize, usize, T)]) {
+        let base = page * self.page_rows;
+        let Some((&(lo, hi, value), rest)) = runs.split_first() else {
+            return;
+        };
+        // Materialises the page as the run-by-run fill would.
+        self.fill_in_page(page, lo - base, hi - base, value);
+        match self.slots.get_mut(page) {
+            None | Some(Slot::Absent) => {
+                // Only default values so far: each stays a no-op or
+                // materialises the page.
+                for &(lo, hi, value) in rest {
+                    self.fill_in_page(page, lo - base, hi - base, value);
+                }
+            }
+            Some(Slot::Dense(entries)) => {
+                for &(lo, hi, value) in rest {
+                    entries[lo - base..hi - base].fill(value);
+                }
+            }
+            Some(Slot::Coded(coded)) => {
+                let mut last: Option<(T, u8)> = None;
+                for (i, &(lo, hi, value)) in rest.iter().enumerate() {
+                    let code = match last {
+                        Some((v, code)) if v == value => code,
+                        _ => match coded.code_of(value) {
+                            Some(code) => code,
+                            None => {
+                                // A 257th value: the page goes dense the
+                                // way a single fill turns it.
+                                for &(lo, hi, value) in &rest[i..] {
+                                    self.fill_in_page(page, lo - base, hi - base, value);
+                                }
+                                return;
+                            }
+                        },
+                    };
+                    last = Some((value, code));
+                    coded.codes[lo - base..hi - base].fill(code);
+                }
+            }
+            Some(Slot::Sealed(sealed)) => {
+                let mut entries = vec![self.default; self.page_rows];
+                let ends = sealed.iter().skip(1).map(|&(start, _)| start);
+                for (&(start, value), end) in sealed.iter().zip(ends.chain([self.page_rows])) {
+                    entries[start..end].fill(value);
+                }
+                for &(lo, hi, value) in rest {
+                    entries[lo - base..hi - base].fill(value);
+                }
+                *sealed = runs_of(&entries, |&v| v).collect();
+            }
+        }
+    }
+
     fn grow_directory(&mut self, pages: usize) {
         if pages > self.slots.len() {
             let capacity = pages.next_multiple_of(DIRECTORY_CHUNK);
@@ -591,6 +651,67 @@ mod tests {
         }
         assert_eq!(runs(&ascending), runs(&scattered));
         assert_eq!(ascending.memory_bytes(), scattered.memory_bytes());
+    }
+
+    /// `fill_page_runs` leaves every page form — absent, coded, dense,
+    /// sealed, and a coded page its runs push past 256 values — exactly
+    /// as the same runs filled one by one: every row, the runs, the bytes.
+    #[test]
+    fn page_runs_fill_like_run_by_run_fills() {
+        const ROWS: usize = 512;
+        let mut rng = amnesia_util::SimRng::new(45);
+        type Deaths = Paged<u64, true>;
+        type Prepare = fn(&mut Deaths);
+        let prepare: [(&str, Prepare); 5] = [
+            ("absent", |_| {}),
+            ("coded", |p| p.fill(ROWS + 7, ROWS + 90, 3)),
+            ("dense", |p| {
+                for r in 0..300 {
+                    p.set(ROWS + r, r as u64);
+                }
+            }),
+            ("sealed", |p| {
+                p.fill(ROWS + 10, ROWS + 200, 4);
+                p.seal(1);
+            }),
+            ("absent, sealed", |p| p.seal(1)),
+        ];
+        for (form, prepare) in prepare {
+            // The last case writes one-row runs of ~340 distinct values.
+            for (distinct, longest) in [(1, 40), (3, 40), (1 << 20, 1)] {
+                // Ascending disjoint runs inside page 1, defaults among them.
+                let mut runs = Vec::new();
+                let mut at = ROWS + rng.below(5) as usize;
+                while at < 2 * ROWS {
+                    let end = (at + 1 + rng.below(longest) as usize).min(2 * ROWS);
+                    let value = match rng.below(8) {
+                        0 => u64::MAX,
+                        _ => 1_000 + rng.below(distinct),
+                    };
+                    runs.push((at, end, value));
+                    at = end + rng.below(2) as usize;
+                }
+                let (mut want, mut got) =
+                    (Paged::coded(ROWS, u64::MAX), Paged::coded(ROWS, u64::MAX));
+                prepare(&mut want);
+                prepare(&mut got);
+                for &(lo, hi, value) in &runs {
+                    want.fill(lo, hi, value);
+                }
+                got.fill_page_runs(1, &runs);
+                let ctx = format!("{form}, {distinct} values");
+                for r in 0..3 * ROWS {
+                    assert_eq!(got.get(r), want.get(r), "{ctx}: row {r}");
+                }
+                let runs_of = |p: &Deaths| {
+                    let mut out = Vec::new();
+                    p.for_each_run(|s, e, v| out.push((s, e, v)));
+                    out
+                };
+                assert_eq!(runs_of(&got), runs_of(&want), "{ctx}");
+                assert_eq!(got.memory_bytes(), want.memory_bytes(), "{ctx}");
+            }
+        }
     }
 
     #[test]

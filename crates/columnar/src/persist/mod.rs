@@ -60,6 +60,36 @@
 //! the unacknowledged suffix, never checkpointed state, and a record is
 //! never applied unless every record before it was.
 //!
+//! ## What an open costs
+//!
+//! Each phase touches each byte once:
+//!
+//! 1. **Read and check.** The snapshot file is read whole and its CRC-32
+//!    checked where the payload lies in that buffer, with no copy. The
+//!    carry-less-multiply kernel ([`amnesia_util::crc`]) runs at the speed
+//!    of memory, so the check costs about what the read does.
+//! 2. **Decode** ([`snapshot`]). Each frozen payload is copied out as its
+//!    header is read, each hot tail is decoded and its block metas
+//!    sealed, and the death runs are read in one varint loop and applied
+//!    a page at a time.
+//! 3. **Replay.** Segment records are parsed, CRC-checked, and moved (not
+//!    copied) into the apply loop. The loop runs them through the live
+//!    mutators, so tier transitions fan out as they do live.
+//!
+//! On a 2-core x86-64 VM, a 9.5 MB snapshot of four 2 M-row columns
+//! (1 953 frozen blocks, 400 K forgotten rows in 320 K death runs)
+//! decodes in ~12 ms. The check takes ~1.5 ms, the columns ~2.5 ms, and
+//! the death runs ~7.5 ms: ~3 ms to parse them, the rest to apply them
+//! and first-touch ~2 MB of death-epoch pages.
+//!
+//! The decode stays on the calling thread. Building each column on its
+//! own core cut the benchmark's `sql_hot` open (four 2 M-row hot tails)
+//! from ~73 to ~31 ms, but a second thread allocates from its own glibc
+//! arena. Once
+//! the restored table was dropped, the main heap had that much less to
+//! reuse, and the benchmark's next repetition faulted ~19 000 more pages
+//! in its set-up.
+//!
 //! # One write path
 //!
 //! Every mutation of a durable table is one sequence, and [`DurableLog`]'s

@@ -85,20 +85,30 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.arr()?))
     }
 
-    /// LEB128 varint, checked.
+    /// LEB128 varint, checked: one pass over at most ten bytes, no
+    /// per-byte bounds check.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64> {
+        let rest = self.data.get(self.pos..).unwrap_or_default();
         let mut result = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err(storage_err!("varint longer than 10 bytes"));
-            }
-            result |= u64::from(byte & 0x7F) << shift;
+        // Ten bytes carry 70 bits; an eleventh is never valid.
+        for (i, &byte) in rest.iter().take(10).enumerate() {
+            result |= u64::from(byte & 0x7F) << (7 * i);
             if byte & 0x80 == 0 {
+                self.pos += i + 1;
                 return Ok(result);
             }
-            shift += 7;
+        }
+        Err(self.varint_error(rest.len()))
+    }
+
+    /// Why [`Self::varint`] found no end within the `left` bytes left.
+    #[cold]
+    fn varint_error(&self, left: usize) -> amnesia_util::Error {
+        if left > 10 {
+            storage_err!("varint longer than 10 bytes at offset {}", self.pos)
+        } else {
+            storage_err!("truncated varint at offset {}: {left} bytes left", self.pos)
         }
     }
 

@@ -432,7 +432,10 @@ struct ParsedSegment {
     index: u64,
     path: PathBuf,
     first_seqno: u64,
+    /// The segment's records until replay moves them out.
     records: Vec<WalRecord>,
+    /// How many records the segment held as parsed.
+    count: u64,
     /// Byte offset just past the last valid frame.
     valid_bytes: u64,
     /// File length as read.
@@ -519,6 +522,7 @@ pub fn recover_segments(
             index,
             path,
             first_seqno: header.first_seqno,
+            count: records.len() as u64,
             records,
             valid_bytes,
             file_len: bytes.len() as u64,
@@ -530,7 +534,7 @@ pub fn recover_segments(
     let mut out: Vec<WalRecord> = Vec::new();
     let mut kept: Vec<ParsedSegment> = Vec::new();
     let mut gap = false;
-    for seg in parsed {
+    for mut seg in parsed {
         if gap {
             clean = false;
             vfs.remove_file(&seg.path)?;
@@ -538,7 +542,7 @@ pub fn recover_segments(
             continue;
         }
         let lo = seg.first_seqno;
-        let n = seg.records.len() as u64;
+        let n = seg.count;
         if lo + n <= expected {
             // Fully covered by the snapshot (or empty below the horizon):
             // redundant — unlink now instead of carrying it forward,
@@ -557,7 +561,7 @@ pub fn recover_segments(
             continue;
         }
         let skip = (expected - lo) as usize;
-        out.extend(seg.records[skip..].iter().cloned());
+        out.extend(std::mem::take(&mut seg.records).into_iter().skip(skip));
         expected = lo + n;
         kept.push(seg);
     }
@@ -602,7 +606,7 @@ pub fn recover_segments(
     // whose header starts at `expected`.
     let mut active = None;
     if let Some(seg) = kept.last() {
-        let contiguous = seg.first_seqno + seg.records.len() as u64 == expected;
+        let contiguous = seg.first_seqno + seg.count == expected;
         if contiguous && seg.valid_bytes < segment_bytes {
             let file = vfs.open_append(&seg.path)?;
             active = Some(ActiveSegment {

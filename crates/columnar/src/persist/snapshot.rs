@@ -68,6 +68,14 @@
 //! (pre-tier, one whole-column block per column) has its own column
 //! reader and the same metadata sections.
 //!
+//! The reader touches each byte once. It checks the CRC on the payload
+//! where it lies in the caller's buffer (no copy), copies each frozen
+//! payload out as it reads its header, and decodes the hot tail. The death
+//! runs are read in one varint loop and applied a death-epoch page at a
+//! time: one mask per run on the activity words, one dictionary lookup
+//! per change of epoch on the page's codes. The [`crate::persist`] module
+//! docs give what each phase of an open costs.
+//!
 //! Version 3 adds the [`RecoveryMeta`] prefix: the WAL sequence number
 //! the snapshot covers (so segmented-log replay knows exactly where to
 //! resume) and the cumulative tier-transition counters (so a recovered
@@ -259,29 +267,32 @@ pub fn decode_with_meta(bytes: &[u8]) -> Result<(Table, RecoveryMeta)> {
         ));
     }
     let payload_len = r.u64()? as usize;
-    let payload = r.bytes(payload_len)?.to_vec();
+    let payload = r.bytes(payload_len)?;
     let stored_crc = r.u32()?;
-    let actual = crc32(&payload);
+    let actual = crc32(payload);
     if stored_crc != actual {
         return Err(storage_err!(
             "snapshot checksum mismatch: stored {stored_crc:#010x}, computed {actual:#010x}"
         ));
     }
     if version == 1 {
-        return Ok((decode_v1(&payload)?, RecoveryMeta::default()));
+        return Ok((decode_v1(payload)?, RecoveryMeta::default()));
     }
     let mut meta = RecoveryMeta::default();
     let body = if version >= 3 {
-        let mut m = Reader::new(&payload);
+        let mut m = Reader::new(payload);
         meta.last_seqno = m.u64()?;
         meta.blocks_dropped = m.u64()?;
         meta.blocks_recompressed = m.u64()?;
-        &payload[m.position()..]
+        m.bytes(m.remaining())?
     } else {
-        &payload[..]
+        payload
     };
     Ok((decode_body(body, version)?, meta))
 }
+
+/// Death runs the restore gathers before applying them to their page.
+const PAGE_RUNS: usize = 256;
 
 /// The per-row metadata that closes every version's payload.
 struct RowMetadata {
@@ -315,6 +326,14 @@ fn read_row_metadata(
         if forgotten_count > n as u64 {
             return Err(storage_err!("{forgotten_count} forgotten rows of {n}"));
         }
+        // The runs gather a death-epoch page (a tier block) at a time, up
+        // to `PAGE_RUNS` of them, and are applied together; a run across a
+        // page boundary goes through the range path on its own, in order.
+        // The buffer is on the stack: a growing `Vec` here, freed above the
+        // column buffers, left the heap trimmed once the table was dropped.
+        let mut runs = [(0, 0, 0); PAGE_RUNS];
+        let mut held = 0;
+        let mut page = 0;
         let mut prev_end = 0u64;
         let mut total = 0u64;
         while total < forgotten_count {
@@ -330,10 +349,25 @@ fn read_row_metadata(
                     "death runs exceed the declared {forgotten_count} rows"
                 ));
             }
-            // Runs ascend and never overlap (`place_run`): all rows active.
-            activity.forget_active_range(start as usize, end as usize, epoch);
             prev_end = end;
+            // Runs ascend and never overlap (`place_run`, `gap >= 0`): all
+            // their rows are active.
+            let (start, end) = (start as usize, end as usize);
+            if held == PAGE_RUNS || start / block_rows != page {
+                activity.forget_page_runs(page, &runs[..held]);
+                (held, page) = (0, start / block_rows);
+            }
+            if (end - 1) / block_rows == page {
+                // `held < PAGE_RUNS`: a full buffer was applied above.
+                runs[held] = (start, end, epoch);
+                held += 1;
+            } else {
+                activity.forget_page_runs(page, &runs[..held]);
+                activity.forget_active_range(start, end, epoch);
+                (held, page) = (0, (end - 1) / block_rows);
+            }
         }
+        activity.forget_page_runs(page, &runs[..held]);
         while insert_epochs.len() < n {
             let len = p.varint()?;
             let epoch = p.varint()?;
@@ -1089,6 +1123,104 @@ mod tests {
             snap.len() < floor + dropped * 34 + 1024,
             "snapshot {} bytes, live floor {floor}, {dropped} dropped blocks",
             snap.len()
+        );
+    }
+
+    /// Three columns of 128-row blocks (the last pinned to dict), 41
+    /// blocks each, whose death runs take every shape the page-at-a-time
+    /// restore handles: one-row runs, runs of 2–63 rows, runs across an
+    /// activity word, across one block boundary and across several,
+    /// several epochs in one page, a dropped block (sealed runs) and a
+    /// recompressed one, in the frozen prefix and in the hot tail.
+    fn death_run_table() -> Table {
+        use crate::tier::BlockState;
+        let mut t = Table::with_block_rows(Schema::new(vec!["a", "b", "c"]), 128);
+        t.pin_encoding(2, Some(Encoding::Dict));
+        let mut rng = SimRng::new(45);
+        for i in 0..40 * 128 + 50 {
+            t.insert(&[i, i % 7, rng.range_i64(-1000, 1000)], i as u64 / 500)
+                .unwrap();
+        }
+        t.freeze_upto(30 * 128);
+        let mut forget = |rows: std::ops::Range<u64>, epoch: u64| {
+            for r in rows {
+                t.forget(RowId(r), epoch).unwrap();
+            }
+        };
+        forget(0..100, 20); // block 0, in two epochs: dropped below
+        forget(100..128, 21);
+        for r in (128..256).step_by(3) {
+            forget(r..r + 1, 22); // one-row runs
+        }
+        for (at, len) in [(260, 2), (270, 5), (290, 17), (320, 40)] {
+            forget(at..at + len, 23); // 2–63 rows: block 2 recompresses
+        }
+        forget(3 * 128 + 60..3 * 128 + 70, 24); // across a word
+        forget(4 * 128 + 120..5 * 128 + 8, 25); // across a block
+        forget(6 * 128 + 100..9 * 128 + 10, 26); // across three, 7 and 8 drop
+        for r in 10 * 128..10 * 128 + 40 {
+            forget(r..r + 1, 27 + r % 3); // three epochs in one page
+        }
+        forget(31 * 128 - 3..31 * 128 + 2, 30); // hot: one block to the next
+        for r in (35 * 128..40 * 128 + 50).step_by(11) {
+            forget(r..r + 1, 31); // hot and open blocks, one row each
+        }
+        assert_eq!(t.drop_forgotten_blocks().0, 3);
+        assert_eq!(t.recompress_frozen(0.6).0, 1);
+        let tier = t.col_tier(0);
+        assert_eq!(tier.frozen(0).unwrap().state(), BlockState::Dropped);
+        assert_eq!(tier.frozen(2).unwrap().state(), BlockState::Recompressed);
+        for r in (7..5000u64).step_by(13) {
+            t.access_mut().touch(RowId(r), 40);
+        }
+        t
+    }
+
+    #[test]
+    fn every_death_run_shape_restores_exactly() {
+        use crate::table::tier_width::assert_same_table;
+        let t = death_run_table();
+        let restored = decode(&encode(&t)).unwrap();
+        for r in 0..t.num_rows() {
+            let id = RowId::from(r);
+            assert_eq!(
+                restored.activity().died_at(id),
+                t.activity().died_at(id),
+                "died_at @{r}"
+            );
+        }
+        // Tiers, hot metas, death epochs, insert epochs, access and
+        // bounds: the restore re-encodes to the same bytes, and holds its
+        // death epochs in the same pages and runs.
+        assert_same_table(&restored, &t, "restored");
+        assert_eq!(
+            restored.activity().death_bytes(),
+            t.activity().death_bytes()
+        );
+        // The hot metas, which no snapshot holds, come back as the live
+        // table maintained them.
+        for c in 0..3 {
+            let metas = |t: &Table| {
+                let tier = t.col_tier(c);
+                (0..tier.full_blocks())
+                    .map(|b| *tier.meta(b))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(metas(&restored), metas(&t), "column {c}");
+        }
+        restored.check_invariants().unwrap();
+
+        // More runs in one page than the restore gathers at a time.
+        let mut t = Table::with_block_rows(Schema::single("a"), 1024);
+        t.insert_batch(&(0..3000).collect::<Vec<i64>>(), 0).unwrap();
+        for r in (0..2100u64).step_by(2) {
+            t.forget(RowId(r), 1 + r / 700).unwrap();
+        }
+        let restored = decode(&encode(&t)).unwrap();
+        assert_same_table(&restored, &t, "1 050 one-row runs");
+        assert_eq!(
+            restored.activity().death_bytes(),
+            t.activity().death_bytes()
         );
     }
 

@@ -36,12 +36,7 @@
 
 use std::sync::OnceLock;
 
-/// Environment variable that pins every vector kernel — the engine's hot
-/// predicate masks and the packed-field group kernels alike — to its
-/// portable scalar code when set to anything but `0`. CI runs the whole
-/// suite once this way, so the fallback that hardware without AVX takes
-/// is tested on hardware that has it. Read once per process.
-pub const PORTABLE_ONLY_ENV: &str = "AMNESIA_PORTABLE_ONLY";
+pub use amnesia_util::PORTABLE_ONLY_ENV;
 
 /// The vector tier a kernel may use, weakest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -105,8 +100,7 @@ impl MaskImpl {
 pub fn mask_impl() -> MaskImpl {
     static TIER: OnceLock<MaskImpl> = OnceLock::new();
     *TIER.get_or_init(|| {
-        let forced = std::env::var(PORTABLE_ONLY_ENV).is_ok_and(|v| !v.is_empty() && v != "0");
-        if forced {
+        if amnesia_util::portable_only() {
             MaskImpl::Portable
         } else {
             MaskImpl::detect()

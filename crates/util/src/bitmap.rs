@@ -94,8 +94,16 @@ pub fn any_set_bit_in(words: &[u64], lo: usize, hi: usize) -> bool {
     first_set_bit_in(words, lo, hi).is_some()
 }
 
+/// The bits `[lo, hi)` of the one word they lie in, `lo < hi`
+/// (absolute positions; word-relative mask).
+#[inline]
+fn one_word_mask(lo: usize, hi: usize) -> u64 {
+    (!0u64 >> (BLOCK_BITS - (hi - lo))) << (lo % BLOCK_BITS)
+}
+
 /// Count the set bits of `words` in `[lo, hi)` — one popcount per word
-/// spanned, O(words) not O(bits).
+/// spanned, O(words) not O(bits); a range inside one word is one mask
+/// and one popcount.
 #[inline]
 pub fn count_set_bits_in(words: &[u64], lo: usize, hi: usize) -> usize {
     if lo >= hi {
@@ -103,6 +111,10 @@ pub fn count_set_bits_in(words: &[u64], lo: usize, hi: usize) -> usize {
     }
     let first = lo / BLOCK_BITS;
     let last = (hi - 1) / BLOCK_BITS;
+    if first == last {
+        let word = words.get(first).copied().unwrap_or(0);
+        return (word & one_word_mask(lo, hi)).count_ones() as usize;
+    }
     (first..=last)
         .map(|wi| masked_word(words, wi, lo, hi).count_ones() as usize)
         .sum()
@@ -219,16 +231,22 @@ impl Bitmap {
         }
     }
 
-    /// Clear every bit in `[lo, hi)`, a word at a time. Returns how many
-    /// of them were set.
+    /// Clear every bit in `[lo, hi)`, a word at a time; a range inside
+    /// one word is one mask. Returns how many of them were set.
+    #[inline]
     pub fn clear_range(&mut self, lo: usize, hi: usize) -> usize {
         assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
         if lo == hi {
             return 0;
         }
+        let (first, last) = (lo / BLOCK_BITS, (hi - 1) / BLOCK_BITS);
         let mut cleared = 0;
-        for i in lo / BLOCK_BITS..=(hi - 1) / BLOCK_BITS {
-            let mask = clip_word(!0, i, lo, hi);
+        for i in first..=last {
+            let mask = if first == last {
+                one_word_mask(lo, hi)
+            } else {
+                clip_word(!0, i, lo, hi)
+            };
             cleared += (self.blocks[i] & mask).count_ones() as usize;
             self.blocks[i] &= !mask;
         }
@@ -566,6 +584,42 @@ mod tests {
         assert_eq!(bm.select(bm.count_ones()), None);
         assert_eq!(bm.rank(500), bm.count_ones());
         assert_eq!(bm.rank(0), 0);
+    }
+
+    /// Every `(lo, hi)` of a three-word bitmap — inside one word, across
+    /// one boundary, across both, empty — against a per-bit reference:
+    /// the count, and what clearing the range leaves and returns.
+    #[test]
+    fn range_count_and_clear_equal_per_bit_at_every_range() {
+        let words = [
+            0xDEAD_BEEF_0123_4567u64,
+            0xFFFF_0000_FFFF_0000,
+            0x8000_0000_0000_0001,
+        ];
+        let bm = Bitmap {
+            blocks: words.to_vec(),
+            len: 192,
+            ones: words.iter().map(|w| w.count_ones() as usize).sum(),
+        };
+        for lo in 0..=192 {
+            for hi in lo..=192 {
+                let want = (lo..hi).filter(|&i| bm.get(i)).count();
+                assert_eq!(
+                    count_set_bits_in(&words, lo, hi),
+                    want,
+                    "count [{lo}, {hi})"
+                );
+                let mut cleared = bm.clone();
+                assert_eq!(cleared.clear_range(lo, hi), want, "clear [{lo}, {hi})");
+                for i in 0..192 {
+                    assert_eq!(cleared.get(i), bm.get(i) && !(lo..hi).contains(&i));
+                }
+                assert_eq!(cleared.count_ones(), bm.count_ones() - want);
+            }
+        }
+        // Past the slice, bits count as clear.
+        assert_eq!(count_set_bits_in(&words, 190, 300), 1);
+        assert_eq!(count_set_bits_in(&words, 200, 260), 0);
     }
 
     #[test]

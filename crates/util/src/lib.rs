@@ -14,7 +14,8 @@
 //! * [`stats`] — Welford running moments, Kahan summation and quantiles.
 //! * [`ascii`] — line charts, heatmaps and text tables for terminal-friendly
 //!   reproduction of the paper's figures.
-//! * [`crc`] — CRC-32/IEEE for snapshot and WAL integrity checking.
+//! * [`crc`] — CRC-32/IEEE for snapshot and WAL integrity checking, by
+//!   carry-less multiplication where the CPU has it.
 //! * [`fixed`] — checked fixed-width reads from untrusted bytes, the
 //!   panic-free parsing seam the recovery paths share.
 //! * [`error`] — the shared error type.
@@ -36,3 +37,17 @@ pub use error::{Error, Result};
 pub use fixed::take_arr;
 pub use rng::SimRng;
 pub use stats::{KahanSum, MinMax, RunningStats};
+
+/// Environment variable that pins every vector kernel of the workspace —
+/// the CRC-32 folding kernel here, the predicate masks and packed-field
+/// kernels behind `amnesia_columnar::simd` — to its portable scalar code
+/// when set to anything but `0`. CI runs the whole suite once this way,
+/// so the fallback that hardware without those features takes is tested
+/// on hardware that has them. Each kernel family reads it once per
+/// process.
+pub const PORTABLE_ONLY_ENV: &str = "AMNESIA_PORTABLE_ONLY";
+
+/// Is [`PORTABLE_ONLY_ENV`] set to anything but `0`?
+pub fn portable_only() -> bool {
+    std::env::var(PORTABLE_ONLY_ENV).is_ok_and(|v| !v.is_empty() && v != "0")
+}
