@@ -85,10 +85,9 @@
 //! The decode stays on the calling thread. Building each column on its
 //! own core cut the benchmark's `sql_hot` open (four 2 M-row hot tails)
 //! from ~73 to ~31 ms, but a second thread allocates from its own glibc
-//! arena. Once
-//! the restored table was dropped, the main heap had that much less to
-//! reuse, and the benchmark's next repetition faulted ~19 000 more pages
-//! in its set-up.
+//! arena. Once the restored table was dropped, the main heap had that
+//! much less to reuse, and the benchmark's next repetition faulted
+//! ~19 000 more pages in its set-up.
 //!
 //! # One write path
 //!
