@@ -4,6 +4,7 @@ use bytes::{Bytes, BytesMut};
 
 use super::filter::{bit_set, in_range, range_width, BlockAgg, MaskWriter};
 use super::varint::{read_signed, signed_len, try_read_varint, write_signed};
+use super::Rows;
 use crate::types::Value;
 
 /// Encode as `v0, v1−v0, v2−v1, …` with zigzag varints.
@@ -52,24 +53,15 @@ pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
     Ok(())
 }
 
-/// Decode a buffer produced by [`encode`].
-pub fn decode(data: &[u8]) -> Vec<Value> {
-    let mut out = Vec::new();
+/// Decode a buffer produced by [`encode`] into `out`.
+pub fn decode_into(data: &[u8], out: &mut impl Rows) {
+    // The first value is its own difference from 0.
     let mut pos = 0;
     let mut prev = 0i64;
-    let mut first = true;
     while pos < data.len() {
-        let d = read_signed(data, &mut pos);
-        let v = if first {
-            first = false;
-            d
-        } else {
-            prev.wrapping_add(d)
-        };
-        out.push(v);
-        prev = v;
+        prev = prev.wrapping_add(read_signed(data, &mut pos));
+        out.push(prev);
     }
-    out
 }
 
 /// Fused decode+filter: append selection-mask words for `lo <= v < hi`.
@@ -207,6 +199,12 @@ pub fn fold_range_masked(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode(data: &[u8]) -> Vec<Value> {
+        let mut out = Vec::new();
+        decode_into(data, &mut out);
+        out
+    }
 
     #[test]
     fn sorted_sequences_compress_well() {

@@ -9,6 +9,7 @@ use super::filter::{check_region, low_ones, pack_fields, packed_bytes, Band, Blo
 use super::varint::{
     read_signed, read_varint, try_read_varint, varint_len, write_varint, zigzag_decode,
 };
+use super::Rows;
 use crate::types::Value;
 
 fn bits_for(x: u64) -> u32 {
@@ -206,15 +207,13 @@ pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
     Ok(())
 }
 
-/// Decode a buffer produced by [`encode`].
-pub fn decode(data: &[u8]) -> Vec<Value> {
-    let Some(h) = Header::parse(data) else {
-        return Vec::new();
-    };
-    let dict = h.dictionary();
-    let mut out = Vec::with_capacity(h.codes.count);
-    h.codes.decode_each(|code| out.push(dict[code as usize]));
-    out
+/// Decode a buffer produced by [`encode`] into `out`, `dictionary`
+/// being its [`read_dictionary`].
+pub fn decode_into(data: &[u8], dictionary: &[Value], out: &mut impl Rows) {
+    if let Some(h) = Header::parse(data) {
+        h.codes
+            .decode_each(|code| out.push(dictionary[code as usize]));
+    }
 }
 
 /// Fused decode+filter: append selection-mask words for `lo <= v < hi`.
@@ -333,6 +332,12 @@ pub fn fold_range_masked(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode(data: &[u8]) -> Vec<Value> {
+        let mut out = Vec::new();
+        decode_into(data, &read_dictionary(data), &mut out);
+        out
+    }
 
     #[test]
     fn low_cardinality_compresses() {

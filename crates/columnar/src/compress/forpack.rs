@@ -12,6 +12,7 @@ use super::filter::{
 use super::varint::{
     read_signed, read_varint, signed_len, try_read_varint, varint_len, write_signed, write_varint,
 };
+use super::Rows;
 use crate::types::Value;
 
 /// Bits needed to represent `x`.
@@ -112,14 +113,11 @@ pub(super) fn offset_band(lo: Value, hi: Value, min: Value, offsets: &Packed<'_>
     Band::clip(lo as i128 - min, hi as i128 - min, low_ones(offsets.width))
 }
 
-/// Decode a buffer produced by [`encode`].
-pub fn decode(data: &[u8]) -> Vec<Value> {
-    let Some((min, offsets)) = parse_header(data) else {
-        return Vec::new();
-    };
-    let mut out = Vec::with_capacity(offsets.count);
-    offsets.decode_each(|off| out.push((min as i128 + off as i128) as i64));
-    out
+/// Decode a buffer produced by [`encode`] into `out`.
+pub fn decode_into(data: &[u8], out: &mut impl Rows) {
+    if let Some((min, offsets)) = parse_header(data) {
+        offsets.decode_each(|off| out.push((min as i128 + off as i128) as i64));
+    }
 }
 
 /// Fused decode+filter: append selection-mask words for `lo <= v < hi`.
@@ -208,6 +206,12 @@ pub(super) fn rebase(min: Value, offsets: FieldAgg, agg: &mut BlockAgg) {
 mod tests {
     use super::*;
     use crate::simd::MaskImpl;
+
+    fn decode(data: &[u8]) -> Vec<Value> {
+        let mut out = Vec::new();
+        decode_into(data, &mut out);
+        out
+    }
 
     #[test]
     fn narrow_band_compresses() {

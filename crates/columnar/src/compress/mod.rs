@@ -255,6 +255,82 @@ impl Encoding {
             _ => return None,
         })
     }
+
+    /// Check a payload read from disk before any kernel indexes by it:
+    /// the rules [`EncodedBlock::try_from_parts`] lists, on the bytes
+    /// where they lie. A payload that passes decodes to exactly `len`
+    /// rows.
+    pub fn check(self, data: &[u8], len: usize) -> Result<()> {
+        let checked = match self {
+            Encoding::Plain if len.checked_mul(8) != Some(data.len()) => {
+                Err("payload is not 8 bytes per row")
+            }
+            Encoding::Rle => rle::check(data, len),
+            Encoding::Delta => delta::check(data, len),
+            Encoding::ForPack => forpack::check(data, len),
+            Encoding::Dict => dict::check(data, len),
+            Encoding::RunBits => runbits::check(data, len),
+            Encoding::Plain => Ok(()),
+        };
+        checked.map_err(|why| storage_err!("corrupt {} block of {len} rows: {why}", self.name()))
+    }
+
+    /// Decode the `len` rows of a payload this codec wrote (or one that
+    /// passed [`Self::check`]) into `out`, in row order, bumping this
+    /// thread's [`block_decodes`]. A dict payload indexes its sorted
+    /// distinct values: `dictionary` holds them when the caller read them
+    /// ahead ([`dict::read_dictionary`]); `None` reads them here, into a
+    /// buffer of their own. Every other codec ignores it. Nothing else is
+    /// allocated: a sink with room for `len` rows is never grown.
+    pub fn decode_into(
+        self,
+        data: &[u8],
+        len: usize,
+        dictionary: Option<&[Value]>,
+        out: &mut impl Rows,
+    ) {
+        BLOCK_DECODES.with(|c| c.set(c.get() + 1));
+        match self {
+            Encoding::Plain => {
+                for c in data.chunks_exact(8) {
+                    let mut word = [0; 8];
+                    word.copy_from_slice(c);
+                    out.push(i64::from_le_bytes(word));
+                }
+            }
+            Encoding::Rle => rle::decode_into(data, out),
+            Encoding::Delta => delta::decode_into(data, out),
+            Encoding::ForPack => forpack::decode_into(data, out),
+            Encoding::Dict => match dictionary {
+                Some(d) => dict::decode_into(data, d, out),
+                None => dict::decode_into(data, &dict::read_dictionary(data), out),
+            },
+            Encoding::RunBits => runbits::decode_into(data, len, out),
+        }
+    }
+}
+
+/// Where a decode writes its rows, in row order: a `Vec` reserved at the
+/// block's row count, or a column's hot tail
+/// ([`TieredColumn`](crate::tier::TieredColumn)), which seals each
+/// block's meta as the block fills, while its rows are in cache.
+pub trait Rows {
+    /// Append one row.
+    fn push(&mut self, v: Value);
+    /// Append `n` rows of `v`.
+    fn push_run(&mut self, v: Value, n: usize);
+}
+
+impl Rows for Vec<Value> {
+    #[inline]
+    fn push(&mut self, v: Value) {
+        Vec::push(self, v);
+    }
+
+    #[inline]
+    fn push_run(&mut self, v: Value, n: usize) {
+        self.extend(repeat_n(v, n));
+    }
 }
 
 /// An immutable compressed block of values.
@@ -317,15 +393,16 @@ impl EncodedBlock {
     /// to avoid; every call bumps the thread's [`block_decodes`] counter
     /// so tests and benches can assert a tiered operator never took it.
     pub fn decode(&self) -> Vec<Value> {
-        BLOCK_DECODES.with(|c| c.set(c.get() + 1));
-        match self.encoding {
-            Encoding::Plain => plain_decode(&self.data),
-            Encoding::Rle => rle::decode(&self.data),
-            Encoding::Delta => delta::decode(&self.data),
-            Encoding::ForPack => forpack::decode(&self.data),
-            Encoding::Dict => dict::decode(&self.data),
-            Encoding::RunBits => runbits::decode(&self.data, self.len),
-        }
+        let mut out = Vec::with_capacity(self.len);
+        self.decode_into(&mut out);
+        out
+    }
+
+    /// [`Self::decode`] appending to `out`, which the caller sized: with
+    /// room for [`Self::len`] more rows it is never grown
+    /// ([`Encoding::decode_into`]).
+    pub fn decode_into(&self, out: &mut impl Rows) {
+        self.encoding.decode_into(&self.data, self.len, None, out);
     }
 
     /// Fused decode+filter: replace `out` with one selection-mask word
@@ -512,24 +589,8 @@ impl EncodedBlock {
     /// per start bit, O(len / 64): the ranks index the run values. Other
     /// field *contents* stay the checksum's job.
     pub fn try_from_parts(encoding: Encoding, len: usize, data: Bytes) -> Result<Self> {
-        let checked = match encoding {
-            Encoding::Plain if len.checked_mul(8) != Some(data.len()) => {
-                Err("payload is not 8 bytes per row")
-            }
-            Encoding::Rle => rle::check(&data, len),
-            Encoding::Delta => delta::check(&data, len),
-            Encoding::ForPack => forpack::check(&data, len),
-            Encoding::Dict => dict::check(&data, len),
-            Encoding::RunBits => runbits::check(&data, len),
-            Encoding::Plain => Ok(()),
-        };
-        match checked {
-            Ok(()) => Ok(Self::from_parts(encoding, len, data)),
-            Err(why) => Err(storage_err!(
-                "corrupt {} block of {len} rows: {why}",
-                encoding.name()
-            )),
-        }
+        encoding.check(&data, len)?;
+        Ok(Self::from_parts(encoding, len, data))
     }
 }
 
@@ -820,12 +881,6 @@ fn plain_encode_into(buf: &mut BytesMut, values: &[Value]) {
     }
 }
 
-fn plain_decode(data: &[u8]) -> Vec<Value> {
-    data.chunks_exact(8)
-        .map(|c| i64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect()
-}
-
 /// A plain block as the `width = 64` case of the packed-field primitive:
 /// its fields are the values' own bits.
 fn plain_fields(data: &[u8]) -> Packed<'_> {
@@ -844,6 +899,57 @@ mod tests {
         }
         let auto = EncodedBlock::encode_auto(values);
         assert_eq!(auto.decode(), values);
+    }
+
+    #[test]
+    fn decode_into_fills_a_reserved_vec_like_decode() {
+        let mut rng = amnesia_util::SimRng::new(47);
+        for len in [0usize, 1, 63, 64, 65, 1_024, 1_025] {
+            let shapes: [(&str, Vec<Value>); 3] = [
+                ("runs", (0..len).map(|i| (i / 7) as i64 * 3 - 50).collect()),
+                (
+                    "random",
+                    (0..len)
+                        .map(|_| rng.range_i64(-(1 << 40), 1 << 40))
+                        .collect(),
+                ),
+                (
+                    "extremes",
+                    (0..len)
+                        .map(|i| match i % 3 {
+                            0 => i64::MIN,
+                            1 => i64::MAX,
+                            _ => rng.range_i64(-5, 5),
+                        })
+                        .collect(),
+                ),
+            ];
+            for (shape, values) in &shapes {
+                for enc in Encoding::ALL {
+                    let ctx = format!("{enc:?} {shape} {len}");
+                    let block = EncodedBlock::encode(values, enc);
+                    let want = block.decode();
+                    assert_eq!(&want, values, "{ctx}");
+                    // Appended after what the vec holds, into the room
+                    // reserved for exactly the block: never grown.
+                    let mut out = vec![7, 8];
+                    out.reserve_exact(len);
+                    let room = out.capacity();
+                    block.decode_into(&mut out);
+                    assert_eq!(out[..2], [7, 8], "{ctx}");
+                    assert_eq!(out[2..], want[..], "{ctx}");
+                    assert_eq!(out.capacity(), room, "{ctx}: grew its vec");
+                    // The borrowed payload, a dictionary read ahead.
+                    let dictionary =
+                        (enc == Encoding::Dict).then(|| dict::read_dictionary(block.data()));
+                    let mut out = Vec::with_capacity(len);
+                    let room = out.capacity();
+                    enc.decode_into(block.data(), len, dictionary.as_deref(), &mut out);
+                    assert_eq!(out, want, "{ctx}: borrowed");
+                    assert_eq!(out.capacity(), room, "{ctx}: borrowed grew its vec");
+                }
+            }
+        }
     }
 
     #[test]

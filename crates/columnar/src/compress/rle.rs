@@ -8,6 +8,7 @@ use super::filter::{in_range, range_width, BlockAgg, MaskWriter};
 use super::varint::{
     read_signed, read_varint, signed_len, try_read_varint, varint_len, write_signed, write_varint,
 };
+use super::Rows;
 use crate::types::Value;
 
 /// Encode as a sequence of `(zigzag value, run length)` varint pairs.
@@ -66,16 +67,14 @@ pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
     Ok(())
 }
 
-/// Decode a buffer produced by [`encode`].
-pub fn decode(data: &[u8]) -> Vec<Value> {
-    let mut out = Vec::new();
+/// Decode a buffer produced by [`encode`] into `out`, a run at a time.
+pub fn decode_into(data: &[u8], out: &mut impl Rows) {
     let mut pos = 0;
     while pos < data.len() {
         let v = read_signed(data, &mut pos);
         let run = read_varint(data, &mut pos);
-        out.extend(std::iter::repeat_n(v, run as usize));
+        out.push_run(v, run as usize);
     }
-    out
 }
 
 /// Fused decode+filter: append selection-mask words for `lo <= v < hi`
@@ -193,6 +192,12 @@ pub fn fold_range_masked(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode(data: &[u8]) -> Vec<Value> {
+        let mut out = Vec::new();
+        decode_into(data, &mut out);
+        out
+    }
 
     #[test]
     fn runs_compress() {

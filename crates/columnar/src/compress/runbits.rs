@@ -21,6 +21,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use super::filter::{low_ones, Band, BlockAgg, FieldAgg, Packed};
 use super::forpack;
+use super::Rows;
 use crate::simd::{deposit, has_bit_ops, mask_impl};
 use crate::types::Value;
 
@@ -209,10 +210,8 @@ pub(super) fn check(data: &[u8], len: usize) -> Result<(), &'static str> {
 }
 
 /// Decode a buffer produced by [`encode`] for a block of `len` rows.
-pub fn decode(data: &[u8], len: usize) -> Vec<Value> {
-    let mut out = Vec::with_capacity(len);
-    for_each_run(data, len, |v, _, n| out.extend(std::iter::repeat_n(v, n)));
-    out
+pub fn decode_into(data: &[u8], len: usize, out: &mut impl Rows) {
+    for_each_run(data, len, |v, _, n| out.push_run(v, n));
 }
 
 /// Visit every run as `(value, first_row, run_len)` in row order — the
@@ -431,6 +430,12 @@ mod tests {
     use super::*;
     use crate::simd::MaskImpl;
     use amnesia_util::SimRng;
+
+    fn decode(data: &[u8], len: usize) -> Vec<Value> {
+        let mut out = Vec::new();
+        decode_into(data, len, &mut out);
+        out
+    }
 
     /// Blocks of squashed runs (each row keeps the previous row's value
     /// with probability `keep`), long and short, ragged and whole.

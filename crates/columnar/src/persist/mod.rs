@@ -60,6 +60,11 @@
 //! the unacknowledged suffix, never checkpointed state, and a record is
 //! never applied unless every record before it was.
 //!
+//! Before it reads the snapshot, `open` removes the `table.tmp` a save
+//! the crash interrupted may have left. A non-empty one may hold frozen
+//! payload bytes, so it is zero-filled and fsynced before the unlink, as
+//! the shredder does with a segment.
+//!
 //! ## What an open costs
 //!
 //! Each phase touches each byte once:
@@ -68,26 +73,29 @@
 //!    checked where the payload lies in that buffer, with no copy. The
 //!    carry-less-multiply kernel ([`amnesia_util::crc`]) runs at the speed
 //!    of memory, so the check costs about what the read does.
-//! 2. **Decode** ([`snapshot`]). Each frozen payload is copied out as its
-//!    header is read, each hot tail is decoded and its block metas
-//!    sealed, and the death runs are read in one varint loop and applied
-//!    a page at a time.
+//! 2. **Decode** ([`snapshot`]). On the calling thread, each frozen
+//!    payload is copied out as its header is read, and each hot tail is
+//!    checked where it lies in the file's buffer; then its values and the
+//!    metas of its full blocks are reserved at their exact sizes. One job
+//!    per column decodes its tail into those buffers and seals each full
+//!    block's meta as the block fills, while its rows are in cache. The
+//!    jobs run on every core once the tails hold `TIER_FAN_OUT_BLOCKS`
+//!    (16) full blocks between them, inline below, so a frozen table's
+//!    short tails never start a thread. Back on the calling thread, the
+//!    death runs are read in one varint loop and applied a page at a time.
 //! 3. **Replay.** Segment records are parsed, CRC-checked, and moved (not
 //!    copied) into the apply loop. The loop runs them through the live
 //!    mutators, so tier transitions fan out as they do live.
 //!
-//! On a 2-core x86-64 VM, a 9.5 MB snapshot of four 2 M-row columns
-//! (1 953 frozen blocks, 400 K forgotten rows in 320 K death runs)
-//! decodes in ~12 ms. The check takes ~1.5 ms, the columns ~2.5 ms, and
-//! the death runs ~7.5 ms: ~3 ms to parse them, the rest to apply them
-//! and first-touch ~2 MB of death-epoch pages.
+//! Every buffer of the decode is allocated by the calling thread, and the
+//! decode jobs allocate nothing (`tests/worker_allocations.rs` counts).
+//! A worker's allocations come from its own glibc arena: once the
+//! restored table is dropped, the main heap has that much less to reuse,
+//! and when an earlier parallel decode allocated its columns on the
+//! workers, the benchmark's next repetition faulted ~19 000 more pages in
+//! its set-up.
 //!
-//! The decode stays on the calling thread. Building each column on its
-//! own core cut the benchmark's `sql_hot` open (four 2 M-row hot tails)
-//! from ~73 to ~31 ms, but a second thread allocates from its own glibc
-//! arena. Once the restored table was dropped, the main heap had that
-//! much less to reuse, and the benchmark's next repetition faulted
-//! ~19 000 more pages in its set-up.
+//! OPEN_COST_NUMBERS
 //!
 //! # One write path
 //!
@@ -463,6 +471,23 @@ fn apply_record(table: &mut Table, rec: &WalRecord, meta: &mut RecoveryMeta) -> 
     Ok(())
 }
 
+/// Remove the temp file a save the crash interrupted left beside the
+/// snapshot at `snap_path` ([`snap::save_with`] writes it before the
+/// rename). One cut short after its payload was written holds frozen
+/// payload bytes, so a non-empty one goes the shredder's way: zero-fill,
+/// fsynced, then unlink. An empty one is just unlinked.
+fn remove_stale_tmp(vfs: &dyn Vfs, snap_path: &Path) -> Result<()> {
+    let tmp = snap_path.with_extension("tmp");
+    if !vfs.exists(&tmp) {
+        return Ok(());
+    }
+    let len = vfs.file_len(&tmp)? as usize;
+    if len > 0 {
+        vfs.overwrite(&tmp, &vec![0u8; len])?;
+    }
+    vfs.remove_file(&tmp)
+}
+
 /// A [`Table`] with a durable home directory.
 ///
 /// Every mutator is a one-line call to the [`DurableLog`] method of the
@@ -546,6 +571,7 @@ impl PersistentTable {
     pub fn open_with(vfs: SharedVfs, dir: impl Into<PathBuf>) -> Result<Self> {
         let dir = dir.into();
         let snap_path = dir.join(SNAPSHOT_FILE);
+        remove_stale_tmp(&*vfs, &snap_path)?;
         let snap_bytes = vfs.read(&snap_path)?;
         let version = snap::peek_version(&snap_bytes)?;
         let (mut table, mut meta) = snap::decode_with_meta(&snap_bytes)?;
@@ -1142,5 +1168,74 @@ mod tests {
         pt.log.commit().unwrap();
         assert_eq!(pt.stats().fsyncs, 2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The file names in `dir`, sorted.
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn open_removes_the_tmp_an_interrupted_save_left() {
+        // A save dies at each of its steps, tears its write in half, or
+        // loses power before its tmp is fsynced. The reopened directory
+        // holds exactly the files it held before the save, and a tmp that
+        // held bytes was zero-filled before its unlink.
+        let mut table = Table::single("a");
+        table
+            .insert_batch(&(0..5_000).collect::<Vec<i64>>(), 1)
+            .unwrap();
+        table.freeze_upto(4_096);
+        let bytes = snap::encode(&table).len();
+        let counting = FaultVfs::new();
+        let probe = tmp_dir("tmpsteps");
+        std::fs::create_dir_all(&probe).unwrap();
+        let meta = RecoveryMeta::default();
+        snap::save_with(&counting, &table, meta, &probe.join(SNAPSHOT_FILE)).unwrap();
+        let steps = counting.op_count();
+        std::fs::remove_dir_all(&probe).unwrap();
+        // (the save's vfs, lose power after the crash)
+        let mut cases: Vec<(FaultVfs, bool)> =
+            (0..steps).map(|k| (FaultVfs::crash_at(k), false)).collect();
+        cases.push((FaultVfs::torn_at(0, bytes / 2), false));
+        cases.push((FaultVfs::crash_at(1), true));
+        let mut seen = [0; 3]; // no tmp, an empty one, one with bytes
+        for (k, (fvfs, lose_power)) in cases.into_iter().enumerate() {
+            let dir = tmp_dir(&format!("tmpcrash{k}"));
+            let policy = SyncPolicy::PerRecord;
+            PersistentTable::create_with_table(StdVfs::shared(), &dir, table.clone(), policy)
+                .unwrap();
+            let before = names(&dir);
+            assert!(snap::save_with(&fvfs, &table, meta, &dir.join(SNAPSHOT_FILE)).is_err());
+            if lose_power {
+                fvfs.power_loss().unwrap();
+            }
+            let tmp = dir.join("table.tmp");
+            let left = std::fs::metadata(&tmp).map(|m| m.len()).ok();
+            let watch = Arc::new(FaultVfs::new());
+            let rec = PersistentTable::open_with(watch.clone(), &dir).unwrap();
+            assert_eq!(rec.table().num_rows(), 5_000, "case {k}");
+            assert_eq!(names(&dir), before, "case {k}: {left:?} bytes of tmp left");
+            let tmp_ops: Vec<String> = watch
+                .op_log()
+                .into_iter()
+                .filter(|op| op.contains("table.tmp"))
+                .collect();
+            let remove = format!("remove {}", tmp.display());
+            let want = match left {
+                None => vec![],
+                Some(0) => vec![remove],
+                Some(len) => vec![format!("overwrite {} {len}", tmp.display()), remove],
+            };
+            assert_eq!(tmp_ops, want, "case {k}");
+            seen[left.map_or(0, |len| 1 + usize::from(len > 0))] += 1;
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every tmp shape: {seen:?}");
     }
 }

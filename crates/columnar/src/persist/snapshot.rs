@@ -69,12 +69,17 @@
 //! reader and the same metadata sections.
 //!
 //! The reader touches each byte once. It checks the CRC on the payload
-//! where it lies in the caller's buffer (no copy), copies each frozen
-//! payload out as it reads its header, and decodes the hot tail. The death
-//! runs are read in one varint loop and applied a death-epoch page at a
-//! time: one mask per run on the activity words, one dictionary lookup
-//! per change of epoch on the page's codes. The [`crate::persist`] module
-//! docs give what each phase of an open costs.
+//! where it lies in the caller's buffer (no copy). Then, on the calling
+//! thread, it copies each frozen payload out as it reads its header,
+//! checks each hot tail where it lies, and reserves the tail's values and
+//! the metas of its full blocks at their exact sizes. One job per column
+//! decodes the tail into those buffers, sealing each block's meta as the
+//! block fills; the jobs run on every core once the tails hold
+//! `TIER_FAN_OUT_BLOCKS` full blocks between them, and allocate nothing.
+//! The death runs are read in one varint loop and applied a death-epoch
+//! page at a time: one mask per run on the activity words, one dictionary
+//! lookup per change of epoch on the page's codes. The [`crate::persist`]
+//! module docs give what each phase of an open costs.
 //!
 //! Version 3 adds the [`RecoveryMeta`] prefix: the WAL sequence number
 //! the snapshot covers (so segmented-log replay knows exactly where to
@@ -95,17 +100,19 @@
 
 use std::path::Path;
 
+use amnesia_sync::morsel::{cores, run_morsels_mut};
 use amnesia_util::{crc32, storage_err, Result};
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::activity::ActivityMap;
 use crate::compress::varint::write_varint;
-use crate::compress::{EncodedBlock, Encoding};
+use crate::compress::{dict, EncodedBlock, Encoding};
 use crate::paged::EpochRuns;
 use crate::schema::Schema;
-use crate::table::Table;
+use crate::simd::mask_impl;
+use crate::table::{fan_out_width, Table};
 use crate::tier::{BlockMeta, BlockState, FrozenBlock, TieredColumn};
-use crate::types::{Epoch, RowId};
+use crate::types::{Epoch, RowId, Value};
 
 use super::reader::{place_run, Reader};
 
@@ -255,6 +262,13 @@ pub fn peek_version(bytes: &[u8]) -> Result<u32> {
 /// Reconstruct a table and its recovery meta from snapshot bytes.
 /// Versions 1 and 2 predate the meta and return zeros.
 pub fn decode_with_meta(bytes: &[u8]) -> Result<(Table, RecoveryMeta)> {
+    decode_with_meta_on(bytes, cores())
+}
+
+/// [`decode_with_meta`] with the hot tails decoded on `threads` workers
+/// once they hold `TIER_FAN_OUT_BLOCKS` full blocks between them, inline
+/// below.
+pub(crate) fn decode_with_meta_on(bytes: &[u8], threads: usize) -> Result<(Table, RecoveryMeta)> {
     let mut r = Reader::new(bytes);
     let magic = r.bytes(8)?;
     if magic != MAGIC {
@@ -288,7 +302,7 @@ pub fn decode_with_meta(bytes: &[u8]) -> Result<(Table, RecoveryMeta)> {
     } else {
         payload
     };
-    Ok((decode_body(body, version)?, meta))
+    Ok((decode_body(body, version, threads)?, meta))
 }
 
 /// Death runs the restore gathers before applying them to their page.
@@ -434,8 +448,19 @@ fn read_row_metadata(
     })
 }
 
-/// Decode the column/activity/access body shared by versions 2 to 4.
-fn decode_body(payload: &[u8], version: u32) -> Result<Table> {
+/// One column's hot tail where it lies in the payload.
+struct Tail<'a> {
+    encoding: Encoding,
+    rows: usize,
+    data: &'a [u8],
+    /// A dict tail's sorted distinct values, read by the caller so that
+    /// no decode job allocates.
+    dictionary: Option<Vec<Value>>,
+}
+
+/// Decode the column/activity/access body shared by versions 2 to 4,
+/// the hot tails on `threads` workers (see [`decode_with_meta_on`]).
+fn decode_body(payload: &[u8], version: u32, threads: usize) -> Result<Table> {
     let mut p = Reader::new(payload);
 
     // Schema.
@@ -460,13 +485,14 @@ fn decode_body(payload: &[u8], version: u32) -> Result<Table> {
     if block_rows == 0 || !block_rows.is_multiple_of(64) {
         return Err(storage_err!("invalid tier block size {block_rows}"));
     }
-    // Both vectors are sized before the first column buffer, and the
-    // table adopts `tiers` as its columns. So no throwaway vector is
+    // The three vectors are sized before the first column buffer, and
+    // the table adopts `tiers` as its columns. So no throwaway vector is
     // allocated above the column buffers. A small freed chunk left there
     // stops the allocator from giving their memory back when the table is
     // dropped.
     let mut tiers: Vec<TieredColumn> = Vec::with_capacity(arity);
     let mut stats: Vec<Option<(i64, i64)>> = Vec::with_capacity(arity);
+    let mut tails: Vec<Tail<'_>> = Vec::with_capacity(arity);
     for c in 0..arity {
         let pinned = p.u8()?;
         let pinned = if pinned == 0xFF {
@@ -514,30 +540,56 @@ fn decode_body(payload: &[u8], version: u32) -> Result<Table> {
             ));
         }
         let tail_tag = p.u8()?;
-        let tail_encoding = Encoding::from_tag(tail_tag)
+        let encoding = Encoding::from_tag(tail_tag)
             .ok_or_else(|| storage_err!("unknown tail encoding tag {tail_tag}"))?;
-        let tail_rows = p.u64()? as usize;
-        if frozen_count * block_rows + tail_rows != n {
+        let rows = p.u64()? as usize;
+        if frozen_count * block_rows + rows != n {
             return Err(storage_err!(
                 "column {c} covers {} rows, expected {n}",
-                frozen_count * block_rows + tail_rows
+                frozen_count * block_rows + rows
             ));
         }
+        // Checked where it lies: a tail that passes decodes to exactly
+        // `rows` rows, so no decode grows the buffers reserved below.
         let data_len = p.u64()? as usize;
-        let data = Bytes::copy_from_slice(p.bytes(data_len)?);
-        let tail = EncodedBlock::try_from_parts(tail_encoding, tail_rows, data)?.decode();
-        if tail.len() != tail_rows {
-            return Err(storage_err!(
-                "column {c} tail decoded to {} rows, expected {tail_rows}",
-                tail.len()
-            ));
-        }
+        let data = p.bytes(data_len)?;
+        encoding.check(data, rows)?;
         stats.push(match p.u8()? {
             0 => None,
             1 => Some((p.i64()?, p.i64()?)),
             f => return Err(storage_err!("bad stats flag {f}")),
         });
-        tiers.push(TieredColumn::from_parts(block_rows, pinned, frozen, tail));
+        tiers.push(TieredColumn::from_parts(block_rows, pinned, frozen, rows));
+        let dictionary = (encoding == Encoding::Dict).then(|| dict::read_dictionary(data));
+        tails.push(Tail {
+            encoding,
+            rows,
+            data,
+            dictionary,
+        });
+    }
+
+    // Decode the hot tails into the buffers reserved above, one job per
+    // column, each block's meta sealed as the block fills. Every buffer
+    // is the caller's: a worker's allocations come from its own allocator
+    // arena, which the main heap cannot reuse once the table is dropped.
+    // The CPU dispatch the seals use is resolved here for the same
+    // reason (its first call reads the environment).
+    mask_impl();
+    let hot_blocks = tails.iter().map(|t| t.rows / block_rows).sum();
+    run_morsels_mut(&mut tiers, fan_out_width(threads, hot_blocks), |c, tier| {
+        let t = &tails[c];
+        t.encoding
+            .decode_into(t.data, t.rows, t.dictionary.as_deref(), tier);
+    });
+    for (c, (tier, t)) in tiers.iter().zip(&tails).enumerate() {
+        if tier.hot_values().len() != t.rows {
+            return Err(storage_err!(
+                "column {c} tail decoded to {} rows, expected {}",
+                tier.hot_values().len(),
+                t.rows
+            ));
+        }
     }
 
     let dropped: Vec<usize> = tiers.first().map_or_else(Vec::new, |c| {
@@ -1222,6 +1274,58 @@ mod tests {
             restored.activity().death_bytes(),
             t.activity().death_bytes()
         );
+    }
+
+    #[test]
+    fn the_restore_is_identical_at_every_width() {
+        use crate::table::tier_width::assert_same_table;
+        // Four hot columns (stream, runs, frame, dictionary tails) of 20
+        // full 64-row blocks and an open one, rows forgotten in each.
+        let mut hot = Table::with_block_rows(Schema::new(vec!["a", "b", "c", "d"]), 64);
+        let mut rng = SimRng::new(47);
+        let far = [i64::MIN, -7, 0, 1 << 50, i64::MAX];
+        for i in 0..20 * 64 + 30 {
+            let row = [i, i / 90, rng.range_i64(0, 1 << 20), far[rng.index(5)]];
+            hot.insert(&row, i as u64 / 100).unwrap();
+        }
+        for r in (0..hot.num_rows() as u64).step_by(7) {
+            hot.forget(RowId(r), 50).unwrap();
+        }
+        // Frozen, dropped and recompressed blocks before ten full hot
+        // blocks per column.
+        for (name, t) in [("hot", hot), ("frozen and hot", death_run_table())] {
+            let meta = RecoveryMeta {
+                last_seqno: 9,
+                ..RecoveryMeta::default()
+            };
+            let bytes = encode_with_meta(&t, meta);
+            let (want, want_meta) = decode_with_meta_on(&bytes, 1).unwrap();
+            assert_same_table(&want, &t, name);
+            for threads in [2, 4] {
+                let ctx = format!("{name}, {threads} workers");
+                let (got, got_meta) = decode_with_meta_on(&bytes, threads).unwrap();
+                assert_eq!(got_meta, want_meta, "{ctx}");
+                assert_same_table(&got, &want, &ctx);
+                for c in 0..t.schema().arity() {
+                    let (g, w) = (got.col_tier(c), want.col_tier(c));
+                    let metas = |tier: &TieredColumn| {
+                        (0..tier.full_blocks())
+                            .map(|b| *tier.meta(b))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(metas(g), metas(w), "{ctx}: column {c} metas");
+                    assert_eq!(metas(g), metas(t.col_tier(c)), "{ctx}: column {c} live");
+                    assert_eq!(g.appended_range(), w.appended_range(), "{ctx}: {c}");
+                }
+                for r in 0..t.num_rows() {
+                    let id = RowId::from(r);
+                    let died = got.activity().died_at(id);
+                    assert_eq!(died, want.activity().died_at(id), "{ctx}: died_at @{r}");
+                }
+                assert_eq!(got.memory_bytes(), want.memory_bytes(), "{ctx}");
+                got.check_invariants().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -36,21 +36,27 @@ use crate::types::{Epoch, RowId, Value, DEFAULT_BLOCK_ROWS};
 /// nothing.
 const TIER_FAN_OUT_BLOCKS: usize = 16;
 
+/// The workers for jobs over `blocks` blocks: `threads` from
+/// [`TIER_FAN_OUT_BLOCKS`] blocks up, one (inline) below. Tier
+/// transitions and the snapshot restore's tail decode both size their
+/// fan-out here.
+pub(crate) fn fan_out_width(threads: usize, blocks: usize) -> usize {
+    if blocks < TIER_FAN_OUT_BLOCKS {
+        1
+    } else {
+        threads
+    }
+}
+
 /// Run the `jobs` jobs of a tier transition over `blocks` blocks and
-/// return their results in job order: on `threads` workers from
-/// [`TIER_FAN_OUT_BLOCKS`] blocks up, inline below.
+/// return their results in job order, on [`fan_out_width`] workers.
 fn tier_jobs<R: Send>(
     threads: usize,
     blocks: usize,
     jobs: usize,
     job: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
-    let threads = if blocks < TIER_FAN_OUT_BLOCKS {
-        1
-    } else {
-        threads
-    };
-    run_morsels(jobs, threads, job).0
+    run_morsels(jobs, fan_out_width(threads, blocks), job).0
 }
 
 /// A columnar table whose tuples can be *forgotten*.

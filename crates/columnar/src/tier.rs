@@ -123,7 +123,7 @@ use bytes::BytesMut;
 
 use crate::compress::varint::{write_signed, write_varint};
 use crate::compress::{
-    bit_set, note_summary_build, BlockReader, BlockSizes, EncodedBlock, Encoding,
+    bit_set, note_summary_build, BlockReader, BlockSizes, EncodedBlock, Encoding, Rows,
 };
 use crate::simd::{mask_impl, MaskImpl};
 use crate::types::{Value, DEFAULT_BLOCK_ROWS};
@@ -554,15 +554,18 @@ impl TieredColumn {
         self.encoding
     }
 
-    /// Rebuild from persisted parts (snapshot reader). Every frozen block
-    /// must hold exactly `block_rows` rows. The full hot blocks are sealed
-    /// as if every hot row were active; the owning table recounts them
-    /// under its activity words (`recount_hot_active`).
+    /// A column to rebuild from persisted parts (snapshot reader): the
+    /// `frozen` blocks, each of exactly `block_rows` rows, and room for
+    /// exactly `hot_rows` hot rows and the metas of their full blocks. A
+    /// decode then pushes the hot tail through [`Rows`], which seals each
+    /// full block as it fills and never grows either buffer. The blocks
+    /// seal as if every hot row were active; the owning table recounts
+    /// them under its activity words (`recount_hot_active`).
     pub fn from_parts(
         block_rows: usize,
         encoding: Option<Encoding>,
         frozen: Vec<FrozenBlock>,
-        hot: Vec<Value>,
+        hot_rows: usize,
     ) -> Self {
         let mut c = Self::with_block_rows(block_rows);
         for (i, f) in frozen.iter().enumerate() {
@@ -575,8 +578,8 @@ impl TieredColumn {
         }
         c.encoding = encoding;
         c.frozen = frozen;
-        c.hot = hot;
-        c.seal_full_blocks();
+        c.hot = Vec::with_capacity(hot_rows);
+        c.hot_meta.metas = Vec::with_capacity(hot_rows / block_rows);
         c
     }
 
@@ -734,6 +737,19 @@ impl TieredColumn {
     fn seal_full_blocks(&mut self) {
         while self.hot.len() >= self.hot_meta.seal_at {
             self.seal();
+        }
+    }
+
+    /// Append `n` rows of `v` to the hot tail, a block at a time, sealing
+    /// every block they fill.
+    fn push_run(&mut self, v: Value, mut n: usize) {
+        while n > 0 {
+            let k = n.min(self.hot_meta.seal_at - self.hot.len());
+            self.hot.extend(std::iter::repeat_n(v, k));
+            n -= k;
+            if self.hot.len() == self.hot_meta.seal_at {
+                self.seal();
+            }
         }
     }
 
@@ -1068,6 +1084,20 @@ impl TieredColumn {
 impl Default for TieredColumn {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A decode into the hot tail ([`Encoding::decode_into`]) seals each
+/// block's meta as the block fills, while its rows are in cache: the
+/// restore's one pass over a tail.
+impl Rows for TieredColumn {
+    #[inline]
+    fn push(&mut self, v: Value) {
+        TieredColumn::push(self, v);
+    }
+
+    fn push_run(&mut self, v: Value, n: usize) {
+        TieredColumn::push_run(self, v, n);
     }
 }
 
@@ -1744,8 +1774,9 @@ mod tests {
             64,
             None,
             vec![c.frozen(0).unwrap().clone()],
-            c.hot_values().to_vec(),
+            c.hot_values().len(),
         );
+        restored.extend_from_slice(c.hot_values());
         restored.recount_hot_active(&words);
         assert_eq!(hot_metas(&restored), hot_metas(&c));
         // The open block's forgets carry over too.
@@ -1753,6 +1784,41 @@ mod tests {
         c.extend_from_slice(&[1_000; 26]);
         assert_eq!(hot_metas(&restored), hot_metas(&c));
         assert_eq!(c.meta(3).active, 62);
+    }
+
+    #[test]
+    fn a_decode_into_the_tail_seals_what_an_extend_seals() {
+        let mut rng = amnesia_util::SimRng::new(47);
+        // No full block, a short open block, exactly full blocks, and
+        // full blocks with an open one behind them.
+        for len in [0usize, 1, 63, 64, 65, 128, 200] {
+            // A run across two block boundaries, then short runs.
+            let values: Vec<Value> = (0..len)
+                .map(|i| match (i, i % 5) {
+                    (50..180, _) => 7,
+                    (_, 0) => (i / 9) as Value,
+                    _ => rng.range_i64(-1 << 30, 1 << 30),
+                })
+                .collect();
+            let mut want = TieredColumn::with_block_rows(64);
+            want.extend_from_slice(&values);
+            for enc in Encoding::ALL {
+                let block = EncodedBlock::encode(&values, enc);
+                let mut got = TieredColumn::from_parts(64, None, vec![], len);
+                let room = (got.hot.capacity(), got.hot_meta.metas.capacity());
+                enc.decode_into(block.data(), len, None, &mut got);
+                let ctx = format!("{enc:?} {len} rows");
+                assert_eq!(got.hot_values(), values, "{ctx}");
+                assert_eq!(hot_metas(&got), hot_metas(&want), "{ctx}");
+                assert_eq!(got.appended_range(), want.appended_range(), "{ctx}");
+                assert_eq!(got.hot_meta.seal_at, want.hot_meta.seal_at, "{ctx}");
+                assert_eq!(
+                    (got.hot.capacity(), got.hot_meta.metas.capacity()),
+                    room,
+                    "{ctx}: the decode grew a buffer"
+                );
+            }
+        }
     }
 
     #[test]

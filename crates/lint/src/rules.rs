@@ -285,13 +285,16 @@ fn word_occurs(code: &str, needle: &str) -> bool {
     false
 }
 
-/// Dense-materialization tokens: `.decode()` plus the whole-column
-/// materializers (call position only). `Table::col_values` is *not*
-/// listed: it is the hot-only flat accessor and never decodes (it panics
-/// on frozen columns — its own dynamic guard).
+/// Dense-materialization tokens: `.decode()` and `.decode_into(` plus
+/// the whole-column materializers (call position only).
+/// `Table::col_values` is *not* listed: it is the hot-only flat accessor
+/// and never decodes (it panics on frozen columns — its own dynamic
+/// guard).
 fn dense_token(code: &str) -> Option<&'static str> {
-    if code.contains(".decode()") {
-        return Some(".decode()");
+    for tok in [".decode()", ".decode_into("] {
+        if code.contains(tok) {
+            return Some(tok);
+        }
     }
     for tok in ["col_values_dense", "dense_values"] {
         let mut from = 0;
@@ -538,6 +541,19 @@ mod tests {
         let src = "fn f(t: &Table) { let v = t.col_values_dense(0); }\n";
         assert_eq!(check("crates/engine/src/x.rs", src).len(), 1);
         assert!(check("crates/columnar/src/tier.rs", src).is_empty());
+    }
+
+    #[test]
+    fn decode_into_is_dense_outside_whitelist_only() {
+        let src = "fn f(b: &EncodedBlock, out: &mut Vec<i64>) { b.decode_into(out); }\n";
+        let found = check("crates/engine/src/x.rs", src);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].rule, "dense");
+        assert!(check("crates/columnar/src/persist/snapshot.rs", src).is_empty());
+        assert!(check("crates/columnar/src/compress/mod.rs", src).is_empty());
+        // Not a call of the method: a path to the codec's function.
+        let path = "fn f(d: &[u8], out: &mut Vec<i64>) { rle::decode_into(d, out); }\n";
+        assert!(check("crates/engine/src/x.rs", path).is_empty());
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! [`PlainCell`]: deliberately non-atomic shared state, the probe the
 //! race detector checks.
 //!
-//! A `PlainCell<T>` is an `UnsafeCell` with `get`/`set` on `&self` and
-//! a `Sync` impl — exactly the shape of a field that concurrent code
-//! shares *believing* some protocol orders every access. In a `model`
+//! A `PlainCell<T>` is an `UnsafeCell` with `get`/`set` (and, for a
+//! value that is not `Copy`, `put`/`take`) on `&self` and a `Sync` impl —
+//! exactly the shape of a field that concurrent code shares *believing*
+//! some protocol orders every access. The morsel scheduler's result slots
+//! are such fields: one worker writes each, the caller reads it after the
+//! join. In a `model`
 //! run every access is clock-checked: an unordered conflicting pair is
 //! reported as a data race with a schedule trace. Model tests use it
 //! two ways: as the payload whose safety a protocol (release/acquire
@@ -27,13 +30,40 @@ pub struct PlainCell<T> {
 // SAFETY: upheld by the model-verified ordering argument above.
 unsafe impl<T: Send> Sync for PlainCell<T> {}
 
-impl<T: Copy> PlainCell<T> {
+impl<T> PlainCell<T> {
     pub const fn new(v: T) -> Self {
         Self {
             inner: UnsafeCell::new(v),
         }
     }
 
+    /// Replace the value, dropping the old one: a write.
+    pub fn put(&self, v: T) {
+        #[cfg(feature = "model")]
+        if let Some(c) = crate::ctx::current() {
+            c.sched.cell_write(c.tid, self as *const Self as usize);
+        }
+        // SAFETY: as in `set`.
+        unsafe {
+            *self.inner.get() = v;
+        }
+    }
+
+    /// Move the value out, leaving the default: a write.
+    pub fn take(&self) -> T
+    where
+        T: Default,
+    {
+        #[cfg(feature = "model")]
+        if let Some(c) = crate::ctx::current() {
+            c.sched.cell_write(c.tid, self as *const Self as usize);
+        }
+        // SAFETY: as in `set`.
+        unsafe { std::mem::take(&mut *self.inner.get()) }
+    }
+}
+
+impl<T: Copy> PlainCell<T> {
     pub fn get(&self) -> T {
         #[cfg(feature = "model")]
         if let Some(c) = crate::ctx::current() {

@@ -2,21 +2,24 @@
 //!
 //! [`run_morsels`] runs `n` independent jobs — morsels — on a fixed
 //! number of scoped workers and hands their results back **in morsel
-//! order**, whichever worker ran which. Two layers call it: the engine's
-//! plan stages (`amnesia-engine::morsel`, which cuts a table into spans
-//! and keeps the per-plan accounting) and the tier schedule in
+//! order**, whichever worker ran which. Three layers call it: the
+//! engine's plan stages (`amnesia-engine::morsel`, which cuts a table into
+//! spans and keeps the per-plan accounting), the tier schedule in
 //! `amnesia-columnar` (freeze and recompression jobs, one per block and
-//! column). Both reach threads only through here, so the model checker
-//! (`tests/morsel.rs`, under `--features model`) covers every fan-out in
-//! the workspace.
+//! column) and its snapshot restore ([`run_morsels_mut`], one job per
+//! column filling buffers the caller reserved). All reach threads only
+//! through here, so the model checker (`tests/morsel.rs`, under
+//! `--features model`) covers every fan-out in the workspace.
 //!
 //! Each worker owns a contiguous range of morsel indices behind an
 //! atomic cursor; after draining its own range it steals one morsel at a
 //! time from the peer with the most work left. The caller is worker 0,
 //! so `threads` workers spawn `threads - 1` scoped threads, and one
-//! worker (or one morsel) spawns nothing.
+//! worker (or one morsel) spawns nothing. Every buffer of the scheduler
+//! is the caller's, so a worker allocates only what its morsels do.
 
 use crate::atomic::{AtomicUsize, Ordering};
+use crate::cell::PlainCell;
 use crate::thread;
 use std::sync::OnceLock;
 
@@ -24,9 +27,11 @@ use std::sync::OnceLock;
 /// results **in morsel order**, plus how many morsels a worker stole
 /// from another worker's range.
 ///
-/// Results are collected per worker and scattered back by morsel index,
-/// so downstream merges see a deterministic order no matter which worker
-/// ran what.
+/// Each result goes straight into its morsel's slot, which the caller
+/// allocated before any worker started, so downstream merges see a
+/// deterministic order no matter which worker ran what, and the
+/// scheduler allocates nothing on a worker: a morsel that allocates
+/// nothing leaves its worker with no allocation at all.
 pub fn run_morsels<R, F>(n: usize, threads: usize, run: F) -> (Vec<R>, usize)
 where
     R: Send,
@@ -39,10 +44,15 @@ where
     let per = n.div_ceil(workers);
     let cursors: Vec<AtomicUsize> = (0..workers).map(|w| AtomicUsize::new(w * per)).collect();
     let ends: Vec<usize> = (0..workers).map(|w| ((w + 1) * per).min(n)).collect();
-    // One worker's whole life: its own range, then steals. Returns the
-    // `(morsel, result)` pairs it ran and how many it stole.
+    // One slot per morsel, written once by whichever worker claimed the
+    // morsel and read by the caller after the scope joined that worker:
+    // the claim makes the writes disjoint and the join orders them
+    // before the reads (the model suite race-checks both on every
+    // explored schedule).
+    let slots: Vec<PlainCell<Option<R>>> = (0..n).map(|_| PlainCell::new(None)).collect();
+    // One worker's whole life: its own range, then steals. Returns how
+    // many it stole.
     let worker = |w: usize| {
-        let mut out: Vec<(usize, R)> = Vec::new();
         let mut steals = 0usize;
         // Own range first. Relaxed claim: each cursor word is
         // independently atomic, and results travel to the collector
@@ -54,7 +64,7 @@ where
             if i >= ends[w] {
                 break;
             }
-            out.push((i, run(i)));
+            slots[i].put(Some(run(i)));
         }
         // Steal one morsel at a time from the most-loaded peer until
         // everyone is drained.
@@ -81,36 +91,62 @@ where
             let i = cursors[v].fetch_add(1, Ordering::Relaxed);
             if i < ends[v] {
                 steals += 1;
-                out.push((i, run(i)));
+                slots[i].put(Some(run(i)));
             }
         }
-        (out, steals)
+        steals
     };
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut steal_total = 0usize;
     thread::scope(|s| {
         // The caller is worker 0: one spawn fewer, and it works instead
         // of waiting.
         let worker = &worker;
         let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || worker(w))).collect();
-        let own = worker(0);
-        let parts = std::iter::once(own).chain(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("morsel worker")),
-        );
-        for (part, steals) in parts {
-            steal_total += steals;
-            for (i, r) in part {
-                slots[i] = Some(r);
-            }
+        steal_total = worker(0);
+        for h in handles {
+            steal_total += h.join().expect("morsel worker");
         }
     });
     let results = slots
-        .into_iter()
-        .map(|r| r.expect("every morsel ran exactly once"))
+        .iter()
+        .map(|slot| slot.take().expect("every morsel ran exactly once"))
         .collect();
     (results, steal_total)
+}
+
+/// [`run_morsels`] over `items`: morsel `i` runs `run(i, &mut items[i])`,
+/// and no other morsel sees that item. Jobs fill buffers the caller
+/// allocated this way, so a worker allocates nothing to hold its output.
+pub fn run_morsels_mut<T, R, F>(items: &mut [T], threads: usize, run: F) -> (Vec<R>, usize)
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let base = Items(items.as_mut_ptr());
+    let base = &base;
+    // `run_morsels` runs each index below `items.len()` exactly once (the
+    // model suite's exactly-once proof), and every morsel ends before it
+    // returns, inside the `items` borrow.
+    run_morsels(items.len(), threads, |i| {
+        // SAFETY: in bounds, and item `i` is borrowed by this morsel only.
+        run(i, unsafe { &mut *base.at(i) })
+    })
+}
+
+/// The items of [`run_morsels_mut`], shared with its workers.
+struct Items<T>(*mut T);
+
+// SAFETY: workers reach the items only through `Items::at` in
+// `run_morsels_mut`, which hands each index to one morsel, so every `T`
+// is used by one thread at a time; `T: Send` lets it move to another.
+unsafe impl<T: Send> Sync for Items<T> {}
+
+impl<T> Items<T> {
+    /// The address of item `i`.
+    fn at(&self, i: usize) -> *mut T {
+        self.0.wrapping_add(i)
+    }
 }
 
 /// The cores this process may run on
@@ -133,5 +169,19 @@ mod tests {
             assert!(steals < n.max(1));
         }
         assert!(cores() >= 1);
+    }
+
+    #[test]
+    fn each_item_goes_to_its_own_morsel() {
+        for (n, threads) in [(0usize, 4usize), (1, 8), (7, 2), (64, 7)] {
+            let mut items: Vec<usize> = (0..n).collect();
+            let (results, _) = run_morsels_mut(&mut items, threads, |i, item| {
+                assert_eq!(*item, i);
+                *item *= 10;
+                i + 1
+            });
+            assert_eq!(results, (1..=n).collect::<Vec<_>>());
+            assert_eq!(items, (0..n).map(|i| i * 10).collect::<Vec<_>>());
+        }
     }
 }

@@ -13,8 +13,9 @@
 //! Override exploration via `AMNESIA_MODEL_{ITERS,PREEMPTIONS,SEED,REPLAY}`.
 
 use amnesia_sync::atomic::{AtomicUsize, Ordering};
+use amnesia_sync::cell::PlainCell;
 use amnesia_sync::model::{explore, ModelConfig};
-use amnesia_sync::morsel::run_morsels;
+use amnesia_sync::morsel::{run_morsels, run_morsels_mut};
 
 /// Exactly-once across steals: every morsel body runs once on some
 /// worker, results land in morsel order, and no more morsels are stolen
@@ -76,4 +77,20 @@ fn morsel_single_worker_is_serial() {
     });
     report.assert_clean();
     assert_eq!(report.schedules, 1, "no spawn, no scheduling choice");
+}
+
+/// `run_morsels_mut` hands each item to one morsel: the workers' writes
+/// to their items and the caller's reads after the join are ordered on
+/// every explored schedule (the items are race-checked cells).
+#[test]
+fn morsel_items_are_written_by_one_morsel_each() {
+    let report = explore(ModelConfig::from_env(), || {
+        let mut items: Vec<PlainCell<usize>> = (0..4).map(|_| PlainCell::new(0)).collect();
+        run_morsels_mut(&mut items, 2, |i, item| item.set(i + 1));
+        for (i, item) in items.iter().enumerate() {
+            assert_eq!(item.get(), i + 1, "item {i}");
+        }
+    });
+    report.assert_clean();
+    assert!(report.schedules > 1, "the two workers interleave");
 }

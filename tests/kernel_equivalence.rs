@@ -1179,9 +1179,15 @@ mod packed_codecs {
 
         assert_eq!(block.decode(), want, "{ctx} decode");
         match encoding {
-            Encoding::ForPack => assert_eq!(forpack::decode(&data), want, "{ctx} codec decode"),
+            Encoding::ForPack => {
+                let mut got = Vec::with_capacity(n);
+                forpack::decode_into(&data, &mut got);
+                assert_eq!(got, want, "{ctx} codec decode");
+            }
             Encoding::RunBits => {
-                assert_eq!(runbits::decode(&data, n), want, "{ctx} codec decode");
+                let mut got = Vec::with_capacity(n);
+                runbits::decode_into(&data, n, &mut got);
+                assert_eq!(got, want, "{ctx} codec decode");
                 let mut rows = 0;
                 runbits::for_each_run(&data, n, |v, start, len| {
                     assert_eq!(start, rows, "{ctx} runs ascend");
@@ -1194,8 +1200,10 @@ mod packed_codecs {
                 assert_eq!(rows, n, "{ctx} runs cover the block");
             }
             Encoding::Dict => {
-                assert_eq!(dict::decode(&data), want, "{ctx} codec decode");
                 let dictionary = dict::read_dictionary(&data);
+                let mut got = Vec::with_capacity(n);
+                dict::decode_into(&data, &dictionary, &mut got);
+                assert_eq!(got, want, "{ctx} codec decode");
                 let mut got = Vec::new();
                 dict::for_each_active_code(&data, &activities[2], |row, code| {
                     got.push((row, dictionary[code as usize]));
