@@ -74,12 +74,13 @@
 //! checks each hot tail where it lies, and reserves the tail's values and
 //! the metas of its full blocks at their exact sizes. One job per column
 //! decodes the tail into those buffers, sealing each block's meta as the
-//! block fills; the jobs run on every core once the tails hold
-//! `TIER_FAN_OUT_BLOCKS` full blocks between them, and allocate nothing.
-//! The death runs are read in one varint loop and applied a death-epoch
-//! page at a time: one mask per run on the activity words, one dictionary
-//! lookup per change of epoch on the page's codes. The [`crate::persist`]
-//! module docs give what each phase of an open costs.
+//! block fills, and allocates nothing; the jobs run on every core once the
+//! tails hold `TIER_FAN_OUT_BLOCKS` full blocks between them. Beside them
+//! the calling thread reads the row metadata: the death runs in one
+//! varint loop, applied a death-epoch page at a time (one mask per run on
+//! the activity words, one dictionary lookup per change of epoch on the
+//! page's codes). The [`crate::persist`] module docs give what each phase
+//! of an open costs.
 //!
 //! Version 3 adds the [`RecoveryMeta`] prefix: the WAL sequence number
 //! the snapshot covers (so segmented-log replay knows exactly where to
@@ -458,6 +459,14 @@ struct Tail<'a> {
     dictionary: Option<Vec<Value>>,
 }
 
+/// One job of a restore.
+enum Job<'a, 'p> {
+    /// Read the row metadata that closes the payload.
+    Rows(&'a mut Reader<'p>),
+    /// Decode one column's hot tail into it.
+    Tail(&'a mut TieredColumn),
+}
+
 /// Decode the column/activity/access body shared by versions 2 to 4,
 /// the hot tails on `threads` workers (see [`decode_with_meta_on`]).
 fn decode_body(payload: &[u8], version: u32, threads: usize) -> Result<Table> {
@@ -485,7 +494,7 @@ fn decode_body(payload: &[u8], version: u32, threads: usize) -> Result<Table> {
     if block_rows == 0 || !block_rows.is_multiple_of(64) {
         return Err(storage_err!("invalid tier block size {block_rows}"));
     }
-    // The three vectors are sized before the first column buffer, and
+    // The four vectors are sized before the first column buffer, and
     // the table adopts `tiers` as its columns. So no throwaway vector is
     // allocated above the column buffers. A small freed chunk left there
     // stops the allocator from giving their memory back when the table is
@@ -493,6 +502,7 @@ fn decode_body(payload: &[u8], version: u32, threads: usize) -> Result<Table> {
     let mut tiers: Vec<TieredColumn> = Vec::with_capacity(arity);
     let mut stats: Vec<Option<(i64, i64)>> = Vec::with_capacity(arity);
     let mut tails: Vec<Tail<'_>> = Vec::with_capacity(arity);
+    let mut jobs: Vec<Job<'_, '_>> = Vec::with_capacity(arity + 1);
     for c in 0..arity {
         let pinned = p.u8()?;
         let pinned = if pinned == 0xFF {
@@ -569,19 +579,39 @@ fn decode_body(payload: &[u8], version: u32, threads: usize) -> Result<Table> {
         });
     }
 
-    // Decode the hot tails into the buffers reserved above, one job per
-    // column, each block's meta sealed as the block fills. Every buffer
-    // is the caller's: a worker's allocations come from its own allocator
-    // arena, which the main heap cannot reuse once the table is dropped.
-    // The CPU dispatch the seals use is resolved here for the same
-    // reason (its first call reads the environment).
+    // The restore's jobs: the row metadata on the calling thread (morsel
+    // 0 is always the caller's), beside one job per column that decodes
+    // its hot tail into the buffers reserved above and seals each
+    // block's meta as the block fills. Every allocation is the caller's:
+    // the row metadata's come after the column buffers, as they would
+    // serially, and a worker's would come from its own allocator arena,
+    // which the main heap cannot reuse once the table is dropped. The CPU
+    // dispatch the seals use is resolved here for the same reason (its
+    // first call reads the environment).
+    let dropped: Vec<usize> = tiers.first().map_or_else(Vec::new, |c| {
+        (0..c.frozen_blocks())
+            .filter(|&b| c.frozen(b).is_some_and(FrozenBlock::is_dropped))
+            .collect()
+    });
     mask_impl();
     let hot_blocks = tails.iter().map(|t| t.rows / block_rows).sum();
-    run_morsels_mut(&mut tiers, fan_out_width(threads, hot_blocks), |c, tier| {
-        let t = &tails[c];
-        t.encoding
-            .decode_into(t.data, t.rows, t.dictionary.as_deref(), tier);
-    });
+    jobs.push(Job::Rows(&mut p));
+    jobs.extend(tiers.iter_mut().map(Job::Tail));
+    let (mut done, _) =
+        run_morsels_mut(
+            &mut jobs,
+            fan_out_width(threads, hot_blocks),
+            |i, job| match job {
+                Job::Rows(p) => Some(read_row_metadata(p, version, n, block_rows, &dropped)),
+                Job::Tail(tier) => {
+                    let t = &tails[i - 1];
+                    t.encoding
+                        .decode_into(t.data, t.rows, t.dictionary.as_deref(), *tier);
+                    None
+                }
+            },
+        );
+    drop(jobs);
     for (c, (tier, t)) in tiers.iter().zip(&tails).enumerate() {
         if tier.hot_values().len() != t.rows {
             return Err(storage_err!(
@@ -591,13 +621,9 @@ fn decode_body(payload: &[u8], version: u32, threads: usize) -> Result<Table> {
             ));
         }
     }
-
-    let dropped: Vec<usize> = tiers.first().map_or_else(Vec::new, |c| {
-        (0..c.frozen_blocks())
-            .filter(|&b| c.frozen(b).is_some_and(FrozenBlock::is_dropped))
-            .collect()
-    });
-    let meta = read_row_metadata(&mut p, version, n, block_rows, &dropped)?;
+    let meta = done
+        .swap_remove(0)
+        .ok_or_else(|| storage_err!("row metadata job did not run"))??;
 
     // Rebuild: the persisted tiers install as-is and the activity /
     // epoch / access bookkeeping is reconstructed directly — the restore

@@ -31,7 +31,9 @@ use std::sync::OnceLock;
 /// allocated before any worker started, so downstream merges see a
 /// deterministic order no matter which worker ran what, and the
 /// scheduler allocates nothing on a worker: a morsel that allocates
-/// nothing leaves its worker with no allocation at all.
+/// nothing leaves its worker with no allocation at all. Morsel 0 always
+/// runs on the calling thread, so a job that must (one that allocates
+/// what outlives the call) goes first.
 pub fn run_morsels<R, F>(n: usize, threads: usize, run: F) -> (Vec<R>, usize)
 where
     R: Send,
@@ -96,12 +98,17 @@ where
         }
         steals
     };
+    // Morsel 0 is the caller's: claimed before any worker starts, so it
+    // runs on the calling thread whatever the schedule. Relaxed, as every
+    // claim: the cursor word is atomic on its own.
+    let first = cursors[0].fetch_add(1, Ordering::Relaxed);
     let mut steal_total = 0usize;
     thread::scope(|s| {
         // The caller is worker 0: one spawn fewer, and it works instead
         // of waiting.
         let worker = &worker;
         let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || worker(w))).collect();
+        slots[first].put(Some(run(first)));
         steal_total = worker(0);
         for h in handles {
             steal_total += h.join().expect("morsel worker");

@@ -94,3 +94,15 @@ fn morsel_items_are_written_by_one_morsel_each() {
     report.assert_clean();
     assert!(report.schedules > 1, "the two workers interleave");
 }
+
+/// Morsel 0 runs on the calling thread on every explored schedule, even
+/// when the other worker drains its own range first and steals.
+#[test]
+fn morsel_zero_runs_on_the_caller() {
+    let report = explore(ModelConfig::from_env(), || {
+        let caller = std::thread::current().id();
+        let (on_caller, _) = run_morsels(4, 2, |i| i != 0 || std::thread::current().id() == caller);
+        assert!(on_caller.iter().all(|&ok| ok), "morsel 0 left the caller");
+    });
+    report.assert_clean();
+}
