@@ -461,8 +461,9 @@ struct Tail<'a> {
 
 /// One job of a restore.
 enum Job<'a, 'p> {
-    /// Read the row metadata that closes the payload.
-    Rows(&'a mut Reader<'p>),
+    /// Read the row metadata that closes the payload into the second
+    /// field.
+    Rows(&'a mut Reader<'p>, &'a mut Option<Result<RowMetadata>>),
     /// Decode one column's hot tail into it.
     Tail(&'a mut TieredColumn),
 }
@@ -502,6 +503,9 @@ fn decode_body(payload: &[u8], version: u32, threads: usize) -> Result<Table> {
     let mut tiers: Vec<TieredColumn> = Vec::with_capacity(arity);
     let mut stats: Vec<Option<(i64, i64)>> = Vec::with_capacity(arity);
     let mut tails: Vec<Tail<'_>> = Vec::with_capacity(arity);
+    // The row metadata job's result lives here, not in the scheduler's
+    // result slots: those would make a bigger throwaway vector.
+    let mut row_metadata = None;
     let mut jobs: Vec<Job<'_, '_>> = Vec::with_capacity(arity + 1);
     for c in 0..arity {
         let pinned = p.u8()?;
@@ -595,22 +599,17 @@ fn decode_body(payload: &[u8], version: u32, threads: usize) -> Result<Table> {
     });
     mask_impl();
     let hot_blocks = tails.iter().map(|t| t.rows / block_rows).sum();
-    jobs.push(Job::Rows(&mut p));
+    jobs.push(Job::Rows(&mut p, &mut row_metadata));
     jobs.extend(tiers.iter_mut().map(Job::Tail));
-    let (mut done, _) =
-        run_morsels_mut(
-            &mut jobs,
-            fan_out_width(threads, hot_blocks),
-            |i, job| match job {
-                Job::Rows(p) => Some(read_row_metadata(p, version, n, block_rows, &dropped)),
-                Job::Tail(tier) => {
-                    let t = &tails[i - 1];
-                    t.encoding
-                        .decode_into(t.data, t.rows, t.dictionary.as_deref(), *tier);
-                    None
-                }
-            },
-        );
+    let width = fan_out_width(threads, hot_blocks);
+    run_morsels_mut(&mut jobs, width, |i, job| match job {
+        Job::Rows(p, out) => **out = Some(read_row_metadata(p, version, n, block_rows, &dropped)),
+        Job::Tail(tier) => {
+            let t = &tails[i - 1];
+            t.encoding
+                .decode_into(t.data, t.rows, t.dictionary.as_deref(), *tier);
+        }
+    });
     drop(jobs);
     for (c, (tier, t)) in tiers.iter().zip(&tails).enumerate() {
         if tier.hot_values().len() != t.rows {
@@ -621,9 +620,7 @@ fn decode_body(payload: &[u8], version: u32, threads: usize) -> Result<Table> {
             ));
         }
     }
-    let meta = done
-        .swap_remove(0)
-        .ok_or_else(|| storage_err!("row metadata job did not run"))??;
+    let meta = row_metadata.ok_or_else(|| storage_err!("row metadata job did not run"))??;
 
     // Rebuild: the persisted tiers install as-is and the activity /
     // epoch / access bookkeeping is reconstructed directly — the restore
