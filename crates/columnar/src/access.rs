@@ -96,8 +96,9 @@ impl AccessStats {
         }
     }
 
-    /// Overwrite a row's statistics (used by vacuum when migrating state
-    /// to the compacted table, and by the snapshot reader).
+    /// Overwrite a row's statistics (used by vacuum when it copies a
+    /// survivor's statistics to its row in the compacted table, and by the
+    /// snapshot reader).
     pub fn restore(&mut self, row: RowId, frequency: f64, last_access: Epoch) {
         let i = row.as_usize();
         assert!(i < self.len, "row {row} out of range (len {})", self.len);

@@ -13,9 +13,10 @@ pub type Epoch = u64;
 
 /// Stable identifier of a tuple: its insertion position in the table.
 ///
-/// Row ids are never reused; physical vacuuming produces a remapping table
-/// instead of renumbering in place, so policy state referring to old ids
-/// can be migrated explicitly.
+/// Row ids are never reused while a table lives. A physical vacuum builds
+/// a new table whose survivors are renumbered from zero, and no mapping
+/// from the old ids is kept: policy state referring to them does not
+/// follow.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]

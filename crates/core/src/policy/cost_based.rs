@@ -55,9 +55,11 @@ fn relative_density(values: &[Value], bins: usize) -> Vec<f64> {
     if values.is_empty() || lo == hi {
         return vec![1.0; values.len()];
     }
-    let span = (hi - lo) as f64;
+    // `v − lo` for `lo <= v`, exact where the i64 difference overflows.
+    let above_lo = |v: Value| v.wrapping_sub(lo) as u64 as f64;
+    let span = above_lo(hi);
     let bin_of = |v: Value| -> usize {
-        (((v - lo) as f64 / span) * bins as f64)
+        ((above_lo(v) / span) * bins as f64)
             .floor()
             .min(bins as f64 - 1.0) as usize
     };
@@ -190,6 +192,12 @@ mod tests {
         let mut p = CostBasedPolicy::default_params();
         let mut rng = SimRng::new(65);
         let _ = run_loop(&mut p, 100, 20, 8, &mut rng);
+    }
+
+    #[test]
+    fn the_i64_edges_bin_without_overflow() {
+        let d = relative_density(&[i64::MIN, 0, 0, i64::MAX], 2);
+        assert_eq!(d, [0.5, 1.5, 1.5, 1.5]);
     }
 
     #[test]

@@ -343,7 +343,7 @@ impl AmnesiacStore {
             ForgetMode::Delete | ForgetMode::Summarize | ForgetMode::Model { .. }
         );
         if compacts && self.table.forgotten_rows() > 0 {
-            self.table = vacuum(&self.table).table;
+            self.table = vacuum(&self.table);
             // A vacuum renumbers rows, which no WAL replay can reproduce:
             // re-anchor durability on a fresh snapshot of the compacted
             // table instead.

@@ -7,20 +7,21 @@ use amnesia_columnar::{RowId, Schema, Table};
 use crate::{Model, Op};
 
 /// Run `op` on a real table, as [`Model::apply`] runs it on the model's
-/// rows. Inserts and forgets happen at the table's current epoch (no
-/// answer depends on epochs); an out-of-range forget panics.
+/// rows. Each insert is a batch of the epoch after the table's current
+/// one, and forgets happen at the current epoch (no answer depends on
+/// epochs; a policy's choice does). A single column takes a batch of rows
+/// through `insert_batch` and one row through `insert`. An out-of-range
+/// forget panics.
 fn apply(table: &mut Table, op: &Op) {
     let epoch = table.current_epoch();
     match op {
-        Op::Insert(rows) if table.schema().arity() == 1 => {
+        Op::Insert(rows) if table.schema().arity() == 1 && rows.len() > 1 => {
             let values: Vec<i64> = rows.iter().map(|r| r[0]).collect();
-            if !values.is_empty() {
-                table.insert_batch(&values, epoch).expect("one column");
-            }
+            table.insert_batch(&values, epoch + 1).expect("one column");
         }
         Op::Insert(rows) => {
             for row in rows {
-                table.insert(row, epoch).expect("one value per column");
+                table.insert(row, epoch + 1).expect("one value per column");
             }
         }
         Op::Forget(ids) => {
@@ -38,7 +39,7 @@ fn apply(table: &mut Table, op: &Op) {
         Op::Drop => {
             table.drop_forgotten_blocks();
         }
-        Op::Vacuum => *table = vacuum(table).table,
+        Op::Vacuum => *table = vacuum(table),
     }
 }
 

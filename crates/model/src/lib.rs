@@ -9,6 +9,8 @@
 //! table's history is a list of [`Op`]s; [`Model::apply`] runs them on the
 //! rows, and [`Case::apply`] runs each on a real
 //! [`Table`](amnesia_columnar::Table) and on its model side by side.
+//! [`gen`] draws such histories from a seed, holds a law to every step,
+//! and shrinks a failing one.
 //!
 //! Evaluation — [`Model::query`] for the paper's single-column [`Query`]
 //! algebra, [`eval_plan`] for a [`PhysicalPlan`], [`join_pairs`] for the
@@ -39,6 +41,7 @@ use amnesia_engine::{
 use amnesia_workload::{AggKind, Query};
 
 mod case;
+pub mod gen;
 
 pub use case::Case;
 

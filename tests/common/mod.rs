@@ -3,7 +3,7 @@
 // Each suite uses its own subset of these helpers.
 #![allow(dead_code)]
 
-use amnesia::columnar::{BlockState, RowId, Table};
+use amnesia::columnar::{RowId, Table};
 use amnesia::engine::batch::{scan_tiered_active_into, TierStats};
 use amnesia::engine::exec::ExecStats;
 use amnesia::engine::physical::JoinSpec;
@@ -31,16 +31,6 @@ pub fn scan(t: &Table, pred: RangePredicate) -> (Vec<RowId>, TierStats) {
     let mut rows = Vec::new();
     let stats = scan_tiered_active_into(t.col_tier(0), t.activity_words(), pred, &mut rows);
     (rows, stats)
-}
-
-/// Does any frozen block of `t`, in any column, rest in `state`? A random
-/// mix of tier transitions checks with it that it reached the recompressed
-/// and dropped states.
-pub fn has_block_in(t: &Table, state: BlockState) -> bool {
-    (0..t.schema().arity()).any(|c| {
-        let tier = t.col_tier(c);
-        (0..tier.frozen_blocks()).any(|b| tier.frozen(b).is_some_and(|f| f.state() == state))
-    })
 }
 
 /// Output item: column `col` of scan slot `slot`.

@@ -18,8 +18,8 @@ use amnesia::engine::{
 };
 use amnesia::prelude::*;
 use amnesia::workload::query::RangePredicate;
-use amnesia_model::{eval_plan, join_pairs, Case, Model, Op};
-use common::{agg, col, has_block_in, plan, scan};
+use amnesia_model::{eval_plan, gen, join_pairs, Case, Model, Op};
+use common::{agg, col, plan, scan};
 use proptest::prelude::*;
 
 const ACTIVE: ForgetVisibility = ForgetVisibility::ActiveOnly;
@@ -318,88 +318,63 @@ fn assert_join_plan_matches_model(left: &Case, right: &Case, ctx: &str) {
     assert_plan_matches_model(&[left, right], &join, &format!("join {ctx}"));
 }
 
-/// Randomized insert/forget/freeze/recompress/drop/vacuum interleavings,
-/// then a drop: after every transition the tiered table answers every
-/// kernel, plan and join as the model does, across block sizes and every
-/// pinned codec plus the automatic chooser. The complete scan is checked
-/// whenever the model defines it: up to the first recompression, and
-/// again after a vacuum. Some step must leave a recompressed block and
-/// some a dropped one, so the mix cannot quietly stop reaching them.
+/// Generated histories of inserts, forgets, freezes, recompressions,
+/// drops and vacuums: after every tier transition the tiered table
+/// answers every kernel, plan and join as the model does, across block
+/// sizes, one and two columns, and every pinned codec plus the automatic
+/// chooser. The complete scan is checked whenever the model defines it:
+/// up to the first recompression, and again after a vacuum. Some history
+/// must leave a recompressed block and some a dropped one, so the
+/// generator cannot quietly stop reaching them.
 #[test]
 fn tiered_interleavings_match_the_model() {
-    let (mut recompressed, mut dropped) = (false, false);
-    for (block_rows, encoding, seed) in [
-        (64usize, None, 1u64),
-        (64, Some(Encoding::Rle), 2),
-        // Seed 102 once tripped the complete-scan check after an RLE
-        // recompression: a regression case for its gating.
-        (64, Some(Encoding::Rle), 102),
-        (64, Some(Encoding::Dict), 3),
-        (128, Some(Encoding::Delta), 4),
-        (128, Some(Encoding::ForPack), 5),
-        (1024, Some(Encoding::Plain), 6),
-        (1024, None, 7),
-        (64, Some(Encoding::RunBits), 8),
-        (1024, Some(Encoding::RunBits), 9),
+    let mut seen = gen::Coverage::default();
+    for (arity, block_rows, codec, seed) in [
+        (1, 64usize, None, 1u64),
+        (1, 64, Some(Encoding::Rle), 2),
+        (2, 64, Some(Encoding::Dict), 3),
+        (1, 128, Some(Encoding::Delta), 4),
+        (2, 128, Some(Encoding::ForPack), 5),
+        (1, 1024, Some(Encoding::Plain), 6),
+        (1, 1024, None, 7),
+        (1, 64, Some(Encoding::RunBits), 8),
+        (1, 1024, Some(Encoding::RunBits), 9),
     ] {
-        let mut rng = SimRng::new(seed);
-        let mut case = case(block_rows, encoding, &[]);
-        let ctx = format!("block_rows={block_rows} enc={encoding:?} seed={seed}");
-        for step in 0..12 {
-            // Mutate: insert a batch, forget some rows (now and then a
-            // whole block, so a drop has a victim), then a random tier
-            // transition.
-            let n = 100 + (rng.range_i64(0, 400) as usize);
-            let values: Vec<i64> = (0..n).map(|_| rng.range_i64(-500, 500)).collect();
-            case.apply(Op::column(&values));
-            let len = case.model.len();
-            let mut victims: Vec<usize> = (0..n / 3).map(|_| rng.index(len)).collect();
-            if len >= block_rows && rng.range_i64(0, 3) == 0 {
-                let b = rng.index(len / block_rows);
-                victims.extend(b * block_rows..(b + 1) * block_rows);
-            }
-            case.apply(Op::Forget(victims));
-            let op = match rng.range_i64(0, 6) {
-                0 | 1 => Op::FreezeUpto(rng.range_i64(0, len as i64 + 1) as usize),
-                2 => Op::FreezeUpto(len),
-                3 => Op::Recompress(0.9),
-                4 => Op::Drop,
-                // The compacted table comes back hot (survivors only,
-                // renumbered) and refreezes later.
-                _ => Op::Vacuum,
-            };
-            case.apply(op);
+        let config = gen::Config {
+            codec,
+            max_batch: block_rows.max(500),
+            ..gen::Config::new(arity, block_rows, 30)
+        };
+        seen |= gen::check(seed, &config, |case, op| {
             case.table.check_invariants().unwrap();
-            recompressed |= has_block_in(&case.table, BlockState::Recompressed);
-            dropped |= has_block_in(&case.table, BlockState::Dropped);
-            let ctx = format!("{ctx} step {step}");
-            assert_eq!(case.table.num_rows(), case.model.len(), "{ctx}");
-            // Query: a selective, a covering, and an empty predicate.
+            if matches!(op, Op::Insert(_) | Op::Forget(_)) {
+                return;
+            }
+            assert_eq!(case.table.num_rows(), case.model.len());
+            // A selective, a covering, and an empty predicate; the first
+            // follows from the table's length, so a replay draws it again.
+            let mut rng = SimRng::new(seed ^ case.model.len() as u64);
             for pred in [
                 RangePredicate::new(rng.range_i64(-500, 400), rng.range_i64(-400, 500)),
                 RangePredicate::new(-500, 500),
                 RangePredicate::new(400, -400),
             ] {
-                assert_serial_kernels_agree(&case, pred, false, &ctx);
-                assert_one_predicate_plans_agree(&case, pred, &ctx);
+                assert_serial_kernels_agree(case, pred, false, "");
+                assert_one_predicate_plans_agree(case, pred, "");
             }
-            // Joins ride the same interleavings: build and probe must
-            // read the exact tier layout this step produced.
-            assert_self_join_matches_model(&case, &ctx);
-        }
-        // Dropping fully-forgotten blocks keeps active answers intact.
-        let len = case.model.len();
-        case.apply(Op::FreezeUpto(len));
-        case.apply(Op::Drop);
-        for pred in [
-            RangePredicate::new(-500, 500),
-            RangePredicate::new(-100, 100),
-        ] {
-            assert_serial_kernels_agree(&case, pred, false, &format!("{ctx} after drop"));
-        }
+            // Joins ride the same histories: build and probe must read
+            // the exact tier layout this op produced.
+            assert_self_join_matches_model(case, "");
+        });
     }
-    assert!(recompressed, "no step left a recompressed block");
-    assert!(dropped, "no step left a dropped block");
+    assert!(
+        seen.reached(BlockState::Recompressed),
+        "no history left a recompressed block"
+    );
+    assert!(
+        seen.reached(BlockState::Dropped),
+        "no history left a dropped block"
+    );
 }
 
 /// The tiered join's pairs are the model's across every codec × block

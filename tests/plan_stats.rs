@@ -11,32 +11,15 @@ mod common;
 
 use amnesia::columnar::compress::{block_decodes, summary_builds, Encoding};
 use amnesia::columnar::persist::snapshot;
-use amnesia::columnar::{BlockState, RowId, Schema, Table};
+use amnesia::columnar::{BlockState, Schema, Table};
 use amnesia::engine::exec::PlanTag;
 use amnesia::engine::{
     order_predicates, q_error, ColPred, ColumnStats, CostModel, ExecMode, Executor,
     ForgetVisibility, PhysicalPlan, PlanHint, SortDir,
 };
-use amnesia_model::{eval_plan, join_pairs, Case, Op};
-use common::{col, has_block_in, plan};
-
-/// Deterministic LCG so the suites never depend on an external RNG.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    /// Uniform in `[0, n)`.
-    fn below(&mut self, n: u64) -> i64 {
-        (self.next() % n) as i64
-    }
-}
+use amnesia::prelude::SimRng;
+use amnesia_model::{eval_plan, gen, join_pairs, Case, Op};
+use common::{col, plan};
 
 /// Build a single-column table, freeze every full block.
 fn frozen_column(values: &[i64], block_rows: usize, enc: Option<Encoding>) -> Table {
@@ -51,13 +34,13 @@ fn frozen_column(values: &[i64], block_rows: usize, enc: Option<Encoding>) -> Ta
 
 /// The value distributions of the estimation suite.
 fn distributions(n: usize) -> Vec<(&'static str, Vec<i64>)> {
-    let mut rng = Lcg(42);
-    let uniform: Vec<i64> = (0..n).map(|_| rng.below(10_000)).collect();
+    let mut rng = SimRng::new(42);
+    let uniform: Vec<i64> = (0..n).map(|_| rng.range_i64(0, 10_000)).collect();
     // Zipf-like skew: an inverse-power transform of a uniform variate
     // piles most of the mass on small values with a long tail.
     let zipf: Vec<i64> = (0..n)
         .map(|_| {
-            let u = (rng.next() % 1_000_000) as f64 / 1_000_000.0;
+            let u = rng.f64();
             (10_000.0 * u * u * u) as i64
         })
         .collect();
@@ -127,14 +110,18 @@ fn estimation_quality_bounded_q_error_across_shapes() {
 /// row id (tight block metas), `b` is uniform noise (useless metas).
 /// Every full block frozen, then an eighth of the rows forgotten.
 fn plan_table(n: usize, block_rows: usize, enc: Option<Encoding>) -> Case {
-    let mut rng = Lcg(7);
+    let mut rng = SimRng::new(7);
     let rows = (0..n as i64)
-        .map(|i| vec![i % 23, (i / 4) + rng.below(32), rng.below(1000)])
+        .map(|i| {
+            vec![
+                i % 23,
+                (i / 4) + rng.range_i64(0, 32),
+                rng.range_i64(0, 1000),
+            ]
+        })
         .collect();
-    let mut forget = Lcg(99);
-    let victims = (0..n / 8)
-        .map(|_| forget.below(n as u64) as usize)
-        .collect();
+    let mut forget = SimRng::new(99);
+    let victims = (0..n / 8).map(|_| forget.index(n)).collect();
     Case::replay(
         Schema::new(vec!["g", "a", "b"]),
         block_rows,
@@ -227,12 +214,12 @@ fn join_plan(hint: PlanHint, right_pred: bool) -> PhysicalPlan {
 /// swap the build to slot 1 and still return the model's pairs.
 #[test]
 fn join_build_side_swap_preserves_rows() {
-    let mut rng = Lcg(5);
+    let mut rng = SimRng::new(5);
     let parent_rows = (0..4096i64)
-        .map(|i| vec![i % 997, rng.below(1000)])
+        .map(|i| vec![i % 997, rng.range_i64(0, 1000)])
         .collect();
     let child_rows = (0..512)
-        .map(|_| vec![rng.below(997), rng.below(1000)])
+        .map(|_| vec![rng.range_i64(0, 997), rng.range_i64(0, 1000)])
         .collect();
     let parent = Case::replay(
         Schema::new(vec!["k", "v"]),
@@ -271,10 +258,14 @@ fn join_build_side_swap_preserves_rows() {
 /// pairs, in serial and parallel modes alike.
 #[test]
 fn merge_join_on_sorted_keys_matches_hash_oracle() {
-    let mut rng = Lcg(11);
-    let parent_rows = (0..2048i64).map(|i| vec![i, rng.below(1000)]).collect();
+    let mut rng = SimRng::new(11);
+    let parent_rows = (0..2048i64)
+        .map(|i| vec![i, rng.range_i64(0, 1000)])
+        .collect();
     // Sorted foreign keys (each parent key 0..=1023 twice).
-    let child_rows = (0..2048i64).map(|i| vec![i / 2, rng.below(1000)]).collect();
+    let child_rows = (0..2048i64)
+        .map(|i| vec![i / 2, rng.range_i64(0, 1000)])
+        .collect();
     let [parent, child] =
         [(vec!["k", "v"], parent_rows), (vec!["fk", "v"], child_rows)].map(|(names, rows)| {
             Case::replay(
@@ -383,105 +374,57 @@ fn assert_summary_describes_live_data(t: &Table, ctx: &str) {
     }
 }
 
-/// A seeded history over every kind of mutation. After every step the
-/// live table — whose cells were filled by earlier steps and emptied (or
-/// outgrown) by this one — plans exactly as a table decoded from its own
-/// snapshot, whose cells were never filled.
+/// A generated history over every kind of mutation. After every op the
+/// live table, whose cells were filled by earlier ops and emptied (or
+/// outgrown) by this one, plans exactly as a table decoded from its own
+/// snapshot, whose cells were never filled. After each recompression
+/// the table is replaced by its clone, which carries the filled cells on.
+/// Column 0 trends upward (sorted until the noise bites), column 1 is
+/// noise, and a far outlier lands now and then, so a drop or a forget
+/// has a domain edge to take away.
 fn summary_coherence_history(arity: usize, seed: u64) {
-    const BLOCK: usize = 64;
-    let names: Vec<&str> = ["a", "b"][..arity].to_vec();
-    let mut t = Table::with_block_rows(Schema::new(names), BLOCK);
-    let mut rng = Lcg(seed);
-    // Column 0 trends upward (sorted until the noise bites), column 1 is
-    // noise; a far outlier lands now and then so a drop or a forget has a
-    // domain edge to take away.
-    let row = |rng: &mut Lcg, n: usize| -> Vec<i64> {
-        let outlier = if rng.below(40) == 0 { 1_000_000 } else { 0 };
-        [n as i64 / 2 + rng.below(3) + outlier, rng.below(500)][..arity].to_vec()
-    };
     let preds: Vec<ColPred> = (0..arity)
         .flat_map(|c| [ColPred::range(c, 10, 120), ColPred::range(c, 0, 400)])
         .collect();
-    let mut seen = [0usize; 8];
-    let (mut recompressed, mut dropped) = (false, false);
-    for step in 0..260 {
-        let op = if step < 8 {
-            step
-        } else {
-            rng.below(8) as usize
-        };
-        seen[op] += 1;
-        let n = t.num_rows();
-        let hot_start = t.col_tier(0).hot_start();
-        let what = match op {
-            0 => {
-                let values = row(&mut rng, n);
-                t.insert(&values, step as u64).unwrap();
-                "insert"
-            }
-            1 => {
-                let k = 1 + rng.below(150) as usize;
-                if arity == 1 {
-                    let batch: Vec<i64> = (0..k).map(|i| row(&mut rng, n + i)[0]).collect();
-                    t.insert_batch(&batch, step as u64).unwrap();
-                } else {
-                    for i in 0..k {
-                        let values = row(&mut rng, n + i);
-                        t.insert(&values, step as u64).unwrap();
-                    }
-                }
-                "insert_batch"
-            }
-            2 if n > hot_start => {
-                let r = hot_start + rng.below((n - hot_start) as u64) as usize;
-                t.forget(RowId::from(r), step as u64).unwrap();
-                "forget a hot row"
-            }
-            3 if hot_start > 0 => {
-                // Now and then a whole block, so a later drop has a victim.
-                let r = rng.below(hot_start as u64) as usize;
-                let rows = if rng.below(3) == 0 {
-                    r / BLOCK * BLOCK..(r / BLOCK + 1) * BLOCK
-                } else {
-                    r..r + 1
-                };
-                for r in rows {
-                    t.forget(RowId::from(r), step as u64).unwrap();
-                }
-                "forget frozen rows"
-            }
-            4 => {
-                t.freeze_upto(n - rng.below(BLOCK as u64 + 1).min(n as i64) as usize);
-                "freeze_upto"
-            }
-            5 => {
-                t.recompress_frozen(0.95);
-                "recompress_frozen"
-            }
-            6 => {
-                t.drop_forgotten_blocks();
-                "drop_forgotten_blocks"
-            }
-            7 => {
-                t = t.clone();
-                "clone"
-            }
-            _ => continue,
-        };
-        let ctx = format!("arity {arity} seed {seed} step {step} ({what})");
-        let fresh = snapshot::decode(&snapshot::encode(&t)).expect("snapshot roundtrip");
+    let coherent = |t: &Table, ctx: &str| {
+        let fresh = snapshot::decode(&snapshot::encode(t)).expect("snapshot roundtrip");
         assert_eq!(
-            planner_view(&t, &preds),
+            planner_view(t, &preds),
             planner_view(&fresh, &preds),
             "{ctx}"
         );
-        assert_summary_describes_live_data(&t, &ctx);
-        recompressed |= has_block_in(&t, BlockState::Recompressed);
-        dropped |= has_block_in(&t, BlockState::Dropped);
+        assert_summary_describes_live_data(t, ctx);
+    };
+    let config = gen::Config {
+        shape: gen::Shape::Trend,
+        ..gen::Config::new(arity, 64, 260)
+    };
+    let (mut hot, mut frozen, mut clones) = (false, false, 0);
+    let seen = gen::check(seed, &config, |case, op| {
+        coherent(&case.table, "after the op");
+        if let Op::Forget(ids) = op {
+            let hot_start = case.table.col_tier(0).hot_start();
+            hot |= ids.iter().any(|&r| r >= hot_start);
+            frozen |= ids.iter().any(|&r| r < hot_start);
+        }
+        if matches!(op, Op::Recompress(_)) {
+            case.table = case.table.clone();
+            clones += 1;
+            coherent(&case.table, "after a clone");
+        }
+    });
+    for kind in gen::Kind::DRAWN {
+        assert!(seen.ran(kind), "arity {arity} seed {seed}: no {kind:?}");
     }
-    assert!(seen.iter().all(|&k| k > 0), "every operation ran: {seen:?}");
-    assert!(recompressed, "the history recompressed a block");
-    assert!(dropped, "the history dropped a block");
+    assert!(
+        hot && frozen && clones > 0,
+        "hot and frozen forgets and a clone"
+    );
+    let states = [BlockState::Recompressed, BlockState::Dropped];
+    assert!(
+        states.iter().all(|&s| seen.reached(s)),
+        "the history recompressed and dropped a block"
+    );
 }
 
 #[test]

@@ -4,27 +4,22 @@
 use amnesia::columnar::Paged;
 use amnesia::core::policy::UniformPolicy;
 use amnesia::prelude::*;
+use amnesia_model::{gen, Case, Op};
 use proptest::prelude::*;
 
-/// Build a table with the given per-epoch batch sizes (serial values),
-/// then forget `pre_forgotten` arbitrary rows to create realistic holes.
-fn build_table(batch_sizes: &[usize], pre_forget: &[usize]) -> Table {
-    let mut t = Table::new(Schema::single("a"));
-    let mut next = 0i64;
-    for (epoch, &n) in batch_sizes.iter().enumerate() {
-        let values: Vec<i64> = (0..n as i64).map(|i| next + i).collect();
-        next += n as i64;
-        if !values.is_empty() {
-            t.insert_batch(&values, epoch as u64).unwrap();
-        }
+/// Small generated histories for the victim contract: one column in
+/// blocks of 64, so tables freeze, drop, recompress and vacuum between
+/// the policy's calls.
+fn small(ops: usize) -> gen::Config {
+    gen::Config {
+        max_batch: 60,
+        ..gen::Config::new(1, 64, ops)
     }
-    let total = t.num_rows();
-    for &f in pre_forget {
-        if total > 0 {
-            let _ = t.forget(RowId((f % total) as u64), 1);
-        }
-    }
-    t
+}
+
+/// The epoch a policy runs at: one past the table's newest insert.
+fn next_epoch(table: &Table) -> u64 {
+    table.current_epoch() + 1
 }
 
 fn policy_strategies() -> Vec<PolicyKind> {
@@ -60,76 +55,74 @@ proptest! {
 
     #[test]
     fn victims_are_distinct_active_and_counted(
-        batch_sizes in proptest::collection::vec(0usize..60, 1..5),
-        pre_forget in proptest::collection::vec(0usize..1000, 0..30),
+        history in any::<u64>(),
         n_frac in 0.0f64..1.2,
         seed in any::<u64>(),
     ) {
-        let table = build_table(&batch_sizes, &pre_forget);
-        let active = table.active_rows();
-        let n = (n_frac * active as f64) as usize;
-        for kind in policy_strategies() {
-            let mut policy = kind.build();
-            let mut rng = SimRng::new(seed);
-            let victims = {
-                let ctx = PolicyContext {
-                    table: &table,
-                    epoch: batch_sizes.len() as u64,
-                };
-                policy.select_victims(&ctx, n, &mut rng)
-            };
-            prop_assert_eq!(
-                victims.len(),
-                n.min(active),
-                "{} returned wrong count", kind.name()
-            );
-            let mut seen = std::collections::HashSet::new();
-            for v in &victims {
-                prop_assert!(
-                    table.activity().is_active(*v),
-                    "{} selected inactive victim {v}", kind.name()
-                );
-                prop_assert!(seen.insert(*v), "{} duplicated victim {v}", kind.name());
-            }
-        }
-    }
-
-    #[test]
-    fn selection_is_deterministic_per_seed(
-        batch_sizes in proptest::collection::vec(1usize..40, 1..4),
-        seed in any::<u64>(),
-    ) {
-        let table = build_table(&batch_sizes, &[]);
-        let n = table.active_rows() / 2;
-        for kind in policy_strategies() {
-            let pick = |s: u64| {
+        gen::check(history, &small(8), |case, _| {
+            let table = &case.table;
+            let active = table.active_rows();
+            let n = (n_frac * active as f64) as usize;
+            for kind in policy_strategies() {
                 let mut policy = kind.build();
-                let mut rng = SimRng::new(s);
-                let ctx = PolicyContext { table: &table, epoch: 3 };
-                policy.select_victims(&ctx, n, &mut rng)
-            };
-            prop_assert_eq!(pick(seed), pick(seed), "{} not deterministic", kind.name());
-        }
+                let mut rng = SimRng::new(seed);
+                let ctx = PolicyContext {
+                    table,
+                    epoch: next_epoch(table),
+                };
+                let victims = policy.select_victims(&ctx, n, &mut rng);
+                prop_assert_eq!(
+                    victims.len(),
+                    n.min(active),
+                    "{} returned wrong count", kind.name()
+                );
+                let mut seen = std::collections::HashSet::new();
+                for v in &victims {
+                    prop_assert!(
+                        table.activity().is_active(*v),
+                        "{} selected inactive victim {v}", kind.name()
+                    );
+                    prop_assert!(seen.insert(*v), "{} duplicated victim {v}", kind.name());
+                }
+            }
+        });
     }
 
     #[test]
-    fn forgetting_victims_always_succeeds(
-        batch_sizes in proptest::collection::vec(1usize..40, 1..4),
-        seed in any::<u64>(),
-    ) {
-        let mut table = build_table(&batch_sizes, &[]);
-        let n = table.active_rows() / 3;
-        let mut policy = PolicyKind::Area.build();
-        let mut rng = SimRng::new(seed);
-        let victims = {
-            let ctx = PolicyContext { table: &table, epoch: 9 };
-            policy.select_victims(&ctx, n, &mut rng)
-        };
-        let before = table.active_rows();
-        for v in &victims {
-            prop_assert!(table.forget(*v, 9).unwrap(), "double forget of {v}");
-        }
-        prop_assert_eq!(table.active_rows(), before - victims.len());
+    fn selection_is_deterministic_per_seed(history in any::<u64>(), seed in any::<u64>()) {
+        gen::check(history, &small(6), |case, _| {
+            let table = &case.table;
+            let n = table.active_rows() / 2;
+            for kind in policy_strategies() {
+                let pick = |s: u64| {
+                    let mut policy = kind.build();
+                    let mut rng = SimRng::new(s);
+                    let ctx = PolicyContext { table, epoch: next_epoch(table) };
+                    policy.select_victims(&ctx, n, &mut rng)
+                };
+                prop_assert_eq!(pick(seed), pick(seed), "{} not deterministic", kind.name());
+            }
+        });
+    }
+
+    #[test]
+    fn forgetting_victims_always_succeeds(history in any::<u64>(), seed in any::<u64>()) {
+        gen::check(history, &small(6), |case, _| {
+            let mut table = case.table.clone();
+            let n = table.active_rows() / 3;
+            let mut policy = PolicyKind::Area.build();
+            let mut rng = SimRng::new(seed);
+            let epoch = next_epoch(&table);
+            let victims = {
+                let ctx = PolicyContext { table: &table, epoch };
+                policy.select_victims(&ctx, n, &mut rng)
+            };
+            let before = table.active_rows();
+            for v in &victims {
+                prop_assert!(table.forget(*v, epoch).unwrap(), "double forget of {v}");
+            }
+            prop_assert_eq!(table.active_rows(), before - victims.len());
+        });
     }
 }
 
@@ -410,7 +403,9 @@ fn victim_sets_do_not_depend_on_the_tier_layout() {
 fn fifo_is_total_order_stable() {
     // FIFO victims must always be a prefix of the active insertion order,
     // independent of RNG state.
-    let table = build_table(&[30, 30], &[3, 7, 11]);
+    let rows = |r: std::ops::Range<i64>| Op::column(&r.collect::<Vec<_>>());
+    let history = [rows(0..30), rows(30..60), Op::Forget(vec![3, 7, 11])];
+    let table = Case::replay(Schema::single("a"), 64, history).table;
     let mut policy = PolicyKind::Fifo.build();
     let mut rng1 = SimRng::new(1);
     let mut rng2 = SimRng::new(999);

@@ -17,13 +17,13 @@
 mod common;
 
 use amnesia::columnar::compress::Encoding;
-use amnesia::columnar::DEFAULT_BLOCK_ROWS;
+use amnesia::columnar::{BlockState, DEFAULT_BLOCK_ROWS};
 use amnesia::engine::batch::{aggregate_tiered_active, count_tiered_active};
 use amnesia::engine::exec::PlanTag;
 use amnesia::engine::join::{hash_join, hash_join_count, join_precision};
 use amnesia::engine::{Aux, ColPred, CostModel, ExecMode, Executor, ForgetVisibility, QueryOutput};
 use amnesia::prelude::*;
-use amnesia_model::{eval_plan, join_pairs, Case, Op};
+use amnesia_model::{eval_plan, gen, join_pairs, Case, Op};
 use common::{agg, col, plan, scan};
 
 const ACTIVE: ForgetVisibility = ForgetVisibility::ActiveOnly;
@@ -217,73 +217,63 @@ fn sql_paths_survive_half_frozen_tables() {
     assert_eq!(catalog.run(q, &ex), want, "SQL answers survive freezing");
 }
 
-/// Satellite: `recompress_frozen` mutates stored values at *forgotten*
-/// positions (squashing them onto active neighbours). Every reader of
-/// the recompressed payloads — scans behind block meta that is only ever
+/// `recompress_frozen` mutates stored values at *forgotten* positions
+/// (squashing them onto active neighbours). Every reader of the
+/// recompressed payloads — scans behind block meta that is only ever
 /// stale-wide, join hash tables (rebuilt per call but probing
 /// recompressed blocks) — must keep answering exactly, because each of
-/// them filters through the activity map before trusting a value.
-/// Interleave recompression with scans and joins and hold them to the
-/// model to prove it.
+/// them filters through the activity map before trusting a value. Hold
+/// scans and joins to the model after every op of generated histories
+/// of forgets and recompressions among the other transitions to prove it.
 #[test]
 fn recompress_keeps_scans_and_joins_correct() {
-    for (seed, encoding) in [5u64, 6, 7]
+    let mut seen = gen::Coverage::default();
+    for (seed, codec) in [5u64, 6, 7]
         .into_iter()
         .flat_map(|s| CODECS.map(|e| (s, e)))
     {
-        let mut rng = SimRng::new(seed);
-        let ctx = format!("seed={seed} {encoding:?}");
-        let values: Vec<i64> = (0..4_096).map(|_| rng.range_i64(0, 300)).collect();
-        let mut case = Case::replay(
-            Schema::single("a"),
-            256,
-            [
-                Op::Pin(0, encoding),
-                Op::column(&values),
-                Op::FreezeUpto(4_096),
-            ],
-        );
-        for step in 0..8 {
-            // Forget a burst, then recompress rotten blocks: forgotten
-            // positions' values are physically rewritten.
-            case.apply(Op::Forget((0..300).map(|_| rng.index(4_096)).collect()));
-            case.apply(Op::Recompress(0.9));
+        let config = gen::Config {
+            codec,
+            max_batch: 1_024,
+            ..gen::Config::new(1, 256, 40)
+        };
+        seen |= gen::check(seed, &config, |case, op| {
             let (t, m) = (&case.table, &case.model);
-            if step > 2 {
-                assert!(
-                    t.bytes_frozen() > 0,
-                    "recompression keeps payloads live {ctx}"
-                );
+            // Some frozen block is not dropped.
+            let live = t.frozen_blocks() * t.block_rows() > t.dropped_rows();
+            if matches!(op, Op::Recompress(_)) && live {
+                assert!(t.bytes_frozen() > 0, "recompression keeps payloads live");
             }
+            let mut rng = SimRng::new(seed ^ m.len() as u64);
             for pred in [
-                RangePredicate::new(0, 300),
-                RangePredicate::new(rng.range_i64(0, 250), rng.range_i64(100, 300)),
+                RangePredicate::new(-500, 500),
+                RangePredicate::new(rng.range_i64(-500, 250), rng.range_i64(-200, 500)),
             ] {
                 let want = m.query(0, &Query::Range(pred), ACTIVE);
                 let want = want.rows().unwrap();
                 // Block meta bounds are stale-wide, never stale-narrow.
-                assert_eq!(scan(t, pred).0, want, "scan {ctx} step {step} {pred:?}");
+                assert_eq!(scan(t, pred).0, want, "scan {pred:?}");
                 assert_eq!(
                     count_tiered_active(t.col_tier(0), t.activity_words(), pred).0,
                     want.len(),
-                    "count {ctx} step {step}"
+                    "count {pred:?}"
                 );
             }
             // Joins rebuild their hash table per call, but build and
             // probe both stream the *recompressed* payloads.
             let want = join_pairs(m, 0, m, 0, ACTIVE);
-            assert_eq!(
-                hash_join(t, 0, t, 0, ACTIVE).pairs,
-                want,
-                "join {ctx} step {step}"
-            );
+            assert_eq!(hash_join(t, 0, t, 0, ACTIVE).pairs, want, "join");
             assert_eq!(
                 hash_join_count(t, 0, t, 0, ACTIVE),
                 want.len(),
-                "join count {ctx} step {step}"
+                "join count"
             );
-        }
+        });
     }
+    assert!(
+        seen.reached(BlockState::Recompressed),
+        "no block recompressed"
+    );
 }
 
 /// A forget batch applies as runs (`Table::forget_batch`, the path replay

@@ -12,8 +12,11 @@
 //!
 //! The allocator counts for the whole process, so this binary holds one
 //! test: libtest runs a binary's tests on parallel threads. It also
-//! prints, without asserting, what a tier sweep allocates on its workers
-//! (freeze and recompression still encode on the worker).
+//! counts the frees made off the test's thread, which set up a worker's
+//! arena as an allocation does, and prints them beside the allocations
+//! for both opens; and it prints, without asserting, what a tier sweep
+//! allocates and frees on its workers (freeze and recompression still
+//! encode on the worker).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,17 +31,21 @@ use amnesia_sync::morsel::cores;
 /// Allocations (and reallocations) made off the test's thread.
 static OFF_THREAD: AtomicUsize = AtomicUsize::new(0);
 
+/// Frees made off the test's thread.
+static OFF_THREAD_FREES: AtomicUsize = AtomicUsize::new(0);
+
 thread_local! {
     /// Set on the test's own thread. Const-initialised with no
     /// destructor, so reading it from the allocator allocates nothing.
     static TEST_THREAD: Cell<bool> = const { Cell::new(false) };
 }
 
-fn note_allocation() {
+/// Count one call in `counter` if it came from off the test's thread.
+fn note(counter: &AtomicUsize) {
     if !TEST_THREAD.with(Cell::get) {
         // Relaxed: a count read by the test thread after the workers it
         // counts were joined.
-        OFF_THREAD.fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -50,13 +57,14 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's `layout` is passed through as received.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note(&OFF_THREAD);
         // SAFETY: as above — `System.alloc` under the caller's contract.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: `p` and `layout` are the caller's, from a prior `alloc`.
     unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        note(&OFF_THREAD_FREES);
         // SAFETY: as above — `System.dealloc` under the caller's contract.
         unsafe { System.dealloc(p, layout) }
     }
@@ -64,7 +72,7 @@ unsafe impl GlobalAlloc for Counting {
     // SAFETY: the arguments are the caller's, under `GlobalAlloc::realloc`'s
     // own contract.
     unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
+        note(&OFF_THREAD);
         // SAFETY: as above — `System.realloc` under the caller's contract.
         unsafe { System.realloc(p, layout, new_size) }
     }
@@ -73,13 +81,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocations off the test's thread while `f` runs.
-fn off_thread<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    // Relaxed: as in `note_allocation`.
-    let before = OFF_THREAD.load(Ordering::Relaxed);
+/// Allocations and frees off the test's thread while `f` runs.
+fn off_thread<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+    let count = || {
+        // Relaxed: as in `note`.
+        let allocations = OFF_THREAD.load(Ordering::Relaxed);
+        // Relaxed: as in `note`.
+        (allocations, OFF_THREAD_FREES.load(Ordering::Relaxed))
+    };
+    let before = count();
     let out = f();
-    // Relaxed: as in `note_allocation`.
-    (out, OFF_THREAD.load(Ordering::Relaxed) - before)
+    let after = count();
+    (out, after.0 - before.0, after.1 - before.1)
 }
 
 const BLOCK: usize = 1_024;
@@ -120,8 +133,9 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Write `table` as a durable directory, open it, and return the
-/// allocations the open made off the test's thread.
+/// Write `table` as a durable directory, open it, print the allocations
+/// and frees the open made off the test's thread, and return the
+/// allocations.
 fn open_off_thread(name: &str, table: Table) -> usize {
     let dir = fresh_dir(name);
     let (rows, active) = (table.num_rows(), table.active_rows());
@@ -136,7 +150,8 @@ fn open_off_thread(name: &str, table: Table) -> usize {
         PersistentTable::create_with_table(StdVfs::shared(), &dir, table, SyncPolicy::PerRecord)
             .unwrap(),
     );
-    let (rec, allocations) = off_thread(|| PersistentTable::open(&dir).unwrap());
+    let (rec, allocations, frees) = off_thread(|| PersistentTable::open(&dir).unwrap());
+    println!("{name} open, off the test's thread: {allocations} allocations, {frees} frees");
     assert_eq!(
         (rec.table().num_rows(), rec.table().active_rows()),
         (rows, active),
@@ -186,15 +201,16 @@ fn no_worker_allocates_while_a_table_opens() {
 
     // The write side: a tier sweep of 20 blocks per column.
     let mut t = four_columns(21 * BLOCK);
-    let (frozen_blocks, freeze) = off_thread(|| t.freeze_upto(20 * BLOCK));
+    let (frozen_blocks, freeze, freeze_frees) = off_thread(|| t.freeze_upto(20 * BLOCK));
     let mut rng = SimRng::new(3);
     while t.active_rows() > t.num_rows() / 2 {
         let row = t.random_active(&mut rng).unwrap();
         t.forget(row, 99).unwrap();
     }
-    let ((recompressed, _), recompress) = off_thread(|| t.recompress_frozen(0.9));
+    let ((recompressed, _), recompress, recompress_frees) = off_thread(|| t.recompress_frozen(0.9));
     println!(
-        "worker allocations: freeze_upto of {frozen_blocks} blocks {freeze}, \
-         recompress_frozen of {recompressed} blocks {recompress}"
+        "worker allocations / frees: freeze_upto of {frozen_blocks} blocks \
+         {freeze} / {freeze_frees}, recompress_frozen of {recompressed} blocks \
+         {recompress} / {recompress_frees}"
     );
 }
